@@ -10,22 +10,17 @@ reciprocal variety, and its left kernel consists of the linear forms that
 vanish on all inverses.
 
 The fully symbolic n = 3 determinant (degree 12 in the 18 entry variables)
-is expensive, so it is computed once and cached on disk keyed by a content
-hash of the construction.
+takes about a second, so it is computed at most once per process.
 """
 
 from __future__ import annotations
 
-import hashlib
-import itertools
-import os
 from dataclasses import dataclass
 from fractions import Fraction
-from pathlib import Path
 from typing import List, Sequence, Tuple
 
 from .errors import PreconditionError
-from .exact import MPoly, parse_poly
+from .exact import MPoly, monomials
 from .linalg import Mat, adjugate, det, det_laplace, mat_rank, rref
 from .spaces import (
     MatSpace,
@@ -36,17 +31,6 @@ from .spaces import (
     sym_pairs,
     vectorize,
 )
-
-
-def monomial_columns(m: int, degree: int) -> List[Tuple[int, ...]]:
-    """Exponent tuples of total degree ``degree`` in graded-lex order
-    (t1 > t2 > ...), e.g. for m = 3, degree 2: x^2, xy, xz, y^2, yz, z^2."""
-    tuples = [
-        exps
-        for exps in itertools.product(range(degree + 1), repeat=m)
-        if sum(exps) == degree
-    ]
-    return sorted(tuples, reverse=True)
 
 
 @dataclass
@@ -65,7 +49,7 @@ def chow_matrix(space: MatSpace) -> ChowMatrix:
     """Chow matrix of a numeric space; square exactly when m = 3."""
     names = generic_names(space.m)
     adj = adjugate(generic_element(space, names))
-    cols = monomial_columns(space.m, space.n - 1)
+    cols = list(monomials(space.m, space.n - 1))
     rows = []
     labels = []
     for i, j in sym_pairs(space.n):
@@ -158,7 +142,7 @@ def chow_matrix_generic(n: int = 3, prefixes: Sequence[str] = ("x", "y", "z")) -
         scaled = mat.map(lambda e, _w=w: e * _w)
         acc = scaled if acc is None else acc + scaled
     adj = adjugate(acc)
-    cols = monomial_columns(m, n - 1)
+    cols = list(monomials(m, n - 1))
     rows = []
     labels = []
     for i, j in sym_pairs(n):
@@ -169,43 +153,19 @@ def chow_matrix_generic(n: int = 3, prefixes: Sequence[str] = ("x", "y", "z")) -
     return ChowMatrix(n, m, labels, cols, rows)
 
 
-def _cache_dir() -> Path:
-    env = os.environ.get("JORDANET_CACHE_DIR")
-    if env:
-        return Path(env)
-    return Path(os.environ.get("XDG_CACHE_HOME", Path.home() / ".cache")) / "jordanet"
-
-
 _DET_MEMO = {}
 
 
-def chow_det_generic(n: int = 3, cache: bool = True) -> MPoly:
+def chow_det_generic(n: int = 3) -> MPoly:
     """Determinant of the fully symbolic Chow matrix (only n = 3 supported).
 
-    Degree 12 in the 18 variables x11..z33; the result is cached in memory
-    and on disk in the canonical text format.
+    Degree 12 in the 18 variables x11..z33; the result is memoised in memory.
     """
     if n != 3:
         raise PreconditionError("UNSUPPORTED_DIM", "symbolic Chow determinant is n = 3 only")
-    key_src = f"chow-det:n={n}:prefixes=x,y,z:cols=grlex-desc:rows=upper-tri"
-    key = hashlib.sha256(key_src.encode()).hexdigest()[:24]
-    if key in _DET_MEMO:
-        return _DET_MEMO[key]
-    path = _cache_dir() / f"{key}.txt"
-    if cache and path.exists():
-        poly = parse_poly(path.read_text())
-        _DET_MEMO[key] = poly
-        return poly
-    cm = chow_matrix_generic(n)
-    poly = det_laplace(cm.as_mat())
-    _DET_MEMO[key] = poly
-    if cache:
-        try:
-            path.parent.mkdir(parents=True, exist_ok=True)
-            path.write_text(str(poly))
-        except OSError:
-            pass
-    return poly
+    if n not in _DET_MEMO:
+        _DET_MEMO[n] = det_laplace(chow_matrix_generic(n).as_mat())
+    return _DET_MEMO[n]
 
 
 def chow_det_eval_at_net(space: MatSpace) -> Fraction:

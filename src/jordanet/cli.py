@@ -23,7 +23,6 @@ import json
 import sys
 import time
 from fractions import Fraction
-from pathlib import Path
 from typing import Optional, Union
 
 from .catalog import canonical, catalog_ids, catalog_note
@@ -36,7 +35,7 @@ from .classify import (
 )
 from .errors import InputError, JordanetError, PreconditionError
 from .exact import frac_str, parse_poly
-from .io import load_space_file
+from .io import load_space_file, read_text_file
 from .jordan import (
     check_reciprocal_identity,
     is_jordan,
@@ -58,10 +57,19 @@ from .varieties import CATALOGS, catalog_eval, macaulay_emptiness
 from .verify import run_verification
 
 
-def _resolve_space(token: str) -> Union[MatSpace, ParametricBasis]:
+def _resolve_space(token: str, kind: type) -> Union[MatSpace, ParametricBasis]:
+    """The space or family a file path or ``catalog://<id>`` names; raises a
+    precondition error unless it is a ``kind`` (MatSpace or ParametricBasis)."""
     if token.startswith("catalog://"):
-        return canonical(token[len("catalog://"):])
-    return load_space_file(token)
+        got = canonical(token[len("catalog://"):])
+    else:
+        got = load_space_file(token)
+    if not isinstance(got, kind):
+        if kind is MatSpace:
+            raise PreconditionError("UNSUPPORTED_DIM",
+                                    "expected a plain space; use 'limit' for a parametric family")
+        raise PreconditionError("NOT_GENERIC_RANK", "limit expects a parametric family")
+    return got
 
 
 def _render_value(v):
@@ -92,9 +100,7 @@ def _emit(report: dict, as_json: bool, elapsed: Optional[float] = None) -> None:
 
 
 def cmd_analyze(args) -> int:
-    space = _resolve_space(args.space)
-    if isinstance(space, ParametricBasis):
-        raise PreconditionError("UNSUPPORTED_DIM", "analyze expects a plain space; use 'limit'")
+    space = _resolve_space(args.space, MatSpace)
     report = {
         "command": "analyze",
         "input": args.space,
@@ -148,9 +154,7 @@ def cmd_chow(args) -> int:
         return _done(report, args)
     if args.space is None:
         raise InputError("PARSE_ERROR", "chow needs a space or --generic-n3")
-    space = _resolve_space(args.space)
-    if isinstance(space, ParametricBasis):
-        raise PreconditionError("UNSUPPORTED_DIM", "chow expects a plain space")
+    space = _resolve_space(args.space, MatSpace)
     wants_all = not (args.rank or args.kernel or args.det_stats)
     if args.rank or wants_all:
         report["rank"] = chow_rank(space)
@@ -164,22 +168,19 @@ def cmd_chow(args) -> int:
 
 
 def cmd_pencil(args) -> int:
-    space = _resolve_space(args.space)
-    got = classify_pencil(space)
+    got = classify_pencil(_resolve_space(args.space, MatSpace))
     return _done({"command": "pencil", "input": args.space,
                   "kind": got.kind, "label": got.label}, args)
 
 
 def cmd_copencil(args) -> int:
-    space = _resolve_space(args.space)
+    space = _resolve_space(args.space, MatSpace)
     return _done({"command": "copencil", "input": args.space,
                   "class": classify_copencil_S3(space)}, args)
 
 
 def cmd_plucker(args) -> int:
-    space = _resolve_space(args.space)
-    if isinstance(space, ParametricBasis):
-        raise PreconditionError("UNSUPPORTED_DIM", "plucker expects a plain space")
+    space = _resolve_space(args.space, MatSpace)
     pv = plucker(space)
     nonzero = {"".join(str(i) for i in key): value for key, value in sorted(pv.nonzero().items())}
     report = {
@@ -195,10 +196,7 @@ def cmd_plucker(args) -> int:
 
 
 def cmd_limit(args) -> int:
-    family = _resolve_space(args.space)
-    if isinstance(family, MatSpace):
-        raise PreconditionError("NOT_GENERIC_RANK", "limit expects a parametric family")
-    lim = grassmann_limit(family)
+    lim = grassmann_limit(_resolve_space(args.space, ParametricBasis))
     report = {"command": "limit", "input": args.space, "n": lim.n, "m": lim.m,
               "basis": [b for b in lim.basis]}
     try:
@@ -211,7 +209,7 @@ def cmd_limit(args) -> int:
 
 def cmd_emptiness(args) -> int:
     polys = []
-    for line in Path(args.polyfile).read_text().splitlines():
+    for line in read_text_file(args.polyfile).splitlines():
         line = line.strip()
         if not line or line.startswith("#"):
             continue
@@ -268,11 +266,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="cmd", required=True)
 
-    def common(p, space=True):
-        if space:
-            p.add_argument("space", help="JSON space file or catalog://<id>")
+    def common(p):
+        p.add_argument("space", help="JSON space file or catalog://<id>")
         p.add_argument("--json", action="store_true", help="byte-stable JSON report")
-        p.add_argument("--seed", type=int, default=0, help="seed for sampled checks")
 
     p = sub.add_parser("analyze", help="regularity, closure, radical, classification")
     common(p)
@@ -282,7 +278,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("chow", help="Chow matrix rank, kernel forms, determinant stats")
     p.add_argument("space", nargs="?", help="JSON space file or catalog://<id>")
     p.add_argument("--json", action="store_true")
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--rank", action="store_true")
     p.add_argument("--kernel", action="store_true")
     p.add_argument("--det-stats", action="store_true")
@@ -310,7 +305,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("polyfile", help="text file, one polynomial per line")
     p.add_argument("--degree", type=int, default=4)
     p.add_argument("--json", action="store_true")
-    p.add_argument("--seed", type=int, default=0)
     p.set_defaults(fn=cmd_emptiness)
 
     p = sub.add_parser("verify", help="run the built-in verification suite")

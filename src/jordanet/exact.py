@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 import re
 from fractions import Fraction
-from typing import Iterable, Mapping, Optional, Union
+from typing import Iterable, Iterator, Mapping, Optional, Tuple, Union
 
 from .errors import InputError, InternalCheckError
 
@@ -55,6 +55,18 @@ def frac_gcd(a: Fraction, b: Fraction) -> Fraction:
     num = math.gcd(a.numerator, b.numerator)
     den = (a.denominator * b.denominator) // math.gcd(a.denominator, b.denominator)
     return Fraction(num, den)
+
+
+def monomials(k: int, degree: int) -> Iterator[Tuple[int, ...]]:
+    """Exponent tuples of length k and total degree ``degree``, in descending
+    lexicographic order (t1 > t2 > ...); none for a negative degree."""
+    if k == 0:
+        if degree == 0:
+            yield ()
+        return
+    for first in range(degree, -1, -1):
+        for rest in monomials(k - 1, degree - first):
+            yield (first,) + rest
 
 
 def _grlex_key(exps: tuple) -> tuple:

@@ -70,11 +70,16 @@ def parse_space_data(obj: dict) -> Union[MatSpace, ParametricBasis]:
     return make_space(n, mats)
 
 
-def load_space_file(path: Union[str, Path]) -> Union[MatSpace, ParametricBasis]:
+def read_text_file(path: Union[str, Path]) -> str:
+    """File contents; an unreadable file is a PARSE_ERROR."""
     try:
-        text = Path(path).read_text()
-    except OSError as exc:
+        return Path(path).read_text()
+    except (OSError, UnicodeDecodeError) as exc:
         raise InputError("PARSE_ERROR", f"cannot read {path}: {exc}") from exc
+
+
+def load_space_file(path: Union[str, Path]) -> Union[MatSpace, ParametricBasis]:
+    text = read_text_file(path)
     try:
         obj = json.loads(text)
     except json.JSONDecodeError as exc:

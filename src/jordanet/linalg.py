@@ -170,13 +170,18 @@ class Mat:
 # -- reduced row echelon form over the rationals --------------------------
 
 class Echelon:
-    """rank, pivots, the reduced rows, and a kernel basis of a Fraction matrix."""
+    """rank, pivots, the reduced rows, and a kernel basis of a Fraction matrix.
+
+    An echelon made by ``rref_with_transform`` also holds ``transform``: the
+    square row transform T with T @ A = the reduced rows, padded with zero rows.
+    """
 
     def __init__(self, rank: int, pivots: List[int], rows: List[List[Fraction]], cols: int):
         self.rank = rank
         self.pivots = pivots
         self.rows = rows
         self.cols = cols
+        self.transform: Optional[List[List[Fraction]]] = None
 
     def kernel_basis(self) -> List[List[Fraction]]:
         free = [j for j in range(self.cols) if j not in self.pivots]
@@ -200,24 +205,18 @@ class Echelon:
                 out[j] -= c * self.rows[r][j]
         return out
 
-    def solve_coordinates(self, v: Sequence[Fraction]) -> Optional[List[Fraction]]:
-        """Coefficients expressing v in the original row space, or None.
-
-        Returned in terms of the reduced rows; use ``member`` helpers when the
-        original basis matters.
-        """
-        out = [frac(x) for x in v]
-        coords = [Fraction(0)] * len(self.pivots)
-        for r, p in enumerate(self.pivots):
-            c = out[p]
-            coords[r] = c
-            if c == 0:
-                continue
-            for j in range(self.cols):
-                out[j] -= c * self.rows[r][j]
-        if any(x != 0 for x in out):
+    def coordinates(self, v: Sequence[Fraction]) -> Optional[List[Fraction]]:
+        """Coefficients c with sum(c_i * original_row_i) = v, or None when v is
+        outside the row space.  In reduced rows the coefficient of row r is
+        v's entry at pivot r; the transform takes that to the original rows."""
+        if any(x != 0 for x in self.reduce_vector(v)):
             return None
-        return coords
+        coeff = [Fraction(0)] * len(self.transform)
+        for r, p in enumerate(self.pivots):
+            c = frac(v[p])
+            if c != 0:
+                coeff = [a + c * b for a, b in zip(coeff, self.transform[r])]
+        return coeff
 
 
 def rref(matrix: Sequence[Sequence[Fraction]]) -> Echelon:
@@ -248,20 +247,26 @@ def mat_rank(m: Mat) -> int:
     return rref(m.data).rank
 
 
-def mat_kernel(m: Mat) -> List[List[Fraction]]:
-    return rref(m.data).kernel_basis()
+def rref_with_transform(matrix: Sequence[Sequence[Fraction]]) -> Echelon:
+    """Echelon of A with its row transform, read off the rref of [A | I]."""
+    k = len(matrix)
+    ncols = len(matrix[0]) if k else 0
+    aug = rref([list(row) + [Fraction(int(i == j)) for j in range(k)]
+                for i, row in enumerate(matrix)])
+    rank = sum(1 for p in aug.pivots if p < ncols)
+    ech = Echelon(rank, aug.pivots[:rank], [row[:ncols] for row in aug.rows[:rank]], ncols)
+    ech.transform = [row[ncols:] for row in aug.rows]
+    return ech
 
 
 def inverse(m: Mat) -> Mat:
     """Inverse of a square Fraction matrix; raises on singular input."""
     if not m.is_square():
         raise PreconditionError("NOT_SQUARE", "inverse needs a square matrix")
-    n = m.rows
-    aug = [list(m.data[i]) + [Fraction(int(i == j)) for j in range(n)] for i in range(n)]
-    ech = rref(aug)
-    if ech.pivots[:n] != list(range(n)) or ech.rank < n:
+    ech = rref_with_transform(m.data)
+    if ech.rank < m.rows:
         raise PreconditionError("SINGULAR", "matrix is singular")
-    return Mat([row[n:] for row in ech.rows])
+    return Mat(ech.transform)
 
 
 # -- determinants ----------------------------------------------------------
@@ -411,31 +416,4 @@ def minpoly(m: Mat) -> UniPoly:
 
 def express_in_rows(rows: List[List[Fraction]], v: Sequence[Fraction]) -> Optional[List[Fraction]]:
     """Coefficients c with sum(c_i * rows_i) = v, or None when v is outside."""
-    work = [list(r) for r in rows]
-    track = [[Fraction(int(i == j)) for j in range(len(rows))] for i in range(len(rows))]
-    target = [frac(x) for x in v]
-    coeff = [Fraction(0)] * len(rows)
-    ncols = len(v)
-    r = 0
-    for c in range(ncols):
-        pivot = next((i for i in range(r, len(work)) if work[i][c] != 0), None)
-        if pivot is None:
-            continue
-        work[r], work[pivot] = work[pivot], work[r]
-        track[r], track[pivot] = track[pivot], track[r]
-        inv = Fraction(1) / work[r][c]
-        work[r] = [x * inv for x in work[r]]
-        track[r] = [x * inv for x in track[r]]
-        for i in range(len(work)):
-            if i != r and work[i][c] != 0:
-                f = work[i][c]
-                work[i] = [a - f * b for a, b in zip(work[i], work[r])]
-                track[i] = [a - f * b for a, b in zip(track[i], track[r])]
-        if target[c] != 0:
-            f = target[c]
-            target = [a - f * b for a, b in zip(target, work[r])]
-            coeff = [a + f * b for a, b in zip(coeff, track[r])]
-        r += 1
-    if any(x != 0 for x in target):
-        return None
-    return coeff
+    return rref_with_transform(rows).coordinates(v)

@@ -19,7 +19,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from .errors import PreconditionError
 from .exact import MPoly, frac
-from .linalg import Echelon, Mat, det, express_in_rows, rref
+from .linalg import Echelon, Mat, det, rref, rref_with_transform
 from .prng import SplitMix64
 
 
@@ -47,7 +47,7 @@ def unvectorize(n: int, vec: Sequence) -> Mat:
 class MatSpace:
     """An m-dimensional subspace of the symmetric n x n matrices."""
 
-    __slots__ = ("n", "m", "basis", "_echelon", "_generic_det")
+    __slots__ = ("n", "m", "basis", "_echelon", "_generic_det", "_unit", "_jordan")
 
     def __init__(self, n: int, basis: Sequence[Mat]):
         self.n = n
@@ -55,6 +55,8 @@ class MatSpace:
         self.m = len(self.basis)
         self._echelon = None
         self._generic_det = None
+        self._unit = None
+        self._jordan = {}  # unit entries -> basis products (see jordan.py)
         if self.m == 0:
             raise PreconditionError("DEPENDENT_BASIS", "empty basis")
         for b in self.basis:
@@ -72,7 +74,7 @@ class MatSpace:
 
     def echelon(self) -> Echelon:
         if self._echelon is None:
-            self._echelon = rref(self.coordinate_rows())
+            self._echelon = rref_with_transform(self.coordinate_rows())
         return self._echelon
 
     def element(self, coords: Sequence) -> Mat:
@@ -154,12 +156,29 @@ def integer_sweep(m: int, max_norm: Optional[int] = None):
         shell += 1
 
 
+def nonzero_sweep(m: int, max_norm: int):
+    """The tuples of ``integer_sweep(m, max_norm)`` with no zero entry, in the
+    same order, drawn from the nonzero values only."""
+    for shell in range(1, max_norm + 1):
+        values = [x for v in range(1, shell + 1) for x in (v, -v)]
+        for tup in itertools.product(values, repeat=m):
+            if max(abs(x) for x in tup) == shell:
+                yield tup
+
+
 def find_invertible(space: MatSpace) -> Tuple[Mat, Tuple[int, ...]]:
-    """First invertible element in sweep order; the identity wins if present.
+    """First invertible element in sweep order, and its coordinates; the
+    identity wins if present.  Memoised on the space.
 
     The sweep over max-norm shells terminates for regular spaces: the generic
     determinant has degree n, so it cannot vanish on a grid wider than n + 1.
     """
+    if space._unit is None:
+        space._unit = _first_invertible(space)
+    return space._unit
+
+
+def _first_invertible(space: MatSpace) -> Tuple[Mat, Tuple[int, ...]]:
     if not is_regular(space):
         raise PreconditionError("NOT_REGULAR", "space has identically zero determinant")
     ident = Mat.identity(space.n)
@@ -179,7 +198,7 @@ def contains(space: MatSpace, m: Mat) -> Optional[List[Fraction]]:
         raise PreconditionError("NOT_SYMMETRIC", "size mismatch")
     if not m.is_symmetric():
         return None
-    return express_in_rows(space.coordinate_rows(), vectorize(m))
+    return space.echelon().coordinates(vectorize(m))
 
 
 def residue_mod_space(space: MatSpace, m: Mat) -> Mat:

@@ -21,7 +21,7 @@ from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from .errors import InputError, PreconditionError
-from .exact import MPoly, UniPoly, mpoly_gcd, parse_poly, subresultant_gcd
+from .exact import MPoly, UniPoly, monomials, mpoly_gcd, parse_poly, subresultant_gcd
 from .jordan import radical, structure_constants
 from .linalg import Mat, mat_rank, rref
 from .spaces import (
@@ -45,15 +45,6 @@ class Certificate:
     witness: Optional[Tuple[Fraction, ...]] = None
 
 
-def _monomials(vars: Tuple[str, ...], degree: int) -> List[Tuple[int, ...]]:
-    import itertools
-
-    return sorted(
-        (e for e in itertools.product(range(degree + 1), repeat=len(vars)) if sum(e) == degree),
-        reverse=True,
-    )
-
-
 def macaulay_emptiness(polys: Sequence[MPoly], degree: int,
                        vars: Optional[Sequence[str]] = None) -> Certificate:
     """Degree-``degree`` Macaulay span test for a homogeneous system.
@@ -62,6 +53,8 @@ def macaulay_emptiness(polys: Sequence[MPoly], degree: int,
     of the variables of the system, but callers testing loci inside a larger
     space must pass the full variable set.
     """
+    if degree < 0:
+        raise PreconditionError("NEGATIVE_DEGREE", "Macaulay degree must be nonnegative")
     if not polys:
         raise PreconditionError("NOT_HOMOGENEOUS", "empty system")
     for p in polys:
@@ -74,7 +67,7 @@ def macaulay_emptiness(polys: Sequence[MPoly], degree: int,
         vars = tuple(sorted(names))
     else:
         vars = tuple(sorted(vars))
-    cols = _monomials(vars, degree)
+    cols = list(monomials(len(vars), degree))
     col_index = {mono: k for k, mono in enumerate(cols)}
     rows = []
     for p in polys:
@@ -84,7 +77,7 @@ def macaulay_emptiness(polys: Sequence[MPoly], degree: int,
         d = int(p.total_degree())
         if d > degree:
             continue
-        for mult in _monomials(vars, degree - d):
+        for mult in monomials(len(vars), degree - d):
             row = [Fraction(0)] * len(cols)
             for exps, coeff in p.terms.items():
                 key = tuple(a + b for a, b in zip(exps, mult))

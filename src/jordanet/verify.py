@@ -34,6 +34,7 @@ from .classify import (
     classify_pencil,
     decision_table,
     ejo_component_count,
+    invariant_vector,
 )
 from .errors import PreconditionError
 from .exact import parse_poly
@@ -266,9 +267,9 @@ def check_chow_oracle(seed: int = 0, random_nets: int = 20) -> List[CheckResult]
 
 def check_classification(seed: int = 0, images: int = 50) -> List[CheckResult]:
     out: List[CheckResult] = []
-    table = decision_table()
+    rebuilt = {invariant_vector(canonical(f"s4/{label}")): label for label in NET_LABELS}
     _check(out, "eight canonical nets give eight distinct invariant vectors",
-           len(table) == 8 and sorted(table.values()) == sorted(NET_LABELS))
+           len(rebuilt) == 8 and rebuilt == decision_table())
     for label in NET_LABELS:
         sp = canonical(f"s4/{label}")
         _check(out, f"canonical {label} classifies to itself",

@@ -14,6 +14,7 @@ from jordanet.classify import (
     decision_table,
     ejo_component_count,
     generic_multiplicity_partition,
+    invariant_vector,
 )
 from jordanet.errors import PreconditionError
 from jordanet.jordan import radical, structure_constants
@@ -132,6 +133,14 @@ class TestNetDecisionTable:
     def test_eight_distinct_vectors(self):
         table = decision_table()
         assert sorted(table.values()) == sorted(NET_LABELS)
+
+    def test_pinned_table_matches_the_canonical_nets(self):
+        rebuilt = {}
+        for label in NET_LABELS:
+            vec = invariant_vector(canonical(f"s4/{label}"))
+            assert vec not in rebuilt, f"{label} collides with {rebuilt.get(vec)}"
+            rebuilt[vec] = label
+        assert rebuilt == decision_table()
 
     def test_canonical_nets_classify_to_themselves(self):
         for label in NET_LABELS:

@@ -1,8 +1,13 @@
 import json
 import subprocess
 import sys
+from pathlib import Path
+
+import pytest
 
 from jordanet.cli import main
+
+GOLDENS = json.loads((Path(__file__).parent / "data" / "cli_goldens.json").read_text())
 
 
 def run_cli(args, capsys):
@@ -162,6 +167,65 @@ class TestDeterminism:
         _, out1, _ = run_cli(["verify", "--subset", "tau", "--seed", "1", "--json"], capsys)
         _, out2, _ = run_cli(["verify", "--subset", "tau", "--seed", "1", "--json"], capsys)
         assert out1 == out2
+
+
+class TestGoldens:
+    """analyze --json on every plain catalog id and limit --json on every
+    degen/* family, byte for byte as recorded in tests/data/cli_goldens.json."""
+
+    @pytest.mark.parametrize("case", GOLDENS, ids=[" ".join(c["argv"][:2]) for c in GOLDENS])
+    def test_output_is_unchanged(self, case, capsys):
+        code, out, _ = run_cli(case["argv"], capsys)
+        assert code == 0
+        assert out == case["stdout"]
+
+    def test_covers_the_catalog(self):
+        from jordanet.catalog import catalog_ids
+
+        covered = {c["argv"][1][len("catalog://"):] for c in GOLDENS}
+        assert covered == set(catalog_ids())
+
+
+def run_subprocess(args):
+    return subprocess.run([sys.executable, "-m", "jordanet.cli"] + args,
+                          capture_output=True, text=True)
+
+
+class TestTypedErrors:
+    def test_pencil_on_parametric_family(self, tmp_path):
+        f = tmp_path / "family.json"
+        f.write_text(json.dumps({
+            "n": 2, "parametric": True,
+            "basis": [[["1", "t"], ["t", "t^2"]], [["0", "0"], ["0", "1"]]],
+        }))
+        for cmd in ("pencil", "copencil", "analyze", "chow", "plucker"):
+            proc = run_subprocess([cmd, str(f)])
+            assert proc.returncode == 3, cmd
+            assert "UNSUPPORTED_DIM" in proc.stderr
+            assert "Traceback" not in proc.stderr
+
+    def test_limit_on_plain_space(self):
+        proc = run_subprocess(["limit", "catalog://s4/1a"])
+        assert proc.returncode == 3
+        assert "NOT_GENERIC_RANK" in proc.stderr and "Traceback" not in proc.stderr
+
+    def test_emptiness_on_missing_file(self, tmp_path):
+        proc = run_subprocess(["emptiness", str(tmp_path / "missing.txt")])
+        assert proc.returncode == 2
+        assert "PARSE_ERROR" in proc.stderr and "Traceback" not in proc.stderr
+
+    def test_emptiness_at_negative_degree(self, tmp_path):
+        f = tmp_path / "system.txt"
+        f.write_text("x*y\n")
+        proc = run_subprocess(["emptiness", str(f), "--degree", "-1", "--json"])
+        assert proc.returncode == 3
+        assert "NEGATIVE_DEGREE" in proc.stderr and "Traceback" not in proc.stderr
+        assert "CERTIFIED_EMPTY" not in proc.stdout
+
+    def test_seed_is_only_a_verify_option(self, capsys):
+        with pytest.raises(SystemExit):
+            main(["analyze", "catalog://s4/1a", "--seed", "1"])
+        assert "--seed" in capsys.readouterr().err
 
 
 class TestConsoleEntryPoint:

@@ -7,6 +7,7 @@ from jordanet.exact import (
     NEG_INF,
     UniPoly,
     exact_div,
+    monomials,
     mpoly_gcd,
     parse_poly,
     poly_eval,
@@ -103,6 +104,22 @@ class TestStats:
         assert p.coefficient({"x": 1, "y": 2, "z": 1}) == -2
         assert p.coefficient({"x": 3}) == 0
         assert poly_stats(p, {"x": 1, "y": 2, "z": 1}) == (4, 3, -2)
+
+
+class TestMonomials:
+    def test_matches_the_filtered_product(self):
+        # oracle: filter all (D+1)^k exponent tuples, sort descending
+        import itertools
+
+        for k in range(6):
+            for degree in range(-1, 5):
+                oracle = sorted((e for e in itertools.product(range(degree + 1), repeat=k)
+                                 if sum(e) == degree), reverse=True)
+                assert list(monomials(k, degree)) == oracle, (k, degree)
+
+    def test_twelve_variables_degree_three(self):
+        got = list(monomials(12, 3))
+        assert len(got) == 364 and got[0] == (3,) + (0,) * 11 and got[-1] == (0,) * 11 + (3,)
 
 
 class TestGrammar:

@@ -2,6 +2,8 @@ from fractions import Fraction
 
 import pytest
 
+from jordanet.catalog import canonical
+from jordanet.classify import NET_LABELS
 from jordanet.errors import PreconditionError
 from jordanet.jordan import (
     check_reciprocal_identity,
@@ -15,7 +17,7 @@ from jordanet.jordan import (
     radical_dim,
     structure_constants,
 )
-from jordanet.linalg import Mat, det
+from jordanet.linalg import Mat, det, express_in_rows, inverse
 from jordanet.prng import SplitMix64
 from jordanet.spaces import (
     contains,
@@ -228,6 +230,39 @@ class TestStructureConstants:
             for j in range(m):
                 assert a.tensor[i][j] == a.tensor[j][i]
 
+    def test_tensor_multiplies_like_the_matrices(self):
+        for sp in jordan_algebras():
+            a = structure_constants(sp)
+            rng = SplitMix64(11)
+            for _ in range(3):
+                x = [rng.int_between(-3, 3) for _ in range(a.dim)]
+                y = [rng.int_between(-3, 3) for _ in range(a.dim)]
+                assert a.element(a.multiply_coords(x, y)) == \
+                    jordan_product(a.element(x), a.element(y), a.unit)
+
+    def test_computed_once_per_unit(self):
+        sp = canonical_3b1()
+        u, _ = find_invertible(sp)
+        a = structure_constants(sp, u)
+        assert is_jordan(sp, u) == (True, None)
+        assert structure_constants(sp, find_invertible(sp)[0]) is a
+        assert structure_constants(sp, u.scale(2)) is not a
+
+    def test_witness_matches_not_jordan_error(self):
+        sp = intro_L2(flip=True)
+        ok, witness = is_jordan(sp, Mat.identity(4))
+        assert not ok
+        with pytest.raises(PreconditionError) as err:
+            structure_constants(sp, Mat.identity(4))
+        assert f"({witness.i}, {witness.j})" in str(err.value)
+        # the witness is the first escaping product in (i, j) order, i <= j
+        for i in range(sp.m):
+            for j in range(i, sp.m):
+                if (i, j) == (witness.i, witness.j):
+                    break
+                p = jordan_product(sp.basis[i], sp.basis[j], Mat.identity(4))
+                assert contains(sp, p) is not None
+
 
 def canonical_3b1():
     return make_space(4, [antidiag(4), E(4, 1, 1), E(4, 2, 2)])
@@ -248,6 +283,74 @@ def canonical_1a():
     return make_space(4, [diag(1, 1, 0, 0), E(4, 3, 3), E(4, 4, 4)])
 
 
+def jordan_algebras():
+    """Closed catalog spaces, plus one congruence image of each S^4 net."""
+    ids = ["dim4/L1", "dim4/L2", "nets/L1", "nets/L2", "copencil/L1", "copencil/L2",
+           "s5/Lstar"]
+    nets = [canonical(f"s4/{label}") for label in NET_LABELS]
+    return [canonical(cid) for cid in ids] + nets + [sample_congruent(sp, 5) for sp in nets]
+
+
+def is_ideal(a, coords):
+    """Every product of a spanning vector with a basis element stays in the span."""
+    for r in coords:
+        for j in range(a.dim):
+            basis_j = [Fraction(int(t == j)) for t in range(a.dim)]
+            prod = a.multiply_coords(r, basis_j)
+            if any(c != 0 for c in prod) and express_in_rows(coords, prod) is None:
+                return False
+    return True
+
+
+def is_nilpotent(a, coords):
+    """X^(k+1) = 0 for each spanning vector X, k the span's dimension."""
+    for r in coords:
+        power = list(r)
+        for _ in range(len(coords)):
+            power = a.multiply_coords(power, r)
+        if any(c != 0 for c in power):
+            return False
+    return True
+
+
+class TestJordanAxioms:
+    """The unit law and the Jordan identity (X^2 * (X * Y) = X * (X^2 * Y)).
+
+    Both are theorems here, because X -> U^{-1} X embeds the product into the
+    special Jordan algebra (AB + BA) / 2; these tests guard the implementation.
+    """
+
+    def test_on_catalog_algebras_and_images(self):
+        for k, sp in enumerate(jordan_algebras()):
+            a = structure_constants(sp)
+            rng = SplitMix64(k)
+            for _ in range(4):
+                x = a.element([rng.int_between(-4, 4) for _ in range(a.dim)])
+                y = a.element([rng.int_between(-4, 4) for _ in range(a.dim)])
+                assert jordan_product(a.unit, x, a.unit) == x
+                x2 = jordan_product(x, x, a.unit)
+                lhs = jordan_product(x2, jordan_product(x, y, a.unit), a.unit)
+                rhs = jordan_product(x, jordan_product(x2, y, a.unit), a.unit)
+                assert lhs == rhs
+
+    def test_unit_inverse_embeds_into_the_special_product(self):
+        rng = SplitMix64(5)
+        u = Mat.from_ints([[2, 1, 0], [1, 1, 0], [0, 0, -1]])
+        uinv = inverse(u)
+        for _ in range(5):
+            x, y = (random_symmetric(rng, 3) for _ in range(2))
+            a, b = uinv @ x, uinv @ y
+            assert uinv @ jordan_product(x, y, u) == (a @ b + b @ a).scale(Fraction(1, 2))
+
+
+def random_symmetric(rng, n):
+    m = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            m[i][j] = m[j][i] = rng.int_between(-3, 3)
+    return Mat.from_ints(m)
+
+
 class TestRadical:
     def test_semisimple_diagonal(self):
         a = structure_constants(canonical_1a())
@@ -262,7 +365,22 @@ class TestRadical:
         a = structure_constants(canonical_3b1())
         mats, report = radical(a)
         assert report.dim == 2
-        assert report.ideal_ok and report.nilpotency_ok
+        assert is_ideal(a, report.basis_coords)
+        assert is_nilpotent(a, report.basis_coords)
+
+    def test_radical_is_a_nilpotent_ideal(self):
+        # the trace-form kernel agrees with the nilpotent-ideal definition
+        for sp in jordan_algebras():
+            a = structure_constants(sp)
+            coords = radical(a)[1].basis_coords
+            assert is_ideal(a, coords)
+            assert is_nilpotent(a, coords)
+
+    def test_ideal_and_nilpotency_checks_detect_failures(self):
+        a = structure_constants(canonical_3b1())
+        unit = list(a.unit_coords)
+        assert not is_ideal(a, [radical(a)[1].basis_coords[0], unit])
+        assert not is_nilpotent(a, [unit])
 
     def test_one_dim_radical(self):
         a = structure_constants(canonical_2b())

@@ -15,6 +15,7 @@ from jordanet.linalg import (
     inverse,
     minpoly,
     rref,
+    rref_with_transform,
 )
 from jordanet.prng import SplitMix64
 
@@ -74,6 +75,29 @@ class TestRref:
         rows = [[Fraction(x) for x in r] for r in rows]
         assert express_in_rows(rows, [Fraction(2), Fraction(3), Fraction(5)]) == [2, 3]
         assert express_in_rows(rows, [Fraction(0), Fraction(0), Fraction(1)]) is None
+
+    def test_row_transform(self):
+        rng = SplitMix64(8)
+        for _ in range(30):
+            nrows, ncols = rng.int_between(1, 5), rng.int_between(1, 5)
+            m = [[Fraction(rng.int_between(-2, 2)) for _ in range(ncols)] for _ in range(nrows)]
+            e, plain = rref_with_transform(m), rref(m)
+            assert (e.rank, e.pivots, e.rows) == (plain.rank, plain.pivots, plain.rows)
+            t = Mat(e.transform)
+            assert det(t) != 0
+            padded = e.rows + [[Fraction(0)] * ncols for _ in range(nrows - e.rank)]
+            assert t @ Mat(m) == Mat(padded)
+
+    def test_coordinates_recover_the_combination(self):
+        rng = SplitMix64(9)
+        for _ in range(20):
+            rows = [[Fraction(rng.int_between(-3, 3)) for _ in range(5)] for _ in range(3)]
+            if rref(rows).rank < 3:
+                continue
+            c = [Fraction(rng.int_between(-3, 3), rng.int_between(1, 3)) for _ in range(3)]
+            v = [sum(ci * r[j] for ci, r in zip(c, rows)) for j in range(5)]
+            assert rref_with_transform(rows).coordinates(v) == c
+            assert express_in_rows(rows, v) == c
 
 
 class TestDet:

@@ -16,6 +16,7 @@ from jordanet.spaces import (
     generic_element,
     grassmann_limit,
     integer_sweep,
+    nonzero_sweep,
     is_regular,
     make_space,
     orth_complement,
@@ -135,6 +136,14 @@ class TestFindInvertible:
         assert seq[0] == (0, 1)
         assert (1, 0) in seq and (1, 1) in seq
         assert all(max(abs(a), abs(b)) == 1 for a, b in seq)
+
+
+class TestNonzeroSweep:
+    def test_same_order_as_filtered_sweep(self):
+        for m in range(1, 6):
+            for max_norm in (1, 2, 3):
+                filtered = [t for t in integer_sweep(m, max_norm=max_norm) if all(t)]
+                assert list(nonzero_sweep(m, max_norm)) == filtered, (m, max_norm)
 
 
 class TestContains:

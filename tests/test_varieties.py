@@ -82,6 +82,17 @@ class TestMacaulay:
             macaulay_emptiness([P("x^2 + y")], 3)
         assert err.value.code == "NOT_HOMOGENEOUS"
 
+    def test_negative_degree_rejected(self):
+        # x*y = 0 has solutions; an empty degree -1 span must not certify anything
+        for degree in (-1, -3):
+            with pytest.raises(PreconditionError) as err:
+                macaulay_emptiness([P("x*y")], degree)
+            assert err.value.code == "NEGATIVE_DEGREE"
+
+    def test_degree_zero_is_not_a_certificate(self):
+        cert = macaulay_emptiness([P("x*y")], 0)
+        assert cert.kind == "UNKNOWN" and (cert.span_rank, cert.span_target) == (0, 1)
+
     def test_variable_universe_matters(self):
         # {x^2} alone is empty in P^0 but has the solution (0 : 1) in P^1
         assert macaulay_emptiness([P("x^2")], 2).kind == "CERTIFIED_EMPTY"
