@@ -31,7 +31,7 @@ from .jordan import (
     structure_constants,
 )
 from .linalg import charpoly, inverse
-from .spaces import MatSpace, find_invertible, generic_element, make_space
+from .spaces import MatSpace, find_invertible, generic_element, is_regular, make_space
 from .varieties import rank_one_pencil
 
 NET_LABELS = ("1a", "1b", "2a1", "2a2", "2b", "3a", "3b1", "3b2")
@@ -198,17 +198,9 @@ def classify_copencil_S3(space: MatSpace) -> str:
     """
     if space.n != 3 or space.m != 4:
         raise PreconditionError("UNSUPPORTED_DIM", "copencil classification needs n = 3, m = 4")
-    try:
-        u = find_invertible(space)[0]
-        ok, _ = is_jordan(space, u)
-    except PreconditionError as err:
-        if err.code == "NOT_REGULAR":
-            return "NOT_JORDAN"
-        raise
-    if not ok:
+    if not is_regular(space) or not is_jordan(space)[0]:
         return "NOT_JORDAN"
-    a = structure_constants(space, u)
-    dim_rad = radical(a)[1].dim
+    dim_rad = radical(structure_constants(space))[1].dim
     return "CLASS_L1" if dim_rad == 0 else "CLASS_L2"
 
 

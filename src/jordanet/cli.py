@@ -13,7 +13,9 @@
 Space files use the JSON schema documented in the README; ``catalog://<id>``
 resolves to a built-in reference space.  ``--json`` prints a byte-stable
 report (fixed key order, no timing); exit codes are 0 success, 1
-verification failure, 2 parse error, 3 precondition violation.
+verification failure, 2 parse error, 3 precondition violation, 4 internal
+error (a failed self-check or any other exception, as one ``error: INTERNAL``
+line).
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ from .classify import (
     classify_pencil,
     classify_abstract,
 )
-from .errors import InputError, JordanetError, PreconditionError
+from .errors import InputError, InternalCheckError, JordanetError, PreconditionError
 from .exact import frac_str, parse_poly
 from .io import load_space_file, read_text_file
 from .jordan import (
@@ -49,8 +51,8 @@ from .spaces import (
     MatSpace,
     ParametricBasis,
     find_invertible,
-    generic_det,
     grassmann_limit,
+    is_regular,
     plucker,
 )
 from .varieties import CATALOGS, catalog_eval, macaulay_emptiness
@@ -106,7 +108,7 @@ def cmd_analyze(args) -> int:
         "input": args.space,
         "n": space.n,
         "m": space.m,
-        "regular": not generic_det(space).is_zero(),
+        "regular": is_regular(space),
     }
     if not report["regular"]:
         report.update({"jordan": None, "closure_dim": None, "radical_dim": None,
@@ -328,12 +330,14 @@ def main(argv=None) -> int:
     t0 = time.time()
     try:
         code = args.fn(args)
-    except InputError as err:
+    except (InputError, PreconditionError) as err:
         print(f"error: {err}", file=sys.stderr)
-        return 2
-    except JordanetError as err:
+        return 2 if isinstance(err, InputError) else 3
+    except Exception as err:  # InternalCheckError or a bug: one line, no traceback
+        if not isinstance(err, InternalCheckError):
+            err = f"INTERNAL: {type(err).__name__}: {err}"
         print(f"error: {err}", file=sys.stderr)
-        return 3
+        return 4
     if not getattr(args, "json", False) and args.cmd != "verify":
         print(f"elapsed: {time.time() - t0:.2f}s")
     return code

@@ -469,7 +469,7 @@ def parse_poly(text: str) -> MPoly:
             break
         pos = m.end()
         if m.group("num"):
-            tokens.append(("num", Fraction(m.group("num"))))
+            tokens.append(("num", frac(m.group("num"))))
         elif m.group("name"):
             tokens.append(("name", m.group("name")))
         else:

@@ -4,10 +4,11 @@ Plain space files look like::
 
     {"n": 4, "basis": [[[1, 0, ...], ...], ...]}
 
-with entries given as integers or rational strings "p/q"; matrices are full
-n x n arrays and must be symmetric.  Parametric families add
-``"parametric": true`` and allow entries to be polynomial strings in the
-parameter ``t`` (or the variable named by ``"param"``).
+where ``n`` is a JSON integer >= 1 and entries are integers or rational
+strings "p/q"; matrices are full n x n arrays and must be symmetric.
+Parametric families add ``"parametric": true`` and allow entries to be
+polynomial strings in the parameter ``t`` (or the variable named by
+``"param"``).
 """
 
 from __future__ import annotations
@@ -48,11 +49,9 @@ def _entry_to_poly(value, param: str) -> MPoly:
 def parse_space_data(obj: dict) -> Union[MatSpace, ParametricBasis]:
     if not isinstance(obj, dict):
         raise InputError("PARSE_ERROR", "space file must hold a JSON object")
-    try:
-        n = int(obj["n"])
-        basis_data = obj["basis"]
-    except (KeyError, TypeError, ValueError) as exc:
-        raise InputError("PARSE_ERROR", "space object needs integer 'n' and a 'basis' list") from exc
+    n, basis_data = obj.get("n"), obj.get("basis")
+    if isinstance(n, bool) or not isinstance(n, int) or n < 1:
+        raise InputError("PARSE_ERROR", f"'n' must be an integer >= 1, got {n!r}")
     if not isinstance(basis_data, list) or not basis_data:
         raise InputError("PARSE_ERROR", "'basis' must be a nonempty list of n x n matrices")
     parametric = bool(obj.get("parametric", False))

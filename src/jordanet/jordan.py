@@ -11,6 +11,8 @@ space, and the two conditions are cross-checked throughout the test suite.
 
 The basis products for a unit are computed once and memoised on the space:
 ``is_jordan`` and ``structure_constants`` read the same computation.
+``jordan_closure`` grows one echelon from a worklist, reducing each product
+once and re-echelonizing only when the span grows.
 
 Radicals are computed as the kernel of the trace form (x, y) -> tr(L_{x*y}),
 the characteristic-zero semisimplicity criterion.  The test suite checks that
@@ -21,6 +23,7 @@ the special Jordan algebra (AB + BA) / 2).
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple, Union
@@ -32,7 +35,6 @@ from .spaces import (
     contains,
     find_invertible,
     integer_sweep,
-    is_regular,
     nonzero_sweep,
     residue_mod_space,
     sym_dim,
@@ -53,12 +55,12 @@ def jordan_product(x: Mat, y: Mat, u: Mat) -> Mat:
 
 
 def _product(x: Mat, y: Mat, uinv: Mat) -> Mat:
-    return (x @ uinv @ y + y @ uinv @ x).scale(Fraction(1, 2))
+    """(A + A^T) / 2 with A = X U^{-1} Y, whose transpose is Y U^{-1} X."""
+    a = x @ uinv @ y
+    return (a + a.transpose()).scale(Fraction(1, 2))
 
 
 def _resolve_unit(space: MatSpace, u: Optional[Mat]) -> Mat:
-    if not is_regular(space):
-        raise PreconditionError("NOT_REGULAR", "space contains no invertible matrix")
     if u is None:
         return find_invertible(space)[0]
     if contains(space, u) is None:
@@ -89,32 +91,27 @@ def is_jordan(space: MatSpace, u: Optional[Mat] = None) -> Tuple[bool, Optional[
 def jordan_closure(space: MatSpace, u: Mat) -> MatSpace:
     """Smallest subspace containing the space and closed under the product.
 
-    Saturates by adjoining pairwise products of the current basis and
-    re-echelonizing; the dimension strictly grows each round, so at most
-    binom(n+1, 2) rounds are needed.
+    A worklist over one growing echelon: each adjoined element (the basis
+    first) is multiplied once with itself and each element before it, and a
+    product's nonzero residue modulo the span is adjoined.  Stops early at
+    all of S^n; returns the reduced row echelon basis of the closure.
     """
-    u = _resolve_unit(space, u)
-    uinv = inverse(u)
-    n = space.n
-    cap = sym_dim(n)
-    rows = [vectorize(b) for b in space.basis]
-    for _ in range(cap + 1):
-        ech = rref(rows)
-        basis = [unvectorize(n, r) for r in ech.rows]
-        new_rows = [list(r) for r in ech.rows]
-        grew = False
-        for i in range(len(basis)):
-            for j in range(i, len(basis)):
-                p = _product(basis[i], basis[j], uinv)
-                vec = vectorize(p)
-                red = rref(new_rows).reduce_vector(vec)
-                if any(c != 0 for c in red):
-                    new_rows.append(red)
-                    grew = True
-        if not grew:
-            return MatSpace(n, basis)
-        rows = new_rows
-    raise InternalCheckError("INTERNAL", "closure failed to stabilize")
+    uinv = inverse(_resolve_unit(space, u))
+    n, full = space.n, sym_dim(space.n)
+    elements = list(space.basis)
+    ech = rref([vectorize(b) for b in elements])
+    done = 0
+    while done < len(elements) and ech.rank < full:
+        x = elements[done]
+        done += 1
+        for y in elements[:done]:
+            residue = ech.reduce_vector(vectorize(_product(x, y, uinv)))
+            if any(c != 0 for c in residue):
+                elements.append(unvectorize(n, residue))
+                ech = rref(ech.rows + [residue])
+                if ech.rank == full:
+                    break
+    return MatSpace(n, [unvectorize(n, r) for r in ech.rows])
 
 
 @dataclass
@@ -335,14 +332,11 @@ def check_reciprocal_identity(space: MatSpace, u: Optional[Mat] = None,
     inside well-behaved subalgebras and would mask a failure.  Returns
     (ok, witness).
     """
+    if trials < 1:
+        raise PreconditionError("BAD_TRIALS", "the inverse test needs at least one trial")
     u = _resolve_unit(space, u)
     found = 0
-
-    def candidates():
-        yield from nonzero_sweep(space.m, space.n + 2)
-        yield from integer_sweep(space.m)
-
-    for tup in candidates():
+    for tup in itertools.chain(nonzero_sweep(space.m, space.n + 2), integer_sweep(space.m)):
         x = space.element(tup)
         if det(x) == 0:
             continue
@@ -352,6 +346,4 @@ def check_reciprocal_identity(space: MatSpace, u: Optional[Mat] = None,
             return False, x
         if found >= trials:
             break
-    if found == 0:
-        raise PreconditionError("NOT_REGULAR", "no invertible sample points found")
     return True, None

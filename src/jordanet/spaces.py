@@ -44,18 +44,20 @@ def unvectorize(n: int, vec: Sequence) -> Mat:
     return Mat(entries)
 
 
+_UNDECIDED = object()
+
+
 class MatSpace:
     """An m-dimensional subspace of the symmetric n x n matrices."""
 
-    __slots__ = ("n", "m", "basis", "_echelon", "_generic_det", "_unit", "_jordan")
+    __slots__ = ("n", "m", "basis", "_echelon", "_unit", "_jordan")
 
     def __init__(self, n: int, basis: Sequence[Mat]):
         self.n = n
         self.basis = tuple(basis)
         self.m = len(self.basis)
         self._echelon = None
-        self._generic_det = None
-        self._unit = None
+        self._unit = _UNDECIDED  # first invertible element, or None if singular
         self._jordan = {}  # unit entries -> basis products (see jordan.py)
         if self.m == 0:
             raise PreconditionError("DEPENDENT_BASIS", "empty basis")
@@ -129,36 +131,29 @@ def generic_element(space: MatSpace, names: Optional[Sequence[str]] = None) -> M
 
 def generic_det(space: MatSpace, names: Optional[Sequence[str]] = None) -> MPoly:
     """Determinant of the generic element; nonzero iff the space is regular."""
-    if names is None and space._generic_det is not None:
-        return space._generic_det
-    result = det(generic_element(space, names))
-    if names is None:
-        space._generic_det = result
-    return result
+    return det(generic_element(space, names))
 
 
 def is_regular(space: MatSpace) -> bool:
-    return not generic_det(space).is_zero()
+    return _first_invertible(space) is not None
 
 
-def integer_sweep(m: int, max_norm: Optional[int] = None):
-    """Deterministic enumeration of nonzero integer tuples by increasing
-    max-norm; within a shell, values are tried in the order 0, 1, -1, 2, -2...
+def integer_sweep(m: int):
+    """Unbounded enumeration of nonzero integer tuples by increasing max-norm;
+    within a shell, values are tried in the order 0, 1, -1, 2, -2...
     """
-    shell = 1
-    while max_norm is None or shell <= max_norm:
+    for shell in itertools.count(1):
         ordered = [0]
         for v in range(1, shell + 1):
             ordered.extend((v, -v))
         for tup in itertools.product(ordered, repeat=m):
             if max(abs(x) for x in tup) == shell:
                 yield tup
-        shell += 1
 
 
 def nonzero_sweep(m: int, max_norm: int):
-    """The tuples of ``integer_sweep(m, max_norm)`` with no zero entry, in the
-    same order, drawn from the nonzero values only."""
+    """The tuples of ``integer_sweep(m)`` up to max-norm ``max_norm`` with no
+    zero entry, in the same order, drawn from the nonzero values only."""
     for shell in range(1, max_norm + 1):
         values = [x for v in range(1, shell + 1) for x in (v, -v)]
         for tup in itertools.product(values, repeat=m):
@@ -168,28 +163,42 @@ def nonzero_sweep(m: int, max_norm: int):
 
 def find_invertible(space: MatSpace) -> Tuple[Mat, Tuple[int, ...]]:
     """First invertible element in sweep order, and its coordinates; the
-    identity wins if present.  Memoised on the space.
-
-    The sweep over max-norm shells terminates for regular spaces: the generic
-    determinant has degree n, so it cannot vanish on a grid wider than n + 1.
+    identity wins if present.  The sweep has no bound, yet ends for a regular
+    space: the generic determinant has degree n, so it cannot vanish on the
+    grid {-s..s}^m once 2s + 1 > n (Schwartz-Zippel), and shell s covers it.
     """
-    if space._unit is None:
-        space._unit = _first_invertible(space)
+    got = _first_invertible(space)
+    if got is None:
+        raise PreconditionError("NOT_REGULAR", "space has identically zero determinant")
+    return got
+
+
+# Singular sweep points tried before the generic determinant is expanded: the
+# first shell of a net (26 points), and past the first invertible point of
+# every catalog space and sampled congruence image (at most the 30th).
+_WITNESS_BUDGET = 32
+
+
+def _first_invertible(space: MatSpace) -> Optional[Tuple[Mat, Tuple[int, ...]]]:
+    """The regularity decision, memoised: the identity, else the first
+    invertible sweep point, else None once the generic determinant, expanded
+    after ``_WITNESS_BUDGET`` singular points, is identically zero."""
+    if space._unit is _UNDECIDED:
+        space._unit = _sweep_for_unit(space)
     return space._unit
 
 
-def _first_invertible(space: MatSpace) -> Tuple[Mat, Tuple[int, ...]]:
-    if not is_regular(space):
-        raise PreconditionError("NOT_REGULAR", "space has identically zero determinant")
+def _sweep_for_unit(space: MatSpace) -> Optional[Tuple[Mat, Tuple[int, ...]]]:
     ident = Mat.identity(space.n)
     coords = contains(space, ident)
     if coords is not None:
         return ident, tuple(coords)
-    for tup in integer_sweep(space.m, max_norm=space.n + 1):
+    for k, tup in enumerate(integer_sweep(space.m)):
+        if k == _WITNESS_BUDGET and generic_det(space).is_zero():
+            return None
         cand = space.element(tup)
         if det(cand) != 0:
             return cand, tup
-    raise PreconditionError("NOT_REGULAR", "sweep exhausted without invertible element")
 
 
 def contains(space: MatSpace, m: Mat) -> Optional[List[Fraction]]:

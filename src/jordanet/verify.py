@@ -52,6 +52,7 @@ from .spaces import (
     MatSpace,
     find_invertible,
     generic_det,
+    is_regular,
     make_space,
     orth_complement,
     sample_congruent,
@@ -121,7 +122,7 @@ def _random_space(rng: SplitMix64, n: int, m: int, bound: int = 3) -> MatSpace:
 def _random_regular_net(rng: SplitMix64, n: int) -> MatSpace:
     while True:
         sp = _random_space(rng, n, 3)
-        if not generic_det(sp).is_zero():
+        if is_regular(sp):
             return sp
 
 

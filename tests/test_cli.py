@@ -5,7 +5,10 @@ from pathlib import Path
 
 import pytest
 
+from jordanet import cli
 from jordanet.cli import main
+from jordanet.errors import InputError, InternalCheckError, PreconditionError
+from jordanet.prng import SplitMix64
 
 GOLDENS = json.loads((Path(__file__).parent / "data" / "cli_goldens.json").read_text())
 
@@ -170,11 +173,17 @@ class TestDeterminism:
 
 
 class TestGoldens:
-    """analyze --json on every plain catalog id and limit --json on every
-    degen/* family, byte for byte as recorded in tests/data/cli_goldens.json."""
+    """analyze --json on every plain catalog id, limit --json on every degen/*
+    family, and analyze --json on seeded random spaces (stored with their case
+    under "space": n = 3..5, proper and full closures, a singular space, and a
+    regular one whose first invertible sweep point lies past the witness
+    budget), byte for byte as recorded in tests/data/cli_goldens.json."""
 
     @pytest.mark.parametrize("case", GOLDENS, ids=[" ".join(c["argv"][:2]) for c in GOLDENS])
-    def test_output_is_unchanged(self, case, capsys):
+    def test_output_is_unchanged(self, case, capsys, tmp_path, monkeypatch):
+        if "space" in case:
+            monkeypatch.chdir(tmp_path)
+            Path(case["argv"][1]).write_text(json.dumps(case["space"]))
         code, out, _ = run_cli(case["argv"], capsys)
         assert code == 0
         assert out == case["stdout"]
@@ -182,7 +191,8 @@ class TestGoldens:
     def test_covers_the_catalog(self):
         from jordanet.catalog import catalog_ids
 
-        covered = {c["argv"][1][len("catalog://"):] for c in GOLDENS}
+        covered = {c["argv"][1][len("catalog://"):] for c in GOLDENS
+                   if c["argv"][1].startswith("catalog://")}
         assert covered == set(catalog_ids())
 
 
@@ -236,3 +246,133 @@ class TestConsoleEntryPoint:
         )
         assert proc.returncode == 0
         assert "s4/3b2" in proc.stdout
+
+
+class TestSpaceDimension:
+    @pytest.mark.parametrize("n, basis", [
+        (2.5, [[[1, 0], [0, 1]]]), (2.0, [[[1, 0], [0, 1]]]), ("2", [[[1, 0], [0, 1]]]),
+        (True, [[[1]]]), (0, [[]]), (-1, [[[1]]]), (None, [[[1]]]),
+    ])
+    def test_bad_n_is_a_parse_error(self, n, basis, tmp_path, capsys):
+        f = tmp_path / "space.json"
+        f.write_text(json.dumps({"n": n, "basis": basis}))
+        code, out, err = run_cli(["analyze", str(f), "--json"], capsys)
+        assert code == 2
+        assert "PARSE_ERROR" in err and out == ""
+
+
+class TestTrials:
+    @pytest.mark.parametrize("trials", ["0", "-3"])
+    def test_fewer_than_one_trial_is_a_precondition_error(self, trials, capsys):
+        code, out, err = run_cli(["analyze", "catalog://s4/1a", "--json", "--trials", trials],
+                                 capsys)
+        assert code == 3
+        assert "BAD_TRIALS" in err and out == ""
+
+
+class TestExitCodes:
+    @pytest.mark.parametrize("error, code, prefix", [
+        (InputError("PARSE_ERROR", "bad"), 2, "error: PARSE_ERROR"),
+        (PreconditionError("NOT_REGULAR", "singular"), 3, "error: NOT_REGULAR"),
+        (InternalCheckError("INTERNAL", "self-check failed"), 4, "error: INTERNAL"),
+        (ZeroDivisionError("division by zero"), 4, "error: INTERNAL: ZeroDivisionError"),
+        (KeyError("k"), 4, "error: INTERNAL: KeyError"),
+    ])
+    def test_errors_map_to_documented_codes(self, error, code, prefix, monkeypatch, capsys):
+        def fail(args):
+            raise error
+
+        monkeypatch.setattr(cli, "cmd_catalog", fail)
+        got, out, err = run_cli(["catalog"], capsys)
+        assert got == code
+        assert err.startswith(prefix) and err.count("\n") == 1
+        assert "Traceback" not in err and out == ""
+
+
+def pick(rng, options):
+    return options[rng.int_between(0, len(options) - 1)]
+
+
+def fuzz_entry(rng, parametric):
+    pool = [0, 1, -1, 2, -2, 1, 0, "1/2", "-3/4", "0"]
+    odd = ["1/0", "x", "", "2^", "1//2", True, None, 0.5, [1], {"a": 1}, 10 ** 30]
+    if parametric:
+        pool += ["t", "t^2", "1 + t", "-t", "2*t^3"]
+        odd += ["s", "t^", "t/0", "t*x"]
+    return pick(rng, odd) if rng.int_between(0, 15) == 0 else pick(rng, pool)
+
+
+def fuzz_space(rng):
+    """A space or family JSON value: mostly well-formed small spaces, with
+    malformed fields, shapes and entries mixed in."""
+    roll = rng.int_between(0, 19)
+    if roll == 0:
+        return pick(rng, [[], 3, "space", None, {"basis": []}, {"n": 2}])
+    n = rng.int_between(1, 4) if roll > 3 else pick(rng, [0, -1, 2.5, True, "3", None, 5.0])
+    size = n if isinstance(n, int) and not isinstance(n, bool) and 1 <= n <= 4 else 2
+    parametric = rng.int_between(0, 4) == 0
+    basis = []
+    for _ in range(rng.int_between(0 if roll == 1 else 1, 4)):
+        mat = [[None] * size for _ in range(size)]
+        for i in range(size):
+            for j in range(i, size):
+                mat[i][j] = mat[j][i] = fuzz_entry(rng, parametric)
+        if rng.int_between(0, 9) == 0:
+            mat[0][-1] = 7  # not symmetric (or a changed 1 x 1 entry)
+        if rng.int_between(0, 14) == 0:
+            mat = mat[:-1] if rng.int_between(0, 1) else [row + [0] for row in mat]
+        basis.append(mat)
+    if rng.int_between(0, 12) == 0 and basis:
+        basis.append(basis[0])  # dependent
+    obj = {"n": n, "basis": basis if rng.int_between(0, 19) else "basis"}
+    if parametric:
+        obj["parametric"] = True
+        if rng.int_between(0, 5) == 0:
+            obj["param"] = pick(rng, ["s", "", 3, None])
+    return obj
+
+
+def fuzz_poly_line(rng):
+    if rng.int_between(0, 2):
+        terms = []
+        for _ in range(rng.int_between(1, 3)):
+            mono = "*".join(pick(rng, ["x", "y", "z", "x^2", "y^2"])
+                            for _ in range(rng.int_between(1, 2)))
+            terms.append(pick(rng, ["", "2*", "-1/3*", "0*"]) + mono)
+        return pick(rng, [" + ", " - "]).join(terms)
+    tokens = ["x", "y", "z", "2", "1/2", "^", "*", "+", "-", "/", "(", ")", " ", "^2",
+              "x^3", "0", "1/0", "^-1", "**", "#", "x1", "."]
+    return "".join(pick(rng, tokens) for _ in range(rng.int_between(1, 6)))
+
+
+class TestFuzz:
+    """Seeded malformed and edge-case inputs (SplitMix64) through the space and
+    polynomial commands, in process: every input gets an answer or a typed
+    error, never an internal error or a traceback."""
+
+    SPACE_COMMANDS = (["analyze"], ["chow"], ["pencil"], ["copencil"], ["plucker"], ["limit"])
+
+    def test_commands_exit_cleanly(self, tmp_path, capsys):
+        rng = SplitMix64(20261018)
+        space_file = tmp_path / "space.json"
+        poly_file = tmp_path / "system.txt"
+        seen = set()
+        for k in range(150):
+            obj = fuzz_space(rng)
+            text = json.dumps(obj) if k % 15 else json.dumps(obj)[:-1]
+            space_file.write_text(text)
+            for cmd in self.SPACE_COMMANDS:
+                code, _, err = run_cli(cmd + [str(space_file), "--json"], capsys)
+                assert code in (0, 2, 3), (cmd, text, err)
+                assert "Traceback" not in err
+                seen.add(code)
+        for _ in range(100):
+            poly_file.write_text("\n".join(fuzz_poly_line(rng)
+                                           for _ in range(rng.int_between(1, 4))))
+            degree = str(rng.int_between(-1, 3))
+            code, _, err = run_cli(["emptiness", str(poly_file), "--degree", degree, "--json"],
+                                   capsys)
+            assert code in (0, 2, 3), (poly_file.read_text(), degree, err)
+            assert "Traceback" not in err
+            seen.add(code)
+        assert seen == {0, 2, 3}

@@ -1,10 +1,13 @@
+import json
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
-from jordanet.catalog import canonical
+from jordanet.catalog import canonical, catalog_ids
 from jordanet.classify import NET_LABELS
 from jordanet.errors import PreconditionError
+from jordanet.io import parse_space_data
 from jordanet.jordan import (
     check_reciprocal_identity,
     is_associative,
@@ -17,15 +20,19 @@ from jordanet.jordan import (
     radical_dim,
     structure_constants,
 )
-from jordanet.linalg import Mat, det, express_in_rows, inverse
+from jordanet.linalg import Mat, det, express_in_rows, inverse, rref
 from jordanet.prng import SplitMix64
 from jordanet.spaces import (
+    MatSpace,
     contains,
     find_invertible,
+    is_regular,
     make_space,
     sample_congruent,
     sym_dim,
     sym_pairs,
+    unvectorize,
+    vectorize,
 )
 
 
@@ -113,6 +120,17 @@ class TestJordanProduct:
             assert jordan_product(u, x, u) == x
             assert jordan_product(x, y, u) == jordan_product(y, x, u)
 
+    def test_matches_the_two_term_formula(self):
+        rng = SplitMix64(17)
+        for n in (2, 3, 4):
+            for _ in range(6):
+                x, y, u = (random_symmetric(rng, n) for _ in range(3))
+                if det(u) == 0:
+                    continue
+                uinv = inverse(u)
+                two_terms = (x @ uinv @ y + y @ uinv @ x).scale(Fraction(1, 2))
+                assert jordan_product(x, y, u) == two_terms
+
 
 class TestIsJordan:
     def test_intro_spaces(self):
@@ -199,6 +217,54 @@ class TestClosure:
                 if units >= 3:
                     break
             assert len(dims) == 1
+
+
+def closure_by_rounds(space, u):
+    """Echelon rows of the closure by saturation rounds: adjoin every pairwise
+    product of the current basis (two-term formula), re-echelonize, and repeat
+    until a round adds nothing.  The oracle for ``jordan_closure``."""
+    uinv = inverse(u)
+    rows = rref([vectorize(b) for b in space.basis]).rows
+    while True:
+        basis = [unvectorize(space.n, r) for r in rows]
+        products = [(x @ uinv @ y + y @ uinv @ x).scale(Fraction(1, 2))
+                    for i, x in enumerate(basis) for y in basis[i:]]
+        grown = rref(rows + [vectorize(p) for p in products])
+        if grown.rank == len(rows):
+            return rows
+        rows = grown.rows
+
+
+def golden_spaces():
+    """The seeded random spaces recorded with their analyze goldens."""
+    cases = json.loads((Path(__file__).parent / "data" / "cli_goldens.json").read_text())
+    return [parse_space_data(c["space"]) for c in cases if "space" in c]
+
+
+def closure_oracle_spaces():
+    spaces = [intro_L1(), intro_L2(flip=True), net_rank8(), spin_net()]
+    spaces += [canonical(cid) for cid in catalog_ids() if isinstance(canonical(cid), MatSpace)]
+    spaces += golden_spaces()
+    rng = SplitMix64(99)
+    for n in (3, 4, 5):
+        made = 0
+        while made < 4:
+            m = rng.int_between(2, sym_dim(n) - 2)
+            try:
+                sp = make_space(n, [random_symmetric(rng, n) for _ in range(m)])
+            except PreconditionError:
+                continue
+            spaces.append(sp)
+            made += 1
+    return [sp for sp in spaces if is_regular(sp)]
+
+
+class TestClosureOracle:
+    def test_same_echelon_rows_as_the_round_based_closure(self):
+        for sp in closure_oracle_spaces():
+            u, _ = find_invertible(sp)
+            clo = jordan_closure(sp, u)
+            assert [vectorize(b) for b in clo.basis] == closure_by_rounds(sp, u)
 
 
 class TestStructureConstants:

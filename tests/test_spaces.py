@@ -1,9 +1,15 @@
+import itertools
+import json
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+from jordanet import spaces
+from jordanet.catalog import canonical, catalog_ids
 from jordanet.errors import PreconditionError
 from jordanet.exact import MPoly, parse_poly
+from jordanet.io import parse_space_data
 from jordanet.linalg import Mat, det
 from jordanet.prng import SplitMix64
 from jordanet.spaces import (
@@ -114,6 +120,41 @@ class TestGenericDet:
         assert not is_regular(sp)
 
 
+def bounded_sweep(m, max_norm):
+    """The points of ``integer_sweep(m)`` up to max-norm ``max_norm``."""
+    return itertools.takewhile(lambda t: max(map(abs, t)) <= max_norm, integer_sweep(m))
+
+
+def bounded_sweep_unit(space):
+    """The unit as the bounded sweep chose it, its coordinates, and its sweep
+    index (-1 for the identity): the identity if present, else the first
+    invertible point of max-norm at most n + 1; None if there is none."""
+    ident = Mat.identity(space.n)
+    coords = contains(space, ident)
+    if coords is not None:
+        return ident, tuple(coords), -1
+    for k, tup in enumerate(bounded_sweep(space.m, space.n + 1)):
+        cand = space.element(tup)
+        if det(cand) != 0:
+            return cand, tup, k
+    return None
+
+
+def regularity_oracle_spaces():
+    """Fresh copies of the catalog spaces, the seeded random spaces of the CLI
+    goldens, and a few small singular and late-unit spaces."""
+    cases = json.loads((Path(__file__).parent / "data" / "cli_goldens.json").read_text())
+    out = [parse_space_data(c["space"]) for c in cases if "space" in c]
+    for cid in catalog_ids():
+        sp = canonical(cid)
+        if isinstance(sp, MatSpace):
+            out.append(MatSpace(sp.n, sp.basis))
+    out.append(make_space(2, [E(2, 1, 1)]))
+    out.append(make_space(3, [E(3, 1, 1), E(3, 1, 2), E(3, 2, 2), E(3, 1, 3)]))
+    out.append(make_space(4, [E(4, k, k) for k in range(1, 5)]))
+    return out
+
+
 class TestFindInvertible:
     def test_identity_preferred(self):
         u, coords = find_invertible(intro_L1())
@@ -130,6 +171,31 @@ class TestFindInvertible:
             find_invertible(make_space(2, [E(2, 1, 1)]))
         assert err.value.code == "NOT_REGULAR"
 
+    def test_one_decision_agrees_with_the_determinant_and_the_bounded_sweep(self):
+        for sp in regularity_oracle_spaces():
+            regular = not generic_det(sp).is_zero()
+            assert is_regular(sp) == regular
+            expected = bounded_sweep_unit(sp)
+            assert (expected is not None) == regular
+            if regular:
+                assert find_invertible(sp) == expected[:2]
+
+    def test_symbolic_determinant_only_past_the_witness_budget(self, monkeypatch):
+        calls = []
+        expand = spaces.generic_det
+        monkeypatch.setattr(spaces, "generic_det",
+                            lambda sp, names=None: calls.append(sp) or expand(sp, names))
+        budget_passed = 0
+        for sp in regularity_oracle_spaces():
+            calls.clear()
+            if is_regular(sp):
+                find_invertible(sp)
+            found = bounded_sweep_unit(sp)
+            late = found is None or found[2] >= spaces._WITNESS_BUDGET
+            budget_passed += late
+            assert len(calls) == int(late)
+        assert budget_passed >= 2
+
     def test_sweep_order(self):
         gen = integer_sweep(2)
         seq = [next(gen) for _ in range(8)]
@@ -142,7 +208,7 @@ class TestNonzeroSweep:
     def test_same_order_as_filtered_sweep(self):
         for m in range(1, 6):
             for max_norm in (1, 2, 3):
-                filtered = [t for t in integer_sweep(m, max_norm=max_norm) if all(t)]
+                filtered = [t for t in bounded_sweep(m, max_norm) if all(t)]
                 assert list(nonzero_sweep(m, max_norm)) == filtered, (m, max_norm)
 
 
