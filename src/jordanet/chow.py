@@ -46,7 +46,16 @@ class ChowMatrix:
 
 
 def chow_matrix(space: MatSpace) -> ChowMatrix:
-    """Chow matrix of a numeric space; square exactly when m = 3."""
+    """Chow matrix of a numeric space; square exactly when m = 3.
+
+    Built once per space and memoised on it; callers must not mutate it.
+    """
+    if space._chow is None:
+        space._chow = _build_chow_matrix(space)
+    return space._chow
+
+
+def _build_chow_matrix(space: MatSpace) -> ChowMatrix:
     names = generic_names(space.m)
     adj = adjugate(generic_element(space, names))
     cols = list(monomials(space.m, space.n - 1))

@@ -102,6 +102,8 @@ def _emit(report: dict, as_json: bool, elapsed: Optional[float] = None) -> None:
 
 
 def cmd_analyze(args) -> int:
+    if args.trials < 1:  # checked here too: a singular space never runs the test
+        raise PreconditionError("BAD_TRIALS", "the inverse test needs at least one trial")
     space = _resolve_space(args.space, MatSpace)
     report = {
         "command": "analyze",

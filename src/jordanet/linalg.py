@@ -1,15 +1,20 @@
 """Exact dense linear algebra over rationals and over polynomial rings.
 
 Matrices are immutable and ring-homogeneous: every entry is either a
-``Fraction`` or an ``MPoly``.  Determinants of polynomial matrices default to
-Laplace expansion memoized over column subsets; a fraction-free Bareiss
-routine is kept alongside and the two are cross-checked in the test suite.
-Characteristic polynomials and adjugates come from the Faddeev-LeVerrier
-iteration, whose only divisions are by the integers 1..n.
+``Fraction`` or an ``MPoly``.  The reduced row echelon form (rank, kernels,
+row transforms, inverses) is computed by fraction-free Gauss-Jordan
+elimination on the integer rows left after clearing denominators, with exact
+divisions by the previous pivot; Fractions are formed only for the result.
+Determinants of polynomial matrices default to Laplace expansion memoized over
+column subsets; a fraction-free Bareiss routine is kept alongside and the two
+are cross-checked in the test suite.  Characteristic polynomials and adjugates
+come from the Faddeev-LeVerrier iteration, whose only divisions are by the
+integers 1..n and which takes n - 1 matrix products.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import List, Optional, Sequence, Union
 
@@ -219,28 +224,55 @@ class Echelon:
         return coeff
 
 
+def _integer_rows(matrix: Sequence[Sequence[Fraction]]) -> List[List[int]]:
+    """Each row times the lcm of its denominators: same row space, int entries."""
+    out = []
+    for row in matrix:
+        row = [frac(x) for x in row]
+        scale = math.lcm(*(x.denominator for x in row))
+        out.append([x.numerator * (scale // x.denominator) for x in row])
+    return out
+
+
 def rref(matrix: Sequence[Sequence[Fraction]]) -> Echelon:
-    rows = [[frac(x) for x in row] for row in matrix]
+    """Reduced row echelon form, by fraction-free Gauss-Jordan on integers.
+
+    Rows are first cleared of denominators, which keeps the row space and so
+    the (unique) reduced form.  Each pivot step replaces every other row by
+    (p * row - f * pivot_row) // prev, with p the new pivot, f the row's entry
+    in the pivot column (possibly 0) and prev the previous pivot (Bareiss 1968):
+    every entry stays a minor of the integer matrix, so each division is exact,
+    and every pivot row ends up with the last pivot as its leading entry.
+    Fractions are made once, by dividing each pivot row by that pivot.
+    """
+    rows = _integer_rows(matrix)
     nrows = len(rows)
     ncols = len(rows[0]) if nrows else 0
     pivots: List[int] = []
     r = 0
+    prev = 1
     for c in range(ncols):
-        pivot = next((i for i in range(r, nrows) if rows[i][c] != 0), None)
+        pivot = next((i for i in range(r, nrows) if rows[i][c]), None)
         if pivot is None:
             continue
         rows[r], rows[pivot] = rows[pivot], rows[r]
-        inv = Fraction(1) / rows[r][c]
-        rows[r] = [x * inv for x in rows[r]]
+        prow = rows[r]
+        p = prow[c]
         for i in range(nrows):
-            if i != r and rows[i][c] != 0:
-                f = rows[i][c]
-                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
+            if i == r:
+                continue
+            f = rows[i][c]
+            if f:
+                rows[i] = [(p * a - f * b) // prev for a, b in zip(rows[i], prow)]
+            elif p != prev:
+                rows[i] = [p * a // prev for a in rows[i]]
+        prev = p
         pivots.append(c)
         r += 1
         if r == nrows:
             break
-    return Echelon(r, pivots, rows[:r], ncols)
+    reduced = [[Fraction(a, prev) for a in row] for row in rows[:r]]
+    return Echelon(r, pivots, reduced, ncols)
 
 
 def mat_rank(m: Mat) -> int:
@@ -340,11 +372,27 @@ def det(m: Mat) -> Entry:
 
 # -- Faddeev-LeVerrier: characteristic polynomial and adjugate ------------
 
+def _trace_of_product(a: Mat, b: Mat) -> Entry:
+    """trace(a @ b) without forming the product."""
+    acc = _zero_like(a.data[0][0])
+    for i in range(a.rows):
+        for j in range(a.cols):
+            x, y = a.data[i][j], b.data[j][i]
+            if not (_entry_is_zero(x) or _entry_is_zero(y)):
+                acc = acc + x * y
+    return acc
+
+
 def _faddeev_leverrier(m: Mat):
     """Returns (coefficients c_0..c_n of charpoly, adjugate matrix).
 
     charpoly(lam) = lam^n + c_1 lam^(n-1) + ... + c_n, returned low-index-first
     as [c_n, ..., c_1, 1]; all divisions are by integers 1..n.
+
+    With M_1 = I, c_k = -trace(M @ M_k) / k and M_(k+1) = M @ M_k + c_k I, so
+    the product of step k is reused by step k + 1; the last step needs only
+    trace(M @ M_n) = sum of M[i][j] * M_n[j][i].  That is n - 1 matrix
+    products in all, and adj(M) = (-1)^(n-1) M_n.
     """
     if not m.is_square():
         raise PreconditionError("NOT_SQUARE", "characteristic polynomial needs a square matrix")
@@ -355,10 +403,13 @@ def _faddeev_leverrier(m: Mat):
     cs = []  # c_1 .. c_n
     for k in range(1, n + 1):
         if k > 1:
-            mk = m @ mk + ident.scale(cs[-1])
-        prod = m @ mk
-        ck = prod.trace() * Fraction(-1, k)
-        cs.append(ck)
+            mk = prod + ident.scale(cs[-1])
+        if k < n:
+            prod = m @ mk
+            tr = prod.trace()
+        else:
+            tr = _trace_of_product(m, mk)
+        cs.append(tr * Fraction(-1, k))
     adj = mk if n % 2 else -mk
     coeffs = list(reversed(cs)) + [one]
     return coeffs, adj

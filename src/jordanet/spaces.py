@@ -50,7 +50,7 @@ _UNDECIDED = object()
 class MatSpace:
     """An m-dimensional subspace of the symmetric n x n matrices."""
 
-    __slots__ = ("n", "m", "basis", "_echelon", "_unit", "_jordan")
+    __slots__ = ("n", "m", "basis", "_echelon", "_unit", "_jordan", "_chow")
 
     def __init__(self, n: int, basis: Sequence[Mat]):
         self.n = n
@@ -59,6 +59,7 @@ class MatSpace:
         self._echelon = None
         self._unit = _UNDECIDED  # first invertible element, or None if singular
         self._jordan = {}  # unit entries -> basis products (see jordan.py)
+        self._chow = None  # Chow matrix (see chow.py)
         if self.m == 0:
             raise PreconditionError("DEPENDENT_BASIS", "empty basis")
         for b in self.basis:

@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from jordanet import cli
+from jordanet import chow, cli
 from jordanet.cli import main
 from jordanet.errors import InputError, InternalCheckError, PreconditionError
 from jordanet.prng import SplitMix64
@@ -90,6 +90,18 @@ class TestChow:
         report = json.loads(out)
         assert report["det_degree"] == 12
         assert report["det_terms"] == 22659
+
+    @pytest.mark.parametrize("flags", [[], ["--rank", "--kernel", "--det-stats"]])
+    def test_one_adjugate_per_command(self, flags, tmp_path, monkeypatch, capsys):
+        calls = []
+        adjugate = chow.adjugate
+        monkeypatch.setattr(chow, "adjugate", lambda m: calls.append(1) or adjugate(m))
+        f = tmp_path / "net.json"
+        f.write_text(json.dumps({"n": 3, "basis": [[[1, 0, 0], [0, 1, 0], [0, 0, 1]],
+                                                   [[0, 1, 0], [1, 0, 0], [0, 0, 0]],
+                                                   [[0, 0, 0], [0, 0, 1], [0, 1, 2]]]}))
+        code, out, _ = run_cli(["chow", str(f), "--json", *flags], capsys)
+        assert code == 0 and len(calls) == 1
 
 
 class TestOtherCommands:
@@ -263,11 +275,13 @@ class TestSpaceDimension:
 
 class TestTrials:
     @pytest.mark.parametrize("trials", ["0", "-3"])
-    def test_fewer_than_one_trial_is_a_precondition_error(self, trials, capsys):
-        code, out, err = run_cli(["analyze", "catalog://s4/1a", "--json", "--trials", trials],
-                                 capsys)
-        assert code == 3
-        assert "BAD_TRIALS" in err and out == ""
+    def test_fewer_than_one_trial_is_a_precondition_error(self, trials, tmp_path, capsys):
+        singular = tmp_path / "singular.json"
+        singular.write_text(json.dumps({"n": 2, "basis": [[[1, 0], [0, 0]]]}))
+        for space in ("catalog://s4/1a", str(singular)):
+            code, out, err = run_cli(["analyze", space, "--json", "--trials", trials], capsys)
+            assert code == 3
+            assert "BAD_TRIALS" in err and out == ""
 
 
 class TestExitCodes:

@@ -4,6 +4,7 @@ import pytest
 
 from jordanet.exact import MPoly, UniPoly, parse_poly
 from jordanet.linalg import (
+    Echelon,
     Mat,
     adjugate,
     adjugate_cofactor,
@@ -18,6 +19,7 @@ from jordanet.linalg import (
     rref_with_transform,
 )
 from jordanet.prng import SplitMix64
+from jordanet.spaces import generic_element, make_space
 
 
 def P(s):
@@ -48,6 +50,99 @@ def random_poly_mat(rng, n, vars=("s", "t")):
             row.append(MPoly.from_terms(vars, terms))
         rows.append(row)
     return Mat(rows)
+
+
+def rref_by_fractions(matrix):
+    """Gauss-Jordan over Fractions, normalizing each pivot row to 1 (oracle for
+    the fraction-free integer ``rref``)."""
+    rows = [[Fraction(x) for x in row] for row in matrix]
+    nrows = len(rows)
+    ncols = len(rows[0]) if nrows else 0
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        pivot = next((i for i in range(r, nrows) if rows[i][c] != 0), None)
+        if pivot is None:
+            continue
+        rows[r], rows[pivot] = rows[pivot], rows[r]
+        inv = Fraction(1) / rows[r][c]
+        rows[r] = [x * inv for x in rows[r]]
+        for i in range(nrows):
+            if i != r and rows[i][c] != 0:
+                f = rows[i][c]
+                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
+        pivots.append(c)
+        r += 1
+        if r == nrows:
+            break
+    return Echelon(r, pivots, rows[:r], ncols)
+
+
+def random_rational_rows(rng, nrows, ncols):
+    """Rational rows with denominators up to 7 and numerators up to 10^6 (small
+    ones half the time), mixing in zero rows, repeated rows and combinations of
+    earlier rows, so that rank deficiency is common."""
+    top = 10 ** 6 if rng.int_between(0, 1) else 9
+
+    def entry():
+        if rng.int_between(0, 3) == 0:
+            return Fraction(0)
+        return Fraction(rng.int_between(-top, top), rng.int_between(1, 7))
+
+    rows = []
+    for _ in range(nrows):
+        kind = rng.int_between(0, 5)
+        if kind == 0:
+            row = [Fraction(0)] * ncols
+        elif kind == 1 and rows:
+            row = list(rows[rng.int_between(0, len(rows) - 1)])
+        elif kind == 2 and rows:
+            a, b = (rows[rng.int_between(0, len(rows) - 1)] for _ in range(2))
+            s, t = entry(), entry()
+            row = [s * x + t * y for x, y in zip(a, b)]
+        else:
+            row = [entry() for _ in range(ncols)]
+        rows.append(row)
+    return rows
+
+
+class TestIntegerRref:
+    def test_empty_matrix(self):
+        e = rref([])
+        assert (e.rank, e.pivots, e.rows, e.cols, e.kernel_basis()) == (0, [], [], 0, [])
+
+    def test_agrees_with_fraction_elimination(self):
+        rng = SplitMix64(1968)
+        deficient = 0
+        for nrows in range(9):
+            for ncols in range(9):
+                for _ in range(3):
+                    m = random_rational_rows(rng, nrows, ncols)
+                    got, want = rref(m), rref_by_fractions(m)
+                    assert (got.rank, got.pivots, got.rows) == (want.rank, want.pivots, want.rows)
+                    assert got.kernel_basis() == want.kernel_basis()
+                    deficient += got.rank < min(nrows, ncols)
+                    aug = rref_by_fractions([row + [Fraction(int(i == j)) for j in range(nrows)]
+                                             for i, row in enumerate(m)])
+                    assert rref_with_transform(m).transform == [row[ncols:] for row in aug.rows]
+        assert deficient > 50
+
+    def test_integer_and_fraction_inputs_agree(self):
+        m = [[2, "1/3", 0], [Fraction(4), Fraction(2, 3), 1]]
+        assert rref(m).rows == rref_by_fractions(m).rows == [
+            [1, Fraction(1, 6), 0], [0, 0, 1]]
+
+
+def random_net_S5(rng):
+    """Span of three random symmetric 5 x 5 integer matrices."""
+    basis = []
+    for _ in range(3):
+        m = [[0] * 5 for _ in range(5)]
+        for i in range(5):
+            for j in range(i, 5):
+                m[i][j] = m[j][i] = rng.int_between(-3, 3)
+        basis.append(Mat.from_ints(m))
+    return make_space(5, basis)
 
 
 class TestRref:
@@ -145,12 +240,30 @@ class TestAdjugate:
 
     def test_matches_cofactor_oracle(self):
         rng = SplitMix64(31)
-        for n in (2, 3, 4):
+        for n in (1, 2, 3, 4, 5):
             m = random_poly_mat(rng, n)
             assert adjugate(m) == adjugate_cofactor(m)
         for n in (2, 3, 5):
             m = random_scalar_mat(rng, n)
             assert adjugate(m) == adjugate_cofactor(m)
+        m = generic_element(random_net_S5(rng))
+        assert adjugate(m) == adjugate_cofactor(m)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_n_minus_one_products(self, n, monkeypatch):
+        calls = []
+        product = Mat.__matmul__
+
+        def counting(a, b):
+            calls.append(1)
+            return product(a, b)
+
+        monkeypatch.setattr(Mat, "__matmul__", counting)
+        m = random_poly_mat(SplitMix64(n), n)
+        adjugate(m)
+        assert len(calls) == n - 1
+        charpoly(m)
+        assert len(calls) == 2 * (n - 1)
 
     def test_fundamental_identity(self):
         rng = SplitMix64(37)
@@ -186,6 +299,17 @@ class TestCharpoly:
             for i in range(4)
         ])
         assert cp.to_mpoly() == det_laplace(shifted)
+
+    def test_matches_laplace_determinant(self):
+        rng = SplitMix64(41)
+        mats = [random_poly_mat(rng, n) for n in (1, 2, 3, 4, 5)]
+        mats.append(generic_element(random_net_S5(rng)))
+        lam = P("lam")
+        for m in mats:
+            n = m.rows
+            shifted = Mat([[lam - m[i, j] if i == j else -m[i, j] for j in range(n)]
+                           for i in range(n)])
+            assert charpoly(m).to_mpoly() == det_laplace(shifted)
 
     def test_cayley_hamilton(self):
         rng = SplitMix64(43)
