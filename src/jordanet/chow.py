@@ -17,11 +17,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import List, Sequence, Tuple
+from typing import List, Tuple
 
 from .errors import PreconditionError
-from .exact import MPoly, monomials
-from .linalg import Mat, adjugate, det, det_laplace, mat_rank, rref
+from .exact import MPoly, monomials, poly_eval
+from .linalg import Mat, adjugate, det_laplace, inverse_or_none, mat_rank, rref
 from .spaces import (
     MatSpace,
     generic_element,
@@ -78,11 +78,6 @@ def chow_rank(space: MatSpace) -> int:
     return mat_rank(chow_matrix(space).as_mat())
 
 
-def chow_minors_vanish(space: MatSpace, k: int) -> bool:
-    """True iff every (k+1) x (k+1) minor vanishes, i.e. rank <= k."""
-    return mat_rank(chow_matrix(space).as_mat()) <= k
-
-
 def chow_kernel_forms(space: MatSpace) -> List[MPoly]:
     """Left-kernel vectors rendered as linear forms in z_ij.
 
@@ -109,19 +104,22 @@ def chow_kernel_forms(space: MatSpace) -> List[MPoly]:
 
 
 def sampled_reciprocal_span(space: MatSpace, trials: int) -> int:
-    """Rank of stacked vectorized adjugates at deterministic invertible points.
+    """Rank of stacked vectorized inverses at the first ``trials`` invertible
+    points of the integer sweep.
 
     Independent oracle for ``chow_rank``: the adjugates of elements of the
-    space sweep out the column space of the Chow matrix.
+    space sweep out the column space of the Chow matrix, and at an invertible
+    X the adjugate det(X) X^-1 is a nonzero multiple of the inverse, so the
+    inverses span the same space.
     """
     if not is_regular(space):
         raise PreconditionError("NOT_REGULAR", "need a regular space")
     rows = []
     for tup in integer_sweep(space.m):
-        x = space.element(tup)
-        if det(x) == 0:
+        xinv = inverse_or_none(space.element(tup))
+        if xinv is None:
             continue
-        rows.append(vectorize(adjugate(x)))
+        rows.append(vectorize(xinv))
         if len(rows) >= trials:
             break
     return rref(rows).rank
@@ -140,10 +138,15 @@ def generic_symmetric(n: int, prefix: str) -> Mat:
     return Mat(entries)
 
 
-def chow_matrix_generic(n: int = 3, prefixes: Sequence[str] = ("x", "y", "z")) -> ChowMatrix:
-    """Chow matrix of the generic net spanned by symbolic symmetric matrices."""
-    m = len(prefixes)
-    mats = [generic_symmetric(n, p) for p in prefixes]
+#: variable prefixes of the three symbolic basis matrices of the generic net
+_NET_PREFIXES = ("x", "y", "z")
+
+
+def chow_matrix_generic(n: int = 3) -> ChowMatrix:
+    """Chow matrix of the generic net spanned by symbolic symmetric matrices
+    with entries x_ij, y_ij, z_ij."""
+    m = len(_NET_PREFIXES)
+    mats = [generic_symmetric(n, p) for p in _NET_PREFIXES]
     weight_names = tuple(f"w{k + 1}" for k in range(m))
     acc = None
     for name, mat in zip(weight_names, mats):
@@ -181,20 +184,9 @@ def chow_det_eval_at_net(space: MatSpace) -> Fraction:
     """Evaluate the generic n = 3 Chow determinant at a net's basis entries."""
     if space.n != 3 or space.m != 3:
         raise PreconditionError("UNSUPPORTED_DIM", "evaluation needs a net of 3 x 3 matrices")
-    poly = chow_det_generic(3)
     assignment = {}
-    for prefix, mat in zip(("x", "y", "z"), space.basis):
+    for prefix, mat in zip(_NET_PREFIXES, space.basis):
         for i in range(3):
             for j in range(i, 3):
                 assignment[f"{prefix}{i + 1}{j + 1}"] = mat[i, j]
-    values = [assignment.get(v, Fraction(0)) for v in poly.vars]
-    total = Fraction(0)
-    for exps, coeff in poly.terms.items():
-        term = coeff
-        for val, e in zip(values, exps):
-            if e:
-                term *= val ** e
-            if term == 0:
-                break
-        total += term
-    return total
+    return poly_eval(chow_det_generic(3), assignment)

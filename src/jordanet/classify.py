@@ -37,15 +37,15 @@ from .varieties import rank_one_pencil
 NET_LABELS = ("1a", "1b", "2a1", "2a2", "2b", "3a", "3b1", "3b2")
 
 
-def generic_multiplicity_partition(space: MatSpace, u=None) -> Tuple[int, ...]:
-    """Multiplicities of the generic eigenvalues relative to the unit.
+def generic_multiplicity_partition(space: MatSpace) -> Tuple[int, ...]:
+    """Multiplicities of the generic eigenvalues relative to the unit U, the
+    space's first invertible element (``find_invertible``).
 
     Computed exactly: squarefree decomposition of det(lam * U - X(t)) over
     the coefficient field QQ(t1..tm); a squarefree factor of lam-degree d
     with multiplicity k contributes d parts equal to k.
     """
-    if u is None:
-        u = find_invertible(space)[0]
+    u = find_invertible(space)[0]
     g = generic_element(space)
     cp = charpoly(inverse(u) @ g)
     _, factors = squarefree_decomposition(cp)
@@ -64,15 +64,15 @@ class InvariantVector:
     rad_rank_one: Optional[Union[int, str]]  # only defined when dim_rad == 2
 
 
-def invariant_vector(space: MatSpace, u=None) -> InvariantVector:
-    if u is None:
-        u = find_invertible(space)[0]
-    a = structure_constants(space, u)
+def invariant_vector(space: MatSpace) -> InvariantVector:
+    """The five classifying invariants; raises NOT_JORDAN when the space is
+    not closed under the product."""
+    a = structure_constants(space)
     mats, report = radical(a)
     dim_rad = report.dim
     assoc = is_associative(a)
     rad_sq = rad_square_dim(a)
-    partition = generic_multiplicity_partition(space, u)
+    partition = generic_multiplicity_partition(space)
     rank_one = None
     if dim_rad == 2:
         rank_one = rank_one_pencil(make_space(space.n, mats))
@@ -121,15 +121,13 @@ def classify_pencil(space: MatSpace) -> PencilClass:
     """Jordan test plus family label for a pencil (m = 2)."""
     if space.m != 2:
         raise PreconditionError("UNSUPPORTED_DIM", "pencil classification needs m = 2")
-    u = find_invertible(space)[0]
-    ok, _ = is_jordan(space, u)
-    if not ok:
+    if not is_jordan(space)[0]:
         return PencilClass("NOT_JORDAN")
-    a = structure_constants(space, u)
+    a = structure_constants(space)
     dim_rad = radical(a)[1].dim
     if dim_rad == 1:
         return PencilClass("nilpotent")
-    partition = generic_multiplicity_partition(space, u)
+    partition = generic_multiplicity_partition(space)
     if len(partition) != 2:
         raise PreconditionError("UNRECOGNIZED",
                                 f"Jordan pencil with partition {partition}")
@@ -159,11 +157,7 @@ def classify_net_S4(space: MatSpace) -> str:
     """Label of a Jordan net in S^4 (one of the eight classes)."""
     if space.n != 4 or space.m != 3:
         raise PreconditionError("UNSUPPORTED_DIM", "net classification needs n = 4, m = 3")
-    u = find_invertible(space)[0]
-    ok, _ = is_jordan(space, u)
-    if not ok:
-        raise PreconditionError("NOT_JORDAN", "space is not closed under the product")
-    vec = invariant_vector(space, u)
+    vec = invariant_vector(space)
     label = decision_table().get(vec)
     if label is None:
         raise PreconditionError("UNRECOGNIZED", f"invariant vector outside the table: {vec}")
@@ -175,14 +169,10 @@ def classify_type1_partition(space: MatSpace) -> Optional[Tuple[int, int, int]]:
     S^n; None when the net is not of the diagonalizable type."""
     if space.m != 3:
         raise PreconditionError("UNSUPPORTED_DIM", "type-1 partitions need m = 3")
-    u = find_invertible(space)[0]
-    ok, _ = is_jordan(space, u)
-    if not ok:
-        raise PreconditionError("NOT_JORDAN", "space is not closed under the product")
-    a = structure_constants(space, u)
+    a = structure_constants(space)
     if radical(a)[1].dim != 0 or not is_associative(a):
         return None
-    partition = generic_multiplicity_partition(space, u)
+    partition = generic_multiplicity_partition(space)
     if len(partition) != 3:
         raise PreconditionError("UNRECOGNIZED", f"unexpected partition {partition}")
     return partition  # type: ignore[return-value]

@@ -1,7 +1,8 @@
 """Command-line front end.
 
     jordanet analyze  <file|catalog://id> [--json] [--trials N]
-    jordanet chow     <file|catalog://id> [--rank] [--kernel] [--det-stats] [--generic-n3]
+    jordanet chow     <file|catalog://id> [--rank] [--kernel] [--det-stats]
+    jordanet chow     --generic-n3 [--det-stats]
     jordanet pencil   <file|catalog://id>
     jordanet copencil <file|catalog://id>
     jordanet plucker  <file|catalog://id>
@@ -25,7 +26,7 @@ import json
 import sys
 import time
 from fractions import Fraction
-from typing import Optional, Union
+from typing import Union
 
 from .catalog import canonical, catalog_ids, catalog_note
 from .chow import chow_det_generic, chow_kernel_forms, chow_matrix, chow_rank
@@ -35,7 +36,7 @@ from .classify import (
     classify_pencil,
     classify_abstract,
 )
-from .errors import InputError, InternalCheckError, JordanetError, PreconditionError
+from .errors import InputError, InternalCheckError, PreconditionError
 from .exact import frac_str, parse_poly
 from .io import load_space_file, read_text_file
 from .jordan import (
@@ -86,7 +87,7 @@ def _render_value(v):
     return v
 
 
-def _emit(report: dict, as_json: bool, elapsed: Optional[float] = None) -> None:
+def _emit(report: dict, as_json: bool) -> None:
     if as_json:
         print(json.dumps(_render_value(report), sort_keys=True, indent=1))
         return
@@ -97,8 +98,6 @@ def _emit(report: dict, as_json: bool, elapsed: Optional[float] = None) -> None:
         if isinstance(rendered, (dict, list)):
             rendered = json.dumps(rendered)
         print(f"{key}: {rendered}")
-    if elapsed is not None:
-        print(f"elapsed: {elapsed:.2f}s")
 
 
 def cmd_analyze(args) -> int:
@@ -150,6 +149,8 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_chow(args) -> int:
+    if args.generic_n3 and (args.space is not None or args.rank or args.kernel):
+        raise InputError("PARSE_ERROR", "--generic-n3 takes no space, --rank or --kernel")
     report = {"command": "chow", "input": args.space or "generic-n3"}
     if args.generic_n3 or (args.det_stats and args.space is None):
         det = chow_det_generic(3)
@@ -206,7 +207,7 @@ def cmd_limit(args) -> int:
     try:
         if lim.n == 4 and lim.m == 3:
             report["net_class"] = classify_net_S4(lim)
-    except JordanetError:
+    except PreconditionError:
         report["net_class"] = None
     return _done(report, args)
 

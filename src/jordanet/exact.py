@@ -158,14 +158,6 @@ class MPoly:
                     used[i] = True
         return tuple(v for v, u in zip(self.vars, used) if u)
 
-    def degree_in(self, name: str):
-        if name not in self.vars:
-            return 0 if self.terms else NEG_INF
-        i = self.vars.index(name)
-        if not self.terms:
-            return NEG_INF
-        return max(e[i] for e in self.terms)
-
     def coefficient(self, monomial: Mapping[str, int]) -> Fraction:
         """Coefficient of the monomial given as {var: exponent}."""
         for name in monomial:
@@ -344,25 +336,7 @@ class MPoly:
             return -self
         return self
 
-    # -- calculus / substitution ---------------------------------------
-
-    def derivative(self, name: str) -> "MPoly":
-        if name not in self.vars:
-            return MPoly.zero(self.vars)
-        i = self.vars.index(name)
-        out = {}
-        for exps, coeff in self.terms.items():
-            e = exps[i]
-            if e == 0:
-                continue
-            key = exps[:i] + (e - 1,) + exps[i + 1:]
-            acc = out.get(key)
-            tot = coeff * e if acc is None else acc + coeff * e
-            if tot == 0:
-                out.pop(key, None)
-            else:
-                out[key] = tot
-        return MPoly(self.vars, out)
+    # -- substitution ----------------------------------------------------
 
     def substitute(self, assignment: Mapping[str, object]) -> "MPoly":
         """Substitute values (rationals or polynomials) for some variables."""
@@ -447,8 +421,11 @@ class MPoly:
 
 # -- text grammar -------------------------------------------------------
 
+#: a variable name of the text grammar
+NAME = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
+
 _TOKEN = re.compile(
-    r"\s*(?:(?P<num>\d+(?:/\d+)?)|(?P<name>[A-Za-z_][A-Za-z0-9_]*)|(?P<op>[-+*^()]))"
+    rf"\s*(?:(?P<num>\d+(?:/\d+)?)|(?P<name>{NAME.pattern})|(?P<op>[-+*^()]))"
 )
 
 
@@ -532,11 +509,27 @@ def parse_poly(text: str) -> MPoly:
 
 
 def poly_eval(p: MPoly, assignment: Mapping[str, object]):
-    """Substitute; returns a Scalar when nothing but constants remain."""
-    result = p.substitute(assignment)
-    if result.is_constant():
-        return result.constant_value()
-    return result
+    """Substitute; returns a Scalar when nothing but constants remain.
+
+    Names that are not variables of p are ignored.  When every variable gets
+    a rational value the terms are summed directly, with no intermediate
+    polynomials.
+    """
+    values = [assignment.get(v) for v in p.vars]
+    if any(x is None or isinstance(x, MPoly) for x in values):
+        result = p.substitute({v: x for v, x in zip(p.vars, values) if x is not None})
+        return result.constant_value() if result.is_constant() else result
+    values = [frac(x) for x in values]
+    total = Fraction(0)
+    for exps, coeff in p.terms.items():
+        term = coeff
+        for x, e in zip(values, exps):
+            if e:
+                term *= x ** e
+                if not term:
+                    break
+        total += term
+    return total
 
 
 def poly_stats(p: MPoly, monomial: Optional[Mapping[str, int]] = None):
@@ -670,12 +663,6 @@ class UniPoly:
     def scale(self, c: MPoly) -> "UniPoly":
         return UniPoly(self.var, [co * c for co in self.coeffs])
 
-    def shift(self, k: int) -> "UniPoly":
-        """Multiply by var**k."""
-        if self.is_zero():
-            return self
-        return UniPoly(self.var, [MPoly.zero()] * k + list(self.coeffs))
-
     def derivative(self) -> "UniPoly":
         return UniPoly(self.var, [c.scale(k) for k, c in enumerate(self.coeffs)][1:])
 
@@ -730,10 +717,6 @@ def uni_exact_div(f: UniPoly, g: UniPoly) -> Optional[UniPoly]:
     if not r.is_zero():
         return None
     return UniPoly(f.var, out)
-
-
-def uni_divides(g: UniPoly, f: UniPoly) -> bool:
-    return uni_exact_div(f, g) is not None
 
 
 def uni_content(f: UniPoly) -> MPoly:

@@ -6,9 +6,10 @@ Plain space files look like::
 
 where ``n`` is a JSON integer >= 1 and entries are integers or rational
 strings "p/q"; matrices are full n x n arrays and must be symmetric.
-Parametric families add ``"parametric": true`` and allow entries to be
-polynomial strings in the parameter ``t`` (or the variable named by
-``"param"``).
+Parametric families add ``"parametric": true`` (a JSON boolean) and allow
+entries to be integers or polynomial strings in the parameter ``t``, or in
+the variable that ``"param"`` names (a string in the polynomial grammar's
+name syntax); booleans are rejected everywhere.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from pathlib import Path
 from typing import Union
 
 from .errors import InputError
-from .exact import MPoly, frac, frac_str, parse_poly
+from .exact import NAME, MPoly, frac, frac_str, parse_poly
 from .linalg import Mat
 from .spaces import MatSpace, ParametricBasis, make_space
 
@@ -35,6 +36,8 @@ def _entry_to_fraction(value) -> Fraction:
 
 
 def _entry_to_poly(value, param: str) -> MPoly:
+    if isinstance(value, bool):
+        raise InputError("PARSE_ERROR", "boolean is not a family entry")
     if isinstance(value, int):
         return MPoly.const(value, (param,))
     if isinstance(value, str):
@@ -54,8 +57,12 @@ def parse_space_data(obj: dict) -> Union[MatSpace, ParametricBasis]:
         raise InputError("PARSE_ERROR", f"'n' must be an integer >= 1, got {n!r}")
     if not isinstance(basis_data, list) or not basis_data:
         raise InputError("PARSE_ERROR", "'basis' must be a nonempty list of n x n matrices")
-    parametric = bool(obj.get("parametric", False))
+    parametric = obj.get("parametric", False)
+    if not isinstance(parametric, bool):
+        raise InputError("PARSE_ERROR", f"'parametric' must be true or false, got {parametric!r}")
     param = obj.get("param", "t")
+    if not isinstance(param, str) or not NAME.fullmatch(param):
+        raise InputError("PARSE_ERROR", f"'param' must be a variable name, got {param!r}")
     mats = []
     for raw in basis_data:
         if not isinstance(raw, list) or len(raw) != n or any(len(r) != n for r in raw):

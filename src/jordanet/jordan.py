@@ -29,7 +29,7 @@ from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from .errors import InternalCheckError, PreconditionError
-from .linalg import Mat, det, inverse, rref
+from .linalg import Mat, inverse, inverse_or_none, rref
 from .spaces import (
     MatSpace,
     contains,
@@ -48,9 +48,9 @@ def jordan_product(x: Mat, y: Mat, u: Mat) -> Mat:
     for m in (x, y, u):
         if not m.is_symmetric():
             raise PreconditionError("NOT_SYMMETRIC", "Jordan product needs symmetric matrices")
-    if det(u) == 0:
+    uinv = inverse_or_none(u)
+    if uinv is None:
         raise PreconditionError("SINGULAR_U", "unit must be invertible")
-    uinv = inverse(u)
     return _product(x, y, uinv)
 
 
@@ -60,14 +60,17 @@ def _product(x: Mat, y: Mat, uinv: Mat) -> Mat:
     return (a + a.transpose()).scale(Fraction(1, 2))
 
 
-def _resolve_unit(space: MatSpace, u: Optional[Mat]) -> Mat:
+def _resolve_unit(space: MatSpace, u: Optional[Mat]) -> Tuple[Mat, Mat]:
+    """The unit (the given one, else the space's first invertible element)
+    and its inverse."""
     if u is None:
-        return find_invertible(space)[0]
-    if contains(space, u) is None:
+        u = find_invertible(space)[0]
+    elif contains(space, u) is None:
         raise PreconditionError("U_NOT_IN_SPACE", "unit must lie in the space")
-    if det(u) == 0:
+    uinv = inverse_or_none(u)
+    if uinv is None:
         raise PreconditionError("SINGULAR_U", "unit must be invertible")
-    return u
+    return u, uinv
 
 
 @dataclass
@@ -82,7 +85,7 @@ class JordanWitness:
 
 def is_jordan(space: MatSpace, u: Optional[Mat] = None) -> Tuple[bool, Optional[JordanWitness]]:
     """Closure test: every pairwise basis product must stay in the space."""
-    got = _basis_products(space, _resolve_unit(space, u))
+    got = _basis_products(space, *_resolve_unit(space, u))
     if isinstance(got, JordanWitness):
         return False, got
     return True, None
@@ -96,7 +99,7 @@ def jordan_closure(space: MatSpace, u: Mat) -> MatSpace:
     product's nonzero residue modulo the span is adjoined.  Stops early at
     all of S^n; returns the reduced row echelon basis of the closure.
     """
-    uinv = inverse(_resolve_unit(space, u))
+    _, uinv = _resolve_unit(space, u)
     n, full = space.n, sym_dim(space.n)
     elements = list(space.basis)
     ech = rref([vectorize(b) for b in elements])
@@ -182,18 +185,18 @@ class JordanStructure:
 def structure_constants(space: MatSpace, u: Optional[Mat] = None) -> JordanStructure:
     """Structure tensor of a Jordan subalgebra; raises NOT_JORDAN when the
     space is not closed."""
-    got = _basis_products(space, _resolve_unit(space, u))
+    got = _basis_products(space, *_resolve_unit(space, u))
     if isinstance(got, JordanWitness):
         raise PreconditionError("NOT_JORDAN", f"basis product ({got.i}, {got.j}) escapes the space")
     return got
 
 
-def _basis_products(space: MatSpace, u: Mat) -> Union[JordanStructure, JordanWitness]:
-    """The structure of the space for unit u, or the first basis product
-    (in (i, j) order, i <= j) that escapes it; memoised on the space."""
+def _basis_products(space: MatSpace, u: Mat, uinv: Mat) -> Union[JordanStructure, JordanWitness]:
+    """The structure of the space for unit u (with inverse uinv), or the first
+    basis product (in (i, j) order, i <= j) that escapes it; memoised on the
+    space."""
     key = u.data
     if key not in space._jordan:
-        uinv = inverse(u)
         m = space.m
         tensor = [[None] * m for _ in range(m)]
         for i in range(m):
@@ -334,14 +337,14 @@ def check_reciprocal_identity(space: MatSpace, u: Optional[Mat] = None,
     """
     if trials < 1:
         raise PreconditionError("BAD_TRIALS", "the inverse test needs at least one trial")
-    u = _resolve_unit(space, u)
+    u, _ = _resolve_unit(space, u)
     found = 0
     for tup in itertools.chain(nonzero_sweep(space.m, space.n + 2), integer_sweep(space.m)):
         x = space.element(tup)
-        if det(x) == 0:
+        xinv = inverse_or_none(x)
+        if xinv is None:
             continue
         found += 1
-        xinv = inverse(x)
         if contains(space, u @ xinv @ u) is None:
             return False, x
         if found >= trials:

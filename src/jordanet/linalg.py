@@ -291,14 +291,24 @@ def rref_with_transform(matrix: Sequence[Sequence[Fraction]]) -> Echelon:
     return ech
 
 
-def inverse(m: Mat) -> Mat:
-    """Inverse of a square Fraction matrix; raises on singular input."""
+def inverse_or_none(m: Mat) -> Optional[Mat]:
+    """Inverse of a square Fraction matrix, or None when it is singular.
+
+    The one invertibility decision: M is invertible iff the rref of [M | I]
+    has full rank, and the same elimination leaves M^-1 as the transform.
+    """
     if not m.is_square():
         raise PreconditionError("NOT_SQUARE", "inverse needs a square matrix")
     ech = rref_with_transform(m.data)
-    if ech.rank < m.rows:
+    return Mat(ech.transform) if ech.rank == m.rows else None
+
+
+def inverse(m: Mat) -> Mat:
+    """Inverse of a square Fraction matrix; raises on singular input."""
+    inv = inverse_or_none(m)
+    if inv is None:
         raise PreconditionError("SINGULAR", "matrix is singular")
-    return Mat(ech.transform)
+    return inv
 
 
 # -- determinants ----------------------------------------------------------
@@ -425,23 +435,6 @@ def adjugate(m: Mat) -> Mat:
     """Adjugate: M @ adj(M) = det(M) * I."""
     _, adj = _faddeev_leverrier(m)
     return adj
-
-
-def adjugate_cofactor(m: Mat) -> Mat:
-    """Independent adjugate via cofactors by definition (test oracle)."""
-    n = m.rows
-    out = [[None] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(n):
-            sub = Mat([
-                [m.data[r][c] for c in range(n) if c != j]
-                for r in range(n) if r != i
-            ]) if n > 1 else None
-            cof = det_laplace(sub) if n > 1 else _one_like(m.data[0][0])
-            if (i + j) % 2:
-                cof = -cof
-            out[j][i] = cof
-    return Mat(out)
 
 
 def minpoly(m: Mat) -> UniPoly:

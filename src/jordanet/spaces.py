@@ -18,8 +18,8 @@ from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .errors import PreconditionError
-from .exact import MPoly, frac
-from .linalg import Echelon, Mat, det, rref, rref_with_transform
+from .exact import MPoly, frac, poly_eval
+from .linalg import Echelon, Mat, det, inverse_or_none, mat_rank, rref, rref_with_transform
 from .prng import SplitMix64
 
 
@@ -198,7 +198,7 @@ def _sweep_for_unit(space: MatSpace) -> Optional[Tuple[Mat, Tuple[int, ...]]]:
         if k == _WITNESS_BUDGET and generic_det(space).is_zero():
             return None
         cand = space.element(tup)
-        if det(cand) != 0:
+        if mat_rank(cand) == space.n:
             return cand, tup
 
 
@@ -236,7 +236,7 @@ def orth_complement(space: MatSpace) -> MatSpace:
 
 def congruence_transform(space: MatSpace, p: Mat) -> MatSpace:
     """Basis-wise map B -> P^T B P; requires P invertible."""
-    if det(p) == 0:
+    if inverse_or_none(p) is None:
         raise PreconditionError("SINGULAR_P", "congruence by a singular matrix")
     pt = p.transpose()
     return MatSpace(space.n, [pt @ b @ p for b in space.basis])
@@ -250,7 +250,7 @@ def sample_congruent(space: MatSpace, seed: int) -> MatSpace:
             [rng.int_between(-3, 3) for _ in range(space.n)]
             for _ in range(space.n)
         ])
-        if det(p) != 0:
+        if mat_rank(p) == space.n:
             return congruence_transform(space, p)
 
 
@@ -315,7 +315,8 @@ class ParametricBasis:
         """Numeric basis matrices at a parameter value (no independence check)."""
         out = []
         for b in self.basis:
-            out.append(b.map(lambda e: _eval_entry(e, self.param, value)))
+            out.append(b.map(lambda e: poly_eval(e, {self.param: value})
+                             if isinstance(e, MPoly) else frac(e)))
         return out
 
     def coordinate_rows(self) -> List[List[MPoly]]:
@@ -324,14 +325,6 @@ class ParametricBasis:
 
 def _as_poly(e, param: str) -> MPoly:
     return e if isinstance(e, MPoly) else MPoly.const(e, (param,))
-
-
-def _eval_entry(e, param: str, value) -> Fraction:
-    if isinstance(e, MPoly):
-        sub = {v: frac(value) if v == param else 0 for v in e.vars}
-        out = e.substitute(sub) if sub else e
-        return out.constant_value()
-    return frac(e)
 
 
 def generic_rank(family: ParametricBasis) -> int:
@@ -376,16 +369,11 @@ def grassmann_limit(family: ParametricBasis) -> MatSpace:
     rows = family.coordinate_rows()
     t_zero = {param: Fraction(0)}
 
-    def eval_zero(poly: MPoly) -> Fraction:
-        if param in poly.vars:
-            return poly.substitute(t_zero).constant_value()
-        return poly.constant_value()
-
     for _ in range(10000):
-        numeric = [[eval_zero(e) for e in row] for row in rows]
+        numeric = [[poly_eval(e, t_zero) for e in row] for row in rows]
         ech = rref(numeric)
         if ech.rank == family.m:
-            basis = [unvectorize(family.n, [eval_zero(e) for e in row]) for row in rows]
+            basis = [unvectorize(family.n, row) for row in numeric]
             return MatSpace(family.n, basis)
         combo = _row_kernel_vector(numeric)
         new_row = [MPoly.zero((param,)) for _ in rows[0]]

@@ -15,13 +15,14 @@ Pluecker coordinates), shipped as text files and pinned by checksum tests.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from .errors import InputError, PreconditionError
-from .exact import MPoly, UniPoly, monomials, mpoly_gcd, parse_poly, subresultant_gcd
+from .exact import MPoly, UniPoly, monomials, mpoly_gcd, parse_poly, poly_eval, subresultant_gcd
 from .jordan import radical, structure_constants
 from .linalg import Mat, mat_rank, rref
 from .spaces import (
@@ -31,6 +32,7 @@ from .spaces import (
     generic_names,
     integer_sweep,
     plucker,
+    sym_dim,
 )
 
 DATA_DIR = Path(__file__).resolve().parent / "data" / "polynomials"
@@ -107,14 +109,18 @@ def rank_one_system(space: MatSpace) -> List[MPoly]:
     return minors
 
 
-def rank_one_locus_certificate(space: MatSpace, max_degree: int = 6) -> Certificate:
-    """Sweep Macaulay degrees 2..max_degree for the rank-one locus."""
+#: highest Macaulay degree tried for a rank-one locus
+_MAX_CERTIFICATE_DEGREE = 6
+
+
+def rank_one_locus_certificate(space: MatSpace) -> Certificate:
+    """Sweep Macaulay degrees 2..6 (``_MAX_CERTIFICATE_DEGREE``) for the rank-one locus."""
     system = rank_one_system(space)
     vars = tuple(sorted(generic_names(space.m)))
     if not system:
         return Certificate("SOLUTIONS_EXIST")
     cert = Certificate("UNKNOWN")
-    for d in range(2, max_degree + 1):
+    for d in range(2, _MAX_CERTIFICATE_DEGREE + 1):
         cert = macaulay_emptiness(system, d, vars=vars)
         if cert.kind == "CERTIFIED_EMPTY":
             return cert
@@ -200,17 +206,7 @@ def catalog_eval(catalog_id: str, value) -> List[Fraction]:
         assignment = _net_with_identity_assignment(value)
     else:
         assignment = _plucker_assignment(value)
-    out = []
-    for p in polys:
-        total = Fraction(0)
-        for exps, coeff in p.terms.items():
-            term = coeff
-            for name, e in zip(p.vars, exps):
-                if e:
-                    term *= assignment.get(name, Fraction(0)) ** e
-            total += term
-        out.append(total)
-    return out
+    return [poly_eval(p, assignment) for p in polys]
 
 
 def _traceless_s3_assignment(value) -> Dict[str, Fraction]:
@@ -242,7 +238,9 @@ def _plucker_assignment(value) -> Dict[str, Fraction]:
         value = plucker(value)
     if not isinstance(value, PluckerVector) or value.m != 3 or value.n != 4:
         raise PreconditionError("CONVENTION_MISMATCH", "need Pluecker data for a net in S^4")
-    return {f"p{i}{j}{k}": v for (i, j, k), v in value.values.items()}
+    # a key missing from a sparse vector reads as 0, like PluckerVector[key]
+    return {f"p{i}{j}{k}": value[(i, j, k)]
+            for i, j, k in itertools.combinations(range(sym_dim(4)), 3)}
 
 
 # -- minimum-rank bounds ----------------------------------------------------
@@ -259,7 +257,11 @@ class MinRankBounds:
         return self.upper if self.upper == self.lower else None
 
 
-def min_rank_bounds(space: MatSpace, trials: int = 60, max_degree: int = 6) -> MinRankBounds:
+#: integer sweep points tried as candidates for the rank upper bound
+_SWEEP_CANDIDATES = 60
+
+
+def min_rank_bounds(space: MatSpace) -> MinRankBounds:
     """Bracket the minimum rank of a nonzero element.
 
     Upper bound: best rank among basis elements, radical elements (when the
@@ -285,7 +287,7 @@ def min_rank_bounds(space: MatSpace, trials: int = 60, max_degree: int = 6) -> M
     for tup in integer_sweep(space.m):
         candidates.append(space.element(tup))
         count += 1
-        if count >= trials:
+        if count >= _SWEEP_CANDIDATES:
             break
     for cand in candidates:
         if all(x == 0 for row in cand.data for x in row):
@@ -294,7 +296,7 @@ def min_rank_bounds(space: MatSpace, trials: int = 60, max_degree: int = 6) -> M
         if best is None or r < best:
             best, witness = r, cand
 
-    cert = rank_one_locus_certificate(space, max_degree=max_degree)
+    cert = rank_one_locus_certificate(space)
     lower = 2 if cert.kind == "CERTIFIED_EMPTY" else 1
     if best == 1:
         lower = 1

@@ -86,20 +86,18 @@ def _sym_unit(n, i, j) -> Mat:
 
 
 def _cayley(seed: int, n: int) -> Mat:
+    """Orthogonal (I - S)(I + S)^-1 for a seeded skew-symmetric S; I + S is
+    invertible because x^T (I + S) x = |x|^2."""
     rng = SplitMix64(seed)
-    while True:
-        s = [[Fraction(0)] * n for _ in range(n)]
-        for i in range(n):
-            for j in range(i + 1, n):
-                v = Fraction(rng.int_between(-3, 3), rng.int_between(1, 3))
-                s[i][j] = v
-                s[j][i] = -v
-        skew = Mat(s)
-        ident = Mat.identity(n)
-        try:
-            return (ident - skew) @ inverse(ident + skew)
-        except PreconditionError:
-            continue
+    s = [[Fraction(0)] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            v = Fraction(rng.int_between(-3, 3), rng.int_between(1, 3))
+            s[i][j] = v
+            s[j][i] = -v
+    skew = Mat(s)
+    ident = Mat.identity(n)
+    return (ident - skew) @ inverse(ident + skew)
 
 
 def _random_symmetric(rng: SplitMix64, n: int, bound: int = 3) -> Mat:
@@ -137,6 +135,15 @@ _NET_CATALOG = ["netrank8", "nets/L1", "nets/L2", "nets/L3",
                 "s4/1a", "s4/1b", "s4/2a1", "s4/2a2", "s4/2b",
                 "s4/3a", "s4/3b1", "s4/3b2", "s5/Lstar"]
 
+# Sample sizes; each appears in its check's name, so changing one renames the
+# check in ``verify --json``.
+_COHERENCE_IMAGES = 20
+_RANDOM_NETS = 20
+_CLASSIFY_IMAGES = 50
+_PENCIL_SAMPLES = 50
+_COMPLEMENT_SAMPLES = 100
+_PLUCKER_SAMPLES = 50
+
 
 # -- criterion 1: the two reference spaces and the broken sign variant -------
 
@@ -157,13 +164,13 @@ def check_intro(seed: int = 0) -> List[CheckResult]:
 
 # -- criterion 2: closure <=> sampled reciprocal <=> closure fixed point ------
 
-def check_coherence(seed: int = 0, images: int = 20) -> List[CheckResult]:
+def check_coherence(seed: int = 0) -> List[CheckResult]:
     out: List[CheckResult] = []
     for cid in _PLAIN_CATALOG:
         base = canonical(cid)
         agree = True
         detail = ""
-        for k in range(images):
+        for k in range(_COHERENCE_IMAGES):
             sp = sample_congruent(base, derive_seed(seed, "coherence", cid, k))
             u, _ = find_invertible(sp)
             jordan_ok, _ = is_jordan(sp, u)
@@ -173,7 +180,8 @@ def check_coherence(seed: int = 0, images: int = 20) -> List[CheckResult]:
                 agree = False
                 detail = f"image {k}: jordan={jordan_ok} reciprocal={recip_ok} closure={closure_ok}"
                 break
-        _check(out, f"coherence of the three conditions on {cid} ({images} images)", agree, detail)
+        _check(out, f"coherence of the three conditions on {cid} ({_COHERENCE_IMAGES} images)",
+               agree, detail)
     return out
 
 
@@ -243,7 +251,7 @@ def _same_form_span(got, expected) -> bool:
 
 # -- criterion 6: Chow rank equals the sampled reciprocal span ----------------
 
-def check_chow_oracle(seed: int = 0, random_nets: int = 20) -> List[CheckResult]:
+def check_chow_oracle(seed: int = 0) -> List[CheckResult]:
     out: List[CheckResult] = []
     bad = []
     for cid in _NET_CATALOG:
@@ -255,18 +263,18 @@ def check_chow_oracle(seed: int = 0, random_nets: int = 20) -> List[CheckResult]
     for n in (3, 4):
         rng = SplitMix64(derive_seed(seed, "chow-oracle", n))
         mismatch = 0
-        for _ in range(random_nets):
+        for _ in range(_RANDOM_NETS):
             sp = _random_regular_net(rng, n)
             if chow_rank(sp) != sampled_reciprocal_span(sp, 3 * sym_dim(n)):
                 mismatch += 1
-        _check(out, f"{random_nets} random regular nets in S^{n}: rank oracle agreement",
+        _check(out, f"{_RANDOM_NETS} random regular nets in S^{n}: rank oracle agreement",
                mismatch == 0, f"{mismatch} mismatches")
     return out
 
 
 # -- criterion 7: the eight-class classification ------------------------------
 
-def check_classification(seed: int = 0, images: int = 50) -> List[CheckResult]:
+def check_classification(seed: int = 0) -> List[CheckResult]:
     out: List[CheckResult] = []
     rebuilt = {invariant_vector(canonical(f"s4/{label}")): label for label in NET_LABELS}
     _check(out, "eight canonical nets give eight distinct invariant vectors",
@@ -278,13 +286,13 @@ def check_classification(seed: int = 0, images: int = 50) -> List[CheckResult]:
     for label in NET_LABELS:
         sp = canonical(f"s4/{label}")
         bad = None
-        for k in range(images):
+        for k in range(_CLASSIFY_IMAGES):
             image = sample_congruent(sp, derive_seed(seed, "classify", label, k))
             got = classify_net_S4(image)
             if got != label:
                 bad = f"image {k} -> {got}"
                 break
-        _check(out, f"{images} congruence images of {label} classify identically",
+        _check(out, f"{_CLASSIFY_IMAGES} congruence images of {label} classify identically",
                bad is None, bad or "")
     from .spaces import grassmann_limit
 
@@ -319,7 +327,7 @@ def check_tau(seed: int = 0) -> List[CheckResult]:
 
 # -- criterion 9: pencils and the two polynomial certificates -----------------
 
-def check_pencils(seed: int = 0, samples: int = 50) -> List[CheckResult]:
+def check_pencils(seed: int = 0) -> List[CheckResult]:
     out: List[CheckResult] = []
     for n in (3, 4, 5):
         labels = set()
@@ -333,7 +341,7 @@ def check_pencils(seed: int = 0, samples: int = 50) -> List[CheckResult]:
                labels == {f"V{i}" for i in range(1, n // 2 + 1)}, str(sorted(labels)))
 
     bad = None
-    for k in range(samples):
+    for k in range(_PENCIL_SAMPLES):
         q = _cayley(derive_seed(seed, "cubics", k), 3)
         c = SplitMix64(derive_seed(seed, "cubics-scale", k)).nonzero_int_between(-4, 4)
         x = q.transpose() @ _diag(2 * c, -c, -c) @ q
@@ -341,14 +349,14 @@ def check_pencils(seed: int = 0, samples: int = 50) -> List[CheckResult]:
         if any(v != 0 for v in values):
             bad = f"sample {k}: {values}"
             break
-    _check(out, f"repeated-eigenvalue cubics vanish on {samples} seeded samples",
+    _check(out, f"repeated-eigenvalue cubics vanish on {_PENCIL_SAMPLES} seeded samples",
            bad is None, bad or "")
     witness_vals = catalog_eval("double_eigenvalue_cubics", _diag(1, 2, -3))
     _check(out, "repeated-eigenvalue cubics have a nonzero witness",
            any(v != 0 for v in witness_vals))
 
     bad = None
-    for k in range(samples):
+    for k in range(_PENCIL_SAMPLES):
         q = _cayley(derive_seed(seed, "frames", k), 3)
         rows = [Mat([[q[r, i] * q[r, j] for j in range(3)] for i in range(3)]) for r in range(3)]
         rng = SplitMix64(derive_seed(seed, "frames-mix", k))
@@ -362,7 +370,7 @@ def check_pencils(seed: int = 0, samples: int = 50) -> List[CheckResult]:
         if any(v != 0 for v in values):
             bad = f"sample {k}: {values}"
             break
-    _check(out, f"identity-chart net quadrics vanish on {samples} rank-one-frame nets",
+    _check(out, f"identity-chart net quadrics vanish on {_PENCIL_SAMPLES} rank-one-frame nets",
            bad is None, bad or "")
     x = Mat.from_ints([[1, 2, 0], [2, 0, 1], [0, 1, 1]])
     y = Mat.from_ints([[0, 1, 1], [1, 1, 0], [1, 0, 2]])
@@ -374,11 +382,11 @@ def check_pencils(seed: int = 0, samples: int = 50) -> List[CheckResult]:
 
 # -- criterion 10: complements, copencils, Peirce ------------------------------
 
-def check_complements(seed: int = 0, samples: int = 100) -> List[CheckResult]:
+def check_complements(seed: int = 0) -> List[CheckResult]:
     out: List[CheckResult] = []
     rng = SplitMix64(derive_seed(seed, "complement"))
     bad = None
-    for k in range(samples):
+    for k in range(_COMPLEMENT_SAMPLES):
         n = rng.int_between(2, 4)
         m = rng.int_between(1, sym_dim(n) - 1)
         sp = _random_space(rng, n, m)
@@ -386,7 +394,7 @@ def check_complements(seed: int = 0, samples: int = 100) -> List[CheckResult]:
         if sp.m + comp.m != sym_dim(n) or orth_complement(comp) != sp:
             bad = f"sample {k} (n={n}, m={m})"
             break
-    _check(out, f"complement involution and dimension law on {samples} random spaces",
+    _check(out, f"complement involution and dimension law on {_COMPLEMENT_SAMPLES} random spaces",
            bad is None, bad or "")
 
     for cid in ("copencil/L1", "copencil/L2"):
@@ -410,7 +418,7 @@ def check_complements(seed: int = 0, samples: int = 100) -> List[CheckResult]:
 
 # -- criterion 11: Pluecker certificates ---------------------------------------
 
-def check_plucker(seed: int = 0, samples: int = 50) -> List[CheckResult]:
+def check_plucker(seed: int = 0) -> List[CheckResult]:
     out: List[CheckResult] = []
 
     def orbit_samples(label, count):
@@ -420,11 +428,11 @@ def check_plucker(seed: int = 0, samples: int = 50) -> List[CheckResult]:
 
     for label in ("s4/1b", "s4/2b", "s4/3b1", "s4/3b2"):
         bad = None
-        for k, image in enumerate(orbit_samples(label, samples)):
+        for k, image in enumerate(orbit_samples(label, _PLUCKER_SAMPLES)):
             if catalog_eval("plucker_spin_orbit_quadric", image) != [0]:
                 bad = f"sample {k}"
                 break
-        _check(out, f"spin-orbit quadric vanishes on {samples} samples of {label}",
+        _check(out, f"spin-orbit quadric vanishes on {_PLUCKER_SAMPLES} samples of {label}",
                bad is None, bad or "")
     for label in ("s4/1a", "s4/2a1", "s4/2a2", "s4/3a"):
         found = False
@@ -435,11 +443,12 @@ def check_plucker(seed: int = 0, samples: int = 50) -> List[CheckResult]:
         _check(out, f"spin-orbit quadric has a nonzero witness on {label}", found)
 
     bad = None
-    for k, image in enumerate(orbit_samples("s4/2a1", samples)):
+    for k, image in enumerate(orbit_samples("s4/2a1", _PLUCKER_SAMPLES)):
         if catalog_eval("plucker_separator_2a1_quadric", image) != [0]:
             bad = f"sample {k}"
             break
-    _check(out, f"separator quadric vanishes on {samples} samples of 2a1", bad is None, bad or "")
+    _check(out, f"separator quadric vanishes on {_PLUCKER_SAMPLES} samples of 2a1",
+           bad is None, bad or "")
     found = False
     for image in orbit_samples("s4/3b1", 12):
         if catalog_eval("plucker_separator_2a1_quadric", image) != [0]:
@@ -448,18 +457,20 @@ def check_plucker(seed: int = 0, samples: int = 50) -> List[CheckResult]:
     _check(out, "separator quadric has a nonzero witness on 3b1", found)
 
     bad = None
-    for k, image in enumerate(orbit_samples("nets/L3", samples)):
+    for k, image in enumerate(orbit_samples("nets/L3", _PLUCKER_SAMPLES)):
         if catalog_eval("plucker_veronese_orbit_quadric", image) != [0]:
             bad = f"sample {k}"
             break
-    _check(out, f"Veronese-orbit quadric vanishes on {samples} samples", bad is None, bad or "")
+    _check(out, f"Veronese-orbit quadric vanishes on {_PLUCKER_SAMPLES} samples",
+           bad is None, bad or "")
 
     bad = None
-    for k, image in enumerate(orbit_samples("s4/1a", samples)):
+    for k, image in enumerate(orbit_samples("s4/1a", _PLUCKER_SAMPLES)):
         if catalog_eval("plucker_diagonal_orbit_quadric", image) != [0]:
             bad = f"sample {k}"
             break
-    _check(out, f"diagonal-orbit quadric vanishes on {samples} samples of 1a", bad is None, bad or "")
+    _check(out, f"diagonal-orbit quadric vanishes on {_PLUCKER_SAMPLES} samples of 1a",
+           bad is None, bad or "")
     return out
 
 

@@ -91,6 +91,13 @@ class TestChow:
         assert report["det_degree"] == 12
         assert report["det_terms"] == 22659
 
+    @pytest.mark.parametrize("args", [["catalog://netrank8", "--generic-n3"],
+                                      ["--generic-n3", "--rank"], ["--generic-n3", "--kernel"]])
+    def test_generic_n3_takes_no_space_rank_or_kernel(self, args, capsys):
+        code, out, err = run_cli(["chow", *args, "--json"], capsys)
+        assert code == 2
+        assert "PARSE_ERROR" in err and out == ""
+
     @pytest.mark.parametrize("flags", [[], ["--rank", "--kernel", "--det-stats"]])
     def test_one_adjugate_per_command(self, flags, tmp_path, monkeypatch, capsys):
         calls = []
@@ -271,6 +278,45 @@ class TestSpaceDimension:
         code, out, err = run_cli(["analyze", str(f), "--json"], capsys)
         assert code == 2
         assert "PARSE_ERROR" in err and out == ""
+
+
+class TestFamilyFiles:
+    FAMILY = [[["1", "t"], ["t", "0"]], [["0", "0"], ["0", "1"]]]
+    CONSTANT = [[[1, 0], [0, 0]], [[0, 0], [0, 1]]]
+
+    @pytest.mark.parametrize("command, fields", [
+        ("limit", {"parametric": True, "param": ["t"]}),
+        ("limit", {"parametric": True, "param": 1, "basis": CONSTANT}),
+        ("limit", {"parametric": True, "param": "2t", "basis": CONSTANT}),
+        ("analyze", {"parametric": "false", "basis": CONSTANT}),
+        ("limit", {"parametric": 1}),
+        ("limit", {"parametric": True, "basis": [[["1", "t"], ["t", True]], CONSTANT[1]]}),
+    ], ids=["param-list", "param-int", "param-not-a-name", "parametric-string", "parametric-int",
+            "boolean-entry"])
+    def test_malformed_family_is_a_parse_error(self, command, fields, tmp_path, capsys):
+        f = tmp_path / "family.json"
+        f.write_text(json.dumps({"n": 2, "basis": self.FAMILY, **fields}))
+        code, out, err = run_cli([command, str(f), "--json"], capsys)
+        assert code == 2
+        assert "PARSE_ERROR" in err and out == ""
+
+
+class TestLimitClassification:
+    @pytest.mark.parametrize("error, code", [
+        (InternalCheckError("INTERNAL", "self-check failed"), 4),
+        (PreconditionError("NOT_JORDAN", "not closed"), 0),
+    ])
+    def test_only_precondition_errors_read_as_null(self, error, code, monkeypatch, capsys):
+        def fail(space):
+            raise error
+
+        monkeypatch.setattr(cli, "classify_net_S4", fail)
+        got, out, err = run_cli(["limit", "catalog://degen/3b1-3b2", "--json"], capsys)
+        assert got == code
+        if code == 0:
+            assert json.loads(out)["net_class"] is None and err == ""
+        else:
+            assert out == "" and err.startswith("error: INTERNAL")
 
 
 class TestTrials:

@@ -14,7 +14,6 @@ from jordanet.exact import (
     poly_stats,
     squarefree_decomposition,
     subresultant_gcd,
-    uni_divides,
     uni_exact_div,
 )
 from jordanet.prng import SplitMix64
@@ -26,6 +25,10 @@ def P(s):
 
 def U(s, var="lam"):
     return UniPoly.from_mpoly(parse_poly(s), var)
+
+
+def uni_divides(g: UniPoly, f: UniPoly) -> bool:
+    return uni_exact_div(f, g) is not None
 
 
 def random_poly(rng, vars=("x", "y", "z"), nterms=4, maxdeg=3, coeff=5):
@@ -82,6 +85,22 @@ class TestEval:
 
     def test_conic_at_point(self):
         assert poly_eval(P("x*z-y^2"), {"x": 1, "z": 1, "y": 0}) == 1
+
+    def test_matches_substitution(self):
+        rng = SplitMix64(534)
+        polys = [P("0"), P("7"), MPoly.const(Fraction(-2, 3), ("x", "y")), MPoly.zero(("z",))]
+        polys += [random_poly(rng, vars=vs) for vs in (("x",), ("x", "y"), ("x", "y", "z"))
+                  for _ in range(10)]
+        for p in polys:
+            # names p lacks ("w" always, others sometimes); zero values too
+            pt = {v: Fraction(rng.int_between(-3, 3), rng.int_between(1, 3)) for v in "xyzw"}
+            expected = p.substitute({v: pt[v] for v in p.vars}).constant_value()
+            got = poly_eval(p, pt)
+            assert isinstance(got, Fraction) and got == expected
+
+    def test_partial_assignment_ignores_other_names(self):
+        assert poly_eval(P("x^2+y"), {"x": MPoly.var("t"), "w": 1}) == P("t^2+y")
+        assert poly_eval(P("x*y"), {"x": 0, "w": 2}) == P("0")
 
     def test_eval_is_ring_hom(self):
         rng = SplitMix64(11)

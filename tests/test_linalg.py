@@ -7,13 +7,14 @@ from jordanet.linalg import (
     Echelon,
     Mat,
     adjugate,
-    adjugate_cofactor,
     charpoly,
     det,
     det_bareiss,
     det_laplace,
     express_in_rows,
     inverse,
+    inverse_or_none,
+    mat_rank,
     minpoly,
     rref,
     rref_with_transform,
@@ -36,6 +37,20 @@ def poly_mat(rows):
 
 def random_scalar_mat(rng, n, lo=-5, hi=5):
     return Mat.from_ints([[rng.int_between(lo, hi) for _ in range(n)] for _ in range(n)])
+
+
+def adjugate_cofactor(m: Mat) -> Mat:
+    """Adjugate by its definition: transposed signed cofactors (oracle)."""
+    n = m.rows
+    if n == 1:
+        return Mat([[MPoly.const(1) if isinstance(m[0, 0], MPoly) else Fraction(1)]])
+    out = [[None] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(n):
+            sub = Mat([[m[r, c] for c in range(n) if c != j] for r in range(n) if r != i])
+            cof = det_laplace(sub)
+            out[j][i] = -cof if (i + j) % 2 else cof
+    return Mat(out)
 
 
 def random_poly_mat(rng, n, vars=("s", "t")):
@@ -366,6 +381,28 @@ class TestInverse:
                 continue
             found += 1
             assert m @ inverse(m) == Mat.identity(4)
+
+    def test_one_elimination_decides_and_inverts(self):
+        # oracle: the determinant; singular matrices are P^T diag(d, 0) P
+        rng = SplitMix64(2010)
+        for n in range(1, 6):
+            seen = set()
+            for k in range(16):
+                if k % 2:
+                    d = [rng.int_between(-3, 3) for _ in range(n - 1)] + [0]
+                    p = random_scalar_mat(rng, n, -2, 2)
+                    m = p.transpose() @ Mat.from_ints([[d[i] if i == j else 0 for j in range(n)]
+                                                       for i in range(n)]) @ p
+                else:
+                    m = random_scalar_mat(rng, n, -3, 3)
+                    m = m + m.transpose()
+                got = inverse_or_none(m)
+                regular = det_bareiss(m) != 0
+                assert (got is not None) == regular == (mat_rank(m) == n)
+                if regular:
+                    assert m @ got == Mat.identity(n) == got @ m
+                seen.add(regular)
+            assert seen == {True, False}
 
     def test_singular_raises(self):
         from jordanet.errors import PreconditionError

@@ -8,7 +8,7 @@ from jordanet.errors import InputError, PreconditionError
 from jordanet.exact import UniPoly, mpoly_gcd, parse_poly
 from jordanet.linalg import Mat, inverse
 from jordanet.prng import SplitMix64
-from jordanet.spaces import make_space, plucker, sample_congruent
+from jordanet.spaces import PluckerVector, make_space, plucker, sample_congruent
 from jordanet.varieties import (
     CATALOGS,
     DATA_DIR,
@@ -286,6 +286,15 @@ class TestCatalogEval:
     def test_plucker_vector_input(self):
         pv = plucker(canonical("s4/1b"))
         assert catalog_eval("plucker_spin_orbit_quadric", pv) == [0]
+
+    def test_missing_plucker_coordinates_read_as_zero(self):
+        for cid in ("s4/1a", "s4/2a1", "s4/3b1"):
+            full = plucker(sample_congruent(canonical(cid), 3))
+            sparse = PluckerVector(4, 3, full.nonzero())
+            assert len(sparse.values) < len(full.values)
+            for catalog_id in CATALOGS:
+                if catalog_id.startswith("plucker"):
+                    assert catalog_eval(catalog_id, sparse) == catalog_eval(catalog_id, full)
 
 
 class TestMinRank:
