@@ -28,10 +28,11 @@ from .jordan import (
     is_jordan,
     rad_square_dim,
     radical,
+    resolve_unit,
     structure_constants,
 )
-from .linalg import charpoly, inverse
-from .spaces import MatSpace, find_invertible, generic_element, is_regular, make_space
+from .linalg import charpoly
+from .spaces import MatSpace, generic_element, is_regular, make_space
 from .varieties import rank_one_pencil
 
 NET_LABELS = ("1a", "1b", "2a1", "2a2", "2b", "3a", "3b1", "3b2")
@@ -45,9 +46,7 @@ def generic_multiplicity_partition(space: MatSpace) -> Tuple[int, ...]:
     the coefficient field QQ(t1..tm); a squarefree factor of lam-degree d
     with multiplicity k contributes d parts equal to k.
     """
-    u = find_invertible(space)[0]
-    g = generic_element(space)
-    cp = charpoly(inverse(u) @ g)
+    cp = charpoly(resolve_unit(space).inverse @ generic_element(space))
     _, factors = squarefree_decomposition(cp)
     parts: List[int] = []
     for factor, mult in factors:

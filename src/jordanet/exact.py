@@ -28,13 +28,23 @@ NEG_INF = float("-inf")
 _COEFF_LIKE = Union[int, Fraction]
 
 
+#: the text form of a rational: an integer or p/q, no decimals or exponents
+_RATIONAL = re.compile(r"[+-]?\d+(?:/\d+)?")
+
+
 def frac(value) -> Fraction:
-    """Coerce ints, strings like '3' or '-2/7', and Fractions to Fraction."""
+    """Coerce ints, strings like '3' or '-2/7', and Fractions to Fraction.
+
+    Strings must be an integer or p/q: ``Fraction`` would also expand
+    exponent notation, so an 11-byte '1e999999999' would build an integer of
+    a billion digits."""
     if isinstance(value, Fraction):
         return value
     if isinstance(value, int):
         return Fraction(value)
     if isinstance(value, str):
+        if not _RATIONAL.fullmatch(value):
+            raise InputError("PARSE_ERROR", f"bad rational {value!r}: expected an integer or p/q")
         try:
             return Fraction(value)
         except (ValueError, ZeroDivisionError) as exc:

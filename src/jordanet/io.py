@@ -88,7 +88,7 @@ def load_space_file(path: Union[str, Path]) -> Union[MatSpace, ParametricBasis]:
     text = read_text_file(path)
     try:
         obj = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # bad JSON, > 4300 digits, nested too deep
         raise InputError("PARSE_ERROR", f"bad JSON in {path}: {exc}") from exc
     return parse_space_data(obj)
 

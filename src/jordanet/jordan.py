@@ -9,10 +9,15 @@ subspace closed under this product (for an invertible U inside it) is a
 Jordan subalgebra; equivalently its reciprocal variety is again a linear
 space, and the two conditions are cross-checked throughout the test suite.
 
-The basis products for a unit are computed once and memoised on the space:
-``is_jordan`` and ``structure_constants`` read the same computation.
-``jordan_closure`` grows one echelon from a worklist, reducing each product
-once and re-echelonizing only when the span grows.
+Products are taken on integers.  For each (space, unit) pair the unit is
+inverted once, U^{-1} = Q / s with Q a symmetric integer matrix, and kept in
+``space._jordan`` beside the basis products for that unit, which
+``is_jordan`` and ``structure_constants`` read.  For integer X and Y,
+X Q Y + (X Q Y)^T = 2s (X * Y): ``jordan_closure`` keeps its elements as
+primitive integer matrices and needs the product only up to that scale, so it
+grows one integer echelon from a worklist, reducing each product once and
+adjoining a nonzero residue in place.  Basis products divide once by the
+scale and keep their true value.
 
 Radicals are computed as the kernel of the trace form (x, y) -> tr(L_{x*y}),
 the characteristic-zero semisimplicity criterion.  The test suite checks that
@@ -29,7 +34,7 @@ from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from .errors import InternalCheckError, PreconditionError
-from .linalg import Mat, inverse, inverse_or_none, rref
+from .linalg import GrowingEchelon, Mat, int_matmul, integer_matrix, inverse_or_none, rref
 from .spaces import (
     MatSpace,
     contains,
@@ -37,9 +42,8 @@ from .spaces import (
     integer_sweep,
     nonzero_sweep,
     residue_mod_space,
-    sym_dim,
+    sym_pairs,
     unvectorize,
-    vectorize,
 )
 
 
@@ -51,26 +55,23 @@ def jordan_product(x: Mat, y: Mat, u: Mat) -> Mat:
     uinv = inverse_or_none(u)
     if uinv is None:
         raise PreconditionError("SINGULAR_U", "unit must be invertible")
-    return _product(x, y, uinv)
+    return _product(x, y, *integer_matrix(uinv))
 
 
-def _product(x: Mat, y: Mat, uinv: Mat) -> Mat:
-    """(A + A^T) / 2 with A = X U^{-1} Y, whose transpose is Y U^{-1} X."""
-    a = x @ uinv @ y
-    return (a + a.transpose()).scale(Fraction(1, 2))
+def _doubled_product(xq: Sequence[Sequence[int]], y: Sequence[Sequence[int]],
+                     pairs: Sequence[Tuple[int, int]]) -> List[int]:
+    """The upper triangle of A + A^T with A = X Q Y, from the rows of X Q and
+    of the symmetric Y: 2s (X * Y) when U^{-1} = Q / s."""
+    a = int_matmul(xq, y)
+    return [a[i][j] + a[j][i] for i, j in pairs]
 
 
-def _resolve_unit(space: MatSpace, u: Optional[Mat]) -> Tuple[Mat, Mat]:
-    """The unit (the given one, else the space's first invertible element)
-    and its inverse."""
-    if u is None:
-        u = find_invertible(space)[0]
-    elif contains(space, u) is None:
-        raise PreconditionError("U_NOT_IN_SPACE", "unit must lie in the space")
-    uinv = inverse_or_none(u)
-    if uinv is None:
-        raise PreconditionError("SINGULAR_U", "unit must be invertible")
-    return u, uinv
+def _product(x: Mat, y: Mat, q: List[List[int]], s: int) -> Mat:
+    """X * Y for Fraction matrices and U^{-1} = Q / s: with X = X' / d and
+    Y = Y' / e, the integer X' Q Y' + (X' Q Y')^T divided once by 2 s d e."""
+    (xi, d), (yi, e) = integer_matrix(x), integer_matrix(y)
+    doubled = _doubled_product(int_matmul(xi, q), yi, sym_pairs(x.rows))
+    return unvectorize(x.rows, [Fraction(v, 2 * s * d * e) for v in doubled])
 
 
 @dataclass
@@ -83,9 +84,36 @@ class JordanWitness:
     residue: Mat
 
 
+class Unit:
+    """A unit U of a space with U^{-1} = q / s (q a symmetric integer matrix,
+    s > 0), and the basis products for U once they are computed."""
+
+    __slots__ = ("u", "inverse", "q", "s", "products")
+
+    def __init__(self, u: Mat, inverse: Mat, q: List[List[int]], s: int):
+        self.u, self.inverse, self.q, self.s = u, inverse, q, s
+        self.products: Union["JordanStructure", JordanWitness, None] = None
+
+
+def resolve_unit(space: MatSpace, u: Optional[Mat] = None) -> Unit:
+    """The unit (the given one, else the space's first invertible element),
+    checked and inverted once per (space, U) and memoised in ``space._jordan``."""
+    if u is None:
+        u = find_invertible(space)[0]
+    unit = space._jordan.get(u.data)
+    if unit is None:
+        if contains(space, u) is None:
+            raise PreconditionError("U_NOT_IN_SPACE", "unit must lie in the space")
+        uinv = inverse_or_none(u)
+        if uinv is None:
+            raise PreconditionError("SINGULAR_U", "unit must be invertible")
+        unit = space._jordan[u.data] = Unit(u, uinv, *integer_matrix(uinv))
+    return unit
+
+
 def is_jordan(space: MatSpace, u: Optional[Mat] = None) -> Tuple[bool, Optional[JordanWitness]]:
     """Closure test: every pairwise basis product must stay in the space."""
-    got = _basis_products(space, *_resolve_unit(space, u))
+    got = _basis_products(space, resolve_unit(space, u))
     if isinstance(got, JordanWitness):
         return False, got
     return True, None
@@ -94,27 +122,43 @@ def is_jordan(space: MatSpace, u: Optional[Mat] = None) -> Tuple[bool, Optional[
 def jordan_closure(space: MatSpace, u: Mat) -> MatSpace:
     """Smallest subspace containing the space and closed under the product.
 
-    A worklist over one growing echelon: each adjoined element (the basis
-    first) is multiplied once with itself and each element before it, and a
-    product's nonzero residue modulo the span is adjoined.  Stops early at
-    all of S^n; returns the reduced row echelon basis of the closure.
+    A worklist over one growing integer echelon: each adjoined element (the
+    basis first) is multiplied once with itself and each element before it,
+    as 2s times the product, and a product's nonzero residue modulo the span
+    is adjoined.  Stops early at all of S^n; returns the reduced row echelon
+    basis of the closure.
     """
-    _, uinv = _resolve_unit(space, u)
-    n, full = space.n, sym_dim(space.n)
-    elements = list(space.basis)
-    ech = rref([vectorize(b) for b in elements])
+    q = resolve_unit(space, u).q
+    n = space.n
+    pairs = sym_pairs(n)
+    ech = GrowingEchelon()
+    elements = []  # primitive integer matrices, in the order they were adjoined
+
+    def grow(vec: List[int]) -> None:
+        residue = ech.residue(vec)
+        if any(residue):
+            ech.adjoin(residue)
+            elements.append(_int_symmetric(n, pairs, residue))
+
+    for b in space.basis:
+        bi = integer_matrix(b)[0]
+        grow([bi[i][j] for i, j in pairs])
     done = 0
-    while done < len(elements) and ech.rank < full:
-        x = elements[done]
+    while done < len(elements) and ech.rank < len(pairs):
+        xq = int_matmul(elements[done], q)  # Q is symmetric: its rows are its columns
         done += 1
         for y in elements[:done]:
-            residue = ech.reduce_vector(vectorize(_product(x, y, uinv)))
-            if any(c != 0 for c in residue):
-                elements.append(unvectorize(n, residue))
-                ech = rref(ech.rows + [residue])
-                if ech.rank == full:
-                    break
-    return MatSpace(n, [unvectorize(n, r) for r in ech.rows])
+            grow(_doubled_product(xq, y, pairs))
+            if ech.rank == len(pairs):
+                break
+    return MatSpace(n, [unvectorize(n, r) for r in ech.reduced_rows()])
+
+
+def _int_symmetric(n: int, pairs: Sequence[Tuple[int, int]], vec: Sequence[int]) -> List[List[int]]:
+    out = [[0] * n for _ in range(n)]
+    for (i, j), v in zip(pairs, vec):
+        out[i][j] = out[j][i] = v
+    return out
 
 
 @dataclass
@@ -185,31 +229,29 @@ class JordanStructure:
 def structure_constants(space: MatSpace, u: Optional[Mat] = None) -> JordanStructure:
     """Structure tensor of a Jordan subalgebra; raises NOT_JORDAN when the
     space is not closed."""
-    got = _basis_products(space, *_resolve_unit(space, u))
+    got = _basis_products(space, resolve_unit(space, u))
     if isinstance(got, JordanWitness):
         raise PreconditionError("NOT_JORDAN", f"basis product ({got.i}, {got.j}) escapes the space")
     return got
 
 
-def _basis_products(space: MatSpace, u: Mat, uinv: Mat) -> Union[JordanStructure, JordanWitness]:
-    """The structure of the space for unit u (with inverse uinv), or the first
-    basis product (in (i, j) order, i <= j) that escapes it; memoised on the
-    space."""
-    key = u.data
-    if key not in space._jordan:
+def _basis_products(space: MatSpace, unit: Unit) -> Union[JordanStructure, JordanWitness]:
+    """The structure of the space for the unit, or the first basis product (in
+    (i, j) order, i <= j) that escapes it; memoised on the unit."""
+    if unit.products is None:
         m = space.m
         tensor = [[None] * m for _ in range(m)]
         for i in range(m):
             for j in range(i, m):
-                p = _product(space.basis[i], space.basis[j], uinv)
+                p = _product(space.basis[i], space.basis[j], unit.q, unit.s)
                 coords = contains(space, p)
                 if coords is None:
-                    space._jordan[key] = JordanWitness(i, j, p, residue_mod_space(space, p))
-                    return space._jordan[key]
+                    unit.products = JordanWitness(i, j, p, residue_mod_space(space, p))
+                    return unit.products
                 tensor[i][j] = tensor[j][i] = tuple(coords)
-        space._jordan[key] = JordanStructure(space, u, tuple(contains(space, u)),
-                                             tuple(tuple(row) for row in tensor))
-    return space._jordan[key]
+        unit.products = JordanStructure(space, unit.u, tuple(contains(space, unit.u)),
+                                        tuple(tuple(row) for row in tensor))
+    return unit.products
 
 
 @dataclass
@@ -281,7 +323,7 @@ def peirce(a: JordanStructure, idempotents: Sequence[Mat]) -> Dict[Tuple[int, in
     Y with 2 X_i * Y = 2 X_j * Y = Y.  Dimensions always sum to the algebra
     dimension; a shortfall raises, it cannot silently truncate.
     """
-    uinv = inverse(a.unit)
+    unit = resolve_unit(a.space, a.unit)
     d = len(idempotents)
     coords = []
     for x in idempotents:
@@ -289,11 +331,11 @@ def peirce(a: JordanStructure, idempotents: Sequence[Mat]) -> Dict[Tuple[int, in
         if c is None:
             raise PreconditionError("NOT_ORTHOGONAL_IDEMPOTENTS", "idempotent outside the algebra")
         coords.append(c)
-        if _product(x, x, uinv) != x:
+        if _product(x, x, unit.q, unit.s) != x:
             raise PreconditionError("NOT_ORTHOGONAL_IDEMPOTENTS", "element is not idempotent")
     for i in range(d):
         for j in range(i + 1, d):
-            if not _is_zero_mat(_product(idempotents[i], idempotents[j], uinv)):
+            if not _is_zero_mat(_product(idempotents[i], idempotents[j], unit.q, unit.s)):
                 raise PreconditionError("NOT_ORTHOGONAL_IDEMPOTENTS", "idempotents are not orthogonal")
     total = idempotents[0]
     for x in idempotents[1:]:
@@ -337,7 +379,7 @@ def check_reciprocal_identity(space: MatSpace, u: Optional[Mat] = None,
     """
     if trials < 1:
         raise PreconditionError("BAD_TRIALS", "the inverse test needs at least one trial")
-    u, _ = _resolve_unit(space, u)
+    u = resolve_unit(space, u).u
     found = 0
     for tup in itertools.chain(nonzero_sweep(space.m, space.n + 2), integer_sweep(space.m)):
         x = space.element(tup)

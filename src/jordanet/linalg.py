@@ -1,10 +1,14 @@
 """Exact dense linear algebra over rationals and over polynomial rings.
 
 Matrices are immutable and ring-homogeneous: every entry is either a
-``Fraction`` or an ``MPoly``.  The reduced row echelon form (rank, kernels,
-row transforms, inverses) is computed by fraction-free Gauss-Jordan
-elimination on the integer rows left after clearing denominators, with exact
-divisions by the previous pivot; Fractions are formed only for the result.
+``Fraction`` or an ``MPoly``.  A product of two Fraction matrices is one
+integer product (``int_matmul``) of A's rows and B's columns cleared of
+denominators, with one Fraction formed per entry of the result.  The reduced
+row echelon form (rank, kernels, row transforms, inverses) is computed by
+fraction-free Gauss-Jordan elimination on the integer rows left after clearing
+denominators, with exact divisions by the previous pivot; Fractions are formed
+only for the result.  ``GrowingEchelon`` keeps a reduced echelon on primitive
+integer rows that grows one row at a time, for spans built up incrementally.
 Determinants of polynomial matrices default to Laplace expansion memoized over
 column subsets; a fraction-free Bareiss routine is kept alongside and the two
 are cross-checked in the test suite.  Characteristic polynomials and adjugates
@@ -14,9 +18,11 @@ integers 1..n and which takes n - 1 matrix products.
 
 from __future__ import annotations
 
+import bisect
 import math
 from fractions import Fraction
-from typing import List, Optional, Sequence, Union
+from operator import mul
+from typing import List, Optional, Sequence, Tuple, Union
 
 from .errors import InternalCheckError, PreconditionError
 from .exact import MPoly, UniPoly, exact_div, frac
@@ -118,6 +124,8 @@ class Mat:
     def __matmul__(self, other: "Mat") -> "Mat":
         if self.cols != other.rows:
             raise ValueError("shape mismatch in product")
+        if _all_fractions(self) and _all_fractions(other):
+            return _fraction_product(self, other)
         out = []
         for i in range(self.rows):
             row = []
@@ -170,6 +178,41 @@ class Mat:
 
     def __repr__(self) -> str:
         return f"Mat({self})"
+
+
+# -- integer products ------------------------------------------------------
+
+def int_matmul(a_rows: Sequence[Sequence[int]], b_cols: Sequence[Sequence[int]]) -> List[List[int]]:
+    """The integer product A B, given the rows of A and the columns of B (for a
+    symmetric B, its rows)."""
+    return [[sum(map(mul, row, col)) for col in b_cols] for row in a_rows]
+
+
+def _all_fractions(m: Mat) -> bool:
+    return all(type(x) is Fraction for row in m.data for x in row)
+
+
+def _clear_denominators(vector: Sequence[Fraction]) -> Tuple[List[int], int]:
+    """(v', d) with v = v' / d, d the lcm of the entries' denominators."""
+    d = math.lcm(*(x.denominator for x in vector))
+    return [x.numerator * (d // x.denominator) for x in vector], d
+
+
+def _fraction_product(a: Mat, b: Mat) -> Mat:
+    """A B for Fraction matrices: with A's row i equal to A'_i / d_i and B's
+    column j equal to B'_j / e_j, entry (i, j) is (A'_i . B'_j) / (d_i e_j)."""
+    left = [_clear_denominators(row) for row in a.data]
+    right = [_clear_denominators(col) for col in zip(*b.data)]
+    prod = int_matmul([r for r, _ in left], [c for c, _ in right])
+    return Mat([[Fraction(x, d * e) for x, (_, e) in zip(prow, right)]
+                for prow, (_, d) in zip(prod, left)])
+
+
+def integer_matrix(m: Mat) -> Tuple[List[List[int]], int]:
+    """(M', d) with M = M' / d for a Fraction matrix: d is the lcm of all its
+    denominators and M' has integer entries."""
+    d = math.lcm(*(x.denominator for row in m.data for x in row))
+    return [[x.numerator * (d // x.denominator) for x in row] for row in m.data], d
 
 
 # -- reduced row echelon form over the rationals --------------------------
@@ -226,12 +269,7 @@ class Echelon:
 
 def _integer_rows(matrix: Sequence[Sequence[Fraction]]) -> List[List[int]]:
     """Each row times the lcm of its denominators: same row space, int entries."""
-    out = []
-    for row in matrix:
-        row = [frac(x) for x in row]
-        scale = math.lcm(*(x.denominator for x in row))
-        out.append([x.numerator * (scale // x.denominator) for x in row])
-    return out
+    return [_clear_denominators([frac(x) for x in row])[0] for row in matrix]
 
 
 def rref(matrix: Sequence[Sequence[Fraction]]) -> Echelon:
@@ -273,6 +311,64 @@ def rref(matrix: Sequence[Sequence[Fraction]]) -> Echelon:
             break
     reduced = [[Fraction(a, prev) for a in row] for row in rows[:r]]
     return Echelon(r, pivots, reduced, ncols)
+
+
+def _primitive(v: List[int]) -> List[int]:
+    g = math.gcd(*v)
+    return [x // g for x in v] if g > 1 else v
+
+
+class GrowingEchelon:
+    """A row space over Q, grown one integer row at a time in reduced form.
+
+    Each row is a primitive integer vector with a positive leading entry in
+    its pivot column and zeros in every other row's pivot column, and the rows
+    are sorted by pivot: the reduced row echelon form with each row scaled to
+    integers.  ``residue`` and ``adjoin`` never form a Fraction; adjoining
+    clears one column from the rows already there instead of eliminating
+    them all again.
+    """
+
+    def __init__(self):
+        self.rows: List[List[int]] = []
+        self.pivots: List[int] = []
+
+    @property
+    def rank(self) -> int:
+        return len(self.rows)
+
+    def residue(self, v: Sequence[int]) -> List[int]:
+        """v modulo the row space, divided by its content: L v minus, for each
+        pivot p where v is nonzero, v_p (L / r_p) times that pivot's row r,
+        with L the lcm of those rows' pivot entries r_p.  All zero iff v lies
+        in the span."""
+        hits = [(row, p) for row, p in zip(self.rows, self.pivots) if v[p]]
+        scale = math.lcm(*(row[p] for row, p in hits))
+        out = [scale * x for x in v]
+        for row, p in hits:
+            f = v[p] * (scale // row[p])
+            out = [x - f * y for x, y in zip(out, row)]
+        return _primitive(out)
+
+    def adjoin(self, v: List[int]) -> None:
+        """Add a nonzero residue: its leading column becomes a pivot and is
+        cleared from the other rows, which stay primitive."""
+        c = next(j for j, x in enumerate(v) if x)
+        if v[c] < 0:
+            v = [-x for x in v]
+        a = v[c]
+        for k, row in enumerate(self.rows):
+            f = row[c]
+            if f:
+                g = math.gcd(a, f)
+                self.rows[k] = _primitive([(a // g) * x - (f // g) * y for x, y in zip(row, v)])
+        k = bisect.bisect(self.pivots, c)
+        self.rows.insert(k, v)
+        self.pivots.insert(k, c)
+
+    def reduced_rows(self) -> List[List[Fraction]]:
+        """The reduced row echelon form: each row divided by its pivot entry."""
+        return [[Fraction(x, row[p]) for x in row] for row, p in zip(self.rows, self.pivots)]
 
 
 def mat_rank(m: Mat) -> int:

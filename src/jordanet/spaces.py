@@ -58,7 +58,7 @@ class MatSpace:
         self.m = len(self.basis)
         self._echelon = None
         self._unit = _UNDECIDED  # first invertible element, or None if singular
-        self._jordan = {}  # unit entries -> basis products (see jordan.py)
+        self._jordan = {}  # unit entries -> jordan.Unit: inverse, basis products
         self._chow = None  # Chow matrix (see chow.py)
         if self.m == 0:
             raise PreconditionError("DEPENDENT_BASIS", "empty basis")

@@ -280,6 +280,59 @@ class TestSpaceDimension:
         assert "PARSE_ERROR" in err and out == ""
 
 
+class TestNumberEntries:
+    """Entries are integers or p/q strings.  Exponents, decimals, numbers past
+    Python's 4300-digit conversion limit and JSON nested too deep are parse
+    errors: not exit 4, and no exponent is ever expanded."""
+
+    @pytest.mark.parametrize("text", [
+        '{"n": 1, "basis": [[[1%s]]]}' % ("0" * 4999),
+        '{"n": 1, "basis": [[["1e5000"]]]}',
+        '{"n": 1, "basis": [[["1e999999999"]]]}',
+        '{"n": 1, "basis": [[["0.5"]]]}',
+        '{"n": 1, "basis": [[["1/2e3"]]]}',
+        '{"n": 1, "basis": [[["%s"]]]}' % ("7" * 5000),
+        "[" * 100000 + "]" * 100000,
+    ], ids=["json-integer-5000-digits", "exponent", "huge-exponent", "decimal",
+            "exponent-in-denominator", "string-5000-digits", "nested-100000-deep"])
+    def test_is_a_parse_error(self, text, tmp_path, capsys):
+        f = tmp_path / "space.json"
+        f.write_text(text)
+        code, out, err = run_cli(["analyze", str(f), "--json"], capsys)
+        assert code == 2
+        assert "PARSE_ERROR" in err and out == ""
+
+    def test_signed_integers_and_fractions_are_read(self, tmp_path, capsys):
+        f = tmp_path / "space.json"
+        f.write_text(json.dumps({"n": 2, "basis": [[["-3/7", "+2"], ["+2", "-4"]]]}))
+        code, out, _ = run_cli(["plucker", str(f), "--json"], capsys)
+        assert code == 0
+        assert json.loads(out)["nonzero"] == {"0": "-3/7", "1": "2", "2": "-4"}
+
+
+class TestUnitInvertedOnce:
+    def test_analyze_inverts_the_unit_once(self, monkeypatch, capsys):
+        # count eliminations of the unit's entries (inversions go through
+        # rref_with_transform) on a freshly loaded space
+        from jordanet import catalog, linalg, spaces
+
+        eliminated = []
+        real = linalg.rref_with_transform
+
+        def counting(matrix):
+            eliminated.append(tuple(tuple(row) for row in matrix))
+            return real(matrix)
+
+        monkeypatch.setattr(linalg, "rref_with_transform", counting)
+        monkeypatch.setattr(spaces, "rref_with_transform", counting)
+        monkeypatch.setattr(catalog, "_MEMO", {})
+        code, _, _ = run_cli(["analyze", "catalog://s4/2b", "--json"], capsys)
+        assert code == 0
+        unit = spaces.find_invertible(catalog.canonical("s4/2b"))[0]
+        assert unit != linalg.Mat.identity(4)
+        assert eliminated.count(unit.data) == 1
+
+
 class TestFamilyFiles:
     FAMILY = [[["1", "t"], ["t", "0"]], [["0", "0"], ["0", "1"]]]
     CONSTANT = [[[1, 0], [0, 0]], [[0, 0], [0, 1]]]

@@ -9,6 +9,7 @@ from jordanet.classify import NET_LABELS
 from jordanet.errors import PreconditionError
 from jordanet.io import parse_space_data
 from jordanet.jordan import (
+    _doubled_product,
     check_reciprocal_identity,
     is_associative,
     is_jordan,
@@ -18,9 +19,19 @@ from jordanet.jordan import (
     rad_square_dim,
     radical,
     radical_dim,
+    resolve_unit,
     structure_constants,
 )
-from jordanet.linalg import Mat, det, express_in_rows, inverse, rref
+from jordanet.linalg import (
+    Mat,
+    det,
+    express_in_rows,
+    int_matmul,
+    integer_matrix,
+    inverse,
+    inverse_or_none,
+    rref,
+)
 from jordanet.prng import SplitMix64
 from jordanet.spaces import (
     MatSpace,
@@ -28,6 +39,7 @@ from jordanet.spaces import (
     find_invertible,
     is_regular,
     make_space,
+    residue_mod_space,
     sample_congruent,
     sym_dim,
     sym_pairs,
@@ -91,6 +103,23 @@ def spin_net():
     return make_space(4, [bx, by, bz])
 
 
+def fraction_product(x, y, uinv):
+    """(A + A^T) / 2 with A = X U^-1 Y, entry by entry on Fractions: the
+    oracle for the integer Jordan products."""
+    n = x.rows
+    xu = [[sum(x[i, k] * uinv[k, j] for k in range(n)) for j in range(n)] for i in range(n)]
+    a = [[sum(xu[i][k] * y[k, j] for k in range(n)) for j in range(n)] for i in range(n)]
+    return Mat([[Fraction(a[i][j] + a[j][i], 2) for j in range(n)] for i in range(n)])
+
+
+def random_rational_symmetric(rng, n):
+    m = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            m[i][j] = m[j][i] = Fraction(rng.int_between(-4, 4), rng.int_between(1, 5))
+    return Mat(m)
+
+
 class TestJordanProduct:
     def test_idempotent(self):
         u = Mat.identity(2)
@@ -130,6 +159,34 @@ class TestJordanProduct:
                 uinv = inverse(u)
                 two_terms = (x @ uinv @ y + y @ uinv @ x).scale(Fraction(1, 2))
                 assert jordan_product(x, y, u) == two_terms
+
+
+    def test_integer_products_match_the_fraction_product(self):
+        rng = SplitMix64(2011)
+        tried = 0
+        for n in (1, 2, 3, 4):
+            for _ in range(8):
+                x, y, u = (random_rational_symmetric(rng, n) for _ in range(3))
+                uinv = inverse_or_none(u)
+                if uinv is None:
+                    continue
+                tried += 1
+                want = fraction_product(x, y, uinv)
+                assert jordan_product(x, y, u) == want
+                # the closure's product: 2s (X * Y) for integer X, Y and U^-1 = Q / s
+                (q, s), (xi, dx), (yi, dy) = integer_matrix(uinv), integer_matrix(x), integer_matrix(y)
+                pairs = sym_pairs(n)
+                doubled = _doubled_product(int_matmul(xi, q), yi, pairs)
+                assert doubled == [2 * s * dx * dy * v for v in vectorize(want)]
+        assert tried > 20
+
+    def test_unit_inverse_is_kept_as_integers(self):
+        sp = make_space(3, [Mat.identity(3).scale(Fraction(1, 3)), diag(1, 2, 3)])
+        u = sp.element([Fraction(3, 2), Fraction(1, 4)])
+        unit = resolve_unit(sp, u)
+        assert unit.s > 0 and all(type(v) is int for row in unit.q for v in row)
+        assert Mat([[Fraction(v, unit.s) for v in row] for row in unit.q]) == inverse(u) == unit.inverse
+        assert resolve_unit(sp, Mat(u.data)) is unit
 
 
 class TestIsJordan:
@@ -221,14 +278,13 @@ class TestClosure:
 
 def closure_by_rounds(space, u):
     """Echelon rows of the closure by saturation rounds: adjoin every pairwise
-    product of the current basis (two-term formula), re-echelonize, and repeat
+    product of the current basis (``fraction_product``), re-echelonize, and repeat
     until a round adds nothing.  The oracle for ``jordan_closure``."""
     uinv = inverse(u)
     rows = rref([vectorize(b) for b in space.basis]).rows
     while True:
         basis = [unvectorize(space.n, r) for r in rows]
-        products = [(x @ uinv @ y + y @ uinv @ x).scale(Fraction(1, 2))
-                    for i, x in enumerate(basis) for y in basis[i:]]
+        products = [fraction_product(x, y, uinv) for i, x in enumerate(basis) for y in basis[i:]]
         grown = rref(rows + [vectorize(p) for p in products])
         if grown.rank == len(rows):
             return rows
@@ -259,12 +315,44 @@ def closure_oracle_spaces():
     return [sp for sp in spaces if is_regular(sp)]
 
 
+def rational_closure_cases():
+    """(space, unit) with rational bases and a unit that is not an integer
+    matrix: rescaled catalog and golden spaces, and seeded random spaces."""
+    rng = SplitMix64(2021)
+    cases = []
+    for sp in closure_oracle_spaces()[:12]:
+        scaled = make_space(sp.n, [b.scale(Fraction(k + 1, k + 3)) for k, b in enumerate(sp.basis)])
+        cases.append((scaled, find_invertible(scaled)[0].scale(Fraction(-3, 5))))
+    for n in (2, 3, 4):
+        made = 0
+        while made < 4:
+            m = rng.int_between(2, sym_dim(n) - 1)
+            try:
+                sp = make_space(n, [random_rational_symmetric(rng, n) for _ in range(m)])
+            except PreconditionError:
+                continue
+            u = sp.element([Fraction(rng.int_between(-5, 5), rng.int_between(2, 7)) for _ in range(m)])
+            if inverse_or_none(u) is None or all(v.denominator == 1 for row in u.data for v in row):
+                continue
+            cases.append((sp, u))
+            made += 1
+    return cases
+
+
 class TestClosureOracle:
     def test_same_echelon_rows_as_the_round_based_closure(self):
         for sp in closure_oracle_spaces():
             u, _ = find_invertible(sp)
             clo = jordan_closure(sp, u)
             assert [vectorize(b) for b in clo.basis] == closure_by_rounds(sp, u)
+
+    def test_rational_bases_and_a_non_integer_unit(self):
+        grew = 0
+        for sp, u in rational_closure_cases():
+            clo = jordan_closure(sp, u)
+            assert [vectorize(b) for b in clo.basis] == closure_by_rounds(sp, u)
+            grew += clo.m > sp.m
+        assert grew > 10
 
 
 class TestStructureConstants:
@@ -305,6 +393,26 @@ class TestStructureConstants:
                 y = [rng.int_between(-3, 3) for _ in range(a.dim)]
                 assert a.element(a.multiply_coords(x, y)) == \
                     jordan_product(a.element(x), a.element(y), a.unit)
+
+    def test_basis_products_match_the_fraction_product(self):
+        # rational bases and units; the tensor, and a witness's product and
+        # residue, keep the true scale
+        rng = SplitMix64(2012)
+        for sp in jordan_algebras() + [intro_L2(flip=True)]:
+            sp = make_space(sp.n, [b.scale(Fraction(rng.int_between(1, 9), rng.int_between(1, 9)))
+                                   for b in sp.basis])
+            u = find_invertible(sp)[0].scale(Fraction(rng.int_between(1, 9), rng.int_between(2, 9)))
+            uinv = inverse(u)
+            ok, witness = is_jordan(sp, u)
+            if not ok:
+                want = fraction_product(sp.basis[witness.i], sp.basis[witness.j], uinv)
+                assert witness.product == want
+                assert witness.residue == residue_mod_space(sp, want)
+                continue
+            a = structure_constants(sp, u)
+            for i in range(sp.m):
+                for j in range(sp.m):
+                    assert sp.element(a.tensor[i][j]) == fraction_product(sp.basis[i], sp.basis[j], uinv)
 
     def test_computed_once_per_unit(self):
         sp = canonical_3b1()

@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import pytest
@@ -5,6 +6,7 @@ import pytest
 from jordanet.exact import MPoly, UniPoly, parse_poly
 from jordanet.linalg import (
     Echelon,
+    GrowingEchelon,
     Mat,
     adjugate,
     charpoly,
@@ -146,6 +148,99 @@ class TestIntegerRref:
         m = [[2, "1/3", 0], [Fraction(4), Fraction(2, 3), 1]]
         assert rref(m).rows == rref_by_fractions(m).rows == [
             [1, Fraction(1, 6), 0], [0, 0, 1]]
+
+
+def is_zero_entry(e):
+    return e.is_zero() if isinstance(e, MPoly) else e == 0
+
+
+def matmul_by_loop(a: Mat, b: Mat) -> Mat:
+    """The product entry by entry, skipping zero factors, in the operands'
+    own ring (oracle for the integer kernel of ``Mat.__matmul__``)."""
+    out = []
+    for i in range(a.rows):
+        row = []
+        for j in range(b.cols):
+            acc = None
+            for k in range(a.cols):
+                x, y = a[i, k], b[k, j]
+                if is_zero_entry(x) or is_zero_entry(y):
+                    continue
+                acc = x * y if acc is None else acc + x * y
+            if acc is None:
+                acc = MPoly.zero(a[i, 0].vars) if isinstance(a[i, 0], MPoly) else Fraction(0)
+            row.append(acc)
+        out.append(row)
+    return Mat(out)
+
+
+class TestFractionProduct:
+    def test_matches_the_entry_loop(self):
+        # shapes 0..6 on each side, square and rectangular; zero rows come from
+        # random_rational_rows, and a zero column is put into B half the time
+        rng = SplitMix64(118)
+        products = 0
+        for p in range(7):
+            for q in range(7):
+                for r in range(7):
+                    a = Mat(random_rational_rows(rng, p, q))
+                    b_rows = random_rational_rows(rng, q, r)
+                    if r and rng.int_between(0, 1):
+                        zero = rng.int_between(0, r - 1)
+                        b_rows = [[Fraction(0) if j == zero else x for j, x in enumerate(row)]
+                                  for row in b_rows]
+                    b = Mat(b_rows)
+                    if a.cols != b.rows:  # a 0 x q matrix has no columns
+                        continue
+                    got = a @ b
+                    assert got == matmul_by_loop(a, b)
+                    assert all(type(x) is Fraction for row in got.data for x in row)
+                    products += 1
+        assert products > 250
+
+    def test_polynomial_and_mixed_products_keep_the_loop(self):
+        rng = SplitMix64(119)
+        for n in range(1, 4):
+            for _ in range(3):
+                a, b = random_poly_mat(rng, n), random_poly_mat(rng, n)
+                c = random_scalar_mat(rng, n)
+                for x, y in ((a, b), (c, a), (a, c)):
+                    assert x @ y == matmul_by_loop(x, y)
+
+
+def integer_row(row):
+    d = math.lcm(*(Fraction(x).denominator for x in row))
+    return [int(Fraction(x) * d) for x in row]
+
+
+class TestGrowingEchelon:
+    def test_adjoin_matches_rref_of_the_rows_so_far(self):
+        rng = SplitMix64(1990)
+        grown = 0
+        for ncols in range(1, 9):
+            for _ in range(6):
+                ech, seen = GrowingEchelon(), []
+                for row in random_rational_rows(rng, 10, ncols):
+                    seen.append(row)
+                    want = rref(seen)
+                    residue = ech.residue(integer_row(row))
+                    assert all(residue[p] == 0 for p in ech.pivots)
+                    assert any(residue) == (want.rank > ech.rank)
+                    if any(residue):
+                        before = [list(r) for r in ech.rows]
+                        assert rref(before + [residue]).rows == want.rows
+                        ech.adjoin(residue)
+                        grown += 1
+                    assert (ech.rank, ech.pivots, ech.reduced_rows()) == \
+                        (want.rank, want.pivots, want.rows)
+                    for r, p in zip(ech.rows, ech.pivots):
+                        assert math.gcd(*r) == 1 and r[p] > 0
+                        assert all(r[q] == 0 for q in ech.pivots if q != p)
+        assert grown > 150
+
+    def test_empty_echelon(self):
+        ech = GrowingEchelon()
+        assert (ech.rank, ech.reduced_rows(), ech.residue([0, 6, -4])) == (0, [], [0, 3, -2])
 
 
 def random_net_S5(rng):
