@@ -35,7 +35,7 @@ from .jordan import (
     radical,
     structure_constants,
 )
-from .linalg import Mat, adjugate, charpoly, det, minpoly
+from .linalg import Mat, adjugate, charpoly, det
 from .spaces import (
     MatSpace,
     ParametricBasis,

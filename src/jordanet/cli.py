@@ -1,6 +1,6 @@
 """Command-line front end.
 
-    jordanet analyze  <file|catalog://id> [--json] [--trials N]
+    jordanet analyze  <file|catalog://id> [--json]
     jordanet chow     <file|catalog://id> [--rank] [--kernel] [--det-stats]
     jordanet chow     --generic-n3 [--det-stats]
     jordanet pencil   <file|catalog://id>
@@ -14,9 +14,12 @@
 Space files use the JSON schema documented in the README; ``catalog://<id>``
 resolves to a built-in reference space.  ``--json`` prints a byte-stable
 report (fixed key order, no timing); exit codes are 0 success, 1
-verification failure, 2 parse error, 3 precondition violation, 4 internal
-error (a failed self-check or any other exception, as one ``error: INTERNAL``
-line).
+verification failure, 2 parse error, 3 precondition violation (a result
+with a number past Python's 4300-digit conversion limit among them), 4
+internal error (a failed self-check or any other exception, as one ``error:
+INTERNAL`` line).  A report is rendered whole before its first line is
+printed, so an error leaves stdout empty.  ``analyze`` reads reciprocity
+and the closure off the one Jordan test (see ``cmd_analyze``).
 """
 
 from __future__ import annotations
@@ -39,13 +42,7 @@ from .classify import (
 from .errors import InputError, InternalCheckError, PreconditionError
 from .exact import frac_str, parse_poly
 from .io import load_space_file, read_text_file
-from .jordan import (
-    check_reciprocal_identity,
-    is_jordan,
-    jordan_closure,
-    radical,
-    structure_constants,
-)
+from .jordan import is_jordan, jordan_closure, radical, structure_constants
 from .linalg import Mat
 from .linalg import det as linalg_det
 from .spaces import (
@@ -57,7 +54,6 @@ from .spaces import (
     plucker,
 )
 from .varieties import CATALOGS, catalog_eval, macaulay_emptiness
-from .verify import run_verification
 
 
 def _resolve_space(token: str, kind: type) -> Union[MatSpace, ParametricBasis]:
@@ -88,21 +84,27 @@ def _render_value(v):
 
 
 def _emit(report: dict, as_json: bool) -> None:
+    rendered = _render_value(report)  # in full before any output: an error prints nothing
     if as_json:
-        print(json.dumps(_render_value(report), sort_keys=True, indent=1))
-        return
-    for key, value in report.items():
-        if key == "command":
-            continue
-        rendered = _render_value(value)
-        if isinstance(rendered, (dict, list)):
-            rendered = json.dumps(rendered)
-        print(f"{key}: {rendered}")
+        print(json.dumps(rendered, sort_keys=True, indent=1))
+    else:
+        print("\n".join(f"{key}: {json.dumps(v) if isinstance(v, (dict, list)) else v}"
+                        for key, v in rendered.items() if key != "command"))
 
 
 def cmd_analyze(args) -> int:
-    if args.trials < 1:  # checked here too: a singular space never runs the test
-        raise PreconditionError("BAD_TRIALS", "the inverse test needs at least one trial")
+    """Regularity; for the first invertible sweep point U the Jordan test;
+    for a Jordan space its radical and class.
+
+    ``reciprocal_ok`` is ``jordan``: U X^-1 U lies in L for every invertible
+    X in L exactly when L is closed.  Closed => reciprocal: X -> U^-1 X
+    embeds L in the special Jordan algebra (AB + BA) / 2 with I in the
+    image, and (U^-1 X)^-1 is a polynomial in U^-1 X (Cayley-Hamilton).
+    Reciprocal => closed: U (U + eps Y)^-1 U mod L vanishes for all but at
+    most n values of eps, so identically; its eps^2 coefficient is Y * Y,
+    and polarizing gives X * Y.  A closed space is its own closure, so only
+    a space that is not closed runs ``jordan_closure``.
+    """
     space = _resolve_space(args.space, MatSpace)
     report = {
         "command": "analyze",
@@ -123,9 +125,8 @@ def cmd_analyze(args) -> int:
     report["witness"] = None
     if witness is not None:
         report["witness"] = {"i": witness.i, "j": witness.j, "residue": witness.residue}
-    report["closure_dim"] = jordan_closure(space, u).m
-    recip_ok, _ = check_reciprocal_identity(space, u, trials=args.trials)
-    report["reciprocal_ok"] = recip_ok
+    report["closure_dim"] = space.m if ok else jordan_closure(space, u).m
+    report["reciprocal_ok"] = ok
     report["radical_dim"] = None
     report["abstract_class"] = None
     report["net_class"] = None
@@ -228,6 +229,8 @@ def cmd_emptiness(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    from .verify import run_verification  # the suite's imports are paid by verify alone
+
     t0 = time.time()
     results = run_verification(args.subset, seed=args.seed)
     failures = [r for r in results if not r.ok]
@@ -240,7 +243,7 @@ def cmd_verify(args) -> int:
             "failed": len(failures),
             "checks": [{"name": r.name, "ok": r.ok, "detail": r.detail} for r in results],
         }
-        print(json.dumps(_render_value(report), sort_keys=True, indent=1))
+        _emit(report, True)
     else:
         for r in results:
             status = "PASS" if r.ok else "FAIL"
@@ -277,7 +280,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("analyze", help="regularity, closure, radical, classification")
     common(p)
-    p.add_argument("--trials", type=int, default=10, help="sample points for the inverse test")
     p.set_defaults(fn=cmd_analyze)
 
     p = sub.add_parser("chow", help="Chow matrix rank, kernel forms, determinant stats")

@@ -19,7 +19,7 @@ import re
 from fractions import Fraction
 from typing import Iterable, Iterator, Mapping, Optional, Tuple, Union
 
-from .errors import InputError, InternalCheckError
+from .errors import InputError, InternalCheckError, PreconditionError
 
 Scalar = Fraction
 
@@ -53,7 +53,10 @@ def frac(value) -> Fraction:
 
 
 def frac_str(value: Fraction) -> str:
-    return str(value.numerator) if value.denominator == 1 else f"{value.numerator}/{value.denominator}"
+    try:  # str() refuses integers past Python's 4300-digit conversion limit
+        return str(value.numerator) if value.denominator == 1 else f"{value.numerator}/{value.denominator}"
+    except ValueError as exc:
+        raise PreconditionError("RESULT_TOO_LARGE", "a result has a rational of over 4300 digits") from exc
 
 
 def frac_gcd(a: Fraction, b: Fraction) -> Fraction:

@@ -533,27 +533,6 @@ def adjugate(m: Mat) -> Mat:
     return adj
 
 
-def minpoly(m: Mat) -> UniPoly:
-    """Least-degree monic annihilator of a square Fraction matrix."""
-    if not m.is_square():
-        raise PreconditionError("NOT_SQUARE", "minimal polynomial needs a square matrix")
-    if m.rows and _is_poly(m.data[0][0]):
-        raise PreconditionError("NOT_SCALAR", "minimal polynomial is defined over rationals only")
-    n = m.rows
-    power = Mat.identity(n)
-    stack: List[List[Fraction]] = []
-    for _ in range(n + 1):
-        vec = [power.data[i][j] for i in range(n) for j in range(n)]
-        if stack:
-            combo = express_in_rows(stack, vec)
-            if combo is not None:
-                coeffs = [-c for c in combo] + [Fraction(1)]
-                return UniPoly(LAMBDA, [MPoly.const(c) for c in coeffs])
-        stack.append(vec)
-        power = power @ m
-    raise InternalCheckError("INTERNAL", "no annihilator up to degree n")
-
-
 def express_in_rows(rows: List[List[Fraction]], v: Sequence[Fraction]) -> Optional[List[Fraction]]:
     """Coefficients c with sum(c_i * rows_i) = v, or None when v is outside."""
     return rref_with_transform(rows).coordinates(v)

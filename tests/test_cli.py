@@ -1,11 +1,13 @@
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
-from jordanet import chow, cli
+import jordanet
+from jordanet import chow, cli, jordan
 from jordanet.cli import main
 from jordanet.errors import InputError, InternalCheckError, PreconditionError
 from jordanet.prng import SplitMix64
@@ -215,9 +217,17 @@ class TestGoldens:
         assert covered == set(catalog_ids())
 
 
+def child_env():
+    """The environment with the directory holding the imported ``jordanet``
+    first on PYTHONPATH, so a child process runs the package under test."""
+    src = str(Path(jordanet.__file__).resolve().parent.parent)
+    rest = os.environ.get("PYTHONPATH", "")
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in (src, rest) if p)}
+
+
 def run_subprocess(args):
     return subprocess.run([sys.executable, "-m", "jordanet.cli"] + args,
-                          capture_output=True, text=True)
+                          capture_output=True, text=True, env=child_env())
 
 
 class TestTypedErrors:
@@ -261,7 +271,7 @@ class TestConsoleEntryPoint:
     def test_installed_script(self):
         proc = subprocess.run(
             [sys.executable, "-m", "jordanet.cli", "catalog", "--json"],
-            capture_output=True, text=True,
+            capture_output=True, text=True, env=child_env(),
         )
         assert proc.returncode == 0
         assert "s4/3b2" in proc.stdout
@@ -373,14 +383,68 @@ class TestLimitClassification:
 
 
 class TestTrials:
-    @pytest.mark.parametrize("trials", ["0", "-3"])
-    def test_fewer_than_one_trial_is_a_precondition_error(self, trials, tmp_path, capsys):
+    @pytest.mark.parametrize("trials", ["3", "0", "-3"])
+    def test_the_flag_is_rejected(self, trials, tmp_path, capsys):
         singular = tmp_path / "singular.json"
         singular.write_text(json.dumps({"n": 2, "basis": [[[1, 0], [0, 0]]]}))
         for space in ("catalog://s4/1a", str(singular)):
-            code, out, err = run_cli(["analyze", space, "--json", "--trials", trials], capsys)
-            assert code == 3
-            assert "BAD_TRIALS" in err and out == ""
+            with pytest.raises(SystemExit) as exit_:
+                main(["analyze", space, "--json", "--trials", trials])
+            assert exit_.value.code == 2
+            out, err = capsys.readouterr()
+            assert "--trials" in err and out == ""
+
+
+class TestAnalyzeReadsTheJordanTest:
+    """analyze takes reciprocity and the closure from is_jordan: no sampled
+    reciprocal check on any input, and a closure only for a space that is
+    not closed."""
+
+    NOT_JORDAN = {"dim4/L2flip", "nets/L3", "netrank8"}
+
+    def test_counts(self, monkeypatch, capsys):
+        from jordanet.catalog import catalog_ids
+
+        calls = {"check_reciprocal_identity": 0, "jordan_closure": 0}
+        for name in calls:
+            real = getattr(jordan, name)
+
+            def counting(*args, _name=name, _real=real, **kwargs):
+                calls[_name] += 1
+                return _real(*args, **kwargs)
+
+            for module in [m for k, m in sys.modules.items() if k.startswith("jordanet")]:
+                if getattr(module, name, None) is real:
+                    monkeypatch.setattr(module, name, counting)
+        plain = [cid for cid in catalog_ids() if not cid.startswith("degen/")]
+        assert self.NOT_JORDAN < set(plain)
+        for cid in plain:
+            before = dict(calls)
+            code, out, _ = run_cli(["analyze", f"catalog://{cid}", "--json"], capsys)
+            report = json.loads(out)
+            assert code == 0 and report["regular"], cid
+            assert report["jordan"] is (cid not in self.NOT_JORDAN), cid
+            assert calls["check_reciprocal_identity"] == before["check_reciprocal_identity"], cid
+            expected = int(cid in self.NOT_JORDAN)
+            assert calls["jordan_closure"] - before["jordan_closure"] == expected, cid
+
+
+class TestResultTooLarge:
+    """A result with a number past Python's 4300-digit conversion limit is a
+    precondition error (exit 3) that prints nothing to stdout."""
+
+    BIG = str(10 ** 3000)
+
+    @pytest.mark.parametrize("command", ["analyze", "plucker"])
+    @pytest.mark.parametrize("as_json", [True, False], ids=["json", "plain"])
+    def test_is_a_precondition_error(self, command, as_json, tmp_path, capsys):
+        f = tmp_path / "space.json"
+        f.write_text(json.dumps({"n": 2, "basis": [[[self.BIG, "0"], ["0", "1"]],
+                                                   [["0", "1"], ["1", self.BIG]]]}))
+        code, out, err = run_cli([command, str(f)] + (["--json"] if as_json else []), capsys)
+        assert code == 3
+        assert "RESULT_TOO_LARGE" in err and "INTERNAL" not in err
+        assert out == ""
 
 
 class TestExitCodes:

@@ -634,16 +634,27 @@ class TestReciprocal:
 
 
 class TestConditionCoherence:
+    @staticmethod
+    def conditions_agree(sp):
+        u, _ = find_invertible(sp)
+        jordan_ok, _ = is_jordan(sp, u)
+        recip_ok, _ = check_reciprocal_identity(sp, u)
+        return jordan_ok == recip_ok == (jordan_closure(sp, u).m == sp.m)
+
     def test_three_conditions_agree(self):
         spaces = [intro_L1(), intro_L2(), intro_L2(flip=True), net_rank8(), spin_net()]
         for sp in spaces:
             for seed in range(4):
-                image = sample_congruent(sp, seed)
-                u, _ = find_invertible(image)
-                jordan_ok, _ = is_jordan(image, u)
-                recip_ok, _ = check_reciprocal_identity(image, u, trials=8)
-                closure_fixed = jordan_closure(image, u).m == image.m
-                assert jordan_ok == recip_ok == closure_fixed
+                assert self.conditions_agree(sample_congruent(sp, seed))
+
+    def test_three_conditions_agree_on_the_analyze_goldens(self):
+        # the sampled check is the oracle for the reciprocal_ok and
+        # closure_dim that analyze reads off is_jordan
+        spaces = [canonical(cid) for cid in catalog_ids() if not cid.startswith("degen/")]
+        regular = [sp for sp in spaces + golden_spaces() if is_regular(sp)]
+        assert len(regular) == 25
+        for sp in regular:
+            assert self.conditions_agree(sp)
 
 
 class TestCodimensionBound:

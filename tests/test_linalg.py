@@ -17,7 +17,6 @@ from jordanet.linalg import (
     inverse,
     inverse_or_none,
     mat_rank,
-    minpoly,
     rref,
     rref_with_transform,
 )
@@ -439,31 +438,6 @@ class TestCharpoly:
             m = random_scalar_mat(rng, n)
             cp = charpoly(m)
             assert cp.coeff(0).constant_value() == (-1) ** n * det(m)
-
-
-class TestMinpoly:
-    def test_two_blocks(self):
-        m = Mat.from_ints([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, -1, 0], [0, 0, 0, -1]])
-        assert minpoly(m) == U("lam^2 - 1")
-
-    def test_identity(self):
-        assert minpoly(Mat.identity(3)) == U("lam - 1")
-
-    def test_distinct_eigenvalues(self):
-        m = Mat.from_ints([[3, 0, 0, 0], [0, -1, 0, 0], [0, 0, -1, 0], [0, 0, 0, -1]])
-        assert minpoly(m) == U("lam^2 - 2*lam - 3")
-
-    def test_annihilates(self):
-        rng = SplitMix64(53)
-        for _ in range(5):
-            m = random_scalar_mat(rng, 4, -2, 2)
-            mp = minpoly(m)
-            acc = Mat.zero(4, 4)
-            power = Mat.identity(4)
-            for c in mp.coeffs:
-                acc = acc + power.scale(c.constant_value())
-                power = power @ m
-            assert acc == Mat.zero(4, 4)
 
 
 class TestInverse:
