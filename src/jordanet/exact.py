@@ -838,7 +838,8 @@ def squarefree_decomposition(p: UniPoly):
     """Yun decomposition p = content * prod(factor_i ** mult_i).
 
     Returns (content: MPoly, [(factor: UniPoly, multiplicity: int), ...]) with
-    squarefree, pairwise-coprime, primitive factors sorted by multiplicity.
+    squarefree, pairwise-coprime, primitive factors, one per multiplicity, in
+    increasing multiplicity (the order Yun's loop finds them).
     The reconstruction is verified by exact division before returning.
     """
     if p.is_zero():
@@ -867,5 +868,4 @@ def squarefree_decomposition(p: UniPoly):
     residue = uni_exact_div(p, product)
     if residue is None or residue.degree() != 0:
         raise InternalCheckError("INTERNAL", "squarefree reconstruction failed")
-    factors.sort(key=lambda fm: (fm[1], fm[0].degree(), str(fm[0])))
     return residue.coeffs[0], factors

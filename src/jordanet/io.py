@@ -65,7 +65,8 @@ def parse_space_data(obj: dict) -> Union[MatSpace, ParametricBasis]:
         raise InputError("PARSE_ERROR", f"'param' must be a variable name, got {param!r}")
     mats = []
     for raw in basis_data:
-        if not isinstance(raw, list) or len(raw) != n or any(len(r) != n for r in raw):
+        if (not isinstance(raw, list) or len(raw) != n
+                or any(not isinstance(r, list) or len(r) != n for r in raw)):
             raise InputError("PARSE_ERROR", "each basis matrix must be a full n x n array")
         if parametric:
             mats.append(Mat([[_entry_to_poly(e, param) for e in row] for row in raw]))

@@ -16,9 +16,10 @@ inverted once, U^{-1} = Q / s with Q a symmetric integer matrix, and kept in
 ``is_jordan`` and ``structure_constants`` read.  For integer X and Y,
 X Q Y + (X Q Y)^T = 2s (X * Y): ``jordan_closure`` keeps its elements as
 primitive integer matrices and needs the product only up to that scale, so it
-grows one integer echelon from a worklist, reducing each product once and
-adjoining a nonzero residue in place.  Basis products divide once by the
-scale and keep their true value.
+grows a ``linalg.Echelon`` (the integer echelon behind every membership test,
+rank and inverse) from a worklist, reducing each product once and adjoining a
+nonzero residue in place.  Basis products divide once by the scale and keep
+their true value.
 
 Radicals are computed as the kernel of the trace form (x, y) -> tr(L_{x*y}),
 the characteristic-zero semisimplicity criterion.  The test suite checks that
@@ -35,7 +36,7 @@ from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from .errors import InternalCheckError, PreconditionError
-from .linalg import GrowingEchelon, Mat, int_matmul, integer_matrix, inverse_or_none, rref
+from .linalg import Echelon, Mat, int_matmul, integer_matrix, inverse_or_none, rref
 from .spaces import (
     MatSpace,
     contains,
@@ -132,7 +133,7 @@ def jordan_closure(space: MatSpace, u: Mat) -> MatSpace:
     q = resolve_unit(space, u).q
     n = space.n
     pairs = sym_pairs(n)
-    ech = GrowingEchelon()
+    ech = Echelon(len(pairs))
     elements = []  # primitive integer matrices, in the order they were adjoined
 
     def grow(vec: List[int]) -> None:
@@ -152,7 +153,7 @@ def jordan_closure(space: MatSpace, u: Mat) -> MatSpace:
             grow(_doubled_product(xq, y, pairs))
             if ech.rank == len(pairs):
                 break
-    return MatSpace(n, [unvectorize(n, r) for r in ech.reduced_rows()])
+    return MatSpace(n, [unvectorize(n, r) for r in ech.rows])
 
 
 def _int_symmetric(n: int, pairs: Sequence[Tuple[int, int]], vec: Sequence[int]) -> List[List[int]]:

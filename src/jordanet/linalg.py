@@ -3,17 +3,17 @@
 Matrices are immutable and ring-homogeneous: every entry is either a
 ``Fraction`` or an ``MPoly``.  A product of two Fraction matrices is one
 integer product (``int_matmul``) of A's rows and B's columns cleared of
-denominators, with one Fraction formed per entry of the result.  The reduced
-row echelon form (rank, kernels, row transforms, inverses) is computed by
-fraction-free Gauss-Jordan elimination on the integer rows left after clearing
-denominators, with exact divisions by the previous pivot; Fractions are formed
-only for the result.  ``GrowingEchelon`` keeps a reduced echelon on primitive
-integer rows that grows one row at a time, for spans built up incrementally.
-Determinants of polynomial matrices default to Laplace expansion memoized over
-column subsets; a fraction-free Bareiss routine is kept alongside and the two
-are cross-checked in the test suite.  Characteristic polynomials and adjugates
-come from the Faddeev-LeVerrier iteration, whose only divisions are by the
-integers 1..n and which takes n - 1 matrix products.
+denominators, with one Fraction formed per entry of the result.  There is one
+row reduction, ``Echelon``: the reduced row echelon form kept as primitive
+integer rows and grown one row at a time.  ``rref`` (rank, kernels, row
+transforms, inverses, membership) adjoins a matrix's rows, cleared of
+denominators, and ``jordan_closure`` adjoins products as it finds them;
+Fractions are formed only for results.  Determinants of polynomial matrices
+default to Laplace expansion memoized over column subsets; a fraction-free
+Bareiss routine is kept alongside and the two are cross-checked in the test
+suite.  Characteristic polynomials and adjugates come from the
+Faddeev-LeVerrier iteration, whose only divisions are by the integers 1..n
+and which takes n - 1 matrix products.
 """
 
 from __future__ import annotations
@@ -217,19 +217,41 @@ def integer_matrix(m: Mat) -> Tuple[List[List[int]], int]:
 
 # -- reduced row echelon form over the rationals --------------------------
 
-class Echelon:
-    """rank, pivots, the reduced rows, and a kernel basis of a Fraction matrix.
+def _primitive(v: List[int]) -> List[int]:
+    g = math.gcd(*v)
+    return [x // g for x in v] if g > 1 else v
 
-    An echelon made by ``rref_with_transform`` also holds ``transform``: the
-    square row transform T with T @ A = the reduced rows, padded with zero rows.
+
+class Echelon:
+    """A row space over Q in reduced row echelon form, grown one integer row
+    at a time.
+
+    ``int_rows`` are primitive integer vectors, sorted by pivot column, each
+    with a positive entry in its own pivot column and zeros in every other
+    row's: the reduced rows, each scaled to integers.  ``rows`` divides each
+    by its pivot entry, forming Fractions once, when it is first read.  An
+    echelon made by ``rref_with_transform`` also holds ``transform``: the
+    square row transform T with T @ A = the reduced rows, padded with zero
+    rows.
     """
 
-    def __init__(self, rank: int, pivots: List[int], rows: List[List[Fraction]], cols: int):
-        self.rank = rank
-        self.pivots = pivots
-        self.rows = rows
+    def __init__(self, cols: int):
         self.cols = cols
+        self.int_rows: List[List[int]] = []
+        self.pivots: List[int] = []
         self.transform: Optional[List[List[Fraction]]] = None
+        self._rows: Optional[List[List[Fraction]]] = None
+
+    @property
+    def rank(self) -> int:
+        return len(self.int_rows)
+
+    @property
+    def rows(self) -> List[List[Fraction]]:
+        if self._rows is None:
+            self._rows = [[Fraction(x, row[p]) for x in row]
+                          for row, p in zip(self.int_rows, self.pivots)]
+        return self._rows
 
     def kernel_basis(self) -> List[List[Fraction]]:
         free = [j for j in range(self.cols) if j not in self.pivots]
@@ -242,113 +264,21 @@ class Echelon:
             basis.append(v)
         return basis
 
-    def reduce_vector(self, v: Sequence[Fraction]) -> List[Fraction]:
-        """Residue of v modulo the row space (eliminate pivot coordinates)."""
-        out = [frac(x) for x in v]
-        for r, p in enumerate(self.pivots):
-            c = out[p]
-            if c == 0:
-                continue
-            for j in range(self.cols):
-                out[j] -= c * self.rows[r][j]
-        return out
-
-    def coordinates(self, v: Sequence[Fraction]) -> Optional[List[Fraction]]:
-        """Coefficients c with sum(c_i * original_row_i) = v, or None when v is
-        outside the row space.  In reduced rows the coefficient of row r is
-        v's entry at pivot r; the transform takes that to the original rows."""
-        if any(x != 0 for x in self.reduce_vector(v)):
-            return None
-        coeff = [Fraction(0)] * len(self.transform)
-        for r, p in enumerate(self.pivots):
-            c = frac(v[p])
-            if c != 0:
-                coeff = [a + c * b for a, b in zip(coeff, self.transform[r])]
-        return coeff
-
-
-def _integer_rows(matrix: Sequence[Sequence[Fraction]]) -> List[List[int]]:
-    """Each row times the lcm of its denominators: same row space, int entries."""
-    return [_clear_denominators([frac(x) for x in row])[0] for row in matrix]
-
-
-def rref(matrix: Sequence[Sequence[Fraction]]) -> Echelon:
-    """Reduced row echelon form, by fraction-free Gauss-Jordan on integers.
-
-    Rows are first cleared of denominators, which keeps the row space and so
-    the (unique) reduced form.  Each pivot step replaces every other row by
-    (p * row - f * pivot_row) // prev, with p the new pivot, f the row's entry
-    in the pivot column (possibly 0) and prev the previous pivot (Bareiss 1968):
-    every entry stays a minor of the integer matrix, so each division is exact,
-    and every pivot row ends up with the last pivot as its leading entry.
-    Fractions are made once, by dividing each pivot row by that pivot.
-    """
-    rows = _integer_rows(matrix)
-    nrows = len(rows)
-    ncols = len(rows[0]) if nrows else 0
-    pivots: List[int] = []
-    r = 0
-    prev = 1
-    for c in range(ncols):
-        pivot = next((i for i in range(r, nrows) if rows[i][c]), None)
-        if pivot is None:
-            continue
-        rows[r], rows[pivot] = rows[pivot], rows[r]
-        prow = rows[r]
-        p = prow[c]
-        for i in range(nrows):
-            if i == r:
-                continue
-            f = rows[i][c]
-            if f:
-                rows[i] = [(p * a - f * b) // prev for a, b in zip(rows[i], prow)]
-            elif p != prev:
-                rows[i] = [p * a // prev for a in rows[i]]
-        prev = p
-        pivots.append(c)
-        r += 1
-        if r == nrows:
-            break
-    reduced = [[Fraction(a, prev) for a in row] for row in rows[:r]]
-    return Echelon(r, pivots, reduced, ncols)
-
-
-def _primitive(v: List[int]) -> List[int]:
-    g = math.gcd(*v)
-    return [x // g for x in v] if g > 1 else v
-
-
-class GrowingEchelon:
-    """A row space over Q, grown one integer row at a time in reduced form.
-
-    Each row is a primitive integer vector with a positive leading entry in
-    its pivot column and zeros in every other row's pivot column, and the rows
-    are sorted by pivot: the reduced row echelon form with each row scaled to
-    integers.  ``residue`` and ``adjoin`` never form a Fraction; adjoining
-    clears one column from the rows already there instead of eliminating
-    them all again.
-    """
-
-    def __init__(self):
-        self.rows: List[List[int]] = []
-        self.pivots: List[int] = []
-
-    @property
-    def rank(self) -> int:
-        return len(self.rows)
-
-    def residue(self, v: Sequence[int]) -> List[int]:
-        """v modulo the row space, divided by its content: L v minus, for each
-        pivot p where v is nonzero, v_p (L / r_p) times that pivot's row r,
-        with L the lcm of those rows' pivot entries r_p.  All zero iff v lies
-        in the span."""
-        hits = [(row, p) for row, p in zip(self.rows, self.pivots) if v[p]]
+    def _eliminate(self, v: Sequence[int]) -> Tuple[List[int], int]:
+        """(L v minus, for each pivot p where v is nonzero, v_p (L / r_p) times
+        that pivot's row r; L), with L the lcm of those rows' pivot entries
+        r_p: L times v modulo the row space.  All zero iff v lies in it."""
+        hits = [(row, p) for row, p in zip(self.int_rows, self.pivots) if v[p]]
         scale = math.lcm(*(row[p] for row, p in hits))
         out = [scale * x for x in v]
         for row, p in hits:
             f = v[p] * (scale // row[p])
             out = [x - f * y for x, y in zip(out, row)]
-        return _primitive(out)
+        return out, scale
+
+    def residue(self, v: Sequence[int]) -> List[int]:
+        """An integer vector v modulo the row space, divided by its content."""
+        return _primitive(self._eliminate(v)[0])
 
     def adjoin(self, v: List[int]) -> None:
         """Add a nonzero residue: its leading column becomes a pivot and is
@@ -357,18 +287,52 @@ class GrowingEchelon:
         if v[c] < 0:
             v = [-x for x in v]
         a = v[c]
-        for k, row in enumerate(self.rows):
+        for k, row in enumerate(self.int_rows):
             f = row[c]
             if f:
                 g = math.gcd(a, f)
-                self.rows[k] = _primitive([(a // g) * x - (f // g) * y for x, y in zip(row, v)])
+                self.int_rows[k] = _primitive([(a // g) * x - (f // g) * y
+                                               for x, y in zip(row, v)])
         k = bisect.bisect(self.pivots, c)
-        self.rows.insert(k, v)
+        self.int_rows.insert(k, v)
         self.pivots.insert(k, c)
+        self._rows = None
 
-    def reduced_rows(self) -> List[List[Fraction]]:
-        """The reduced row echelon form: each row divided by its pivot entry."""
-        return [[Fraction(x, row[p]) for x in row] for row, p in zip(self.rows, self.pivots)]
+    def reduce_vector(self, v: Sequence[Fraction]) -> List[Fraction]:
+        """Residue of v modulo the row space (eliminate pivot coordinates), at
+        v's own scale: one division at the end."""
+        vi, d = _clear_denominators([frac(x) for x in v])
+        out, scale = self._eliminate(vi)
+        return [Fraction(x, scale * d) for x in out]
+
+    def coordinates(self, v: Sequence[Fraction]) -> Optional[List[Fraction]]:
+        """Coefficients c with sum(c_i * original_row_i) = v, or None when v is
+        outside the row space.  In reduced rows the coefficient of row r is
+        v's entry at pivot r; the transform takes that to the original rows."""
+        v = [frac(x) for x in v]
+        if any(self._eliminate(_clear_denominators(v)[0])[0]):
+            return None
+        coeff = [Fraction(0)] * len(self.transform)
+        for r, p in enumerate(self.pivots):
+            c = v[p]
+            if c != 0:
+                coeff = [a + c * b for a, b in zip(coeff, self.transform[r])]
+        return coeff
+
+
+def rref(matrix: Sequence[Sequence[Fraction]]) -> Echelon:
+    """Reduced row echelon form: each row, times the lcm of its denominators,
+    adjoins its nonzero residue to one integer echelon, until the rank reaches
+    the column count.  Scaling rows keeps the row space and so the (unique)
+    reduced form."""
+    ech = Echelon(len(matrix[0]) if matrix else 0)
+    for row in matrix:
+        if ech.rank == ech.cols:
+            break
+        residue = ech.residue(_clear_denominators([frac(x) for x in row])[0])
+        if any(residue):
+            ech.adjoin(residue)
+    return ech
 
 
 def mat_rank(m: Mat) -> int:
@@ -381,9 +345,14 @@ def rref_with_transform(matrix: Sequence[Sequence[Fraction]]) -> Echelon:
     ncols = len(matrix[0]) if k else 0
     aug = rref([list(row) + [Fraction(int(i == j)) for j in range(k)]
                 for i, row in enumerate(matrix)])
-    rank = sum(1 for p in aug.pivots if p < ncols)
-    ech = Echelon(rank, aug.pivots[:rank], [row[:ncols] for row in aug.rows[:rank]], ncols)
-    ech.transform = [row[ncols:] for row in aug.rows]
+    ech = Echelon(ncols)
+    for row, p in zip(aug.int_rows, aug.pivots):
+        if p >= ncols:
+            break
+        ech.int_rows.append(_primitive(row[:ncols]))
+        ech.pivots.append(p)
+    ech.transform = [[Fraction(x, row[p]) for x in row[ncols:]]
+                     for row, p in zip(aug.int_rows, aug.pivots)]
     return ech
 
 

@@ -354,8 +354,16 @@ class TestFamilyFiles:
         ("analyze", {"parametric": "false", "basis": CONSTANT}),
         ("limit", {"parametric": 1}),
         ("limit", {"parametric": True, "basis": [[["1", "t"], ["t", True]], CONSTANT[1]]}),
+        # each row of a basis matrix must be a JSON list
+        ("analyze", {"basis": [[[1, 0], 5]]}),
+        ("analyze", {"basis": [[[1, 0], None]]}),
+        ("analyze", {"basis": [[[1, 0], "21"]]}),
+        ("analyze", {"basis": [[[1, 0], {"2": 0, "1": 5}]]}),
+        ("limit", {"parametric": True, "basis": [[["1", "t"], 5]]}),
+        ("limit", {"parametric": True, "basis": [[["1", "t"], "t1"]]}),
     ], ids=["param-list", "param-int", "param-not-a-name", "parametric-string", "parametric-int",
-            "boolean-entry"])
+            "boolean-entry", "int-row", "null-row", "string-row", "object-row",
+            "parametric-int-row", "parametric-string-row"])
     def test_malformed_family_is_a_parse_error(self, command, fields, tmp_path, capsys):
         f = tmp_path / "family.json"
         f.write_text(json.dumps({"n": 2, "basis": self.FAMILY, **fields}))
@@ -431,20 +439,37 @@ class TestAnalyzeReadsTheJordanTest:
 
 class TestResultTooLarge:
     """A result with a number past Python's 4300-digit conversion limit is a
-    precondition error (exit 3) that prints nothing to stdout."""
+    precondition error (exit 3) that prints nothing to stdout; big entries
+    whose results are small are no error."""
 
     BIG = str(10 ** 3000)
+    # I, BIG (E12 + E21), BIG (E13 + E31): the witness residue of analyze and
+    # the Pluecker minors both hold 10^6000
+    HUGE_RESULTS = {"n": 3, "basis": [
+        [["1", "0", "0"], ["0", "1", "0"], ["0", "0", "1"]],
+        [["0", BIG, "0"], [BIG, "0", "0"], ["0", "0", "0"]],
+        [["0", "0", BIG], ["0", "0", "0"], [BIG, "0", "0"]],
+    ]}
 
     @pytest.mark.parametrize("command", ["analyze", "plucker"])
     @pytest.mark.parametrize("as_json", [True, False], ids=["json", "plain"])
     def test_is_a_precondition_error(self, command, as_json, tmp_path, capsys):
         f = tmp_path / "space.json"
-        f.write_text(json.dumps({"n": 2, "basis": [[[self.BIG, "0"], ["0", "1"]],
-                                                   [["0", "1"], ["1", self.BIG]]]}))
+        f.write_text(json.dumps(self.HUGE_RESULTS))
         code, out, err = run_cli([command, str(f)] + (["--json"] if as_json else []), capsys)
         assert code == 3
         assert "RESULT_TOO_LARGE" in err and "INTERNAL" not in err
         assert out == ""
+
+    def test_big_entries_with_a_small_report_exit_0(self, tmp_path, capsys):
+        # entries written out in digits; every number analyze reports is small
+        f = tmp_path / "space.json"
+        big = 10 ** 3000
+        f.write_text(json.dumps({"n": 2, "basis": [[[big, 0], [0, 1]], [[0, 1], [1, big]]]}))
+        code, out, err = run_cli(["analyze", str(f), "--json"], capsys)
+        assert code == 0 and err == ""
+        report = json.loads(out)
+        assert (report["jordan"], report["net_class"]) == (True, "V1")
 
 
 class TestExitCodes:

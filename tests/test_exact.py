@@ -265,6 +265,11 @@ class TestSquarefree:
                 for _ in range(mult):
                     rebuilt = rebuilt * fac
             assert rebuilt.scale(content) == p
+            # one factor per multiplicity, in the increasing order Yun's loop
+            # finds them (f1 and f2 merge when m1 == m2)
+            mults = [mult for _, mult in factors]
+            assert all(a < b for a, b in zip(mults, mults[1:]))
+            assert set(mults) == {m1, m2}
 
     def test_content_extraction(self):
         p = (U("lam - 1") * U("lam - 1")).scale(P("6*t"))

@@ -1,12 +1,12 @@
 import math
 from fractions import Fraction
+from typing import List, NamedTuple
 
 import pytest
 
 from jordanet.exact import MPoly, UniPoly, parse_poly
 from jordanet.linalg import (
     Echelon,
-    GrowingEchelon,
     Mat,
     adjugate,
     charpoly,
@@ -68,9 +68,37 @@ def random_poly_mat(rng, n, vars=("s", "t")):
     return Mat(rows)
 
 
+class FractionEchelon(NamedTuple):
+    """What ``rref_by_fractions`` returns: rank, pivots, the reduced rows and
+    the column count."""
+
+    rank: int
+    pivots: List[int]
+    rows: List[List[Fraction]]
+    cols: int
+
+    def kernel_basis(self):
+        basis = []
+        for f in (j for j in range(self.cols) if j not in self.pivots):
+            v = [Fraction(int(j == f)) for j in range(self.cols)]
+            for row, p in zip(self.rows, self.pivots):
+                v[p] = -row[f]
+            basis.append(v)
+        return basis
+
+    def reduce_vector(self, v):
+        """v minus v_p times each reduced row, pivot by pivot, in Fractions."""
+        out = [Fraction(x) for x in v]
+        for row, p in zip(self.rows, self.pivots):
+            c = out[p]
+            if c:
+                out = [a - c * b for a, b in zip(out, row)]
+        return out
+
+
 def rref_by_fractions(matrix):
     """Gauss-Jordan over Fractions, normalizing each pivot row to 1 (oracle for
-    the fraction-free integer ``rref``)."""
+    the integer echelon that ``rref`` grows)."""
     rows = [[Fraction(x) for x in row] for row in matrix]
     nrows = len(rows)
     ncols = len(rows[0]) if nrows else 0
@@ -91,7 +119,7 @@ def rref_by_fractions(matrix):
         r += 1
         if r == nrows:
             break
-    return Echelon(r, pivots, rows[:r], ncols)
+    return FractionEchelon(r, pivots, rows[:r], ncols)
 
 
 def random_rational_rows(rng, nrows, ncols):
@@ -213,33 +241,81 @@ def integer_row(row):
 
 
 class TestGrowingEchelon:
+    """``Echelon.residue`` and ``adjoin``, one row at a time, against the
+    Fraction elimination of the rows so far."""
+
     def test_adjoin_matches_rref_of_the_rows_so_far(self):
         rng = SplitMix64(1990)
         grown = 0
         for ncols in range(1, 9):
             for _ in range(6):
-                ech, seen = GrowingEchelon(), []
+                ech, seen = Echelon(ncols), []
                 for row in random_rational_rows(rng, 10, ncols):
                     seen.append(row)
-                    want = rref(seen)
+                    want = rref_by_fractions(seen)
                     residue = ech.residue(integer_row(row))
                     assert all(residue[p] == 0 for p in ech.pivots)
                     assert any(residue) == (want.rank > ech.rank)
                     if any(residue):
-                        before = [list(r) for r in ech.rows]
-                        assert rref(before + [residue]).rows == want.rows
+                        before = ech.rows
+                        assert rref_by_fractions(before + [residue]).rows == want.rows
                         ech.adjoin(residue)
                         grown += 1
-                    assert (ech.rank, ech.pivots, ech.reduced_rows()) == \
-                        (want.rank, want.pivots, want.rows)
-                    for r, p in zip(ech.rows, ech.pivots):
+                    assert (ech.rank, ech.pivots, ech.rows) == (want.rank, want.pivots, want.rows)
+                    for r, p in zip(ech.int_rows, ech.pivots):
                         assert math.gcd(*r) == 1 and r[p] > 0
                         assert all(r[q] == 0 for q in ech.pivots if q != p)
         assert grown > 150
 
     def test_empty_echelon(self):
-        ech = GrowingEchelon()
-        assert (ech.rank, ech.reduced_rows(), ech.residue([0, 6, -4])) == (0, [], [0, 3, -2])
+        ech = Echelon(3)
+        assert (ech.rank, ech.rows, ech.residue([0, 6, -4])) == (0, [], [0, 3, -2])
+
+
+class TestIntegerReduction:
+    """``reduce_vector`` and ``coordinates`` against pivot elimination in
+    Fractions, on vectors inside and outside the span, the zero vector and
+    echelons of rank 0."""
+
+    def test_agrees_with_fraction_elimination(self):
+        rng = SplitMix64(2026)
+        inside = outside = 0
+        cases = [[], [[Fraction(0)] * 4]]
+        for nrows in range(6):
+            for ncols in range(1, 7):
+                for _ in range(3):
+                    cases.append(random_rational_rows(rng, nrows, ncols))
+        for rows in cases:
+            ncols = len(rows[0]) if rows else 0
+            ech, want = rref_with_transform(rows), rref_by_fractions(rows)
+            aug = rref_by_fractions([row + [Fraction(int(i == j)) for j in range(len(rows))]
+                                     for i, row in enumerate(rows)])
+            combination = [Fraction(rng.int_between(-9, 9), rng.int_between(1, 7))
+                           for _ in rows]
+            vectors = [
+                [Fraction(0)] * ncols,
+                [sum((c * row[j] for c, row in zip(combination, rows)), Fraction(0))
+                 for j in range(ncols)],
+                [Fraction(rng.int_between(-9, 9), rng.int_between(1, 7)) for _ in range(ncols)],
+            ]
+            for v in vectors:
+                residue = ech.reduce_vector(v)
+                assert residue == want.reduce_vector(v)
+                coords = ech.coordinates(v)
+                if any(residue):
+                    assert coords is None
+                    outside += 1
+                    continue
+                # the transform's choice: v's entry at each pivot, times that
+                # row of the transform
+                expected = [Fraction(0)] * len(rows)
+                for r, p in enumerate(want.pivots):
+                    expected = [a + v[p] * b for a, b in zip(expected, aug.rows[r][ncols:])]
+                assert coords == expected
+                assert [sum((c * row[j] for c, row in zip(coords, rows)), Fraction(0))
+                        for j in range(ncols)] == v
+                inside += 1
+        assert inside > 100 and outside > 50
 
 
 def random_net_S5(rng):
