@@ -12,7 +12,11 @@ vector falls outside the table raise UNRECOGNIZED rather than guessing.
 
 Multiplicity partitions are always taken relative to the unit U (roots of
 det(lam * U - generic element)); plain eigenvalues would not be congruence
-invariants.
+invariants.  The partition is exact in m - 2 polynomial variables:
+shifting lam by U's coordinate removes one variable and dehomogenizing
+removes another, and neither changes the squarefree structure
+(``generic_multiplicity_partition`` gives the argument).  A net is a
+bivariate problem and a pencil a univariate one over QQ.
 """
 
 from __future__ import annotations
@@ -20,8 +24,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple, Union
 
-from .errors import InternalCheckError, PreconditionError
-from .exact import squarefree_decomposition
+from .errors import PreconditionError
+from .exact import MPoly, squarefree_decomposition
 from .jordan import (
     JordanStructure,
     is_associative,
@@ -31,8 +35,8 @@ from .jordan import (
     resolve_unit,
     structure_constants,
 )
-from .linalg import charpoly
-from .spaces import MatSpace, generic_element, is_regular, make_space
+from .linalg import Mat, charpoly
+from .spaces import MatSpace, find_invertible, generic_names, is_regular, make_space
 from .varieties import rank_one_pencil
 
 NET_LABELS = ("1a", "1b", "2a1", "2a2", "2b", "3a", "3b1", "3b2")
@@ -40,14 +44,41 @@ NET_LABELS = ("1a", "1b", "2a1", "2a2", "2b", "3a", "3b1", "3b2")
 
 def generic_multiplicity_partition(space: MatSpace) -> Tuple[int, ...]:
     """Multiplicities of the generic eigenvalues relative to the unit U, the
-    space's first invertible element (``find_invertible``).
+    space's first invertible element (``find_invertible``): a squarefree
+    factor of det(lam * U - X) of lam-degree d and multiplicity k gives d
+    parts equal to k.
 
-    Computed exactly: squarefree decomposition of det(lam * U - X(t)) over
-    the coefficient field QQ(t1..tm); a squarefree factor of lam-degree d
-    with multiplicity k contributes d parts equal to k.
+    Computed exactly in m - 2 variables.  Drop the first basis element on
+    which U has a nonzero coordinate and call the others C_1..C_{m-1}, so
+    that U, C_1..C_{m-1} is a basis; with U^-1 = q / s (``Unit.q``), the
+    partition is read off the squarefree decomposition of the
+    characteristic polynomial of q (t1 C_1 + ... + t_{m-2} C_{m-2} + C_{m-1})
+    over QQ(t1..t_{m-2}).  This is the same decomposition because:
+
+    1. X = tau_0 U + sum tau_k C_k is an invertible change of variables, and
+       lam -> lam - tau_0 is an automorphism of QQ(tau)[lam], so
+       det(lam U - X) has the squarefree structure of
+       g = det(mu U - sum tau_k C_k);
+    2. gcds, hence squarefree decompositions, do not change under the
+       extension QQ(tau_1..tau_{m-1}) of QQ(tau);
+    3. g is homogeneous of degree n with the constant mu-leading coefficient
+       det U, so each squarefree factor is homogeneous with a constant
+       mu-leading coefficient, and setting tau_{m-1} = 1 keeps their
+       mu-degrees, their squarefreeness and their coprimality;
+    4. q = s U^-1 only scales the roots by s > 0.
+
+    A pencil is thus univariate over QQ; for m = 1 the partition is (n,).
     """
-    cp = charpoly(resolve_unit(space).inverse @ generic_element(space))
-    _, factors = squarefree_decomposition(cp)
+    u, coords = find_invertible(space)
+    if space.m == 1:
+        return (space.n,)
+    drop = next(k for k, c in enumerate(coords) if c != 0)
+    q = Mat.from_ints(resolve_unit(space, u).q)
+    *scaled, last = [q @ b for k, b in enumerate(space.basis) if k != drop]
+    x = last
+    for name, p in zip(generic_names(space.m - 2), scaled):
+        x = x + p.scale(MPoly.var(name))
+    _, factors = squarefree_decomposition(charpoly(x))
     parts: List[int] = []
     for factor, mult in factors:
         parts.extend([mult] * int(factor.degree()))
@@ -199,8 +230,8 @@ def ejo_component_count(n: int) -> int:
     """Number of irreducible components of the formally-real net locus in S^n.
 
     Counts partitions of n into three positive parts, plus one for the
-    two-identical-blocks family at even n; cross-checked against the
-    generating function t^3/((1-t)(1-t^2)(1-t^3)) + t^2/(1-t^2).
+    two-identical-blocks family at even n: the coefficient of t^n in
+    t^3/((1-t)(1-t^2)(1-t^3)) + t^2/(1-t^2), which the tests compare.
     """
     if n < 3:
         raise PreconditionError("UNSUPPORTED_DIM", "component count needs n >= 3")
@@ -212,35 +243,4 @@ def ejo_component_count(n: int) -> int:
         if k1 + k2 + k3 == n
     )
     count += 1 if n % 2 == 0 else 0
-    series = _series_coefficient(n)
-    if series != count:
-        raise InternalCheckError("INTERNAL",
-                                 f"partition count {count} disagrees with series coefficient {series}")
     return count
-
-
-def _series_coefficient(n: int) -> int:
-    """Coefficient of t^n in t^3/((1-t)(1-t^2)(1-t^3)) + t^2/(1-t^2)."""
-
-    def geometric(k: int) -> List[int]:
-        out = [0] * (n + 1)
-        for j in range(0, n + 1, k):
-            out[j] = 1
-        return out
-
-    def mul(a: List[int], b: List[int]) -> List[int]:
-        out = [0] * (n + 1)
-        for i, ai in enumerate(a):
-            if ai == 0:
-                continue
-            for j, bj in enumerate(b):
-                if i + j > n:
-                    break
-                out[i + j] += ai * bj
-        return out
-
-    first = mul(mul(geometric(1), geometric(2)), geometric(3))
-    total = first[n - 3] if n >= 3 else 0
-    if n >= 2 and (n - 2) % 2 == 0:
-        total += 1
-    return total

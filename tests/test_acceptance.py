@@ -5,9 +5,16 @@ there are no tolerances to configure.  Run with ``pytest -s`` to see the
 per-criterion lines; the same checks back ``jordanet verify``.
 """
 
+import json
+from pathlib import Path
+
 import pytest
 
 from jordanet.verify import ACCEPTANCE_CRITERIA
+
+# each criterion's checks as (name, ok, detail), recorded from `jordanet
+# verify --json` (seed 0), keyed by criterion number
+GOLDEN = json.loads((Path(__file__).parent / "data" / "verify_golden.json").read_text())
 
 
 @pytest.mark.parametrize(
@@ -24,3 +31,5 @@ def test_acceptance_criterion(number, description, runner):
     for r in failures:
         print(f"    failed: {r.name} {r.detail}")
     assert not failures, f"criterion {number}: {[r.name for r in failures]}"
+    got = [{"name": r.name, "ok": r.ok, "detail": r.detail} for r in results]
+    assert got == GOLDEN[f"{number:02d}"]

@@ -17,10 +17,17 @@ from jordanet.classify import (
     invariant_vector,
 )
 from jordanet.errors import PreconditionError
-from jordanet.jordan import radical, structure_constants
-from jordanet.linalg import Mat, inverse
-from jordanet.prng import SplitMix64
-from jordanet.spaces import grassmann_limit, make_space, sample_congruent
+from jordanet.exact import squarefree_decomposition
+from jordanet.jordan import radical, resolve_unit, structure_constants
+from jordanet.linalg import Mat, charpoly, inverse
+from jordanet.prng import SplitMix64, derive_seed
+from jordanet.spaces import (
+    find_invertible,
+    generic_element,
+    grassmann_limit,
+    make_space,
+    sample_congruent,
+)
 
 
 def E(n, i, j):
@@ -46,6 +53,13 @@ def cayley(seed, n):
     skew = Mat(s)
     ident = Mat.identity(n)
     return (ident - skew) @ inverse(ident + skew)
+
+
+def v_pencil(n, i, seed):
+    """span{I, Q^T diag(3 (i times), -1 (n - i times)) Q} for a seeded Cayley
+    rotation Q: a V_i pencil."""
+    q = cayley(seed, n)
+    return make_space(n, [Mat.identity(n), q.transpose() @ diag(*([3] * i + [-1] * (n - i))) @ q])
 
 
 class TestPencil:
@@ -77,11 +91,7 @@ class TestPencil:
             labels = set()
             for i in range(1, n // 2 + 1):
                 for seed in range(6):
-                    q = cayley(9000 + 100 * n + 10 * i + seed, n)
-                    d = diag(*([3] * i + [-1] * (n - i)))
-                    x = q.transpose() @ d @ q
-                    sp = make_space(n, [Mat.identity(n), x])
-                    got = classify_pencil(sp)
+                    got = classify_pencil(v_pencil(n, i, 9000 + 100 * n + 10 * i + seed))
                     assert got.kind == "diagonalizable"
                     labels.add(got.label)
             assert labels == {f"V{i}" for i in range(1, n // 2 + 1)}
@@ -117,10 +127,75 @@ class TestAbstract:
         assert err.value.code == "UNSUPPORTED_DIM"
 
 
+def partition_in_all_variables(space):
+    """The oracle: squarefree decomposition of charpoly(U^-1 X(t)) over
+    QQ(t1..tm), with no change of variables."""
+    cp = charpoly(resolve_unit(space).inverse @ generic_element(space))
+    _, factors = squarefree_decomposition(cp)
+    parts = []
+    for factor, mult in factors:
+        parts.extend([mult] * int(factor.degree()))
+    return tuple(sorted(parts, reverse=True))
+
+
+def diagonal_net_s5():
+    return make_space(5, [diag(1, 1, 0, 0, 0), diag(0, 0, 1, 1, 0), diag(0, 0, 0, 0, 1)])
+
+
+def unit_off_the_first_element():
+    """Name -> (space, partition) for two spaces whose unit, the identity,
+    has coordinate 0 on the first basis element."""
+    return {
+        "V2 pencil, unit second": (
+            make_space(4, [diag(1, 1, -1, -1), Mat.identity(4)]), (2, 2)),
+        "diagonal net, unit second": (
+            make_space(5, [diag(1, 1, 0, 0, 0), Mat.identity(5), diag(0, 0, 1, 1, 0)]),
+            (2, 2, 1)),
+    }
+
+
+def oracle_spaces():
+    """Named spaces for the partition oracle."""
+    named = {f"s4/{label}": canonical(f"s4/{label}") for label in NET_LABELS}
+    for cid in ("nets/L1", "nets/L2", "s5/Lstar", "dim4/L1", "dim4/L2",
+                "copencil/L1", "copencil/L2"):
+        named[cid] = canonical(cid)
+    for n in range(3, 7):
+        for i in range(1, n // 2 + 1):
+            named[f"V{i} in S^{n}"] = v_pencil(n, i, 700 + 10 * n + i)
+    named["diagonal net in S^5"] = diagonal_net_s5()
+    named["nilpotent pencil in S^2"] = make_space(2, [E(2, 1, 2), E(2, 1, 1)])
+    for cid, _, _ in degeneration_edges():
+        named[cid] = grassmann_limit(canonical(cid))
+    for name, (sp, _) in unit_off_the_first_element().items():
+        named[name] = sp
+    return named
+
+
 class TestPartition:
     def test_diagonal_blocks(self):
-        sp = make_space(5, [diag(1, 1, 0, 0, 0), diag(0, 0, 1, 1, 0), diag(0, 0, 0, 0, 1)])
-        assert generic_multiplicity_partition(sp) == (2, 2, 1)
+        assert generic_multiplicity_partition(diagonal_net_s5()) == (2, 2, 1)
+
+    def test_matches_the_all_variable_oracle(self):
+        named = oracle_spaces()
+        assert len(named) == 8 + 7 + 8 + 2 + 10 + 2
+        for name, sp in named.items():
+            assert generic_multiplicity_partition(sp) == partition_in_all_variables(sp), name
+            image = sample_congruent(sp, derive_seed(0, "partition", name))
+            assert generic_multiplicity_partition(image) == partition_in_all_variables(image), name
+
+    def test_unit_off_the_first_basis_element(self):
+        # dropping B_1 regardless of the unit's coordinates gives (4,) and
+        # (3, 2) here
+        for name, (sp, expected) in unit_off_the_first_element().items():
+            assert find_invertible(sp)[1][0] == 0, name
+            assert generic_multiplicity_partition(sp) == expected, name
+
+    def test_one_dimensional_space(self):
+        assert generic_multiplicity_partition(make_space(3, [diag(2, 2, 2)])) == (3,)
+        with pytest.raises(PreconditionError) as err:
+            generic_multiplicity_partition(make_space(3, [diag(1, 1, 0)]))
+        assert err.value.code == "NOT_REGULAR"
 
     def test_spin_net_partition(self):
         assert generic_multiplicity_partition(canonical("s4/1b")) == (2, 2)
@@ -165,8 +240,7 @@ class TestNetDecisionTable:
 
 class TestType1Partition:
     def test_diagonal_net_s5(self):
-        sp = make_space(5, [diag(1, 1, 0, 0, 0), diag(0, 0, 1, 1, 0), diag(0, 0, 0, 0, 1)])
-        assert classify_type1_partition(sp) == (2, 2, 1)
+        assert classify_type1_partition(diagonal_net_s5()) == (2, 2, 1)
 
     def test_spin_s6_is_not_type1(self):
         blocks = []
@@ -222,6 +296,23 @@ class TestCopencils:
             assert classify_copencil_S3(sp) == "NOT_JORDAN"
 
 
+def series_coefficient(n):
+    """Coefficient of t^n in t^3/((1-t)(1-t^2)(1-t^3)) + t^2/(1-t^2)."""
+
+    def geometric(k):
+        return [int(j % k == 0) for j in range(n + 1)]
+
+    def mul(a, b):
+        out = [0] * (n + 1)
+        for i, ai in enumerate(a):
+            for j, bj in enumerate(b[:n + 1 - i]):
+                out[i + j] += ai * bj
+        return out
+
+    first = mul(mul(geometric(1), geometric(2)), geometric(3))
+    return first[n - 3] + int(n % 2 == 0)
+
+
 class TestComponentCount:
     def test_small_values(self):
         assert ejo_component_count(3) == 1
@@ -229,9 +320,10 @@ class TestComponentCount:
         assert ejo_component_count(6) == 4
 
     def test_range_matches_series(self):
-        # the series cross-check runs inside; a mismatch raises
         got = [ejo_component_count(n) for n in range(3, 13)]
         assert got == [1, 2, 2, 4, 4, 6, 7, 9, 10, 13]
+        for n in range(3, 31):
+            assert ejo_component_count(n) == series_coefficient(n), n
 
     def test_minimum_n(self):
         with pytest.raises(PreconditionError):

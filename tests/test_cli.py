@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 import jordanet
-from jordanet import chow, cli, jordan
+from jordanet import chow, cli, exact, jordan
 from jordanet.cli import main
 from jordanet.errors import InputError, InternalCheckError, PreconditionError
 from jordanet.prng import SplitMix64
@@ -403,6 +403,14 @@ class TestTrials:
             assert "--trials" in err and out == ""
 
 
+def rebind_everywhere(monkeypatch, name, real, replacement):
+    """Point every jordanet module that binds ``name`` to ``real`` at
+    ``replacement`` instead."""
+    for module in [m for k, m in sys.modules.items() if k.startswith("jordanet")]:
+        if getattr(module, name, None) is real:
+            monkeypatch.setattr(module, name, replacement)
+
+
 class TestAnalyzeReadsTheJordanTest:
     """analyze takes reciprocity and the closure from is_jordan: no sampled
     reciprocal check on any input, and a closure only for a space that is
@@ -421,9 +429,7 @@ class TestAnalyzeReadsTheJordanTest:
                 calls[_name] += 1
                 return _real(*args, **kwargs)
 
-            for module in [m for k, m in sys.modules.items() if k.startswith("jordanet")]:
-                if getattr(module, name, None) is real:
-                    monkeypatch.setattr(module, name, counting)
+            rebind_everywhere(monkeypatch, name, real, counting)
         plain = [cid for cid in catalog_ids() if not cid.startswith("degen/")]
         assert self.NOT_JORDAN < set(plain)
         for cid in plain:
@@ -435,6 +441,40 @@ class TestAnalyzeReadsTheJordanTest:
             assert calls["check_reciprocal_identity"] == before["check_reciprocal_identity"], cid
             expected = int(cid in self.NOT_JORDAN)
             assert calls["jordan_closure"] - before["jordan_closure"] == expected, cid
+
+
+class TestPartitionVariables:
+    """generic_multiplicity_partition hands squarefree_decomposition a
+    polynomial over QQ(t1..t_{m-2}): one variable for a net, none for a
+    pencil."""
+
+    def record(self, monkeypatch):
+        rings = []
+        real = exact.squarefree_decomposition
+
+        def recording(p):
+            rings.append(set().union(*(c.vars for c in p.coeffs)))
+            return real(p)
+
+        rebind_everywhere(monkeypatch, "squarefree_decomposition", real, recording)
+        return rings
+
+    def test_net(self, monkeypatch, capsys):
+        rings = self.record(monkeypatch)
+        code, out, _ = run_cli(["analyze", "catalog://s4/1a", "--json"], capsys)
+        assert code == 0 and json.loads(out)["net_class"] == "1a"
+        assert rings and all(len(ring) <= 1 for ring in rings), rings
+
+    def test_v2_pencil(self, monkeypatch, tmp_path, capsys):
+        rings = self.record(monkeypatch)
+        path = tmp_path / "v2.json"
+        path.write_text(json.dumps({"n": 4, "basis": [
+            [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]],
+            [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, -1, 0], [0, 0, 0, -1]],
+        ]}))
+        code, out, _ = run_cli(["analyze", str(path), "--json"], capsys)
+        assert code == 0 and json.loads(out)["net_class"] == "V2"
+        assert rings and all(ring == set() for ring in rings), rings
 
 
 class TestResultTooLarge:
