@@ -9,8 +9,10 @@ size binom(n+1, 2); its rank equals the dimension of the linear span of the
 reciprocal variety, and its left kernel consists of the linear forms that
 vanish on all inverses.
 
-The fully symbolic n = 3 determinant (degree 12 in the 18 entry variables)
-takes about a second, so it is computed at most once per process.
+The fully symbolic n = 3 determinant (degree 12 in the 18 entry variables,
+22659 terms) is a Laplace expansion of the 6 x 6 symbolic Chow matrix on
+``linalg``'s integer kernel, about 0.2 s of CPU; it is computed at most once
+per process.
 """
 
 from __future__ import annotations

@@ -280,7 +280,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("analyze", help="regularity, closure, radical, classification")
     common(p)
-    p.set_defaults(fn=cmd_analyze)
 
     p = sub.add_parser("chow", help="Chow matrix rank, kernel forms, determinant stats")
     p.add_argument("space", nargs="?", help="JSON space file or catalog://<id>")
@@ -290,29 +289,23 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--det-stats", action="store_true")
     p.add_argument("--generic-n3", action="store_true",
                    help="statistics of the fully symbolic 3x3 Chow determinant")
-    p.set_defaults(fn=cmd_chow)
 
     p = sub.add_parser("pencil", help="classify a two-dimensional space")
     common(p)
-    p.set_defaults(fn=cmd_pencil)
 
     p = sub.add_parser("copencil", help="classify a codimension-two space in S^3")
     common(p)
-    p.set_defaults(fn=cmd_copencil)
 
     p = sub.add_parser("plucker", help="dual Pluecker coordinates and certificate values")
     common(p)
-    p.set_defaults(fn=cmd_plucker)
 
     p = sub.add_parser("limit", help="Grassmannian limit of a parametric family at t -> 0")
     common(p)
-    p.set_defaults(fn=cmd_limit)
 
     p = sub.add_parser("emptiness", help="Macaulay certificate for a homogeneous system")
     p.add_argument("polyfile", help="text file, one polynomial per line")
     p.add_argument("--degree", type=int, default=4)
     p.add_argument("--json", action="store_true")
-    p.set_defaults(fn=cmd_emptiness)
 
     p = sub.add_parser("verify", help="run the built-in verification suite")
     p.add_argument("--subset", default=None,
@@ -320,21 +313,27 @@ def build_parser() -> argparse.ArgumentParser:
                         "pencil | complement | plucker | count")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--json", action="store_true")
-    p.set_defaults(fn=cmd_verify)
 
     p = sub.add_parser("catalog", help="list built-in catalog entries")
     p.add_argument("--json", action="store_true")
-    p.set_defaults(fn=cmd_catalog)
 
     return parser
 
 
+#: the parser ``main`` uses, built on its first call: building one costs
+#: about as much as a small ``analyze``
+_PARSER = None
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    global _PARSER
+    if _PARSER is None:
+        _PARSER = build_parser()
+    args = _PARSER.parse_args(argv)
     t0 = time.time()
     try:
-        code = args.fn(args)
+        # looked up per call: the parser is built once and holds no functions
+        code = globals()[f"cmd_{args.cmd}"](args)
     except (InputError, PreconditionError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2 if isinstance(err, InputError) else 3

@@ -1,19 +1,25 @@
 """Exact dense linear algebra over rationals and over polynomial rings.
 
-Matrices are immutable and ring-homogeneous: every entry is either a
-``Fraction`` or an ``MPoly``.  A product of two Fraction matrices is one
-integer product (``int_matmul``) of A's rows and B's columns cleared of
-denominators, with one Fraction formed per entry of the result.  There is one
-row reduction, ``Echelon``: the reduced row echelon form kept as primitive
-integer rows and grown one row at a time.  ``rref`` (rank, kernels, row
-transforms, inverses, membership) adjoins a matrix's rows, cleared of
-denominators, and ``jordan_closure`` adjoins products as it finds them;
-Fractions are formed only for results.  Determinants of polynomial matrices
-default to Laplace expansion memoized over column subsets; a fraction-free
-Bareiss routine is kept alongside and the two are cross-checked in the test
-suite.  Characteristic polynomials and adjugates come from the
-Faddeev-LeVerrier iteration, whose only divisions are by the integers 1..n
-and which takes n - 1 matrix products.
+Matrices are immutable; an entry is a ``Fraction`` or an ``MPoly``.  A
+product of two Fraction matrices is one integer product (``int_matmul``) of
+A's rows and B's columns cleared of denominators, with one Fraction formed
+per entry of the result.  There is one row reduction, ``Echelon``: the
+reduced row echelon form kept as primitive integer rows and grown one row at
+a time.  ``rref`` (rank, kernels, row transforms, inverses, membership)
+adjoins a matrix's rows, cleared of denominators, and ``jordan_closure``
+adjoins products as it finds them; Fractions are formed only for results.
+
+Polynomial matrices run on one integer kernel (``PolyRing``): a matrix is
+converted once to entries {packed exponent: int coefficient} over one common
+denominator, so that a monomial product is one integer addition and a
+coefficient product one integer multiplication, and results are divided by
+the right power of the denominator once per output term.  Products of
+polynomial matrices, characteristic polynomials and adjugates (the
+Faddeev-LeVerrier iteration: n - 1 matrix products, and divisions only by
+the integers 1..n, which are exact on integer polynomials) and determinants
+(Laplace expansion memoized over column subsets) all run on it.  Rational
+determinants use a fraction-free Bareiss routine, which the test suite
+cross-checks against Laplace.
 """
 
 from __future__ import annotations
@@ -22,7 +28,7 @@ import bisect
 import math
 from fractions import Fraction
 from operator import mul
-from typing import List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from .errors import InternalCheckError, PreconditionError
 from .exact import MPoly, UniPoly, exact_div, frac
@@ -126,23 +132,10 @@ class Mat:
             raise ValueError("shape mismatch in product")
         if _all_fractions(self) and _all_fractions(other):
             return _fraction_product(self, other)
-        out = []
-        for i in range(self.rows):
-            row = []
-            for j in range(other.cols):
-                acc = None
-                for k in range(self.cols):
-                    a = self.data[i][k]
-                    b = other.data[k][j]
-                    if _entry_is_zero(a) or _entry_is_zero(b):
-                        continue
-                    term = a * b
-                    acc = term if acc is None else acc + term
-                if acc is None:
-                    acc = _zero_like(self.data[i][0]) if self.cols else Fraction(0)
-                row.append(acc)
-            out.append(row)
-        return Mat(out)
+        ring = PolyRing([self, other], _max_degree(self) + _max_degree(other))
+        a, d = ring.int_rows(self)
+        b, e = ring.int_rows(other)
+        return ring.mat(int_poly_matmul(a, b), d * e)
 
     def scale(self, c) -> "Mat":
         return Mat([[x * c for x in row] for row in self.data])
@@ -213,6 +206,115 @@ def integer_matrix(m: Mat) -> Tuple[List[List[int]], int]:
     denominators and M' has integer entries."""
     d = math.lcm(*(x.denominator for row in m.data for x in row))
     return [[x.numerator * (d // x.denominator) for x in row] for row in m.data], d
+
+
+# -- integer polynomial matrices -------------------------------------------
+
+#: a polynomial with integer coefficients: {packed exponent: nonzero coefficient}
+IntPoly = Dict[int, int]
+
+
+def _max_degree(m: Mat) -> int:
+    """The largest total degree of an entry; 0 for a Fraction matrix."""
+    return max((x.total_degree() for row in m.data for x in row
+                if isinstance(x, MPoly) and x.terms), default=0)
+
+
+def _field_width(bound: int) -> int:
+    """Bits per packed exponent field, enough for every exponent up to bound."""
+    return bound.bit_length()
+
+
+class PolyRing:
+    """Integer polynomials standing in for the entries of Fraction and MPoly
+    matrices.
+
+    The variables are the sorted union of the entries' variables.  An
+    exponent tuple is packed into one int, the first variable in the top
+    field and every field ``_field_width(bound)`` bits wide, so a monomial
+    product is one integer addition.  No field carries into the next as
+    long as no exponent of any result exceeds ``bound``: for an n x n
+    determinant, characteristic polynomial or adjugate, n times the largest
+    entry degree.  A matrix M becomes integer entries M' with M = M' / d, d
+    the lcm of the denominators of all its coefficients.  Results are
+    Fractions when no entry was an MPoly, and MPolys over the variables
+    otherwise.
+    """
+
+    def __init__(self, mats: Sequence[Mat], bound: int):
+        polys = [x for m in mats for row in m.data for x in row if isinstance(x, MPoly)]
+        self.is_poly = bool(polys)
+        self.vars = tuple(sorted({v for p in polys for v in p.vars}))
+        width = _field_width(bound)
+        self._fields = [width * (len(self.vars) - 1 - i) for i in range(len(self.vars))]
+        self._field_of = dict(zip(self.vars, self._fields))
+        self._mask = (1 << width) - 1
+
+    def int_rows(self, m: Mat) -> Tuple[List[List[IntPoly]], int]:
+        """(M', d) with M = M' / d."""
+        d = math.lcm(*(c.denominator for row in m.data for x in row
+                       for c in (x.terms.values() if isinstance(x, MPoly) else (x,))))
+        return [[self._pack(x, d) for x in row] for row in m.data], d
+
+    def _pack(self, x: Entry, d: int) -> IntPoly:
+        if not isinstance(x, MPoly):
+            return {0: x.numerator * (d // x.denominator)} if x else {}
+        fields = [self._field_of[v] for v in x.vars]
+        return {sum(e << f for e, f in zip(exps, fields)): c.numerator * (d // c.denominator)
+                for exps, c in x.terms.items()}
+
+    def entry(self, p: IntPoly, den: int) -> Entry:
+        """The entry p / den."""
+        if not self.is_poly:
+            return Fraction(p.get(0, 0), den)
+        fields, mask = self._fields, self._mask
+        return MPoly(self.vars, {tuple((key >> f) & mask for f in fields): Fraction(c, den)
+                                 for key, c in p.items()})
+
+    def mat(self, rows: List[List[IntPoly]], den: int) -> Mat:
+        """The matrix rows / den."""
+        return Mat([[self.entry(p, den) for p in row] for row in rows])
+
+
+def _mul_add(acc: IntPoly, a: IntPoly, b: IntPoly, sign: int = 1) -> None:
+    """acc += sign * a * b, in place; may leave zero coefficients in acc."""
+    if len(a) > len(b):
+        a, b = b, a
+    get = acc.get
+    for ea, ca in a.items():
+        ca *= sign
+        for eb, cb in b.items():
+            key = ea + eb
+            acc[key] = get(key, 0) + ca * cb
+
+
+def _nonzero(p: IntPoly) -> IntPoly:
+    return {key: c for key, c in p.items() if c}
+
+
+def _sum(*polys: IntPoly) -> IntPoly:
+    acc: IntPoly = {}
+    for p in polys:
+        for key, c in p.items():
+            acc[key] = acc.get(key, 0) + c
+    return _nonzero(acc)
+
+
+def int_poly_matmul(a_rows: Sequence[Sequence[IntPoly]],
+                    b_rows: Sequence[Sequence[IntPoly]]) -> List[List[IntPoly]]:
+    """The product A B of integer polynomial matrices given by their rows."""
+    b_cols = list(zip(*b_rows))
+    out = []
+    for a_row in a_rows:
+        row = []
+        for col in b_cols:
+            acc: IntPoly = {}
+            for x, y in zip(a_row, col):
+                if x and y:
+                    _mul_add(acc, x, y)
+            row.append(_nonzero(acc))
+        out.append(row)
+    return out
 
 
 # -- reduced row echelon form over the rationals --------------------------
@@ -405,89 +507,90 @@ def det_bareiss(m: Mat) -> Entry:
 
 
 def det_laplace(m: Mat) -> Entry:
-    """Determinant via Laplace expansion memoized over column subsets."""
+    """Determinant via Laplace expansion memoized over column subsets, on
+    the integer kernel: det(M) = det(M') / d^n."""
     if not m.is_square():
         raise PreconditionError("NOT_SQUARE", "determinant needs a square matrix")
     n = m.rows
-    if n == 0:
-        return Fraction(1)
-    memo = {(): _one_like(m.data[0][0])}
+    ring = PolyRing([m], n * _max_degree(m))
+    a, d = ring.int_rows(m)
+    memo = {(): {0: 1}}
 
-    def minor(cols: tuple) -> Entry:
+    def minor(cols: tuple) -> IntPoly:
         cached = memo.get(cols)
         if cached is not None:
             return cached
         row = len(cols) - 1
-        acc = None
+        acc: IntPoly = {}
         for idx, c in enumerate(cols):
-            e = m.data[row][c]
-            if _entry_is_zero(e):
+            e = a[row][c]
+            if not e:
                 continue
             sub = minor(cols[:idx] + cols[idx + 1:])
-            if _entry_is_zero(sub):
-                continue
-            term = e * sub
-            if (row + idx) % 2:
-                term = -term
-            acc = term if acc is None else acc + term
-        if acc is None:
-            acc = _zero_like(m.data[0][0])
-        memo[cols] = acc
+            if sub:
+                _mul_add(acc, e, sub, -1 if (row + idx) % 2 else 1)
+        memo[cols] = acc = _nonzero(acc)
         return acc
 
-    return minor(tuple(range(n)))
+    return ring.entry(minor(tuple(range(n))), d ** n)
 
 
 def det(m: Mat) -> Entry:
     """Exact determinant; Bareiss over rationals, memoized Laplace over polynomials."""
-    if m.rows and _is_poly(m.data[0][0]):
+    if any(_is_poly(x) for row in m.data for x in row):
         return det_laplace(m)
     return det_bareiss(m)
 
 
 # -- Faddeev-LeVerrier: characteristic polynomial and adjugate ------------
 
-def _trace_of_product(a: Mat, b: Mat) -> Entry:
-    """trace(a @ b) without forming the product."""
-    acc = _zero_like(a.data[0][0])
-    for i in range(a.rows):
-        for j in range(a.cols):
-            x, y = a.data[i][j], b.data[j][i]
-            if not (_entry_is_zero(x) or _entry_is_zero(y)):
-                acc = acc + x * y
-    return acc
+def _trace_of_product(a: List[List[IntPoly]], b: List[List[IntPoly]]) -> IntPoly:
+    """trace(A B) = sum of A[i][j] B[j][i], without forming the product."""
+    acc: IntPoly = {}
+    for i, a_row in enumerate(a):
+        for x, b_row in zip(a_row, b):
+            y = b_row[i]
+            if x and y:
+                _mul_add(acc, x, y)
+    return _nonzero(acc)
 
 
 def _faddeev_leverrier(m: Mat):
     """Returns (coefficients c_0..c_n of charpoly, adjugate matrix).
 
     charpoly(lam) = lam^n + c_1 lam^(n-1) + ... + c_n, returned low-index-first
-    as [c_n, ..., c_1, 1]; all divisions are by integers 1..n.
+    as [c_n, ..., c_1, 1].
 
-    With M_1 = I, c_k = -trace(M @ M_k) / k and M_(k+1) = M @ M_k + c_k I, so
-    the product of step k is reused by step k + 1; the last step needs only
-    trace(M @ M_n) = sum of M[i][j] * M_n[j][i].  That is n - 1 matrix
-    products in all, and adj(M) = (-1)^(n-1) M_n.
+    Runs on the integer kernel, M = M' / d.  With M'_1 = I,
+    c'_k = -trace(M' M'_k) / k and M'_(k+1) = M' M'_k + c'_k I, so the
+    product of step k is reused by step k + 1 and the last step needs only
+    the trace: n - 1 matrix products in all.  The c'_k are the coefficients
+    of the characteristic polynomial of M', integer polynomials in its
+    entries, so each division by k is exact.  Then c_k = c'_k / d^k and
+    adj(M) = adj(M') / d^(n-1) = (-1)^(n-1) M'_n / d^(n-1).
     """
     if not m.is_square():
         raise PreconditionError("NOT_SQUARE", "characteristic polynomial needs a square matrix")
     n = m.rows
-    one = _one_like(m.data[0][0]) if n else Fraction(1)
-    ident = Mat([[one if i == j else _zero_like(one) for j in range(n)] for i in range(n)])
-    mk = ident
-    cs = []  # c_1 .. c_n
+    ring = PolyRing([m], n * _max_degree(m))
+    a, d = ring.int_rows(m)
+    one = {0: 1}
+    mk = [[one if i == j else {} for j in range(n)] for i in range(n)]
+    cs = []  # c'_1 .. c'_n
     for k in range(1, n + 1):
         if k > 1:
-            mk = prod + ident.scale(cs[-1])
+            for i in range(n):
+                prod[i][i] = _sum(prod[i][i], cs[-1])
+            mk = prod
         if k < n:
-            prod = m @ mk
-            tr = prod.trace()
+            prod = int_poly_matmul(a, mk)
+            tr = _sum(*(prod[i][i] for i in range(n)))
         else:
-            tr = _trace_of_product(m, mk)
-        cs.append(tr * Fraction(-1, k))
-    adj = mk if n % 2 else -mk
-    coeffs = list(reversed(cs)) + [one]
-    return coeffs, adj
+            tr = _trace_of_product(a, mk)
+        cs.append({key: -x // k for key, x in tr.items()})
+    coeffs = [ring.entry(c, d ** k) for k, c in reversed(list(enumerate(cs, 1)))]
+    sign = 1 if n % 2 else -1
+    return coeffs + [ring.entry(one, 1)], ring.mat(mk, sign * d ** max(n - 1, 0))
 
 
 def charpoly(m: Mat) -> UniPoly:

@@ -217,6 +217,23 @@ class TestGoldens:
         assert covered == set(catalog_ids())
 
 
+class TestParserBuiltOnce:
+    def test_two_calls_build_one_parser(self, capsys, monkeypatch):
+        built = []
+        build = cli.build_parser
+        monkeypatch.setattr(cli, "build_parser", lambda: built.append(1) or build())
+        monkeypatch.setattr(cli, "_PARSER", None)
+        first = {}  # the first golden of each command
+        for case in GOLDENS:
+            if "space" not in case:
+                first.setdefault(case["argv"][0], case)
+        assert len(first) > 1
+        for case in first.values():
+            code, out, _ = run_cli(case["argv"], capsys)
+            assert (code, out) == (0, case["stdout"])
+        assert len(built) == 1
+
+
 def child_env():
     """The environment with the directory holding the imported ``jordanet``
     first on PYTHONPATH, so a child process runs the package under test."""

@@ -4,6 +4,7 @@ from typing import List, NamedTuple
 
 import pytest
 
+from jordanet import linalg
 from jordanet.exact import MPoly, UniPoly, parse_poly
 from jordanet.linalg import (
     Echelon,
@@ -64,6 +65,73 @@ def random_poly_mat(rng, n, vars=("s", "t")):
                 exps = tuple(rng.int_between(0, 1) for _ in vars)
                 terms[exps] = terms.get(exps, 0) + rng.int_between(-3, 3)
             row.append(MPoly.from_terms(vars, terms))
+        rows.append(row)
+    return Mat(rows)
+
+
+# -- oracles for the integer polynomial kernel: the entry-by-entry loops it
+# replaced (products: ``matmul_by_loop``)
+
+def faddeev_leverrier_by_entries(m: Mat):
+    """(charpoly as a UniPoly, adjugate): with M_1 = I, c_k = -trace(M M_k) / k
+    and M_(k+1) = M M_k + c_k I, on Fraction and MPoly entries."""
+    n = m.rows
+    ident = Mat.identity(n)
+    mk = ident
+    cs = []
+    for k in range(1, n + 1):
+        if k > 1:
+            mk = prod + ident.scale(cs[-1])
+        prod = matmul_by_loop(m, mk)
+        cs.append(prod.trace() * Fraction(-1, k))
+    coeffs = [c if isinstance(c, MPoly) else MPoly.const(c) for c in reversed(cs)]
+    return UniPoly("lam", coeffs + [MPoly.const(1)]), mk if n % 2 else -mk
+
+
+def det_laplace_by_entries(m: Mat):
+    """Laplace expansion along the rows, memoized over column subsets."""
+    memo = {(): Fraction(1)}
+
+    def minor(cols):
+        if cols not in memo:
+            row = len(cols) - 1
+            acc = Fraction(0)
+            for idx, c in enumerate(cols):
+                if is_zero_entry(m[row, c]):
+                    continue
+                term = m[row, c] * minor(cols[:idx] + cols[idx + 1:])
+                acc = acc - term if (row + idx) % 2 else acc + term
+            memo[cols] = acc
+        return memo[cols]
+
+    return minor(tuple(range(m.rows)))
+
+
+def random_mixed_mat(rng, n, vars=("a", "b", "c")):
+    """Entries that are 0, rationals with unequal denominators, or MPolys of
+    degree up to 2 over random subsets of ``vars``; about one matrix in three
+    has a zero row."""
+    zero_row = rng.int_between(0, 2) == 0 and n > 0
+    dead = rng.int_between(0, n - 1) if zero_row else -1
+    rows = []
+    for i in range(n):
+        row = []
+        for _ in range(n):
+            kind = rng.int_between(0, 4) if i != dead else 0
+            if kind == 0:
+                row.append(MPoly.zero(vars[:1]) if rng.int_between(0, 1) else Fraction(0))
+            elif kind == 1:
+                row.append(Fraction(rng.int_between(-4, 4), rng.int_between(1, 6)))
+            else:
+                sub = tuple(v for v in vars if rng.int_between(0, 1)) or vars[-1:]
+                terms = {}
+                for _ in range(rng.int_between(1, 3)):
+                    exps = [0] * len(sub)
+                    for _ in range(rng.int_between(0, 2)):
+                        exps[rng.int_between(0, len(sub) - 1)] += 1
+                    terms[tuple(exps)] = Fraction(rng.nonzero_int_between(-3, 3),
+                                                  rng.int_between(1, 5))
+                row.append(MPoly.from_terms(sub, terms))
         rows.append(row)
     return Mat(rows)
 
@@ -437,13 +505,13 @@ class TestAdjugate:
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
     def test_n_minus_one_products(self, n, monkeypatch):
         calls = []
-        product = Mat.__matmul__
+        product = linalg.int_poly_matmul
 
         def counting(a, b):
             calls.append(1)
             return product(a, b)
 
-        monkeypatch.setattr(Mat, "__matmul__", counting)
+        monkeypatch.setattr(linalg, "int_poly_matmul", counting)
         m = random_poly_mat(SplitMix64(n), n)
         adjugate(m)
         assert len(calls) == n - 1
@@ -514,6 +582,60 @@ class TestCharpoly:
             m = random_scalar_mat(rng, n)
             cp = charpoly(m)
             assert cp.coeff(0).constant_value() == (-1) ** n * det(m)
+
+
+class TestIntegerKernel:
+    """Products, charpolys, adjugates and determinants on the integer kernel
+    against the entry-by-entry loops."""
+
+    def test_matches_the_entry_loops(self):
+        rng = SplitMix64(2026)
+        kinds, var_sets, zero_rows = set(), set(), 0
+        for n in range(7):
+            for _ in range(3 if n < 6 else 1):
+                m = random_mixed_mat(rng, n)
+                kinds |= {type(x) for row in m.data for x in row}
+                var_sets |= {x.vars for row in m.data for x in row if isinstance(x, MPoly)}
+                zero_rows += any(all(is_zero_entry(x) for x in row) for row in m.data)
+                cp, adj = faddeev_leverrier_by_entries(m)
+                assert charpoly(m) == cp
+                assert adjugate(m) == adj
+                assert det_laplace(m) == det_laplace_by_entries(m)
+                other = random_mixed_mat(rng, n)
+                assert m @ other == matmul_by_loop(m, other)
+        assert kinds == {Fraction, MPoly} and len(var_sets) > 3 and zero_rows > 2
+
+    def test_fraction_matrices_give_fractions(self):
+        rng = SplitMix64(2027)
+        for n in range(1, 6):
+            m = Mat([[Fraction(rng.int_between(-9, 9), rng.int_between(1, 8)) for _ in range(n)]
+                     for _ in range(n)])
+            d = det_laplace(m)
+            assert type(d) is Fraction and d == det_bareiss(m) == det_laplace_by_entries(m)
+            adj = adjugate(m)
+            assert all(type(x) is Fraction for row in adj.data for x in row)
+            assert m @ adj == Mat.identity(n).scale(d)
+            assert charpoly(m) == faddeev_leverrier_by_entries(m)[0]
+
+    def test_exponent_fields_do_not_carry(self, monkeypatch):
+        # det = b^8 - a^2 reaches the exponent bound n * (entry degree) = 8,
+        # which fills all four bits of b's field, the bottom one, next to a's
+        m = poly_mat([["b^4", "a"], ["a", "b^4"]])
+        expected = det_laplace_by_entries(m)
+        cp, _ = faddeev_leverrier_by_entries(m)
+        assert det_laplace(m) == expected == P("b^8 - a^2")
+        assert charpoly(m) == cp
+        width = linalg._field_width
+        monkeypatch.setattr(linalg, "_field_width", lambda bound: width(bound) - 1)
+        assert det_laplace(m) != expected
+        assert charpoly(m) != cp
+
+    def test_generic_chow_determinant(self):
+        from jordanet.chow import chow_det_generic, chow_matrix_generic
+
+        value = chow_det_generic(3)
+        assert (value.total_degree(), value.term_count()) == (12, 22659)
+        assert value == det_laplace_by_entries(chow_matrix_generic(3).as_mat())
 
 
 class TestInverse:
