@@ -15,7 +15,8 @@ Space files use the JSON schema documented in the README; ``catalog://<id>``
 resolves to a built-in reference space.  ``--json`` prints a byte-stable
 report (fixed key order, no timing); exit codes are 0 success, 1
 verification failure, 2 parse error, 3 precondition violation (a result
-with a number past Python's 4300-digit conversion limit among them), 4
+with a number past Python's 4300-digit conversion limit, a refused
+TOO_LARGE computation and running out of memory among them), 4
 internal error (a failed self-check or any other exception, as one ``error:
 INTERNAL`` line).  A report is rendered whole before its first line is
 printed, so an error leaves stdout empty.  ``analyze`` reads reciprocity
@@ -337,6 +338,9 @@ def main(argv=None) -> int:
     except (InputError, PreconditionError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2 if isinstance(err, InputError) else 3
+    except MemoryError:  # a resource limit, like TOO_LARGE, not a bug
+        print("error: TOO_LARGE: out of memory", file=sys.stderr)
+        return 3
     except Exception as err:  # InternalCheckError or a bug: one line, no traceback
         if not isinstance(err, InternalCheckError):
             err = f"INTERNAL: {type(err).__name__}: {err}"

@@ -437,88 +437,85 @@ class MPoly:
 #: a variable name of the text grammar
 NAME = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 
-_TOKEN = re.compile(
-    rf"\s*(?:(?P<num>\d+(?:/\d+)?)|(?P<name>{NAME.pattern})|(?P<op>[-+*^()]))"
-)
+#: one token: digits with an optional "/" and digits, a name, or any other
+#: non-space character (an operator, or an error the parser reports)
+_TOKEN = re.compile(rf"(\d+)(?:/(\d+))?|({NAME.pattern})|(\S)")
+
+_SIGNS = ("+", "-")
 
 
 def parse_poly(text: str) -> MPoly:
     """Parse the polynomial text grammar.
 
-    Terms are products like ``-3/2*x^2*y`` joined by ``+``/``-``.  The parser
-    also accepts parentheses-free integer powers of named variables and is the
-    exact inverse of ``str(poly)``.
+    Terms are products like ``-3/2*x^2*y`` joined by ``+``/``-``: factors are
+    an unsigned integer or ``p/q``, or a name with an optional power ``^k``,
+    where ``k`` is a string of digits (``x^4/2`` is an error, not ``x^2``).
+    The parser is the exact inverse of ``str(poly)``.
+
+    The line is tokenized in one pass.  A term keeps its coefficient as an
+    integer numerator and denominator, and one Fraction is formed per term at
+    the end.  Every malformed line is a PARSE_ERROR, including a zero
+    denominator and a number past Python's 4300-digit conversion limit.
     """
-    tokens = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN.match(text, pos)
-        if not m:
-            if text[pos:].strip():
-                raise InputError("PARSE_ERROR", f"bad token at {text[pos:pos+12]!r}")
-            break
-        pos = m.end()
-        if m.group("num"):
-            tokens.append(("num", frac(m.group("num"))))
-        elif m.group("name"):
-            tokens.append(("name", m.group("name")))
-        else:
-            tokens.append(("op", m.group("op")))
+    tokens = _TOKEN.findall(text)
     if not tokens:
         raise InputError("PARSE_ERROR", "empty polynomial string")
-
-    collected = []  # (exponent dict, coefficient) per term
-    i = 0
-    n = len(tokens)
-    while i < n:
-        sign = Fraction(1)
-        while i < n and tokens[i][0] == "op" and tokens[i][1] in "+-":
-            if tokens[i][1] == "-":
-                sign = -sign
-            i += 1
-        if i >= n:
-            raise InputError("PARSE_ERROR", "dangling sign")
-        coeff = sign
-        exps: dict = {}
-        expect_factor = True
+    collected = []  # (exponent by name, numerator, denominator) per term
+    i, n = 0, len(tokens)
+    try:
         while i < n:
-            kind, val = tokens[i]
-            if kind == "op" and val in "+-":
-                break
-            if kind == "op" and val == "*":
-                if expect_factor:
-                    raise InputError("PARSE_ERROR", "misplaced '*'")
+            num = 1
+            while i < n and tokens[i][3] in _SIGNS:
+                if tokens[i][3] == "-":
+                    num = -num
                 i += 1
-                expect_factor = True
-                continue
-            if not expect_factor:
-                raise InputError("PARSE_ERROR", "missing '*' between factors")
-            if kind == "num":
-                coeff *= val
-                i += 1
-            elif kind == "name":
-                name = val
-                i += 1
-                power = 1
-                if i < n and tokens[i] == ("op", "^"):
+            if i >= n:
+                raise InputError("PARSE_ERROR", "dangling sign")
+            den = 1
+            exps: dict = {}
+            expect_factor = True
+            while i < n:
+                digits, q, name, op = tokens[i]
+                if op in _SIGNS:
+                    break
+                if op == "*":
+                    if expect_factor:
+                        raise InputError("PARSE_ERROR", "misplaced '*'")
                     i += 1
-                    if i >= n or tokens[i][0] != "num" or tokens[i][1].denominator != 1:
-                        raise InputError("PARSE_ERROR", "exponent must be an integer")
-                    power = int(tokens[i][1])
-                    i += 1
-                exps[name] = exps.get(name, 0) + power
-            else:
-                raise InputError("PARSE_ERROR", f"unexpected token {val!r}")
-            expect_factor = False
-        if expect_factor:
-            raise InputError("PARSE_ERROR", "trailing operator")
-        collected.append((exps, coeff))
-    all_vars = tuple(sorted({v for exps, _ in collected for v in exps}))
+                    expect_factor = True
+                    continue
+                if not expect_factor:
+                    raise InputError("PARSE_ERROR", "missing '*' between factors")
+                i += 1
+                if digits:
+                    num *= int(digits)
+                    if q:
+                        den *= int(q)
+                        if not den:
+                            raise InputError("PARSE_ERROR", f"zero denominator in {digits}/{q}")
+                elif name:
+                    power = 1
+                    if i < n and tokens[i][3] == "^":
+                        if i + 1 >= n or not tokens[i + 1][0] or tokens[i + 1][1]:
+                            raise InputError("PARSE_ERROR", "exponent must be a string of digits")
+                        power = int(tokens[i + 1][0])
+                        i += 2
+                    exps[name] = exps.get(name, 0) + power
+                else:
+                    raise InputError("PARSE_ERROR", f"unexpected token {op!r}")
+                expect_factor = False
+            if expect_factor:
+                raise InputError("PARSE_ERROR", "trailing operator")
+            collected.append((exps, num, den))
+    except ValueError as exc:  # int() refuses more than 4300 digits
+        raise InputError("PARSE_ERROR", f"bad number: {exc}") from exc
+    all_vars = tuple(sorted({v for exps, _, _ in collected for v in exps}))
     terms: dict = {}
-    for exps, coeff in collected:
+    for exps, num, den in collected:
         key = tuple(exps.get(v, 0) for v in all_vars)
-        terms[key] = terms.get(key, Fraction(0)) + coeff
-    return MPoly(all_vars, {k: c for k, c in terms.items() if c != 0})
+        coeff = Fraction(num) if den == 1 else Fraction(num, den)
+        terms[key] = terms[key] + coeff if key in terms else coeff
+    return MPoly(all_vars, {k: c for k, c in terms.items() if c})
 
 
 def poly_eval(p: MPoly, assignment: Mapping[str, object]):

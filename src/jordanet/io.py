@@ -20,7 +20,7 @@ from pathlib import Path
 from typing import Union
 
 from .errors import InputError
-from .exact import NAME, MPoly, frac, frac_str, parse_poly
+from .exact import NAME, MPoly, frac, parse_poly
 from .linalg import Mat
 from .spaces import MatSpace, ParametricBasis, make_space
 
@@ -93,13 +93,3 @@ def load_space_file(path: Union[str, Path]) -> Union[MatSpace, ParametricBasis]:
         raise InputError("PARSE_ERROR", f"bad JSON in {path}: {exc}") from exc
     return parse_space_data(obj)
 
-
-def space_to_json(space: MatSpace) -> dict:
-    def render(value: Fraction):
-        return int(value) if value.denominator == 1 else frac_str(value)
-
-    return {
-        "n": space.n,
-        "basis": [[[render(b[i, j]) for j in range(space.n)] for i in range(space.n)]
-                  for b in space.basis],
-    }

@@ -210,23 +210,6 @@ class JordanStructure:
     def element(self, coords: Sequence[Fraction]) -> Mat:
         return self.space.element(coords)
 
-    def to_json(self) -> dict:
-        """JSON-ready dict: basis, unit coordinates, structure tensor, radical."""
-        from .exact import frac_str
-
-        radical_coords = self._radical if self._radical is not None else None
-        return {
-            "n": self.space.n,
-            "m": self.dim,
-            "basis": [[[frac_str(b[i, j]) for j in range(self.space.n)]
-                       for i in range(self.space.n)] for b in self.space.basis],
-            "unit_coordinates": [frac_str(c) for c in self.unit_coords],
-            "tensor": [[[frac_str(c) for c in row] for row in plane]
-                       for plane in self.tensor],
-            "radical_coordinates": None if radical_coords is None
-            else [[frac_str(c) for c in vec] for vec in radical_coords],
-        }
-
 
 def structure_constants(space: MatSpace, u: Optional[Mat] = None) -> JordanStructure:
     """Structure tensor of a Jordan subalgebra; raises NOT_JORDAN when the

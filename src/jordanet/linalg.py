@@ -17,55 +17,27 @@ the right power of the denominator once per output term.  Products of
 polynomial matrices, characteristic polynomials and adjugates (the
 Faddeev-LeVerrier iteration: n - 1 matrix products, and divisions only by
 the integers 1..n, which are exact on integer polynomials) and determinants
-(Laplace expansion memoized over column subsets) all run on it.  Rational
-determinants use a fraction-free Bareiss routine, which the test suite
-cross-checks against Laplace.
+(Laplace expansion memoized over column subsets) all run on it, and so do
+all maximal minors of a wide matrix at once (``maximal_minors``: Pluecker
+coordinates share that memo).  A Fraction determinant is a fraction-free
+Bareiss elimination on the integer rows cleared of denominators.
 """
 
 from __future__ import annotations
 
 import bisect
+import itertools
 import math
 from fractions import Fraction
 from operator import mul
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
-from .errors import InternalCheckError, PreconditionError
-from .exact import MPoly, UniPoly, exact_div, frac
+from .errors import PreconditionError
+from .exact import MPoly, UniPoly, frac
 
 Entry = Union[Fraction, MPoly]
 
 LAMBDA = "lam"
-
-
-def _is_poly(x) -> bool:
-    return isinstance(x, MPoly)
-
-
-def _zero_like(x) -> Entry:
-    return MPoly.zero(x.vars) if _is_poly(x) else Fraction(0)
-
-
-def _one_like(x) -> Entry:
-    return MPoly.const(1, x.vars) if _is_poly(x) else Fraction(1)
-
-
-def _entry_is_zero(x) -> bool:
-    return x.is_zero() if _is_poly(x) else x == 0
-
-
-def _ring_div(num: Entry, den: Entry) -> Entry:
-    """Exact division; raises if the division is not exact."""
-    if _is_poly(num) or _is_poly(den):
-        if not _is_poly(num):
-            num = MPoly.const(num)
-        if not _is_poly(den):
-            den = MPoly.const(den)
-        q = exact_div(num, den)
-        if q is None:
-            raise InternalCheckError("INTERNAL", "inexact division in fraction-free elimination")
-        return q
-    return num / den
 
 
 class Mat:
@@ -382,6 +354,18 @@ class Echelon:
         """An integer vector v modulo the row space, divided by its content."""
         return _primitive(self._eliminate(v)[0])
 
+    def extend(self, rows: Iterable[Sequence[int]]) -> None:
+        """Adjoin the nonzero residue of each integer row in turn, until the
+        rank reaches the column count; rows after that are not drawn."""
+        rows = iter(rows)
+        while self.rank < self.cols:
+            row = next(rows, None)
+            if row is None:
+                return
+            residue = self.residue(row)
+            if any(residue):
+                self.adjoin(residue)
+
     def adjoin(self, v: List[int]) -> None:
         """Add a nonzero residue: its leading column becomes a pivot and is
         cleared from the other rows, which stay primitive."""
@@ -423,17 +407,11 @@ class Echelon:
 
 
 def rref(matrix: Sequence[Sequence[Fraction]]) -> Echelon:
-    """Reduced row echelon form: each row, times the lcm of its denominators,
-    adjoins its nonzero residue to one integer echelon, until the rank reaches
-    the column count.  Scaling rows keeps the row space and so the (unique)
-    reduced form."""
+    """Reduced row echelon form: one integer echelon extended by the rows,
+    each times the lcm of its denominators.  Scaling rows keeps the row space
+    and so the (unique) reduced form."""
     ech = Echelon(len(matrix[0]) if matrix else 0)
-    for row in matrix:
-        if ech.rank == ech.cols:
-            break
-        residue = ech.residue(_clear_denominators([frac(x) for x in row])[0])
-        if any(residue):
-            ech.adjoin(residue)
+    ech.extend(_clear_denominators([frac(x) for x in row])[0] for row in matrix)
     return ech
 
 
@@ -480,41 +458,46 @@ def inverse(m: Mat) -> Mat:
 
 # -- determinants ----------------------------------------------------------
 
-def det_bareiss(m: Mat) -> Entry:
-    """Fraction-free determinant (exact divisions by previous pivots)."""
+def det_bareiss(m: Mat) -> Fraction:
+    """Determinant of a Fraction matrix: fraction-free Bareiss elimination on
+    its rows cleared of denominators, row i = R'_i / d_i, so that
+    det(M) = det(M') / (d_1 ... d_n).  Every division is exact: by Sylvester's
+    identity each entry is a minor of M' (with its rows as swapped)."""
     if not m.is_square():
         raise PreconditionError("NOT_SQUARE", "determinant needs a square matrix")
+    cleared = [_clear_denominators(row) for row in m.data]
+    a = [row for row, _ in cleared]
     n = m.rows
-    if n == 0:
-        return Fraction(1)
-    a = [list(row) for row in m.data]
-    sign = 1
-    prev = _one_like(a[0][0])
+    sign, prev = 1, 1
     for k in range(n - 1):
-        if _entry_is_zero(a[k][k]):
-            swap = next((i for i in range(k + 1, n) if not _entry_is_zero(a[i][k])), None)
+        if not a[k][k]:
+            swap = next((i for i in range(k + 1, n) if a[i][k]), None)
             if swap is None:
-                return _zero_like(a[0][0])
+                return Fraction(0)
             a[k], a[swap] = a[swap], a[k]
             sign = -sign
+        pivot, top = a[k][k], a[k]
         for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                num = a[i][j] * a[k][k] - a[i][k] * a[k][j]
-                a[i][j] = _ring_div(num, prev)
-        prev = a[k][k]
-    result = a[n - 1][n - 1]
-    return -result if sign < 0 else result
+            row, f = a[i], a[i][k]
+            a[i] = row[:k + 1] + [(x * pivot - f * y) // prev
+                                  for x, y in zip(row[k + 1:], top[k + 1:])]
+        prev = pivot
+    value = a[n - 1][n - 1] if n else 1
+    return Fraction(sign * value, math.prod(d for _, d in cleared))
 
 
-def det_laplace(m: Mat) -> Entry:
-    """Determinant via Laplace expansion memoized over column subsets, on
-    the integer kernel: det(M) = det(M') / d^n."""
-    if not m.is_square():
-        raise PreconditionError("NOT_SQUARE", "determinant needs a square matrix")
-    n = m.rows
-    ring = PolyRing([m], n * _max_degree(m))
+def maximal_minors(m: Mat) -> Dict[Tuple[int, ...], Entry]:
+    """Every k x k minor of a k x N matrix (k <= N), keyed by its column tuple
+    in lexicographic order: one Laplace expansion memoized over column subsets
+    on the integer kernel.  The minor on columns S expands along row |S| - 1
+    into minors of the rows above on the subsets of S with one column fewer;
+    each subset's minor is computed once and shared by every S that contains
+    it.  With M = M' / d, each minor is the minor of M' over d^k.  Serves
+    ``det_laplace`` (k = N) and ``spaces.plucker`` (k < N)."""
+    k = m.rows
+    ring = PolyRing([m], k * _max_degree(m))
     a, d = ring.int_rows(m)
-    memo = {(): {0: 1}}
+    memo: Dict[tuple, IntPoly] = {(): {0: 1}}
 
     def minor(cols: tuple) -> IntPoly:
         cached = memo.get(cols)
@@ -532,12 +515,23 @@ def det_laplace(m: Mat) -> Entry:
         memo[cols] = acc = _nonzero(acc)
         return acc
 
-    return ring.entry(minor(tuple(range(n))), d ** n)
+    den = d ** k
+    return {cols: ring.entry(minor(cols), den)
+            for cols in itertools.combinations(range(m.cols), k)}
+
+
+def det_laplace(m: Mat) -> Entry:
+    """Determinant via Laplace expansion memoized over column subsets, on
+    the integer kernel: the one maximal minor of a square matrix."""
+    if not m.is_square():
+        raise PreconditionError("NOT_SQUARE", "determinant needs a square matrix")
+    return maximal_minors(m)[tuple(range(m.rows))]
 
 
 def det(m: Mat) -> Entry:
-    """Exact determinant; Bareiss over rationals, memoized Laplace over polynomials."""
-    if any(_is_poly(x) for row in m.data for x in row):
+    """Exact determinant: integer Bareiss on a Fraction matrix, memoized
+    Laplace on the integer kernel once any entry is a polynomial."""
+    if any(isinstance(x, MPoly) for row in m.data for x in row):
         return det_laplace(m)
     return det_bareiss(m)
 
@@ -596,7 +590,7 @@ def _faddeev_leverrier(m: Mat):
 def charpoly(m: Mat) -> UniPoly:
     """Monic characteristic polynomial det(lam*I - M) in the variable ``lam``."""
     coeffs, _ = _faddeev_leverrier(m)
-    return UniPoly(LAMBDA, [c if _is_poly(c) else MPoly.const(c) for c in coeffs])
+    return UniPoly(LAMBDA, [c if isinstance(c, MPoly) else MPoly.const(c) for c in coeffs])
 
 
 def adjugate(m: Mat) -> Mat:

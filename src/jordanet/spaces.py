@@ -19,7 +19,16 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from .errors import PreconditionError
 from .exact import MPoly, frac, poly_eval
-from .linalg import Echelon, Mat, det, inverse_or_none, mat_rank, rref, rref_with_transform
+from .linalg import (
+    Echelon,
+    Mat,
+    det,
+    inverse_or_none,
+    mat_rank,
+    maximal_minors,
+    rref,
+    rref_with_transform,
+)
 from .prng import SplitMix64
 
 
@@ -270,31 +279,11 @@ class PluckerVector:
     def nonzero(self) -> Dict[Tuple[int, ...], Fraction]:
         return {k: v for k, v in self.values.items() if v != 0}
 
-    def proportional_to(self, other: "PluckerVector") -> bool:
-        ratio = None
-        for key in set(self.values) | set(other.values):
-            a, b = self[key], other[key]
-            if a == 0 and b == 0:
-                continue
-            if a == 0 or b == 0:
-                return False
-            r = a / b
-            if ratio is None:
-                ratio = r
-            elif r != ratio:
-                return False
-        return ratio is not None
-
 
 def plucker(space: MatSpace) -> PluckerVector:
-    """All m x m minors of the m x binom(n+1,2) coordinate matrix."""
-    rows = space.coordinate_rows()
-    ncols = sym_dim(space.n)
-    values = {}
-    for cols in itertools.combinations(range(ncols), space.m):
-        sub = Mat([[rows[r][c] for c in cols] for r in range(space.m)])
-        values[cols] = det(sub)
-    return PluckerVector(space.n, space.m, values)
+    """All m x m minors of the m x binom(n+1,2) coordinate matrix, from one
+    Laplace memo over column subsets (``linalg.maximal_minors``)."""
+    return PluckerVector(space.n, space.m, maximal_minors(Mat(space.coordinate_rows())))
 
 
 class ParametricBasis:

@@ -1,0 +1,198 @@
+"""Reference implementations that the package's integer paths replaced.
+
+Each is the old, entry-by-entry route to the same answer, kept only so that
+the tests can compare the two:
+
+- ``parse_poly_by_tokens``: one regex match per token and one Fraction per
+  number (the current parser tokenizes once and keeps integers);
+- ``det_bareiss_by_ring``: Bareiss over Fraction or MPoly entries with a
+  generic exact division (the package runs Bareiss on integer rows and
+  polynomial determinants by Laplace);
+- ``macaulay_rank_by_fractions``: the Macaulay matrix as Fraction rows handed
+  to ``rref`` (the package writes integer rows into one echelon);
+- ``plucker_by_minors``: one determinant per maximal minor (the package
+  shares one Laplace memo over column subsets).
+"""
+
+import itertools
+import re
+from fractions import Fraction
+
+from jordanet.errors import InputError, InternalCheckError, PreconditionError
+from jordanet.exact import NAME, MPoly, exact_div, frac, monomials
+from jordanet.linalg import Mat, det, rref
+from jordanet.spaces import sym_dim
+
+_TOKEN = re.compile(
+    rf"\s*(?:(?P<num>\d+(?:/\d+)?)|(?P<name>{NAME.pattern})|(?P<op>[-+*^()]))"
+)
+
+
+def parse_poly_by_tokens(text: str) -> MPoly:
+    """The polynomial grammar, one regex match per token.  Unlike the
+    package's parser it reads an exponent as a rational whose value must be
+    an integer, so ``x^4/2`` is ``x^2`` here."""
+    tokens = []
+    pos = 0
+    while pos < len(text):
+        m = _TOKEN.match(text, pos)
+        if not m:
+            if text[pos:].strip():
+                raise InputError("PARSE_ERROR", f"bad token at {text[pos:pos+12]!r}")
+            break
+        pos = m.end()
+        if m.group("num"):
+            tokens.append(("num", frac(m.group("num"))))
+        elif m.group("name"):
+            tokens.append(("name", m.group("name")))
+        else:
+            tokens.append(("op", m.group("op")))
+    if not tokens:
+        raise InputError("PARSE_ERROR", "empty polynomial string")
+
+    collected = []  # (exponent dict, coefficient) per term
+    i = 0
+    n = len(tokens)
+    while i < n:
+        sign = Fraction(1)
+        while i < n and tokens[i][0] == "op" and tokens[i][1] in "+-":
+            if tokens[i][1] == "-":
+                sign = -sign
+            i += 1
+        if i >= n:
+            raise InputError("PARSE_ERROR", "dangling sign")
+        coeff = sign
+        exps: dict = {}
+        expect_factor = True
+        while i < n:
+            kind, val = tokens[i]
+            if kind == "op" and val in "+-":
+                break
+            if kind == "op" and val == "*":
+                if expect_factor:
+                    raise InputError("PARSE_ERROR", "misplaced '*'")
+                i += 1
+                expect_factor = True
+                continue
+            if not expect_factor:
+                raise InputError("PARSE_ERROR", "missing '*' between factors")
+            if kind == "num":
+                coeff *= val
+                i += 1
+            elif kind == "name":
+                name = val
+                i += 1
+                power = 1
+                if i < n and tokens[i] == ("op", "^"):
+                    i += 1
+                    if i >= n or tokens[i][0] != "num" or tokens[i][1].denominator != 1:
+                        raise InputError("PARSE_ERROR", "exponent must be an integer")
+                    power = int(tokens[i][1])
+                    i += 1
+                exps[name] = exps.get(name, 0) + power
+            else:
+                raise InputError("PARSE_ERROR", f"unexpected token {val!r}")
+            expect_factor = False
+        if expect_factor:
+            raise InputError("PARSE_ERROR", "trailing operator")
+        collected.append((exps, coeff))
+    all_vars = tuple(sorted({v for exps, _ in collected for v in exps}))
+    terms: dict = {}
+    for exps, coeff in collected:
+        key = tuple(exps.get(v, 0) for v in all_vars)
+        terms[key] = terms.get(key, Fraction(0)) + coeff
+    return MPoly(all_vars, {k: c for k, c in terms.items() if c != 0})
+
+
+def _is_poly(x) -> bool:
+    return isinstance(x, MPoly)
+
+
+def _zero_like(x):
+    return MPoly.zero(x.vars) if _is_poly(x) else Fraction(0)
+
+
+def _one_like(x):
+    return MPoly.const(1, x.vars) if _is_poly(x) else Fraction(1)
+
+
+def _entry_is_zero(x) -> bool:
+    return x.is_zero() if _is_poly(x) else x == 0
+
+
+def _ring_div(num, den):
+    """Exact division; raises if the division is not exact."""
+    if _is_poly(num) or _is_poly(den):
+        if not _is_poly(num):
+            num = MPoly.const(num)
+        if not _is_poly(den):
+            den = MPoly.const(den)
+        q = exact_div(num, den)
+        if q is None:
+            raise InternalCheckError("INTERNAL", "inexact division in fraction-free elimination")
+        return q
+    return num / den
+
+
+def det_bareiss_by_ring(m: Mat):
+    """Fraction-free determinant over Fraction or MPoly entries (exact
+    divisions by previous pivots)."""
+    if not m.is_square():
+        raise PreconditionError("NOT_SQUARE", "determinant needs a square matrix")
+    n = m.rows
+    if n == 0:
+        return Fraction(1)
+    a = [list(row) for row in m.data]
+    sign = 1
+    prev = _one_like(a[0][0])
+    for k in range(n - 1):
+        if _entry_is_zero(a[k][k]):
+            swap = next((i for i in range(k + 1, n) if not _entry_is_zero(a[i][k])), None)
+            if swap is None:
+                return _zero_like(a[0][0])
+            a[k], a[swap] = a[swap], a[k]
+            sign = -sign
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                num = a[i][j] * a[k][k] - a[i][k] * a[k][j]
+                a[i][j] = _ring_div(num, prev)
+        prev = a[k][k]
+    result = a[n - 1][n - 1]
+    return -result if sign < 0 else result
+
+
+def macaulay_rank_by_fractions(polys, degree: int, vars) -> tuple:
+    """(rank, column count) of the degree-``degree`` Macaulay matrix of a
+    homogeneous system over the sorted ``vars``, built as Fraction rows
+    indexed by exponent tuples and reduced by ``rref``."""
+    vars = tuple(sorted(vars))
+    cols = list(monomials(len(vars), degree))
+    col_index = {mono: k for k, mono in enumerate(cols)}
+    rows = []
+    for p in polys:
+        p = p.trimmed().with_vars(vars)
+        d = int(p.total_degree())
+        if d > degree:
+            continue
+        for mult in monomials(len(vars), degree - d):
+            row = [Fraction(0)] * len(cols)
+            for exps, coeff in p.terms.items():
+                row[col_index[tuple(a + b for a, b in zip(exps, mult))]] = coeff
+            rows.append(row)
+    return (rref(rows).rank if rows else 0), len(cols)
+
+
+def plucker_by_minors(space) -> dict:
+    """Every maximal minor of the coordinate matrix, one ``det`` each."""
+    rows = space.coordinate_rows()
+    return {cols: det(Mat([[row[c] for c in cols] for row in rows]))
+            for cols in itertools.combinations(range(sym_dim(space.n)), space.m)}
+
+
+def parse_outcome(parse, text: str):
+    """(vars, terms) of a parse, or the error code it raised."""
+    try:
+        p = parse(text)
+    except InputError as err:
+        return err.code
+    return p.vars, p.terms

@@ -1,7 +1,9 @@
 import json
 import os
+import re
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -11,6 +13,7 @@ from jordanet import chow, cli, exact, jordan
 from jordanet.cli import main
 from jordanet.errors import InputError, InternalCheckError, PreconditionError
 from jordanet.prng import SplitMix64
+from oracles import parse_outcome, parse_poly_by_tokens
 
 GOLDENS = json.loads((Path(__file__).parent / "data" / "cli_goldens.json").read_text())
 
@@ -494,6 +497,43 @@ class TestPartitionVariables:
         assert rings and all(ring == set() for ring in rings), rings
 
 
+class TestBoundedCost:
+    """A Macaulay matrix past the size bound is refused before it is built
+    (exit 3, TOO_LARGE, with its estimated shape), and running out of memory
+    anywhere exits 3 too: both are resource limits, not bugs."""
+
+    SYSTEM = "x*y - z^2\nx^2 - w*y\n"
+
+    @pytest.mark.parametrize("degree, shape", [(30, "8990 x 5456"), (60, "71980 x 39711")])
+    def test_large_degrees_are_refused_within_a_second(self, degree, shape, tmp_path, capsys):
+        f = tmp_path / "system.txt"
+        f.write_text(self.SYSTEM)
+        start = time.process_time()
+        code, out, err = run_cli(["emptiness", str(f), "--degree", str(degree), "--json"], capsys)
+        assert time.process_time() - start < 1
+        assert code == 3 and out == ""
+        assert "TOO_LARGE" in err and shape in err and "INTERNAL" not in err
+
+    def test_degree_ten_is_answered(self, tmp_path, capsys):
+        f = tmp_path / "system.txt"
+        f.write_text(self.SYSTEM)
+        code, out, _ = run_cli(["emptiness", str(f), "--degree", "10", "--json"], capsys)
+        report = json.loads(out)
+        assert code == 0 and (report["kind"], report["span_rank"], report["span_target"]) == (
+            "UNKNOWN", 246, 286)
+
+    def test_memory_error_exits_3(self, monkeypatch, tmp_path, capsys):
+        def exhausted(*args, **kwargs):
+            raise MemoryError
+
+        monkeypatch.setattr(cli, "macaulay_emptiness", exhausted)
+        f = tmp_path / "system.txt"
+        f.write_text(self.SYSTEM)
+        code, out, err = run_cli(["emptiness", str(f), "--degree", "2", "--json"], capsys)
+        assert code == 3 and out == ""
+        assert "TOO_LARGE" in err and "INTERNAL" not in err
+
+
 class TestResultTooLarge:
     """A result with a number past Python's 4300-digit conversion limit is a
     precondition error (exit 3) that prints nothing to stdout; big entries
@@ -591,6 +631,9 @@ def fuzz_space(rng):
     return obj
 
 
+RATIONAL_EXPONENT = re.compile(r"\^\s*\d+/\d+")
+
+
 def fuzz_poly_line(rng):
     if rng.int_between(0, 2):
         terms = []
@@ -635,3 +678,18 @@ class TestFuzz:
             assert "Traceback" not in err
             seen.add(code)
         assert seen == {0, 2, 3}
+
+    def test_poly_lines_parse_as_the_token_oracle_does(self):
+        # the same generator and seed as above; a rational exponent (x^2/2)
+        # is the one intended difference: the token oracle reads it as an
+        # integer when its value is one
+        rng = SplitMix64(20261018)
+        outcomes = set()
+        for _ in range(3000):
+            text = fuzz_poly_line(rng)
+            got = parse_outcome(exact.parse_poly, text)
+            want = parse_outcome(parse_poly_by_tokens, text)
+            if got != want:
+                assert got == "PARSE_ERROR" and RATIONAL_EXPONENT.search(text), text
+            outcomes.add(got == "PARSE_ERROR")
+        assert outcomes == {True, False}

@@ -1,4 +1,6 @@
+import json
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -17,6 +19,9 @@ from jordanet.exact import (
     uni_exact_div,
 )
 from jordanet.prng import SplitMix64
+from oracles import parse_outcome, parse_poly_by_tokens
+
+DATA = Path(__file__).resolve().parents[1] / "src" / "jordanet" / "data"
 
 
 def P(s):
@@ -171,6 +176,79 @@ class TestGrammar:
         for bad in ["x +", "* x", "x ^ y", "2x"]:
             with pytest.raises(InputError):
                 P(bad)
+
+    def test_an_exponent_is_a_string_of_digits(self):
+        # the old tokenizer read x^4/2 as x^2; the only intended difference
+        for text in ["x^4/2", "x^2/1", "x^ 6/3*y", "x^1/0", "x^-1", "x^+2", "x^y", "x^"]:
+            assert parse_outcome(parse_poly, text) == "PARSE_ERROR", text
+        assert parse_poly_by_tokens("x^4/2") == P("x^2")
+        assert P("x^02 * x ^ 1") == P("x^3")
+
+    EDGE_CASES = [
+        "", "   ", "x +", "* x", "x *", "x**y", "x ^ y", "2x", "x y", "--x + -+y", "+x",
+        "1/0*x", "0/0", "5/00", "3/2/5", "3 / 2", "3/ 2", "(x)", "x#", "x.5", "1e5", "0*x + y",
+        "x^0", "x^0*y^00", "2*3/4*x*x", "-0", "x - x", "\u0663*x", "\u00b2*x", "x\u00a0+\ty",
+        "1" * 4300 + "*x", "1" * 4301 + "*x", "x^" + "1" * 4301, "1/" + "7" * 4301,
+        "_a1*B_2 - 7/3*_", "p012*p457 + p012^2",
+    ]
+
+    def test_matches_the_token_oracle_on_edge_cases(self):
+        for text in self.EDGE_CASES:
+            assert parse_outcome(parse_poly, text) == parse_outcome(parse_poly_by_tokens, text), text
+
+    def test_matches_the_token_oracle_on_the_data_files(self):
+        texts = []
+        for path in sorted((DATA / "polynomials").glob("*.txt")):
+            texts += [line.strip() for line in path.read_text().splitlines()
+                      if line.strip() and not line.startswith("#")]
+
+        def strings(obj):
+            if isinstance(obj, str):
+                yield obj
+            elif isinstance(obj, list):
+                for x in obj:
+                    yield from strings(x)
+            elif isinstance(obj, dict):
+                for x in obj.values():
+                    yield from strings(x)
+
+        for path in sorted((DATA / "catalog").glob("*.json")):
+            texts += list(strings(json.loads(path.read_text())))
+        parsed = 0
+        for text in texts:
+            got = parse_outcome(parse_poly, text)
+            assert got == parse_outcome(parse_poly_by_tokens, text), text
+            parsed += got != "PARSE_ERROR"
+        assert parsed > 60
+
+    def test_matches_the_token_oracle_on_seeded_polynomials(self):
+        # printed forms, and the same terms rewritten: spaces, repeated signs,
+        # split and reordered factors and coefficients, repeated monomials
+        rng = SplitMix64(2013)
+        for k in range(300):
+            p = random_poly(rng, vars=("x", "y", "z", "t1")[: 1 + k % 4], nterms=1 + k % 6,
+                            coeff=10 ** (k % 5))
+            texts = [str(p)]
+            chunks = []
+            for exps, c in p.terms.items():
+                factors = [f"{v}^{e}" if rng.int_between(0, 1) else "*".join([v] * e)
+                           for v, e in zip(p.vars, exps) if e]
+                factors += [str(abs(c.numerator)), f"1/{c.denominator}"]
+                factors = [factors[i] for i in sorted(range(len(factors)),
+                                                      key=lambda i: rng.int_between(0, 99))]
+                sign = "-" if c < 0 else pick_sign(rng)
+                chunks.append(sign + " " * rng.int_between(0, 2) + " * ".join(factors))
+            if chunks:
+                texts.append(" ".join(chunks))
+                texts.append(" + ".join(chunks) + " - " + chunks[0].lstrip("+-"))
+            for text in texts:
+                got = parse_outcome(parse_poly, text)
+                assert got != "PARSE_ERROR" and got == parse_outcome(parse_poly_by_tokens, text)
+            assert P(texts[0]) == p
+
+
+def pick_sign(rng):
+    return ["+", "+-+-", "- -"][rng.int_between(0, 2)]
 
 
 class TestExactDiv:

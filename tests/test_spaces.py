@@ -9,6 +9,7 @@ from jordanet import spaces
 from jordanet.catalog import canonical, catalog_ids
 from jordanet.errors import PreconditionError
 from jordanet.exact import MPoly, parse_poly
+from jordanet.exact import frac_str
 from jordanet.io import parse_space_data
 from jordanet.linalg import Mat, det
 from jordanet.prng import SplitMix64
@@ -30,10 +31,39 @@ from jordanet.spaces import (
     sample_congruent,
     sym_dim,
 )
+from oracles import plucker_by_minors
 
 
 def P(s):
     return parse_poly(s)
+
+
+def proportional(a, b) -> bool:
+    """Whether two Pluecker vectors are nonzero multiples of each other."""
+    ratio = None
+    for key in set(a.values) | set(b.values):
+        x, y = a[key], b[key]
+        if x == 0 and y == 0:
+            continue
+        if x == 0 or y == 0:
+            return False
+        if ratio is None:
+            ratio = x / y
+        elif x / y != ratio:
+            return False
+    return ratio is not None
+
+
+def space_to_json(space: MatSpace) -> dict:
+    """The space-file form of a space: integers, or p/q strings."""
+    def render(value: Fraction):
+        return int(value) if value.denominator == 1 else frac_str(value)
+
+    return {
+        "n": space.n,
+        "basis": [[[render(b[i, j]) for j in range(space.n)] for i in range(space.n)]
+                  for b in space.basis],
+    }
 
 
 def sym(n, entries):
@@ -303,13 +333,39 @@ class TestPlucker:
         pv1 = plucker(sp)
         rescaled = MatSpace(4, [sp.basis[0].scale(3), sp.basis[1], sp.basis[2]])
         pv2 = plucker(rescaled)
-        assert pv1.proportional_to(pv2)
+        assert proportional(pv1, pv2)
 
     def test_nonzero_for_valid_space(self):
         rng = SplitMix64(13)
         for seed in range(5):
             sp = sample_congruent(double_conic_net(), seed)
             assert plucker(sp).nonzero()
+
+    def test_one_memo_equals_a_determinant_per_minor(self):
+        # catalog spaces and their congruence images, and seeded spaces with
+        # rational entries, of every dimension m from 1 to 4 in S^3 and S^4
+        spaces = [canonical(cid) for cid in catalog_ids()]
+        spaces = [sp for sp in spaces if isinstance(sp, MatSpace)]
+        spaces += [sample_congruent(sp, k) for sp in spaces for k in range(2)]
+        rng = SplitMix64(2012)
+        for n in (3, 4):
+            for m in range(1, 5):
+                while True:
+                    basis = []
+                    for _ in range(m):
+                        e = [[Fraction(rng.int_between(-5, 5), rng.int_between(1, 4))
+                              for _ in range(n)] for _ in range(n)]
+                        basis.append(Mat([[e[min(i, j)][max(i, j)] for j in range(n)]
+                                          for i in range(n)]))
+                    try:
+                        spaces.append(make_space(n, basis))
+                        break
+                    except PreconditionError:
+                        continue
+        for sp in spaces:
+            pv = plucker(sp)
+            assert list(pv.values.items()) == list(plucker_by_minors(sp).items())
+            assert all(type(v) is Fraction for v in pv.values.values())
 
 
 def family_from_strings(n, mats, param="t"):
@@ -358,7 +414,7 @@ class TestGrassmannLimit:
         lim = grassmann_limit(fam)
         got = plucker(lim)
         expected = plucker_limit_oracle(fam)
-        assert got.proportional_to(expected)
+        assert proportional(got, expected)
 
 
 def plucker_limit_oracle(fam):
@@ -408,21 +464,16 @@ class TestLimitOracleOnCatalogFamilies:
         for cid, _, _ in degeneration_edges():
             fam = canonical(cid)
             lim = grassmann_limit(fam)
-            assert plucker(lim).proportional_to(plucker_limit_oracle(fam)), cid
+            assert proportional(plucker(lim), plucker_limit_oracle(fam)), cid
 
 
 class TestJsonRoundTrip:
     def test_space_to_json_and_back(self):
-        from jordanet.io import parse_space_data, space_to_json
-
         sp = double_conic_net()
         blob = space_to_json(sp)
         assert parse_space_data(blob) == sp
 
     def test_fraction_entries_render_as_strings(self):
-        from jordanet.io import parse_space_data, space_to_json
-        from fractions import Fraction
-
         sp = make_space(2, [Mat([[Fraction(1, 2), Fraction(0)], [Fraction(0), Fraction(1)]])])
         blob = space_to_json(sp)
         assert blob["basis"][0][0][0] == "1/2"

@@ -5,7 +5,8 @@ import pytest
 
 from jordanet.catalog import canonical
 from jordanet.errors import InputError, PreconditionError
-from jordanet.exact import UniPoly, mpoly_gcd, parse_poly
+from jordanet import varieties
+from jordanet.exact import MPoly, UniPoly, monomials, mpoly_gcd, parse_poly
 from jordanet.linalg import Mat, inverse
 from jordanet.prng import SplitMix64
 from jordanet.spaces import PluckerVector, make_space, plucker, sample_congruent
@@ -20,6 +21,7 @@ from jordanet.varieties import (
     rank_one_pencil,
     rank_one_system,
 )
+from oracles import macaulay_rank_by_fractions
 
 
 def P(s):
@@ -111,6 +113,39 @@ class TestMacaulay:
             if all(v == 0 for v in point.values()):
                 continue
             assert any(eval_poly_at(p, point) != 0 for p in system)
+
+
+    def test_integer_rows_match_the_fraction_rows(self):
+        # seeded systems with rational coefficients: as many dense forms as
+        # variables (empty, certified from the Macaulay bound on), or fewer
+        rng = SplitMix64(2014)
+        kinds = set()
+        for k in range(36):
+            vars = ("w", "x", "y", "z")[: 2 + k % 3]
+            system = []
+            for _ in range(len(vars) - (k % 4 == 3)):
+                terms = {mono: Fraction(rng.int_between(-9, 9), rng.int_between(1, 5))
+                         for mono in monomials(len(vars), rng.int_between(1, 3))}
+                if not any(terms.values()):
+                    terms[next(iter(terms))] = Fraction(1)
+                system.append(MPoly.from_terms(vars, terms))
+            degree = rng.int_between(0, 5)
+            cert = macaulay_emptiness(system, degree, vars=vars)
+            assert (cert.span_rank, cert.span_target) == macaulay_rank_by_fractions(
+                system, degree, vars)
+            kinds.add(cert.kind)
+        assert kinds == {"CERTIFIED_EMPTY", "UNKNOWN"}
+
+    def test_size_is_estimated_before_the_matrix_is_built(self, monkeypatch):
+        # the benchmark's widest certificate: 3 quadrics in 12 variables, each
+        # times the 12 linear monomials, against the 364 cubic monomials
+        system = catalog_polynomials("jordan_net_quadrics")
+        cert = macaulay_emptiness(system, 3)
+        assert (cert.span_rank, cert.span_target) == (36, 364)
+        monkeypatch.setattr(varieties, "MAX_MACAULAY_CELLS", 36 * 364 - 1)
+        with pytest.raises(PreconditionError) as err:
+            macaulay_emptiness(system, 3)
+        assert err.value.code == "TOO_LARGE" and "36 x 364" in str(err.value)
 
 
 class TestRankOneSystem:
