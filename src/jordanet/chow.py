@@ -17,6 +17,7 @@ per process.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Tuple
@@ -30,6 +31,7 @@ from .spaces import (
     generic_names,
     integer_sweep,
     is_regular,
+    sym_dim,
     sym_pairs,
     vectorize,
 )
@@ -47,12 +49,26 @@ class ChowMatrix:
         return Mat(self.entries)
 
 
+#: the largest Chow matrix, in rows x columns, that ``chow_matrix`` builds
+#: (the benchmark's largest is 15 x 35).  Dense spaces cost about 40 us of CPU
+#: per cell (Python 3.11, Xeon): all of S^5 (15 x 3060) 1.8 s; all of S^6
+#: (21 x 53130) 15 s even on the sparse basis of unit matrices.
+MAX_CHOW_CELLS = 100_000
+
+
 def chow_matrix(space: MatSpace) -> ChowMatrix:
     """Chow matrix of a numeric space; square exactly when m = 3.
 
     Built once per space and memoised on it; callers must not mutate it.
+    It is sized before the adjugate is built, sym_dim(n) rows by
+    C(m + n - 2, n - 1) columns, and refused with TOO_LARGE past
+    ``MAX_CHOW_CELLS``.
     """
     if space._chow is None:
+        rows, cols = sym_dim(space.n), math.comb(space.m + space.n - 2, space.n - 1)
+        if rows * cols > MAX_CHOW_CELLS:
+            raise PreconditionError("TOO_LARGE", f"the Chow matrix would be {rows} x {cols}, "
+                                    f"past {MAX_CHOW_CELLS} cells")
         space._chow = _build_chow_matrix(space)
     return space._chow
 

@@ -98,15 +98,14 @@ def invariant_vector(space: MatSpace) -> InvariantVector:
     """The five classifying invariants; raises NOT_JORDAN when the space is
     not closed under the product."""
     a = structure_constants(space)
-    mats, report = radical(a)
-    dim_rad = report.dim
+    coords = radical(a)
     assoc = is_associative(a)
     rad_sq = rad_square_dim(a)
     partition = generic_multiplicity_partition(space)
     rank_one = None
-    if dim_rad == 2:
-        rank_one = rank_one_pencil(make_space(space.n, mats))
-    return InvariantVector(dim_rad, assoc, rad_sq, partition, rank_one)
+    if len(coords) == 2:
+        rank_one = rank_one_pencil(make_space(space.n, [space.element(c) for c in coords]))
+    return InvariantVector(len(coords), assoc, rad_sq, partition, rank_one)
 
 
 # -- abstract classification (dimension 2 and 3) ---------------------------
@@ -116,7 +115,7 @@ def classify_abstract(a: JordanStructure) -> str:
     m = a.dim
     if m not in (2, 3):
         raise PreconditionError("UNSUPPORTED_DIM", "abstract classification covers dimensions 2 and 3")
-    dim_rad = radical(a)[1].dim
+    dim_rad = len(radical(a))
     if m == 2:
         if dim_rad == 0:
             return "1"
@@ -154,7 +153,7 @@ def classify_pencil(space: MatSpace) -> PencilClass:
     if not is_jordan(space)[0]:
         return PencilClass("NOT_JORDAN")
     a = structure_constants(space)
-    dim_rad = radical(a)[1].dim
+    dim_rad = len(radical(a))
     if dim_rad == 1:
         return PencilClass("nilpotent")
     partition = generic_multiplicity_partition(space)
@@ -200,7 +199,7 @@ def classify_type1_partition(space: MatSpace) -> Optional[Tuple[int, int, int]]:
     if space.m != 3:
         raise PreconditionError("UNSUPPORTED_DIM", "type-1 partitions need m = 3")
     a = structure_constants(space)
-    if radical(a)[1].dim != 0 or not is_associative(a):
+    if radical(a) or not is_associative(a):
         return None
     partition = generic_multiplicity_partition(space)
     if len(partition) != 3:
@@ -220,8 +219,7 @@ def classify_copencil_S3(space: MatSpace) -> str:
         raise PreconditionError("UNSUPPORTED_DIM", "copencil classification needs n = 3, m = 4")
     if not is_regular(space) or not is_jordan(space)[0]:
         return "NOT_JORDAN"
-    dim_rad = radical(structure_constants(space))[1].dim
-    return "CLASS_L1" if dim_rad == 0 else "CLASS_L2"
+    return "CLASS_L2" if radical(structure_constants(space)) else "CLASS_L1"
 
 
 # -- component counting --------------------------------------------------------

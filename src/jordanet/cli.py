@@ -133,7 +133,7 @@ def cmd_analyze(args) -> int:
     report["net_class"] = None
     if ok:
         a = structure_constants(space, u)
-        report["radical_dim"] = radical(a)[1].dim
+        report["radical_dim"] = len(radical(a))
         if space.m in (2, 3):
             report["abstract_class"] = classify_abstract(a)
         try:

@@ -836,8 +836,9 @@ def squarefree_decomposition(p: UniPoly):
 
     Returns (content: MPoly, [(factor: UniPoly, multiplicity: int), ...]) with
     squarefree, pairwise-coprime, primitive factors, one per multiplicity, in
-    increasing multiplicity (the order Yun's loop finds them).
-    The reconstruction is verified by exact division before returning.
+    increasing multiplicity (the order Yun's loop finds them).  Since
+    p = content * prod(f_i ** k_i), the content is lc(p) divided exactly by
+    prod(lc(f_i) ** k_i); the tests check the reconstruction.
     """
     if p.is_zero():
         raise ValueError("zero polynomial has no squarefree decomposition")
@@ -858,11 +859,5 @@ def squarefree_decomposition(p: UniPoly):
         d = uni_exact_div(d, a) - c_next.derivative()
         c = c_next
         mult += 1
-    product = UniPoly.from_const(p.var, 1)
-    for factor, k in factors:
-        for _ in range(k):
-            product = product * factor
-    residue = uni_exact_div(p, product)
-    if residue is None or residue.degree() != 0:
-        raise InternalCheckError("INTERNAL", "squarefree reconstruction failed")
-    return residue.coeffs[0], factors
+    lead = math.prod((factor.lc() ** k for factor, k in factors), start=MPoly.const(1))
+    return exact_div(p.lc(), lead), factors

@@ -21,11 +21,12 @@ rank and inverse) from a worklist, reducing each product once and adjoining a
 nonzero residue in place.  Basis products divide once by the scale and keep
 their true value.
 
-Radicals are computed as the kernel of the trace form (x, y) -> tr(L_{x*y}),
-the characteristic-zero semisimplicity criterion.  The test suite checks that
-the kernel is an ideal of nilpotents, and that the product satisfies the unit
-law and the Jordan identity (a theorem: X -> U^{-1} X embeds the algebra into
-the special Jordan algebra (AB + BA) / 2).
+The radical (coordinate vectors: the kernel of the trace form (x, y) ->
+tr(L_{x*y}), the characteristic-zero semisimplicity criterion) and
+associativity are read off the structure tensor and cached on it.  The tests
+check that the kernel is an ideal of nilpotents, and that the product
+satisfies the unit law and the Jordan identity (a theorem: X -> U^{-1} X
+embeds the algebra into the special Jordan algebra (AB + BA) / 2).
 """
 
 from __future__ import annotations
@@ -175,6 +176,7 @@ class JordanStructure:
     unit_coords: Tuple[Fraction, ...]
     tensor: Tuple[Tuple[Tuple[Fraction, ...], ...], ...]
     _radical: Optional[List[List[Fraction]]] = field(default=None, repr=False)
+    _associative: Optional[bool] = field(default=None, repr=False)
 
     @property
     def dim(self) -> int:
@@ -207,9 +209,6 @@ class JordanStructure:
             cols.append(self.multiply_coords(coords, basis_j))
         return Mat([[cols[j][k] for j in range(m)] for k in range(m)])
 
-    def element(self, coords: Sequence[Fraction]) -> Mat:
-        return self.space.element(coords)
-
 
 def structure_constants(space: MatSpace, u: Optional[Mat] = None) -> JordanStructure:
     """Structure tensor of a Jordan subalgebra; raises NOT_JORDAN when the
@@ -239,59 +238,36 @@ def _basis_products(space: MatSpace, unit: Unit) -> Union[JordanStructure, Jorda
     return unit.products
 
 
-@dataclass
-class RadicalReport:
-    dim: int
-    basis_coords: List[List[Fraction]]
-
-
-def radical(a: JordanStructure) -> Tuple[List[Mat], RadicalReport]:
-    """Radical as the kernel of the trace form tr(L_{x*y}), cached on the
-    structure."""
+def radical(a: JordanStructure) -> List[List[Fraction]]:
+    """Coordinate vectors of the radical, the kernel of the trace form, cached
+    on the structure: with c_ij^k = ``tensor[i][j][k]``, tr(L_{b_k}) =
+    sum_j c_kj^j and the Gram entry is sum_k c_ij^k tr(L_{b_k})."""
     if a._radical is None:
-        m = a.dim
-        traces = []
-        for k in range(m):
-            basis_k = [Fraction(int(t == k)) for t in range(m)]
-            traces.append(a.operator_matrix(basis_k).trace())
-        gram = []
-        for i in range(m):
-            row = []
-            for j in range(m):
-                val = Fraction(0)
-                for k in range(m):
-                    c = a.tensor[i][j][k]
-                    if c != 0:
-                        val += c * traces[k]
-                row.append(val)
-            gram.append(row)
+        m, tensor = a.dim, a.tensor
+        traces = [sum(tensor[k][j][j] for j in range(m)) for k in range(m)]
+        gram = [[sum(c * t for c, t in zip(tensor[i][j], traces) if c) for j in range(m)]
+                for i in range(m)]
         a._radical = rref(gram).kernel_basis()
-    coords = a._radical
-    return [a.element(c) for c in coords], RadicalReport(len(coords), coords)
-
-
-def radical_dim(a: JordanStructure) -> int:
-    return radical(a)[1].dim
+    return a._radical
 
 
 def is_associative(a: JordanStructure) -> bool:
-    """(b_i * b_j) * b_k = b_i * (b_j * b_k) on all basis triples."""
-    m = a.dim
-    unit_vecs = [[Fraction(int(t == i)) for t in range(m)] for i in range(m)]
-    for i in range(m):
-        for j in range(m):
-            ij = a.multiply_coords(unit_vecs[i], unit_vecs[j])
-            for k in range(m):
-                jk = a.multiply_coords(unit_vecs[j], unit_vecs[k])
-                if a.multiply_coords(ij, unit_vecs[k]) != a.multiply_coords(unit_vecs[i], jk):
-                    return False
-    return True
+    """(b_i * b_j) * b_k = b_i * (b_j * b_k) on all basis triples: the
+    product of ``tensor[i][j]`` with b_k against that of b_i with
+    ``tensor[j][k]``.  Cached on the structure."""
+    if a._associative is None:
+        m = a.dim
+        unit_vecs = [[Fraction(int(t == i)) for t in range(m)] for i in range(m)]
+        a._associative = all(
+            a.multiply_coords(a.tensor[i][j], unit_vecs[k])
+            == a.multiply_coords(unit_vecs[i], a.tensor[j][k])
+            for i in range(m) for j in range(m) for k in range(m))
+    return a._associative
 
 
 def rad_square_dim(a: JordanStructure) -> int:
     """Dimension of the span of pairwise products of radical elements."""
-    _, report = radical(a)
-    coords = report.basis_coords
+    coords = radical(a)
     if not coords:
         return 0
     rows = []
@@ -335,12 +311,12 @@ def peirce(a: JordanStructure, idempotents: Sequence[Mat]) -> Dict[Tuple[int, in
     used = 0
     for i in range(d):
         kernel = rref((ops[i] - ident).data).kernel_basis()
-        pieces[(i, i)] = [a.element(v) for v in kernel]
+        pieces[(i, i)] = [a.space.element(v) for v in kernel]
         used += len(kernel)
         for j in range(i + 1, d):
             stacked = (ops[i].scale(2) - ident).data + (ops[j].scale(2) - ident).data
             kernel = rref(list(stacked)).kernel_basis()
-            pieces[(i, j)] = [a.element(v) for v in kernel]
+            pieces[(i, j)] = [a.space.element(v) for v in kernel]
             used += len(kernel)
     if used != m:
         raise InternalCheckError("INTERNAL", f"Peirce pieces span {used} of {m} dimensions")

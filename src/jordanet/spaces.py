@@ -23,6 +23,7 @@ from .linalg import (
     Echelon,
     Mat,
     det,
+    integer_matrix,
     inverse_or_none,
     mat_rank,
     maximal_minors,
@@ -90,10 +91,10 @@ class MatSpace:
         return self._echelon
 
     def element(self, coords: Sequence) -> Mat:
-        acc = self.basis[0].scale(frac(coords[0]))
-        for c, b in zip(coords[1:], self.basis[1:]):
-            acc = acc + b.scale(frac(c))
-        return acc
+        """sum_k c_k B_k, each entry formed once as sum_k c_k B_k[i][j]."""
+        terms = [(frac(c), b.data) for c, b in zip(coords, self.basis) if c]
+        return Mat([[sum((c * d[i][j] for c, d in terms), Fraction(0)) for j in range(self.n)]
+                    for i in range(self.n)])
 
     def __eq__(self, other) -> bool:
         """Equality as subspaces (same row space), not as ordered bases."""
@@ -199,16 +200,24 @@ def _first_invertible(space: MatSpace) -> Optional[Tuple[Mat, Tuple[int, ...]]]:
 
 
 def _sweep_for_unit(space: MatSpace) -> Optional[Tuple[Mat, Tuple[int, ...]]]:
-    ident = Mat.identity(space.n)
+    """With the basis over one common denominator L, B_k = B'_k / L, a sweep
+    point t is invertible iff the integer matrix sum_k t_k B'_k is, so each
+    candidate is ranked on an integer ``Echelon``; the Fraction element is
+    formed only for the point that wins."""
+    n, ident = space.n, Mat.identity(space.n)
     coords = contains(space, ident)
     if coords is not None:
         return ident, tuple(coords)
+    stacked, _ = integer_matrix(Mat([row for b in space.basis for row in b.data]))
+    basis = [stacked[k * n:(k + 1) * n] for k in range(space.m)]
     for k, tup in enumerate(integer_sweep(space.m)):
         if k == _WITNESS_BUDGET and generic_det(space).is_zero():
             return None
-        cand = space.element(tup)
-        if mat_rank(cand) == space.n:
-            return cand, tup
+        terms = [(t, b) for t, b in zip(tup, basis) if t]
+        ech = Echelon(n)
+        ech.extend([sum(t * b[i][j] for t, b in terms) for j in range(n)] for i in range(n))
+        if ech.rank == n:
+            return space.element(tup), tup
 
 
 def contains(space: MatSpace, m: Mat) -> Optional[List[Fraction]]:

@@ -24,9 +24,9 @@ from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from .errors import InputError, PreconditionError
-from .exact import MPoly, UniPoly, monomials, mpoly_gcd, parse_poly, poly_eval, subresultant_gcd
+from .exact import MPoly, monomials, parse_poly, poly_eval
 from .jordan import radical, structure_constants
-from .linalg import Echelon, Mat, mat_rank
+from .linalg import Echelon, Mat, integer_matrix, mat_rank
 from .spaces import (
     MatSpace,
     PluckerVector,
@@ -164,37 +164,33 @@ def rank_one_locus_certificate(space: MatSpace) -> Certificate:
 def rank_one_pencil(space: MatSpace) -> Union[int, str]:
     """Number of distinct projective rank-one points of a pencil, or "ALL".
 
-    The GCD of all 2x2-minor binary forms is itself a binary form; the answer
-    is the degree of its squarefree part, counted projectively over the
-    complex numbers (so irrational and complex root pairs are included).
+    The rank-one points of t1 B1 + t2 B2 are the common zeros, projective
+    and complex, of its 2 x 2 minors: binary quadratics a t1^2 + b t1 t2 +
+    c t2^2.  The count is read off V, the span of their vectors (a, b, c).
+    V = 0: "ALL".  dim V = 3: V holds t1^2, t1 t2 and t2^2, so 0.  dim V = 2:
+    two independent quadratics share at most one zero, and one iff their
+    resultant (af - cd)^2 - (ae - bd)(bf - ce) vanishes.  dim V = 1: 1 iff
+    the discriminant b^2 - 4ac vanishes, else 2.  Clearing B1 and B2 of
+    denominators moves the points but not their number.
     """
     if space.m != 2:
         raise PreconditionError("UNSUPPORTED_DIM", "pencil operation needs m = 2")
-    minors = rank_one_system(space)
-    if not minors:
+    (p, _), (q, _) = (integer_matrix(b) for b in space.basis)
+    pairs = itertools.combinations(range(space.n), 2)
+    ech = Echelon(3)
+    ech.extend([p[i][k] * p[j][l] - p[i][l] * p[j][k],
+                p[i][k] * q[j][l] + q[i][k] * p[j][l] - p[i][l] * q[j][k] - q[i][l] * p[j][k],
+                q[i][k] * q[j][l] - q[i][l] * q[j][k]]
+               for (i, j), (k, l) in itertools.combinations_with_replacement(pairs, 2))
+    if ech.rank == 0:
         return "ALL"
-    g = MPoly.zero()
-    for minor in minors:
-        g = mpoly_gcd(g, minor)
-    if g.is_constant():
-        return 0
-    vars = tuple(sorted(generic_names(2)))
-    g = g.with_vars(tuple(sorted(set(g.vars) | set(vars))))
-    i1 = g.vars.index(vars[0])
-    i2 = g.vars.index(vars[1])
-    a = min(e[i1] for e in g.terms)
-    b = min(e[i2] for e in g.terms)
-    stripped = MPoly(g.vars, {
-        tuple(x - (a if k == i1 else b if k == i2 else 0) for k, x in enumerate(e)): c
-        for e, c in g.terms.items()
-    })
-    count = (1 if a > 0 else 0) + (1 if b > 0 else 0)
-    if stripped.is_constant():
-        return count
-    w = UniPoly.from_mpoly(stripped.substitute({vars[1]: 1}).trimmed(), vars[0])
-    d = int(w.degree())
-    sf = subresultant_gcd(w, w.derivative())
-    return count + d - int(sf.degree())
+    if ech.rank == 1:
+        a, b, c = ech.int_rows[0]
+        return 1 if b * b == 4 * a * c else 2
+    if ech.rank == 2:
+        (a, b, c), (d, e, f) = ech.int_rows
+        return 1 if (a * f - c * d) ** 2 == (a * e - b * d) * (b * f - c * e) else 0
+    return 0
 
 
 # -- stored certificate catalogs -------------------------------------------
@@ -312,9 +308,7 @@ def min_rank_bounds(space: MatSpace) -> MinRankBounds:
     witness = None
     candidates: List[Mat] = list(space.basis)
     try:
-        structure = structure_constants(space)
-        mats, _ = radical(structure)
-        candidates.extend(mats)
+        candidates.extend(space.element(c) for c in radical(structure_constants(space)))
     except PreconditionError:
         pass
     count = 0

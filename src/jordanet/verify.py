@@ -400,8 +400,8 @@ def check_complements(seed: int = 0) -> List[CheckResult]:
     for cid in ("copencil/L1", "copencil/L2"):
         ok, _ = is_jordan(canonical(cid))
         _check(out, f"{cid} is closed under the product", ok)
-    r1 = radical(structure_constants(canonical("copencil/L1")))[1].dim
-    r2 = radical(structure_constants(canonical("copencil/L2")))[1].dim
+    r1 = len(radical(structure_constants(canonical("copencil/L1"))))
+    r2 = len(radical(structure_constants(canonical("copencil/L2"))))
     _check(out, "copencil classes separated by radical dimension",
            r1 == 0 and r2 > 0, f"radical dims {r1}, {r2}")
     _check(out, "copencil classifier labels", classify_copencil_S3(canonical("copencil/L1")) == "CLASS_L1"

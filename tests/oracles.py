@@ -11,7 +11,10 @@ the tests can compare the two:
 - ``macaulay_rank_by_fractions``: the Macaulay matrix as Fraction rows handed
   to ``rref`` (the package writes integer rows into one echelon);
 - ``plucker_by_minors``: one determinant per maximal minor (the package
-  shares one Laplace memo over column subsets).
+  shares one Laplace memo over column subsets);
+- ``sweep_for_unit_by_fractions``: every sweep candidate formed as a
+  Fraction scale-and-add of the basis and ranked by ``mat_rank`` (the
+  package ranks integer candidates and forms the winner alone).
 """
 
 import itertools
@@ -20,8 +23,8 @@ from fractions import Fraction
 
 from jordanet.errors import InputError, InternalCheckError, PreconditionError
 from jordanet.exact import NAME, MPoly, exact_div, frac, monomials
-from jordanet.linalg import Mat, det, rref
-from jordanet.spaces import sym_dim
+from jordanet.linalg import Mat, det, mat_rank, rref
+from jordanet.spaces import _WITNESS_BUDGET, contains, generic_det, integer_sweep, sym_dim
 
 _TOKEN = re.compile(
     rf"\s*(?:(?P<num>\d+(?:/\d+)?)|(?P<name>{NAME.pattern})|(?P<op>[-+*^()]))"
@@ -187,6 +190,31 @@ def plucker_by_minors(space) -> dict:
     rows = space.coordinate_rows()
     return {cols: det(Mat([[row[c] for c in cols] for row in rows]))
             for cols in itertools.combinations(range(sym_dim(space.n)), space.m)}
+
+
+def element_by_scale_and_add(space, coords) -> Mat:
+    """sum_k c_k B_k as m Fraction scalings and m - 1 matrix sums."""
+    acc = space.basis[0].scale(frac(coords[0]))
+    for c, b in zip(coords[1:], space.basis[1:]):
+        acc = acc + b.scale(frac(c))
+    return acc
+
+
+def sweep_for_unit_by_fractions(space):
+    """(unit, coordinates) as the regularity sweep chooses them, or None for
+    a singular space: the identity if present, else the first sweep point
+    whose Fraction element has full rank, with the generic determinant
+    expanded after ``_WITNESS_BUDGET`` singular points."""
+    ident = Mat.identity(space.n)
+    coords = contains(space, ident)
+    if coords is not None:
+        return ident, tuple(coords)
+    for k, tup in enumerate(integer_sweep(space.m)):
+        if k == _WITNESS_BUDGET and generic_det(space).is_zero():
+            return None
+        cand = element_by_scale_and_add(space, tup)
+        if mat_rank(cand) == space.n:
+            return cand, tup
 
 
 def parse_outcome(parse, text: str):

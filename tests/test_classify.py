@@ -267,8 +267,8 @@ class TestCopencils:
         # separated by radical dimension
         a1 = structure_constants(canonical("copencil/L1"))
         a2 = structure_constants(canonical("copencil/L2"))
-        assert radical(a1)[1].dim == 0
-        assert radical(a2)[1].dim > 0
+        assert len(radical(a1)) == 0
+        assert len(radical(a2)) > 0
         assert classify_copencil_S3(canonical("copencil/L1")) == "CLASS_L1"
         assert classify_copencil_S3(canonical("copencil/L2")) == "CLASS_L2"
 

@@ -363,6 +363,36 @@ class TestUnitInvertedOnce:
         assert eliminated.count(unit.data) == 1
 
 
+class TestAssociativityOnce:
+    def test_analyze_of_a_net_evaluates_associativity_once(self, monkeypatch, capsys):
+        # the abstract class and the invariant vector both ask; only the
+        # first multiplies, the second reads the answer cached on the structure
+        from jordanet import catalog
+
+        products, inside = [], []  # products taken by each is_associative call
+        real, multiply = jordan.is_associative, jordan.JordanStructure.multiply_coords
+
+        def recording(a):
+            products.append(0)
+            inside.append(a)
+            try:
+                return real(a)
+            finally:
+                inside.pop()
+
+        def counting(self, x, y):
+            if inside:
+                products[-1] += 1
+            return multiply(self, x, y)
+
+        rebind_everywhere(monkeypatch, "is_associative", real, recording)
+        monkeypatch.setattr(jordan.JordanStructure, "multiply_coords", counting)
+        monkeypatch.setattr(catalog, "_MEMO", {})
+        code, out, _ = run_cli(["analyze", "catalog://s4/3b1", "--json"], capsys)
+        assert code == 0 and json.loads(out)["net_class"] == "3b1"
+        assert len(products) == 2 and products[0] > 0 and products[1] == 0
+
+
 class TestFamilyFiles:
     FAMILY = [[["1", "t"], ["t", "0"]], [["0", "0"], ["0", "1"]]]
     CONSTANT = [[[1, 0], [0, 0]], [[0, 0], [0, 1]]]
@@ -498,9 +528,9 @@ class TestPartitionVariables:
 
 
 class TestBoundedCost:
-    """A Macaulay matrix past the size bound is refused before it is built
-    (exit 3, TOO_LARGE, with its estimated shape), and running out of memory
-    anywhere exits 3 too: both are resource limits, not bugs."""
+    """A Macaulay or Chow matrix past its size bound is refused before it is
+    built (exit 3, TOO_LARGE, with its estimated shape), and running out of
+    memory anywhere exits 3 too: both are resource limits, not bugs."""
 
     SYSTEM = "x*y - z^2\nx^2 - w*y\n"
 
@@ -521,6 +551,19 @@ class TestBoundedCost:
         report = json.loads(out)
         assert code == 0 and (report["kind"], report["span_rank"], report["span_target"]) == (
             "UNKNOWN", 246, 286)
+
+    @pytest.mark.parametrize("flags", [["--rank"], []], ids=["rank", "all"])
+    @pytest.mark.parametrize("n, shape", [(6, "21 x 53130"), (7, "28 x 1107568")])
+    def test_chow_on_all_of_sn_is_refused_within_a_second(self, n, shape, flags, tmp_path, capsys):
+        basis = [[[int({a, b} == {i, j}) for b in range(n)] for a in range(n)]
+                 for i in range(n) for j in range(i, n)]
+        f = tmp_path / "sn.json"
+        f.write_text(json.dumps({"n": n, "basis": basis}))
+        start = time.process_time()
+        code, out, err = run_cli(["chow", str(f), "--json"] + flags, capsys)
+        assert time.process_time() - start < 1
+        assert code == 3 and out == ""
+        assert "TOO_LARGE" in err and shape in err and "INTERNAL" not in err
 
     def test_memory_error_exits_3(self, monkeypatch, tmp_path, capsys):
         def exhausted(*args, **kwargs):

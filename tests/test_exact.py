@@ -354,6 +354,11 @@ class TestSquarefree:
         content, factors = squarefree_decomposition(p)
         assert content == P("6*t")
         assert factors == [(U("lam - 1"), 2)]
+        # factors that are not monic: lc(p) = 3 t^2 holds lc(t*lam - 1)^2
+        p = (U("t*lam - 1") * U("t*lam - 1") * U("lam + 1")).scale(P("3"))
+        content, factors = squarefree_decomposition(p)
+        assert content == P("3")
+        assert factors == [(U("lam + 1"), 1), (U("t*lam - 1"), 2)]
 
 
 class TestUniPolyDivision:

@@ -31,7 +31,7 @@ from jordanet.spaces import (
     sample_congruent,
     sym_dim,
 )
-from oracles import plucker_by_minors
+from oracles import element_by_scale_and_add, plucker_by_minors, sweep_for_unit_by_fractions
 
 
 def P(s):
@@ -232,6 +232,65 @@ class TestFindInvertible:
         assert seq[0] == (0, 1)
         assert (1, 0) in seq and (1, 1) in seq
         assert all(max(abs(a), abs(b)) == 1 for a, b in seq)
+
+
+def random_spaces(seed, count):
+    """Seeded spaces in S^3..S^5 with small rational entries over a
+    denominator of each basis matrix's own; every third one is singular
+    (each basis matrix has a zero last row and column)."""
+    rng = SplitMix64(seed)
+    out = []
+    while len(out) < count:
+        n = rng.int_between(3, 5)
+        m = rng.int_between(2, 4)
+        singular = len(out) % 3 == 2
+        basis = []
+        for _ in range(m):
+            den = (1, 2, 3, 5, 7)[rng.int_between(0, 4)]
+            rows = [[Fraction(0)] * n for _ in range(n)]
+            for i in range(n - singular):
+                for j in range(i, n - singular):
+                    rows[i][j] = rows[j][i] = Fraction(rng.int_between(-3, 3), den)
+            basis.append(Mat(rows))
+        try:
+            out.append(MatSpace(n, basis))
+        except PreconditionError:
+            continue
+    return out
+
+
+class TestIntegerSweep:
+    """The unit sweep ranks integer candidates and forms one Fraction unit;
+    the Fraction sweep it replaced is the oracle."""
+
+    def spaces(self):
+        plain = [canonical(cid) for cid in catalog_ids() if not cid.startswith("degen/")]
+        plain = [sp for sp in plain if isinstance(sp, MatSpace)]
+        images = [sample_congruent(sp, seed) for sp in plain if sp.n == 4 for seed in (1, 2)]
+        # diag(t1 / 2, t2, t1 / 2 - t2): invertible first at (1, 1), where
+        # the basis cleared matrix by matrix, diag(t1, t2, t1 - t2), is not
+        halves = make_space(3, [diag(1, 0, 1).scale(Fraction(1, 2)), diag(0, 1, -1)])
+        return plain + images + [halves] + random_spaces(5, 24)
+
+    def test_same_unit_and_coordinates_as_the_fraction_sweep(self):
+        outcomes = set()
+        for sp in self.spaces():
+            got = spaces._sweep_for_unit(MatSpace(sp.n, sp.basis))
+            expected = sweep_for_unit_by_fractions(MatSpace(sp.n, sp.basis))
+            assert got == expected
+            if got is not None:
+                # JSON prints Fraction coordinates as strings and ints as ints
+                assert [type(c) for c in got[1]] == [type(c) for c in expected[1]]
+            outcomes.add("singular" if got is None else
+                         "identity" if got[0] == Mat.identity(sp.n) else "sweep")
+        assert outcomes == {"singular", "identity", "sweep"}
+
+    def test_element_matches_scale_and_add(self):
+        rng = SplitMix64(9)
+        for sp in random_spaces(6, 6):
+            coords = [Fraction(rng.int_between(-4, 4), rng.int_between(1, 4)) for _ in range(sp.m)]
+            assert sp.element(coords) == element_by_scale_and_add(sp, coords)
+            assert sp.element([0] * sp.m) == Mat.zero(sp.n, sp.n)
 
 
 class TestNonzeroSweep:

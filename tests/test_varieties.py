@@ -7,7 +7,7 @@ from jordanet.catalog import canonical
 from jordanet.errors import InputError, PreconditionError
 from jordanet import varieties
 from jordanet.exact import MPoly, UniPoly, monomials, mpoly_gcd, parse_poly
-from jordanet.linalg import Mat, inverse
+from jordanet.linalg import Mat, inverse, rref
 from jordanet.prng import SplitMix64
 from jordanet.spaces import PluckerVector, make_space, plucker, sample_congruent
 from jordanet.varieties import (
@@ -179,19 +179,78 @@ class TestRankOnePencil:
         assert rank_one_pencil(sp) == 2
 
     def test_matches_root_scan_oracle(self):
-        rng = SplitMix64(77)
-        cases = 0
-        while cases < 12:
-            a = rng.nonzero_int_between(-3, 3)
-            b = rng.int_between(-3, 3)
-            c = rng.int_between(-2, 2)
-            d = rng.nonzero_int_between(-3, 3)
-            try:
-                sp = make_space(3, [diag(a, b, 0), diag(c, d, 0)])
-            except PreconditionError:
-                continue
-            cases += 1
-            assert rank_one_pencil(sp) == rank_one_count_oracle(sp)
+        counts, dims = set(), set()
+        for sp in oracle_pencils():
+            got = rank_one_pencil(sp)
+            assert got == rank_one_count_oracle(sp)
+            counts.add(got)
+            dims.add(minor_span_dim(sp))
+        assert counts == {0, 1, 2} and dims == {1, 2, 3}
+
+
+def minor_span_dim(sp):
+    """Dimension of the span of the 2 x 2 minors, as binary quadratics."""
+    rows = [[p.coefficient({"t1": 2 - k, "t2": k}) for k in range(3)]
+            for p in rank_one_system(sp)]
+    return rref(rows).rank if rows else 0
+
+
+def random_symmetric(rng, n):
+    m = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            m[i][j] = m[j][i] = rng.int_between(-3, 3)
+    return Mat.from_ints(m)
+
+
+def random_vector(rng, n):
+    return [rng.int_between(-2, 2) for _ in range(n)]
+
+
+def sum_of_squares(n, terms):
+    """sum of s v v^T over the (sign s, vector v) terms."""
+    return Mat.from_ints([[sum(s * v[i] * v[j] for s, v in terms) for j in range(n)]
+                          for i in range(n)])
+
+
+def oracle_pencils():
+    """Seeded pencils: diagonal ones in S^3, and one with two different
+    denominators; in S^3..S^5 random symmetric
+    pairs, and signed sums of v v^T over a pool of three vectors and a sum
+    of two of them, which share rank-one members and so reach every count
+    and span dimension; half of these are re-based, which moves their
+    rank-one points off the axes t1 = 0 and t2 = 0."""
+    rng = SplitMix64(77)
+    out = []
+
+    def add(n, basis):
+        try:
+            out.append(make_space(n, basis))
+        except PreconditionError:
+            pass
+
+    for _ in range(12):
+        a, b = rng.nonzero_int_between(-3, 3), rng.int_between(-3, 3)
+        c, d = rng.int_between(-2, 2), rng.nonzero_int_between(-3, 3)
+        add(3, [diag(a, b, 0), diag(c, d, 0)])
+    add(3, [diag(1, 2, 0).scale(Fraction(1, 2)), E(3, 1, 2).scale(Fraction(1, 3))])
+    # [[t1, t1 + t2], [t1 + t2, 0]]: one double point, off both axes
+    add(3, [E(3, 1, 1) + E(3, 1, 2), E(3, 1, 2)])
+    for n in (3, 4, 5):
+        for _ in range(4):
+            add(n, [random_symmetric(rng, n) for _ in range(2)])
+        for _ in range(16):
+            v, w, x = (random_vector(rng, n) for _ in range(3))
+            pool = [v, w, x, [p + q for p, q in zip(v, w)]]
+            x, y = (sum_of_squares(n, [(pick_sign(rng), pool[rng.int_between(0, 3)])
+                                       for _ in range(rng.int_between(1, 3))])
+                    for _ in range(2))
+            add(n, [x, y] if rng.int_between(0, 1) else [x + y, x.scale(2) - y])
+    return out
+
+
+def pick_sign(rng):
+    return 1 if rng.int_between(0, 1) else -1
 
 
 def rank_one_count_oracle(sp):
