@@ -36,7 +36,7 @@ from .jordan import (
     structure_constants,
 )
 from .linalg import Mat, charpoly
-from .spaces import MatSpace, find_invertible, generic_names, is_regular, make_space
+from .spaces import MatSpace, find_invertible, generic_names, is_regular
 from .varieties import rank_one_pencil
 
 NET_LABELS = ("1a", "1b", "2a1", "2a2", "2b", "3a", "3b1", "3b2")
@@ -103,8 +103,8 @@ def invariant_vector(space: MatSpace) -> InvariantVector:
     rad_sq = rad_square_dim(a)
     partition = generic_multiplicity_partition(space)
     rank_one = None
-    if len(coords) == 2:
-        rank_one = rank_one_pencil(make_space(space.n, [space.element(c) for c in coords]))
+    if len(coords) == 2:  # independent kernel vectors have independent images
+        rank_one = rank_one_pencil(MatSpace(space.n, [space.element(c) for c in coords]))
     return InvariantVector(len(coords), assoc, rad_sq, partition, rank_one)
 
 

@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 import re
 from fractions import Fraction
-from typing import Iterable, Iterator, Mapping, Optional, Tuple, Union
+from typing import Iterable, Iterator, List, Mapping, Optional, Tuple, Union
 
 from .errors import InputError, InternalCheckError, PreconditionError
 
@@ -516,6 +516,13 @@ def parse_poly(text: str) -> MPoly:
         coeff = Fraction(num) if den == 1 else Fraction(num, den)
         terms[key] = terms[key] + coeff if key in terms else coeff
     return MPoly(all_vars, {k: c for k, c in terms.items() if c})
+
+
+def parse_poly_lines(text: str) -> List[MPoly]:
+    """One polynomial per line of a text; blank lines and ``#`` comments are
+    skipped."""
+    stripped = (line.strip() for line in text.splitlines())
+    return [parse_poly(line) for line in stripped if line and not line.startswith("#")]
 
 
 def poly_eval(p: MPoly, assignment: Mapping[str, object]):

@@ -88,29 +88,30 @@ class JordanWitness:
 
 
 class Unit:
-    """A unit U of a space with U^{-1} = q / s (q a symmetric integer matrix,
-    s > 0), and the basis products for U once they are computed."""
+    """A unit U of a space, its coordinates, U^{-1} = q / s (q a symmetric
+    integer matrix, s > 0), and the basis products for U once computed."""
 
-    __slots__ = ("u", "inverse", "q", "s", "products")
+    __slots__ = ("u", "coords", "q", "s", "products")
 
-    def __init__(self, u: Mat, inverse: Mat, q: List[List[int]], s: int):
-        self.u, self.inverse, self.q, self.s = u, inverse, q, s
+    def __init__(self, u: Mat, coords: Tuple[Fraction, ...], q: List[List[int]], s: int):
+        self.u, self.coords, self.q, self.s = u, coords, q, s
         self.products: Union["JordanStructure", JordanWitness, None] = None
 
 
 def resolve_unit(space: MatSpace, u: Optional[Mat] = None) -> Unit:
     """The unit (the given one, else the space's first invertible element),
-    checked and inverted once per (space, U) and memoised in ``space._jordan``."""
+    checked, with its coordinates and inverse, once per (space, U) in ``space._jordan``."""
     if u is None:
         u = find_invertible(space)[0]
     unit = space._jordan.get(u.data)
     if unit is None:
-        if contains(space, u) is None:
+        coords = contains(space, u)
+        if coords is None:
             raise PreconditionError("U_NOT_IN_SPACE", "unit must lie in the space")
         uinv = inverse_or_none(u)
         if uinv is None:
             raise PreconditionError("SINGULAR_U", "unit must be invertible")
-        unit = space._jordan[u.data] = Unit(u, uinv, *integer_matrix(uinv))
+        unit = space._jordan[u.data] = Unit(u, tuple(coords), *integer_matrix(uinv))
     return unit
 
 
@@ -129,7 +130,7 @@ def jordan_closure(space: MatSpace, u: Mat) -> MatSpace:
     basis first) is multiplied once with itself and each element before it,
     as 2s times the product, and a product's nonzero residue modulo the span
     is adjoined.  Stops early at all of S^n; returns the reduced row echelon
-    basis of the closure.
+    basis of the closure, independent and symmetric as built.
     """
     q = resolve_unit(space, u).q
     n = space.n
@@ -233,7 +234,7 @@ def _basis_products(space: MatSpace, unit: Unit) -> Union[JordanStructure, Jorda
                     unit.products = JordanWitness(i, j, p, residue_mod_space(space, p))
                     return unit.products
                 tensor[i][j] = tensor[j][i] = tuple(coords)
-        unit.products = JordanStructure(space, unit.u, tuple(contains(space, unit.u)),
+        unit.products = JordanStructure(space, unit.u, unit.coords,
                                         tuple(tuple(row) for row in tensor))
     return unit.products
 

@@ -1,7 +1,7 @@
 """Linear subspaces of symmetric matrices as Grassmannian points.
 
-A ``MatSpace`` is an ordered basis of symmetric n x n rational matrices,
-validated for symmetry and independence at construction.  Symmetric matrices
+A ``MatSpace`` is an ordered basis of independent symmetric n x n rational
+matrices; ``make_space`` validates outside input.  Symmetric matrices
 vectorize to their upper triangle read row by row; for n = 4 the coordinate
 order is (11, 12, 13, 14, 22, 23, 24, 33, 34, 44).  All Pluecker coordinates,
 kernels and membership tests use that fixed order.
@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .errors import PreconditionError
 from .exact import MPoly, frac, poly_eval
@@ -58,7 +58,8 @@ _UNDECIDED = object()
 
 
 class MatSpace:
-    """An m-dimensional subspace of the symmetric n x n matrices."""
+    """An m-dimensional subspace of the symmetric n x n matrices, recorded
+    unchecked (``make_space`` checks); its echelon is formed on first use."""
 
     __slots__ = ("n", "m", "basis", "_echelon", "_unit", "_jordan", "_chow")
 
@@ -68,17 +69,8 @@ class MatSpace:
         self.m = len(self.basis)
         self._echelon = None
         self._unit = _UNDECIDED  # first invertible element, or None if singular
-        self._jordan = {}  # unit entries -> jordan.Unit: inverse, basis products
+        self._jordan = {}  # unit entries -> jordan.Unit: coordinates, inverse, basis products
         self._chow = None  # Chow matrix (see chow.py)
-        if self.m == 0:
-            raise PreconditionError("DEPENDENT_BASIS", "empty basis")
-        for b in self.basis:
-            if b.rows != n or b.cols != n:
-                raise PreconditionError("NOT_SYMMETRIC", "basis size mismatch")
-            if not b.is_symmetric():
-                raise PreconditionError("NOT_SYMMETRIC", "basis matrix is not symmetric")
-        if self.echelon().rank != self.m:
-            raise PreconditionError("DEPENDENT_BASIS", "basis matrices are dependent")
 
     # -- coordinates ----------------------------------------------------
 
@@ -111,7 +103,19 @@ class MatSpace:
 
 
 def make_space(n: int, basis: Sequence[Mat]) -> MatSpace:
-    return MatSpace(n, basis)
+    """The space of a basis from outside the package, checked to be nonempty,
+    n x n, symmetric and independent, in that order."""
+    space = MatSpace(n, basis)
+    if space.m == 0:
+        raise PreconditionError("DEPENDENT_BASIS", "empty basis")
+    for b in space.basis:
+        if b.rows != n or b.cols != n:
+            raise PreconditionError("NOT_SYMMETRIC", "basis size mismatch")
+        if not b.is_symmetric():
+            raise PreconditionError("NOT_SYMMETRIC", "basis matrix is not symmetric")
+    if space.echelon().rank != space.m:
+        raise PreconditionError("DEPENDENT_BASIS", "basis matrices are dependent")
+    return space
 
 
 def generic_names(m: int) -> Tuple[str, ...]:
@@ -200,24 +204,34 @@ def _first_invertible(space: MatSpace) -> Optional[Tuple[Mat, Tuple[int, ...]]]:
 
 
 def _sweep_for_unit(space: MatSpace) -> Optional[Tuple[Mat, Tuple[int, ...]]]:
-    """With the basis over one common denominator L, B_k = B'_k / L, a sweep
-    point t is invertible iff the integer matrix sum_k t_k B'_k is, so each
-    candidate is ranked on an integer ``Echelon``; the Fraction element is
-    formed only for the point that wins."""
+    """The identity, else the first sweep point of full rank (``sweep_rank``),
+    whose Fraction element alone is formed."""
     n, ident = space.n, Mat.identity(space.n)
     coords = contains(space, ident)
     if coords is not None:
         return ident, tuple(coords)
-    stacked, _ = integer_matrix(Mat([row for b in space.basis for row in b.data]))
-    basis = [stacked[k * n:(k + 1) * n] for k in range(space.m)]
+    rank = sweep_rank(space)
     for k, tup in enumerate(integer_sweep(space.m)):
         if k == _WITNESS_BUDGET and generic_det(space).is_zero():
             return None
+        if rank(tup) == n:
+            return space.element(tup), tup
+
+
+def sweep_rank(space: MatSpace) -> Callable[[Sequence[int]], int]:
+    """Rank of sum_k t_k B_k at integer t: with B_k = B'_k / L over one common
+    denominator L, that of the integer sum_k t_k B'_k, on an ``Echelon``."""
+    n = space.n
+    stacked, _ = integer_matrix(Mat([row for b in space.basis for row in b.data]))
+    basis = [stacked[k * n:(k + 1) * n] for k in range(space.m)]
+
+    def rank(tup: Sequence[int]) -> int:
         terms = [(t, b) for t, b in zip(tup, basis) if t]
         ech = Echelon(n)
         ech.extend([sum(t * b[i][j] for t, b in terms) for j in range(n)] for i in range(n))
-        if ech.rank == n:
-            return space.element(tup), tup
+        return ech.rank
+
+    return rank
 
 
 def contains(space: MatSpace, m: Mat) -> Optional[List[Fraction]]:
@@ -238,18 +252,11 @@ def residue_mod_space(space: MatSpace, m: Mat) -> Mat:
 def orth_complement(space: MatSpace) -> MatSpace:
     """All symmetric Z with trace(B Z) = 0 for every basis element B."""
     n = space.n
-    pairs = sym_pairs(n)
-    rows = []
-    for b in space.basis:
-        row = []
-        for i, j in pairs:
-            w = b[i, j] if i == j else 2 * b[i, j]
-            row.append(w)
-        rows.append(row)
+    rows = [[b[i, j] if i == j else 2 * b[i, j] for i, j in sym_pairs(n)] for b in space.basis]
     kernel = rref(rows).kernel_basis()
     if not kernel:
         raise PreconditionError("DEPENDENT_BASIS", "complement of the full space is zero")
-    return MatSpace(n, [unvectorize(n, v) for v in kernel])
+    return MatSpace(n, [unvectorize(n, v) for v in kernel])  # a kernel basis is independent
 
 
 def congruence_transform(space: MatSpace, p: Mat) -> MatSpace:
@@ -257,7 +264,7 @@ def congruence_transform(space: MatSpace, p: Mat) -> MatSpace:
     if inverse_or_none(p) is None:
         raise PreconditionError("SINGULAR_P", "congruence by a singular matrix")
     pt = p.transpose()
-    return MatSpace(space.n, [pt @ b @ p for b in space.basis])
+    return MatSpace(space.n, [pt @ b @ p for b in space.basis])  # P invertible keeps them independent
 
 
 def sample_congruent(space: MatSpace, seed: int) -> MatSpace:

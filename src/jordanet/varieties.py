@@ -24,7 +24,7 @@ from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from .errors import InputError, PreconditionError
-from .exact import MPoly, monomials, parse_poly, poly_eval
+from .exact import MPoly, monomials, parse_poly_lines, poly_eval
 from .jordan import radical, structure_constants
 from .linalg import Echelon, Mat, integer_matrix, mat_rank
 from .spaces import (
@@ -34,6 +34,7 @@ from .spaces import (
     generic_names,
     integer_sweep,
     plucker,
+    sweep_rank,
     sym_dim,
 )
 
@@ -213,13 +214,7 @@ def catalog_polynomials(catalog_id: str) -> List[MPoly]:
         raise InputError("UNKNOWN_ID", f"no polynomial catalog {catalog_id!r}")
     if catalog_id not in _CATALOG_MEMO:
         fname, _ = CATALOGS[catalog_id]
-        polys = []
-        for line in (DATA_DIR / fname).read_text().splitlines():
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            polys.append(parse_poly(line))
-        _CATALOG_MEMO[catalog_id] = polys
+        _CATALOG_MEMO[catalog_id] = parse_poly_lines((DATA_DIR / fname).read_text())
     return _CATALOG_MEMO[catalog_id]
 
 
@@ -295,37 +290,30 @@ def min_rank_bounds(space: MatSpace) -> MinRankBounds:
     """Bracket the minimum rank of a nonzero element.
 
     Upper bound: best rank among basis elements, radical elements (when the
-    space is a Jordan algebra) and deterministic integer combinations.  Lower
-    bound: 2 when the rank-one locus is certified empty, else 1.  For a line
-    (m = 1) the minimum rank is exact since every nonzero element is a
-    multiple of the generator.
+    space is a Jordan algebra) and the first ``_SWEEP_CANDIDATES`` integer
+    sweep points, which are ranked on integers (``sweep_rank``); the first
+    candidate of the best rank is the witness, and a sweep point's Fraction
+    element is formed only when it wins.  Lower bound: 2 when the rank-one
+    locus is certified empty, else 1.  For a line (m = 1) the minimum rank is
+    exact since every nonzero element is a multiple of the generator.
     """
     if space.m == 1:
         r = mat_rank(space.basis[0])
         return MinRankBounds(r, r, None, space.basis[0])
 
-    best: Optional[int] = None
-    witness = None
     candidates: List[Mat] = list(space.basis)
     try:
         candidates.extend(space.element(c) for c in radical(structure_constants(space)))
     except PreconditionError:
         pass
-    count = 0
-    for tup in integer_sweep(space.m):
-        candidates.append(space.element(tup))
-        count += 1
-        if count >= _SWEEP_CANDIDATES:
-            break
-    for cand in candidates:
-        if all(x == 0 for row in cand.data for x in row):
-            continue
-        r = mat_rank(cand)
-        if best is None or r < best:
-            best, witness = r, cand
+    ranked = [(mat_rank(c), c) for c in candidates]
+    rank = sweep_rank(space)
+    ranked.extend((rank(tup), tup) for tup in itertools.islice(integer_sweep(space.m),
+                                                                _SWEEP_CANDIDATES))
+    best, witness = min(ranked, key=lambda pair: pair[0])  # the first of least rank
+    if isinstance(witness, tuple):
+        witness = space.element(witness)
 
     cert = rank_one_locus_certificate(space)
     lower = 2 if cert.kind == "CERTIFIED_EMPTY" else 1
-    if best == 1:
-        lower = 1
     return MinRankBounds(best, min(lower, best), cert, witness)

@@ -14,7 +14,10 @@ the tests can compare the two:
   shares one Laplace memo over column subsets);
 - ``sweep_for_unit_by_fractions``: every sweep candidate formed as a
   Fraction scale-and-add of the basis and ranked by ``mat_rank`` (the
-  package ranks integer candidates and forms the winner alone).
+  package ranks integer candidates and forms the winner alone);
+- ``min_rank_bounds_by_fractions``: the minimum-rank bracket with all 60
+  sweep candidates formed as Fraction elements and ranked by ``mat_rank``
+  (the package ranks them on integers, as the unit sweep does).
 """
 
 import itertools
@@ -23,8 +26,10 @@ from fractions import Fraction
 
 from jordanet.errors import InputError, InternalCheckError, PreconditionError
 from jordanet.exact import NAME, MPoly, exact_div, frac, monomials
+from jordanet.jordan import radical, structure_constants
 from jordanet.linalg import Mat, det, mat_rank, rref
 from jordanet.spaces import _WITNESS_BUDGET, contains, generic_det, integer_sweep, sym_dim
+from jordanet.varieties import rank_one_locus_certificate
 
 _TOKEN = re.compile(
     rf"\s*(?:(?P<num>\d+(?:/\d+)?)|(?P<name>{NAME.pattern})|(?P<op>[-+*^()]))"
@@ -215,6 +220,35 @@ def sweep_for_unit_by_fractions(space):
         cand = element_by_scale_and_add(space, tup)
         if mat_rank(cand) == space.n:
             return cand, tup
+
+
+def min_rank_bounds_by_fractions(space):
+    """(upper, lower, witness) of ``varieties.min_rank_bounds`` for m >= 2:
+    basis, radical and the first 60 sweep points as Fraction matrices, the
+    first of least rank the witness."""
+    best = None
+    witness = None
+    candidates = list(space.basis)
+    try:
+        candidates.extend(space.element(c) for c in radical(structure_constants(space)))
+    except PreconditionError:
+        pass
+    count = 0
+    for tup in integer_sweep(space.m):
+        candidates.append(space.element(tup))
+        count += 1
+        if count >= 60:
+            break
+    for cand in candidates:
+        if all(x == 0 for row in cand.data for x in row):
+            continue
+        r = mat_rank(cand)
+        if best is None or r < best:
+            best, witness = r, cand
+    lower = 2 if rank_one_locus_certificate(space).kind == "CERTIFIED_EMPTY" else 1
+    if best == 1:
+        lower = 1
+    return best, min(lower, best), witness
 
 
 def parse_outcome(parse, text: str):

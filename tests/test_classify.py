@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+from jordanet import classify
 from jordanet.catalog import canonical, degeneration_edges
 from jordanet.classify import (
     NET_LABELS,
@@ -130,7 +131,9 @@ class TestAbstract:
 def partition_in_all_variables(space):
     """The oracle: squarefree decomposition of charpoly(U^-1 X(t)) over
     QQ(t1..tm), with no change of variables."""
-    cp = charpoly(resolve_unit(space).inverse @ generic_element(space))
+    unit = resolve_unit(space)
+    uinv = Mat([[Fraction(v, unit.s) for v in row] for row in unit.q])
+    cp = charpoly(uinv @ generic_element(space))
     _, factors = squarefree_decomposition(cp)
     parts = []
     for factor, mult in factors:
@@ -226,6 +229,18 @@ class TestNetDecisionTable:
             sp = canonical(f"s4/{label}")
             for seed in range(3):
                 assert classify_net_S4(sample_congruent(sp, 40 + seed)) == label
+
+    def test_radical_pencils_pass_make_space(self, monkeypatch):
+        # invariant_vector builds the pencil of a two-dimensional radical
+        # unchecked; make_space accepts each one as it stands
+        pencils = []
+        real = classify.rank_one_pencil
+        monkeypatch.setattr(classify, "rank_one_pencil", lambda sp: pencils.append(sp) or real(sp))
+        for label in ("3a", "3b1", "3b2"):
+            for seed in range(3):
+                assert classify_net_S4(sample_congruent(canonical(f"s4/{label}"), 40 + seed)) == label
+        assert len(pencils) == 9
+        assert all(make_space(sp.n, sp.basis) == sp for sp in pencils)
 
     def test_not_jordan_rejected(self):
         with pytest.raises(PreconditionError) as err:

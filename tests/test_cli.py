@@ -12,6 +12,7 @@ import jordanet
 from jordanet import chow, cli, exact, jordan
 from jordanet.cli import main
 from jordanet.errors import InputError, InternalCheckError, PreconditionError
+from jordanet.exact import frac_str
 from jordanet.prng import SplitMix64
 from oracles import parse_outcome, parse_poly_by_tokens
 
@@ -77,6 +78,17 @@ class TestAnalyze:
         code, _, err = run_cli(["chow", str(f), "--rank"], capsys)
         assert code == 3
         assert "NOT_REGULAR" in err
+
+    @pytest.mark.parametrize("basis, code_name", [
+        ([[[1, 0], [0, 1]], [[2, 0], [0, 2]]], "DEPENDENT_BASIS"),
+        ([[[1, 1], [0, 1]]], "NOT_SYMMETRIC"),
+    ])
+    def test_invalid_basis_exit_code(self, basis, code_name, tmp_path, capsys):
+        f = tmp_path / "space.json"
+        f.write_text(json.dumps({"n": 2, "basis": basis}))
+        code, out, err = run_cli(["analyze", str(f), "--json"], capsys)
+        assert code == 3 and out == ""
+        assert err.startswith(f"error: {code_name}")
 
 
 class TestChow:
@@ -391,6 +403,39 @@ class TestAssociativityOnce:
         code, out, _ = run_cli(["analyze", "catalog://s4/3b1", "--json"], capsys)
         assert code == 0 and json.loads(out)["net_class"] == "3b1"
         assert len(products) == 2 and products[0] > 0 and products[1] == 0
+
+
+class TestInputCheckedOnce:
+    """make_space checks a space file once; the closure and the radical
+    pencil that analyze builds from it are not checked again.  One analyze
+    forms two echelons with a transform: the input's and the unit's inverse."""
+
+    @staticmethod
+    def write(path, space):
+        path.write_text(json.dumps({"n": space.n, "basis": [
+            [[frac_str(x) for x in row] for row in b.data] for b in space.basis]}))
+        return str(path)
+
+    def test_two_echelons_per_analyze(self, monkeypatch, tmp_path, capsys):
+        from jordanet.catalog import canonical
+        from jordanet.linalg import rref_with_transform
+        from jordanet.spaces import sample_congruent
+
+        files = {"closure": self.write(tmp_path / "flip.json", canonical("dim4/L2flip")),
+                 "3b1": self.write(tmp_path / "3b1.json", sample_congruent(canonical("s4/3b1"), 7))}
+        calls = []
+        rebind_everywhere(monkeypatch, "rref_with_transform", rref_with_transform,
+                          lambda rows: calls.append(1) or rref_with_transform(rows))
+        for expected, path in files.items():
+            calls.clear()
+            code, out, _ = run_cli(["analyze", path, "--json"], capsys)
+            report = json.loads(out)
+            assert code == 0
+            if expected == "closure":
+                assert report["jordan"] is False and report["closure_dim"] == 6
+            else:
+                assert report["net_class"] == "3b1"
+            assert len(calls) == 2, expected
 
 
 class TestFamilyFiles:

@@ -185,7 +185,8 @@ class TestJordanProduct:
         u = sp.element([Fraction(3, 2), Fraction(1, 4)])
         unit = resolve_unit(sp, u)
         assert unit.s > 0 and all(type(v) is int for row in unit.q for v in row)
-        assert Mat([[Fraction(v, unit.s) for v in row] for row in unit.q]) == inverse(u) == unit.inverse
+        assert Mat([[Fraction(v, unit.s) for v in row] for row in unit.q]) == inverse(u)
+        assert list(unit.coords) == contains(sp, u) == [Fraction(3, 2), Fraction(1, 4)]
         assert resolve_unit(sp, Mat(u.data)) is unit
 
 
@@ -345,12 +346,14 @@ class TestClosureOracle:
             u, _ = find_invertible(sp)
             clo = jordan_closure(sp, u)
             assert [vectorize(b) for b in clo.basis] == closure_by_rounds(sp, u)
+            assert make_space(clo.n, clo.basis) == clo  # built unchecked, as make_space would accept
 
     def test_rational_bases_and_a_non_integer_unit(self):
         grew = 0
         for sp, u in rational_closure_cases():
             clo = jordan_closure(sp, u)
             assert [vectorize(b) for b in clo.basis] == closure_by_rounds(sp, u)
+            assert make_space(clo.n, clo.basis) == clo
             grew += clo.m > sp.m
         assert grew > 10
 

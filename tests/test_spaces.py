@@ -253,7 +253,7 @@ def random_spaces(seed, count):
                     rows[i][j] = rows[j][i] = Fraction(rng.int_between(-3, 3), den)
             basis.append(Mat(rows))
         try:
-            out.append(MatSpace(n, basis))
+            out.append(make_space(n, basis))
         except PreconditionError:
             continue
     return out
@@ -344,6 +344,7 @@ class TestOrthComplement:
                     break
             comp = orth_complement(sp)
             assert sp.m + comp.m == total
+            assert make_space(comp.n, comp.basis) == comp  # built unchecked
             assert orth_complement(comp) == sp
 
 
@@ -405,7 +406,9 @@ class TestPlucker:
         # rational entries, of every dimension m from 1 to 4 in S^3 and S^4
         spaces = [canonical(cid) for cid in catalog_ids()]
         spaces = [sp for sp in spaces if isinstance(sp, MatSpace)]
-        spaces += [sample_congruent(sp, k) for sp in spaces for k in range(2)]
+        images = [sample_congruent(sp, k) for sp in spaces for k in range(2)]
+        assert all(make_space(sp.n, sp.basis) == sp for sp in images)  # built unchecked
+        spaces += images
         rng = SplitMix64(2012)
         for n in (3, 4):
             for m in range(1, 5):
@@ -520,10 +523,12 @@ class TestLimitOracleOnCatalogFamilies:
     def test_all_degeneration_families(self):
         from jordanet.catalog import canonical, degeneration_edges
 
+        assert len(degeneration_edges()) == 10
         for cid, _, _ in degeneration_edges():
             fam = canonical(cid)
             lim = grassmann_limit(fam)
             assert proportional(plucker(lim), plucker_limit_oracle(fam)), cid
+            assert make_space(lim.n, lim.basis) == lim, cid  # built unchecked
 
 
 class TestJsonRoundTrip:

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from jordanet.catalog import canonical
+from jordanet.catalog import canonical, catalog_ids
 from jordanet.errors import InputError, PreconditionError
 from jordanet import varieties
 from jordanet.exact import MPoly, UniPoly, monomials, mpoly_gcd, parse_poly
@@ -21,7 +21,7 @@ from jordanet.varieties import (
     rank_one_pencil,
     rank_one_system,
 )
-from oracles import macaulay_rank_by_fractions
+from oracles import macaulay_rank_by_fractions, min_rank_bounds_by_fractions
 
 
 def P(s):
@@ -404,6 +404,32 @@ class TestMinRank:
         bounds = min_rank_bounds(sp)
         assert bounds.upper == 1
         assert bounds.tau == 1
+
+    def test_integer_sweep_matches_the_fraction_candidates(self):
+        # seeded spaces in S^3..S^5 whose basis matrices are rational
+        # combinations of the same n terms v v^T, so that some sweep points
+        # cancel terms and rank below every basis matrix
+        plain = [canonical(cid) for cid in catalog_ids() if not cid.startswith("degen/")]
+        rng = SplitMix64(31)
+        seeded = []
+        while len(seeded) < 12:
+            n = rng.int_between(3, 5)
+            vs = [[rng.int_between(-2, 2) for _ in range(n)] for _ in range(n)]
+            basis = []
+            for _ in range(rng.int_between(2, 3)):
+                c = [Fraction(rng.int_between(-2, 2), rng.int_between(1, 4)) for _ in range(n)]
+                basis.append(Mat([[sum(ck * v[i] * v[j] for ck, v in zip(c, vs)) for j in range(n)]
+                                  for i in range(n)]))
+            try:
+                seeded.append(make_space(n, basis))
+            except PreconditionError:
+                continue
+        swept = 0
+        for sp in plain + seeded:
+            got = min_rank_bounds(sp)
+            assert (got.upper, got.lower, got.witness) == min_rank_bounds_by_fractions(sp)
+            swept += all(got.witness is not b for b in sp.basis)
+        assert swept >= 3
 
     def test_identity_line_tau_n(self):
         for n in (2, 3, 5):
