@@ -3,9 +3,10 @@
 Every entry is an exact transcription, shipped as JSON under
 ``data/catalog/`` and listed in ``manifest.json``.  Degeneration entries are
 one-parameter families obtained from a source net by a linear substitution of
-the quadric variables (a, b, c, d); substitutions may involve the formal
-imaginary unit ``I``, which must cancel out of the resulting matrices (the
-loader verifies this).
+the quadric variables (a, b, c, d), each basis matrix read off its substituted
+quadric as polynomials in t; substitutions may involve the formal imaginary
+unit ``I``, which must cancel out of the resulting matrices (the loader
+verifies this).
 
 IDs are resolved by ``canonical(id)``; the CLI exposes the same entries via
 ``catalog://<id>`` URIs.
@@ -93,45 +94,34 @@ def _reduce_imaginary(p: MPoly) -> MPoly:
 def substitution_family(space: MatSpace, substitution: List[str]) -> ParametricBasis:
     """Family from replacing the quadric variables (a, b, c, d) linearly.
 
-    Each substitution string is linear in a, b, c, d with coefficients in the
-    parameter t (and possibly the formal unit I).  Writing the substitution
-    as v -> S(t) v, every basis matrix M becomes S(t)^T M S(t).
+    Every term of each substitution string e_i has degree exactly 1 in
+    a, b, c, d, with a coefficient in the parameter t (and possibly the
+    formal unit I).  Writing the substitution as v -> S(t) v, every basis
+    matrix M becomes S(t)^T M S(t), read off the quadric sum_ij M_ij e_i e_j
+    after folding I: its coefficient of v_k^2 is the (k, k) entry and that
+    of v_k v_l (k < l) twice the (k, l) entry.
     """
     n = space.n
     if len(substitution) != n:
         raise InputError("PARSE_ERROR", "substitution needs one expression per quadric variable")
     names = QUADRIC_VARS[:n]
-    rows = []
+    exprs = []
     for expr in substitution:
         poly = parse_poly(expr)
         extra = set(poly.support_vars()) - set(names) - {"t", "I"}
         if extra:
             raise InputError("PARSE_ERROR", f"unexpected variables {sorted(extra)} in substitution")
-        row = []
-        for v in names:
-            if v in poly.vars:
-                coeff = _coeff_of_linear(poly, v)
-            else:
-                coeff = MPoly.zero(("I", "t"))
-            if not set(coeff.support_vars()) <= {"I", "t"}:
-                raise InputError("PARSE_ERROR", "substitution must be linear in the quadric variables")
-            row.append(coeff)
-        rows.append(row)
-    s = Mat(rows)
-    st = s.transpose()
+        if any(sum(k) != 1 for k in poly.split_by_vars(names)):
+            raise InputError("PARSE_ERROR", "substitution must be linear in the quadric variables")
+        exprs.append(poly)
+    products = {(i, j): exprs[i] * exprs[j] for i in range(n) for j in range(i, n)}
     basis = []
     for b in space.basis:
-        bp = b.map(lambda e: MPoly.const(e, ("I", "t")))
-        transformed = (st @ bp) @ s
-        basis.append(transformed.map(_reduce_imaginary))
+        quadric = sum((e.scale(b[i, j] if i == j else 2 * b[i, j])
+                       for (i, j), e in products.items() if b[i, j]), MPoly.zero())
+        entries = [[MPoly.zero()] * n for _ in range(n)]
+        for exps, coeff in _reduce_imaginary(quadric).split_by_vars(names).items():
+            i, j = (k for k, e in enumerate(exps) for _ in range(e))
+            entries[i][j] = entries[j][i] = (coeff if i == j else coeff.scale(Fraction(1, 2))).trimmed()
+        basis.append(Mat(entries))
     return ParametricBasis(n, basis, "t")
-
-
-def _coeff_of_linear(poly: MPoly, var: str) -> MPoly:
-    buckets = poly.split_by_vars((var,))
-    for exps in buckets:
-        if exps[0] not in (0, 1):
-            raise InputError("PARSE_ERROR", f"substitution is not linear in {var}")
-    coeff = buckets.get((1,), MPoly.zero())
-    keep = tuple(sorted(set(coeff.vars) | {"I", "t"}))
-    return coeff.with_vars(keep)

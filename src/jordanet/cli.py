@@ -121,7 +121,7 @@ def cmd_analyze(args) -> int:
         return _done(report, args)
     u, coords = find_invertible(space)
     report["unit_coordinates"] = list(coords)
-    ok, witness = is_jordan(space, u)
+    ok, witness = is_jordan(space)  # the unit found above, with its coordinates
     report["jordan"] = ok
     report["witness"] = None
     if witness is not None:

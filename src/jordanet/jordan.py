@@ -37,6 +37,7 @@ from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from .errors import InternalCheckError, PreconditionError
+from .exact import frac
 from .linalg import Echelon, Mat, int_matmul, integer_matrix, inverse_or_none, rref
 from .spaces import (
     MatSpace,
@@ -99,19 +100,19 @@ class Unit:
 
 
 def resolve_unit(space: MatSpace, u: Optional[Mat] = None) -> Unit:
-    """The unit (the given one, else the space's first invertible element),
-    checked, with its coordinates and inverse, once per (space, U) in ``space._jordan``."""
-    if u is None:
-        u = find_invertible(space)[0]
+    """The unit (the given one, checked, else the space's first invertible
+    element with the coordinates the sweep found), with its coordinates and
+    inverse, once per (space, U) in ``space._jordan``."""
+    u, coords = find_invertible(space) if u is None else (u, None)
     unit = space._jordan.get(u.data)
     if unit is None:
-        coords = contains(space, u)
+        coords = contains(space, u) if coords is None else coords
         if coords is None:
             raise PreconditionError("U_NOT_IN_SPACE", "unit must lie in the space")
         uinv = inverse_or_none(u)
         if uinv is None:
             raise PreconditionError("SINGULAR_U", "unit must be invertible")
-        unit = space._jordan[u.data] = Unit(u, tuple(coords), *integer_matrix(uinv))
+        unit = space._jordan[u.data] = Unit(u, tuple(map(frac, coords)), *integer_matrix(uinv))
     return unit
 
 

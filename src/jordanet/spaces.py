@@ -6,9 +6,10 @@ vectorize to their upper triangle read row by row; for n = 4 the coordinate
 order is (11, 12, 13, 14, 22, 23, 24, 33, 34, 44).  All Pluecker coordinates,
 kernels and membership tests use that fixed order.
 
-``ParametricBasis`` holds a one-parameter family (entries polynomial in t)
-and ``grassmann_limit`` computes its limit at t -> 0 by valuation-normalized
-row reduction.
+``ParametricBasis`` holds a one-parameter family (entries polynomial in t).
+``grassmann_limit`` computes its limit at t -> 0 by valuation-normalized row
+reduction on the entries' coefficients by power of t (``by_power``); the
+family's maximal minors decide that its rank is full and bound the passes.
 """
 
 from __future__ import annotations
@@ -17,15 +18,14 @@ import itertools
 from fractions import Fraction
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from .errors import PreconditionError
-from .exact import MPoly, frac, poly_eval
+from .errors import InternalCheckError, PreconditionError
+from .exact import MPoly, frac
 from .linalg import (
     Echelon,
     Mat,
     det,
     integer_matrix,
     inverse_or_none,
-    mat_rank,
     maximal_minors,
     rref,
     rref_with_transform,
@@ -275,8 +275,10 @@ def sample_congruent(space: MatSpace, seed: int) -> MatSpace:
             [rng.int_between(-3, 3) for _ in range(space.n)]
             for _ in range(space.n)
         ])
-        if mat_rank(p) == space.n:
+        try:
             return congruence_transform(space, p)
+        except PreconditionError:  # SINGULAR_P: draw again
+            pass
 
 
 class PluckerVector:
@@ -316,14 +318,6 @@ class ParametricBasis:
             if b.rows != n or b.cols != n or not b.is_symmetric():
                 raise PreconditionError("NOT_SYMMETRIC", "family matrices must be symmetric")
 
-    def at(self, value) -> List[Mat]:
-        """Numeric basis matrices at a parameter value (no independence check)."""
-        out = []
-        for b in self.basis:
-            out.append(b.map(lambda e: poly_eval(e, {self.param: value})
-                             if isinstance(e, MPoly) else frac(e)))
-        return out
-
     def coordinate_rows(self) -> List[List[MPoly]]:
         return [[_as_poly(e, self.param) for e in vectorize(b)] for b in self.basis]
 
@@ -332,81 +326,44 @@ def _as_poly(e, param: str) -> MPoly:
     return e if isinstance(e, MPoly) else MPoly.const(e, (param,))
 
 
-def generic_rank(family: ParametricBasis) -> int:
-    """Rank over the rational function field, by enough numeric samples.
-
-    A nonzero m x m minor is a polynomial of degree at most m * max entry
-    degree, so it cannot vanish at more than that many distinct parameter
-    values; sampling one more value makes the maximum rank exact.
-    """
-    maxdeg = 0
-    for b in family.basis:
-        for e in vectorize(b):
-            if isinstance(e, MPoly) and not e.is_zero():
-                maxdeg = max(maxdeg, int(e.total_degree()))
-    samples = family.m * maxdeg + 1
-    best = 0
-    for k in range(samples + 1):
-        rows = [vectorize(b) for b in family.at(k)]
-        best = max(best, rref(rows).rank)
-        if best == family.m:
-            break
-    return best
-
-
-def _valuation(p: MPoly, param: str) -> int:
-    idx = p.vars.index(param)
-    return min(e[idx] for e in p.terms)
+def by_power(p: MPoly, param: str) -> Dict[int, Fraction]:
+    """The nonzero coefficients of a polynomial in ``param`` alone, by power."""
+    return {k: c.constant_value() for (k,), c in p.split_by_vars((param,)).items() if c.terms}
 
 
 def grassmann_limit(family: ParametricBasis) -> MatSpace:
-    """Limit subspace at t -> 0 via valuation-normalized row reduction.
+    """Limit subspace at t -> 0 via valuation-normalized row reduction, on
+    rows of {power: coefficient} entries.
 
-    Repeatedly: evaluate at t = 0; while the rank drops, pick a kernel
-    combination of the evaluated rows, form the same combination of the
-    polynomial rows, strip its t-valuation and use it to replace one row in
-    the combination's support.  Each pass strictly decreases the total
-    t-valuation of the Pluecker vector, so the loop terminates.
+    Repeatedly: evaluate at t = 0 (the power-0 coefficients); while the rank
+    drops, pick a kernel combination of the evaluated rows, form the same
+    combination of the polynomial rows, strip its least power w >= 1 and use
+    it to replace the last row in the combination's support.  A pass divides
+    the Pluecker vector (the maximal minors) by t^w, and the rows stay
+    polynomial, so with v the least t-valuation of the minors at most v
+    passes run and evaluation v + 1 returns.  No nonzero minor means the
+    family is degenerate for generic t.
     """
-    if generic_rank(family) != family.m:
+    param, polys = family.param, family.coordinate_rows()
+    valuations = [min(by_power(p, param)) for p in maximal_minors(Mat(polys)).values() if p.terms]
+    if not valuations:
         raise PreconditionError("NOT_GENERIC_RANK", "family is degenerate for generic t")
-    param = family.param
-    rows = family.coordinate_rows()
-    t_zero = {param: Fraction(0)}
-
-    for _ in range(10000):
-        numeric = [[poly_eval(e, t_zero) for e in row] for row in rows]
-        ech = rref(numeric)
-        if ech.rank == family.m:
-            basis = [unvectorize(family.n, row) for row in numeric]
-            return MatSpace(family.n, basis)
+    rows = [[by_power(e, param) for e in row] for row in polys]
+    for _ in range(min(valuations) + 1):
+        numeric = [[e.get(0, Fraction(0)) for e in row] for row in rows]
+        if rref(numeric).rank == family.m:
+            return MatSpace(family.n, [unvectorize(family.n, row) for row in numeric])
         combo = _row_kernel_vector(numeric)
-        new_row = [MPoly.zero((param,)) for _ in rows[0]]
+        combined = [{} for _ in rows[0]]
         for c, row in zip(combo, rows):
-            if c == 0:
-                continue
-            new_row = [acc + e.scale(c) for acc, e in zip(new_row, row)]
-        vals = [
-            _valuation(e.with_vars(tuple(sorted(set(e.vars) | {param}))), param)
-            for e in new_row if not e.is_zero()
-        ]
-        if not vals:
-            raise PreconditionError("NOT_GENERIC_RANK", "rows became dependent over QQ(t)")
-        v = min(vals)
-        shifted = []
-        for e in new_row:
-            if e.is_zero():
-                shifted.append(e)
-                continue
-            e = e.with_vars(tuple(sorted(set(e.vars) | {param})))
-            idx = e.vars.index(param)
-            shifted.append(MPoly(e.vars, {
-                key[:idx] + (key[idx] - v,) + key[idx + 1:]: coeff
-                for key, coeff in e.terms.items()
-            }))
-        target = max(i for i, c in enumerate(combo) if c != 0)
-        rows[target] = shifted
-    raise PreconditionError("NOT_GENERIC_RANK", "limit iteration did not stabilize")
+            for acc, e in zip(combined, row):
+                for k, x in e.items():
+                    acc[k] = acc.get(k, 0) + c * x
+        combined = [{k: x for k, x in acc.items() if x} for acc in combined]
+        w = min(k for acc in combined for k in acc)
+        target = max(i for i, c in enumerate(combo) if c)
+        rows[target] = [{k - w: x for k, x in acc.items()} for acc in combined]
+    raise InternalCheckError("INTERNAL", "limit passes exceeded the Pluecker valuation")
 
 
 def _row_kernel_vector(numeric_rows: List[List[Fraction]]) -> List[Fraction]:

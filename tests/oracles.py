@@ -17,15 +17,20 @@ the tests can compare the two:
   package ranks integer candidates and forms the winner alone);
 - ``min_rank_bounds_by_fractions``: the minimum-rank bracket with all 60
   sweep candidates formed as Fraction elements and ranked by ``mat_rank``
-  (the package ranks them on integers, as the unit sweep does).
+  (the package ranks them on integers, as the unit sweep does);
+- ``substitution_family_by_matrices``: the degeneration family as the
+  coefficient matrix S(t) of the substitution and two polynomial ``Mat @``
+  products S^T M S, with I folded per entry (the package reads S^T M S off
+  the substituted quadric).
 """
 
 import itertools
 import re
 from fractions import Fraction
 
+from jordanet.catalog import QUADRIC_VARS, _reduce_imaginary
 from jordanet.errors import InputError, InternalCheckError, PreconditionError
-from jordanet.exact import NAME, MPoly, exact_div, frac, monomials
+from jordanet.exact import NAME, MPoly, exact_div, frac, monomials, parse_poly
 from jordanet.jordan import radical, structure_constants
 from jordanet.linalg import Mat, det, mat_rank, rref
 from jordanet.spaces import _WITNESS_BUDGET, contains, generic_det, integer_sweep, sym_dim
@@ -249,6 +254,22 @@ def min_rank_bounds_by_fractions(space):
     if best == 1:
         lower = 1
     return best, min(lower, best), witness
+
+
+def substitution_family_by_matrices(space, substitution):
+    """The basis matrices S(t)^T M S(t), with S(t)[i][k] the coefficient of
+    the k-th quadric variable in the i-th substitution string over (I, t)."""
+    names = QUADRIC_VARS[:space.n]
+    rows = []
+    for expr in substitution:
+        buckets = parse_poly(expr).split_by_vars(names)
+        rows.append([buckets.get(tuple(int(k == v) for k in range(len(names))),
+                                 MPoly.zero()).with_vars(("I", "t"))
+                     for v in range(len(names))])
+    s = Mat(rows)
+    st = s.transpose()
+    return [((st @ b.map(lambda e: MPoly.const(e, ("I", "t")))) @ s).map(_reduce_imaginary)
+            for b in space.basis]
 
 
 def parse_outcome(parse, text: str):

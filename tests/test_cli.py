@@ -437,6 +437,23 @@ class TestInputCheckedOnce:
                 assert report["net_class"] == "3b1"
             assert len(calls) == 2, expected
 
+    def test_default_unit_keeps_its_sweep_coordinates(self, monkeypatch, tmp_path, capsys):
+        # is_jordan(space) takes the unit with the coordinates that
+        # find_invertible found: no membership test re-finds them
+        from jordanet.catalog import canonical
+        from jordanet.spaces import contains, sample_congruent
+
+        files = {7: self.write(tmp_path / "3b1.json", sample_congruent(canonical("s4/3b1"), 7)),
+                 8: self.write(tmp_path / "flip.json", canonical("dim4/L2flip"))}
+        calls = []
+        rebind_everywhere(monkeypatch, "contains", contains,
+                          lambda space, m: calls.append(1) or contains(space, m))
+        for expected, path in files.items():
+            calls.clear()
+            code, out, _ = run_cli(["analyze", path, "--json"], capsys)
+            assert code == 0
+            assert len(calls) == expected, path
+
 
 class TestFamilyFiles:
     FAMILY = [[["1", "t"], ["t", "0"]], [["0", "0"], ["0", "1"]]]

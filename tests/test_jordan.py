@@ -189,6 +189,16 @@ class TestJordanProduct:
         assert list(unit.coords) == contains(sp, u) == [Fraction(3, 2), Fraction(1, 4)]
         assert resolve_unit(sp, Mat(u.data)) is unit
 
+    def test_default_unit_takes_the_sweep_coordinates_as_fractions(self):
+        # the sweep finds the 3b1 image's unit at integer coordinates; the
+        # unit keeps them as Fractions, equal to a membership test's answer
+        sp = sample_congruent(canonical("s4/3b1"), 7)
+        u, coords = find_invertible(sp)
+        assert all(type(c) is int for c in coords)
+        unit = resolve_unit(sp)
+        assert unit.u is u and all(type(c) is Fraction for c in unit.coords)
+        assert list(unit.coords) == contains(sp, u) == list(coords)
+
 
 class TestIsJordan:
     def test_intro_spaces(self):

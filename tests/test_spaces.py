@@ -31,7 +31,12 @@ from jordanet.spaces import (
     sample_congruent,
     sym_dim,
 )
-from oracles import element_by_scale_and_add, plucker_by_minors, sweep_for_unit_by_fractions
+from oracles import (
+    element_by_scale_and_add,
+    plucker_by_minors,
+    substitution_family_by_matrices,
+    sweep_for_unit_by_fractions,
+)
 
 
 def P(s):
@@ -372,6 +377,18 @@ class TestCongruence:
         chained = congruence_transform(congruence_transform(sp, p), q)
         assert congruence_transform(sp, p @ q) == chained
 
+    def test_sample_decides_invertibility_once(self, monkeypatch):
+        # one elimination per draw: the inverse that congruence_transform
+        # takes decides that P is invertible, with no rank taken before it
+        from jordanet.linalg import Echelon
+
+        source, real, calls = canonical("s4/3b1"), Echelon.extend, []
+        monkeypatch.setattr(Echelon, "extend", lambda ech, rows: calls.append(1) or real(ech, rows))
+        image = sample_congruent(source, 7)
+        monkeypatch.undo()
+        assert len(calls) == 1
+        assert make_space(image.n, image.basis) == image
+
 
 class TestPlucker:
     def test_count_for_s4_net(self):
@@ -458,13 +475,30 @@ class TestGrassmannLimit:
         assert lim == expected
 
     def test_generic_rank_guard(self):
-        fam = family_from_strings(2, [
-            [["t", "0"], ["0", "0"]],
-            [["t", "0"], ["0", "0"]],
+        for mats in [
+            [[["t", "0"], ["0", "0"]], [["t", "0"], ["0", "0"]]],
+            # B2 = t * B1 with B1 = diag(1, t): distinct rows, dependent over
+            # QQ(t), so every maximal minor vanishes; a pass would strip B2
+            # to B1 and the next combination would cancel to zero
+            [[["1", "0"], ["0", "t"]], [["t", "0"], ["0", "t^2"]]],
+        ]:
+            with pytest.raises(PreconditionError) as err:
+                grassmann_limit(family_from_strings(2, mats))
+            assert err.value.code == "NOT_GENERIC_RANK"
+
+    def test_three_passes_for_plucker_valuation_three(self):
+        # {E11, E11 + t E12, E11 + t E12 + t^2 E22} in S^3: the one nonzero
+        # minor is t^3, so the limit takes all three passes and the fourth
+        # evaluation returns; a bound of v evaluations would stop short
+        fam = family_from_strings(3, [
+            [["1", "0", "0"], ["0", "0", "0"], ["0", "0", "0"]],
+            [["1", "t", "0"], ["t", "0", "0"], ["0", "0", "0"]],
+            [["1", "t", "0"], ["t", "t^2", "0"], ["0", "0", "0"]],
         ])
-        with pytest.raises(PreconditionError) as err:
-            grassmann_limit(fam)
-        assert err.value.code == "NOT_GENERIC_RANK"
+        assert {k: v for k, v in plucker_limit_oracle(fam).values.items() if v} == {(0, 1, 3): 1}
+        lim = grassmann_limit(fam)
+        assert proportional(plucker(lim), plucker_limit_oracle(fam))
+        assert lim == make_space(3, [E(3, 1, 1), E(3, 1, 2), E(3, 2, 2)])
 
     def test_plucker_valuation_oracle(self):
         # p(limit) must be proportional to the lowest-order t-coefficients of p(F(t))
@@ -529,6 +563,32 @@ class TestLimitOracleOnCatalogFamilies:
             lim = grassmann_limit(fam)
             assert proportional(plucker(lim), plucker_limit_oracle(fam)), cid
             assert make_space(lim.n, lim.basis) == lim, cid  # built unchecked
+
+
+class TestSubstitutionFamily:
+    @staticmethod
+    def entries(basis):
+        return [[(str(e), e) for row in b.data for e in row] for b in basis]
+
+    def test_matches_the_matrix_route(self):
+        # S(t)^T M S(t) read off the quadric equals the two polynomial
+        # products of the old route, entry by entry, on every degen/* family
+        from jordanet.catalog import degeneration_edges, manifest, substitution_family
+
+        for cid, source, _ in degeneration_edges():
+            space, subst = canonical(source), manifest()[cid]["substitution"]
+            got = substitution_family(space, subst)
+            assert self.entries(got.basis) == self.entries(substitution_family_by_matrices(space, subst)), cid
+            assert self.entries(canonical(cid).basis) == self.entries(got.basis), cid
+
+    @pytest.mark.parametrize("first", ["a + t", "a*b", "a^2", "t"])
+    def test_every_term_is_linear_in_the_quadric_variables(self, first):
+        from jordanet.catalog import substitution_family
+        from jordanet.errors import InputError
+
+        with pytest.raises(InputError) as err:
+            substitution_family(canonical("s4/1a"), [first, "b", "c", "d"])
+        assert err.value.code == "PARSE_ERROR"
 
 
 class TestJsonRoundTrip:
