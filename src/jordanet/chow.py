@@ -3,11 +3,13 @@
 For a net (or any m-dimensional space) L with basis B_1..B_m, write the
 adjugate of the generic element t_1 B_1 + ... + t_m B_m.  Each entry is a
 homogeneous polynomial of degree n-1 in the t's; collecting coefficients
-gives the Chow matrix, with one row per upper-triangle position (i, j) and
-one column per degree-(n-1) monomial.  For m = 3 the matrix is square of
-size binom(n+1, 2); its rank equals the dimension of the linear span of the
-reciprocal variety, and its left kernel consists of the linear forms that
-vanish on all inverses.
+gives the Chow matrix, a plain ``Mat`` with one row per upper-triangle
+position (i, j) in ``sym_pairs`` order (11, 12, ..., 1n, 22, ..., nn) and
+one column per degree-(n-1) monomial in ``exact.monomials`` order
+(descending lexicographic: t1^(n-1) first, tm^(n-1) last).  For m = 3 the
+matrix is square of size binom(n+1, 2); its rank equals the dimension of the
+linear span of the reciprocal variety, and its left kernel consists of the
+linear forms that vanish on all inverses.
 
 The fully symbolic n = 3 determinant (degree 12 in the 18 entry variables,
 22659 terms) is a Laplace expansion of the 6 x 6 symbolic Chow matrix on
@@ -18,9 +20,8 @@ per process.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import List, Tuple
+from typing import List
 
 from .errors import PreconditionError
 from .exact import MPoly, monomials, poly_eval
@@ -37,18 +38,6 @@ from .spaces import (
 )
 
 
-@dataclass
-class ChowMatrix:
-    n: int
-    m: int
-    row_labels: List[Tuple[int, int]]  # 1-based symmetric positions
-    col_monomials: List[Tuple[int, ...]]
-    entries: List[List]  # Fraction rows (numeric net) or MPoly rows (symbolic)
-
-    def as_mat(self) -> Mat:
-        return Mat(self.entries)
-
-
 #: the largest Chow matrix, in rows x columns, that ``chow_matrix`` builds
 #: (the benchmark's largest is 15 x 35).  Dense spaces cost about 40 us of CPU
 #: per cell (Python 3.11, Xeon): all of S^5 (15 x 3060) 1.8 s; all of S^6
@@ -56,8 +45,9 @@ class ChowMatrix:
 MAX_CHOW_CELLS = 100_000
 
 
-def chow_matrix(space: MatSpace) -> ChowMatrix:
-    """Chow matrix of a numeric space; square exactly when m = 3.
+def chow_matrix(space: MatSpace) -> Mat:
+    """Chow matrix of a numeric space; square exactly when m = 3.  Rows
+    follow ``sym_pairs(n)``, columns ``monomials(m, n - 1)`` in t1..tm.
 
     Built once per space and memoised on it; callers must not mutate it.
     It is sized before the adjugate is built, sym_dim(n) rows by
@@ -73,27 +63,17 @@ def chow_matrix(space: MatSpace) -> ChowMatrix:
     return space._chow
 
 
-def _build_chow_matrix(space: MatSpace) -> ChowMatrix:
+def _build_chow_matrix(space: MatSpace) -> Mat:
     names = generic_names(space.m)
-    adj = adjugate(generic_element(space, names))
-    cols = list(monomials(space.m, space.n - 1))
-    rows = []
-    labels = []
-    for i, j in sym_pairs(space.n):
-        labels.append((i + 1, j + 1))
-        poly = adj[i, j]
-        row = [
-            poly.coefficient({name: e for name, e in zip(names, mono)})
-            for mono in cols
-        ]
-        rows.append(row)
-    return ChowMatrix(space.n, space.m, labels, cols, rows)
+    adj = adjugate(generic_element(space.basis, names))
+    cols = [dict(zip(names, mono)) for mono in monomials(space.m, space.n - 1)]
+    return Mat([[adj[i, j].coefficient(mono) for mono in cols] for i, j in sym_pairs(space.n)])
 
 
 def chow_rank(space: MatSpace) -> int:
     if not is_regular(space):
         raise PreconditionError("NOT_REGULAR", "Chow rank needs a regular space")
-    return mat_rank(chow_matrix(space).as_mat())
+    return mat_rank(chow_matrix(space))
 
 
 def chow_kernel_forms(space: MatSpace) -> List[MPoly]:
@@ -105,18 +85,17 @@ def chow_kernel_forms(space: MatSpace) -> List[MPoly]:
     """
     if not is_regular(space):
         raise PreconditionError("NOT_REGULAR", "kernel forms need a regular space")
-    cm = chow_matrix(space)
-    kernel = rref(cm.as_mat().transpose().data).kernel_basis()
+    kernel = rref(chow_matrix(space).transpose().data).kernel_basis()
     if not kernel:
         return []
     reduced = rref(kernel).rows
     forms = []
     for vec in reduced:
         form = MPoly.zero()
-        for (i, j), c in zip(cm.row_labels, vec):
+        for (i, j), c in zip(sym_pairs(space.n), vec):
             if c == 0:
                 continue
-            form = form + MPoly.var(f"z{i}{j}").scale(c)
+            form = form + MPoly.var(f"z{i + 1}{j + 1}").scale(c)
         forms.append(form.sign_normalized())
     return forms
 
@@ -160,9 +139,11 @@ def generic_symmetric(n: int, prefix: str) -> Mat:
 _NET_PREFIXES = ("x", "y", "z")
 
 
-def chow_matrix_generic(n: int = 3) -> ChowMatrix:
+def chow_matrix_generic(n: int = 3) -> Mat:
     """Chow matrix of the generic net spanned by symbolic symmetric matrices
-    with entries x_ij, y_ij, z_ij."""
+    with entries x_ij, y_ij, z_ij, in the rows and columns of ``chow_matrix``
+    (monomials in the weights w1..w3).  Its basis entries are polynomials, so
+    the weighted sum is its own, not ``generic_element``."""
     m = len(_NET_PREFIXES)
     mats = [generic_symmetric(n, p) for p in _NET_PREFIXES]
     weight_names = tuple(f"w{k + 1}" for k in range(m))
@@ -174,13 +155,10 @@ def chow_matrix_generic(n: int = 3) -> ChowMatrix:
     adj = adjugate(acc)
     cols = list(monomials(m, n - 1))
     rows = []
-    labels = []
     for i, j in sym_pairs(n):
-        labels.append((i + 1, j + 1))
         buckets = adj[i, j].split_by_vars(weight_names)
-        row = [buckets.get(mono, MPoly.zero()) for mono in cols]
-        rows.append(row)
-    return ChowMatrix(n, m, labels, cols, rows)
+        rows.append([buckets.get(mono, MPoly.zero()) for mono in cols])
+    return Mat(rows)
 
 
 _DET_MEMO = {}
@@ -194,7 +172,7 @@ def chow_det_generic(n: int = 3) -> MPoly:
     if n != 3:
         raise PreconditionError("UNSUPPORTED_DIM", "symbolic Chow determinant is n = 3 only")
     if n not in _DET_MEMO:
-        _DET_MEMO[n] = det_laplace(chow_matrix_generic(n).as_mat())
+        _DET_MEMO[n] = det_laplace(chow_matrix_generic(n))
     return _DET_MEMO[n]
 
 

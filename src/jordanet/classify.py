@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple, Union
 
 from .errors import PreconditionError
-from .exact import MPoly, squarefree_decomposition
+from .exact import squarefree_decomposition
 from .jordan import (
     JordanStructure,
     is_associative,
@@ -36,7 +36,7 @@ from .jordan import (
     structure_constants,
 )
 from .linalg import Mat, charpoly
-from .spaces import MatSpace, find_invertible, generic_names, is_regular
+from .spaces import MatSpace, find_invertible, generic_element, is_regular
 from .varieties import rank_one_pencil
 
 NET_LABELS = ("1a", "1b", "2a1", "2a2", "2b", "3a", "3b1", "3b2")
@@ -75,9 +75,7 @@ def generic_multiplicity_partition(space: MatSpace) -> Tuple[int, ...]:
     drop = next(k for k, c in enumerate(coords) if c != 0)
     q = Mat.from_ints(resolve_unit(space, u).q)
     *scaled, last = [q @ b for k, b in enumerate(space.basis) if k != drop]
-    x = last
-    for name, p in zip(generic_names(space.m - 2), scaled):
-        x = x + p.scale(MPoly.var(name))
+    x = generic_element(scaled) + last if scaled else last
     _, factors = squarefree_decomposition(charpoly(x))
     parts: List[int] = []
     for factor, mult in factors:

@@ -18,7 +18,8 @@ verification failure, 2 parse error, 3 precondition violation (a result
 with a number past Python's 4300-digit conversion limit, a refused
 TOO_LARGE computation and running out of memory among them), 4
 internal error (a failed self-check or any other exception, as one ``error:
-INTERNAL`` line).  A report is rendered whole before its first line is
+INTERNAL`` line).  A stdout closed by its reader exits 3 with one ``error:
+OUTPUT_CLOSED`` line.  A report is rendered whole before its first line is
 printed, so an error leaves stdout empty.  ``analyze`` reads reciprocity
 and the closure off the one Jordan test (see ``cmd_analyze``).
 """
@@ -27,6 +28,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import time
 from fractions import Fraction
@@ -170,7 +172,7 @@ def cmd_chow(args) -> int:
     if args.det_stats:
         if space.n != 3 or space.m != 3:
             raise PreconditionError("UNSUPPORTED_DIM", "--det-stats applies to nets of 3x3 matrices")
-        report["det_value"] = linalg_det(chow_matrix(space).as_mat())
+        report["det_value"] = linalg_det(chow_matrix(space))
     return _done(report, args)
 
 
@@ -330,6 +332,14 @@ def main(argv=None) -> int:
     try:
         # looked up per call: the parser is built once and holds no functions
         code = globals()[f"cmd_{args.cmd}"](args)
+        if not getattr(args, "json", False) and args.cmd != "verify":
+            print(f"elapsed: {time.time() - t0:.2f}s")
+        sys.stdout.flush()  # a closed stdout fails here, not at exit
+    except BrokenPipeError:  # the reader left; send what is left to devnull
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        print("error: OUTPUT_CLOSED: stdout was closed before the output was written",
+              file=sys.stderr)
+        return 3
     except (InputError, PreconditionError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2 if isinstance(err, InputError) else 3
@@ -341,8 +351,6 @@ def main(argv=None) -> int:
             err = f"INTERNAL: {type(err).__name__}: {err}"
         print(f"error: {err}", file=sys.stderr)
         return 4
-    if not getattr(args, "json", False) and args.cmd != "verify":
-        print(f"elapsed: {time.time() - t0:.2f}s")
     return code
 
 

@@ -7,26 +7,25 @@ alphabetical variable order and graded-lexicographic term order for all
 canonical output.  ``UniPoly`` layers a distinguished main variable on top,
 with coefficients that are polynomials in the remaining variables; that is
 the form used by characteristic polynomials, GCDs and squarefree
-decompositions.
+decompositions.  ``poly_eval`` evaluates a polynomial at rationals only:
+every variable gets a value, and the result is a Fraction.
 
 Everything is immutable after construction and all operations are pure.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import re
 from fractions import Fraction
-from typing import Iterable, Iterator, List, Mapping, Optional, Tuple, Union
+from typing import Iterable, Iterator, List, Mapping, Optional, Tuple
 
 from .errors import InputError, InternalCheckError, PreconditionError
 
 Scalar = Fraction
 
 NEG_INF = float("-inf")
-
-_COEFF_LIKE = Union[int, Fraction]
-
 
 #: the text form of a rational: an integer or p/q, no decimals or exponents
 _RATIONAL = re.compile(r"[+-]?\d+(?:/\d+)?")
@@ -72,14 +71,19 @@ def frac_gcd(a: Fraction, b: Fraction) -> Fraction:
 
 def monomials(k: int, degree: int) -> Iterator[Tuple[int, ...]]:
     """Exponent tuples of length k and total degree ``degree``, in descending
-    lexicographic order (t1 > t2 > ...); none for a negative degree."""
-    if k == 0:
-        if degree == 0:
-            yield ()
+    lexicographic order (t1 > t2 > ...); none for a negative degree.
+
+    A monomial is a multiset of ``degree`` variable indices; the sorted index
+    tuples come in lexicographic order, which is descending lexicographic
+    order on their exponent tuples.  No recursion: k may be in the
+    thousands."""
+    if degree < 0:
         return
-    for first in range(degree, -1, -1):
-        for rest in monomials(k - 1, degree - first):
-            yield (first,) + rest
+    for indices in itertools.combinations_with_replacement(range(k), degree):
+        exps = [0] * k
+        for i in indices:
+            exps[i] += 1
+        yield tuple(exps)
 
 
 def _grlex_key(exps: tuple) -> tuple:
@@ -102,27 +106,6 @@ class MPoly:
         self.terms = terms
 
     # -- constructors -------------------------------------------------
-
-    @staticmethod
-    def from_terms(vars: Iterable[str], terms: Mapping[tuple, _COEFF_LIKE]) -> "MPoly":
-        vs = tuple(vars)
-        order = sorted(range(len(vs)), key=lambda i: vs[i])
-        svs = tuple(vs[i] for i in order)
-        if len(set(svs)) != len(svs):
-            raise InputError("PARSE_ERROR", f"duplicate variables in {vs}")
-        out = {}
-        for exps, coeff in terms.items():
-            coeff = frac(coeff)
-            if coeff == 0:
-                continue
-            if len(exps) != len(vs):
-                raise InputError("PARSE_ERROR", "exponent length != variable count")
-            key = tuple(exps[i] for i in order)
-            acc = out.get(key)
-            out[key] = coeff if acc is None else acc + coeff
-            if out[key] == 0:
-                del out[key]
-        return MPoly(svs, out)
 
     @staticmethod
     def const(value, vars: tuple = ()) -> "MPoly":
@@ -349,39 +332,6 @@ class MPoly:
             return -self
         return self
 
-    # -- substitution ----------------------------------------------------
-
-    def substitute(self, assignment: Mapping[str, object]) -> "MPoly":
-        """Substitute values (rationals or polynomials) for some variables."""
-        for name in assignment:
-            if name not in self.vars:
-                raise InputError("PARSE_ERROR", f"{name} is not a variable of this polynomial")
-        keep = tuple(v for v in self.vars if v not in assignment)
-        values = {}
-        for name, val in assignment.items():
-            values[name] = val if isinstance(val, MPoly) else MPoly.const(frac(val))
-        result = MPoly.zero(keep)
-        powers = {name: {0: MPoly.const(1)} for name in assignment}
-        for exps, coeff in self.terms.items():
-            part = MPoly.from_terms(
-                keep,
-                {tuple(e for v, e in zip(self.vars, exps) if v in keep): coeff},
-            )
-            for name, e in zip(self.vars, exps):
-                if name in keep or e == 0:
-                    continue
-                cache = powers[name]
-                if e not in cache:
-                    p = max(cache)
-                    acc = cache[p]
-                    while p < e:
-                        acc = acc * values[name]
-                        p += 1
-                        cache[p] = acc
-                part = part * cache[e]
-            result = result + part
-        return result
-
     def split_by_vars(self, names: Iterable[str]) -> dict:
         """Group terms by their exponents in ``names``.
 
@@ -525,18 +475,11 @@ def parse_poly_lines(text: str) -> List[MPoly]:
     return [parse_poly(line) for line in stripped if line and not line.startswith("#")]
 
 
-def poly_eval(p: MPoly, assignment: Mapping[str, object]):
-    """Substitute; returns a Scalar when nothing but constants remain.
-
-    Names that are not variables of p are ignored.  When every variable gets
-    a rational value the terms are summed directly, with no intermediate
-    polynomials.
-    """
-    values = [assignment.get(v) for v in p.vars]
-    if any(x is None or isinstance(x, MPoly) for x in values):
-        result = p.substitute({v: x for v, x in zip(p.vars, values) if x is not None})
-        return result.constant_value() if result.is_constant() else result
-    values = [frac(x) for x in values]
+def poly_eval(p: MPoly, assignment: Mapping[str, object]) -> Fraction:
+    """The value of p at rationals, one for each of its variables (names
+    that are not variables of p are ignored), as a sum of its terms with no
+    intermediate polynomials."""
+    values = [frac(assignment[v]) for v in p.vars]
     total = Fraction(0)
     for exps, coeff in p.terms.items():
         term = coeff
@@ -547,16 +490,6 @@ def poly_eval(p: MPoly, assignment: Mapping[str, object]):
                     break
         total += term
     return total
-
-
-def poly_stats(p: MPoly, monomial: Optional[Mapping[str, int]] = None):
-    """(total degree, term count[, coefficient of the given monomial]).
-
-    Degree is -inf for the zero polynomial.
-    """
-    if monomial is None:
-        return (p.total_degree(), p.term_count())
-    return (p.total_degree(), p.term_count(), p.coefficient(monomial))
 
 
 # -- exact division ------------------------------------------------------

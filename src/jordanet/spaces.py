@@ -6,6 +6,10 @@ vectorize to their upper triangle read row by row; for n = 4 the coordinate
 order is (11, 12, 13, 14, 22, 23, 24, 33, 34, 44).  All Pluecker coordinates,
 kernels and membership tests use that fixed order.
 
+``generic_element`` forms sum_k t_k B_k from any sequence of rational
+matrices: the generic determinant, the Chow matrix, the rank-one minors and
+the multiplicity partition's characteristic polynomial all start from it.
+
 ``ParametricBasis`` holds a one-parameter family (entries polynomial in t).
 ``grassmann_limit`` computes its limit at t -> 0 by valuation-normalized row
 reduction on the entries' coefficients by power of t (``by_power``); the
@@ -15,6 +19,7 @@ family's maximal minors decide that its rank is full and bound the passes.
 from __future__ import annotations
 
 import itertools
+import math
 from fractions import Fraction
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -122,31 +127,23 @@ def generic_names(m: int) -> Tuple[str, ...]:
     return tuple(f"t{k + 1}" for k in range(m))
 
 
-def generic_element(space: MatSpace, names: Optional[Sequence[str]] = None) -> Mat:
-    """sum_k t_k * basis_k with fresh polynomial variables t1..tm."""
-    names = tuple(names) if names is not None else generic_names(space.m)
-    if len(names) != space.m:
+def generic_element(basis: Sequence[Mat], names: Optional[Sequence[str]] = None) -> Mat:
+    """sum_k t_k B_k for rational matrices B_k, with fresh polynomial
+    variables t1..tm (or ``names``): each entry is formed once, as the MPoly
+    {exponent of t_k: B_k[i][j]}."""
+    names = tuple(names) if names is not None else generic_names(len(basis))
+    if len(names) != len(basis):
         raise PreconditionError("PARSE_ERROR", "need one variable name per basis element")
     vars = tuple(sorted(names))
-    entries = [[MPoly.zero(vars) for _ in range(space.n)] for _ in range(space.n)]
-    for name, b in zip(names, space.basis):
-        idx = vars.index(name)
-        for i in range(space.n):
-            for j in range(space.n):
-                c = b[i, j]
-                if c == 0:
-                    continue
-                exps = [0] * len(vars)
-                exps[idx] = 1
-                key = tuple(exps)
-                cur = entries[i][j]
-                entries[i][j] = cur + MPoly(vars, {key: c})
-    return Mat(entries)
+    terms = [(tuple(int(v == name) for v in vars), b.data) for name, b in zip(names, basis)]
+    n = basis[0].rows
+    return Mat([[MPoly(vars, {key: d[i][j] for key, d in terms if d[i][j]}) for j in range(n)]
+                for i in range(n)])
 
 
 def generic_det(space: MatSpace, names: Optional[Sequence[str]] = None) -> MPoly:
     """Determinant of the generic element; nonzero iff the space is regular."""
-    return det(generic_element(space, names))
+    return det(generic_element(space.basis, names))
 
 
 def is_regular(space: MatSpace) -> bool:
@@ -298,9 +295,23 @@ class PluckerVector:
         return {k: v for k, v in self.values.items() if v != 0}
 
 
+#: the most column subsets ``plucker``'s Laplace memo may visit: with
+#: N = n(n+1)/2 coordinates, every subset of at most m columns, sum_{j <= m}
+#: C(N, j).  At most 2^15 in S^5; 198 440 for m = 7 in S^6 (3.4 s of CPU,
+#: Python 3.11, Xeon); 2^21 - 1 and 2^28 - 1 for hyperplanes in S^6 and S^7.
+MAX_PLUCKER_SUBSETS = 200_000
+
+
 def plucker(space: MatSpace) -> PluckerVector:
     """All m x m minors of the m x binom(n+1,2) coordinate matrix, from one
-    Laplace memo over column subsets (``linalg.maximal_minors``)."""
+    Laplace memo over column subsets (``linalg.maximal_minors``).  The memo
+    is sized before the first minor and refused with TOO_LARGE past
+    ``MAX_PLUCKER_SUBSETS``."""
+    cols = sym_dim(space.n)
+    subsets = sum(math.comb(cols, j) for j in range(space.m + 1))
+    if subsets > MAX_PLUCKER_SUBSETS:
+        raise PreconditionError("TOO_LARGE", f"the Pluecker minors would visit {subsets} "
+                                f"column subsets, past {MAX_PLUCKER_SUBSETS}")
     return PluckerVector(space.n, space.m, maximal_minors(Mat(space.coordinate_rows())))
 
 

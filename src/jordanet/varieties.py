@@ -129,7 +129,7 @@ def macaulay_emptiness(polys: Sequence[MPoly], degree: int,
 
 def rank_one_system(space: MatSpace) -> List[MPoly]:
     """All 2x2 minors of the generic element: the rank <= 1 locus equations."""
-    g = generic_element(space)
+    g = generic_element(space.basis)
     n = space.n
     minors = []
     for i in range(n):

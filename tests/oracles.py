@@ -21,7 +21,14 @@ the tests can compare the two:
 - ``substitution_family_by_matrices``: the degeneration family as the
   coefficient matrix S(t) of the substitution and two polynomial ``Mat @``
   products S^T M S, with I folded per entry (the package reads S^T M S off
-  the substituted quadric).
+  the substituted quadric);
+- ``generic_element_by_scale_and_add``: sum_k t_k B_k as m polynomial
+  scalings and m - 1 ``Mat`` sums (the package forms each entry once);
+- ``poly_eval_by_mpoly``: a polynomial's value at rationals summed in
+  ``MPoly`` arithmetic (the package sums Fractions).
+
+``mpoly_from_terms`` is the checked constructor the tests build polynomials
+with: any variable order, duplicate exponents merged, zeros dropped.
 """
 
 import itertools
@@ -33,7 +40,14 @@ from jordanet.errors import InputError, InternalCheckError, PreconditionError
 from jordanet.exact import NAME, MPoly, exact_div, frac, monomials, parse_poly
 from jordanet.jordan import radical, structure_constants
 from jordanet.linalg import Mat, det, mat_rank, rref
-from jordanet.spaces import _WITNESS_BUDGET, contains, generic_det, integer_sweep, sym_dim
+from jordanet.spaces import (
+    _WITNESS_BUDGET,
+    contains,
+    generic_det,
+    generic_names,
+    integer_sweep,
+    sym_dim,
+)
 from jordanet.varieties import rank_one_locus_certificate
 
 _TOKEN = re.compile(
@@ -270,6 +284,49 @@ def substitution_family_by_matrices(space, substitution):
     st = s.transpose()
     return [((st @ b.map(lambda e: MPoly.const(e, ("I", "t")))) @ s).map(_reduce_imaginary)
             for b in space.basis]
+
+
+def generic_element_by_scale_and_add(basis, names=None) -> Mat:
+    """sum_k t_k B_k as B_k.scale(t_k), summed as matrices."""
+    names = names or generic_names(len(basis))
+    acc = None
+    for name, b in zip(names, basis):
+        scaled = b.scale(MPoly.var(name))
+        acc = scaled if acc is None else acc + scaled
+    return acc
+
+
+def poly_eval_by_mpoly(p: MPoly, assignment) -> Fraction:
+    """p at rationals, every term a product of constant MPolys."""
+    total = MPoly.zero()
+    for exps, coeff in p.terms.items():
+        term = MPoly.const(coeff)
+        for v, e in zip(p.vars, exps):
+            term = term * MPoly.const(assignment[v]) ** e
+        total = total + term
+    return total.constant_value()
+
+
+def mpoly_from_terms(vars, terms) -> MPoly:
+    """The polynomial sum of c * prod(v ** e) over terms {exponents: c}, with
+    exponents given in the order of ``vars`` (any order)."""
+    vs = tuple(vars)
+    order = sorted(range(len(vs)), key=lambda i: vs[i])
+    svs = tuple(vs[i] for i in order)
+    if len(set(svs)) != len(svs):
+        raise InputError("PARSE_ERROR", f"duplicate variables in {vs}")
+    out = {}
+    for exps, coeff in terms.items():
+        coeff = frac(coeff)
+        if coeff == 0:
+            continue
+        if len(exps) != len(vs):
+            raise InputError("PARSE_ERROR", "exponent length != variable count")
+        key = tuple(exps[i] for i in order)
+        out[key] = out.get(key, 0) + coeff
+        if out[key] == 0:
+            del out[key]
+    return MPoly(svs, out)
 
 
 def parse_outcome(parse, text: str):

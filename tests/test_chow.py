@@ -1,3 +1,5 @@
+import itertools
+import math
 from fractions import Fraction
 
 import pytest
@@ -22,6 +24,7 @@ from jordanet.spaces import (
     make_space,
     sample_congruent,
     sym_dim,
+    sym_pairs,
     vectorize,
 )
 
@@ -76,22 +79,45 @@ class TestColumns:
 class TestChowMatrix:
     def test_shape_for_net(self):
         cm = chow_matrix(nets_L2())
-        assert len(cm.entries) == 10 and len(cm.entries[0]) == 10
-        assert cm.row_labels[0] == (1, 1) and cm.row_labels[-1] == (4, 4)
+        assert isinstance(cm, Mat) and (cm.rows, cm.cols) == (10, 10)
 
     def test_single_identity_span(self):
         cm = chow_matrix(make_space(2, [Mat.identity(2)]))
-        assert len(cm.entries) == 3 and len(cm.entries[0]) == 1
-        assert [row[0] for row in cm.entries] == [1, 0, 1]
+        assert (cm.rows, cm.cols) == (3, 1)
+        assert [row[0] for row in cm.data] == [1, 0, 1]
+
+    def test_rows_follow_sym_pairs_and_columns_monomials(self):
+        # adj diag(t1, t2, t3) = diag(t2 t3, t1 t3, t1 t2); rows 11, 12, 13,
+        # 22, 23, 33 and columns t1^2, t1 t2, t1 t3, t2^2, t2 t3, t3^2
+        cm = chow_matrix(make_space(3, [E(3, 1, 1), E(3, 2, 2), E(3, 3, 3)]))
+        expected = [[0] * 6 for _ in range(6)]
+        expected[0][4] = expected[3][2] = expected[5][1] = 1
+        assert cm == Mat.from_ints(expected)
+
+    def test_rows_are_the_adjugate_entries_at_sweep_points(self):
+        # sum over columns of entry * monomial(t) is adj(X(t))[i][j] for the
+        # row's (i, j) in sym_pairs order
+        rng = SplitMix64(77)
+        for n, m in ((3, 3), (4, 3), (3, 2), (4, 4)):
+            sp = random_space(rng, n, m)
+            cm = chow_matrix(sp)
+            monos = list(monomials(m, n - 1))
+            assert (cm.rows, cm.cols) == (sym_dim(n), len(monos))
+            for tup in itertools.islice(integer_sweep(m), 5):
+                adj = adjugate(sp.element(tup))
+                values = [math.prod(t ** e for t, e in zip(tup, mono)) for mono in monos]
+                for r, (i, j) in enumerate(sym_pairs(n)):
+                    assert sum(c * v for c, v in zip(cm.data[r], values)) == adj[i, j]
 
     def test_generic_first_column_entries(self):
         cm = chow_matrix_generic(3)
-        assert cm.entries[0][0] == P("x22*x33 - x23^2")
-        assert cm.entries[1][0] == P("x13*x23 - x12*x33")
-        assert cm.entries[2][0] == P("x12*x23 - x13*x22")
-        assert cm.entries[0][1] == P("x22*y33 - 2*x23*y23 + x33*y22")
-        assert cm.entries[0][2] == P("x22*z33 - 2*x23*z23 + x33*z22")
-        assert cm.entries[0][3] == P("y22*y33 - y23^2")
+        assert isinstance(cm, Mat) and (cm.rows, cm.cols) == (6, 6)
+        assert cm[0, 0] == P("x22*x33 - x23^2")
+        assert cm[1, 0] == P("x13*x23 - x12*x33")
+        assert cm[2, 0] == P("x12*x23 - x13*x22")
+        assert cm[0, 1] == P("x22*y33 - 2*x23*y23 + x33*y22")
+        assert cm[0, 2] == P("x22*z33 - 2*x23*z23 + x33*z22")
+        assert cm[0, 3] == P("y22*y33 - y23^2")
 
 
 class TestChowRank:
@@ -129,9 +155,8 @@ class TestKernelForms:
         assert chow_kernel_forms(sp) == []
 
     def test_kernel_vectors_kill_the_matrix(self):
-        cm = chow_matrix(net_rank8())
-        kernel = rref(cm.as_mat().transpose().data).kernel_basis()
-        mat = cm.as_mat()
+        mat = chow_matrix(net_rank8())
+        kernel = rref(mat.transpose().data).kernel_basis()
         for vec in kernel:
             for col in range(10):
                 acc = sum((v * mat[r, col] for r, v in enumerate(vec)), Fraction(0))
@@ -160,6 +185,24 @@ def stacked_adjugate_span(space, trials):
         if len(rows) >= trials:
             break
     return rref(rows).rank
+
+
+def random_space(rng, n, m):
+    """An independent m-dimensional space in S^n with small rational
+    entries, one in seven of them zero."""
+    while True:
+        basis = []
+        for _ in range(m):
+            rows = [[Fraction(0)] * n for _ in range(n)]
+            for i in range(n):
+                for j in range(i, n):
+                    rows[i][j] = rows[j][i] = Fraction(rng.int_between(-3, 3),
+                                                       rng.int_between(1, 4))
+            basis.append(Mat(rows))
+        try:
+            return make_space(n, basis)
+        except PreconditionError:
+            pass
 
 
 def random_regular_nets(seed, n, count):
@@ -231,7 +274,7 @@ class TestGenericDet:
             Mat.from_ints([[2, 0, 1], [0, 1, 1], [1, 1, 0]]),
         ])
         value = chow_det_eval_at_net(sp)
-        assert (value != 0) == (mat_rank(chow_matrix(sp).as_mat()) == 6)
+        assert (value != 0) == (mat_rank(chow_matrix(sp)) == 6)
         assert value != 0
 
     def test_equals_numeric_chow_det(self, generic_det):
@@ -243,7 +286,7 @@ class TestGenericDet:
             Mat.from_ints([[0, 1, 0], [1, 0, 1], [0, 1, 1]]),
             Mat.from_ints([[1, 1, 0], [1, 1, 1], [0, 1, 2]]),
         ])
-        assert chow_det_eval_at_net(sp) == _det(chow_matrix(sp).as_mat())
+        assert chow_det_eval_at_net(sp) == _det(chow_matrix(sp))
 
     def test_unsupported_size(self):
         with pytest.raises(PreconditionError):
@@ -267,7 +310,7 @@ class TestRankDropEquivalence:
 
     def test_low_rank_element_forces_singular_chow(self):
         sp = make_space(3, [E(3, 1, 1), E(3, 2, 2), E(3, 3, 3)])
-        assert mat_rank(chow_matrix(sp).as_mat()) < 6
+        assert mat_rank(chow_matrix(sp)) < 6
 
 
 class TestRankThreeIffClosed:

@@ -133,7 +133,7 @@ def partition_in_all_variables(space):
     QQ(t1..tm), with no change of variables."""
     unit = resolve_unit(space)
     uinv = Mat([[Fraction(v, unit.s) for v in row] for row in unit.q])
-    cp = charpoly(uinv @ generic_element(space))
+    cp = charpoly(uinv @ generic_element(space.basis))
     _, factors = squarefree_decomposition(cp)
     parts = []
     for factor, mult in factors:

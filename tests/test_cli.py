@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import re
 import subprocess
@@ -627,6 +628,46 @@ class TestBoundedCost:
         assert code == 3 and out == ""
         assert "TOO_LARGE" in err and shape in err and "INTERNAL" not in err
 
+    def test_plucker_on_a_hyperplane_in_s7_is_refused_within_a_second(self, tmp_path, capsys):
+        # dense, so the Laplace memo would visit all 2^28 - 1 column subsets
+        rng = SplitMix64(7)
+        basis = []
+        for _ in range(27):
+            mat = [[0] * 7 for _ in range(7)]
+            for i in range(7):
+                for j in range(i, 7):
+                    mat[i][j] = mat[j][i] = rng.nonzero_int_between(-3, 3)
+            basis.append(mat)
+        f = tmp_path / "hyperplane.json"
+        f.write_text(json.dumps({"n": 7, "basis": basis}))
+        start = time.process_time()
+        code, out, err = run_cli(["plucker", str(f), "--json"], capsys)
+        assert time.process_time() - start < 1
+        assert code == 3 and out == ""
+        assert "TOO_LARGE" in err and "268435455 column subsets" in err and "INTERNAL" not in err
+
+    @pytest.mark.parametrize("n, m, subsets", [(5, 15, None), (6, 7, None), (6, 8, 401930)])
+    def test_plucker_bound_admits_s5_and_seven_dimensions_of_s6(self, n, m, subsets,
+                                                                tmp_path, capsys):
+        # unit matrices: a sparse basis, so admitted sizes are answered at once
+        pairs = [(i, j) for i in range(n) for j in range(i, n)][:m]
+        basis = [[[int({a, b} == {i, j}) for b in range(n)] for a in range(n)] for i, j in pairs]
+        f = tmp_path / "units.json"
+        f.write_text(json.dumps({"n": n, "basis": basis}))
+        code, out, err = run_cli(["plucker", str(f), "--json"], capsys)
+        if subsets is None:
+            assert code == 0 and json.loads(out)["coordinates"] == math.comb(n * (n + 1) // 2, m)
+        else:
+            assert code == 3 and f"{subsets} column subsets" in err
+
+    def test_emptiness_in_more_variables_than_the_recursion_limit(self, tmp_path, capsys):
+        f = tmp_path / "linear.txt"
+        f.write_text(" + ".join(f"x{i}" for i in range(1200)) + "\n")
+        code, out, err = run_cli(["emptiness", str(f), "--degree", "1", "--json"], capsys)
+        assert code == 0 and err == ""
+        report = json.loads(out)
+        assert (report["kind"], report["span_rank"], report["span_target"]) == ("UNKNOWN", 1, 1200)
+
     def test_memory_error_exits_3(self, monkeypatch, tmp_path, capsys):
         def exhausted(*args, **kwargs):
             raise MemoryError
@@ -637,6 +678,28 @@ class TestBoundedCost:
         code, out, err = run_cli(["emptiness", str(f), "--degree", "2", "--json"], capsys)
         assert code == 3 and out == ""
         assert "TOO_LARGE" in err and "INTERNAL" not in err
+
+
+class TestOutputClosed:
+    """A reader that closed stdout is no bug: one OUTPUT_CLOSED line and
+    exit 3, whether stdout is buffered (the error comes at the flush) or not
+    (it comes at the first write)."""
+
+    @pytest.mark.parametrize("unbuffered", [True, False], ids=["unbuffered", "buffered"])
+    def test_closed_stdout_exits_3(self, unbuffered):
+        env = {k: v for k, v in child_env().items() if k != "PYTHONUNBUFFERED"}
+        if unbuffered:
+            env["PYTHONUNBUFFERED"] = "1"
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "jordanet.cli", "analyze", "catalog://s4/3b1", "--json"],
+                stdout=write_end, stderr=subprocess.PIPE, text=True, env=env)
+        finally:
+            os.close(write_end)
+        assert proc.returncode == 3
+        assert proc.stderr.startswith("error: OUTPUT_CLOSED") and proc.stderr.count("\n") == 1
 
 
 class TestResultTooLarge:

@@ -21,6 +21,7 @@ from jordanet.spaces import (
     find_invertible,
     generic_det,
     generic_element,
+    generic_names,
     grassmann_limit,
     integer_sweep,
     nonzero_sweep,
@@ -33,6 +34,7 @@ from jordanet.spaces import (
 )
 from oracles import (
     element_by_scale_and_add,
+    generic_element_by_scale_and_add,
     plucker_by_minors,
     substitution_family_by_matrices,
     sweep_for_unit_by_fractions,
@@ -125,17 +127,37 @@ class TestMakeSpace:
 class TestGenericElement:
     def test_diagonal(self):
         sp = make_space(2, [E(2, 1, 1), E(2, 2, 2)])
-        g = generic_element(sp)
+        g = generic_element(sp.basis)
         assert g[0, 0] == P("t1") and g[1, 1] == P("t2") and g[0, 1] == P("0")
 
     def test_single_antidiagonal(self):
         sp = make_space(2, [E(2, 1, 2)])
-        g = generic_element(sp)
+        g = generic_element(sp.basis)
         assert g[0, 1] == P("t1")
 
     def test_named_variables(self):
-        g = generic_element(double_conic_net(), names=("x", "y", "z"))
+        g = generic_element(double_conic_net().basis, names=("x", "y", "z"))
         assert g[0, 0] == P("x") and g[0, 1] == P("y") and g[1, 1] == P("z")
+
+    def test_matches_scale_and_add(self):
+        # seeded rational bases, most entries zero, up to 11 matrices (t10
+        # and t11 sort before t2)
+        rng = SplitMix64(1509)
+        for _ in range(30):
+            n, m = rng.int_between(1, 4), rng.int_between(1, 11)
+            basis = [Mat([[Fraction(rng.int_between(-2, 2) * rng.int_between(0, 1),
+                                    rng.int_between(1, 3)) for _ in range(n)]
+                          for _ in range(n)]) for _ in range(m)]
+            got = generic_element(basis)
+            assert got == generic_element_by_scale_and_add(basis)
+            assert all(e.vars == tuple(sorted(generic_names(m))) for row in got.data for e in row)
+        names = ("z", "x", "y")
+        basis = [E(2, 1, 1), E(2, 1, 2), Mat.zero(2, 2)]
+        assert generic_element(basis, names) == generic_element_by_scale_and_add(basis, names)
+
+    def test_one_name_per_matrix(self):
+        with pytest.raises(PreconditionError):
+            generic_element([E(2, 1, 1), E(2, 2, 2)], names=("x",))
 
 
 class TestGenericDet:

@@ -6,7 +6,7 @@ import pytest
 from jordanet.catalog import canonical, catalog_ids
 from jordanet.errors import InputError, PreconditionError
 from jordanet import varieties
-from jordanet.exact import MPoly, UniPoly, monomials, mpoly_gcd, parse_poly
+from jordanet.exact import MPoly, UniPoly, monomials, mpoly_gcd, parse_poly, poly_eval
 from jordanet.linalg import Mat, inverse, rref
 from jordanet.prng import SplitMix64
 from jordanet.spaces import PluckerVector, make_space, plucker, sample_congruent
@@ -21,7 +21,7 @@ from jordanet.varieties import (
     rank_one_pencil,
     rank_one_system,
 )
-from oracles import macaulay_rank_by_fractions, min_rank_bounds_by_fractions
+from oracles import macaulay_rank_by_fractions, min_rank_bounds_by_fractions, mpoly_from_terms
 
 
 def P(s):
@@ -128,7 +128,7 @@ class TestMacaulay:
                          for mono in monomials(len(vars), rng.int_between(1, 3))}
                 if not any(terms.values()):
                     terms[next(iter(terms))] = Fraction(1)
-                system.append(MPoly.from_terms(vars, terms))
+                system.append(mpoly_from_terms(vars, terms))
             degree = rng.int_between(0, 5)
             cert = macaulay_emptiness(system, degree, vars=vars)
             assert (cert.span_rank, cert.span_target) == macaulay_rank_by_fractions(
@@ -271,7 +271,9 @@ def rank_one_count_oracle(sp):
     i2 = g.vars.index("t2") if "t2" in g.vars else None
     if i2 is not None and min(e[i2] for e in g.terms) > 0:
         count += 1  # root at (1 : 0)
-    w = UniPoly.from_mpoly(g.substitute({"t2": 1}).trimmed() if "t2" in g.vars else g, "t1")
+    # dehomogenize at t2 = 1
+    w = UniPoly("t1", [MPoly.const(poly_eval(c, {"t2": 1}))
+                       for c in UniPoly.from_mpoly(g, "t1").coeffs])
     # deflate rational roots found by scanning small heights
     for num in range(-24, 25):
         for den in range(1, 9):
