@@ -24,7 +24,7 @@ from .classify import (
     ejo_component_count,
 )
 from .errors import InputError, InternalCheckError, JordanetError, PreconditionError
-from .exact import MPoly, Scalar, UniPoly, parse_poly, poly_eval
+from .exact import MPoly, Scalar, parse_poly, poly_eval
 from .jordan import (
     JordanStructure,
     check_reciprocal_identity,

@@ -15,8 +15,9 @@ det(lam * U - generic element)); plain eigenvalues would not be congruence
 invariants.  The partition is exact in m - 2 polynomial variables:
 shifting lam by U's coordinate removes one variable and dehomogenizing
 removes another, and neither changes the squarefree structure
-(``generic_multiplicity_partition`` gives the argument).  A net is a
-bivariate problem and a pencil a univariate one over QQ.
+(``generic_multiplicity_partition`` gives the argument).  One integer
+squarefree decomposition (``exact``) then serves Z[lam] for a pencil,
+Z[t][lam] for a net and Z[t1, t2][lam] for m = 4.
 """
 
 from __future__ import annotations
@@ -67,7 +68,9 @@ def generic_multiplicity_partition(space: MatSpace) -> Tuple[int, ...]:
        mu-degrees, their squarefreeness and their coprimality;
     4. q = s U^-1 only scales the roots by s > 0.
 
-    A pencil is thus univariate over QQ; for m = 1 the partition is (n,).
+    A pencil is thus univariate over QQ and a net bivariate;
+    ``exact.squarefree_decomposition`` runs the same integer code for every
+    m.  For m = 1 the partition is (n,).
     """
     u, coords = find_invertible(space)
     if space.m == 1:
@@ -76,10 +79,9 @@ def generic_multiplicity_partition(space: MatSpace) -> Tuple[int, ...]:
     q = Mat.from_ints(resolve_unit(space, u).q)
     *scaled, last = [q @ b for k, b in enumerate(space.basis) if k != drop]
     x = generic_element(scaled) + last if scaled else last
-    _, factors = squarefree_decomposition(charpoly(x))
     parts: List[int] = []
-    for factor, mult in factors:
-        parts.extend([mult] * int(factor.degree()))
+    for factor, mult in squarefree_decomposition(charpoly(x)):
+        parts.extend([mult] * (len(factor) - 1))  # a factor lists its lam-coefficients
     return tuple(sorted(parts, reverse=True))
 
 

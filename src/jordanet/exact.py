@@ -4,22 +4,29 @@ Scalars are arbitrary-precision rationals (``fractions.Fraction``, which is
 always reduced with a positive denominator).  Polynomials are sparse dicts
 mapping exponent tuples to nonzero rational coefficients, with a fixed
 alphabetical variable order and graded-lexicographic term order for all
-canonical output.  ``UniPoly`` layers a distinguished main variable on top,
-with coefficients that are polynomials in the remaining variables; that is
-the form used by characteristic polynomials, GCDs and squarefree
-decompositions.  ``poly_eval`` evaluates a polynomial at rationals only:
+canonical output.  ``poly_eval`` evaluates a polynomial at rationals only:
 every variable gets a value, and the result is a Fraction.
+
+Squarefree decomposition (the generic multiplicity partition) runs on
+integer polynomials in recursive dense form: an int, or the list of
+coefficients in a main variable, each a polynomial in one variable fewer.
+``squarefree_decomposition`` (Yun) reads characteristic-polynomial
+coefficients into that form, cleared of denominators by one lcm; its gcds
+are ``mpoly_gcd`` (contents, then primitive parts) and ``subresultant_gcd``
+(the subresultant pseudo-remainder sequence, with exact integer divisions).
+The same code runs in any number of variables.
 
 Everything is immutable after construction and all operations are pure.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import re
 from fractions import Fraction
-from typing import Iterable, Iterator, List, Mapping, Optional, Tuple
+from typing import Iterable, Iterator, List, Mapping, Tuple
 
 from .errors import InputError, InternalCheckError, PreconditionError
 
@@ -326,12 +333,6 @@ class MPoly:
             c = -c
         return self.scale(Fraction(1) / c)
 
-    def abs_normalized(self) -> "MPoly":
-        """Flip the sign if the leading coefficient is negative; keep content."""
-        if self.terms and self.leading_coeff() < 0:
-            return -self
-        return self
-
     def split_by_vars(self, names: Iterable[str]) -> dict:
         """Group terms by their exponents in ``names``.
 
@@ -492,312 +493,180 @@ def poly_eval(p: MPoly, assignment: Mapping[str, object]) -> Fraction:
     return total
 
 
-# -- exact division ------------------------------------------------------
+# -- integer polynomials in recursive dense form -------------------------------
+#
+# A polynomial is an int, or the list of its coefficients in the main
+# variable (lowest degree first, no trailing 0), each a polynomial in one
+# variable fewer.  [c] is written c, so 0 is the one zero and an int is a
+# constant at any depth; [p] is p as a constant in the main variable.
 
-def exact_div(p: MPoly, q: MPoly) -> Optional[MPoly]:
-    """Exact quotient p/q, or None when q does not divide p."""
-    if q.is_zero():
-        raise ZeroDivisionError("polynomial division by zero")
-    if p.is_zero():
-        return MPoly.zero(p.vars)
-    a, b = MPoly._align(p, q)
-    lead_b = b.leading_monomial()
-    lc_b = b.terms[lead_b]
-    rem = dict(a.terms)
-    out = {}
-    while rem:
-        lead_r = max(rem, key=lambda e: (sum(e), tuple(e)))
-        shift = tuple(x - y for x, y in zip(lead_r, lead_b))
-        if any(e < 0 for e in shift):
-            return None
-        c = rem[lead_r] / lc_b
-        out[shift] = c
-        for eb, cb in b.terms.items():
-            key = tuple(x + y for x, y in zip(shift, eb))
-            acc = rem.get(key, Fraction(0)) - c * cb
-            if acc == 0:
-                rem.pop(key, None)
-            else:
-                rem[key] = acc
-    return MPoly(a.vars, out)
+def _trim(p: list):
+    while p and not p[-1]:
+        p.pop()
+    return p[0] if len(p) == 1 and isinstance(p[0], int) else p or 0
 
 
-# -- univariate layer ------------------------------------------------------
-
-class UniPoly:
-    """Polynomial in one main variable with MPoly coefficients.
-
-    ``coeffs[k]`` is the coefficient of ``var**k``; the list never ends in a
-    zero (the zero polynomial has an empty list).
-    """
-
-    __slots__ = ("var", "coeffs")
-
-    def __init__(self, var: str, coeffs):
-        cs = list(coeffs)
-        while cs and cs[-1].is_zero():
-            cs.pop()
-        self.var = var
-        self.coeffs = tuple(cs)
-
-    @staticmethod
-    def from_mpoly(p: MPoly, var: str) -> "UniPoly":
-        if var not in p.vars:
-            return UniPoly(var, [p])
-        buckets = p.split_by_vars((var,))
-        deg = max((k[0] for k in buckets), default=-1)
-        coeffs = [buckets.get((k,), MPoly.zero()) for k in range(deg + 1)]
-        return UniPoly(var, coeffs)
-
-    @staticmethod
-    def from_const(var: str, value) -> "UniPoly":
-        return UniPoly(var, [MPoly.const(value)])
-
-    def to_mpoly(self) -> MPoly:
-        acc = MPoly.zero((self.var,))
-        x = MPoly.var(self.var)
-        for k, c in enumerate(self.coeffs):
-            if c.is_zero():
-                continue
-            acc = acc + c * x ** k
-        return acc
-
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    def degree(self):
-        return len(self.coeffs) - 1 if self.coeffs else NEG_INF
-
-    def lc(self) -> MPoly:
-        if not self.coeffs:
-            raise ValueError("zero polynomial has no leading coefficient")
-        return self.coeffs[-1]
-
-    def coeff(self, k: int) -> MPoly:
-        return self.coeffs[k] if 0 <= k < len(self.coeffs) else MPoly.zero()
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, UniPoly):
-            return NotImplemented
-        return self.var == other.var and list(self.coeffs) == list(other.coeffs)
-
-    __hash__ = None
-
-    def __add__(self, other: "UniPoly") -> "UniPoly":
-        self._check(other)
-        n = max(len(self.coeffs), len(other.coeffs))
-        return UniPoly(self.var, [self.coeff(k) + other.coeff(k) for k in range(n)])
-
-    def __sub__(self, other: "UniPoly") -> "UniPoly":
-        self._check(other)
-        n = max(len(self.coeffs), len(other.coeffs))
-        return UniPoly(self.var, [self.coeff(k) - other.coeff(k) for k in range(n)])
-
-    def __neg__(self) -> "UniPoly":
-        return UniPoly(self.var, [-c for c in self.coeffs])
-
-    def __mul__(self, other: "UniPoly") -> "UniPoly":
-        self._check(other)
-        if self.is_zero() or other.is_zero():
-            return UniPoly(self.var, [])
-        out = [MPoly.zero() for _ in range(len(self.coeffs) + len(other.coeffs) - 1)]
-        for i, a in enumerate(self.coeffs):
-            if a.is_zero():
-                continue
-            for j, b in enumerate(other.coeffs):
-                if b.is_zero():
-                    continue
-                out[i + j] = out[i + j] + a * b
-        return UniPoly(self.var, out)
-
-    def scale(self, c: MPoly) -> "UniPoly":
-        return UniPoly(self.var, [co * c for co in self.coeffs])
-
-    def derivative(self) -> "UniPoly":
-        return UniPoly(self.var, [c.scale(k) for k, c in enumerate(self.coeffs)][1:])
-
-    def _check(self, other: "UniPoly"):
-        if self.var != other.var:
-            raise ValueError(f"mixed main variables {self.var!r} vs {other.var!r}")
-
-    def __str__(self) -> str:
-        return str(self.to_mpoly())
-
-    def __repr__(self) -> str:
-        return f"UniPoly({self})"
+def _coeffs(p) -> list:
+    return p if isinstance(p, list) else [p]
 
 
-def uni_prem(f: UniPoly, g: UniPoly) -> UniPoly:
-    """Pseudo-remainder: lc(g)^(deg f - deg g + 1) * f modulo g."""
-    if g.is_zero():
-        raise ZeroDivisionError("pseudo-division by zero")
-    df, dg = f.degree(), g.degree()
-    if f.is_zero() or df < dg:
-        return f
-    lg = g.lc()
-    steps = int(df - dg + 1)
-    r = f
-    while not r.is_zero() and r.degree() >= dg:
-        s = UniPoly(f.var, [MPoly.zero()] * int(r.degree() - dg) + [r.lc()])
-        r = r.scale(lg) - s * g
-        steps -= 1
-    for _ in range(steps):
-        r = r.scale(lg)
-    return r
+def _degree(p) -> int:
+    """Degree in the main variable (0 for a constant and for 0)."""
+    return len(p) - 1 if isinstance(p, list) else 0
 
 
-def uni_exact_div(f: UniPoly, g: UniPoly) -> Optional[UniPoly]:
-    """Exact quotient in the coefficient ring, or None."""
-    if g.is_zero():
-        raise ZeroDivisionError("division by zero polynomial")
-    if f.is_zero():
-        return UniPoly(f.var, [])
-    if f.degree() < g.degree():
-        return None
-    lg = g.lc()
-    r = f
-    out = [MPoly.zero()] * int(f.degree() - g.degree() + 1)
-    while not r.is_zero() and r.degree() >= g.degree():
-        c = exact_div(r.lc(), lg)
-        if c is None:
-            return None
-        k = int(r.degree() - g.degree())
-        out[k] = c
-        r = r - (UniPoly(f.var, [MPoly.zero()] * k + [c]) * g)
-    if not r.is_zero():
-        return None
-    return UniPoly(f.var, out)
+def _add(a, b):
+    if isinstance(a, int) and isinstance(b, int):
+        return a + b
+    return _trim([_add(x, y) for x, y in itertools.zip_longest(_coeffs(a), _coeffs(b),
+                                                               fillvalue=0)])
 
 
-def uni_content(f: UniPoly) -> MPoly:
-    """GCD of the coefficients (an MPoly; the full polynomial content)."""
-    acc = MPoly.zero()
-    for c in f.coeffs:
-        acc = mpoly_gcd(acc, c)
-    return acc
+def _mul(a, b):
+    if isinstance(a, int) and isinstance(b, int):
+        return a * b
+    a, b = _coeffs(a), _coeffs(b)
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                if y:
+                    out[i + j] = _add(out[i + j], _mul(x, y))
+    return _trim(out)
 
 
-def uni_primitive(f: UniPoly) -> UniPoly:
-    """Primitive part with canonical sign (positive leading coefficient)."""
-    if f.is_zero():
-        return f
-    cont = uni_content(f)
-    parts = [exact_div(c, cont) for c in f.coeffs]
-    if any(p is None for p in parts):
-        raise InternalCheckError("INTERNAL", "content does not divide coefficients")
-    g = UniPoly(f.var, parts)
-    if g.lc().leading_coeff() < 0:
-        g = -g
-    return g
+def _sub(a, b):
+    return _add(a, _mul(b, -1))
 
 
-def _subresultant_last(f: UniPoly, g: UniPoly) -> UniPoly:
-    """Last nonzero element of the subresultant pseudo-remainder sequence.
-
-    Standard beta/psi bookkeeping; every division is exact in the coefficient
-    ring, which the helper asserts.
-    """
-    if f.degree() < g.degree():
-        f, g = g, f
-    delta = int(f.degree() - g.degree())
-    beta = MPoly.const((-1) ** (delta + 1))
-    psi = MPoly.const(-1)
-    rprev, rcur = f, g
-    while True:
-        rem = uni_prem(rprev, rcur)
-        if rem.is_zero():
-            return rcur
-        coeffs = [exact_div(c, beta) for c in rem.coeffs]
-        if any(c is None for c in coeffs):
-            raise InternalCheckError("INTERNAL", "subresultant division failed")
-        rnext = UniPoly(f.var, coeffs)
-        lc_prev = rcur.lc()
-        delta_prev = delta
-        rprev, rcur = rcur, rnext
-        if rcur.degree() == 0:
-            return rcur
-        delta = int(rprev.degree() - rcur.degree())
-        neg_lc = -lc_prev
-        if delta_prev > 0:
-            num = neg_lc ** delta_prev
-            psi_new = exact_div(num, psi ** (delta_prev - 1)) if delta_prev > 1 else num
-            if psi_new is None:
-                raise InternalCheckError("INTERNAL", "subresultant psi update failed")
-            psi = psi_new
-        beta = (-lc_prev) * psi ** delta
+def _power(a, k: int):
+    return functools.reduce(_mul, [a] * k, 1)
 
 
-def subresultant_gcd(p: UniPoly, q: UniPoly) -> UniPoly:
-    """Primitive GCD in the main variable over the coefficient fraction field."""
-    if p.var != q.var:
-        raise ValueError("mixed main variables")
-    if p.is_zero() and q.is_zero():
-        return UniPoly(p.var, [])
-    if p.is_zero():
-        return uni_primitive(q)
-    if q.is_zero():
-        return uni_primitive(p)
-    if p.degree() == 0 or q.degree() == 0:
-        return UniPoly.from_const(p.var, 1)
-    g = _subresultant_last(p, q)
-    if g.degree() == 0:
-        return UniPoly.from_const(p.var, 1)
-    return uni_primitive(g)
+def _div(a, b):
+    """The exact quotient a / b; a remainder is a bug and raises."""
+    if b == 1:
+        return a
+    if isinstance(a, int) and isinstance(b, int):
+        q, r = divmod(a, b)
+    else:
+        r, b = list(_coeffs(a)), _coeffs(b)
+        q = [0] * max(len(r) - len(b) + 1, 0)
+        for k in reversed(range(len(q))):
+            q[k] = _div(r[k + len(b) - 1], b[-1])
+            for j, y in enumerate(b):
+                r[k + j] = _sub(r[k + j], _mul(q[k], y))
+        q, r = _trim(q), any(r)
+    if r:
+        raise InternalCheckError("INTERNAL", "inexact integer polynomial division")
+    return q
 
 
-def mpoly_gcd(p: MPoly, q: MPoly) -> MPoly:
-    """GCD of multivariate polynomials (used for contents and primitive parts).
-
-    Recurses one variable at a time through primitive subresultant sequences;
-    the result is sign-normalized (positive leading coefficient, content 1
-    over ZZ after clearing denominators).
-    """
-    if p.is_zero():
-        return q.abs_normalized()
-    if q.is_zero():
-        return p.abs_normalized()
-    support = tuple(sorted(set(p.support_vars()) | set(q.support_vars())))
-    if not support:
-        return MPoly.const(frac_gcd(p.constant_value(), q.constant_value()))
-    v = support[-1]
-    fp = UniPoly.from_mpoly(p.trimmed(), v)
-    fq = UniPoly.from_mpoly(q.trimmed(), v)
-    cont_p = uni_content(fp)
-    cont_q = uni_content(fq)
-    cont_g = mpoly_gcd(cont_p, cont_q)
-    pp_p = uni_primitive(fp)
-    pp_q = uni_primitive(fq)
-    pp_g = subresultant_gcd(pp_p, pp_q)
-    return (cont_g * pp_g.to_mpoly()).abs_normalized()
+def _derivative(p):
+    return _trim([_mul(x, k) for k, x in enumerate(p)][1:]) if isinstance(p, list) else 0
 
 
-def squarefree_decomposition(p: UniPoly):
-    """Yun decomposition p = content * prod(factor_i ** mult_i).
+def _prem(a, b):
+    """The pseudo-remainder lc(b)^(deg a - deg b + 1) * a mod b, deg b >= 1."""
+    lb, db = [b[-1]], len(b) - 1
+    for _ in range(_degree(a) - db + 1):
+        top = [0] * (_degree(a) - db) + [_mul(a[-1], y) for y in b] if _degree(a) >= db else 0
+        a = _sub(_mul(lb, a), top)
+    return a
 
-    Returns (content: MPoly, [(factor: UniPoly, multiplicity: int), ...]) with
-    squarefree, pairwise-coprime, primitive factors, one per multiplicity, in
-    increasing multiplicity (the order Yun's loop finds them).  Since
-    p = content * prod(f_i ** k_i), the content is lc(p) divided exactly by
-    prod(lc(f_i) ** k_i); the tests check the reconstruction.
-    """
-    if p.is_zero():
+
+def _sign(p) -> int:
+    """The sign of the innermost leading coefficient."""
+    while isinstance(p, list):
+        p = p[-1]
+    return -1 if p < 0 else 1
+
+
+def _content(p):
+    """The positive gcd of the coefficients in the main variable."""
+    return functools.reduce(mpoly_gcd, _coeffs(p), 0)
+
+
+def _primitive(p):
+    """p over its content, with a positive innermost leading coefficient."""
+    return _div(p, [_mul(_content(p), _sign(p))])
+
+
+def mpoly_gcd(p, q):
+    """The gcd of two integer polynomials (positive innermost leading
+    coefficient): the gcd of their contents times that of their primitive parts."""
+    if not p or not q:
+        return _mul(p or q, _sign(p or q))
+    if p == 1 or q == 1:
+        return 1
+    if isinstance(p, int) and isinstance(q, int):
+        return math.gcd(p, q)
+    return _mul([mpoly_gcd(_content(p), _content(q))],
+                subresultant_gcd(_primitive(p), _primitive(q)))
+
+
+def subresultant_gcd(p, q):
+    """The primitive gcd of p and q in the main variable over the fraction
+    field of the coefficients, with a positive innermost leading coefficient:
+    the last element of the subresultant pseudo-remainder sequence, each
+    pseudo-remainder divided exactly by beta (Brown-Traub's beta/psi)."""
+    if not p or not q:
+        return _primitive(p or q) if p or q else 0
+    if _degree(p) < _degree(q):
+        p, q = q, p
+    delta = _degree(p) - _degree(q)
+    beta, psi = (-1) ** (delta + 1), -1
+    while _degree(q):
+        rem = _prem(p, q)
+        if not rem:
+            return _primitive(q)
+        p, q = q, _div(rem, [beta])
+        lc = _mul(p[-1], -1)
+        if delta:
+            psi = _div(_power(lc, delta), _power(psi, delta - 1))
+        delta = _degree(p) - _degree(q)
+        beta = _mul(lc, _power(psi, delta))
+    return 1
+
+
+def _nest(terms: dict, k: int):
+    """{exponent tuple: int} as a polynomial in the variables k, k + 1, ..."""
+    exps = next(iter(terms))
+    if k == len(exps):
+        return terms[exps]
+    by_power: dict = {}
+    for exps, c in terms.items():
+        by_power.setdefault(exps[k], {})[exps] = c
+    return _trim([_nest(by_power[e], k + 1) if e in by_power else 0
+                  for e in range(max(by_power) + 1)])
+
+
+def squarefree_decomposition(coeffs):
+    """Yun's squarefree decomposition of p = sum_k coeffs[k] * lam^k over the
+    fraction field of its coefficients, which are Fractions or MPolys (what
+    ``linalg.charpoly`` returns).
+
+    They are cleared of denominators by one lcm and read into the recursive
+    form, lam first, then their variables in sorted order.  Returns
+    [(factor, multiplicity), ...], one squarefree primitive factor per
+    multiplicity, in increasing multiplicity; a factor is the list of its
+    lam-coefficients, of lam-degree ``len(factor) - 1``.  p over
+    prod(factor ** multiplicity) is free of lam."""
+    polys = [c if isinstance(c, MPoly) else MPoly.const(c) for c in coeffs]
+    names = tuple(sorted({v for c in polys for v in c.vars}))
+    scale = math.lcm(*(x.denominator for c in polys for x in c.terms.values()))
+    p = _trim([_nest({e: x.numerator * (scale // x.denominator)
+                      for e, x in c.with_vars(names).terms.items()}, 0) if c.terms else 0
+               for c in polys])
+    if not p:
         raise ValueError("zero polynomial has no squarefree decomposition")
-    if p.degree() == 0:
-        return p.coeffs[0], []
-    pp = uni_primitive(p)
-    dp = pp.derivative()
-    g = subresultant_gcd(pp, dp)
-    c = uni_exact_div(pp, g)
-    d = uni_exact_div(dp, g) - c.derivative()
-    factors = []
-    mult = 1
-    while c.degree() > 0:
-        a = subresultant_gcd(c, d) if not d.is_zero() else uni_primitive(c)
-        if a.degree() > 0:
+    c = _primitive(p)
+    d, factors = _derivative(c), []
+    for mult in itertools.count():  # the pass with multiplicity 0 divides out gcd(p, p')
+        if not _degree(c):
+            return factors
+        a = subresultant_gcd(c, d)
+        if mult and _degree(a):
             factors.append((a, mult))
-        c_next = uni_exact_div(c, a)
-        d = uni_exact_div(d, a) - c_next.derivative()
-        c = c_next
-        mult += 1
-    lead = math.prod((factor.lc() ** k for factor, k in factors), start=MPoly.const(1))
-    return exact_div(p.lc(), lead), factors
+        c = _div(c, a)
+        d = _sub(_div(d, a), _derivative(c))

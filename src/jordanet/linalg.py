@@ -33,11 +33,9 @@ from operator import mul
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 from .errors import PreconditionError
-from .exact import MPoly, UniPoly, frac
+from .exact import MPoly, frac
 
 Entry = Union[Fraction, MPoly]
-
-LAMBDA = "lam"
 
 
 class Mat:
@@ -587,10 +585,11 @@ def _faddeev_leverrier(m: Mat):
     return coeffs + [ring.entry(one, 1)], ring.mat(mk, sign * d ** max(n - 1, 0))
 
 
-def charpoly(m: Mat) -> UniPoly:
-    """Monic characteristic polynomial det(lam*I - M) in the variable ``lam``."""
-    coeffs, _ = _faddeev_leverrier(m)
-    return UniPoly(LAMBDA, [c if isinstance(c, MPoly) else MPoly.const(c) for c in coeffs])
+def charpoly(m: Mat) -> List[Entry]:
+    """The monic characteristic polynomial det(lam*I - M) as its n + 1
+    coefficients c_0 .. c_n = 1 of lam^0 .. lam^n: Fractions for a Fraction
+    matrix, MPolys in the entries' variables otherwise."""
+    return _faddeev_leverrier(m)[0]
 
 
 def adjugate(m: Mat) -> Mat:

@@ -295,24 +295,29 @@ class PluckerVector:
         return {k: v for k, v in self.values.items() if v != 0}
 
 
-#: the most column subsets ``plucker``'s Laplace memo may visit: with
-#: N = n(n+1)/2 coordinates, every subset of at most m columns, sum_{j <= m}
-#: C(N, j).  At most 2^15 in S^5; 198 440 for m = 7 in S^6 (3.4 s of CPU,
-#: Python 3.11, Xeon); 2^21 - 1 and 2^28 - 1 for hyperplanes in S^6 and S^7.
+#: the most column subsets the Laplace memo of ``plucker`` and
+#: ``grassmann_limit`` may visit: with N = n(n+1)/2 coordinates, every subset
+#: of at most m columns, sum_{j <= m} C(N, j).  At most 2^15 in S^5; 198 440
+#: for m = 7 in S^6 (3.4 s of CPU, Python 3.11, Xeon); 2^21 - 1 and 2^28 - 1
+#: for hyperplanes in S^6 and S^7.
 MAX_PLUCKER_SUBSETS = 200_000
+
+
+def _bounded_minors(n: int, rows: list) -> dict:
+    """``maximal_minors`` of the m coordinate rows of a space or a family in
+    S^n, sized before the first minor and refused with TOO_LARGE past
+    ``MAX_PLUCKER_SUBSETS``."""
+    subsets = sum(math.comb(sym_dim(n), j) for j in range(len(rows) + 1))
+    if subsets > MAX_PLUCKER_SUBSETS:
+        raise PreconditionError("TOO_LARGE", f"the Pluecker minors would visit {subsets} "
+                                f"column subsets, past {MAX_PLUCKER_SUBSETS}")
+    return maximal_minors(Mat(rows))
 
 
 def plucker(space: MatSpace) -> PluckerVector:
     """All m x m minors of the m x binom(n+1,2) coordinate matrix, from one
-    Laplace memo over column subsets (``linalg.maximal_minors``).  The memo
-    is sized before the first minor and refused with TOO_LARGE past
-    ``MAX_PLUCKER_SUBSETS``."""
-    cols = sym_dim(space.n)
-    subsets = sum(math.comb(cols, j) for j in range(space.m + 1))
-    if subsets > MAX_PLUCKER_SUBSETS:
-        raise PreconditionError("TOO_LARGE", f"the Pluecker minors would visit {subsets} "
-                                f"column subsets, past {MAX_PLUCKER_SUBSETS}")
-    return PluckerVector(space.n, space.m, maximal_minors(Mat(space.coordinate_rows())))
+    Laplace memo over column subsets (``_bounded_minors``)."""
+    return PluckerVector(space.n, space.m, _bounded_minors(space.n, space.coordinate_rows()))
 
 
 class ParametricBasis:
@@ -353,10 +358,12 @@ def grassmann_limit(family: ParametricBasis) -> MatSpace:
     the Pluecker vector (the maximal minors) by t^w, and the rows stay
     polynomial, so with v the least t-valuation of the minors at most v
     passes run and evaluation v + 1 returns.  No nonzero minor means the
-    family is degenerate for generic t.
+    family is degenerate for generic t.  The minors are refused with
+    TOO_LARGE past ``MAX_PLUCKER_SUBSETS``, as in ``plucker``.
     """
     param, polys = family.param, family.coordinate_rows()
-    valuations = [min(by_power(p, param)) for p in maximal_minors(Mat(polys)).values() if p.terms]
+    minors = _bounded_minors(family.n, polys)
+    valuations = [min(by_power(p, param)) for p in minors.values() if p.terms]
     if not valuations:
         raise PreconditionError("NOT_GENERIC_RANK", "family is degenerate for generic t")
     rows = [[by_power(e, param) for e in row] for row in polys]

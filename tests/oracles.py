@@ -25,21 +25,30 @@ the tests can compare the two:
 - ``generic_element_by_scale_and_add``: sum_k t_k B_k as m polynomial
   scalings and m - 1 ``Mat`` sums (the package forms each entry once);
 - ``poly_eval_by_mpoly``: a polynomial's value at rationals summed in
-  ``MPoly`` arithmetic (the package sums Fractions).
+  ``MPoly`` arithmetic (the package sums Fractions);
+- ``squarefree_by_mpoly``, ``subresultant_gcd_by_mpoly`` and
+  ``mpoly_gcd_by_mpoly``: Yun's decomposition and its gcds on ``UniPoly``
+  (a main variable over ``MPoly`` coefficients) with ``exact_div`` (the
+  package runs them on integer polynomials in recursive dense form);
+  ``uni_charpoly`` wraps ``charpoly``'s coefficients for them.
 
 ``mpoly_from_terms`` is the checked constructor the tests build polynomials
 with: any variable order, duplicate exponents merged, zeros dropped.
+``to_recursive`` and ``from_recursive`` convert between ``MPoly`` and the
+recursive dense form of ``jordanet.exact``'s gcds.
 """
 
 import itertools
+import math
 import re
 from fractions import Fraction
+from typing import Optional
 
 from jordanet.catalog import QUADRIC_VARS, _reduce_imaginary
 from jordanet.errors import InputError, InternalCheckError, PreconditionError
-from jordanet.exact import NAME, MPoly, exact_div, frac, monomials, parse_poly
+from jordanet.exact import NAME, NEG_INF, MPoly, frac, frac_gcd, monomials, parse_poly
 from jordanet.jordan import radical, structure_constants
-from jordanet.linalg import Mat, det, mat_rank, rref
+from jordanet.linalg import Mat, charpoly, det, mat_rank, rref
 from jordanet.spaces import (
     _WITNESS_BUDGET,
     contains,
@@ -336,3 +345,340 @@ def parse_outcome(parse, text: str):
     except InputError as err:
         return err.code
     return p.vars, p.terms
+
+
+# -- the MPoly gcd chain ----------------------------------------------------
+
+def exact_div(p: MPoly, q: MPoly) -> Optional[MPoly]:
+    """Exact quotient p/q, or None when q does not divide p."""
+    if q.is_zero():
+        raise ZeroDivisionError("polynomial division by zero")
+    if p.is_zero():
+        return MPoly.zero(p.vars)
+    a, b = MPoly._align(p, q)
+    lead_b = b.leading_monomial()
+    lc_b = b.terms[lead_b]
+    rem = dict(a.terms)
+    out = {}
+    while rem:
+        lead_r = max(rem, key=lambda e: (sum(e), tuple(e)))
+        shift = tuple(x - y for x, y in zip(lead_r, lead_b))
+        if any(e < 0 for e in shift):
+            return None
+        c = rem[lead_r] / lc_b
+        out[shift] = c
+        for eb, cb in b.terms.items():
+            key = tuple(x + y for x, y in zip(shift, eb))
+            acc = rem.get(key, Fraction(0)) - c * cb
+            if acc == 0:
+                rem.pop(key, None)
+            else:
+                rem[key] = acc
+    return MPoly(a.vars, out)
+
+
+def _abs_normalized(p: MPoly) -> MPoly:
+    """Flip the sign if the leading coefficient is negative; keep content."""
+    return -p if p.terms and p.leading_coeff() < 0 else p
+
+
+class UniPoly:
+    """Polynomial in one main variable with MPoly coefficients.
+
+    ``coeffs[k]`` is the coefficient of ``var**k``; the list never ends in a
+    zero (the zero polynomial has an empty list).
+    """
+
+    __slots__ = ("var", "coeffs")
+
+    def __init__(self, var: str, coeffs):
+        cs = [c if isinstance(c, MPoly) else MPoly.const(c) for c in coeffs]
+        while cs and cs[-1].is_zero():
+            cs.pop()
+        self.var = var
+        self.coeffs = tuple(cs)
+
+    @staticmethod
+    def from_mpoly(p: MPoly, var: str) -> "UniPoly":
+        if var not in p.vars:
+            return UniPoly(var, [p])
+        buckets = p.split_by_vars((var,))
+        deg = max((k[0] for k in buckets), default=-1)
+        coeffs = [buckets.get((k,), MPoly.zero()) for k in range(deg + 1)]
+        return UniPoly(var, coeffs)
+
+    @staticmethod
+    def from_const(var: str, value) -> "UniPoly":
+        return UniPoly(var, [MPoly.const(value)])
+
+    def to_mpoly(self) -> MPoly:
+        acc = MPoly.zero((self.var,))
+        x = MPoly.var(self.var)
+        for k, c in enumerate(self.coeffs):
+            if c.is_zero():
+                continue
+            acc = acc + c * x ** k
+        return acc
+
+    def is_zero(self) -> bool:
+        return not self.coeffs
+
+    def degree(self):
+        return len(self.coeffs) - 1 if self.coeffs else NEG_INF
+
+    def lc(self) -> MPoly:
+        if not self.coeffs:
+            raise ValueError("zero polynomial has no leading coefficient")
+        return self.coeffs[-1]
+
+    def coeff(self, k: int) -> MPoly:
+        return self.coeffs[k] if 0 <= k < len(self.coeffs) else MPoly.zero()
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, UniPoly):
+            return NotImplemented
+        return self.var == other.var and list(self.coeffs) == list(other.coeffs)
+
+    __hash__ = None
+
+    def __add__(self, other: "UniPoly") -> "UniPoly":
+        self._check(other)
+        n = max(len(self.coeffs), len(other.coeffs))
+        return UniPoly(self.var, [self.coeff(k) + other.coeff(k) for k in range(n)])
+
+    def __sub__(self, other: "UniPoly") -> "UniPoly":
+        self._check(other)
+        n = max(len(self.coeffs), len(other.coeffs))
+        return UniPoly(self.var, [self.coeff(k) - other.coeff(k) for k in range(n)])
+
+    def __neg__(self) -> "UniPoly":
+        return UniPoly(self.var, [-c for c in self.coeffs])
+
+    def __mul__(self, other: "UniPoly") -> "UniPoly":
+        self._check(other)
+        if self.is_zero() or other.is_zero():
+            return UniPoly(self.var, [])
+        out = [MPoly.zero() for _ in range(len(self.coeffs) + len(other.coeffs) - 1)]
+        for i, a in enumerate(self.coeffs):
+            if a.is_zero():
+                continue
+            for j, b in enumerate(other.coeffs):
+                if b.is_zero():
+                    continue
+                out[i + j] = out[i + j] + a * b
+        return UniPoly(self.var, out)
+
+    def scale(self, c: MPoly) -> "UniPoly":
+        return UniPoly(self.var, [co * c for co in self.coeffs])
+
+    def derivative(self) -> "UniPoly":
+        return UniPoly(self.var, [c.scale(k) for k, c in enumerate(self.coeffs)][1:])
+
+    def _check(self, other: "UniPoly"):
+        if self.var != other.var:
+            raise ValueError(f"mixed main variables {self.var!r} vs {other.var!r}")
+
+    def __str__(self) -> str:
+        return str(self.to_mpoly())
+
+    def __repr__(self) -> str:
+        return f"UniPoly({self})"
+
+
+def uni_charpoly(m: Mat) -> UniPoly:
+    """``charpoly(m)`` as a UniPoly in ``lam``."""
+    return UniPoly("lam", charpoly(m))
+
+
+def uni_prem(f: UniPoly, g: UniPoly) -> UniPoly:
+    """Pseudo-remainder: lc(g)^(deg f - deg g + 1) * f modulo g."""
+    if g.is_zero():
+        raise ZeroDivisionError("pseudo-division by zero")
+    df, dg = f.degree(), g.degree()
+    if f.is_zero() or df < dg:
+        return f
+    lg = g.lc()
+    steps = int(df - dg + 1)
+    r = f
+    while not r.is_zero() and r.degree() >= dg:
+        s = UniPoly(f.var, [MPoly.zero()] * int(r.degree() - dg) + [r.lc()])
+        r = r.scale(lg) - s * g
+        steps -= 1
+    for _ in range(steps):
+        r = r.scale(lg)
+    return r
+
+
+def uni_exact_div(f: UniPoly, g: UniPoly) -> Optional[UniPoly]:
+    """Exact quotient in the coefficient ring, or None."""
+    if g.is_zero():
+        raise ZeroDivisionError("division by zero polynomial")
+    if f.is_zero():
+        return UniPoly(f.var, [])
+    if f.degree() < g.degree():
+        return None
+    lg = g.lc()
+    r = f
+    out = [MPoly.zero()] * int(f.degree() - g.degree() + 1)
+    while not r.is_zero() and r.degree() >= g.degree():
+        c = exact_div(r.lc(), lg)
+        if c is None:
+            return None
+        k = int(r.degree() - g.degree())
+        out[k] = c
+        r = r - (UniPoly(f.var, [MPoly.zero()] * k + [c]) * g)
+    if not r.is_zero():
+        return None
+    return UniPoly(f.var, out)
+
+
+def uni_content(f: UniPoly) -> MPoly:
+    """GCD of the coefficients (an MPoly; the full polynomial content)."""
+    acc = MPoly.zero()
+    for c in f.coeffs:
+        acc = mpoly_gcd_by_mpoly(acc, c)
+    return acc
+
+
+def uni_primitive(f: UniPoly) -> UniPoly:
+    """Primitive part with canonical sign (positive leading coefficient)."""
+    if f.is_zero():
+        return f
+    cont = uni_content(f)
+    parts = [exact_div(c, cont) for c in f.coeffs]
+    if any(p is None for p in parts):
+        raise InternalCheckError("INTERNAL", "content does not divide coefficients")
+    g = UniPoly(f.var, parts)
+    if g.lc().leading_coeff() < 0:
+        g = -g
+    return g
+
+
+def subresultant_sequence(f: UniPoly, g: UniPoly) -> list:
+    """The subresultant pseudo-remainder sequence [f, g, R_2, ...] (f of the
+    larger degree first) down to its last nonzero element, with the beta/psi
+    bookkeeping; every division is exact in the coefficient ring, which the
+    helper asserts."""
+    if f.degree() < g.degree():
+        f, g = g, f
+    delta = int(f.degree() - g.degree())
+    beta = MPoly.const((-1) ** (delta + 1))
+    psi = MPoly.const(-1)
+    seq = [f, g]
+    while True:
+        rprev, rcur = seq[-2], seq[-1]
+        rem = uni_prem(rprev, rcur)
+        if rem.is_zero():
+            return seq
+        coeffs = [exact_div(c, beta) for c in rem.coeffs]
+        if any(c is None for c in coeffs):
+            raise InternalCheckError("INTERNAL", "subresultant division failed")
+        seq.append(UniPoly(f.var, coeffs))
+        if seq[-1].degree() == 0:
+            return seq
+        lc_prev = rcur.lc()
+        delta_prev = delta
+        delta = int(rcur.degree() - seq[-1].degree())
+        neg_lc = -lc_prev
+        if delta_prev > 0:
+            num = neg_lc ** delta_prev
+            psi_new = exact_div(num, psi ** (delta_prev - 1)) if delta_prev > 1 else num
+            if psi_new is None:
+                raise InternalCheckError("INTERNAL", "subresultant psi update failed")
+            psi = psi_new
+        beta = (-lc_prev) * psi ** delta
+
+
+def subresultant_gcd_by_mpoly(p: UniPoly, q: UniPoly) -> UniPoly:
+    """Primitive GCD in the main variable over the coefficient fraction field."""
+    if p.var != q.var:
+        raise ValueError("mixed main variables")
+    if p.is_zero() and q.is_zero():
+        return UniPoly(p.var, [])
+    if p.is_zero():
+        return uni_primitive(q)
+    if q.is_zero():
+        return uni_primitive(p)
+    if p.degree() == 0 or q.degree() == 0:
+        return UniPoly.from_const(p.var, 1)
+    g = subresultant_sequence(p, q)[-1]
+    if g.degree() == 0:
+        return UniPoly.from_const(p.var, 1)
+    return uni_primitive(g)
+
+
+def mpoly_gcd_by_mpoly(p: MPoly, q: MPoly) -> MPoly:
+    """GCD of multivariate polynomials, one variable at a time through
+    primitive subresultant sequences; positive leading coefficient, content
+    1 over ZZ after clearing denominators."""
+    if p.is_zero():
+        return _abs_normalized(q)
+    if q.is_zero():
+        return _abs_normalized(p)
+    support = tuple(sorted(set(p.support_vars()) | set(q.support_vars())))
+    if not support:
+        return MPoly.const(frac_gcd(p.constant_value(), q.constant_value()))
+    v = support[-1]
+    fp = UniPoly.from_mpoly(p.trimmed(), v)
+    fq = UniPoly.from_mpoly(q.trimmed(), v)
+    cont_g = mpoly_gcd_by_mpoly(uni_content(fp), uni_content(fq))
+    pp_g = subresultant_gcd_by_mpoly(uni_primitive(fp), uni_primitive(fq))
+    return _abs_normalized(cont_g * pp_g.to_mpoly())
+
+
+def squarefree_by_mpoly(p: UniPoly):
+    """Yun decomposition p = content * prod(factor_i ** mult_i): (content,
+    [(factor, multiplicity), ...]) with squarefree, pairwise-coprime,
+    primitive factors, one per multiplicity, in increasing multiplicity."""
+    if p.is_zero():
+        raise ValueError("zero polynomial has no squarefree decomposition")
+    if p.degree() == 0:
+        return p.coeffs[0], []
+    pp = uni_primitive(p)
+    dp = pp.derivative()
+    g = subresultant_gcd_by_mpoly(pp, dp)
+    c = uni_exact_div(pp, g)
+    d = uni_exact_div(dp, g) - c.derivative()
+    factors = []
+    mult = 1
+    while c.degree() > 0:
+        a = subresultant_gcd_by_mpoly(c, d) if not d.is_zero() else uni_primitive(c)
+        if a.degree() > 0:
+            factors.append((a, mult))
+        c_next = uni_exact_div(c, a)
+        d = uni_exact_div(d, a) - c_next.derivative()
+        c = c_next
+        mult += 1
+    lead = math.prod((factor.lc() ** k for factor, k in factors), start=MPoly.const(1))
+    return exact_div(p.lc(), lead), factors
+
+
+# -- the recursive dense form of ``jordanet.exact``'s gcds ------------------
+
+def to_recursive(p: MPoly, names):
+    """p as an int or nested lists, ``names[0]`` the main variable and each
+    coefficient a polynomial in the names after it; p must have integer
+    coefficients and no variable outside ``names``."""
+    if p.is_zero():
+        return 0
+    if not names:
+        c = p.constant_value()
+        assert c.denominator == 1, p
+        return int(c)
+    head, rest = names[0], tuple(names[1:])
+    buckets = p.split_by_vars((head,)) if head in p.vars else {(0,): p}
+    coeffs = [to_recursive(buckets.get((k,), MPoly.zero()), rest)
+              for k in range(max(k for (k,) in buckets) + 1)]
+    while coeffs and coeffs[-1] == 0:
+        coeffs.pop()
+    if len(coeffs) == 1 and isinstance(coeffs[0], int):
+        return coeffs[0]
+    return coeffs or 0
+
+
+def from_recursive(r, names) -> MPoly:
+    """The MPoly that ``to_recursive(., names)`` maps to r."""
+    if isinstance(r, int):
+        return MPoly.const(r)
+    x = MPoly.var(names[0])
+    return sum((from_recursive(c, names[1:]) * x ** k for k, c in enumerate(r)), MPoly.zero())

@@ -18,9 +18,8 @@ from jordanet.classify import (
     invariant_vector,
 )
 from jordanet.errors import PreconditionError
-from jordanet.exact import squarefree_decomposition
 from jordanet.jordan import radical, resolve_unit, structure_constants
-from jordanet.linalg import Mat, charpoly, inverse
+from jordanet.linalg import Mat, inverse
 from jordanet.prng import SplitMix64, derive_seed
 from jordanet.spaces import (
     find_invertible,
@@ -29,6 +28,7 @@ from jordanet.spaces import (
     make_space,
     sample_congruent,
 )
+from oracles import squarefree_by_mpoly, uni_charpoly
 
 
 def E(n, i, j):
@@ -130,11 +130,11 @@ class TestAbstract:
 
 def partition_in_all_variables(space):
     """The oracle: squarefree decomposition of charpoly(U^-1 X(t)) over
-    QQ(t1..tm), with no change of variables."""
+    QQ(t1..tm), with no change of variables, by the MPoly gcd chain."""
     unit = resolve_unit(space)
     uinv = Mat([[Fraction(v, unit.s) for v in row] for row in unit.q])
-    cp = charpoly(uinv @ generic_element(space.basis))
-    _, factors = squarefree_decomposition(cp)
+    cp = uni_charpoly(uinv @ generic_element(space.basis))
+    _, factors = squarefree_by_mpoly(cp)
     parts = []
     for factor, mult in factors:
         parts.extend([mult] * int(factor.degree()))

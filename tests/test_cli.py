@@ -557,17 +557,17 @@ class TestAnalyzeReadsTheJordanTest:
 
 
 class TestPartitionVariables:
-    """generic_multiplicity_partition hands squarefree_decomposition a
-    polynomial over QQ(t1..t_{m-2}): one variable for a net, none for a
-    pencil."""
+    """generic_multiplicity_partition hands squarefree_decomposition the
+    coefficients of a polynomial over QQ(t1..t_{m-2}): one variable for a
+    net, none for a pencil."""
 
     def record(self, monkeypatch):
         rings = []
         real = exact.squarefree_decomposition
 
-        def recording(p):
-            rings.append(set().union(*(c.vars for c in p.coeffs)))
-            return real(p)
+        def recording(coeffs):
+            rings.append(set().union(*(c.vars for c in coeffs if isinstance(c, exact.MPoly))))
+            return real(coeffs)
 
         rebind_everywhere(monkeypatch, "squarefree_decomposition", real, recording)
         return rings
@@ -645,6 +645,26 @@ class TestBoundedCost:
         assert time.process_time() - start < 1
         assert code == 3 and out == ""
         assert "TOO_LARGE" in err and "268435455 column subsets" in err and "INTERNAL" not in err
+
+    def test_limit_on_a_dense_family_in_s6_is_refused_within_a_second(self, tmp_path, capsys):
+        # 20 dense matrices in S^6, some entries k*t: the minors of the family
+        # would visit all 2^21 - 1 column subsets, as plucker's would
+        rng = SplitMix64(11)
+        basis = []
+        for _ in range(20):
+            mat = [["0"] * 6 for _ in range(6)]
+            for i in range(6):
+                for j in range(i, 6):
+                    c = rng.nonzero_int_between(-3, 3)
+                    mat[i][j] = mat[j][i] = f"{c}*t" if rng.int_between(0, 1) else str(c)
+            basis.append(mat)
+        f = tmp_path / "family.json"
+        f.write_text(json.dumps({"n": 6, "parametric": True, "basis": basis}))
+        start = time.process_time()
+        code, out, err = run_cli(["limit", str(f), "--json"], capsys)
+        assert time.process_time() - start < 1
+        assert code == 3 and out == ""
+        assert "TOO_LARGE" in err and "2097151 column subsets" in err and "INTERNAL" not in err
 
     @pytest.mark.parametrize("n, m, subsets", [(5, 15, None), (6, 7, None), (6, 8, 401930)])
     def test_plucker_bound_admits_s5_and_seven_dimensions_of_s6(self, n, m, subsets,

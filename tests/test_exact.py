@@ -4,22 +4,32 @@ from pathlib import Path
 
 import pytest
 
+from jordanet import exact
 from jordanet.exact import (
     MPoly,
     NEG_INF,
-    UniPoly,
-    exact_div,
     monomials,
     mpoly_gcd,
     parse_poly,
     poly_eval,
     squarefree_decomposition,
     subresultant_gcd,
-    uni_exact_div,
 )
 from jordanet.errors import InputError
 from jordanet.prng import SplitMix64
-from oracles import mpoly_from_terms, parse_outcome, parse_poly_by_tokens, poly_eval_by_mpoly
+from oracles import (
+    UniPoly,
+    exact_div,
+    from_recursive,
+    mpoly_from_terms,
+    parse_outcome,
+    parse_poly_by_tokens,
+    poly_eval_by_mpoly,
+    squarefree_by_mpoly,
+    subresultant_sequence,
+    to_recursive,
+    uni_exact_div,
+)
 
 DATA = Path(__file__).resolve().parents[1] / "src" / "jordanet" / "data"
 
@@ -32,8 +42,23 @@ def U(s, var="lam"):
     return UniPoly.from_mpoly(parse_poly(s), var)
 
 
-def uni_divides(g: UniPoly, f: UniPoly) -> bool:
-    return uni_exact_div(f, g) is not None
+def R(s, names=("lam", "t")):
+    """A polynomial text in the recursive dense form of the gcds."""
+    return to_recursive(parse_poly(s), names)
+
+
+def divides(g: MPoly, f: MPoly) -> bool:
+    return exact_div(f, g) is not None
+
+
+def lam_free_cofactor(p: UniPoly, factors, names) -> MPoly:
+    """p / prod(factor ** multiplicity); asserts it is exact and free of lam."""
+    rebuilt = MPoly.const(1)
+    for factor, mult in factors:
+        rebuilt = rebuilt * from_recursive(factor, names) ** mult
+    cofactor = exact_div(p.to_mpoly(), rebuilt)
+    assert cofactor is not None and "lam" not in cofactor.support_vars()
+    return cofactor
 
 
 def random_poly(rng, vars=("x", "y", "z"), nterms=4, maxdeg=3, coeff=5):
@@ -274,60 +299,78 @@ class TestExactDiv:
 
 class TestGcd:
     def test_gcd_linear(self):
-        g = subresultant_gcd(U("lam^2 - t^2"), U("lam - t"))
-        assert g == U("lam - t")
+        assert subresultant_gcd(R("lam^2 - t^2"), R("lam - t")) == R("lam - t")
 
     def test_gcd_with_itself(self):
-        g = subresultant_gcd(U("lam^2 + 1"), U("lam^2 + 1"))
-        assert g == U("lam^2 + 1")
+        assert subresultant_gcd(R("lam^2 + 1"), R("lam^2 + 1")) == R("lam^2 + 1")
 
     def test_gcd_hand_factorization(self):
         # lam^3 - lam = lam(lam-1)(lam+1); lam^2 - 1 = (lam-1)(lam+1)
-        g = subresultant_gcd(U("lam^3 - lam"), U("lam^2 - 1"))
-        assert g == U("lam^2 - 1")
+        assert subresultant_gcd(R("lam^3 - lam"), R("lam^2 - 1")) == R("lam^2 - 1")
 
     def test_gcd_divides_inputs(self):
         rng = SplitMix64(23)
         for _ in range(10):
-            h = U("lam^2 + t*lam + 1")
-            a = U(f"lam + {rng.int_between(1, 5)}*t")
-            b = U(f"lam - {rng.int_between(1, 5)}")
-            f, g = h * a, h * b
-            d = subresultant_gcd(f, g)
-            assert uni_divides(d, f) and uni_divides(d, g)
-            assert uni_divides(h, d.scale(MPoly.const(1)))  # h itself divides the gcd
+            h = P("lam^2 + t*lam + 1")
+            f = h * P(f"lam + {rng.int_between(1, 5)}*t")
+            g = h * P(f"lam - {rng.int_between(1, 5)}")
+            d = from_recursive(subresultant_gcd(to_recursive(f, ("lam", "t")),
+                                                to_recursive(g, ("lam", "t"))), ("lam", "t"))
+            assert divides(d, f) and divides(d, g)
+            assert divides(h, d)  # h itself divides the gcd
 
     def test_gcd_nonmonic_content(self):
         # gcd must survive polynomial contents in the coefficients
-        f = U("t*lam^2 - t")  # t(lam-1)(lam+1)
-        g = U("t*lam - t")  # t(lam-1)
-        assert subresultant_gcd(f, g) == U("lam - 1")
+        # t(lam-1)(lam+1) and t(lam-1)
+        assert subresultant_gcd(R("t*lam^2 - t"), R("t*lam - t")) == R("lam - 1")
+
+    def test_remainder_sequence_matches_the_oracle(self, monkeypatch):
+        # the sequence of a wrong psi still ends in the same primitive gcd,
+        # but its elements are multiples of the subresultants; first-step degree
+        # gaps of 0 to 4 give normal and abnormal sequences
+        rng = SplitMix64(29)
+        real = exact._prem
+        for df, dg in [(6, 5), (6, 4), (5, 3), (7, 3), (4, 4)]:
+            f, g = (UniPoly("lam", [rng.int_between(-5, 5) for _ in range(d)]
+                            + [rng.nonzero_int_between(-5, 5)]) for d in (df, dg))
+            seen = []
+            monkeypatch.setattr(exact, "_prem", lambda a, b: seen.append(b) or real(a, b))
+            subresultant_gcd(to_recursive(f.to_mpoly(), ("lam",)),
+                             to_recursive(g.to_mpoly(), ("lam",)))
+            monkeypatch.undo()
+            expected = [r for r in subresultant_sequence(f, g)[1:] if r.degree() > 0]
+            assert len(expected) >= 3
+            assert [from_recursive(b, ("lam",)) for b in seen] == [r.to_mpoly() for r in expected]
 
     def test_mpoly_gcd(self):
-        assert mpoly_gcd(P("t2*t1"), P("t2^2")) == P("t2")
-        assert mpoly_gcd(P("x^2-y^2"), P("x^2+2*x*y+y^2")) == P("x+y")
-        assert mpoly_gcd(P("0"), P("-2*x")) == P("2*x")
+        assert mpoly_gcd(R("t2*t1", ("t1", "t2")), R("t2^2", ("t1", "t2"))) == R("t2", ("t1", "t2"))
+        xy = ("x", "y")
+        assert mpoly_gcd(R("x^2-y^2", xy), R("x^2+2*x*y+y^2", xy)) == R("x+y", xy)
+        assert mpoly_gcd(R("0", xy), R("-2*x", xy)) == R("2*x", xy)
+
+
+def sqf(p: UniPoly):
+    """The package decomposition of a UniPoly in lam, read off its
+    coefficients."""
+    return squarefree_decomposition(list(p.coeffs))
 
 
 class TestSquarefree:
     def test_square_times_linear(self):
         p = U("lam - t") * U("lam - t") * U("lam + 1")
-        content, factors = squarefree_decomposition(p)
-        assert content == MPoly.const(1)
-        assert factors == [(U("lam + 1"), 1), (U("lam - t"), 2)]
+        factors = sqf(p)
+        assert factors == [(R("lam + 1"), 1), (R("lam - t"), 2)]
+        assert lam_free_cofactor(p, factors, ("lam", "t")) == 1
 
     def test_already_squarefree(self):
-        content, factors = squarefree_decomposition(U("lam^2 - 1"))
-        assert content == MPoly.const(1)
-        assert factors == [(U("lam^2 - 1"), 1)]
+        assert sqf(U("lam^2 - 1")) == [(R("lam^2 - 1"), 1)]
 
     def test_block_double_eigenvalues(self):
         # the quartic (lam^2 - (x+z)lam + (xz - y^2))^2 coming from a
         # two-identical-blocks matrix decomposes with multiplicity two
+        names = ("lam", "x", "y", "z")
         q = U("lam^2 - x*lam - z*lam + x*z - y^2")
-        content, factors = squarefree_decomposition(q * q)
-        assert content == MPoly.const(1)
-        assert factors == [(q, 2)]
+        assert sqf(q * q) == [(to_recursive(q.to_mpoly(), names), 2)]
 
     def test_reconstruction_randomized(self):
         rng = SplitMix64(41)
@@ -341,12 +384,8 @@ class TestSquarefree:
                 p = p * f1
             for _ in range(m2):
                 p = p * f2
-            content, factors = squarefree_decomposition(p)
-            rebuilt = UniPoly.from_const("lam", 1)
-            for fac, mult in factors:
-                for _ in range(mult):
-                    rebuilt = rebuilt * fac
-            assert rebuilt.scale(content) == p
+            factors = sqf(p)
+            lam_free_cofactor(p, factors, ("lam", "t"))
             # one factor per multiplicity, in the increasing order Yun's loop
             # finds them (f1 and f2 merge when m1 == m2)
             mults = [mult for _, mult in factors]
@@ -355,14 +394,80 @@ class TestSquarefree:
 
     def test_content_extraction(self):
         p = (U("lam - 1") * U("lam - 1")).scale(P("6*t"))
-        content, factors = squarefree_decomposition(p)
-        assert content == P("6*t")
-        assert factors == [(U("lam - 1"), 2)]
+        factors = sqf(p)
+        assert factors == [(R("lam - 1"), 2)]
+        assert lam_free_cofactor(p, factors, ("lam", "t")) == P("6*t")
         # factors that are not monic: lc(p) = 3 t^2 holds lc(t*lam - 1)^2
         p = (U("t*lam - 1") * U("t*lam - 1") * U("lam + 1")).scale(P("3"))
-        content, factors = squarefree_decomposition(p)
+        factors = sqf(p)
+        assert factors == [(R("lam + 1"), 1), (R("t*lam - 1"), 2)]
+        assert lam_free_cofactor(p, factors, ("lam", "t")) == 3
+
+    def test_the_oracle_on_the_same_products(self):
+        # the MPoly chain kept in the tests returns the content as well
+        p = (U("t*lam - 1") * U("t*lam - 1") * U("lam + 1")).scale(P("3"))
+        content, factors = squarefree_by_mpoly(p)
         assert content == P("3")
         assert factors == [(U("lam + 1"), 1), (U("t*lam - 1"), 2)]
+
+
+def linear_form(rng, params):
+    """A random integer affine form in the parameters."""
+    terms = [f"{rng.nonzero_int_between(-3, 3)}*{v}" for v in params]
+    return P(" + ".join(terms + [str(rng.int_between(-3, 3))]))
+
+
+class TestYunOnIntegerPolynomials:
+    """Seeded products c * f1 * f2^2 * f3^3 with known squarefree, pairwise
+    coprime factors, over Q, Q(t) and Q(t1, t2): c is a negative rational
+    (an integer content and a denominator to clear), f1 = a*lam - l and
+    f3 = a*lam - l - k (k != 0) are linear in lam with different roots, and
+    f2 = (lam - s)^2 - l' is irreducible (l' a non-square integer, or a form
+    with every parameter in it)."""
+
+    PARAMS = [(), ("t",), ("t1", "t2")]
+
+    def products(self):
+        rng = SplitMix64(2027)
+        lam = P("lam")
+        for params in self.PARAMS:
+            for _ in range(6 if len(params) < 2 else 2):  # the oracle: 1.3 s a product in two
+                a1 = rng.int_between(1, 3)
+                l1 = linear_form(rng, params)
+                f1 = lam.scale(a1) - l1
+                f3 = lam.scale(a1) - l1 - rng.nonzero_int_between(-3, 3)
+                if params:
+                    l2 = linear_form(rng, params)
+                else:
+                    l2 = MPoly.const([2, 3, 5, 6, 7, -1, -2][rng.int_between(0, 6)])
+                f2 = (lam - rng.int_between(-2, 2)) ** 2 - l2
+                c = Fraction(-6 * rng.int_between(1, 3), rng.int_between(1, 5))
+                p = UniPoly.from_mpoly((f1 * f2 ** 2 * f3 ** 3).scale(c), "lam")
+                yield params, p, [(f1, 1), (f2, 2), (f3, 3)]
+
+    def test_multiplicities_degrees_and_reconstruction(self):
+        seen = set()
+        for params, p, known in self.products():
+            names = ("lam",) + tuple(sorted(params))
+            assert p.lc().leading_coeff() < 0
+            factors = sqf(p)
+            shape = [(len(f) - 1, k) for f, k in factors]
+            assert shape == [(1, 1), (2, 2), (1, 3)]
+            _, oracle = squarefree_by_mpoly(p)
+            assert shape == [(int(f.degree()), k) for f, k in oracle]
+            for (factor, _), (f, _) in zip(factors, known):
+                ratio = exact_div(f, from_recursive(factor, names))
+                assert ratio is not None and ratio.is_constant() and not ratio.is_zero()
+            cofactor = lam_free_cofactor(p, factors, names)
+            assert cofactor.is_constant() and cofactor.constant_value() < 0
+            seen.add(len(params))
+        assert seen == {0, 1, 2}
+
+    def test_degree_zero_and_zero(self):
+        assert squarefree_decomposition([Fraction(-7, 2)]) == []
+        assert squarefree_decomposition([P("t^2 + 1")]) == []
+        with pytest.raises(ValueError):
+            squarefree_decomposition([Fraction(0), MPoly.zero(("t",))])
 
 
 class TestUniPolyDivision:

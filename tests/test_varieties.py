@@ -6,7 +6,7 @@ import pytest
 from jordanet.catalog import canonical, catalog_ids
 from jordanet.errors import InputError, PreconditionError
 from jordanet import varieties
-from jordanet.exact import MPoly, UniPoly, monomials, mpoly_gcd, parse_poly, poly_eval
+from jordanet.exact import MPoly, monomials, parse_poly, poly_eval
 from jordanet.linalg import Mat, inverse, rref
 from jordanet.prng import SplitMix64
 from jordanet.spaces import PluckerVector, make_space, plucker, sample_congruent
@@ -21,7 +21,14 @@ from jordanet.varieties import (
     rank_one_pencil,
     rank_one_system,
 )
-from oracles import macaulay_rank_by_fractions, min_rank_bounds_by_fractions, mpoly_from_terms
+from oracles import (
+    UniPoly,
+    macaulay_rank_by_fractions,
+    min_rank_bounds_by_fractions,
+    mpoly_from_terms,
+    mpoly_gcd_by_mpoly,
+    uni_exact_div,
+)
 
 
 def P(s):
@@ -260,11 +267,9 @@ def rank_one_count_oracle(sp):
     minors = rank_one_system(sp)
     if not minors:
         return "ALL"
-    from jordanet.exact import MPoly
-
     g = MPoly.zero()
     for m in minors:
-        g = mpoly_gcd(g, m)
+        g = mpoly_gcd_by_mpoly(g, m)
     if g.is_constant():
         return 0
     count = 0
@@ -283,8 +288,6 @@ def rank_one_count_oracle(sp):
             if value == 0:
                 count += 1
                 root = UniPoly("t1", [MPoly.const(-r), MPoly.const(1)])
-                from jordanet.exact import uni_exact_div
-
                 while True:
                     q = uni_exact_div(w, root)
                     if q is None:
