@@ -22,8 +22,7 @@ Z[t][lam] for a net and Z[t1, t2][lam] for m = 4.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple, Union
+from typing import Dict, List, NamedTuple, Optional, Tuple, Union
 
 from .errors import PreconditionError
 from .exact import squarefree_decomposition
@@ -36,7 +35,7 @@ from .jordan import (
     resolve_unit,
     structure_constants,
 )
-from .linalg import Mat, charpoly
+from .linalg import Mat, charpoly, int_matmul
 from .spaces import MatSpace, find_invertible, generic_element, is_regular
 from .varieties import rank_one_pencil
 
@@ -51,10 +50,11 @@ def generic_multiplicity_partition(space: MatSpace) -> Tuple[int, ...]:
 
     Computed exactly in m - 2 variables.  Drop the first basis element on
     which U has a nonzero coordinate and call the others C_1..C_{m-1}, so
-    that U, C_1..C_{m-1} is a basis; with U^-1 = q / s (``Unit.q``), the
-    partition is read off the squarefree decomposition of the
-    characteristic polynomial of q (t1 C_1 + ... + t_{m-2} C_{m-2} + C_{m-1})
-    over QQ(t1..t_{m-2}).  This is the same decomposition because:
+    that U, C_1..C_{m-1} is a basis; with U^-1 = q / s (``Unit.q``) and the
+    integer basis C_k = C'_k / L (``MatSpace.integer_basis``), the partition
+    is read off the squarefree decomposition of the characteristic
+    polynomial of t1 q C'_1 + ... + t_{m-2} q C'_{m-2} + q C'_{m-1} over
+    QQ(t1..t_{m-2}).  This is the same decomposition because:
 
     1. X = tau_0 U + sum tau_k C_k is an invertible change of variables, and
        lam -> lam - tau_0 is an automorphism of QQ(tau)[lam], so
@@ -66,7 +66,7 @@ def generic_multiplicity_partition(space: MatSpace) -> Tuple[int, ...]:
        det U, so each squarefree factor is homogeneous with a constant
        mu-leading coefficient, and setting tau_{m-1} = 1 keeps their
        mu-degrees, their squarefreeness and their coprimality;
-    4. q = s U^-1 only scales the roots by s > 0.
+    4. q C'_k = s L U^-1 C_k only scales the roots by s L > 0.
 
     A pencil is thus univariate over QQ and a net bivariate;
     ``exact.squarefree_decomposition`` runs the same integer code for every
@@ -76,8 +76,9 @@ def generic_multiplicity_partition(space: MatSpace) -> Tuple[int, ...]:
     if space.m == 1:
         return (space.n,)
     drop = next(k for k, c in enumerate(coords) if c != 0)
-    q = Mat.from_ints(resolve_unit(space, u).q)
-    *scaled, last = [q @ b for k, b in enumerate(space.basis) if k != drop]
+    q = resolve_unit(space, u).q
+    basis, _ = space.integer_basis()  # each B'_k is symmetric: its rows are its columns
+    *scaled, last = [Mat.from_ints(int_matmul(q, b)) for k, b in enumerate(basis) if k != drop]
     x = generic_element(scaled) + last if scaled else last
     parts: List[int] = []
     for factor, mult in squarefree_decomposition(charpoly(x)):
@@ -85,8 +86,7 @@ def generic_multiplicity_partition(space: MatSpace) -> Tuple[int, ...]:
     return tuple(sorted(parts, reverse=True))
 
 
-@dataclass(frozen=True)
-class InvariantVector:
+class InvariantVector(NamedTuple):
     dim_rad: int
     associative: bool
     rad_square: int
@@ -134,8 +134,7 @@ def classify_abstract(a: JordanStructure) -> str:
 
 # -- pencils -----------------------------------------------------------------
 
-@dataclass(frozen=True)
-class PencilClass:
+class PencilClass(NamedTuple):
     kind: str  # NOT_JORDAN | diagonalizable | nilpotent
     index: Optional[int] = None  # V_index for the diagonalizable families
 

@@ -7,59 +7,50 @@ For an invertible symmetric U, the product is
 commutative with unit U and power-associative but not associative.  A
 subspace closed under this product (for an invertible U inside it) is a
 Jordan subalgebra; equivalently its reciprocal variety is again a linear
-space (proved both ways in ``check_reciprocal_identity``), and the two
-conditions are cross-checked throughout the test suite.
+space (proved both ways in ``check_reciprocal_identity``).
 
-Products are taken on integers.  For each (space, unit) pair the unit is
-inverted once, U^{-1} = Q / s with Q a symmetric integer matrix, and kept in
-``space._jordan`` beside the basis products for that unit, which
-``is_jordan`` and ``structure_constants`` read.  For integer X and Y,
-X Q Y + (X Q Y)^T = 2s (X * Y): ``jordan_closure`` keeps its elements as
-primitive integer matrices and needs the product only up to that scale, so it
-grows a ``linalg.Echelon`` (the integer echelon behind every membership test,
-rank and inverse) from a worklist, reducing each product once and adjoining a
-nonzero residue in place.  Basis products divide once by the scale and keep
-their true value.
-
-The radical (coordinate vectors: the kernel of the trace form (x, y) ->
-tr(L_{x*y}), the characteristic-zero semisimplicity criterion) and
-associativity are read off the structure tensor and cached on it.  The tests
-check that the kernel is an ideal of nilpotents, and that the product
-satisfies the unit law and the Jordan identity (a theorem: X -> U^{-1} X
-embeds the algebra into the special Jordan algebra (AB + BA) / 2).
+Everything runs on one integer algebra per space.  The basis is kept as
+B_k = B'_k / L over one common denominator (``MatSpace.integer_basis``), and
+each unit once as U^{-1} = Q / s in ``space._jordan``, so that
+B'_i Q B'_j + (B'_i Q B'_j)^T = 2sL^2 (B_i * B_j) is an integer product.
+``jordan_closure`` grows one integer ``linalg.Echelon`` from such products;
+the Jordan test reduces each basis product on the space's echelon and keeps
+the structure tensor as one integer tensor c over one denominator.  The
+radical (the kernel of the trace form (x, y) -> tr(L_{x*y}), the
+characteristic-zero semisimplicity criterion), associativity and the
+radical's square are read off c and cached on the structure.  The tests
+compare all of it with the Fraction route, and check that the radical is an
+ideal of nilpotents and that the product satisfies the unit law and the
+Jordan identity.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+import math
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 from .errors import InternalCheckError, PreconditionError
 from .exact import frac
-from .linalg import Echelon, Mat, int_matmul, integer_matrix, inverse_or_none, rref
-from .spaces import (
-    MatSpace,
-    contains,
-    find_invertible,
-    integer_sweep,
-    nonzero_sweep,
-    residue_mod_space,
-    sym_pairs,
-    unvectorize,
-)
+from .linalg import Echelon, Mat, int_matmul, integer_matrix, integer_vector, inverse_or_none, rref
+from .spaces import (MatSpace, contains, find_invertible, integer_sweep, nonzero_sweep, sym_pairs,
+                     unvectorize)
 
 
 def jordan_product(x: Mat, y: Mat, u: Mat) -> Mat:
-    """X * Y = (X U^{-1} Y + Y U^{-1} X) / 2 with unit U."""
+    """X * Y = (X U^{-1} Y + Y U^{-1} X) / 2 with unit U: with X = X' / d,
+    Y = Y' / e and U^{-1} = Q / s, the integer X' Q Y' + (X' Q Y')^T divided
+    once by 2 s d e."""
     for m in (x, y, u):
         if not m.is_symmetric():
             raise PreconditionError("NOT_SYMMETRIC", "Jordan product needs symmetric matrices")
     uinv = inverse_or_none(u)
     if uinv is None:
         raise PreconditionError("SINGULAR_U", "unit must be invertible")
-    return _product(x, y, *integer_matrix(uinv))
+    (q, s), (xi, d), (yi, e) = integer_matrix(uinv), integer_matrix(x), integer_matrix(y)
+    doubled = _doubled_product(int_matmul(xi, q), yi, sym_pairs(x.rows))
+    return unvectorize(x.rows, [Fraction(v, 2 * s * d * e) for v in doubled])
 
 
 def _doubled_product(xq: Sequence[Sequence[int]], y: Sequence[Sequence[int]],
@@ -70,16 +61,7 @@ def _doubled_product(xq: Sequence[Sequence[int]], y: Sequence[Sequence[int]],
     return [a[i][j] + a[j][i] for i, j in pairs]
 
 
-def _product(x: Mat, y: Mat, q: List[List[int]], s: int) -> Mat:
-    """X * Y for Fraction matrices and U^{-1} = Q / s: with X = X' / d and
-    Y = Y' / e, the integer X' Q Y' + (X' Q Y')^T divided once by 2 s d e."""
-    (xi, d), (yi, e) = integer_matrix(x), integer_matrix(y)
-    doubled = _doubled_product(int_matmul(xi, q), yi, sym_pairs(x.rows))
-    return unvectorize(x.rows, [Fraction(v, 2 * s * d * e) for v in doubled])
-
-
-@dataclass
-class JordanWitness:
+class JordanWitness(NamedTuple):
     """Failure witness: basis product (i, j) escapes the space."""
 
     i: int
@@ -119,35 +101,32 @@ def resolve_unit(space: MatSpace, u: Optional[Mat] = None) -> Unit:
 def is_jordan(space: MatSpace, u: Optional[Mat] = None) -> Tuple[bool, Optional[JordanWitness]]:
     """Closure test: every pairwise basis product must stay in the space."""
     got = _basis_products(space, resolve_unit(space, u))
-    if isinstance(got, JordanWitness):
-        return False, got
-    return True, None
+    return (False, got) if isinstance(got, JordanWitness) else (True, None)
 
 
 def jordan_closure(space: MatSpace, u: Mat) -> MatSpace:
     """Smallest subspace containing the space and closed under the product.
 
     A worklist over one growing integer echelon: each adjoined element (the
-    basis first) is multiplied once with itself and each element before it,
-    as 2s times the product, and a product's nonzero residue modulo the span
-    is adjoined.  Stops early at all of S^n; returns the reduced row echelon
-    basis of the closure, independent and symmetric as built.
+    integer basis first) is multiplied once with itself and each element
+    before it, as 2s times the product, and a nonzero residue modulo the
+    span is adjoined.  Stops early at all of S^n; returns the reduced row
+    echelon basis of the closure, independent and symmetric as built.
     """
     q = resolve_unit(space, u).q
     n = space.n
     pairs = sym_pairs(n)
     ech = Echelon(len(pairs))
-    elements = []  # primitive integer matrices, in the order they were adjoined
+    elements = []  # rows of primitive integer matrices, in the order they were adjoined
 
     def grow(vec: List[int]) -> None:
         residue = ech.residue(vec)
         if any(residue):
             ech.adjoin(residue)
-            elements.append(_int_symmetric(n, pairs, residue))
+            elements.append(unvectorize(n, residue).data)
 
-    for b in space.basis:
-        bi = integer_matrix(b)[0]
-        grow([bi[i][j] for i, j in pairs])
+    for b in space.integer_basis()[0]:
+        grow([b[i][j] for i, j in pairs])
     done = 0
     while done < len(elements) and ech.rank < len(pairs):
         xq = int_matmul(elements[done], q)  # Q is symmetric: its rows are its columns
@@ -159,57 +138,44 @@ def jordan_closure(space: MatSpace, u: Mat) -> MatSpace:
     return MatSpace(n, [unvectorize(n, r) for r in ech.rows])
 
 
-def _int_symmetric(n: int, pairs: Sequence[Tuple[int, int]], vec: Sequence[int]) -> List[List[int]]:
-    out = [[0] * n for _ in range(n)]
-    for (i, j), v in zip(pairs, vec):
-        out[i][j] = out[j][i] = v
+def _combine(coeffs: Sequence[int], rows: Sequence[Sequence[int]]) -> List[int]:
+    """sum_l coeffs[l] rows[l] for integer vectors."""
+    out = [0] * len(rows[0])
+    for f, row in zip(coeffs, rows):
+        if f:
+            out = [x + f * y for x, y in zip(out, row)]
     return out
 
 
-@dataclass
 class JordanStructure:
-    """A Jordan subalgebra with its structure-constant tensor.
+    """A Jordan subalgebra with its unit and structure tensor: b_i * b_j =
+    sum_k c[i][j][k] b_k / den for the basis b, with integer c and den > 0.
+    The radical, associativity and the dimension of the radical's square are
+    cached on it by the functions that compute them."""
 
-    ``tensor[i][j]`` holds the coordinates of basis_i * basis_j in the basis.
-    """
+    __slots__ = ("space", "unit", "c", "den", "_radical", "_associative", "_rad_square")
 
-    space: MatSpace
-    unit: Mat
-    unit_coords: Tuple[Fraction, ...]
-    tensor: Tuple[Tuple[Tuple[Fraction, ...], ...], ...]
-    _radical: Optional[List[List[Fraction]]] = field(default=None, repr=False)
-    _associative: Optional[bool] = field(default=None, repr=False)
+    def __init__(self, space: MatSpace, unit: Unit, c: List[List[List[int]]], den: int):
+        self.space, self.unit, self.c, self.den = space, unit, c, den
+        self._radical = self._associative = self._rad_square = None
 
     @property
     def dim(self) -> int:
         return self.space.m
 
     def multiply_coords(self, a: Sequence[Fraction], b: Sequence[Fraction]) -> List[Fraction]:
-        m = self.dim
-        out = [Fraction(0)] * m
-        for i in range(m):
-            ai = a[i]
-            if ai == 0:
-                continue
-            for j in range(m):
-                bj = b[j]
-                if bj == 0:
-                    continue
-                c = self.tensor[i][j]
-                f = ai * bj
-                for k in range(m):
-                    if c[k] != 0:
-                        out[k] += f * c[k]
-        return out
+        """Coordinates of the product of the elements with coordinates a and b:
+        with a = a' / d and b = b' / e, sum_ij a'_i b'_j c[i][j] / (d e den)."""
+        (ai, d), (bi, e) = integer_vector(a), integer_vector(b)
+        prod = _combine(ai, [_combine(bi, plane) for plane in self.c])
+        return [Fraction(x, d * e * self.den) for x in prod]
 
     def operator_matrix(self, coords: Sequence[Fraction]) -> Mat:
-        """Matrix of left multiplication by the element with these coordinates."""
-        m = self.dim
-        cols = []
-        for j in range(m):
-            basis_j = [Fraction(int(t == j)) for t in range(m)]
-            cols.append(self.multiply_coords(coords, basis_j))
-        return Mat([[cols[j][k] for j in range(m)] for k in range(m)])
+        """Matrix of left multiplication by the element with these coordinates:
+        column j is x * b_j = sum_i x_i c[j][i] / den."""
+        xi, d = integer_vector(coords)
+        cols = [_combine(xi, plane) for plane in self.c]
+        return Mat([[Fraction(col[k], d * self.den) for col in cols] for k in range(self.dim)])
 
 
 def structure_constants(space: MatSpace, u: Optional[Mat] = None) -> JordanStructure:
@@ -223,70 +189,84 @@ def structure_constants(space: MatSpace, u: Optional[Mat] = None) -> JordanStruc
 
 def _basis_products(space: MatSpace, unit: Unit) -> Union[JordanStructure, JordanWitness]:
     """The structure of the space for the unit, or the first basis product (in
-    (i, j) order, i <= j) that escapes it; memoised on the unit."""
-    if unit.products is None:
-        m = space.m
-        tensor = [[None] * m for _ in range(m)]
-        for i in range(m):
-            for j in range(i, m):
-                p = _product(space.basis[i], space.basis[j], unit.q, unit.s)
-                coords = contains(space, p)
-                if coords is None:
-                    unit.products = JordanWitness(i, j, p, residue_mod_space(space, p))
-                    return unit.products
-                tensor[i][j] = tensor[j][i] = tuple(coords)
-        unit.products = JordanStructure(space, unit.u, unit.coords,
-                                        tuple(tuple(row) for row in tensor))
+    (i, j) order, i <= j) that escapes it; memoised on the unit.
+
+    The space's echelon reduces v = 2sL^2 (B_i * B_j); a nonzero remainder
+    makes the witness, the one place Fractions are formed.  Otherwise the
+    coordinates of v / 2sL^2 are v's entries at the pivots times the row
+    transform T = T' / D: c[i][j] = v_pivots T' over den = 2sL^2 D.
+    """
+    if unit.products is not None:
+        return unit.products
+    n, m = space.n, space.m
+    basis, lcm = space.integer_basis()
+    ech = space.echelon()
+    t, d = integer_matrix(Mat(ech.transform))
+    t_cols = list(zip(*t))
+    scale = 2 * unit.s * lcm * lcm
+    pairs = sym_pairs(n)
+    c = [[None] * m for _ in range(m)]
+    for i in range(m):
+        xq = int_matmul(basis[i], unit.q)
+        for j in range(i, m):
+            v = _doubled_product(xq, basis[j], pairs)
+            rest, k = ech.eliminate(v)
+            if any(rest):
+                unit.products = JordanWitness(
+                    i, j, unvectorize(n, [Fraction(x, scale) for x in v]),
+                    unvectorize(n, [Fraction(x, k * scale) for x in rest]))
+                return unit.products
+            c[i][j] = c[j][i] = int_matmul([[v[p] for p in ech.pivots]], t_cols)[0]
+    g = math.gcd(scale * d, *(x for row in c for vec in row for x in vec))
+    unit.products = JordanStructure(space, unit, [[[x // g for x in vec] for vec in row]
+                                                  for row in c], scale * d // g)
     return unit.products
 
 
 def radical(a: JordanStructure) -> List[List[Fraction]]:
     """Coordinate vectors of the radical, the kernel of the trace form, cached
-    on the structure: with c_ij^k = ``tensor[i][j][k]``, tr(L_{b_k}) =
-    sum_j c_kj^j and the Gram entry is sum_k c_ij^k tr(L_{b_k})."""
+    on the structure: tr(L_{b_k}) = sum_j c_kj^j / den and the Gram entry is
+    sum_k c_ij^k tr(L_{b_k}) / den, so den^2 times the Gram matrix is an
+    integer matrix with the same kernel."""
     if a._radical is None:
-        m, tensor = a.dim, a.tensor
-        traces = [sum(tensor[k][j][j] for j in range(m)) for k in range(m)]
-        gram = [[sum(c * t for c, t in zip(tensor[i][j], traces) if c) for j in range(m)]
-                for i in range(m)]
-        a._radical = rref(gram).kernel_basis()
+        c, m = a.c, a.dim
+        traces = [sum(c[k][j][j] for j in range(m)) for k in range(m)]
+        ech = Echelon(m)
+        ech.extend([sum(x * t for x, t in zip(c[i][j], traces)) for j in range(m)]
+                   for i in range(m))
+        a._radical = ech.kernel_basis()
     return a._radical
 
 
 def is_associative(a: JordanStructure) -> bool:
-    """(b_i * b_j) * b_k = b_i * (b_j * b_k) on all basis triples: the
-    product of ``tensor[i][j]`` with b_k against that of b_i with
-    ``tensor[j][k]``.  Cached on the structure."""
+    """(b_i * b_j) * b_k = b_i * (b_j * b_k) on all basis triples, read off
+    the tensor: sum_l c_ij^l c_lk = sum_l c_jk^l c_il (both den^2 times the
+    coordinates of a side).  Cached on the structure."""
     if a._associative is None:
-        m = a.dim
-        unit_vecs = [[Fraction(int(t == i)) for t in range(m)] for i in range(m)]
-        a._associative = all(
-            a.multiply_coords(a.tensor[i][j], unit_vecs[k])
-            == a.multiply_coords(unit_vecs[i], a.tensor[j][k])
-            for i in range(m) for j in range(m) for k in range(m))
+        c, m = a.c, a.dim
+        a._associative = all(_combine(c[i][j], c[k]) == _combine(c[j][k], c[i])
+                             for i in range(m) for j in range(m) for k in range(m))
     return a._associative
 
 
 def rad_square_dim(a: JordanStructure) -> int:
-    """Dimension of the span of pairwise products of radical elements."""
-    coords = radical(a)
-    if not coords:
-        return 0
-    rows = []
-    for i in range(len(coords)):
-        for j in range(i, len(coords)):
-            rows.append(a.multiply_coords(coords[i], coords[j]))
-    return rref(rows).rank
+    """Dimension of the span of pairwise products of radical elements, cached
+    on the structure."""
+    if a._rad_square is None:
+        coords = radical(a)
+        a._rad_square = rref([a.multiply_coords(x, y) for i, x in enumerate(coords)
+                              for y in coords[i:]]).rank
+    return a._rad_square
 
 
 def peirce(a: JordanStructure, idempotents: Sequence[Mat]) -> Dict[Tuple[int, int], List[Mat]]:
     """Joint eigenspace decomposition for orthogonal idempotents summing to U.
 
     Piece (i, i) collects Y with X_i * Y = Y; piece (i, j) for i < j collects
-    Y with 2 X_i * Y = 2 X_j * Y = Y.  Dimensions always sum to the algebra
-    dimension; a shortfall raises, it cannot silently truncate.
+    Y with 2 X_i * Y = 2 X_j * Y = Y.  The idempotents are checked in
+    coordinates.  Dimensions always sum to the algebra dimension; a
+    shortfall raises, it cannot silently truncate.
     """
-    unit = resolve_unit(a.space, a.unit)
     d = len(idempotents)
     coords = []
     for x in idempotents:
@@ -294,16 +274,11 @@ def peirce(a: JordanStructure, idempotents: Sequence[Mat]) -> Dict[Tuple[int, in
         if c is None:
             raise PreconditionError("NOT_ORTHOGONAL_IDEMPOTENTS", "idempotent outside the algebra")
         coords.append(c)
-        if _product(x, x, unit.q, unit.s) != x:
+        if a.multiply_coords(c, c) != c:
             raise PreconditionError("NOT_ORTHOGONAL_IDEMPOTENTS", "element is not idempotent")
-    for i in range(d):
-        for j in range(i + 1, d):
-            if not _is_zero_mat(_product(idempotents[i], idempotents[j], unit.q, unit.s)):
-                raise PreconditionError("NOT_ORTHOGONAL_IDEMPOTENTS", "idempotents are not orthogonal")
-    total = idempotents[0]
-    for x in idempotents[1:]:
-        total = total + x
-    if total != a.unit:
+    if any(any(a.multiply_coords(x, y)) for x, y in itertools.combinations(coords, 2)):
+        raise PreconditionError("NOT_ORTHOGONAL_IDEMPOTENTS", "idempotents are not orthogonal")
+    if [sum(col) for col in zip(*coords)] != list(a.unit.coords):
         raise PreconditionError("NOT_ORTHOGONAL_IDEMPOTENTS", "idempotents do not sum to the unit")
 
     m = a.dim
@@ -323,10 +298,6 @@ def peirce(a: JordanStructure, idempotents: Sequence[Mat]) -> Dict[Tuple[int, in
     if used != m:
         raise InternalCheckError("INTERNAL", f"Peirce pieces span {used} of {m} dimensions")
     return pieces
-
-
-def _is_zero_mat(m: Mat) -> bool:
-    return all(x == 0 for row in m.data for x in row)
 
 
 #: invertible sweep points the sampled reciprocal check tries

@@ -155,7 +155,7 @@ def _all_fractions(m: Mat) -> bool:
     return all(type(x) is Fraction for row in m.data for x in row)
 
 
-def _clear_denominators(vector: Sequence[Fraction]) -> Tuple[List[int], int]:
+def integer_vector(vector: Sequence[Fraction]) -> Tuple[List[int], int]:
     """(v', d) with v = v' / d, d the lcm of the entries' denominators."""
     d = math.lcm(*(x.denominator for x in vector))
     return [x.numerator * (d // x.denominator) for x in vector], d
@@ -164,8 +164,8 @@ def _clear_denominators(vector: Sequence[Fraction]) -> Tuple[List[int], int]:
 def _fraction_product(a: Mat, b: Mat) -> Mat:
     """A B for Fraction matrices: with A's row i equal to A'_i / d_i and B's
     column j equal to B'_j / e_j, entry (i, j) is (A'_i . B'_j) / (d_i e_j)."""
-    left = [_clear_denominators(row) for row in a.data]
-    right = [_clear_denominators(col) for col in zip(*b.data)]
+    left = [integer_vector(row) for row in a.data]
+    right = [integer_vector(col) for col in zip(*b.data)]
     prod = int_matmul([r for r, _ in left], [c for c, _ in right])
     return Mat([[Fraction(x, d * e) for x, (_, e) in zip(prow, right)]
                 for prow, (_, d) in zip(prod, left)])
@@ -336,7 +336,7 @@ class Echelon:
             basis.append(v)
         return basis
 
-    def _eliminate(self, v: Sequence[int]) -> Tuple[List[int], int]:
+    def eliminate(self, v: Sequence[int]) -> Tuple[List[int], int]:
         """(L v minus, for each pivot p where v is nonzero, v_p (L / r_p) times
         that pivot's row r; L), with L the lcm of those rows' pivot entries
         r_p: L times v modulo the row space.  All zero iff v lies in it."""
@@ -350,7 +350,7 @@ class Echelon:
 
     def residue(self, v: Sequence[int]) -> List[int]:
         """An integer vector v modulo the row space, divided by its content."""
-        return _primitive(self._eliminate(v)[0])
+        return _primitive(self.eliminate(v)[0])
 
     def extend(self, rows: Iterable[Sequence[int]]) -> None:
         """Adjoin the nonzero residue of each integer row in turn, until the
@@ -382,19 +382,12 @@ class Echelon:
         self.pivots.insert(k, c)
         self._rows = None
 
-    def reduce_vector(self, v: Sequence[Fraction]) -> List[Fraction]:
-        """Residue of v modulo the row space (eliminate pivot coordinates), at
-        v's own scale: one division at the end."""
-        vi, d = _clear_denominators([frac(x) for x in v])
-        out, scale = self._eliminate(vi)
-        return [Fraction(x, scale * d) for x in out]
-
     def coordinates(self, v: Sequence[Fraction]) -> Optional[List[Fraction]]:
         """Coefficients c with sum(c_i * original_row_i) = v, or None when v is
         outside the row space.  In reduced rows the coefficient of row r is
         v's entry at pivot r; the transform takes that to the original rows."""
         v = [frac(x) for x in v]
-        if any(self._eliminate(_clear_denominators(v)[0])[0]):
+        if any(self.eliminate(integer_vector(v)[0])[0]):
             return None
         coeff = [Fraction(0)] * len(self.transform)
         for r, p in enumerate(self.pivots):
@@ -409,7 +402,7 @@ def rref(matrix: Sequence[Sequence[Fraction]]) -> Echelon:
     each times the lcm of its denominators.  Scaling rows keeps the row space
     and so the (unique) reduced form."""
     ech = Echelon(len(matrix[0]) if matrix else 0)
-    ech.extend(_clear_denominators([frac(x) for x in row])[0] for row in matrix)
+    ech.extend(integer_vector([frac(x) for x in row])[0] for row in matrix)
     return ech
 
 
@@ -463,7 +456,7 @@ def det_bareiss(m: Mat) -> Fraction:
     identity each entry is a minor of M' (with its rows as swapped)."""
     if not m.is_square():
         raise PreconditionError("NOT_SQUARE", "determinant needs a square matrix")
-    cleared = [_clear_denominators(row) for row in m.data]
+    cleared = [integer_vector(row) for row in m.data]
     a = [row for row, _ in cleared]
     n = m.rows
     sign, prev = 1, 1
@@ -548,26 +541,23 @@ def _trace_of_product(a: List[List[IntPoly]], b: List[List[IntPoly]]) -> IntPoly
 
 
 def _faddeev_leverrier(m: Mat):
-    """Returns (coefficients c_0..c_n of charpoly, adjugate matrix).
+    """Returns (ring, d, [c'_1 .. c'_n], M'_n) on the integer kernel, M = M' / d.
 
-    charpoly(lam) = lam^n + c_1 lam^(n-1) + ... + c_n, returned low-index-first
-    as [c_n, ..., c_1, 1].
-
-    Runs on the integer kernel, M = M' / d.  With M'_1 = I,
-    c'_k = -trace(M' M'_k) / k and M'_(k+1) = M' M'_k + c'_k I, so the
-    product of step k is reused by step k + 1 and the last step needs only
-    the trace: n - 1 matrix products in all.  The c'_k are the coefficients
-    of the characteristic polynomial of M', integer polynomials in its
-    entries, so each division by k is exact.  Then c_k = c'_k / d^k and
-    adj(M) = adj(M') / d^(n-1) = (-1)^(n-1) M'_n / d^(n-1).
+    With M'_1 = I, c'_k = -trace(M' M'_k) / k and M'_(k+1) = M' M'_k + c'_k I,
+    so the product of step k is reused by step k + 1 and the last step needs
+    only the trace: n - 1 matrix products in all.  The c'_k are the
+    coefficients of the characteristic polynomial of M', integer polynomials
+    in its entries, so each division by k is exact.  Then the coefficient of
+    lam^(n-k) is c_k = c'_k / d^k, and adj(M) = adj(M') / d^(n-1) =
+    (-1)^(n-1) M'_n / d^(n-1).  Nothing is converted here: ``charpoly`` forms
+    the coefficients and ``adjugate`` the matrix.
     """
     if not m.is_square():
         raise PreconditionError("NOT_SQUARE", "characteristic polynomial needs a square matrix")
     n = m.rows
     ring = PolyRing([m], n * _max_degree(m))
     a, d = ring.int_rows(m)
-    one = {0: 1}
-    mk = [[one if i == j else {} for j in range(n)] for i in range(n)]
+    mk = [[{0: 1} if i == j else {} for j in range(n)] for i in range(n)]
     cs = []  # c'_1 .. c'_n
     for k in range(1, n + 1):
         if k > 1:
@@ -580,22 +570,23 @@ def _faddeev_leverrier(m: Mat):
         else:
             tr = _trace_of_product(a, mk)
         cs.append({key: -x // k for key, x in tr.items()})
-    coeffs = [ring.entry(c, d ** k) for k, c in reversed(list(enumerate(cs, 1)))]
-    sign = 1 if n % 2 else -1
-    return coeffs + [ring.entry(one, 1)], ring.mat(mk, sign * d ** max(n - 1, 0))
+    return ring, d, cs, mk
 
 
 def charpoly(m: Mat) -> List[Entry]:
     """The monic characteristic polynomial det(lam*I - M) as its n + 1
     coefficients c_0 .. c_n = 1 of lam^0 .. lam^n: Fractions for a Fraction
     matrix, MPolys in the entries' variables otherwise."""
-    return _faddeev_leverrier(m)[0]
+    ring, d, cs, _ = _faddeev_leverrier(m)
+    return [ring.entry(c, d ** k) for k, c in reversed(list(enumerate(cs, 1)))] + \
+        [ring.entry({0: 1}, 1)]
 
 
 def adjugate(m: Mat) -> Mat:
     """Adjugate: M @ adj(M) = det(M) * I."""
-    _, adj = _faddeev_leverrier(m)
-    return adj
+    ring, d, _, mk = _faddeev_leverrier(m)
+    n = m.rows
+    return ring.mat(mk, (1 if n % 2 else -1) * d ** max(n - 1, 0))
 
 
 def express_in_rows(rows: List[List[Fraction]], v: Sequence[Fraction]) -> Optional[List[Fraction]]:

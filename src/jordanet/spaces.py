@@ -4,7 +4,9 @@ A ``MatSpace`` is an ordered basis of independent symmetric n x n rational
 matrices; ``make_space`` validates outside input.  Symmetric matrices
 vectorize to their upper triangle read row by row; for n = 4 the coordinate
 order is (11, 12, 13, 14, 22, 23, 24, 33, 34, 44).  All Pluecker coordinates,
-kernels and membership tests use that fixed order.
+kernels and membership tests use that fixed order.  A space keeps its basis
+over one common denominator once (``MatSpace.integer_basis``) for every
+integer computation on it.
 
 ``generic_element`` forms sum_k t_k B_k from any sequence of rational
 matrices: the generic determinant, the Chow matrix, the rank-one minors and
@@ -29,7 +31,6 @@ from .linalg import (
     Echelon,
     Mat,
     det,
-    integer_matrix,
     inverse_or_none,
     maximal_minors,
     rref,
@@ -66,12 +67,13 @@ class MatSpace:
     """An m-dimensional subspace of the symmetric n x n matrices, recorded
     unchecked (``make_space`` checks); its echelon is formed on first use."""
 
-    __slots__ = ("n", "m", "basis", "_echelon", "_unit", "_jordan", "_chow")
+    __slots__ = ("n", "m", "basis", "_ints", "_echelon", "_unit", "_jordan", "_chow")
 
     def __init__(self, n: int, basis: Sequence[Mat]):
         self.n = n
         self.basis = tuple(basis)
         self.m = len(self.basis)
+        self._ints = None
         self._echelon = None
         self._unit = _UNDECIDED  # first invertible element, or None if singular
         self._jordan = {}  # unit entries -> jordan.Unit: coordinates, inverse, basis products
@@ -81,6 +83,16 @@ class MatSpace:
 
     def coordinate_rows(self) -> List[List[Fraction]]:
         return [vectorize(b) for b in self.basis]
+
+    def integer_basis(self) -> Tuple[List[List[List[int]]], int]:
+        """(B', L) with B_k = B'_k / L over one common denominator L: integer
+        matrices for the sweep, the Jordan products and the rank-one minors,
+        formed on first use."""
+        if self._ints is None:
+            lcm = math.lcm(*(x.denominator for b in self.basis for row in b.data for x in row))
+            self._ints = ([[[x.numerator * (lcm // x.denominator) for x in row] for row in b.data]
+                           for b in self.basis], lcm)
+        return self._ints
 
     def echelon(self) -> Echelon:
         if self._echelon is None:
@@ -190,6 +202,31 @@ def find_invertible(space: MatSpace) -> Tuple[Mat, Tuple[int, ...]]:
 # every catalog space and sampled congruence image (at most the 30th).
 _WITNESS_BUDGET = 32
 
+#: the most term products (``_laplace_products``) the generic determinant of a
+#: space with ``_WITNESS_BUDGET`` singular sweep points may take.  Measured on
+#: singular spaces (dense congruence images of matrices that vanish on a
+#: k x k block, k > n/2), CPU of ``generic_det`` alone (Python 3.11, Xeon):
+#:
+#:     n  m    products    CPU           n  m    products    CPU
+#:     6  8     194 256    0.03 s        7 10    2 312 408    0.64 s
+#:     7  8     807 240    0.24 s       17  1    2 228 224    2.6 s
+#:    16  1   1 048 576    1.2 s        15  2    4 177 920    1.9 s
+#:    14  2   1 835 008    0.75 s       18  1    4 718 592    5.4 s
+#:    12  3   1 923 072    0.50 s        8 12   26 153 536   10.2 s
+#:
+#: Every case on the left is admitted, every case on the right refused.
+MAX_GENERIC_DET_PRODUCTS = 2_000_000
+
+
+def _laplace_products(n: int, m: int) -> int:
+    """A bound on the work of the memoised Laplace expansion of an n x n
+    determinant of linear forms in m variables: each of the C(n, k) column
+    subsets of size k visits k entries of at most m terms and multiplies
+    them by a minor of at most C(m + k - 2, k - 1) terms (the full
+    determinant has at most C(m + n - 1, n))."""
+    return sum(math.comb(n, k) * k * (1 + m * math.comb(m + k - 2, k - 1))
+               for k in range(1, n + 1))
+
 
 def _first_invertible(space: MatSpace) -> Optional[Tuple[Mat, Tuple[int, ...]]]:
     """The regularity decision, memoised: the identity, else the first
@@ -202,25 +239,33 @@ def _first_invertible(space: MatSpace) -> Optional[Tuple[Mat, Tuple[int, ...]]]:
 
 def _sweep_for_unit(space: MatSpace) -> Optional[Tuple[Mat, Tuple[int, ...]]]:
     """The identity, else the first sweep point of full rank (``sweep_rank``),
-    whose Fraction element alone is formed."""
+    whose Fraction element alone is formed.  The generic determinant is sized
+    before it is expanded and refused with TOO_LARGE past
+    ``MAX_GENERIC_DET_PRODUCTS``."""
     n, ident = space.n, Mat.identity(space.n)
     coords = contains(space, ident)
     if coords is not None:
         return ident, tuple(coords)
     rank = sweep_rank(space)
     for k, tup in enumerate(integer_sweep(space.m)):
-        if k == _WITNESS_BUDGET and generic_det(space).is_zero():
-            return None
+        if k == _WITNESS_BUDGET:
+            products = _laplace_products(n, space.m)
+            if products > MAX_GENERIC_DET_PRODUCTS:
+                raise PreconditionError(
+                    "TOO_LARGE", f"{_WITNESS_BUDGET} sweep points were singular, and the generic "
+                    f"determinant would take {products} term products, past "
+                    f"{MAX_GENERIC_DET_PRODUCTS}")
+            if generic_det(space).is_zero():
+                return None
         if rank(tup) == n:
             return space.element(tup), tup
 
 
 def sweep_rank(space: MatSpace) -> Callable[[Sequence[int]], int]:
-    """Rank of sum_k t_k B_k at integer t: with B_k = B'_k / L over one common
-    denominator L, that of the integer sum_k t_k B'_k, on an ``Echelon``."""
+    """Rank of sum_k t_k B_k at integer t: that of the integer sum_k t_k B'_k
+    (``MatSpace.integer_basis``), on an ``Echelon``."""
     n = space.n
-    stacked, _ = integer_matrix(Mat([row for b in space.basis for row in b.data]))
-    basis = [stacked[k * n:(k + 1) * n] for k in range(space.m)]
+    basis, _ = space.integer_basis()
 
     def rank(tup: Sequence[int]) -> int:
         terms = [(t, b) for t, b in zip(tup, basis) if t]
@@ -238,12 +283,6 @@ def contains(space: MatSpace, m: Mat) -> Optional[List[Fraction]]:
     if not m.is_symmetric():
         return None
     return space.echelon().coordinates(vectorize(m))
-
-
-def residue_mod_space(space: MatSpace, m: Mat) -> Mat:
-    """Canonical representative of m modulo the space (pivot elimination)."""
-    red = space.echelon().reduce_vector(vectorize(m))
-    return unvectorize(space.n, red)
 
 
 def orth_complement(space: MatSpace) -> MatSpace:

@@ -17,16 +17,15 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from operator import mul
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 from .errors import InputError, PreconditionError
 from .exact import MPoly, monomials, parse_poly_lines, poly_eval
 from .jordan import radical, structure_constants
-from .linalg import Echelon, Mat, integer_matrix, mat_rank
+from .linalg import Echelon, Mat, mat_rank
 from .spaces import (
     MatSpace,
     PluckerVector,
@@ -41,8 +40,7 @@ from .spaces import (
 DATA_DIR = Path(__file__).resolve().parent / "data" / "polynomials"
 
 
-@dataclass
-class Certificate:
+class Certificate(NamedTuple):
     kind: str  # CERTIFIED_EMPTY | UNKNOWN | SOLUTIONS_EXIST
     degree: Optional[int] = None
     span_rank: Optional[int] = None
@@ -171,12 +169,12 @@ def rank_one_pencil(space: MatSpace) -> Union[int, str]:
     V = 0: "ALL".  dim V = 3: V holds t1^2, t1 t2 and t2^2, so 0.  dim V = 2:
     two independent quadratics share at most one zero, and one iff their
     resultant (af - cd)^2 - (ae - bd)(bf - ce) vanishes.  dim V = 1: 1 iff
-    the discriminant b^2 - 4ac vanishes, else 2.  Clearing B1 and B2 of
-    denominators moves the points but not their number.
+    the discriminant b^2 - 4ac vanishes, else 2.  The minors are taken on
+    the integer basis (``MatSpace.integer_basis``), which keeps the points.
     """
     if space.m != 2:
         raise PreconditionError("UNSUPPORTED_DIM", "pencil operation needs m = 2")
-    (p, _), (q, _) = (integer_matrix(b) for b in space.basis)
+    (p, q), _ = space.integer_basis()
     pairs = itertools.combinations(range(space.n), 2)
     ech = Echelon(3)
     ech.extend([p[i][k] * p[j][l] - p[i][l] * p[j][k],
@@ -270,8 +268,7 @@ def _plucker_assignment(value) -> Dict[str, Fraction]:
 
 # -- minimum-rank bounds ----------------------------------------------------
 
-@dataclass
-class MinRankBounds:
+class MinRankBounds(NamedTuple):
     upper: int
     lower: int
     certificate: Optional[Certificate]

@@ -15,9 +15,8 @@ subset and exits nonzero on any failure.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, List, NamedTuple, Optional
 
 from .catalog import canonical, degeneration_edges
 from .chow import (
@@ -62,8 +61,7 @@ from .spaces import (
 from .varieties import catalog_eval, min_rank_bounds, rank_one_locus_certificate
 
 
-@dataclass
-class CheckResult:
+class CheckResult(NamedTuple):
     name: str
     ok: bool
     detail: str

@@ -32,6 +32,14 @@ the tests can compare the two:
   package runs them on integer polynomials in recursive dense form);
   ``uni_charpoly`` wraps ``charpoly``'s coefficients for them.
 
+- ``basis_products_by_fractions``: each basis product a Fraction matrix
+  (``jordan_product_by_fractions``) located by ``contains``, with
+  ``residue_mod_space`` (on ``reduce_vector``) for a witness, and the
+  invariants read off that Fraction tensor: ``multiply_coords_by_fractions``,
+  ``is_associative_by_unit_vectors``, ``radical_by_fractions`` and
+  ``rad_square_dim_by_fractions`` (the package reduces integer products on
+  the space's echelon and keeps one integer tensor over one denominator).
+
 ``mpoly_from_terms`` is the checked constructor the tests build polynomials
 with: any variable order, duplicate exponents merged, zeros dropped.
 ``to_recursive`` and ``from_recursive`` convert between ``MPoly`` and the
@@ -48,7 +56,17 @@ from jordanet.catalog import QUADRIC_VARS, _reduce_imaginary
 from jordanet.errors import InputError, InternalCheckError, PreconditionError
 from jordanet.exact import NAME, NEG_INF, MPoly, frac, frac_gcd, monomials, parse_poly
 from jordanet.jordan import radical, structure_constants
-from jordanet.linalg import Mat, charpoly, det, mat_rank, rref
+from jordanet.linalg import (
+    Mat,
+    charpoly,
+    det,
+    int_matmul,
+    integer_matrix,
+    integer_vector,
+    inverse,
+    mat_rank,
+    rref,
+)
 from jordanet.spaces import (
     _WITNESS_BUDGET,
     contains,
@@ -56,6 +74,9 @@ from jordanet.spaces import (
     generic_names,
     integer_sweep,
     sym_dim,
+    sym_pairs,
+    unvectorize,
+    vectorize,
 )
 from jordanet.varieties import rank_one_locus_certificate
 
@@ -682,3 +703,84 @@ def from_recursive(r, names) -> MPoly:
         return MPoly.const(r)
     x = MPoly.var(names[0])
     return sum((from_recursive(c, names[1:]) * x ** k for k, c in enumerate(r)), MPoly.zero())
+
+
+# -- the Jordan layer on Fraction matrices ----------------------------------
+
+def reduce_vector(ech, v):
+    """Residue of a rational vector modulo an echelon's row space, at v's own
+    scale: pivot elimination on v cleared of denominators, one division at
+    the end."""
+    vi, d = integer_vector([frac(x) for x in v])
+    out, scale = ech.eliminate(vi)
+    return [Fraction(x, scale * d) for x in out]
+
+
+def residue_mod_space(space, m: Mat) -> Mat:
+    """Canonical representative of m modulo the space (pivot elimination)."""
+    return unvectorize(space.n, reduce_vector(space.echelon(), vectorize(m)))
+
+
+def jordan_product_by_fractions(x: Mat, y: Mat, q, s: int) -> Mat:
+    """X * Y for Fraction matrices and U^{-1} = Q / s: with X = X' / d and
+    Y = Y' / e, the integer X' Q Y' + (X' Q Y')^T divided once by 2 s d e."""
+    (xi, d), (yi, e) = integer_matrix(x), integer_matrix(y)
+    a = int_matmul(int_matmul(xi, q), yi)
+    return unvectorize(x.rows, [Fraction(a[i][j] + a[j][i], 2 * s * d * e)
+                                for i, j in sym_pairs(x.rows)])
+
+
+def basis_products_by_fractions(space, u: Mat):
+    """The Fraction structure tensor, ``tensor[i][j]`` the coordinates of
+    b_i * b_j found by ``contains``; or, for the first escaping product in
+    (i, j) order, i <= j, the tuple (i, j, product, residue)."""
+    q, s = integer_matrix(inverse(u))
+    m = space.m
+    tensor = [[None] * m for _ in range(m)]
+    for i in range(m):
+        for j in range(i, m):
+            p = jordan_product_by_fractions(space.basis[i], space.basis[j], q, s)
+            coords = contains(space, p)
+            if coords is None:
+                return i, j, p, residue_mod_space(space, p)
+            tensor[i][j] = tensor[j][i] = tuple(coords)
+    return tuple(tuple(row) for row in tensor)
+
+
+def multiply_coords_by_fractions(tensor, a, b):
+    """sum_ij a_i b_j tensor[i][j], entry by entry in Fractions."""
+    m = len(tensor)
+    out = [Fraction(0)] * m
+    for i in range(m):
+        for j in range(m):
+            f = a[i] * b[j]
+            if f:
+                for k in range(m):
+                    out[k] += f * tensor[i][j][k]
+    return out
+
+
+def is_associative_by_unit_vectors(tensor) -> bool:
+    """(b_i * b_j) * b_k = b_i * (b_j * b_k) on every basis triple, each side
+    a product with a unit coordinate vector."""
+    m = len(tensor)
+    unit = [[Fraction(int(t == i)) for t in range(m)] for i in range(m)]
+    return all(multiply_coords_by_fractions(tensor, tensor[i][j], unit[k])
+               == multiply_coords_by_fractions(tensor, unit[i], tensor[j][k])
+               for i in range(m) for j in range(m) for k in range(m))
+
+
+def radical_by_fractions(tensor):
+    """Kernel of the trace form tr(L_{x*y}), its Gram matrix in Fractions."""
+    m = len(tensor)
+    traces = [sum(tensor[k][j][j] for j in range(m)) for k in range(m)]
+    gram = [[sum(c * t for c, t in zip(tensor[i][j], traces)) for j in range(m)]
+            for i in range(m)]
+    return rref(gram).kernel_basis()
+
+
+def rad_square_dim_by_fractions(tensor) -> int:
+    """Rank of the pairwise products of ``radical_by_fractions``' vectors."""
+    coords = radical_by_fractions(tensor)
+    return rref([multiply_coords_by_fractions(tensor, x, y)
+                 for i, x in enumerate(coords) for y in coords[i:]]).rank

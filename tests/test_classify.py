@@ -242,6 +242,15 @@ class TestNetDecisionTable:
         assert len(pencils) == 9
         assert all(make_space(sp.n, sp.basis) == sp for sp in pencils)
 
+    def test_an_unrecognized_vector_names_its_fields(self, monkeypatch):
+        # the UNRECOGNIZED message prints the vector's repr
+        monkeypatch.setattr(classify, "_DECISION_TABLE", {})
+        with pytest.raises(PreconditionError) as err:
+            classify_net_S4(canonical("s4/1a"))
+        assert str(err.value).endswith(
+            "invariant vector outside the table: InvariantVector(dim_rad=0, associative=True, "
+            "rad_square=0, partition=(2, 1, 1), rad_rank_one=None)")
+
     def test_not_jordan_rejected(self):
         with pytest.raises(PreconditionError) as err:
             classify_net_S4(canonical("nets/L3"))

@@ -263,6 +263,17 @@ def run_subprocess(args):
                           capture_output=True, text=True, env=child_env())
 
 
+class TestImports:
+    def test_the_cli_does_not_import_dataclasses(self):
+        # dataclasses and the inspect module it imports were a seventh of the
+        # package's import time; the package's records are NamedTuples
+        proc = subprocess.run(
+            [sys.executable, "-c",
+             "import jordanet.cli, sys; sys.exit('dataclasses' in sys.modules)"],
+            capture_output=True, text=True, env=child_env())
+        assert proc.returncode == 0, proc.stderr
+
+
 class TestTypedErrors:
     def test_pencil_on_parametric_family(self, tmp_path):
         f = tmp_path / "family.json"
@@ -376,34 +387,55 @@ class TestUnitInvertedOnce:
         assert eliminated.count(unit.data) == 1
 
 
+def products_per_call(monkeypatch, name, owner, helper):
+    """Wrap the jordan function ``name`` in every namespace, and count for
+    each call to it the calls to ``owner.helper`` made inside that call."""
+    real, help_real = getattr(jordan, name), getattr(owner, helper)
+    counts, inside = [], []
+
+    def recording(*args):
+        counts.append(0)
+        inside.append(1)
+        try:
+            return real(*args)
+        finally:
+            inside.pop()
+
+    def counting(*args):
+        if inside:
+            counts[-1] += 1
+        return help_real(*args)
+
+    rebind_everywhere(monkeypatch, name, real, recording)
+    monkeypatch.setattr(owner, helper, counting)
+    return counts
+
+
 class TestAssociativityOnce:
     def test_analyze_of_a_net_evaluates_associativity_once(self, monkeypatch, capsys):
         # the abstract class and the invariant vector both ask; only the
-        # first multiplies, the second reads the answer cached on the structure
+        # first reads the tensor, the second the answer cached on the structure
         from jordanet import catalog
 
-        products, inside = [], []  # products taken by each is_associative call
-        real, multiply = jordan.is_associative, jordan.JordanStructure.multiply_coords
-
-        def recording(a):
-            products.append(0)
-            inside.append(a)
-            try:
-                return real(a)
-            finally:
-                inside.pop()
-
-        def counting(self, x, y):
-            if inside:
-                products[-1] += 1
-            return multiply(self, x, y)
-
-        rebind_everywhere(monkeypatch, "is_associative", real, recording)
-        monkeypatch.setattr(jordan.JordanStructure, "multiply_coords", counting)
+        counts = products_per_call(monkeypatch, "is_associative", jordan, "_combine")
         monkeypatch.setattr(catalog, "_MEMO", {})
         code, out, _ = run_cli(["analyze", "catalog://s4/3b1", "--json"], capsys)
         assert code == 0 and json.loads(out)["net_class"] == "3b1"
-        assert len(products) == 2 and products[0] > 0 and products[1] == 0
+        assert len(counts) == 2 and counts[0] > 0 and counts[1] == 0
+
+
+class TestRadSquareOnce:
+    def test_analyze_of_a_net_squares_the_radical_once(self, monkeypatch, capsys):
+        # for a 2-dimensional radical the abstract class and the invariant
+        # vector both ask for its square; it is computed once
+        from jordanet import catalog
+
+        counts = products_per_call(monkeypatch, "rad_square_dim", jordan.JordanStructure,
+                                   "multiply_coords")
+        monkeypatch.setattr(catalog, "_MEMO", {})
+        code, out, _ = run_cli(["analyze", "catalog://s4/3a", "--json"], capsys)
+        assert code == 0 and json.loads(out)["net_class"] == "3a"
+        assert counts == [3, 0]  # the three products of a 2-dimensional radical
 
 
 class TestInputCheckedOnce:
@@ -440,20 +472,22 @@ class TestInputCheckedOnce:
 
     def test_default_unit_keeps_its_sweep_coordinates(self, monkeypatch, tmp_path, capsys):
         # is_jordan(space) takes the unit with the coordinates that
-        # find_invertible found: no membership test re-finds them
+        # find_invertible found: no membership test re-finds them, and the
+        # basis products are reduced on the echelon, so the sweep's test for
+        # the identity is the one membership test
         from jordanet.catalog import canonical
         from jordanet.spaces import contains, sample_congruent
 
-        files = {7: self.write(tmp_path / "3b1.json", sample_congruent(canonical("s4/3b1"), 7)),
-                 8: self.write(tmp_path / "flip.json", canonical("dim4/L2flip"))}
+        files = [self.write(tmp_path / "3b1.json", sample_congruent(canonical("s4/3b1"), 7)),
+                 self.write(tmp_path / "flip.json", canonical("dim4/L2flip"))]
         calls = []
         rebind_everywhere(monkeypatch, "contains", contains,
                           lambda space, m: calls.append(1) or contains(space, m))
-        for expected, path in files.items():
+        for path in files:
             calls.clear()
             code, out, _ = run_cli(["analyze", path, "--json"], capsys)
             assert code == 0
-            assert len(calls) == expected, path
+            assert len(calls) == 1, path
 
 
 class TestFamilyFiles:
@@ -679,6 +713,50 @@ class TestBoundedCost:
             assert code == 0 and json.loads(out)["coordinates"] == math.comb(n * (n + 1) // 2, m)
         else:
             assert code == 3 and f"{subsets} column subsets" in err
+
+    @staticmethod
+    def write_singular_space(path, n, m, seed):
+        """m matrices in S^n that vanish on their leading k x k block, k > n/2,
+        so that each element has rank at most 2(n - k) < n, written as one
+        dense congruence image (no common kernel shows in the entries)."""
+        from jordanet.linalg import Mat
+        from jordanet.spaces import make_space, sample_congruent
+
+        rng, k = SplitMix64(seed), n // 2 + 1
+        while True:
+            basis = []
+            for _ in range(m):
+                mat = [[0] * n for _ in range(n)]
+                for i in range(n):
+                    for j in range(max(i, k), n):
+                        mat[i][j] = mat[j][i] = rng.int_between(-3, 3)
+                basis.append(Mat.from_ints(mat))
+            try:
+                space = sample_congruent(make_space(n, basis), seed)
+                break
+            except PreconditionError:  # DEPENDENT_BASIS: draw again
+                pass
+        path.write_text(json.dumps({"n": n, "basis": [
+            [[frac_str(x) for x in row] for row in b.data] for b in space.basis]}))
+        return str(path)
+
+    def test_analyze_of_a_large_singular_space_is_refused_within_a_second(self, tmp_path, capsys):
+        # the generic determinant of 12 matrices in S^8 would take 26 153 536
+        # term products (about 10 s) once 32 sweep points are singular
+        f = self.write_singular_space(tmp_path / "singular.json", 8, 12, 3)
+        start = time.process_time()
+        code, out, err = run_cli(["analyze", f, "--json"], capsys)
+        assert time.process_time() - start < 1
+        assert code == 3 and out == ""
+        assert "TOO_LARGE" in err and "32 sweep points were singular" in err
+        assert "26153536 term products" in err and "INTERNAL" not in err
+
+    def test_the_largest_measured_singular_space_admitted_is_answered(self, tmp_path, capsys):
+        # 1 923 072 products, under MAX_GENERIC_DET_PRODUCTS
+        f = self.write_singular_space(tmp_path / "singular.json", 12, 3, 3)
+        code, out, err = run_cli(["analyze", f, "--json"], capsys)
+        assert code == 0 and err == ""
+        assert json.loads(out)["regular"] is False
 
     def test_emptiness_in_more_variables_than_the_recursion_limit(self, tmp_path, capsys):
         f = tmp_path / "linear.txt"

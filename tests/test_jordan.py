@@ -39,12 +39,19 @@ from jordanet.spaces import (
     find_invertible,
     is_regular,
     make_space,
-    residue_mod_space,
     sample_congruent,
     sym_dim,
     sym_pairs,
     unvectorize,
     vectorize,
+)
+from oracles import (
+    basis_products_by_fractions,
+    is_associative_by_unit_vectors,
+    multiply_coords_by_fractions,
+    rad_square_dim_by_fractions,
+    radical_by_fractions,
+    residue_mod_space,
 )
 
 
@@ -110,6 +117,11 @@ def fraction_product(x, y, uinv):
     xu = [[sum(x[i, k] * uinv[k, j] for k in range(n)) for j in range(n)] for i in range(n)]
     a = [[sum(xu[i][k] * y[k, j] for k in range(n)) for j in range(n)] for i in range(n)]
     return Mat([[Fraction(a[i][j] + a[j][i], 2) for j in range(n)] for i in range(n)])
+
+
+def tensor_of(a):
+    """The structure tensor as Fractions: c / den."""
+    return tuple(tuple(tuple(Fraction(x, a.den) for x in vec) for vec in row) for row in a.c)
 
 
 def random_rational_symmetric(rng, n):
@@ -383,7 +395,7 @@ class TestStructureConstants:
     def test_span_of_identity(self):
         sp = make_space(3, [Mat.identity(3)])
         a = structure_constants(sp, Mat.identity(3))
-        assert a.tensor == (((Fraction(1),),),)
+        assert tensor_of(a) == (((Fraction(1),),),)
 
     def test_not_jordan_raises(self):
         with pytest.raises(PreconditionError) as err:
@@ -395,7 +407,7 @@ class TestStructureConstants:
         m = a.dim
         for i in range(m):
             for j in range(m):
-                assert a.tensor[i][j] == a.tensor[j][i]
+                assert a.c[i][j] == a.c[j][i]
 
     def test_tensor_multiplies_like_the_matrices(self):
         for sp in jordan_algebras():
@@ -405,7 +417,7 @@ class TestStructureConstants:
                 x = [rng.int_between(-3, 3) for _ in range(a.dim)]
                 y = [rng.int_between(-3, 3) for _ in range(a.dim)]
                 assert a.space.element(a.multiply_coords(x, y)) == \
-                    jordan_product(a.space.element(x), a.space.element(y), a.unit)
+                    jordan_product(a.space.element(x), a.space.element(y), a.unit.u)
 
     def test_basis_products_match_the_fraction_product(self):
         # rational bases and units; the tensor, and a witness's product and
@@ -422,10 +434,10 @@ class TestStructureConstants:
                 assert witness.product == want
                 assert witness.residue == residue_mod_space(sp, want)
                 continue
-            a = structure_constants(sp, u)
+            tensor = tensor_of(structure_constants(sp, u))
             for i in range(sp.m):
                 for j in range(sp.m):
-                    assert sp.element(a.tensor[i][j]) == fraction_product(sp.basis[i], sp.basis[j], uinv)
+                    assert sp.element(tensor[i][j]) == fraction_product(sp.basis[i], sp.basis[j], uinv)
 
     def test_computed_once_per_unit(self):
         sp = canonical_3b1()
@@ -449,6 +461,55 @@ class TestStructureConstants:
                     break
                 p = jordan_product(sp.basis[i], sp.basis[j], Mat.identity(4))
                 assert contains(sp, p) is not None
+
+
+def scaled_cases(seed):
+    """(space, unit) for ``jordan_algebras()`` and two spaces that are not
+    closed, each basis element scaled by its own rational and the default
+    unit by another."""
+    rng = SplitMix64(seed)
+    cases = []
+    for sp in jordan_algebras() + [intro_L2(flip=True), net_rank8()]:
+        sp = make_space(sp.n, [b.scale(Fraction(rng.int_between(-9, 9) or 1, rng.int_between(1, 9)))
+                               for b in sp.basis])
+        cases.append((sp, find_invertible(sp)[0].scale(Fraction(rng.int_between(1, 9),
+                                                                  rng.int_between(2, 9)))))
+    return cases
+
+
+class TestFractionOracle:
+    """The integer tensor and the invariants read off it against the Fraction
+    route: each basis product a Fraction matrix located by ``contains``, and
+    the radical, associativity and the radical's square on that tensor."""
+
+    def test_default_units_of_the_catalog_algebras(self):
+        for sp in jordan_algebras():
+            self.compare(sp, find_invertible(sp)[0])
+
+    def test_rational_bases_and_units(self):
+        closed = 0
+        for sp, u in scaled_cases(2013):
+            closed += self.compare(sp, u)
+        assert closed == len(jordan_algebras())
+
+    @staticmethod
+    def compare(sp, u) -> bool:
+        want = basis_products_by_fractions(sp, u)
+        ok, witness = is_jordan(sp, u)
+        if not ok:
+            assert tuple(witness) == want
+            return False
+        a = structure_constants(sp, u)
+        assert tensor_of(a) == want
+        assert radical(a) == radical_by_fractions(want)
+        assert is_associative(a) == is_associative_by_unit_vectors(want)
+        assert rad_square_dim(a) == rad_square_dim_by_fractions(want)
+        rng = SplitMix64(sp.m)
+        for _ in range(3):
+            x, y = ([Fraction(rng.int_between(-5, 5), rng.int_between(1, 4)) for _ in range(sp.m)]
+                    for _ in range(2))
+            assert a.multiply_coords(x, y) == multiply_coords_by_fractions(want, x, y)
+        return True
 
 
 def canonical_3b1():
@@ -511,13 +572,14 @@ class TestJordanAxioms:
         for k, sp in enumerate(jordan_algebras()):
             a = structure_constants(sp)
             rng = SplitMix64(k)
+            u = a.unit.u
             for _ in range(4):
                 x = a.space.element([rng.int_between(-4, 4) for _ in range(a.dim)])
                 y = a.space.element([rng.int_between(-4, 4) for _ in range(a.dim)])
-                assert jordan_product(a.unit, x, a.unit) == x
-                x2 = jordan_product(x, x, a.unit)
-                lhs = jordan_product(x2, jordan_product(x, y, a.unit), a.unit)
-                rhs = jordan_product(x, jordan_product(x2, y, a.unit), a.unit)
+                assert jordan_product(u, x, u) == x
+                x2 = jordan_product(x, x, u)
+                lhs = jordan_product(x2, jordan_product(x, y, u), u)
+                rhs = jordan_product(x, jordan_product(x2, y, u), u)
                 assert lhs == rhs
 
     def test_unit_inverse_embeds_into_the_special_product(self):
@@ -564,7 +626,7 @@ class TestRadical:
 
     def test_ideal_and_nilpotency_checks_detect_failures(self):
         a = structure_constants(canonical_3b1())
-        unit = list(a.unit_coords)
+        unit = list(a.unit.coords)
         assert not is_ideal(a, [radical(a)[0], unit])
         assert not is_nilpotent(a, [unit])
 
@@ -628,6 +690,36 @@ class TestPeirce:
         with pytest.raises(PreconditionError) as err:
             peirce(a, [E(3, 1, 1), E(3, 2, 2)])  # do not sum to the unit
         assert err.value.code == "NOT_ORTHOGONAL_IDEMPOTENTS"
+
+    def test_pieces_are_joint_eigenspaces(self):
+        # S^3 with the unit U = P^T P and the idempotents P^T E_ii P: in the
+        # standard basis the multiplication operators are not symmetric
+        p = Mat.from_ints([[1, 1, 0], [0, 1, 2], [1, 0, 1]])
+        u = p.transpose() @ p
+        xs = [p.transpose() @ E(3, i, i) @ p for i in (1, 2, 3)]
+        pieces = peirce(structure_constants(full_space(3), u), xs)
+        for (i, j), piece in pieces.items():
+            assert len(piece) == 1
+            for y in piece:
+                if i == j:
+                    assert jordan_product(xs[i], y, u) == y
+                else:
+                    assert jordan_product(xs[i], y, u).scale(2) == y
+                    assert jordan_product(xs[j], y, u).scale(2) == y
+
+    @pytest.mark.parametrize("idempotents, message", [
+        ([E(3, 1, 1).scale(2), E(3, 2, 2), E(3, 3, 3)], "not idempotent"),
+        ([E(3, 1, 1), E(3, 1, 1) + E(3, 2, 2), E(3, 3, 3)], "not orthogonal"),
+    ])
+    def test_idempotents_are_checked_in_coordinates(self, idempotents, message):
+        a = structure_constants(full_space(3), Mat.identity(3))
+        with pytest.raises(PreconditionError, match=message):
+            peirce(a, idempotents)
+
+    def test_idempotent_outside_the_algebra(self):
+        a = structure_constants(intro_L1(), Mat.identity(4))
+        with pytest.raises(PreconditionError, match="outside the algebra"):
+            peirce(a, [E(4, 1, 3), Mat.identity(4)])
 
 
 class TestReciprocal:
@@ -706,8 +798,8 @@ def structure_to_json(a) -> dict:
         "m": a.dim,
         "basis": [[[frac_str(b[i, j]) for j in range(a.space.n)]
                    for i in range(a.space.n)] for b in a.space.basis],
-        "unit_coordinates": [frac_str(c) for c in a.unit_coords],
-        "tensor": [[[frac_str(c) for c in row] for row in plane] for plane in a.tensor],
+        "unit_coordinates": [frac_str(c) for c in a.unit.coords],
+        "tensor": [[[frac_str(c) for c in row] for row in plane] for plane in tensor_of(a)],
         "radical_coordinates": None if a._radical is None
         else [[frac_str(c) for c in vec] for vec in a._radical],
     }

@@ -23,7 +23,7 @@ from jordanet.linalg import (
 )
 from jordanet.prng import SplitMix64
 from jordanet.spaces import generic_element, make_space
-from oracles import UniPoly, det_bareiss_by_ring, mpoly_from_terms, uni_charpoly
+from oracles import UniPoly, det_bareiss_by_ring, mpoly_from_terms, reduce_vector, uni_charpoly
 
 
 def P(s):
@@ -361,9 +361,9 @@ class TestGrowingEchelon:
 
 
 class TestIntegerReduction:
-    """``reduce_vector`` and ``coordinates`` against pivot elimination in
-    Fractions, on vectors inside and outside the span, the zero vector and
-    echelons of rank 0."""
+    """``Echelon.eliminate`` (through the oracles' ``reduce_vector``) and
+    ``coordinates`` against pivot elimination in Fractions, on vectors inside
+    and outside the span, the zero vector and echelons of rank 0."""
 
     def test_agrees_with_fraction_elimination(self):
         rng = SplitMix64(2026)
@@ -387,7 +387,7 @@ class TestIntegerReduction:
                 [Fraction(rng.int_between(-9, 9), rng.int_between(1, 7)) for _ in range(ncols)],
             ]
             for v in vectors:
-                residue = ech.reduce_vector(v)
+                residue = reduce_vector(ech, v)
                 assert residue == want.reduce_vector(v)
                 coords = ech.coordinates(v)
                 if any(residue):
@@ -615,6 +615,20 @@ class TestCharpoly:
         for n in (2, 3, 4):
             m = random_scalar_mat(rng, n)
             assert charpoly(m)[0] == (-1) ** n * det(m)
+
+    def test_forms_no_matrix(self, monkeypatch):
+        # charpoly converts its coefficients alone; only adjugate forms the
+        # matrix that the same iteration leaves
+        made = []
+        real = linalg.PolyRing.mat
+        monkeypatch.setattr(linalg.PolyRing, "mat",
+                            lambda ring, rows, den: made.append(1) or real(ring, rows, den))
+        rng = SplitMix64(53)
+        for m in (random_scalar_mat(rng, 3), random_poly_mat(rng, 3)):
+            charpoly(m)
+        assert made == []
+        adjugate(random_scalar_mat(rng, 3))
+        assert made == [1]
 
 
 class TestIntegerKernel:
