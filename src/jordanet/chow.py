@@ -34,7 +34,6 @@ from .spaces import (
     is_regular,
     sym_dim,
     sym_pairs,
-    vectorize,
 )
 
 
@@ -107,16 +106,17 @@ def sampled_reciprocal_span(space: MatSpace, trials: int) -> int:
     Independent oracle for ``chow_rank``: the adjugates of elements of the
     space sweep out the column space of the Chow matrix, and at an invertible
     X the adjugate det(X) X^-1 is a nonzero multiple of the inverse, so the
-    inverses span the same space.
+    inverses span the same space, and so do their integer numerators Q
+    (X^-1 = Q / s).
     """
     if not is_regular(space):
         raise PreconditionError("NOT_REGULAR", "need a regular space")
     rows = []
     for tup in integer_sweep(space.m):
-        xinv = inverse_or_none(space.element(tup))
-        if xinv is None:
+        inv = inverse_or_none(space.element(tup))
+        if inv is None:
             continue
-        rows.append(vectorize(xinv))
+        rows.append([inv[0][i][j] for i, j in sym_pairs(space.n)])
         if len(rows) >= trials:
             break
     return rref(rows).rank

@@ -11,7 +11,8 @@ space (proved both ways in ``check_reciprocal_identity``).
 
 Everything runs on one integer algebra per space.  The basis is kept as
 B_k = B'_k / L over one common denominator (``MatSpace.integer_basis``), and
-each unit once as U^{-1} = Q / s in ``space._jordan``, so that
+each unit once as U^{-1} = Q / s in ``space._jordan``, the integers of the
+one elimination that decides U invertible (``linalg.inverse_or_none``), so that
 B'_i Q B'_j + (B'_i Q B'_j)^T = 2sL^2 (B_i * B_j) is an integer product.
 ``jordan_closure`` grows one integer ``linalg.Echelon`` from such products;
 the Jordan test reduces each basis product on the space's echelon and keeps
@@ -33,24 +34,23 @@ from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 from .errors import InternalCheckError, PreconditionError
 from .exact import frac
-from .linalg import Echelon, Mat, int_matmul, integer_matrix, integer_vector, inverse_or_none, rref
+from .linalg import Echelon, Mat, int_matmul, integer_vector, inverse_or_none, rref
 from .spaces import (MatSpace, contains, find_invertible, integer_sweep, nonzero_sweep, sym_pairs,
                      unvectorize)
 
 
 def jordan_product(x: Mat, y: Mat, u: Mat) -> Mat:
-    """X * Y = (X U^{-1} Y + Y U^{-1} X) / 2 with unit U: with X = X' / d,
-    Y = Y' / e and U^{-1} = Q / s, the integer X' Q Y' + (X' Q Y')^T divided
-    once by 2 s d e."""
+    """X * Y = (X U^{-1} Y + Y U^{-1} X) / 2 with unit U: with U^{-1} = Q / s
+    and A = X Q Y, (A + A^T) / 2s (A^T = Y Q X for symmetric X, Y, Q)."""
     for m in (x, y, u):
         if not m.is_symmetric():
             raise PreconditionError("NOT_SYMMETRIC", "Jordan product needs symmetric matrices")
-    uinv = inverse_or_none(u)
-    if uinv is None:
+    inv = inverse_or_none(u)
+    if inv is None:
         raise PreconditionError("SINGULAR_U", "unit must be invertible")
-    (q, s), (xi, d), (yi, e) = integer_matrix(uinv), integer_matrix(x), integer_matrix(y)
-    doubled = _doubled_product(int_matmul(xi, q), yi, sym_pairs(x.rows))
-    return unvectorize(x.rows, [Fraction(v, 2 * s * d * e) for v in doubled])
+    q, s = inv
+    a = x @ Mat.from_ints(q) @ y
+    return (a + a.transpose()).scale(Fraction(1, 2 * s))
 
 
 def _doubled_product(xq: Sequence[Sequence[int]], y: Sequence[Sequence[int]],
@@ -71,8 +71,9 @@ class JordanWitness(NamedTuple):
 
 
 class Unit:
-    """A unit U of a space, its coordinates, U^{-1} = q / s (q a symmetric
-    integer matrix, s > 0), and the basis products for U once computed."""
+    """A unit U of a space, its coordinates, U^{-1} = q / s in lowest terms
+    (q a symmetric integer matrix, s > 0, as ``linalg.inverse_or_none`` gives
+    it), and the basis products for U once computed."""
 
     __slots__ = ("u", "coords", "q", "s", "products")
 
@@ -91,10 +92,10 @@ def resolve_unit(space: MatSpace, u: Optional[Mat] = None) -> Unit:
         coords = contains(space, u) if coords is None else coords
         if coords is None:
             raise PreconditionError("U_NOT_IN_SPACE", "unit must lie in the space")
-        uinv = inverse_or_none(u)
-        if uinv is None:
+        inv = inverse_or_none(u)
+        if inv is None:
             raise PreconditionError("SINGULAR_U", "unit must be invertible")
-        unit = space._jordan[u.data] = Unit(u, tuple(map(frac, coords)), *integer_matrix(uinv))
+        unit = space._jordan[u.data] = Unit(u, tuple(map(frac, coords)), *inv)
     return unit
 
 
@@ -201,7 +202,7 @@ def _basis_products(space: MatSpace, unit: Unit) -> Union[JordanStructure, Jorda
     n, m = space.n, space.m
     basis, lcm = space.integer_basis()
     ech = space.echelon()
-    t, d = integer_matrix(Mat(ech.transform))
+    t, d = ech.transform
     t_cols = list(zip(*t))
     scale = 2 * unit.s * lcm * lcm
     pairs = sym_pairs(n)
@@ -308,11 +309,11 @@ def check_reciprocal_identity(space: MatSpace, u: Optional[Mat] = None) -> Tuple
     """Sampled test of: inverses of elements land in U^{-1} L U^{-1}.
 
     Walks the deterministic integer sweep, keeps the first eight invertible
-    elements X, and checks U X^{-1} U back in the space (an exact
-    reformulation avoiding the conjugated basis).  Points with every
-    coordinate nonzero are tried first: sparse coordinate patterns often sit
-    inside well-behaved subalgebras and would mask a failure.  Returns
-    (ok, witness).
+    elements X, and checks U Q U back in the space, X^{-1} = Q / s (an exact
+    reformulation avoiding the conjugated basis; containment ignores s).
+    Points with every coordinate nonzero are tried first: sparse coordinate
+    patterns often sit inside well-behaved subalgebras and would mask a
+    failure.  Returns (ok, witness).
 
     The exact answer is ``is_jordan``, so this is an oracle for the
     verification suite and the tests, not for ``analyze``.  Closed =>
@@ -326,11 +327,11 @@ def check_reciprocal_identity(space: MatSpace, u: Optional[Mat] = None) -> Tuple
     found = 0
     for tup in itertools.chain(nonzero_sweep(space.m, space.n + 2), integer_sweep(space.m)):
         x = space.element(tup)
-        xinv = inverse_or_none(x)
-        if xinv is None:
+        inv = inverse_or_none(x)
+        if inv is None:
             continue
         found += 1
-        if contains(space, u @ xinv @ u) is None:
+        if contains(space, u @ Mat.from_ints(inv[0]) @ u) is None:
             return False, x
         if found >= _RECIPROCAL_TRIALS:
             break

@@ -5,9 +5,10 @@ product of two Fraction matrices is one integer product (``int_matmul``) of
 A's rows and B's columns cleared of denominators, with one Fraction formed
 per entry of the result.  There is one row reduction, ``Echelon``: the
 reduced row echelon form kept as primitive integer rows and grown one row at
-a time.  ``rref`` (rank, kernels, row transforms, inverses, membership)
-adjoins a matrix's rows, cleared of denominators, and ``jordan_closure``
-adjoins products as it finds them; Fractions are formed only for results.
+a time.  ``rref`` (rank, kernels, membership) adjoins a matrix's rows cleared
+of denominators, ``rref_with_transform`` (coordinates, and inverses as integer
+matrices over one denominator) the rows [A' | diag(d)], and ``jordan_closure``
+products as it finds them; Fractions are formed only for results.
 
 Polynomial matrices run on one integer kernel (``PolyRing``): a matrix is
 converted once to entries {packed exponent: int coefficient} over one common
@@ -171,13 +172,6 @@ def _fraction_product(a: Mat, b: Mat) -> Mat:
                 for prow, (_, d) in zip(prod, left)])
 
 
-def integer_matrix(m: Mat) -> Tuple[List[List[int]], int]:
-    """(M', d) with M = M' / d for a Fraction matrix: d is the lcm of all its
-    denominators and M' has integer entries."""
-    d = math.lcm(*(x.denominator for row in m.data for x in row))
-    return [[x.numerator * (d // x.denominator) for x in row] for row in m.data], d
-
-
 # -- integer polynomial matrices -------------------------------------------
 
 #: a polynomial with integer coefficients: {packed exponent: nonzero coefficient}
@@ -302,16 +296,16 @@ class Echelon:
     with a positive entry in its own pivot column and zeros in every other
     row's: the reduced rows, each scaled to integers.  ``rows`` divides each
     by its pivot entry, forming Fractions once, when it is first read.  An
-    echelon made by ``rref_with_transform`` also holds ``transform``: the
-    square row transform T with T @ A = the reduced rows, padded with zero
-    rows.
+    echelon made by ``rref_with_transform`` also holds ``transform``: (T', D)
+    with integer T' and D > 0, for the square row transform T = T' / D with
+    T @ A = the reduced rows, padded with zero rows.
     """
 
     def __init__(self, cols: int):
         self.cols = cols
         self.int_rows: List[List[int]] = []
         self.pivots: List[int] = []
-        self.transform: Optional[List[List[Fraction]]] = None
+        self.transform: Optional[Tuple[List[List[int]], int]] = None
         self._rows: Optional[List[List[Fraction]]] = None
 
     @property
@@ -385,16 +379,17 @@ class Echelon:
     def coordinates(self, v: Sequence[Fraction]) -> Optional[List[Fraction]]:
         """Coefficients c with sum(c_i * original_row_i) = v, or None when v is
         outside the row space.  In reduced rows the coefficient of row r is
-        v's entry at pivot r; the transform takes that to the original rows."""
-        v = [frac(x) for x in v]
-        if any(self.eliminate(integer_vector(v)[0])[0]):
+        v's entry at pivot r; with v = v' / d, c = v'_pivots T' / (d D)."""
+        vi, d = integer_vector([frac(x) for x in v])
+        if any(self.eliminate(vi)[0]):
             return None
-        coeff = [Fraction(0)] * len(self.transform)
-        for r, p in enumerate(self.pivots):
-            c = v[p]
-            if c != 0:
-                coeff = [a + c * b for a, b in zip(coeff, self.transform[r])]
-        return coeff
+        t, den = self.transform
+        coeff = [0] * len(t)
+        for row, p in zip(t, self.pivots):
+            c = vi[p]
+            if c:
+                coeff = [a + c * b for a, b in zip(coeff, row)]
+        return [Fraction(x, d * den) for x in coeff]
 
 
 def rref(matrix: Sequence[Sequence[Fraction]]) -> Echelon:
@@ -411,32 +406,33 @@ def mat_rank(m: Mat) -> int:
 
 
 def rref_with_transform(matrix: Sequence[Sequence[Fraction]]) -> Echelon:
-    """Echelon of A with its row transform, read off the rref of [A | I]."""
+    """Echelon of A with its row transform: one integer echelon of the rows
+    [A'_i | d_i e_i] (row i of A is A'_i / d_i), d_i times those of [A | I].
+    A reduced row [R_r | S_r] with pivot entry r_p has T_r = S_r / r_p; D = lcm(r_p)."""
     k = len(matrix)
     ncols = len(matrix[0]) if k else 0
-    aug = rref([list(row) + [Fraction(int(i == j)) for j in range(k)]
-                for i, row in enumerate(matrix)])
-    ech = Echelon(ncols)
-    for row, p in zip(aug.int_rows, aug.pivots):
-        if p >= ncols:
-            break
-        ech.int_rows.append(_primitive(row[:ncols]))
-        ech.pivots.append(p)
-    ech.transform = [[Fraction(x, row[p]) for x in row[ncols:]]
-                     for row, p in zip(aug.int_rows, aug.pivots)]
+    cleared = [integer_vector([frac(x) for x in row]) for row in matrix]
+    aug = Echelon(ncols + k)
+    aug.extend(row + [d if i == j else 0 for j in range(k)] for i, (row, d) in enumerate(cleared))
+    ech, rank = Echelon(ncols), bisect.bisect_left(aug.pivots, ncols)
+    ech.int_rows = [_primitive(row[:ncols]) for row in aug.int_rows[:rank]]
+    ech.pivots = aug.pivots[:rank]
+    den = math.lcm(*(row[p] for row, p in zip(aug.int_rows, aug.pivots)))
+    ech.transform = ([[x * (den // row[p]) for x in row[ncols:]]
+                      for row, p in zip(aug.int_rows, aug.pivots)], den)
     return ech
 
 
-def inverse_or_none(m: Mat) -> Optional[Mat]:
-    """Inverse of a square Fraction matrix, or None when it is singular.
-
-    The one invertibility decision: M is invertible iff the rref of [M | I]
-    has full rank, and the same elimination leaves M^-1 as the transform.
-    """
+def inverse_or_none(m: Mat) -> Optional[Tuple[List[List[int]], int]]:
+    """(Q, s) with M^-1 = Q / s in lowest terms (integer Q, s > 0,
+    gcd(s, Q) = 1) for a square Fraction matrix, or None when it is singular:
+    the one invertibility decision, full rank of the echelon whose transform
+    is M^-1.  Each reduced row [r_p e_p | S_p] of [M' | diag(d)] is primitive,
+    so no prime dividing s = lcm(r_p) divides all of Q."""
     if not m.is_square():
         raise PreconditionError("NOT_SQUARE", "inverse needs a square matrix")
     ech = rref_with_transform(m.data)
-    return Mat(ech.transform) if ech.rank == m.rows else None
+    return ech.transform if ech.rank == m.rows else None
 
 
 def inverse(m: Mat) -> Mat:
@@ -444,7 +440,8 @@ def inverse(m: Mat) -> Mat:
     inv = inverse_or_none(m)
     if inv is None:
         raise PreconditionError("SINGULAR", "matrix is singular")
-    return inv
+    q, s = inv
+    return Mat([[Fraction(x, s) for x in row] for row in q])
 
 
 # -- determinants ----------------------------------------------------------

@@ -111,7 +111,7 @@ class MatSpace:
             return NotImplemented
         if (self.n, self.m) != (other.n, other.m):
             return False
-        return self.echelon().rows == other.echelon().rows
+        return self.echelon().int_rows == other.echelon().int_rows
 
     __hash__ = None
 

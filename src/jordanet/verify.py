@@ -244,7 +244,7 @@ def _same_form_span(got, expected) -> bool:
     a, b = vectors(got), vectors(expected)
     if len(a) != len(b):
         return False
-    return rref(a).rows == rref(b).rows
+    return rref(a).int_rows == rref(b).int_rows
 
 
 # -- criterion 6: Chow rank equals the sampled reciprocal span ----------------

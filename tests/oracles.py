@@ -38,7 +38,9 @@ the tests can compare the two:
   invariants read off that Fraction tensor: ``multiply_coords_by_fractions``,
   ``is_associative_by_unit_vectors``, ``radical_by_fractions`` and
   ``rad_square_dim_by_fractions`` (the package reduces integer products on
-  the space's echelon and keeps one integer tensor over one denominator).
+  the space's echelon and keeps one integer tensor over one denominator);
+  ``integer_matrix`` clears a Fraction matrix of denominators for them (the
+  package takes U^{-1} = Q / s as integers from its one elimination).
 
 ``mpoly_from_terms`` is the checked constructor the tests build polynomials
 with: any variable order, duplicate exponents merged, zeros dropped.
@@ -61,7 +63,6 @@ from jordanet.linalg import (
     charpoly,
     det,
     int_matmul,
-    integer_matrix,
     integer_vector,
     inverse,
     mat_rank,
@@ -706,6 +707,13 @@ def from_recursive(r, names) -> MPoly:
 
 
 # -- the Jordan layer on Fraction matrices ----------------------------------
+
+def integer_matrix(m: Mat):
+    """(M', d) with M = M' / d for a Fraction matrix: d is the lcm of all its
+    denominators and M' has integer entries."""
+    d = math.lcm(*(x.denominator for row in m.data for x in row))
+    return [[x.numerator * (d // x.denominator) for x in row] for row in m.data], d
+
 
 def reduce_vector(ech, v):
     """Residue of a rational vector modulo an echelon's row space, at v's own

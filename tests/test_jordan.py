@@ -27,7 +27,6 @@ from jordanet.linalg import (
     det,
     express_in_rows,
     int_matmul,
-    integer_matrix,
     inverse,
     inverse_or_none,
     rref,
@@ -47,6 +46,7 @@ from jordanet.spaces import (
 )
 from oracles import (
     basis_products_by_fractions,
+    integer_matrix,
     is_associative_by_unit_vectors,
     multiply_coords_by_fractions,
     rad_square_dim_by_fractions,
@@ -179,14 +179,14 @@ class TestJordanProduct:
         for n in (1, 2, 3, 4):
             for _ in range(8):
                 x, y, u = (random_rational_symmetric(rng, n) for _ in range(3))
-                uinv = inverse_or_none(u)
-                if uinv is None:
+                inv = inverse_or_none(u)
+                if inv is None:
                     continue
                 tried += 1
-                want = fraction_product(x, y, uinv)
+                (q, s), (xi, dx), (yi, dy) = inv, integer_matrix(x), integer_matrix(y)
+                want = fraction_product(x, y, Mat([[Fraction(v, s) for v in row] for row in q]))
                 assert jordan_product(x, y, u) == want
                 # the closure's product: 2s (X * Y) for integer X, Y and U^-1 = Q / s
-                (q, s), (xi, dx), (yi, dy) = integer_matrix(uinv), integer_matrix(x), integer_matrix(y)
                 pairs = sym_pairs(n)
                 doubled = _doubled_product(int_matmul(xi, q), yi, pairs)
                 assert doubled == [2 * s * dx * dy * v for v in vectorize(want)]

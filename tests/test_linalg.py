@@ -191,6 +191,11 @@ def rref_by_fractions(matrix):
     return FractionEchelon(r, pivots, rows[:r], ncols)
 
 
+def over(q, s):
+    """The Fraction matrix Q / s."""
+    return Mat([[Fraction(x, s) for x in row] for row in q])
+
+
 def random_rational_rows(rng, nrows, ncols):
     """Rational rows with denominators up to 7 and numerators up to 10^6 (small
     ones half the time), mixing in zero rows, repeated rows and combinations of
@@ -237,7 +242,9 @@ class TestIntegerRref:
                     deficient += got.rank < min(nrows, ncols)
                     aug = rref_by_fractions([row + [Fraction(int(i == j)) for j in range(nrows)]
                                              for i, row in enumerate(m)])
-                    assert rref_with_transform(m).transform == [row[ncols:] for row in aug.rows]
+                    t, d = rref_with_transform(m).transform
+                    assert d > 0 and all(type(x) is int for row in t for x in row)
+                    assert over(t, d).data == tuple(tuple(row[ncols:]) for row in aug.rows)
         assert deficient > 50
 
     def test_integer_and_fraction_inputs_agree(self):
@@ -451,7 +458,7 @@ class TestRref:
             m = [[Fraction(rng.int_between(-2, 2)) for _ in range(ncols)] for _ in range(nrows)]
             e, plain = rref_with_transform(m), rref(m)
             assert (e.rank, e.pivots, e.rows) == (plain.rank, plain.pivots, plain.rows)
-            t = Mat(e.transform)
+            t = over(*e.transform)
             assert det(t) != 0
             padded = e.rows + [[Fraction(0)] * ncols for _ in range(nrows - e.rank)]
             assert t @ Mat(m) == Mat(padded)
@@ -714,9 +721,34 @@ class TestInverse:
                 regular = det_bareiss(m) != 0
                 assert (got is not None) == regular == (mat_rank(m) == n)
                 if regular:
+                    got = over(*got)
                     assert m @ got == Mat.identity(n) == got @ m
                 seen.add(regular)
             assert seen == {True, False}
+
+    def test_integer_inverse_in_lowest_terms(self):
+        # oracle: Gauss-Jordan on [M | I] in Fractions; row i is scaled by
+        # 1 / (i + 2), so the rows' denominators differ and d_i != 1
+        rng = SplitMix64(2020)
+        regular = singular = 0
+        for n in range(7):
+            for _ in range(24):
+                m = Mat([[x / (i + 2) for x in row]
+                         for i, row in enumerate(random_rational_rows(rng, n, n))])
+                got = inverse_or_none(m)
+                assert (got is None) == (det_bareiss(m) == 0)
+                if got is None:
+                    singular += 1
+                    continue
+                regular += 1
+                q, s = got
+                assert type(s) is int and s > 0 and all(type(x) is int for row in q for x in row)
+                assert math.gcd(s, *(x for row in q for x in row)) == 1
+                aug = rref_by_fractions([list(row) + [Fraction(int(i == j)) for j in range(n)]
+                                         for i, row in enumerate(m.data)])
+                assert aug.pivots == list(range(n))
+                assert over(q, s).data == tuple(tuple(row[n:]) for row in aug.rows)
+        assert regular > 40 and singular > 40
 
     def test_singular_raises(self):
         from jordanet.errors import PreconditionError
