@@ -108,11 +108,12 @@ def is_jordan(space: MatSpace, u: Optional[Mat] = None) -> Tuple[bool, Optional[
 def jordan_closure(space: MatSpace, u: Mat) -> MatSpace:
     """Smallest subspace containing the space and closed under the product.
 
-    A worklist over one growing integer echelon: each adjoined element (the
-    integer basis first) is multiplied once with itself and each element
-    before it, as 2s times the product, and a nonzero residue modulo the
-    span is adjoined.  Stops early at all of S^n; returns the reduced row
-    echelon basis of the closure, independent and symmetric as built.
+    A worklist over one growing integer echelon: each element (the integer
+    basis first) is multiplied once with itself and each element before it,
+    as 2s times the product, which is adjoined; one outside the span makes
+    its remainder over its content a new element.  Stops early at all of
+    S^n; returns the reduced row echelon basis of the closure, independent
+    and symmetric as built.
     """
     q = resolve_unit(space, u).q
     n = space.n
@@ -121,9 +122,8 @@ def jordan_closure(space: MatSpace, u: Mat) -> MatSpace:
     elements = []  # rows of primitive integer matrices, in the order they were adjoined
 
     def grow(vec: List[int]) -> None:
-        residue = ech.residue(vec)
-        if any(residue):
-            ech.adjoin(residue)
+        residue = ech.adjoin(vec)
+        if residue is not None:
             elements.append(unvectorize(n, residue).data)
 
     for b in space.integer_basis()[0]:

@@ -4,11 +4,11 @@ Matrices are immutable; an entry is a ``Fraction`` or an ``MPoly``.  A
 product of two Fraction matrices is one integer product (``int_matmul``) of
 A's rows and B's columns cleared of denominators, with one Fraction formed
 per entry of the result.  There is one row reduction, ``Echelon``: the
-reduced row echelon form kept as primitive integer rows and grown one row at
-a time.  ``rref`` (rank, kernels, membership) adjoins a matrix's rows cleared
-of denominators, ``rref_with_transform`` (coordinates, and inverses as integer
-matrices over one denominator) the rows [A' | diag(d)], and ``jordan_closure``
-products as it finds them; Fractions are formed only for results.
+reduced row echelon form grown fraction-free one integer row at a time, each
+row updated by an exact division by its own pivot entry (Sylvester's
+identity), and made primitive only when read.  ``rref`` adjoins a matrix's
+rows cleared of denominators, ``rref_with_transform`` the rows
+[A' | diag(d)], and ``jordan_closure`` products as it finds them.
 
 Polynomial matrices run on one integer kernel (``PolyRing``): a matrix is
 converted once to entries {packed exponent: int coefficient} over one common
@@ -71,29 +71,17 @@ class Mat:
     def __eq__(self, other) -> bool:
         if not isinstance(other, Mat):
             return NotImplemented
-        if (self.rows, self.cols) != (other.rows, other.cols):
-            return False
-        return all(
-            self.data[i][j] == other.data[i][j]
-            for i in range(self.rows)
-            for j in range(self.cols)
-        )
+        return (self.rows, self.cols) == (other.rows, other.cols) and self.data == other.data
 
     __hash__ = None
 
     def __add__(self, other: "Mat") -> "Mat":
         self._shape_check(other)
-        return Mat([
-            [self.data[i][j] + other.data[i][j] for j in range(self.cols)]
-            for i in range(self.rows)
-        ])
+        return Mat([[x + y for x, y in zip(r, s)] for r, s in zip(self.data, other.data)])
 
     def __sub__(self, other: "Mat") -> "Mat":
         self._shape_check(other)
-        return Mat([
-            [self.data[i][j] - other.data[i][j] for j in range(self.cols)]
-            for i in range(self.rows)
-        ])
+        return Mat([[x - y for x, y in zip(r, s)] for r, s in zip(self.data, other.data)])
 
     def __neg__(self) -> "Mat":
         return Mat([[-x for x in row] for row in self.data])
@@ -101,7 +89,7 @@ class Mat:
     def __matmul__(self, other: "Mat") -> "Mat":
         if self.cols != other.rows:
             raise ValueError("shape mismatch in product")
-        if _all_fractions(self) and _all_fractions(other):
+        if all(type(x) is Fraction for m in (self, other) for row in m.data for x in row):
             return _fraction_product(self, other)
         ring = PolyRing([self, other], _max_degree(self) + _max_degree(other))
         a, d = ring.int_rows(self)
@@ -121,11 +109,7 @@ class Mat:
         return acc
 
     def is_symmetric(self) -> bool:
-        return self.rows == self.cols and all(
-            self.data[i][j] == self.data[j][i]
-            for i in range(self.rows)
-            for j in range(i + 1, self.cols)
-        )
+        return self.rows == self.cols and self.data == tuple(zip(*self.data))
 
     def is_square(self) -> bool:
         return self.rows == self.cols
@@ -150,10 +134,6 @@ def int_matmul(a_rows: Sequence[Sequence[int]], b_cols: Sequence[Sequence[int]])
     """The integer product A B, given the rows of A and the columns of B (for a
     symmetric B, its rows)."""
     return [[sum(map(mul, row, col)) for col in b_cols] for row in a_rows]
-
-
-def _all_fractions(m: Mat) -> bool:
-    return all(type(x) is Fraction for row in m.data for x in row)
 
 
 def integer_vector(vector: Sequence[Fraction]) -> Tuple[List[int], int]:
@@ -283,98 +263,104 @@ def int_poly_matmul(a_rows: Sequence[Sequence[IntPoly]],
 
 # -- reduced row echelon form over the rationals --------------------------
 
-def _primitive(v: List[int]) -> List[int]:
-    g = math.gcd(*v)
-    return [x // g for x in v] if g > 1 else v
-
-
 class Echelon:
-    """A row space over Q in reduced row echelon form, grown one integer row
-    at a time.
+    """A row space over Q in reduced row echelon form, grown fraction-free
+    one integer row at a time (Bareiss's elimination in Gauss-Jordan form).
 
-    ``int_rows`` are primitive integer vectors, sorted by pivot column, each
-    with a positive entry in its own pivot column and zeros in every other
-    row's: the reduced rows, each scaled to integers.  ``rows`` divides each
-    by its pivot entry, forming Fractions once, when it is first read.  An
-    echelon made by ``rref_with_transform`` also holds ``transform``: (T', D)
-    with integer T' and D > 0, for the square row transform T = T' / D with
-    T @ A = the reduced rows, padded with zero rows.
+    ``ff_rows`` are integer rows R_i sorted by pivot column (``pivots``), and
+    ``d`` is the pivot entry of the last row adjoined: the leading minor of
+    the rows adjoined so far.  Each R_i is proportional to its fraction-free
+    Gauss-Jordan row T_i = R_i d / R_i[p_i] (d times the reduced row), whose
+    entries are minors of those rows by Sylvester's identity, so integers; a
+    row no pivot has hit since it was written keeps its old pivot entry.  No
+    gcd is taken while it grows: the canonical ``int_rows`` (each R_i over its
+    content, pivot entry positive) and the Fraction ``rows`` are formed when
+    first read.  ``rref_with_transform`` also sets ``transform``: (T', D),
+    integer T' and D > 0, with T = T' / D and T @ A = the reduced rows padded
+    with zero rows.
     """
 
     def __init__(self, cols: int):
         self.cols = cols
-        self.int_rows: List[List[int]] = []
+        self.ff_rows: List[List[int]] = []
         self.pivots: List[int] = []
+        self.d = 1
         self.transform: Optional[Tuple[List[List[int]], int]] = None
-        self._rows: Optional[List[List[Fraction]]] = None
+        self._int_rows = self._rows = None  # int_rows and rows, once read
 
     @property
     def rank(self) -> int:
-        return len(self.int_rows)
+        return len(self.pivots)
+
+    @property
+    def int_rows(self) -> List[List[int]]:
+        if self._int_rows is None:
+            self._int_rows = [_primitive(row, row[p] < 0) for row, p in zip(self.ff_rows, self.pivots)]
+        return self._int_rows
 
     @property
     def rows(self) -> List[List[Fraction]]:
         if self._rows is None:
-            self._rows = [[Fraction(x, row[p]) for x in row]
-                          for row, p in zip(self.int_rows, self.pivots)]
+            self._rows = [[Fraction(x, row[p]) for x in row] for row, p in zip(self.int_rows, self.pivots)]
         return self._rows
 
     def kernel_basis(self) -> List[List[Fraction]]:
-        free = [j for j in range(self.cols) if j not in self.pivots]
         basis = []
-        for f in free:
-            v = [Fraction(0)] * self.cols
-            v[f] = Fraction(1)
-            for r, p in enumerate(self.pivots):
-                v[p] = -self.rows[r][f]
+        for f in (j for j in range(self.cols) if j not in self.pivots):
+            v = [Fraction(int(j == f)) for j in range(self.cols)]
+            for row, p in zip(self.rows, self.pivots):
+                v[p] = -row[f]
             basis.append(v)
         return basis
 
     def eliminate(self, v: Sequence[int]) -> Tuple[List[int], int]:
-        """(L v minus, for each pivot p where v is nonzero, v_p (L / r_p) times
-        that pivot's row r; L), with L the lcm of those rows' pivot entries
-        r_p: L times v modulo the row space.  All zero iff v lies in it."""
-        hits = [(row, p) for row, p in zip(self.int_rows, self.pivots) if v[p]]
-        scale = math.lcm(*(row[p] for row, p in hits))
-        out = [scale * x for x in v]
-        for row, p in hits:
-            f = v[p] * (scale // row[p])
-            out = [x - f * y for x, y in zip(out, row)]
-        return out, scale
-
-    def residue(self, v: Sequence[int]) -> List[int]:
-        """An integer vector v modulo the row space, divided by its content."""
-        return _primitive(self.eliminate(v)[0])
+        """(out, k) with out / k the remainder of v modulo the row space (k may
+        be negative): (v, 1) when v hits no pivot, else d v - sum v[p_i] T_i
+        over the pivots it hits, with v[p_i] T_i = v[p_i] d R_i // R_i[p_i]
+        exactly (v[p_i] R_i when R_i[p_i] = d), and d."""
+        d = self.d
+        hits = [(row, p, v[p]) for row, p in zip(self.ff_rows, self.pivots) if v[p]]
+        if not hits:
+            return v, 1
+        out = [d * x for x in v]
+        for row, p, f in hits:
+            r, fd = row[p], f * d
+            out = ([x - f * y for x, y in zip(out, row)] if r == d
+                   else [x - fd * y // r for x, y in zip(out, row)])
+        return out, d
 
     def extend(self, rows: Iterable[Sequence[int]]) -> None:
-        """Adjoin the nonzero residue of each integer row in turn, until the
-        rank reaches the column count; rows after that are not drawn."""
+        """Adjoin each integer row in turn, until the rank reaches the column
+        count; rows after that are not drawn."""
         rows = iter(rows)
-        while self.rank < self.cols:
-            row = next(rows, None)
-            if row is None:
-                return
-            residue = self.residue(row)
-            if any(residue):
-                self.adjoin(residue)
+        while self.rank < self.cols and (row := next(rows, None)) is not None:
+            self.adjoin(row)
 
-    def adjoin(self, v: List[int]) -> None:
-        """Add a nonzero residue: its leading column becomes a pivot and is
-        cleared from the other rows, which stay primitive."""
-        c = next(j for j, x in enumerate(v) if x)
-        if v[c] < 0:
-            v = [-x for x in v]
-        a = v[c]
-        for k, row in enumerate(self.int_rows):
-            f = row[c]
+    def adjoin(self, v: Sequence[int]) -> Optional[List[int]]:
+        """Add an integer row, or return None when it lies in the row space.
+        Its remainder out (d v when it hits no pivot) joins with pivot c, its
+        leading column, and d = a = out[c]; each row with f = R_i[c] != 0
+        becomes its new T_i = (a R_i - f out) // R_i[p_i], exactly, and no
+        other row is touched.  Returns out over its content, a positive
+        multiple of v's remainder."""
+        d = self.d
+        out, _ = self.eliminate(v)
+        if out is v:
+            out = [d * x for x in v]
+        c = next((j for j, x in enumerate(out) if x), None)
+        if c is None:
+            return None
+        a, rows = out[c], self.ff_rows
+        for k, (row, p) in enumerate(zip(rows, self.pivots)):
+            f, r = row[c], row[p]
             if f:
-                g = math.gcd(a, f)
-                self.int_rows[k] = _primitive([(a // g) * x - (f // g) * y
-                                               for x, y in zip(row, v)])
+                rows[k] = [(a * x - f * y) // r for x, y in zip(row, out)]
         k = bisect.bisect(self.pivots, c)
-        self.int_rows.insert(k, v)
+        rows.insert(k, out)
         self.pivots.insert(k, c)
-        self._rows = None
+        self.d = a
+        self._int_rows = self._rows = None
+        return _primitive(out, d < 0)
 
     def coordinates(self, v: Sequence[Fraction]) -> Optional[List[Fraction]]:
         """Coefficients c with sum(c_i * original_row_i) = v, or None when v is
@@ -386,10 +372,15 @@ class Echelon:
         t, den = self.transform
         coeff = [0] * len(t)
         for row, p in zip(t, self.pivots):
-            c = vi[p]
-            if c:
-                coeff = [a + c * b for a, b in zip(coeff, row)]
+            if vi[p]:
+                coeff = [a + vi[p] * b for a, b in zip(coeff, row)]
         return [Fraction(x, d * den) for x in coeff]
+
+
+def _primitive(v: List[int], negate: bool) -> List[int]:
+    """A nonzero integer vector over its content, negated when asked."""
+    g = -math.gcd(*v) if negate else math.gcd(*v)
+    return v if g == 1 else [x // g for x in v]
 
 
 def rref(matrix: Sequence[Sequence[Fraction]]) -> Echelon:
@@ -408,18 +399,19 @@ def mat_rank(m: Mat) -> int:
 def rref_with_transform(matrix: Sequence[Sequence[Fraction]]) -> Echelon:
     """Echelon of A with its row transform: one integer echelon of the rows
     [A'_i | d_i e_i] (row i of A is A'_i / d_i), d_i times those of [A | I].
-    A reduced row [R_r | S_r] with pivot entry r_p has T_r = S_r / r_p; D = lcm(r_p)."""
+    A's echelon is the left block with the same d (so ``eliminate`` stays
+    exact), and T' the right block of |d| R_i / R_i[p_i] = +-T_i over D = |d|:
+    one global scale, with no lcm of pivot entries."""
     k = len(matrix)
     ncols = len(matrix[0]) if k else 0
     cleared = [integer_vector([frac(x) for x in row]) for row in matrix]
     aug = Echelon(ncols + k)
     aug.extend(row + [d if i == j else 0 for j in range(k)] for i, (row, d) in enumerate(cleared))
-    ech, rank = Echelon(ncols), bisect.bisect_left(aug.pivots, ncols)
-    ech.int_rows = [_primitive(row[:ncols]) for row in aug.int_rows[:rank]]
-    ech.pivots = aug.pivots[:rank]
-    den = math.lcm(*(row[p] for row, p in zip(aug.int_rows, aug.pivots)))
-    ech.transform = ([[x * (den // row[p]) for x in row[ncols:]]
-                      for row, p in zip(aug.int_rows, aug.pivots)], den)
+    ech, rank, den = Echelon(ncols), bisect.bisect_left(aug.pivots, ncols), abs(aug.d)
+    ech.ff_rows = [row[:ncols] for row in aug.ff_rows[:rank]]
+    ech.pivots, ech.d = aug.pivots[:rank], aug.d
+    ech.transform = ([[x * den // row[p] for x in row[ncols:]]
+                      for row, p in zip(aug.ff_rows, aug.pivots)], den)
     return ech
 
 
@@ -427,12 +419,13 @@ def inverse_or_none(m: Mat) -> Optional[Tuple[List[List[int]], int]]:
     """(Q, s) with M^-1 = Q / s in lowest terms (integer Q, s > 0,
     gcd(s, Q) = 1) for a square Fraction matrix, or None when it is singular:
     the one invertibility decision, full rank of the echelon whose transform
-    is M^-1.  Each reduced row [r_p e_p | S_p] of [M' | diag(d)] is primitive,
-    so no prime dividing s = lcm(r_p) divides all of Q."""
+    (T', D) is M^-1, divided once by gcd(D, T')."""
     if not m.is_square():
         raise PreconditionError("NOT_SQUARE", "inverse needs a square matrix")
     ech = rref_with_transform(m.data)
-    return ech.transform if ech.rank == m.rows else None
+    q, s = ech.transform
+    g = math.gcd(s, *(x for row in q for x in row))
+    return ([[x // g for x in row] for row in q], s // g) if ech.rank == m.rows else None
 
 
 def inverse(m: Mat) -> Mat:

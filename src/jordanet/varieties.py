@@ -50,10 +50,15 @@ class Certificate(NamedTuple):
 
 #: the largest Macaulay matrix, in rows x columns, that ``macaulay_emptiness``
 #: builds.  The certificates this package runs are far smaller (150 x 28 for
-#: the minimum-rank sweep, 126 x 56 and 36 x 364 in the benchmark).  For the
-#: quadrics {x*y - z^2, x^2 - w*y}, degree 15 (1120 x 816) takes 0.4 s of CPU
-#: (Python 3.11, Xeon), degree 20 (2660 x 1771) 2.9 s, and degree 30
-#: (8990 x 5456) does not finish.
+#: the minimum-rank sweep, 126 x 56 and 36 x 364 in the benchmark).  CPU on
+#: a Xeon, Python 3.11, with the primitive-row echelon -> the fraction-free
+#: one: the quadrics {x*y - z^2, x^2 - w*y} at degree 15 (1120 x 816) 0.28-0.47
+#: -> 0.26-0.33 s; ``jordan_net_quadrics`` at degree 4 (234 x 1365, rank 231)
+#: 52-63 -> 48-75 ms; the rank-one system of a dense 8-dimensional subspace of
+#: S^5 at degree 3 (440 x 120) 0.55-0.56 -> 0.32-0.50 s, and at degree 4
+#: (1980 x 330), where minors grow past the primitive rows, 18.3-20.3 ->
+#: 18.2-21.3 s.  Degree 20 of the quadrics (2660 x 1771) takes 1.8-2.4 ->
+#: 1.5-1.9 s, and degree 30 (8990 x 5456) does not finish.
 MAX_MACAULAY_CELLS = 1_000_000
 
 

@@ -9,7 +9,8 @@ the tests can compare the two:
   generic exact division (the package runs Bareiss on integer rows and
   polynomial determinants by Laplace);
 - ``macaulay_rank_by_fractions``: the Macaulay matrix as Fraction rows handed
-  to ``rref`` (the package writes integer rows into one echelon);
+  to ``rref`` (the package writes integer rows into one echelon); the rows
+  themselves come from ``macaulay_rows_by_fractions``;
 - ``plucker_by_minors``: one determinant per maximal minor (the package
   shares one Laplace memo over column subsets);
 - ``sweep_for_unit_by_fractions``: every sweep candidate formed as a
@@ -42,12 +43,21 @@ the tests can compare the two:
   ``integer_matrix`` clears a Fraction matrix of denominators for them (the
   package takes U^{-1} = Q / s as integers from its one elimination).
 
+- ``PrimitiveEchelon``: the dense echelon that makes every row it updates
+  primitive again and scales each reduction by an lcm of pivot entries, with
+  ``rref_with_transform_by_primitive_rows`` (T' over D = lcm of the pivot
+  entries) and ``inverse_or_none_by_primitive_rows`` (the package grows its
+  echelon fraction-free, by exact divisions by each row's own pivot entry,
+  and takes a gcd only when rows are read); ``residue`` is a vector modulo
+  an echelon's row space over its content, the closure's old residue pass.
+
 ``mpoly_from_terms`` is the checked constructor the tests build polynomials
 with: any variable order, duplicate exponents merged, zeros dropped.
 ``to_recursive`` and ``from_recursive`` convert between ``MPoly`` and the
 recursive dense form of ``jordanet.exact``'s gcds.
 """
 
+import bisect
 import itertools
 import math
 import re
@@ -223,6 +233,14 @@ def macaulay_rank_by_fractions(polys, degree: int, vars) -> tuple:
     """(rank, column count) of the degree-``degree`` Macaulay matrix of a
     homogeneous system over the sorted ``vars``, built as Fraction rows
     indexed by exponent tuples and reduced by ``rref``."""
+    rows, ncols = macaulay_rows_by_fractions(polys, degree, vars)
+    return (rref(rows).rank if rows else 0), ncols
+
+
+def macaulay_rows_by_fractions(polys, degree: int, vars) -> tuple:
+    """(rows, column count) of the degree-``degree`` Macaulay matrix as
+    Fraction rows: each polynomial times each monomial of the missing
+    degree, columns the monomials of that degree in ``monomials`` order."""
     vars = tuple(sorted(vars))
     cols = list(monomials(len(vars), degree))
     col_index = {mono: k for k, mono in enumerate(cols)}
@@ -237,7 +255,7 @@ def macaulay_rank_by_fractions(polys, degree: int, vars) -> tuple:
             for exps, coeff in p.terms.items():
                 row[col_index[tuple(a + b for a, b in zip(exps, mult))]] = coeff
             rows.append(row)
-    return (rref(rows).rank if rows else 0), len(cols)
+    return rows, len(cols)
 
 
 def plucker_by_minors(space) -> dict:
@@ -792,3 +810,102 @@ def rad_square_dim_by_fractions(tensor) -> int:
     coords = radical_by_fractions(tensor)
     return rref([multiply_coords_by_fractions(tensor, x, y)
                  for i, x in enumerate(coords) for y in coords[i:]]).rank
+
+
+# -- the primitive dense echelon -------------------------------------------
+
+def residue(ech, v):
+    """An integer vector v modulo an echelon's row space, over its content: a
+    positive multiple of the remainder (zero when v lies in the space)."""
+    out, scale = ech.eliminate(v)
+    g = math.gcd(*out) or 1
+    return [x // (g if scale > 0 else -g) for x in out]
+
+
+class PrimitiveEchelon:
+    """The reduced row echelon form kept as primitive integer rows, each with
+    a positive pivot entry and zeros in every other row's pivot column: every
+    row the pivot hits is made primitive again at each ``adjoin``, and
+    ``eliminate`` scales by the lcm of the hit pivot entries (the package's
+    ``Echelon`` grows fraction-free and forms these rows on read)."""
+
+    def __init__(self, cols: int):
+        self.cols = cols
+        self.int_rows = []
+        self.pivots = []
+
+    @property
+    def rank(self) -> int:
+        return len(self.int_rows)
+
+    @property
+    def rows(self):
+        return [[Fraction(x, row[p]) for x in row] for row, p in zip(self.int_rows, self.pivots)]
+
+    def kernel_basis(self):
+        rows, basis = self.rows, []
+        for f in (j for j in range(self.cols) if j not in self.pivots):
+            v = [Fraction(int(j == f)) for j in range(self.cols)]
+            for row, p in zip(rows, self.pivots):
+                v[p] = -row[f]
+            basis.append(v)
+        return basis
+
+    def eliminate(self, v):
+        """(L v minus v_p (L / r_p) times each hit row r, L), L the lcm of
+        the hit rows' pivot entries r_p."""
+        hits = [(row, p) for row, p in zip(self.int_rows, self.pivots) if v[p]]
+        scale = math.lcm(*(row[p] for row, p in hits))
+        out = [scale * x for x in v]
+        for row, p in hits:
+            f = v[p] * (scale // row[p])
+            out = [x - f * y for x, y in zip(out, row)]
+        return out, scale
+
+    def extend(self, rows) -> None:
+        for row in rows:
+            if self.rank == self.cols:
+                return
+            v = residue(self, row)
+            if any(v):
+                self.adjoin(v)
+
+    def adjoin(self, v) -> None:
+        """Add a nonzero primitive residue with a positive leading entry."""
+        c = next(j for j, x in enumerate(v) if x)
+        if v[c] < 0:
+            v = [-x for x in v]
+        a = v[c]
+        for k, row in enumerate(self.int_rows):
+            f = row[c]
+            if f:
+                g = math.gcd(a, f)
+                new = [(a // g) * x - (f // g) * y for x, y in zip(row, v)]
+                g = math.gcd(*new)
+                self.int_rows[k] = [x // g for x in new]
+        k = bisect.bisect(self.pivots, c)
+        self.int_rows.insert(k, v)
+        self.pivots.insert(k, c)
+
+
+def rref_with_transform_by_primitive_rows(matrix):
+    """(echelon of A, (T', D)) on the primitive echelon of [A'_i | d_i e_i]:
+    a reduced row [R_r | S_r] with pivot entry r_p has T_r = S_r / r_p, and
+    D = lcm(r_p)."""
+    k = len(matrix)
+    ncols = len(matrix[0]) if k else 0
+    cleared = [integer_vector([frac(x) for x in row]) for row in matrix]
+    aug = PrimitiveEchelon(ncols + k)
+    aug.extend(row + [d if i == j else 0 for j in range(k)] for i, (row, d) in enumerate(cleared))
+    ech = PrimitiveEchelon(ncols)
+    ech.extend(row[:ncols] for row in aug.int_rows)
+    den = math.lcm(*(row[p] for row, p in zip(aug.int_rows, aug.pivots)))
+    return ech, ([[x * (den // row[p]) for x in row[ncols:]]
+                  for row, p in zip(aug.int_rows, aug.pivots)], den)
+
+
+def inverse_or_none_by_primitive_rows(m: Mat):
+    """(Q, s) with M^-1 = Q / s, or None: each reduced row [r_p e_p | S_p] of
+    [M' | diag(d)] is primitive, so (T', D) is already in lowest terms."""
+    ech, transform = rref_with_transform_by_primitive_rows(m.data)
+    return transform if ech.rank == m.rows else None

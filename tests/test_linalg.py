@@ -22,8 +22,20 @@ from jordanet.linalg import (
     rref_with_transform,
 )
 from jordanet.prng import SplitMix64
-from jordanet.spaces import generic_element, make_space
-from oracles import UniPoly, det_bareiss_by_ring, mpoly_from_terms, reduce_vector, uni_charpoly
+from jordanet.spaces import generic_element, generic_names, make_space
+from jordanet.varieties import rank_one_system
+from oracles import (
+    PrimitiveEchelon,
+    UniPoly,
+    det_bareiss_by_ring,
+    inverse_or_none_by_primitive_rows,
+    macaulay_rows_by_fractions,
+    mpoly_from_terms,
+    reduce_vector,
+    residue,
+    rref_with_transform_by_primitive_rows,
+    uni_charpoly,
+)
 
 
 def P(s):
@@ -317,8 +329,8 @@ def integer_row(row):
 
 
 class TestGrowingEchelon:
-    """``Echelon.residue`` and ``adjoin``, one row at a time, against the
-    Fraction elimination of the rows so far."""
+    """``Echelon.adjoin``, one row at a time, against the Fraction elimination
+    of the rows so far; its return value is the oracles' ``residue``."""
 
     def test_adjoin_matches_rref_of_the_rows_so_far(self):
         rng = SplitMix64(1990)
@@ -329,14 +341,14 @@ class TestGrowingEchelon:
                 for row in random_rational_rows(rng, 10, ncols):
                     seen.append(row)
                     want = rref_by_fractions(seen)
-                    residue = ech.residue(integer_row(row))
-                    assert all(residue[p] == 0 for p in ech.pivots)
-                    assert any(residue) == (want.rank > ech.rank)
-                    if any(residue):
-                        before = ech.rows
-                        assert rref_by_fractions(before + [residue]).rows == want.rows
-                        ech.adjoin(residue)
+                    v = integer_row(row)
+                    rest = residue(ech, v)
+                    assert all(rest[p] == 0 for p in ech.pivots)
+                    assert any(rest) == (want.rank > ech.rank)
+                    if any(rest):
+                        assert rref_by_fractions(ech.rows + [rest]).rows == want.rows
                         grown += 1
+                    assert ech.adjoin(v) == (rest if any(rest) else None)
                     assert (ech.rank, ech.pivots, ech.rows) == (want.rank, want.pivots, want.rows)
                     for r, p in zip(ech.int_rows, ech.pivots):
                         assert math.gcd(*r) == 1 and r[p] > 0
@@ -364,7 +376,120 @@ class TestGrowingEchelon:
 
     def test_empty_echelon(self):
         ech = Echelon(3)
-        assert (ech.rank, ech.rows, ech.residue([0, 6, -4])) == (0, [], [0, 3, -2])
+        assert (ech.rank, ech.rows, residue(ech, [0, 6, -4])) == (0, [], [0, 3, -2])
+        assert ech.adjoin([0, 6, -4]) == [0, 3, -2] and ech.int_rows == [[0, 3, -2]]
+
+
+def random_integer_rows(rng, nrows, ncols):
+    """``random_rational_rows`` cleared of denominators (zero, repeated and
+    dependent rows, entries of either sign), a third of them times a large
+    common content and a third negated."""
+    rows = []
+    for row in random_rational_rows(rng, nrows, ncols):
+        row, kind = integer_row(row), rng.int_between(0, 2)
+        if kind == 0:
+            row = [x * rng.int_between(2, 9) * 10 ** 18 for x in row]
+        elif kind == 1:
+            row = [-x for x in row]
+        rows.append(row)
+    return rows
+
+
+def assert_same_echelon(rows, ncols, rng):
+    """The fraction-free ``Echelon`` against the primitive dense oracle: the
+    canonical rows, pivots, rank, Fraction rows and kernel, every T_i an
+    integer row, and the remainder out / k of ``eliminate`` on vectors inside
+    and outside the span."""
+    new, old = Echelon(ncols), PrimitiveEchelon(ncols)
+    new.extend(rows)
+    old.extend(rows)
+    assert (new.int_rows, new.pivots, new.rank) == (old.int_rows, old.pivots, old.rank)
+    assert new.rows == old.rows and new.kernel_basis() == old.kernel_basis()
+    for row, p in zip(new.ff_rows, new.pivots):
+        assert all(x * new.d % row[p] == 0 for x in row)
+    coeffs = [rng.int_between(-3, 3) for _ in rows]
+    probes = [[0] * ncols, [rng.int_between(-9, 9) for _ in range(ncols)],
+              [sum(c * row[j] for c, row in zip(coeffs, rows)) for j in range(ncols)]]
+    for v in probes + rows[:4]:
+        (a, k), (b, l) = new.eliminate(v), old.eliminate(v)
+        assert [Fraction(x, k) for x in a] == [Fraction(x, l) for x in b]
+    return new
+
+
+class TestFractionFreeEchelon:
+    """The fraction-free ``Echelon`` against ``PrimitiveEchelon``, the dense
+    echelon that keeps every row primitive (the oracles)."""
+
+    def test_matches_the_primitive_echelon(self):
+        rng = SplitMix64(1968_19)
+        deficient = 0
+        for n in range(9):
+            for ncols in range(1, 9):
+                for _ in range(2):
+                    ech = assert_same_echelon(random_integer_rows(rng, n, ncols), ncols, rng)
+                    deficient += ech.rank < min(n, ncols)
+        assert deficient > 40
+
+    def test_transform_and_inverse_match_the_primitive_echelon(self):
+        rng = SplitMix64(1997)
+        regular = 0
+        for n in range(9):
+            for ncols in (n, n, rng.int_between(1, 8)):
+                dense = [[Fraction(rng.int_between(-9, 9), rng.int_between(1, 3))
+                          for _ in range(ncols)] for _ in range(n)]
+                for m in (random_rational_rows(rng, n, ncols), dense):
+                    ech = rref_with_transform(m)
+                    want, (t, den) = rref_with_transform_by_primitive_rows(m)
+                    assert (ech.int_rows, ech.pivots) == (want.int_rows, want.pivots)
+                    assert ech.transform[1] > 0 and over(*ech.transform) == over(t, den)
+                    if ncols == n:
+                        got = inverse_or_none(Mat(m))
+                        assert got == inverse_or_none_by_primitive_rows(Mat(m))
+                        regular += got is not None
+        assert regular > 10
+
+    def test_rank_one_systems(self):
+        # two seeded 6-dimensional subspaces of S^4: 21 quadratic minors, times
+        # the 6 linear monomials, against the 56 cubics
+        rng = SplitMix64(126)
+        for _ in range(2):
+            while True:
+                basis = [[[rng.int_between(-3, 3) for _ in range(4)] for _ in range(4)]
+                         for _ in range(6)]
+                basis = [Mat.from_ints([[m[min(i, j)][max(i, j)] for j in range(4)]
+                                        for i in range(4)]) for m in basis]
+                if rref([[b[i, j] for b in basis] for i in range(4) for j in range(4)]).rank == 6:
+                    break
+            system = rank_one_system(make_space(4, basis))
+            rows, ncols = macaulay_rows_by_fractions(system, 3, generic_names(6))
+            assert (len(rows), ncols) == (126, 56)
+            assert_same_echelon([integer_row(r) for r in rows], ncols, rng)
+
+    def test_quadrics_at_degree_ten(self):
+        system = [P("x*y - z^2"), P("x^2 - w*y")]
+        rows, ncols = macaulay_rows_by_fractions(system, 10, ("w", "x", "y", "z"))
+        ech = assert_same_echelon([integer_row(r) for r in rows], ncols, SplitMix64(10))
+        assert (ech.rank, ncols) == (246, 286)
+
+    def test_adjoin_touches_only_the_rows_its_pivot_hits(self):
+        rng = SplitMix64(1953)
+        kept = replaced = 0
+        for ncols in range(2, 9):
+            for _ in range(6):
+                ech = Echelon(ncols)
+                for row in random_integer_rows(rng, 10, ncols):
+                    before, pivots, d = list(ech.ff_rows), list(ech.pivots), ech.d
+                    if ech.adjoin(row) is None:
+                        assert ech.d == d and len(ech.ff_rows) == len(before)
+                        assert all(a is b for a, b in zip(ech.ff_rows, before))
+                        continue
+                    c = next(p for p in ech.pivots if p not in pivots)
+                    for old in before:
+                        same = any(r is old for r in ech.ff_rows)
+                        assert same == (old[c] == 0)
+                        kept += same
+                        replaced += not same
+        assert kept > 50 and replaced > 50
 
 
 class TestIntegerReduction:
