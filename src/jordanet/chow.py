@@ -34,6 +34,7 @@ from .spaces import (
     is_regular,
     sym_dim,
     sym_pairs,
+    unvectorize,
 )
 
 
@@ -126,13 +127,7 @@ def sampled_reciprocal_span(space: MatSpace, trials: int) -> int:
 
 def generic_symmetric(n: int, prefix: str) -> Mat:
     """Symmetric matrix of fresh variables prefix_ij (1-based, i <= j)."""
-    entries = [[None] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(i, n):
-            v = MPoly.var(f"{prefix}{i + 1}{j + 1}")
-            entries[i][j] = v
-            entries[j][i] = v
-    return Mat(entries)
+    return unvectorize(n, [MPoly.var(f"{prefix}{i + 1}{j + 1}") for i, j in sym_pairs(n)])
 
 
 #: variable prefixes of the three symbolic basis matrices of the generic net

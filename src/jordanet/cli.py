@@ -128,7 +128,7 @@ def cmd_analyze(args) -> int:
     report["witness"] = None
     if witness is not None:
         report["witness"] = {"i": witness.i, "j": witness.j, "residue": witness.residue}
-    report["closure_dim"] = space.m if ok else jordan_closure(space, u).m
+    report["closure_dim"] = space.m if ok else jordan_closure(space, u).rank
     report["reciprocal_ok"] = ok
     report["radical_dim"] = None
     report["abstract_class"] = None
@@ -192,12 +192,8 @@ def cmd_plucker(args) -> int:
     space = _resolve_space(args.space, MatSpace)
     pv = plucker(space)
     nonzero = {"".join(str(i) for i in key): value for key, value in sorted(pv.nonzero().items())}
-    report = {
-        "command": "plucker",
-        "input": args.space,
-        "coordinates": len(pv.values),
-        "nonzero": nonzero,
-    }
+    report = {"command": "plucker", "input": args.space, "coordinates": len(pv.values),
+              "nonzero": nonzero}
     if space.n == 4 and space.m == 3:
         quadrics = {cid: catalog_eval(cid, pv)[0] for cid in CATALOGS if cid.startswith("plucker")}
         report["certificate_values"] = quadrics

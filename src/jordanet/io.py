@@ -70,8 +70,12 @@ def parse_space_data(obj: dict) -> Union[MatSpace, ParametricBasis]:
             raise InputError("PARSE_ERROR", "each basis matrix must be a full n x n array")
         if parametric:
             mats.append(Mat([[_entry_to_poly(e, param) for e in row] for row in raw]))
-        else:
-            mats.append(Mat([[_entry_to_fraction(e) for e in row] for row in raw]))
+        else:  # below the diagonal, an entry equal to its mirror and of its JSON type shares its Fraction
+            rows = []
+            for i, line in enumerate(raw):
+                rows.append([rows[j][i] if j < i and e == raw[j][i] and type(e) is type(raw[j][i])
+                             else _entry_to_fraction(e) for j, e in enumerate(line)])
+            mats.append(Mat(rows))
     if parametric:
         return ParametricBasis(n, mats, param)
     return make_space(n, mats)

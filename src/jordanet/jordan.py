@@ -9,20 +9,20 @@ subspace closed under this product (for an invertible U inside it) is a
 Jordan subalgebra; equivalently its reciprocal variety is again a linear
 space (proved both ways in ``check_reciprocal_identity``).
 
-Everything runs on one integer algebra per space.  The basis is kept as
-B_k = B'_k / L over one common denominator (``MatSpace.integer_basis``), and
-each unit once as U^{-1} = Q / s in ``space._jordan``, the integers of the
-one elimination that decides U invertible (``linalg.inverse_or_none``), so that
+Everything runs on one integer algebra per space.  The basis is kept as B_k =
+B'_k / L over one common denominator (``MatSpace.integer_basis``), and each
+unit once as U^{-1} = Q / s in ``space._jordan``, the integers of the one
+elimination that decides U invertible (``linalg.inverse_or_none``), so that
 B'_i Q B'_j + (B'_i Q B'_j)^T = 2sL^2 (B_i * B_j) is an integer product.
-``jordan_closure`` grows one integer ``linalg.Echelon`` from such products;
-the Jordan test reduces each basis product on the space's echelon and keeps
-the structure tensor as one integer tensor c over one denominator.  The
-radical (the kernel of the trace form (x, y) -> tr(L_{x*y}), the
-characteristic-zero semisimplicity criterion), associativity and the
-radical's square are read off c and cached on the structure.  The tests
-compare all of it with the Fraction route, and check that the radical is an
-ideal of nilpotents and that the product satisfies the unit law and the
-Jordan identity.
+``jordan_closure`` grows one integer ``linalg.Echelon`` from such products and
+returns it, with the closure's dimension as its rank; the Jordan test reduces
+each basis product on the space's echelon and keeps the structure tensor as
+one integer tensor c over one denominator.  The radical (the kernel of the
+trace form (x, y) -> tr(L_{x*y}), the characteristic-zero semisimplicity
+criterion), associativity and the radical's square are read off c and cached
+on the structure.  The tests compare all of it with the Fraction route, and
+check that the radical is an ideal of nilpotents and that the product
+satisfies the unit law and the Jordan identity.
 """
 
 from __future__ import annotations
@@ -36,7 +36,7 @@ from .errors import InternalCheckError, PreconditionError
 from .exact import frac
 from .linalg import Echelon, Mat, int_matmul, integer_vector, inverse_or_none, rref
 from .spaces import (MatSpace, contains, find_invertible, integer_sweep, nonzero_sweep, sym_pairs,
-                     unvectorize)
+                     symmetric_rows, unvectorize)
 
 
 def jordan_product(x: Mat, y: Mat, u: Mat) -> Mat:
@@ -105,15 +105,16 @@ def is_jordan(space: MatSpace, u: Optional[Mat] = None) -> Tuple[bool, Optional[
     return (False, got) if isinstance(got, JordanWitness) else (True, None)
 
 
-def jordan_closure(space: MatSpace, u: Mat) -> MatSpace:
-    """Smallest subspace containing the space and closed under the product.
+def jordan_closure(space: MatSpace, u: Mat) -> Echelon:
+    """The integer echelon of the smallest subspace containing the space and
+    closed under the product, in ``sym_pairs`` coordinates: its ``rank`` is
+    the closure's dimension, and ``int_rows`` or ``rows`` its reduced basis.
 
-    A worklist over one growing integer echelon: each element (the integer
-    basis first) is multiplied once with itself and each element before it,
-    as 2s times the product, which is adjoined; one outside the span makes
-    its remainder over its content a new element.  Stops early at all of
-    S^n; returns the reduced row echelon basis of the closure, independent
-    and symmetric as built.
+    A worklist over that one growing echelon: each element (the integer basis
+    first) is multiplied once with itself and each element before it, as 2s
+    times the product, which is adjoined; one outside the span makes its
+    primitive remainder a new element, kept as integer rows.  Stops early at
+    all of S^n.
     """
     q = resolve_unit(space, u).q
     n = space.n
@@ -124,7 +125,7 @@ def jordan_closure(space: MatSpace, u: Mat) -> MatSpace:
     def grow(vec: List[int]) -> None:
         residue = ech.adjoin(vec)
         if residue is not None:
-            elements.append(unvectorize(n, residue).data)
+            elements.append(symmetric_rows(n, residue))
 
     for b in space.integer_basis()[0]:
         grow([b[i][j] for i, j in pairs])
@@ -136,7 +137,7 @@ def jordan_closure(space: MatSpace, u: Mat) -> MatSpace:
             grow(_doubled_product(xq, y, pairs))
             if ech.rank == len(pairs):
                 break
-    return MatSpace(n, [unvectorize(n, r) for r in ech.rows])
+    return ech
 
 
 def _combine(coeffs: Sequence[int], rows: Sequence[Sequence[int]]) -> List[int]:

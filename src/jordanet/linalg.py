@@ -334,15 +334,21 @@ class Echelon:
         count; rows after that are not drawn."""
         rows = iter(rows)
         while self.rank < self.cols and (row := next(rows, None)) is not None:
-            self.adjoin(row)
+            self._join(row)
 
     def adjoin(self, v: Sequence[int]) -> Optional[List[int]]:
-        """Add an integer row, or return None when it lies in the row space.
-        Its remainder out (d v when it hits no pivot) joins with pivot c, its
-        leading column, and d = a = out[c]; each row with f = R_i[c] != 0
-        becomes its new T_i = (a R_i - f out) // R_i[p_i], exactly, and no
-        other row is touched.  Returns out over its content, a positive
-        multiple of v's remainder."""
+        """``_join`` returning v's remainder over its content (a positive
+        multiple of it), or None when v lies in the row space."""
+        d = self.d
+        out = self._join(v)
+        return None if out is None else _primitive(out, d < 0)
+
+    def _join(self, v: Sequence[int]) -> Optional[List[int]]:
+        """Add an integer row and return its remainder out, or return None
+        when it lies in the row space.  out (d v when v hits no pivot) joins
+        with pivot c, its leading column, and d = a = out[c]; each row with
+        f = R_i[c] != 0 becomes its new T_i = (a R_i - f out) // R_i[p_i],
+        exactly, and no other row is touched."""
         d = self.d
         out, _ = self.eliminate(v)
         if out is v:
@@ -360,7 +366,7 @@ class Echelon:
         self.pivots.insert(k, c)
         self.d = a
         self._int_rows = self._rows = None
-        return _primitive(out, d < 0)
+        return out
 
     def coordinates(self, v: Sequence[Fraction]) -> Optional[List[Fraction]]:
         """Coefficients c with sum(c_i * original_row_i) = v, or None when v is

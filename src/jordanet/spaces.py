@@ -26,11 +26,12 @@ from fractions import Fraction
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .errors import InternalCheckError, PreconditionError
-from .exact import MPoly, frac
+from .exact import MPoly
 from .linalg import (
     Echelon,
     Mat,
     det,
+    integer_vector,
     inverse_or_none,
     maximal_minors,
     rref,
@@ -52,12 +53,16 @@ def vectorize(m: Mat) -> List:
     return [m[i, j] for i, j in sym_pairs(m.rows)]
 
 
-def unvectorize(n: int, vec: Sequence) -> Mat:
-    entries = [[None] * n for _ in range(n)]
+def symmetric_rows(n: int, vec: Sequence) -> List[list]:
+    """Rows of the symmetric n x n matrix whose upper triangle is vec."""
+    rows = [[None] * n for _ in range(n)]
     for (i, j), v in zip(sym_pairs(n), vec):
-        entries[i][j] = v
-        entries[j][i] = v
-    return Mat(entries)
+        rows[i][j] = rows[j][i] = v
+    return rows
+
+
+def unvectorize(n: int, vec: Sequence) -> Mat:
+    return Mat(symmetric_rows(n, vec))
 
 
 _UNDECIDED = object()
@@ -70,11 +75,9 @@ class MatSpace:
     __slots__ = ("n", "m", "basis", "_ints", "_echelon", "_unit", "_jordan", "_chow")
 
     def __init__(self, n: int, basis: Sequence[Mat]):
-        self.n = n
-        self.basis = tuple(basis)
+        self.n, self.basis = n, tuple(basis)
         self.m = len(self.basis)
-        self._ints = None
-        self._echelon = None
+        self._ints = self._echelon = None
         self._unit = _UNDECIDED  # first invertible element, or None if singular
         self._jordan = {}  # unit entries -> jordan.Unit: coordinates, inverse, basis products
         self._chow = None  # Chow matrix (see chow.py)
@@ -100,10 +103,14 @@ class MatSpace:
         return self._echelon
 
     def element(self, coords: Sequence) -> Mat:
-        """sum_k c_k B_k, each entry formed once as sum_k c_k B_k[i][j]."""
-        terms = [(frac(c), b.data) for c, b in zip(coords, self.basis) if c]
-        return Mat([[sum((c * d[i][j] for c, d in terms), Fraction(0)) for j in range(self.n)]
-                    for i in range(self.n)])
+        """sum_k c_k B_k for int or Fraction coordinates: with c = c' / d and
+        B_k = B'_k / L, each upper entry is one Fraction(sum_k c'_k B'_k[i][j],
+        d L), shared with its mirror."""
+        ci, d = integer_vector(coords)
+        basis, lcm = self.integer_basis()
+        terms = [(c, b) for c, b in zip(ci, basis) if c]
+        return unvectorize(self.n, [Fraction(sum(c * b[i][j] for c, b in terms), d * lcm)
+                                    for i, j in sym_pairs(self.n)])
 
     def __eq__(self, other) -> bool:
         """Equality as subspaces (same row space), not as ordered bases."""
@@ -307,10 +314,7 @@ def sample_congruent(space: MatSpace, seed: int) -> MatSpace:
     """Deterministic congruence image: P has integer entries in [-3, 3]."""
     rng = SplitMix64(seed)
     while True:
-        p = Mat.from_ints([
-            [rng.int_between(-3, 3) for _ in range(space.n)]
-            for _ in range(space.n)
-        ])
+        p = Mat.from_ints([[rng.int_between(-3, 3) for _ in range(space.n)] for _ in range(space.n)])
         try:
             return congruence_transform(space, p)
         except PreconditionError:  # SINGULAR_P: draw again
@@ -323,9 +327,7 @@ class PluckerVector:
     __slots__ = ("n", "m", "values")
 
     def __init__(self, n: int, m: int, values: Dict[Tuple[int, ...], Fraction]):
-        self.n = n
-        self.m = m
-        self.values = values
+        self.n, self.m, self.values = n, m, values
 
     def __getitem__(self, key: Tuple[int, ...]) -> Fraction:
         return self.values.get(tuple(key), Fraction(0))
@@ -365,10 +367,8 @@ class ParametricBasis:
     __slots__ = ("n", "m", "basis", "param")
 
     def __init__(self, n: int, basis: Sequence[Mat], param: str = "t"):
-        self.n = n
-        self.basis = tuple(basis)
+        self.n, self.basis, self.param = n, tuple(basis), param
         self.m = len(self.basis)
-        self.param = param
         for b in self.basis:
             if b.rows != n or b.cols != n or not b.is_symmetric():
                 raise PreconditionError("NOT_SYMMETRIC", "family matrices must be symmetric")

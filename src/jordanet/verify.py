@@ -57,6 +57,7 @@ from .spaces import (
     sample_congruent,
     sym_dim,
     sym_pairs,
+    symmetric_rows,
 )
 from .varieties import catalog_eval, min_rank_bounds, rank_one_locus_certificate
 
@@ -78,8 +79,7 @@ def _diag(*vals) -> Mat:
 
 def _sym_unit(n, i, j) -> Mat:
     m = [[0] * n for _ in range(n)]
-    m[i - 1][j - 1] = 1
-    m[j - 1][i - 1] = 1
+    m[i - 1][j - 1] = m[j - 1][i - 1] = 1
     return Mat.from_ints(m)
 
 
@@ -99,11 +99,7 @@ def _cayley(seed: int, n: int) -> Mat:
 
 
 def _random_symmetric(rng: SplitMix64, n: int, bound: int = 3) -> Mat:
-    m = [[0] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(i, n):
-            m[i][j] = m[j][i] = rng.int_between(-bound, bound)
-    return Mat.from_ints(m)
+    return Mat.from_ints(symmetric_rows(n, [rng.int_between(-bound, bound) for _ in sym_pairs(n)]))
 
 
 def _random_space(rng: SplitMix64, n: int, m: int, bound: int = 3) -> MatSpace:
@@ -173,7 +169,7 @@ def check_coherence(seed: int = 0) -> List[CheckResult]:
             u, _ = find_invertible(sp)
             jordan_ok, _ = is_jordan(sp, u)
             recip_ok, _ = check_reciprocal_identity(sp, u)
-            closure_ok = jordan_closure(sp, u).m == sp.m
+            closure_ok = jordan_closure(sp, u).rank == sp.m
             if not (jordan_ok == recip_ok == closure_ok):
                 agree = False
                 detail = f"image {k}: jordan={jordan_ok} reciprocal={recip_ok} closure={closure_ok}"
@@ -215,7 +211,7 @@ def check_rank8_net(seed: int = 0) -> List[CheckResult]:
     _check(out, "rank-8 net: kernel forms span", _same_form_span(forms, expected),
            "; ".join(str(f) for f in forms))
     u, _ = find_invertible(net8)
-    _check(out, "rank-8 net: closure is all of S^4", jordan_closure(net8, u).m == 10)
+    _check(out, "rank-8 net: closure is all of S^4", jordan_closure(net8, u).rank == 10)
     return out
 
 

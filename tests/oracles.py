@@ -25,6 +25,9 @@ the tests can compare the two:
   the substituted quadric);
 - ``generic_element_by_scale_and_add``: sum_k t_k B_k as m polynomial
   scalings and m - 1 ``Mat`` sums (the package forms each entry once);
+- ``element_by_fractions``: sum_k c_k B_k with each entry a Fraction sum
+  over the Fraction basis (the package sums integer coordinates over the
+  space's integer basis and forms one Fraction per upper entry);
 - ``poly_eval_by_mpoly``: a polynomial's value at rationals summed in
   ``MPoly`` arithmetic (the package sums Fractions);
 - ``squarefree_by_mpoly``, ``subresultant_gcd_by_mpoly`` and
@@ -50,6 +53,9 @@ the tests can compare the two:
   echelon fraction-free, by exact divisions by each row's own pivot entry,
   and takes a gcd only when rows are read); ``residue`` is a vector modulo
   an echelon's row space over its content, the closure's old residue pass.
+
+- ``closure_space``: the closure as a ``MatSpace`` on the reduced rows of
+  the echelon ``jordan_closure`` returns (the package reads its rank alone).
 
 ``mpoly_from_terms`` is the checked constructor the tests build polynomials
 with: any variable order, duplicate exponents merged, zeros dropped.
@@ -80,6 +86,7 @@ from jordanet.linalg import (
 )
 from jordanet.spaces import (
     _WITNESS_BUDGET,
+    MatSpace,
     contains,
     generic_det,
     generic_names,
@@ -271,6 +278,19 @@ def element_by_scale_and_add(space, coords) -> Mat:
     for c, b in zip(coords[1:], space.basis[1:]):
         acc = acc + b.scale(frac(c))
     return acc
+
+
+def element_by_fractions(space, coords) -> Mat:
+    """sum_k c_k B_k, each entry formed once as a Fraction sum of c_k B_k[i][j]."""
+    terms = [(frac(c), b.data) for c, b in zip(coords, space.basis) if c]
+    return Mat([[sum((c * d[i][j] for c, d in terms), Fraction(0)) for j in range(space.n)]
+                for i in range(space.n)])
+
+
+def closure_space(ech, n: int):
+    """The closure as a space: the reduced rows of its echelon, each
+    unvectorized to a symmetric n x n matrix (independent as built)."""
+    return MatSpace(n, [unvectorize(n, r) for r in ech.rows])
 
 
 def sweep_for_unit_by_fractions(space):

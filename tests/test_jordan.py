@@ -23,6 +23,7 @@ from jordanet.jordan import (
     structure_constants,
 )
 from jordanet.linalg import (
+    Echelon,
     Mat,
     det,
     express_in_rows,
@@ -46,6 +47,7 @@ from jordanet.spaces import (
 )
 from oracles import (
     basis_products_by_fractions,
+    closure_space,
     integer_matrix,
     is_associative_by_unit_vectors,
     multiply_coords_by_fractions,
@@ -266,18 +268,18 @@ class TestClosure:
     def test_fixed_point(self):
         sp = intro_L1()
         u = Mat.identity(4)
-        assert jordan_closure(sp, u) == sp
+        assert closure_space(jordan_closure(sp, u), sp.n) == sp
 
     def test_closure_fills_everything(self):
         sp = net_rank8()
         u, _ = find_invertible(sp)
-        clo = jordan_closure(sp, u)
+        clo = closure_space(jordan_closure(sp, u), sp.n)
         assert clo.m == 10
         assert clo == full_space(4)
 
     def test_powers_of_three_eigenvalues(self):
         sp = make_space(3, [Mat.identity(3), diag(1, 2, 3)])
-        clo = jordan_closure(sp, Mat.identity(3))
+        clo = closure_space(jordan_closure(sp, Mat.identity(3)), sp.n)
         assert clo.m == 3
         assert contains(clo, diag(1, 4, 9)) is not None
 
@@ -293,10 +295,24 @@ class TestClosure:
                 if det(u) == 0:
                     continue
                 units += 1
-                dims.add(jordan_closure(sp, u).m)
+                dims.add(closure_space(jordan_closure(sp, u), sp.n).m)
                 if units >= 3:
                     break
             assert len(dims) == 1
+
+
+    def test_only_the_rank_is_formed(self):
+        # the closure's callers read its rank: no Fraction or canonical rows
+        grew = 0
+        for sp in (net_rank8(), spin_net(), intro_L1(), intro_L2(flip=True),
+                   make_space(3, [Mat.identity(3), diag(1, 2, 3)])):
+            u, _ = find_invertible(sp)
+            ech = jordan_closure(sp, u)
+            assert isinstance(ech, Echelon) and ech.cols == sym_dim(sp.n)
+            assert ech._rows is None and ech._int_rows is None
+            assert ech.rank == closure_space(ech, sp.n).m >= sp.m
+            grew += ech.rank > sp.m
+        assert grew == 3
 
 
 def closure_by_rounds(space, u):
@@ -366,14 +382,14 @@ class TestClosureOracle:
     def test_same_echelon_rows_as_the_round_based_closure(self):
         for sp in closure_oracle_spaces():
             u, _ = find_invertible(sp)
-            clo = jordan_closure(sp, u)
+            clo = closure_space(jordan_closure(sp, u), sp.n)
             assert [vectorize(b) for b in clo.basis] == closure_by_rounds(sp, u)
             assert make_space(clo.n, clo.basis) == clo  # built unchecked, as make_space would accept
 
     def test_rational_bases_and_a_non_integer_unit(self):
         grew = 0
         for sp, u in rational_closure_cases():
-            clo = jordan_closure(sp, u)
+            clo = closure_space(jordan_closure(sp, u), sp.n)
             assert [vectorize(b) for b in clo.basis] == closure_by_rounds(sp, u)
             assert make_space(clo.n, clo.basis) == clo
             grew += clo.m > sp.m
@@ -743,7 +759,7 @@ class TestConditionCoherence:
         u, _ = find_invertible(sp)
         jordan_ok, _ = is_jordan(sp, u)
         recip_ok, _ = check_reciprocal_identity(sp, u)
-        return jordan_ok == recip_ok == (jordan_closure(sp, u).m == sp.m)
+        return jordan_ok == recip_ok == (closure_space(jordan_closure(sp, u), sp.n).m == sp.m)
 
     def test_three_conditions_agree(self):
         spaces = [intro_L1(), intro_L2(), intro_L2(flip=True), net_rank8(), spin_net()]
@@ -784,7 +800,7 @@ class TestCodimensionBound:
                     u, _ = find_invertible(sp)
                 except PreconditionError:
                     continue
-                clo = jordan_closure(sp, u)
+                clo = closure_space(jordan_closure(sp, u), sp.n)
                 checked += 1
                 if clo.m < total:
                     assert total - clo.m >= n - 1

@@ -33,6 +33,7 @@ from jordanet.spaces import (
     sym_dim,
 )
 from oracles import (
+    element_by_fractions,
     element_by_scale_and_add,
     generic_element_by_scale_and_add,
     plucker_by_minors,
@@ -318,6 +319,24 @@ class TestIntegerSweep:
             coords = [Fraction(rng.int_between(-4, 4), rng.int_between(1, 4)) for _ in range(sp.m)]
             assert sp.element(coords) == element_by_scale_and_add(sp, coords)
             assert sp.element([0] * sp.m) == Mat.zero(sp.n, sp.n)
+
+    def test_element_on_the_integer_basis_matches_fractions(self):
+        # rational bases over unequal denominators; int, Fraction, mixed and
+        # all-zero coordinates
+        rng = SplitMix64(31)
+        spaces = random_spaces(12, 12)
+        assert any(len({x.denominator for b in sp.basis for row in b.data for x in row}) > 2
+                   for sp in spaces)
+        for sp in spaces:
+            cases = [[0] * sp.m, [Fraction(0)] * sp.m,
+                     [rng.int_between(-4, 4) for _ in range(sp.m)],
+                     [Fraction(rng.int_between(-6, 6), rng.int_between(1, 9)) for _ in range(sp.m)],
+                     [Fraction(1, 3)] + [rng.int_between(-2, 2) for _ in range(sp.m - 1)]]
+            for coords in cases:
+                got = sp.element(coords)
+                assert got == element_by_fractions(sp, coords), coords
+                assert all(type(x) is Fraction for row in got.data for x in row)
+                assert got.is_symmetric()
 
 
 class TestNonzeroSweep:
@@ -611,6 +630,46 @@ class TestSubstitutionFamily:
         with pytest.raises(InputError) as err:
             substitution_family(canonical("s4/1a"), [first, "b", "c", "d"])
         assert err.value.code == "PARSE_ERROR"
+
+
+class TestMirroredEntries:
+    """parse_space_data converts each mirrored entry once when the two raw
+    values are equal and of one JSON type, and compares them as Fractions
+    otherwise."""
+
+    @staticmethod
+    def parse(upper, lower):
+        return parse_space_data({"n": 2, "basis": [[[1, upper], [lower, 0]]]})
+
+    @pytest.mark.parametrize("upper, lower", [("1/2", "2/4"), (1, "1"), ("1/2", "1/2"), (3, 3)])
+    def test_equal_values_are_accepted(self, upper, lower):
+        b = self.parse(upper, lower).basis[0]
+        assert b[0, 1] == b[1, 0] == Fraction(upper)
+
+    def test_identical_raw_values_share_one_fraction(self):
+        b = self.parse("-7/3", "-7/3").basis[0]
+        assert b[0, 1] is b[1, 0]
+
+    def test_unequal_values_are_not_symmetric(self):
+        with pytest.raises(PreconditionError) as err:
+            self.parse("1/2", "1/3")
+        assert err.value.code == "NOT_SYMMETRIC"
+
+    @pytest.mark.parametrize("upper, lower", [(True, 1), (1, True), (1.0, 1), (1, 1.0)])
+    def test_booleans_and_floats_are_parse_errors(self, upper, lower):
+        from jordanet.errors import InputError
+
+        with pytest.raises(InputError) as err:
+            self.parse(upper, lower)
+        assert err.value.code == "PARSE_ERROR"
+
+    def test_first_bad_entry_in_row_major_order_is_named(self):
+        from jordanet.errors import InputError
+
+        for upper, lower, named in ((1.5, True, "1.5"), (2, 2.0, "2.0"), ("1/0", "1/0", "1/0")):
+            with pytest.raises(InputError) as err:
+                self.parse(upper, lower)
+            assert err.value.code == "PARSE_ERROR" and named in str(err.value), (upper, lower)
 
 
 class TestJsonRoundTrip:
