@@ -112,20 +112,20 @@ def jordan_closure(space: MatSpace, u: Mat) -> Echelon:
 
     A worklist over that one growing echelon: each element (the integer basis
     first) is multiplied once with itself and each element before it, as 2s
-    times the product, which is adjoined; one outside the span makes its
-    primitive remainder a new element, kept as integer rows.  Stops early at
-    all of S^n.
+    times the product, which is adjoined; a vector that joins the span
+    becomes a new element over its content, kept as integer rows.  Stops
+    early at all of S^n.
     """
     q = resolve_unit(space, u).q
     n = space.n
     pairs = sym_pairs(n)
     ech = Echelon(len(pairs))
-    elements = []  # rows of primitive integer matrices, in the order they were adjoined
+    elements = []  # rows of primitive integer matrices, in the order they joined
 
     def grow(vec: List[int]) -> None:
-        residue = ech.adjoin(vec)
-        if residue is not None:
-            elements.append(symmetric_rows(n, residue))
+        if ech.adjoin(vec) is not None:
+            g = math.gcd(*vec)
+            elements.append(symmetric_rows(n, [x // g for x in vec]))
 
     for b in space.integer_basis()[0]:
         grow([b[i][j] for i, j in pairs])

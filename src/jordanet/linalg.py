@@ -8,7 +8,9 @@ reduced row echelon form grown fraction-free one integer row at a time, each
 row updated by an exact division by its own pivot entry (Sylvester's
 identity), and made primitive only when read.  ``rref`` adjoins a matrix's
 rows cleared of denominators, ``rref_with_transform`` the rows
-[A' | diag(d)], and ``jordan_closure`` products as it finds them.
+[A' | diag(d)], ``det_bareiss`` a square matrix's rows (its determinant is
+the last pivot entry, signed and over the denominators), and
+``jordan_closure`` products as it finds them.
 
 Polynomial matrices run on one integer kernel (``PolyRing``): a matrix is
 converted once to entries {packed exponent: int coefficient} over one common
@@ -20,8 +22,7 @@ Faddeev-LeVerrier iteration: n - 1 matrix products, and divisions only by
 the integers 1..n, which are exact on integer polynomials) and determinants
 (Laplace expansion memoized over column subsets) all run on it, and so do
 all maximal minors of a wide matrix at once (``maximal_minors``: Pluecker
-coordinates share that memo).  A Fraction determinant is a fraction-free
-Bareiss elimination on the integer rows cleared of denominators.
+coordinates share that memo).
 """
 
 from __future__ import annotations
@@ -314,19 +315,18 @@ class Echelon:
         return basis
 
     def eliminate(self, v: Sequence[int]) -> Tuple[List[int], int]:
-        """(out, k) with out / k the remainder of v modulo the row space (k may
-        be negative): (v, 1) when v hits no pivot, else d v - sum v[p_i] T_i
-        over the pivots it hits, with v[p_i] T_i = v[p_i] d R_i // R_i[p_i]
-        exactly (v[p_i] R_i when R_i[p_i] = d), and d."""
+        """(d v - sum v[p_i] T_i, d), over the pivots v hits: d times v's
+        remainder modulo the row space (d may be negative), with
+        v[p_i] T_i = v[p_i] d R_i // R_i[p_i] exactly (v[p_i] R_i when
+        R_i[p_i] = d)."""
         d = self.d
-        hits = [(row, p, v[p]) for row, p in zip(self.ff_rows, self.pivots) if v[p]]
-        if not hits:
-            return v, 1
         out = [d * x for x in v]
-        for row, p, f in hits:
-            r, fd = row[p], f * d
-            out = ([x - f * y for x, y in zip(out, row)] if r == d
-                   else [x - fd * y // r for x, y in zip(out, row)])
+        for row, p in zip(self.ff_rows, self.pivots):
+            f, r = v[p], row[p]
+            if f:
+                fd = f * d
+                out = ([x - f * y for x, y in zip(out, row)] if r == d
+                       else [x - fd * y // r for x, y in zip(out, row)])
         return out, d
 
     def extend(self, rows: Iterable[Sequence[int]]) -> None:
@@ -334,25 +334,15 @@ class Echelon:
         count; rows after that are not drawn."""
         rows = iter(rows)
         while self.rank < self.cols and (row := next(rows, None)) is not None:
-            self._join(row)
+            self.adjoin(row)
 
     def adjoin(self, v: Sequence[int]) -> Optional[List[int]]:
-        """``_join`` returning v's remainder over its content (a positive
-        multiple of it), or None when v lies in the row space."""
-        d = self.d
-        out = self._join(v)
-        return None if out is None else _primitive(out, d < 0)
-
-    def _join(self, v: Sequence[int]) -> Optional[List[int]]:
-        """Add an integer row and return its remainder out, or return None
-        when it lies in the row space.  out (d v when v hits no pivot) joins
-        with pivot c, its leading column, and d = a = out[c]; each row with
-        f = R_i[c] != 0 becomes its new T_i = (a R_i - f out) // R_i[p_i],
+        """Add an integer row and return its remainder out = d v - sum ...
+        (``eliminate``), or return None when it lies in the row space.  out
+        joins with pivot c, its leading column, and d = a = out[c]; each row
+        with f = R_i[c] != 0 becomes its new T_i = (a R_i - f out) // R_i[p_i],
         exactly, and no other row is touched."""
-        d = self.d
         out, _ = self.eliminate(v)
-        if out is v:
-            out = [d * x for x in v]
         c = next((j for j, x in enumerate(out) if x), None)
         if c is None:
             return None
@@ -446,31 +436,22 @@ def inverse(m: Mat) -> Mat:
 # -- determinants ----------------------------------------------------------
 
 def det_bareiss(m: Mat) -> Fraction:
-    """Determinant of a Fraction matrix: fraction-free Bareiss elimination on
-    its rows cleared of denominators, row i = R'_i / d_i, so that
-    det(M) = det(M') / (d_1 ... d_n).  Every division is exact: by Sylvester's
-    identity each entry is a minor of M' (with its rows as swapped)."""
+    """Determinant of a Fraction matrix from its echelon: the rows cleared of
+    denominators, row i = R'_i / d_i, adjoined in order to one ``Echelon``;
+    0 at the first row that does not join.  Otherwise the last pivot entry d
+    is det(M') with its columns taken in the order their pivots were made,
+    so det(M) = sign d / (d_1 ... d_n), with sign the parity of that order
+    (each new pivot counts the earlier pivots greater than it)."""
     if not m.is_square():
         raise PreconditionError("NOT_SQUARE", "determinant needs a square matrix")
     cleared = [integer_vector(row) for row in m.data]
-    a = [row for row, _ in cleared]
-    n = m.rows
-    sign, prev = 1, 1
-    for k in range(n - 1):
-        if not a[k][k]:
-            swap = next((i for i in range(k + 1, n) if a[i][k]), None)
-            if swap is None:
-                return Fraction(0)
-            a[k], a[swap] = a[swap], a[k]
-            sign = -sign
-        pivot, top = a[k][k], a[k]
-        for i in range(k + 1, n):
-            row, f = a[i], a[i][k]
-            a[i] = row[:k + 1] + [(x * pivot - f * y) // prev
-                                  for x, y in zip(row[k + 1:], top[k + 1:])]
-        prev = pivot
-    value = a[n - 1][n - 1] if n else 1
-    return Fraction(sign * value, math.prod(d for _, d in cleared))
+    ech, swaps = Echelon(m.rows), 0
+    for row, _ in cleared:
+        out = ech.adjoin(row)
+        if out is None:
+            return Fraction(0)
+        swaps += ech.rank - bisect.bisect(ech.pivots, next(j for j, x in enumerate(out) if x))
+    return Fraction(-ech.d if swaps % 2 else ech.d, math.prod(d for _, d in cleared))
 
 
 def maximal_minors(m: Mat) -> Dict[Tuple[int, ...], Entry]:
@@ -516,7 +497,7 @@ def det_laplace(m: Mat) -> Entry:
 
 
 def det(m: Mat) -> Entry:
-    """Exact determinant: integer Bareiss on a Fraction matrix, memoized
+    """Exact determinant: the echelon's on a Fraction matrix, memoized
     Laplace on the integer kernel once any entry is a polynomial."""
     if any(isinstance(x, MPoly) for row in m.data for x in row):
         return det_laplace(m)

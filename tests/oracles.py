@@ -6,8 +6,8 @@ the tests can compare the two:
 - ``parse_poly_by_tokens``: one regex match per token and one Fraction per
   number (the current parser tokenizes once and keeps integers);
 - ``det_bareiss_by_ring``: Bareiss over Fraction or MPoly entries with a
-  generic exact division (the package runs Bareiss on integer rows and
-  polynomial determinants by Laplace);
+  generic exact division (the package reads a Fraction determinant off the
+  integer echelon of its rows and a polynomial one by Laplace);
 - ``macaulay_rank_by_fractions``: the Macaulay matrix as Fraction rows handed
   to ``rref`` (the package writes integer rows into one echelon); the rows
   themselves come from ``macaulay_rows_by_fractions``;

@@ -14,6 +14,7 @@ from jordanet import chow, cli, exact, jordan
 from jordanet.cli import main
 from jordanet.errors import InputError, InternalCheckError, PreconditionError
 from jordanet.exact import frac_str
+from jordanet.io import load_space_file, parse_space_data
 from jordanet.prng import SplitMix64
 from oracles import parse_outcome, parse_poly_by_tokens
 
@@ -92,6 +93,12 @@ class TestAnalyze:
         assert err.startswith(f"error: {code_name}")
 
 
+#: a net in S^3 whose Chow matrix is regular
+CHOW_NET = {"n": 3, "basis": [[[1, 0, 0], [0, 1, 0], [0, 0, 1]],
+                              [[0, 1, 0], [1, 0, 0], [0, 0, 0]],
+                              [[0, 0, 0], [0, 0, 1], [0, 1, 2]]]}
+
+
 class TestChow:
     def test_rank_and_kernel(self, capsys):
         code, out, _ = run_cli(["chow", "catalog://netrank8", "--rank", "--kernel", "--json"], capsys)
@@ -122,11 +129,39 @@ class TestChow:
         adjugate = chow.adjugate
         monkeypatch.setattr(chow, "adjugate", lambda m: calls.append(1) or adjugate(m))
         f = tmp_path / "net.json"
-        f.write_text(json.dumps({"n": 3, "basis": [[[1, 0, 0], [0, 1, 0], [0, 0, 1]],
-                                                   [[0, 1, 0], [1, 0, 0], [0, 0, 0]],
-                                                   [[0, 0, 0], [0, 0, 1], [0, 1, 2]]]}))
+        f.write_text(json.dumps(CHOW_NET))
         code, out, _ = run_cli(["chow", str(f), "--json", *flags], capsys)
         assert code == 0 and len(calls) == 1
+
+    def test_det_value_is_the_generic_chow_form_at_the_net(self, tmp_path, capsys):
+        # the determinant of the net's Chow matrix against the symbolic n = 3
+        # Chow determinant evaluated at the basis entries
+        rng = SplitMix64(333)
+        nets = [CHOW_NET, {"n": 3, "basis": [[[1, 0, 0], [0, 1, 0], [0, 0, 1]],
+                                             [[0, 1, 0], [1, 0, 0], [0, 0, 0]],
+                                             [[0, 0, 1], [0, 0, 0], [1, 0, 0]]]}]
+        while len(nets) < 6:
+            basis = []
+            for _ in range(3):
+                m = [[0] * 3 for _ in range(3)]
+                for i in range(3):
+                    for j in range(i, 3):
+                        m[i][j] = m[j][i] = rng.int_between(-3, 3)
+                basis.append(m)
+            try:
+                parse_space_data({"n": 3, "basis": basis})
+            except PreconditionError:
+                continue
+            nets.append({"n": 3, "basis": basis})
+        values = []
+        for k, net in enumerate(nets):
+            f = tmp_path / f"net{k}.json"
+            f.write_text(json.dumps(net))
+            code, out, _ = run_cli(["chow", str(f), "--det-stats", "--json"], capsys)
+            assert code == 0
+            values.append(json.loads(out)["det_value"])
+            assert values[-1] == frac_str(chow.chow_det_eval_at_net(load_space_file(str(f))))
+        assert values[1] == "-1" and sum(v != "0" for v in values) >= 4
 
 
 class TestOtherCommands:

@@ -35,6 +35,7 @@ from jordanet.linalg import (
 from jordanet.prng import SplitMix64
 from jordanet.spaces import (
     MatSpace,
+    congruence_transform,
     contains,
     find_invertible,
     is_regular,
@@ -378,6 +379,24 @@ def rational_closure_cases():
     return cases
 
 
+def block_congruence_image(rng, sizes):
+    """A seeded congruence image P^T L P (P = 5I + entries in {-2..2}) of the
+    span L of three random elements of Sym(sizes[0]) (+) Sym(sizes[1]) (+) ...:
+    its closure is the image of the whole block algebra."""
+    n = sum(sizes)
+    basis = []
+    for _ in range(3):
+        m, start = [[0] * n for _ in range(n)], 0
+        for k in sizes:
+            for i in range(start, start + k):
+                for j in range(i, start + k):
+                    m[i][j] = m[j][i] = rng.int_between(-3, 3)
+            start += k
+        basis.append(Mat.from_ints(m))
+    p = Mat.from_ints([[5 * (i == j) + rng.int_between(-2, 2) for j in range(n)] for i in range(n)])
+    return congruence_transform(make_space(n, basis), p)
+
+
 class TestClosureOracle:
     def test_same_echelon_rows_as_the_round_based_closure(self):
         for sp in closure_oracle_spaces():
@@ -394,6 +413,21 @@ class TestClosureOracle:
             assert make_space(clo.n, clo.basis) == clo
             grew += clo.m > sp.m
         assert grew > 10
+
+    def test_congruence_images_of_block_algebras_in_s6(self):
+        rng = SplitMix64(606)
+        for sizes, dim in (((3, 3), 12), ((4, 2), 13)):
+            sp = block_congruence_image(rng, sizes)
+            u, _ = find_invertible(sp)
+            clo = closure_space(jordan_closure(sp, u), sp.n)
+            assert clo.m == dim
+            assert [vectorize(b) for b in clo.basis] == closure_by_rounds(sp, u)
+
+    def test_a_dense_net_in_s8_closes_to_everything(self):
+        # the round oracle takes seconds here: the rank alone is checked
+        rng = SplitMix64(808)
+        sp = make_space(8, [random_symmetric(rng, 8) for _ in range(3)])
+        assert jordan_closure(sp, find_invertible(sp)[0]).rank == 36
 
 
 class TestStructureConstants:

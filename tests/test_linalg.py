@@ -1,3 +1,4 @@
+import itertools
 import math
 from fractions import Fraction
 from typing import List, NamedTuple
@@ -330,7 +331,8 @@ def integer_row(row):
 
 class TestGrowingEchelon:
     """``Echelon.adjoin``, one row at a time, against the Fraction elimination
-    of the rows so far; its return value is the oracles' ``residue``."""
+    of the rows so far; its return value over the pivot entry d it met is the
+    Fraction remainder of the row modulo the rows before it."""
 
     def test_adjoin_matches_rref_of_the_rows_so_far(self):
         rng = SplitMix64(1990)
@@ -339,6 +341,7 @@ class TestGrowingEchelon:
             for _ in range(6):
                 ech, seen = Echelon(ncols), []
                 for row in random_rational_rows(rng, 10, ncols):
+                    before = rref_by_fractions(seen)
                     seen.append(row)
                     want = rref_by_fractions(seen)
                     v = integer_row(row)
@@ -348,7 +351,11 @@ class TestGrowingEchelon:
                     if any(rest):
                         assert rref_by_fractions(ech.rows + [rest]).rows == want.rows
                         grown += 1
-                    assert ech.adjoin(v) == (rest if any(rest) else None)
+                    d, out = ech.d, ech.adjoin(v)
+                    if any(rest):
+                        assert [Fraction(x, d) for x in out] == before.reduce_vector(v)
+                    else:
+                        assert out is None
                     assert (ech.rank, ech.pivots, ech.rows) == (want.rank, want.pivots, want.rows)
                     for r, p in zip(ech.int_rows, ech.pivots):
                         assert math.gcd(*r) == 1 and r[p] > 0
@@ -377,7 +384,16 @@ class TestGrowingEchelon:
     def test_empty_echelon(self):
         ech = Echelon(3)
         assert (ech.rank, ech.rows, residue(ech, [0, 6, -4])) == (0, [], [0, 3, -2])
-        assert ech.adjoin([0, 6, -4]) == [0, 3, -2] and ech.int_rows == [[0, 3, -2]]
+        d, out = ech.d, ech.adjoin([0, 6, -4])
+        assert [Fraction(x, d) for x in out] == rref_by_fractions([]).reduce_vector([0, 6, -4])
+        assert out == [0, 6, -4] and ech.int_rows == [[0, 3, -2]]
+
+    def test_a_vector_that_hits_no_pivot_comes_back_at_scale_d(self):
+        ech = Echelon(4)
+        ech.extend([[2, 0, 1, 0], [0, 0, 3, 5]])
+        v = [0, 7, 0, -1]
+        assert all(v[p] == 0 for p in ech.pivots) and ech.d not in (0, 1)
+        assert ech.eliminate(v) == ([ech.d * x for x in v], ech.d)
 
 
 def random_integer_rows(rng, nrows, ncols):
@@ -634,6 +650,49 @@ class TestDet:
                 swaps += n > 1 and m[0, 0] == 0
                 singular += got == 0
         assert swaps > 5 and singular > 5
+
+    def test_sign_of_the_order_the_pivots_are_made_in(self):
+        # row i of a permutation matrix makes pivot perm[i], so the pivots come
+        # in the permutation's order: det is its sign, times the row scales
+        rng = SplitMix64(2121)
+        for n in range(6):
+            for perm in itertools.permutations(range(n)):
+                sign = (-1) ** sum(perm[i] > perm[j] for i in range(n) for j in range(i + 1, n))
+                m = Mat([[Fraction(int(perm[i] == j)) for j in range(n)] for i in range(n)])
+                assert det_bareiss(m) == sign == det_laplace(m) == det_bareiss_by_ring(m)
+                scales = [Fraction(rng.nonzero_int_between(-9, 9), rng.int_between(1, 7))
+                          for _ in range(n)]
+                scaled = Mat([[x * c for x in row] for row, c in zip(m.data, scales)])
+                want = sign * math.prod(scales)
+                assert det_bareiss(scaled) == want == det_laplace(scaled) == det_bareiss_by_ring(scaled)
+
+    def test_permuted_triangular_zero_leading_columns_and_a_dependent_last_row(self):
+        rng = SplitMix64(2122)
+
+        def entry():
+            return Fraction(rng.int_between(-6, 6), rng.int_between(1, 5))
+
+        for n in range(1, 6):
+            for _ in range(6):
+                perm = list(range(n))
+                for i in range(n - 1, 0, -1):
+                    j = rng.int_between(0, i)
+                    perm[i], perm[j] = perm[j], perm[i]
+                # lower triangular rows with a nonzero diagonal, columns permuted
+                tri = [[entry() if j < i else Fraction(rng.nonzero_int_between(-6, 6)) if j == i
+                        else Fraction(0) for j in range(n)] for i in range(n)]
+                m = Mat([[row[perm.index(j)] for j in range(n)] for row in tri])
+                got = det_bareiss(m)
+                assert got != 0 and got == det_laplace(m) == det_bareiss_by_ring(m)
+                k = rng.int_between(1, n)
+                zero_lead = Mat([[Fraction(0)] * k + [entry() for _ in range(n - k)]
+                                 for _ in range(n)])
+                assert det_bareiss(zero_lead) == 0 == det_laplace(zero_lead)
+                coeffs = [entry() for _ in range(n - 1)]
+                last = [sum((c * row[j] for c, row in zip(coeffs, m.data[:n - 1])), Fraction(0))
+                        for j in range(n)]
+                dependent = Mat(list(m.data[:n - 1]) + [last])
+                assert det_bareiss(dependent) == 0 == det_laplace(dependent) == det_bareiss_by_ring(dependent)
 
     def test_bareiss_equals_laplace_poly(self):
         rng = SplitMix64(29)
