@@ -20,17 +20,15 @@ from .classify import (
     classify_copencil_S3,
     classify_net_S4,
     classify_pencil,
-    classify_type1_partition,
     ejo_component_count,
 )
 from .errors import InputError, InternalCheckError, JordanetError, PreconditionError
-from .exact import MPoly, Scalar, parse_poly, poly_eval
+from .exact import MPoly, parse_poly, poly_eval
 from .jordan import (
     JordanStructure,
     check_reciprocal_identity,
     is_jordan,
     jordan_closure,
-    jordan_product,
     peirce,
     radical,
     structure_constants,

@@ -36,7 +36,7 @@ from .jordan import (
     structure_constants,
 )
 from .linalg import Mat, charpoly, int_matmul
-from .spaces import MatSpace, find_invertible, generic_element, is_regular
+from .spaces import MatSpace, generic_element, is_regular
 from .varieties import rank_one_pencil
 
 NET_LABELS = ("1a", "1b", "2a1", "2a2", "2b", "3a", "3b1", "3b2")
@@ -72,11 +72,11 @@ def generic_multiplicity_partition(space: MatSpace) -> Tuple[int, ...]:
     ``exact.squarefree_decomposition`` runs the same integer code for every
     m.  For m = 1 the partition is (n,).
     """
-    u, coords = find_invertible(space)
+    unit = resolve_unit(space)
     if space.m == 1:
         return (space.n,)
-    drop = next(k for k, c in enumerate(coords) if c != 0)
-    q = resolve_unit(space, u).q
+    drop = next(k for k, c in enumerate(unit.coords) if c != 0)
+    q = unit.q
     basis, _ = space.integer_basis()  # each B'_k is symmetric: its rows are its columns
     *scaled, last = [Mat.from_ints(int_matmul(q, b)) for k, b in enumerate(basis) if k != drop]
     x = generic_element(scaled) + last if scaled else last
@@ -190,20 +190,6 @@ def classify_net_S4(space: MatSpace) -> str:
     if label is None:
         raise PreconditionError("UNRECOGNIZED", f"invariant vector outside the table: {vec}")
     return label
-
-
-def classify_type1_partition(space: MatSpace) -> Optional[Tuple[int, int, int]]:
-    """Block size partition (k1 >= k2 >= k3) for diagonalizable nets in any
-    S^n; None when the net is not of the diagonalizable type."""
-    if space.m != 3:
-        raise PreconditionError("UNSUPPORTED_DIM", "type-1 partitions need m = 3")
-    a = structure_constants(space)
-    if radical(a) or not is_associative(a):
-        return None
-    partition = generic_multiplicity_partition(space)
-    if len(partition) != 3:
-        raise PreconditionError("UNRECOGNIZED", f"unexpected partition {partition}")
-    return partition  # type: ignore[return-value]
 
 
 # -- copencils in S^3 ---------------------------------------------------------

@@ -121,20 +121,19 @@ def cmd_analyze(args) -> int:
                        "abstract_class": None, "reciprocal_ok": None, "witness": None,
                        "net_class": None})
         return _done(report, args)
-    u, coords = find_invertible(space)
-    report["unit_coordinates"] = list(coords)
+    report["unit_coordinates"] = list(find_invertible(space)[1])
     ok, witness = is_jordan(space)  # the unit found above, with its coordinates
     report["jordan"] = ok
     report["witness"] = None
     if witness is not None:
         report["witness"] = {"i": witness.i, "j": witness.j, "residue": witness.residue}
-    report["closure_dim"] = space.m if ok else jordan_closure(space, u).rank
+    report["closure_dim"] = space.m if ok else jordan_closure(space).rank
     report["reciprocal_ok"] = ok
     report["radical_dim"] = None
     report["abstract_class"] = None
     report["net_class"] = None
     if ok:
-        a = structure_constants(space, u)
+        a = structure_constants(space)
         report["radical_dim"] = len(radical(a))
         if space.m in (2, 3):
             report["abstract_class"] = classify_abstract(a)
@@ -153,16 +152,16 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_chow(args) -> int:
-    if args.generic_n3 and (args.space is not None or args.rank or args.kernel):
-        raise InputError("PARSE_ERROR", "--generic-n3 takes no space, --rank or --kernel")
+    if args.generic_n3 and args.space is not None:
+        raise InputError("PARSE_ERROR", "--generic-n3 takes no space")
     report = {"command": "chow", "input": args.space or "generic-n3"}
-    if args.generic_n3 or (args.det_stats and args.space is None):
+    if args.space is None:
+        if args.rank or args.kernel or not (args.generic_n3 or args.det_stats):
+            raise InputError("PARSE_ERROR", "chow needs a space, or only --generic-n3 or --det-stats")
         det = chow_det_generic(3)
         report["det_degree"] = int(det.total_degree())
         report["det_terms"] = det.term_count()
         return _done(report, args)
-    if args.space is None:
-        raise InputError("PARSE_ERROR", "chow needs a space or --generic-n3")
     space = _resolve_space(args.space, MatSpace)
     wants_all = not (args.rank or args.kernel or args.det_stats)
     if args.rank or wants_all:

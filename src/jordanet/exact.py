@@ -30,8 +30,6 @@ from typing import Iterable, Iterator, List, Mapping, Tuple
 
 from .errors import InputError, InternalCheckError, PreconditionError
 
-Scalar = Fraction
-
 NEG_INF = float("-inf")
 
 #: the text form of a rational: an integer or p/q, no decimals or exponents

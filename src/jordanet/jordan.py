@@ -9,10 +9,12 @@ subspace closed under this product (for an invertible U inside it) is a
 Jordan subalgebra; equivalently its reciprocal variety is again a linear
 space (proved both ways in ``check_reciprocal_identity``).
 
-Everything runs on one integer algebra per space.  The basis is kept as B_k =
-B'_k / L over one common denominator (``MatSpace.integer_basis``), and each
-unit once as U^{-1} = Q / s in ``space._jordan``, the integers of the one
-elimination that decides U invertible (``linalg.inverse_or_none``), so that
+Everything runs on one integer algebra per space, with one unit: its first
+invertible element (``spaces.find_invertible``), as closure does not depend on
+which invertible U is taken.  The basis is kept as B_k = B'_k / L over one
+common denominator (``MatSpace.integer_basis``), and the unit once as U^{-1} =
+Q / s in ``space._jordan``, the integers of the one elimination that decides U
+invertible (``linalg.inverse_or_none``), so that
 B'_i Q B'_j + (B'_i Q B'_j)^T = 2sL^2 (B_i * B_j) is an integer product.
 ``jordan_closure`` grows one integer ``linalg.Echelon`` from such products and
 returns it, with the closure's dimension as its rank; the Jordan test reduces
@@ -39,20 +41,6 @@ from .spaces import (MatSpace, contains, find_invertible, integer_sweep, nonzero
                      symmetric_rows, unvectorize)
 
 
-def jordan_product(x: Mat, y: Mat, u: Mat) -> Mat:
-    """X * Y = (X U^{-1} Y + Y U^{-1} X) / 2 with unit U: with U^{-1} = Q / s
-    and A = X Q Y, (A + A^T) / 2s (A^T = Y Q X for symmetric X, Y, Q)."""
-    for m in (x, y, u):
-        if not m.is_symmetric():
-            raise PreconditionError("NOT_SYMMETRIC", "Jordan product needs symmetric matrices")
-    inv = inverse_or_none(u)
-    if inv is None:
-        raise PreconditionError("SINGULAR_U", "unit must be invertible")
-    q, s = inv
-    a = x @ Mat.from_ints(q) @ y
-    return (a + a.transpose()).scale(Fraction(1, 2 * s))
-
-
 def _doubled_product(xq: Sequence[Sequence[int]], y: Sequence[Sequence[int]],
                      pairs: Sequence[Tuple[int, int]]) -> List[int]:
     """The upper triangle of A + A^T with A = X Q Y, from the rows of X Q and
@@ -71,9 +59,9 @@ class JordanWitness(NamedTuple):
 
 
 class Unit:
-    """A unit U of a space, its coordinates, U^{-1} = q / s in lowest terms
+    """The unit U of a space, its coordinates, U^{-1} = q / s in lowest terms
     (q a symmetric integer matrix, s > 0, as ``linalg.inverse_or_none`` gives
-    it), and the basis products for U once computed."""
+    it), and the space's basis products once computed."""
 
     __slots__ = ("u", "coords", "q", "s", "products")
 
@@ -82,30 +70,23 @@ class Unit:
         self.products: Union["JordanStructure", JordanWitness, None] = None
 
 
-def resolve_unit(space: MatSpace, u: Optional[Mat] = None) -> Unit:
-    """The unit (the given one, checked, else the space's first invertible
-    element with the coordinates the sweep found), with its coordinates and
-    inverse, once per (space, U) in ``space._jordan``."""
-    u, coords = find_invertible(space) if u is None else (u, None)
-    unit = space._jordan.get(u.data)
-    if unit is None:
-        coords = contains(space, u) if coords is None else coords
-        if coords is None:
-            raise PreconditionError("U_NOT_IN_SPACE", "unit must lie in the space")
-        inv = inverse_or_none(u)
-        if inv is None:
-            raise PreconditionError("SINGULAR_U", "unit must be invertible")
-        unit = space._jordan[u.data] = Unit(u, tuple(map(frac, coords)), *inv)
-    return unit
+def resolve_unit(space: MatSpace) -> Unit:
+    """The space's unit: its first invertible element (``find_invertible``),
+    with the coordinates the sweep found and its inverse, built on first use
+    and kept in ``space._jordan``."""
+    if space._jordan is None:
+        u, coords = find_invertible(space)
+        space._jordan = Unit(u, tuple(map(frac, coords)), *inverse_or_none(u))
+    return space._jordan
 
 
-def is_jordan(space: MatSpace, u: Optional[Mat] = None) -> Tuple[bool, Optional[JordanWitness]]:
+def is_jordan(space: MatSpace) -> Tuple[bool, Optional[JordanWitness]]:
     """Closure test: every pairwise basis product must stay in the space."""
-    got = _basis_products(space, resolve_unit(space, u))
+    got = _basis_products(space, resolve_unit(space))
     return (False, got) if isinstance(got, JordanWitness) else (True, None)
 
 
-def jordan_closure(space: MatSpace, u: Mat) -> Echelon:
+def jordan_closure(space: MatSpace) -> Echelon:
     """The integer echelon of the smallest subspace containing the space and
     closed under the product, in ``sym_pairs`` coordinates: its ``rank`` is
     the closure's dimension, and ``int_rows`` or ``rows`` its reduced basis.
@@ -116,7 +97,7 @@ def jordan_closure(space: MatSpace, u: Mat) -> Echelon:
     becomes a new element over its content, kept as integer rows.  Stops
     early at all of S^n.
     """
-    q = resolve_unit(space, u).q
+    q = resolve_unit(space).q
     n = space.n
     pairs = sym_pairs(n)
     ech = Echelon(len(pairs))
@@ -180,17 +161,17 @@ class JordanStructure:
         return Mat([[Fraction(col[k], d * self.den) for col in cols] for k in range(self.dim)])
 
 
-def structure_constants(space: MatSpace, u: Optional[Mat] = None) -> JordanStructure:
+def structure_constants(space: MatSpace) -> JordanStructure:
     """Structure tensor of a Jordan subalgebra; raises NOT_JORDAN when the
     space is not closed."""
-    got = _basis_products(space, resolve_unit(space, u))
+    got = _basis_products(space, resolve_unit(space))
     if isinstance(got, JordanWitness):
         raise PreconditionError("NOT_JORDAN", f"basis product ({got.i}, {got.j}) escapes the space")
     return got
 
 
 def _basis_products(space: MatSpace, unit: Unit) -> Union[JordanStructure, JordanWitness]:
-    """The structure of the space for the unit, or the first basis product (in
+    """The structure of the space for its unit, or the first basis product (in
     (i, j) order, i <= j) that escapes it; memoised on the unit.
 
     The space's echelon reduces v = 2sL^2 (B_i * B_j); a nonzero remainder
@@ -306,7 +287,7 @@ def peirce(a: JordanStructure, idempotents: Sequence[Mat]) -> Dict[Tuple[int, in
 _RECIPROCAL_TRIALS = 8
 
 
-def check_reciprocal_identity(space: MatSpace, u: Optional[Mat] = None) -> Tuple[bool, Optional[Mat]]:
+def check_reciprocal_identity(space: MatSpace) -> Tuple[bool, Optional[Mat]]:
     """Sampled test of: inverses of elements land in U^{-1} L U^{-1}.
 
     Walks the deterministic integer sweep, keeps the first eight invertible
@@ -324,7 +305,7 @@ def check_reciprocal_identity(space: MatSpace, u: Optional[Mat] = None) -> Tuple
     for all but at most n values of eps, hence identically, and its eps^2
     coefficient is Y * Y; polarizing gives X * Y.
     """
-    u = resolve_unit(space, u).u
+    u = resolve_unit(space).u
     found = 0
     for tup in itertools.chain(nonzero_sweep(space.m, space.n + 2), integer_sweep(space.m)):
         x = space.element(tup)

@@ -37,7 +37,7 @@ from .linalg import (
     rref,
     rref_with_transform,
 )
-from .prng import SplitMix64
+from .prng import SplitMix64, derive_seed
 
 
 def sym_dim(n: int) -> int:
@@ -79,7 +79,7 @@ class MatSpace:
         self.m = len(self.basis)
         self._ints = self._echelon = None
         self._unit = _UNDECIDED  # first invertible element, or None if singular
-        self._jordan = {}  # unit entries -> jordan.Unit: coordinates, inverse, basis products
+        self._jordan = None  # jordan.Unit: the unit, its coordinates, inverse and basis products
         self._chow = None  # Chow matrix (see chow.py)
 
     # -- coordinates ----------------------------------------------------
@@ -235,6 +235,11 @@ def _laplace_products(n: int, m: int) -> int:
                for k in range(1, n + 1))
 
 
+#: seeded dense points t in {-n..n}^m tried before a space is refused: each misses
+#: a regular space with probability at most n / (2n + 1) < 1/2 (Schwartz-Zippel).
+_DENSE_POINTS = 16
+
+
 def _first_invertible(space: MatSpace) -> Optional[Tuple[Mat, Tuple[int, ...]]]:
     """The regularity decision, memoised: the identity, else the first
     invertible sweep point, else None once the generic determinant, expanded
@@ -247,8 +252,9 @@ def _first_invertible(space: MatSpace) -> Optional[Tuple[Mat, Tuple[int, ...]]]:
 def _sweep_for_unit(space: MatSpace) -> Optional[Tuple[Mat, Tuple[int, ...]]]:
     """The identity, else the first sweep point of full rank (``sweep_rank``),
     whose Fraction element alone is formed.  The generic determinant is sized
-    before it is expanded and refused with TOO_LARGE past
-    ``MAX_GENERIC_DET_PRODUCTS``."""
+    before it is expanded; past ``MAX_GENERIC_DET_PRODUCTS`` the first of
+    ``_DENSE_POINTS`` seeded dense points of full rank is the unit, and the
+    space is refused with TOO_LARGE only when every one is singular."""
     n, ident = space.n, Mat.identity(space.n)
     coords = contains(space, ident)
     if coords is not None:
@@ -258,10 +264,15 @@ def _sweep_for_unit(space: MatSpace) -> Optional[Tuple[Mat, Tuple[int, ...]]]:
         if k == _WITNESS_BUDGET:
             products = _laplace_products(n, space.m)
             if products > MAX_GENERIC_DET_PRODUCTS:
+                rng = SplitMix64(derive_seed(0, "dense unit"))
+                for _ in range(_DENSE_POINTS):
+                    dense = tuple(rng.int_between(-n, n) for _ in range(space.m))
+                    if rank(dense) == n:
+                        return space.element(dense), dense
                 raise PreconditionError(
-                    "TOO_LARGE", f"{_WITNESS_BUDGET} sweep points were singular, and the generic "
-                    f"determinant would take {products} term products, past "
-                    f"{MAX_GENERIC_DET_PRODUCTS}")
+                    "TOO_LARGE", f"{_WITNESS_BUDGET} sweep points were singular, as were "
+                    f"{_DENSE_POINTS} seeded dense points, and the generic determinant would "
+                    f"take {products} term products, past {MAX_GENERIC_DET_PRODUCTS}")
             if generic_det(space).is_zero():
                 return None
         if rank(tup) == n:

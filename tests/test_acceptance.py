@@ -10,11 +10,40 @@ from pathlib import Path
 
 import pytest
 
-from jordanet.verify import ACCEPTANCE_CRITERIA
+from jordanet.verify import (
+    check_chow_generic,
+    check_chow_oracle,
+    check_classification,
+    check_coherence,
+    check_comparison_nets,
+    check_complements,
+    check_counts,
+    check_intro,
+    check_pencils,
+    check_plucker,
+    check_rank8_net,
+    check_tau,
+)
 
 # each criterion's checks as (name, ok, detail), recorded from `jordanet
 # verify --json` (seed 0), keyed by criterion number
 GOLDEN = json.loads((Path(__file__).parent / "data" / "verify_golden.json").read_text())
+
+#: the numbered acceptance criteria, in order, each backed by one check group
+ACCEPTANCE_CRITERIA = [
+    ("reference spaces: closure holds, sign flip breaks it", check_intro),
+    ("closure, sampled inverses and closure fixed point agree on the catalog", check_coherence),
+    ("generic Chow form: degree 12, 22659 terms, vanishing behavior", check_chow_generic),
+    ("rank-8 net: Chow rank, kernel forms, closure dimension", check_rank8_net),
+    ("comparison nets: determinants, Chow ranks, closure statuses", check_comparison_nets),
+    ("Chow rank equals sampled reciprocal span on catalog and random nets", check_chow_oracle),
+    ("eight-class net classification, congruence images, degeneration diagram", check_classification),
+    ("minimum-rank certificates: rank 2 in S^5, rank 1 for diagonalizable", check_tau),
+    ("pencil families and certificate cubics / chart quadrics", check_pencils),
+    ("complement involution, copencil classes, Peirce pieces", check_complements),
+    ("certificate quadrics in dual Pluecker coordinates", check_plucker),
+    ("component counts match the generating function", check_counts),
+]
 
 
 @pytest.mark.parametrize(

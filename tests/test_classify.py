@@ -11,14 +11,13 @@ from jordanet.classify import (
     classify_copencil_S3,
     classify_net_S4,
     classify_pencil,
-    classify_type1_partition,
     decision_table,
     ejo_component_count,
     generic_multiplicity_partition,
     invariant_vector,
 )
 from jordanet.errors import PreconditionError
-from jordanet.jordan import radical, resolve_unit, structure_constants
+from jordanet.jordan import is_associative, radical, resolve_unit, structure_constants
 from jordanet.linalg import Mat, inverse
 from jordanet.prng import SplitMix64, derive_seed
 from jordanet.spaces import (
@@ -263,8 +262,14 @@ class TestNetDecisionTable:
 
 
 class TestType1Partition:
+    """Diagonalizable nets in any S^n: semisimple and associative, with the
+    block sizes as the generic multiplicity partition."""
+
     def test_diagonal_net_s5(self):
-        assert classify_type1_partition(diagonal_net_s5()) == (2, 2, 1)
+        sp = diagonal_net_s5()
+        a = structure_constants(sp)
+        assert radical(a) == [] and is_associative(a)
+        assert generic_multiplicity_partition(sp) == (2, 2, 1)
 
     def test_spin_s6_is_not_type1(self):
         blocks = []
@@ -279,10 +284,14 @@ class TestType1Partition:
                 m[j][i] = 1
             blocks.append(Mat.from_ints(m))
         sp = make_space(6, blocks)
-        assert classify_type1_partition(sp) is None
+        a = structure_constants(sp)
+        assert radical(a) == [] and not is_associative(a)
 
     def test_comparison_net_partition(self):
-        assert classify_type1_partition(canonical("nets/L1")) == (2, 1, 1)
+        sp = canonical("nets/L1")
+        a = structure_constants(sp)
+        assert radical(a) == [] and is_associative(a)
+        assert generic_multiplicity_partition(sp) == (2, 1, 1)
 
 
 class TestCopencils:

@@ -117,7 +117,8 @@ class TestChow:
         assert report["det_terms"] == 22659
 
     @pytest.mark.parametrize("args", [["catalog://netrank8", "--generic-n3"],
-                                      ["--generic-n3", "--rank"], ["--generic-n3", "--kernel"]])
+                                      ["--generic-n3", "--rank"], ["--generic-n3", "--kernel"],
+                                      ["--det-stats", "--rank"], ["--det-stats", "--kernel"]])
     def test_generic_n3_takes_no_space_rank_or_kernel(self, args, capsys):
         code, out, err = run_cli(["chow", *args, "--json"], capsys)
         assert code == 2
@@ -785,6 +786,32 @@ class TestBoundedCost:
         assert code == 3 and out == ""
         assert "TOO_LARGE" in err and "32 sweep points were singular" in err
         assert "26153536 term products" in err and "INTERNAL" not in err
+
+    @staticmethod
+    def write_block_image(path, sizes, seed):
+        """The dense congruence image P^T B P, P = 5I + entries in {-2..2}, of
+        the elementary basis of Sym(a) + Sym(b) for sizes (a, b): a Jordan
+        algebra holding P^T P, whose first 32 sweep points are singular."""
+        n, rng = sum(sizes), SplitMix64(seed)
+        blocks = [(i, j) for start, k in ((0, sizes[0]), (sizes[0], sizes[1]))
+                  for i in range(start, start + k) for j in range(i, start + k)]
+        p = [[5 * (i == j) + rng.int_between(-2, 2) for j in range(n)] for i in range(n)]
+        basis = [[[p[i][a] * p[j][b] + p[j][a] * p[i][b] if i != j else p[i][a] * p[i][b]
+                   for b in range(n)] for a in range(n)] for i, j in blocks]
+        path.write_text(json.dumps({"n": n, "basis": basis}))
+        return str(path)
+
+    @pytest.mark.parametrize("sizes", [(5, 1), (4, 3), (5, 4)])
+    def test_regular_spaces_past_the_determinant_bound_are_answered(self, sizes, tmp_path, capsys):
+        # the generic determinant is past MAX_GENERIC_DET_PRODUCTS, so after
+        # the 32 singular sweep points a seeded dense point is the unit
+        f = self.write_block_image(tmp_path / "block.json", sizes, 0)
+        code, out, err = run_cli(["analyze", f, "--json"], capsys)
+        assert code == 0 and err == ""
+        m = sum(k * (k + 1) // 2 for k in sizes)
+        report = json.loads(out)
+        assert (report["m"], report["regular"], report["jordan"], report["closure_dim"]) == (
+            m, True, True, m)
 
     def test_the_largest_measured_singular_space_admitted_is_answered(self, tmp_path, capsys):
         # 1 923 072 products, under MAX_GENERIC_DET_PRODUCTS

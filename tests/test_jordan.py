@@ -15,7 +15,6 @@ from jordanet.jordan import (
     is_associative,
     is_jordan,
     jordan_closure,
-    jordan_product,
     peirce,
     rad_square_dim,
     radical,
@@ -32,7 +31,7 @@ from jordanet.linalg import (
     inverse_or_none,
     rref,
 )
-from jordanet.prng import SplitMix64
+from jordanet.prng import SplitMix64, derive_seed
 from jordanet.spaces import (
     MatSpace,
     congruence_transform,
@@ -51,6 +50,7 @@ from oracles import (
     closure_space,
     integer_matrix,
     is_associative_by_unit_vectors,
+    jordan_product_by_fractions,
     multiply_coords_by_fractions,
     rad_square_dim_by_fractions,
     radical_by_fractions,
@@ -122,6 +122,11 @@ def fraction_product(x, y, uinv):
     return Mat([[Fraction(a[i][j] + a[j][i], 2) for j in range(n)] for i in range(n)])
 
 
+def jordan_product(x, y, u):
+    """X * Y with unit U, by the Fraction oracle on U^-1 = Q / s."""
+    return jordan_product_by_fractions(x, y, *inverse_or_none(u))
+
+
 def tensor_of(a):
     """The structure tensor as Fractions: c / den."""
     return tuple(tuple(tuple(Fraction(x, a.den) for x in vec) for vec in row) for row in a.c)
@@ -149,9 +154,8 @@ class TestJordanProduct:
         assert jordan_product(E(2, 1, 1), E(2, 1, 1), u) == Mat.zero(2, 2)
 
     def test_singular_unit_rejected(self):
-        with pytest.raises(PreconditionError) as err:
-            jordan_product(E(2, 1, 1), E(2, 1, 1), E(2, 1, 1))
-        assert err.value.code == "SINGULAR_U"
+        # a singular U has no inverse Q / s to take the product with
+        assert inverse_or_none(E(2, 1, 1)) is None
 
     def test_unit_law_and_commutativity(self):
         rng = SplitMix64(3)
@@ -196,13 +200,15 @@ class TestJordanProduct:
         assert tried > 20
 
     def test_unit_inverse_is_kept_as_integers(self):
-        sp = make_space(3, [Mat.identity(3).scale(Fraction(1, 3)), diag(1, 2, 3)])
-        u = sp.element([Fraction(3, 2), Fraction(1, 4)])
-        unit = resolve_unit(sp, u)
-        assert unit.s > 0 and all(type(v) is int for row in unit.q for v in row)
-        assert Mat([[Fraction(v, unit.s) for v in row] for row in unit.q]) == inverse(u)
-        assert list(unit.coords) == contains(sp, u) == [Fraction(3, 2), Fraction(1, 4)]
-        assert resolve_unit(sp, Mat(u.data)) is unit
+        # the identity is not in this space and its second basis element is
+        # singular: the unit is the sweep point B_1 = diag(1/3, 2/3, 1)
+        sp = make_space(3, [diag(1, 2, 3).scale(Fraction(1, 3)), diag(1, 1, 0).scale(Fraction(1, 2))])
+        unit = resolve_unit(sp)
+        assert unit.u == sp.basis[0] and unit.s == 2
+        assert all(type(v) is int for row in unit.q for v in row)
+        assert Mat([[Fraction(v, unit.s) for v in row] for row in unit.q]) == inverse(unit.u)
+        assert list(unit.coords) == contains(sp, unit.u) == [1, 0]
+        assert resolve_unit(sp) is unit
 
     def test_default_unit_takes_the_sweep_coordinates_as_fractions(self):
         # the sweep finds the 3b1 image's unit at integer coordinates; the
@@ -217,12 +223,12 @@ class TestJordanProduct:
 
 class TestIsJordan:
     def test_intro_spaces(self):
-        ok1, _ = is_jordan(intro_L1(), Mat.identity(4))
-        ok2, _ = is_jordan(intro_L2(), Mat.identity(4))
+        ok1, _ = is_jordan(intro_L1())
+        ok2, _ = is_jordan(intro_L2())
         assert ok1 and ok2
 
     def test_sign_flip_breaks_it(self):
-        ok, witness = is_jordan(intro_L2(flip=True), Mat.identity(4))
+        ok, witness = is_jordan(intro_L2(flip=True))
         assert not ok
         assert witness is not None
         assert contains(intro_L2(flip=True), witness.product) is None
@@ -242,25 +248,22 @@ class TestIsJordan:
             is_jordan(make_space(2, [E(2, 1, 1)]))
         assert err.value.code == "NOT_REGULAR"
 
-    def test_unit_outside_space_rejected(self):
-        with pytest.raises(PreconditionError) as err:
-            is_jordan(spin_net(), E(4, 1, 3))
-        assert err.value.code == "U_NOT_IN_SPACE"
-
     def test_unit_choice_does_not_matter(self):
-        # one invertible U suffices; spot-check several units per space
+        # one invertible U suffices: the answer for the space's own unit is
+        # the Fraction oracle's at several other units
         from jordanet.spaces import integer_sweep
 
         for space, expected in [(intro_L1(), True), (intro_L2(), True),
-                                (intro_L2(flip=True), False)]:
+                                (intro_L2(flip=True), False), (spin_net(), True)]:
+            assert is_jordan(space)[0] is expected
             units = 0
             for tup in integer_sweep(space.m):
                 u = space.element(tup)
-                if det(u) == 0:
+                if det(u) == 0 or u == resolve_unit(space).u:
                     continue
                 units += 1
-                ok, _ = is_jordan(space, u)
-                assert ok is expected
+                got = basis_products_by_fractions(space, u)
+                assert isinstance(got[0], tuple) is expected  # a tensor, or a witness (i, j, ...)
                 if units >= 4:
                     break
 
@@ -268,38 +271,36 @@ class TestIsJordan:
 class TestClosure:
     def test_fixed_point(self):
         sp = intro_L1()
-        u = Mat.identity(4)
-        assert closure_space(jordan_closure(sp, u), sp.n) == sp
+        assert closure_space(jordan_closure(sp), sp.n) == sp
 
     def test_closure_fills_everything(self):
         sp = net_rank8()
-        u, _ = find_invertible(sp)
-        clo = closure_space(jordan_closure(sp, u), sp.n)
+        clo = closure_space(jordan_closure(sp), sp.n)
         assert clo.m == 10
         assert clo == full_space(4)
 
     def test_powers_of_three_eigenvalues(self):
         sp = make_space(3, [Mat.identity(3), diag(1, 2, 3)])
-        clo = closure_space(jordan_closure(sp, Mat.identity(3)), sp.n)
+        clo = closure_space(jordan_closure(sp), sp.n)
         assert clo.m == 3
         assert contains(clo, diag(1, 4, 9)) is not None
 
     def test_unit_independence_on_catalog_like_spaces(self):
-        # closure dimension must agree across several choices of unit
+        # the closure's dimension for the space's own unit is the round
+        # oracle's at several other units
         from jordanet.spaces import integer_sweep
 
         for sp in (net_rank8(), spin_net(), intro_L2(flip=True)):
-            dims = set()
+            dim = jordan_closure(sp).rank
             units = 0
             for tup in integer_sweep(sp.m):
                 u = sp.element(tup)
-                if det(u) == 0:
+                if det(u) == 0 or u == resolve_unit(sp).u:
                     continue
                 units += 1
-                dims.add(closure_space(jordan_closure(sp, u), sp.n).m)
+                assert len(closure_by_rounds(sp, u)) == dim
                 if units >= 3:
                     break
-            assert len(dims) == 1
 
 
     def test_only_the_rank_is_formed(self):
@@ -307,8 +308,7 @@ class TestClosure:
         grew = 0
         for sp in (net_rank8(), spin_net(), intro_L1(), intro_L2(flip=True),
                    make_space(3, [Mat.identity(3), diag(1, 2, 3)])):
-            u, _ = find_invertible(sp)
-            ech = jordan_closure(sp, u)
+            ech = jordan_closure(sp)
             assert isinstance(ech, Echelon) and ech.cols == sym_dim(sp.n)
             assert ech._rows is None and ech._int_rows is None
             assert ech.rank == closure_space(ech, sp.n).m >= sp.m
@@ -355,14 +355,33 @@ def closure_oracle_spaces():
     return [sp for sp in spaces if is_regular(sp)]
 
 
+def has_fractional_unit(space):
+    """Whether the space's own unit (``find_invertible``) has an entry that
+    is not an integer."""
+    return any(v.denominator > 1 for row in find_invertible(space)[0].data for v in row)
+
+
+def rational_unit_spaces(seed, spaces):
+    """Seeded congruence images of the spaces, each basis element then scaled
+    by its own rational over a prime denominator: rational bases without the
+    identity, whose own units are not integer matrices."""
+    rng = SplitMix64(seed)
+    out = []
+    for k, sp in enumerate(spaces):
+        image = sample_congruent(sp, derive_seed(seed, k))
+        out.append(make_space(sp.n, [b.scale(Fraction(rng.nonzero_int_between(-9, 9),
+                                                       (11, 13, 17, 19)[rng.int_between(0, 3)]))
+                                     for b in image.basis]))
+    assert all(has_fractional_unit(sp) for sp in out)
+    return out
+
+
 def rational_closure_cases():
-    """(space, unit) with rational bases and a unit that is not an integer
-    matrix: rescaled catalog and golden spaces, and seeded random spaces."""
+    """Rational bases whose own unit is not an integer matrix: rescaled
+    congruence images of catalog and golden spaces, and seeded random
+    spaces."""
     rng = SplitMix64(2021)
-    cases = []
-    for sp in closure_oracle_spaces()[:12]:
-        scaled = make_space(sp.n, [b.scale(Fraction(k + 1, k + 3)) for k, b in enumerate(sp.basis)])
-        cases.append((scaled, find_invertible(scaled)[0].scale(Fraction(-3, 5))))
+    cases = rational_unit_spaces(2021, closure_oracle_spaces()[:12])
     for n in (2, 3, 4):
         made = 0
         while made < 4:
@@ -371,11 +390,9 @@ def rational_closure_cases():
                 sp = make_space(n, [random_rational_symmetric(rng, n) for _ in range(m)])
             except PreconditionError:
                 continue
-            u = sp.element([Fraction(rng.int_between(-5, 5), rng.int_between(2, 7)) for _ in range(m)])
-            if inverse_or_none(u) is None or all(v.denominator == 1 for row in u.data for v in row):
-                continue
-            cases.append((sp, u))
-            made += 1
+            if is_regular(sp) and has_fractional_unit(sp):
+                cases.append(sp)
+                made += 1
     return cases
 
 
@@ -400,16 +417,15 @@ def block_congruence_image(rng, sizes):
 class TestClosureOracle:
     def test_same_echelon_rows_as_the_round_based_closure(self):
         for sp in closure_oracle_spaces():
-            u, _ = find_invertible(sp)
-            clo = closure_space(jordan_closure(sp, u), sp.n)
-            assert [vectorize(b) for b in clo.basis] == closure_by_rounds(sp, u)
+            clo = closure_space(jordan_closure(sp), sp.n)
+            assert [vectorize(b) for b in clo.basis] == closure_by_rounds(sp, resolve_unit(sp).u)
             assert make_space(clo.n, clo.basis) == clo  # built unchecked, as make_space would accept
 
     def test_rational_bases_and_a_non_integer_unit(self):
         grew = 0
-        for sp, u in rational_closure_cases():
-            clo = closure_space(jordan_closure(sp, u), sp.n)
-            assert [vectorize(b) for b in clo.basis] == closure_by_rounds(sp, u)
+        for sp in rational_closure_cases():
+            clo = closure_space(jordan_closure(sp), sp.n)
+            assert [vectorize(b) for b in clo.basis] == closure_by_rounds(sp, resolve_unit(sp).u)
             assert make_space(clo.n, clo.basis) == clo
             grew += clo.m > sp.m
         assert grew > 10
@@ -418,16 +434,15 @@ class TestClosureOracle:
         rng = SplitMix64(606)
         for sizes, dim in (((3, 3), 12), ((4, 2), 13)):
             sp = block_congruence_image(rng, sizes)
-            u, _ = find_invertible(sp)
-            clo = closure_space(jordan_closure(sp, u), sp.n)
+            clo = closure_space(jordan_closure(sp), sp.n)
             assert clo.m == dim
-            assert [vectorize(b) for b in clo.basis] == closure_by_rounds(sp, u)
+            assert [vectorize(b) for b in clo.basis] == closure_by_rounds(sp, resolve_unit(sp).u)
 
     def test_a_dense_net_in_s8_closes_to_everything(self):
         # the round oracle takes seconds here: the rank alone is checked
         rng = SplitMix64(808)
         sp = make_space(8, [random_symmetric(rng, 8) for _ in range(3)])
-        assert jordan_closure(sp, find_invertible(sp)[0]).rank == 36
+        assert jordan_closure(sp).rank == 36
 
 
 class TestStructureConstants:
@@ -437,23 +452,23 @@ class TestStructureConstants:
         x = diag(1, -1, 1, -1)
         y = Mat.from_ints([[0, 1, 0, 0], [1, 0, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]])
         sp = make_space(4, [u, x, y])
-        a = structure_constants(sp, u)
+        a = structure_constants(sp)
         assert a.multiply_coords([0, 1, 0], [0, 1, 0]) == [1, 0, 0]
         assert a.multiply_coords([0, 0, 1], [0, 0, 1]) == [1, 0, 0]
         assert a.multiply_coords([0, 1, 0], [0, 0, 1]) == [0, 0, 0]
 
     def test_span_of_identity(self):
         sp = make_space(3, [Mat.identity(3)])
-        a = structure_constants(sp, Mat.identity(3))
+        a = structure_constants(sp)
         assert tensor_of(a) == (((Fraction(1),),),)
 
     def test_not_jordan_raises(self):
         with pytest.raises(PreconditionError) as err:
-            structure_constants(intro_L2(flip=True), Mat.identity(4))
+            structure_constants(intro_L2(flip=True))
         assert err.value.code == "NOT_JORDAN"
 
     def test_tensor_symmetry(self):
-        a = structure_constants(intro_L1(), Mat.identity(4))
+        a = structure_constants(intro_L1())
         m = a.dim
         for i in range(m):
             for j in range(m):
@@ -470,39 +485,34 @@ class TestStructureConstants:
                     jordan_product(a.space.element(x), a.space.element(y), a.unit.u)
 
     def test_basis_products_match_the_fraction_product(self):
-        # rational bases and units; the tensor, and a witness's product and
-        # residue, keep the true scale
-        rng = SplitMix64(2012)
-        for sp in jordan_algebras() + [intro_L2(flip=True)]:
-            sp = make_space(sp.n, [b.scale(Fraction(rng.int_between(1, 9), rng.int_between(1, 9)))
-                                   for b in sp.basis])
-            u = find_invertible(sp)[0].scale(Fraction(rng.int_between(1, 9), rng.int_between(2, 9)))
-            uinv = inverse(u)
-            ok, witness = is_jordan(sp, u)
+        # rational bases whose units are not integral; the tensor, and a
+        # witness's product and residue, keep the true scale
+        for sp in rational_unit_spaces(2012, jordan_algebras() + [intro_L2(flip=True)]):
+            uinv = inverse(resolve_unit(sp).u)
+            ok, witness = is_jordan(sp)
             if not ok:
                 want = fraction_product(sp.basis[witness.i], sp.basis[witness.j], uinv)
                 assert witness.product == want
                 assert witness.residue == residue_mod_space(sp, want)
                 continue
-            tensor = tensor_of(structure_constants(sp, u))
+            tensor = tensor_of(structure_constants(sp))
             for i in range(sp.m):
                 for j in range(sp.m):
                     assert sp.element(tensor[i][j]) == fraction_product(sp.basis[i], sp.basis[j], uinv)
 
-    def test_computed_once_per_unit(self):
+    def test_computed_once_per_space(self):
         sp = canonical_3b1()
-        u, _ = find_invertible(sp)
-        a = structure_constants(sp, u)
-        assert is_jordan(sp, u) == (True, None)
-        assert structure_constants(sp, find_invertible(sp)[0]) is a
-        assert structure_constants(sp, u.scale(2)) is not a
+        a = structure_constants(sp)
+        assert is_jordan(sp) == (True, None)
+        assert structure_constants(sp) is a and resolve_unit(sp).products is a
+        assert structure_constants(canonical_3b1()) is not a
 
     def test_witness_matches_not_jordan_error(self):
         sp = intro_L2(flip=True)
-        ok, witness = is_jordan(sp, Mat.identity(4))
+        ok, witness = is_jordan(sp)
         assert not ok
         with pytest.raises(PreconditionError) as err:
-            structure_constants(sp, Mat.identity(4))
+            structure_constants(sp)
         assert f"({witness.i}, {witness.j})" in str(err.value)
         # the witness is the first escaping product in (i, j) order, i <= j
         for i in range(sp.m):
@@ -513,20 +523,6 @@ class TestStructureConstants:
                 assert contains(sp, p) is not None
 
 
-def scaled_cases(seed):
-    """(space, unit) for ``jordan_algebras()`` and two spaces that are not
-    closed, each basis element scaled by its own rational and the default
-    unit by another."""
-    rng = SplitMix64(seed)
-    cases = []
-    for sp in jordan_algebras() + [intro_L2(flip=True), net_rank8()]:
-        sp = make_space(sp.n, [b.scale(Fraction(rng.int_between(-9, 9) or 1, rng.int_between(1, 9)))
-                               for b in sp.basis])
-        cases.append((sp, find_invertible(sp)[0].scale(Fraction(rng.int_between(1, 9),
-                                                                  rng.int_between(2, 9)))))
-    return cases
-
-
 class TestFractionOracle:
     """The integer tensor and the invariants read off it against the Fraction
     route: each basis product a Fraction matrix located by ``contains``, and
@@ -534,22 +530,22 @@ class TestFractionOracle:
 
     def test_default_units_of_the_catalog_algebras(self):
         for sp in jordan_algebras():
-            self.compare(sp, find_invertible(sp)[0])
+            self.compare(sp)
 
     def test_rational_bases_and_units(self):
         closed = 0
-        for sp, u in scaled_cases(2013):
-            closed += self.compare(sp, u)
+        for sp in rational_unit_spaces(2013, jordan_algebras() + [intro_L2(flip=True), net_rank8()]):
+            closed += self.compare(sp)
         assert closed == len(jordan_algebras())
 
     @staticmethod
-    def compare(sp, u) -> bool:
-        want = basis_products_by_fractions(sp, u)
-        ok, witness = is_jordan(sp, u)
+    def compare(sp) -> bool:
+        want = basis_products_by_fractions(sp, resolve_unit(sp).u)
+        ok, witness = is_jordan(sp)
         if not ok:
             assert tuple(witness) == want
             return False
-        a = structure_constants(sp, u)
+        a = structure_constants(sp)
         assert tensor_of(a) == want
         assert radical(a) == radical_by_fractions(want)
         assert is_associative(a) == is_associative_by_unit_vectors(want)
@@ -710,7 +706,7 @@ class TestRadSquare:
 class TestPeirce:
     def test_full_s3_diagonal_idempotents(self):
         sp = full_space(3)
-        a = structure_constants(sp, Mat.identity(3))
+        a = structure_constants(sp)
         pieces = peirce(a, [E(3, 1, 1), E(3, 2, 2), E(3, 3, 3)])
         assert len(pieces) == 6
         assert all(len(v) == 1 for v in pieces.values())
@@ -718,7 +714,7 @@ class TestPeirce:
 
     def test_single_idempotent(self):
         sp = intro_L1()
-        a = structure_constants(sp, Mat.identity(4))
+        a = structure_constants(sp)
         pieces = peirce(a, [Mat.identity(4)])
         assert len(pieces[(0, 0)]) == a.dim
 
@@ -726,8 +722,8 @@ class TestPeirce:
         # Diag(x J2 + y E11, z 1_2) with orthogonal idempotents Diag(J2, 0), Diag(0, 1_2)
         j2 = Mat.from_ints([[0, 1, 0, 0], [1, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0]])
         sp = make_space(4, [j2, E(4, 1, 1), diag(0, 0, 1, 1)])
-        u = Mat.from_ints([[0, 1, 0, 0], [1, 0, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]])
-        a = structure_constants(sp, u)
+        a = structure_constants(sp)
+        assert a.unit.u == Mat.from_ints([[0, 1, 0, 0], [1, 0, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]])
         x1 = j2
         x2 = diag(0, 0, 1, 1)
         pieces = peirce(a, [x1, x2])
@@ -736,20 +732,26 @@ class TestPeirce:
 
     def test_bad_idempotents_rejected(self):
         sp = full_space(3)
-        a = structure_constants(sp, Mat.identity(3))
+        a = structure_constants(sp)
         with pytest.raises(PreconditionError) as err:
             peirce(a, [E(3, 1, 1), E(3, 2, 2)])  # do not sum to the unit
         assert err.value.code == "NOT_ORTHOGONAL_IDEMPOTENTS"
 
     def test_pieces_are_joint_eigenspaces(self):
-        # S^3 with the unit U = P^T P and the idempotents P^T E_ii P: in the
-        # standard basis the multiplication operators are not symmetric
+        # P^T (S^2 + S^1) P with its unit U = P^T P, not the identity, last, so
+        # that U is the first sweep point, and the idempotents P^T E_ii P: in
+        # this basis the multiplication operators are not symmetric
         p = Mat.from_ints([[1, 1, 0], [0, 1, 2], [1, 0, 1]])
-        u = p.transpose() @ p
-        xs = [p.transpose() @ E(3, i, i) @ p for i in (1, 2, 3)]
-        pieces = peirce(structure_constants(full_space(3), u), xs)
+        pt = p.transpose()
+        u = pt @ p
+        sp = make_space(3, [pt @ E(3, 1, 1) @ p, pt @ E(3, 1, 2) @ p, pt @ E(3, 2, 2) @ p, u])
+        a = structure_constants(sp)
+        assert a.unit.u == u != Mat.identity(3)
+        xs = [pt @ E(3, i, i) @ p for i in (1, 2, 3)]
+        pieces = peirce(a, xs)
+        assert {k: len(v) for k, v in pieces.items()} == {
+            (0, 0): 1, (0, 1): 1, (0, 2): 0, (1, 1): 1, (1, 2): 0, (2, 2): 1}
         for (i, j), piece in pieces.items():
-            assert len(piece) == 1
             for y in piece:
                 if i == j:
                     assert jordan_product(xs[i], y, u) == y
@@ -762,23 +764,23 @@ class TestPeirce:
         ([E(3, 1, 1), E(3, 1, 1) + E(3, 2, 2), E(3, 3, 3)], "not orthogonal"),
     ])
     def test_idempotents_are_checked_in_coordinates(self, idempotents, message):
-        a = structure_constants(full_space(3), Mat.identity(3))
+        a = structure_constants(full_space(3))
         with pytest.raises(PreconditionError, match=message):
             peirce(a, idempotents)
 
     def test_idempotent_outside_the_algebra(self):
-        a = structure_constants(intro_L1(), Mat.identity(4))
+        a = structure_constants(intro_L1())
         with pytest.raises(PreconditionError, match="outside the algebra"):
             peirce(a, [E(4, 1, 3), Mat.identity(4)])
 
 
 class TestReciprocal:
     def test_intro_space_passes(self):
-        ok, _ = check_reciprocal_identity(intro_L1(), Mat.identity(4))
+        ok, _ = check_reciprocal_identity(intro_L1())
         assert ok
 
     def test_flipped_fails_with_witness(self):
-        ok, witness = check_reciprocal_identity(intro_L2(flip=True), Mat.identity(4))
+        ok, witness = check_reciprocal_identity(intro_L2(flip=True))
         assert not ok
         assert witness is not None and det(witness) != 0
 
@@ -790,10 +792,9 @@ class TestReciprocal:
 class TestConditionCoherence:
     @staticmethod
     def conditions_agree(sp):
-        u, _ = find_invertible(sp)
-        jordan_ok, _ = is_jordan(sp, u)
-        recip_ok, _ = check_reciprocal_identity(sp, u)
-        return jordan_ok == recip_ok == (closure_space(jordan_closure(sp, u), sp.n).m == sp.m)
+        jordan_ok, _ = is_jordan(sp)
+        recip_ok, _ = check_reciprocal_identity(sp)
+        return jordan_ok == recip_ok == (closure_space(jordan_closure(sp), sp.n).m == sp.m)
 
     def test_three_conditions_agree(self):
         spaces = [intro_L1(), intro_L2(), intro_L2(flip=True), net_rank8(), spin_net()]
@@ -831,10 +832,9 @@ class TestCodimensionBound:
                                 cand[i][j] = cand[j][i] = rng.int_between(-2, 2)
                         basis.append(Mat.from_ints(cand))
                     sp = make_space(n, basis)
-                    u, _ = find_invertible(sp)
+                    clo = closure_space(jordan_closure(sp), sp.n)
                 except PreconditionError:
                     continue
-                clo = closure_space(jordan_closure(sp, u), sp.n)
                 checked += 1
                 if clo.m < total:
                     assert total - clo.m >= n - 1
