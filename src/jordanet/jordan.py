@@ -184,8 +184,7 @@ def _basis_products(space: MatSpace, unit: Unit) -> Union[JordanStructure, Jorda
     n, m = space.n, space.m
     basis, lcm = space.integer_basis()
     ech = space.echelon()
-    t, d = ech.transform
-    t_cols = list(zip(*t))
+    t_cols = None  # the transform's columns, read once a product lies in the space
     scale = 2 * unit.s * lcm * lcm
     pairs = sym_pairs(n)
     c = [[None] * m for _ in range(m)]
@@ -199,6 +198,9 @@ def _basis_products(space: MatSpace, unit: Unit) -> Union[JordanStructure, Jorda
                     i, j, unvectorize(n, [Fraction(x, scale) for x in v]),
                     unvectorize(n, [Fraction(x, k * scale) for x in rest]))
                 return unit.products
+            if t_cols is None:
+                t, d = ech.transform
+                t_cols = list(zip(*t))
             c[i][j] = c[j][i] = int_matmul([[v[p] for p in ech.pivots]], t_cols)[0]
     g = math.gcd(scale * d, *(x for row in c for vec in row for x in vec))
     unit.products = JordanStructure(space, unit, [[[x // g for x in vec] for vec in row]

@@ -3,14 +3,15 @@
 Matrices are immutable; an entry is a ``Fraction`` or an ``MPoly``.  A
 product of two Fraction matrices is one integer product (``int_matmul``) of
 A's rows and B's columns cleared of denominators, with one Fraction formed
-per entry of the result.  There is one row reduction, ``Echelon``: the
-reduced row echelon form grown fraction-free one integer row at a time, each
-row updated by an exact division by its own pivot entry (Sylvester's
-identity), and made primitive only when read.  ``rref`` adjoins a matrix's
-rows cleared of denominators, ``rref_with_transform`` the rows
-[A' | diag(d)], ``det_bareiss`` a square matrix's rows (its determinant is
-the last pivot entry, signed and over the denominators), and
-``jordan_closure`` products as it finds them.
+per entry of the result.  There is one row reduction, ``Echelon``: integer
+rows grown by forward fraction-free elimination (Bareiss), each step an exact
+division by the previous pivot entry (Sylvester's identity), no row rewritten
+once appended; the reduced rows, primitive rows and a row transform are
+formed by back-substitution only when read.  ``rref`` adjoins a matrix's rows
+cleared of denominators, ``rref_with_transform`` the rows [A' | diag(d)],
+``det_bareiss`` a square matrix's rows (its determinant is the last pivot
+entry, signed and over the denominators), and ``jordan_closure`` products as
+it finds them.
 
 Polynomial matrices run on one integer kernel (``PolyRing``): a matrix is
 converted once to entries {packed exponent: int coefficient} over one common
@@ -265,38 +266,54 @@ def int_poly_matmul(a_rows: Sequence[Sequence[IntPoly]],
 # -- reduced row echelon form over the rationals --------------------------
 
 class Echelon:
-    """A row space over Q in reduced row echelon form, grown fraction-free
-    one integer row at a time (Bareiss's elimination in Gauss-Jordan form).
+    """A row space over Q grown fraction-free one integer row at a time by
+    forward elimination (Bareiss 1968), its reduced row echelon form formed
+    by back-substitution when first read.
 
-    ``ff_rows`` are integer rows R_i sorted by pivot column (``pivots``), and
-    ``d`` is the pivot entry of the last row adjoined: the leading minor of
-    the rows adjoined so far.  Each R_i is proportional to its fraction-free
-    Gauss-Jordan row T_i = R_i d / R_i[p_i] (d times the reduced row), whose
-    entries are minors of those rows by Sylvester's identity, so integers; a
-    row no pivot has hit since it was written keeps its old pivot entry.  No
-    gcd is taken while it grows: the canonical ``int_rows`` (each R_i over its
-    content, pivot entry positive) and the Fraction ``rows`` are formed when
-    first read.  ``rref_with_transform`` also sets ``transform``: (T', D),
-    integer T' and D > 0, with T = T' / D and T @ A = the reduced rows padded
-    with zero rows.
+    ``forward`` holds the rows F_1 .. F_r in the order they joined and
+    ``order`` their pivot columns c_k, each row's first nonzero column;
+    ``pivots`` are the same columns sorted.  F_k is d_{k-1} times the
+    remainder of the k-th row that joined modulo the rows before it, where
+    d_k = F_k[c_k] is the leading minor of the first k rows on the columns
+    c_1 .. c_k (d_0 = 1), so every entry of F_k is a k x k minor of those
+    rows (Sylvester's identity), an integer.  ``d`` is d_r.  A row, once
+    appended, is never rewritten.
+
+    The reduced form is read as ``ff_rows``, the rows T_i = d times the
+    reduced row with pivot p_i, sorted by pivot and integers by Cramer's
+    rule; as ``int_rows``, each T_i over its content with a positive pivot
+    entry; and as the Fraction ``rows``.  ``rref_with_transform`` also gives
+    ``transform``: (T', D), integer T' and D > 0, with T = T' / D and T @ A =
+    the reduced rows padded with zero rows.  Each is formed on first read and
+    dropped when a row joins.
     """
 
     def __init__(self, cols: int):
         self.cols = cols
-        self.ff_rows: List[List[int]] = []
+        self.forward: List[List[int]] = []
+        self.order: List[int] = []
         self.pivots: List[int] = []
         self.d = 1
-        self.transform: Optional[Tuple[List[List[int]], int]] = None
-        self._int_rows = self._rows = None  # int_rows and rows, once read
+        self._aug: Optional[Tuple["Echelon", int]] = None  # set by rref_with_transform
+        self._ff = self._int_rows = self._rows = self._transform = None  # once read
 
     @property
     def rank(self) -> int:
-        return len(self.pivots)
+        return len(self.order)
+
+    @property
+    def ff_rows(self) -> List[List[int]]:
+        if self._ff is None:
+            if self._aug is None:
+                self._ff = _back_substitute(self)
+            else:
+                self._read_augmented()
+        return self._ff
 
     @property
     def int_rows(self) -> List[List[int]]:
         if self._int_rows is None:
-            self._int_rows = [_primitive(row, row[p] < 0) for row, p in zip(self.ff_rows, self.pivots)]
+            self._int_rows = [_primitive(row, self.d < 0) for row in self.ff_rows]
         return self._int_rows
 
     @property
@@ -304,6 +321,26 @@ class Echelon:
         if self._rows is None:
             self._rows = [[Fraction(x, row[p]) for x in row] for row, p in zip(self.int_rows, self.pivots)]
         return self._rows
+
+    @property
+    def transform(self) -> Optional[Tuple[List[List[int]], int]]:
+        if self._transform is None and self._aug is not None:
+            self._read_augmented()
+        return self._transform
+
+    def _read_augmented(self) -> None:
+        """The transform and the reduced rows, both from the reduced rows of
+        [A' | diag(d_i)]: T' is the right block of sign(e) T_i over D = |e|,
+        e that echelon's d (one scale, no lcm of pivot entries), and A's T_i
+        the left blocks of its first rows, which are e times A's reduced rows,
+        times d / e."""
+        aug, ncols = self._aug
+        rows, e = aug.ff_rows, aug.d
+        self._transform = ([[-x for x in row[ncols:]] if e < 0 else row[ncols:] for row in rows],
+                           abs(e))
+        left = [row[:ncols] for row in rows[:self.rank]]
+        self._ff = left if e == self.d else [[x * self.d // e for x in row] for row in left]
+        self._aug = None
 
     def kernel_basis(self) -> List[List[Fraction]]:
         basis = []
@@ -315,19 +352,30 @@ class Echelon:
         return basis
 
     def eliminate(self, v: Sequence[int]) -> Tuple[List[int], int]:
-        """(d v - sum v[p_i] T_i, d), over the pivots v hits: d times v's
-        remainder modulo the row space (d may be negative), with
-        v[p_i] T_i = v[p_i] d R_i // R_i[p_i] exactly (v[p_i] R_i when
-        R_i[p_i] = d)."""
+        """(d v - sum v[p_i] T_i, d): d times v's remainder modulo the row
+        space (d may be negative).  On the reduced rows once they are formed;
+        before that forward, over the rows in the order they joined, each
+        step out = (d_k out - out[c_k] F_k) / d_(k-1) exact.  A row whose
+        column holds 0 only scales out by d_k / d_(k-1); those scales
+        telescope, so such rows are skipped, the next step divides by the
+        last d_k used, and out is rescaled once at the end."""
         d = self.d
-        out = [d * x for x in v]
-        for row, p in zip(self.ff_rows, self.pivots):
-            f, r = v[p], row[p]
+        if self._ff is not None:
+            out = [d * x for x in v]
+            for row, p in zip(self._ff, self.pivots):
+                f = v[p]
+                if f:
+                    out = [x - f * y for x, y in zip(out, row)]
+            return out, d
+        out, last = list(v), 1
+        for row, c in zip(self.forward, self.order):
+            f = out[c]
             if f:
-                fd = f * d
-                out = ([x - f * y for x, y in zip(out, row)] if r == d
-                       else [x - fd * y // r for x, y in zip(out, row)])
-        return out, d
+                p = row[c]
+                out = ([p * x - f * y for x, y in zip(out, row)] if last == 1
+                       else [(p * x - f * y) // last for x, y in zip(out, row)])
+                last = p
+        return (out if last == d else [x * d // last for x in out]), d
 
     def extend(self, rows: Iterable[Sequence[int]]) -> None:
         """Adjoin each integer row in turn, until the rank reaches the column
@@ -338,24 +386,18 @@ class Echelon:
 
     def adjoin(self, v: Sequence[int]) -> Optional[List[int]]:
         """Add an integer row and return its remainder out = d v - sum ...
-        (``eliminate``), or return None when it lies in the row space.  out
-        joins with pivot c, its leading column, and d = a = out[c]; each row
-        with f = R_i[c] != 0 becomes its new T_i = (a R_i - f out) // R_i[p_i],
-        exactly, and no other row is touched."""
+        (``eliminate``), or return None when it lies in the row space.  out is
+        appended as the next forward row, with pivot c its leading column and
+        d = out[c]; no earlier row is touched."""
         out, _ = self.eliminate(v)
         c = next((j for j, x in enumerate(out) if x), None)
         if c is None:
             return None
-        a, rows = out[c], self.ff_rows
-        for k, (row, p) in enumerate(zip(rows, self.pivots)):
-            f, r = row[c], row[p]
-            if f:
-                rows[k] = [(a * x - f * y) // r for x, y in zip(row, out)]
-        k = bisect.bisect(self.pivots, c)
-        rows.insert(k, out)
-        self.pivots.insert(k, c)
-        self.d = a
-        self._int_rows = self._rows = None
+        self.forward.append(out)
+        self.order.append(c)
+        bisect.insort(self.pivots, c)
+        self.d = out[c]
+        self._aug = self._ff = self._int_rows = self._rows = self._transform = None
         return out
 
     def coordinates(self, v: Sequence[Fraction]) -> Optional[List[Fraction]]:
@@ -371,6 +413,32 @@ class Echelon:
             if vi[p]:
                 coeff = [a + vi[p] * b for a, b in zip(coeff, row)]
         return [Fraction(x, d * den) for x in coeff]
+
+
+def _back_substitute(ech: Echelon) -> List[List[int]]:
+    """The rows T_i of ``Echelon.ff_rows``, from the last row that joined
+    back to the first: T_k = (d F_k - sum_(j > k) F_k[c_j] T_j) / d_k, exact.
+    T_k is d at c_k and 0 at every other pivot, so only the free columns are
+    computed."""
+    d, pivots = ech.d, set(ech.order)
+    free = [j for j in range(ech.cols) if j not in pivots]
+    done: Dict[int, List[int]] = {}  # pivot column -> T's entries on the free columns
+    for row, c in zip(reversed(ech.forward), reversed(ech.order)):
+        acc = [d * row[j] for j in free]
+        for cj, t in done.items():
+            f = row[cj]
+            if f:
+                acc = [x - f * y for x, y in zip(acc, t)]
+        p = row[c]
+        done[c] = [x // p for x in acc]
+    out = []
+    for c in ech.pivots:
+        row = [0] * ech.cols
+        row[c] = d
+        for j, x in zip(free, done[c]):
+            row[j] = x
+        out.append(row)
+    return out
 
 
 def _primitive(v: List[int], negate: bool) -> List[int]:
@@ -393,21 +461,27 @@ def mat_rank(m: Mat) -> int:
 
 
 def rref_with_transform(matrix: Sequence[Sequence[Fraction]]) -> Echelon:
-    """Echelon of A with its row transform: one integer echelon of the rows
-    [A'_i | d_i e_i] (row i of A is A'_i / d_i), d_i times those of [A | I].
-    A's echelon is the left block with the same d (so ``eliminate`` stays
-    exact), and T' the right block of |d| R_i / R_i[p_i] = +-T_i over D = |d|:
-    one global scale, with no lcm of pivot entries."""
+    """Echelon of A with its row transform, read off one integer echelon of
+    the rows [A'_i | d_i e_i] (row i of A is A'_i / d_i), d_i times those of
+    [A | I].  A's forward rows are the left blocks of the first rows of that
+    echelon when those are the rows with a pivot in A (always so for
+    independent rows); otherwise a row that pivots in the right block came
+    first, its scale is in every later row, and A's echelon is grown again
+    from the rows A'_i.  The transform and A's reduced rows are formed
+    together when either is first read (``Echelon._read_augmented``)."""
     k = len(matrix)
     ncols = len(matrix[0]) if k else 0
     cleared = [integer_vector([frac(x) for x in row]) for row in matrix]
     aug = Echelon(ncols + k)
     aug.extend(row + [d if i == j else 0 for j in range(k)] for i, (row, d) in enumerate(cleared))
-    ech, rank, den = Echelon(ncols), bisect.bisect_left(aug.pivots, ncols), abs(aug.d)
-    ech.ff_rows = [row[:ncols] for row in aug.ff_rows[:rank]]
-    ech.pivots, ech.d = aug.pivots[:rank], aug.d
-    ech.transform = ([[x * den // row[p] for x in row[ncols:]]
-                      for row, p in zip(aug.ff_rows, aug.pivots)], den)
+    rank, ech = bisect.bisect_left(aug.pivots, ncols), Echelon(ncols)
+    if all(c < ncols for c in aug.order[:rank]):
+        ech.forward = [row[:ncols] for row in aug.forward[:rank]]
+        ech.order, ech.pivots = aug.order[:rank], aug.pivots[:rank]
+        ech.d = ech.forward[-1][ech.order[-1]] if rank else 1
+    else:
+        ech.extend(row for row, _ in cleared)
+    ech._aug = (aug, ncols)
     return ech
 
 
@@ -419,9 +493,11 @@ def inverse_or_none(m: Mat) -> Optional[Tuple[List[List[int]], int]]:
     if not m.is_square():
         raise PreconditionError("NOT_SQUARE", "inverse needs a square matrix")
     ech = rref_with_transform(m.data)
+    if ech.rank < m.rows:
+        return None
     q, s = ech.transform
     g = math.gcd(s, *(x for row in q for x in row))
-    return ([[x // g for x in row] for row in q], s // g) if ech.rank == m.rows else None
+    return [[x // g for x in row] for row in q], s // g
 
 
 def inverse(m: Mat) -> Mat:

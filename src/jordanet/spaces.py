@@ -193,10 +193,12 @@ def nonzero_sweep(m: int, max_norm: int):
 
 
 def find_invertible(space: MatSpace) -> Tuple[Mat, Tuple[int, ...]]:
-    """First invertible element in sweep order, and its coordinates; the
-    identity wins if present.  The sweep has no bound, yet ends for a regular
-    space: the generic determinant has degree n, so it cannot vanish on the
-    grid {-s..s}^m once 2s + 1 > n (Schwartz-Zippel), and shell s covers it.
+    """The space's unit and its coordinates: the identity if present, else
+    the first invertible point among the first ``_WITNESS_BUDGET`` sweep
+    points, then among ``_DENSE_POINTS`` seeded dense points, then along the
+    rest of the sweep.  The sweep has no bound, yet ends for a regular space:
+    the generic determinant has degree n, so it cannot vanish on the grid
+    {-s..s}^m once 2s + 1 > n (Schwartz-Zippel), and shell s covers it.
     """
     got = _first_invertible(space)
     if got is None:
@@ -235,15 +237,17 @@ def _laplace_products(n: int, m: int) -> int:
                for k in range(1, n + 1))
 
 
-#: seeded dense points t in {-n..n}^m tried before a space is refused: each misses
-#: a regular space with probability at most n / (2n + 1) < 1/2 (Schwartz-Zippel).
+#: seeded dense points t in {-n..n}^m tried after ``_WITNESS_BUDGET`` singular sweep
+#: points: each misses a regular space with probability at most n / (2n + 1) < 1/2
+#: (Schwartz-Zippel).
 _DENSE_POINTS = 16
 
 
 def _first_invertible(space: MatSpace) -> Optional[Tuple[Mat, Tuple[int, ...]]]:
     """The regularity decision, memoised: the identity, else the first
-    invertible sweep point, else None once the generic determinant, expanded
-    after ``_WITNESS_BUDGET`` singular points, is identically zero."""
+    invertible sweep or dense point, else None once the generic determinant,
+    expanded only after ``_WITNESS_BUDGET`` singular sweep points and
+    ``_DENSE_POINTS`` singular dense points, is identically zero."""
     if space._unit is _UNDECIDED:
         space._unit = _sweep_for_unit(space)
     return space._unit
@@ -251,10 +255,12 @@ def _first_invertible(space: MatSpace) -> Optional[Tuple[Mat, Tuple[int, ...]]]:
 
 def _sweep_for_unit(space: MatSpace) -> Optional[Tuple[Mat, Tuple[int, ...]]]:
     """The identity, else the first sweep point of full rank (``sweep_rank``),
-    whose Fraction element alone is formed.  The generic determinant is sized
-    before it is expanded; past ``MAX_GENERIC_DET_PRODUCTS`` the first of
-    ``_DENSE_POINTS`` seeded dense points of full rank is the unit, and the
-    space is refused with TOO_LARGE only when every one is singular."""
+    whose Fraction element alone is formed.  After ``_WITNESS_BUDGET``
+    singular sweep points the first of ``_DENSE_POINTS`` seeded dense points
+    of full rank is the unit.  When every one is singular the generic
+    determinant is sized, refused with TOO_LARGE past
+    ``MAX_GENERIC_DET_PRODUCTS``, and otherwise expanded: zero means a
+    singular space, and a nonzero one lets the sweep go on."""
     n, ident = space.n, Mat.identity(space.n)
     coords = contains(space, ident)
     if coords is not None:
@@ -262,13 +268,13 @@ def _sweep_for_unit(space: MatSpace) -> Optional[Tuple[Mat, Tuple[int, ...]]]:
     rank = sweep_rank(space)
     for k, tup in enumerate(integer_sweep(space.m)):
         if k == _WITNESS_BUDGET:
+            rng = SplitMix64(derive_seed(0, "dense unit"))
+            for _ in range(_DENSE_POINTS):
+                dense = tuple(rng.int_between(-n, n) for _ in range(space.m))
+                if rank(dense) == n:
+                    return space.element(dense), dense
             products = _laplace_products(n, space.m)
             if products > MAX_GENERIC_DET_PRODUCTS:
-                rng = SplitMix64(derive_seed(0, "dense unit"))
-                for _ in range(_DENSE_POINTS):
-                    dense = tuple(rng.int_between(-n, n) for _ in range(space.m))
-                    if rank(dense) == n:
-                        return space.element(dense), dense
                 raise PreconditionError(
                     "TOO_LARGE", f"{_WITNESS_BUDGET} sweep points were singular, as were "
                     f"{_DENSE_POINTS} seeded dense points, and the generic determinant would "

@@ -50,9 +50,16 @@ the tests can compare the two:
   primitive again and scales each reduction by an lcm of pivot entries, with
   ``rref_with_transform_by_primitive_rows`` (T' over D = lcm of the pivot
   entries) and ``inverse_or_none_by_primitive_rows`` (the package grows its
-  echelon fraction-free, by exact divisions by each row's own pivot entry,
-  and takes a gcd only when rows are read); ``residue`` is a vector modulo
+  echelon fraction-free, by exact divisions by earlier pivot entries, and
+  takes a gcd only when rows are read); ``residue`` is a vector modulo
   an echelon's row space over its content, the closure's old residue pass.
+
+- ``GaussJordanEchelon``: the fraction-free echelon in Gauss-Jordan form,
+  where each new pivot rewrites every earlier row with a nonzero entry in
+  its column, with ``rref_with_transform_by_gauss_jordan`` and
+  ``det_by_gauss_jordan`` (the package eliminates forward, never rewrites a
+  row, and forms the reduced rows and the transform by back-substitution
+  when they are read; both return the same remainders at the same scale d).
 
 - ``closure_space``: the closure as a ``MatSpace`` on the reduced rows of
   the echelon ``jordan_closure`` returns (the package reads its rank alone).
@@ -84,7 +91,9 @@ from jordanet.linalg import (
     mat_rank,
     rref,
 )
+from jordanet.prng import SplitMix64, derive_seed
 from jordanet.spaces import (
+    _DENSE_POINTS,
     _WITNESS_BUDGET,
     MatSpace,
     contains,
@@ -293,18 +302,32 @@ def closure_space(ech, n: int):
     return MatSpace(n, [unvectorize(n, r) for r in ech.rows])
 
 
+def dense_unit_points(space):
+    """The ``_DENSE_POINTS`` seeded points t in {-n..n}^m that the regularity
+    sweep tries after ``_WITNESS_BUDGET`` singular sweep points, in order."""
+    rng = SplitMix64(derive_seed(0, "dense unit"))
+    return [tuple(rng.int_between(-space.n, space.n) for _ in range(space.m))
+            for _ in range(_DENSE_POINTS)]
+
+
 def sweep_for_unit_by_fractions(space):
     """(unit, coordinates) as the regularity sweep chooses them, or None for
-    a singular space: the identity if present, else the first sweep point
-    whose Fraction element has full rank, with the generic determinant
-    expanded after ``_WITNESS_BUDGET`` singular points."""
+    a singular space: the identity if present, else the first point whose
+    Fraction element has full rank, the ``dense_unit_points`` tried after
+    ``_WITNESS_BUDGET`` singular sweep points and the generic determinant
+    expanded only when they are singular too."""
     ident = Mat.identity(space.n)
     coords = contains(space, ident)
     if coords is not None:
         return ident, tuple(coords)
     for k, tup in enumerate(integer_sweep(space.m)):
-        if k == _WITNESS_BUDGET and generic_det(space).is_zero():
-            return None
+        if k == _WITNESS_BUDGET:
+            for dense in dense_unit_points(space):
+                cand = element_by_scale_and_add(space, dense)
+                if mat_rank(cand) == space.n:
+                    return cand, dense
+            if generic_det(space).is_zero():
+                return None
         cand = element_by_scale_and_add(space, tup)
         if mat_rank(cand) == space.n:
             return cand, tup
@@ -906,6 +929,92 @@ class PrimitiveEchelon:
         k = bisect.bisect(self.pivots, c)
         self.int_rows.insert(k, v)
         self.pivots.insert(k, c)
+
+
+class GaussJordanEchelon:
+    """Bareiss's elimination in Gauss-Jordan form: ``ff_rows`` R_i sorted by
+    pivot, each proportional to T_i = R_i d / R_i[p_i] (d times the reduced
+    row), and ``d`` the pivot entry of the last row adjoined.  A new pivot c
+    with entry a rewrites each row with f = R_i[c] != 0 as
+    (a R_i - f out) // R_i[p_i]."""
+
+    def __init__(self, cols: int):
+        self.cols = cols
+        self.ff_rows = []
+        self.pivots = []
+        self.d = 1
+
+    @property
+    def rank(self) -> int:
+        return len(self.pivots)
+
+    @property
+    def int_rows(self):
+        out = []
+        for row, p in zip(self.ff_rows, self.pivots):
+            g = math.gcd(*row) * (-1 if row[p] < 0 else 1)
+            out.append([x // g for x in row])
+        return out
+
+    def eliminate(self, v):
+        """(d v - sum v[p_i] T_i, d), with v[p_i] T_i = v[p_i] d R_i // R_i[p_i]."""
+        d = self.d
+        out = [d * x for x in v]
+        for row, p in zip(self.ff_rows, self.pivots):
+            f, r = v[p], row[p]
+            if f:
+                out = [x - f * d * y // r for x, y in zip(out, row)]
+        return out, d
+
+    def extend(self, rows) -> None:
+        rows = iter(rows)
+        while self.rank < self.cols and (row := next(rows, None)) is not None:
+            self.adjoin(row)
+
+    def adjoin(self, v):
+        out, _ = self.eliminate(v)
+        c = next((j for j, x in enumerate(out) if x), None)
+        if c is None:
+            return None
+        a = out[c]
+        for k, (row, p) in enumerate(zip(self.ff_rows, self.pivots)):
+            f, r = row[c], row[p]
+            if f:
+                self.ff_rows[k] = [(a * x - f * y) // r for x, y in zip(row, out)]
+        k = bisect.bisect(self.pivots, c)
+        self.ff_rows.insert(k, out)
+        self.pivots.insert(k, c)
+        self.d = a
+        return out
+
+
+def rref_with_transform_by_gauss_jordan(matrix):
+    """(echelon of A, (T', D)) on the Gauss-Jordan echelon of the rows
+    [A'_i | d_i e_i]: A's echelon is its left block with the same d, and T'
+    the right block of |d| R_i / R_i[p_i] over D = |d|."""
+    k = len(matrix)
+    ncols = len(matrix[0]) if k else 0
+    cleared = [integer_vector([frac(x) for x in row]) for row in matrix]
+    aug = GaussJordanEchelon(ncols + k)
+    aug.extend(row + [d if i == j else 0 for j in range(k)] for i, (row, d) in enumerate(cleared))
+    ech, rank, den = GaussJordanEchelon(ncols), bisect.bisect_left(aug.pivots, ncols), abs(aug.d)
+    ech.ff_rows = [row[:ncols] for row in aug.ff_rows[:rank]]
+    ech.pivots, ech.d = aug.pivots[:rank], aug.d
+    return ech, ([[x * den // row[p] for x in row[ncols:]]
+                  for row, p in zip(aug.ff_rows, aug.pivots)], den)
+
+
+def det_by_gauss_jordan(m: Mat) -> Fraction:
+    """det(M) = sign d / (d_1 ... d_n) off the Gauss-Jordan echelon of the
+    rows R'_i / d_i adjoined in order, sign the parity of the pivot order."""
+    cleared = [integer_vector(row) for row in m.data]
+    ech, swaps = GaussJordanEchelon(m.rows), 0
+    for row, _ in cleared:
+        out = ech.adjoin(row)
+        if out is None:
+            return Fraction(0)
+        swaps += ech.rank - bisect.bisect(ech.pivots, next(j for j, x in enumerate(out) if x))
+    return Fraction(-ech.d if swaps % 2 else ech.d, math.prod(d for _, d in cleared))
 
 
 def rref_with_transform_by_primitive_rows(matrix):

@@ -813,6 +813,21 @@ class TestBoundedCost:
         assert (report["m"], report["regular"], report["jordan"], report["closure_dim"]) == (
             m, True, True, m)
 
+    @pytest.mark.parametrize("sizes", [(3, 3), (4, 2)])
+    def test_dense_points_come_before_an_admitted_determinant(self, sizes, tmp_path, capsys):
+        # the generic determinant is under MAX_GENERIC_DET_PRODUCTS, yet after
+        # the 32 singular sweep points a seeded dense point is the unit;
+        # expanding the determinant first and sweeping on takes 2.5 to 2.8 s
+        f = self.write_block_image(tmp_path / "block.json", sizes, 0)
+        start = time.process_time()
+        code, out, err = run_cli(["analyze", f, "--json"], capsys)
+        assert time.process_time() - start < 1
+        assert code == 0 and err == ""
+        m = sum(k * (k + 1) // 2 for k in sizes)
+        report = json.loads(out)
+        assert (report["m"], report["regular"], report["jordan"], report["closure_dim"]) == (
+            m, True, True, m)
+
     def test_the_largest_measured_singular_space_admitted_is_answered(self, tmp_path, capsys):
         # 1 923 072 products, under MAX_GENERIC_DET_PRODUCTS
         f = self.write_singular_space(tmp_path / "singular.json", 12, 3, 3)

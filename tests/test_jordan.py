@@ -304,13 +304,13 @@ class TestClosure:
 
 
     def test_only_the_rank_is_formed(self):
-        # the closure's callers read its rank: no Fraction or canonical rows
+        # the closure's callers read its rank: no reduced, canonical or Fraction rows
         grew = 0
         for sp in (net_rank8(), spin_net(), intro_L1(), intro_L2(flip=True),
                    make_space(3, [Mat.identity(3), diag(1, 2, 3)])):
             ech = jordan_closure(sp)
             assert isinstance(ech, Echelon) and ech.cols == sym_dim(sp.n)
-            assert ech._rows is None and ech._int_rows is None
+            assert ech._ff is None and ech._rows is None and ech._int_rows is None
             assert ech.rank == closure_space(ech, sp.n).m >= sp.m
             grew += ech.rank > sp.m
         assert grew == 3

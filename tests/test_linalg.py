@@ -23,17 +23,20 @@ from jordanet.linalg import (
     rref_with_transform,
 )
 from jordanet.prng import SplitMix64
-from jordanet.spaces import generic_element, generic_names, make_space
-from jordanet.varieties import rank_one_system
+from jordanet.spaces import generic_element, generic_names, make_space, sweep_rank
+from jordanet.varieties import macaulay_emptiness, rank_one_system
 from oracles import (
+    GaussJordanEchelon,
     PrimitiveEchelon,
     UniPoly,
     det_bareiss_by_ring,
+    det_by_gauss_jordan,
     inverse_or_none_by_primitive_rows,
     macaulay_rows_by_fractions,
     mpoly_from_terms,
     reduce_vector,
     residue,
+    rref_with_transform_by_gauss_jordan,
     rref_with_transform_by_primitive_rows,
     uni_charpoly,
 )
@@ -395,6 +398,23 @@ class TestGrowingEchelon:
         assert all(v[p] == 0 for p in ech.pivots) and ech.d not in (0, 1)
         assert ech.eliminate(v) == ([ech.d * x for x in v], ech.d)
 
+    def test_rank_only_callers_form_no_reduced_rows(self, monkeypatch):
+        # a space's independence check, sweep ranks and a Macaulay certificate
+        # read the rank alone
+        def refused(*args):
+            raise AssertionError("reduced rows formed")
+
+        monkeypatch.setattr(linalg, "_back_substitute", refused)
+        monkeypatch.setattr(Echelon, "_read_augmented", refused)
+        rng = SplitMix64(23)
+        basis = [Mat.from_ints([[rng.int_between(-3, 3) for _ in range(3)] for _ in range(3)])
+                 for _ in range(3)]
+        sp = make_space(3, [b + b.transpose() for b in basis])
+        assert sp.echelon().rank == 3
+        assert sweep_rank(sp)((1, 1, 1)) <= 3
+        cert = macaulay_emptiness([P("x*y - z^2"), P("x^2 - w*y")], 6)
+        assert (cert.span_rank, cert.span_target) == (60, 84)
+
 
 def random_integer_rows(rng, nrows, ncols):
     """``random_rational_rows`` cleared of denominators (zero, repeated and
@@ -422,7 +442,7 @@ def assert_same_echelon(rows, ncols, rng):
     assert (new.int_rows, new.pivots, new.rank) == (old.int_rows, old.pivots, old.rank)
     assert new.rows == old.rows and new.kernel_basis() == old.kernel_basis()
     for row, p in zip(new.ff_rows, new.pivots):
-        assert all(x * new.d % row[p] == 0 for x in row)
+        assert [row[q] for q in new.pivots] == [new.d * (q == p) for q in new.pivots]
     coeffs = [rng.int_between(-3, 3) for _ in rows]
     probes = [[0] * ncols, [rng.int_between(-9, 9) for _ in range(ncols)],
               [sum(c * row[j] for c, row in zip(coeffs, rows)) for j in range(ncols)]]
@@ -487,25 +507,73 @@ class TestFractionFreeEchelon:
         ech = assert_same_echelon([integer_row(r) for r in rows], ncols, SplitMix64(10))
         assert (ech.rank, ncols) == (246, 286)
 
-    def test_adjoin_touches_only_the_rows_its_pivot_hits(self):
+    def test_adjoin_never_rewrites_an_earlier_row(self):
         rng = SplitMix64(1953)
-        kept = replaced = 0
+        joined = 0
         for ncols in range(2, 9):
             for _ in range(6):
                 ech = Echelon(ncols)
-                for row in random_integer_rows(rng, 10, ncols):
-                    before, pivots, d = list(ech.ff_rows), list(ech.pivots), ech.d
-                    if ech.adjoin(row) is None:
-                        assert ech.d == d and len(ech.ff_rows) == len(before)
-                        assert all(a is b for a, b in zip(ech.ff_rows, before))
-                        continue
-                    c = next(p for p in ech.pivots if p not in pivots)
-                    for old in before:
-                        same = any(r is old for r in ech.ff_rows)
-                        assert same == (old[c] == 0)
-                        kept += same
-                        replaced += not same
-        assert kept > 50 and replaced > 50
+                for k, row in enumerate(random_integer_rows(rng, 10, ncols)):
+                    if k % 4 == 3:
+                        ech.ff_rows  # the reduced rows, read midway, are kept apart
+                    before = list(ech.forward)
+                    entries = [list(r) for r in before]
+                    out = ech.adjoin(row)
+                    assert all(a is b for a, b in zip(ech.forward, before))
+                    assert [list(r) for r in before] == entries
+                    assert len(ech.forward) == len(before) + (out is not None)
+                    if out is not None:
+                        assert ech.forward[-1] is out
+                        joined += 1
+        assert joined > 150
+
+
+class TestForwardAgainstGaussJordan:
+    """The forward echelon against ``GaussJordanEchelon``, the Gauss-Jordan
+    echelon it replaced: random, rank-deficient and 10^18-scaled rows give
+    the same (out, d) from ``eliminate`` on vectors inside and outside the
+    span, before and after the reduced rows are read, the same remainders
+    from ``adjoin``, and the same d, pivots and canonical rows; and the same
+    transform and determinant."""
+
+    def test_same_remainders_scales_and_rows(self):
+        rng = SplitMix64(1968_23)
+        deficient = 0
+        for n in range(10):
+            for ncols in range(1, 9):
+                for _ in range(2):
+                    rows = random_integer_rows(rng, n, ncols)
+                    new, old = Echelon(ncols), GaussJordanEchelon(ncols)
+                    for k, row in enumerate(rows):
+                        coeffs = [rng.int_between(-3, 3) for _ in range(k)]
+                        probes = [row, [0] * ncols, [rng.int_between(-9, 9) for _ in range(ncols)],
+                                  [sum(c * r[j] for c, r in zip(coeffs, rows)) for j in range(ncols)]]
+                        if k % 3 == 2:
+                            assert new.int_rows == old.int_rows  # eliminate on the reduced rows
+                        for v in probes:
+                            assert new.eliminate(v) == old.eliminate(v)
+                        assert new.adjoin(row) == old.adjoin(row)
+                        assert (new.d, new.pivots, new.rank) == (old.d, old.pivots, old.rank)
+                    assert new.int_rows == old.int_rows
+                    deficient += new.rank < min(n, ncols)
+        assert deficient > 40
+
+    def test_same_transform_and_determinant(self):
+        rng = SplitMix64(1968_24)
+        for n in range(9):
+            for ncols in (n, n, rng.int_between(1, 8)):
+                dense = [[Fraction(rng.int_between(-9, 9), rng.int_between(1, 3))
+                          for _ in range(ncols)] for _ in range(n)]
+                big = [[x * 10 ** 18 for x in row] for row in random_rational_rows(rng, n, ncols)]
+                for m in (random_rational_rows(rng, n, ncols), dense, big):
+                    ech = rref_with_transform(m)
+                    old, transform = rref_with_transform_by_gauss_jordan(m)
+                    assert ech.transform == transform
+                    assert (ech.pivots, ech.int_rows) == (old.pivots, old.int_rows)
+                    if ech.rank == n:  # independent rows: the same leading minor
+                        assert ech.d == old.d
+                    if ncols == n:
+                        assert det_bareiss(Mat(m)) == det_by_gauss_jordan(Mat(m))
 
 
 class TestIntegerReduction:

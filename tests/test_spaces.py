@@ -33,6 +33,7 @@ from jordanet.spaces import (
     sym_dim,
 )
 from oracles import (
+    dense_unit_points,
     element_by_fractions,
     element_by_scale_and_add,
     generic_element_by_scale_and_add,
@@ -184,14 +185,19 @@ def bounded_sweep(m, max_norm):
 
 
 def bounded_sweep_unit(space):
-    """The unit as the bounded sweep chose it, its coordinates, and its sweep
-    index (-1 for the identity): the identity if present, else the first
-    invertible point of max-norm at most n + 1; None if there is none."""
+    """The unit as the bounded sweep chose it, its coordinates, and its index
+    among the points tried (-1 for the identity): the identity if present,
+    else the first invertible point among the first ``_WITNESS_BUDGET`` sweep
+    points of max-norm at most n + 1, then the seeded dense points, then the
+    rest of those sweep points; None if there is none."""
     ident = Mat.identity(space.n)
     coords = contains(space, ident)
     if coords is not None:
         return ident, tuple(coords), -1
-    for k, tup in enumerate(bounded_sweep(space.m, space.n + 1)):
+    sweep = bounded_sweep(space.m, space.n + 1)
+    points = itertools.chain(itertools.islice(sweep, spaces._WITNESS_BUDGET),
+                             dense_unit_points(space), sweep)
+    for k, tup in enumerate(points):
         cand = space.element(tup)
         if det(cand) != 0:
             return cand, tup, k
@@ -249,7 +255,7 @@ class TestFindInvertible:
             if is_regular(sp):
                 find_invertible(sp)
             found = bounded_sweep_unit(sp)
-            late = found is None or found[2] >= spaces._WITNESS_BUDGET
+            late = found is None or found[2] >= spaces._WITNESS_BUDGET + spaces._DENSE_POINTS
             budget_passed += late
             assert len(calls) == int(late)
         assert budget_passed >= 2
