@@ -25,7 +25,7 @@ from typing import List
 
 from .errors import PreconditionError
 from .exact import MPoly, monomials, poly_eval
-from .linalg import Mat, adjugate, det_laplace, inverse_or_none, mat_rank, rref
+from .linalg import Mat, adjugate, det_laplace, integer_inverse, mat_rank, rref
 from .spaces import (
     MatSpace,
     generic_element,
@@ -107,14 +107,14 @@ def sampled_reciprocal_span(space: MatSpace, trials: int) -> int:
     Independent oracle for ``chow_rank``: the adjugates of elements of the
     space sweep out the column space of the Chow matrix, and at an invertible
     X the adjugate det(X) X^-1 is a nonzero multiple of the inverse, so the
-    inverses span the same space, and so do their integer numerators Q
-    (X^-1 = Q / s).
+    inverses span the same space, and so do the integer numerators Q of the
+    inverses of X' = L X (X'^-1 = Q / s, ``linalg.integer_inverse``).
     """
     if not is_regular(space):
         raise PreconditionError("NOT_REGULAR", "need a regular space")
     rows = []
     for tup in integer_sweep(space.m):
-        inv = inverse_or_none(space.element(tup))
+        inv = integer_inverse(space.integer_element(tup))
         if inv is None:
             continue
         rows.append([inv[0][i][j] for i, j in sym_pairs(space.n)])

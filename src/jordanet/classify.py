@@ -44,7 +44,7 @@ NET_LABELS = ("1a", "1b", "2a1", "2a2", "2b", "3a", "3b1", "3b2")
 
 def generic_multiplicity_partition(space: MatSpace) -> Tuple[int, ...]:
     """Multiplicities of the generic eigenvalues relative to the unit U, the
-    space's first invertible element (``find_invertible``): a squarefree
+    space's first invertible element (``unit_point``): a squarefree
     factor of det(lam * U - X) of lam-degree d and multiplicity k gives d
     parts equal to k.
 

@@ -51,10 +51,10 @@ from .linalg import det as linalg_det
 from .spaces import (
     MatSpace,
     ParametricBasis,
-    find_invertible,
     grassmann_limit,
     is_regular,
     plucker,
+    unit_point,
 )
 from .varieties import CATALOGS, catalog_eval, macaulay_emptiness
 
@@ -121,7 +121,7 @@ def cmd_analyze(args) -> int:
                        "abstract_class": None, "reciprocal_ok": None, "witness": None,
                        "net_class": None})
         return _done(report, args)
-    report["unit_coordinates"] = list(find_invertible(space)[1])
+    report["unit_coordinates"] = list(unit_point(space).coords)
     ok, witness = is_jordan(space)  # the unit found above, with its coordinates
     report["jordan"] = ok
     report["witness"] = None

@@ -78,17 +78,28 @@ def monomials(k: int, degree: int) -> Iterator[Tuple[int, ...]]:
     """Exponent tuples of length k and total degree ``degree``, in descending
     lexicographic order (t1 > t2 > ...); none for a negative degree.
 
-    A monomial is a multiset of ``degree`` variable indices; the sorted index
-    tuples come in lexicographic order, which is descending lexicographic
-    order on their exponent tuples.  No recursion: k may be in the
-    thousands."""
-    if degree < 0:
+    The successor of an exponent tuple e: take the last j < k - 1 with
+    e_j > 0, move one unit from e_j to e_(j+1) and the whole last entry there
+    too, e_(j+1) = e_(k-1) + 1.  The next such j is j + 1, unless that is
+    k - 1, when it is found by a scan to the left that the steps after it
+    repay, so each tuple costs O(k) whatever the degree.  No recursion: k
+    may be in the thousands and the degree in the billions."""
+    if degree < 0 or (k == 0 and degree):
         return
-    for indices in itertools.combinations_with_replacement(range(k), degree):
-        exps = [0] * k
-        for i in indices:
-            exps[i] += 1
+    exps = [degree] + [0] * (k - 1) if k else []
+    j = 0 if k > 1 and degree else -1  # the last index below k - 1 with a nonzero entry
+    while True:
         yield tuple(exps)
+        if j < 0:
+            return
+        rest, exps[-1] = exps[-1], 0
+        exps[j] -= 1
+        exps[j + 1] = rest + 1
+        if j + 2 < k:
+            j += 1
+        else:
+            while j >= 0 and not exps[j]:
+                j -= 1
 
 
 def _grlex_key(exps: tuple) -> tuple:

@@ -5,16 +5,23 @@ Plain space files look like::
     {"n": 4, "basis": [[[1, 0, ...], ...], ...]}
 
 where ``n`` is a JSON integer >= 1 and entries are integers or rational
-strings "p/q"; matrices are full n x n arrays and must be symmetric.
-Parametric families add ``"parametric": true`` (a JSON boolean) and allow
-entries to be integers or polynomial strings in the parameter ``t``, or in
-the variable that ``"param"`` names (a string in the polynomial grammar's
-name syntax); booleans are rejected everywhere.
+strings "p/q"; matrices are full n x n arrays and must be symmetric.  A
+plain file is read straight into the space's integer basis (B', L)
+(``spaces.make_space``): JSON integers stay ints, each string goes
+through ``exact.frac`` once (its mirror below the diagonal shares it when
+the two raw values are equal and of one JSON type) and stays a Fraction
+only when it is not an integer, and L is the one lcm of those Fractions'
+denominators.  No Fraction matrix is built.  Parametric
+families add ``"parametric": true`` (a JSON boolean) and allow entries to
+be integers or polynomial strings in the parameter ``t``, or in the
+variable that ``"param"`` names (a string in the polynomial grammar's name
+syntax); booleans are rejected everywhere.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from fractions import Fraction
 from pathlib import Path
 from typing import Union
@@ -25,13 +32,16 @@ from .linalg import Mat
 from .spaces import MatSpace, ParametricBasis, make_space
 
 
-def _entry_to_fraction(value) -> Fraction:
+def _entry_to_rational(value) -> Union[int, Fraction]:
+    """A plain file's entry: a JSON integer as it is, a string as an int when
+    it is one and as a Fraction otherwise."""
     if isinstance(value, bool):
         raise InputError("PARSE_ERROR", "boolean is not a matrix entry")
     if isinstance(value, int):
-        return Fraction(value)
+        return value
     if isinstance(value, str):
-        return frac(value)
+        x = frac(value)
+        return x.numerator if x.denominator == 1 else x
     raise InputError("PARSE_ERROR", f"bad matrix entry {value!r}")
 
 
@@ -70,15 +80,20 @@ def parse_space_data(obj: dict) -> Union[MatSpace, ParametricBasis]:
             raise InputError("PARSE_ERROR", "each basis matrix must be a full n x n array")
         if parametric:
             mats.append(Mat([[_entry_to_poly(e, param) for e in row] for row in raw]))
-        else:  # below the diagonal, an entry equal to its mirror and of its JSON type shares its Fraction
+        else:  # below the diagonal, an entry equal to its mirror and of its JSON type shares it
             rows = []
             for i, line in enumerate(raw):
                 rows.append([rows[j][i] if j < i and e == raw[j][i] and type(e) is type(raw[j][i])
-                             else _entry_to_fraction(e) for j, e in enumerate(line)])
-            mats.append(Mat(rows))
+                             else _entry_to_rational(e) for j, e in enumerate(line)])
+            mats.append(rows)
     if parametric:
         return ParametricBasis(n, mats, param)
-    return make_space(n, mats)
+    lcm = math.lcm(*(x.denominator for rows in mats for row in rows for x in row
+                     if type(x) is Fraction))
+    if lcm > 1:  # else every entry is an int already
+        mats = [[[x * lcm if type(x) is int else x.numerator * (lcm // x.denominator)
+                  for x in row] for row in rows] for rows in mats]
+    return make_space(n, ints=(mats, lcm))
 
 
 def read_text_file(path: Union[str, Path]) -> str:

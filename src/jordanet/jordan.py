@@ -10,11 +10,11 @@ Jordan subalgebra; equivalently its reciprocal variety is again a linear
 space (proved both ways in ``check_reciprocal_identity``).
 
 Everything runs on one integer algebra per space, with one unit: its first
-invertible element (``spaces.find_invertible``), as closure does not depend on
+invertible element (``spaces.unit_point``), as closure does not depend on
 which invertible U is taken.  The basis is kept as B_k = B'_k / L over one
 common denominator (``MatSpace.integer_basis``), and the unit once as U^{-1} =
-Q / s in ``space._jordan``, the integers of the one elimination that decides U
-invertible (``linalg.inverse_or_none``), so that
+Q / s in ``space._jordan``, read off the one elimination of the integer
+matrix U' = c U that the sweep ranked (``linalg.integer_inverse``), so that
 B'_i Q B'_j + (B'_i Q B'_j)^T = 2sL^2 (B_i * B_j) is an integer product.
 ``jordan_closure`` grows one integer ``linalg.Echelon`` from such products and
 returns it, with the closure's dimension as its rank; the Jordan test reduces
@@ -36,9 +36,9 @@ from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 from .errors import InternalCheckError, PreconditionError
 from .exact import frac
-from .linalg import Echelon, Mat, int_matmul, integer_vector, inverse_or_none, rref
-from .spaces import (MatSpace, contains, find_invertible, integer_sweep, nonzero_sweep, sym_pairs,
-                     symmetric_rows, unvectorize)
+from .linalg import Echelon, Mat, int_matmul, integer_inverse, integer_vector, rref
+from .spaces import (MatSpace, UnitPoint, contains, integer_sweep, nonzero_sweep, sym_pairs,
+                     symmetric_rows, unit_point, unvectorize)
 
 
 def _doubled_product(xq: Sequence[Sequence[int]], y: Sequence[Sequence[int]],
@@ -59,24 +59,35 @@ class JordanWitness(NamedTuple):
 
 
 class Unit:
-    """The unit U of a space, its coordinates, U^{-1} = q / s in lowest terms
-    (q a symmetric integer matrix, s > 0, as ``linalg.inverse_or_none`` gives
-    it), and the space's basis products once computed."""
+    """The unit U of a space (``spaces.UnitPoint``), its coordinates as
+    Fractions, U^{-1} = q / s in lowest terms (q a symmetric integer matrix,
+    s > 0), and the space's basis products once computed."""
 
-    __slots__ = ("u", "coords", "q", "s", "products")
+    __slots__ = ("point", "coords", "q", "s", "products")
 
-    def __init__(self, u: Mat, coords: Tuple[Fraction, ...], q: List[List[int]], s: int):
-        self.u, self.coords, self.q, self.s = u, coords, q, s
+    def __init__(self, point: UnitPoint, q: List[List[int]], s: int):
+        self.point, self.coords, self.q, self.s = point, tuple(map(frac, point.coords)), q, s
         self.products: Union["JordanStructure", JordanWitness, None] = None
+
+    @property
+    def u(self) -> Mat:
+        """U as a Fraction matrix, formed on first read."""
+        return self.point.mat
 
 
 def resolve_unit(space: MatSpace) -> Unit:
-    """The space's unit: its first invertible element (``find_invertible``),
-    with the coordinates the sweep found and its inverse, built on first use
-    and kept in ``space._jordan``."""
+    """The space's unit: its first invertible element (``unit_point``), with
+    the coordinates the sweep found and its inverse, built on first use and
+    kept in ``space._jordan``.  U = U' / c for the integer U' the sweep
+    ranked, so U^{-1} = c Q' / s' from U'^{-1} = Q' / s'
+    (``linalg.integer_inverse``), over g = gcd(c, s'): gcd(s', Q') = 1 and
+    gcd(s' / g, c / g) = 1 keep q = (c / g) Q' over s = s' / g in lowest
+    terms."""
     if space._jordan is None:
-        u, coords = find_invertible(space)
-        space._jordan = Unit(u, tuple(map(frac, coords)), *inverse_or_none(u))
+        point = unit_point(space)
+        q, s = integer_inverse(point.rows)
+        g = math.gcd(point.scale, s)
+        space._jordan = Unit(point, [[x * (point.scale // g) for x in row] for row in q], s // g)
     return space._jordan
 
 
@@ -174,10 +185,11 @@ def _basis_products(space: MatSpace, unit: Unit) -> Union[JordanStructure, Jorda
     """The structure of the space for its unit, or the first basis product (in
     (i, j) order, i <= j) that escapes it; memoised on the unit.
 
-    The space's echelon reduces v = 2sL^2 (B_i * B_j); a nonzero remainder
-    makes the witness, the one place Fractions are formed.  Otherwise the
-    coordinates of v / 2sL^2 are v's entries at the pivots times the row
-    transform T = T' / D: c[i][j] = v_pivots T' over den = 2sL^2 D.
+    The space's echelon of B' reduces v = 2sL^2 (B_i * B_j); a nonzero
+    remainder makes the witness, the one place Fractions are formed.
+    Otherwise v's coordinates over B' are its entries at the pivots times the
+    row transform T = T' / D, and those of v / 2sL^2 over B = B' / L are L
+    times them over 2sL^2: c[i][j] = v_pivots T' over den = 2sLD.
     """
     if unit.products is not None:
         return unit.products
@@ -202,9 +214,10 @@ def _basis_products(space: MatSpace, unit: Unit) -> Union[JordanStructure, Jorda
                 t, d = ech.transform
                 t_cols = list(zip(*t))
             c[i][j] = c[j][i] = int_matmul([[v[p] for p in ech.pivots]], t_cols)[0]
-    g = math.gcd(scale * d, *(x for row in c for vec in row for x in vec))
+    den = 2 * unit.s * lcm * d
+    g = math.gcd(den, *(x for row in c for vec in row for x in vec))
     unit.products = JordanStructure(space, unit, [[[x // g for x in vec] for vec in row]
-                                                  for row in c], scale * d // g)
+                                                  for row in c], den // g)
     return unit.products
 
 
@@ -293,8 +306,10 @@ def check_reciprocal_identity(space: MatSpace) -> Tuple[bool, Optional[Mat]]:
     """Sampled test of: inverses of elements land in U^{-1} L U^{-1}.
 
     Walks the deterministic integer sweep, keeps the first eight invertible
-    elements X, and checks U Q U back in the space, X^{-1} = Q / s (an exact
-    reformulation avoiding the conjugated basis; containment ignores s).
+    elements X, and checks U Q U back in the space, X^{-1} = L Q / s for
+    X = X' / L and X'^{-1} = Q / s (``linalg.integer_inverse`` of X'; an
+    exact reformulation avoiding the conjugated basis, and containment
+    ignores L / s).
     Points with every coordinate nonzero are tried first: sparse coordinate
     patterns often sit inside well-behaved subalgebras and would mask a
     failure.  Returns (ok, witness).
@@ -310,13 +325,12 @@ def check_reciprocal_identity(space: MatSpace) -> Tuple[bool, Optional[Mat]]:
     u = resolve_unit(space).u
     found = 0
     for tup in itertools.chain(nonzero_sweep(space.m, space.n + 2), integer_sweep(space.m)):
-        x = space.element(tup)
-        inv = inverse_or_none(x)
+        inv = integer_inverse(space.integer_element(tup))
         if inv is None:
             continue
         found += 1
         if contains(space, u @ Mat.from_ints(inv[0]) @ u) is None:
-            return False, x
+            return False, space.element(tup)
         if found >= _RECIPROCAL_TRIALS:
             break
     return True, None

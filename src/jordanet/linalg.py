@@ -6,9 +6,12 @@ A's rows and B's columns cleared of denominators, with one Fraction formed
 per entry of the result.  There is one row reduction, ``Echelon``: integer
 rows grown by forward fraction-free elimination (Bareiss), each step an exact
 division by the previous pivot entry (Sylvester's identity), no row rewritten
-once appended; the reduced rows, primitive rows and a row transform are
-formed by back-substitution only when read.  ``rref`` adjoins a matrix's rows
-cleared of denominators, ``rref_with_transform`` the rows [A' | diag(d)],
+once appended; the reduced rows and primitive rows are formed by
+back-substitution only when read, and a row transform, from the echelon of
+the rows [A' | diag(d)], only when read.  ``rref`` adjoins a matrix's rows
+cleared of denominators, ``echelon_with_transform`` integer rows (a space's
+integer basis, ``rref_with_transform`` a Fraction matrix's cleared rows),
+``integer_inverse`` the rows [M' | diag(d)] of a square matrix,
 ``det_bareiss`` a square matrix's rows (its determinant is the last pivot
 entry, signed and over the denominators), and ``jordan_closure`` products as
 it finds them.
@@ -282,10 +285,10 @@ class Echelon:
     The reduced form is read as ``ff_rows``, the rows T_i = d times the
     reduced row with pivot p_i, sorted by pivot and integers by Cramer's
     rule; as ``int_rows``, each T_i over its content with a positive pivot
-    entry; and as the Fraction ``rows``.  ``rref_with_transform`` also gives
-    ``transform``: (T', D), integer T' and D > 0, with T = T' / D and T @ A =
-    the reduced rows padded with zero rows.  Each is formed on first read and
-    dropped when a row joins.
+    entry; and as the Fraction ``rows``.  ``echelon_with_transform`` also
+    gives ``transform``: (T', D), integer T' and D > 0, with T = T' / D and
+    T @ A = the reduced rows padded with zero rows, A the matrix whose rows
+    it was given.  Each is formed on first read and dropped when a row joins.
     """
 
     def __init__(self, cols: int):
@@ -294,7 +297,7 @@ class Echelon:
         self.order: List[int] = []
         self.pivots: List[int] = []
         self.d = 1
-        self._aug: Optional[Tuple["Echelon", int]] = None  # set by rref_with_transform
+        self._source: Optional[tuple] = None  # (A's rows, their scales): set by echelon_with_transform
         self._ff = self._int_rows = self._rows = self._transform = None  # once read
 
     @property
@@ -304,10 +307,7 @@ class Echelon:
     @property
     def ff_rows(self) -> List[List[int]]:
         if self._ff is None:
-            if self._aug is None:
-                self._ff = _back_substitute(self)
-            else:
-                self._read_augmented()
+            self._ff = _back_substitute(self)
         return self._ff
 
     @property
@@ -324,23 +324,22 @@ class Echelon:
 
     @property
     def transform(self) -> Optional[Tuple[List[List[int]], int]]:
-        if self._transform is None and self._aug is not None:
+        if self._transform is None and self._source is not None:
             self._read_augmented()
         return self._transform
 
     def _read_augmented(self) -> None:
-        """The transform and the reduced rows, both from the reduced rows of
-        [A' | diag(d_i)]: T' is the right block of sign(e) T_i over D = |e|,
-        e that echelon's d (one scale, no lcm of pivot entries), and A's T_i
-        the left blocks of its first rows, which are e times A's reduced rows,
-        times d / e."""
-        aug, ncols = self._aug
-        rows, e = aug.ff_rows, aug.d
-        self._transform = ([[-x for x in row[ncols:]] if e < 0 else row[ncols:] for row in rows],
-                           abs(e))
-        left = [row[:ncols] for row in rows[:self.rank]]
-        self._ff = left if e == self.d else [[x * self.d // e for x in row] for row in left]
-        self._aug = None
+        """The transform: the right block of the reduced rows of [A' | diag(d_i)]
+        (``_right_block``), grown from the rows this echelon was given.  For
+        independent rows T @ A = R reads T @ A_P = I on the pivot columns P,
+        so [A'_P | diag(d_i)] alone is grown: its pivots join in the same
+        order, so its d and its T' are those of the full [A' | diag(d_i)]."""
+        rows, scales = self._source
+        ncols = self.cols
+        if self.rank == len(rows):
+            rows, ncols = [[row[p] for p in self.pivots] for row in rows], self.rank
+        self._transform = _right_block(_augmented(rows, scales, ncols), ncols)
+        self._source = None
 
     def kernel_basis(self) -> List[List[Fraction]]:
         basis = []
@@ -397,14 +396,15 @@ class Echelon:
         self.order.append(c)
         bisect.insort(self.pivots, c)
         self.d = out[c]
-        self._aug = self._ff = self._int_rows = self._rows = self._transform = None
+        self._source = self._ff = self._int_rows = self._rows = self._transform = None
         return out
 
     def coordinates(self, v: Sequence[Fraction]) -> Optional[List[Fraction]]:
         """Coefficients c with sum(c_i * original_row_i) = v, or None when v is
-        outside the row space.  In reduced rows the coefficient of row r is
-        v's entry at pivot r; with v = v' / d, c = v'_pivots T' / (d D)."""
-        vi, d = integer_vector([frac(x) for x in v])
+        outside the row space, for int or Fraction entries.  In reduced rows
+        the coefficient of row r is v's entry at pivot r; with v = v' / d, c =
+        v'_pivots T' / (d D)."""
+        vi, d = integer_vector(v)
         if any(self.eliminate(vi)[0]):
             return None
         t, den = self.transform
@@ -460,44 +460,67 @@ def mat_rank(m: Mat) -> int:
     return rref(m.data).rank
 
 
-def rref_with_transform(matrix: Sequence[Sequence[Fraction]]) -> Echelon:
-    """Echelon of A with its row transform, read off one integer echelon of
-    the rows [A'_i | d_i e_i] (row i of A is A'_i / d_i), d_i times those of
-    [A | I].  A's forward rows are the left blocks of the first rows of that
-    echelon when those are the rows with a pivot in A (always so for
-    independent rows); otherwise a row that pivots in the right block came
-    first, its scale is in every later row, and A's echelon is grown again
-    from the rows A'_i.  The transform and A's reduced rows are formed
-    together when either is first read (``Echelon._read_augmented``)."""
-    k = len(matrix)
-    ncols = len(matrix[0]) if k else 0
-    cleared = [integer_vector([frac(x) for x in row]) for row in matrix]
+def _augmented(rows: Sequence[Sequence[int]], scales: Sequence[int], ncols: int) -> Echelon:
+    """The echelon of the rows [A'_i | d_i e_i] for A_i = A'_i / d_i, d_i times
+    those of [A | I]: its reduced rows are e [R | T], e its ``d``, with R A's
+    reduced rows padded with zero rows and T @ A = R."""
+    k = len(rows)
     aug = Echelon(ncols + k)
-    aug.extend(row + [d if i == j else 0 for j in range(k)] for i, (row, d) in enumerate(cleared))
-    rank, ech = bisect.bisect_left(aug.pivots, ncols), Echelon(ncols)
-    if all(c < ncols for c in aug.order[:rank]):
-        ech.forward = [row[:ncols] for row in aug.forward[:rank]]
-        ech.order, ech.pivots = aug.order[:rank], aug.pivots[:rank]
-        ech.d = ech.forward[-1][ech.order[-1]] if rank else 1
-    else:
-        ech.extend(row for row, _ in cleared)
-    ech._aug = (aug, ncols)
+    aug.extend(list(row) + [d if i == j else 0 for j in range(k)]
+               for i, (row, d) in enumerate(zip(rows, scales)))
+    return aug
+
+
+def _right_block(aug: Echelon, ncols: int) -> Tuple[List[List[int]], int]:
+    """(T', D) with T = T' / D off the reduced rows of ``_augmented``: T' is the
+    right block of sign(e) e [R | T] over D = |e| (one scale, no lcm of pivot
+    entries)."""
+    rows, e = aug.ff_rows, aug.d
+    return [[-x for x in row[ncols:]] if e < 0 else row[ncols:] for row in rows], abs(e)
+
+
+def echelon_with_transform(rows: Sequence[List[int]],
+                           scales: Optional[Sequence[int]] = None) -> Echelon:
+    """The echelon of integer rows A'_i, grown rank-only, whose ``transform``
+    is that of A, A_i = A'_i / d_i with d_i = ``scales[i]`` (1 by default),
+    formed on first read (``Echelon._read_augmented``)."""
+    ech = Echelon(len(rows[0]) if rows else 0)
+    ech.extend(rows)
+    ech._source = (rows, scales or [1] * len(rows))
     return ech
 
 
-def inverse_or_none(m: Mat) -> Optional[Tuple[List[List[int]], int]]:
+def rref_with_transform(matrix: Sequence[Sequence[Fraction]]) -> Echelon:
+    """Echelon of a Fraction matrix A with its row transform: the echelon of
+    its rows cleared of denominators (``echelon_with_transform``)."""
+    cleared = [integer_vector([frac(x) for x in row]) for row in matrix]
+    return echelon_with_transform([row for row, _ in cleared], [d for _, d in cleared])
+
+
+def integer_inverse(rows: Sequence[Sequence[int]],
+                    scales: Optional[Sequence[int]] = None) -> Optional[Tuple[List[List[int]], int]]:
     """(Q, s) with M^-1 = Q / s in lowest terms (integer Q, s > 0,
-    gcd(s, Q) = 1) for a square Fraction matrix, or None when it is singular:
-    the one invertibility decision, full rank of the echelon whose transform
-    (T', D) is M^-1, divided once by gcd(D, T')."""
-    if not m.is_square():
-        raise PreconditionError("NOT_SQUARE", "inverse needs a square matrix")
-    ech = rref_with_transform(m.data)
-    if ech.rank < m.rows:
+    gcd(s, Q) = 1) for the square matrix M with rows M'_i / d_i (integer
+    rows M'_i, d_i = ``scales[i]``, 1 by default), or None when it is
+    singular: the one invertibility decision, n pivots in the left block of
+    the echelon of [M' | diag(d_i)], whose transform (T', D) is M^-1
+    (``_right_block``), divided once by gcd(D, T')."""
+    n = len(rows)
+    aug = _augmented(rows, scales or [1] * n, n)
+    if bisect.bisect_left(aug.pivots, n) < n:
         return None
-    q, s = ech.transform
+    q, s = _right_block(aug, n)
     g = math.gcd(s, *(x for row in q for x in row))
     return [[x // g for x in row] for row in q], s // g
+
+
+def inverse_or_none(m: Mat) -> Optional[Tuple[List[List[int]], int]]:
+    """``integer_inverse`` of a square Fraction matrix, its rows cleared of
+    denominators."""
+    if not m.is_square():
+        raise PreconditionError("NOT_SQUARE", "inverse needs a square matrix")
+    cleared = [integer_vector(row) for row in m.data]
+    return integer_inverse([row for row, _ in cleared], [d for _, d in cleared])
 
 
 def inverse(m: Mat) -> Mat:

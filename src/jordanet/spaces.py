@@ -1,12 +1,20 @@
 """Linear subspaces of symmetric matrices as Grassmannian points.
 
 A ``MatSpace`` is an ordered basis of independent symmetric n x n rational
-matrices; ``make_space`` validates outside input.  Symmetric matrices
-vectorize to their upper triangle read row by row; for n = 4 the coordinate
-order is (11, 12, 13, 14, 22, 23, 24, 33, 34, 44).  All Pluecker coordinates,
-kernels and membership tests use that fixed order.  A space keeps its basis
-over one common denominator once (``MatSpace.integer_basis``) for every
-integer computation on it.
+matrices, kept as its integer basis (B', L): integer matrices B'_k over one
+common denominator L, B_k = B'_k / L (``MatSpace.integer_basis``).  A file
+is parsed straight into it (``io.parse_space_data``), a space given by
+Fraction matrices is cleared once, and the Fraction basis (``basis``) is
+formed only when read.  ``make_space`` validates outside input on the
+integer rows.  Symmetric matrices vectorize to their upper triangle read row
+by row; for n = 4 the coordinate order is (11, 12, 13, 14, 22, 23, 24, 33,
+34, 44).  All Pluecker coordinates, kernels and membership tests use that
+fixed order.  The space's echelon is grown rank-only on the
+vectorized B'; its row transform is formed only when a membership test of a
+member or the Jordan test of a closed space reads it.  The unit
+(``unit_point``) is found on integer matrices too: the identity test reduces
+L I, and a sweep point's U' = sum_k t_k B'_k is ranked and kept, so that
+``jordan.resolve_unit`` inverts U' itself.
 
 ``generic_element`` forms sum_k t_k B_k from any sequence of rational
 matrices: the generic determinant, the Chow matrix, the rank-one minors and
@@ -31,11 +39,11 @@ from .linalg import (
     Echelon,
     Mat,
     det,
+    echelon_with_transform,
     integer_vector,
     inverse_or_none,
     maximal_minors,
     rref,
-    rref_with_transform,
 )
 from .prng import SplitMix64, derive_seed
 
@@ -70,17 +78,32 @@ _UNDECIDED = object()
 
 class MatSpace:
     """An m-dimensional subspace of the symmetric n x n matrices, recorded
-    unchecked (``make_space`` checks); its echelon is formed on first use."""
+    unchecked (``make_space`` checks) as its integer basis (B', L): Fraction
+    matrices ``basis`` are cleared once, or (B', L) is given as ``ints``.
+    The Fraction basis and the echelon are formed on first use."""
 
-    __slots__ = ("n", "m", "basis", "_ints", "_echelon", "_unit", "_jordan", "_chow")
+    __slots__ = ("n", "m", "_ints", "_basis", "_echelon", "_unit", "_jordan", "_chow")
 
-    def __init__(self, n: int, basis: Sequence[Mat]):
-        self.n, self.basis = n, tuple(basis)
-        self.m = len(self.basis)
-        self._ints = self._echelon = None
-        self._unit = _UNDECIDED  # first invertible element, or None if singular
+    def __init__(self, n: int, basis: Optional[Sequence[Mat]] = None,
+                 ints: Optional[Tuple[List[List[List[int]]], int]] = None):
+        if ints is None:
+            basis = tuple(basis)
+            lcm = math.lcm(*(x.denominator for b in basis for row in b.data for x in row))
+            ints = ([[[x.numerator * (lcm // x.denominator) for x in row] for row in b.data]
+                     for b in basis], lcm)
+        self.n, self.m, self._ints, self._basis = n, len(ints[0]), ints, basis
+        self._echelon = None
+        self._unit = _UNDECIDED  # UnitPoint of the first invertible element, or None if singular
         self._jordan = None  # jordan.Unit: the unit, its coordinates, inverse and basis products
         self._chow = None  # Chow matrix (see chow.py)
+
+    @property
+    def basis(self) -> Tuple[Mat, ...]:
+        """The Fraction matrices B_k = B'_k / L, formed on first read."""
+        if self._basis is None:
+            ints, lcm = self._ints
+            self._basis = tuple(Mat([[Fraction(x, lcm) for x in row] for row in b]) for b in ints)
+        return self._basis
 
     # -- coordinates ----------------------------------------------------
 
@@ -89,28 +112,30 @@ class MatSpace:
 
     def integer_basis(self) -> Tuple[List[List[List[int]]], int]:
         """(B', L) with B_k = B'_k / L over one common denominator L: integer
-        matrices for the sweep, the Jordan products and the rank-one minors,
-        formed on first use."""
-        if self._ints is None:
-            lcm = math.lcm(*(x.denominator for b in self.basis for row in b.data for x in row))
-            self._ints = ([[[x.numerator * (lcm // x.denominator) for x in row] for row in b.data]
-                           for b in self.basis], lcm)
+        matrices for the sweep, the Jordan products and the rank-one minors."""
         return self._ints
 
     def echelon(self) -> Echelon:
+        """The echelon of the vectorized B'_k, its transform that of the rows
+        B'_k (coordinates over B' are those over B of 1/L times the vector)."""
         if self._echelon is None:
-            self._echelon = rref_with_transform(self.coordinate_rows())
+            pairs = sym_pairs(self.n)
+            self._echelon = echelon_with_transform([[b[i][j] for i, j in pairs]
+                                                    for b in self._ints[0]])
         return self._echelon
+
+    def integer_element(self, coords: Sequence[int]) -> List[List[int]]:
+        """The rows of sum_k c_k B'_k for integer coordinates."""
+        terms = [(c, b) for c, b in zip(coords, self._ints[0]) if c]
+        return symmetric_rows(self.n, [sum(c * b[i][j] for c, b in terms)
+                                       for i, j in sym_pairs(self.n)])
 
     def element(self, coords: Sequence) -> Mat:
         """sum_k c_k B_k for int or Fraction coordinates: with c = c' / d and
         B_k = B'_k / L, each upper entry is one Fraction(sum_k c'_k B'_k[i][j],
         d L), shared with its mirror."""
         ci, d = integer_vector(coords)
-        basis, lcm = self.integer_basis()
-        terms = [(c, b) for c, b in zip(ci, basis) if c]
-        return unvectorize(self.n, [Fraction(sum(c * b[i][j] for c, b in terms), d * lcm)
-                                    for i, j in sym_pairs(self.n)])
+        return _over(self.integer_element(ci), d * self._ints[1])
 
     def __eq__(self, other) -> bool:
         """Equality as subspaces (same row space), not as ordered bases."""
@@ -126,16 +151,23 @@ class MatSpace:
         return f"MatSpace(n={self.n}, m={self.m})"
 
 
-def make_space(n: int, basis: Sequence[Mat]) -> MatSpace:
-    """The space of a basis from outside the package, checked to be nonempty,
-    n x n, symmetric and independent, in that order."""
-    space = MatSpace(n, basis)
+def _over(rows: List[List[int]], den: int) -> Mat:
+    """The symmetric Fraction matrix rows / den, one Fraction per upper entry."""
+    return unvectorize(len(rows), [Fraction(rows[i][j], den) for i, j in sym_pairs(len(rows))])
+
+
+def make_space(n: int, basis: Optional[Sequence[Mat]] = None,
+               ints: Optional[Tuple[List[List[List[int]]], int]] = None) -> MatSpace:
+    """The space (``MatSpace``) of a basis from outside the package, checked
+    on its integer basis to be nonempty, n x n, symmetric and independent,
+    in that order."""
+    space = MatSpace(n, basis, ints)
     if space.m == 0:
         raise PreconditionError("DEPENDENT_BASIS", "empty basis")
-    for b in space.basis:
-        if b.rows != n or b.cols != n:
+    for b in space.integer_basis()[0]:
+        if len(b) != n or any(len(row) != n for row in b):
             raise PreconditionError("NOT_SYMMETRIC", "basis size mismatch")
-        if not b.is_symmetric():
+        if [list(col) for col in zip(*b)] != b:
             raise PreconditionError("NOT_SYMMETRIC", "basis matrix is not symmetric")
     if space.echelon().rank != space.m:
         raise PreconditionError("DEPENDENT_BASIS", "basis matrices are dependent")
@@ -192,18 +224,43 @@ def nonzero_sweep(m: int, max_norm: int):
                 yield tup
 
 
-def find_invertible(space: MatSpace) -> Tuple[Mat, Tuple[int, ...]]:
-    """The space's unit and its coordinates: the identity if present, else
-    the first invertible point among the first ``_WITNESS_BUDGET`` sweep
-    points, then among ``_DENSE_POINTS`` seeded dense points, then along the
-    rest of the sweep.  The sweep has no bound, yet ends for a regular space:
-    the generic determinant has degree n, so it cannot vanish on the grid
-    {-s..s}^m once 2s + 1 > n (Schwartz-Zippel), and shell s covers it.
+class UnitPoint:
+    """The space's unit U = U' / scale: its coordinates (Fractions from the
+    identity test, the ints of a sweep point otherwise), the rows of the
+    integer matrix U' and the scale; the Fraction matrix ``mat`` is formed
+    on first read."""
+
+    __slots__ = ("coords", "rows", "scale", "_mat")
+
+    def __init__(self, coords: tuple, rows: List[List[int]], scale: int):
+        self.coords, self.rows, self.scale, self._mat = coords, rows, scale, None
+
+    @property
+    def mat(self) -> Mat:
+        if self._mat is None:
+            self._mat = _over(self.rows, self.scale)
+        return self._mat
+
+
+def unit_point(space: MatSpace) -> UnitPoint:
+    """The space's unit: the identity if present, else the first invertible
+    point among the first ``_WITNESS_BUDGET`` sweep points, then among
+    ``_DENSE_POINTS`` seeded dense points, then along the rest of the sweep.
+    The sweep has no bound, yet ends for a regular space: the generic
+    determinant has degree n, so it cannot vanish on the grid {-s..s}^m
+    once 2s + 1 > n (Schwartz-Zippel), and shell s covers it.
     """
     got = _first_invertible(space)
     if got is None:
         raise PreconditionError("NOT_REGULAR", "space has identically zero determinant")
     return got
+
+
+def find_invertible(space: MatSpace) -> Tuple[Mat, tuple]:
+    """The space's unit (``unit_point``) as a Fraction matrix, and its
+    coordinates."""
+    got = unit_point(space)
+    return got.mat, got.coords
 
 
 # Singular sweep points tried before the generic determinant is expanded: the
@@ -243,7 +300,7 @@ def _laplace_products(n: int, m: int) -> int:
 _DENSE_POINTS = 16
 
 
-def _first_invertible(space: MatSpace) -> Optional[Tuple[Mat, Tuple[int, ...]]]:
+def _first_invertible(space: MatSpace) -> Optional[UnitPoint]:
     """The regularity decision, memoised: the identity, else the first
     invertible sweep or dense point, else None once the generic determinant,
     expanded only after ``_WITNESS_BUDGET`` singular sweep points and
@@ -253,26 +310,31 @@ def _first_invertible(space: MatSpace) -> Optional[Tuple[Mat, Tuple[int, ...]]]:
     return space._unit
 
 
-def _sweep_for_unit(space: MatSpace) -> Optional[Tuple[Mat, Tuple[int, ...]]]:
-    """The identity, else the first sweep point of full rank (``sweep_rank``),
-    whose Fraction element alone is formed.  After ``_WITNESS_BUDGET``
-    singular sweep points the first of ``_DENSE_POINTS`` seeded dense points
-    of full rank is the unit.  When every one is singular the generic
-    determinant is sized, refused with TOO_LARGE past
+def _sweep_for_unit(space: MatSpace) -> Optional[UnitPoint]:
+    """The identity, found by reducing L I on the echelon of B' (its
+    coordinates over B' are those of I over B), else the first sweep point
+    t whose U' = sum_k t_k B'_k has full rank, kept with scale L.  After
+    ``_WITNESS_BUDGET`` singular sweep points the first of ``_DENSE_POINTS``
+    seeded dense points of full rank is the unit.  When every one is
+    singular the generic determinant is sized, refused with TOO_LARGE past
     ``MAX_GENERIC_DET_PRODUCTS``, and otherwise expanded: zero means a
     singular space, and a nonzero one lets the sweep go on."""
-    n, ident = space.n, Mat.identity(space.n)
-    coords = contains(space, ident)
+    n, lcm = space.n, space.integer_basis()[1]
+    coords = space.echelon().coordinates([lcm if i == j else 0 for i, j in sym_pairs(n)])
     if coords is not None:
-        return ident, tuple(coords)
-    rank = sweep_rank(space)
+        return UnitPoint(tuple(coords), [[int(i == j) for j in range(n)] for i in range(n)], 1)
+
+    def unit(tup: Tuple[int, ...]) -> Optional[UnitPoint]:
+        rows = space.integer_element(tup)
+        return UnitPoint(tup, rows, lcm) if _rank(rows) == n else None
+
     for k, tup in enumerate(integer_sweep(space.m)):
         if k == _WITNESS_BUDGET:
             rng = SplitMix64(derive_seed(0, "dense unit"))
             for _ in range(_DENSE_POINTS):
-                dense = tuple(rng.int_between(-n, n) for _ in range(space.m))
-                if rank(dense) == n:
-                    return space.element(dense), dense
+                got = unit(tuple(rng.int_between(-n, n) for _ in range(space.m)))
+                if got is not None:
+                    return got
             products = _laplace_products(n, space.m)
             if products > MAX_GENERIC_DET_PRODUCTS:
                 raise PreconditionError(
@@ -281,23 +343,21 @@ def _sweep_for_unit(space: MatSpace) -> Optional[Tuple[Mat, Tuple[int, ...]]]:
                     f"take {products} term products, past {MAX_GENERIC_DET_PRODUCTS}")
             if generic_det(space).is_zero():
                 return None
-        if rank(tup) == n:
-            return space.element(tup), tup
+        got = unit(tup)
+        if got is not None:
+            return got
 
 
 def sweep_rank(space: MatSpace) -> Callable[[Sequence[int]], int]:
     """Rank of sum_k t_k B_k at integer t: that of the integer sum_k t_k B'_k
-    (``MatSpace.integer_basis``), on an ``Echelon``."""
-    n = space.n
-    basis, _ = space.integer_basis()
+    (``MatSpace.integer_element``), on an ``Echelon``."""
+    return lambda tup: _rank(space.integer_element(tup))
 
-    def rank(tup: Sequence[int]) -> int:
-        terms = [(t, b) for t, b in zip(tup, basis) if t]
-        ech = Echelon(n)
-        ech.extend([sum(t * b[i][j] for t, b in terms) for j in range(n)] for i in range(n))
-        return ech.rank
 
-    return rank
+def _rank(rows: List[List[int]]) -> int:
+    ech = Echelon(len(rows))
+    ech.extend(rows)
+    return ech.rank
 
 
 def contains(space: MatSpace, m: Mat) -> Optional[List[Fraction]]:
@@ -306,7 +366,8 @@ def contains(space: MatSpace, m: Mat) -> Optional[List[Fraction]]:
         raise PreconditionError("NOT_SYMMETRIC", "size mismatch")
     if not m.is_symmetric():
         return None
-    return space.echelon().coordinates(vectorize(m))
+    lcm = space.integer_basis()[1]  # coordinates over B' of L m are those of m over B
+    return space.echelon().coordinates([lcm * x for x in vectorize(m)])
 
 
 def orth_complement(space: MatSpace) -> MatSpace:

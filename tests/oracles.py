@@ -64,6 +64,11 @@ the tests can compare the two:
 - ``closure_space``: the closure as a ``MatSpace`` on the reduced rows of
   the echelon ``jordan_closure`` returns (the package reads its rank alone).
 
+- ``parse_space_data_by_fractions``: a plain space file read entry by entry
+  into Fraction matrices, every JSON integer a Fraction too, handed to
+  ``make_space`` (the package parses straight into the integer basis
+  (B', L) and forms the Fraction basis only when read).
+
 ``mpoly_from_terms`` is the checked constructor the tests build polynomials
 with: any variable order, duplicate exponents merged, zeros dropped.
 ``to_recursive`` and ``from_recursive`` convert between ``MPoly`` and the
@@ -100,6 +105,7 @@ from jordanet.spaces import (
     generic_det,
     generic_names,
     integer_sweep,
+    make_space,
     sym_dim,
     sym_pairs,
     unvectorize,
@@ -300,6 +306,30 @@ def closure_space(ech, n: int):
     """The closure as a space: the reduced rows of its echelon, each
     unvectorized to a symmetric n x n matrix (independent as built)."""
     return MatSpace(n, [unvectorize(n, r) for r in ech.rows])
+
+
+def parse_space_data_by_fractions(obj: dict) -> MatSpace:
+    """A well-formed plain space file as Fraction matrices: each entry a
+    Fraction (a boolean or any other JSON type is a PARSE_ERROR), an entry
+    below the diagonal equal to its mirror and of its JSON type sharing the
+    mirror's Fraction, and the matrices checked by ``make_space``."""
+    def entry(value) -> Fraction:
+        if isinstance(value, bool):
+            raise InputError("PARSE_ERROR", "boolean is not a matrix entry")
+        if isinstance(value, int):
+            return Fraction(value)
+        if isinstance(value, str):
+            return frac(value)
+        raise InputError("PARSE_ERROR", f"bad matrix entry {value!r}")
+
+    mats = []
+    for raw in obj["basis"]:
+        rows = []
+        for i, line in enumerate(raw):
+            rows.append([rows[j][i] if j < i and e == raw[j][i] and type(e) is type(raw[j][i])
+                         else entry(e) for j, e in enumerate(line)])
+        mats.append(Mat(rows))
+    return make_space(obj["n"], mats)
 
 
 def dense_unit_points(space):

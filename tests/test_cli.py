@@ -402,25 +402,23 @@ class TestNumberEntries:
 
 class TestUnitInvertedOnce:
     def test_analyze_inverts_the_unit_once(self, monkeypatch, capsys):
-        # count eliminations of the unit's entries (inversions go through
-        # rref_with_transform) on a freshly loaded space
+        # count the inversions on a freshly loaded space: the unit's integer
+        # matrix U' (the rows the sweep ranked) is inverted once, and no
+        # Fraction matrix is inverted at all
         from jordanet import catalog, linalg, spaces
 
-        eliminated = []
-        real = linalg.rref_with_transform
-
-        def counting(matrix):
-            eliminated.append(tuple(tuple(row) for row in matrix))
-            return real(matrix)
-
-        monkeypatch.setattr(linalg, "rref_with_transform", counting)
-        monkeypatch.setattr(spaces, "rref_with_transform", counting)
+        inverted, fraction_inverses = [], []
+        invert, invert_fraction = linalg.integer_inverse, linalg.inverse_or_none
+        rebind_everywhere(monkeypatch, "integer_inverse", invert,
+                          lambda rows, scales=None: inverted.append(rows) or invert(rows, scales))
+        rebind_everywhere(monkeypatch, "inverse_or_none", invert_fraction,
+                          lambda m: fraction_inverses.append(m) or invert_fraction(m))
         monkeypatch.setattr(catalog, "_MEMO", {})
         code, _, _ = run_cli(["analyze", "catalog://s4/2b", "--json"], capsys)
         assert code == 0
-        unit = spaces.find_invertible(catalog.canonical("s4/2b"))[0]
-        assert unit != linalg.Mat.identity(4)
-        assert eliminated.count(unit.data) == 1
+        unit = spaces.unit_point(catalog.canonical("s4/2b"))
+        assert unit.mat != linalg.Mat.identity(4)
+        assert inverted.count(unit.rows) == 1 and fraction_inverses == []
 
 
 def products_per_call(monkeypatch, name, owner, helper):
@@ -477,7 +475,8 @@ class TestRadSquareOnce:
 class TestInputCheckedOnce:
     """make_space checks a space file once; the closure and the radical
     pencil that analyze builds from it are not checked again.  One analyze
-    forms two echelons with a transform: the input's and the unit's inverse."""
+    forms at most one row transform, the input's, and only a closed space or
+    a space holding the identity reads it."""
 
     @staticmethod
     def write(path, space):
@@ -485,16 +484,16 @@ class TestInputCheckedOnce:
             [[frac_str(x) for x in row] for row in b.data] for b in space.basis]}))
         return str(path)
 
-    def test_two_echelons_per_analyze(self, monkeypatch, tmp_path, capsys):
+    def test_at_most_one_transform_per_analyze(self, monkeypatch, tmp_path, capsys):
         from jordanet.catalog import canonical
-        from jordanet.linalg import rref_with_transform
+        from jordanet.linalg import Echelon
         from jordanet.spaces import sample_congruent
 
         files = {"closure": self.write(tmp_path / "flip.json", canonical("dim4/L2flip")),
                  "3b1": self.write(tmp_path / "3b1.json", sample_congruent(canonical("s4/3b1"), 7))}
         calls = []
-        rebind_everywhere(monkeypatch, "rref_with_transform", rref_with_transform,
-                          lambda rows: calls.append(1) or rref_with_transform(rows))
+        real = Echelon._read_augmented
+        monkeypatch.setattr(Echelon, "_read_augmented", lambda ech: calls.append(1) or real(ech))
         for expected, path in files.items():
             calls.clear()
             code, out, _ = run_cli(["analyze", path, "--json"], capsys)
@@ -502,23 +501,25 @@ class TestInputCheckedOnce:
             assert code == 0
             if expected == "closure":
                 assert report["jordan"] is False and report["closure_dim"] == 6
+                assert len(calls) <= 1, expected
             else:
                 assert report["net_class"] == "3b1"
-            assert len(calls) == 2, expected
+                assert len(calls) == 1, expected  # the Jordan test reads the transform
 
     def test_default_unit_keeps_its_sweep_coordinates(self, monkeypatch, tmp_path, capsys):
-        # is_jordan(space) takes the unit with the coordinates that
-        # find_invertible found: no membership test re-finds them, and the
-        # basis products are reduced on the echelon, so the sweep's test for
-        # the identity is the one membership test
+        # is_jordan(space) takes the unit with the coordinates that the sweep
+        # found: no membership test re-finds them, and the basis products are
+        # reduced on the echelon, so the sweep's test for the identity is the
+        # one membership test (one ``Echelon.coordinates``)
         from jordanet.catalog import canonical
-        from jordanet.spaces import contains, sample_congruent
+        from jordanet.linalg import Echelon
+        from jordanet.spaces import sample_congruent
 
         files = [self.write(tmp_path / "3b1.json", sample_congruent(canonical("s4/3b1"), 7)),
                  self.write(tmp_path / "flip.json", canonical("dim4/L2flip"))]
         calls = []
-        rebind_everywhere(monkeypatch, "contains", contains,
-                          lambda space, m: calls.append(1) or contains(space, m))
+        real = Echelon.coordinates
+        monkeypatch.setattr(Echelon, "coordinates", lambda ech, v: calls.append(1) or real(ech, v))
         for path in files:
             calls.clear()
             code, out, _ = run_cli(["analyze", path, "--json"], capsys)
@@ -842,6 +843,29 @@ class TestBoundedCost:
         assert code == 0 and err == ""
         report = json.loads(out)
         assert (report["kind"], report["span_rank"], report["span_target"]) == ("UNKNOWN", 1, 1200)
+
+    def test_emptiness_of_one_variable_at_degree_a_billion(self, tmp_path):
+        # the 1 x 1 Macaulay matrix of t1^2 at degree 10^9: its monomials are
+        # yielded as exponent tuples, with no index tuple as long as the
+        # degree; the child's address space is capped, so a regression fails
+        # with MemoryError instead of exhausting the machine
+        import resource
+
+        f = tmp_path / "square.txt"
+        f.write_text("t1^2\n")
+        cap = 1 << 30
+
+        def limit():
+            resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
+
+        before = resource.getrusage(resource.RUSAGE_CHILDREN)
+        proc = subprocess.run([sys.executable, "-m", "jordanet.cli", "emptiness", str(f),
+                               "--degree", "1000000000", "--json"], capture_output=True,
+                              text=True, env=child_env(), preexec_fn=limit, timeout=60)
+        after = resource.getrusage(resource.RUSAGE_CHILDREN)
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout)["kind"] == "CERTIFIED_EMPTY"
+        assert (after.ru_utime + after.ru_stime) - (before.ru_utime + before.ru_stime) < 1.0
 
     def test_memory_error_exits_3(self, monkeypatch, tmp_path, capsys):
         def exhausted(*args, **kwargs):

@@ -9,7 +9,7 @@ from jordanet import spaces
 from jordanet.catalog import canonical, catalog_ids
 from jordanet.errors import PreconditionError
 from jordanet.exact import MPoly, parse_poly
-from jordanet.exact import frac_str
+from jordanet.exact import frac, frac_str
 from jordanet.io import parse_space_data
 from jordanet.linalg import Mat, det
 from jordanet.prng import SplitMix64
@@ -37,6 +37,7 @@ from oracles import (
     element_by_fractions,
     element_by_scale_and_add,
     generic_element_by_scale_and_add,
+    parse_space_data_by_fractions,
     plucker_by_minors,
     substitution_family_by_matrices,
     sweep_for_unit_by_fractions,
@@ -310,6 +311,7 @@ class TestIntegerSweep:
         outcomes = set()
         for sp in self.spaces():
             got = spaces._sweep_for_unit(MatSpace(sp.n, sp.basis))
+            got = None if got is None else (got.mat, got.coords)
             expected = sweep_for_unit_by_fractions(MatSpace(sp.n, sp.basis))
             assert got == expected
             if got is not None:
@@ -640,7 +642,7 @@ class TestSubstitutionFamily:
 
 class TestMirroredEntries:
     """parse_space_data converts each mirrored entry once when the two raw
-    values are equal and of one JSON type, and compares them as Fractions
+    values are equal and of one JSON type, and compares them as rationals
     otherwise."""
 
     @staticmethod
@@ -652,9 +654,17 @@ class TestMirroredEntries:
         b = self.parse(upper, lower).basis[0]
         assert b[0, 1] == b[1, 0] == Fraction(upper)
 
-    def test_identical_raw_values_share_one_fraction(self):
-        b = self.parse("-7/3", "-7/3").basis[0]
-        assert b[0, 1] is b[1, 0]
+    def test_identical_raw_values_share_one_fraction(self, monkeypatch):
+        # the mirrored pair goes through frac once, and its one value fills
+        # both entries of the integer basis
+        from jordanet import io
+
+        calls = []
+        monkeypatch.setattr(io, "frac", lambda text: calls.append(text) or frac(text))
+        space = self.parse("-7/3", "-7/3")
+        assert calls == ["-7/3"]
+        assert space.integer_basis() == ([[[3, -7], [-7, 0]]], 3)
+        assert space.basis[0][0, 1] == space.basis[0][1, 0] == Fraction(-7, 3)
 
     def test_unequal_values_are_not_symmetric(self):
         with pytest.raises(PreconditionError) as err:
@@ -676,6 +686,92 @@ class TestMirroredEntries:
             with pytest.raises(InputError) as err:
                 self.parse(upper, lower)
             assert err.value.code == "PARSE_ERROR" and named in str(err.value), (upper, lower)
+
+
+def rational_space_files(seed, count):
+    """Seeded plain space files in S^2..S^4 whose entries mix JSON integers
+    and "p/q" strings: unreduced and signed strings ("+2", "-0", "4/2"), a
+    mirror that is the same value in the other JSON type, and in the last
+    file an entry of 10^3000, as a JSON integer and inside a string."""
+    rng = SplitMix64(seed)
+    out = []
+    while len(out) < count:
+        n, m = rng.int_between(2, 4), rng.int_between(1, 3)
+        basis = []
+        for _ in range(m):
+            raw = [[None] * n for _ in range(n)]
+            for i in range(n):
+                for j in range(i, n):
+                    num, den = rng.int_between(-5, 5), (1, 1, 2, 3, 6)[rng.int_between(0, 4)]
+                    kind = rng.int_between(0, 4)
+                    if kind == 0:
+                        upper = num
+                    elif kind == 1:  # "+2", "-2", "+0", "-0"
+                        upper = "+-"[rng.int_between(0, 1)] + str(abs(num))
+                    else:
+                        scale = rng.int_between(1, 3)
+                        upper = f"{num * scale}/{den * scale}"
+                    lower = upper
+                    if i != j and rng.int_between(0, 2) == 0:  # the same value, in the other type
+                        value = frac(upper)
+                        lower = (frac_str(value) if isinstance(upper, int)
+                                 else int(value) if value.denominator == 1 else upper)
+                    raw[i][j], raw[j][i] = upper, lower
+            basis.append(raw)
+        if len(out) == count - 1:
+            basis[0][0][0] = 10 ** 3000
+            basis[-1][n - 1][n - 1] = f"-{10 ** 3000}/7"
+        obj = {"n": n, "basis": basis}
+        try:
+            parse_space_data_by_fractions(obj)
+        except PreconditionError:  # dependent: draw again
+            continue
+        out.append(obj)
+    return out
+
+
+class TestIntegerParse:
+    """The parse straight into (B', L) against the Fraction parse it replaced:
+    the same Fraction basis, integer basis, reduced rows, membership
+    coordinates and analyze report, byte for byte."""
+
+    def test_same_space_as_the_fraction_parse(self):
+        rng = SplitMix64(2024)
+        files = rational_space_files(24, 16)
+        entries = {x for obj in files for b in obj["basis"] for row in b for x in row}
+        assert {"+2", "-0"} <= entries and any(isinstance(x, int) for x in entries)
+        assert any(type(b[i][j]) is not type(b[j][i]) for obj in files for b in obj["basis"]
+                   for i in range(obj["n"]) for j in range(i))  # mirrors of the other type
+        for obj in files:
+            got, want = parse_space_data(obj), parse_space_data_by_fractions(obj)
+            assert got.basis == want.basis
+            assert got.integer_basis() == want.integer_basis()
+            assert got.echelon().int_rows == want.echelon().int_rows
+            coords = [Fraction(rng.int_between(-4, 4), rng.int_between(1, 3)) for _ in range(got.m)]
+            member = want.element(coords)
+            assert contains(got, member) == contains(want, member) == coords
+            outside = Mat.identity(got.n) + member if got.m < sym_dim(got.n) else None
+            if outside is not None:
+                assert contains(got, outside) == contains(want, outside)
+
+    def test_same_analyze_report(self, monkeypatch, tmp_path, capsys):
+        from jordanet import cli
+
+        codes = []
+        for k, obj in enumerate(rational_space_files(25, 10)):
+            path = tmp_path / f"space_{k}.json"
+            path.write_text(json.dumps(obj))
+            reports = []
+            for load in (cli.load_space_file,
+                         lambda p: parse_space_data_by_fractions(json.loads(Path(p).read_text()))):
+                monkeypatch.setattr(cli, "load_space_file", load)
+                code = cli.main(["analyze", str(path), "--json"])
+                out = capsys.readouterr()
+                reports.append((code, out.out, out.err))
+            assert reports[0] == reports[1], obj
+            codes.append(reports[0][0])
+        # the last file's 10^3000 entry makes a result past the 4300-digit limit
+        assert codes == [0] * 9 + [3]
 
 
 class TestJsonRoundTrip:
