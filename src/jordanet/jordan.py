@@ -18,13 +18,15 @@ matrix U' = c U that the sweep ranked (``linalg.integer_inverse``), so that
 B'_i Q B'_j + (B'_i Q B'_j)^T = 2sL^2 (B_i * B_j) is an integer product.
 ``jordan_closure`` grows one integer ``linalg.Echelon`` from such products and
 returns it, with the closure's dimension as its rank; the Jordan test reduces
-each basis product on the space's echelon and keeps the structure tensor as
-one integer tensor c over one denominator.  The radical (the kernel of the
-trace form (x, y) -> tr(L_{x*y}), the characteristic-zero semisimplicity
-criterion), associativity and the radical's square are read off c and cached
-on the structure.  The tests compare all of it with the Fraction route, and
-check that the radical is an ideal of nilpotents and that the product
-satisfies the unit law and the Jordan identity.
+each basis product on the space's echelon, reads its coordinates off the
+space's pivot inverse (``MatSpace.pivot_inverse``, the one linear solve) and
+keeps the structure tensor as one integer tensor c over one denominator.
+The radical (the kernel of the trace form (x, y) -> tr(L_{x*y}), the
+characteristic-zero semisimplicity criterion), associativity and the
+radical's square are read off c and cached on the structure.  The tests
+compare all of it with the Fraction route, and check that the radical is an
+ideal of nilpotents and that the product satisfies the unit law and the
+Jordan identity.
 """
 
 from __future__ import annotations
@@ -187,16 +189,16 @@ def _basis_products(space: MatSpace, unit: Unit) -> Union[JordanStructure, Jorda
 
     The space's echelon of B' reduces v = 2sL^2 (B_i * B_j); a nonzero
     remainder makes the witness, the one place Fractions are formed.
-    Otherwise v's coordinates over B' are its entries at the pivots times the
-    row transform T = T' / D, and those of v / 2sL^2 over B = B' / L are L
-    times them over 2sL^2: c[i][j] = v_pivots T' over den = 2sLD.
+    Otherwise v's coordinates over B' are R v_P / D on the pivot columns P
+    (``MatSpace.pivot_inverse``), and those of v / 2sL^2 over B = B' / L are
+    L times them over 2sL^2: c[i][j] = R v_P over den = 2sLD.
     """
     if unit.products is not None:
         return unit.products
     n, m = space.n, space.m
     basis, lcm = space.integer_basis()
     ech = space.echelon()
-    t_cols = None  # the transform's columns, read once a product lies in the space
+    r = None  # the pivot inverse, read once a product lies in the space
     scale = 2 * unit.s * lcm * lcm
     pairs = sym_pairs(n)
     c = [[None] * m for _ in range(m)]
@@ -210,10 +212,9 @@ def _basis_products(space: MatSpace, unit: Unit) -> Union[JordanStructure, Jorda
                     i, j, unvectorize(n, [Fraction(x, scale) for x in v]),
                     unvectorize(n, [Fraction(x, k * scale) for x in rest]))
                 return unit.products
-            if t_cols is None:
-                t, d = ech.transform
-                t_cols = list(zip(*t))
-            c[i][j] = c[j][i] = int_matmul([[v[p] for p in ech.pivots]], t_cols)[0]
+            if r is None:
+                r, d = space.pivot_inverse()
+            c[i][j] = c[j][i] = int_matmul([[v[p] for p in ech.pivots]], r)[0]
     den = 2 * unit.s * lcm * d
     g = math.gcd(den, *(x for row in c for vec in row for x in vec))
     unit.products = JordanStructure(space, unit, [[[x // g for x in vec] for vec in row]

@@ -7,14 +7,13 @@ per entry of the result.  There is one row reduction, ``Echelon``: integer
 rows grown by forward fraction-free elimination (Bareiss), each step an exact
 division by the previous pivot entry (Sylvester's identity), no row rewritten
 once appended; the reduced rows and primitive rows are formed by
-back-substitution only when read, and a row transform, from the echelon of
-the rows [A' | diag(d)], only when read.  ``rref`` adjoins a matrix's rows
-cleared of denominators, ``echelon_with_transform`` integer rows (a space's
-integer basis, ``rref_with_transform`` a Fraction matrix's cleared rows),
-``integer_inverse`` the rows [M' | diag(d)] of a square matrix,
-``det_bareiss`` a square matrix's rows (its determinant is the last pivot
-entry, signed and over the denominators), and ``jordan_closure`` products as
-it finds them.
+back-substitution only when read.  ``rref`` adjoins a matrix's rows cleared
+of denominators, ``integer_inverse`` the rows [M' | diag(d)] of a square
+matrix, ``det_bareiss`` a square matrix's rows (its determinant is the last
+pivot entry, signed and over the denominators), and ``jordan_closure``
+products as it finds them.  There is one linear solve, ``integer_inverse``:
+coordinates over independent rows A are those of v_P A_P^-1 on A's pivot
+columns P (``express_in_rows``, ``spaces.MatSpace.coordinates``).
 
 Polynomial matrices run on one integer kernel (``PolyRing``): a matrix is
 converted once to entries {packed exponent: int coefficient} over one common
@@ -285,10 +284,8 @@ class Echelon:
     The reduced form is read as ``ff_rows``, the rows T_i = d times the
     reduced row with pivot p_i, sorted by pivot and integers by Cramer's
     rule; as ``int_rows``, each T_i over its content with a positive pivot
-    entry; and as the Fraction ``rows``.  ``echelon_with_transform`` also
-    gives ``transform``: (T', D), integer T' and D > 0, with T = T' / D and
-    T @ A = the reduced rows padded with zero rows, A the matrix whose rows
-    it was given.  Each is formed on first read and dropped when a row joins.
+    entry; and as the Fraction ``rows``.  Each is formed on first read and
+    dropped when a row joins.
     """
 
     def __init__(self, cols: int):
@@ -297,8 +294,7 @@ class Echelon:
         self.order: List[int] = []
         self.pivots: List[int] = []
         self.d = 1
-        self._source: Optional[tuple] = None  # (A's rows, their scales): set by echelon_with_transform
-        self._ff = self._int_rows = self._rows = self._transform = None  # once read
+        self._ff = self._int_rows = self._rows = None  # once read
 
     @property
     def rank(self) -> int:
@@ -322,25 +318,6 @@ class Echelon:
             self._rows = [[Fraction(x, row[p]) for x in row] for row, p in zip(self.int_rows, self.pivots)]
         return self._rows
 
-    @property
-    def transform(self) -> Optional[Tuple[List[List[int]], int]]:
-        if self._transform is None and self._source is not None:
-            self._read_augmented()
-        return self._transform
-
-    def _read_augmented(self) -> None:
-        """The transform: the right block of the reduced rows of [A' | diag(d_i)]
-        (``_right_block``), grown from the rows this echelon was given.  For
-        independent rows T @ A = R reads T @ A_P = I on the pivot columns P,
-        so [A'_P | diag(d_i)] alone is grown: its pivots join in the same
-        order, so its d and its T' are those of the full [A' | diag(d_i)]."""
-        rows, scales = self._source
-        ncols = self.cols
-        if self.rank == len(rows):
-            rows, ncols = [[row[p] for p in self.pivots] for row in rows], self.rank
-        self._transform = _right_block(_augmented(rows, scales, ncols), ncols)
-        self._source = None
-
     def kernel_basis(self) -> List[List[Fraction]]:
         basis = []
         for f in (j for j in range(self.cols) if j not in self.pivots):
@@ -352,20 +329,12 @@ class Echelon:
 
     def eliminate(self, v: Sequence[int]) -> Tuple[List[int], int]:
         """(d v - sum v[p_i] T_i, d): d times v's remainder modulo the row
-        space (d may be negative).  On the reduced rows once they are formed;
-        before that forward, over the rows in the order they joined, each
-        step out = (d_k out - out[c_k] F_k) / d_(k-1) exact.  A row whose
-        column holds 0 only scales out by d_k / d_(k-1); those scales
-        telescope, so such rows are skipped, the next step divides by the
-        last d_k used, and out is rescaled once at the end."""
+        space (d may be negative), forward over the rows in the order they
+        joined, each step out = (d_k out - out[c_k] F_k) / d_(k-1) exact.  A
+        row whose column holds 0 only scales out by d_k / d_(k-1); those
+        scales telescope, so such rows are skipped, the next step divides by
+        the last d_k used, and out is rescaled once at the end."""
         d = self.d
-        if self._ff is not None:
-            out = [d * x for x in v]
-            for row, p in zip(self._ff, self.pivots):
-                f = v[p]
-                if f:
-                    out = [x - f * y for x, y in zip(out, row)]
-            return out, d
         out, last = list(v), 1
         for row, c in zip(self.forward, self.order):
             f = out[c]
@@ -396,23 +365,8 @@ class Echelon:
         self.order.append(c)
         bisect.insort(self.pivots, c)
         self.d = out[c]
-        self._source = self._ff = self._int_rows = self._rows = self._transform = None
+        self._ff = self._int_rows = self._rows = None
         return out
-
-    def coordinates(self, v: Sequence[Fraction]) -> Optional[List[Fraction]]:
-        """Coefficients c with sum(c_i * original_row_i) = v, or None when v is
-        outside the row space, for int or Fraction entries.  In reduced rows
-        the coefficient of row r is v's entry at pivot r; with v = v' / d, c =
-        v'_pivots T' / (d D)."""
-        vi, d = integer_vector(v)
-        if any(self.eliminate(vi)[0]):
-            return None
-        t, den = self.transform
-        coeff = [0] * len(t)
-        for row, p in zip(t, self.pivots):
-            if vi[p]:
-                coeff = [a + vi[p] * b for a, b in zip(coeff, row)]
-        return [Fraction(x, d * den) for x in coeff]
 
 
 def _back_substitute(ech: Echelon) -> List[List[int]]:
@@ -460,58 +414,26 @@ def mat_rank(m: Mat) -> int:
     return rref(m.data).rank
 
 
-def _augmented(rows: Sequence[Sequence[int]], scales: Sequence[int], ncols: int) -> Echelon:
-    """The echelon of the rows [A'_i | d_i e_i] for A_i = A'_i / d_i, d_i times
-    those of [A | I]: its reduced rows are e [R | T], e its ``d``, with R A's
-    reduced rows padded with zero rows and T @ A = R."""
-    k = len(rows)
-    aug = Echelon(ncols + k)
-    aug.extend(list(row) + [d if i == j else 0 for j in range(k)]
-               for i, (row, d) in enumerate(zip(rows, scales)))
-    return aug
-
-
-def _right_block(aug: Echelon, ncols: int) -> Tuple[List[List[int]], int]:
-    """(T', D) with T = T' / D off the reduced rows of ``_augmented``: T' is the
-    right block of sign(e) e [R | T] over D = |e| (one scale, no lcm of pivot
-    entries)."""
-    rows, e = aug.ff_rows, aug.d
-    return [[-x for x in row[ncols:]] if e < 0 else row[ncols:] for row in rows], abs(e)
-
-
-def echelon_with_transform(rows: Sequence[List[int]],
-                           scales: Optional[Sequence[int]] = None) -> Echelon:
-    """The echelon of integer rows A'_i, grown rank-only, whose ``transform``
-    is that of A, A_i = A'_i / d_i with d_i = ``scales[i]`` (1 by default),
-    formed on first read (``Echelon._read_augmented``)."""
-    ech = Echelon(len(rows[0]) if rows else 0)
-    ech.extend(rows)
-    ech._source = (rows, scales or [1] * len(rows))
-    return ech
-
-
-def rref_with_transform(matrix: Sequence[Sequence[Fraction]]) -> Echelon:
-    """Echelon of a Fraction matrix A with its row transform: the echelon of
-    its rows cleared of denominators (``echelon_with_transform``)."""
-    cleared = [integer_vector([frac(x) for x in row]) for row in matrix]
-    return echelon_with_transform([row for row, _ in cleared], [d for _, d in cleared])
-
-
 def integer_inverse(rows: Sequence[Sequence[int]],
                     scales: Optional[Sequence[int]] = None) -> Optional[Tuple[List[List[int]], int]]:
     """(Q, s) with M^-1 = Q / s in lowest terms (integer Q, s > 0,
     gcd(s, Q) = 1) for the square matrix M with rows M'_i / d_i (integer
     rows M'_i, d_i = ``scales[i]``, 1 by default), or None when it is
-    singular: the one invertibility decision, n pivots in the left block of
-    the echelon of [M' | diag(d_i)], whose transform (T', D) is M^-1
-    (``_right_block``), divided once by gcd(D, T')."""
+    singular: the one invertibility decision and the one linear solve.  The
+    rows [M'_i | d_i e_i], d_i times those of [M | I], are adjoined to one
+    echelon; M is regular when its n pivots all lie in the left block, and
+    then the reduced rows are e [I | M^-1], e the echelon's ``d``, so the
+    right block over e is M^-1, divided once by its gcd with e."""
     n = len(rows)
-    aug = _augmented(rows, scales or [1] * n, n)
-    if bisect.bisect_left(aug.pivots, n) < n:
+    aug = Echelon(2 * n)
+    aug.extend(list(row) + [d if i == j else 0 for j in range(n)]
+               for i, (row, d) in enumerate(zip(rows, scales or [1] * n)))
+    if any(p >= n for p in aug.pivots):
         return None
-    q, s = _right_block(aug, n)
-    g = math.gcd(s, *(x for row in q for x in row))
-    return [[x // g for x in row] for row in q], s // g
+    e = aug.d
+    g = math.gcd(e, *(x for row in aug.ff_rows for x in row[n:]))
+    g = -g if e < 0 else g
+    return [[x // g for x in row[n:]] for row in aug.ff_rows], e // g
 
 
 def inverse_or_none(m: Mat) -> Optional[Tuple[List[List[int]], int]]:
@@ -538,18 +460,17 @@ def det_bareiss(m: Mat) -> Fraction:
     """Determinant of a Fraction matrix from its echelon: the rows cleared of
     denominators, row i = R'_i / d_i, adjoined in order to one ``Echelon``;
     0 at the first row that does not join.  Otherwise the last pivot entry d
-    is det(M') with its columns taken in the order their pivots were made,
-    so det(M) = sign d / (d_1 ... d_n), with sign the parity of that order
-    (each new pivot counts the earlier pivots greater than it)."""
+    is det(M') with its columns taken in the order their pivots were made
+    (``order``), so det(M) = sign d / (d_1 ... d_n), with sign the parity of
+    the inversions of that order."""
     if not m.is_square():
         raise PreconditionError("NOT_SQUARE", "determinant needs a square matrix")
     cleared = [integer_vector(row) for row in m.data]
-    ech, swaps = Echelon(m.rows), 0
+    ech = Echelon(m.rows)
     for row, _ in cleared:
-        out = ech.adjoin(row)
-        if out is None:
+        if ech.adjoin(row) is None:
             return Fraction(0)
-        swaps += ech.rank - bisect.bisect(ech.pivots, next(j for j, x in enumerate(out) if x))
+    swaps = sum(a > b for a, b in itertools.combinations(ech.order, 2))
     return Fraction(-ech.d if swaps % 2 else ech.d, math.prod(d for _, d in cleared))
 
 
@@ -666,5 +587,15 @@ def adjugate(m: Mat) -> Mat:
 
 
 def express_in_rows(rows: List[List[Fraction]], v: Sequence[Fraction]) -> Optional[List[Fraction]]:
-    """Coefficients c with sum(c_i * rows_i) = v, or None when v is outside."""
-    return rref_with_transform(rows).coordinates(v)
+    """Coefficients c with sum(c_i * rows_i) = v, or None when v is outside;
+    dependent rows raise DEPENDENT_BASIS.  On the pivot columns P, c A_P =
+    v_P, so with v = v' / d and A_P^-1 = Q / s (``inverse_or_none``), c =
+    v'_P Q / (d s)."""
+    ech = rref(rows)
+    if ech.rank < len(rows):
+        raise PreconditionError("DEPENDENT_BASIS", "rows are dependent")
+    vi, d = integer_vector(v)
+    if any(ech.eliminate(vi)[0]):
+        return None
+    q, s = inverse_or_none(Mat([[row[p] for p in ech.pivots] for row in rows]))
+    return [Fraction(sum(vi[p] * x for p, x in zip(ech.pivots, col)), d * s) for col in zip(*q)]

@@ -9,12 +9,14 @@ formed only when read.  ``make_space`` validates outside input on the
 integer rows.  Symmetric matrices vectorize to their upper triangle read row
 by row; for n = 4 the coordinate order is (11, 12, 13, 14, 22, 23, 24, 33,
 34, 44).  All Pluecker coordinates, kernels and membership tests use that
-fixed order.  The space's echelon is grown rank-only on the
-vectorized B'; its row transform is formed only when a membership test of a
-member or the Jordan test of a closed space reads it.  The unit
-(``unit_point``) is found on integer matrices too: the identity test reduces
-L I, and a sweep point's U' = sum_k t_k B'_k is ranked and kept, so that
-``jordan.resolve_unit`` inverts U' itself.
+fixed order.  The space's echelon is grown rank-only on the vectorized B'.
+Coordinates come from one linear solve: the inverse of the pivot columns of
+the vectorized B' (``MatSpace.pivot_inverse``, by ``linalg.integer_inverse``),
+formed only when a membership test of a member or the Jordan test of a
+closed space reads it.  The unit (``unit_point``) is found on integer
+matrices too: the identity test reduces L I, and a sweep point's U' =
+sum_k t_k B'_k is ranked and kept, so that ``jordan.resolve_unit`` inverts
+U' itself.
 
 ``generic_element`` forms sum_k t_k B_k from any sequence of rational
 matrices: the generic determinant, the Chow matrix, the rank-one minors and
@@ -39,7 +41,8 @@ from .linalg import (
     Echelon,
     Mat,
     det,
-    echelon_with_transform,
+    int_matmul,
+    integer_inverse,
     integer_vector,
     inverse_or_none,
     maximal_minors,
@@ -82,7 +85,7 @@ class MatSpace:
     matrices ``basis`` are cleared once, or (B', L) is given as ``ints``.
     The Fraction basis and the echelon are formed on first use."""
 
-    __slots__ = ("n", "m", "_ints", "_basis", "_echelon", "_unit", "_jordan", "_chow")
+    __slots__ = ("n", "m", "_ints", "_basis", "_echelon", "_inverse", "_unit", "_jordan", "_chow")
 
     def __init__(self, n: int, basis: Optional[Sequence[Mat]] = None,
                  ints: Optional[Tuple[List[List[List[int]]], int]] = None):
@@ -92,7 +95,7 @@ class MatSpace:
             ints = ([[[x.numerator * (lcm // x.denominator) for x in row] for row in b.data]
                      for b in basis], lcm)
         self.n, self.m, self._ints, self._basis = n, len(ints[0]), ints, basis
-        self._echelon = None
+        self._echelon = self._inverse = None
         self._unit = _UNDECIDED  # UnitPoint of the first invertible element, or None if singular
         self._jordan = None  # jordan.Unit: the unit, its coordinates, inverse and basis products
         self._chow = None  # Chow matrix (see chow.py)
@@ -116,13 +119,34 @@ class MatSpace:
         return self._ints
 
     def echelon(self) -> Echelon:
-        """The echelon of the vectorized B'_k, its transform that of the rows
-        B'_k (coordinates over B' are those over B of 1/L times the vector)."""
+        """The echelon of the vectorized B'_k, grown rank-only."""
         if self._echelon is None:
             pairs = sym_pairs(self.n)
-            self._echelon = echelon_with_transform([[b[i][j] for i, j in pairs]
-                                                    for b in self._ints[0]])
+            self._echelon = Echelon(len(pairs))
+            self._echelon.extend([b[i][j] for i, j in pairs] for b in self._ints[0])
         return self._echelon
+
+    def pivot_inverse(self) -> Tuple[List[List[int]], int]:
+        """(R, s) with R / s = C^-1 (``linalg.integer_inverse``), C the
+        echelon's pivot columns of the vectorized B'_k taken as rows, formed
+        on first read.  A vector v of the space is sum_k c_k B'_k exactly
+        when C c = v_P on the pivot columns P, so c = R v_P / s."""
+        if self._inverse is None:
+            pairs = sym_pairs(self.n)
+            self._inverse = integer_inverse([[b[i][j] for b in self._ints[0]]
+                                             for i, j in (pairs[p] for p in self.echelon().pivots)])
+        return self._inverse
+
+    def coordinates(self, v: Sequence[Fraction]) -> Optional[List[Fraction]]:
+        """The coordinates over B' of a vector in ``sym_pairs`` order (those
+        over B of v / L), or None when it is outside the space, for int or
+        Fraction entries: with v = v' / d, R v'_P / (d s) (``pivot_inverse``)."""
+        vi, d = integer_vector(v)
+        ech = self.echelon()
+        if any(ech.eliminate(vi)[0]):
+            return None
+        r, s = self.pivot_inverse()
+        return [Fraction(x, d * s) for x in int_matmul([[vi[p] for p in ech.pivots]], r)[0]]
 
     def integer_element(self, coords: Sequence[int]) -> List[List[int]]:
         """The rows of sum_k c_k B'_k for integer coordinates."""
@@ -320,7 +344,7 @@ def _sweep_for_unit(space: MatSpace) -> Optional[UnitPoint]:
     ``MAX_GENERIC_DET_PRODUCTS``, and otherwise expanded: zero means a
     singular space, and a nonzero one lets the sweep go on."""
     n, lcm = space.n, space.integer_basis()[1]
-    coords = space.echelon().coordinates([lcm if i == j else 0 for i, j in sym_pairs(n)])
+    coords = space.coordinates([lcm if i == j else 0 for i, j in sym_pairs(n)])
     if coords is not None:
         return UnitPoint(tuple(coords), [[int(i == j) for j in range(n)] for i in range(n)], 1)
 
@@ -367,7 +391,7 @@ def contains(space: MatSpace, m: Mat) -> Optional[List[Fraction]]:
     if not m.is_symmetric():
         return None
     lcm = space.integer_basis()[1]  # coordinates over B' of L m are those of m over B
-    return space.echelon().coordinates([lcm * x for x in vectorize(m)])
+    return space.coordinates([lcm * x for x in vectorize(m)])
 
 
 def orth_complement(space: MatSpace) -> MatSpace:

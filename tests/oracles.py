@@ -58,8 +58,10 @@ the tests can compare the two:
   where each new pivot rewrites every earlier row with a nonzero entry in
   its column, with ``rref_with_transform_by_gauss_jordan`` and
   ``det_by_gauss_jordan`` (the package eliminates forward, never rewrites a
-  row, and forms the reduced rows and the transform by back-substitution
-  when they are read; both return the same remainders at the same scale d).
+  row, and forms the reduced rows by back-substitution when they are read;
+  both return the same remainders at the same scale d.  The package has no
+  row transform: on independent rows it is the inverse of the pivot block,
+  ``integer_inverse``).
 
 - ``closure_space``: the closure as a ``MatSpace`` on the reduced rows of
   the echelon ``jordan_closure`` returns (the package reads its rank alone).

@@ -475,8 +475,8 @@ class TestRadSquareOnce:
 class TestInputCheckedOnce:
     """make_space checks a space file once; the closure and the radical
     pencil that analyze builds from it are not checked again.  One analyze
-    forms at most one row transform, the input's, and only a closed space or
-    a space holding the identity reads it."""
+    solves for coordinates on at most one inverse, that of the input's pivot
+    block, and only a closed space or a space holding the identity forms it."""
 
     @staticmethod
     def write(path, space):
@@ -485,15 +485,16 @@ class TestInputCheckedOnce:
         return str(path)
 
     def test_at_most_one_transform_per_analyze(self, monkeypatch, tmp_path, capsys):
+        # counts the pivot-block inverses (``MatSpace.pivot_inverse`` past its memo)
+        from jordanet import spaces
         from jordanet.catalog import canonical
-        from jordanet.linalg import Echelon
         from jordanet.spaces import sample_congruent
 
         files = {"closure": self.write(tmp_path / "flip.json", canonical("dim4/L2flip")),
                  "3b1": self.write(tmp_path / "3b1.json", sample_congruent(canonical("s4/3b1"), 7))}
         calls = []
-        real = Echelon._read_augmented
-        monkeypatch.setattr(Echelon, "_read_augmented", lambda ech: calls.append(1) or real(ech))
+        real = spaces.integer_inverse
+        monkeypatch.setattr(spaces, "integer_inverse", lambda rows: calls.append(1) or real(rows))
         for expected, path in files.items():
             calls.clear()
             code, out, _ = run_cli(["analyze", path, "--json"], capsys)
@@ -504,22 +505,21 @@ class TestInputCheckedOnce:
                 assert len(calls) <= 1, expected
             else:
                 assert report["net_class"] == "3b1"
-                assert len(calls) == 1, expected  # the Jordan test reads the transform
+                assert len(calls) == 1, expected  # the Jordan test reads the inverse
 
     def test_default_unit_keeps_its_sweep_coordinates(self, monkeypatch, tmp_path, capsys):
         # is_jordan(space) takes the unit with the coordinates that the sweep
         # found: no membership test re-finds them, and the basis products are
         # reduced on the echelon, so the sweep's test for the identity is the
-        # one membership test (one ``Echelon.coordinates``)
+        # one membership test (one ``MatSpace.coordinates``)
         from jordanet.catalog import canonical
-        from jordanet.linalg import Echelon
-        from jordanet.spaces import sample_congruent
+        from jordanet.spaces import MatSpace, sample_congruent
 
         files = [self.write(tmp_path / "3b1.json", sample_congruent(canonical("s4/3b1"), 7)),
                  self.write(tmp_path / "flip.json", canonical("dim4/L2flip"))]
         calls = []
-        real = Echelon.coordinates
-        monkeypatch.setattr(Echelon, "coordinates", lambda ech, v: calls.append(1) or real(ech, v))
+        real = MatSpace.coordinates
+        monkeypatch.setattr(MatSpace, "coordinates", lambda sp, v: calls.append(1) or real(sp, v))
         for path in files:
             calls.clear()
             code, out, _ = run_cli(["analyze", path, "--json"], capsys)

@@ -6,6 +6,7 @@ from typing import List, NamedTuple
 import pytest
 
 from jordanet import linalg
+from jordanet.errors import PreconditionError
 from jordanet.exact import MPoly, parse_poly
 from jordanet.linalg import (
     Echelon,
@@ -20,10 +21,9 @@ from jordanet.linalg import (
     inverse_or_none,
     mat_rank,
     rref,
-    rref_with_transform,
 )
 from jordanet.prng import SplitMix64
-from jordanet.spaces import generic_element, generic_names, make_space, sweep_rank
+from jordanet.spaces import MatSpace, generic_element, generic_names, make_space, sweep_rank
 from jordanet.varieties import macaulay_emptiness, rank_one_system
 from oracles import (
     GaussJordanEchelon,
@@ -212,6 +212,13 @@ def over(q, s):
     return Mat([[Fraction(x, s) for x in row] for row in q])
 
 
+def pivot_block_inverse(rows, pivots):
+    """(Q, s) with A_P^-1 = Q / s for independent rows A on their pivot
+    columns P (``inverse_or_none``, on ``integer_inverse``): the row
+    transform T with T A = the reduced rows."""
+    return inverse_or_none(Mat([[row[p] for p in pivots] for row in rows]))
+
+
 def random_rational_rows(rng, nrows, ncols):
     """Rational rows with denominators up to 7 and numerators up to 10^6 (small
     ones half the time), mixing in zero rows, repeated rows and combinations of
@@ -256,11 +263,12 @@ class TestIntegerRref:
                     assert (got.rank, got.pivots, got.rows) == (want.rank, want.pivots, want.rows)
                     assert got.kernel_basis() == want.kernel_basis()
                     deficient += got.rank < min(nrows, ncols)
-                    aug = rref_by_fractions([row + [Fraction(int(i == j)) for j in range(nrows)]
-                                             for i, row in enumerate(m)])
-                    t, d = rref_with_transform(m).transform
-                    assert d > 0 and all(type(x) is int for row in t for x in row)
-                    assert over(t, d).data == tuple(tuple(row[ncols:]) for row in aug.rows)
+                    if got.rank == nrows:  # T A = R on independent rows: T = A_P^-1
+                        aug = rref_by_fractions([row + [Fraction(int(i == j)) for j in range(nrows)]
+                                                 for i, row in enumerate(m)])
+                        t, d = pivot_block_inverse(m, got.pivots)
+                        assert d > 0 and all(type(x) is int for row in t for x in row)
+                        assert over(t, d).data == tuple(tuple(row[ncols:]) for row in aug.rows)
         assert deficient > 50
 
     def test_integer_and_fraction_inputs_agree(self):
@@ -400,12 +408,14 @@ class TestGrowingEchelon:
 
     def test_rank_only_callers_form_no_reduced_rows(self, monkeypatch):
         # a space's independence check, sweep ranks and a Macaulay certificate
-        # read the rank alone
+        # read the rank alone: no reduced rows, no pivot-block inverse and no
+        # coordinates
         def refused(*args):
-            raise AssertionError("reduced rows formed")
+            raise AssertionError("reduced rows or coordinates formed")
 
         monkeypatch.setattr(linalg, "_back_substitute", refused)
-        monkeypatch.setattr(Echelon, "_read_augmented", refused)
+        monkeypatch.setattr(MatSpace, "pivot_inverse", refused)
+        monkeypatch.setattr(MatSpace, "coordinates", refused)
         rng = SplitMix64(23)
         basis = [Mat.from_ints([[rng.int_between(-3, 3) for _ in range(3)] for _ in range(3)])
                  for _ in range(3)]
@@ -474,10 +484,12 @@ class TestFractionFreeEchelon:
                 dense = [[Fraction(rng.int_between(-9, 9), rng.int_between(1, 3))
                           for _ in range(ncols)] for _ in range(n)]
                 for m in (random_rational_rows(rng, n, ncols), dense):
-                    ech = rref_with_transform(m)
+                    ech = rref(m)
                     want, (t, den) = rref_with_transform_by_primitive_rows(m)
                     assert (ech.int_rows, ech.pivots) == (want.int_rows, want.pivots)
-                    assert ech.transform[1] > 0 and over(*ech.transform) == over(t, den)
+                    if ech.rank == n:
+                        got = pivot_block_inverse(m, ech.pivots)
+                        assert got[1] > 0 and over(*got) == over(t, den)
                     if ncols == n:
                         got = inverse_or_none(Mat(m))
                         assert got == inverse_or_none_by_primitive_rows(Mat(m))
@@ -533,8 +545,9 @@ class TestForwardAgainstGaussJordan:
     echelon it replaced: random, rank-deficient and 10^18-scaled rows give
     the same (out, d) from ``eliminate`` on vectors inside and outside the
     span, before and after the reduced rows are read, the same remainders
-    from ``adjoin``, and the same d, pivots and canonical rows; and the same
-    transform and determinant."""
+    from ``adjoin``, and the same d, pivots and canonical rows; and, on
+    independent rows, the same transform (``integer_inverse`` of the pivot
+    block) and determinant."""
 
     def test_same_remainders_scales_and_rows(self):
         rng = SplitMix64(1968_23)
@@ -549,7 +562,7 @@ class TestForwardAgainstGaussJordan:
                         probes = [row, [0] * ncols, [rng.int_between(-9, 9) for _ in range(ncols)],
                                   [sum(c * r[j] for c, r in zip(coeffs, rows)) for j in range(ncols)]]
                         if k % 3 == 2:
-                            assert new.int_rows == old.int_rows  # eliminate on the reduced rows
+                            assert new.int_rows == old.int_rows  # read midway: no remainder changes
                         for v in probes:
                             assert new.eliminate(v) == old.eliminate(v)
                         assert new.adjoin(row) == old.adjoin(row)
@@ -566,24 +579,25 @@ class TestForwardAgainstGaussJordan:
                           for _ in range(ncols)] for _ in range(n)]
                 big = [[x * 10 ** 18 for x in row] for row in random_rational_rows(rng, n, ncols)]
                 for m in (random_rational_rows(rng, n, ncols), dense, big):
-                    ech = rref_with_transform(m)
+                    ech = rref(m)
                     old, transform = rref_with_transform_by_gauss_jordan(m)
-                    assert ech.transform == transform
                     assert (ech.pivots, ech.int_rows) == (old.pivots, old.int_rows)
-                    if ech.rank == n:  # independent rows: the same leading minor
+                    if ech.rank == n:  # independent rows: the same leading minor and T = A_P^-1
                         assert ech.d == old.d
+                        assert over(*pivot_block_inverse(m, ech.pivots)) == over(*transform)
                     if ncols == n:
                         assert det_bareiss(Mat(m)) == det_by_gauss_jordan(Mat(m))
 
 
 class TestIntegerReduction:
-    """``Echelon.eliminate`` (through the oracles' ``reduce_vector``) and
-    ``coordinates`` against pivot elimination in Fractions, on vectors inside
-    and outside the span, the zero vector and echelons of rank 0."""
+    """``Echelon.eliminate`` (through the oracles' ``reduce_vector``) and,
+    over independent rows, ``express_in_rows`` against pivot elimination in
+    Fractions, on vectors inside and outside the span, the zero vector and
+    echelons of rank 0."""
 
     def test_agrees_with_fraction_elimination(self):
         rng = SplitMix64(2026)
-        inside = outside = 0
+        inside = outside = solved = refused = 0
         cases = [[], [[Fraction(0)] * 4]]
         for nrows in range(6):
             for ncols in range(1, 7):
@@ -591,7 +605,7 @@ class TestIntegerReduction:
                     cases.append(random_rational_rows(rng, nrows, ncols))
         for rows in cases:
             ncols = len(rows[0]) if rows else 0
-            ech, want = rref_with_transform(rows), rref_by_fractions(rows)
+            ech, want = rref(rows), rref_by_fractions(rows)
             aug = rref_by_fractions([row + [Fraction(int(i == j)) for j in range(len(rows))]
                                      for i, row in enumerate(rows)])
             combination = [Fraction(rng.int_between(-9, 9), rng.int_between(1, 7))
@@ -605,10 +619,13 @@ class TestIntegerReduction:
             for v in vectors:
                 residue = reduce_vector(ech, v)
                 assert residue == want.reduce_vector(v)
-                coords = ech.coordinates(v)
+                inside, outside = inside + (not any(residue)), outside + any(residue)
+                if ech.rank < len(rows):
+                    continue  # coordinates only over independent rows
+                coords = express_in_rows(rows, v)
                 if any(residue):
                     assert coords is None
-                    outside += 1
+                    refused += 1
                     continue
                 # the transform's choice: v's entry at each pivot, times that
                 # row of the transform
@@ -618,8 +635,8 @@ class TestIntegerReduction:
                 assert coords == expected
                 assert [sum((c * row[j] for c, row in zip(coords, rows)), Fraction(0))
                         for j in range(ncols)] == v
-                inside += 1
-        assert inside > 100 and outside > 50
+                solved += 1
+        assert inside > 100 and outside > 50 and solved > 90 and refused > 15
 
 
 def random_net_S5(rng):
@@ -660,17 +677,23 @@ class TestRref:
         assert express_in_rows(rows, [Fraction(2), Fraction(3), Fraction(5)]) == [2, 3]
         assert express_in_rows(rows, [Fraction(0), Fraction(0), Fraction(1)]) is None
 
+    def test_express_in_dependent_rows_is_refused(self):
+        rows = [[Fraction(1), Fraction(0), Fraction(1)], [Fraction(2), Fraction(0), Fraction(2)]]
+        with pytest.raises(PreconditionError) as err:
+            express_in_rows(rows, [Fraction(1), Fraction(0), Fraction(1)])
+        assert err.value.code == "DEPENDENT_BASIS"
+
     def test_row_transform(self):
         rng = SplitMix64(8)
         for _ in range(30):
             nrows, ncols = rng.int_between(1, 5), rng.int_between(1, 5)
             m = [[Fraction(rng.int_between(-2, 2)) for _ in range(ncols)] for _ in range(nrows)]
-            e, plain = rref_with_transform(m), rref(m)
-            assert (e.rank, e.pivots, e.rows) == (plain.rank, plain.pivots, plain.rows)
-            t = over(*e.transform)
+            e = rref(m)
+            if e.rank < nrows:
+                continue
+            t = over(*pivot_block_inverse(m, e.pivots))
             assert det(t) != 0
-            padded = e.rows + [[Fraction(0)] * ncols for _ in range(nrows - e.rank)]
-            assert t @ Mat(m) == Mat(padded)
+            assert t @ Mat(m) == Mat(e.rows)
 
     def test_coordinates_recover_the_combination(self):
         rng = SplitMix64(9)
@@ -680,7 +703,8 @@ class TestRref:
                 continue
             c = [Fraction(rng.int_between(-3, 3), rng.int_between(1, 3)) for _ in range(3)]
             v = [sum(ci * r[j] for ci, r in zip(c, rows)) for j in range(5)]
-            assert rref_with_transform(rows).coordinates(v) == c
+            vp = Mat([[v[p] for p in rref(rows).pivots]])
+            assert vp @ over(*pivot_block_inverse(rows, rref(rows).pivots)) == Mat([c])
             assert express_in_rows(rows, v) == c
 
 

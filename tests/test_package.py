@@ -7,7 +7,8 @@ than inside its own definition and ``__init__.py``'s re-exports; comments
 and strings do not count.  Exempt are the ``cmd_*`` commands, which
 ``cli.main`` dispatches by name, dunder methods, and the functions
 ``benchmark/tracing.py`` wraps by name (its ``LAYER_FUNCTIONS``, read with
-``ast``, not imported).
+``ast``, not imported).  A use inside such a function that nothing in the
+package calls does not count: it is reached only from outside.
 """
 
 import ast
@@ -55,19 +56,22 @@ def name_tokens(source):
 
 def unused_names():
     sources = {path.name: path.read_text() for path in sorted(PACKAGE.glob("*.py"))}
+    defined = [(module, name, first, last) for module, source in sources.items()
+               for name, first, last in definitions(ast.parse(source))]
     uses = [(name, module, line) for module, source in sources.items() if module != "__init__.py"
             for name, line in name_tokens(source)]
+
+    def used(module, name, first, last):
+        return any(n == name and (m != module or not first <= line <= last) for n, m, line in uses)
+
     exempt = traced_names()
-    unused = []
-    for module, source in sources.items():
-        for name, first, last in definitions(ast.parse(source)):
-            if name.startswith("cmd_") or (name.startswith("__") and name.endswith("__")) \
-                    or name in exempt:
-                continue
-            if not any(n == name and (m != module or not first <= line <= last)
-                       for n, m, line in uses):
-                unused.append(f"{module}:{first} {name}")
-    return unused
+    idle = [(module, first, last) for module, name, first, last in defined
+            if name in exempt and not used(module, name, first, last)]
+    uses = [(n, m, line) for n, m, line in uses
+            if not any(m == module and first <= line <= last for module, first, last in idle)]
+    return [f"{module}:{first} {name}" for module, name, first, last in defined
+            if not (name.startswith("cmd_") or (name.startswith("__") and name.endswith("__"))
+                    or name in exempt or used(module, name, first, last))]
 
 
 def test_every_package_name_is_used_by_the_package():
