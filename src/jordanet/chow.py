@@ -9,7 +9,9 @@ one column per degree-(n-1) monomial in ``exact.monomials`` order
 (descending lexicographic: t1^(n-1) first, tm^(n-1) last).  For m = 3 the
 matrix is square of size binom(n+1, 2); its rank equals the dimension of the
 linear span of the reciprocal variety, and its left kernel consists of the
-linear forms that vanish on all inverses.
+linear forms that vanish on all inverses.  The matrix is read off the
+space's integer basis (``chow_matrix``); the rank and the kernel forms read
+one echelon of its transpose.
 
 The fully symbolic n = 3 determinant (degree 12 in the 18 entry variables,
 22659 terms) is a Laplace expansion of the 6 x 6 symbolic Chow matrix on
@@ -25,23 +27,15 @@ from typing import List
 
 from .errors import PreconditionError
 from .exact import MPoly, monomials, poly_eval
-from .linalg import Mat, adjugate, det_laplace, integer_inverse, mat_rank, rref
-from .spaces import (
-    MatSpace,
-    generic_element,
-    generic_names,
-    integer_sweep,
-    is_regular,
-    sym_dim,
-    sym_pairs,
-    unvectorize,
-)
+from .linalg import (Echelon, Mat, adjugate, det_laplace, faddeev_leverrier, integer_inverse,
+                     linear_matrix, packing, rref)
+from .spaces import MatSpace, integer_sweep, is_regular, sym_dim, sym_pairs, unvectorize
 
 
 #: the largest Chow matrix, in rows x columns, that ``chow_matrix`` builds
-#: (the benchmark's largest is 15 x 35).  Dense spaces cost about 40 us of CPU
-#: per cell (Python 3.11, Xeon): all of S^5 (15 x 3060) 1.8 s; all of S^6
-#: (21 x 53130) 15 s even on the sparse basis of unit matrices.
+#: (the benchmark's largest is 15 x 35).  CPU (Python 3.11, Xeon): 20 us a
+#: cell on dense spaces, 12 dense matrices in S^6 (21 x 4368) 2.1 s; 2 us on
+#: unit matrices, all of S^5 (15 x 3060) 0.08 s and of S^6 (21 x 53130) 2.2 s.
 MAX_CHOW_CELLS = 100_000
 
 
@@ -50,30 +44,42 @@ def chow_matrix(space: MatSpace) -> Mat:
     follow ``sym_pairs(n)``, columns ``monomials(m, n - 1)`` in t1..tm.
 
     Built once per space and memoised on it; callers must not mutate it.
-    It is sized before the adjugate is built, sym_dim(n) rows by
-    C(m + n - 2, n - 1) columns, and refused with TOO_LARGE past
-    ``MAX_CHOW_CELLS``.
+    It is sized before it is built, sym_dim(n) rows by C(m + n - 2, n - 1)
+    columns, and refused with TOO_LARGE past ``MAX_CHOW_CELLS``.  With B_k =
+    B'_k / L the generic element is X' / L, X' = sum_k t_k B'_k packed with
+    t1 in the top field, and adj(X' / L) = (-1)^(n-1) M_n / L^(n-1)
+    (``faddeev_leverrier``): the cells are M_n at the packed monomial keys
+    over that scale.
     """
     if space._chow is None:
-        rows, cols = sym_dim(space.n), math.comb(space.m + space.n - 2, space.n - 1)
+        n, m = space.n, space.m
+        rows, cols = sym_dim(n), math.comb(m + n - 2, n - 1)
         if rows * cols > MAX_CHOW_CELLS:
             raise PreconditionError("TOO_LARGE", f"the Chow matrix would be {rows} x {cols}, "
                                     f"past {MAX_CHOW_CELLS} cells")
-        space._chow = _build_chow_matrix(space)
+        basis, lcm = space.integer_basis()
+        fields, _ = packing(m, n)
+        _, adj = faddeev_leverrier(linear_matrix([(1 << f, b) for f, b in zip(fields, basis)]))
+        den = (1 if n % 2 else -1) * lcm ** (n - 1)
+        keys = [sum(e << f for e, f in zip(mono, fields)) for mono in monomials(m, n - 1)]
+        space._chow = Mat([[Fraction(adj[i][j].get(key, 0), den) for key in keys]
+                           for i, j in sym_pairs(n)])
     return space._chow
 
 
-def _build_chow_matrix(space: MatSpace) -> Mat:
-    names = generic_names(space.m)
-    adj = adjugate(generic_element(space.basis, names))
-    cols = [dict(zip(names, mono)) for mono in monomials(space.m, space.n - 1)]
-    return Mat([[adj[i, j].coefficient(mono) for mono in cols] for i, j in sym_pairs(space.n)])
+def _chow_echelon(space: MatSpace, needs: str) -> Echelon:
+    """``rref`` of the Chow matrix's transpose, memoised on the space beside
+    the matrix: its rank is the Chow rank, its kernel the Chow matrix's left
+    kernel.  A singular space is refused, with what ``needs`` it."""
+    if not is_regular(space):
+        raise PreconditionError("NOT_REGULAR", f"{needs} a regular space")
+    if space._chow_echelon is None:
+        space._chow_echelon = rref(chow_matrix(space).transpose().data)
+    return space._chow_echelon
 
 
 def chow_rank(space: MatSpace) -> int:
-    if not is_regular(space):
-        raise PreconditionError("NOT_REGULAR", "Chow rank needs a regular space")
-    return mat_rank(chow_matrix(space))
+    return _chow_echelon(space, "Chow rank needs").rank
 
 
 def chow_kernel_forms(space: MatSpace) -> List[MPoly]:
@@ -83,21 +89,10 @@ def chow_kernel_forms(space: MatSpace) -> List[MPoly]:
     scaled to integer coefficients of content one with the first nonzero
     coefficient positive.
     """
-    if not is_regular(space):
-        raise PreconditionError("NOT_REGULAR", "kernel forms need a regular space")
-    kernel = rref(chow_matrix(space).transpose().data).kernel_basis()
-    if not kernel:
-        return []
-    reduced = rref(kernel).rows
-    forms = []
-    for vec in reduced:
-        form = MPoly.zero()
-        for (i, j), c in zip(sym_pairs(space.n), vec):
-            if c == 0:
-                continue
-            form = form + MPoly.var(f"z{i + 1}{j + 1}").scale(c)
-        forms.append(form.sign_normalized())
-    return forms
+    kernel = _chow_echelon(space, "kernel forms need").kernel_basis()
+    zs = [MPoly.var(f"z{i + 1}{j + 1}") for i, j in sym_pairs(space.n)]
+    return [sum((z.scale(c) for z, c in zip(zs, vec) if c), MPoly.zero()).sign_normalized()
+            for vec in rref(kernel).rows]
 
 
 def sampled_reciprocal_span(space: MatSpace, trials: int) -> int:
@@ -125,11 +120,6 @@ def sampled_reciprocal_span(space: MatSpace, trials: int) -> int:
 
 # -- fully symbolic n = 3 construction -------------------------------------
 
-def generic_symmetric(n: int, prefix: str) -> Mat:
-    """Symmetric matrix of fresh variables prefix_ij (1-based, i <= j)."""
-    return unvectorize(n, [MPoly.var(f"{prefix}{i + 1}{j + 1}") for i, j in sym_pairs(n)])
-
-
 #: variable prefixes of the three symbolic basis matrices of the generic net
 _NET_PREFIXES = ("x", "y", "z")
 
@@ -137,16 +127,13 @@ _NET_PREFIXES = ("x", "y", "z")
 def chow_matrix_generic(n: int = 3) -> Mat:
     """Chow matrix of the generic net spanned by symbolic symmetric matrices
     with entries x_ij, y_ij, z_ij, in the rows and columns of ``chow_matrix``
-    (monomials in the weights w1..w3).  Its basis entries are polynomials, so
-    the weighted sum is its own, not ``generic_element``."""
+    (monomials in the weights w1..w3): the adjugate of the weighted sum,
+    whose entry (i, j) is w1 x_ij + w2 y_ij + w3 z_ij."""
     m = len(_NET_PREFIXES)
-    mats = [generic_symmetric(n, p) for p in _NET_PREFIXES]
     weight_names = tuple(f"w{k + 1}" for k in range(m))
-    acc = None
-    for name, mat in zip(weight_names, mats):
-        w = MPoly.var(name)
-        scaled = mat.map(lambda e, _w=w: e * _w)
-        acc = scaled if acc is None else acc + scaled
+    acc = unvectorize(n, [sum((MPoly.var(w) * MPoly.var(f"{p}{i + 1}{j + 1}")
+                               for w, p in zip(weight_names, _NET_PREFIXES)), MPoly.zero())
+                          for i, j in sym_pairs(n)])
     adj = adjugate(acc)
     cols = list(monomials(m, n - 1))
     rows = []

@@ -16,13 +16,13 @@ invariants.  The partition is exact in m - 2 polynomial variables:
 shifting lam by U's coordinate removes one variable and dehomogenizing
 removes another, and neither changes the squarefree structure
 (``generic_multiplicity_partition`` gives the argument).  One integer
-squarefree decomposition (``exact``) then serves Z[lam] for a pencil,
-Z[t][lam] for a net and Z[t1, t2][lam] for m = 4.
+squarefree decomposition (``exact``) of integer coefficients then serves
+Z[lam] for a pencil, Z[t][lam] for a net and Z[t1, t2][lam] for m = 4.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, NamedTuple, Optional, Tuple, Union
+from typing import Dict, NamedTuple, Optional, Tuple, Union
 
 from .errors import PreconditionError
 from .exact import squarefree_decomposition
@@ -35,8 +35,8 @@ from .jordan import (
     resolve_unit,
     structure_constants,
 )
-from .linalg import Mat, charpoly, int_matmul
-from .spaces import MatSpace, generic_element, is_regular
+from .linalg import faddeev_leverrier, int_matmul, linear_matrix, packing
+from .spaces import MatSpace, is_regular
 from .varieties import rank_one_pencil
 
 NET_LABELS = ("1a", "1b", "2a1", "2a2", "2b", "3a", "3b1", "3b2")
@@ -68,21 +68,23 @@ def generic_multiplicity_partition(space: MatSpace) -> Tuple[int, ...]:
        mu-degrees, their squarefreeness and their coprimality;
     4. q C'_k = s L U^-1 C_k only scales the roots by s L > 0.
 
-    A pencil is thus univariate over QQ and a net bivariate;
-    ``exact.squarefree_decomposition`` runs the same integer code for every
-    m.  For m = 1 the partition is (n,).
+    A pencil is thus univariate over QQ and a net bivariate.  The integer
+    coefficients come from ``linalg.faddeev_leverrier`` on that matrix,
+    packed from (B', L), and go to ``exact.squarefree_decomposition`` as
+    exponent tuples in t1..t_{m-2}.  For m = 1 the partition is (n,).
     """
     unit = resolve_unit(space)
     if space.m == 1:
         return (space.n,)
     drop = next(k for k, c in enumerate(unit.coords) if c != 0)
-    q = unit.q
     basis, _ = space.integer_basis()  # each B'_k is symmetric: its rows are its columns
-    *scaled, last = [Mat.from_ints(int_matmul(q, b)) for k, b in enumerate(basis) if k != drop]
-    x = generic_element(scaled) + last if scaled else last
-    parts: List[int] = []
-    for factor, mult in squarefree_decomposition(charpoly(x)):
-        parts.extend([mult] * (len(factor) - 1))  # a factor lists its lam-coefficients
+    mats = [int_matmul(unit.q, b) for k, b in enumerate(basis) if k != drop]
+    fields, mask = packing(len(mats) - 1, space.n)
+    cs, _ = faddeev_leverrier(linear_matrix(list(zip([1 << f for f in fields] + [0], mats))))
+    coeffs = [{tuple((key >> f) & mask for f in fields): c for key, c in cp.items()}
+              for cp in reversed([{0: 1}] + cs)]
+    # a factor lists its lam-coefficients, one more than its lam-degree
+    parts = [mult for factor, mult in squarefree_decomposition(coeffs) for _ in factor[1:]]
     return tuple(sorted(parts, reverse=True))
 
 

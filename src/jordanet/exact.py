@@ -10,8 +10,8 @@ every variable gets a value, and the result is a Fraction.
 Squarefree decomposition (the generic multiplicity partition) runs on
 integer polynomials in recursive dense form: an int, or the list of
 coefficients in a main variable, each a polynomial in one variable fewer.
-``squarefree_decomposition`` (Yun) reads characteristic-polynomial
-coefficients into that form, cleared of denominators by one lcm; its gcds
+``squarefree_decomposition`` (Yun) reads integer characteristic-polynomial
+coefficients, {exponent tuple: int}, into that form; its gcds
 are ``mpoly_gcd`` (contents, then primitive parts) and ``subresultant_gcd``
 (the subresultant pseudo-remainder sequence, with exact integer divisions).
 The same code runs in any number of variables.
@@ -652,21 +652,17 @@ def _nest(terms: dict, k: int):
 
 def squarefree_decomposition(coeffs):
     """Yun's squarefree decomposition of p = sum_k coeffs[k] * lam^k over the
-    fraction field of its coefficients, which are Fractions or MPolys (what
-    ``linalg.charpoly`` returns).
+    fraction field of its coefficients, integer polynomials given as
+    {exponent tuple: int} over one tuple of variables (what
+    ``classify.generic_multiplicity_partition`` reads off the packed
+    characteristic polynomial).
 
-    They are cleared of denominators by one lcm and read into the recursive
-    form, lam first, then their variables in sorted order.  Returns
-    [(factor, multiplicity), ...], one squarefree primitive factor per
-    multiplicity, in increasing multiplicity; a factor is the list of its
-    lam-coefficients, of lam-degree ``len(factor) - 1``.  p over
-    prod(factor ** multiplicity) is free of lam."""
-    polys = [c if isinstance(c, MPoly) else MPoly.const(c) for c in coeffs]
-    names = tuple(sorted({v for c in polys for v in c.vars}))
-    scale = math.lcm(*(x.denominator for c in polys for x in c.terms.values()))
-    p = _trim([_nest({e: x.numerator * (scale // x.denominator)
-                      for e, x in c.with_vars(names).terms.items()}, 0) if c.terms else 0
-               for c in polys])
+    They are read into the recursive form, lam first, then their variables
+    in order.  Returns [(factor, multiplicity), ...], one squarefree
+    primitive factor per multiplicity, in increasing multiplicity; a factor
+    is the list of its lam-coefficients, of lam-degree ``len(factor) - 1``.
+    p over prod(factor ** multiplicity) is free of lam."""
+    p = _trim([_nest(c, 0) if c else 0 for c in coeffs])
     if not p:
         raise ValueError("zero polynomial has no squarefree decomposition")
     c = _primitive(p)

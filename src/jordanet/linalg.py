@@ -15,17 +15,16 @@ products as it finds them.  There is one linear solve, ``integer_inverse``:
 coordinates over independent rows A are those of v_P A_P^-1 on A's pivot
 columns P (``express_in_rows``, ``spaces.MatSpace.coordinates``).
 
-Polynomial matrices run on one integer kernel (``PolyRing``): a matrix is
-converted once to entries {packed exponent: int coefficient} over one common
-denominator, so that a monomial product is one integer addition and a
-coefficient product one integer multiplication, and results are divided by
-the right power of the denominator once per output term.  Products of
-polynomial matrices, characteristic polynomials and adjugates (the
-Faddeev-LeVerrier iteration: n - 1 matrix products, and divisions only by
-the integers 1..n, which are exact on integer polynomials) and determinants
-(Laplace expansion memoized over column subsets) all run on it, and so do
-all maximal minors of a wide matrix at once (``maximal_minors``: Pluecker
-coordinates share that memo).
+Polynomial matrices run on one integer kernel: an entry is {packed
+exponent: int coefficient} (``packing``), so that a monomial product is one
+integer addition and a coefficient product one integer multiplication.
+``faddeev_leverrier`` (n - 1 matrix products, divisions only by 1..n, exact
+on integer polynomials) takes the Chow matrix's and the multiplicity
+partition's generic elements packed straight from a space's integer basis
+(``linear_matrix``).  ``PolyRing`` converts Fraction and MPoly matrices once,
+over one denominator, for ``charpoly``, ``adjugate``, products, Laplace
+determinants memoized over column subsets, and all maximal minors of a wide
+matrix at once (``maximal_minors``: Pluecker coordinates share that memo).
 """
 
 from __future__ import annotations
@@ -173,30 +172,33 @@ def _field_width(bound: int) -> int:
     return bound.bit_length()
 
 
+def packing(k: int, bound: int) -> Tuple[List[int], int]:
+    """(fields, mask) packing exponent tuples of k variables into one int:
+    the first variable in the top field, each ``_field_width(bound)`` bits
+    wide, so a monomial product is one integer addition.  No field carries
+    while no exponent of a result exceeds ``bound``: n times the largest
+    entry degree for an n x n determinant, charpoly or adjugate."""
+    width = _field_width(bound)
+    return [width * (k - 1 - i) for i in range(k)], (1 << width) - 1
+
+
 class PolyRing:
     """Integer polynomials standing in for the entries of Fraction and MPoly
     matrices.
 
-    The variables are the sorted union of the entries' variables.  An
-    exponent tuple is packed into one int, the first variable in the top
-    field and every field ``_field_width(bound)`` bits wide, so a monomial
-    product is one integer addition.  No field carries into the next as
-    long as no exponent of any result exceeds ``bound``: for an n x n
-    determinant, characteristic polynomial or adjugate, n times the largest
-    entry degree.  A matrix M becomes integer entries M' with M = M' / d, d
-    the lcm of the denominators of all its coefficients.  Results are
-    Fractions when no entry was an MPoly, and MPolys over the variables
-    otherwise.
+    The variables are the sorted union of the entries' variables, their
+    exponents packed up to ``bound`` (``packing``).  A matrix M becomes
+    integer entries M' with M = M' / d, d the lcm of the denominators of all
+    its coefficients.  Results are Fractions when no entry was an MPoly, and
+    MPolys over the variables otherwise.
     """
 
     def __init__(self, mats: Sequence[Mat], bound: int):
         polys = [x for m in mats for row in m.data for x in row if isinstance(x, MPoly)]
         self.is_poly = bool(polys)
         self.vars = tuple(sorted({v for p in polys for v in p.vars}))
-        width = _field_width(bound)
-        self._fields = [width * (len(self.vars) - 1 - i) for i in range(len(self.vars))]
+        self._fields, self._mask = packing(len(self.vars), bound)
         self._field_of = dict(zip(self.vars, self._fields))
-        self._mask = (1 << width) - 1
 
     def int_rows(self, m: Mat) -> Tuple[List[List[IntPoly]], int]:
         """(M', d) with M = M' / d."""
@@ -537,25 +539,24 @@ def _trace_of_product(a: List[List[IntPoly]], b: List[List[IntPoly]]) -> IntPoly
     return _nonzero(acc)
 
 
-def _faddeev_leverrier(m: Mat):
-    """Returns (ring, d, [c'_1 .. c'_n], M'_n) on the integer kernel, M = M' / d.
+def linear_matrix(terms: Sequence[Tuple[int, Sequence[Sequence[int]]]]) -> List[List[IntPoly]]:
+    """The rows of sum_k x^(e_k) M_k, for distinct packed monomials e_k and
+    integer n x n matrices M_k given by their rows."""
+    n = len(terms[0][1])
+    return [[{e: mat[i][j] for e, mat in terms if mat[i][j]} for j in range(n)] for i in range(n)]
 
-    With M'_1 = I, c'_k = -trace(M' M'_k) / k and M'_(k+1) = M' M'_k + c'_k I,
-    so the product of step k is reused by step k + 1 and the last step needs
-    only the trace: n - 1 matrix products in all.  The c'_k are the
-    coefficients of the characteristic polynomial of M', integer polynomials
-    in its entries, so each division by k is exact.  Then the coefficient of
-    lam^(n-k) is c_k = c'_k / d^k, and adj(M) = adj(M') / d^(n-1) =
-    (-1)^(n-1) M'_n / d^(n-1).  Nothing is converted here: ``charpoly`` forms
-    the coefficients and ``adjugate`` the matrix.
-    """
-    if not m.is_square():
-        raise PreconditionError("NOT_SQUARE", "characteristic polynomial needs a square matrix")
-    n = m.rows
-    ring = PolyRing([m], n * _max_degree(m))
-    a, d = ring.int_rows(m)
+
+def faddeev_leverrier(a: List[List[IntPoly]]) -> Tuple[List[IntPoly], List[List[IntPoly]]]:
+    """([c_1 .. c_n], M_n) for an n x n integer polynomial matrix A (its
+    rows).  With M_1 = I, c_k = -trace(A M_k) / k and M_(k+1) = A M_k + c_k
+    I, so the product of step k is reused by step k + 1 and the last step
+    needs only the trace: n - 1 matrix products in all.  The c_k are the
+    coefficients of det(lam I - A) = lam^n + c_1 lam^(n-1) + ... + c_n,
+    integer polynomials in A's entries, so each division by k is exact, and
+    adj(A) = (-1)^(n-1) M_n."""
+    n = len(a)
     mk = [[{0: 1} if i == j else {} for j in range(n)] for i in range(n)]
-    cs = []  # c'_1 .. c'_n
+    cs = []
     for k in range(1, n + 1):
         if k > 1:
             for i in range(n):
@@ -567,7 +568,18 @@ def _faddeev_leverrier(m: Mat):
         else:
             tr = _trace_of_product(a, mk)
         cs.append({key: -x // k for key, x in tr.items()})
-    return ring, d, cs, mk
+    return cs, mk
+
+
+def _faddeev_leverrier(m: Mat):
+    """(ring, d, [c'_1 .. c'_n], M'_n): ``faddeev_leverrier`` of M' for M =
+    M' / d, unconverted.  The coefficient of lam^(n-k) is c'_k / d^k, and
+    adj(M) = adj(M') / d^(n-1)."""
+    if not m.is_square():
+        raise PreconditionError("NOT_SQUARE", "characteristic polynomial needs a square matrix")
+    ring = PolyRing([m], m.rows * _max_degree(m))
+    a, d = ring.int_rows(m)
+    return (ring, d, *faddeev_leverrier(a))
 
 
 def charpoly(m: Mat) -> List[Entry]:

@@ -19,8 +19,8 @@ sum_k t_k B'_k is ranked and kept, so that ``jordan.resolve_unit`` inverts
 U' itself.
 
 ``generic_element`` forms sum_k t_k B_k from any sequence of rational
-matrices: the generic determinant, the Chow matrix, the rank-one minors and
-the multiplicity partition's characteristic polynomial all start from it.
+matrices, for the generic determinant and the rank-one minors; the Chow
+matrix and the multiplicity partition pack theirs from (B', L) as integers.
 
 ``ParametricBasis`` holds a one-parameter family (entries polynomial in t).
 ``grassmann_limit`` computes its limit at t -> 0 by valuation-normalized row
@@ -85,7 +85,8 @@ class MatSpace:
     matrices ``basis`` are cleared once, or (B', L) is given as ``ints``.
     The Fraction basis and the echelon are formed on first use."""
 
-    __slots__ = ("n", "m", "_ints", "_basis", "_echelon", "_inverse", "_unit", "_jordan", "_chow")
+    __slots__ = ("n", "m", "_ints", "_basis", "_echelon", "_inverse", "_unit", "_jordan", "_chow",
+                 "_chow_echelon")
 
     def __init__(self, n: int, basis: Optional[Sequence[Mat]] = None,
                  ints: Optional[Tuple[List[List[List[int]]], int]] = None):
@@ -98,7 +99,7 @@ class MatSpace:
         self._echelon = self._inverse = None
         self._unit = _UNDECIDED  # UnitPoint of the first invertible element, or None if singular
         self._jordan = None  # jordan.Unit: the unit, its coordinates, inverse and basis products
-        self._chow = None  # Chow matrix (see chow.py)
+        self._chow = self._chow_echelon = None  # Chow matrix and its transpose's echelon (chow.py)
 
     @property
     def basis(self) -> Tuple[Mat, ...]:
@@ -337,10 +338,12 @@ def _first_invertible(space: MatSpace) -> Optional[UnitPoint]:
 def _sweep_for_unit(space: MatSpace) -> Optional[UnitPoint]:
     """The identity, found by reducing L I on the echelon of B' (its
     coordinates over B' are those of I over B), else the first sweep point
-    t whose U' = sum_k t_k B'_k has full rank, kept with scale L.  After
-    ``_WITNESS_BUDGET`` singular sweep points the first of ``_DENSE_POINTS``
-    seeded dense points of full rank is the unit.  When every one is
-    singular the generic determinant is sized, refused with TOO_LARGE past
+    t whose U' = sum_k t_k B'_k has full rank, kept with scale L; only t
+    with gcd 1 and a positive first nonzero entry is ranked, as any other is
+    a multiple of an earlier, singular one.  After ``_WITNESS_BUDGET``
+    singular sweep points, the first of ``_DENSE_POINTS`` seeded dense points
+    of full rank is the unit.  When every one is singular the generic
+    determinant is sized, refused with TOO_LARGE past
     ``MAX_GENERIC_DET_PRODUCTS``, and otherwise expanded: zero means a
     singular space, and a nonzero one lets the sweep go on."""
     n, lcm = space.n, space.integer_basis()[1]
@@ -367,7 +370,7 @@ def _sweep_for_unit(space: MatSpace) -> Optional[UnitPoint]:
                     f"take {products} term products, past {MAX_GENERIC_DET_PRODUCTS}")
             if generic_det(space).is_zero():
                 return None
-        got = unit(tup)
+        got = unit(tup) if math.gcd(*tup) == 1 and next(x for x in tup if x) > 0 else None
         if got is not None:
             return got
 

@@ -71,6 +71,18 @@ the tests can compare the two:
   ``make_space`` (the package parses straight into the integer basis
   (B', L) and forms the Fraction basis only when read).
 
+- ``chow_matrix_by_adjugate``: the Chow matrix as the MPoly adjugate of
+  the Fraction generic element, one ``MPoly.coefficient`` lookup per cell
+  (the package runs Faddeev-LeVerrier on the packed integer element sum_k
+  t_k B'_k and reads the cells at packed monomial keys over +-L^(n-1)).
+- ``partition_by_mpoly``: the multiplicity partition from ``charpoly`` of
+  the Fraction generic element t1 qC'_1 + ... + qC'_{m-1} (``Mat.from_ints``
+  matrices, a ``Mat`` sum), its coefficients cleared of denominators by
+  ``integer_coefficients`` (the package packs that element as integers and
+  hands Faddeev-LeVerrier's coefficients to ``squarefree_decomposition``
+  as they come); ``partition_coefficients_by_mpoly`` is that decomposition's
+  input.  ``rational_spaces`` are seeded inputs for both comparisons.
+
 ``mpoly_from_terms`` is the checked constructor the tests build polynomials
 with: any variable order, duplicate exponents merged, zeros dropped.
 ``to_recursive`` and ``from_recursive`` convert between ``MPoly`` and the
@@ -86,10 +98,20 @@ from typing import Optional
 
 from jordanet.catalog import QUADRIC_VARS, _reduce_imaginary
 from jordanet.errors import InputError, InternalCheckError, PreconditionError
-from jordanet.exact import NAME, NEG_INF, MPoly, frac, frac_gcd, monomials, parse_poly
-from jordanet.jordan import radical, structure_constants
+from jordanet.exact import (
+    NAME,
+    NEG_INF,
+    MPoly,
+    frac,
+    frac_gcd,
+    monomials,
+    parse_poly,
+    squarefree_decomposition,
+)
+from jordanet.jordan import radical, resolve_unit, structure_constants
 from jordanet.linalg import (
     Mat,
+    adjugate,
     charpoly,
     det,
     int_matmul,
@@ -105,6 +127,7 @@ from jordanet.spaces import (
     MatSpace,
     contains,
     generic_det,
+    generic_element,
     generic_names,
     integer_sweep,
     make_space,
@@ -766,6 +789,72 @@ def squarefree_by_mpoly(p: UniPoly):
         mult += 1
     lead = math.prod((factor.lc() ** k for factor, k in factors), start=MPoly.const(1))
     return exact_div(p.lc(), lead), factors
+
+
+# -- Chow matrices and multiplicity partitions on MPoly entries -------------
+
+def chow_matrix_by_adjugate(space) -> Mat:
+    """The Chow matrix read off adj(sum_k t_k B_k) with MPoly entries: the
+    coefficient of each monomial of ``monomials(m, n - 1)`` in each upper
+    entry."""
+    names = generic_names(space.m)
+    adj = adjugate(generic_element(space.basis, names))
+    cols = [dict(zip(names, mono)) for mono in monomials(space.m, space.n - 1)]
+    return Mat([[adj[i, j].coefficient(mono) for mono in cols] for i, j in sym_pairs(space.n)])
+
+
+def integer_coefficients(coeffs):
+    """Fraction or MPoly lam-coefficients as ``squarefree_decomposition``'s
+    input: cleared of denominators by one lcm, each {exponent tuple: int}
+    over the sorted union of their variables."""
+    polys = [c if isinstance(c, MPoly) else MPoly.const(c) for c in coeffs]
+    names = tuple(sorted({v for c in polys for v in c.vars}))
+    scale = math.lcm(*(x.denominator for c in polys for x in c.terms.values()))
+    return [{e: x.numerator * (scale // x.denominator) for e, x in c.with_vars(names).terms.items()}
+            for c in polys]
+
+
+def partition_coefficients_by_mpoly(space):
+    """The input of the partition's squarefree decomposition: ``charpoly``
+    of t1 qC'_1 + ... + t_{m-2} qC'_{m-2} + qC'_{m-1}, the C'_k the integer
+    basis without the first element on which the unit has a nonzero
+    coordinate, formed as Fraction matrices and an MPoly generic element."""
+    unit = resolve_unit(space)
+    drop = next(k for k, c in enumerate(unit.coords) if c != 0)
+    basis, _ = space.integer_basis()
+    *scaled, last = [Mat.from_ints(int_matmul(unit.q, b)) for k, b in enumerate(basis) if k != drop]
+    x = generic_element(scaled) + last if scaled else last
+    return integer_coefficients(charpoly(x))
+
+
+def rational_spaces(seed: int):
+    """Seeded spaces for the two routes, n = 1..5 and m = 1..min(sym_dim(n),
+    6), two each, with entries k / d, d in {1, 2, 3}: L is 6 when both 2 and
+    3 are drawn."""
+    rng = SplitMix64(seed)
+    out = []
+    for n in range(1, 6):
+        for m in range(1, min(sym_dim(n), 6) + 1):
+            found = 0
+            while found < 2:
+                basis = [unvectorize(n, [Fraction(rng.int_between(-3, 3), rng.int_between(1, 3))
+                                         for _ in sym_pairs(n)]) for _ in range(m)]
+                try:
+                    out.append(make_space(n, basis))
+                except PreconditionError:  # DEPENDENT_BASIS: draw again
+                    continue
+                found += 1
+    return out
+
+
+def partition_by_mpoly(space):
+    """``generic_multiplicity_partition`` from ``partition_coefficients_by_mpoly``."""
+    if space.m == 1:
+        return (space.n,)
+    parts = []
+    for factor, mult in squarefree_decomposition(partition_coefficients_by_mpoly(space)):
+        parts.extend([mult] * (len(factor) - 1))
+    return tuple(sorted(parts, reverse=True))
 
 
 # -- the recursive dense form of ``jordanet.exact``'s gcds ------------------

@@ -1,10 +1,13 @@
 import itertools
 import math
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
-from jordanet.catalog import canonical
+from jordanet import chow
+from jordanet.catalog import canonical, catalog_ids
 from jordanet.chow import (
     chow_det_eval_at_net,
     chow_det_generic,
@@ -19,6 +22,7 @@ from jordanet.exact import monomials, parse_poly
 from jordanet.linalg import Mat, adjugate, det_bareiss, mat_rank, rref
 from jordanet.prng import SplitMix64
 from jordanet.spaces import (
+    MatSpace,
     integer_sweep,
     is_regular,
     make_space,
@@ -27,6 +31,7 @@ from jordanet.spaces import (
     sym_pairs,
     vectorize,
 )
+from oracles import chow_matrix_by_adjugate, rational_spaces
 
 
 def P(s):
@@ -118,6 +123,55 @@ class TestChowMatrix:
         assert cm[0, 1] == P("x22*y33 - 2*x23*y23 + x33*y22")
         assert cm[0, 2] == P("x22*z33 - 2*x23*z23 + x33*z22")
         assert cm[0, 3] == P("y22*y33 - y23^2")
+
+
+def certificates_chow_spaces():
+    """The 16 seed-0 Chow inputs of the benchmark's ``certificates`` workload,
+    from its own generator."""
+    sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "benchmark"))
+    import gen
+    from workloads import CHOW_SHAPES
+
+    return [make_space(n, [Mat.from_ints(b) for b in
+                           gen.random_space(gen.Rng(0, "chow", str(index)), n, m)])
+            for index, (n, m) in enumerate(CHOW_SHAPES)]
+
+
+class TestIntegerRoute:
+    """The Chow matrix from Faddeev-LeVerrier on the packed integer element
+    against the MPoly adjugate of the Fraction generic element."""
+
+    def test_rational_bases(self):
+        seen = set()
+        for sp in rational_spaces(26):
+            assert chow_matrix(sp) == chow_matrix_by_adjugate(sp), (sp.n, sp.m)
+            seen.add((sp.n, sp.m, sp.integer_basis()[1]))
+        assert {(n, m) for n, m, _ in seen} == {(n, m) for n in range(1, 6)
+                                               for m in range(1, min(sym_dim(n), 6) + 1)}
+        assert {lcm for _, _, lcm in seen} >= {2, 3, 6}
+
+    def test_catalog_spaces_and_all_of_s5(self):
+        full = make_space(5, [Mat.from_ints([[int((i, j) in (p, p[::-1])) for j in range(5)]
+                                             for i in range(5)]) for p in sym_pairs(5)])
+        spaces = [canonical(cid) for cid in catalog_ids()] + [full]
+        spaces = [sp for sp in spaces if isinstance(sp, MatSpace)]
+        assert len(spaces) == 19
+        for sp in spaces:
+            assert chow_matrix(sp) == chow_matrix_by_adjugate(sp), sp
+
+    def test_certificates_shapes(self):
+        for sp in certificates_chow_spaces():
+            assert chow_matrix(sp) == chow_matrix_by_adjugate(sp), (sp.n, sp.m)
+
+    def test_rank_and_kernel_read_one_echelon(self, monkeypatch):
+        # the transpose's 10 rows, then the 2 kernel vectors
+        calls = []
+        real = chow.rref
+        monkeypatch.setattr(chow, "rref", lambda rows: calls.append(len(rows)) or real(rows))
+        sp = net_rank8()
+        assert chow_rank(sp) == 8 == mat_rank(chow_matrix_by_adjugate(sp))
+        assert len(chow_kernel_forms(sp)) == 2
+        assert calls == [10, 2]
 
 
 class TestChowRank:

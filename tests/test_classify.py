@@ -24,10 +24,18 @@ from jordanet.spaces import (
     find_invertible,
     generic_element,
     grassmann_limit,
+    is_regular,
     make_space,
     sample_congruent,
+    sym_dim,
 )
-from oracles import squarefree_by_mpoly, uni_charpoly
+from oracles import (
+    partition_by_mpoly,
+    partition_coefficients_by_mpoly,
+    rational_spaces,
+    squarefree_by_mpoly,
+    uni_charpoly,
+)
 
 
 def E(n, i, j):
@@ -172,6 +180,35 @@ def oracle_spaces():
     for name, (sp, _) in unit_off_the_first_element().items():
         named[name] = sp
     return named
+
+
+class TestIntegerPartition:
+    """The partition's characteristic polynomial from Faddeev-LeVerrier on
+    the packed integer element, against ``charpoly`` of the Fraction generic
+    element cleared of denominators: the same squarefree input, and the same
+    partition where the decomposition is quick (at most two variables)."""
+
+    def inputs(self, monkeypatch, space):
+        got = []
+        monkeypatch.setattr(classify, "squarefree_decomposition",
+                            lambda coeffs: got.append(coeffs) or [])
+        generic_multiplicity_partition(space)
+        monkeypatch.undo()
+        return got
+
+    def test_rational_bases_and_catalog_spaces(self, monkeypatch):
+        named = {f"{sp.n}, {sp.m}, {k}": sp for k, sp in enumerate(rational_spaces(27))}
+        named.update(oracle_spaces())
+        checked = set()
+        for name, sp in named.items():
+            if not is_regular(sp):
+                continue
+            if sp.m > 1:
+                assert self.inputs(monkeypatch, sp) == [partition_coefficients_by_mpoly(sp)], name
+            if sp.m <= 4:
+                assert generic_multiplicity_partition(sp) == partition_by_mpoly(sp), name
+            checked.add((sp.n, sp.m))
+        assert {(n, m) for n in range(1, 6) for m in range(1, min(sym_dim(n), 6) + 1)} <= checked
 
 
 class TestPartition:

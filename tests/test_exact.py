@@ -21,6 +21,7 @@ from oracles import (
     UniPoly,
     exact_div,
     from_recursive,
+    integer_coefficients,
     mpoly_from_terms,
     parse_outcome,
     parse_poly_by_tokens,
@@ -351,8 +352,8 @@ class TestGcd:
 
 def sqf(p: UniPoly):
     """The package decomposition of a UniPoly in lam, read off its
-    coefficients."""
-    return squarefree_decomposition(list(p.coeffs))
+    coefficients cleared of denominators."""
+    return squarefree_decomposition(integer_coefficients(p.coeffs))
 
 
 class TestSquarefree:
@@ -464,10 +465,10 @@ class TestYunOnIntegerPolynomials:
         assert seen == {0, 1, 2}
 
     def test_degree_zero_and_zero(self):
-        assert squarefree_decomposition([Fraction(-7, 2)]) == []
-        assert squarefree_decomposition([P("t^2 + 1")]) == []
+        assert squarefree_decomposition([{(): -7}]) == []
+        assert squarefree_decomposition(integer_coefficients([P("t^2 + 1")])) == []
         with pytest.raises(ValueError):
-            squarefree_decomposition([Fraction(0), MPoly.zero(("t",))])
+            squarefree_decomposition(integer_coefficients([Fraction(0), MPoly.zero(("t",))]))
 
 
 class TestUniPolyDivision:

@@ -321,6 +321,34 @@ class TestIntegerSweep:
                          "identity" if got[0] == Mat.identity(sp.n) else "sweep")
         assert outcomes == {"singular", "identity", "sweep"}
 
+    def late_unit_spaces(self):
+        """Spaces whose first sweep points are singular: the radical nets of
+        S^4 and two congruence images of each, an image of Sym(3) + Sym(3)
+        (its first 32 sweep points are singular, so a dense point is its
+        unit), and the late-unit space of the CLI goldens."""
+        nets = [canonical(f"s4/{label}") for label in ("2a1", "2a2", "2b", "3a", "3b1", "3b2")]
+        blocks = [E(6, i + 1, j + 1) for s in (0, 3) for i in range(s, s + 3) for j in range(i, s + 3)]
+        cases = json.loads((Path(__file__).parent / "data" / "cli_goldens.json").read_text())
+        late = [parse_space_data(c["space"]) for c in cases
+                if c["argv"][1] == "random_n5_late_unit.json"]
+        return (nets + [sample_congruent(sp, seed) for sp in nets for seed in (1, 2)]
+                + [sample_congruent(make_space(6, blocks), 3)] + late)
+
+    def test_each_projective_point_is_ranked_once(self, monkeypatch):
+        # only points with gcd 1 and a positive first nonzero entry are
+        # ranked; the unit and its coordinates are the full sweep's
+        ranked = []
+        real = spaces._rank
+        monkeypatch.setattr(spaces, "_rank", lambda rows: ranked.append(1) or real(rows))
+        for sp in self.late_unit_spaces():
+            got = spaces._sweep_for_unit(MatSpace(sp.n, sp.basis))
+            assert (got.mat, got.coords) == sweep_for_unit_by_fractions(MatSpace(sp.n, sp.basis))
+            assert got.coords not in itertools.islice(integer_sweep(sp.m), 6)
+        ranked.clear()
+        image = MatSpace(4, sample_congruent(canonical("s4/3b1"), 1).basis)
+        assert spaces._sweep_for_unit(image).coords == (1, 0, 0)  # the 9th sweep point
+        assert len(ranked) == 5
+
     def test_element_matches_scale_and_add(self):
         rng = SplitMix64(9)
         for sp in random_spaces(6, 6):
