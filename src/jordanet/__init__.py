@@ -42,7 +42,6 @@ from .spaces import (
     contains,
     find_invertible,
     generic_det,
-    generic_element,
     grassmann_limit,
     make_space,
     orth_complement,

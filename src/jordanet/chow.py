@@ -10,7 +10,8 @@ one column per degree-(n-1) monomial in ``exact.monomials`` order
 matrix is square of size binom(n+1, 2); its rank equals the dimension of the
 linear span of the reciprocal variety, and its left kernel consists of the
 linear forms that vanish on all inverses.  The matrix is read off the
-space's integer basis (``chow_matrix``); the rank and the kernel forms read
+adjugate of the packed integer generic element (``spaces.generic_matrix``)
+by Faddeev-LeVerrier (``chow_matrix``); the rank and the kernel forms read
 one echelon of its transpose.
 
 The fully symbolic n = 3 determinant (degree 12 in the 18 entry variables,
@@ -27,9 +28,9 @@ from typing import List
 
 from .errors import PreconditionError
 from .exact import MPoly, monomials, poly_eval
-from .linalg import (Echelon, Mat, adjugate, det_laplace, faddeev_leverrier, integer_inverse,
-                     linear_matrix, packing, rref)
-from .spaces import MatSpace, integer_sweep, is_regular, sym_dim, sym_pairs, unvectorize
+from .linalg import Echelon, Mat, adjugate, det_laplace, faddeev_leverrier, integer_inverse, rref
+from .spaces import (MatSpace, generic_matrix, integer_sweep, is_regular, sym_dim, sym_pairs,
+                     unvectorize)
 
 
 #: the largest Chow matrix, in rows x columns, that ``chow_matrix`` builds
@@ -45,11 +46,10 @@ def chow_matrix(space: MatSpace) -> Mat:
 
     Built once per space and memoised on it; callers must not mutate it.
     It is sized before it is built, sym_dim(n) rows by C(m + n - 2, n - 1)
-    columns, and refused with TOO_LARGE past ``MAX_CHOW_CELLS``.  With B_k =
-    B'_k / L the generic element is X' / L, X' = sum_k t_k B'_k packed with
-    t1 in the top field, and adj(X' / L) = (-1)^(n-1) M_n / L^(n-1)
-    (``faddeev_leverrier``): the cells are M_n at the packed monomial keys
-    over that scale.
+    columns, and refused with TOO_LARGE past ``MAX_CHOW_CELLS``.  The
+    generic element is X' / L (``spaces.generic_matrix``), and adj(X' / L) =
+    (-1)^(n-1) M_n / L^(n-1) (``faddeev_leverrier``): the cells are M_n at
+    the packed monomial keys over that scale.
     """
     if space._chow is None:
         n, m = space.n, space.m
@@ -57,11 +57,10 @@ def chow_matrix(space: MatSpace) -> Mat:
         if rows * cols > MAX_CHOW_CELLS:
             raise PreconditionError("TOO_LARGE", f"the Chow matrix would be {rows} x {cols}, "
                                     f"past {MAX_CHOW_CELLS} cells")
-        basis, lcm = space.integer_basis()
-        fields, _ = packing(m, n)
-        _, adj = faddeev_leverrier(linear_matrix([(1 << f, b) for f, b in zip(fields, basis)]))
-        den = (1 if n % 2 else -1) * lcm ** (n - 1)
-        keys = [sum(e << f for e, f in zip(mono, fields)) for mono in monomials(m, n - 1)]
+        x, packing, _ = generic_matrix(space, n)
+        _, adj = faddeev_leverrier(x)
+        den = (1 if n % 2 else -1) * space.integer_basis()[1] ** (n - 1)
+        keys = [packing.key(mono) for mono in monomials(m, n - 1)]
         space._chow = Mat([[Fraction(adj[i][j].get(key, 0), den) for key in keys]
                            for i, j in sym_pairs(n)])
     return space._chow
@@ -135,12 +134,8 @@ def chow_matrix_generic(n: int = 3) -> Mat:
                                for w, p in zip(weight_names, _NET_PREFIXES)), MPoly.zero())
                           for i, j in sym_pairs(n)])
     adj = adjugate(acc)
-    cols = list(monomials(m, n - 1))
-    rows = []
-    for i, j in sym_pairs(n):
-        buckets = adj[i, j].split_by_vars(weight_names)
-        rows.append([buckets.get(mono, MPoly.zero()) for mono in cols])
-    return Mat(rows)
+    buckets = [adj[i, j].split_by_vars(weight_names) for i, j in sym_pairs(n)]
+    return Mat([[b.get(mono, MPoly.zero()) for mono in monomials(m, n - 1)] for b in buckets])
 
 
 _DET_MEMO = {}
@@ -162,9 +157,6 @@ def chow_det_eval_at_net(space: MatSpace) -> Fraction:
     """Evaluate the generic n = 3 Chow determinant at a net's basis entries."""
     if space.n != 3 or space.m != 3:
         raise PreconditionError("UNSUPPORTED_DIM", "evaluation needs a net of 3 x 3 matrices")
-    assignment = {}
-    for prefix, mat in zip(_NET_PREFIXES, space.basis):
-        for i in range(3):
-            for j in range(i, 3):
-                assignment[f"{prefix}{i + 1}{j + 1}"] = mat[i, j]
+    assignment = {f"{prefix}{i + 1}{j + 1}": mat[i, j]
+                  for prefix, mat in zip(_NET_PREFIXES, space.basis) for i, j in sym_pairs(3)}
     return poly_eval(chow_det_generic(3), assignment)

@@ -16,12 +16,14 @@ invariants.  The partition is exact in m - 2 polynomial variables:
 shifting lam by U's coordinate removes one variable and dehomogenizing
 removes another, and neither changes the squarefree structure
 (``generic_multiplicity_partition`` gives the argument).  One integer
-squarefree decomposition (``exact``) of integer coefficients then serves
-Z[lam] for a pencil, Z[t][lam] for a net and Z[t1, t2][lam] for m = 4.
+squarefree decomposition (``exact``) of coefficients packed by ``Packing``
+serves Z[lam] for a pencil, Z[t][lam] for a net and Z[t1, t2][lam] for
+m = 4, up to ``MAX_PARTITION_SIZE``.
 """
 
 from __future__ import annotations
 
+import math
 from typing import Dict, NamedTuple, Optional, Tuple, Union
 
 from .errors import PreconditionError
@@ -35,11 +37,20 @@ from .jordan import (
     resolve_unit,
     structure_constants,
 )
-from .linalg import faddeev_leverrier, int_matmul, linear_matrix, packing
+from .linalg import Packing, faddeev_leverrier, int_matmul, linear_matrix
 from .spaces import MatSpace, is_regular
 from .varieties import rank_one_pencil
 
 NET_LABELS = ("1a", "1b", "2a1", "2a2", "2b", "3a", "3b1", "3b2")
+
+
+#: the largest n C(n + m - 1, m - 1) (n times the terms of det(lam U - X) in
+#: lam and m - 2 variables; S^4 nets: 60) whose partition is computed.  As
+#: (n, m) size CPU-seconds on dense spaces (entries in {-3..3}, Python 3.11,
+#: Xeon), nearly all in the squarefree decomposition: admitted (4, 5) 280 0.16,
+#: (6, 4) 504 1.4, (4, 6) 504 2.2, (5, 5) 630 4.8, (10, 3) 660 1.5; refused (7,
+#: 4) 840 10, (4, 7) 840 16, (11, 3) 858 5.2, (30, 2) 930 2.9, (5, 6) 1260 > 60.
+MAX_PARTITION_SIZE = 700
 
 
 def generic_multiplicity_partition(space: MatSpace) -> Tuple[int, ...]:
@@ -70,19 +81,24 @@ def generic_multiplicity_partition(space: MatSpace) -> Tuple[int, ...]:
 
     A pencil is thus univariate over QQ and a net bivariate.  The integer
     coefficients come from ``linalg.faddeev_leverrier`` on that matrix,
-    packed from (B', L), and go to ``exact.squarefree_decomposition`` as
-    exponent tuples in t1..t_{m-2}.  For m = 1 the partition is (n,).
+    packed from (B', L) (``linalg.Packing``), and go to
+    ``exact.squarefree_decomposition`` as exponent tuples in t1..t_{m-2}.
+    For m = 1 the partition is (n,); otherwise the space is sized first and
+    refused with TOO_LARGE past ``MAX_PARTITION_SIZE``.
     """
     unit = resolve_unit(space)
     if space.m == 1:
         return (space.n,)
+    size = space.n * math.comb(space.n + space.m - 1, space.m - 1)
+    if size > MAX_PARTITION_SIZE:
+        raise PreconditionError("TOO_LARGE", f"the multiplicity partition in S^{space.n} with "
+                                f"m = {space.m} has size {size}, past {MAX_PARTITION_SIZE}")
     drop = next(k for k, c in enumerate(unit.coords) if c != 0)
     basis, _ = space.integer_basis()  # each B'_k is symmetric: its rows are its columns
     mats = [int_matmul(unit.q, b) for k, b in enumerate(basis) if k != drop]
-    fields, mask = packing(len(mats) - 1, space.n)
-    cs, _ = faddeev_leverrier(linear_matrix(list(zip([1 << f for f in fields] + [0], mats))))
-    coeffs = [{tuple((key >> f) & mask for f in fields): c for key, c in cp.items()}
-              for cp in reversed([{0: 1}] + cs)]
+    packing = Packing(len(mats) - 1, space.n)
+    cs, _ = faddeev_leverrier(linear_matrix(list(zip(packing.units + [0], mats))))
+    coeffs = [{packing.exps(key): c for key, c in cp.items()} for cp in reversed([{0: 1}] + cs)]
     # a factor lists its lam-coefficients, one more than its lam-degree
     parts = [mult for factor, mult in squarefree_decomposition(coeffs) for _ in factor[1:]]
     return tuple(sorted(parts, reverse=True))

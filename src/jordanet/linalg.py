@@ -16,15 +16,15 @@ coordinates over independent rows A are those of v_P A_P^-1 on A's pivot
 columns P (``express_in_rows``, ``spaces.MatSpace.coordinates``).
 
 Polynomial matrices run on one integer kernel: an entry is {packed
-exponent: int coefficient} (``packing``), so that a monomial product is one
-integer addition and a coefficient product one integer multiplication.
-``faddeev_leverrier`` (n - 1 matrix products, divisions only by 1..n, exact
-on integer polynomials) takes the Chow matrix's and the multiplicity
-partition's generic elements packed straight from a space's integer basis
-(``linear_matrix``).  ``PolyRing`` converts Fraction and MPoly matrices once,
-over one denominator, for ``charpoly``, ``adjugate``, products, Laplace
-determinants memoized over column subsets, and all maximal minors of a wide
-matrix at once (``maximal_minors``: Pluecker coordinates share that memo).
+exponent: int coefficient}, the exponents packed by ``Packing``, the one
+place that shifts or masks them, so that a monomial product is one integer
+addition.  A space's polynomial objects are read off its packed generic
+element (``linear_matrix``, ``spaces.generic_matrix``): ``faddeev_leverrier``
+(n - 1 matrix products, exact divisions by 1..n) gives adjugates and
+characteristic polynomials, ``laplace_minors`` (memoized over column subsets)
+determinants and minors.  ``PolyRing`` converts symbolic Fraction and MPoly
+``Mat``s once, over one denominator, for ``charpoly``, ``adjugate``,
+products, ``det`` and ``maximal_minors``.
 """
 
 from __future__ import annotations
@@ -34,7 +34,7 @@ import itertools
 import math
 from fractions import Fraction
 from operator import mul
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 from .errors import PreconditionError
 from .exact import MPoly, frac
@@ -172,22 +172,42 @@ def _field_width(bound: int) -> int:
     return bound.bit_length()
 
 
-def packing(k: int, bound: int) -> Tuple[List[int], int]:
-    """(fields, mask) packing exponent tuples of k variables into one int:
-    the first variable in the top field, each ``_field_width(bound)`` bits
-    wide, so a monomial product is one integer addition.  No field carries
-    while no exponent of a result exceeds ``bound``: n times the largest
-    entry degree for an n x n determinant, charpoly or adjugate."""
-    width = _field_width(bound)
-    return [width * (k - 1 - i) for i in range(k)], (1 << width) - 1
+class Packing:
+    """Exponent tuples of k variables as one int, the first variable in the
+    top field, each ``_field_width(bound)`` bits wide: a monomial product is
+    one integer addition, and no field carries while no exponent of a result
+    exceeds ``bound`` (n times the largest entry degree for an n x n
+    determinant, charpoly or adjugate; the degree of a Macaulay column).
+    ``units[i]`` is the key of the i-th variable."""
+
+    __slots__ = ("fields", "mask", "units")
+
+    def __init__(self, k: int, bound: int):
+        width = _field_width(bound)
+        self.fields = [width * (k - 1 - i) for i in range(k)]
+        self.mask = (1 << width) - 1
+        self.units = [1 << f for f in self.fields]
+
+    def key(self, exps: Sequence[int]) -> int:
+        return sum(map(mul, exps, self.units))
+
+    def exps(self, key: int) -> Tuple[int, ...]:
+        return tuple((key >> f) & self.mask for f in self.fields)
+
+    def mpoly(self, p: IntPoly, den: int, names: Sequence[str]) -> MPoly:
+        """p / den over the sorted names, field i holding names[i]."""
+        vars = tuple(sorted(names))
+        fields, mask = [self.fields[names.index(v)] for v in vars], self.mask
+        return MPoly(vars, {tuple((key >> f) & mask for f in fields): Fraction(c, den)
+                            for key, c in p.items()})
 
 
 class PolyRing:
-    """Integer polynomials standing in for the entries of Fraction and MPoly
-    matrices.
+    """Integer polynomials standing in for the entries of symbolic Fraction
+    and MPoly matrices (``Mat``).
 
     The variables are the sorted union of the entries' variables, their
-    exponents packed up to ``bound`` (``packing``).  A matrix M becomes
+    exponents packed up to ``bound`` (``Packing``).  A matrix M becomes
     integer entries M' with M = M' / d, d the lcm of the denominators of all
     its coefficients.  Results are Fractions when no entry was an MPoly, and
     MPolys over the variables otherwise.
@@ -197,8 +217,8 @@ class PolyRing:
         polys = [x for m in mats for row in m.data for x in row if isinstance(x, MPoly)]
         self.is_poly = bool(polys)
         self.vars = tuple(sorted({v for p in polys for v in p.vars}))
-        self._fields, self._mask = packing(len(self.vars), bound)
-        self._field_of = dict(zip(self.vars, self._fields))
+        self.packing = Packing(len(self.vars), bound)
+        self._key_of = dict(zip(self.vars, self.packing.units))
 
     def int_rows(self, m: Mat) -> Tuple[List[List[IntPoly]], int]:
         """(M', d) with M = M' / d."""
@@ -209,17 +229,15 @@ class PolyRing:
     def _pack(self, x: Entry, d: int) -> IntPoly:
         if not isinstance(x, MPoly):
             return {0: x.numerator * (d // x.denominator)} if x else {}
-        fields = [self._field_of[v] for v in x.vars]
-        return {sum(e << f for e, f in zip(exps, fields)): c.numerator * (d // c.denominator)
+        keys = [self._key_of[v] for v in x.vars]
+        return {sum(map(mul, exps, keys)): c.numerator * (d // c.denominator)
                 for exps, c in x.terms.items()}
 
     def entry(self, p: IntPoly, den: int) -> Entry:
         """The entry p / den."""
         if not self.is_poly:
             return Fraction(p.get(0, 0), den)
-        fields, mask = self._fields, self._mask
-        return MPoly(self.vars, {tuple((key >> f) & mask for f in fields): Fraction(c, den)
-                                 for key, c in p.items()})
+        return self.packing.mpoly(p, den, self.vars)
 
     def mat(self, rows: List[List[IntPoly]], den: int) -> Mat:
         """The matrix rows / den."""
@@ -476,17 +494,10 @@ def det_bareiss(m: Mat) -> Fraction:
     return Fraction(-ech.d if swaps % 2 else ech.d, math.prod(d for _, d in cleared))
 
 
-def maximal_minors(m: Mat) -> Dict[Tuple[int, ...], Entry]:
-    """Every k x k minor of a k x N matrix (k <= N), keyed by its column tuple
-    in lexicographic order: one Laplace expansion memoized over column subsets
-    on the integer kernel.  The minor on columns S expands along row |S| - 1
-    into minors of the rows above on the subsets of S with one column fewer;
-    each subset's minor is computed once and shared by every S that contains
-    it.  With M = M' / d, each minor is the minor of M' over d^k.  Serves
-    ``det_laplace`` (k = N) and ``spaces.plucker`` (k < N)."""
-    k = m.rows
-    ring = PolyRing([m], k * _max_degree(m))
-    a, d = ring.int_rows(m)
+def laplace_minors(a: Sequence[Sequence[IntPoly]]) -> Callable[[tuple], IntPoly]:
+    """The minor of the first |S| rows of an integer polynomial matrix on
+    columns S, by Laplace expansion along row |S| - 1 into the minors on the
+    subsets of S one column smaller, each computed once and shared."""
     memo: Dict[tuple, IntPoly] = {(): {0: 1}}
 
     def minor(cols: tuple) -> IntPoly:
@@ -505,7 +516,17 @@ def maximal_minors(m: Mat) -> Dict[Tuple[int, ...], Entry]:
         memo[cols] = acc = _nonzero(acc)
         return acc
 
-    den = d ** k
+    return minor
+
+
+def maximal_minors(m: Mat) -> Dict[Tuple[int, ...], Entry]:
+    """Every k x k minor of a k x N matrix (k <= N), keyed by its column tuple
+    in lexicographic order, from one ``laplace_minors`` memo: with M = M' /
+    d, the minor of M' over d^k."""
+    k = m.rows
+    ring = PolyRing([m], k * _max_degree(m))
+    a, d = ring.int_rows(m)
+    minor, den = laplace_minors(a), d ** k
     return {cols: ring.entry(minor(cols), den)
             for cols in itertools.combinations(range(m.cols), k)}
 

@@ -18,9 +18,11 @@ matrices too: the identity test reduces L I, and a sweep point's U' =
 sum_k t_k B'_k is ranked and kept, so that ``jordan.resolve_unit`` inverts
 U' itself.
 
-``generic_element`` forms sum_k t_k B_k from any sequence of rational
-matrices, for the generic determinant and the rank-one minors; the Chow
-matrix and the multiplicity partition pack theirs from (B', L) as integers.
+Every polynomial object of a space is read off (B', L): the generic element
+is X' / L, X' = sum_k t_k B'_k packed by ``generic_matrix``, so that
+``generic_det`` is det(X') / L^n, ``varieties.rank_one_system`` the 2 x 2
+minors of X' over L^2 and ``chow.chow_matrix`` adj(X'); ``plucker`` takes
+the minors of the vectorized B' over L^m.
 
 ``ParametricBasis`` holds a one-parameter family (entries polynomial in t).
 ``grassmann_limit`` computes its limit at t -> 0 by valuation-normalized row
@@ -39,12 +41,15 @@ from .errors import InternalCheckError, PreconditionError
 from .exact import MPoly
 from .linalg import (
     Echelon,
+    IntPoly,
     Mat,
-    det,
+    Packing,
     int_matmul,
     integer_inverse,
     integer_vector,
     inverse_or_none,
+    laplace_minors,
+    linear_matrix,
     maximal_minors,
     rref,
 )
@@ -111,12 +116,9 @@ class MatSpace:
 
     # -- coordinates ----------------------------------------------------
 
-    def coordinate_rows(self) -> List[List[Fraction]]:
-        return [vectorize(b) for b in self.basis]
-
     def integer_basis(self) -> Tuple[List[List[List[int]]], int]:
         """(B', L) with B_k = B'_k / L over one common denominator L: integer
-        matrices for the sweep, the Jordan products and the rank-one minors."""
+        matrices for the sweep, the Jordan products and ``generic_matrix``."""
         return self._ints
 
     def echelon(self) -> Echelon:
@@ -203,23 +205,24 @@ def generic_names(m: int) -> Tuple[str, ...]:
     return tuple(f"t{k + 1}" for k in range(m))
 
 
-def generic_element(basis: Sequence[Mat], names: Optional[Sequence[str]] = None) -> Mat:
-    """sum_k t_k B_k for rational matrices B_k, with fresh polynomial
-    variables t1..tm (or ``names``): each entry is formed once, as the MPoly
-    {exponent of t_k: B_k[i][j]}."""
-    names = tuple(names) if names is not None else generic_names(len(basis))
-    if len(names) != len(basis):
-        raise PreconditionError("PARSE_ERROR", "need one variable name per basis element")
-    vars = tuple(sorted(names))
-    terms = [(tuple(int(v == name) for v in vars), b.data) for name, b in zip(names, basis)]
-    n = basis[0].rows
-    return Mat([[MPoly(vars, {key: d[i][j] for key, d in terms if d[i][j]}) for j in range(n)]
-                for i in range(n)])
+def generic_matrix(space: MatSpace, bound: int, names: Optional[Sequence[str]] = None
+                   ) -> Tuple[List[List[IntPoly]], Packing, Tuple[str, ...]]:
+    """(X', packing, names): X' = sum_k t_k B'_k, t_k in field k - 1 of
+    ``Packing(m, bound)`` and called names[k - 1] (t1..tm by default; one
+    distinct name per basis matrix, or PARSE_ERROR)."""
+    names = tuple(names) if names is not None else generic_names(space.m)
+    if len(set(names)) != len(names) or len(names) != space.m:
+        raise PreconditionError("PARSE_ERROR", "need one distinct variable name per basis element")
+    packing = Packing(space.m, bound)
+    return linear_matrix(list(zip(packing.units, space.integer_basis()[0]))), packing, names
 
 
 def generic_det(space: MatSpace, names: Optional[Sequence[str]] = None) -> MPoly:
-    """Determinant of the generic element; nonzero iff the space is regular."""
-    return det(generic_element(space.basis, names))
+    """Determinant of the generic element, nonzero iff the space is regular:
+    det(X') / L^n (``generic_matrix``, ``linalg.laplace_minors``)."""
+    rows, packing, names = generic_matrix(space, space.n, names)
+    det = laplace_minors(rows)(tuple(range(space.n)))
+    return packing.mpoly(det, space.integer_basis()[1] ** space.n, names)
 
 
 def is_regular(space: MatSpace) -> bool:
@@ -449,21 +452,23 @@ class PluckerVector:
 MAX_PLUCKER_SUBSETS = 200_000
 
 
-def _bounded_minors(n: int, rows: list) -> dict:
-    """``maximal_minors`` of the m coordinate rows of a space or a family in
-    S^n, sized before the first minor and refused with TOO_LARGE past
-    ``MAX_PLUCKER_SUBSETS``."""
-    subsets = sum(math.comb(sym_dim(n), j) for j in range(len(rows) + 1))
+def _check_plucker_size(n: int, m: int) -> None:
+    """TOO_LARGE past ``MAX_PLUCKER_SUBSETS`` column subsets for m rows in S^n."""
+    subsets = sum(math.comb(sym_dim(n), j) for j in range(m + 1))
     if subsets > MAX_PLUCKER_SUBSETS:
         raise PreconditionError("TOO_LARGE", f"the Pluecker minors would visit {subsets} "
                                 f"column subsets, past {MAX_PLUCKER_SUBSETS}")
-    return maximal_minors(Mat(rows))
 
 
 def plucker(space: MatSpace) -> PluckerVector:
-    """All m x m minors of the m x binom(n+1,2) coordinate matrix, from one
-    Laplace memo over column subsets (``_bounded_minors``)."""
-    return PluckerVector(space.n, space.m, _bounded_minors(space.n, space.coordinate_rows()))
+    """All m x m minors of the m x binom(n+1,2) coordinate matrix, sized
+    first: those of the vectorized B' over L^m (``linalg.laplace_minors``)."""
+    n, m = space.n, space.m
+    _check_plucker_size(n, m)
+    (basis, lcm), pairs = space.integer_basis(), sym_pairs(n)
+    minor = laplace_minors([[{0: b[i][j]} if b[i][j] else {} for i, j in pairs] for b in basis])
+    return PluckerVector(n, m, {cols: Fraction(minor(cols).get(0, 0), lcm ** m)
+                                for cols in itertools.combinations(range(len(pairs)), m)})
 
 
 class ParametricBasis:
@@ -506,7 +511,8 @@ def grassmann_limit(family: ParametricBasis) -> MatSpace:
     TOO_LARGE past ``MAX_PLUCKER_SUBSETS``, as in ``plucker``.
     """
     param, polys = family.param, family.coordinate_rows()
-    minors = _bounded_minors(family.n, polys)
+    _check_plucker_size(family.n, family.m)
+    minors = maximal_minors(Mat(polys))
     valuations = [min(by_power(p, param)) for p in minors.values() if p.terms]
     if not valuations:
         raise PreconditionError("NOT_GENERIC_RANK", "family is degenerate for generic t")

@@ -5,7 +5,9 @@ stored certificate catalogs.
 coefficient vectors of all degree-D multiples of a homogeneous system and
 certifies that the system has no projective solution whenever those multiples
 span the entire degree-D coefficient space (then every ``x_i^D`` lies in the
-ideal, so only the origin survives).  UNKNOWN is a legal answer.
+ideal, so only the origin survives).  UNKNOWN is a legal answer.  Monomials
+are packed by ``linalg.Packing``; the rank-one system is read off the
+space's packed generic element (``spaces.generic_matrix``).
 
 The catalog polynomials are data, not derived objects: they are certificate
 polynomials for specific loci (repeated-eigenvalue cubics, the Jordan-net
@@ -18,23 +20,22 @@ from __future__ import annotations
 import itertools
 import math
 from fractions import Fraction
-from operator import mul
 from pathlib import Path
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 from .errors import InputError, PreconditionError
 from .exact import MPoly, monomials, parse_poly_lines, poly_eval
 from .jordan import radical, structure_constants
-from .linalg import Echelon, Mat, mat_rank
+from .linalg import Echelon, Mat, Packing, laplace_minors, mat_rank
 from .spaces import (
     MatSpace,
     PluckerVector,
-    generic_element,
-    generic_names,
+    generic_matrix,
     integer_sweep,
     plucker,
     sweep_rank,
     sym_dim,
+    sym_pairs,
 )
 
 DATA_DIR = Path(__file__).resolve().parent / "data" / "polynomials"
@@ -107,18 +108,16 @@ def macaulay_emptiness(polys: Sequence[MPoly], degree: int,
     if max(rows, 1) * target > MAX_MACAULAY_CELLS:
         raise PreconditionError("TOO_LARGE", f"the degree-{degree} Macaulay matrix would be "
                                 f"{rows} x {target}, past {MAX_MACAULAY_CELLS} cells")
-    # a monomial of degree <= D packs into one int, base D + 1, so a product
-    # of monomials is the sum of their keys
-    weights = [(degree + 1) ** (k - 1 - i) for i in range(k)]
-    col_index = {sum(map(mul, mono, weights)): j for j, mono in enumerate(monomials(k, degree))}
+    packing = Packing(k, degree)  # a product of monomials is the sum of their keys
+    col_index = {packing.key(mono): j for j, mono in enumerate(monomials(k, degree))}
 
     def multiplier_rows():
         for p, d in system:
             lcm = math.lcm(*(c.denominator for c in p.terms.values()))
-            terms = [(sum(map(mul, exps, weights)), c.numerator * (lcm // c.denominator))
+            terms = [(packing.key(exps), c.numerator * (lcm // c.denominator))
                      for exps, c in p.terms.items()]
             for mult in monomials(k, degree - d):
-                shift = sum(map(mul, mult, weights))
+                shift = packing.key(mult)
                 row = [0] * target
                 for key, c in terms:
                     row[col_index[key + shift]] = c
@@ -131,19 +130,17 @@ def macaulay_emptiness(polys: Sequence[MPoly], degree: int,
 
 
 def rank_one_system(space: MatSpace) -> List[MPoly]:
-    """All 2x2 minors of the generic element: the rank <= 1 locus equations."""
-    g = generic_element(space.basis)
-    n = space.n
+    """All nonzero 2x2 minors of the generic element, rows (i, j) and
+    columns (k, l) >= (i, j): the rank <= 1 locus equations.  Each is the
+    Laplace minor of rows i, j of the packed X' (``spaces.generic_matrix``)
+    over L^2."""
+    g, packing, names = generic_matrix(space, 2)
+    den = space.integer_basis()[1] ** 2
+    pairs = list(itertools.combinations(range(space.n), 2))
     minors = []
-    for i in range(n):
-        for j in range(i + 1, n):
-            for k in range(n):
-                for l in range(k + 1, n):
-                    if (k, l) < (i, j):
-                        continue
-                    minor = g[i, k] * g[j, l] - g[i, l] * g[j, k]
-                    if not minor.is_zero():
-                        minors.append(minor)
+    for r, (i, j) in enumerate(pairs):
+        minor = laplace_minors([g[i], g[j]])
+        minors += [packing.mpoly(p, den, names) for p in map(minor, pairs[r:]) if p]
     return minors
 
 
@@ -154,12 +151,11 @@ _MAX_CERTIFICATE_DEGREE = 6
 def rank_one_locus_certificate(space: MatSpace) -> Certificate:
     """Sweep Macaulay degrees 2..6 (``_MAX_CERTIFICATE_DEGREE``) for the rank-one locus."""
     system = rank_one_system(space)
-    vars = tuple(sorted(generic_names(space.m)))
     if not system:
         return Certificate("SOLUTIONS_EXIST")
     cert = Certificate("UNKNOWN")
     for d in range(2, _MAX_CERTIFICATE_DEGREE + 1):
-        cert = macaulay_emptiness(system, d, vars=vars)
+        cert = macaulay_emptiness(system, d, vars=system[0].vars)  # each minor is over t1..tm
         if cert.kind == "CERTIFIED_EMPTY":
             return cert
     return cert
@@ -251,12 +247,8 @@ def _net_with_identity_assignment(value) -> Dict[str, Fraction]:
     if value.basis[0] != Mat.identity(3):
         raise PreconditionError("CONVENTION_MISMATCH",
                                 "basis must be (identity, X, Y) for this catalog")
-    out = {}
-    for prefix, mat in zip(("x", "y"), value.basis[1:]):
-        for i in range(3):
-            for j in range(i, 3):
-                out[f"{prefix}{i + 1}{j + 1}"] = mat[i, j]
-    return out
+    return {f"{prefix}{i + 1}{j + 1}": mat[i, j]
+            for prefix, mat in zip(("x", "y"), value.basis[1:]) for i, j in sym_pairs(3)}
 
 
 def _plucker_assignment(value) -> Dict[str, Fraction]:

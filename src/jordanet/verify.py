@@ -160,19 +160,14 @@ def check_coherence(seed: int = 0) -> List[CheckResult]:
     out: List[CheckResult] = []
     for cid in _PLAIN_CATALOG:
         base = canonical(cid)
-        agree = True
-        detail = ""
-        for k in range(_COHERENCE_IMAGES):
-            sp = sample_congruent(base, derive_seed(seed, "coherence", cid, k))
-            jordan_ok, _ = is_jordan(sp)
-            recip_ok, _ = check_reciprocal_identity(sp)
-            closure_ok = jordan_closure(sp).rank == sp.m
-            if not (jordan_ok == recip_ok == closure_ok):
-                agree = False
-                detail = f"image {k}: jordan={jordan_ok} reciprocal={recip_ok} closure={closure_ok}"
-                break
+        images = (sample_congruent(base, derive_seed(seed, "coherence", cid, k))
+                  for k in range(_COHERENCE_IMAGES))
+        conditions = ((is_jordan(sp)[0], check_reciprocal_identity(sp)[0],
+                       jordan_closure(sp).rank == sp.m) for sp in images)
+        bad = next((f"image {k}: jordan={j} reciprocal={r} closure={c}"
+                    for k, (j, r, c) in enumerate(conditions) if not j == r == c), None)
         _check(out, f"coherence of the three conditions on {cid} ({_COHERENCE_IMAGES} images)",
-               agree, detail)
+               bad is None, bad or "")
     return out
 
 
@@ -275,13 +270,9 @@ def check_classification(seed: int = 0) -> List[CheckResult]:
                classify_net_S4(sp) == label)
     for label in NET_LABELS:
         sp = canonical(f"s4/{label}")
-        bad = None
-        for k in range(_CLASSIFY_IMAGES):
-            image = sample_congruent(sp, derive_seed(seed, "classify", label, k))
-            got = classify_net_S4(image)
-            if got != label:
-                bad = f"image {k} -> {got}"
-                break
+        labels = (classify_net_S4(sample_congruent(sp, derive_seed(seed, "classify", label, k)))
+                  for k in range(_CLASSIFY_IMAGES))
+        bad = next((f"image {k} -> {got}" for k, got in enumerate(labels) if got != label), None)
         _check(out, f"{_CLASSIFY_IMAGES} congruence images of {label} classify identically",
                bad is None, bad or "")
     from .spaces import grassmann_limit
@@ -416,51 +407,29 @@ def check_plucker(seed: int = 0) -> List[CheckResult]:
         for k in range(count):
             yield sample_congruent(sp, derive_seed(seed, "plucker", label, k))
 
+    def vanishes(name, quadric, label):
+        bad = next((k for k, image in enumerate(orbit_samples(label, _PLUCKER_SAMPLES))
+                    if catalog_eval(quadric, image) != [0]), None)
+        _check(out, name, bad is None, "" if bad is None else f"sample {bad}")
+
+    def witnessed(name, quadric, label):
+        _check(out, name, any(catalog_eval(quadric, image) != [0]
+                              for image in orbit_samples(label, 12)))
+
     for label in ("s4/1b", "s4/2b", "s4/3b1", "s4/3b2"):
-        bad = None
-        for k, image in enumerate(orbit_samples(label, _PLUCKER_SAMPLES)):
-            if catalog_eval("plucker_spin_orbit_quadric", image) != [0]:
-                bad = f"sample {k}"
-                break
-        _check(out, f"spin-orbit quadric vanishes on {_PLUCKER_SAMPLES} samples of {label}",
-               bad is None, bad or "")
+        vanishes(f"spin-orbit quadric vanishes on {_PLUCKER_SAMPLES} samples of {label}",
+                 "plucker_spin_orbit_quadric", label)
     for label in ("s4/1a", "s4/2a1", "s4/2a2", "s4/3a"):
-        found = False
-        for image in orbit_samples(label, 12):
-            if catalog_eval("plucker_spin_orbit_quadric", image) != [0]:
-                found = True
-                break
-        _check(out, f"spin-orbit quadric has a nonzero witness on {label}", found)
-
-    bad = None
-    for k, image in enumerate(orbit_samples("s4/2a1", _PLUCKER_SAMPLES)):
-        if catalog_eval("plucker_separator_2a1_quadric", image) != [0]:
-            bad = f"sample {k}"
-            break
-    _check(out, f"separator quadric vanishes on {_PLUCKER_SAMPLES} samples of 2a1",
-           bad is None, bad or "")
-    found = False
-    for image in orbit_samples("s4/3b1", 12):
-        if catalog_eval("plucker_separator_2a1_quadric", image) != [0]:
-            found = True
-            break
-    _check(out, "separator quadric has a nonzero witness on 3b1", found)
-
-    bad = None
-    for k, image in enumerate(orbit_samples("nets/L3", _PLUCKER_SAMPLES)):
-        if catalog_eval("plucker_veronese_orbit_quadric", image) != [0]:
-            bad = f"sample {k}"
-            break
-    _check(out, f"Veronese-orbit quadric vanishes on {_PLUCKER_SAMPLES} samples",
-           bad is None, bad or "")
-
-    bad = None
-    for k, image in enumerate(orbit_samples("s4/1a", _PLUCKER_SAMPLES)):
-        if catalog_eval("plucker_diagonal_orbit_quadric", image) != [0]:
-            bad = f"sample {k}"
-            break
-    _check(out, f"diagonal-orbit quadric vanishes on {_PLUCKER_SAMPLES} samples of 1a",
-           bad is None, bad or "")
+        witnessed(f"spin-orbit quadric has a nonzero witness on {label}",
+                  "plucker_spin_orbit_quadric", label)
+    vanishes(f"separator quadric vanishes on {_PLUCKER_SAMPLES} samples of 2a1",
+             "plucker_separator_2a1_quadric", "s4/2a1")
+    witnessed("separator quadric has a nonzero witness on 3b1",
+              "plucker_separator_2a1_quadric", "s4/3b1")
+    vanishes(f"Veronese-orbit quadric vanishes on {_PLUCKER_SAMPLES} samples",
+             "plucker_veronese_orbit_quadric", "nets/L3")
+    vanishes(f"diagonal-orbit quadric vanishes on {_PLUCKER_SAMPLES} samples of 1a",
+             "plucker_diagonal_orbit_quadric", "s4/1a")
     return out
 
 

@@ -11,8 +11,9 @@ the tests can compare the two:
 - ``macaulay_rank_by_fractions``: the Macaulay matrix as Fraction rows handed
   to ``rref`` (the package writes integer rows into one echelon); the rows
   themselves come from ``macaulay_rows_by_fractions``;
-- ``plucker_by_minors``: one determinant per maximal minor (the package
-  shares one Laplace memo over column subsets);
+- ``plucker_by_minors``: one determinant per maximal minor of the Fraction
+  coordinate rows (``coordinate_rows``; the package shares one Laplace memo
+  over column subsets of the vectorized B');
 - ``sweep_for_unit_by_fractions``: every sweep candidate formed as a
   Fraction scale-and-add of the basis and ranked by ``mat_rank`` (the
   package ranks integer candidates and forms the winner alone);
@@ -23,8 +24,13 @@ the tests can compare the two:
   coefficient matrix S(t) of the substitution and two polynomial ``Mat @``
   products S^T M S, with I folded per entry (the package reads S^T M S off
   the substituted quadric);
-- ``generic_element_by_scale_and_add``: sum_k t_k B_k as m polynomial
-  scalings and m - 1 ``Mat`` sums (the package forms each entry once);
+- ``generic_element``: sum_k t_k B_k as a ``Mat`` of ``MPoly`` entries
+  over the Fraction basis, each entry formed once, the reference route to
+  the generic determinant (``det_laplace`` of it) and the rank-one minors
+  (``rank_one_minors_by_mpoly``), which the package reads off the packed
+  integer element X' = sum_k t_k B'_k over powers of L;
+  ``generic_element_by_scale_and_add`` forms it as m polynomial scalings
+  and m - 1 ``Mat`` sums;
 - ``element_by_fractions``: sum_k c_k B_k with each entry a Fraction sum
   over the Fraction basis (the package sums integer coordinates over the
   space's integer basis and forms one Fraction per upper entry);
@@ -127,7 +133,6 @@ from jordanet.spaces import (
     MatSpace,
     contains,
     generic_det,
-    generic_element,
     generic_names,
     integer_sweep,
     make_space,
@@ -305,9 +310,14 @@ def macaulay_rows_by_fractions(polys, degree: int, vars) -> tuple:
     return rows, len(cols)
 
 
+def coordinate_rows(space):
+    """The vectorized Fraction basis matrices."""
+    return [vectorize(b) for b in space.basis]
+
+
 def plucker_by_minors(space) -> dict:
     """Every maximal minor of the coordinate matrix, one ``det`` each."""
-    rows = space.coordinate_rows()
+    rows = coordinate_rows(space)
     return {cols: det(Mat([[row[c] for c in cols] for row in rows]))
             for cols in itertools.combinations(range(sym_dim(space.n)), space.m)}
 
@@ -431,6 +441,38 @@ def substitution_family_by_matrices(space, substitution):
     st = s.transpose()
     return [((st @ b.map(lambda e: MPoly.const(e, ("I", "t")))) @ s).map(_reduce_imaginary)
             for b in space.basis]
+
+
+def generic_element(basis, names=None) -> Mat:
+    """sum_k t_k B_k for rational matrices B_k, with fresh polynomial
+    variables t1..tm (or ``names``): each entry is formed once, as the MPoly
+    {exponent of t_k: B_k[i][j]}."""
+    names = tuple(names) if names is not None else generic_names(len(basis))
+    if len(names) != len(basis):
+        raise PreconditionError("PARSE_ERROR", "need one variable name per basis element")
+    vars = tuple(sorted(names))
+    terms = [(tuple(int(v == name) for v in vars), b.data) for name, b in zip(names, basis)]
+    n = basis[0].rows
+    return Mat([[MPoly(vars, {key: d[i][j] for key, d in terms if d[i][j]}) for j in range(n)]
+                for i in range(n)])
+
+
+def rank_one_minors_by_mpoly(space):
+    """The nonzero 2 x 2 minors of ``generic_element`` in MPoly arithmetic,
+    rows (i, j) and columns (k, l) >= (i, j), in that order."""
+    g = generic_element(space.basis)
+    n = space.n
+    minors = []
+    for i in range(n):
+        for j in range(i + 1, n):
+            for k in range(n):
+                for l in range(k + 1, n):
+                    if (k, l) < (i, j):
+                        continue
+                    minor = g[i, k] * g[j, l] - g[i, l] * g[j, k]
+                    if not minor.is_zero():
+                        minors.append(minor)
+    return minors
 
 
 def generic_element_by_scale_and_add(basis, names=None) -> Mat:

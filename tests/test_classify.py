@@ -1,3 +1,5 @@
+import math
+import time
 from fractions import Fraction
 
 import pytest
@@ -22,7 +24,6 @@ from jordanet.linalg import Mat, inverse
 from jordanet.prng import SplitMix64, derive_seed
 from jordanet.spaces import (
     find_invertible,
-    generic_element,
     grassmann_limit,
     is_regular,
     make_space,
@@ -30,6 +31,7 @@ from jordanet.spaces import (
     sym_dim,
 )
 from oracles import (
+    generic_element,
     partition_by_mpoly,
     partition_coefficients_by_mpoly,
     rational_spaces,
@@ -189,9 +191,12 @@ class TestIntegerPartition:
     partition where the decomposition is quick (at most two variables)."""
 
     def inputs(self, monkeypatch, space):
+        # the decomposition is stubbed, so the size bound that guards it is
+        # lifted: S^5 with m = 6 is past it
         got = []
         monkeypatch.setattr(classify, "squarefree_decomposition",
                             lambda coeffs: got.append(coeffs) or [])
+        monkeypatch.setattr(classify, "MAX_PARTITION_SIZE", math.inf)
         generic_multiplicity_partition(space)
         monkeypatch.undo()
         return got
@@ -229,6 +234,26 @@ class TestPartition:
         for name, (sp, expected) in unit_off_the_first_element().items():
             assert find_invertible(sp)[1][0] == 0, name
             assert generic_multiplicity_partition(sp) == expected, name
+
+    def test_refused_past_the_size_bound(self):
+        # a dense space of S^5 with m = 6 would not finish in a minute; it is
+        # refused from (n, m) before any polynomial work
+        rng = SplitMix64(2027)
+        while True:
+            upper = [[[rng.int_between(-3, 3) for _ in range(5)] for _ in range(5)]
+                     for _ in range(6)]
+            basis = [Mat.from_ints([[u[min(i, j)][max(i, j)] for j in range(5)] for i in range(5)])
+                     for u in upper]
+            try:
+                space = make_space(5, basis)
+                break
+            except PreconditionError:
+                continue
+        start = time.process_time()
+        with pytest.raises(PreconditionError) as err:
+            generic_multiplicity_partition(space)
+        assert err.value.code == "TOO_LARGE" and "past 700" in str(err.value)
+        assert time.process_time() - start < 1
 
     def test_one_dimensional_space(self):
         assert generic_multiplicity_partition(make_space(3, [diag(2, 2, 2)])) == (3,)

@@ -23,7 +23,7 @@ from jordanet.linalg import (
     rref,
 )
 from jordanet.prng import SplitMix64
-from jordanet.spaces import MatSpace, generic_element, generic_names, make_space, sweep_rank
+from jordanet.spaces import MatSpace, generic_det, generic_names, make_space, sweep_rank
 from jordanet.varieties import macaulay_emptiness, rank_one_system
 from oracles import (
     GaussJordanEchelon,
@@ -31,6 +31,7 @@ from oracles import (
     UniPoly,
     det_bareiss_by_ring,
     det_by_gauss_jordan,
+    generic_element,
     inverse_or_none_by_primitive_rows,
     macaulay_rows_by_fractions,
     mpoly_from_terms,
@@ -955,10 +956,19 @@ class TestIntegerKernel:
         cp, _ = faddeev_leverrier_by_entries(m)
         assert det_laplace(m) == expected == P("b^8 - a^2")
         assert charpoly(m) == cp
+        # the generic determinant t1^2 - t2^2 fills t2's two-bit field; at
+        # degree 3 in x, y, z, x*z^2 and y^3 would share a key one bit
+        # narrower, and x*y*z alone is outside <x^2, y^2, z^2>
+        space = make_space(2, [Mat.identity(2), Mat.from_ints([[0, 1], [1, 0]])])
+        assert generic_det(space) == P("t1^2 - t2^2")
+        squares = [P("x^2"), P("y^2"), P("z^2")]
+        assert macaulay_emptiness(squares, 3).span_rank == 9
         width = linalg._field_width
         monkeypatch.setattr(linalg, "_field_width", lambda bound: width(bound) - 1)
         assert det_laplace(m) != expected
         assert charpoly(m) != cp
+        assert generic_det(space) != P("t1^2 - t2^2")
+        assert macaulay_emptiness(squares, 3).span_rank != 9
 
     def test_generic_chow_determinant(self):
         from jordanet.chow import chow_det_generic, chow_matrix_generic

@@ -11,7 +11,7 @@ from jordanet.errors import PreconditionError
 from jordanet.exact import MPoly, parse_poly
 from jordanet.exact import frac, frac_str
 from jordanet.io import parse_space_data
-from jordanet.linalg import Mat, det
+from jordanet.linalg import Mat, det, det_laplace, maximal_minors
 from jordanet.prng import SplitMix64
 from jordanet.spaces import (
     MatSpace,
@@ -20,7 +20,7 @@ from jordanet.spaces import (
     contains,
     find_invertible,
     generic_det,
-    generic_element,
+    generic_matrix,
     generic_names,
     grassmann_limit,
     integer_sweep,
@@ -33,12 +33,15 @@ from jordanet.spaces import (
     sym_dim,
 )
 from oracles import (
+    coordinate_rows,
     dense_unit_points,
     element_by_fractions,
     element_by_scale_and_add,
+    generic_element,
     generic_element_by_scale_and_add,
     parse_space_data_by_fractions,
     plucker_by_minors,
+    rational_spaces,
     substitution_family_by_matrices,
     sweep_for_unit_by_fractions,
 )
@@ -127,19 +130,40 @@ class TestMakeSpace:
         assert err.value.code == "NOT_SYMMETRIC"
 
 
+def packed_element(space, names=None) -> Mat:
+    """The package's generic element X' / L (``generic_matrix``) as a Mat of
+    MPolys."""
+    rows, packing, names = generic_matrix(space, 1, names)
+    lcm = space.integer_basis()[1]
+    return Mat([[packing.mpoly(p, lcm, names) for p in row] for row in rows])
+
+
+def same_polys(got, want) -> bool:
+    """Equal variables and terms, polynomial by polynomial."""
+    return [(p.vars, p.terms) for p in got] == [(p.vars, p.terms) for p in want]
+
+
+def plain_catalog_spaces():
+    spaces = [canonical(cid) for cid in catalog_ids()]
+    return [sp for sp in spaces if isinstance(sp, MatSpace)]
+
+
 class TestGenericElement:
+    """The packed X' = sum_k t_k B'_k over L against the MPoly element of the
+    Fraction basis."""
+
     def test_diagonal(self):
         sp = make_space(2, [E(2, 1, 1), E(2, 2, 2)])
-        g = generic_element(sp.basis)
+        g = packed_element(sp)
         assert g[0, 0] == P("t1") and g[1, 1] == P("t2") and g[0, 1] == P("0")
 
     def test_single_antidiagonal(self):
         sp = make_space(2, [E(2, 1, 2)])
-        g = generic_element(sp.basis)
+        g = packed_element(sp)
         assert g[0, 1] == P("t1")
 
     def test_named_variables(self):
-        g = generic_element(double_conic_net().basis, names=("x", "y", "z"))
+        g = packed_element(double_conic_net(), names=("x", "y", "z"))
         assert g[0, 0] == P("x") and g[0, 1] == P("y") and g[1, 1] == P("z")
 
     def test_matches_scale_and_add(self):
@@ -151,16 +175,20 @@ class TestGenericElement:
             basis = [Mat([[Fraction(rng.int_between(-2, 2) * rng.int_between(0, 1),
                                     rng.int_between(1, 3)) for _ in range(n)]
                           for _ in range(n)]) for _ in range(m)]
-            got = generic_element(basis)
-            assert got == generic_element_by_scale_and_add(basis)
+            got = packed_element(MatSpace(n, basis))
+            assert got == generic_element_by_scale_and_add(basis) == generic_element(basis)
             assert all(e.vars == tuple(sorted(generic_names(m))) for row in got.data for e in row)
         names = ("z", "x", "y")
         basis = [E(2, 1, 1), E(2, 1, 2), Mat.zero(2, 2)]
-        assert generic_element(basis, names) == generic_element_by_scale_and_add(basis, names)
+        assert packed_element(MatSpace(2, basis), names) == \
+            generic_element_by_scale_and_add(basis, names)
 
     def test_one_name_per_matrix(self):
-        with pytest.raises(PreconditionError):
-            generic_element([E(2, 1, 1), E(2, 2, 2)], names=("x",))
+        sp = make_space(2, [E(2, 1, 1), E(2, 2, 2)])
+        for names in (("x",), ("x", "y", "z"), ("x", "x")):
+            with pytest.raises(PreconditionError) as err:
+                generic_matrix(sp, 2, names)
+            assert err.value.code == "PARSE_ERROR"
 
 
 class TestGenericDet:
@@ -169,15 +197,57 @@ class TestGenericDet:
         assert d == P("x^2*z^2 - 2*x*y^2*z + y^4")  # (xz - y^2)^2
 
     def test_copencil(self):
-        # [[x, y, w], [y, z, 0], [w, 0, 0]] has determinant -w^2 z
+        # [[x, y, w], [y, z, 0], [w, 0, 0]] has determinant -w^2 z; the
+        # names are not sorted, so x takes the top field and sorts second
         sp = make_space(3, [E(3, 1, 1), E(3, 1, 2), E(3, 2, 2), E(3, 1, 3)])
         d = generic_det(sp, names=("x", "y", "z", "w"))
-        assert d == P("-w^2*z")
+        assert d.vars == ("w", "x", "y", "z") and d == P("-w^2*z")
+
+    def test_default_names(self):
+        d = generic_det(double_conic_net())
+        assert d.vars == ("t1", "t2", "t3") and d == P("t1^2*t3^2 - 2*t1*t2^2*t3 + t2^4")
+
+    def test_too_few_names(self):
+        with pytest.raises(PreconditionError) as err:
+            generic_det(double_conic_net(), names=("x", "y"))
+        assert err.value.code == "PARSE_ERROR"
 
     def test_not_regular(self):
         sp = make_space(2, [E(2, 1, 1)])
         assert generic_det(sp).is_zero()
         assert not is_regular(sp)
+
+    def test_matches_the_mpoly_route(self):
+        # det_laplace of the MPoly element of the Fraction basis; the
+        # rational spaces have L in {1, 2, 3, 6}
+        for sp in plain_catalog_spaces() + rational_spaces(29):
+            for names in (None, ("x", "y", "z", "w", "v", "u")[:sp.m]):
+                assert same_polys([generic_det(sp, names)],
+                                  [det_laplace(generic_element(sp.basis, names))]), (sp, names)
+
+
+class TestIntegerBasisOnly:
+    def test_polynomial_objects_never_read_the_fraction_basis(self, monkeypatch):
+        # generic_det, rank_one_system and plucker read B' and L alone, as
+        # chow_matrix and the partition do
+        from jordanet.chow import chow_matrix
+        from jordanet.classify import generic_multiplicity_partition
+        from jordanet.varieties import rank_one_system
+
+        want = canonical("s4/2a2")
+        expected = (generic_det(want), rank_one_system(want), plucker(want).values,
+                    chow_matrix(want), generic_multiplicity_partition(want))
+
+        def unread(space):
+            raise AssertionError("the Fraction basis was read")
+
+        monkeypatch.setattr(MatSpace, "basis", property(unread))
+        sp = MatSpace(want.n, ints=want.integer_basis())
+        assert generic_det(sp) == expected[0]
+        assert rank_one_system(sp) == expected[1]
+        assert plucker(sp).values == expected[2]
+        assert chow_matrix(sp) == expected[3]
+        assert generic_multiplicity_partition(sp) == expected[4] == (3, 1)
 
 
 def bounded_sweep(m, max_norm):
@@ -522,6 +592,12 @@ class TestPlucker:
             pv = plucker(sp)
             assert list(pv.values.items()) == list(plucker_by_minors(sp).items())
             assert all(type(v) is Fraction for v in pv.values.values())
+
+    def test_integer_minors_match_the_fraction_rows(self):
+        # the minors of the vectorized B' over L^m against those of the
+        # Fraction coordinate rows, on one Laplace memo each
+        for sp in plain_catalog_spaces() + rational_spaces(30):
+            assert plucker(sp).values == maximal_minors(Mat(coordinate_rows(sp))), sp
 
 
 def family_from_strings(n, mats, param="t"):

@@ -9,7 +9,7 @@ from jordanet import varieties
 from jordanet.exact import MPoly, monomials, parse_poly, poly_eval
 from jordanet.linalg import Mat, inverse, rref
 from jordanet.prng import SplitMix64
-from jordanet.spaces import PluckerVector, make_space, plucker, sample_congruent
+from jordanet.spaces import MatSpace, PluckerVector, make_space, plucker, sample_congruent
 from jordanet.varieties import (
     CATALOGS,
     DATA_DIR,
@@ -27,6 +27,8 @@ from oracles import (
     min_rank_bounds_by_fractions,
     mpoly_from_terms,
     mpoly_gcd_by_mpoly,
+    rank_one_minors_by_mpoly,
+    rational_spaces,
     uni_exact_div,
 )
 
@@ -168,6 +170,15 @@ class TestRankOneSystem:
         strs = {str(p) for p in system} | {str(-p) for p in system}
         assert "t1^2" in strs
         assert "t1^2 + t1*t2" in strs
+
+    def test_matches_the_mpoly_route(self):
+        # the minors of the packed X' over L^2 against MPoly products of the
+        # Fraction generic element, in the same order
+        spaces = [canonical(cid) for cid in catalog_ids()]
+        spaces = [sp for sp in spaces if isinstance(sp, MatSpace)] + rational_spaces(31)
+        for sp in spaces:
+            got, want = rank_one_system(sp), rank_one_minors_by_mpoly(sp)
+            assert [(p.vars, p.terms) for p in got] == [(p.vars, p.terms) for p in want], sp
 
 
 class TestRankOnePencil:
