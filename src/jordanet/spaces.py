@@ -466,8 +466,9 @@ def plucker(space: MatSpace) -> PluckerVector:
     n, m = space.n, space.m
     _check_plucker_size(n, m)
     (basis, lcm), pairs = space.integer_basis(), sym_pairs(n)
-    minor = laplace_minors([[{0: b[i][j]} if b[i][j] else {} for i, j in pairs] for b in basis])
-    return PluckerVector(n, m, {cols: Fraction(minor(cols).get(0, 0), lcm ** m)
+    minor, den = laplace_minors([[{0: b[i][j]} if b[i][j] else {} for i, j in pairs]
+                                 for b in basis]), lcm ** m
+    return PluckerVector(n, m, {cols: Fraction(minor(cols).get(0, 0), den)
                                 for cols in itertools.combinations(range(len(pairs)), m)})
 
 
