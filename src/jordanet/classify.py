@@ -34,11 +34,10 @@ from .jordan import (
     is_jordan,
     rad_square_dim,
     radical,
-    resolve_unit,
     structure_constants,
 )
 from .linalg import Packing, faddeev_leverrier, int_matmul, linear_matrix
-from .spaces import MatSpace, is_regular
+from .spaces import MatSpace, is_regular, unit_point
 from .varieties import rank_one_pencil
 
 NET_LABELS = ("1a", "1b", "2a1", "2a2", "2b", "3a", "3b1", "3b2")
@@ -61,9 +60,9 @@ def generic_multiplicity_partition(space: MatSpace) -> Tuple[int, ...]:
 
     Computed exactly in m - 2 variables.  Drop the first basis element on
     which U has a nonzero coordinate and call the others C_1..C_{m-1}, so
-    that U, C_1..C_{m-1} is a basis; with U^-1 = q / s (``Unit.q``) and the
-    integer basis C_k = C'_k / L (``MatSpace.integer_basis``), the partition
-    is read off the squarefree decomposition of the characteristic
+    that U, C_1..C_{m-1} is a basis; with U^-1 = q / s (``Unit.inverse``)
+    and the integer basis C_k = C'_k / L (``MatSpace.integer_basis``), the
+    partition is read off the squarefree decomposition of the characteristic
     polynomial of t1 q C'_1 + ... + t_{m-2} q C'_{m-2} + q C'_{m-1} over
     QQ(t1..t_{m-2}).  This is the same decomposition because:
 
@@ -86,7 +85,7 @@ def generic_multiplicity_partition(space: MatSpace) -> Tuple[int, ...]:
     For m = 1 the partition is (n,); otherwise the space is sized first and
     refused with TOO_LARGE past ``MAX_PARTITION_SIZE``.
     """
-    unit = resolve_unit(space)
+    unit = unit_point(space)
     if space.m == 1:
         return (space.n,)
     size = space.n * math.comb(space.n + space.m - 1, space.m - 1)
@@ -95,7 +94,8 @@ def generic_multiplicity_partition(space: MatSpace) -> Tuple[int, ...]:
                                 f"m = {space.m} has size {size}, past {MAX_PARTITION_SIZE}")
     drop = next(k for k, c in enumerate(unit.coords) if c != 0)
     basis, _ = space.integer_basis()  # each B'_k is symmetric: its rows are its columns
-    mats = [int_matmul(unit.q, b) for k, b in enumerate(basis) if k != drop]
+    q, _ = unit.inverse
+    mats = [int_matmul(q, b) for k, b in enumerate(basis) if k != drop]
     packing = Packing(len(mats) - 1, space.n)
     cs, _ = faddeev_leverrier(linear_matrix(list(zip(packing.units + [0], mats))))
     coeffs = [{packing.exps(key): c for key, c in cp.items()} for cp in reversed([{0: 1}] + cs)]

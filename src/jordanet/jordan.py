@@ -12,9 +12,9 @@ space (proved both ways in ``check_reciprocal_identity``).
 Everything runs on one integer algebra per space, with one unit: its first
 invertible element (``spaces.unit_point``), as closure does not depend on
 which invertible U is taken.  The basis is kept as B_k = B'_k / L over one
-common denominator (``MatSpace.integer_basis``), and the unit once as U^{-1} =
-Q / s in ``space._jordan``, read off the one elimination of the integer
-matrix U' = c U that the sweep ranked (``linalg.integer_inverse``), so that
+common denominator (``MatSpace.integer_basis``), and the unit's inverse once
+as U^{-1} = Q / s (``spaces.Unit.inverse``), read off the one elimination of
+the integer matrix U' = c U that the sweep ranked, so that
 B'_i Q B'_j + (B'_i Q B'_j)^T = 2sL^2 (B_i * B_j) is an integer product.
 ``jordan_closure`` grows one integer ``linalg.Echelon`` from such products and
 returns it, with the closure's dimension as its rank; the Jordan test reduces
@@ -37,9 +37,8 @@ from fractions import Fraction
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 from .errors import InternalCheckError, PreconditionError
-from .exact import frac
 from .linalg import Echelon, Mat, int_matmul, integer_inverse, integer_vector, rref
-from .spaces import (MatSpace, UnitPoint, contains, integer_sweep, nonzero_sweep, sym_pairs,
+from .spaces import (MatSpace, Unit, contains, integer_sweep, nonzero_sweep, sym_pairs,
                      symmetric_rows, unit_point, unvectorize)
 
 
@@ -60,42 +59,9 @@ class JordanWitness(NamedTuple):
     residue: Mat
 
 
-class Unit:
-    """The unit U of a space (``spaces.UnitPoint``), its coordinates as
-    Fractions, U^{-1} = q / s in lowest terms (q a symmetric integer matrix,
-    s > 0), and the space's basis products once computed."""
-
-    __slots__ = ("point", "coords", "q", "s", "products")
-
-    def __init__(self, point: UnitPoint, q: List[List[int]], s: int):
-        self.point, self.coords, self.q, self.s = point, tuple(map(frac, point.coords)), q, s
-        self.products: Union["JordanStructure", JordanWitness, None] = None
-
-    @property
-    def u(self) -> Mat:
-        """U as a Fraction matrix, formed on first read."""
-        return self.point.mat
-
-
-def resolve_unit(space: MatSpace) -> Unit:
-    """The space's unit: its first invertible element (``unit_point``), with
-    the coordinates the sweep found and its inverse, built on first use and
-    kept in ``space._jordan``.  U = U' / c for the integer U' the sweep
-    ranked, so U^{-1} = c Q' / s' from U'^{-1} = Q' / s'
-    (``linalg.integer_inverse``), over g = gcd(c, s'): gcd(s', Q') = 1 and
-    gcd(s' / g, c / g) = 1 keep q = (c / g) Q' over s = s' / g in lowest
-    terms."""
-    if space._jordan is None:
-        point = unit_point(space)
-        q, s = integer_inverse(point.rows)
-        g = math.gcd(point.scale, s)
-        space._jordan = Unit(point, [[x * (point.scale // g) for x in row] for row in q], s // g)
-    return space._jordan
-
-
 def is_jordan(space: MatSpace) -> Tuple[bool, Optional[JordanWitness]]:
     """Closure test: every pairwise basis product must stay in the space."""
-    got = _basis_products(space, resolve_unit(space))
+    got = _basis_products(space, unit_point(space))
     return (False, got) if isinstance(got, JordanWitness) else (True, None)
 
 
@@ -110,7 +76,7 @@ def jordan_closure(space: MatSpace) -> Echelon:
     becomes a new element over its content, kept as integer rows.  Stops
     early at all of S^n.
     """
-    q = resolve_unit(space).q
+    q, _ = unit_point(space).inverse
     n = space.n
     pairs = sym_pairs(n)
     ech = Echelon(len(pairs))
@@ -177,7 +143,7 @@ class JordanStructure:
 def structure_constants(space: MatSpace) -> JordanStructure:
     """Structure tensor of a Jordan subalgebra; raises NOT_JORDAN when the
     space is not closed."""
-    got = _basis_products(space, resolve_unit(space))
+    got = _basis_products(space, unit_point(space))
     if isinstance(got, JordanWitness):
         raise PreconditionError("NOT_JORDAN", f"basis product ({got.i}, {got.j}) escapes the space")
     return got
@@ -197,13 +163,14 @@ def _basis_products(space: MatSpace, unit: Unit) -> Union[JordanStructure, Jorda
         return unit.products
     n, m = space.n, space.m
     basis, lcm = space.integer_basis()
+    q, s = unit.inverse
     ech = space.echelon()
     r = None  # the pivot inverse, read once a product lies in the space
-    scale = 2 * unit.s * lcm * lcm
+    scale = 2 * s * lcm * lcm
     pairs = sym_pairs(n)
     c = [[None] * m for _ in range(m)]
     for i in range(m):
-        xq = int_matmul(basis[i], unit.q)
+        xq = int_matmul(basis[i], q)
         for j in range(i, m):
             v = _doubled_product(xq, basis[j], pairs)
             rest, k = ech.eliminate(v)
@@ -215,7 +182,7 @@ def _basis_products(space: MatSpace, unit: Unit) -> Union[JordanStructure, Jorda
             if r is None:
                 r, d = space.pivot_inverse()
             c[i][j] = c[j][i] = int_matmul([[v[p] for p in ech.pivots]], r)[0]
-    den = 2 * unit.s * lcm * d
+    den = 2 * s * lcm * d
     g = math.gcd(den, *(x for row in c for vec in row for x in vec))
     unit.products = JordanStructure(space, unit, [[[x // g for x in vec] for vec in row]
                                                   for row in c], den // g)
@@ -323,7 +290,7 @@ def check_reciprocal_identity(space: MatSpace) -> Tuple[bool, Optional[Mat]]:
     for all but at most n values of eps, hence identically, and its eps^2
     coefficient is Y * Y; polarizing gives X * Y.
     """
-    u = resolve_unit(space).u
+    u = unit_point(space).mat
     found = 0
     for tup in itertools.chain(nonzero_sweep(space.m, space.n + 2), integer_sweep(space.m)):
         inv = integer_inverse(space.integer_element(tup))

@@ -15,8 +15,9 @@ the vectorized B' (``MatSpace.pivot_inverse``, by ``linalg.integer_inverse``),
 formed only when a membership test of a member or the Jordan test of a
 closed space reads it.  The unit (``unit_point``) is found on integer
 matrices too: the identity test reduces L I, and a sweep point's U' =
-sum_k t_k B'_k is ranked and kept, so that ``jordan.resolve_unit`` inverts
-U' itself.
+sum_k t_k B'_k is ranked and kept.  That ``Unit`` is the space's one unit
+object: it inverts U' itself on first read and holds the basis products
+that ``jordan`` computes with that inverse.
 
 Every polynomial object of a space is read off (B', L): the generic element
 is X' / L, X' = sum_k t_k B'_k packed by ``generic_matrix``, so that
@@ -90,7 +91,7 @@ class MatSpace:
     matrices ``basis`` are cleared once, or (B', L) is given as ``ints``.
     The Fraction basis and the echelon are formed on first use."""
 
-    __slots__ = ("n", "m", "_ints", "_basis", "_echelon", "_inverse", "_unit", "_jordan", "_chow",
+    __slots__ = ("n", "m", "_ints", "_basis", "_echelon", "_inverse", "_unit", "_chow",
                  "_chow_echelon")
 
     def __init__(self, n: int, basis: Optional[Sequence[Mat]] = None,
@@ -102,8 +103,7 @@ class MatSpace:
                      for b in basis], lcm)
         self.n, self.m, self._ints, self._basis = n, len(ints[0]), ints, basis
         self._echelon = self._inverse = None
-        self._unit = _UNDECIDED  # UnitPoint of the first invertible element, or None if singular
-        self._jordan = None  # jordan.Unit: the unit, its coordinates, inverse and basis products
+        self._unit = _UNDECIDED  # Unit of the first invertible element, or None if singular
         self._chow = self._chow_echelon = None  # Chow matrix and its transpose's echelon (chow.py)
 
     @property
@@ -244,24 +244,23 @@ def integer_sweep(m: int):
 
 def nonzero_sweep(m: int, max_norm: int):
     """The tuples of ``integer_sweep(m)`` up to max-norm ``max_norm`` with no
-    zero entry, in the same order, drawn from the nonzero values only."""
-    for shell in range(1, max_norm + 1):
-        values = [x for v in range(1, shell + 1) for x in (v, -v)]
-        for tup in itertools.product(values, repeat=m):
-            if max(abs(x) for x in tup) == shell:
-                yield tup
+    zero entry, in the same order."""
+    bounded = itertools.takewhile(lambda tup: max(map(abs, tup)) <= max_norm, integer_sweep(m))
+    return (tup for tup in bounded if all(tup))
 
 
-class UnitPoint:
-    """The space's unit U = U' / scale: its coordinates (Fractions from the
-    identity test, the ints of a sweep point otherwise), the rows of the
-    integer matrix U' and the scale; the Fraction matrix ``mat`` is formed
-    on first read."""
+class Unit:
+    """The space's unit U = U' / scale, as ``unit_point`` found it: its
+    coordinates (Fractions from the identity test, the ints of a sweep point
+    otherwise), the rows of the integer matrix U' and the scale.  The Fraction matrix
+    ``mat`` and ``inverse`` are formed on first read; ``products`` holds the
+    space's basis products once ``jordan`` has computed them."""
 
-    __slots__ = ("coords", "rows", "scale", "_mat")
+    __slots__ = ("coords", "rows", "scale", "products", "_mat", "_inverse")
 
     def __init__(self, coords: tuple, rows: List[List[int]], scale: int):
-        self.coords, self.rows, self.scale, self._mat = coords, rows, scale, None
+        self.coords, self.rows, self.scale = coords, rows, scale
+        self.products = self._mat = self._inverse = None
 
     @property
     def mat(self) -> Mat:
@@ -269,8 +268,21 @@ class UnitPoint:
             self._mat = _over(self.rows, self.scale)
         return self._mat
 
+    @property
+    def inverse(self) -> Tuple[List[List[int]], int]:
+        """(q, s) with U^{-1} = q / s in lowest terms, q a symmetric integer
+        matrix and s > 0.  With c the scale, U^{-1} = c Q' / s' from U'^{-1} =
+        Q' / s' (``linalg.integer_inverse``), over g = gcd(c, s'): gcd(s', Q')
+        = 1 and gcd(s' / g, c / g) = 1 keep q = (c / g) Q' over s = s' / g in
+        lowest terms."""
+        if self._inverse is None:
+            q, s = integer_inverse(self.rows)
+            g = math.gcd(self.scale, s)
+            self._inverse = [[x * (self.scale // g) for x in row] for row in q], s // g
+        return self._inverse
 
-def unit_point(space: MatSpace) -> UnitPoint:
+
+def unit_point(space: MatSpace) -> Unit:
     """The space's unit: the identity if present, else the first invertible
     point among the first ``_WITNESS_BUDGET`` sweep points, then among
     ``_DENSE_POINTS`` seeded dense points, then along the rest of the sweep.
@@ -328,7 +340,7 @@ def _laplace_products(n: int, m: int) -> int:
 _DENSE_POINTS = 16
 
 
-def _first_invertible(space: MatSpace) -> Optional[UnitPoint]:
+def _first_invertible(space: MatSpace) -> Optional[Unit]:
     """The regularity decision, memoised: the identity, else the first
     invertible sweep or dense point, else None once the generic determinant,
     expanded only after ``_WITNESS_BUDGET`` singular sweep points and
@@ -338,7 +350,7 @@ def _first_invertible(space: MatSpace) -> Optional[UnitPoint]:
     return space._unit
 
 
-def _sweep_for_unit(space: MatSpace) -> Optional[UnitPoint]:
+def _sweep_for_unit(space: MatSpace) -> Optional[Unit]:
     """The identity, found by reducing L I on the echelon of B' (its
     coordinates over B' are those of I over B), else the first sweep point
     t whose U' = sum_k t_k B'_k has full rank, kept with scale L; only t
@@ -352,11 +364,11 @@ def _sweep_for_unit(space: MatSpace) -> Optional[UnitPoint]:
     n, lcm = space.n, space.integer_basis()[1]
     coords = space.coordinates([lcm if i == j else 0 for i, j in sym_pairs(n)])
     if coords is not None:
-        return UnitPoint(tuple(coords), [[int(i == j) for j in range(n)] for i in range(n)], 1)
+        return Unit(tuple(coords), [[int(i == j) for j in range(n)] for i in range(n)], 1)
 
-    def unit(tup: Tuple[int, ...]) -> Optional[UnitPoint]:
+    def unit(tup: Tuple[int, ...]) -> Optional[Unit]:
         rows = space.integer_element(tup)
-        return UnitPoint(tup, rows, lcm) if _rank(rows) == n else None
+        return Unit(tup, rows, lcm) if _rank(rows) == n else None
 
     for k, tup in enumerate(integer_sweep(space.m)):
         if k == _WITNESS_BUDGET:

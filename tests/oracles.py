@@ -114,7 +114,7 @@ from jordanet.exact import (
     parse_poly,
     squarefree_decomposition,
 )
-from jordanet.jordan import radical, resolve_unit, structure_constants
+from jordanet.jordan import radical, structure_constants
 from jordanet.linalg import (
     Mat,
     adjugate,
@@ -138,6 +138,7 @@ from jordanet.spaces import (
     make_space,
     sym_dim,
     sym_pairs,
+    unit_point,
     unvectorize,
     vectorize,
 )
@@ -861,10 +862,11 @@ def partition_coefficients_by_mpoly(space):
     of t1 qC'_1 + ... + t_{m-2} qC'_{m-2} + qC'_{m-1}, the C'_k the integer
     basis without the first element on which the unit has a nonzero
     coordinate, formed as Fraction matrices and an MPoly generic element."""
-    unit = resolve_unit(space)
+    unit = unit_point(space)
     drop = next(k for k, c in enumerate(unit.coords) if c != 0)
     basis, _ = space.integer_basis()
-    *scaled, last = [Mat.from_ints(int_matmul(unit.q, b)) for k, b in enumerate(basis) if k != drop]
+    q, _ = unit.inverse
+    *scaled, last = [Mat.from_ints(int_matmul(q, b)) for k, b in enumerate(basis) if k != drop]
     x = generic_element(scaled) + last if scaled else last
     return integer_coefficients(charpoly(x))
 

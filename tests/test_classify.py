@@ -19,7 +19,7 @@ from jordanet.classify import (
     invariant_vector,
 )
 from jordanet.errors import PreconditionError
-from jordanet.jordan import is_associative, radical, resolve_unit, structure_constants
+from jordanet.jordan import is_associative, is_jordan, jordan_closure, radical, structure_constants
 from jordanet.linalg import Mat, inverse
 from jordanet.prng import SplitMix64, derive_seed
 from jordanet.spaces import (
@@ -29,6 +29,7 @@ from jordanet.spaces import (
     make_space,
     sample_congruent,
     sym_dim,
+    unit_point,
 )
 from oracles import (
     generic_element,
@@ -140,8 +141,8 @@ class TestAbstract:
 def partition_in_all_variables(space):
     """The oracle: squarefree decomposition of charpoly(U^-1 X(t)) over
     QQ(t1..tm), with no change of variables, by the MPoly gcd chain."""
-    unit = resolve_unit(space)
-    uinv = Mat([[Fraction(v, unit.s) for v in row] for row in unit.q])
+    q, s = unit_point(space).inverse
+    uinv = Mat([[Fraction(v, s) for v in row] for row in q])
     cp = uni_charpoly(uinv @ generic_element(space.basis))
     _, factors = squarefree_by_mpoly(cp)
     parts = []
@@ -254,6 +255,22 @@ class TestPartition:
             generic_multiplicity_partition(space)
         assert err.value.code == "TOO_LARGE" and "past 700" in str(err.value)
         assert time.process_time() - start < 1
+
+    def test_shares_the_unit_inverse_with_the_jordan_test_and_the_closure(self, monkeypatch):
+        # is_jordan, jordan_closure and the partition read U^-1 = q / s off the
+        # space's one Unit: U' (4 x 4, apart from the 3 x 3 pivot block) is
+        # inverted once, and the unit itself inverts nothing
+        from jordanet import spaces
+
+        inverted, real = [], spaces.integer_inverse
+        monkeypatch.setattr(spaces, "integer_inverse",
+                            lambda rows: inverted.append(rows) or real(rows))
+        sp = sample_congruent(canonical("s4/3b1"), 7)
+        unit = unit_point(sp)
+        assert inverted == []
+        assert is_jordan(sp)[0] and jordan_closure(sp).rank == sp.m
+        assert generic_multiplicity_partition(sp) == (4,)
+        assert inverted.count(unit.rows) == 1 and unit_point(sp) is unit
 
     def test_one_dimensional_space(self):
         assert generic_multiplicity_partition(make_space(3, [diag(2, 2, 2)])) == (3,)

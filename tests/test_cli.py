@@ -478,7 +478,8 @@ class TestInputCheckedOnce:
     """make_space checks a space file once; the closure and the radical
     pencil that analyze builds from it are not checked again.  One analyze
     solves for coordinates on at most one inverse, that of the input's pivot
-    block, and only a closed space or a space holding the identity forms it."""
+    block, and only a closed space or a space holding the identity forms it;
+    besides it, the unit's U' is inverted exactly once."""
 
     @staticmethod
     def write(path, space):
@@ -487,27 +488,41 @@ class TestInputCheckedOnce:
         return str(path)
 
     def test_at_most_one_transform_per_analyze(self, monkeypatch, tmp_path, capsys):
-        # counts the pivot-block inverses (``MatSpace.pivot_inverse`` past its memo)
+        # counts the pivot-block inverses (``MatSpace.pivot_inverse`` past its
+        # memo) apart from the inverses of the unit's U' (``Unit.inverse``), by
+        # whether the inversion runs inside ``pivot_inverse``
         from jordanet import spaces
         from jordanet.catalog import canonical
-        from jordanet.spaces import sample_congruent
+        from jordanet.spaces import MatSpace, sample_congruent
 
         files = {"closure": self.write(tmp_path / "flip.json", canonical("dim4/L2flip")),
                  "3b1": self.write(tmp_path / "3b1.json", sample_congruent(canonical("s4/3b1"), 7))}
-        calls = []
-        real = spaces.integer_inverse
-        monkeypatch.setattr(spaces, "integer_inverse", lambda rows: calls.append(1) or real(rows))
+        calls, inside = [], []
+        real, real_pivot = spaces.integer_inverse, MatSpace.pivot_inverse
+
+        def pivot_inverse(sp):
+            inside.append(1)
+            try:
+                return real_pivot(sp)
+            finally:
+                inside.pop()
+
+        monkeypatch.setattr(MatSpace, "pivot_inverse", pivot_inverse)
+        monkeypatch.setattr(spaces, "integer_inverse",
+                            lambda rows: calls.append(bool(inside)) or real(rows))
         for expected, path in files.items():
             calls.clear()
             code, out, _ = run_cli(["analyze", path, "--json"], capsys)
             report = json.loads(out)
             assert code == 0
+            pivot_blocks, units = calls.count(True), calls.count(False)
+            assert units == 1, expected  # every analyze of a regular space inverts U' once
             if expected == "closure":
                 assert report["jordan"] is False and report["closure_dim"] == 6
-                assert len(calls) <= 1, expected
+                assert pivot_blocks <= 1, expected
             else:
                 assert report["net_class"] == "3b1"
-                assert len(calls) == 1, expected  # the Jordan test reads the inverse
+                assert pivot_blocks == 1, expected  # the Jordan test reads the inverse
 
     def test_default_unit_keeps_its_sweep_coordinates(self, monkeypatch, tmp_path, capsys):
         # is_jordan(space) takes the unit with the coordinates that the sweep

@@ -18,7 +18,6 @@ from jordanet.jordan import (
     peirce,
     rad_square_dim,
     radical,
-    resolve_unit,
     structure_constants,
 )
 from jordanet.linalg import (
@@ -42,6 +41,7 @@ from jordanet.spaces import (
     sample_congruent,
     sym_dim,
     sym_pairs,
+    unit_point,
     unvectorize,
     vectorize,
 )
@@ -203,22 +203,27 @@ class TestJordanProduct:
         # the identity is not in this space and its second basis element is
         # singular: the unit is the sweep point B_1 = diag(1/3, 2/3, 1)
         sp = make_space(3, [diag(1, 2, 3).scale(Fraction(1, 3)), diag(1, 1, 0).scale(Fraction(1, 2))])
-        unit = resolve_unit(sp)
-        assert unit.u == sp.basis[0] and unit.s == 2
-        assert all(type(v) is int for row in unit.q for v in row)
-        assert Mat([[Fraction(v, unit.s) for v in row] for row in unit.q]) == inverse(unit.u)
-        assert list(unit.coords) == contains(sp, unit.u) == [1, 0]
-        assert resolve_unit(sp) is unit
+        unit = unit_point(sp)
+        q, s = unit.inverse
+        assert unit.mat == sp.basis[0] and s == 2
+        assert all(type(v) is int for row in q for v in row)
+        assert Mat([[Fraction(v, s) for v in row] for row in q]) == inverse(unit.mat)
+        assert list(unit.coords) == contains(sp, unit.mat) == [1, 0]
+        assert unit_point(sp) is unit and unit.inverse is unit.inverse
 
-    def test_default_unit_takes_the_sweep_coordinates_as_fractions(self):
-        # the sweep finds the 3b1 image's unit at integer coordinates; the
-        # unit keeps them as Fractions, equal to a membership test's answer
+    def test_unit_keeps_the_coordinates_it_was_found_at(self):
+        # the sweep finds the 3b1 image's unit at integer coordinates and the
+        # unit keeps that tuple of ints; a space holding the identity keeps
+        # the identity test's Fractions.  Both equal a membership test's answer
         sp = sample_congruent(canonical("s4/3b1"), 7)
         u, coords = find_invertible(sp)
-        assert all(type(c) is int for c in coords)
-        unit = resolve_unit(sp)
-        assert unit.u is u and all(type(c) is Fraction for c in unit.coords)
-        assert list(unit.coords) == contains(sp, u) == list(coords)
+        unit = unit_point(sp)
+        assert unit.mat is u and unit.coords is coords
+        assert all(type(c) is int for c in coords) and list(coords) == contains(sp, u)
+        sp = intro_L1()
+        unit = unit_point(sp)
+        assert unit.mat == Mat.identity(4) and all(type(c) is Fraction for c in unit.coords)
+        assert list(unit.coords) == contains(sp, unit.mat)
 
 
 class TestIsJordan:
@@ -259,7 +264,7 @@ class TestIsJordan:
             units = 0
             for tup in integer_sweep(space.m):
                 u = space.element(tup)
-                if det(u) == 0 or u == resolve_unit(space).u:
+                if det(u) == 0 or u == unit_point(space).mat:
                     continue
                 units += 1
                 got = basis_products_by_fractions(space, u)
@@ -295,7 +300,7 @@ class TestClosure:
             units = 0
             for tup in integer_sweep(sp.m):
                 u = sp.element(tup)
-                if det(u) == 0 or u == resolve_unit(sp).u:
+                if det(u) == 0 or u == unit_point(sp).mat:
                     continue
                 units += 1
                 assert len(closure_by_rounds(sp, u)) == dim
@@ -418,14 +423,14 @@ class TestClosureOracle:
     def test_same_echelon_rows_as_the_round_based_closure(self):
         for sp in closure_oracle_spaces():
             clo = closure_space(jordan_closure(sp), sp.n)
-            assert [vectorize(b) for b in clo.basis] == closure_by_rounds(sp, resolve_unit(sp).u)
+            assert [vectorize(b) for b in clo.basis] == closure_by_rounds(sp, unit_point(sp).mat)
             assert make_space(clo.n, clo.basis) == clo  # built unchecked, as make_space would accept
 
     def test_rational_bases_and_a_non_integer_unit(self):
         grew = 0
         for sp in rational_closure_cases():
             clo = closure_space(jordan_closure(sp), sp.n)
-            assert [vectorize(b) for b in clo.basis] == closure_by_rounds(sp, resolve_unit(sp).u)
+            assert [vectorize(b) for b in clo.basis] == closure_by_rounds(sp, unit_point(sp).mat)
             assert make_space(clo.n, clo.basis) == clo
             grew += clo.m > sp.m
         assert grew > 10
@@ -436,7 +441,7 @@ class TestClosureOracle:
             sp = block_congruence_image(rng, sizes)
             clo = closure_space(jordan_closure(sp), sp.n)
             assert clo.m == dim
-            assert [vectorize(b) for b in clo.basis] == closure_by_rounds(sp, resolve_unit(sp).u)
+            assert [vectorize(b) for b in clo.basis] == closure_by_rounds(sp, unit_point(sp).mat)
 
     def test_a_dense_net_in_s8_closes_to_everything(self):
         # the round oracle takes seconds here: the rank alone is checked
@@ -482,13 +487,13 @@ class TestStructureConstants:
                 x = [rng.int_between(-3, 3) for _ in range(a.dim)]
                 y = [rng.int_between(-3, 3) for _ in range(a.dim)]
                 assert a.space.element(a.multiply_coords(x, y)) == \
-                    jordan_product(a.space.element(x), a.space.element(y), a.unit.u)
+                    jordan_product(a.space.element(x), a.space.element(y), a.unit.mat)
 
     def test_basis_products_match_the_fraction_product(self):
         # rational bases whose units are not integral; the tensor, and a
         # witness's product and residue, keep the true scale
         for sp in rational_unit_spaces(2012, jordan_algebras() + [intro_L2(flip=True)]):
-            uinv = inverse(resolve_unit(sp).u)
+            uinv = inverse(unit_point(sp).mat)
             ok, witness = is_jordan(sp)
             if not ok:
                 want = fraction_product(sp.basis[witness.i], sp.basis[witness.j], uinv)
@@ -504,7 +509,7 @@ class TestStructureConstants:
         sp = canonical_3b1()
         a = structure_constants(sp)
         assert is_jordan(sp) == (True, None)
-        assert structure_constants(sp) is a and resolve_unit(sp).products is a
+        assert structure_constants(sp) is a and unit_point(sp).products is a
         assert structure_constants(canonical_3b1()) is not a
 
     def test_witness_matches_not_jordan_error(self):
@@ -540,7 +545,7 @@ class TestFractionOracle:
 
     @staticmethod
     def compare(sp) -> bool:
-        want = basis_products_by_fractions(sp, resolve_unit(sp).u)
+        want = basis_products_by_fractions(sp, unit_point(sp).mat)
         ok, witness = is_jordan(sp)
         if not ok:
             assert tuple(witness) == want
@@ -618,7 +623,7 @@ class TestJordanAxioms:
         for k, sp in enumerate(jordan_algebras()):
             a = structure_constants(sp)
             rng = SplitMix64(k)
-            u = a.unit.u
+            u = a.unit.mat
             for _ in range(4):
                 x = a.space.element([rng.int_between(-4, 4) for _ in range(a.dim)])
                 y = a.space.element([rng.int_between(-4, 4) for _ in range(a.dim)])
@@ -723,7 +728,7 @@ class TestPeirce:
         j2 = Mat.from_ints([[0, 1, 0, 0], [1, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0]])
         sp = make_space(4, [j2, E(4, 1, 1), diag(0, 0, 1, 1)])
         a = structure_constants(sp)
-        assert a.unit.u == Mat.from_ints([[0, 1, 0, 0], [1, 0, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]])
+        assert a.unit.mat == Mat.from_ints([[0, 1, 0, 0], [1, 0, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]])
         x1 = j2
         x2 = diag(0, 0, 1, 1)
         pieces = peirce(a, [x1, x2])
@@ -746,7 +751,7 @@ class TestPeirce:
         u = pt @ p
         sp = make_space(3, [pt @ E(3, 1, 1) @ p, pt @ E(3, 1, 2) @ p, pt @ E(3, 2, 2) @ p, u])
         a = structure_constants(sp)
-        assert a.unit.u == u != Mat.identity(3)
+        assert a.unit.mat == u != Mat.identity(3)
         xs = [pt @ E(3, i, i) @ p for i in (1, 2, 3)]
         pieces = peirce(a, xs)
         assert {k: len(v) for k, v in pieces.items()} == {
