@@ -11,13 +11,16 @@ matrix is square of size binom(n+1, 2); its rank equals the dimension of the
 linear span of the reciprocal variety, and its left kernel consists of the
 linear forms that vanish on all inverses.  The matrix is read off the
 adjugate of the packed integer generic element (``spaces.generic_matrix``)
-by Faddeev-LeVerrier (``chow_matrix``); the rank and the kernel forms read
-one echelon of its transpose.
+by Faddeev-LeVerrier, cell by cell (``chow_matrix``, ``chow_cells``); the
+rank and the kernel forms read one echelon of its transpose.
 
 The fully symbolic n = 3 determinant (degree 12 in the 18 entry variables,
-22659 terms) is a Laplace expansion of the 6 x 6 symbolic Chow matrix on
-``linalg``'s integer kernel, about 0.2 s of CPU; it is computed at most once
-per process.
+22659 terms) is read the same way off the generic net w1 X + w2 Y + w3 Z,
+X, Y and Z symmetric with entries x11..z33, packed with the weights in the
+top fields and the entries below them: its adjugate's cells are packed
+polynomials in the entries (``chow_cells``), whose 6 x 6 determinant is a
+Laplace expansion on ``linalg``'s integer kernel, 0.10-0.17 s of CPU,
+converted to an ``MPoly`` once and computed at most once per process.
 """
 
 from __future__ import annotations
@@ -28,9 +31,10 @@ from typing import List
 
 from .errors import PreconditionError
 from .exact import MPoly, monomials, poly_eval
-from .linalg import Echelon, Mat, adjugate, det_laplace, faddeev_leverrier, integer_inverse, rref
+from .linalg import (Echelon, IntPoly, Mat, Packing, faddeev_leverrier, integer_inverse,
+                     laplace_minors, linear_matrix, rref)
 from .spaces import (MatSpace, generic_matrix, integer_sweep, is_regular, sym_dim, sym_pairs,
-                     unvectorize)
+                     symmetric_rows)
 
 
 #: the largest Chow matrix, in rows x columns, that ``chow_matrix`` builds
@@ -48,8 +52,8 @@ def chow_matrix(space: MatSpace) -> Mat:
     It is sized before it is built, sym_dim(n) rows by C(m + n - 2, n - 1)
     columns, and refused with TOO_LARGE past ``MAX_CHOW_CELLS``.  The
     generic element is X' / L (``spaces.generic_matrix``), and adj(X' / L) =
-    (-1)^(n-1) M_n / L^(n-1) (``faddeev_leverrier``): the cells are M_n at
-    the packed monomial keys over that scale.
+    (-1)^(n-1) M_n / L^(n-1) (``faddeev_leverrier``): the cells are M_n's
+    constants at the packed monomial keys (``chow_cells``) over that scale.
     """
     if space._chow is None:
         n, m = space.n, space.m
@@ -60,10 +64,28 @@ def chow_matrix(space: MatSpace) -> Mat:
         x, packing, _ = generic_matrix(space, n)
         _, adj = faddeev_leverrier(x)
         den = (1 if n % 2 else -1) * space.integer_basis()[1] ** (n - 1)
-        keys = [packing.key(mono) for mono in monomials(m, n - 1)]
-        space._chow = Mat([[Fraction(adj[i][j].get(key, 0), den) for key in keys]
-                           for i, j in sym_pairs(n)])
+        space._chow = Mat([[Fraction(cell.get(0, 0), den) for cell in row]
+                           for row in chow_cells(adj, packing, m)])
     return space._chow
+
+
+def chow_cells(adj: List[List[IntPoly]], packing: Packing, m: int) -> List[List[IntPoly]]:
+    """The cells of a Chow matrix off the adjugate, up to sign, of a packed
+    generic element whose m weights t_1..t_m take the top m fields of
+    ``packing``: in row (i, j) of ``sym_pairs`` and the column of
+    a monomial of ``monomials(m, n - 1)``, the terms of adj[i][j] whose
+    weight fields hold that monomial, as a packed polynomial in the fields
+    below them (a constant, key 0, when there are none)."""
+    shift = packing.fields[m - 1]
+    low = (1 << shift) - 1
+    columns = [packing.key(mono) >> shift for mono in monomials(m, len(adj) - 1)]
+    rows = []
+    for i, j in sym_pairs(len(adj)):
+        cells: dict = {}
+        for key, c in adj[i][j].items():
+            cells.setdefault(key >> shift, {})[key & low] = c
+        rows.append([cells.get(col, {}) for col in columns])
+    return rows
 
 
 def _chow_echelon(space: MatSpace, needs: str) -> Echelon:
@@ -122,34 +144,36 @@ def sampled_reciprocal_span(space: MatSpace, trials: int) -> int:
 #: variable prefixes of the three symbolic basis matrices of the generic net
 _NET_PREFIXES = ("x", "y", "z")
 
-
-def chow_matrix_generic(n: int = 3) -> Mat:
-    """Chow matrix of the generic net spanned by symbolic symmetric matrices
-    with entries x_ij, y_ij, z_ij, in the rows and columns of ``chow_matrix``
-    (monomials in the weights w1..w3): the adjugate of the weighted sum,
-    whose entry (i, j) is w1 x_ij + w2 y_ij + w3 z_ij."""
-    m = len(_NET_PREFIXES)
-    weight_names = tuple(f"w{k + 1}" for k in range(m))
-    acc = unvectorize(n, [sum((MPoly.var(w) * MPoly.var(f"{p}{i + 1}{j + 1}")
-                               for w, p in zip(weight_names, _NET_PREFIXES)), MPoly.zero())
-                          for i, j in sym_pairs(n)])
-    adj = adjugate(acc)
-    buckets = [adj[i, j].split_by_vars(weight_names) for i, j in sym_pairs(n)]
-    return Mat([[b.get(mono, MPoly.zero()) for mono in monomials(m, n - 1)] for b in buckets])
-
-
 _DET_MEMO = {}
 
 
 def chow_det_generic(n: int = 3) -> MPoly:
     """Determinant of the fully symbolic Chow matrix (only n = 3 supported).
 
-    Degree 12 in the 18 variables x11..z33; the result is memoised in memory.
+    The generic net sum_k w_k X_k, X_k[i][j] the variable of ``_NET_PREFIXES``
+    k and (i, j), is packed with w1..w3 in the top fields of one ``Packing``
+    and the 18 entry variables x11..z33 below them, up to the exponent
+    bound sym_dim(n) (n - 1) of a determinant of sym_dim(n) cells of degree
+    n - 1.  One Faddeev-LeVerrier run gives the adjugate M_n (n is odd),
+    the Chow cells are packed polynomials in the entry fields
+    (``chow_cells``), and their ``laplace_minors`` determinant is converted
+    once: the entry fields are the fields of a ``Packing`` of the entries
+    alone.  Degree 12 in the 18 variables; the result is memoised in memory.
     """
     if n != 3:
         raise PreconditionError("UNSUPPORTED_DIM", "symbolic Chow determinant is n = 3 only")
     if n not in _DET_MEMO:
-        _DET_MEMO[n] = det_laplace(chow_matrix_generic(n))
+        m, pairs = len(_NET_PREFIXES), sym_pairs(n)
+        names = [f"{p}{i + 1}{j + 1}" for p in _NET_PREFIXES for i, j in pairs]
+        bound = sym_dim(n) * (n - 1)
+        packing, size = Packing(m + len(names), bound), len(pairs)
+        units = packing.units  # weight k, then entry variable v = size k + pair index
+        x = linear_matrix([(units[v // size] + units[m + v],
+                            symmetric_rows(n, [int(q == v % size) for q in range(size)]))
+                           for v in range(len(names))])
+        _, adj = faddeev_leverrier(x)
+        det = laplace_minors(chow_cells(adj, packing, m))(tuple(range(sym_dim(n))))
+        _DET_MEMO[n] = Packing(len(names), bound).mpoly(det, 1, names)
     return _DET_MEMO[n]
 
 

@@ -346,7 +346,9 @@ class MPoly:
         """Group terms by their exponents in ``names``.
 
         Returns {exponent tuple over names: MPoly in the remaining vars}.
-        Used to read coefficient rows out of adjugates of generic elements.
+        Used to read a family's entries by power of its parameter
+        (``spaces.by_power``) and a substituted quadric by monomial in the
+        quadric variables (``catalog.substitution_family``).
         """
         names = tuple(names)
         idx = [self.vars.index(v) if v in self.vars else None for v in names]

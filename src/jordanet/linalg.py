@@ -1,30 +1,35 @@
-"""Exact dense linear algebra over rationals and over polynomial rings.
+"""Exact dense linear algebra over the rationals, and integer polynomial matrices.
 
-Matrices are immutable; an entry is a ``Fraction`` or an ``MPoly``.  A
-product of two Fraction matrices is one integer product (``int_matmul``) of
-A's rows and B's columns cleared of denominators, with one Fraction formed
-per entry of the result.  There is one row reduction, ``Echelon``: integer
-rows grown by forward fraction-free elimination (Bareiss), each step an exact
-division by the previous pivot entry (Sylvester's identity), no row rewritten
-once appended; the reduced rows and primitive rows are formed by
-back-substitution only when read.  ``rref`` adjoins a matrix's rows cleared
-of denominators, ``integer_inverse`` the rows [M' | diag(d)] of a square
-matrix, ``det_bareiss`` a square matrix's rows (its determinant is the last
-pivot entry, signed and over the denominators), and ``jordan_closure``
-products as it finds them.  There is one linear solve, ``integer_inverse``:
-coordinates over independent rows A are those of v_P A_P^-1 on A's pivot
-columns P (``express_in_rows``, ``spaces.MatSpace.coordinates``).
+Matrices are immutable; an entry is a ``Fraction``, or an ``MPoly`` in the
+basis of a one-parameter family (``spaces.ParametricBasis``), which no
+function here takes: products, ``charpoly``, ``adjugate``, ``det`` and
+``det_laplace`` refuse one with NOT_NUMERIC.  A product of two Fraction
+matrices is one integer product (``int_matmul``) of A's rows and B's columns
+cleared of denominators, with one Fraction formed per entry of the result.
+There is one row reduction, ``Echelon``: integer rows grown by forward
+fraction-free elimination (Bareiss), each step an exact division by the
+previous pivot entry (Sylvester's identity), no row rewritten once appended;
+the reduced rows and primitive rows are formed by back-substitution only
+when read.  ``rref`` adjoins a matrix's rows cleared of denominators,
+``integer_inverse`` the rows [M' | diag(d)] of a square matrix,
+``det_bareiss`` a square matrix's rows (its determinant is the last pivot
+entry, signed and over the denominators), and ``jordan_closure`` products as
+it finds them.  There is one linear solve, ``integer_inverse``: coordinates
+over independent rows A are those of v_P A_P^-1 on A's pivot columns P
+(``express_in_rows``, ``spaces.MatSpace.coordinates``).
 
-Polynomial matrices run on one integer kernel: an entry is {packed
-exponent: int coefficient}, the exponents packed by ``Packing``, the one
-place that shifts or masks them, so that a monomial product is one integer
-addition.  A space's polynomial objects are read off its packed generic
-element (``linear_matrix``, ``spaces.generic_matrix``): ``faddeev_leverrier``
-(n - 1 matrix products, exact divisions by 1..n) gives adjugates and
-characteristic polynomials, ``laplace_minors`` (memoized over column subsets)
-determinants and minors.  ``PolyRing`` converts symbolic Fraction and MPoly
-``Mat``s once, over one denominator, for ``charpoly``, ``adjugate``,
-products, ``det`` and ``maximal_minors``.
+Polynomial matrices are built from integers, never from ``MPoly`` entries:
+an entry is {packed exponent: int coefficient}, the exponents packed by
+``Packing``, the one place that shifts or masks them, so that a monomial
+product is one integer addition.  ``linear_matrix`` forms sum_k x^(e_k) M_k
+from integer matrices M_k (a space's generic element,
+``spaces.generic_matrix``; the generic net, ``chow.chow_det_generic``);
+``faddeev_leverrier`` (n - 1 matrix products, exact divisions by 1..n) gives
+its adjugate and characteristic polynomial, ``laplace_minors`` (memoized
+over column subsets) its determinant and minors, and ``Packing.mpoly``
+converts a result to an ``MPoly`` once.  ``charpoly``, ``adjugate`` and
+``det_laplace`` run the same kernel on a Fraction matrix M = M' / d, as the
+constant matrix ``linear_matrix([(0, M')])``.
 """
 
 from __future__ import annotations
@@ -43,7 +48,7 @@ Entry = Union[Fraction, MPoly]
 
 
 class Mat:
-    """Dense matrix with Fraction or MPoly entries."""
+    """Dense matrix with Fraction entries, or MPoly ones in a family's basis."""
 
     __slots__ = ("rows", "cols", "data")
 
@@ -92,12 +97,9 @@ class Mat:
     def __matmul__(self, other: "Mat") -> "Mat":
         if self.cols != other.rows:
             raise ValueError("shape mismatch in product")
-        if all(type(x) is Fraction for m in (self, other) for row in m.data for x in row):
-            return _fraction_product(self, other)
-        ring = PolyRing([self, other], _max_degree(self) + _max_degree(other))
-        a, d = ring.int_rows(self)
-        b, e = ring.int_rows(other)
-        return ring.mat(int_poly_matmul(a, b), d * e)
+        fraction_entries(self)
+        fraction_entries(other)
+        return _fraction_product(self, other)
 
     def scale(self, c) -> "Mat":
         return Mat([[x * c for x in row] for row in self.data])
@@ -139,6 +141,14 @@ def int_matmul(a_rows: Sequence[Sequence[int]], b_cols: Sequence[Sequence[int]])
     return [[sum(map(mul, row, col)) for col in b_cols] for row in a_rows]
 
 
+def fraction_entries(m: Mat) -> List[Fraction]:
+    """M's entries row by row; an MPoly entry is refused with NOT_NUMERIC."""
+    entries = [x for row in m.data for x in row]
+    if any(isinstance(x, MPoly) for x in entries):
+        raise PreconditionError("NOT_NUMERIC", "linear algebra takes rational entries, not polynomials")
+    return entries
+
+
 def integer_vector(vector: Sequence[Fraction]) -> Tuple[List[int], int]:
     """(v', d) with v = v' / d, d the lcm of the entries' denominators."""
     d = math.lcm(*(x.denominator for x in vector))
@@ -159,12 +169,6 @@ def _fraction_product(a: Mat, b: Mat) -> Mat:
 
 #: a polynomial with integer coefficients: {packed exponent: nonzero coefficient}
 IntPoly = Dict[int, int]
-
-
-def _max_degree(m: Mat) -> int:
-    """The largest total degree of an entry; 0 for a Fraction matrix."""
-    return max((x.total_degree() for row in m.data for x in row
-                if isinstance(x, MPoly) and x.terms), default=0)
 
 
 def _field_width(bound: int) -> int:
@@ -200,48 +204,6 @@ class Packing:
         fields, mask = [self.fields[names.index(v)] for v in vars], self.mask
         return MPoly(vars, {tuple((key >> f) & mask for f in fields): Fraction(c, den)
                             for key, c in p.items()})
-
-
-class PolyRing:
-    """Integer polynomials standing in for the entries of symbolic Fraction
-    and MPoly matrices (``Mat``).
-
-    The variables are the sorted union of the entries' variables, their
-    exponents packed up to ``bound`` (``Packing``).  A matrix M becomes
-    integer entries M' with M = M' / d, d the lcm of the denominators of all
-    its coefficients.  Results are Fractions when no entry was an MPoly, and
-    MPolys over the variables otherwise.
-    """
-
-    def __init__(self, mats: Sequence[Mat], bound: int):
-        polys = [x for m in mats for row in m.data for x in row if isinstance(x, MPoly)]
-        self.is_poly = bool(polys)
-        self.vars = tuple(sorted({v for p in polys for v in p.vars}))
-        self.packing = Packing(len(self.vars), bound)
-        self._key_of = dict(zip(self.vars, self.packing.units))
-
-    def int_rows(self, m: Mat) -> Tuple[List[List[IntPoly]], int]:
-        """(M', d) with M = M' / d."""
-        d = math.lcm(*(c.denominator for row in m.data for x in row
-                       for c in (x.terms.values() if isinstance(x, MPoly) else (x,))))
-        return [[self._pack(x, d) for x in row] for row in m.data], d
-
-    def _pack(self, x: Entry, d: int) -> IntPoly:
-        if not isinstance(x, MPoly):
-            return {0: x.numerator * (d // x.denominator)} if x else {}
-        keys = [self._key_of[v] for v in x.vars]
-        return {sum(map(mul, exps, keys)): c.numerator * (d // c.denominator)
-                for exps, c in x.terms.items()}
-
-    def entry(self, p: IntPoly, den: int) -> Entry:
-        """The entry p / den."""
-        if not self.is_poly:
-            return Fraction(p.get(0, 0), den)
-        return self.packing.mpoly(p, den, self.vars)
-
-    def mat(self, rows: List[List[IntPoly]], den: int) -> Mat:
-        """The matrix rows / den."""
-        return Mat([[self.entry(p, den) for p in row] for row in rows])
 
 
 def _mul_add(acc: IntPoly, a: IntPoly, b: IntPoly, sign: int = 1) -> None:
@@ -519,31 +481,21 @@ def laplace_minors(a: Sequence[Sequence[IntPoly]]) -> Callable[[tuple], IntPoly]
     return minor
 
 
-def maximal_minors(m: Mat) -> Dict[Tuple[int, ...], Entry]:
-    """Every k x k minor of a k x N matrix (k <= N), keyed by its column tuple
-    in lexicographic order, from one ``laplace_minors`` memo: with M = M' /
-    d, the minor of M' over d^k."""
-    k = m.rows
-    ring = PolyRing([m], k * _max_degree(m))
-    a, d = ring.int_rows(m)
-    minor, den = laplace_minors(a), d ** k
-    return {cols: ring.entry(minor(cols), den)
-            for cols in itertools.combinations(range(m.cols), k)}
-
-
-def det_laplace(m: Mat) -> Entry:
-    """Determinant via Laplace expansion memoized over column subsets, on
-    the integer kernel: the one maximal minor of a square matrix."""
+def det_laplace(m: Mat) -> Fraction:
+    """Determinant of a Fraction matrix M = M' / d by ``laplace_minors`` of
+    the constant matrix M' (``linear_matrix``): det(M') / d^n."""
     if not m.is_square():
         raise PreconditionError("NOT_SQUARE", "determinant needs a square matrix")
-    return maximal_minors(m)[tuple(range(m.rows))]
+    n = m.rows
+    flat, d = integer_vector(fraction_entries(m))
+    a = linear_matrix([(0, [flat[i * n:(i + 1) * n] for i in range(n)])])
+    return Fraction(laplace_minors(a)(tuple(range(n))).get(0, 0), d ** n)
 
 
-def det(m: Mat) -> Entry:
-    """Exact determinant: the echelon's on a Fraction matrix, memoized
-    Laplace on the integer kernel once any entry is a polynomial."""
-    if any(isinstance(x, MPoly) for row in m.data for x in row):
-        return det_laplace(m)
+def det(m: Mat) -> Fraction:
+    """Exact determinant of a Fraction matrix, off its echelon
+    (``det_bareiss``)."""
+    fraction_entries(m)
     return det_bareiss(m)
 
 
@@ -592,31 +544,31 @@ def faddeev_leverrier(a: List[List[IntPoly]]) -> Tuple[List[IntPoly], List[List[
     return cs, mk
 
 
-def _faddeev_leverrier(m: Mat):
-    """(ring, d, [c'_1 .. c'_n], M'_n): ``faddeev_leverrier`` of M' for M =
-    M' / d, unconverted.  The coefficient of lam^(n-k) is c'_k / d^k, and
-    adj(M) = adj(M') / d^(n-1)."""
+def charpoly(m: Mat) -> List[Fraction]:
+    """The monic characteristic polynomial det(lam*I - M) of a Fraction
+    matrix as its n + 1 coefficients c_0 .. c_n = 1 of lam^0 .. lam^n:
+    ``faddeev_leverrier`` of the constant matrix M' for M = M' / d, whose
+    coefficient of lam^(n-k), c'_k, is d^k times M's."""
     if not m.is_square():
         raise PreconditionError("NOT_SQUARE", "characteristic polynomial needs a square matrix")
-    ring = PolyRing([m], m.rows * _max_degree(m))
-    a, d = ring.int_rows(m)
-    return (ring, d, *faddeev_leverrier(a))
-
-
-def charpoly(m: Mat) -> List[Entry]:
-    """The monic characteristic polynomial det(lam*I - M) as its n + 1
-    coefficients c_0 .. c_n = 1 of lam^0 .. lam^n: Fractions for a Fraction
-    matrix, MPolys in the entries' variables otherwise."""
-    ring, d, cs, _ = _faddeev_leverrier(m)
-    return [ring.entry(c, d ** k) for k, c in reversed(list(enumerate(cs, 1)))] + \
-        [ring.entry({0: 1}, 1)]
+    n = m.rows
+    flat, d = integer_vector(fraction_entries(m))
+    cs, _ = faddeev_leverrier(linear_matrix([(0, [flat[i * n:(i + 1) * n] for i in range(n)])]))
+    return [Fraction(c.get(0, 0), d ** k) for k, c in reversed(list(enumerate(cs, 1)))] + \
+        [Fraction(1)]
 
 
 def adjugate(m: Mat) -> Mat:
-    """Adjugate: M @ adj(M) = det(M) * I."""
-    ring, d, _, mk = _faddeev_leverrier(m)
+    """Adjugate of a Fraction matrix, M @ adj(M) = det(M) * I: for M = M' /
+    d, adj(M) = (-1)^(n-1) M'_n / d^(n-1), M'_n the matrix that
+    ``faddeev_leverrier`` of the constant matrix M' leaves."""
+    if not m.is_square():
+        raise PreconditionError("NOT_SQUARE", "adjugate needs a square matrix")
     n = m.rows
-    return ring.mat(mk, (1 if n % 2 else -1) * d ** max(n - 1, 0))
+    flat, d = integer_vector(fraction_entries(m))
+    _, mk = faddeev_leverrier(linear_matrix([(0, [flat[i * n:(i + 1) * n] for i in range(n)])]))
+    den = (1 if n % 2 else -1) * d ** max(n - 1, 0)
+    return Mat([[Fraction(x.get(0, 0), den) for x in row] for row in mk])
 
 
 def express_in_rows(rows: List[List[Fraction]], v: Sequence[Fraction]) -> Optional[List[Fraction]]:

@@ -28,7 +28,8 @@ the minors of the vectorized B' over L^m.
 ``ParametricBasis`` holds a one-parameter family (entries polynomial in t).
 ``grassmann_limit`` computes its limit at t -> 0 by valuation-normalized row
 reduction on the entries' coefficients by power of t (``by_power``); the
-family's maximal minors decide that its rank is full and bound the passes.
+maximal minors of those rows cleared of denominators, on the integer kernel
+(``plucker_valuation``), decide that its rank is full and bound the passes.
 """
 
 from __future__ import annotations
@@ -51,7 +52,6 @@ from .linalg import (
     inverse_or_none,
     laplace_minors,
     linear_matrix,
-    maximal_minors,
     rref,
 )
 from .prng import SplitMix64, derive_seed
@@ -519,18 +519,17 @@ def grassmann_limit(family: ParametricBasis) -> MatSpace:
     it to replace the last row in the combination's support.  A pass divides
     the Pluecker vector (the maximal minors) by t^w, and the rows stay
     polynomial, so with v the least t-valuation of the minors at most v
-    passes run and evaluation v + 1 returns.  No nonzero minor means the
-    family is degenerate for generic t.  The minors are refused with
-    TOO_LARGE past ``MAX_PLUCKER_SUBSETS``, as in ``plucker``.
+    passes run and evaluation v + 1 returns (``plucker_valuation``).  No
+    nonzero minor means the family is degenerate for generic t.  The minors
+    are refused with TOO_LARGE past ``MAX_PLUCKER_SUBSETS``, as in
+    ``plucker``.
     """
-    param, polys = family.param, family.coordinate_rows()
     _check_plucker_size(family.n, family.m)
-    minors = maximal_minors(Mat(polys))
-    valuations = [min(by_power(p, param)) for p in minors.values() if p.terms]
-    if not valuations:
+    rows = [[by_power(e, family.param) for e in row] for row in family.coordinate_rows()]
+    valuation = plucker_valuation(rows)
+    if valuation is None:
         raise PreconditionError("NOT_GENERIC_RANK", "family is degenerate for generic t")
-    rows = [[by_power(e, param) for e in row] for row in polys]
-    for _ in range(min(valuations) + 1):
+    for _ in range(valuation + 1):
         numeric = [[e.get(0, Fraction(0)) for e in row] for row in rows]
         if rref(numeric).rank == family.m:
             return MatSpace(family.n, [unvectorize(family.n, row) for row in numeric])
@@ -545,6 +544,21 @@ def grassmann_limit(family: ParametricBasis) -> MatSpace:
         target = max(i for i, c in enumerate(combo) if c)
         rows[target] = [{k - w: x for k, x in acc.items()} for acc in combined]
     raise InternalCheckError("INTERNAL", "limit passes exceeded the Pluecker valuation")
+
+
+def plucker_valuation(rows: List[List[Dict[int, Fraction]]]) -> Optional[int]:
+    """The least t-power of the maximal minors of m rows of {power:
+    coefficient} entries, or None when every minor vanishes: each row is
+    cleared of denominators by its own lcm, which scales each minor by one
+    nonzero integer, and with one variable a packed key is its power, so
+    the cleared rows are ``linalg.laplace_minors``' input as they are."""
+    cleared = []
+    for row in rows:
+        d = math.lcm(*(c.denominator for e in row for c in e.values()))
+        cleared.append([{k: c.numerator * (d // c.denominator) for k, c in e.items()} for e in row])
+    minor = laplace_minors(cleared)
+    return min((min(p) for cols in itertools.combinations(range(len(rows[0])), len(rows))
+                if (p := minor(cols))), default=None)
 
 
 def _row_kernel_vector(numeric_rows: List[List[Fraction]]) -> List[Fraction]:

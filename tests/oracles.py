@@ -21,14 +21,19 @@ the tests can compare the two:
   sweep candidates formed as Fraction elements and ranked by ``mat_rank``
   (the package ranks them on integers, as the unit sweep does);
 - ``substitution_family_by_matrices``: the degeneration family as the
-  coefficient matrix S(t) of the substitution and two polynomial ``Mat @``
-  products S^T M S, with I folded per entry (the package reads S^T M S off
-  the substituted quadric);
+  coefficient matrix S(t) of the substitution and two polynomial products
+  S^T M S (``matmul_by_loop``), with I folded per entry (the package reads
+  S^T M S off the substituted quadric);
+- ``family_minors_by_mpoly`` and ``plucker_valuation_by_mpoly``: a family's
+  maximal minors in MPoly arithmetic and their least power of t (the
+  package clears each row of {power: coefficient} entries by its own lcm
+  and reads the valuation off the integer kernel's minors,
+  ``spaces.plucker_valuation``);
 - ``generic_element``: sum_k t_k B_k as a ``Mat`` of ``MPoly`` entries
   over the Fraction basis, each entry formed once, the reference route to
-  the generic determinant (``det_laplace`` of it) and the rank-one minors
-  (``rank_one_minors_by_mpoly``), which the package reads off the packed
-  integer element X' = sum_k t_k B'_k over powers of L;
+  the generic determinant (``det_laplace_by_entries`` of it) and the
+  rank-one minors (``rank_one_minors_by_mpoly``), which the package reads
+  off the packed integer element X' = sum_k t_k B'_k over powers of L;
   ``generic_element_by_scale_and_add`` forms it as m polynomial scalings
   and m - 1 ``Mat`` sums;
 - ``element_by_fractions``: sum_k c_k B_k with each entry a Fraction sum
@@ -40,7 +45,18 @@ the tests can compare the two:
   ``mpoly_gcd_by_mpoly``: Yun's decomposition and its gcds on ``UniPoly``
   (a main variable over ``MPoly`` coefficients) with ``exact_div`` (the
   package runs them on integer polynomials in recursive dense form);
-  ``uni_charpoly`` wraps ``charpoly``'s coefficients for them.
+  ``uni_charpoly`` wraps ``faddeev_leverrier_by_entries``' coefficients for
+  them.
+
+- ``matmul_by_loop``, ``faddeev_leverrier_by_entries`` and
+  ``laplace_minors_by_entries`` (with ``det_laplace_by_entries`` and
+  ``adjugate_by_cofactors``): products, characteristic polynomials,
+  adjugates, determinants and minors entry by entry, in the entries' own
+  ring (Fraction or ``MPoly``), the loops that ``linalg``'s integer kernel
+  replaced.  Every oracle here that needs one
+  of those on ``MPoly`` entries runs these loops, never the kernel: the
+  package's ``Mat @``, ``charpoly``, ``adjugate`` and ``det`` take Fraction
+  matrices only, on the same kernel the oracles check.
 
 - ``basis_products_by_fractions``: each basis product a Fraction matrix
   (``jordan_product_by_fractions``) located by ``contains``, with
@@ -78,10 +94,16 @@ the tests can compare the two:
   (B', L) and forms the Fraction basis only when read).
 
 - ``chow_matrix_by_adjugate``: the Chow matrix as the MPoly adjugate of
-  the Fraction generic element, one ``MPoly.coefficient`` lookup per cell
+  the Fraction generic element by cofactors (``adjugate_by_cofactors``, a
+  ``det_laplace_by_entries`` each), one ``MPoly.coefficient`` lookup per cell
   (the package runs Faddeev-LeVerrier on the packed integer element sum_k
   t_k B'_k and reads the cells at packed monomial keys over +-L^(n-1)).
-- ``partition_by_mpoly``: the multiplicity partition from ``charpoly`` of
+- ``chow_matrix_generic_by_mpoly``: the Chow matrix of the generic net
+  w1 X + w2 Y + w3 Z as the MPoly adjugate of that ``Mat`` split by weight
+  monomial (the package packs the net's weights and entries in one integer
+  element and reads the cells off its adjugate, ``chow.chow_det_generic``).
+- ``partition_by_mpoly``: the multiplicity partition from the
+  characteristic polynomial (``faddeev_leverrier_by_entries``) of
   the Fraction generic element t1 qC'_1 + ... + qC'_{m-1} (``Mat.from_ints``
   matrices, a ``Mat`` sum), its coefficients cleared of denominators by
   ``integer_coefficients`` (the package packs that element as integers and
@@ -117,8 +139,6 @@ from jordanet.exact import (
 from jordanet.jordan import radical, structure_constants
 from jordanet.linalg import (
     Mat,
-    adjugate,
-    charpoly,
     det,
     int_matmul,
     integer_vector,
@@ -253,6 +273,82 @@ def _ring_div(num, den):
             raise InternalCheckError("INTERNAL", "inexact division in fraction-free elimination")
         return q
     return num / den
+
+
+def matmul_by_loop(a: Mat, b: Mat) -> Mat:
+    """The product entry by entry, skipping zero factors, in the operands'
+    own ring (oracle for the integer kernel of ``Mat.__matmul__``)."""
+    out = []
+    for i in range(a.rows):
+        row = []
+        for j in range(b.cols):
+            acc = None
+            for k in range(a.cols):
+                x, y = a[i, k], b[k, j]
+                if _entry_is_zero(x) or _entry_is_zero(y):
+                    continue
+                acc = x * y if acc is None else acc + x * y
+            if acc is None:
+                acc = _zero_like(a[i, 0])
+            row.append(acc)
+        out.append(row)
+    return Mat(out)
+
+
+def faddeev_leverrier_by_entries(m: Mat):
+    """(charpoly's coefficients, lowest power first; adjugate): with M_1 = I,
+    c_k = -trace(M M_k) / k and M_(k+1) = M M_k + c_k I, on Fraction and
+    MPoly entries (``matmul_by_loop``)."""
+    n = m.rows
+    ident = Mat.identity(n)
+    mk = ident
+    cs = []
+    for k in range(1, n + 1):
+        if k > 1:
+            mk = prod + ident.scale(cs[-1])
+        prod = matmul_by_loop(m, mk)
+        cs.append(prod.trace() * Fraction(-1, k))
+    return cs[::-1] + [Fraction(1)], mk if n % 2 else -mk
+
+
+def laplace_minors_by_entries(m: Mat):
+    """The minor of the first |S| rows on columns S, by Laplace expansion
+    along row |S| - 1, memoized over column subsets, in the entries' ring."""
+    memo = {(): Fraction(1)}
+
+    def minor(cols):
+        if cols not in memo:
+            row = len(cols) - 1
+            acc = Fraction(0)
+            for idx, c in enumerate(cols):
+                if _entry_is_zero(m[row, c]):
+                    continue
+                term = m[row, c] * minor(cols[:idx] + cols[idx + 1:])
+                acc = acc - term if (row + idx) % 2 else acc + term
+            memo[cols] = acc
+        return memo[cols]
+
+    return minor
+
+
+def det_laplace_by_entries(m: Mat):
+    """The determinant as the one maximal minor (``laplace_minors_by_entries``)."""
+    return laplace_minors_by_entries(m)(tuple(range(m.rows)))
+
+
+def adjugate_by_cofactors(m: Mat) -> Mat:
+    """Adjugate by its definition: transposed signed cofactors, each a
+    ``det_laplace_by_entries``."""
+    n = m.rows
+    if n == 1:
+        return Mat([[_one_like(m[0, 0])]])
+    out = [[None] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(n):
+            sub = Mat([[m[r, c] for c in range(n) if c != j] for r in range(n) if r != i])
+            cof = det_laplace_by_entries(sub)
+            out[j][i] = -cof if (i + j) % 2 else cof
+    return Mat(out)
 
 
 def det_bareiss_by_ring(m: Mat):
@@ -440,8 +536,24 @@ def substitution_family_by_matrices(space, substitution):
                      for v in range(len(names))])
     s = Mat(rows)
     st = s.transpose()
-    return [((st @ b.map(lambda e: MPoly.const(e, ("I", "t")))) @ s).map(_reduce_imaginary)
-            for b in space.basis]
+    return [matmul_by_loop(matmul_by_loop(st, b.map(lambda e: MPoly.const(e, ("I", "t")))), s)
+            .map(_reduce_imaginary) for b in space.basis]
+
+
+def family_minors_by_mpoly(family) -> dict:
+    """Every maximal minor of a family's MPoly coordinate rows, keyed by its
+    column tuple (``laplace_minors_by_entries``)."""
+    rows = Mat(family.coordinate_rows())
+    minor = laplace_minors_by_entries(rows)
+    return {cols: minor(cols) for cols in itertools.combinations(range(rows.cols), rows.rows)}
+
+
+def plucker_valuation_by_mpoly(family) -> Optional[int]:
+    """The least power of the family's parameter in its nonzero minors
+    (``family_minors_by_mpoly``), or None when they all vanish."""
+    powers = [min(e[p.vars.index(family.param)] if family.param in p.vars else 0 for e in p.terms)
+              for p in family_minors_by_mpoly(family).values() if _is_poly(p) and p.terms]
+    return min(powers, default=None)
 
 
 def generic_element(basis, names=None) -> Mat:
@@ -667,8 +779,9 @@ class UniPoly:
 
 
 def uni_charpoly(m: Mat) -> UniPoly:
-    """``charpoly(m)`` as a UniPoly in ``lam``."""
-    return UniPoly("lam", charpoly(m))
+    """The characteristic polynomial of m (``faddeev_leverrier_by_entries``)
+    as a UniPoly in ``lam``."""
+    return UniPoly("lam", faddeev_leverrier_by_entries(m)[0])
 
 
 def uni_prem(f: UniPoly, g: UniPoly) -> UniPoly:
@@ -841,9 +954,28 @@ def chow_matrix_by_adjugate(space) -> Mat:
     coefficient of each monomial of ``monomials(m, n - 1)`` in each upper
     entry."""
     names = generic_names(space.m)
-    adj = adjugate(generic_element(space.basis, names))
+    adj = adjugate_by_cofactors(generic_element(space.basis, names))
     cols = [dict(zip(names, mono)) for mono in monomials(space.m, space.n - 1)]
-    return Mat([[adj[i, j].coefficient(mono) for mono in cols] for i, j in sym_pairs(space.n)])
+    entries = [adj[i, j] if _is_poly(adj[i, j]) else MPoly.const(adj[i, j])  # a zero cofactor
+               for i, j in sym_pairs(space.n)]
+    return Mat([[e.coefficient(mono) for mono in cols] for e in entries])
+
+
+def chow_matrix_generic_by_mpoly(n: int = 3) -> Mat:
+    """Chow matrix of the generic net spanned by symbolic symmetric matrices
+    with entries x_ij, y_ij, z_ij, in the rows and columns of ``chow_matrix``
+    (monomials in the weights w1..w3): the adjugate of the weighted sum,
+    whose entry (i, j) is w1 x_ij + w2 y_ij + w3 z_ij, split by weight
+    monomial."""
+    prefixes = ("x", "y", "z")
+    weight_names = tuple(f"w{k + 1}" for k in range(len(prefixes)))
+    acc = unvectorize(n, [sum((MPoly.var(w) * MPoly.var(f"{p}{i + 1}{j + 1}")
+                               for w, p in zip(weight_names, prefixes)), MPoly.zero())
+                          for i, j in sym_pairs(n)])
+    _, adj = faddeev_leverrier_by_entries(acc)
+    buckets = [adj[i, j].split_by_vars(weight_names) for i, j in sym_pairs(n)]
+    return Mat([[b.get(mono, MPoly.zero()) for mono in monomials(len(prefixes), n - 1)]
+                for b in buckets])
 
 
 def integer_coefficients(coeffs):
@@ -858,8 +990,9 @@ def integer_coefficients(coeffs):
 
 
 def partition_coefficients_by_mpoly(space):
-    """The input of the partition's squarefree decomposition: ``charpoly``
-    of t1 qC'_1 + ... + t_{m-2} qC'_{m-2} + qC'_{m-1}, the C'_k the integer
+    """The input of the partition's squarefree decomposition: the
+    characteristic polynomial (``faddeev_leverrier_by_entries``) of t1 qC'_1
+    + ... + t_{m-2} qC'_{m-2} + qC'_{m-1}, the C'_k the integer
     basis without the first element on which the unit has a nonzero
     coordinate, formed as Fraction matrices and an MPoly generic element."""
     unit = unit_point(space)
@@ -868,7 +1001,7 @@ def partition_coefficients_by_mpoly(space):
     q, _ = unit.inverse
     *scaled, last = [Mat.from_ints(int_matmul(q, b)) for k, b in enumerate(basis) if k != drop]
     x = generic_element(scaled) + last if scaled else last
-    return integer_coefficients(charpoly(x))
+    return integer_coefficients(faddeev_leverrier_by_entries(x)[0])
 
 
 def rational_spaces(seed: int):

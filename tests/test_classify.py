@@ -33,6 +33,7 @@ from jordanet.spaces import (
 )
 from oracles import (
     generic_element,
+    matmul_by_loop,
     partition_by_mpoly,
     partition_coefficients_by_mpoly,
     rational_spaces,
@@ -143,7 +144,7 @@ def partition_in_all_variables(space):
     QQ(t1..tm), with no change of variables, by the MPoly gcd chain."""
     q, s = unit_point(space).inverse
     uinv = Mat([[Fraction(v, s) for v in row] for row in q])
-    cp = uni_charpoly(uinv @ generic_element(space.basis))
+    cp = uni_charpoly(matmul_by_loop(uinv, generic_element(space.basis)))
     _, factors = squarefree_by_mpoly(cp)
     parts = []
     for factor, mult in factors:
@@ -187,9 +188,11 @@ def oracle_spaces():
 
 class TestIntegerPartition:
     """The partition's characteristic polynomial from Faddeev-LeVerrier on
-    the packed integer element, against ``charpoly`` of the Fraction generic
-    element cleared of denominators: the same squarefree input, and the same
-    partition where the decomposition is quick (at most two variables)."""
+    the packed integer element, against the entry loops' characteristic
+    polynomial of the Fraction generic element cleared of denominators
+    (``partition_coefficients_by_mpoly``): the same squarefree input, and
+    the same partition where the decomposition is quick (at most two
+    variables)."""
 
     def inputs(self, monkeypatch, space):
         # the decomposition is stubbed, so the size bound that guards it is
@@ -203,7 +206,10 @@ class TestIntegerPartition:
         return got
 
     def test_rational_bases_and_catalog_spaces(self, monkeypatch):
-        named = {f"{sp.n}, {sp.m}, {k}": sp for k, sp in enumerate(rational_spaces(27))}
+        # both rational spaces of each shape up to S^4, one in S^5, where the
+        # oracle's MPoly products take most of the time
+        named = {f"{sp.n}, {sp.m}, {k}": sp for k, sp in enumerate(rational_spaces(27))
+                 if sp.n < 5 or k % 2 == 0}
         named.update(oracle_spaces())
         checked = set()
         for name, sp in named.items():

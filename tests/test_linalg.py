@@ -6,40 +6,56 @@ from typing import List, NamedTuple
 import pytest
 
 from jordanet import linalg
-from jordanet.errors import PreconditionError
+from jordanet.errors import JordanetError, PreconditionError
 from jordanet.exact import MPoly, parse_poly
 from jordanet.linalg import (
     Echelon,
     Mat,
+    Packing,
     adjugate,
     charpoly,
     det,
     det_bareiss,
     det_laplace,
     express_in_rows,
+    faddeev_leverrier,
+    int_poly_matmul,
     inverse,
     inverse_or_none,
+    laplace_minors,
+    linear_matrix,
     mat_rank,
     rref,
 )
 from jordanet.prng import SplitMix64
-from jordanet.spaces import MatSpace, generic_det, generic_names, make_space, sweep_rank
+from jordanet.spaces import (
+    MatSpace,
+    generic_det,
+    generic_matrix,
+    generic_names,
+    make_space,
+    sweep_rank,
+    unvectorize,
+)
 from jordanet.varieties import macaulay_emptiness, rank_one_system
 from oracles import (
     GaussJordanEchelon,
     PrimitiveEchelon,
     UniPoly,
+    adjugate_by_cofactors,
     det_bareiss_by_ring,
     det_by_gauss_jordan,
+    det_laplace_by_entries,
+    faddeev_leverrier_by_entries,
     generic_element,
     inverse_or_none_by_primitive_rows,
     macaulay_rows_by_fractions,
-    mpoly_from_terms,
+    matmul_by_loop,
+    rational_spaces,
     reduce_vector,
     residue,
     rref_with_transform_by_gauss_jordan,
     rref_with_transform_by_primitive_rows,
-    uni_charpoly,
 )
 
 
@@ -59,99 +75,51 @@ def random_scalar_mat(rng, n, lo=-5, hi=5):
     return Mat.from_ints([[rng.int_between(lo, hi) for _ in range(n)] for _ in range(n)])
 
 
-def adjugate_cofactor(m: Mat) -> Mat:
-    """Adjugate by its definition: transposed signed cofactors (oracle)."""
-    n = m.rows
-    if n == 1:
-        return Mat([[MPoly.const(1) if isinstance(m[0, 0], MPoly) else Fraction(1)]])
-    out = [[None] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(n):
-            sub = Mat([[m[r, c] for c in range(n) if c != j] for r in range(n) if r != i])
-            cof = det_laplace(sub)
-            out[j][i] = -cof if (i + j) % 2 else cof
-    return Mat(out)
+def random_rational_mat(rng, n):
+    """Entries k / d, k in -4..4 and d in 1..6, with a zero row about one
+    time in three."""
+    dead = rng.int_between(0, n - 1) if n and rng.int_between(0, 2) == 0 else -1
+    return Mat([[Fraction(0) if i == dead else Fraction(rng.int_between(-4, 4), rng.int_between(1, 6))
+                 for _ in range(n)] for i in range(n)])
 
 
-def random_poly_mat(rng, n, vars=("s", "t")):
-    rows = []
-    for _ in range(n):
-        row = []
-        for _ in range(n):
-            terms = {}
-            for _ in range(2):
-                exps = tuple(rng.int_between(0, 1) for _ in vars)
-                terms[exps] = terms.get(exps, 0) + rng.int_between(-3, 3)
-            row.append(mpoly_from_terms(vars, terms))
-        rows.append(row)
-    return Mat(rows)
+def random_int_space(rng, n, m):
+    """Span of m random symmetric n x n integer matrices, drawn again while
+    they are dependent."""
+    while True:
+        basis = [unvectorize(n, [Fraction(rng.int_between(-3, 3)) for _ in range(n * (n + 1) // 2)])
+                 for _ in range(m)]
+        try:
+            return make_space(n, basis)
+        except PreconditionError:
+            continue
 
 
-# -- oracles for the integer polynomial kernel: the entry-by-entry loops it
-# replaced (products: ``matmul_by_loop``)
+class Kernel(NamedTuple):
+    """The integer kernel's results on a space's packed generic element X' /
+    L (``generic_matrix``), converted to MPolys in t1..tm: the
+    characteristic polynomial's coefficients (lowest power first), the
+    adjugate, the determinant and the square X X."""
 
-def faddeev_leverrier_by_entries(m: Mat):
-    """(charpoly's coefficients, lowest power first; adjugate): with M_1 = I,
-    c_k = -trace(M M_k) / k and M_(k+1) = M M_k + c_k I, on Fraction and
-    MPoly entries."""
-    n = m.rows
-    ident = Mat.identity(n)
-    mk = ident
-    cs = []
-    for k in range(1, n + 1):
-        if k > 1:
-            mk = prod + ident.scale(cs[-1])
-        prod = matmul_by_loop(m, mk)
-        cs.append(prod.trace() * Fraction(-1, k))
-    return cs[::-1] + [Fraction(1)], mk if n % 2 else -mk
+    charpoly: list
+    adjugate: Mat
+    det: MPoly
+    square: Mat
 
 
-def det_laplace_by_entries(m: Mat):
-    """Laplace expansion along the rows, memoized over column subsets."""
-    memo = {(): Fraction(1)}
+def kernel_on_generic_element(space) -> Kernel:
+    n, (_, lcm) = space.n, space.integer_basis()
+    x, packing, names = generic_matrix(space, max(n, 2))
+    cs, mn = faddeev_leverrier(x)
 
-    def minor(cols):
-        if cols not in memo:
-            row = len(cols) - 1
-            acc = Fraction(0)
-            for idx, c in enumerate(cols):
-                if is_zero_entry(m[row, c]):
-                    continue
-                term = m[row, c] * minor(cols[:idx] + cols[idx + 1:])
-                acc = acc - term if (row + idx) % 2 else acc + term
-            memo[cols] = acc
-        return memo[cols]
+    def conv(p, den):
+        return packing.mpoly(p, den, names)
 
-    return minor(tuple(range(m.rows)))
-
-
-def random_mixed_mat(rng, n, vars=("a", "b", "c")):
-    """Entries that are 0, rationals with unequal denominators, or MPolys of
-    degree up to 2 over random subsets of ``vars``; about one matrix in three
-    has a zero row."""
-    zero_row = rng.int_between(0, 2) == 0 and n > 0
-    dead = rng.int_between(0, n - 1) if zero_row else -1
-    rows = []
-    for i in range(n):
-        row = []
-        for _ in range(n):
-            kind = rng.int_between(0, 4) if i != dead else 0
-            if kind == 0:
-                row.append(MPoly.zero(vars[:1]) if rng.int_between(0, 1) else Fraction(0))
-            elif kind == 1:
-                row.append(Fraction(rng.int_between(-4, 4), rng.int_between(1, 6)))
-            else:
-                sub = tuple(v for v in vars if rng.int_between(0, 1)) or vars[-1:]
-                terms = {}
-                for _ in range(rng.int_between(1, 3)):
-                    exps = [0] * len(sub)
-                    for _ in range(rng.int_between(0, 2)):
-                        exps[rng.int_between(0, len(sub) - 1)] += 1
-                    terms[tuple(exps)] = Fraction(rng.nonzero_int_between(-3, 3),
-                                                  rng.int_between(1, 5))
-                row.append(mpoly_from_terms(sub, terms))
-        rows.append(row)
-    return Mat(rows)
+    sign = 1 if n % 2 else -1
+    return Kernel([conv(c, lcm ** k) for k, c in reversed(list(enumerate(cs, 1)))] + [Fraction(1)],
+                  Mat([[conv(p, sign * lcm ** (n - 1)) for p in row] for row in mn]),
+                  conv(laplace_minors(x)(tuple(range(n))), lcm ** n),
+                  Mat([[conv(p, lcm ** 2) for p in row] for row in int_poly_matmul(x, x)]))
 
 
 class FractionEchelon(NamedTuple):
@@ -278,30 +246,6 @@ class TestIntegerRref:
             [1, Fraction(1, 6), 0], [0, 0, 1]]
 
 
-def is_zero_entry(e):
-    return e.is_zero() if isinstance(e, MPoly) else e == 0
-
-
-def matmul_by_loop(a: Mat, b: Mat) -> Mat:
-    """The product entry by entry, skipping zero factors, in the operands'
-    own ring (oracle for the integer kernel of ``Mat.__matmul__``)."""
-    out = []
-    for i in range(a.rows):
-        row = []
-        for j in range(b.cols):
-            acc = None
-            for k in range(a.cols):
-                x, y = a[i, k], b[k, j]
-                if is_zero_entry(x) or is_zero_entry(y):
-                    continue
-                acc = x * y if acc is None else acc + x * y
-            if acc is None:
-                acc = MPoly.zero(a[i, 0].vars) if isinstance(a[i, 0], MPoly) else Fraction(0)
-            row.append(acc)
-        out.append(row)
-    return Mat(out)
-
-
 class TestFractionProduct:
     def test_matches_the_entry_loop(self):
         # shapes 0..6 on each side, square and rectangular; zero rows come from
@@ -326,14 +270,25 @@ class TestFractionProduct:
                     products += 1
         assert products > 250
 
-    def test_polynomial_and_mixed_products_keep_the_loop(self):
-        rng = SplitMix64(119)
-        for n in range(1, 4):
-            for _ in range(3):
-                a, b = random_poly_mat(rng, n), random_poly_mat(rng, n)
-                c = random_scalar_mat(rng, n)
-                for x, y in ((a, b), (c, a), (a, c)):
-                    assert x @ y == matmul_by_loop(x, y)
+
+
+class TestNumericOnly:
+    def test_mpoly_entries_are_refused(self):
+        # products, charpoly, adjugate, det and det_laplace take Fraction
+        # matrices: an MPoly entry, alone or beside Fractions, is a typed
+        # precondition error, never an AttributeError from the integer kernel
+        x = P("x")
+        mixed = Mat([[x, Fraction(1, 2)], [Fraction(3), Fraction(0)]])
+        poly = Mat([[x, P("y")], [P("y"), MPoly.const(2)]])
+        numeric = Mat.from_ints([[1, 2], [3, 4]])
+        calls = [lambda: mixed @ numeric, lambda: numeric @ mixed, lambda: poly @ poly]
+        for m in (mixed, poly):
+            calls += [lambda m=m: charpoly(m), lambda m=m: adjugate(m), lambda m=m: det(m),
+                      lambda m=m: det_laplace(m)]
+        for call in calls:
+            with pytest.raises(JordanetError) as err:
+                call()
+            assert isinstance(err.value, PreconditionError) and err.value.code == "NOT_NUMERIC"
 
 
 def integer_row(row):
@@ -640,18 +595,6 @@ class TestIntegerReduction:
         assert inside > 100 and outside > 50 and solved > 90 and refused > 15
 
 
-def random_net_S5(rng):
-    """Span of three random symmetric 5 x 5 integer matrices."""
-    basis = []
-    for _ in range(3):
-        m = [[0] * 5 for _ in range(5)]
-        for i in range(5):
-            for j in range(i, 5):
-                m[i][j] = m[j][i] = rng.int_between(-3, 3)
-        basis.append(Mat.from_ints(m))
-    return make_space(5, basis)
-
-
 class TestRref:
     def test_identity(self):
         e = rref(Mat.identity(3).data)
@@ -714,14 +657,13 @@ class TestDet:
         assert det(Mat.from_ints([[1, 2], [3, 4]])) == -2
 
     def test_poly_double_conic(self):
-        # block-diagonal with two copies of [[x,y],[y,z]]
-        m = poly_mat([
-            ["x", "y", 0, 0],
-            ["y", "z", 0, 0],
-            [0, 0, "x", "y"],
-            [0, 0, "y", "z"],
-        ])
-        assert det(m) == P("x^2*z^2 - 2*x*y^2*z + y^4")
+        # the generic element of <E11 + E33, E12 + E34, E22 + E44> in x, y,
+        # z: block-diagonal with two copies of [[x, y], [y, z]]
+        sp = make_space(4, [Mat.from_ints(b) for b in (
+            [[1, 0, 0, 0], [0, 0, 0, 0], [0, 0, 1, 0], [0, 0, 0, 0]],
+            [[0, 1, 0, 0], [1, 0, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]],
+            [[0, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 0], [0, 0, 0, 1]])])
+        assert generic_det(sp, ("x", "y", "z")) == P("x^2*z^2 - 2*x*y^2*z + y^4")
 
     def test_bareiss_equals_laplace_scalar(self):
         rng = SplitMix64(17)
@@ -788,13 +730,12 @@ class TestDet:
                 assert det_bareiss(dependent) == 0 == det_laplace(dependent) == det_bareiss_by_ring(dependent)
 
     def test_bareiss_equals_laplace_poly(self):
+        # Bareiss over MPoly entries against the kernel's Laplace determinant
+        # of the packed generic element
         rng = SplitMix64(29)
-        for n in (2, 3, 4):
-            for _ in range(3):
-                m = random_poly_mat(rng, n)
-                assert det_bareiss_by_ring(m) == det_laplace(m)
-        m = random_poly_mat(rng, 6)
-        assert det_bareiss_by_ring(m) == det_laplace(m)
+        for n, m in ((2, 2), (3, 2), (3, 3), (4, 2), (4, 3), (6, 2)):
+            sp = random_int_space(rng, n, m)
+            assert det_bareiss_by_ring(generic_element(sp.basis)) == generic_det(sp), (n, m)
 
     def test_singular(self):
         assert det(Mat.from_ints([[1, 2], [2, 4]])) == 0
@@ -802,9 +743,11 @@ class TestDet:
 
 class TestAdjugate:
     def test_diagonal(self):
-        m = poly_mat([["a", 0, 0], [0, "b", 0], [0, 0, "c"]])
-        adj = adjugate(m)
-        assert adj == poly_mat([["b*c", 0, 0], [0, "a*c", 0], [0, 0, "a*b"]])
+        assert adjugate(Mat.from_ints([[2, 0, 0], [0, 3, 0], [0, 0, 5]])) == \
+            Mat.from_ints([[15, 0, 0], [0, 10, 0], [0, 0, 6]])
+        m = Mat([[Fraction(1, 2), 0, 0], [0, Fraction(2, 3), 0], [0, 0, Fraction(5)]])
+        assert adjugate(m) == Mat([[Fraction(10, 3), 0, 0], [0, Fraction(5, 2), 0],
+                                   [0, 0, Fraction(1, 3)]])
 
     def test_identity(self):
         for n in (1, 2, 4):
@@ -813,13 +756,11 @@ class TestAdjugate:
     def test_matches_cofactor_oracle(self):
         rng = SplitMix64(31)
         for n in (1, 2, 3, 4, 5):
-            m = random_poly_mat(rng, n)
-            assert adjugate(m) == adjugate_cofactor(m)
-        for n in (2, 3, 5):
-            m = random_scalar_mat(rng, n)
-            assert adjugate(m) == adjugate_cofactor(m)
-        m = generic_element(random_net_S5(rng).basis)
-        assert adjugate(m) == adjugate_cofactor(m)
+            for m in (random_scalar_mat(rng, n), random_rational_mat(rng, n)):
+                assert adjugate(m) == adjugate_by_cofactors(m)
+        sp = random_int_space(rng, 5, 3)
+        assert kernel_on_generic_element(sp).adjugate == \
+            adjugate_by_cofactors(generic_element(sp.basis))
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
     def test_n_minus_one_products(self, n, monkeypatch):
@@ -831,7 +772,7 @@ class TestAdjugate:
             return product(a, b)
 
         monkeypatch.setattr(linalg, "int_poly_matmul", counting)
-        m = random_poly_mat(SplitMix64(n), n)
+        m = random_rational_mat(SplitMix64(n), n)
         adjugate(m)
         assert len(calls) == n - 1
         charpoly(m)
@@ -853,35 +794,40 @@ class TestCharpoly:
         assert charpoly(Mat.zero(2, 2)) == [0, 0, 1]
 
     def test_nilpotent_tower_net(self):
-        # generic element of the net x*Diag(J3,1) + y*(E12+E21) + z*E11;
-        # frozen value cross-checked against a cofactor-expansion determinant
-        m = poly_mat([
-            ["z", "y", "x", 0],
-            ["y", "x", 0, 0],
-            ["x", 0, 0, 0],
-            [0, 0, 0, "x"],
-        ])
-        cp = uni_charpoly(m)
+        # the packed generic element of the net x*Diag(J3,1) + y*(E12+E21) +
+        # z*E11; frozen value cross-checked against a cofactor-expansion
+        # determinant
+        sp = make_space(4, [Mat.from_ints(b) for b in (
+            [[0, 0, 1, 0], [0, 1, 0, 0], [1, 0, 0, 0], [0, 0, 0, 1]],
+            [[0, 1, 0, 0], [1, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0]],
+            [[1, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0]])])
+        names = ("x", "y", "z")
+        x, packing, _ = generic_matrix(sp, 4, names)
+        cs, _ = faddeev_leverrier(x)
+        cp = UniPoly("lam", [packing.mpoly(c, 1, names) for c in reversed(cs)] + [Fraction(1)])
         expected = U("lam - x") * U("lam^3 - x*lam^2 - z*lam^2 + x*z*lam - x^2*lam - y^2*lam + x^3")
         assert cp == expected
         # independent oracle: det(lam*I - M) by memoized Laplace expansion
-        lam = P("lam")
+        m, lam = generic_element(sp.basis, names), P("lam")
         shifted = Mat([
             [lam - m[i, j] if i == j else -m[i, j] for j in range(4)]
             for i in range(4)
         ])
-        assert cp.to_mpoly() == det_laplace(shifted)
+        assert cp.to_mpoly() == det_laplace_by_entries(shifted)
 
     def test_matches_laplace_determinant(self):
         rng = SplitMix64(41)
-        mats = [random_poly_mat(rng, n) for n in (1, 2, 3, 4, 5)]
-        mats.append(generic_element(random_net_S5(rng).basis))
         lam = P("lam")
-        for m in mats:
+        sp = random_int_space(rng, 5, 3)
+        pairs = [(generic_element(sp.basis), kernel_on_generic_element(sp).charpoly)]
+        for n in (1, 2, 3, 4, 5):
+            m = random_rational_mat(rng, n)
+            pairs.append((m, charpoly(m)))
+        for m, cp in pairs:
             n = m.rows
             shifted = Mat([[lam - m[i, j] if i == j else -m[i, j] for j in range(n)]
                            for i in range(n)])
-            assert uni_charpoly(m).to_mpoly() == det_laplace(shifted)
+            assert UniPoly("lam", cp).to_mpoly() == det_laplace_by_entries(shifted)
 
     def test_cayley_hamilton(self):
         rng = SplitMix64(43)
@@ -903,38 +849,51 @@ class TestCharpoly:
     def test_forms_no_matrix(self, monkeypatch):
         # charpoly converts its coefficients alone; only adjugate forms the
         # matrix that the same iteration leaves
-        made = []
-        real = linalg.PolyRing.mat
-        monkeypatch.setattr(linalg.PolyRing, "mat",
-                            lambda ring, rows, den: made.append(1) or real(ring, rows, den))
         rng = SplitMix64(53)
-        for m in (random_scalar_mat(rng, 3), random_poly_mat(rng, 3)):
+        mats = [random_scalar_mat(rng, 3), random_rational_mat(rng, 3)]
+        made = []
+        real = linalg.Mat
+        monkeypatch.setattr(linalg, "Mat", lambda rows: made.append(1) or real(rows))
+        for m in mats:
             charpoly(m)
         assert made == []
-        adjugate(random_scalar_mat(rng, 3))
+        adjugate(mats[0])
         assert made == [1]
 
 
 class TestIntegerKernel:
-    """Products, charpolys, adjugates and determinants on the integer kernel
-    against the entry-by-entry loops."""
+    """Products, charpolys, adjugates and determinants on the integer kernel,
+    of packed generic elements and of Fraction matrices, against the
+    entry-by-entry loops of ``oracles``."""
 
     def test_matches_the_entry_loops(self):
+        # packed generic elements of seeded rational spaces (n = 1..5, L in
+        # {1, 2, 3, 6}; not S^5 with m = 6, whose MPoly products alone take
+        # 0.7 s) and of two spaces with a zero row, whose MPoly entries the
+        # loops multiply in t1..tm
+        zero_row = [make_space(3, [Mat.from_ints([[1, 2, 0], [2, 0, 0], [0, 0, 0]]),
+                                   Mat.from_ints([[0, 1, 0], [1, 3, 0], [0, 0, 0]])]),
+                    make_space(4, [Mat([[Fraction(1, 2), 0, 0, 0], [0, 0, 1, 0], [0, 1, 0, 0],
+                                        [0, 0, 0, 0]])])]
+        spaces = [sp for sp in rational_spaces(2026)[::3] if (sp.n, sp.m) != (5, 6)] + zero_row
+        assert {sp.integer_basis()[1] for sp in spaces} == {1, 2, 3, 6}
+        for sp in spaces:
+            got, g = kernel_on_generic_element(sp), generic_element(sp.basis)
+            cp, adj = faddeev_leverrier_by_entries(g)
+            assert got.charpoly == cp, sp
+            assert got.adjugate == adj, sp
+            assert got.det == det_laplace_by_entries(g), sp
+            assert got.square == matmul_by_loop(g, g), sp
         rng = SplitMix64(2026)
-        kinds, var_sets, zero_rows = set(), set(), 0
         for n in range(7):
             for _ in range(3 if n < 6 else 1):
-                m = random_mixed_mat(rng, n)
-                kinds |= {type(x) for row in m.data for x in row}
-                var_sets |= {x.vars for row in m.data for x in row if isinstance(x, MPoly)}
-                zero_rows += any(all(is_zero_entry(x) for x in row) for row in m.data)
+                m = random_rational_mat(rng, n)
                 cp, adj = faddeev_leverrier_by_entries(m)
                 assert charpoly(m) == cp
                 assert adjugate(m) == adj
                 assert det_laplace(m) == det_laplace_by_entries(m)
-                other = random_mixed_mat(rng, n)
+                other = random_rational_mat(rng, n)
                 assert m @ other == matmul_by_loop(m, other)
-        assert kinds == {Fraction, MPoly} and len(var_sets) > 3 and zero_rows > 2
 
     def test_fraction_matrices_give_fractions(self):
         rng = SplitMix64(2027)
@@ -951,11 +910,18 @@ class TestIntegerKernel:
     def test_exponent_fields_do_not_carry(self, monkeypatch):
         # det = b^8 - a^2 reaches the exponent bound n * (entry degree) = 8,
         # which fills all four bits of b's field, the bottom one, next to a's
+        def packed():
+            packing = Packing(2, 8)
+            x = linear_matrix([(packing.key((0, 4)), [[1, 0], [0, 1]]),
+                               (packing.key((1, 0)), [[0, 1], [1, 0]])])
+            cs, _ = faddeev_leverrier(x)
+            return (packing.mpoly(laplace_minors(x)((0, 1)), 1, ("a", "b")),
+                    [packing.mpoly(c, 1, ("a", "b")) for c in reversed(cs)] + [Fraction(1)])
+
         m = poly_mat([["b^4", "a"], ["a", "b^4"]])
         expected = det_laplace_by_entries(m)
         cp, _ = faddeev_leverrier_by_entries(m)
-        assert det_laplace(m) == expected == P("b^8 - a^2")
-        assert charpoly(m) == cp
+        assert packed() == (expected, cp) and expected == P("b^8 - a^2")
         # the generic determinant t1^2 - t2^2 fills t2's two-bit field; at
         # degree 3 in x, y, z, x*z^2 and y^3 would share a key one bit
         # narrower, and x*y*z alone is outside <x^2, y^2, z^2>
@@ -965,17 +931,20 @@ class TestIntegerKernel:
         assert macaulay_emptiness(squares, 3).span_rank == 9
         width = linalg._field_width
         monkeypatch.setattr(linalg, "_field_width", lambda bound: width(bound) - 1)
-        assert det_laplace(m) != expected
-        assert charpoly(m) != cp
+        narrow_det, narrow_cp = packed()
+        assert narrow_det != expected
+        assert narrow_cp != cp
         assert generic_det(space) != P("t1^2 - t2^2")
         assert macaulay_emptiness(squares, 3).span_rank != 9
 
     def test_generic_chow_determinant(self):
-        from jordanet.chow import chow_det_generic, chow_matrix_generic
+        from jordanet.chow import chow_det_generic
+        from oracles import chow_matrix_generic_by_mpoly
 
         value = chow_det_generic(3)
+        expected = det_laplace_by_entries(chow_matrix_generic_by_mpoly(3))
         assert (value.total_degree(), value.term_count()) == (12, 22659)
-        assert value == det_laplace_by_entries(chow_matrix_generic(3))
+        assert value.vars == expected.vars and value.terms == expected.terms
 
 
 class TestInverse:

@@ -11,11 +11,12 @@ from jordanet.errors import PreconditionError
 from jordanet.exact import MPoly, parse_poly
 from jordanet.exact import frac, frac_str
 from jordanet.io import parse_space_data
-from jordanet.linalg import Mat, det, det_laplace, maximal_minors
+from jordanet.linalg import Mat, det
 from jordanet.prng import SplitMix64
 from jordanet.spaces import (
     MatSpace,
     ParametricBasis,
+    by_power,
     congruence_transform,
     contains,
     find_invertible,
@@ -29,18 +30,23 @@ from jordanet.spaces import (
     make_space,
     orth_complement,
     plucker,
+    plucker_valuation,
     sample_congruent,
     sym_dim,
 )
 from oracles import (
     coordinate_rows,
     dense_unit_points,
+    det_laplace_by_entries,
     element_by_fractions,
     element_by_scale_and_add,
+    family_minors_by_mpoly,
     generic_element,
     generic_element_by_scale_and_add,
+    laplace_minors_by_entries,
     parse_space_data_by_fractions,
     plucker_by_minors,
+    plucker_valuation_by_mpoly,
     rational_spaces,
     substitution_family_by_matrices,
     sweep_for_unit_by_fractions,
@@ -218,12 +224,13 @@ class TestGenericDet:
         assert not is_regular(sp)
 
     def test_matches_the_mpoly_route(self):
-        # det_laplace of the MPoly element of the Fraction basis; the
-        # rational spaces have L in {1, 2, 3, 6}
+        # the entry loops' Laplace determinant of the MPoly element of the
+        # Fraction basis; the rational spaces have L in {1, 2, 3, 6}
         for sp in plain_catalog_spaces() + rational_spaces(29):
             for names in (None, ("x", "y", "z", "w", "v", "u")[:sp.m]):
                 assert same_polys([generic_det(sp, names)],
-                                  [det_laplace(generic_element(sp.basis, names))]), (sp, names)
+                                  [det_laplace_by_entries(generic_element(sp.basis, names))]), \
+                    (sp, names)
 
 
 class TestIntegerBasisOnly:
@@ -595,9 +602,15 @@ class TestPlucker:
 
     def test_integer_minors_match_the_fraction_rows(self):
         # the minors of the vectorized B' over L^m against those of the
-        # Fraction coordinate rows, on one Laplace memo each
-        for sp in plain_catalog_spaces() + rational_spaces(30):
-            assert plucker(sp).values == maximal_minors(Mat(coordinate_rows(sp))), sp
+        # Fraction coordinate rows, on one Laplace memo each; one of the two
+        # rational spaces of each shape in S^5, where the Fraction loops take
+        # most of the time
+        rational = [sp for k, sp in enumerate(rational_spaces(30)) if sp.n < 5 or k % 2 == 0]
+        for sp in plain_catalog_spaces() + rational:
+            rows = Mat(coordinate_rows(sp))
+            minor = laplace_minors_by_entries(rows)
+            assert plucker(sp).values == {cols: minor(cols) for cols in
+                                          itertools.combinations(range(rows.cols), rows.rows)}, sp
 
 
 def family_from_strings(n, mats, param="t"):
@@ -667,28 +680,12 @@ class TestGrassmannLimit:
 
 
 def plucker_limit_oracle(fam):
-    """Independent limit computation through Pluecker valuations."""
-    import itertools
-
-    from jordanet.exact import MPoly
-    from jordanet.linalg import det as _det
+    """Independent limit computation through Pluecker valuations: the
+    lowest-order t-coefficients of the family's MPoly minors."""
     from jordanet.spaces import PluckerVector
 
-    rows = fam.coordinate_rows()
-    ncols = len(rows[0])
-    polys = {}
-    for cols in itertools.combinations(range(ncols), fam.m):
-        sub = Mat([[rows[r][c] for c in cols] for r in range(fam.m)])
-        polys[cols] = _det(sub)
-    val = None
-    for p in polys.values():
-        if isinstance(p, MPoly) and not p.is_zero():
-            if fam.param in p.vars:
-                idx = p.vars.index(fam.param)
-                v = min(e[idx] for e in p.terms)
-            else:
-                v = 0
-            val = v if val is None else min(val, v)
+    polys = family_minors_by_mpoly(fam)
+    val = plucker_valuation_by_mpoly(fam)
     values = {}
     for cols, p in polys.items():
         if not isinstance(p, MPoly) or p.is_zero():
@@ -704,6 +701,64 @@ def plucker_limit_oracle(fam):
         else:
             values[cols] = p.constant_value() if val == 0 else Fraction(0)
     return PluckerVector(fam.n, fam.m, values)
+
+
+def limit_families():
+    """Name -> family: every ``TestGrassmannLimit`` family, every degen/*
+    family, and one whose rows hold entries over different denominators,
+    where the minor's lowest terms cancel (t^2 / 3 from t / 2 and 1 / 3;
+    their numerators alone would give t + t^2)."""
+    from jordanet.catalog import degeneration_edges
+
+    named = {
+        "constant": family_from_strings(2, [
+            [["1", "0"], ["0", "0"]],
+            [["0", "0"], ["0", "1"]],
+        ]),
+        "diagonalizable to nilpotent": family_from_strings(4, [
+            [["1", "0", "0", "0"], ["0", "1", "0", "0"], ["0", "0", "0", "0"], ["0", "0", "0", "0"]],
+            [["0", "0", "0", "0"], ["0", "0", "0", "0"], ["0", "0", "1", "0"], ["0", "0", "0", "0"]],
+            [["0", "0", "0", "0"], ["0", "0", "0", "0"], ["0", "0", "1", "t"], ["0", "0", "t", "t^2"]],
+        ]),
+        "equal rows": family_from_strings(2, [[["t", "0"], ["0", "0"]], [["t", "0"], ["0", "0"]]]),
+        "dependent over Q(t)": family_from_strings(2, [[["1", "0"], ["0", "t"]],
+                                                       [["t", "0"], ["0", "t^2"]]]),
+        "valuation three": family_from_strings(3, [
+            [["1", "0", "0"], ["0", "0", "0"], ["0", "0", "0"]],
+            [["1", "t", "0"], ["t", "0", "0"], ["0", "0", "0"]],
+            [["1", "t", "0"], ["t", "t^2", "0"], ["0", "0", "0"]],
+        ]),
+        "denominators 2 and 3": family_from_strings(2, [
+            [["1/3", "1/2*t"], ["1/2*t", "0"]],
+            [["2", "3*t + t^2"], ["3*t + t^2", "0"]],
+        ]),
+    }
+    for cid, _, _ in degeneration_edges():
+        named[cid] = canonical(cid)
+    return named
+
+
+class TestPluckerValuation:
+    """The valuation ``grassmann_limit`` reads off the integer kernel's
+    minors of its rows, each cleared by its own lcm, against the least
+    t-power of the MPoly minors of the family's coordinate rows."""
+
+    def test_matches_the_mpoly_minors(self):
+        families = limit_families()
+        assert len(families) == 16
+        for name, fam in families.items():
+            rows = [[by_power(e, fam.param) for e in row] for row in fam.coordinate_rows()]
+            assert plucker_valuation(rows) == plucker_valuation_by_mpoly(fam), name
+
+    def test_rows_over_different_denominators(self):
+        fam = limit_families()["denominators 2 and 3"]
+        rows = [[by_power(e, fam.param) for e in row] for row in fam.coordinate_rows()]
+        assert plucker_valuation(rows) == 2 == plucker_valuation_by_mpoly(fam)
+        # rows [1/3, t/2, 0] and [2, 3t + t^2, 0]: -6 times the first plus
+        # the second is t^2 E12, so the limit is <E11, E12>
+        lim = grassmann_limit(fam)
+        assert lim == make_space(2, [E(2, 1, 1), E(2, 1, 2)])
+        assert proportional(plucker(lim), plucker_limit_oracle(fam))
 
 
 class TestLimitOracleOnCatalogFamilies:
