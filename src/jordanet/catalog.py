@@ -3,10 +3,10 @@
 Every entry is an exact transcription, shipped as JSON under
 ``data/catalog/`` and listed in ``manifest.json``.  Degeneration entries are
 one-parameter families obtained from a source net by a linear substitution of
-the quadric variables (a, b, c, d), each basis matrix read off its substituted
-quadric as polynomials in t; substitutions may involve the formal imaginary
-unit ``I``, which must cancel out of the resulting matrices (the loader
-verifies this).
+the quadric variables (a, b, c, d), each basis matrix's coordinate row read
+off its substituted quadric as {power of t: coefficient} entries;
+substitutions may involve the formal imaginary unit ``I``, which must cancel
+out of the resulting matrices (the loader verifies this).
 
 IDs are resolved by ``canonical(id)``; the CLI exposes the same entries via
 ``catalog://<id>`` URIs.
@@ -22,8 +22,7 @@ from typing import Dict, List, Tuple, Union
 from .errors import InputError, InternalCheckError
 from .exact import MPoly, parse_poly
 from .io import parse_space_data
-from .linalg import Mat
-from .spaces import MatSpace, ParametricBasis
+from .spaces import MatSpace, ParametricBasis, sym_pairs
 
 DATA_DIR = Path(__file__).resolve().parent / "data" / "catalog"
 
@@ -88,7 +87,7 @@ def _reduce_imaginary(p: MPoly) -> MPoly:
         sign = -1 if (e // 2) % 2 else 1
         key = exps[:idx] + (0,) + exps[idx + 1:]
         out[key] = out.get(key, Fraction(0)) + coeff * sign
-    return MPoly(p.vars, {k: v for k, v in out.items() if v != 0}).trimmed()
+    return MPoly(p.vars, {k: v for k, v in out.items() if v != 0})
 
 
 def substitution_family(space: MatSpace, substitution: List[str]) -> ParametricBasis:
@@ -98,8 +97,9 @@ def substitution_family(space: MatSpace, substitution: List[str]) -> ParametricB
     a, b, c, d, with a coefficient in the parameter t (and possibly the
     formal unit I).  Writing the substitution as v -> S(t) v, every basis
     matrix M becomes S(t)^T M S(t), read off the quadric sum_ij M_ij e_i e_j
-    after folding I: its coefficient of v_k^2 is the (k, k) entry and that
-    of v_k v_l (k < l) twice the (k, l) entry.
+    after folding I: its coefficient of v_k^2 t^p is the power-p coefficient
+    of the (k, k) entry and that of v_k v_l t^p (k < l) twice that of the
+    (k, l) entry, each written straight into the matrix's coordinate row.
     """
     n = space.n
     if len(substitution) != n:
@@ -115,13 +115,15 @@ def substitution_family(space: MatSpace, substitution: List[str]) -> ParametricB
             raise InputError("PARSE_ERROR", "substitution must be linear in the quadric variables")
         exprs.append(poly)
     products = {(i, j): exprs[i] * exprs[j] for i in range(n) for j in range(i, n)}
-    basis = []
+    position = {pair: k for k, pair in enumerate(sym_pairs(n))}
+    rows = []
     for b in space.basis:
         quadric = sum((e.scale(b[i, j] if i == j else 2 * b[i, j])
                        for (i, j), e in products.items() if b[i, j]), MPoly.zero())
-        entries = [[MPoly.zero()] * n for _ in range(n)]
+        row = [{} for _ in position]
         for exps, coeff in _reduce_imaginary(quadric).split_by_vars(names).items():
             i, j = (k for k, e in enumerate(exps) for _ in range(e))
-            entries[i][j] = entries[j][i] = (coeff if i == j else coeff.scale(Fraction(1, 2))).trimmed()
-        basis.append(Mat(entries))
-    return ParametricBasis(n, basis, "t")
+            # the rest is in t alone (I folded to exponent 0), so a term's degree is its power of t
+            row[position[i, j]] = {sum(e): c if i == j else c / 2 for e, c in coeff.terms.items()}
+        rows.append(row)
+    return ParametricBasis(n, rows)

@@ -143,16 +143,6 @@ class MPoly:
     def is_zero(self) -> bool:
         return not self.terms
 
-    def is_constant(self) -> bool:
-        return all(all(e == 0 for e in exps) for exps in self.terms)
-
-    def constant_value(self) -> Fraction:
-        if self.is_zero():
-            return Fraction(0)
-        if not self.is_constant():
-            raise ValueError("polynomial is not constant")
-        return next(iter(self.terms.values()))
-
     def total_degree(self):
         """Total degree; -inf for the zero polynomial."""
         if not self.terms:
@@ -346,9 +336,8 @@ class MPoly:
         """Group terms by their exponents in ``names``.
 
         Returns {exponent tuple over names: MPoly in the remaining vars}.
-        Used to read a family's entries by power of its parameter
-        (``spaces.by_power``) and a substituted quadric by monomial in the
-        quadric variables (``catalog.substitution_family``).
+        Used to read a substituted quadric by monomial in the quadric
+        variables (``catalog.substitution_family``).
         """
         names = tuple(names)
         idx = [self.vars.index(v) if v in self.vars else None for v in names]

@@ -15,7 +15,10 @@ denominators.  No Fraction matrix is built.  Parametric
 families add ``"parametric": true`` (a JSON boolean) and allow entries to
 be integers or polynomial strings in the parameter ``t``, or in the
 variable that ``"param"`` names (a string in the polynomial grammar's name
-syntax); booleans are rejected everywhere.
+syntax); booleans are rejected everywhere.  A family is read straight into
+its rows (``spaces.ParametricBasis``), each entry parsed once into {power of
+the parameter: Fraction}, and checked once every entry has parsed: its full
+arrays must be symmetric, as ``make_space`` checks a plain space's.
 """
 
 from __future__ import annotations
@@ -24,12 +27,11 @@ import json
 import math
 from fractions import Fraction
 from pathlib import Path
-from typing import Union
+from typing import Dict, Union
 
-from .errors import InputError
-from .exact import NAME, MPoly, frac, parse_poly
-from .linalg import Mat
-from .spaces import MatSpace, ParametricBasis, make_space
+from .errors import InputError, PreconditionError
+from .exact import NAME, frac, parse_poly
+from .spaces import MatSpace, ParametricBasis, make_space, sym_pairs
 
 
 def _entry_to_rational(value) -> Union[int, Fraction]:
@@ -45,17 +47,19 @@ def _entry_to_rational(value) -> Union[int, Fraction]:
     raise InputError("PARSE_ERROR", f"bad matrix entry {value!r}")
 
 
-def _entry_to_poly(value, param: str) -> MPoly:
+def _entry_to_powers(value, param: str) -> Dict[int, Fraction]:
+    """A family's entry as {power of param: nonzero Fraction coefficient}."""
     if isinstance(value, bool):
         raise InputError("PARSE_ERROR", "boolean is not a family entry")
     if isinstance(value, int):
-        return MPoly.const(value, (param,))
+        return {0: Fraction(value)} if value else {}
     if isinstance(value, str):
         poly = parse_poly(value)
         extra = set(poly.support_vars()) - {param}
         if extra:
             raise InputError("PARSE_ERROR", f"family entries may only use {param!r}, got {sorted(extra)}")
-        return poly
+        k = poly.vars.index(param) if param in poly.vars else None
+        return {0 if k is None else exps[k]: c for exps, c in poly.terms.items()}
     raise InputError("PARSE_ERROR", f"bad family entry {value!r}")
 
 
@@ -79,7 +83,7 @@ def parse_space_data(obj: dict) -> Union[MatSpace, ParametricBasis]:
                 or any(not isinstance(r, list) or len(r) != n for r in raw)):
             raise InputError("PARSE_ERROR", "each basis matrix must be a full n x n array")
         if parametric:
-            mats.append(Mat([[_entry_to_poly(e, param) for e in row] for row in raw]))
+            mats.append([[_entry_to_powers(e, param) for e in row] for row in raw])
         else:  # below the diagonal, an entry equal to its mirror and of its JSON type shares it
             rows = []
             for i, line in enumerate(raw):
@@ -87,7 +91,9 @@ def parse_space_data(obj: dict) -> Union[MatSpace, ParametricBasis]:
                              else _entry_to_rational(e) for j, e in enumerate(line)])
             mats.append(rows)
     if parametric:
-        return ParametricBasis(n, mats, param)
+        if any([list(col) for col in zip(*rows)] != rows for rows in mats):
+            raise PreconditionError("NOT_SYMMETRIC", "family matrices must be symmetric")
+        return ParametricBasis(n, [[rows[i][j] for i, j in sym_pairs(n)] for rows in mats])
     lcm = math.lcm(*(x.denominator for rows in mats for row in rows for x in row
                      if type(x) is Fraction))
     if lcm > 1:  # else every entry is an int already

@@ -1,11 +1,11 @@
 """Exact dense linear algebra over the rationals, and integer polynomial matrices.
 
-Matrices are immutable; an entry is a ``Fraction``, or an ``MPoly`` in the
-basis of a one-parameter family (``spaces.ParametricBasis``), which no
-function here takes: products, ``charpoly``, ``adjugate``, ``det`` and
-``det_laplace`` refuse one with NOT_NUMERIC.  A product of two Fraction
-matrices is one integer product (``int_matmul``) of A's rows and B's columns
-cleared of denominators, with one Fraction formed per entry of the result.
+Matrices are immutable and hold rationals (``Fraction``): ``integer_vector``,
+which clears every row of denominators, is the one place that refuses any
+other entry (an ``MPoly``) with NOT_NUMERIC; ``rref`` and ``mat_rank`` coerce
+with ``exact.frac`` first (PARSE_ERROR).  A product of two matrices is one
+integer product (``int_matmul``) of A's rows and B's columns cleared of
+denominators, with one Fraction formed per entry of the result.
 There is one row reduction, ``Echelon``: integer rows grown by forward
 fraction-free elimination (Bareiss), each step an exact division by the
 previous pivot entry (Sylvester's identity), no row rewritten once appended;
@@ -28,7 +28,7 @@ from integer matrices M_k (a space's generic element,
 its adjugate and characteristic polynomial, ``laplace_minors`` (memoized
 over column subsets) its determinant and minors, and ``Packing.mpoly``
 converts a result to an ``MPoly`` once.  ``charpoly``, ``adjugate`` and
-``det_laplace`` run the same kernel on a Fraction matrix M = M' / d, as the
+``det_laplace`` run the same kernel on a matrix M = M' / d, as the
 constant matrix ``linear_matrix([(0, M')])``.
 """
 
@@ -39,20 +39,18 @@ import itertools
 import math
 from fractions import Fraction
 from operator import mul
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .errors import PreconditionError
 from .exact import MPoly, frac
 
-Entry = Union[Fraction, MPoly]
-
 
 class Mat:
-    """Dense matrix with Fraction entries, or MPoly ones in a family's basis."""
+    """Dense matrix with Fraction entries."""
 
     __slots__ = ("rows", "cols", "data")
 
-    def __init__(self, data: Sequence[Sequence[Entry]]):
+    def __init__(self, data: Sequence[Sequence[Fraction]]):
         self.data = tuple(tuple(row) for row in data)
         self.rows = len(self.data)
         self.cols = len(self.data[0]) if self.data else 0
@@ -67,10 +65,6 @@ class Mat:
     @staticmethod
     def identity(n: int) -> "Mat":
         return Mat([[Fraction(int(i == j)) for j in range(n)] for i in range(n)])
-
-    @staticmethod
-    def zero(rows: int, cols: int) -> "Mat":
-        return Mat([[Fraction(0)] * cols for _ in range(rows)])
 
     def __getitem__(self, key):
         i, j = key
@@ -97,8 +91,6 @@ class Mat:
     def __matmul__(self, other: "Mat") -> "Mat":
         if self.cols != other.rows:
             raise ValueError("shape mismatch in product")
-        fraction_entries(self)
-        fraction_entries(other)
         return _fraction_product(self, other)
 
     def scale(self, c) -> "Mat":
@@ -107,7 +99,7 @@ class Mat:
     def transpose(self) -> "Mat":
         return Mat([[self.data[i][j] for i in range(self.rows)] for j in range(self.cols)])
 
-    def trace(self) -> Entry:
+    def trace(self) -> Fraction:
         acc = self.data[0][0]
         for i in range(1, min(self.rows, self.cols)):
             acc = acc + self.data[i][i]
@@ -122,9 +114,6 @@ class Mat:
     def _shape_check(self, other: "Mat"):
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise ValueError("shape mismatch")
-
-    def map(self, fn) -> "Mat":
-        return Mat([[fn(x) for x in row] for row in self.data])
 
     def __str__(self) -> str:
         return "[" + "; ".join(", ".join(str(x) for x in row) for row in self.data) + "]"
@@ -141,18 +130,15 @@ def int_matmul(a_rows: Sequence[Sequence[int]], b_cols: Sequence[Sequence[int]])
     return [[sum(map(mul, row, col)) for col in b_cols] for row in a_rows]
 
 
-def fraction_entries(m: Mat) -> List[Fraction]:
-    """M's entries row by row; an MPoly entry is refused with NOT_NUMERIC."""
-    entries = [x for row in m.data for x in row]
-    if any(isinstance(x, MPoly) for x in entries):
-        raise PreconditionError("NOT_NUMERIC", "linear algebra takes rational entries, not polynomials")
-    return entries
-
-
 def integer_vector(vector: Sequence[Fraction]) -> Tuple[List[int], int]:
-    """(v', d) with v = v' / d, d the lcm of the entries' denominators."""
-    d = math.lcm(*(x.denominator for x in vector))
-    return [x.numerator * (d // x.denominator) for x in vector], d
+    """(v', d) with v = v' / d, d the lcm of the entries' denominators; an
+    entry with no numerator and denominator (an ``MPoly``) is refused with
+    NOT_NUMERIC."""
+    try:
+        d = math.lcm(*(x.denominator for x in vector))
+        return [x.numerator * (d // x.denominator) for x in vector], d
+    except AttributeError:
+        raise PreconditionError("NOT_NUMERIC", "linear algebra takes rational entries") from None
 
 
 def _fraction_product(a: Mat, b: Mat) -> Mat:
@@ -487,7 +473,7 @@ def det_laplace(m: Mat) -> Fraction:
     if not m.is_square():
         raise PreconditionError("NOT_SQUARE", "determinant needs a square matrix")
     n = m.rows
-    flat, d = integer_vector(fraction_entries(m))
+    flat, d = integer_vector([x for row in m.data for x in row])
     a = linear_matrix([(0, [flat[i * n:(i + 1) * n] for i in range(n)])])
     return Fraction(laplace_minors(a)(tuple(range(n))).get(0, 0), d ** n)
 
@@ -495,7 +481,6 @@ def det_laplace(m: Mat) -> Fraction:
 def det(m: Mat) -> Fraction:
     """Exact determinant of a Fraction matrix, off its echelon
     (``det_bareiss``)."""
-    fraction_entries(m)
     return det_bareiss(m)
 
 
@@ -552,7 +537,7 @@ def charpoly(m: Mat) -> List[Fraction]:
     if not m.is_square():
         raise PreconditionError("NOT_SQUARE", "characteristic polynomial needs a square matrix")
     n = m.rows
-    flat, d = integer_vector(fraction_entries(m))
+    flat, d = integer_vector([x for row in m.data for x in row])
     cs, _ = faddeev_leverrier(linear_matrix([(0, [flat[i * n:(i + 1) * n] for i in range(n)])]))
     return [Fraction(c.get(0, 0), d ** k) for k, c in reversed(list(enumerate(cs, 1)))] + \
         [Fraction(1)]
@@ -565,7 +550,7 @@ def adjugate(m: Mat) -> Mat:
     if not m.is_square():
         raise PreconditionError("NOT_SQUARE", "adjugate needs a square matrix")
     n = m.rows
-    flat, d = integer_vector(fraction_entries(m))
+    flat, d = integer_vector([x for row in m.data for x in row])
     _, mk = faddeev_leverrier(linear_matrix([(0, [flat[i * n:(i + 1) * n] for i in range(n)])]))
     den = (1 if n % 2 else -1) * d ** max(n - 1, 0)
     return Mat([[Fraction(x.get(0, 0), den) for x in row] for row in mk])

@@ -25,11 +25,13 @@ is X' / L, X' = sum_k t_k B'_k packed by ``generic_matrix``, so that
 minors of X' over L^2 and ``chow.chow_matrix`` adj(X'); ``plucker`` takes
 the minors of the vectorized B' over L^m.
 
-``ParametricBasis`` holds a one-parameter family (entries polynomial in t).
+``ParametricBasis`` holds a one-parameter family as its coordinate rows in
+``sym_pairs`` order, each entry a polynomial in t as {power: Fraction}, read
+once where it enters (``io.parse_space_data``, ``catalog.substitution_family``).
 ``grassmann_limit`` computes its limit at t -> 0 by valuation-normalized row
-reduction on the entries' coefficients by power of t (``by_power``); the
-maximal minors of those rows cleared of denominators, on the integer kernel
-(``plucker_valuation``), decide that its rank is full and bound the passes.
+reduction on those rows; their maximal minors, each row cleared of
+denominators, on the integer kernel (``plucker_valuation``), decide that its
+rank is full and bound the passes.
 """
 
 from __future__ import annotations
@@ -37,7 +39,7 @@ from __future__ import annotations
 import itertools
 import math
 from fractions import Fraction
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .errors import InternalCheckError, PreconditionError
 from .exact import MPoly
@@ -233,20 +235,25 @@ def integer_sweep(m: int):
     """Unbounded enumeration of nonzero integer tuples by increasing max-norm;
     within a shell, values are tried in the order 0, 1, -1, 2, -2...
     """
-    for shell in itertools.count(1):
-        ordered = [0]
-        for v in range(1, shell + 1):
-            ordered.extend((v, -v))
-        for tup in itertools.product(ordered, repeat=m):
-            if max(abs(x) for x in tup) == shell:
-                yield tup
+    return _sweep(m, [0], itertools.count(1))
 
 
 def nonzero_sweep(m: int, max_norm: int):
     """The tuples of ``integer_sweep(m)`` up to max-norm ``max_norm`` with no
     zero entry, in the same order."""
-    bounded = itertools.takewhile(lambda tup: max(map(abs, tup)) <= max_norm, integer_sweep(m))
-    return (tup for tup in bounded if all(tup))
+    return _sweep(m, [], range(1, max_norm + 1))
+
+
+def _sweep(m: int, values: List[int], shells: Iterable[int]):
+    """The m-tuples over ``values`` grown by s, -s in shell s, of max-norm s,
+    in product order and formed alone: after a head of m - 1 entries that
+    holds +-s every value may follow, after any other only +-s."""
+    for shell in shells:
+        values = values + [shell, -shell]
+        edge = (shell, -shell)
+        for head in itertools.product(values, repeat=m - 1):
+            for x in (values if shell in head or -shell in head else edge):
+                yield head + (x,)
 
 
 class Unit:
@@ -485,28 +492,13 @@ def plucker(space: MatSpace) -> PluckerVector:
 
 
 class ParametricBasis:
-    """Family of subspaces: basis entries are polynomials in one parameter."""
+    """Family of subspaces as m coordinate rows of {power: Fraction} entries
+    in ``sym_pairs`` order, recorded unchecked (the reader checks symmetry)."""
 
-    __slots__ = ("n", "m", "basis", "param")
+    __slots__ = ("n", "m", "rows")
 
-    def __init__(self, n: int, basis: Sequence[Mat], param: str = "t"):
-        self.n, self.basis, self.param = n, tuple(basis), param
-        self.m = len(self.basis)
-        for b in self.basis:
-            if b.rows != n or b.cols != n or not b.is_symmetric():
-                raise PreconditionError("NOT_SYMMETRIC", "family matrices must be symmetric")
-
-    def coordinate_rows(self) -> List[List[MPoly]]:
-        return [[_as_poly(e, self.param) for e in vectorize(b)] for b in self.basis]
-
-
-def _as_poly(e, param: str) -> MPoly:
-    return e if isinstance(e, MPoly) else MPoly.const(e, (param,))
-
-
-def by_power(p: MPoly, param: str) -> Dict[int, Fraction]:
-    """The nonzero coefficients of a polynomial in ``param`` alone, by power."""
-    return {k: c.constant_value() for (k,), c in p.split_by_vars((param,)).items() if c.terms}
+    def __init__(self, n: int, rows: List[List[Dict[int, Fraction]]]):
+        self.n, self.m, self.rows = n, len(rows), rows
 
 
 def grassmann_limit(family: ParametricBasis) -> MatSpace:
@@ -525,7 +517,7 @@ def grassmann_limit(family: ParametricBasis) -> MatSpace:
     ``plucker``.
     """
     _check_plucker_size(family.n, family.m)
-    rows = [[by_power(e, family.param) for e in row] for row in family.coordinate_rows()]
+    rows = list(family.rows)  # replaced row by row, never mutated: catalog families are shared
     valuation = plucker_valuation(rows)
     if valuation is None:
         raise PreconditionError("NOT_GENERIC_RANK", "family is degenerate for generic t")

@@ -25,10 +25,14 @@ the tests can compare the two:
   S^T M S (``matmul_by_loop``), with I folded per entry (the package reads
   S^T M S off the substituted quadric);
 - ``family_minors_by_mpoly`` and ``plucker_valuation_by_mpoly``: a family's
-  maximal minors in MPoly arithmetic and their least power of t (the
-  package clears each row of {power: coefficient} entries by its own lcm
-  and reads the valuation off the integer kernel's minors,
-  ``spaces.plucker_valuation``);
+  maximal minors in MPoly arithmetic, its rows of {power: coefficient}
+  entries read as MPolys in t, and their least power of t (the package
+  clears each row by its own lcm and reads the valuation off the integer
+  kernel's minors, ``spaces.plucker_valuation``); ``by_power`` reads an
+  MPoly entry back as {power: coefficient};
+- ``integer_sweep_by_filter`` and ``nonzero_sweep_by_filter``: the sweep
+  orders as filters over every tuple of the grid {-s..s}^m of shell s (the
+  package forms only the tuples of max-norm s, one shell at a time);
 - ``generic_element``: sum_k t_k B_k as a ``Mat`` of ``MPoly`` entries
   over the Fraction basis, each entry formed once, the reference route to
   the generic determinant (``det_laplace_by_entries`` of it) and the
@@ -112,7 +116,9 @@ the tests can compare the two:
   input.  ``rational_spaces`` are seeded inputs for both comparisons.
 
 ``mpoly_from_terms`` is the checked constructor the tests build polynomials
-with: any variable order, duplicate exponents merged, zeros dropped.
+with: any variable order, duplicate exponents merged, zeros dropped;
+``is_constant`` and ``constant_value`` read a constant ``MPoly``, and
+``zero_mat`` and ``mat_map`` build ``Mat``s, none of which the package needs.
 ``to_recursive`` and ``from_recursive`` convert between ``MPoly`` and the
 recursive dense form of ``jordanet.exact``'s gcds.
 """
@@ -243,6 +249,25 @@ def parse_poly_by_tokens(text: str) -> MPoly:
         key = tuple(exps.get(v, 0) for v in all_vars)
         terms[key] = terms.get(key, Fraction(0)) + coeff
     return MPoly(all_vars, {k: c for k, c in terms.items() if c != 0})
+
+
+def is_constant(p: MPoly) -> bool:
+    return all(not any(exps) for exps in p.terms)
+
+
+def constant_value(p: MPoly) -> Fraction:
+    """The value of a constant polynomial, 0 for zero; ValueError otherwise."""
+    if not is_constant(p):
+        raise ValueError("polynomial is not constant")
+    return next(iter(p.terms.values()), Fraction(0))
+
+
+def zero_mat(rows: int, cols: int) -> Mat:
+    return Mat([[Fraction(0)] * cols for _ in range(rows)])
+
+
+def mat_map(m: Mat, fn) -> Mat:
+    return Mat([[fn(x) for x in row] for row in m.data])
 
 
 def _is_poly(x) -> bool:
@@ -536,24 +561,51 @@ def substitution_family_by_matrices(space, substitution):
                      for v in range(len(names))])
     s = Mat(rows)
     st = s.transpose()
-    return [matmul_by_loop(matmul_by_loop(st, b.map(lambda e: MPoly.const(e, ("I", "t")))), s)
-            .map(_reduce_imaginary) for b in space.basis]
+    lifted = (mat_map(b, lambda e: MPoly.const(e, ("I", "t"))) for b in space.basis)
+    return [mat_map(matmul_by_loop(matmul_by_loop(st, b), s), _reduce_imaginary) for b in lifted]
+
+
+def by_power(p: MPoly) -> dict:
+    """The nonzero coefficients of a polynomial in t alone, by power."""
+    return {k: constant_value(c) for (k,), c in p.split_by_vars(("t",)).items() if c.terms}
 
 
 def family_minors_by_mpoly(family) -> dict:
-    """Every maximal minor of a family's MPoly coordinate rows, keyed by its
-    column tuple (``laplace_minors_by_entries``)."""
-    rows = Mat(family.coordinate_rows())
+    """Every maximal minor of a family's coordinate rows, each {power:
+    coefficient} entry an MPoly in t, keyed by its column tuple
+    (``laplace_minors_by_entries``)."""
+    rows = Mat([[MPoly(("t",), {(k,): c for k, c in e.items()}) for e in row]
+                for row in family.rows])
     minor = laplace_minors_by_entries(rows)
     return {cols: minor(cols) for cols in itertools.combinations(range(rows.cols), rows.rows)}
 
 
 def plucker_valuation_by_mpoly(family) -> Optional[int]:
-    """The least power of the family's parameter in its nonzero minors
+    """The least power of t in the family's nonzero minors
     (``family_minors_by_mpoly``), or None when they all vanish."""
-    powers = [min(e[p.vars.index(family.param)] if family.param in p.vars else 0 for e in p.terms)
+    powers = [min(e[p.vars.index("t")] if "t" in p.vars else 0 for e in p.terms)
               for p in family_minors_by_mpoly(family).values() if _is_poly(p) and p.terms]
     return min(powers, default=None)
+
+
+def integer_sweep_by_filter(m: int):
+    """``spaces.integer_sweep`` as every tuple of the grid of shell s, values
+    in the order 0, 1, -1, ..., s, -s, kept when its max-norm is s."""
+    for shell in itertools.count(1):
+        ordered = [0]
+        for v in range(1, shell + 1):
+            ordered.extend((v, -v))
+        for tup in itertools.product(ordered, repeat=m):
+            if max(abs(x) for x in tup) == shell:
+                yield tup
+
+
+def nonzero_sweep_by_filter(m: int, max_norm: int):
+    """``spaces.nonzero_sweep`` as ``integer_sweep_by_filter`` cut at
+    ``max_norm``, the tuples with a zero entry dropped."""
+    bounded = itertools.takewhile(lambda tup: max(map(abs, tup)) <= max_norm,
+                                  integer_sweep_by_filter(m))
+    return (tup for tup in bounded if all(tup))
 
 
 def generic_element(basis, names=None) -> Mat:
@@ -606,7 +658,7 @@ def poly_eval_by_mpoly(p: MPoly, assignment) -> Fraction:
         for v, e in zip(p.vars, exps):
             term = term * MPoly.const(assignment[v]) ** e
         total = total + term
-    return total.constant_value()
+    return constant_value(total)
 
 
 def mpoly_from_terms(vars, terms) -> MPoly:
@@ -911,7 +963,7 @@ def mpoly_gcd_by_mpoly(p: MPoly, q: MPoly) -> MPoly:
         return _abs_normalized(p)
     support = tuple(sorted(set(p.support_vars()) | set(q.support_vars())))
     if not support:
-        return MPoly.const(frac_gcd(p.constant_value(), q.constant_value()))
+        return MPoly.const(frac_gcd(constant_value(p), constant_value(q)))
     v = support[-1]
     fp = UniPoly.from_mpoly(p.trimmed(), v)
     fq = UniPoly.from_mpoly(q.trimmed(), v)
@@ -1043,7 +1095,7 @@ def to_recursive(p: MPoly, names):
     if p.is_zero():
         return 0
     if not names:
-        c = p.constant_value()
+        c = constant_value(p)
         assert c.denominator == 1, p
         return int(c)
     head, rest = names[0], tuple(names[1:])

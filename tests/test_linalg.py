@@ -56,6 +56,7 @@ from oracles import (
     residue,
     rref_with_transform_by_gauss_jordan,
     rref_with_transform_by_primitive_rows,
+    zero_mat,
 )
 
 
@@ -274,17 +275,18 @@ class TestFractionProduct:
 
 class TestNumericOnly:
     def test_mpoly_entries_are_refused(self):
-        # products, charpoly, adjugate, det and det_laplace take Fraction
-        # matrices: an MPoly entry, alone or beside Fractions, is a typed
-        # precondition error, never an AttributeError from the integer kernel
+        # products, charpoly, adjugate, the determinants and the inverses
+        # take Fraction matrices: an MPoly entry, alone or beside Fractions,
+        # is a typed precondition error from integer_vector, never an
+        # AttributeError from the integer kernel
         x = P("x")
         mixed = Mat([[x, Fraction(1, 2)], [Fraction(3), Fraction(0)]])
         poly = Mat([[x, P("y")], [P("y"), MPoly.const(2)]])
         numeric = Mat.from_ints([[1, 2], [3, 4]])
         calls = [lambda: mixed @ numeric, lambda: numeric @ mixed, lambda: poly @ poly]
         for m in (mixed, poly):
-            calls += [lambda m=m: charpoly(m), lambda m=m: adjugate(m), lambda m=m: det(m),
-                      lambda m=m: det_laplace(m)]
+            calls += [lambda m=m, f=f: f(m) for f in (charpoly, adjugate, det, det_laplace,
+                                                      det_bareiss, inverse, inverse_or_none)]
         for call in calls:
             with pytest.raises(JordanetError) as err:
                 call()
@@ -791,7 +793,7 @@ class TestCharpoly:
         assert charpoly(Mat.from_ints([[0, 1], [1, 0]])) == [-1, 0, 1]
 
     def test_zero_matrix(self):
-        assert charpoly(Mat.zero(2, 2)) == [0, 0, 1]
+        assert charpoly(zero_mat(2, 2)) == [0, 0, 1]
 
     def test_nilpotent_tower_net(self):
         # the packed generic element of the net x*Diag(J3,1) + y*(E12+E21) +
@@ -833,12 +835,12 @@ class TestCharpoly:
         rng = SplitMix64(43)
         for n in (2, 3, 4, 5, 6):
             m = random_scalar_mat(rng, n, -3, 3)
-            acc = Mat.zero(n, n)
+            acc = zero_mat(n, n)
             power = Mat.identity(n)
             for c in charpoly(m):
                 acc = acc + power.scale(c)
                 power = power @ m
-            assert acc == Mat.zero(n, n)
+            assert acc == zero_mat(n, n)
 
     def test_constant_term_is_det(self):
         rng = SplitMix64(47)

@@ -15,8 +15,6 @@ from jordanet.linalg import Mat, det
 from jordanet.prng import SplitMix64
 from jordanet.spaces import (
     MatSpace,
-    ParametricBasis,
-    by_power,
     congruence_transform,
     contains,
     find_invertible,
@@ -35,6 +33,8 @@ from jordanet.spaces import (
     sym_dim,
 )
 from oracles import (
+    by_power,
+    constant_value,
     coordinate_rows,
     dense_unit_points,
     det_laplace_by_entries,
@@ -43,13 +43,16 @@ from oracles import (
     family_minors_by_mpoly,
     generic_element,
     generic_element_by_scale_and_add,
+    integer_sweep_by_filter,
     laplace_minors_by_entries,
+    nonzero_sweep_by_filter,
     parse_space_data_by_fractions,
     plucker_by_minors,
     plucker_valuation_by_mpoly,
     rational_spaces,
     substitution_family_by_matrices,
     sweep_for_unit_by_fractions,
+    zero_mat,
 )
 
 
@@ -185,7 +188,7 @@ class TestGenericElement:
             assert got == generic_element_by_scale_and_add(basis) == generic_element(basis)
             assert all(e.vars == tuple(sorted(generic_names(m))) for row in got.data for e in row)
         names = ("z", "x", "y")
-        basis = [E(2, 1, 1), E(2, 1, 2), Mat.zero(2, 2)]
+        basis = [E(2, 1, 1), E(2, 1, 2), zero_mat(2, 2)]
         assert packed_element(MatSpace(2, basis), names) == \
             generic_element_by_scale_and_add(basis, names)
 
@@ -431,7 +434,7 @@ class TestIntegerSweep:
         for sp in random_spaces(6, 6):
             coords = [Fraction(rng.int_between(-4, 4), rng.int_between(1, 4)) for _ in range(sp.m)]
             assert sp.element(coords) == element_by_scale_and_add(sp, coords)
-            assert sp.element([0] * sp.m) == Mat.zero(sp.n, sp.n)
+            assert sp.element([0] * sp.m) == zero_mat(sp.n, sp.n)
 
     def test_element_on_the_integer_basis_matches_fractions(self):
         # rational bases over unequal denominators; int, Fraction, mixed and
@@ -454,10 +457,23 @@ class TestIntegerSweep:
 
 class TestNonzeroSweep:
     def test_same_order_as_filtered_sweep(self):
-        for m in range(1, 6):
+        # against the package's integer sweep and against the filter over
+        # the whole grid {-s..s}^m that both sweeps replaced
+        for m in range(1, 7):
             for max_norm in (1, 2, 3):
                 filtered = [t for t in bounded_sweep(m, max_norm) if all(t)]
                 assert list(nonzero_sweep(m, max_norm)) == filtered, (m, max_norm)
+                assert filtered == list(nonzero_sweep_by_filter(m, max_norm)), (m, max_norm)
+
+
+class TestSweepShells:
+    def test_integer_sweep_matches_the_grid_filter(self):
+        # shell s forms only its own tuples, in the order of the filter over
+        # the whole grid {-s..s}^m
+        for m in range(1, 7):
+            count = 7 ** m if m < 5 else 20_000  # shells 1..3 in full up to m = 4
+            assert (list(itertools.islice(integer_sweep(m), count))
+                    == list(itertools.islice(integer_sweep_by_filter(m), count))), m
 
 
 class TestContains:
@@ -466,7 +482,7 @@ class TestContains:
         assert coords == [1, 0, 1, 1]
 
     def test_zero_always_present(self):
-        assert contains(double_conic_net(), Mat.zero(4, 4)) == [0, 0, 0]
+        assert contains(double_conic_net(), zero_mat(4, 4)) == [0, 0, 0]
 
     def test_absent(self):
         sp = make_space(2, [E(2, 1, 1)])
@@ -520,7 +536,7 @@ class TestCongruence:
 
     def test_singular_rejected(self):
         with pytest.raises(PreconditionError) as err:
-            congruence_transform(double_conic_net(), Mat.zero(4, 4))
+            congruence_transform(double_conic_net(), zero_mat(4, 4))
         assert err.value.code == "SINGULAR_P"
 
     def test_composition(self):
@@ -614,10 +630,7 @@ class TestPlucker:
 
 
 def family_from_strings(n, mats, param="t"):
-    basis = []
-    for rows in mats:
-        basis.append(Mat([[P(str(e)) for e in row] for row in rows]))
-    return ParametricBasis(n, basis, param)
+    return parse_space_data({"n": n, "parametric": True, "param": param, "basis": mats})
 
 
 class TestGrassmannLimit:
@@ -691,15 +704,15 @@ def plucker_limit_oracle(fam):
         if not isinstance(p, MPoly) or p.is_zero():
             values[cols] = Fraction(0)
             continue
-        if fam.param in p.vars:
-            idx = p.vars.index(fam.param)
+        if "t" in p.vars:
+            idx = p.vars.index("t")
             c = Fraction(0)
             for e, coeff in p.terms.items():
                 if e[idx] == val and sum(e) - e[idx] == 0:
                     c += coeff
             values[cols] = c
         else:
-            values[cols] = p.constant_value() if val == 0 else Fraction(0)
+            values[cols] = constant_value(p) if val == 0 else Fraction(0)
     return PluckerVector(fam.n, fam.m, values)
 
 
@@ -747,13 +760,11 @@ class TestPluckerValuation:
         families = limit_families()
         assert len(families) == 16
         for name, fam in families.items():
-            rows = [[by_power(e, fam.param) for e in row] for row in fam.coordinate_rows()]
-            assert plucker_valuation(rows) == plucker_valuation_by_mpoly(fam), name
+            assert plucker_valuation(fam.rows) == plucker_valuation_by_mpoly(fam), name
 
     def test_rows_over_different_denominators(self):
         fam = limit_families()["denominators 2 and 3"]
-        rows = [[by_power(e, fam.param) for e in row] for row in fam.coordinate_rows()]
-        assert plucker_valuation(rows) == 2 == plucker_valuation_by_mpoly(fam)
+        assert plucker_valuation(fam.rows) == 2 == plucker_valuation_by_mpoly(fam)
         # rows [1/3, t/2, 0] and [2, 3t + t^2, 0]: -6 times the first plus
         # the second is t^2 E12, so the limit is <E11, E12>
         lim = grassmann_limit(fam)
@@ -774,20 +785,19 @@ class TestLimitOracleOnCatalogFamilies:
 
 
 class TestSubstitutionFamily:
-    @staticmethod
-    def entries(basis):
-        return [[(str(e), e) for row in b.data for e in row] for b in basis]
-
     def test_matches_the_matrix_route(self):
-        # S(t)^T M S(t) read off the quadric equals the two polynomial
-        # products of the old route, entry by entry, on every degen/* family
+        # S(t)^T M S(t) read off the quadric into the coordinate rows equals
+        # the two polynomial products of the old route, vectorized and read
+        # by power of t, on every degen/* family
         from jordanet.catalog import degeneration_edges, manifest, substitution_family
 
         for cid, source, _ in degeneration_edges():
             space, subst = canonical(source), manifest()[cid]["substitution"]
             got = substitution_family(space, subst)
-            assert self.entries(got.basis) == self.entries(substitution_family_by_matrices(space, subst)), cid
-            assert self.entries(canonical(cid).basis) == self.entries(got.basis), cid
+            assert got.rows == [[by_power(e) for e in spaces.vectorize(b)]
+                                for b in substitution_family_by_matrices(space, subst)], cid
+            assert all(type(c) is Fraction for row in got.rows for e in row for c in e.values())
+            assert canonical(cid).rows == got.rows, cid
 
     @pytest.mark.parametrize("first", ["a + t", "a*b", "a^2", "t"])
     def test_every_term_is_linear_in_the_quadric_variables(self, first):
@@ -797,6 +807,50 @@ class TestSubstitutionFamily:
         with pytest.raises(InputError) as err:
             substitution_family(canonical("s4/1a"), [first, "b", "c", "d"])
         assert err.value.code == "PARSE_ERROR"
+
+
+class TestFamilyFiles:
+    """A family file is read once into its coordinate rows, and its full
+    arrays are checked to be symmetric after every entry has parsed."""
+
+    ASYMMETRIC = [["1", "t"], ["2*t", "0"]]
+
+    def test_rows_by_power_in_sym_pairs_order(self):
+        fam = family_from_strings(2, [[["1/3", "1/2*s"], ["1/2*s", 0]],
+                                      [[2, "3*s + s^2"], ["3*s + s^2", 0]]], "s")
+        assert (fam.n, fam.m) == (2, 2)
+        assert fam.rows == [[{0: Fraction(1, 3)}, {1: Fraction(1, 2)}, {}],
+                            [{0: 2}, {1: 3, 2: 1}, {}]]
+        assert all(type(c) is Fraction for row in fam.rows for e in row for c in e.values())
+        assert grassmann_limit(fam) == make_space(2, [E(2, 1, 1), E(2, 1, 2)])
+
+    def test_asymmetric_family_is_not_symmetric(self):
+        with pytest.raises(PreconditionError) as err:
+            family_from_strings(2, [self.ASYMMETRIC, [[0, 0], [0, 1]]])
+        assert err.value.code == "NOT_SYMMETRIC"
+
+    def test_a_parse_error_in_a_later_matrix_wins(self):
+        from jordanet.errors import InputError
+
+        for bad in ("1/0", "x", True):
+            with pytest.raises(InputError) as err:
+                family_from_strings(2, [self.ASYMMETRIC, [[0, 0], [0, bad]]])
+            assert err.value.code == "PARSE_ERROR", bad
+
+    def test_limits_leave_a_memoised_family_as_it_was(self):
+        # grassmann_limit replaces rows of its own copy: two limits of one
+        # catalog family, shared per process, give the same space, and the
+        # family's rows stay those of a fresh substitution whatever ran before
+        from jordanet.catalog import degeneration_edges, manifest, substitution_family
+
+        for cid, source, _ in degeneration_edges():
+            fam = canonical(cid)
+            first = grassmann_limit(fam)
+            second = grassmann_limit(canonical(cid))
+            assert canonical(cid) is fam
+            assert [b.data for b in first.basis] == [b.data for b in second.basis], cid
+            fresh = substitution_family(canonical(source), manifest()[cid]["substitution"])
+            assert fam.rows == fresh.rows, cid
 
 
 class TestMirroredEntries:

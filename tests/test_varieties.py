@@ -23,6 +23,8 @@ from jordanet.varieties import (
 )
 from oracles import (
     UniPoly,
+    constant_value,
+    is_constant,
     macaulay_rank_by_fractions,
     min_rank_bounds_by_fractions,
     mpoly_from_terms,
@@ -281,7 +283,7 @@ def rank_one_count_oracle(sp):
     g = MPoly.zero()
     for m in minors:
         g = mpoly_gcd_by_mpoly(g, m)
-    if g.is_constant():
+    if is_constant(g):
         return 0
     count = 0
     i2 = g.vars.index("t2") if "t2" in g.vars else None
@@ -295,7 +297,7 @@ def rank_one_count_oracle(sp):
         for den in range(1, 9):
             r = Fraction(num, den)
             value = sum(
-                (c.constant_value() * r ** k for k, c in enumerate(w.coeffs)), Fraction(0))
+                (constant_value(c) * r ** k for k, c in enumerate(w.coeffs)), Fraction(0))
             if value == 0:
                 count += 1
                 root = UniPoly("t1", [MPoly.const(-r), MPoly.const(1)])
@@ -305,9 +307,9 @@ def rank_one_count_oracle(sp):
                         break
                     w = q
     if w.degree() == 2:
-        a2 = w.coeffs[2].constant_value()
-        a1 = w.coeffs[1].constant_value()
-        a0 = w.coeffs[0].constant_value()
+        a2 = constant_value(w.coeffs[2])
+        a1 = constant_value(w.coeffs[1])
+        a0 = constant_value(w.coeffs[0])
         if a1 * a1 - 4 * a2 * a0 != 0:
             count += 2
         else:
