@@ -43,7 +43,7 @@ from .classify import (
     classify_abstract,
 )
 from .errors import InputError, InternalCheckError, PreconditionError
-from .exact import frac_str, parse_poly_lines
+from .exact import frac_str, integer_poly, parse_poly_lines
 from .io import load_space_file, read_text_file
 from .jordan import is_jordan, jordan_closure, radical, structure_constants
 from .linalg import Mat
@@ -212,7 +212,7 @@ def cmd_limit(args) -> int:
 
 
 def cmd_emptiness(args) -> int:
-    polys = parse_poly_lines(read_text_file(args.polyfile))
+    polys = parse_poly_lines(read_text_file(args.polyfile), integer_poly)
     if not polys:
         raise InputError("PARSE_ERROR", "no polynomials in the input file")
     cert = macaulay_emptiness(polys, args.degree)

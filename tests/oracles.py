@@ -4,13 +4,17 @@ Each is the old, entry-by-entry route to the same answer, kept only so that
 the tests can compare the two:
 
 - ``parse_poly_by_tokens``: one regex match per token and one Fraction per
-  number (the current parser tokenizes once and keeps integers);
+  number (the package splits a line on sign runs and ``*`` and keeps
+  integers);
 - ``det_bareiss_by_ring``: Bareiss over Fraction or MPoly entries with a
   generic exact division (the package reads a Fraction determinant off the
   integer echelon of its rows and a polynomial one by Laplace);
-- ``macaulay_rank_by_fractions``: the Macaulay matrix as Fraction rows handed
-  to ``rref`` (the package writes integer rows into one echelon); the rows
-  themselves come from ``macaulay_rows_by_fractions``;
+- ``macaulay_rank_by_fractions``: the Macaulay matrix of MPolys as Fraction
+  rows handed to ``rref`` (the package reads integer polynomials, from the
+  text or the rank-one minors times L^2, and writes integer rows into one
+  echelon); the rows themselves come from ``macaulay_rows_by_fractions``, and
+  ``rank_one_locus_certificate_by_mpoly`` sweeps it over the MPoly rank-one
+  minors;
 - ``plucker_by_minors``: one determinant per maximal minor of the Fraction
   coordinate rows (``coordinate_rows``; the package shares one Laplace memo
   over column subsets of the vectorized B');
@@ -117,6 +121,7 @@ the tests can compare the two:
 
 ``mpoly_from_terms`` is the checked constructor the tests build polynomials
 with: any variable order, duplicate exponents merged, zeros dropped;
+``trimmed`` drops the variables an ``MPoly`` does not use,
 ``is_constant`` and ``constant_value`` read a constant ``MPoly``, and
 ``zero_mat`` and ``mat_map`` build ``Mat``s, none of which the package needs.
 ``to_recursive`` and ``from_recursive`` convert between ``MPoly`` and the
@@ -249,6 +254,13 @@ def parse_poly_by_tokens(text: str) -> MPoly:
         key = tuple(exps.get(v, 0) for v in all_vars)
         terms[key] = terms.get(key, Fraction(0)) + coeff
     return MPoly(all_vars, {k: c for k, c in terms.items() if c != 0})
+
+
+def trimmed(p: MPoly) -> MPoly:
+    """p over the variables that occur in it."""
+    keep = p.support_vars()
+    idx = [p.vars.index(v) for v in keep]
+    return MPoly(keep, {tuple(e[i] for i in idx): c for e, c in p.terms.items()})
 
 
 def is_constant(p: MPoly) -> bool:
@@ -420,7 +432,7 @@ def macaulay_rows_by_fractions(polys, degree: int, vars) -> tuple:
     col_index = {mono: k for k, mono in enumerate(cols)}
     rows = []
     for p in polys:
-        p = p.trimmed().with_vars(vars)
+        p = trimmed(p).with_vars(vars)
         d = int(p.total_degree())
         if d > degree:
             continue
@@ -430,6 +442,21 @@ def macaulay_rows_by_fractions(polys, degree: int, vars) -> tuple:
                 row[col_index[tuple(a + b for a, b in zip(exps, mult))]] = coeff
             rows.append(row)
     return rows, len(cols)
+
+
+def rank_one_locus_certificate_by_mpoly(space) -> tuple:
+    """(kind, degree, span_rank, span_target) of the rank-one sweep of
+    ``varieties.rank_one_locus_certificate`` on the MPoly minors
+    (``rank_one_minors_by_mpoly``), each degree by ``macaulay_rank_by_fractions``
+    over t1..tm."""
+    system = rank_one_minors_by_mpoly(space)
+    if not system:
+        return "SOLUTIONS_EXIST", None, None, None
+    for degree in range(2, 7):
+        rank, target = macaulay_rank_by_fractions(system, degree, generic_names(space.m))
+        if rank == target:
+            return "CERTIFIED_EMPTY", degree, rank, target
+    return "UNKNOWN", degree, rank, target
 
 
 def coordinate_rows(space):
@@ -965,8 +992,8 @@ def mpoly_gcd_by_mpoly(p: MPoly, q: MPoly) -> MPoly:
     if not support:
         return MPoly.const(frac_gcd(constant_value(p), constant_value(q)))
     v = support[-1]
-    fp = UniPoly.from_mpoly(p.trimmed(), v)
-    fq = UniPoly.from_mpoly(q.trimmed(), v)
+    fp = UniPoly.from_mpoly(trimmed(p), v)
+    fq = UniPoly.from_mpoly(trimmed(q), v)
     cont_g = mpoly_gcd_by_mpoly(uni_content(fp), uni_content(fq))
     pp_g = subresultant_gcd_by_mpoly(uni_primitive(fp), uni_primitive(fq))
     return _abs_normalized(cont_g * pp_g.to_mpoly())

@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import jordanet
-from jordanet import chow, cli, exact, jordan
+from jordanet import chow, cli, exact, jordan, varieties
 from jordanet.cli import main
 from jordanet.errors import InputError, InternalCheckError, PreconditionError
 from jordanet.exact import frac_str
@@ -886,10 +886,12 @@ class TestBoundedCost:
         assert (after.ru_utime + after.ru_stime) - (before.ru_utime + before.ru_stime) < 1.0
 
     def test_memory_error_exits_3(self, monkeypatch, tmp_path, capsys):
+        # memory runs out inside the Macaulay build, where its echelon is made,
+        # after the file was read into integer polynomials
         def exhausted(*args, **kwargs):
             raise MemoryError
 
-        monkeypatch.setattr(cli, "macaulay_emptiness", exhausted)
+        monkeypatch.setattr(varieties, "Echelon", exhausted)
         f = tmp_path / "system.txt"
         f.write_text(self.SYSTEM)
         code, out, err = run_cli(["emptiness", str(f), "--degree", "2", "--json"], capsys)
@@ -1032,6 +1034,33 @@ def fuzz_poly_line(rng):
     return "".join(pick(rng, tokens) for _ in range(rng.int_between(1, 6)))
 
 
+#: pieces of ``fuzz_poly_text``: operands (names, p/q, powers, Unicode
+#: digits, x^4/2, zero denominators, 4300- and 4301-digit numbers), sign
+#: runs, blanks (tab and NBSP among them) and noise
+FUZZ_OPERANDS = ["x", "y", "t1", "_a", "B_2", "p012", "0", "7", "12", "007", "1/2", "3/4",
+                 "22/7", "5/0", "0/0", "\u0663", "\u0661\u0662", "\uff17", "\u00b2", "x^2",
+                 "y^02", "x^0", "x^4/2", "z ^ 3", "x^\u0663", "x^", "1" * 4300, "9" * 4301,
+                 "1/" + "3" * 4301, "x^" + "1" * 4301]
+FUZZ_SIGNS = ["+", "-", "- -", "+-", "--", "-+-", "+ +"]
+FUZZ_BLANKS = ["", "", " ", "  ", "\t", "\u00a0", " \t"]
+FUZZ_NOISE = ["*", "^", "/", "(", ")", "**", "#", ".", "x y", "2x", "e5", "+", "-", "x ^ y"]
+
+
+def fuzz_poly_text(rng):
+    """A line of 1-4 terms of 1-3 ``FUZZ_OPERANDS`` joined by ``*``, the
+    terms by sign runs, a blank after every piece; every fourth or so gets
+    a noise piece at a random place."""
+    pieces = [pick(rng, ["", "", "-", "+-"])]
+    for k in range(rng.int_between(1, 4)):
+        if k:
+            pieces.append(pick(rng, FUZZ_SIGNS))
+        for j in range(rng.int_between(1, 3)):
+            pieces += ["*", pick(rng, FUZZ_OPERANDS)] if j else [pick(rng, FUZZ_OPERANDS)]
+    if rng.int_between(0, 3) == 0:
+        pieces.insert(rng.int_between(0, len(pieces)), pick(rng, FUZZ_NOISE))
+    return "".join(piece + pick(rng, FUZZ_BLANKS) for piece in pieces)
+
+
 class TestFuzz:
     """Seeded malformed and edge-case inputs (SplitMix64) through the space and
     polynomial commands, in process: every input gets an answer or a typed
@@ -1078,3 +1107,34 @@ class TestFuzz:
                 assert got == "PARSE_ERROR" and RATIONAL_EXPONENT.search(text), text
             outcomes.add(got == "PARSE_ERROR")
         assert outcomes == {True, False}
+
+    def test_scanner_matches_the_token_oracle(self):
+        # the polynomial or PARSE_ERROR, as the token oracle has it, save a
+        # rational exponent (x^4/2), which only the oracle reads
+        rng = SplitMix64(2031)
+        seen = {"parsed": 0, "PARSE_ERROR": 0, "rational exponent": 0}
+        for _ in range(8000):
+            text = fuzz_poly_text(rng)
+            got = parse_outcome(exact.parse_poly, text)
+            want = parse_outcome(parse_poly_by_tokens, text)
+            if got != want:
+                assert got == "PARSE_ERROR" and RATIONAL_EXPONENT.search(text), text
+                seen["rational exponent"] += 1
+            seen["parsed" if got != "PARSE_ERROR" else "PARSE_ERROR"] += 1
+        assert min(seen.values()) > 100, seen
+
+    def test_fuzzed_files_never_exit_4(self, tmp_path, capsys):
+        # the same texts, 1-3 to a file, through emptiness at degrees -1..3
+        rng = SplitMix64(2032)
+        poly_file = tmp_path / "system.txt"
+        seen = set()
+        for _ in range(400):
+            poly_file.write_text("\n".join(fuzz_poly_text(rng)
+                                           for _ in range(rng.int_between(1, 3))))
+            degree = str(rng.int_between(-1, 3))
+            code, _, err = run_cli(["emptiness", str(poly_file), "--degree", degree, "--json"],
+                                   capsys)
+            assert code in (0, 2, 3), (poly_file.read_text(), degree, err)
+            assert "Traceback" not in err
+            seen.add(code)
+        assert seen == {0, 2, 3}

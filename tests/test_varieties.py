@@ -1,12 +1,13 @@
 import hashlib
+import json
 from fractions import Fraction
 
 import pytest
 
 from jordanet.catalog import canonical, catalog_ids
 from jordanet.errors import InputError, PreconditionError
-from jordanet import varieties
-from jordanet.exact import MPoly, monomials, parse_poly, poly_eval
+from jordanet import cli, varieties
+from jordanet.exact import MPoly, frac_str, integer_poly, monomials, parse_poly, poly_eval
 from jordanet.linalg import Mat, inverse, rref
 from jordanet.prng import SplitMix64
 from jordanet.spaces import MatSpace, PluckerVector, make_space, plucker, sample_congruent
@@ -29,6 +30,8 @@ from oracles import (
     min_rank_bounds_by_fractions,
     mpoly_from_terms,
     mpoly_gcd_by_mpoly,
+    parse_poly_by_tokens,
+    rank_one_locus_certificate_by_mpoly,
     rank_one_minors_by_mpoly,
     rational_spaces,
     uni_exact_div,
@@ -37,6 +40,15 @@ from oracles import (
 
 def P(s):
     return parse_poly(s)
+
+
+def I(s):
+    return integer_poly(s)
+
+
+def integer_system(polys):
+    """Each MPoly as the integer polynomial ``emptiness`` reads off its text."""
+    return [integer_poly(str(p)) for p in polys]
 
 
 def E(n, i, j):
@@ -82,38 +94,38 @@ def cayley_orthogonal(seed, n):
 
 class TestMacaulay:
     def test_two_squares_degree_three(self):
-        cert = macaulay_emptiness([P("x^2"), P("y^2")], 3)
+        cert = macaulay_emptiness([I("x^2"), I("y^2")], 3)
         assert cert.kind == "CERTIFIED_EMPTY"
 
     def test_two_squares_degree_two(self):
-        cert = macaulay_emptiness([P("x^2"), P("y^2")], 2)
+        cert = macaulay_emptiness([I("x^2"), I("y^2")], 2)
         assert cert.kind == "UNKNOWN"
         assert cert.span_rank == 2 and cert.span_target == 3  # xy is missed
 
     def test_inhomogeneous_rejected(self):
         with pytest.raises(PreconditionError) as err:
-            macaulay_emptiness([P("x^2 + y")], 3)
+            macaulay_emptiness([I("x^2 + y")], 3)
         assert err.value.code == "NOT_HOMOGENEOUS"
 
     def test_negative_degree_rejected(self):
         # x*y = 0 has solutions; an empty degree -1 span must not certify anything
         for degree in (-1, -3):
             with pytest.raises(PreconditionError) as err:
-                macaulay_emptiness([P("x*y")], degree)
+                macaulay_emptiness([I("x*y")], degree)
             assert err.value.code == "NEGATIVE_DEGREE"
 
     def test_degree_zero_is_not_a_certificate(self):
-        cert = macaulay_emptiness([P("x*y")], 0)
+        cert = macaulay_emptiness([I("x*y")], 0)
         assert cert.kind == "UNKNOWN" and (cert.span_rank, cert.span_target) == (0, 1)
 
     def test_variable_universe_matters(self):
         # {x^2} alone is empty in P^0 but has the solution (0 : 1) in P^1
-        assert macaulay_emptiness([P("x^2")], 2).kind == "CERTIFIED_EMPTY"
-        assert macaulay_emptiness([P("x^2")], 2, vars=("x", "y")).kind == "UNKNOWN"
+        assert macaulay_emptiness([I("x^2")], 2).kind == "CERTIFIED_EMPTY"
+        assert macaulay_emptiness([I("x^2")], 2, vars=("x", "y")).kind == "UNKNOWN"
 
     def test_certificate_soundness_sampled(self):
         system = [P("x^2 + y^2"), P("x*y")]
-        cert = macaulay_emptiness(system, 3)
+        cert = macaulay_emptiness(integer_system(system), 3)
         assert cert.kind == "CERTIFIED_EMPTY"
         rng = SplitMix64(5)
         for _ in range(500):
@@ -124,7 +136,6 @@ class TestMacaulay:
             if all(v == 0 for v in point.values()):
                 continue
             assert any(eval_poly_at(p, point) != 0 for p in system)
-
 
     def test_integer_rows_match_the_fraction_rows(self):
         # seeded systems with rational coefficients: as many dense forms as
@@ -141,22 +152,88 @@ class TestMacaulay:
                     terms[next(iter(terms))] = Fraction(1)
                 system.append(mpoly_from_terms(vars, terms))
             degree = rng.int_between(0, 5)
-            cert = macaulay_emptiness(system, degree, vars=vars)
+            cert = macaulay_emptiness(integer_system(system), degree, vars=vars)
             assert (cert.span_rank, cert.span_target) == macaulay_rank_by_fractions(
                 system, degree, vars)
             kinds.add(cert.kind)
         assert kinds == {"CERTIFIED_EMPTY", "UNKNOWN"}
 
+    def test_files_match_the_fraction_rows(self, tmp_path, capsys):
+        # seeded files of rational coefficients, each term split into two
+        # with reordered factors (a repeated monomial), a pair of terms that
+        # cancels, and v^0 factors: v is no variable, nor is a name whose
+        # terms all cancel
+        rng = SplitMix64(2033)
+        path = tmp_path / "system.txt"
+        kinds = set()
+        for k in range(40):
+            text = rational_system_text(rng, ("w", "x", "y", "z")[: 2 + k % 3])
+            path.write_text(text)
+            degree = rng.int_between(0, 4)
+            assert cli.main(["emptiness", str(path), "--degree", str(degree), "--json"]) == 0
+            report = json.loads(capsys.readouterr().out)
+            system = [parse_poly_by_tokens(line) for line in text.splitlines()]
+            vars = sorted({v for p in system for v in p.support_vars()})
+            assert "v" not in vars and "u" not in vars
+            assert (report["span_rank"], report["span_target"]) == macaulay_rank_by_fractions(
+                system, degree, vars), text
+            kinds.add(report["kind"])
+        assert kinds == {"CERTIFIED_EMPTY", "UNKNOWN"}
+
     def test_size_is_estimated_before_the_matrix_is_built(self, monkeypatch):
         # the benchmark's widest certificate: 3 quadrics in 12 variables, each
         # times the 12 linear monomials, against the 364 cubic monomials
-        system = catalog_polynomials("jordan_net_quadrics")
+        system = integer_system(catalog_polynomials("jordan_net_quadrics"))
         cert = macaulay_emptiness(system, 3)
         assert (cert.span_rank, cert.span_target) == (36, 364)
         monkeypatch.setattr(varieties, "MAX_MACAULAY_CELLS", 36 * 364 - 1)
         with pytest.raises(PreconditionError) as err:
             macaulay_emptiness(system, 3)
         assert err.value.code == "TOO_LARGE" and "36 x 364" in str(err.value)
+
+
+def rational_system_text(rng, vars):
+    """As many homogeneous forms as variables, or one more or fewer, one per
+    line, over ``vars``, in the text grammar: each coefficient p/q written
+    as two terms of one monomial, the second with its factors reversed, one
+    pair of terms that cancels (``u*z - z*u``, say) and ``v^0``
+    factors, then -3/4 times the first line as ``str`` prints it."""
+    lines = []
+    for _ in range(len(vars) + rng.int_between(-1, 1)):
+        degree = rng.int_between(1, 3)
+        terms = []
+        for mono in monomials(len(vars), degree):
+            c, part = (Fraction(rng.int_between(-9, 9), rng.int_between(1, 6)) for _ in range(2))
+            if not (c or terms):
+                c = Fraction(1)
+            factors = [f"{v}^{e}" for v, e in zip(vars, mono) if e] + ["v^0"] * rng.int_between(0, 1)
+            terms += [f"{frac_str(part)}*{'*'.join(factors)}",
+                      f"{frac_str(c - part)}*{'*'.join(reversed(factors))}"]
+        pair = ["u"] + [vars[-1]] * (degree - 1)
+        terms.insert(rng.int_between(0, len(terms)),
+                     f"2/3*{'*'.join(pair)} - 2/3*{'*'.join(reversed(pair))}")
+        lines.append(" + ".join(terms))
+    lines.append(str(parse_poly_by_tokens(lines[0]).scale(Fraction(-3, 4))))  # no new rows
+    return "\n".join(lines) + "\n"
+
+
+def test_rank_one_certificate_matches_the_mpoly_route():
+    # the sweep on the integer minors (times L^2) against MPoly minors and
+    # Fraction rows, degree by degree: seeded spaces in S^2..S^4, the
+    # catalog's nets in S^4, and two spaces in which t1 is in no minor, so
+    # that the locus lies in P^1 and P^2, not in the P^0 and P^1 of the
+    # minors' own variables
+    spaces = [sp for sp in rational_spaces(2034) if 2 <= sp.n <= 4 and sp.m <= 4]
+    spaces += [canonical(f"s4/{label}") for label in ("1a", "1b", "2a1", "2a2", "2b", "3a")]
+    spaces += [make_space(2, [E(2, 1, 1), E(2, 1, 2)]),
+               make_space(3, [E(3, 1, 1), E(3, 1, 2), E(3, 1, 3)])]
+    kinds = set()
+    for sp in spaces:
+        cert = rank_one_locus_certificate(sp)
+        assert (cert.kind, cert.degree, cert.span_rank, cert.span_target) == \
+            rank_one_locus_certificate_by_mpoly(sp), sp
+        kinds.add(cert.kind)
+    assert kinds == {"CERTIFIED_EMPTY", "UNKNOWN"}
 
 
 class TestRankOneSystem:
@@ -407,6 +484,18 @@ class TestCatalogEval:
             for catalog_id in CATALOGS:
                 if catalog_id.startswith("plucker"):
                     assert catalog_eval(catalog_id, sparse) == catalog_eval(catalog_id, full)
+
+    def test_only_the_120_coordinate_names_get_values(self, monkeypatch):
+        # an unsorted index, a short one or another letter is no coordinate of
+        # a net in S^4, so it has no value and poly_eval cannot read it
+        pv = plucker(canonical("s4/1b"))
+        for name in ("p210", "p01", "q012", "p0123", "pabc"):
+            polys = [parse_poly(f"p012 + {name}")]
+            monkeypatch.setattr(varieties, "catalog_polynomials", lambda _: polys)
+            with pytest.raises(KeyError):
+                catalog_eval("plucker_spin_orbit_quadric", pv)
+        monkeypatch.setattr(varieties, "catalog_polynomials", lambda _: [parse_poly("p012 + p789")])
+        assert catalog_eval("plucker_spin_orbit_quadric", pv) == [pv[(0, 1, 2)] + pv[(7, 8, 9)]]
 
 
 class TestMinRank:
