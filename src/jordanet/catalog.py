@@ -3,8 +3,8 @@
 Every entry is an exact transcription, shipped as JSON under
 ``data/catalog/`` and listed in ``manifest.json``.  Degeneration entries are
 one-parameter families obtained from a source net by a linear substitution of
-the quadric variables (a, b, c, d), each basis matrix's coordinate row read
-off its substituted quadric as {power of t: coefficient} entries;
+the quadric variables (a, b, c, d), v -> S(t) v, each basis matrix M replaced
+by S(t)^T M S(t), a coordinate row of {power of t: coefficient} entries;
 substitutions may involve the formal imaginary unit ``I``, which must cancel
 out of the resulting matrices (the loader verifies this).
 
@@ -15,13 +15,15 @@ IDs are resolved by ``canonical(id)``; the CLI exposes the same entries via
 from __future__ import annotations
 
 import json
+import math
 from fractions import Fraction
 from pathlib import Path
 from typing import Dict, List, Tuple, Union
 
 from .errors import InputError, InternalCheckError
-from .exact import MPoly, parse_poly
+from .exact import integer_poly
 from .io import parse_space_data
+from .linalg import Packing, int_poly_matmul
 from .spaces import MatSpace, ParametricBasis, sym_pairs
 
 DATA_DIR = Path(__file__).resolve().parent / "data" / "catalog"
@@ -74,32 +76,18 @@ def degeneration_edges() -> List[Tuple[str, str, str]]:
     return sorted(out)
 
 
-def _reduce_imaginary(p: MPoly) -> MPoly:
-    """Fold powers of the formal unit I via I^2 = -1; odd powers must cancel."""
-    if "I" not in p.vars:
-        return p
-    idx = p.vars.index("I")
-    out = {}
-    for exps, coeff in p.terms.items():
-        e = exps[idx]
-        if e % 2 == 1:
-            raise InternalCheckError("INTERNAL", "imaginary unit did not cancel in substitution")
-        sign = -1 if (e // 2) % 2 else 1
-        key = exps[:idx] + (0,) + exps[idx + 1:]
-        out[key] = out.get(key, Fraction(0)) + coeff * sign
-    return MPoly(p.vars, {k: v for k, v in out.items() if v != 0})
-
-
 def substitution_family(space: MatSpace, substitution: List[str]) -> ParametricBasis:
     """Family from replacing the quadric variables (a, b, c, d) linearly.
 
     Every term of each substitution string e_i has degree exactly 1 in
     a, b, c, d, with a coefficient in the parameter t (and possibly the
-    formal unit I).  Writing the substitution as v -> S(t) v, every basis
-    matrix M becomes S(t)^T M S(t), read off the quadric sum_ij M_ij e_i e_j
-    after folding I: its coefficient of v_k^2 t^p is the power-p coefficient
-    of the (k, k) entry and that of v_k v_l t^p (k < l) twice that of the
-    (k, l) entry, each written straight into the matrix's coordinate row.
+    formal unit I); each string is read as integers, e_i = e'_i / d_i
+    (``exact.integer_poly``), and checked in turn.  Writing the substitution
+    as v -> S(t) v, every basis matrix M = B' / L becomes S(t)^T M S(t).
+    With d the lcm of the d_i, S' = d S is an integer polynomial matrix over
+    (t, I) in one ``Packing``, row i the coefficients of a, b, ... in e'_i
+    times d / d_i; S'^T B' S' is two ``int_poly_matmul`` products, and each
+    of its packed terms is folded by I^2 = -1 and divided by d^2 L.
     """
     n = space.n
     if len(substitution) != n:
@@ -107,23 +95,38 @@ def substitution_family(space: MatSpace, substitution: List[str]) -> ParametricB
     names = QUADRIC_VARS[:n]
     exprs = []
     for expr in substitution:
-        poly = parse_poly(expr)
-        extra = set(poly.support_vars()) - set(names) - {"t", "I"}
+        poly, d = integer_poly(expr)
+        extra = {v for mono in poly for v, _ in mono} - set(names) - {"t", "I"}
         if extra:
             raise InputError("PARSE_ERROR", f"unexpected variables {sorted(extra)} in substitution")
-        if any(sum(k) != 1 for k in poly.split_by_vars(names)):
+        if any(sum(e for v, e in mono if v in names) != 1 for mono in poly):
             raise InputError("PARSE_ERROR", "substitution must be linear in the quadric variables")
-        exprs.append(poly)
-    products = {(i, j): exprs[i] * exprs[j] for i in range(n) for j in range(i, n)}
-    position = {pair: k for k, pair in enumerate(sym_pairs(n))}
+        exprs.append((poly, d))
+    lcm = math.lcm(*(d for _, d in exprs))
+    bound = 2 * max((e for poly, _ in exprs for mono in poly for v, e in mono if v not in names),
+                    default=0)
+    packing, column = Packing(2, bound), {v: k for k, v in enumerate(names)}  # t above I
+    s = [[{} for _ in names] for _ in names]
+    for row, (poly, d) in zip(s, exprs):
+        for mono, c in poly.items():
+            exps = dict(mono)
+            k = next(column[v] for v in exps if v in column)
+            row[k][packing.key((exps.get("t", 0), exps.get("I", 0)))] = c * (lcm // d)
+    basis, scale = space.integer_basis()
+    den, st = lcm * lcm * scale, list(zip(*s))
     rows = []
-    for b in space.basis:
-        quadric = sum((e.scale(b[i, j] if i == j else 2 * b[i, j])
-                       for (i, j), e in products.items() if b[i, j]), MPoly.zero())
-        row = [{} for _ in position]
-        for exps, coeff in _reduce_imaginary(quadric).split_by_vars(names).items():
-            i, j = (k for k, e in enumerate(exps) for _ in range(e))
-            # the rest is in t alone (I folded to exponent 0), so a term's degree is its power of t
-            row[position[i, j]] = {sum(e): c if i == j else c / 2 for e, c in coeff.terms.items()}
+    for b in basis:
+        constant = [[{0: x} if x else {} for x in r] for r in b]
+        product = int_poly_matmul(int_poly_matmul(st, constant), s)
+        row = []
+        for i, j in sym_pairs(n):
+            entry: Dict[int, int] = {}
+            for key, c in product[i][j].items():
+                power, imaginary = packing.exps(key)
+                if imaginary % 2:
+                    raise InternalCheckError("INTERNAL",
+                                             "imaginary unit did not cancel in substitution")
+                entry[power] = entry.get(power, 0) + (-c if imaginary % 4 else c)
+            row.append({p: Fraction(c, den) for p, c in entry.items() if c})
         rows.append(row)
     return ParametricBasis(n, rows)

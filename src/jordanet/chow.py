@@ -12,7 +12,9 @@ linear span of the reciprocal variety, and its left kernel consists of the
 linear forms that vanish on all inverses.  The matrix is read off the
 adjugate of the packed integer generic element (``spaces.generic_matrix``)
 by Faddeev-LeVerrier, cell by cell (``chow_matrix``, ``chow_cells``); the
-rank and the kernel forms read one echelon of its transpose.
+rank and the kernel forms read one echelon of its transpose, and each
+kernel form is a primitive integer row of the kernel's reduced echelon
+form, written straight into an ``MPoly``.
 
 The fully symbolic n = 3 determinant (degree 12 in the 18 entry variables,
 22659 terms) is read the same way off the generic net w1 X + w2 Y + w3 Z,
@@ -106,14 +108,21 @@ def chow_rank(space: MatSpace) -> int:
 def chow_kernel_forms(space: MatSpace) -> List[MPoly]:
     """Left-kernel vectors rendered as linear forms in z_ij.
 
-    Normalized deterministically: reduced echelon basis of the kernel,
-    scaled to integer coefficients of content one with the first nonzero
-    coefficient positive.
+    Normalized deterministically: the reduced echelon basis of the kernel,
+    each row primitive (``Echelon.int_rows``), an ``MPoly`` over the names
+    it uses, sorted, with the coefficient of the first of them positive.
+    For n >= 10 that name order is not ``sym_pairs`` order (z110 < z12).
     """
     kernel = _chow_echelon(space, "kernel forms need").kernel_basis()
-    zs = [MPoly.var(f"z{i + 1}{j + 1}") for i, j in sym_pairs(space.n)]
-    return [sum((z.scale(c) for z, c in zip(zs, vec) if c), MPoly.zero()).sign_normalized()
-            for vec in rref(kernel).rows]
+    names = [f"z{i + 1}{j + 1}" for i, j in sym_pairs(space.n)]
+    forms = []
+    for row in rref(kernel).int_rows:
+        used = sorted((name, c) for name, c in zip(names, row) if c)
+        sign = -1 if used[0][1] < 0 else 1
+        forms.append(MPoly(tuple(name for name, _ in used),
+                           {tuple(int(k == q) for q in range(len(used))): Fraction(sign * c)
+                            for k, (_, c) in enumerate(used)}))
+    return forms
 
 
 def sampled_reciprocal_span(space: MatSpace, trials: int) -> int:

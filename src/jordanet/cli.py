@@ -212,7 +212,7 @@ def cmd_limit(args) -> int:
 
 
 def cmd_emptiness(args) -> int:
-    polys = parse_poly_lines(read_text_file(args.polyfile), integer_poly)
+    polys = [p for p, _ in parse_poly_lines(read_text_file(args.polyfile), integer_poly)]
     if not polys:
         raise InputError("PARSE_ERROR", "no polynomials in the input file")
     cert = macaulay_emptiness(polys, args.degree)

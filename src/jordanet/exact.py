@@ -4,14 +4,17 @@ Scalars are arbitrary-precision rationals (``fractions.Fraction``, which is
 always reduced with a positive denominator).  Polynomials are sparse dicts
 mapping exponent tuples to nonzero rational coefficients, with a fixed
 alphabetical variable order and graded-lexicographic term order for all
-canonical output.  ``poly_eval`` evaluates a polynomial at rationals only:
-every variable gets a value, and the result is a Fraction.
+canonical output.  An ``MPoly`` is a value: it is parsed, printed, compared
+and evaluated, and has no arithmetic; every polynomial product in the
+package runs on ``linalg``'s packed integer kernel.  ``poly_eval``
+evaluates a polynomial at rationals only: every variable gets a value, and
+the result is a Fraction.
 
 The text grammar has one reader, ``scan_terms``, which splits a line on its
 sign runs and ``*`` into integer terms.  ``parse_poly`` makes one Fraction per
-term; ``integer_poly`` makes none and clears denominators by one lcm: 55
-rank-one quadrics in t1..t6 are read in 3.4 ms, against 6.9 ms as MPolys
-(CPU, Xeon, Python 3.11.7).
+term; ``integer_poly`` makes none and returns the polynomial cleared of
+denominators by one lcm, with that lcm: 55 rank-one quadrics in t1..t6 are
+read in 3.4 ms, against 6.9 ms as MPolys (CPU, Xeon, Python 3.11.7).
 
 Squarefree decomposition (the generic multiplicity partition) runs on
 integer polynomials in recursive dense form: an int, or the list of
@@ -32,7 +35,7 @@ import itertools
 import math
 import re
 from fractions import Fraction
-from typing import Callable, Dict, Iterable, Iterator, List, Mapping, Optional, Tuple
+from typing import Callable, Dict, Iterator, List, Mapping, Optional, Tuple
 
 from .errors import InputError, InternalCheckError, PreconditionError
 
@@ -69,17 +72,6 @@ def frac_str(value: Fraction) -> str:
         raise PreconditionError("RESULT_TOO_LARGE", "a result has a rational of over 4300 digits") from exc
 
 
-def frac_gcd(a: Fraction, b: Fraction) -> Fraction:
-    """gcd on rationals: gcd of numerators over lcm of denominators."""
-    if a == 0:
-        return abs(b)
-    if b == 0:
-        return abs(a)
-    num = math.gcd(a.numerator, b.numerator)
-    den = (a.denominator * b.denominator) // math.gcd(a.denominator, b.denominator)
-    return Fraction(num, den)
-
-
 def monomials(k: int, degree: int) -> Iterator[Tuple[int, ...]]:
     """Exponent tuples of length k and total degree ``degree``, in descending
     lexicographic order (t1 > t2 > ...); none for a negative degree.
@@ -113,11 +105,13 @@ def _grlex_key(exps: tuple) -> tuple:
 
 
 class MPoly:
-    """Sparse multivariate polynomial over the rationals.
+    """Sparse multivariate polynomial over the rationals, as a value.
 
     ``vars`` is a sorted tuple of variable names; ``terms`` maps exponent
-    tuples (one entry per variable) to nonzero coefficients.  Binary
-    operations merge variable sets automatically.
+    tuples (one entry per variable) to nonzero coefficients.  Two
+    polynomials over different variable tuples are equal when their nonzero
+    terms are.  There is no arithmetic: a polynomial is built whole, by
+    ``parse_poly``, ``linalg.Packing.mpoly`` or its constructor.
     """
 
     __slots__ = ("vars", "terms")
@@ -129,20 +123,12 @@ class MPoly:
 
     # -- constructors -------------------------------------------------
 
-    @staticmethod
-    def const(value, vars: tuple = ()) -> "MPoly":
+    @classmethod
+    def const(cls, value, vars: tuple = ()) -> "MPoly":
         value = frac(value)
         if value == 0:
-            return MPoly(tuple(vars), {})
-        return MPoly(tuple(vars), {(0,) * len(vars): value})
-
-    @staticmethod
-    def zero(vars: tuple = ()) -> "MPoly":
-        return MPoly(tuple(vars), {})
-
-    @staticmethod
-    def var(name: str) -> "MPoly":
-        return MPoly((name,), {(1,): Fraction(1)})
+            return cls(tuple(vars), {})
+        return cls(tuple(vars), {(0,) * len(vars): value})
 
     # -- structure ----------------------------------------------------
 
@@ -191,159 +177,6 @@ class MPoly:
         return self._signature() == other._signature()
 
     __hash__ = None
-
-    # -- variable alignment -------------------------------------------
-
-    def with_vars(self, vars: tuple) -> "MPoly":
-        """Re-express over a superset of the current variables (sorted)."""
-        if vars == self.vars:
-            return self
-        pos = []
-        for v in self.vars:
-            if v not in vars:
-                raise ValueError(f"cannot drop variable {v}")
-            pos.append(vars.index(v))
-        terms = {}
-        for exps, coeff in self.terms.items():
-            key = [0] * len(vars)
-            for p, e in zip(pos, exps):
-                key[p] = e
-            terms[tuple(key)] = coeff
-        return MPoly(vars, terms)
-
-    @staticmethod
-    def _align(a: "MPoly", b: "MPoly"):
-        if a.vars == b.vars:
-            return a, b
-        merged = tuple(sorted(set(a.vars) | set(b.vars)))
-        return a.with_vars(merged), b.with_vars(merged)
-
-    def _coerce(self, other):
-        if isinstance(other, (int, Fraction)):
-            return MPoly.const(other, self.vars)
-        if isinstance(other, MPoly):
-            return other
-        return None
-
-    # -- arithmetic ----------------------------------------------------
-
-    def __add__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        a, b = MPoly._align(self, other)
-        out = dict(a.terms)
-        for exps, coeff in b.terms.items():
-            acc = out.get(exps)
-            tot = coeff if acc is None else acc + coeff
-            if tot == 0:
-                out.pop(exps, None)
-            else:
-                out[exps] = tot
-        return MPoly(a.vars, out)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return MPoly(self.vars, {e: -c for e, c in self.terms.items()})
-
-    def __sub__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return other + (-self)
-
-    def __mul__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        a, b = MPoly._align(self, other)
-        if len(a.terms) < len(b.terms):
-            a, b = b, a
-        out = {}
-        get = out.get
-        for eb, cb in b.terms.items():
-            for ea, ca in a.terms.items():
-                key = tuple(x + y for x, y in zip(ea, eb))
-                coeff = ca * cb
-                acc = get(key)
-                tot = coeff if acc is None else acc + coeff
-                if tot == 0:
-                    out.pop(key, None)
-                else:
-                    out[key] = tot
-        return MPoly(a.vars, out)
-
-    __rmul__ = __mul__
-
-    def __pow__(self, k: int):
-        if k < 0:
-            raise ValueError("negative power")
-        result = MPoly.const(1, self.vars)
-        base = self
-        while k:
-            if k & 1:
-                result = result * base
-            base = base * base if k > 1 else base
-            k >>= 1
-        return result
-
-    def scale(self, c) -> "MPoly":
-        c = frac(c)
-        if c == 0:
-            return MPoly.zero(self.vars)
-        return MPoly(self.vars, {e: coeff * c for e, coeff in self.terms.items()})
-
-    # -- leading data (graded lex, earlier-alphabet variable is larger) --
-
-    def leading_monomial(self) -> tuple:
-        if not self.terms:
-            raise ValueError("zero polynomial has no leading term")
-        return max(self.terms, key=lambda e: (sum(e), tuple(e)))
-
-    def leading_coeff(self) -> Fraction:
-        return self.terms[self.leading_monomial()]
-
-    def content(self) -> Fraction:
-        """Positive rational content (gcd of all coefficients), 0 for zero."""
-        acc = Fraction(0)
-        for coeff in self.terms.values():
-            acc = frac_gcd(acc, coeff)
-        return acc
-
-    def sign_normalized(self) -> "MPoly":
-        """Divide by rational content and make the leading coefficient positive."""
-        if not self.terms:
-            return self
-        c = self.content()
-        if self.leading_coeff() < 0:
-            c = -c
-        return self.scale(Fraction(1) / c)
-
-    def split_by_vars(self, names: Iterable[str]) -> dict:
-        """Group terms by their exponents in ``names``.
-
-        Returns {exponent tuple over names: MPoly in the remaining vars}.
-        Used to read a substituted quadric by monomial in the quadric
-        variables (``catalog.substitution_family``).
-        """
-        names = tuple(names)
-        idx = [self.vars.index(v) if v in self.vars else None for v in names]
-        rest = tuple(v for v in self.vars if v not in names)
-        rest_idx = [self.vars.index(v) for v in rest]
-        grouped: dict = {}
-        for exps, coeff in self.terms.items():
-            key = tuple(0 if i is None else exps[i] for i in idx)
-            rest_key = tuple(exps[i] for i in rest_idx)
-            bucket = grouped.setdefault(key, {})
-            bucket[rest_key] = bucket.get(rest_key, Fraction(0)) + coeff
-        return {k: MPoly(rest, {e: c for e, c in v.items() if c != 0}) for k, v in grouped.items()}
 
     # -- output ---------------------------------------------------------
 
@@ -445,11 +278,11 @@ def parse_poly(text: str) -> MPoly:
     return MPoly(all_vars, {k: c for k, c in terms.items() if c})
 
 
-def integer_poly(text: str) -> Dict[tuple, int]:
-    """The polynomial of one line (``scan_terms``) times the lcm of its
-    denominators, with no Fraction formed, as an integer polynomial over
-    names: {monomial: nonzero int}, a monomial the (name, exponent) pairs of
-    its positive exponents, in name order."""
+def integer_poly(text: str) -> Tuple[Dict[tuple, int], int]:
+    """(p', d) for the polynomial p = p' / d of one line (``scan_terms``), d
+    the lcm of its denominators, with no Fraction formed: p' is an integer
+    polynomial over names, {monomial: nonzero int}, a monomial the (name,
+    exponent) pairs of its positive exponents, in name order."""
     collected = scan_terms(text)
     lcm = math.lcm(*(den for _, _, den in collected))
     terms: dict = {}
@@ -458,7 +291,7 @@ def integer_poly(text: str) -> Dict[tuple, int]:
         if 0 in exps.values():
             key = tuple(pair for pair in key if pair[1])
         terms[key] = terms.get(key, 0) + num * (lcm // den)
-    return {key: c for key, c in terms.items() if c}
+    return {key: c for key, c in terms.items() if c}, lcm
 
 
 def parse_poly_lines(text: str, parse: Callable[[str], object] = parse_poly) -> list:

@@ -85,9 +85,6 @@ class Mat:
         self._shape_check(other)
         return Mat([[x - y for x, y in zip(r, s)] for r, s in zip(self.data, other.data)])
 
-    def __neg__(self) -> "Mat":
-        return Mat([[-x for x in row] for row in self.data])
-
     def __matmul__(self, other: "Mat") -> "Mat":
         if self.cols != other.rows:
             raise ValueError("shape mismatch in product")

@@ -6,10 +6,10 @@ coefficient vectors of all degree-D multiples of a homogeneous system and
 certifies that the system has no projective solution whenever those multiples
 span the entire degree-D coefficient space (then every ``x_i^D`` lies in the
 ideal, so only the origin survives).  UNKNOWN is a legal answer.  It reads
-integer polynomials over names (``exact.integer_poly`` of a file's lines, or
-the rank-one minors times L^2) and packs their monomials by ``linalg.Packing``:
-a degree-2 ``emptiness`` on 55 quadrics in t1..t6 went from 10.5 to 7.1 ms of
-CPU (Xeon, Python 3.11.7).
+integer polynomials over names (a file's lines cleared of denominators by
+``exact.integer_poly``, or the rank-one minors times L^2) and packs their
+monomials by ``linalg.Packing``: a degree-2 ``emptiness`` on 55 quadrics in
+t1..t6 went from 10.5 to 7.1 ms of CPU (Xeon, Python 3.11.7).
 
 The catalog polynomials are data, not derived objects: they are certificate
 polynomials for specific loci (repeated-eigenvalue cubics, the Jordan-net
@@ -74,7 +74,7 @@ def _monomial_count(k: int, degree: int) -> int:
 def macaulay_emptiness(system: Sequence[Dict[tuple, int]], degree: int,
                        vars: Optional[Sequence[str]] = None) -> Certificate:
     """Degree-``degree`` Macaulay span test for a homogeneous system of
-    integer polynomials over names (``exact.integer_poly``).
+    integer polynomials over names (the p' of ``exact.integer_poly``).
 
     ``vars`` fixes the ambient projective space; by default it is the union
     of the variables of the system, but callers testing loci inside a larger

@@ -1,7 +1,15 @@
 """Reference implementations that the package's integer paths replaced.
 
-Each is the old, entry-by-entry route to the same answer, kept only so that
-the tests can compare the two:
+The oracles compute in ``MPoly``, the polynomial ring: ``jordanet.exact.MPoly``
+(a value, parsed, printed, compared and evaluated) with the sums, products,
+powers, scalings, leading data, content, ``sign_normalized`` and
+``split_by_vars`` that the package no longer has, over ``frac_gcd``.  Every
+polynomial product in the package runs on ``linalg``'s packed integer
+kernel, so no ``MPoly`` oracle shares it; ``lift`` turns a package value
+(``parse_poly``, ``Packing.mpoly``, ``rank_one_system``) into a ring one.
+
+Each oracle is the old, entry-by-entry route to the same answer, kept only so
+that the tests can compare the two:
 
 - ``parse_poly_by_tokens``: one regex match per token and one Fraction per
   number (the package splits a line on sign runs and ``*`` and keeps
@@ -26,8 +34,13 @@ the tests can compare the two:
   (the package ranks them on integers, as the unit sweep does);
 - ``substitution_family_by_matrices``: the degeneration family as the
   coefficient matrix S(t) of the substitution and two polynomial products
-  S^T M S (``matmul_by_loop``), with I folded per entry (the package reads
-  S^T M S off the substituted quadric);
+  S^T M S (``matmul_by_loop``) in the ring, with I folded per entry by
+  ``_reduce_imaginary`` (the package forms S'^T B' S' over (t, I) on the
+  integer kernel and folds I on each packed term);
+- ``kernel_forms_by_mpoly``: the Chow kernel forms as sums of linear forms
+  in the ring over the Fraction rows of the kernel's reduced echelon form,
+  each ``sign_normalized`` (the package writes each primitive integer row
+  straight into an ``MPoly``);
 - ``family_minors_by_mpoly`` and ``plucker_valuation_by_mpoly``: a family's
   maximal minors in MPoly arithmetic, its rows of {power: coefficient}
   entries read as MPolys in t, and their least power of t (the package
@@ -133,16 +146,16 @@ import itertools
 import math
 import re
 from fractions import Fraction
-from typing import Optional
+from typing import Iterable, Optional
 
-from jordanet.catalog import QUADRIC_VARS, _reduce_imaginary
+from jordanet import exact
+from jordanet.catalog import QUADRIC_VARS
+from jordanet.chow import chow_matrix
 from jordanet.errors import InputError, InternalCheckError, PreconditionError
 from jordanet.exact import (
     NAME,
     NEG_INF,
-    MPoly,
     frac,
-    frac_gcd,
     monomials,
     parse_poly,
     squarefree_decomposition,
@@ -174,6 +187,214 @@ from jordanet.spaces import (
     vectorize,
 )
 from jordanet.varieties import rank_one_locus_certificate
+
+
+# -- the polynomial ring ------------------------------------------------------
+
+def frac_gcd(a: Fraction, b: Fraction) -> Fraction:
+    """gcd on rationals: gcd of numerators over lcm of denominators."""
+    if a == 0:
+        return abs(b)
+    if b == 0:
+        return abs(a)
+    num = math.gcd(a.numerator, b.numerator)
+    den = (a.denominator * b.denominator) // math.gcd(a.denominator, b.denominator)
+    return Fraction(num, den)
+
+
+class MPoly(exact.MPoly):
+    """``jordanet.exact.MPoly`` with the ring operations: sums, products,
+    powers and scalings (variable sets merged automatically), leading data,
+    content and sign normalization, and grouping by variables.  The package
+    keeps polynomials as values and multiplies them on ``linalg``'s packed
+    integer kernel; the oracles compute in this ring, so that no oracle
+    shares that kernel.  ``lift`` turns a package value into one."""
+
+    __slots__ = ()
+
+    @staticmethod
+    def zero(vars: tuple = ()) -> "MPoly":
+        return MPoly(tuple(vars), {})
+
+    @staticmethod
+    def var(name: str) -> "MPoly":
+        return MPoly((name,), {(1,): Fraction(1)})
+
+    # -- variable alignment -------------------------------------------
+
+    def with_vars(self, vars: tuple) -> "MPoly":
+        """Re-express over a superset of the current variables (sorted)."""
+        if vars == self.vars:
+            return self
+        pos = []
+        for v in self.vars:
+            if v not in vars:
+                raise ValueError(f"cannot drop variable {v}")
+            pos.append(vars.index(v))
+        terms = {}
+        for exps, coeff in self.terms.items():
+            key = [0] * len(vars)
+            for p, e in zip(pos, exps):
+                key[p] = e
+            terms[tuple(key)] = coeff
+        return MPoly(vars, terms)
+
+    @staticmethod
+    def _align(a: "MPoly", b: "MPoly"):
+        if a.vars == b.vars:
+            return a, b
+        merged = tuple(sorted(set(a.vars) | set(b.vars)))
+        return a.with_vars(merged), b.with_vars(merged)
+
+    def _coerce(self, other):
+        if isinstance(other, (int, Fraction)):
+            return MPoly.const(other, self.vars)
+        if isinstance(other, MPoly):
+            return other
+        return None
+
+    # -- arithmetic ----------------------------------------------------
+
+    def __add__(self, other):
+        other = self._coerce(other)
+        if other is None:
+            return NotImplemented
+        a, b = MPoly._align(self, other)
+        out = dict(a.terms)
+        for exps, coeff in b.terms.items():
+            acc = out.get(exps)
+            tot = coeff if acc is None else acc + coeff
+            if tot == 0:
+                out.pop(exps, None)
+            else:
+                out[exps] = tot
+        return MPoly(a.vars, out)
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return MPoly(self.vars, {e: -c for e, c in self.terms.items()})
+
+    def __sub__(self, other):
+        other = self._coerce(other)
+        if other is None:
+            return NotImplemented
+        return self + (-other)
+
+    def __rsub__(self, other):
+        other = self._coerce(other)
+        if other is None:
+            return NotImplemented
+        return other + (-self)
+
+    def __mul__(self, other):
+        other = self._coerce(other)
+        if other is None:
+            return NotImplemented
+        a, b = MPoly._align(self, other)
+        if len(a.terms) < len(b.terms):
+            a, b = b, a
+        out = {}
+        get = out.get
+        for eb, cb in b.terms.items():
+            for ea, ca in a.terms.items():
+                key = tuple(x + y for x, y in zip(ea, eb))
+                coeff = ca * cb
+                acc = get(key)
+                tot = coeff if acc is None else acc + coeff
+                if tot == 0:
+                    out.pop(key, None)
+                else:
+                    out[key] = tot
+        return MPoly(a.vars, out)
+
+    __rmul__ = __mul__
+
+    def __pow__(self, k: int):
+        if k < 0:
+            raise ValueError("negative power")
+        result = MPoly.const(1, self.vars)
+        base = self
+        while k:
+            if k & 1:
+                result = result * base
+            base = base * base if k > 1 else base
+            k >>= 1
+        return result
+
+    def scale(self, c) -> "MPoly":
+        c = frac(c)
+        if c == 0:
+            return MPoly.zero(self.vars)
+        return MPoly(self.vars, {e: coeff * c for e, coeff in self.terms.items()})
+
+    # -- leading data (graded lex, earlier-alphabet variable is larger) --
+
+    def leading_monomial(self) -> tuple:
+        if not self.terms:
+            raise ValueError("zero polynomial has no leading term")
+        return max(self.terms, key=lambda e: (sum(e), tuple(e)))
+
+    def leading_coeff(self) -> Fraction:
+        return self.terms[self.leading_monomial()]
+
+    def content(self) -> Fraction:
+        """Positive rational content (gcd of all coefficients), 0 for zero."""
+        acc = Fraction(0)
+        for coeff in self.terms.values():
+            acc = frac_gcd(acc, coeff)
+        return acc
+
+    def sign_normalized(self) -> "MPoly":
+        """Divide by rational content and make the leading coefficient positive."""
+        if not self.terms:
+            return self
+        c = self.content()
+        if self.leading_coeff() < 0:
+            c = -c
+        return self.scale(Fraction(1) / c)
+
+    def split_by_vars(self, names: Iterable[str]) -> dict:
+        """Group terms by their exponents in ``names``.
+
+        Returns {exponent tuple over names: MPoly in the remaining vars}.
+        Used to read a substituted quadric by monomial in the quadric
+        variables (``substitution_family_by_matrices``).
+        """
+        names = tuple(names)
+        idx = [self.vars.index(v) if v in self.vars else None for v in names]
+        rest = tuple(v for v in self.vars if v not in names)
+        rest_idx = [self.vars.index(v) for v in rest]
+        grouped: dict = {}
+        for exps, coeff in self.terms.items():
+            key = tuple(0 if i is None else exps[i] for i in idx)
+            rest_key = tuple(exps[i] for i in rest_idx)
+            bucket = grouped.setdefault(key, {})
+            bucket[rest_key] = bucket.get(rest_key, Fraction(0)) + coeff
+        return {k: MPoly(rest, {e: c for e, c in v.items() if c != 0}) for k, v in grouped.items()}
+
+
+def lift(p) -> MPoly:
+    """A package ``MPoly`` (``parse_poly``, ``Packing.mpoly``,
+    ``rank_one_system``) as a polynomial of the ring."""
+    return p if isinstance(p, MPoly) else MPoly(p.vars, p.terms)
+
+
+def _reduce_imaginary(p: MPoly) -> MPoly:
+    """Fold powers of the formal unit I via I^2 = -1; odd powers must cancel."""
+    if "I" not in p.vars:
+        return p
+    idx = p.vars.index("I")
+    out = {}
+    for exps, coeff in p.terms.items():
+        e = exps[idx]
+        if e % 2 == 1:
+            raise InternalCheckError("INTERNAL", "imaginary unit did not cancel in substitution")
+        sign = -1 if (e // 2) % 2 else 1
+        key = exps[:idx] + (0,) + exps[idx + 1:]
+        out[key] = out.get(key, Fraction(0)) + coeff * sign
+    return MPoly(p.vars, {k: v for k, v in out.items() if v != 0})
+
 
 _TOKEN = re.compile(
     rf"\s*(?:(?P<num>\d+(?:/\d+)?)|(?P<name>{NAME.pattern})|(?P<op>[-+*^()]))"
@@ -283,7 +504,7 @@ def mat_map(m: Mat, fn) -> Mat:
 
 
 def _is_poly(x) -> bool:
-    return isinstance(x, MPoly)
+    return isinstance(x, exact.MPoly)
 
 
 def _zero_like(x):
@@ -345,7 +566,7 @@ def faddeev_leverrier_by_entries(m: Mat):
             mk = prod + ident.scale(cs[-1])
         prod = matmul_by_loop(m, mk)
         cs.append(prod.trace() * Fraction(-1, k))
-    return cs[::-1] + [Fraction(1)], mk if n % 2 else -mk
+    return cs[::-1] + [Fraction(1)], mk if n % 2 else mk.scale(-1)
 
 
 def laplace_minors_by_entries(m: Mat):
@@ -582,7 +803,7 @@ def substitution_family_by_matrices(space, substitution):
     names = QUADRIC_VARS[:space.n]
     rows = []
     for expr in substitution:
-        buckets = parse_poly(expr).split_by_vars(names)
+        buckets = lift(parse_poly(expr)).split_by_vars(names)
         rows.append([buckets.get(tuple(int(k == v) for k in range(len(names))),
                                  MPoly.zero()).with_vars(("I", "t"))
                      for v in range(len(names))])
@@ -751,6 +972,7 @@ def exact_div(p: MPoly, q: MPoly) -> Optional[MPoly]:
 
 def _abs_normalized(p: MPoly) -> MPoly:
     """Flip the sign if the leading coefficient is negative; keep content."""
+    p = lift(p)
     return -p if p.terms and p.leading_coeff() < 0 else p
 
 
@@ -764,7 +986,7 @@ class UniPoly:
     __slots__ = ("var", "coeffs")
 
     def __init__(self, var: str, coeffs):
-        cs = [c if isinstance(c, MPoly) else MPoly.const(c) for c in coeffs]
+        cs = [lift(c) if isinstance(c, exact.MPoly) else MPoly.const(c) for c in coeffs]
         while cs and cs[-1].is_zero():
             cs.pop()
         self.var = var
@@ -774,7 +996,7 @@ class UniPoly:
     def from_mpoly(p: MPoly, var: str) -> "UniPoly":
         if var not in p.vars:
             return UniPoly(var, [p])
-        buckets = p.split_by_vars((var,))
+        buckets = lift(p).split_by_vars((var,))
         deg = max((k[0] for k in buckets), default=-1)
         coeffs = [buckets.get((k,), MPoly.zero()) for k in range(deg + 1)]
         return UniPoly(var, coeffs)
@@ -1040,6 +1262,17 @@ def chow_matrix_by_adjugate(space) -> Mat:
     return Mat([[e.coefficient(mono) for mono in cols] for e in entries])
 
 
+def kernel_forms_by_mpoly(space):
+    """The kernel forms summed in the ring: each Fraction row of the
+    reduced echelon form of the Chow matrix's left kernel a linear form in
+    the z_ij, over its content with a positive leading coefficient
+    (``MPoly.sign_normalized``)."""
+    kernel = rref(chow_matrix(space).transpose().data).kernel_basis()
+    zs = [MPoly.var(f"z{i + 1}{j + 1}") for i, j in sym_pairs(space.n)]
+    return [sum((z.scale(c) for z, c in zip(zs, vec) if c), MPoly.zero()).sign_normalized()
+            for vec in rref(kernel).rows]
+
+
 def chow_matrix_generic_by_mpoly(n: int = 3) -> Mat:
     """Chow matrix of the generic net spanned by symbolic symmetric matrices
     with entries x_ij, y_ij, z_ij, in the rows and columns of ``chow_matrix``
@@ -1126,7 +1359,7 @@ def to_recursive(p: MPoly, names):
         assert c.denominator == 1, p
         return int(c)
     head, rest = names[0], tuple(names[1:])
-    buckets = p.split_by_vars((head,)) if head in p.vars else {(0,): p}
+    buckets = lift(p).split_by_vars((head,)) if head in p.vars else {(0,): p}
     coeffs = [to_recursive(buckets.get((k,), MPoly.zero()), rest)
               for k in range(max(k for (k,) in buckets) + 1)]
     while coeffs and coeffs[-1] == 0:

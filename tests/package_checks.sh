@@ -29,10 +29,30 @@ for label in 1a 2a1 2b; do
   jordanet analyze "catalog://s4/$label" --json > "analyze_$label.json"
   python -c 'import json, sys; sys.exit(json.load(open(sys.argv[1] + ".json"))["net_class"] != sys.argv[1][8:])' "analyze_$label"
 done
-# the full verification suite on the installed package: no check fails, and it runs
-# as many checks as the committed golden lists
+# the full verification suite on the installed package: no check fails, and each
+# check's name, verdict and detail are the committed golden's, criterion by criterion
 jordanet verify --json > verify.json
-python -c 'import json, sys; r, g = (json.load(open(f)) for f in ("verify.json", sys.argv[1])); sys.exit(r["failed"] != 0 or r["passed"] != sum(map(len, g.values())))' "$tests/data/verify_golden.json"
+python - "$tests/data/verify_golden.json" <<'PY'
+import json, sys
+got, golden = json.load(open("verify.json")), json.load(open(sys.argv[1]))
+want = [check for number in sorted(golden) for check in golden[number]]
+if got["failed"] or len(got["checks"]) != len(want):
+    sys.exit(f"verify: {got['failed']} failed, {len(got['checks'])} checks for {len(want)}")
+for k, (a, b) in enumerate(zip(got["checks"], want)):
+    if a != b:
+        sys.exit(f"verify check {k}: {a} != {b}")
+PY
+# every CLI golden (analyze and limit on the catalog, analyze on the seeded spaces, each
+# written to its file first), stdout byte for byte through the console script
+python - "$tests/data/cli_goldens.json" <<'PY'
+import json, pathlib, subprocess, sys
+for case in json.load(open(sys.argv[1])):
+    if "space" in case:
+        pathlib.Path(case["argv"][1]).write_text(json.dumps(case["space"]))
+    run = subprocess.run(["jordanet"] + case["argv"], stdout=subprocess.PIPE)
+    if (run.returncode, run.stdout) != (0, case["stdout"].encode()):
+        sys.exit(f"golden differs: jordanet {' '.join(case['argv'])}")
+PY
 # the rank-8 net over denominators 2 and 3 against its integer multiple (the same space):
 # the Chow matrix is read off (B', L) over (-1)^(n-1) L^(n-1)
 echo '{"n": 4, "basis": [[["1/2", 0, 0, 0], [0, "1/2", 0, 0], [0, 0, "1/2", 0], [0, 0, 0, "1/2"]], [["1/3", 0, 0, 0], [0, "-1/3", 0, 0], [0, 0, 0, 0], [0, 0, 0, 0]], [[0, 1, 1, 0], [1, 0, 0, 1], [1, 0, 0, 1], [0, 1, 1, 0]]]}' > rank8_sixths.json

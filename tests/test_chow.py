@@ -30,11 +30,17 @@ from jordanet.spaces import (
     sym_pairs,
     vectorize,
 )
-from oracles import chow_matrix_by_adjugate, chow_matrix_generic_by_mpoly, rational_spaces
+from oracles import (
+    chow_matrix_by_adjugate,
+    chow_matrix_generic_by_mpoly,
+    kernel_forms_by_mpoly,
+    lift,
+    rational_spaces,
+)
 
 
 def P(s):
-    return parse_poly(s)
+    return lift(parse_poly(s))
 
 
 def E(n, i, j):
@@ -212,6 +218,28 @@ class TestKernelForms:
     def test_full_s2_net_empty_kernel(self):
         sp = make_space(2, [Mat.identity(2), E(2, 1, 1), E(2, 1, 2)])
         assert chow_kernel_forms(sp) == []
+
+    def test_matches_the_mpoly_route(self):
+        # rational spaces n = 3..5, m = 2..4, and pencils in S^10 and S^11, where the
+        # names do not sort in sym_pairs order (z110 < z12): a form's sign is that of
+        # its alphabetically first name, not of its pivot
+        rng = SplitMix64(3232)
+        spaces = [random_space(rng, n, m) for n in range(3, 6) for m in range(2, 5) for _ in range(6)]
+        for n in (10, 10, 11, 11):  # the identity and a matrix one in three of whose entries is nonzero
+            b = [[0] * n for _ in range(n)]
+            for i, j in sym_pairs(n):
+                b[i][j] = b[j][i] = rng.int_between(-2, 2) if rng.int_between(0, 2) == 0 else 0
+            spaces.append(make_space(n, [Mat.identity(n), Mat.from_ints(b)]))
+        forms = flipped = 0
+        for sp in filter(is_regular, spaces):
+            got, want = chow_kernel_forms(sp), kernel_forms_by_mpoly(sp)
+            assert [(f.vars, f.terms) for f in got] == [(f.vars, f.terms) for f in want], sp.n
+            names = [f"z{i + 1}{j + 1}" for i, j in sym_pairs(sp.n)]
+            for f in got:
+                pivot = min(f.vars, key=names.index)
+                flipped += f.coefficient({pivot: 1}) < 0
+            forms += len(got)
+        assert forms == 314 and flipped
 
     def test_kernel_vectors_kill_the_matrix(self):
         mat = chow_matrix(net_rank8())

@@ -5,6 +5,7 @@ import re
 import subprocess
 import sys
 import time
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -1122,6 +1123,25 @@ class TestFuzz:
                 seen["rational exponent"] += 1
             seen["parsed" if got != "PARSE_ERROR" else "PARSE_ERROR"] += 1
         assert min(seen.values()) > 100, seen
+
+    def test_integer_poly_is_parse_poly_over_its_lcm(self):
+        # the scanner test's strings: integer_poly reads (p', d) with p = p' / d, d
+        # the lcm of the denominators written, or the same PARSE_ERROR
+        rng = SplitMix64(2031)
+        parsed = 0
+        for _ in range(8000):
+            text = fuzz_poly_text(rng)
+            got = parse_outcome(exact.parse_poly, text)
+            try:
+                p, d = exact.integer_poly(text)
+            except InputError as err:
+                assert got == err.code == "PARSE_ERROR", text
+                continue
+            assert d == math.lcm(*(den for _, _, den in exact.scan_terms(text))), text
+            assert frozenset((mono, Fraction(c, d)) for mono, c in p.items()) == \
+                exact.parse_poly(text)._signature(), text
+            parsed += 1
+        assert parsed > 1000
 
     def test_fuzzed_files_never_exit_4(self, tmp_path, capsys):
         # the same texts, 1-3 to a file, through emptiness at degrees -1..3

@@ -6,7 +6,6 @@ import pytest
 
 from jordanet import exact
 from jordanet.exact import (
-    MPoly,
     NEG_INF,
     monomials,
     mpoly_gcd,
@@ -18,12 +17,14 @@ from jordanet.exact import (
 from jordanet.errors import InputError
 from jordanet.prng import SplitMix64
 from oracles import (
+    MPoly,
     UniPoly,
     constant_value,
     exact_div,
     from_recursive,
     integer_coefficients,
     is_constant,
+    lift,
     mpoly_from_terms,
     parse_outcome,
     parse_poly_by_tokens,
@@ -38,7 +39,7 @@ DATA = Path(__file__).resolve().parents[1] / "src" / "jordanet" / "data"
 
 
 def P(s):
-    return parse_poly(s)
+    return lift(parse_poly(s))
 
 
 def U(s, var="lam"):

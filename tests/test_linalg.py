@@ -7,7 +7,7 @@ import pytest
 
 from jordanet import linalg
 from jordanet.errors import JordanetError, PreconditionError
-from jordanet.exact import MPoly, integer_poly, parse_poly
+from jordanet.exact import integer_poly, parse_poly
 from jordanet.linalg import (
     Echelon,
     Mat,
@@ -40,6 +40,7 @@ from jordanet.spaces import (
 from jordanet.varieties import macaulay_emptiness, rank_one_system
 from oracles import (
     GaussJordanEchelon,
+    MPoly,
     PrimitiveEchelon,
     UniPoly,
     adjugate_by_cofactors,
@@ -49,6 +50,7 @@ from oracles import (
     faddeev_leverrier_by_entries,
     generic_element,
     inverse_or_none_by_primitive_rows,
+    lift,
     macaulay_rows_by_fractions,
     matmul_by_loop,
     rational_spaces,
@@ -61,7 +63,7 @@ from oracles import (
 
 
 def P(s):
-    return parse_poly(s)
+    return lift(parse_poly(s))
 
 
 def U(s):
@@ -380,7 +382,7 @@ class TestGrowingEchelon:
         sp = make_space(3, [b + b.transpose() for b in basis])
         assert sp.echelon().rank == 3
         assert sweep_rank(sp)((1, 1, 1)) <= 3
-        cert = macaulay_emptiness([integer_poly("x*y - z^2"), integer_poly("x^2 - w*y")], 6)
+        cert = macaulay_emptiness([integer_poly("x*y - z^2")[0], integer_poly("x^2 - w*y")[0]], 6)
         assert (cert.span_rank, cert.span_target) == (60, 84)
 
 
@@ -929,7 +931,7 @@ class TestIntegerKernel:
         # narrower, and x*y*z alone is outside <x^2, y^2, z^2>
         space = make_space(2, [Mat.identity(2), Mat.from_ints([[0, 1], [1, 0]])])
         assert generic_det(space) == P("t1^2 - t2^2")
-        squares = [integer_poly(f"{v}^2") for v in "xyz"]
+        squares = [integer_poly(f"{v}^2")[0] for v in "xyz"]
         assert macaulay_emptiness(squares, 3).span_rank == 9
         width = linalg._field_width
         monkeypatch.setattr(linalg, "_field_width", lambda bound: width(bound) - 1)

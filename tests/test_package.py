@@ -91,3 +91,18 @@ def unused_names():
 
 def test_every_package_name_is_used_by_the_package():
     assert unused_names() == []
+
+
+#: the ring operations of ``oracles.MPoly``: in the package a polynomial is a
+#: value, and every product runs on the packed integer kernel
+RING = ("var", "zero", "with_vars", "_align", "_coerce", "__add__", "__radd__", "__neg__",
+        "__sub__", "__rsub__", "__mul__", "__rmul__", "__pow__", "scale", "leading_monomial",
+        "leading_coeff", "content", "sign_normalized", "split_by_vars")
+
+
+def test_the_package_polynomial_has_no_ring():
+    # the dunders among these are exempt from the check above
+    from jordanet import exact
+
+    assert [name for name in RING if hasattr(exact.MPoly, name)] == []
+    assert not hasattr(exact, "frac_gcd")

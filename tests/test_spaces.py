@@ -8,7 +8,7 @@ import pytest
 from jordanet import spaces
 from jordanet.catalog import canonical, catalog_ids
 from jordanet.errors import PreconditionError
-from jordanet.exact import MPoly, parse_poly
+from jordanet.exact import parse_poly
 from jordanet.exact import frac, frac_str
 from jordanet.io import parse_space_data
 from jordanet.linalg import Mat, det
@@ -33,6 +33,7 @@ from jordanet.spaces import (
     sym_dim,
 )
 from oracles import (
+    MPoly,
     by_power,
     constant_value,
     coordinate_rows,
@@ -45,6 +46,7 @@ from oracles import (
     generic_element_by_scale_and_add,
     integer_sweep_by_filter,
     laplace_minors_by_entries,
+    lift,
     nonzero_sweep_by_filter,
     parse_space_data_by_fractions,
     plucker_by_minors,
@@ -57,7 +59,7 @@ from oracles import (
 
 
 def P(s):
-    return parse_poly(s)
+    return lift(parse_poly(s))
 
 
 def proportional(a, b) -> bool:
@@ -799,6 +801,47 @@ class TestSubstitutionFamily:
             assert all(type(c) is Fraction for row in got.rows for e in row for c in e.values())
             assert canonical(cid).rows == got.rows, cid
 
+    def test_rational_strings_match_the_matrix_route(self):
+        # seeded strings over denominators 1..4, so each is rescaled to the common
+        # lcm, with every term times I in one of two (I^2 = -1 throughout), on
+        # rational spaces in S^2..S^4
+        from jordanet.catalog import QUADRIC_VARS, substitution_family
+
+        rng = SplitMix64(3233)
+        cases = 0
+        for space in rational_spaces(32):
+            if not 2 <= space.n <= 4:
+                continue
+            for imaginary in ("", "I*"):
+                subst = [" + ".join(f"{rng.nonzero_int_between(-3, 3)}/{rng.int_between(1, 4)}*"
+                                    f"{imaginary}t^{rng.int_between(0, 2)}*{v}"
+                                    for v in QUADRIC_VARS[:space.n] if rng.int_between(0, 2))
+                         or f"{imaginary}a" for _ in range(space.n)]
+                got = substitution_family(space, subst)
+                assert got.rows == [[by_power(e) for e in spaces.vectorize(b)]
+                                    for b in substitution_family_by_matrices(space, subst)], subst
+                cases += 1
+        assert cases == 60
+
+    def test_terms_are_read_after_they_merge(self):
+        # a term that cancels is neither an unexpected variable nor a non-linear term
+        from jordanet.catalog import substitution_family
+
+        plain = substitution_family(canonical("s4/1a"), ["a", "b", "c", "d"]).rows
+        for first in ("a + t*b - t*b", "a + x - x", "a + a^2 - a^2", "a + 1/2*t*b - 2/4*t*b"):
+            assert substitution_family(canonical("s4/1a"), [first, "b", "c", "d"]).rows == plain
+
+    def test_an_odd_power_of_i_that_is_left_is_internal(self):
+        from jordanet.catalog import substitution_family
+        from jordanet.errors import InternalCheckError
+
+        space = make_space(2, [E(2, 1, 1), E(2, 1, 2)])
+        assert substitution_family(space, ["I*a", "I*b"]).rows == [[{0: -1}, {}, {}],
+                                                                   [{}, {0: -1}, {}]]
+        with pytest.raises(InternalCheckError) as err:
+            substitution_family(space, ["I*a", "b"])
+        assert err.value.code == "INTERNAL"
+
     @pytest.mark.parametrize("first", ["a + t", "a*b", "a^2", "t"])
     def test_every_term_is_linear_in_the_quadric_variables(self, first):
         from jordanet.catalog import substitution_family
@@ -807,6 +850,21 @@ class TestSubstitutionFamily:
         with pytest.raises(InputError) as err:
             substitution_family(canonical("s4/1a"), [first, "b", "c", "d"])
         assert err.value.code == "PARSE_ERROR"
+
+    @pytest.mark.parametrize("first, message", [("a^2", "linear"), ("a + x", "unexpected")])
+    def test_the_strings_are_checked_in_order(self, first, message):
+        # each string is read and checked before the next is read: a bad first
+        # string wins over a malformed, non-linear or foreign later one
+        from jordanet.catalog import substitution_family
+        from jordanet.errors import InputError
+
+        for later in ("1/0", "b^2", "b + y", "b*"):
+            with pytest.raises(InputError) as err:
+                substitution_family(canonical("s4/1a"), [first, later, "c", "d"])
+            assert err.value.code == "PARSE_ERROR" and message in str(err.value), later
+        with pytest.raises(InputError) as err:
+            substitution_family(canonical("s4/1a"), ["a + x^2", "b", "c", "d"])
+        assert "unexpected variables ['x']" in str(err.value)  # before linearity
 
 
 class TestFamilyFiles:

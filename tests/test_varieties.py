@@ -7,7 +7,7 @@ import pytest
 from jordanet.catalog import canonical, catalog_ids
 from jordanet.errors import InputError, PreconditionError
 from jordanet import cli, varieties
-from jordanet.exact import MPoly, frac_str, integer_poly, monomials, parse_poly, poly_eval
+from jordanet.exact import frac_str, integer_poly, monomials, parse_poly, poly_eval
 from jordanet.linalg import Mat, inverse, rref
 from jordanet.prng import SplitMix64
 from jordanet.spaces import MatSpace, PluckerVector, make_space, plucker, sample_congruent
@@ -23,9 +23,11 @@ from jordanet.varieties import (
     rank_one_system,
 )
 from oracles import (
+    MPoly,
     UniPoly,
     constant_value,
     is_constant,
+    lift,
     macaulay_rank_by_fractions,
     min_rank_bounds_by_fractions,
     mpoly_from_terms,
@@ -39,16 +41,16 @@ from oracles import (
 
 
 def P(s):
-    return parse_poly(s)
+    return lift(parse_poly(s))
 
 
 def I(s):
-    return integer_poly(s)
+    return integer_poly(s)[0]
 
 
 def integer_system(polys):
     """Each MPoly as the integer polynomial ``emptiness`` reads off its text."""
-    return [integer_poly(str(p)) for p in polys]
+    return [integer_poly(str(p))[0] for p in polys]
 
 
 def E(n, i, j):
@@ -246,7 +248,7 @@ class TestRankOneSystem:
 
     def test_lstar_contains_expected_minors(self):
         system = rank_one_system(canonical("s5/Lstar"))
-        strs = {str(p) for p in system} | {str(-p) for p in system}
+        strs = {str(p) for p in system} | {str(-lift(p)) for p in system}
         assert "t1^2" in strs
         assert "t1^2 + t1*t2" in strs
 
