@@ -12,9 +12,10 @@ linear span of the reciprocal variety, and its left kernel consists of the
 linear forms that vanish on all inverses.  The matrix is read off the
 adjugate of the packed integer generic element (``spaces.generic_matrix``)
 by Faddeev-LeVerrier, cell by cell (``chow_matrix``, ``chow_cells``); the
-rank and the kernel forms read one echelon of its transpose, and each
-kernel form is a primitive integer row of the kernel's reduced echelon
-form, written straight into an ``MPoly``.
+rank and the kernel forms read one echelon of its transpose with the
+columns reversed, whose kernel vectors, read back to front, are the rows of
+the kernel's reduced echelon form, and each kernel form is one of them as a
+primitive integer row, written straight into an ``MPoly``.
 
 The fully symbolic n = 3 determinant (degree 12 in the 18 entry variables,
 22659 terms) is read the same way off the generic net w1 X + w2 Y + w3 Z,
@@ -34,7 +35,7 @@ from typing import List
 from .errors import PreconditionError
 from .exact import MPoly, monomials, poly_eval
 from .linalg import (Echelon, IntPoly, Mat, Packing, faddeev_leverrier, integer_inverse,
-                     laplace_minors, linear_matrix, rref)
+                     integer_vector, laplace_minors, linear_matrix, rref)
 from .spaces import (MatSpace, generic_matrix, integer_sweep, is_regular, sym_dim, sym_pairs,
                      symmetric_rows)
 
@@ -91,13 +92,14 @@ def chow_cells(adj: List[List[IntPoly]], packing: Packing, m: int) -> List[List[
 
 
 def _chow_echelon(space: MatSpace, needs: str) -> Echelon:
-    """``rref`` of the Chow matrix's transpose, memoised on the space beside
-    the matrix: its rank is the Chow rank, its kernel the Chow matrix's left
-    kernel.  A singular space is refused, with what ``needs`` it."""
+    """``rref`` of the Chow matrix's transpose with its columns reversed,
+    memoised on the space beside the matrix: its rank is the Chow rank, its
+    kernel the Chow matrix's left kernel, read back to front.  A singular
+    space is refused, with what ``needs`` it."""
     if not is_regular(space):
         raise PreconditionError("NOT_REGULAR", f"{needs} a regular space")
     if space._chow_echelon is None:
-        space._chow_echelon = rref(chow_matrix(space).transpose().data)
+        space._chow_echelon = rref([row[::-1] for row in chow_matrix(space).transpose().data])
     return space._chow_echelon
 
 
@@ -109,14 +111,22 @@ def chow_kernel_forms(space: MatSpace) -> List[MPoly]:
     """Left-kernel vectors rendered as linear forms in z_ij.
 
     Normalized deterministically: the reduced echelon basis of the kernel,
-    each row primitive (``Echelon.int_rows``), an ``MPoly`` over the names
-    it uses, sorted, with the coefficient of the first of them positive.
-    For n >= 10 that name order is not ``sym_pairs`` order (z110 < z12).
+    each row primitive, an ``MPoly`` over the names it uses, sorted, with
+    the coefficient of the first of them positive.  For n >= 10 that name
+    order is not ``sym_pairs`` order (z110 < z12).
+
+    That basis needs no second elimination.  The kernel vector of the
+    reversed echelon at its free column f is 1 at f, 0 at every other free
+    column, and nonzero elsewhere only at pivots before f.  Read back to
+    front, it leads with 1 and is 0 at every other vector's leading column,
+    so the vectors, reversed and in order of leading column (the reverse of
+    ``kernel_basis``' order), are the reduced echelon form of the kernel.
+    Cleared of denominators, a vector with an entry 1 is primitive.
     """
     kernel = _chow_echelon(space, "kernel forms need").kernel_basis()
     names = [f"z{i + 1}{j + 1}" for i, j in sym_pairs(space.n)]
     forms = []
-    for row in rref(kernel).int_rows:
+    for row in (integer_vector(v[::-1])[0] for v in reversed(kernel)):
         used = sorted((name, c) for name, c in zip(names, row) if c)
         sign = -1 if used[0][1] < 0 else 1
         forms.append(MPoly(tuple(name for name, _ in used),

@@ -1,15 +1,20 @@
 """Polynomial certificates: projective emptiness, rank-one loci, and the
 stored certificate catalogs.
 
-``macaulay_emptiness`` is a semi-decision procedure: it stacks the
+``macaulay_emptiness`` is a semi-decision procedure: it ranks the
 coefficient vectors of all degree-D multiples of a homogeneous system and
 certifies that the system has no projective solution whenever those multiples
 span the entire degree-D coefficient space (then every ``x_i^D`` lies in the
 ideal, so only the origin survives).  UNKNOWN is a legal answer.  It reads
 integer polynomials over names (a file's lines cleared of denominators by
 ``exact.integer_poly``, or the rank-one minors times L^2) and packs their
-monomials by ``linalg.Packing``: a degree-2 ``emptiness`` on 55 quadrics in
-t1..t6 went from 10.5 to 7.1 ms of CPU (Xeon, Python 3.11.7).
+monomials by ``linalg.Packing``.  It reduces each degree before it
+multiplies (Lazard 1983; Faugere's F4, 1999): the forms of degree d are
+reduced once on a ``linalg.Echelon`` over the monomials of degree d, and
+only its primitive reduced rows are multiplied up to degree D, as sparse
+rows ranked by ``_sparse_rank``.  Multiplying by a monomial is linear, so
+the span is that of the multiples of every form (timings at
+``MAX_MACAULAY_CELLS``).
 
 The catalog polynomials are data, not derived objects: they are certificate
 polynomials for specific loci (repeated-eigenvalue cubics, the Jordan-net
@@ -24,7 +29,7 @@ import math
 from fractions import Fraction
 from operator import itemgetter
 from pathlib import Path
-from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 from .errors import InputError, PreconditionError
 from .exact import MPoly, monomials, parse_poly_lines, poly_eval
@@ -53,16 +58,18 @@ class Certificate(NamedTuple):
 
 
 #: the largest Macaulay matrix, in rows x columns, that ``macaulay_emptiness``
-#: builds.  The certificates this package runs are far smaller (150 x 28 for
-#: the minimum-rank sweep, 126 x 56 and 36 x 364 in the benchmark).  CPU on
-#: a Xeon, Python 3.11, with the primitive-row echelon -> the fraction-free
-#: one: the quadrics {x*y - z^2, x^2 - w*y} at degree 15 (1120 x 816) 0.28-0.47
-#: -> 0.26-0.33 s; ``jordan_net_quadrics`` at degree 4 (234 x 1365, rank 231)
-#: 52-63 -> 48-75 ms; the rank-one system of a dense 8-dimensional subspace of
-#: S^5 at degree 3 (440 x 120) 0.55-0.56 -> 0.32-0.50 s, and at degree 4
-#: (1980 x 330), where minors grow past the primitive rows, 18.3-20.3 ->
-#: 18.2-21.3 s.  Degree 20 of the quadrics (2660 x 1771) takes 1.8-2.4 ->
-#: 1.5-1.9 s, and degree 30 (8990 x 5456) does not finish.
+#: stands for: the bound counts the dense matrix of every form's multiples,
+#: though only the multiples of the reduced rows are built.  The certificates
+#: this package runs are far smaller (150 x 28 for the minimum-rank sweep,
+#: 126 x 56 and 36 x 364 in the benchmark).  CPU on a Xeon, Python 3.11, with
+#: every form's multiples on the fraction-free echelon -> the reduced rows'
+#: sparse multiples: the quadrics {x*y - z^2, x^2 - w*y} at degree 15
+#: (1120 x 816) 0.17-0.22 s -> 4-7 ms and at degree 20 (2660 x 1771) 0.9-1.3 s
+#: -> 11-20 ms; the rank-one system of a dense 8-dimensional subspace of S^5 at
+#: degree 4 (1980 x 330) 73 s -> 8 ms.  Rank-deficient parts cost the most:
+#: the rank-one system of a dense 7-dimensional subspace of S^4 at degree 4
+#: (588 x 210, rank 202) 4.0-6.1 s -> 2.2-3.1 s.  Degree 30 of the quadrics
+#: (8990 x 5456), refused, now takes 0.09 s.
 MAX_MACAULAY_CELLS = 1_000_000
 
 
@@ -85,9 +92,15 @@ def macaulay_emptiness(system: Sequence[Dict[tuple, int]], degree: int,
     polynomial of degree d has C(k + D - d - 1, D - d) multiples of degree D
     in k variables, and there are C(k + D - 1, D) columns.  Past
     ``MAX_MACAULAY_CELLS`` (counting at least one row) the test is refused
-    with TOO_LARGE.  Otherwise each polynomial's monomials are packed once,
-    and its multiples are written as integer rows, one at a time, into one
-    ``linalg.Echelon``, which stops drawing rows at full column rank.
+    with TOO_LARGE.  Otherwise the forms of each degree d <= D are packed
+    and reduced on one ``linalg.Echelon`` over the C(k + d - 1, d) monomials
+    of degree d, until they span them, and each of its primitive reduced
+    rows (``int_rows``) times each monomial of degree D - d is one sparse
+    row, its packed monomial keys shifted by the multiplier's.  A reduced
+    row holds its pivot and free columns alone, and a part that spans all
+    of S_d gives single monomials, with no reduced rows formed.
+    ``_sparse_rank`` ranks the rows, degree by degree, and stops drawing
+    them at full column rank.
     """
     if degree < 0:
         raise PreconditionError("NEGATIVE_DEGREE", "Macaulay degree must be nonnegative")
@@ -111,22 +124,65 @@ def macaulay_emptiness(system: Sequence[Dict[tuple, int]], degree: int,
                                 f"{rows} x {target}, past {MAX_MACAULAY_CELLS} cells")
     packing = Packing(k, degree)  # a product of monomials is the sum of their keys
     unit = dict(zip(vars, packing.units))
-    col_index = {packing.key(mono): j for j, mono in enumerate(monomials(k, degree))}
+    parts: Dict[int, list] = {}  # degree d -> its forms
+    for p, d in kept:
+        parts.setdefault(d, []).append(p)
 
-    def multiplier_rows():
-        for p, d in kept:
-            terms = [(sum(e * unit[v] for v, e in mono), c) for mono, c in p.items()]
-            for mult in monomials(k, degree - d):
-                shift = packing.key(mult)
-                row = [0] * target
-                for key, c in terms:
-                    row[col_index[key + shift]] = c
-                yield row
+    def multiples():
+        for d, forms in sorted(parts.items()):
+            keys = [packing.key(mono) for mono in monomials(k, d)]
+            col = {key: j for j, key in enumerate(keys)}
+            ech = Echelon(len(keys))
+            for p in forms:  # packed only until the part spans S_d
+                if ech.rank == len(keys):
+                    break
+                row = [0] * len(keys)
+                for mono, c in p.items():
+                    row[col[sum(e * unit[v] for v, e in mono)]] = c
+                ech.adjoin(row)
+            shifts = [packing.key(mult) for mult in monomials(k, degree - d)]
+            # the reduced rows of a part that spans S_d are its monomials
+            reduced = ([[(key, 1)] for key in keys] if ech.rank == len(keys) else
+                       [[(key, c) for key, c in zip(keys, row) if c] for row in ech.int_rows])
+            for terms in reduced:
+                for shift in shifts:
+                    yield {key + shift: c for key, c in terms}
 
-    ech = Echelon(target)
-    ech.extend(multiplier_rows())
-    kind = "CERTIFIED_EMPTY" if ech.rank == target else "UNKNOWN"
-    return Certificate(kind, degree=degree, span_rank=ech.rank, span_target=target)
+    rank = _sparse_rank(multiples(), target)
+    kind = "CERTIFIED_EMPTY" if rank == target else "UNKNOWN"
+    return Certificate(kind, degree=degree, span_rank=rank, span_target=target)
+
+
+def _sparse_rank(rows: Iterable[Dict[int, int]], cols: int) -> int:
+    """Rank of primitive integer rows {packed monomial key: nonzero int},
+    drawn until it reaches ``cols``.  A row's pivot is its first column in
+    ``monomials`` order, its largest key.  While the row's pivot is that of
+    a kept row, the row is reduced by it, fraction-free, and made primitive
+    again; the pivot only falls.  Otherwise the row is kept.  Only the rank
+    is read, so no kept row is reduced further."""
+    pivots: Dict[int, Dict[int, int]] = {}  # pivot -> the kept row with that pivot
+    for v in rows:
+        while v:
+            c = max(v)
+            row = pivots.get(c)
+            if row is None:
+                pivots[c] = v
+                break
+            g = math.gcd(row[c], v[c])
+            a, b = row[c] // g, v[c] // g
+            v = {j: a * x for j, x in v.items()}
+            for j, y in row.items():
+                x = v.get(j, 0) - b * y
+                if x:
+                    v[j] = x
+                else:
+                    del v[j]
+            g = math.gcd(*v.values())
+            if g > 1:
+                v = {j: x // g for j, x in v.items()}
+        if len(pivots) == cols:
+            break
+    return len(pivots)
 
 
 def rank_one_system(space: MatSpace) -> List[MPoly]:

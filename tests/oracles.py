@@ -17,10 +17,12 @@ that the tests can compare the two:
 - ``det_bareiss_by_ring``: Bareiss over Fraction or MPoly entries with a
   generic exact division (the package reads a Fraction determinant off the
   integer echelon of its rows and a polynomial one by Laplace);
-- ``macaulay_rank_by_fractions``: the Macaulay matrix of MPolys as Fraction
-  rows handed to ``rref`` (the package reads integer polynomials, from the
-  text or the rank-one minors times L^2, and writes integer rows into one
-  echelon); the rows themselves come from ``macaulay_rows_by_fractions``, and
+- ``macaulay_rank_by_fractions``: the Macaulay matrix of MPolys, every
+  form times every monomial of the missing degree, as dense Fraction rows
+  handed to ``rref`` (the package reads integer polynomials, from the text
+  or the rank-one minors times L^2, reduces each degree part once on an
+  integer echelon and ranks the sparse multiples of its reduced rows); the
+  rows themselves come from ``macaulay_rows_by_fractions``, and
   ``rank_one_locus_certificate_by_mpoly`` sweeps it over the MPoly rank-one
   minors;
 - ``plucker_by_minors``: one determinant per maximal minor of the Fraction

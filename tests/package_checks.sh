@@ -138,3 +138,14 @@ printf 'x*y - z^2\nx^2 - w*y\n' > integer.txt
 jordanet emptiness rational.txt --degree 6 --json > emptiness_rational.json
 jordanet emptiness integer.txt --degree 6 --json > emptiness_integer.json
 python -c 'import json, sys; a, b = (json.load(open(f)) for f in ("emptiness_rational.json", "emptiness_integer.json")); sys.exit(a["span_rank"] != b["span_rank"] or (a["span_rank"], a["span_target"]) != (60, 84))'
+# Macaulay certificates from the reduced basis of each degree part: the mixed
+# degrees {x*y, x^3 + y^3} span 3 of the 4 cubics at degree 3 and all 5 quartics
+# at degree 4
+printf 'x*y\nx^3 + y^3\n' > mixed.txt
+jordanet emptiness mixed.txt --degree 3 --json > emptiness_mixed_3.json
+jordanet emptiness mixed.txt --degree 4 --json > emptiness_mixed_4.json
+python -c 'import json, sys; r = json.load(open("emptiness_mixed_3.json")); sys.exit((r["kind"], r["span_rank"], r["span_target"]) != ("UNKNOWN", 3, 4))'
+python -c 'import json, sys; r = json.load(open("emptiness_mixed_4.json")); sys.exit((r["kind"], r["span_rank"], r["span_target"]) != ("CERTIFIED_EMPTY", 5, 5))'
+# the two quadrics at degree 15 (1120 x 816): multiples of two reduced rows, answered at once
+timeout 10 jordanet emptiness integer.txt --degree 15 --json > emptiness_15.json
+python -c 'import json, sys; r = json.load(open("emptiness_15.json")); sys.exit((r["span_rank"], r["span_target"]) != (756, 816))'

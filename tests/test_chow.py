@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from jordanet import chow
+from jordanet import chow, linalg
 from jordanet.catalog import canonical, catalog_ids
 from jordanet.chow import (
     chow_det_eval_at_net,
@@ -175,14 +175,38 @@ class TestIntegerRoute:
             assert chow_matrix(sp) == chow_matrix_by_adjugate(sp), (sp.n, sp.m)
 
     def test_rank_and_kernel_read_one_echelon(self, monkeypatch):
-        # the transpose's 10 rows, then the 2 kernel vectors
+        # the transpose's 10 rows, and no second elimination of the 2 kernel vectors
         calls = []
         real = chow.rref
         monkeypatch.setattr(chow, "rref", lambda rows: calls.append(len(rows)) or real(rows))
         sp = net_rank8()
         assert chow_rank(sp) == 8 == mat_rank(chow_matrix_by_adjugate(sp))
         assert len(chow_kernel_forms(sp)) == 2
-        assert calls == [10, 2]
+        assert calls == [10]
+
+    def test_pencils_in_s10_and_s11_build_one_echelon(self, monkeypatch):
+        # rational pencils: C(n, n - 1) = n columns, so the kernel has
+        # dim S^n - n forms, read off the one echelon and its one
+        # back-substitution, the same forms as the reduced echelon form of the kernel
+        rng = SplitMix64(3333)
+        for n in (10, 11):
+            b = [[Fraction(0)] * n for _ in range(n)]
+            for i, j in sym_pairs(n):
+                b[i][j] = b[j][i] = Fraction(rng.int_between(-3, 3), rng.int_between(1, 4))
+            sp = make_space(n, [Mat.identity(n), Mat(b)])
+            assert is_regular(sp)
+            chow_matrix(sp)  # both memoised before the count
+            calls = []
+            real_rref, real_back = chow.rref, linalg._back_substitute
+            monkeypatch.setattr(chow, "rref", lambda rows: calls.append(len(rows)) or real_rref(rows))
+            monkeypatch.setattr(linalg, "_back_substitute",
+                                lambda ech: calls.append("back") or real_back(ech))
+            forms = chow_kernel_forms(sp)
+            assert calls == [n, "back"]
+            monkeypatch.undo()
+            assert len(forms) == sym_dim(n) - n
+            assert [(f.vars, f.terms) for f in forms] == [
+                (f.vars, f.terms) for f in kernel_forms_by_mpoly(sp)]
 
 
 class TestChowRank:

@@ -705,6 +705,42 @@ class TestBoundedCost:
         assert code == 0 and (report["kind"], report["span_rank"], report["span_target"]) == (
             "UNKNOWN", 246, 286)
 
+    def test_degree_fifteen_is_answered_within_a_second(self, tmp_path, capsys):
+        # 1120 x 816: each quadric's reduced row times the 560 monomials of degree 13
+        f = tmp_path / "system.txt"
+        f.write_text(self.SYSTEM)
+        start = time.process_time()
+        code, out, _ = run_cli(["emptiness", str(f), "--degree", "15", "--json"], capsys)
+        assert time.process_time() - start < 1
+        report = json.loads(out)
+        assert code == 0 and (report["kind"], report["span_rank"], report["span_target"]) == (
+            "UNKNOWN", 756, 816)
+
+    def test_degree_four_rank_one_certificate_in_s5_within_two_seconds(self, tmp_path, capsys):
+        # the 55 rank-one minors of a dense 8-dimensional subspace of S^5 at
+        # degree 4 (1980 x 330): they span all 36 quadrics in t1..t8, so the
+        # multiples are single monomials
+        from jordanet.linalg import Mat
+        from jordanet.spaces import make_space
+        from jordanet.varieties import rank_one_system
+
+        rng = SplitMix64(508)
+        basis = []
+        for _ in range(8):
+            mat = [[0] * 5 for _ in range(5)]
+            for i in range(5):
+                for j in range(i, 5):
+                    mat[i][j] = mat[j][i] = rng.int_between(-3, 3)
+            basis.append(Mat.from_ints(mat))
+        f = tmp_path / "minors.txt"
+        f.write_text("".join(f"{p}\n" for p in rank_one_system(make_space(5, basis))))
+        start = time.process_time()
+        code, out, _ = run_cli(["emptiness", str(f), "--degree", "4", "--json"], capsys)
+        assert time.process_time() - start < 2
+        report = json.loads(out)
+        assert code == 0 and (report["kind"], report["span_rank"], report["span_target"]) == (
+            "CERTIFIED_EMPTY", 330, 330)
+
     @pytest.mark.parametrize("flags", [["--rank"], []], ids=["rank", "all"])
     @pytest.mark.parametrize("n, shape", [(6, "21 x 53130"), (7, "28 x 1107568")])
     def test_chow_on_all_of_sn_is_refused_within_a_second(self, n, shape, flags, tmp_path, capsys):

@@ -367,9 +367,12 @@ class TestGrowingEchelon:
         assert ech.eliminate(v) == ([ech.d * x for x in v], ech.d)
 
     def test_rank_only_callers_form_no_reduced_rows(self, monkeypatch):
-        # a space's independence check, sweep ranks and a Macaulay certificate
-        # read the rank alone: no reduced rows, no pivot-block inverse and no
-        # coordinates
+        # a space's independence check and sweep ranks read the rank alone: no
+        # reduced rows, no pivot-block inverse and no coordinates.  A Macaulay
+        # certificate reads the reduced rows of each degree part that does not
+        # span S_d, once per part, and never of the degree-D matrix: the two
+        # quadrics at degree 6 back-substitute their 10 quadric columns alone,
+        # not the 84 sextic ones
         def refused(*args):
             raise AssertionError("reduced rows or coordinates formed")
 
@@ -382,8 +385,17 @@ class TestGrowingEchelon:
         sp = make_space(3, [b + b.transpose() for b in basis])
         assert sp.echelon().rank == 3
         assert sweep_rank(sp)((1, 1, 1)) <= 3
+        monkeypatch.undo()
+        widths, real = [], linalg._back_substitute
+        monkeypatch.setattr(linalg, "_back_substitute",
+                            lambda ech: widths.append(ech.cols) or real(ech))
         cert = macaulay_emptiness([integer_poly("x*y - z^2")[0], integer_poly("x^2 - w*y")[0]], 6)
         assert (cert.span_rank, cert.span_target) == (60, 84)
+        assert widths == [10]
+        widths.clear()
+        cert = macaulay_emptiness([integer_poly(f)[0] for f in ("x*y", "x^3 + y^3", "y^2")], 4)
+        assert (cert.kind, cert.span_rank, cert.span_target) == ("CERTIFIED_EMPTY", 5, 5)
+        assert widths == [3, 4]
 
 
 def random_integer_rows(rng, nrows, ncols):

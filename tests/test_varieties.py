@@ -160,6 +160,53 @@ class TestMacaulay:
             kinds.add(cert.kind)
         assert kinds == {"CERTIFIED_EMPTY", "UNKNOWN"}
 
+    def test_reduced_parts_match_the_fraction_rows(self):
+        # seeded systems of constants, linear, quadric and cubic forms together,
+        # in a declared set of variables that is sometimes wider than the names
+        # used, each degree part sometimes with dependent forms (a combination
+        # of its first two forms placed second, so that its first rank(V_d)
+        # forms need not span V_d) and sometimes spanning all of
+        # S_d (every monomial of degree d), at every D from 0 to 4, so that D
+        # is below, equal to and above every degree in the system
+        rng = SplitMix64(3301)
+        seen = {"dependent": 0, "spanning": 0, "wider": 0, "constant": 0, "above": 0}
+        kinds = set()
+        for k in range(40):
+            names = ("w", "x", "y", "z")[: 1 + k % 4]
+            vars = names + ("v",) if k % 5 == 4 else names
+            system = []
+            for d in sorted({rng.int_between(0 if k % 7 == 0 else 1, 3) for _ in range(3)}):
+                if rng.int_between(0, 3) == 0:
+                    forms = [mpoly_from_terms(names, {mono: Fraction(rng.nonzero_int_between(-4, 4))})
+                             for mono in monomials(len(names), d)]
+                    seen["spanning"] += 1
+                else:
+                    forms = []
+                    for _ in range(rng.int_between(2, 3)):
+                        terms = {mono: Fraction(rng.int_between(-5, 5), rng.int_between(1, 3))
+                                 for mono in monomials(len(names), d) if rng.int_between(0, 1)}
+                        if not any(terms.values()):
+                            terms[next(monomials(len(names), d))] = Fraction(1)
+                        forms.append(mpoly_from_terms(names, terms))
+                    if rng.int_between(0, 1):
+                        combo = forms[0].scale(Fraction(rng.nonzero_int_between(-3, 3))) + \
+                            forms[1].scale(Fraction(rng.int_between(-1, 1), 2))
+                        if combo.terms:
+                            forms.insert(1, combo)
+                            seen["dependent"] += 1
+                system += forms
+            degrees = {int(p.total_degree()) for p in system}
+            seen["wider"] += vars != names
+            seen["constant"] += 0 in degrees
+            for degree in range(5):
+                seen["above"] += max(degrees) > degree
+                cert = macaulay_emptiness(integer_system(system), degree, vars=vars)
+                assert (cert.span_rank, cert.span_target) == macaulay_rank_by_fractions(
+                    system, degree, vars), (system, degree, vars)
+                kinds.add(cert.kind)
+        assert kinds == {"CERTIFIED_EMPTY", "UNKNOWN"}
+        assert min(seen.values()) >= 3, seen
+
     def test_files_match_the_fraction_rows(self, tmp_path, capsys):
         # seeded files of rational coefficients, each term split into two
         # with reordered factors (a repeated monomial), a pair of terms that
