@@ -29,9 +29,9 @@ the minors of the vectorized B' over L^m.
 ``sym_pairs`` order, each entry a polynomial in t as {power: Fraction}, read
 once where it enters (``io.parse_space_data``, ``catalog.substitution_family``).
 ``grassmann_limit`` computes its limit at t -> 0 by valuation-normalized row
-reduction on those rows; their maximal minors, each row cleared of
-denominators, on the integer kernel (``plucker_valuation``), decide that its
-rank is full and bound the passes.
+reduction on those rows, one elimination of the t = 0 values per pass, in at
+most B passes: B, the sum over rows of the row's largest power of t, bounds
+the degree of every maximal minor, and no minor is formed.
 """
 
 from __future__ import annotations
@@ -41,7 +41,7 @@ import math
 from fractions import Fraction
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
-from .errors import InternalCheckError, PreconditionError
+from .errors import PreconditionError
 from .exact import MPoly
 from .linalg import (
     Echelon,
@@ -463,27 +463,22 @@ class PluckerVector:
         return {k: v for k, v in self.values.items() if v != 0}
 
 
-#: the most column subsets the Laplace memo of ``plucker`` and
-#: ``grassmann_limit`` may visit: with N = n(n+1)/2 coordinates, every subset
-#: of at most m columns, sum_{j <= m} C(N, j).  At most 2^15 in S^5; 198 440
-#: for m = 7 in S^6 (3.4 s of CPU, Python 3.11, Xeon); 2^21 - 1 and 2^28 - 1
-#: for hyperplanes in S^6 and S^7.
+#: the most column subsets the Laplace memo of ``plucker`` may visit: with N =
+#: n(n+1)/2 coordinates, every subset of at most m columns, sum_{j <= m}
+#: C(N, j).  At most 2^15 in S^5; 198 440 for m = 7 in S^6 (3.4 s of CPU,
+#: Python 3.11, Xeon); 2^21 - 1 and 2^28 - 1 for hyperplanes in S^6 and S^7.
 MAX_PLUCKER_SUBSETS = 200_000
-
-
-def _check_plucker_size(n: int, m: int) -> None:
-    """TOO_LARGE past ``MAX_PLUCKER_SUBSETS`` column subsets for m rows in S^n."""
-    subsets = sum(math.comb(sym_dim(n), j) for j in range(m + 1))
-    if subsets > MAX_PLUCKER_SUBSETS:
-        raise PreconditionError("TOO_LARGE", f"the Pluecker minors would visit {subsets} "
-                                f"column subsets, past {MAX_PLUCKER_SUBSETS}")
 
 
 def plucker(space: MatSpace) -> PluckerVector:
     """All m x m minors of the m x binom(n+1,2) coordinate matrix, sized
-    first: those of the vectorized B' over L^m (``linalg.laplace_minors``)."""
+    first (TOO_LARGE past ``MAX_PLUCKER_SUBSETS`` column subsets): those of
+    the vectorized B' over L^m (``linalg.laplace_minors``)."""
     n, m = space.n, space.m
-    _check_plucker_size(n, m)
+    subsets = sum(math.comb(sym_dim(n), j) for j in range(m + 1))
+    if subsets > MAX_PLUCKER_SUBSETS:
+        raise PreconditionError("TOO_LARGE", f"the Pluecker minors would visit {subsets} "
+                                f"column subsets, past {MAX_PLUCKER_SUBSETS}")
     (basis, lcm), pairs = space.integer_basis(), sym_pairs(n)
     minor, den = laplace_minors([[{0: b[i][j]} if b[i][j] else {} for i, j in pairs]
                                  for b in basis]), lcm ** m
@@ -505,59 +500,35 @@ def grassmann_limit(family: ParametricBasis) -> MatSpace:
     """Limit subspace at t -> 0 via valuation-normalized row reduction, on
     rows of {power: coefficient} entries.
 
-    Repeatedly: evaluate at t = 0 (the power-0 coefficients); while the rank
-    drops, pick a kernel combination of the evaluated rows, form the same
-    combination of the polynomial rows, strip its least power w >= 1 and use
-    it to replace the last row in the combination's support.  A pass divides
-    the Pluecker vector (the maximal minors) by t^w, and the rows stay
-    polynomial, so with v the least t-valuation of the minors at most v
-    passes run and evaluation v + 1 returns (``plucker_valuation``).  No
-    nonzero minor means the family is degenerate for generic t.  The minors
-    are refused with TOO_LARGE past ``MAX_PLUCKER_SUBSETS``, as in
-    ``plucker``.
+    Repeatedly: evaluate at t = 0 (the power-0 coefficients) and eliminate
+    the transposed values once; full rank returns them, otherwise the first
+    kernel vector is a combination of the evaluated rows that vanishes.  The
+    same combination of the polynomial rows, stripped of its least power w
+    >= 1, replaces the last row in the combination's support.  That divides
+    every maximal minor by t^w and keeps the rows polynomial.  Each minor
+    has degree at most B, the sum over rows of the row's largest power, so
+    rows independent over Q(t) reach full rank within B passes and B + 1
+    evaluations.  Rows dependent over Q(t) have no nonzero minor: they are
+    NOT_GENERIC_RANK once a combination vanishes identically, or once the
+    evaluations run out, after up to B passes.
     """
-    _check_plucker_size(family.n, family.m)
     rows = list(family.rows)  # replaced row by row, never mutated: catalog families are shared
-    valuation = plucker_valuation(rows)
-    if valuation is None:
-        raise PreconditionError("NOT_GENERIC_RANK", "family is degenerate for generic t")
-    for _ in range(valuation + 1):
+    bound = sum(max((k for e in row for k in e), default=0) for row in rows)
+    for _ in range(bound + 1):
         numeric = [[e.get(0, Fraction(0)) for e in row] for row in rows]
-        if rref(numeric).rank == family.m:
+        reduced = rref([list(col) for col in zip(*numeric)])
+        if reduced.rank == family.m:
             return MatSpace(family.n, [unvectorize(family.n, row) for row in numeric])
-        combo = _row_kernel_vector(numeric)
+        combo = reduced.kernel_basis()[0]
         combined = [{} for _ in rows[0]]
         for c, row in zip(combo, rows):
             for acc, e in zip(combined, row):
                 for k, x in e.items():
                     acc[k] = acc.get(k, 0) + c * x
         combined = [{k: x for k, x in acc.items() if x} for acc in combined]
+        if not any(combined):
+            break
         w = min(k for acc in combined for k in acc)
         target = max(i for i, c in enumerate(combo) if c)
         rows[target] = [{k - w: x for k, x in acc.items()} for acc in combined]
-    raise InternalCheckError("INTERNAL", "limit passes exceeded the Pluecker valuation")
-
-
-def plucker_valuation(rows: List[List[Dict[int, Fraction]]]) -> Optional[int]:
-    """The least t-power of the maximal minors of m rows of {power:
-    coefficient} entries, or None when every minor vanishes: each row is
-    cleared of denominators by its own lcm, which scales each minor by one
-    nonzero integer, and with one variable a packed key is its power, so
-    the cleared rows are ``linalg.laplace_minors``' input as they are."""
-    cleared = []
-    for row in rows:
-        d = math.lcm(*(c.denominator for e in row for c in e.values()))
-        cleared.append([{k: c.numerator * (d // c.denominator) for k, c in e.items()} for e in row])
-    minor = laplace_minors(cleared)
-    return min((min(p) for cols in itertools.combinations(range(len(rows[0])), len(rows))
-                if (p := minor(cols))), default=None)
-
-
-def _row_kernel_vector(numeric_rows: List[List[Fraction]]) -> List[Fraction]:
-    """First kernel vector of the 'combine rows' map (rows as a matrix^T)."""
-    transposed = [[numeric_rows[i][j] for i in range(len(numeric_rows))]
-                  for j in range(len(numeric_rows[0]))]
-    basis = rref(transposed).kernel_basis()
-    if not basis:
-        raise PreconditionError("NOT_GENERIC_RANK", "no kernel combination found")
-    return basis[0]
+    raise PreconditionError("NOT_GENERIC_RANK", "family is degenerate for generic t")

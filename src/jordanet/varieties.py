@@ -54,7 +54,6 @@ class Certificate(NamedTuple):
     degree: Optional[int] = None
     span_rank: Optional[int] = None
     span_target: Optional[int] = None
-    witness: Optional[Tuple[Fraction, ...]] = None
 
 
 #: the largest Macaulay matrix, in rows x columns, that ``macaulay_emptiness``

@@ -50,6 +50,7 @@ from .prng import SplitMix64, derive_seed
 from .spaces import (
     MatSpace,
     generic_det,
+    grassmann_limit,
     is_regular,
     make_space,
     orth_complement,
@@ -97,13 +98,17 @@ def _cayley(seed: int, n: int) -> Mat:
     return (ident - skew) @ inverse(ident + skew)
 
 
-def _random_symmetric(rng: SplitMix64, n: int, bound: int = 3) -> Mat:
-    return Mat.from_ints(symmetric_rows(n, [rng.int_between(-bound, bound) for _ in sym_pairs(n)]))
+_ENTRY_BOUND = 3  # random symmetric matrices have entries in [-3, 3]
 
 
-def _random_space(rng: SplitMix64, n: int, m: int, bound: int = 3) -> MatSpace:
+def _random_symmetric(rng: SplitMix64, n: int) -> Mat:
+    return Mat.from_ints(symmetric_rows(
+        n, [rng.int_between(-_ENTRY_BOUND, _ENTRY_BOUND) for _ in sym_pairs(n)]))
+
+
+def _random_space(rng: SplitMix64, n: int, m: int) -> MatSpace:
     while True:
-        basis = [_random_symmetric(rng, n, bound) for _ in range(m)]
+        basis = [_random_symmetric(rng, n) for _ in range(m)]
         try:
             return make_space(n, basis)
         except PreconditionError:
@@ -275,8 +280,6 @@ def check_classification(seed: int = 0) -> List[CheckResult]:
         bad = next((f"image {k} -> {got}" for k, got in enumerate(labels) if got != label), None)
         _check(out, f"{_CLASSIFY_IMAGES} congruence images of {label} classify identically",
                bad is None, bad or "")
-    from .spaces import grassmann_limit
-
     for cid, _, target in degeneration_edges():
         lim = grassmann_limit(canonical(cid))
         got = classify_net_S4(lim)

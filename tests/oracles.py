@@ -45,9 +45,10 @@ that the tests can compare the two:
   straight into an ``MPoly``);
 - ``family_minors_by_mpoly`` and ``plucker_valuation_by_mpoly``: a family's
   maximal minors in MPoly arithmetic, its rows of {power: coefficient}
-  entries read as MPolys in t, and their least power of t (the package
-  clears each row by its own lcm and reads the valuation off the integer
-  kernel's minors, ``spaces.plucker_valuation``); ``by_power`` reads an
+  entries read as MPolys in t, and their least power of t, None when every
+  minor vanishes (the package forms no minor: ``spaces.grassmann_limit``
+  bounds its passes by the powers of t in the rows and refuses a family
+  whose rows are dependent over Q(t) on its own); ``by_power`` reads an
   MPoly entry back as {power: coefficient};
 - ``integer_sweep_by_filter`` and ``nonzero_sweep_by_filter``: the sweep
   orders as filters over every tuple of the grid {-s..s}^m of shell s (the

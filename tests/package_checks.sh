@@ -100,8 +100,8 @@ python -c 'import json, sys; r = json.load(open("emptiness.json")); sys.exit((r[
 # a larger, sparse Macaulay matrix (1365 columns) on the fraction-free echelon
 jordanet emptiness "$quadrics" --degree 4 --json > emptiness_4.json
 python -c 'import json, sys; r = json.load(open("emptiness_4.json")); sys.exit((r["span_rank"], r["span_target"]) != (231, 1365))'
-# every degeneration's limit, its valuation read off integer minors: the limit's net
-# class is the target named after the id's dash
+# every degeneration's limit, its passes bounded by the powers of t in its rows: the
+# limit's net class is the target named after the id's dash
 for id in 1a-2a1 1a-2a2 1b-2b 1b-3b1 2a1-3a 2a2-3a 2a2-3b1 2b-3b2 3a-3b2 3b1-3b2; do
   jordanet limit "catalog://degen/$id" --json > "limit_$id.json"
   python -c 'import json, sys; sys.exit(json.load(open(sys.argv[1]))["net_class"] != sys.argv[2])' "limit_$id.json" "${id#*-}"
@@ -116,6 +116,16 @@ echo '{"n": 2, "parametric": true, "basis": [[["1", "t"], ["2*t", "0"]], [[0, 0]
 code=0; jordanet limit family_asym.json --json > limit_asym.json 2> limit_asym.err || code=$?
 test "$code" = 3
 grep -q "^error: NOT_SYMMETRIC" limit_asym.err
+# 20 dense matrices in S^6, some entries k*t: the first evaluation at t = 0 has full
+# rank and returns, and none of the family's 2^21 - 1 column subsets is visited
+python -c 'import json; from jordanet.prng import SplitMix64; r = SplitMix64(11); e = lambda c: f"{c}*t" if r.int_between(0, 1) else str(c); up = [[e(r.nonzero_int_between(-3, 3)) for _ in range(21)] for _ in range(20)]; p = [(i, j) for i in range(6) for j in range(i, 6)]; print(json.dumps({"n": 6, "parametric": True, "basis": [[[u[p.index((min(a, b), max(a, b)))] for b in range(6)] for a in range(6)] for u in up]}))' > family_s6.json
+timeout 10 jordanet limit family_s6.json --json > limit_s6.json
+python -c 'import json, sys; sys.exit(json.load(open("limit_s6.json"))["m"] != 20)'
+# B2 = t B1 with B1 = diag(1, t): rows dependent over Q(t) are NOT_GENERIC_RANK, exit 3
+echo '{"n": 2, "parametric": true, "basis": [[["1", "0"], ["0", "t"]], [["t", "0"], ["0", "t^2"]]]}' > family_dep.json
+code=0; jordanet limit family_dep.json --json > limit_dep.json 2> limit_dep.err || code=$?
+test "$code" = 3
+grep -q "^error: NOT_GENERIC_RANK" limit_dep.err
 jordanet chow catalog://netrank8 --json > chow_rank8.json
 python -c 'import json, sys; sys.exit(json.load(open("chow_rank8.json"))["kernel_forms"] != ["2*z12 - z13 - z24", "z14 - z23 - z33 + z44"])'
 # a basis over denominators 3 and 2: the identity test reduces L I on the integer basis

@@ -772,9 +772,10 @@ class TestBoundedCost:
         assert code == 3 and out == ""
         assert "TOO_LARGE" in err and "268435455 column subsets" in err and "INTERNAL" not in err
 
-    def test_limit_on_a_dense_family_in_s6_is_refused_within_a_second(self, tmp_path, capsys):
-        # 20 dense matrices in S^6, some entries k*t: the minors of the family
-        # would visit all 2^21 - 1 column subsets, as plucker's would
+    def test_limit_on_a_dense_family_in_s6_is_answered_within_a_second(self, tmp_path, capsys):
+        # 20 dense matrices in S^6, some entries k*t: their values at t = 0 are
+        # independent, so the first evaluation returns them; the family's
+        # minors would visit all 2^21 - 1 column subsets, and none is formed
         rng = SplitMix64(11)
         basis = []
         for _ in range(20):
@@ -789,8 +790,23 @@ class TestBoundedCost:
         start = time.process_time()
         code, out, err = run_cli(["limit", str(f), "--json"], capsys)
         assert time.process_time() - start < 1
+        report = json.loads(out)
+        assert code == 0 and err == "" and report["m"] == 20
+        assert report["basis"] == [[["0" if "t" in e else e for e in row] for row in mat]
+                                   for mat in basis]
+
+    def test_limit_on_a_dependent_family_is_refused_within_a_second(self, tmp_path, capsys):
+        # <E11, f(t) E11> with f = 1 + t + ... + t^200: every minor vanishes,
+        # and the refusal costs 200 passes, each stripping one power of t
+        f_t = " + ".join(["1", "t"] + [f"t^{k}" for k in range(2, 201)])
+        f = tmp_path / "family.json"
+        f.write_text(json.dumps({"n": 2, "parametric": True,
+                                 "basis": [[["1", "0"], ["0", "0"]], [[f_t, "0"], ["0", "0"]]]}))
+        start = time.process_time()
+        code, out, err = run_cli(["limit", str(f), "--json"], capsys)
+        assert time.process_time() - start < 1
         assert code == 3 and out == ""
-        assert "TOO_LARGE" in err and "2097151 column subsets" in err and "INTERNAL" not in err
+        assert err.startswith("error: NOT_GENERIC_RANK")
 
     @pytest.mark.parametrize("n, m, subsets", [(5, 15, None), (6, 7, None), (6, 8, 401930)])
     def test_plucker_bound_admits_s5_and_seven_dimensions_of_s6(self, n, m, subsets,

@@ -28,7 +28,6 @@ from jordanet.spaces import (
     make_space,
     orth_complement,
     plucker,
-    plucker_valuation,
     sample_congruent,
     sym_dim,
 )
@@ -670,7 +669,8 @@ class TestGrassmannLimit:
     def test_three_passes_for_plucker_valuation_three(self):
         # {E11, E11 + t E12, E11 + t E12 + t^2 E22} in S^3: the one nonzero
         # minor is t^3, so the limit takes all three passes and the fourth
-        # evaluation returns; a bound of v evaluations would stop short
+        # evaluation returns; the rows' largest powers sum to B = 3, so B
+        # evaluations, or a bound by the largest power alone, would stop short
         fam = family_from_strings(3, [
             [["1", "0", "0"], ["0", "0", "0"], ["0", "0", "0"]],
             [["1", "t", "0"], ["t", "0", "0"], ["0", "0", "0"]],
@@ -692,6 +692,15 @@ class TestGrassmannLimit:
         got = plucker(lim)
         expected = plucker_limit_oracle(fam)
         assert proportional(got, expected)
+
+    def test_rows_over_different_denominators(self):
+        fam = limit_families()["denominators 2 and 3"]
+        assert plucker_valuation_by_mpoly(fam) == 2
+        # rows [1/3, t/2, 0] and [2, 3t + t^2, 0]: -6 times the first plus
+        # the second is t^2 E12, so the limit is <E11, E12>
+        lim = grassmann_limit(fam)
+        assert lim == make_space(2, [E(2, 1, 1), E(2, 1, 2)])
+        assert proportional(plucker(lim), plucker_limit_oracle(fam))
 
 
 def plucker_limit_oracle(fam):
@@ -753,25 +762,62 @@ def limit_families():
     return named
 
 
-class TestPluckerValuation:
-    """The valuation ``grassmann_limit`` reads off the integer kernel's
-    minors of its rows, each cleared by its own lcm, against the least
-    t-power of the MPoly minors of the family's coordinate rows."""
+def random_family(rng: SplitMix64):
+    """A seeded family in S^2..S^4 of 1-4 rows over denominators 1-3, each
+    entry of t-degree at most 3.  Its power-0 parts are combinations of
+    fewer vectors than rows, so that passes run, and a row may be a
+    polynomial combination of the earlier ones, so that the rows are
+    dependent over Q(t)."""
+    n, m = rng.int_between(2, 4), rng.int_between(1, 4)
+    dim = sym_dim(n)
 
-    def test_matches_the_mpoly_minors(self):
-        families = limit_families()
-        assert len(families) == 16
-        for name, fam in families.items():
-            assert plucker_valuation(fam.rows) == plucker_valuation_by_mpoly(fam), name
+    def coeff():
+        return Fraction(rng.nonzero_int_between(-3, 3), rng.int_between(1, 3))
 
-    def test_rows_over_different_denominators(self):
-        fam = limit_families()["denominators 2 and 3"]
-        assert plucker_valuation(fam.rows) == 2 == plucker_valuation_by_mpoly(fam)
-        # rows [1/3, t/2, 0] and [2, 3t + t^2, 0]: -6 times the first plus
-        # the second is t^2 E12, so the limit is <E11, E12>
-        lim = grassmann_limit(fam)
-        assert lim == make_space(2, [E(2, 1, 1), E(2, 1, 2)])
-        assert proportional(plucker(lim), plucker_limit_oracle(fam))
+    heads = [[coeff() if rng.int_between(0, 1) else 0 for _ in range(dim)]
+             for _ in range(rng.int_between(0, m))]
+    rows = []
+    for k in range(m):
+        if k and rng.int_between(0, 3) == 0:
+            row = [{} for _ in range(dim)]
+            for earlier in rows:
+                factor = {p: coeff() for p in range(2) if rng.int_between(0, 1)}
+                for acc, e in zip(row, earlier):
+                    for a, x in e.items():
+                        for b, y in factor.items():
+                            acc[a + b] = acc.get(a + b, 0) + x * y
+            rows.append([{p: x for p, x in acc.items() if x} for acc in row])
+            continue
+        weights = [coeff() for _ in heads]
+        row = []
+        for c in range(dim):
+            e = {p: coeff() for p in range(1, 4) if rng.int_between(0, 2) == 0}
+            e[0] = sum(w * h[c] for w, h in zip(weights, heads))
+            row.append({p: x for p, x in e.items() if x})
+        rows.append(row)
+    return spaces.ParametricBasis(n, rows)
+
+
+class TestLimitAgainstMinors:
+    def test_seeded_families_match_the_mpoly_minors(self):
+        # NOT_GENERIC_RANK exactly when every MPoly minor vanishes, and
+        # otherwise the limit's Pluecker vector is the minors' lowest-order
+        # t-coefficients, on seeded families and on ``limit_families``
+        rng = SplitMix64(3434)
+        families = [random_family(rng) for _ in range(200)] + list(limit_families().values())
+        seen = {"refused": 0, "passes": 0, "at once": 0}
+        for k, fam in enumerate(families):
+            valuation = plucker_valuation_by_mpoly(fam)
+            if valuation is None:
+                with pytest.raises(PreconditionError) as err:
+                    grassmann_limit(fam)
+                assert err.value.code == "NOT_GENERIC_RANK", k
+                seen["refused"] += 1
+                continue
+            lim = grassmann_limit(fam)
+            assert proportional(plucker(lim), plucker_limit_oracle(fam)), k
+            seen["passes" if valuation else "at once"] += 1
+        assert min(seen.values()) >= 40, seen
 
 
 class TestLimitOracleOnCatalogFamilies:
