@@ -9,16 +9,18 @@ one column per degree-(n-1) monomial in ``exact.monomials`` order
 (descending lexicographic: t1^(n-1) first, tm^(n-1) last).  For m = 3 the
 matrix is square of size binom(n+1, 2); its rank equals the dimension of the
 linear span of the reciprocal variety, and its left kernel consists of the
-linear forms that vanish on all inverses.  The matrix is read off the
-adjugate of the packed integer generic element (``spaces.generic_matrix``)
-by Faddeev-LeVerrier, cell by cell (``chow_matrix``, ``chow_cells``); the
-rank and the kernel forms read one echelon of its transpose with the
-columns reversed, whose kernel vectors, read back to front, are the rows of
-the kernel's reduced echelon form, and each kernel form is one of them as a
-primitive integer row, written straight into an ``MPoly``.
+linear forms that vanish on all inverses.  The matrix is the adjugate of
+the integer generic element t_1 B'_1 + ... + t_m B'_m, each entry already
+a coefficient vector over those monomials (Faddeev-LeVerrier on upper
+triangles, ``linalg.symmetric_linear_adjugate``), over L^(n-1)
+(``chow_matrix``); the rank and the kernel forms read one echelon of its
+transpose with the columns reversed, whose kernel vectors, read back to
+front, are the rows of the kernel's reduced echelon form, and each kernel
+form is one of them as a primitive integer row, written straight into an
+``MPoly``.
 
 The fully symbolic n = 3 determinant (degree 12 in the 18 entry variables,
-22659 terms) is read the same way off the generic net w1 X + w2 Y + w3 Z,
+22659 terms) is read off the packed generic net w1 X + w2 Y + w3 Z,
 X, Y and Z symmetric with entries x11..z33, packed with the weights in the
 top fields and the entries below them: its adjugate's cells are packed
 polynomials in the entries (``chow_cells``), whose 6 x 6 determinant is a
@@ -35,15 +37,16 @@ from typing import List
 from .errors import PreconditionError
 from .exact import MPoly, monomials, poly_eval
 from .linalg import (Echelon, IntPoly, Mat, Packing, faddeev_leverrier, integer_inverse,
-                     integer_vector, laplace_minors, linear_matrix, rref)
-from .spaces import (MatSpace, generic_matrix, integer_sweep, is_regular, sym_dim, sym_pairs,
-                     symmetric_rows)
+                     integer_vector, laplace_minors, linear_matrix, rref,
+                     symmetric_linear_adjugate)
+from .spaces import MatSpace, integer_sweep, is_regular, sym_dim, sym_pairs, symmetric_rows
 
 
 #: the largest Chow matrix, in rows x columns, that ``chow_matrix`` builds
-#: (the benchmark's largest is 15 x 35).  CPU (Python 3.11, Xeon): 20 us a
-#: cell on dense spaces, 12 dense matrices in S^6 (21 x 4368) 2.1 s; 2 us on
-#: unit matrices, all of S^5 (15 x 3060) 0.08 s and of S^6 (21 x 53130) 2.2 s.
+#: (the benchmark's largest is 15 x 35).  CPU (Python 3.11, Xeon): 5-6 us a
+#: cell on dense spaces, 12 dense matrices in S^6 (21 x 4368) 0.46-0.57 s;
+#: 2.5-4 us on unit matrices, all of S^5 (15 x 3060) 0.12 s and of S^6
+#: (21 x 53130) 3.7-4.4 s.
 MAX_CHOW_CELLS = 100_000
 
 
@@ -54,9 +57,10 @@ def chow_matrix(space: MatSpace) -> Mat:
     Built once per space and memoised on it; callers must not mutate it.
     It is sized before it is built, sym_dim(n) rows by C(m + n - 2, n - 1)
     columns, and refused with TOO_LARGE past ``MAX_CHOW_CELLS``.  The
-    generic element is X' / L (``spaces.generic_matrix``), and adj(X' / L) =
-    (-1)^(n-1) M_n / L^(n-1) (``faddeev_leverrier``): the cells are M_n's
-    constants at the packed monomial keys (``chow_cells``) over that scale.
+    generic element is X' / L, X' = t_1 B'_1 + ... + t_m B'_m, and adj(X' /
+    L) = adj(X') / L^(n-1): row (i, j) is entry (i, j) of adj(X'), a
+    coefficient vector in column order (``symmetric_linear_adjugate``),
+    over L^(n-1).
     """
     if space._chow is None:
         n, m = space.n, space.m
@@ -64,11 +68,9 @@ def chow_matrix(space: MatSpace) -> Mat:
         if rows * cols > MAX_CHOW_CELLS:
             raise PreconditionError("TOO_LARGE", f"the Chow matrix would be {rows} x {cols}, "
                                     f"past {MAX_CHOW_CELLS} cells")
-        x, packing, _ = generic_matrix(space, n)
-        _, adj = faddeev_leverrier(x)
-        den = (1 if n % 2 else -1) * space.integer_basis()[1] ** (n - 1)
-        space._chow = Mat([[Fraction(cell.get(0, 0), den) for cell in row]
-                           for row in chow_cells(adj, packing, m)])
+        basis, lcm = space.integer_basis()
+        adj, den = symmetric_linear_adjugate(basis), lcm ** (n - 1)
+        space._chow = Mat([[Fraction(x, den) for x in adj[i][j]] for i, j in sym_pairs(n)])
     return space._chow
 
 
@@ -144,6 +146,9 @@ def sampled_reciprocal_span(space: MatSpace, trials: int) -> int:
     X the adjugate det(X) X^-1 is a nonzero multiple of the inverse, so the
     inverses span the same space, and so do the integer numerators Q of the
     inverses of X' = L X (X'^-1 = Q / s, ``linalg.integer_inverse``).
+    The samples give only a lower bound: 45 of them, 3 dim S^5, span 14 of
+    the 15 dimensions on most random nets in S^5, where ``chow_rank``, read
+    off the Chow matrix itself, is exact.
     """
     if not is_regular(space):
         raise PreconditionError("NOT_REGULAR", "need a regular space")

@@ -206,9 +206,6 @@ class MPoly:
                 chunks.append(("+ " if coeff > 0 else "- ") + body)
         return " ".join(chunks)
 
-    def __repr__(self) -> str:
-        return f"MPoly({self})"
-
 
 # -- text grammar -------------------------------------------------------
 

@@ -29,7 +29,10 @@ its adjugate and characteristic polynomial, ``laplace_minors`` (memoized
 over column subsets) its determinant and minors, and ``Packing.mpoly``
 converts a result to an ``MPoly`` once.  ``charpoly``, ``adjugate`` and
 ``det_laplace`` run the same kernel on a matrix M = M' / d, as the
-constant matrix ``linear_matrix([(0, M')])``.
+constant matrix ``linear_matrix([(0, M')])``.  ``symmetric_linear_adjugate``
+runs its recurrence on a symmetric matrix linear in t_1..t_m, upper
+triangles only, each entry a coefficient vector over the monomials of its
+degree (a space's Chow matrix).
 """
 
 from __future__ import annotations
@@ -42,7 +45,7 @@ from operator import mul
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .errors import PreconditionError
-from .exact import MPoly, frac
+from .exact import MPoly, frac, monomials
 
 
 class Mat:
@@ -111,12 +114,6 @@ class Mat:
     def _shape_check(self, other: "Mat"):
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise ValueError("shape mismatch")
-
-    def __str__(self) -> str:
-        return "[" + "; ".join(", ".join(str(x) for x in row) for row in self.data) + "]"
-
-    def __repr__(self) -> str:
-        return f"Mat({self})"
 
 
 # -- integer products ------------------------------------------------------
@@ -524,6 +521,46 @@ def faddeev_leverrier(a: List[List[IntPoly]]) -> Tuple[List[IntPoly], List[List[
             tr = _trace_of_product(a, mk)
         cs.append({key: -x // k for key, x in tr.items()})
     return cs, mk
+
+
+def symmetric_linear_adjugate(mats: Sequence[Sequence[Sequence[int]]]) -> List[List[List[int]]]:
+    """adj(A) for A = t_1 M_1 + ... + t_m M_m, the M_q symmetric integer n x n
+    matrices given by their rows: entry (i, j) as its coefficients over the
+    monomials of degree n - 1 in t, in ``exact.monomials(m, n - 1)`` order.
+
+    The recurrence of ``faddeev_leverrier`` on coefficient vectors: M_k is
+    homogeneous of degree k - 1, and t_q times the p-th monomial of degree
+    k - 1 is the shift_q[p]-th monomial of degree k.  M_2 = A + c_1 I needs
+    no product, and each M_k is a polynomial in A, so A M_k is symmetric and
+    only its upper triangle is formed: entry (i, j) adds, at shift_q[p], row
+    i of M_q times the p-th coefficients of M_k's row j.  n - 2 half
+    products; adj(A) = (-1)^(n-1) M_n."""
+    n, m = len(mats[0]), len(mats)
+    if n == 1:
+        return [[[1]]]
+    trace = [sum(mat[i][i] for i in range(n)) for mat in mats]
+    mk = [[[mat[i][j] - (t if i == j else 0) for mat, t in zip(mats, trace)] for j in range(n)]
+          for i in range(n)]
+    for k in range(2, n):
+        index = {mono: p for p, mono in enumerate(monomials(m, k))}
+        shifts = [[index[mono[:q] + (mono[q] + 1,) + mono[q + 1:]] for mono in monomials(m, k - 1)]
+                  for q in range(m)]
+        columns = [list(zip(*row)) for row in mk]  # row j's p-th coefficients, over l
+        upper = []
+        for i in range(n):
+            rows = [(mat[i], shift) for mat, shift in zip(mats, shifts) if any(mat[i])]
+            upper.append([])
+            for cols in columns[i:]:
+                out = [0] * len(index)
+                for row, shift in rows:
+                    for r, col in zip(shift, cols):
+                        out[r] += sum(map(mul, row, col))
+                upper[i].append(out)
+        c = [-sum(col) // k for col in zip(*(row[0] for row in upper))]
+        for row in upper:
+            row[0] = [x + y for x, y in zip(row[0], c)]
+        mk = [[upper[j][i - j] for j in range(i)] + upper[i] for i in range(n)]
+    return mk if n % 2 else [[[-x for x in p] for p in row] for row in mk]
 
 
 def charpoly(m: Mat) -> List[Fraction]:

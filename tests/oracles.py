@@ -120,8 +120,9 @@ that the tests can compare the two:
 - ``chow_matrix_by_adjugate``: the Chow matrix as the MPoly adjugate of
   the Fraction generic element by cofactors (``adjugate_by_cofactors``, a
   ``det_laplace_by_entries`` each), one ``MPoly.coefficient`` lookup per cell
-  (the package runs Faddeev-LeVerrier on the packed integer element sum_k
-  t_k B'_k and reads the cells at packed monomial keys over +-L^(n-1)).
+  (the package runs Faddeev-LeVerrier on the integer element sum_k t_k B'_k,
+  each entry a coefficient vector over the monomials of its degree, and
+  reads the rows over L^(n-1)).
 - ``chow_matrix_generic_by_mpoly``: the Chow matrix of the generic net
   w1 X + w2 Y + w3 Z as the MPoly adjugate of that ``Mat`` split by weight
   monomial (the package packs the net's weights and entries in one integer
@@ -1265,12 +1266,13 @@ def chow_matrix_by_adjugate(space) -> Mat:
     return Mat([[e.coefficient(mono) for mono in cols] for e in entries])
 
 
-def kernel_forms_by_mpoly(space):
+def kernel_forms_by_mpoly(space, matrix: Optional[Mat] = None):
     """The kernel forms summed in the ring: each Fraction row of the
-    reduced echelon form of the Chow matrix's left kernel a linear form in
-    the z_ij, over its content with a positive leading coefficient
+    reduced echelon form of the left kernel of the Chow matrix (the
+    package's, or ``matrix``, such as ``chow_matrix_by_adjugate``'s) a linear
+    form in the z_ij, over its content with a positive leading coefficient
     (``MPoly.sign_normalized``)."""
-    kernel = rref(chow_matrix(space).transpose().data).kernel_basis()
+    kernel = rref((matrix or chow_matrix(space)).transpose().data).kernel_basis()
     zs = [MPoly.var(f"z{i + 1}{j + 1}") for i, j in sym_pairs(space.n)]
     return [sum((z.scale(c) for z, c in zip(zs, vec) if c), MPoly.zero()).sign_normalized()
             for vec in rref(kernel).rows]

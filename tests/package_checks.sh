@@ -54,7 +54,7 @@ for case in json.load(open(sys.argv[1])):
         sys.exit(f"golden differs: jordanet {' '.join(case['argv'])}")
 PY
 # the rank-8 net over denominators 2 and 3 against its integer multiple (the same space):
-# the Chow matrix is read off (B', L) over (-1)^(n-1) L^(n-1)
+# the Chow matrix is read off (B', L) over L^(n-1)
 echo '{"n": 4, "basis": [[["1/2", 0, 0, 0], [0, "1/2", 0, 0], [0, 0, "1/2", 0], [0, 0, 0, "1/2"]], [["1/3", 0, 0, 0], [0, "-1/3", 0, 0], [0, 0, 0, 0], [0, 0, 0, 0]], [[0, 1, 1, 0], [1, 0, 0, 1], [1, 0, 0, 1], [0, 1, 1, 0]]]}' > rank8_sixths.json
 echo '{"n": 4, "basis": [[[3, 0, 0, 0], [0, 3, 0, 0], [0, 0, 3, 0], [0, 0, 0, 3]], [[2, 0, 0, 0], [0, -2, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0]], [[0, 6, 6, 0], [6, 0, 0, 6], [6, 0, 0, 6], [0, 6, 6, 0]]]}' > rank8_times6.json
 jordanet chow rank8_sixths.json --json > chow_sixths.json
@@ -128,6 +128,11 @@ test "$code" = 3
 grep -q "^error: NOT_GENERIC_RANK" limit_dep.err
 jordanet chow catalog://netrank8 --json > chow_rank8.json
 python -c 'import json, sys; sys.exit(json.load(open("chow_rank8.json"))["kernel_forms"] != ["2*z12 - z13 - z24", "z14 - z23 - z33 + z44"])'
+# the diagonal net <E11, E22, E33>: adj diag(t1, t2, t3) = diag(t2 t3, t1 t3, t1 t2), a
+# Chow matrix with one nonzero cell in each diagonal row, so rank 3 and the off-diagonal forms
+echo '{"n": 3, "basis": [[[1, 0, 0], [0, 0, 0], [0, 0, 0]], [[0, 0, 0], [0, 1, 0], [0, 0, 0]], [[0, 0, 0], [0, 0, 0], [0, 0, 1]]]}' > net_diag.json
+jordanet chow net_diag.json --json > chow_diag.json
+python -c 'import json, sys; r = json.load(open("chow_diag.json")); sys.exit((r["rank"], r["kernel_forms"]) != (3, ["z12", "z13", "z23"]))'
 # a basis over denominators 3 and 2: the identity test reduces L I on the integer basis
 # (B', L), and its coordinates over B' are those of I over B
 echo '{"n": 2, "basis": [[["1/3", 0], [0, "1/3"]], [[0, "1/2"], ["1/2", 0]]]}' > thirds.json

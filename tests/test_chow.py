@@ -205,8 +205,47 @@ class TestIntegerRoute:
             assert calls == [n, "back"]
             monkeypatch.undo()
             assert len(forms) == sym_dim(n) - n
+            assert chow_rank(sp) == n == mat_rank(chow_matrix(sp))
             assert [(f.vars, f.terms) for f in forms] == [
                 (f.vars, f.terms) for f in kernel_forms_by_mpoly(sp)]
+
+
+class TestRankAndFormsAgainstTheOracles:
+    """``chow_rank`` and ``chow_kernel_forms`` against the rank and the ring's
+    kernel forms of the Chow matrix read off the MPoly cofactors of the
+    Fraction generic element (``chow_matrix_by_adjugate``)."""
+
+    @staticmethod
+    def assert_oracles_agree(sp):
+        matrix = chow_matrix_by_adjugate(sp)
+        want = [(f.vars, f.terms) for f in kernel_forms_by_mpoly(sp, matrix)]
+        assert chow_rank(sp) == mat_rank(matrix) == sym_dim(sp.n) - len(want), (sp.n, sp.m)
+        assert [(f.vars, f.terms) for f in chow_kernel_forms(sp)] == want, (sp.n, sp.m)
+
+    def test_seeded_rational_spaces_for_n_up_to_5_and_m_up_to_4(self):
+        # n = 1 and n = 2 included; the pencils in S^10 and S^11, where the
+        # cofactors are out of reach, are in ``test_pencils_in_s10_and_s11_build_one_echelon``
+        seen = set()
+        for sp in rational_spaces(35):
+            if sp.m <= 4 and is_regular(sp):
+                self.assert_oracles_agree(sp)
+                seen.add((sp.n, sp.m, sp.integer_basis()[1]))
+        assert {(n, m) for n, m, _ in seen} == {(n, m) for n in range(1, 6)
+                                               for m in range(1, min(sym_dim(n), 4) + 1)}
+        assert {lcm for _, _, lcm in seen} >= {2, 3, 6}
+
+    def test_reference_nets(self):
+        for sp in (net_rank8(), nets_L1(), nets_L2(), nets_L3()):
+            self.assert_oracles_agree(sp)
+        assert chow_rank(net_rank8()) == 8
+
+    def test_the_diagonal_net(self):
+        # adj diag(t1, t2, t3) = diag(t2 t3, t1 t3, t1 t2): rank 3, and the
+        # off-diagonal entries vanish on every inverse
+        sp = make_space(3, [E(3, 1, 1), E(3, 2, 2), E(3, 3, 3)])
+        self.assert_oracles_agree(sp)
+        assert chow_rank(sp) == 3
+        assert chow_kernel_forms(sp) == [P("z12"), P("z13"), P("z23")]
 
 
 class TestChowRank:

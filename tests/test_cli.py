@@ -127,11 +127,12 @@ class TestChow:
 
     @pytest.mark.parametrize("flags", [[], ["--rank", "--kernel", "--det-stats"]])
     def test_one_adjugate_per_command(self, flags, tmp_path, monkeypatch, capsys):
-        # the adjugate of the generic element is one Faddeev-LeVerrier run
+        # the adjugate of the generic element is one Faddeev-LeVerrier run on its
+        # upper triangles, shared by the rank, the kernel forms and --det-stats
         calls = []
-        faddeev_leverrier = chow.faddeev_leverrier
-        monkeypatch.setattr(chow, "faddeev_leverrier",
-                            lambda a: calls.append(1) or faddeev_leverrier(a))
+        adjugate = chow.symmetric_linear_adjugate
+        monkeypatch.setattr(chow, "symmetric_linear_adjugate",
+                            lambda mats: calls.append(1) or adjugate(mats))
         f = tmp_path / "net.json"
         f.write_text(json.dumps(CHOW_NET))
         code, out, _ = run_cli(["chow", str(f), "--json", *flags], capsys)

@@ -7,7 +7,7 @@ import pytest
 
 from jordanet import linalg
 from jordanet.errors import JordanetError, PreconditionError
-from jordanet.exact import integer_poly, parse_poly
+from jordanet.exact import integer_poly, monomials, parse_poly
 from jordanet.linalg import (
     Echelon,
     Mat,
@@ -910,6 +910,48 @@ class TestIntegerKernel:
                 assert det_laplace(m) == det_laplace_by_entries(m)
                 other = random_rational_mat(rng, n)
                 assert m @ other == matmul_by_loop(m, other)
+
+    def test_symmetric_linear_adjugate_matches_the_entry_loops(self):
+        # coefficient vectors over monomials(m, n - 1), against the MPoly
+        # cofactors of the generic element (seeded rational spaces, n = 1..5, one
+        # with a zero row) and Faddeev-LeVerrier on the packed element; then
+        # symmetric integer matrices up to 7 x 7 (m = 1), a third of them singular
+        spaces = [sp for sp in rational_spaces(2028)[::4] if (sp.n, sp.m) != (5, 6)]
+        spaces.append(make_space(3, [Mat.from_ints([[1, 2, 0], [2, 0, 0], [0, 0, 0]]),
+                                     Mat.from_ints([[0, 1, 0], [1, 3, 0], [0, 0, 0]])]))
+        assert {sp.n for sp in spaces} == {1, 2, 3, 4, 5}
+        for sp in spaces:
+            n, m = sp.n, sp.m
+            basis, lcm = sp.integer_basis()
+            adj = linalg.symmetric_linear_adjugate(basis)
+            names = generic_names(m)
+            monos = [dict(zip(names, mono)) for mono in monomials(m, n - 1)]
+            want = adjugate_by_cofactors(generic_element(sp.basis, names))
+            for i in range(n):
+                for j in range(n):
+                    entry = want[i, j] if isinstance(want[i, j], MPoly) else MPoly.const(want[i, j])
+                    assert adj[i][j] == [entry.coefficient(mono) * lcm ** (n - 1)
+                                         for mono in monos], (n, m, i, j)
+            x, packing, _ = generic_matrix(sp, n)
+            sign = 1 if n % 2 else -1
+            keys = [packing.key(mono) for mono in monomials(m, n - 1)]
+            assert adj == [[[sign * p.get(key, 0) for key in keys] for p in row]
+                           for row in faddeev_leverrier(x)[1]]
+        rng = SplitMix64(2028)
+        for n in range(1, 8):
+            for k in range(3):
+                rows = [[0] * n for _ in range(n)]
+                for i in range(n):
+                    for j in range(i, n):
+                        rows[i][j] = rows[j][i] = rng.int_between(-4, 4)
+                if k == 2 and n > 1:  # the last row and column twice the first
+                    rows[-1] = [2 * x for x in rows[0]]
+                    for i in range(n):
+                        rows[i][-1] = rows[-1][i]
+                    rows[-1][-1] = 4 * rows[0][0]
+                got = linalg.symmetric_linear_adjugate([rows])
+                assert Mat([[Fraction(p[0]) for p in row] for row in got]) == \
+                    adjugate_by_cofactors(Mat.from_ints(rows)), (n, k)
 
     def test_fraction_matrices_give_fractions(self):
         rng = SplitMix64(2027)
