@@ -463,27 +463,40 @@ class PluckerVector:
         return {k: v for k, v in self.values.items() if v != 0}
 
 
-#: the most column subsets the Laplace memo of ``plucker`` may visit: with N =
+#: the most column subsets the minor layers of ``plucker`` may visit: with N =
 #: n(n+1)/2 coordinates, every subset of at most m columns, sum_{j <= m}
-#: C(N, j).  At most 2^15 in S^5; 198 440 for m = 7 in S^6 (3.4 s of CPU,
-#: Python 3.11, Xeon); 2^21 - 1 and 2^28 - 1 for hyperplanes in S^6 and S^7.
+#: C(N, j).  At most 2^15 in S^5; 198 440 for m = 7 in S^6 (0.7 s of CPU on
+#: a dense integer basis, entries in -3..3, Python 3.11, Xeon); 2^21 - 1 and
+#: 2^28 - 1 for hyperplanes in S^6 and S^7.
 MAX_PLUCKER_SUBSETS = 200_000
 
 
 def plucker(space: MatSpace) -> PluckerVector:
     """All m x m minors of the m x binom(n+1,2) coordinate matrix, sized
     first (TOO_LARGE past ``MAX_PLUCKER_SUBSETS`` column subsets): those of
-    the vectorized B' over L^m (``linalg.laplace_minors``)."""
+    the vectorized B' over L^m.  They are taken on ints, layer by layer: the
+    minors of the first k rows on every k-subset of columns, each by Laplace
+    expansion along row k into the layer below, and one Fraction is formed
+    per coordinate."""
     n, m = space.n, space.m
     subsets = sum(math.comb(sym_dim(n), j) for j in range(m + 1))
     if subsets > MAX_PLUCKER_SUBSETS:
         raise PreconditionError("TOO_LARGE", f"the Pluecker minors would visit {subsets} "
                                 f"column subsets, past {MAX_PLUCKER_SUBSETS}")
     (basis, lcm), pairs = space.integer_basis(), sym_pairs(n)
-    minor, den = laplace_minors([[{0: b[i][j]} if b[i][j] else {} for i, j in pairs]
-                                 for b in basis]), lcm ** m
-    return PluckerVector(n, m, {cols: Fraction(minor(cols).get(0, 0), den)
-                                for cols in itertools.combinations(range(len(pairs)), m)})
+    layer: Dict[tuple, int] = {(): 1}  # the minors of the first k rows, k = 0, 1, ..., m
+    for k, b in enumerate(basis):
+        row, below = [b[i][j] for i, j in pairs], layer
+        layer = {}
+        for cols in itertools.combinations(range(len(pairs)), k + 1):
+            acc = 0  # Laplace along row k, the last of the k + 1
+            for idx, c in enumerate(cols):
+                if row[c]:
+                    x = row[c] * below[cols[:idx] + cols[idx + 1:]]
+                    acc += -x if (k + idx) % 2 else x
+            layer[cols] = acc
+    den = lcm ** m
+    return PluckerVector(n, m, {cols: Fraction(x, den) for cols, x in layer.items()})
 
 
 class ParametricBasis:

@@ -12,8 +12,8 @@ Each oracle is the old, entry-by-entry route to the same answer, kept only so
 that the tests can compare the two:
 
 - ``parse_poly_by_tokens``: one regex match per token and one Fraction per
-  number (the package splits a line on sign runs and ``*`` and keeps
-  integers);
+  number (the package splits a line into sign runs, leading integers and
+  rests, reads each distinct rest once and keeps integers);
 - ``det_bareiss_by_ring``: Bareiss over Fraction or MPoly entries with a
   generic exact division (the package reads a Fraction determinant off the
   integer echelon of its rows and a polynomial one by Laplace);
@@ -26,8 +26,9 @@ that the tests can compare the two:
   ``rank_one_locus_certificate_by_mpoly`` sweeps it over the MPoly rank-one
   minors;
 - ``plucker_by_minors``: one determinant per maximal minor of the Fraction
-  coordinate rows (``coordinate_rows``; the package shares one Laplace memo
-  over column subsets of the vectorized B');
+  coordinate rows (``coordinate_rows``; the package takes the integer minors
+  of the vectorized B' layer by layer, those of the first k rows on every
+  k-subset of columns);
 - ``sweep_for_unit_by_fractions``: every sweep candidate formed as a
   Fraction scale-and-add of the basis and ranked by ``mat_rank`` (the
   package ranks integer candidates and forms the winner alone);
@@ -63,8 +64,9 @@ that the tests can compare the two:
 - ``element_by_fractions``: sum_k c_k B_k with each entry a Fraction sum
   over the Fraction basis (the package sums integer coordinates over the
   space's integer basis and forms one Fraction per upper entry);
-- ``poly_eval_by_mpoly``: a polynomial's value at rationals summed in
-  ``MPoly`` arithmetic (the package sums Fractions);
+- ``poly_eval_by_mpoly`` and ``poly_eval_by_fractions``: a polynomial's
+  value at rationals summed in ``MPoly`` arithmetic, and as a Fraction sum
+  of its terms (the package sums integers over one common denominator);
 - ``squarefree_by_mpoly``, ``subresultant_gcd_by_mpoly`` and
   ``mpoly_gcd_by_mpoly``: Yun's decomposition and its gcds on ``UniPoly``
   (a main variable over ``MPoly`` coefficients) with ``exact_div`` (the
@@ -900,6 +902,21 @@ def generic_element_by_scale_and_add(basis, names=None) -> Mat:
         scaled = b.scale(MPoly.var(name))
         acc = scaled if acc is None else acc + scaled
     return acc
+
+
+def poly_eval_by_fractions(p: MPoly, assignment) -> Fraction:
+    """p at rationals, each term a Fraction product added to a Fraction sum."""
+    values = [frac(assignment[v]) for v in p.vars]
+    total = Fraction(0)
+    for exps, coeff in p.terms.items():
+        term = coeff
+        for x, e in zip(values, exps):
+            if e:
+                term *= x ** e
+                if not term:
+                    break
+        total += term
+    return total
 
 
 def poly_eval_by_mpoly(p: MPoly, assignment) -> Fraction:

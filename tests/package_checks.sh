@@ -94,6 +94,12 @@ python -c 'import json, sys; sys.exit(json.load(open("chow_det.json"))["det_valu
 python -c 'import json, sys; sys.exit(json.load(open("chow.json"))["det_terms"] != 22659)'
 jordanet plucker catalog://netrank8 --json > plucker.json
 python -c 'import json, sys; sys.exit(json.load(open("plucker.json"))["coordinates"] != 120)'
+# the 2a1 separator quadric in dual Pluecker coordinates tells 3b1 (value 1) from 2a1 (0),
+# from integer minors and an integer evaluation
+jordanet plucker catalog://s4/3b1 --json > plucker_3b1.json
+jordanet plucker catalog://s4/2a1 --json > plucker_2a1.json
+python -c 'import json, sys; sys.exit(json.load(open("plucker_3b1.json"))["certificate_values"]["plucker_separator_2a1_quadric"] != "1")'
+python -c 'import json, sys; sys.exit(json.load(open("plucker_2a1.json"))["certificate_values"]["plucker_separator_2a1_quadric"] != "0")'
 quadrics=$(python -c 'import jordanet, pathlib; print(pathlib.Path(jordanet.__file__).parent / "data" / "polynomials" / "jordan_net_quadrics.txt")')
 jordanet emptiness "$quadrics" --degree 3 --json > emptiness.json
 python -c 'import json, sys; r = json.load(open("emptiness.json")); sys.exit((r["span_rank"], r["span_target"]) != (36, 364))'

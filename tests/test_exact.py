@@ -5,11 +5,14 @@ from pathlib import Path
 import pytest
 
 from jordanet import exact
+from jordanet.chow import chow_det_generic
 from jordanet.exact import (
     NEG_INF,
+    integer_poly,
     monomials,
     mpoly_gcd,
     parse_poly,
+    parse_poly_lines,
     poly_eval,
     squarefree_decomposition,
     subresultant_gcd,
@@ -28,6 +31,7 @@ from oracles import (
     mpoly_from_terms,
     parse_outcome,
     parse_poly_by_tokens,
+    poly_eval_by_fractions,
     poly_eval_by_mpoly,
     squarefree_by_mpoly,
     subresultant_sequence,
@@ -140,6 +144,47 @@ class TestEval:
             pt = {v: Fraction(rng.int_between(-4, 4), rng.int_between(1, 3)) for v in "xyz"}
             assert poly_eval(p * q, pt) == poly_eval(p, pt) * poly_eval(q, pt)
             assert poly_eval(p + q, pt) == poly_eval(p, pt) + poly_eval(q, pt)
+
+
+class TestPolyEval:
+    """``poly_eval`` sums integers over one common denominator B of the
+    values and C of the coefficients; ``poly_eval_by_fractions`` is the
+    Fraction term loop it replaced."""
+
+    def test_terms_of_lower_degree_are_scaled_by_the_common_denominator(self):
+        # x^2 + y at (1/2, 1/3): B = 6, so 3^2 + 2 * 6 over 6^2, not 3^2 + 2
+        # (no B^(D - |t|)) and not 1 + 1 * 6 (numerators not rescaled to B)
+        assert poly_eval(parse_poly("x^2 + y"), {"x": Fraction(1, 2), "y": Fraction(1, 3)}) \
+            == Fraction(7, 12)
+        assert poly_eval(parse_poly("3/4*x*y - 5/6*x + 1/10"),
+                         {"x": Fraction(-2, 3), "y": Fraction(5, 2)}) == Fraction(-107, 180)
+
+    def test_matches_the_fraction_sum_on_seeded_polynomials(self):
+        # non-homogeneous polynomials with coefficient denominators 1..7 and
+        # values over denominators 1..5, each its own, zero and negative ones
+        # among them; constants and zero polynomials, with and without variables
+        rng = SplitMix64(3601)
+        polys = [parse_poly("0"), parse_poly("-5/6"), MPoly.const(Fraction(7, 4), ("x", "y")),
+                 MPoly.zero(("z",))]
+        for k in range(80):
+            vars = ("w", "x", "y", "z")[: 1 + k % 4]
+            terms = {tuple(rng.int_between(0, 3) for _ in vars):
+                     Fraction(rng.int_between(-9, 9), rng.int_between(1, 7))
+                     for _ in range(1 + k % 6)}
+            polys.append(mpoly_from_terms(vars, terms))
+        assert sum(len({sum(e) for e in p.terms}) > 1 for p in polys) > 50
+        for p in polys:
+            for _ in range(3):
+                pt = {v: Fraction(rng.int_between(-4, 4), rng.int_between(1, 5)) for v in "wxyz"}
+                got = poly_eval(p, pt)
+                assert type(got) is Fraction and got == poly_eval_by_fractions(p, pt), (str(p), pt)
+
+    def test_matches_the_fraction_sum_on_the_generic_chow_determinant(self):
+        det = chow_det_generic(3)
+        rng = SplitMix64(3602)
+        for _ in range(2):
+            pt = {v: Fraction(rng.int_between(-3, 3), rng.int_between(1, 4)) for v in det.vars}
+            assert poly_eval(det, pt) == poly_eval_by_fractions(det, pt)
 
 
 class TestStats:
@@ -278,6 +323,52 @@ class TestGrammar:
                 got = parse_outcome(parse_poly, text)
                 assert got != "PARSE_ERROR" and got == parse_outcome(parse_poly_by_tokens, text)
             assert P(texts[0]) == p
+
+
+    def test_a_leading_number_is_read_before_the_rest(self):
+        # the first malformed factor in reading order names the error, also
+        # when the rest of its term is read from the memo
+        for bad in ["x^", "(x)", "x y", "5/0"]:
+            for text in ("9" * 4301 + "*" + bad, "y - " + "9" * 4301 + " * " + bad):
+                for parse in (parse_poly, integer_poly):
+                    with pytest.raises(InputError, match="bad number"):
+                        parse(text)
+        for parse in (parse_poly, integer_poly):
+            with pytest.raises(InputError, match="expected a number"):
+                parse("x^*" + "9" * 4301)
+
+    def test_files_that_repeat_one_monomial_match_the_token_oracle(self):
+        # one monomial text recurs on every line behind leading, middle and
+        # trailing coefficients, p/q, sign runs and blanks, with blank and
+        # comment lines between; read as MPolys and as integer polynomials
+        rng = SplitMix64(3603)
+        for k in range(60):
+            factors = [["x", "y^2"], ["t1^2", "t2", "t3"], ["p012"], ["x^0", "y"]][k % 4]
+            lines = []
+            for _ in range(rng.int_between(2, 6)):
+                chunks = []
+                for j in range(rng.int_between(1, 4)):
+                    body = list(factors)
+                    c = pick(rng, ["", "3", "007", "2/5", "1/1", "12/7"])
+                    if c:
+                        body.insert(rng.int_between(0, len(body)), c)
+                    blank = pick(rng, ["", " ", "  ", "\t"])
+                    sign = pick(rng, ["", "-", "- -"] if not j else ["+", "-", "- -", "+-", "--"])
+                    chunks.append(sign + pick(rng, ["", " "]) + f"{blank}*{blank}".join(body))
+                lines.append(" ".join(chunks))
+                lines += [""] if rng.int_between(0, 2) == 0 else []
+            text = "# a file\n" + "\n".join(lines) + "\n"
+            kept = [line.strip() for line in lines if line.strip()]
+            got = parse_poly_lines(text)
+            want = [parse_poly_by_tokens(line) for line in kept]
+            assert [(p.vars, p.terms) for p in got] == [(p.vars, p.terms) for p in want], text
+            for (p, d), q in zip(parse_poly_lines(text, integer_poly), want):
+                assert frozenset((mono, Fraction(c, d)) for mono, c in p.items()) == \
+                    q._signature(), text
+
+
+def pick(rng, options):
+    return options[rng.int_between(0, len(options) - 1)]
 
 
 def pick_sign(rng):

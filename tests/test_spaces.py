@@ -589,16 +589,16 @@ class TestPlucker:
             sp = sample_congruent(double_conic_net(), seed)
             assert plucker(sp).nonzero()
 
-    def test_one_memo_equals_a_determinant_per_minor(self):
+    def test_integer_layers_equal_a_determinant_per_minor(self):
         # catalog spaces and their congruence images, and seeded spaces with
-        # rational entries, of every dimension m from 1 to 4 in S^3 and S^4
+        # rational entries, of every dimension m from 1 to 4 in S^3, S^4 and S^5
         spaces = [canonical(cid) for cid in catalog_ids()]
         spaces = [sp for sp in spaces if isinstance(sp, MatSpace)]
         images = [sample_congruent(sp, k) for sp in spaces for k in range(2)]
         assert all(make_space(sp.n, sp.basis) == sp for sp in images)  # built unchecked
         spaces += images
         rng = SplitMix64(2012)
-        for n in (3, 4):
+        for n in (3, 4, 5):
             for m in range(1, 5):
                 while True:
                     basis = []
