@@ -24,8 +24,13 @@ The fully symbolic n = 3 determinant (degree 12 in the 18 entry variables,
 X, Y and Z symmetric with entries x11..z33, packed with the weights in the
 top fields and the entries below them: its adjugate's cells are packed
 polynomials in the entries (``chow_cells``), whose 6 x 6 determinant is a
-Laplace expansion on ``linalg``'s integer kernel, 0.10-0.17 s of CPU,
-converted to an ``MPoly`` once and computed at most once per process.
+Laplace expansion on ``linalg``'s integer kernel, computed at most once per
+process.  It stays packed in its ``MPoly`` (``linalg.Packing.mpoly``): its
+degree and term count are read off the packed polynomial, and its terms
+are formed only when first read, by an evaluation or a comparison.  CPU in
+a fresh process (Python 3.11.7, Xeon; median and range of 9 processes): the
+determinant 29 ms (27-43), its degree and term count 9 ms (9-15) more, its
+terms 47 ms (46-55) more when read.
 """
 
 from __future__ import annotations
@@ -180,9 +185,10 @@ def chow_det_generic(n: int = 3) -> MPoly:
     bound sym_dim(n) (n - 1) of a determinant of sym_dim(n) cells of degree
     n - 1.  One Faddeev-LeVerrier run gives the adjugate M_n (n is odd),
     the Chow cells are packed polynomials in the entry fields
-    (``chow_cells``), and their ``laplace_minors`` determinant is converted
-    once: the entry fields are the fields of a ``Packing`` of the entries
-    alone.  Degree 12 in the 18 variables; the result is memoised in memory.
+    (``chow_cells``), and their ``laplace_minors`` determinant is kept
+    packed in the returned ``MPoly``, whose terms are formed when first read:
+    the entry fields are the fields of a ``Packing`` of the entries alone.
+    Degree 12 in the 18 variables; the result is memoised in memory.
     """
     if n != 3:
         raise PreconditionError("UNSUPPORTED_DIM", "symbolic Chow determinant is n = 3 only")

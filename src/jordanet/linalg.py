@@ -27,7 +27,8 @@ from integer matrices M_k (a space's generic element,
 ``faddeev_leverrier`` (n - 1 matrix products, exact divisions by 1..n) gives
 its adjugate and characteristic polynomial, ``laplace_minors`` (memoized
 over column subsets) its determinant and minors, and ``Packing.mpoly``
-converts a result to an ``MPoly`` once.  ``charpoly``, ``adjugate`` and
+wraps a result in an ``MPoly`` that reads its terms off the packed
+polynomial when they are first read.  ``charpoly``, ``adjugate`` and
 ``det_laplace`` run the same kernel on a matrix M = M' / d, as the
 constant matrix ``linear_matrix([(0, M')])``.  ``symmetric_linear_adjugate``
 runs its recurrence on a symmetric matrix linear in t_1..t_m, upper
@@ -45,7 +46,7 @@ from operator import mul
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .errors import PreconditionError
-from .exact import MPoly, frac, monomials
+from .exact import NEG_INF, MPoly, frac, monomials
 
 
 class Mat:
@@ -179,11 +180,34 @@ class Packing:
         return tuple((key >> f) & self.mask for f in self.fields)
 
     def mpoly(self, p: IntPoly, den: int, names: Sequence[str]) -> MPoly:
-        """p / den over the sorted names, field i holding names[i]."""
+        """p / den over the sorted names, field i holding names[i]: an
+        ``MPoly`` that keeps p and reads its terms off it (``terms``) when
+        they are first read, its degree (``degree``) when that is."""
         vars = tuple(sorted(names))
-        fields, mask = [self.fields[names.index(v)] for v in vars], self.mask
-        return MPoly(vars, {tuple((key >> f) & mask for f in fields): Fraction(c, den)
-                            for key, c in p.items()})
+        return MPoly(vars, None, (self, p, den, [self.fields[names.index(v)] for v in vars]))
+
+    def terms(self, p: IntPoly, den: int, fields: Sequence[int]) -> Dict[tuple, Fraction]:
+        """{exponent tuple: Fraction} of p / den, entry i of a tuple read off
+        field ``fields[i]``: one pass over p per field, then one per term."""
+        mask = self.mask
+        columns = [[key >> f & mask for key in p] for f in fields]
+        exps = zip(*columns) if columns else itertools.repeat((), len(p))
+        coeffs = map(Fraction, p.values()) if den == 1 else (Fraction(c, den) for c in p.values())
+        return dict(zip(exps, coeffs))
+
+    def degree(self, p: IntPoly):
+        """The largest sum of a key's fields, -inf when p is 0.  Adjacent
+        fields are summed in pairs into fields twice as wide until the k
+        fields left, each at most v, fit k v in one field; then the product
+        of a key with sum(2^(w i) for i < k) holds the sum of all k in field
+        k - 1, the fields below it the sums of the first few, none carrying."""
+        keys, k, w, v = list(p), len(self.fields) or 1, self.mask.bit_length(), self.mask
+        while k > 1 and (k * v) >> w:
+            even = sum(((1 << w) - 1) << (2 * w * i) for i in range((k + 1) // 2))
+            keys = [(key & even) + (key >> w & even) for key in keys]
+            k, w, v = (k + 1) // 2, 2 * w, 2 * v
+        ones, mask = sum(1 << (w * i) for i in range(k)), (1 << w) - 1
+        return max((key * ones >> w * (k - 1) & mask for key in keys), default=NEG_INF)
 
 
 def _mul_add(acc: IntPoly, a: IntPoly, b: IntPoly, sign: int = 1) -> None:

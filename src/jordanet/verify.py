@@ -181,10 +181,9 @@ def check_coherence(seed: int = 0) -> List[CheckResult]:
 def check_chow_generic(seed: int = 0) -> List[CheckResult]:
     out: List[CheckResult] = []
     det = chow_det_generic(3)
-    _check(out, "generic 3x3 Chow form has degree 12", det.total_degree() == 12,
-           f"degree {det.total_degree()}")
-    _check(out, "generic 3x3 Chow form has 22659 terms", det.term_count() == 22659,
-           f"{det.term_count()} terms")
+    degree, terms = det.total_degree(), det.term_count()
+    _check(out, "generic 3x3 Chow form has degree 12", degree == 12, f"degree {degree}")
+    _check(out, "generic 3x3 Chow form has 22659 terms", terms == 22659, f"{terms} terms")
     diag_net = make_space(3, [_sym_unit(3, 1, 1), _sym_unit(3, 2, 2), _sym_unit(3, 3, 3)])
     _check(out, "Chow form vanishes at a rank-one-containing net",
            chow_det_eval_at_net(diag_net) == 0)

@@ -129,6 +129,10 @@ that the tests can compare the two:
   w1 X + w2 Y + w3 Z as the MPoly adjugate of that ``Mat`` split by weight
   monomial (the package packs the net's weights and entries in one integer
   element and reads the cells off its adjugate, ``chow.chow_det_generic``).
+- ``mpoly_by_eager_decode``: ``Packing.mpoly`` read at once, every key
+  into an exponent tuple and every coefficient into a Fraction (the
+  package keeps the packed polynomial, reads its term count and degree off
+  it, and forms the terms only when they are first read).
 - ``partition_by_mpoly``: the multiplicity partition from the
   characteristic polynomial (``faddeev_leverrier_by_entries``) of
   the Fraction generic element t1 qC'_1 + ... + qC'_{m-1} (``Mat.from_ints``
@@ -405,6 +409,16 @@ def _reduce_imaginary(p: MPoly) -> MPoly:
 _TOKEN = re.compile(
     rf"\s*(?:(?P<num>\d+(?:/\d+)?)|(?P<name>{NAME.pattern})|(?P<op>[-+*^()]))"
 )
+
+
+def mpoly_by_eager_decode(packing, p: dict, den: int, names) -> exact.MPoly:
+    """p / den over the sorted names as ``Packing.mpoly`` formed it until
+    it kept p packed: one exponent tuple per key, entry i read off the field
+    of the i-th name in sorted order, and one Fraction per coefficient."""
+    vars = tuple(sorted(names))
+    fields, mask = [packing.fields[names.index(v)] for v in vars], packing.mask
+    return exact.MPoly(vars, {tuple((key >> f) & mask for f in fields): Fraction(c, den)
+                              for key, c in p.items()})
 
 
 def parse_poly_by_tokens(text: str) -> MPoly:

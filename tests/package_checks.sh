@@ -92,6 +92,15 @@ echo '{"n": 3, "basis": [[[1, 0, 0], [0, 1, 0], [0, 0, 1]], [[0, 1, 0], [1, 0, 0
 jordanet chow net_e.json --det-stats --json > chow_det.json
 python -c 'import json, sys; sys.exit(json.load(open("chow_det.json"))["det_value"] != "-1")'
 python -c 'import json, sys; sys.exit(json.load(open("chow.json"))["det_terms"] != 22659)'
+# with no space, --det-stats prints the bytes of --generic-n3, and the installed package's
+# generic Chow form counts its terms off the packed determinant
+jordanet chow --det-stats --json > chow_stats.json
+cmp chow.json chow_stats.json
+python - <<'PY'
+import sys
+from jordanet.chow import chow_det_generic
+sys.exit(chow_det_generic(3).term_count() != 22659)
+PY
 jordanet plucker catalog://netrank8 --json > plucker.json
 python -c 'import json, sys; sys.exit(json.load(open("plucker.json"))["coordinates"] != 120)'
 # the 2a1 separator quadric in dual Pluecker coordinates tells 3b1 (value 1) from 2a1 (0),

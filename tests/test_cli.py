@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import jordanet
-from jordanet import chow, cli, exact, jordan, varieties
+from jordanet import chow, cli, exact, jordan, linalg, varieties
 from jordanet.cli import main
 from jordanet.errors import InputError, InternalCheckError, PreconditionError
 from jordanet.exact import frac_str
@@ -116,6 +116,23 @@ class TestChow:
         report = json.loads(out)
         assert report["det_degree"] == 12
         assert report["det_terms"] == 22659
+
+    def test_generic_stats_decode_no_term(self, monkeypatch, capsys):
+        # the degree and the term count are read off the packed determinant;
+        # verify's evaluations read its terms, formed once on the memoised value
+        decoded = []
+        terms = linalg.Packing.terms
+        monkeypatch.setattr(linalg.Packing, "terms",
+                            lambda self, p, *args: decoded.append(len(p)) or terms(self, p, *args))
+        monkeypatch.setattr(chow, "_DET_MEMO", {})
+        want = ('{\n "command": "chow",\n "det_degree": 12,\n "det_terms": 22659,\n'
+                ' "input": "generic-n3"\n}\n')
+        for flag in ("--generic-n3", "--det-stats"):
+            assert run_cli(["chow", flag, "--json"], capsys) == (0, want, "")
+        assert decoded == []
+        code, out, _ = run_cli(["verify", "--subset", "chow", "--json"], capsys)
+        assert code == 0 and json.loads(out)["failed"] == 0
+        assert decoded.count(22659) == 1
 
     @pytest.mark.parametrize("args", [["catalog://netrank8", "--generic-n3"],
                                       ["--generic-n3", "--rank"], ["--generic-n3", "--kernel"],

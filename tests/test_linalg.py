@@ -53,6 +53,7 @@ from oracles import (
     lift,
     macaulay_rows_by_fractions,
     matmul_by_loop,
+    mpoly_by_eager_decode,
     rational_spaces,
     reduce_vector,
     residue,
@@ -1003,6 +1004,62 @@ class TestIntegerKernel:
         expected = det_laplace_by_entries(chow_matrix_generic_by_mpoly(3))
         assert (value.total_degree(), value.term_count()) == (12, 22659)
         assert value.vars == expected.vars and value.terms == expected.terms
+
+
+class TestPackedMPoly:
+    """``Packing.mpoly`` keeps the packed polynomial and reads its terms off
+    it when they are first read; the eager decode is the oracle."""
+
+    @staticmethod
+    def packed_cases():
+        rng = SplitMix64(3701)
+        for k in range(1, 21):
+            for bound in (1, 2, 3, 7, 12, 100):
+                packing = Packing(k, bound)
+                names = [f"v{i}" for i in range(k)]
+                for i in range(k - 1, 0, -1):  # a seeded shuffle: field i holds names[i]
+                    j = rng.int_between(0, i)
+                    names[i], names[j] = names[j], names[i]
+                p = {}
+                for t in range(rng.int_between(0, 12)):
+                    # every field at the bound fills it: the largest total degree, k * bound
+                    exps = [bound] * k if t == 0 and rng.int_between(0, 1) else \
+                        [rng.int_between(0, bound) * rng.int_between(0, 1) for _ in range(k)]
+                    p[packing.key(exps)] = rng.nonzero_int_between(-50, 50)
+                den = 1 if rng.int_between(0, 1) else rng.int_between(2, 30)
+                yield packing, p, den, names
+        for k in (0, 1, 5, 20):  # constants, the zero polynomial, and one with no variable
+            packing = Packing(k, 4)
+            for p in ({}, {0: 7}, {0: -3, packing.units[0]: 2} if k else {0: 4}):
+                yield packing, p, 6, [f"v{i}" for i in range(k)]
+
+    def test_matches_the_eager_decode(self):
+        cases = list(self.packed_cases())
+        assert len(cases) > 120 and sum(len(p) > 1 and den > 1 for _, p, den, _ in cases) > 30
+        assert sum(not p for _, p, _, _ in cases) > 4
+        for packing, p, den, names in cases:
+            want = mpoly_by_eager_decode(packing, p, den, names)
+            # the statistics first, off the packed polynomial, then the terms
+            got = packing.mpoly(p, den, names)
+            assert (got.term_count(), got.is_zero(), got.total_degree()) == \
+                (want.term_count(), want.is_zero(), want.total_degree()), (p, den, names)
+            assert got.vars == want.vars and got.terms == want.terms
+            assert got.support_vars() == want.support_vars() and str(got) == str(want)
+            assert got == want and want == got
+            # the terms first, then the statistics off them
+            got = packing.mpoly(p, den, names)
+            assert str(got) == str(want) and got == want and want == got
+            assert (got.term_count(), got.is_zero(), got.total_degree()) == \
+                (want.term_count(), want.is_zero(), want.total_degree())
+
+    def test_terms_are_formed_once_when_first_read(self, monkeypatch):
+        decoded = []
+        terms = Packing.terms
+        monkeypatch.setattr(Packing, "terms", lambda *args: decoded.append(1) or terms(*args))
+        packing = Packing(3, 4)
+        p = packing.mpoly({packing.key((1, 2, 0)): 3, packing.key((0, 0, 4)): -1}, 2, "xyz")
+        assert (p.term_count(), p.is_zero(), p.total_degree(), decoded) == (2, False, 4, [])
+        assert str(p) == "-1/2*z^4 + 3/2*x*y^2" and p.terms is p.terms and decoded == [1]
 
 
 class TestInverse:
