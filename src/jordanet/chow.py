@@ -26,11 +26,12 @@ top fields and the entries below them: its adjugate's cells are packed
 polynomials in the entries (``chow_cells``), whose 6 x 6 determinant is a
 Laplace expansion on ``linalg``'s integer kernel, computed at most once per
 process.  It stays packed in its ``MPoly`` (``linalg.Packing.mpoly``): its
-degree and term count are read off the packed polynomial, and its terms
-are formed only when first read, by an evaluation or a comparison.  CPU in
-a fresh process (Python 3.11.7, Xeon; median and range of 9 processes): the
-determinant 29 ms (27-43), its degree and term count 9 ms (9-15) more, its
-terms 47 ms (46-55) more when read.
+degree and term count are read off the packed polynomial, an evaluation
+at a net (``chow_det_eval_at_net``) sums its packed keys, and its terms
+are formed only when first read, by a comparison.  CPU in a fresh process
+(Python 3.11.7, Xeon; median and range of 9 processes): the determinant
+29 ms (27-43), its degree and term count 9 ms (9-15) more, its terms
+47 ms (46-55) more when read; an evaluation 16-23 ms (5 processes).
 """
 
 from __future__ import annotations
@@ -208,7 +209,8 @@ def chow_det_generic(n: int = 3) -> MPoly:
 
 
 def chow_det_eval_at_net(space: MatSpace) -> Fraction:
-    """Evaluate the generic n = 3 Chow determinant at a net's basis entries."""
+    """Evaluate the generic n = 3 Chow determinant at a net's basis entries,
+    on its packed keys (``exact.poly_eval``): no term is decoded."""
     if space.n != 3 or space.m != 3:
         raise PreconditionError("UNSUPPORTED_DIM", "evaluation needs a net of 3 x 3 matrices")
     assignment = {f"{prefix}{i + 1}{j + 1}": mat[i, j]

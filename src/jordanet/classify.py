@@ -12,17 +12,22 @@ vector falls outside the table raise UNRECOGNIZED rather than guessing.
 
 Multiplicity partitions are always taken relative to the unit U (roots of
 det(lam * U - generic element)); plain eigenvalues would not be congruence
-invariants.  The partition is exact in m - 2 polynomial variables:
-shifting lam by U's coordinate removes one variable and dehomogenizing
-removes another, and neither changes the squarefree structure
-(``generic_multiplicity_partition`` gives the argument).  One integer
-squarefree decomposition (``exact``) of coefficients packed by ``Packing``
-serves Z[lam] for a pencil, Z[t][lam] for a net and Z[t1, t2][lam] for
-m = 4, up to ``MAX_PARTITION_SIZE``.
+invariants.  The partition is read off integer points of the space: at a
+point the generic squarefree factors only merge, so the partition with the
+most parts over a grid whose side exceeds the degree of the discriminant
+is the generic one, and a point with as many parts as a bound s_hat ends
+the search at once (``generic_multiplicity_partition`` gives the
+argument).  For a Jordan space s_hat comes from the radical and
+associativity: one part for the 3a and 3b nets, so they read no point,
+and a single point serves every other canonical net.  Each point is one
+integer characteristic polynomial (``linalg.int_faddeev_leverrier``) and
+one squarefree decomposition in lam (``exact``), up to
+``MAX_PARTITION_SIZE``.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from typing import Dict, NamedTuple, Optional, Tuple, Union
 
@@ -36,7 +41,7 @@ from .jordan import (
     radical,
     structure_constants,
 )
-from .linalg import Packing, faddeev_leverrier, int_matmul, linear_matrix
+from .linalg import int_faddeev_leverrier, int_matmul
 from .spaces import MatSpace, is_regular, unit_point
 from .varieties import rank_one_pencil
 
@@ -44,11 +49,13 @@ NET_LABELS = ("1a", "1b", "2a1", "2a2", "2b", "3a", "3b1", "3b2")
 
 
 #: the largest n C(n + m - 1, m - 1) (n times the terms of det(lam U - X) in
-#: lam and m - 2 variables; S^4 nets: 60) whose partition is computed.  As
-#: (n, m) size CPU-seconds on dense spaces (entries in {-3..3}, Python 3.11,
-#: Xeon), nearly all in the squarefree decomposition: admitted (4, 5) 280 0.16,
-#: (6, 4) 504 1.4, (4, 6) 504 2.2, (5, 5) 630 4.8, (10, 3) 660 1.5; refused (7,
-#: 4) 840 10, (4, 7) 840 16, (11, 3) 858 5.2, (30, 2) 930 2.9, (5, 6) 1260 > 60.
+#: lam and m - 2 variables; S^4 nets: 60) whose partition is computed.  A
+#: dense space (entries in {-3..3}) reads one point; a space that is not
+#: Jordan and whose eigenvalues repeat generically reads the whole grid.  As
+#: (n, m) size points CPU-seconds on such spaces (Python 3.11, Xeon):
+#: admitted (4, 5) 280 2197 0.13, (6, 4) 504 961 0.16, (4, 6) 504 28561 2.4,
+#: (5, 5) 630 9261 1.1, (10, 3) 660 91 0.09; refused (7, 4) 840 1849 0.53,
+#: (11, 3) 858 111 0.21, (30, 2) 930 1 1.8 (dense), (5, 6) 1260 194481 22.
 MAX_PARTITION_SIZE = 700
 
 
@@ -58,50 +65,57 @@ def generic_multiplicity_partition(space: MatSpace) -> Tuple[int, ...]:
     factor of det(lam * U - X) of lam-degree d and multiplicity k gives d
     parts equal to k.
 
-    Computed exactly in m - 2 variables.  Drop the first basis element on
-    which U has a nonzero coordinate and call the others C_1..C_{m-1}, so
-    that U, C_1..C_{m-1} is a basis; with U^-1 = q / s (``Unit.inverse``)
-    and the integer basis C_k = C'_k / L (``MatSpace.integer_basis``), the
-    partition is read off the squarefree decomposition of the characteristic
-    polynomial of t1 q C'_1 + ... + t_{m-2} q C'_{m-2} + q C'_{m-1} over
-    QQ(t1..t_{m-2}).  This is the same decomposition because:
-
-    1. X = tau_0 U + sum tau_k C_k is an invertible change of variables, and
-       lam -> lam - tau_0 is an automorphism of QQ(tau)[lam], so
-       det(lam U - X) has the squarefree structure of
-       g = det(mu U - sum tau_k C_k);
-    2. gcds, hence squarefree decompositions, do not change under the
-       extension QQ(tau_1..tau_{m-1}) of QQ(tau);
-    3. g is homogeneous of degree n with the constant mu-leading coefficient
-       det U, so each squarefree factor is homogeneous with a constant
-       mu-leading coefficient, and setting tau_{m-1} = 1 keeps their
-       mu-degrees, their squarefreeness and their coprimality;
-    4. q C'_k = s L U^-1 C_k only scales the roots by s L > 0.
-
-    A pencil is thus univariate over QQ and a net bivariate.  The integer
-    coefficients come from ``linalg.faddeev_leverrier`` on that matrix,
-    packed from (B', L) (``linalg.Packing``), and go to
-    ``exact.squarefree_decomposition`` as exponent tuples in t1..t_{m-2}.
-    For m = 1 the partition is (n,); otherwise the space is sized first and
-    refused with TOO_LARGE past ``MAX_PARTITION_SIZE``.
+    Read off integer points (README, "Built-in catalog", gives the
+    argument).  Drop the first basis element on which U has a nonzero
+    coordinate and call the others C_1..C_{m-1}; with U^-1 = q / s
+    (``Unit.inverse``) and the integer basis C_k = C'_k / L, the generic
+    structure is that of the characteristic polynomial of t1 q C'_1 + ... +
+    t_{m-2} q C'_{m-2} + q C'_{m-1} over QQ(t).  At an integer point t
+    (``linalg.int_faddeev_leverrier``, then ``exact.squarefree_decomposition``)
+    parts can only merge, so a point with as many parts as the generic
+    partition shows it; the points that merge parts are the zeros of a
+    nonzero discriminant of degree at most s(s - 1) for s parts, which
+    cannot vanish on all of a grid of side s(s - 1) + 1 (Alon's
+    Combinatorial Nullstellensatz).  With a bound s_hat on s, the grid {2 ..
+    s_hat (s_hat - 1) + 2}^(m-2) is read in order until a point shows s_hat
+    parts, else its partition with the most parts is the generic one.  For
+    a Jordan space s_hat = min(n, m - max(dim rad, [not associative])) off
+    its cached structure, else n.  s_hat = 1 and m = 1 give (n,) and a
+    pencil reads one point.  The space is sized first and refused with
+    TOO_LARGE past ``MAX_PARTITION_SIZE``.
     """
     unit = unit_point(space)
-    if space.m == 1:
-        return (space.n,)
-    size = space.n * math.comb(space.n + space.m - 1, space.m - 1)
+    n, m = space.n, space.m
+    if m == 1:
+        return (n,)
+    size = n * math.comb(n + m - 1, m - 1)
     if size > MAX_PARTITION_SIZE:
-        raise PreconditionError("TOO_LARGE", f"the multiplicity partition in S^{space.n} with "
-                                f"m = {space.m} has size {size}, past {MAX_PARTITION_SIZE}")
+        raise PreconditionError("TOO_LARGE", f"the multiplicity partition in S^{n} with "
+                                f"m = {m} has size {size}, past {MAX_PARTITION_SIZE}")
+    bound = n
+    if is_jordan(space)[0]:
+        a = structure_constants(space)
+        bound = min(n, m - (len(radical(a)) or int(not is_associative(a))))
+    if bound == 1:
+        return (n,)
     drop = next(k for k, c in enumerate(unit.coords) if c != 0)
     basis, _ = space.integer_basis()  # each B'_k is symmetric: its rows are its columns
     q, _ = unit.inverse
-    mats = [int_matmul(q, b) for k, b in enumerate(basis) if k != drop]
-    packing = Packing(len(mats) - 1, space.n)
-    cs, _ = faddeev_leverrier(linear_matrix(list(zip(packing.units + [0], mats))))
-    coeffs = [{packing.exps(key): c for key, c in cp.items()} for cp in reversed([{0: 1}] + cs)]
-    # a factor lists its lam-coefficients, one more than its lam-degree
-    parts = [mult for factor, mult in squarefree_decomposition(coeffs) for _ in factor[1:]]
-    return tuple(sorted(parts, reverse=True))
+    *mats, last = [int_matmul(q, b) for k, b in enumerate(basis) if k != drop]
+    best = []
+    for point in itertools.product(range(2, bound * (bound - 1) + 3), repeat=m - 2):
+        x = last
+        for t, mat in zip(point, mats):
+            x = [[u + t * v for u, v in zip(row, mat_row)] for row, mat_row in zip(x, mat)]
+        cs, _ = int_faddeev_leverrier(x)
+        # a factor lists its lam-coefficients, one more than its lam-degree
+        parts = [mult for factor, mult in squarefree_decomposition(cs[::-1] + [1])
+                 for _ in factor[1:]]
+        if len(parts) > len(best):
+            best = parts
+        if len(best) == bound:
+            break
+    return tuple(sorted(best, reverse=True))
 
 
 class InvariantVector(NamedTuple):

@@ -18,14 +18,11 @@ per term; ``integer_poly`` makes none and returns the polynomial cleared of
 denominators by one lcm, with that lcm: 55 rank-one quadrics in t1..t6 are
 read in 2.2 ms, against 3.9 ms as MPolys (Xeon, Python 3.11.7).
 
-Squarefree decomposition (the generic multiplicity partition) runs on
-integer polynomials in recursive dense form: an int, or the list of
-coefficients in a main variable, each a polynomial in one variable fewer.
-``squarefree_decomposition`` (Yun) reads integer characteristic-polynomial
-coefficients, {exponent tuple: int}, into that form; its gcds
-are ``mpoly_gcd`` (contents, then primitive parts) and ``subresultant_gcd``
+Squarefree decomposition (the generic multiplicity partition) runs on one
+integer polynomial in lam at a time, the list of its coefficients:
+``squarefree_decomposition`` (Yun) takes its gcds by ``mpoly_gcd`` (the
+gcd of the coefficients times the primitive gcd) and ``subresultant_gcd``
 (the subresultant pseudo-remainder sequence, with exact integer divisions).
-The same code runs in any number of variables.
 
 Everything is immutable after construction and all operations are pure.
 """
@@ -117,9 +114,10 @@ class MPoly:
 
     A polynomial from ``Packing.mpoly`` keeps the packed integer polynomial
     and forms ``terms`` when it is first read, once: ``term_count``,
-    ``is_zero`` and ``total_degree`` read the packed one, so the 22659 terms
-    of ``chow.chow_det_generic(3)`` are counted and its degree read without
-    one exponent tuple or Fraction.  The total degree is computed once.
+    ``is_zero``, ``total_degree`` and ``poly_eval`` read the packed one, so
+    the 22659 terms of ``chow.chow_det_generic(3)`` are counted, its degree
+    read and its values taken without one exponent tuple or Fraction.  The
+    total degree is computed once.
     """
 
     __slots__ = ("vars", "_terms", "_packed", "_degree")
@@ -337,14 +335,21 @@ def poly_eval(p: MPoly, assignment: Mapping[str, object]) -> Fraction:
     that are not variables of p are ignored), summed on integers: with the
     values a_i / B over their common denominator B, the coefficients c'_t / C
     over theirs, and D the total degree of p, it is the sum of c'_t prod
-    a_i^(t_i) B^(D - |t|) over C B^D, one Fraction in all."""
+    a_i^(t_i) B^(D - |t|) over C B^D, one Fraction in all.  A polynomial
+    that is still packed (``linalg.Packing.mpoly``) is summed on its packed
+    keys (``Packing.evaluate``), B^(D - t_i) per variable, over C B^(kD) for
+    k variables: no term is decoded."""
     values = [frac(assignment[v]) for v in p.vars]
-    if not p.terms:
+    if p.is_zero():
         return Fraction(0)
     b = math.lcm(*(x.denominator for x in values))
     nums = [x.numerator * (b // x.denominator) for x in values]
+    top = p.total_degree()
+    if p._packed is not None:
+        packing, packed, c, fields = p._packed
+        total = packing.evaluate(packed, fields, nums, b, top)
+        return Fraction(total, c * b ** (top * len(nums)))
     c = math.lcm(*(coeff.denominator for coeff in p.terms.values()))
-    top = max(map(sum, p.terms))
     total = 0
     for exps, coeff in p.terms.items():
         term = coeff.numerator * (c // coeff.denominator) * math.prod(map(pow, nums, exps))
@@ -352,176 +357,112 @@ def poly_eval(p: MPoly, assignment: Mapping[str, object]) -> Fraction:
     return Fraction(total, c * b ** top)
 
 
-# -- integer polynomials in recursive dense form -------------------------------
+# -- integer polynomials in one variable ----------------------------------------
 #
-# A polynomial is an int, or the list of its coefficients in the main
-# variable (lowest degree first, no trailing 0), each a polynomial in one
-# variable fewer.  [c] is written c, so 0 is the one zero and an int is a
-# constant at any depth; [p] is p as a constant in the main variable.
+# A polynomial in lam is the list of its integer coefficients, lowest degree
+# first, with no trailing 0: [] is 0.
 
-def _trim(p: list):
+def _trim(p: list) -> list:
     while p and not p[-1]:
         p.pop()
-    return p[0] if len(p) == 1 and isinstance(p[0], int) else p or 0
+    return p
 
 
-def _coeffs(p) -> list:
-    return p if isinstance(p, list) else [p]
+def _derivative(p: list) -> list:
+    return [k * x for k, x in enumerate(p)][1:]
 
 
-def _degree(p) -> int:
-    """Degree in the main variable (0 for a constant and for 0)."""
-    return len(p) - 1 if isinstance(p, list) else 0
+def _sub(a: list, b: list) -> list:
+    return _trim([x - y for x, y in itertools.zip_longest(a, b, fillvalue=0)])
 
 
-def _add(a, b):
-    if isinstance(a, int) and isinstance(b, int):
-        return a + b
-    return _trim([_add(x, y) for x, y in itertools.zip_longest(_coeffs(a), _coeffs(b),
-                                                               fillvalue=0)])
-
-
-def _mul(a, b):
-    if isinstance(a, int) and isinstance(b, int):
-        return a * b
-    a, b = _coeffs(a), _coeffs(b)
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                if y:
-                    out[i + j] = _add(out[i + j], _mul(x, y))
-    return _trim(out)
-
-
-def _sub(a, b):
-    return _add(a, _mul(b, -1))
-
-
-def _power(a, k: int):
-    return functools.reduce(_mul, [a] * k, 1)
-
-
-def _div(a, b):
+def _div(a: list, b: list) -> list:
     """The exact quotient a / b; a remainder is a bug and raises."""
-    if b == 1:
+    if b == [1]:
         return a
-    if isinstance(a, int) and isinstance(b, int):
-        q, r = divmod(a, b)
-    else:
-        r, b = list(_coeffs(a)), _coeffs(b)
-        q = [0] * max(len(r) - len(b) + 1, 0)
-        for k in reversed(range(len(q))):
-            q[k] = _div(r[k + len(b) - 1], b[-1])
+    r, db = list(a), len(b) - 1
+    q = [0] * max(len(r) - db, 0)
+    for k in reversed(range(len(q))):
+        q[k] = c = r[k + db] // b[-1]
+        if c:
             for j, y in enumerate(b):
-                r[k + j] = _sub(r[k + j], _mul(q[k], y))
-        q, r = _trim(q), any(r)
-    if r:
+                r[k + j] -= c * y
+    if any(r):
         raise InternalCheckError("INTERNAL", "inexact integer polynomial division")
-    return q
+    return _trim(q)
 
 
-def _derivative(p):
-    return _trim([_mul(x, k) for k, x in enumerate(p)][1:]) if isinstance(p, list) else 0
-
-
-def _prem(a, b):
+def _prem(a: list, b: list) -> list:
     """The pseudo-remainder lc(b)^(deg a - deg b + 1) * a mod b, deg b >= 1."""
-    lb, db = [b[-1]], len(b) - 1
-    for _ in range(_degree(a) - db + 1):
-        top = [0] * (_degree(a) - db) + [_mul(a[-1], y) for y in b] if _degree(a) >= db else 0
-        a = _sub(_mul(lb, a), top)
-    return a
+    lb, db = b[-1], len(b) - 1
+    steps = len(a) - db
+    while steps > 0 and len(a) > db:
+        lead, shift = a[-1], len(a) - 1 - db
+        a = [lb * x for x in a]
+        for j, y in enumerate(b):
+            a[shift + j] -= lead * y
+        a, steps = _trim(a), steps - 1
+    return [lb ** steps * x for x in a] if steps > 0 else a
 
 
-def _sign(p) -> int:
-    """The sign of the innermost leading coefficient."""
-    while isinstance(p, list):
-        p = p[-1]
-    return -1 if p < 0 else 1
+def _primitive(p: list) -> list:
+    """p over its content, with a positive leading coefficient."""
+    g = math.gcd(*p)
+    return [x // (g if p[-1] > 0 else -g) for x in p]
 
 
-def _content(p):
-    """The positive gcd of the coefficients in the main variable."""
-    return functools.reduce(mpoly_gcd, _coeffs(p), 0)
-
-
-def _primitive(p):
-    """p over its content, with a positive innermost leading coefficient."""
-    return _div(p, [_mul(_content(p), _sign(p))])
-
-
-def mpoly_gcd(p, q):
-    """The gcd of two integer polynomials (positive innermost leading
-    coefficient): the gcd of their contents times that of their primitive parts."""
+def mpoly_gcd(p: list, q: list) -> list:
+    """The gcd of two integer polynomials, with a positive leading
+    coefficient: the gcd of their coefficients times ``subresultant_gcd``."""
     if not p or not q:
-        return _mul(p or q, _sign(p or q))
-    if p == 1 or q == 1:
-        return 1
-    if isinstance(p, int) and isinstance(q, int):
-        return math.gcd(p, q)
-    return _mul([mpoly_gcd(_content(p), _content(q))],
-                subresultant_gcd(_primitive(p), _primitive(q)))
+        return [-x for x in p or q] if (p or q) and (p or q)[-1] < 0 else list(p or q)
+    g = math.gcd(*p, *q)
+    return [g * x for x in subresultant_gcd(p, q)] if g > 1 else subresultant_gcd(p, q)
 
 
-def subresultant_gcd(p, q):
-    """The primitive gcd of p and q in the main variable over the fraction
-    field of the coefficients, with a positive innermost leading coefficient:
-    the last element of the subresultant pseudo-remainder sequence, each
-    pseudo-remainder divided exactly by beta (Brown-Traub's beta/psi)."""
+def subresultant_gcd(p: list, q: list) -> list:
+    """The primitive gcd of two integer polynomials with a positive leading
+    coefficient: the last element of the subresultant pseudo-remainder
+    sequence, each pseudo-remainder divided exactly by beta (Brown-Traub's
+    beta/psi)."""
     if not p or not q:
-        return _primitive(p or q) if p or q else 0
-    if _degree(p) < _degree(q):
+        return _primitive(p or q) if p or q else []
+    if len(p) < len(q):
         p, q = q, p
-    delta = _degree(p) - _degree(q)
+    delta = len(p) - len(q)
     beta, psi = (-1) ** (delta + 1), -1
-    while _degree(q):
+    while len(q) > 1:
         rem = _prem(p, q)
         if not rem:
             return _primitive(q)
         p, q = q, _div(rem, [beta])
-        lc = _mul(p[-1], -1)
+        lc = -p[-1]
         if delta:
-            psi = _div(_power(lc, delta), _power(psi, delta - 1))
-        delta = _degree(p) - _degree(q)
-        beta = _mul(lc, _power(psi, delta))
-    return 1
+            psi = _div([lc ** delta], [psi ** (delta - 1)])[0]
+        delta = len(p) - len(q)
+        beta = lc * psi ** delta
+    return [1]
 
 
-def _nest(terms: dict, k: int):
-    """{exponent tuple: int} as a polynomial in the variables k, k + 1, ..."""
-    exps = next(iter(terms))
-    if k == len(exps):
-        return terms[exps]
-    by_power: dict = {}
-    for exps, c in terms.items():
-        by_power.setdefault(exps[k], {})[exps] = c
-    return _trim([_nest(by_power[e], k + 1) if e in by_power else 0
-                  for e in range(max(by_power) + 1)])
+def squarefree_decomposition(coeffs: List[int]) -> List[Tuple[List[int], int]]:
+    """Yun's squarefree decomposition of the integer polynomial p = sum_k
+    coeffs[k] * lam^k (a characteristic polynomial at an integer point, in
+    ``classify.generic_multiplicity_partition``), its gcds by ``mpoly_gcd``.
 
-
-def squarefree_decomposition(coeffs):
-    """Yun's squarefree decomposition of p = sum_k coeffs[k] * lam^k over the
-    fraction field of its coefficients, integer polynomials given as
-    {exponent tuple: int} over one tuple of variables (what
-    ``classify.generic_multiplicity_partition`` reads off the packed
-    characteristic polynomial).
-
-    They are read into the recursive form, lam first, then their variables
-    in order.  Returns [(factor, multiplicity), ...], one squarefree
-    primitive factor per multiplicity, in increasing multiplicity; a factor
-    is the list of its lam-coefficients, of lam-degree ``len(factor) - 1``.
-    p over prod(factor ** multiplicity) is free of lam."""
-    p = _trim([_nest(c, 0) if c else 0 for c in coeffs])
+    Returns [(factor, multiplicity), ...], one squarefree primitive factor
+    per multiplicity, in increasing multiplicity; a factor is the list of
+    its coefficients, of degree ``len(factor) - 1``.  p over
+    prod(factor ** multiplicity) is an integer."""
+    p = _trim(list(coeffs))
     if not p:
         raise ValueError("zero polynomial has no squarefree decomposition")
     c = _primitive(p)
     d, factors = _derivative(c), []
     for mult in itertools.count():  # the pass with multiplicity 0 divides out gcd(p, p')
-        if not _degree(c):
+        if len(c) == 1:
             return factors
-        a = subresultant_gcd(c, d)
-        if mult and _degree(a):
+        a = mpoly_gcd(c, d)
+        if mult and len(a) > 1:
             factors.append((a, mult))
         c = _div(c, a)
         d = _sub(_div(d, a), _derivative(c))

@@ -28,9 +28,11 @@ from integer matrices M_k (a space's generic element,
 its adjugate and characteristic polynomial, ``laplace_minors`` (memoized
 over column subsets) its determinant and minors, and ``Packing.mpoly``
 wraps a result in an ``MPoly`` that reads its terms off the packed
-polynomial when they are first read.  ``charpoly``, ``adjugate`` and
-``det_laplace`` run the same kernel on a matrix M = M' / d, as the
-constant matrix ``linear_matrix([(0, M')])``.  ``symmetric_linear_adjugate``
+polynomial when they are first read.  ``int_faddeev_leverrier`` runs the
+same recurrence on a plain integer matrix: ``charpoly`` and ``adjugate``
+take it of M' for M = M' / d, and the multiplicity partition at each
+integer point; ``det_laplace`` runs ``laplace_minors`` on the constant
+matrix ``linear_matrix([(0, M')])``.  ``symmetric_linear_adjugate``
 runs its recurrence on a symmetric matrix linear in t_1..t_m, upper
 triangles only, each entry a coefficient vector over the monomials of its
 degree (a space's Chow matrix).
@@ -194,6 +196,26 @@ class Packing:
         exps = zip(*columns) if columns else itertools.repeat((), len(p))
         coeffs = map(Fraction, p.values()) if den == 1 else (Fraction(c, den) for c in p.values())
         return dict(zip(exps, coeffs))
+
+    def evaluate(self, p: IntPoly, fields: Sequence[int], values: Sequence[int], scale: int,
+                 top: int) -> int:
+        """The sum over the terms c x^e of p of c prod_i values[i]^e_i
+        scale^(top - e_i), e_i read off field ``fields[i]`` (at most top).
+        Keys are cut into chunks of six fields and each distinct chunk is
+        read once, into the product of its fields' powers: a term costs a
+        shift, a lookup and a product per chunk, and no key is decoded."""
+        width, mask = self.mask.bit_length(), self.mask
+        powers = {f: [v ** e * scale ** (top - e) for e in range(min(top, mask) + 1)]
+                  for f, v in zip(fields, values)}
+        keys, totals = list(p), list(p.values())
+        span = 6 * width
+        for low in range(0, max(fields, default=-1) + 1, span):
+            inside = [(f - low, powers[f]) for f in fields if low <= f < low + span]
+            parts = [key >> low & ((1 << span) - 1) for key in keys]
+            value = {part: math.prod(table[part >> f & mask] for f, table in inside)
+                     for part in set(parts)}
+            totals = list(map(mul, totals, map(value.__getitem__, parts)))
+        return sum(totals)
 
     def degree(self, p: IntPoly):
         """The largest sum of a key's fields, -inf when p is 0.  Adjacent
@@ -587,31 +609,46 @@ def symmetric_linear_adjugate(mats: Sequence[Sequence[Sequence[int]]]) -> List[L
     return mk if n % 2 else [[[-x for x in p] for p in row] for row in mk]
 
 
+def int_faddeev_leverrier(a: Sequence[Sequence[int]]) -> Tuple[List[int], List[List[int]]]:
+    """``faddeev_leverrier`` on a plain integer n x n matrix A (its rows),
+    ([c_1 .. c_n], M_n): each product A M_k is taken as M_k A on A's columns
+    (M_k is a polynomial in A), n - 2 products of ints and the trace of one
+    more."""
+    n, cols = len(a), list(zip(*a))
+    mk, cs = [[int(i == j) for j in range(n)] for i in range(n)], []
+    for k in range(1, n):
+        mk = int_matmul(mk, cols) if k > 1 else [list(row) for row in a]
+        cs.append(-sum(mk[i][i] for i in range(n)) // k)
+        for i in range(n):
+            mk[i][i] += cs[-1]
+    cs += [-sum(sum(map(mul, row, col)) for row, col in zip(mk, cols)) // n] if n else []
+    return cs, mk
+
+
 def charpoly(m: Mat) -> List[Fraction]:
     """The monic characteristic polynomial det(lam*I - M) of a Fraction
     matrix as its n + 1 coefficients c_0 .. c_n = 1 of lam^0 .. lam^n:
-    ``faddeev_leverrier`` of the constant matrix M' for M = M' / d, whose
-    coefficient of lam^(n-k), c'_k, is d^k times M's."""
+    ``int_faddeev_leverrier`` of the integer matrix M' for M = M' / d,
+    whose coefficient of lam^(n-k), c'_k, is d^k times M's."""
     if not m.is_square():
         raise PreconditionError("NOT_SQUARE", "characteristic polynomial needs a square matrix")
     n = m.rows
     flat, d = integer_vector([x for row in m.data for x in row])
-    cs, _ = faddeev_leverrier(linear_matrix([(0, [flat[i * n:(i + 1) * n] for i in range(n)])]))
-    return [Fraction(c.get(0, 0), d ** k) for k, c in reversed(list(enumerate(cs, 1)))] + \
-        [Fraction(1)]
+    cs, _ = int_faddeev_leverrier([flat[i * n:(i + 1) * n] for i in range(n)])
+    return [Fraction(c, d ** k) for k, c in reversed(list(enumerate(cs, 1)))] + [Fraction(1)]
 
 
 def adjugate(m: Mat) -> Mat:
     """Adjugate of a Fraction matrix, M @ adj(M) = det(M) * I: for M = M' /
     d, adj(M) = (-1)^(n-1) M'_n / d^(n-1), M'_n the matrix that
-    ``faddeev_leverrier`` of the constant matrix M' leaves."""
+    ``int_faddeev_leverrier`` of M' leaves."""
     if not m.is_square():
         raise PreconditionError("NOT_SQUARE", "adjugate needs a square matrix")
     n = m.rows
     flat, d = integer_vector([x for row in m.data for x in row])
-    _, mk = faddeev_leverrier(linear_matrix([(0, [flat[i * n:(i + 1) * n] for i in range(n)])]))
+    _, mk = int_faddeev_leverrier([flat[i * n:(i + 1) * n] for i in range(n)])
     den = (1 if n % 2 else -1) * d ** max(n - 1, 0)
-    return Mat([[Fraction(x.get(0, 0), den) for x in row] for row in mk])
+    return Mat([[Fraction(x, den) for x in row] for row in mk])
 
 
 def express_in_rows(rows: List[List[Fraction]], v: Sequence[Fraction]) -> Optional[List[Fraction]]:

@@ -69,8 +69,11 @@ that the tests can compare the two:
   of its terms (the package sums integers over one common denominator);
 - ``squarefree_by_mpoly``, ``subresultant_gcd_by_mpoly`` and
   ``mpoly_gcd_by_mpoly``: Yun's decomposition and its gcds on ``UniPoly``
-  (a main variable over ``MPoly`` coefficients) with ``exact_div`` (the
-  package runs them on integer polynomials in recursive dense form);
+  (a main variable over ``MPoly`` coefficients) with ``exact_div``, and
+  ``squarefree_by_recursive``, ``subresultant_gcd_by_recursive`` and
+  ``mpoly_gcd_by_recursive`` on integer polynomials in recursive dense
+  form, in any number of variables (the package runs them on one integer
+  polynomial in lam at a time);
   ``uni_charpoly`` wraps ``faddeev_leverrier_by_entries``' coefficients for
   them.
 
@@ -133,14 +136,17 @@ that the tests can compare the two:
   into an exponent tuple and every coefficient into a Fraction (the
   package keeps the packed polynomial, reads its term count and degree off
   it, and forms the terms only when they are first read).
-- ``partition_by_mpoly``: the multiplicity partition from the
-  characteristic polynomial (``faddeev_leverrier_by_entries``) of
-  the Fraction generic element t1 qC'_1 + ... + qC'_{m-1} (``Mat.from_ints``
-  matrices, a ``Mat`` sum), its coefficients cleared of denominators by
-  ``integer_coefficients`` (the package packs that element as integers and
-  hands Faddeev-LeVerrier's coefficients to ``squarefree_decomposition``
-  as they come); ``partition_coefficients_by_mpoly`` is that decomposition's
-  input.  ``rational_spaces`` are seeded inputs for both comparisons.
+- ``partition_by_bivariate``: the multiplicity partition exactly in m - 2
+  variables, Yun's decomposition (``squarefree_by_recursive``) over
+  QQ(t1..t_{m-2}) of the characteristic polynomial of the element t1 qC'_1
+  + ... + qC'_{m-1}, whose coefficients ``partition_coefficients_by_packing``
+  takes from one Faddeev-LeVerrier run on the packed integer element, and
+  ``partition_coefficients_by_mpoly`` from ``faddeev_leverrier_by_entries``
+  of the Fraction element (``Mat.from_ints`` matrices, a ``Mat`` sum),
+  cleared of denominators by ``integer_coefficients`` (the package reads
+  the partition off that polynomial at integer points, one integer
+  characteristic polynomial in lam each).  ``rational_spaces`` are seeded
+  inputs for the comparisons.
 
 ``mpoly_from_terms`` is the checked constructor the tests build polynomials
 with: any variable order, duplicate exponents merged, zeros dropped;
@@ -148,10 +154,11 @@ with: any variable order, duplicate exponents merged, zeros dropped;
 ``is_constant`` and ``constant_value`` read a constant ``MPoly``, and
 ``zero_mat`` and ``mat_map`` build ``Mat``s, none of which the package needs.
 ``to_recursive`` and ``from_recursive`` convert between ``MPoly`` and the
-recursive dense form of ``jordanet.exact``'s gcds.
+recursive dense form of ``squarefree_by_recursive``'s gcds.
 """
 
 import bisect
+import functools
 import itertools
 import math
 import re
@@ -168,15 +175,17 @@ from jordanet.exact import (
     frac,
     monomials,
     parse_poly,
-    squarefree_decomposition,
 )
 from jordanet.jordan import radical, structure_constants
 from jordanet.linalg import (
     Mat,
+    Packing,
     det,
+    faddeev_leverrier,
     int_matmul,
     integer_vector,
     inverse,
+    linear_matrix,
     mat_rank,
     rref,
 )
@@ -1327,7 +1336,7 @@ def chow_matrix_generic_by_mpoly(n: int = 3) -> Mat:
 
 
 def integer_coefficients(coeffs):
-    """Fraction or MPoly lam-coefficients as ``squarefree_decomposition``'s
+    """Fraction or MPoly lam-coefficients as ``squarefree_by_recursive``'s
     input: cleared of denominators by one lcm, each {exponent tuple: int}
     over the sorted union of their variables."""
     polys = [c if isinstance(c, MPoly) else MPoly.const(c) for c in coeffs]
@@ -1338,7 +1347,7 @@ def integer_coefficients(coeffs):
 
 
 def partition_coefficients_by_mpoly(space):
-    """The input of the partition's squarefree decomposition: the
+    """The input of the bivariate squarefree decomposition: the
     characteristic polynomial (``faddeev_leverrier_by_entries``) of t1 qC'_1
     + ... + t_{m-2} qC'_{m-2} + qC'_{m-1}, the C'_k the integer
     basis without the first element on which the unit has a nonzero
@@ -1372,17 +1381,207 @@ def rational_spaces(seed: int):
     return out
 
 
-def partition_by_mpoly(space):
-    """``generic_multiplicity_partition`` from ``partition_coefficients_by_mpoly``."""
+def partition_coefficients_by_packing(space):
+    """``partition_coefficients_by_mpoly`` on the packed integer kernel: one
+    ``faddeev_leverrier`` run on the element, packed by ``Packing`` over
+    t1..t_{m-2}, each coefficient read back as {exponent tuple: int}."""
+    unit = unit_point(space)
+    drop = next(k for k, c in enumerate(unit.coords) if c != 0)
+    basis, _ = space.integer_basis()
+    q, _ = unit.inverse
+    mats = [int_matmul(q, b) for k, b in enumerate(basis) if k != drop]
+    packing = Packing(len(mats) - 1, space.n)
+    cs, _ = faddeev_leverrier(linear_matrix(list(zip(packing.units + [0], mats))))
+    return [{packing.exps(key): c for key, c in cp.items()} for cp in reversed([{0: 1}] + cs)]
+
+
+def partition_by_bivariate(space):
+    """The multiplicity partition exactly in m - 2 variables (one for a
+    net): Yun's decomposition (``squarefree_by_recursive``) of
+    ``partition_coefficients_by_packing`` over QQ(t1..t_{m-2})."""
     if space.m == 1:
         return (space.n,)
     parts = []
-    for factor, mult in squarefree_decomposition(partition_coefficients_by_mpoly(space)):
+    for factor, mult in squarefree_by_recursive(partition_coefficients_by_packing(space)):
         parts.extend([mult] * (len(factor) - 1))
     return tuple(sorted(parts, reverse=True))
 
 
-# -- the recursive dense form of ``jordanet.exact``'s gcds ------------------
+# -- integer polynomials in recursive dense form ------------------------------
+#
+# A polynomial is an int, or the list of its coefficients in the main
+# variable (lowest degree first, no trailing 0), each a polynomial in one
+# variable fewer.  [c] is written c, so 0 is the one zero and an int is a
+# constant at any depth; [p] is p as a constant in the main variable.  The
+# same code runs in any number of variables.
+
+def _trim(p: list):
+    while p and not p[-1]:
+        p.pop()
+    return p[0] if len(p) == 1 and isinstance(p[0], int) else p or 0
+
+
+def _coeffs(p) -> list:
+    return p if isinstance(p, list) else [p]
+
+
+def _degree(p) -> int:
+    """Degree in the main variable (0 for a constant and for 0)."""
+    return len(p) - 1 if isinstance(p, list) else 0
+
+
+def _add(a, b):
+    if isinstance(a, int) and isinstance(b, int):
+        return a + b
+    return _trim([_add(x, y) for x, y in itertools.zip_longest(_coeffs(a), _coeffs(b),
+                                                               fillvalue=0)])
+
+
+def _mul(a, b):
+    if isinstance(a, int) and isinstance(b, int):
+        return a * b
+    a, b = _coeffs(a), _coeffs(b)
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                if y:
+                    out[i + j] = _add(out[i + j], _mul(x, y))
+    return _trim(out)
+
+
+def _sub(a, b):
+    return _add(a, _mul(b, -1))
+
+
+def _power(a, k: int):
+    return functools.reduce(_mul, [a] * k, 1)
+
+
+def _div(a, b):
+    """The exact quotient a / b; a remainder is a bug and raises."""
+    if b == 1:
+        return a
+    if isinstance(a, int) and isinstance(b, int):
+        q, r = divmod(a, b)
+    else:
+        r, b = list(_coeffs(a)), _coeffs(b)
+        q = [0] * max(len(r) - len(b) + 1, 0)
+        for k in reversed(range(len(q))):
+            q[k] = _div(r[k + len(b) - 1], b[-1])
+            for j, y in enumerate(b):
+                r[k + j] = _sub(r[k + j], _mul(q[k], y))
+        q, r = _trim(q), any(r)
+    if r:
+        raise InternalCheckError("INTERNAL", "inexact integer polynomial division")
+    return q
+
+
+def _derivative(p):
+    return _trim([_mul(x, k) for k, x in enumerate(p)][1:]) if isinstance(p, list) else 0
+
+
+def _prem(a, b):
+    """The pseudo-remainder lc(b)^(deg a - deg b + 1) * a mod b, deg b >= 1."""
+    lb, db = [b[-1]], len(b) - 1
+    for _ in range(_degree(a) - db + 1):
+        top = [0] * (_degree(a) - db) + [_mul(a[-1], y) for y in b] if _degree(a) >= db else 0
+        a = _sub(_mul(lb, a), top)
+    return a
+
+
+def _sign(p) -> int:
+    """The sign of the innermost leading coefficient."""
+    while isinstance(p, list):
+        p = p[-1]
+    return -1 if p < 0 else 1
+
+
+def _content(p):
+    """The positive gcd of the coefficients in the main variable."""
+    return functools.reduce(mpoly_gcd_by_recursive, _coeffs(p), 0)
+
+
+def _primitive(p):
+    """p over its content, with a positive innermost leading coefficient."""
+    return _div(p, [_mul(_content(p), _sign(p))])
+
+
+def mpoly_gcd_by_recursive(p, q):
+    """The gcd of two integer polynomials (positive innermost leading
+    coefficient): the gcd of their contents times that of their primitive parts."""
+    if not p or not q:
+        return _mul(p or q, _sign(p or q))
+    if p == 1 or q == 1:
+        return 1
+    if isinstance(p, int) and isinstance(q, int):
+        return math.gcd(p, q)
+    return _mul([mpoly_gcd_by_recursive(_content(p), _content(q))],
+                subresultant_gcd_by_recursive(_primitive(p), _primitive(q)))
+
+
+def subresultant_gcd_by_recursive(p, q):
+    """The primitive gcd of p and q in the main variable over the fraction
+    field of the coefficients, with a positive innermost leading coefficient:
+    the last element of the subresultant pseudo-remainder sequence, each
+    pseudo-remainder divided exactly by beta (Brown-Traub's beta/psi)."""
+    if not p or not q:
+        return _primitive(p or q) if p or q else 0
+    if _degree(p) < _degree(q):
+        p, q = q, p
+    delta = _degree(p) - _degree(q)
+    beta, psi = (-1) ** (delta + 1), -1
+    while _degree(q):
+        rem = _prem(p, q)
+        if not rem:
+            return _primitive(q)
+        p, q = q, _div(rem, [beta])
+        lc = _mul(p[-1], -1)
+        if delta:
+            psi = _div(_power(lc, delta), _power(psi, delta - 1))
+        delta = _degree(p) - _degree(q)
+        beta = _mul(lc, _power(psi, delta))
+    return 1
+
+
+def _nest(terms: dict, k: int):
+    """{exponent tuple: int} as a polynomial in the variables k, k + 1, ..."""
+    exps = next(iter(terms))
+    if k == len(exps):
+        return terms[exps]
+    by_power: dict = {}
+    for exps, c in terms.items():
+        by_power.setdefault(exps[k], {})[exps] = c
+    return _trim([_nest(by_power[e], k + 1) if e in by_power else 0
+                  for e in range(max(by_power) + 1)])
+
+
+def squarefree_by_recursive(coeffs):
+    """Yun's squarefree decomposition of p = sum_k coeffs[k] * lam^k over the
+    fraction field of its coefficients, integer polynomials given as
+    {exponent tuple: int} over one tuple of variables (what
+    ``partition_coefficients_by_packing`` reads off the packed
+    characteristic polynomial).
+
+    They are read into the recursive form, lam first, then their variables
+    in order.  Returns [(factor, multiplicity), ...], one squarefree
+    primitive factor per multiplicity, in increasing multiplicity; a factor
+    is the list of its lam-coefficients, of lam-degree ``len(factor) - 1``.
+    p over prod(factor ** multiplicity) is free of lam."""
+    p = _trim([_nest(c, 0) if c else 0 for c in coeffs])
+    if not p:
+        raise ValueError("zero polynomial has no squarefree decomposition")
+    c = _primitive(p)
+    d, factors = _derivative(c), []
+    for mult in itertools.count():  # the pass with multiplicity 0 divides out gcd(p, p')
+        if not _degree(c):
+            return factors
+        a = subresultant_gcd_by_recursive(c, d)
+        if mult and _degree(a):
+            factors.append((a, mult))
+        c = _div(c, a)
+        d = _sub(_div(d, a), _derivative(c))
+
 
 def to_recursive(p: MPoly, names):
     """p as an int or nested lists, ``names[0]`` the main variable and each

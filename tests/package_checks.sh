@@ -29,6 +29,30 @@ for label in 1a 2a1 2b; do
   jordanet analyze "catalog://s4/$label" --json > "analyze_$label.json"
   python -c 'import json, sys; sys.exit(json.load(open(sys.argv[1] + ".json"))["net_class"] != sys.argv[1][8:])' "analyze_$label"
 done
+# a pencil's partition is one integer polynomial in lam, with no variable: V1 and V2 in
+# S^4 and the nilpotent pencil <antidiag(1, 1, 1), E11> in S^3
+echo '{"n": 4, "basis": [[[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]], [[2, 0, 0, 0], [0, -1, 0, 0], [0, 0, -1, 0], [0, 0, 0, -1]]]}' > pencil_v1.json
+echo '{"n": 4, "basis": [[[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]], [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, -1, 0], [0, 0, 0, -1]]]}' > pencil_v2.json
+echo '{"n": 3, "basis": [[[0, 0, 1], [0, 1, 0], [1, 0, 0]], [[1, 0, 0], [0, 0, 0], [0, 0, 0]]]}' > pencil_nil.json
+for case in v1:V1 v2:V2 nil:nilpotent; do
+  jordanet pencil "pencil_${case%%:*}.json" --json > "pencil_${case%%:*}_out.json"
+  python -c 'import json, sys; sys.exit(json.load(open(sys.argv[1]))["label"] != sys.argv[2])' "pencil_${case%%:*}_out.json" "${case#*:}"
+done
+# P^T B P for a fixed integer P: 2a1 and 2a2 differ only in their partitions, (2, 2) and
+# (3, 1), each read off one integer point of the image
+for label in 2a1 2a2; do
+  python - "$label" > "image_$label.json" <<'PY'
+import json, sys
+from jordanet.catalog import canonical
+from jordanet.exact import frac_str
+p = [[2, 1, 0, 0], [0, 1, -1, 0], [1, 0, 1, 1], [0, 0, 1, 3]]
+image = [[[sum(p[k][i] * b[k, l] * p[l][j] for k in range(4) for l in range(4)) for j in range(4)]
+          for i in range(4)] for b in canonical(f"s4/{sys.argv[1]}").basis]
+print(json.dumps({"n": 4, "basis": [[[frac_str(x) for x in row] for row in m] for m in image]}))
+PY
+  jordanet analyze "image_$label.json" --json > "analyze_image_$label.json"
+  python -c 'import json, sys; sys.exit(json.load(open(sys.argv[1]))["net_class"] != sys.argv[2])' "analyze_image_$label.json" "$label"
+done
 # the full verification suite on the installed package: no check fails, and each
 # check's name, verdict and detail are the committed golden's, criterion by criterion
 jordanet verify --json > verify.json

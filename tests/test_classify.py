@@ -1,3 +1,4 @@
+import itertools
 import math
 import time
 from fractions import Fraction
@@ -19,6 +20,7 @@ from jordanet.classify import (
     invariant_vector,
 )
 from jordanet.errors import PreconditionError
+from jordanet.exact import squarefree_decomposition
 from jordanet.jordan import is_associative, is_jordan, jordan_closure, radical, structure_constants
 from jordanet.linalg import Mat, inverse
 from jordanet.prng import SplitMix64, derive_seed
@@ -34,8 +36,9 @@ from jordanet.spaces import (
 from oracles import (
     generic_element,
     matmul_by_loop,
-    partition_by_mpoly,
+    partition_by_bivariate,
     partition_coefficients_by_mpoly,
+    partition_coefficients_by_packing,
     rational_spaces,
     squarefree_by_mpoly,
     uni_charpoly,
@@ -156,6 +159,30 @@ def diagonal_net_s5():
     return make_space(5, [diag(1, 1, 0, 0, 0), diag(0, 0, 1, 1, 0), diag(0, 0, 0, 0, 1)])
 
 
+def spin_net_s6():
+    """Three block-diagonal copies of S^2 in S^6: semisimple, not associative."""
+    blocks = []
+    for pattern in ([(0, 0), (2, 2), (4, 4)], [(0, 1), (2, 3), (4, 5)], [(1, 1), (3, 3), (5, 5)]):
+        m = [[0] * 6 for _ in range(6)]
+        for i, j in pattern:
+            m[i][j] = 1
+            m[j][i] = 1
+        blocks.append(Mat.from_ints(m))
+    return make_space(6, blocks)
+
+
+def kron(y, d):
+    """The Kronecker product of two integer matrices, as a Mat."""
+    k = len(d)
+    return Mat.from_ints([[y[i // k][j // k] * d[i % k][j % k] for j in range(len(y) * k)]
+                          for i in range(len(y) * k)])
+
+
+def seeded_symmetric(rng, n):
+    u = [[rng.int_between(-3, 3) for _ in range(n)] for _ in range(n)]
+    return [[u[min(i, j)][max(i, j)] for j in range(n)] for i in range(n)]
+
+
 def unit_off_the_first_element():
     """Name -> (space, partition) for two spaces whose unit, the identity,
     has coordinate 0 on the first basis element."""
@@ -186,24 +213,41 @@ def oracle_spaces():
     return named
 
 
-class TestIntegerPartition:
-    """The partition's characteristic polynomial from Faddeev-LeVerrier on
-    the packed integer element, against the entry loops' characteristic
-    polynomial of the Fraction generic element cleared of denominators
-    (``partition_coefficients_by_mpoly``): the same squarefree input, and
-    the same partition where the decomposition is quick (at most two
-    variables)."""
+def parts_bound(space):
+    """The bound the partition reads its grid by: min(n, m - max(dim rad,
+    [not associative])) for a Jordan space, n for any other."""
+    if not is_jordan(space)[0]:
+        return space.n
+    a = structure_constants(space)
+    return min(space.n, space.m - max(len(radical(a)), int(not is_associative(a))))
 
-    def inputs(self, monkeypatch, space):
-        # the decomposition is stubbed, so the size bound that guards it is
-        # lifted: S^5 with m = 6 is past it
-        got = []
-        monkeypatch.setattr(classify, "squarefree_decomposition",
-                            lambda coeffs: got.append(coeffs) or [])
-        monkeypatch.setattr(classify, "MAX_PARTITION_SIZE", math.inf)
-        generic_multiplicity_partition(space)
-        monkeypatch.undo()
-        return got
+
+def read_points(monkeypatch, space):
+    """(partition, the characteristic polynomial of each point it read, as
+    handed to squarefree_decomposition)."""
+    polys = []
+    real = classify.squarefree_decomposition
+    monkeypatch.setattr(classify, "squarefree_decomposition",
+                        lambda coeffs: polys.append(list(coeffs)) or real(coeffs))
+    partition = generic_multiplicity_partition(space)
+    monkeypatch.undo()
+    return partition, polys
+
+
+def evaluate(coeffs, point):
+    """{exponent tuple: int} lam-coefficients at an integer point."""
+    return [sum(c * math.prod(map(pow, point, exps)) for exps, c in cp.items()) for cp in coeffs]
+
+
+class TestIntegerPartition:
+    """The partition read off integer points against the bivariate oracle:
+    the polynomial of each point is the oracle's characteristic polynomial
+    over QQ(t1..t_{m-2}) (``partition_coefficients_by_packing``, checked
+    against the entry loops' ``partition_coefficients_by_mpoly``) evaluated
+    at that point, the points taken in order from the grid {2 .. b (b - 1) +
+    2}^(m-2) for the bound b (``parts_bound``); the last point read is the
+    first with b parts, or the grid ends; and the partition is the
+    oracle's."""
 
     def test_rational_bases_and_catalog_spaces(self, monkeypatch):
         # both rational spaces of each shape up to S^4, one in S^5, where the
@@ -213,14 +257,26 @@ class TestIntegerPartition:
         named.update(oracle_spaces())
         checked = set()
         for name, sp in named.items():
-            if not is_regular(sp):
+            if not is_regular(sp) or sp.n * math.comb(sp.n + sp.m - 1, sp.m - 1) > 700:
                 continue
-            if sp.m > 1:
-                assert self.inputs(monkeypatch, sp) == [partition_coefficients_by_mpoly(sp)], name
+            partition, polys = read_points(monkeypatch, sp)
+            bound = parts_bound(sp)
+            if sp.m == 1 or bound == 1:
+                assert polys == [] and partition == (sp.n,), name
+            else:
+                coeffs = partition_coefficients_by_packing(sp)
+                assert coeffs == partition_coefficients_by_mpoly(sp), name
+                grid = itertools.product(range(2, bound * (bound - 1) + 3), repeat=sp.m - 2)
+                assert polys == [evaluate(coeffs, point) for point in
+                                 itertools.islice(grid, len(polys))], name
+                distinct = [sum(len(f) - 1 for f, _ in squarefree_decomposition(p)) for p in polys]
+                assert bound not in distinct[:-1], name
+                assert distinct[-1] == bound or len(polys) == (bound * (bound - 1) + 1) ** (sp.m - 2)
             if sp.m <= 4:
-                assert generic_multiplicity_partition(sp) == partition_by_mpoly(sp), name
+                assert partition == partition_by_bivariate(sp), name
             checked.add((sp.n, sp.m))
-        assert {(n, m) for n in range(1, 6) for m in range(1, min(sym_dim(n), 6) + 1)} <= checked
+        assert {(n, m) for n in range(1, 6) for m in range(1, min(sym_dim(n), 6) + 1)
+                if n * math.comb(n + m - 1, m - 1) <= 700} <= checked
 
 
 class TestPartition:
@@ -234,6 +290,83 @@ class TestPartition:
             assert generic_multiplicity_partition(sp) == partition_in_all_variables(sp), name
             image = sample_congruent(sp, derive_seed(0, "partition", name))
             assert generic_multiplicity_partition(image) == partition_in_all_variables(image), name
+
+    def test_matches_the_bivariate_oracle_on_the_catalog(self):
+        # every catalog space and three seeded congruence images of each
+        from jordanet.catalog import catalog_ids
+
+        for cid in catalog_ids():
+            if cid.startswith("degen/") or not is_regular(canonical(cid)):
+                continue
+            for k in range(4):
+                sp = canonical(cid) if k == 0 else \
+                    sample_congruent(canonical(cid), derive_seed(0, "bivariate", cid, k))
+                assert generic_multiplicity_partition(sp) == partition_by_bivariate(sp), (cid, k)
+
+    def test_every_branch_of_the_bound(self):
+        # (space, bound): dim rad = m - 1 gives 1 and no point; a semisimple
+        # algebra that is not associative m - 1; the associativity term is
+        # not applied on a radical (2b, the L2 copencil); a space that is not
+        # Jordan n
+        named = {
+            "nilpotent pencil in S^2": (make_space(2, [E(2, 1, 2), E(2, 1, 1)]), 1),
+            "s4/3a": (canonical("s4/3a"), 1),
+            "s4/3b1": (canonical("s4/3b1"), 1),
+            "s4/3b2": (canonical("s4/3b2"), 1),
+            "spin net in S^6": (spin_net_s6(), 2),
+            "dim4/L2": (canonical("dim4/L2"), 3),
+            "s4/1b": (canonical("s4/1b"), 2),
+            "s4/2b": (canonical("s4/2b"), 2),
+            "copencil/L2": (canonical("copencil/L2"), 2),
+            "s4/1a": (canonical("s4/1a"), 3),
+            "nets/L3": (canonical("nets/L3"), 4),
+        }
+        for name, (sp, bound) in named.items():
+            assert parts_bound(sp) == bound, name
+            for image in (sp, sample_congruent(sp, derive_seed(0, "bound", name))):
+                got = generic_multiplicity_partition(image)
+                assert got == partition_by_bivariate(image) and len(got) <= bound, name
+
+    def test_first_grid_points_merge_parts(self, monkeypatch):
+        # diagonal nets whose eigenvalues collide at the first points: in S^3,
+        # 0, t - 2 and 2 t - 6 meet in pairs at t = 2, 3 and 4; in S^4 every
+        # point of the first row t1 = 2 merges t1 - 2 and 0
+        named = {
+            "S^3": (make_space(3, [diag(1, 1, 1), diag(0, 1, 2), diag(0, -2, -6)]), 4),
+            "S^4": (make_space(4, [diag(1, 1, 1, 1), diag(1, 0, 5, 7), diag(0, 0, 1, 3),
+                                   diag(-2, 0, 11, -5)]), 14),
+        }
+        for name, (sp, points) in named.items():
+            partition, polys = read_points(monkeypatch, sp)
+            assert partition == (1,) * sp.n == partition_by_bivariate(sp), name
+            assert len(polys) == points, name
+
+    def test_the_last_grid_point(self, monkeypatch):
+        # S^2 (x) diag(1, -1), a Jordan net with two generic parts, unit
+        # U = diag(1, -1) (x) diag(1, -1) last: relative to U, t C_1 + C_2
+        # has the discriminant 16 (t - 2)(t - 3), so the two roots meet at
+        # the first two points and part only at the third and last, t = 4
+        d = [[1, 0], [0, -1]]
+        sp = make_space(4, [kron([[4, 0], [0, 0]], d), kron([[-10, -1], [-1, 0]], d),
+                            kron(d, d)])
+        assert unit_point(sp).coords == (0, 0, 1) and parts_bound(sp) == 2
+        partition, polys = read_points(monkeypatch, sp)
+        assert partition == (2, 2) == partition_by_bivariate(sp)
+        assert [len(squarefree_decomposition(p)[0][0]) - 1 for p in polys] == [1, 1, 2]
+
+    def test_repeated_eigenvalues_read_the_grid_in_bounded_time(self, monkeypatch):
+        # spaces that are not Jordan, with every eigenvalue double (X (x) I_2),
+        # read the whole grid for the bound n: 31^2 points for m = 4 in S^6,
+        # 91 for m = 3 in S^10
+        rng = SplitMix64(5)
+        ident = [[1, 0], [0, 1]]
+        for n, m, points in ((3, 4, 961), (5, 3, 91)):
+            sp = make_space(2 * n, [kron(seeded_symmetric(rng, n), ident) for _ in range(m)])
+            assert not is_jordan(sp)[0]
+            start = time.process_time()
+            partition, polys = read_points(monkeypatch, sp)
+            assert time.process_time() - start < 2
+            assert len(polys) == points and partition == (2,) * n == partition_by_bivariate(sp)
 
     def test_unit_off_the_first_basis_element(self):
         # dropping B_1 regardless of the unit's coordinates gives (4,) and
@@ -357,18 +490,7 @@ class TestType1Partition:
         assert generic_multiplicity_partition(sp) == (2, 2, 1)
 
     def test_spin_s6_is_not_type1(self):
-        blocks = []
-        for pattern in (
-            [(0, 0), (2, 2), (4, 4)],
-            [(0, 1), (2, 3), (4, 5)],
-            [(1, 1), (3, 3), (5, 5)],
-        ):
-            m = [[0] * 6 for _ in range(6)]
-            for i, j in pattern:
-                m[i][j] = 1
-                m[j][i] = 1
-            blocks.append(Mat.from_ints(m))
-        sp = make_space(6, blocks)
+        sp = spin_net_s6()
         a = structure_constants(sp)
         assert radical(a) == [] and not is_associative(a)
 

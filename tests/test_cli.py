@@ -118,8 +118,8 @@ class TestChow:
         assert report["det_terms"] == 22659
 
     def test_generic_stats_decode_no_term(self, monkeypatch, capsys):
-        # the degree and the term count are read off the packed determinant;
-        # verify's evaluations read its terms, formed once on the memoised value
+        # the degree and the term count are read off the packed determinant,
+        # and verify's evaluations sum its packed keys: none of its terms is formed
         decoded = []
         terms = linalg.Packing.terms
         monkeypatch.setattr(linalg.Packing, "terms",
@@ -132,7 +132,7 @@ class TestChow:
         assert decoded == []
         code, out, _ = run_cli(["verify", "--subset", "chow", "--json"], capsys)
         assert code == 0 and json.loads(out)["failed"] == 0
-        assert decoded.count(22659) == 1
+        assert 22659 not in decoded
 
     @pytest.mark.parametrize("args", [["catalog://netrank8", "--generic-n3"],
                                       ["--generic-n3", "--rank"], ["--generic-n3", "--kernel"],
@@ -664,30 +664,36 @@ class TestAnalyzeReadsTheJordanTest:
 
 
 class TestPartitionVariables:
-    """generic_multiplicity_partition hands squarefree_decomposition the
-    integer coefficients of a polynomial over QQ(t1..t_{m-2}): one variable
-    for a net, none for a pencil.  Each ring is the set of exponent-tuple
-    lengths, the variable counts, of one call's input."""
+    """generic_multiplicity_partition hands squarefree_decomposition one
+    integer polynomial in lam, its n + 1 coefficients, per integer point it
+    reads: one for each canonical net of 1a, 1b, 2a1, 2a2 and 2b, none for
+    3a, 3b1 and 3b2 (a radical of dimension m - 1 leaves one part), and one
+    for a pencil, which has no variable."""
+
+    POINTS = {"1a": 1, "1b": 1, "2a1": 1, "2a2": 1, "2b": 1, "3a": 0, "3b1": 0, "3b2": 0}
 
     def record(self, monkeypatch):
-        rings = []
+        inputs = []
         real = exact.squarefree_decomposition
 
         def recording(coeffs):
-            rings.append({len(e) for c in coeffs for e in c})
+            inputs.append(list(coeffs))
             return real(coeffs)
 
         rebind_everywhere(monkeypatch, "squarefree_decomposition", real, recording)
-        return rings
+        return inputs
 
     def test_net(self, monkeypatch, capsys):
-        rings = self.record(monkeypatch)
-        code, out, _ = run_cli(["analyze", "catalog://s4/1a", "--json"], capsys)
-        assert code == 0 and json.loads(out)["net_class"] == "1a"
-        assert rings and all(len(ring) == 1 and max(ring) <= 1 for ring in rings), rings
+        inputs = self.record(monkeypatch)
+        for label, points in self.POINTS.items():
+            before = len(inputs)
+            code, out, _ = run_cli(["analyze", f"catalog://s4/{label}", "--json"], capsys)
+            assert code == 0 and json.loads(out)["net_class"] == label
+            assert len(inputs) - before == points, label
+        assert all(len(p) == 5 and all(type(c) is int for c in p) for p in inputs), inputs
 
     def test_v2_pencil(self, monkeypatch, tmp_path, capsys):
-        rings = self.record(monkeypatch)
+        inputs = self.record(monkeypatch)
         path = tmp_path / "v2.json"
         path.write_text(json.dumps({"n": 4, "basis": [
             [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]],
@@ -695,7 +701,8 @@ class TestPartitionVariables:
         ]}))
         code, out, _ = run_cli(["analyze", str(path), "--json"], capsys)
         assert code == 0 and json.loads(out)["net_class"] == "V2"
-        assert rings and all(ring == {0} for ring in rings), rings
+        assert len(inputs) == 1 and len(inputs[0]) == 5, inputs
+        assert all(type(c) is int for c in inputs[0]), inputs
 
 
 class TestBoundedCost:

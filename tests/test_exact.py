@@ -29,11 +29,14 @@ from oracles import (
     is_constant,
     lift,
     mpoly_from_terms,
+    mpoly_gcd_by_recursive,
     parse_outcome,
     parse_poly_by_tokens,
     poly_eval_by_fractions,
     poly_eval_by_mpoly,
     squarefree_by_mpoly,
+    squarefree_by_recursive,
+    subresultant_gcd_by_recursive,
     subresultant_sequence,
     to_recursive,
     uni_exact_div,
@@ -392,16 +395,31 @@ class TestExactDiv:
             assert exact_div(a * b, b) == a
 
 
+def ints(p: UniPoly):
+    """A UniPoly in lam alone as the package's integer coefficient list."""
+    return [c.get((), 0) for c in integer_coefficients(p.coeffs)]
+
+
+def L(s):
+    return ints(U(s))
+
+
 class TestGcd:
+    """The package's gcds on integer polynomials in lam, and the bivariate
+    oracle's (``subresultant_gcd_by_recursive``) on Z[t][lam]."""
+
     def test_gcd_linear(self):
-        assert subresultant_gcd(R("lam^2 - t^2"), R("lam - t")) == R("lam - t")
+        assert subresultant_gcd(L("lam^2 - 4"), L("lam - 2")) == L("lam - 2")
+        assert subresultant_gcd_by_recursive(R("lam^2 - t^2"), R("lam - t")) == R("lam - t")
 
     def test_gcd_with_itself(self):
-        assert subresultant_gcd(R("lam^2 + 1"), R("lam^2 + 1")) == R("lam^2 + 1")
+        assert subresultant_gcd(L("lam^2 + 1"), L("lam^2 + 1")) == L("lam^2 + 1")
+        assert subresultant_gcd(L("lam^2 + 1"), []) == L("lam^2 + 1")
 
     def test_gcd_hand_factorization(self):
         # lam^3 - lam = lam(lam-1)(lam+1); lam^2 - 1 = (lam-1)(lam+1)
-        assert subresultant_gcd(R("lam^3 - lam"), R("lam^2 - 1")) == R("lam^2 - 1")
+        assert subresultant_gcd(L("lam^3 - lam"), L("lam^2 - 1")) == L("lam^2 - 1")
+        assert subresultant_gcd(L("lam^3 - lam"), L("lam^2 + 1")) == [1]
 
     def test_gcd_divides_inputs(self):
         rng = SplitMix64(23)
@@ -409,15 +427,23 @@ class TestGcd:
             h = P("lam^2 + t*lam + 1")
             f = h * P(f"lam + {rng.int_between(1, 5)}*t")
             g = h * P(f"lam - {rng.int_between(1, 5)}")
-            d = from_recursive(subresultant_gcd(to_recursive(f, ("lam", "t")),
-                                                to_recursive(g, ("lam", "t"))), ("lam", "t"))
+            d = from_recursive(subresultant_gcd_by_recursive(to_recursive(f, ("lam", "t")),
+                                                             to_recursive(g, ("lam", "t"))),
+                               ("lam", "t"))
             assert divides(d, f) and divides(d, g)
             assert divides(h, d)  # h itself divides the gcd
+            # at t = 3, on the package's integer polynomials in lam
+            h3 = U("lam^2 + 3*lam + 1")
+            f3, g3 = h3 * U(f"lam + {3 * rng.int_between(1, 5)}"), h3 * U(f"lam - {rng.int_between(1, 5)}")
+            d3 = UniPoly("lam", subresultant_gcd(ints(f3), ints(g3)))
+            assert uni_exact_div(f3, d3) is not None and uni_exact_div(g3, d3) is not None
+            assert uni_exact_div(d3, h3) is not None
 
     def test_gcd_nonmonic_content(self):
         # gcd must survive polynomial contents in the coefficients
-        # t(lam-1)(lam+1) and t(lam-1)
-        assert subresultant_gcd(R("t*lam^2 - t"), R("t*lam - t")) == R("lam - 1")
+        # t(lam-1)(lam+1) and t(lam-1); 6(lam-1)(lam+1) and -4(lam-1)
+        assert subresultant_gcd_by_recursive(R("t*lam^2 - t"), R("t*lam - t")) == R("lam - 1")
+        assert subresultant_gcd(L("6*lam^2 - 6"), L("-4*lam + 4")) == L("lam - 1")
 
     def test_remainder_sequence_matches_the_oracle(self, monkeypatch):
         # the sequence of a wrong psi still ends in the same primitive gcd,
@@ -426,28 +452,37 @@ class TestGcd:
         rng = SplitMix64(29)
         real = exact._prem
         for df, dg in [(6, 5), (6, 4), (5, 3), (7, 3), (4, 4)]:
-            f, g = (UniPoly("lam", [rng.int_between(-5, 5) for _ in range(d)]
-                            + [rng.nonzero_int_between(-5, 5)]) for d in (df, dg))
+            f, g = ([rng.int_between(-5, 5) for _ in range(d)] + [rng.nonzero_int_between(-5, 5)]
+                    for d in (df, dg))
             seen = []
             monkeypatch.setattr(exact, "_prem", lambda a, b: seen.append(b) or real(a, b))
-            subresultant_gcd(to_recursive(f.to_mpoly(), ("lam",)),
-                             to_recursive(g.to_mpoly(), ("lam",)))
+            subresultant_gcd(f, g)
             monkeypatch.undo()
-            expected = [r for r in subresultant_sequence(f, g)[1:] if r.degree() > 0]
+            expected = [r for r in subresultant_sequence(UniPoly("lam", f), UniPoly("lam", g))[1:]
+                        if r.degree() > 0]
             assert len(expected) >= 3
-            assert [from_recursive(b, ("lam",)) for b in seen] == [r.to_mpoly() for r in expected]
+            assert [UniPoly("lam", b) for b in seen] == expected
 
     def test_mpoly_gcd(self):
-        assert mpoly_gcd(R("t2*t1", ("t1", "t2")), R("t2^2", ("t1", "t2"))) == R("t2", ("t1", "t2"))
+        # contents are kept: gcd(6(lam-1)(lam+1), -4(lam-1)) = 2(lam-1)
+        assert mpoly_gcd(L("6*lam^2 - 6"), L("-4*lam + 4")) == L("2*lam - 2")
+        assert mpoly_gcd([], L("-2*lam")) == L("2*lam") and mpoly_gcd([], []) == []
+        assert mpoly_gcd_by_recursive(R("t2*t1", ("t1", "t2")), R("t2^2", ("t1", "t2"))) == \
+            R("t2", ("t1", "t2"))
         xy = ("x", "y")
-        assert mpoly_gcd(R("x^2-y^2", xy), R("x^2+2*x*y+y^2", xy)) == R("x+y", xy)
-        assert mpoly_gcd(R("0", xy), R("-2*x", xy)) == R("2*x", xy)
+        assert mpoly_gcd_by_recursive(R("x^2-y^2", xy), R("x^2+2*x*y+y^2", xy)) == R("x+y", xy)
+        assert mpoly_gcd_by_recursive(R("0", xy), R("-2*x", xy)) == R("2*x", xy)
 
 
 def sqf(p: UniPoly):
-    """The package decomposition of a UniPoly in lam, read off its
-    coefficients cleared of denominators."""
-    return squarefree_decomposition(integer_coefficients(p.coeffs))
+    """The bivariate oracle's decomposition of a UniPoly in lam, read off its
+    coefficients cleared of denominators; when lam is its one variable, the
+    package's decomposition of the same integers is the same."""
+    coeffs = integer_coefficients(p.coeffs)
+    factors = squarefree_by_recursive(coeffs)
+    if all(set(c) <= {()} for c in coeffs):
+        assert squarefree_decomposition([c.get((), 0) for c in coeffs]) == factors
+    return factors
 
 
 class TestSquarefree:
@@ -518,7 +553,8 @@ class TestYunOnIntegerPolynomials:
     (an integer content and a denominator to clear), f1 = a*lam - l and
     f3 = a*lam - l - k (k != 0) are linear in lam with different roots, and
     f2 = (lam - s)^2 - l' is irreducible (l' a non-square integer, or a form
-    with every parameter in it)."""
+    with every parameter in it).  Over Q the package's decomposition runs
+    too (``sqf``)."""
 
     PARAMS = [(), ("t",), ("t1", "t2")]
 
@@ -559,10 +595,12 @@ class TestYunOnIntegerPolynomials:
         assert seen == {0, 1, 2}
 
     def test_degree_zero_and_zero(self):
-        assert squarefree_decomposition([{(): -7}]) == []
-        assert squarefree_decomposition(integer_coefficients([P("t^2 + 1")])) == []
+        assert squarefree_decomposition([-7]) == [] == squarefree_by_recursive([{(): -7}])
+        assert squarefree_by_recursive(integer_coefficients([P("t^2 + 1")])) == []
         with pytest.raises(ValueError):
-            squarefree_decomposition(integer_coefficients([Fraction(0), MPoly.zero(("t",))]))
+            squarefree_decomposition([0, 0])
+        with pytest.raises(ValueError):
+            squarefree_by_recursive(integer_coefficients([Fraction(0), MPoly.zero(("t",))]))
 
 
 class TestUniPolyDivision:

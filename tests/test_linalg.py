@@ -7,7 +7,7 @@ import pytest
 
 from jordanet import linalg
 from jordanet.errors import JordanetError, PreconditionError
-from jordanet.exact import integer_poly, monomials, parse_poly
+from jordanet.exact import integer_poly, monomials, parse_poly, poly_eval
 from jordanet.linalg import (
     Echelon,
     Mat,
@@ -781,19 +781,22 @@ class TestAdjugate:
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
     def test_n_minus_one_products(self, n, monkeypatch):
+        # Faddeev-LeVerrier on the integer matrix: n - 2 products and the
+        # trace of the last one, no polynomial product
         calls = []
-        product = linalg.int_poly_matmul
+        product = linalg.int_matmul
 
         def counting(a, b):
             calls.append(1)
             return product(a, b)
 
-        monkeypatch.setattr(linalg, "int_poly_matmul", counting)
+        monkeypatch.setattr(linalg, "int_matmul", counting)
+        monkeypatch.setattr(linalg, "int_poly_matmul", None)
         m = random_rational_mat(SplitMix64(n), n)
         adjugate(m)
-        assert len(calls) == n - 1
+        assert len(calls) == max(n - 2, 0)
         charpoly(m)
-        assert len(calls) == 2 * (n - 1)
+        assert len(calls) == 2 * max(n - 2, 0)
 
     def test_fundamental_identity(self):
         rng = SplitMix64(37)
@@ -1051,6 +1054,20 @@ class TestPackedMPoly:
             assert str(got) == str(want) and got == want and want == got
             assert (got.term_count(), got.is_zero(), got.total_degree()) == \
                 (want.term_count(), want.is_zero(), want.total_degree())
+
+    def test_values_are_summed_on_the_packed_keys(self, monkeypatch):
+        # poly_eval of a packed polynomial at seeded rationals (zeros, signs,
+        # denominators 1..4, so every value shares one) against its value on
+        # the eager decode; no term is formed, across chunks of the keys
+        monkeypatch.setattr(Packing, "terms", None)
+        rng = SplitMix64(3901)
+        cases = list(self.packed_cases())
+        for packing, p, den, names in cases:
+            want = mpoly_by_eager_decode(packing, p, den, names)
+            for _ in range(2):
+                point = {v: Fraction(rng.int_between(-4, 4), rng.int_between(1, 4)) for v in names}
+                assert poly_eval(packing.mpoly(p, den, names), point) == poly_eval(want, point), \
+                    (p, den, names, point)
 
     def test_terms_are_formed_once_when_first_read(self, monkeypatch):
         decoded = []
