@@ -17,6 +17,7 @@ from jordanet.errors import InputError, InternalCheckError, PreconditionError
 from jordanet.exact import frac_str
 from jordanet.io import load_space_file, parse_space_data
 from jordanet.prng import SplitMix64
+from jordanet.spaces import MatSpace
 from oracles import parse_outcome, parse_poly_by_tokens
 
 GOLDENS = json.loads((Path(__file__).parent / "data" / "cli_goldens.json").read_text())
@@ -267,11 +268,14 @@ class TestDeterminism:
 
 
 class TestGoldens:
-    """analyze --json on every plain catalog id, limit --json on every degen/*
-    family, and analyze --json on seeded random spaces (stored with their case
-    under "space": n = 3..5, proper and full closures, a singular space, and a
-    regular one whose first invertible sweep point lies past the witness
-    budget), byte for byte as recorded in tests/data/cli_goldens.json."""
+    """analyze, chow and plucker --json on every plain catalog id, limit
+    --json on every degen/* family, copencil --json on the two copencils,
+    chow --generic-n3 --json, and analyze --json on seeded random spaces
+    (stored with their case under "space": n = 3..5, proper and full
+    closures, a singular space, and a regular one whose first invertible
+    sweep point lies past the witness budget) and chow --det-stats --json on
+    a seeded net in S^3, byte for byte as recorded in
+    tests/data/cli_goldens.json."""
 
     @pytest.mark.parametrize("case", GOLDENS, ids=[" ".join(c["argv"][:2]) for c in GOLDENS])
     def test_output_is_unchanged(self, case, capsys, tmp_path, monkeypatch):
@@ -283,11 +287,23 @@ class TestGoldens:
         assert out == case["stdout"]
 
     def test_covers_the_catalog(self):
-        from jordanet.catalog import catalog_ids
+        # each command on every catalog id it accepts: the plain spaces for
+        # analyze, chow and plucker, the families for limit, and the two
+        # copencils for copencil
+        from jordanet.catalog import canonical, catalog_ids
 
-        covered = {c["argv"][1][len("catalog://"):] for c in GOLDENS
-                   if c["argv"][1].startswith("catalog://")}
-        assert covered == set(catalog_ids())
+        covered = {}
+        for c in GOLDENS:
+            if c["argv"][1].startswith("catalog://"):
+                covered.setdefault(c["argv"][0], set()).add(c["argv"][1][len("catalog://"):])
+        plain = {cid for cid in catalog_ids() if isinstance(canonical(cid), MatSpace)}
+        assert len(plain) == 18
+        assert covered == {"analyze": plain, "chow": plain, "plucker": plain,
+                           "limit": set(catalog_ids()) - plain,
+                           "copencil": {"copencil/L1", "copencil/L2"}}
+        assert {" ".join(c["argv"]) for c in GOLDENS if c["argv"][0] == "chow"
+                and not c["argv"][1].startswith("catalog://")} == {
+            "chow --generic-n3 --json", "chow random_n3_net.json --det-stats --json"}
 
 
 class TestParserBuiltOnce:

@@ -339,7 +339,7 @@ def closure_by_rounds(space, u):
 def golden_spaces():
     """The seeded random spaces recorded with their analyze goldens."""
     cases = json.loads((Path(__file__).parent / "data" / "cli_goldens.json").read_text())
-    return [parse_space_data(c["space"]) for c in cases if "space" in c]
+    return [parse_space_data(c["space"]) for c in cases if "space" in c and c["argv"][0] == "analyze"]
 
 
 def closure_oracle_spaces():
