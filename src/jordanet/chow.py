@@ -3,21 +3,22 @@
 For a net (or any m-dimensional space) L with basis B_1..B_m, write the
 adjugate of the generic element t_1 B_1 + ... + t_m B_m.  Each entry is a
 homogeneous polynomial of degree n-1 in the t's; collecting coefficients
-gives the Chow matrix, a plain ``Mat`` with one row per upper-triangle
-position (i, j) in ``sym_pairs`` order (11, 12, ..., 1n, 22, ..., nn) and
-one column per degree-(n-1) monomial in ``exact.monomials`` order
-(descending lexicographic: t1^(n-1) first, tm^(n-1) last).  For m = 3 the
-matrix is square of size binom(n+1, 2); its rank equals the dimension of the
-linear span of the reciprocal variety, and its left kernel consists of the
-linear forms that vanish on all inverses.  The matrix is the adjugate of
-the integer generic element t_1 B'_1 + ... + t_m B'_m, each entry already
-a coefficient vector over those monomials (Faddeev-LeVerrier on upper
-triangles, ``linalg.symmetric_linear_adjugate``), over L^(n-1)
-(``chow_matrix``); the rank and the kernel forms read one echelon of its
-transpose with the columns reversed, whose kernel vectors, read back to
-front, are the rows of the kernel's reduced echelon form, and each kernel
-form is one of them as a primitive integer row, written straight into an
-``MPoly``.
+gives the Chow matrix, with one row per upper-triangle position (i, j) in
+``sym_pairs`` order (11, 12, ..., 1n, 22, ..., nn) and one column per
+degree-(n-1) monomial in ``exact.monomials`` order (descending
+lexicographic: t1^(n-1) first, tm^(n-1) last).  For m = 3 the matrix is
+square of size binom(n+1, 2); its rank equals the dimension of the linear
+span of the reciprocal variety, and its left kernel consists of the linear
+forms that vanish on all inverses.  ``chow_matrix`` returns it as (C',
+L^(n-1)): C' the integer adjugate of t_1 B'_1 + ... + t_m B'_m, each entry
+already a coefficient vector over those monomials (Faddeev-LeVerrier on
+upper triangles, ``linalg.symmetric_linear_adjugate``), and no Fraction is
+formed.  The rank and the kernel forms read one integer echelon of the
+transpose of C' with its columns reversed (the scale L^(n-1) changes
+neither):
+each kernel vector is read off its integer reduced rows, back to front,
+as a primitive integer row of the kernel's reduced echelon form, written
+straight into an ``MPoly``.
 
 The fully symbolic n = 3 determinant (degree 12 in the 18 entry variables,
 22659 terms) is read off the packed generic net w1 X + w2 Y + w3 Z,
@@ -38,35 +39,36 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import List
+from typing import List, Tuple
 
 from .errors import PreconditionError
 from .exact import MPoly, monomials, poly_eval
-from .linalg import (Echelon, IntPoly, Mat, Packing, faddeev_leverrier, integer_inverse,
-                     integer_vector, laplace_minors, linear_matrix, rref,
-                     symmetric_linear_adjugate)
+from .linalg import (Echelon, IntPoly, Packing, faddeev_leverrier, integer_inverse,
+                     laplace_minors, linear_matrix, rref, symmetric_linear_adjugate)
 from .spaces import MatSpace, integer_sweep, is_regular, sym_dim, sym_pairs, symmetric_rows
 
 
 #: the largest Chow matrix, in rows x columns, that ``chow_matrix`` builds
-#: (the benchmark's largest is 15 x 35).  CPU (Python 3.11, Xeon): 5-6 us a
-#: cell on dense spaces, 12 dense matrices in S^6 (21 x 4368) 0.46-0.57 s;
-#: 2.5-4 us on unit matrices, all of S^5 (15 x 3060) 0.12 s and of S^6
-#: (21 x 53130) 3.7-4.4 s.
+#: (the benchmark's largest is 15 x 35).  CPU of the integer matrix (Python
+#: 3.11.7, Xeon, 2 CPUs; three runs): 3.4-4.9 us a cell on dense spaces, 12
+#: dense matrices in S^6 (21 x 4368) 0.32-0.45 s; 1.0-1.4 us on unit
+#: matrices, all of S^5 (15 x 3060) 0.05-0.06 s and of S^6 (21 x 53130)
+#: 1.2-1.5 s, and its rank 0.2-0.3 s more.
 MAX_CHOW_CELLS = 100_000
 
 
-def chow_matrix(space: MatSpace) -> Mat:
-    """Chow matrix of a numeric space; square exactly when m = 3.  Rows
+def chow_matrix(space: MatSpace) -> Tuple[List[List[int]], int]:
+    """Chow matrix of a numeric space as (C', L^(n-1)), the matrix C' /
+    L^(n-1) with C' an integer matrix; square exactly when m = 3.  Rows
     follow ``sym_pairs(n)``, columns ``monomials(m, n - 1)`` in t1..tm.
 
-    Built once per space and memoised on it; callers must not mutate it.
-    It is sized before it is built, sym_dim(n) rows by C(m + n - 2, n - 1)
-    columns, and refused with TOO_LARGE past ``MAX_CHOW_CELLS``.  The
-    generic element is X' / L, X' = t_1 B'_1 + ... + t_m B'_m, and adj(X' /
-    L) = adj(X') / L^(n-1): row (i, j) is entry (i, j) of adj(X'), a
-    coefficient vector in column order (``symmetric_linear_adjugate``),
-    over L^(n-1).
+    Built once per space and memoised on it, like ``MatSpace.integer_basis``;
+    callers must not mutate it.  It is sized before it is built, sym_dim(n)
+    rows by C(m + n - 2, n - 1) columns, and refused with TOO_LARGE past
+    ``MAX_CHOW_CELLS``.  The generic element is X' / L, X' = t_1 B'_1 + ...
+    + t_m B'_m, and adj(X' / L) = adj(X') / L^(n-1): row (i, j) of C' is
+    entry (i, j) of adj(X'), a coefficient vector in column order
+    (``symmetric_linear_adjugate``).
     """
     if space._chow is None:
         n, m = space.n, space.m
@@ -75,8 +77,8 @@ def chow_matrix(space: MatSpace) -> Mat:
             raise PreconditionError("TOO_LARGE", f"the Chow matrix would be {rows} x {cols}, "
                                     f"past {MAX_CHOW_CELLS} cells")
         basis, lcm = space.integer_basis()
-        adj, den = symmetric_linear_adjugate(basis), lcm ** (n - 1)
-        space._chow = Mat([[Fraction(x, den) for x in adj[i][j]] for i, j in sym_pairs(n)])
+        adj = symmetric_linear_adjugate(basis)
+        space._chow = [adj[i][j] for i, j in sym_pairs(n)], lcm ** (n - 1)
     return space._chow
 
 
@@ -100,14 +102,16 @@ def chow_cells(adj: List[List[IntPoly]], packing: Packing, m: int) -> List[List[
 
 
 def _chow_echelon(space: MatSpace, needs: str) -> Echelon:
-    """``rref`` of the Chow matrix's transpose with its columns reversed,
-    memoised on the space beside the matrix: its rank is the Chow rank, its
-    kernel the Chow matrix's left kernel, read back to front.  A singular
-    space is refused, with what ``needs`` it."""
+    """``rref`` of the transpose of the integer Chow matrix C' with its
+    columns reversed, memoised on the space beside the matrix: its rank is
+    the Chow rank, its kernel the Chow matrix's left kernel, read back to
+    front (C' / L^(n-1) has the rank and kernel of C').  A singular space is
+    refused, with what ``needs`` it."""
     if not is_regular(space):
         raise PreconditionError("NOT_REGULAR", f"{needs} a regular space")
     if space._chow_echelon is None:
-        space._chow_echelon = rref([row[::-1] for row in chow_matrix(space).transpose().data])
+        rows, _ = chow_matrix(space)
+        space._chow_echelon = rref([col[::-1] for col in zip(*rows)])
     return space._chow_echelon
 
 
@@ -123,19 +127,26 @@ def chow_kernel_forms(space: MatSpace) -> List[MPoly]:
     the coefficient of the first of them positive.  For n >= 10 that name
     order is not ``sym_pairs`` order (z110 < z12).
 
-    That basis needs no second elimination.  The kernel vector of the
-    reversed echelon at its free column f is 1 at f, 0 at every other free
-    column, and nonzero elsewhere only at pivots before f.  Read back to
-    front, it leads with 1 and is 0 at every other vector's leading column,
-    so the vectors, reversed and in order of leading column (the reverse of
-    ``kernel_basis``' order), are the reduced echelon form of the kernel.
-    Cleared of denominators, a vector with an entry 1 is primitive.
+    That basis needs no second elimination and no Fraction.  The echelon's
+    integer reduced rows T_i (``Echelon.ff_rows``) are d times the reduced
+    rows, d the echelon's ``d``, so at a free column f the kernel vector d
+    at f, -T_i[f] at each pivot p_i and 0 elsewhere is d times the one with
+    1 at f, nonzero only at f and at pivots before f.  Read back to front,
+    it leads at f and is 0 at every other vector's leading column, so the
+    vectors, reversed and from the last free column to the first, are the
+    reduced echelon form of the kernel, each made primitive by its gcd.
+    With no free column (full rank) the reduced rows are not formed.
     """
-    kernel = _chow_echelon(space, "kernel forms need").kernel_basis()
+    ech = _chow_echelon(space, "kernel forms need")
     names = [f"z{i + 1}{j + 1}" for i, j in sym_pairs(space.n)]
     forms = []
-    for row in (integer_vector(v[::-1])[0] for v in reversed(kernel)):
-        used = sorted((name, c) for name, c in zip(names, row) if c)
+    for f in sorted(set(range(ech.cols)) - set(ech.pivots), reverse=True):
+        vec = [0] * ech.cols
+        vec[f] = ech.d
+        for row, p in zip(ech.ff_rows, ech.pivots):
+            vec[p] = -row[f]
+        g = math.gcd(*vec)
+        used = sorted((name, c // g) for name, c in zip(names, reversed(vec)) if c)
         sign = -1 if used[0][1] < 0 else 1
         forms.append(MPoly(tuple(name for name, _ in used),
                            {tuple(int(k == q) for q in range(len(used))): Fraction(sign * c)

@@ -171,7 +171,8 @@ def cmd_chow(args) -> int:
     if args.det_stats:
         if space.n != 3 or space.m != 3:
             raise PreconditionError("UNSUPPORTED_DIM", "--det-stats applies to nets of 3x3 matrices")
-        report["det_value"] = linalg_det(chow_matrix(space))
+        rows, den = chow_matrix(space)
+        report["det_value"] = linalg_det(Mat([[Fraction(x, den) for x in row] for row in rows]))
     return _done(report, args)
 
 

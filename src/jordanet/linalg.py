@@ -2,15 +2,16 @@
 
 Matrices are immutable and hold rationals (``Fraction``): ``integer_vector``,
 which clears every row of denominators, is the one place that refuses any
-other entry (an ``MPoly``) with NOT_NUMERIC; ``rref`` and ``mat_rank`` coerce
-with ``exact.frac`` first (PARSE_ERROR).  A product of two matrices is one
-integer product (``int_matmul``) of A's rows and B's columns cleared of
-denominators, with one Fraction formed per entry of the result.
-There is one row reduction, ``Echelon``: integer rows grown by forward
-fraction-free elimination (Bareiss), each step an exact division by the
-previous pivot entry (Sylvester's identity), no row rewritten once appended;
-the reduced rows and primitive rows are formed by back-substitution only
-when read.  ``rref`` adjoins a matrix's rows cleared of denominators,
+other entry (an ``MPoly``) with NOT_NUMERIC; ``rref`` and ``mat_rank`` take a
+row of plain ints as it is and coerce any other row with ``exact.frac``
+first (PARSE_ERROR).  A product of two matrices is one integer product
+(``int_matmul``) of A's rows and B's columns cleared of denominators, with
+one Fraction formed per entry of the result.  There is one row reduction,
+``Echelon``: integer rows grown by forward fraction-free elimination
+(Bareiss), each step an exact division by the previous pivot entry
+(Sylvester's identity), no row rewritten once appended; the reduced rows and
+primitive rows are formed by back-substitution only when read.  ``rref``
+adjoins a matrix's rows, integer or cleared of denominators,
 ``integer_inverse`` the rows [M' | diag(d)] of a square matrix,
 ``det_bareiss`` a square matrix's rows (its determinant is the last pivot
 entry, signed and over the denominators), and ``jordan_closure`` products as
@@ -410,11 +411,14 @@ def _primitive(v: List[int], negate: bool) -> List[int]:
 
 
 def rref(matrix: Sequence[Sequence[Fraction]]) -> Echelon:
-    """Reduced row echelon form: one integer echelon extended by the rows,
-    each times the lcm of its denominators.  Scaling rows keeps the row space
-    and so the (unique) reduced form."""
+    """Reduced row echelon form: one integer echelon extended by the rows.
+    A row of plain ints is adjoined as it is; any other row is coerced entry
+    by entry with ``exact.frac`` (a bad string is PARSE_ERROR) and taken
+    times the lcm of its denominators (an ``MPoly`` is NOT_NUMERIC).
+    Scaling rows keeps the row space and so the (unique) reduced form."""
     ech = Echelon(len(matrix[0]) if matrix else 0)
-    ech.extend(integer_vector([frac(x) for x in row])[0] for row in matrix)
+    ech.extend(row if {int}.issuperset(map(type, row)) else integer_vector([frac(x) for x in row])[0]
+               for row in matrix)
     return ech
 
 

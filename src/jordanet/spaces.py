@@ -31,7 +31,8 @@ once where it enters (``io.parse_space_data``, ``catalog.substitution_family``).
 ``grassmann_limit`` computes its limit at t -> 0 by valuation-normalized row
 reduction on those rows, one elimination of the t = 0 values per pass, in at
 most B passes: B, the sum over rows of the row's largest power of t, bounds
-the degree of every maximal minor, and no minor is formed.
+the degree of every maximal minor, and no minor is formed.  B times the
+family's term count is sized first (``MAX_LIMIT_WORK``).
 """
 
 from __future__ import annotations
@@ -509,6 +510,16 @@ class ParametricBasis:
         self.n, self.m, self.rows = n, len(rows), rows
 
 
+#: the most pass-terms, B times the family's term count, that ``grassmann_limit``
+#: may take on: each of at most B passes combines rows of up to that many
+#: terms.  For <E11, f(t) E11 + t^(K+1) E22>, f = 1 + t + ... + t^K, that is
+#: (K + 1)(K + 3): CPU of a ``limit`` process (Python 3.11.7, Xeon, 2 CPUs)
+#: 0.25 s at K = 300, 0.5-0.8 s at K = 498 (the largest admitted), 0.6-1.2 s
+#: at K = 600 and 3.4-4.8 s at K = 1500; a refusal 0.15 s.  The ``degen/*``
+#: families take at most 48.
+MAX_LIMIT_WORK = 250_000
+
+
 def grassmann_limit(family: ParametricBasis) -> MatSpace:
     """Limit subspace at t -> 0 via valuation-normalized row reduction, on
     rows of {power: coefficient} entries.
@@ -523,10 +534,16 @@ def grassmann_limit(family: ParametricBasis) -> MatSpace:
     rows independent over Q(t) reach full rank within B passes and B + 1
     evaluations.  Rows dependent over Q(t) have no nonzero minor: they are
     NOT_GENERIC_RANK once a combination vanishes identically, or once the
-    evaluations run out, after up to B passes.
+    evaluations run out, after up to B passes.  B times the family's term
+    count is sized before the first pass and refused with TOO_LARGE past
+    ``MAX_LIMIT_WORK``.
     """
     rows = list(family.rows)  # replaced row by row, never mutated: catalog families are shared
     bound = sum(max((k for e in row for k in e), default=0) for row in rows)
+    terms = sum(map(len, itertools.chain.from_iterable(rows)))
+    if bound * terms > MAX_LIMIT_WORK:
+        raise PreconditionError("TOO_LARGE", f"the limit would take up to {bound} passes over "
+                                f"{terms} terms, past {MAX_LIMIT_WORK} pass-terms")
     for _ in range(bound + 1):
         numeric = [[e.get(0, Fraction(0)) for e in row] for row in rows]
         reduced = rref([list(col) for col in zip(*numeric)])

@@ -128,6 +128,10 @@ that the tests can compare the two:
   (the package runs Faddeev-LeVerrier on the integer element sum_k t_k B'_k,
   each entry a coefficient vector over the monomials of its degree, and
   reads the rows over L^(n-1)).
+- ``chow_fraction_matrix``: the package's integer Chow matrix (C',
+  L^(n-1)) as the Fraction ``Mat`` C' / L^(n-1) that the oracles compare
+  with (the package forms no Fraction for it), its entries checked to be
+  plain ints over a positive int.
 - ``chow_matrix_generic_by_mpoly``: the Chow matrix of the generic net
   w1 X + w2 Y + w3 Z as the MPoly adjugate of that ``Mat`` split by weight
   monomial (the package packs the net's weights and entries in one integer
@@ -1306,13 +1310,23 @@ def chow_matrix_by_adjugate(space) -> Mat:
     return Mat([[e.coefficient(mono) for mono in cols] for e in entries])
 
 
+def chow_fraction_matrix(space) -> Mat:
+    """The package's Chow matrix (C', L^(n-1)) as the Fraction ``Mat`` C' /
+    L^(n-1), after checking that C' holds plain ints and L^(n-1) is a
+    positive int."""
+    rows, den = chow_matrix(space)
+    assert type(den) is int and den > 0
+    assert all(type(x) is int for row in rows for x in row)
+    return Mat([[Fraction(x, den) for x in row] for row in rows])
+
+
 def kernel_forms_by_mpoly(space, matrix: Optional[Mat] = None):
     """The kernel forms summed in the ring: each Fraction row of the
     reduced echelon form of the left kernel of the Chow matrix (the
-    package's, or ``matrix``, such as ``chow_matrix_by_adjugate``'s) a linear
-    form in the z_ij, over its content with a positive leading coefficient
-    (``MPoly.sign_normalized``)."""
-    kernel = rref((matrix or chow_matrix(space)).transpose().data).kernel_basis()
+    package's, ``chow_fraction_matrix``, or ``matrix``, such as
+    ``chow_matrix_by_adjugate``'s) a linear form in the z_ij, over its
+    content with a positive leading coefficient (``MPoly.sign_normalized``)."""
+    kernel = rref((matrix or chow_fraction_matrix(space)).transpose().data).kernel_basis()
     zs = [MPoly.var(f"z{i + 1}{j + 1}") for i, j in sym_pairs(space.n)]
     return [sum((z.scale(c) for z, c in zip(zs, vec) if c), MPoly.zero()).sign_normalized()
             for vec in rref(kernel).rows]

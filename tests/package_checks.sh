@@ -66,8 +66,9 @@ for k, (a, b) in enumerate(zip(got["checks"], want)):
     if a != b:
         sys.exit(f"verify check {k}: {a} != {b}")
 PY
-# every CLI golden (analyze and limit on the catalog, analyze on the seeded spaces, each
-# written to its file first), stdout byte for byte through the console script
+# every CLI golden (analyze, chow, plucker and limit on the catalog, copencil on the
+# copencils, analyze and chow --det-stats on the seeded spaces, each written to its file
+# first), stdout byte for byte through the console script
 python - "$tests/data/cli_goldens.json" <<'PY'
 import json, pathlib, subprocess, sys
 for case in json.load(open(sys.argv[1])):
@@ -76,6 +77,28 @@ for case in json.load(open(sys.argv[1])):
     run = subprocess.run(["jordanet"] + case["argv"], stdout=subprocess.PIPE)
     if (run.returncode, run.stdout) != (0, case["stdout"].encode()):
         sys.exit(f"golden differs: jordanet {' '.join(case['argv'])}")
+PY
+# chow on a closed net and on the net in S^5, byte for byte against their goldens: the
+# rank and kernel forms come off the integer Chow matrix (C', L^(n-1)), whose rows are
+# plain ints (rank 8 for the rank-8 net)
+for id in nets/L2 s5/Lstar; do
+  out="chow_${id//\//_}"
+  jordanet chow "catalog://$id" --json > "$out.json"
+  python - "$tests/data/cli_goldens.json" "$id" > "${out}_golden.json" <<'PY'
+import json, sys
+argv = ["chow", f"catalog://{sys.argv[2]}", "--json"]
+sys.stdout.write(next(c for c in json.load(open(sys.argv[1])) if c["argv"] == argv)["stdout"])
+PY
+  cmp "$out.json" "${out}_golden.json"
+done
+python - <<'PY'
+import sys
+from jordanet.catalog import canonical
+from jordanet.chow import chow_matrix
+from jordanet.linalg import Mat, mat_rank
+rows, den = chow_matrix(canonical("netrank8"))
+plain = type(den) is int and all(type(x) is int for row in rows for x in row)
+sys.exit(not plain or mat_rank(Mat.from_ints(rows)) != 8)
 PY
 # the rank-8 net over denominators 2 and 3 against its integer multiple (the same space):
 # the Chow matrix is read off (B', L) over L^(n-1)

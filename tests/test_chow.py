@@ -31,6 +31,7 @@ from jordanet.spaces import (
     vectorize,
 )
 from oracles import (
+    chow_fraction_matrix,
     chow_matrix_by_adjugate,
     chow_matrix_generic_by_mpoly,
     kernel_forms_by_mpoly,
@@ -88,13 +89,15 @@ class TestColumns:
 
 class TestChowMatrix:
     def test_shape_for_net(self):
-        cm = chow_matrix(nets_L2())
-        assert isinstance(cm, Mat) and (cm.rows, cm.cols) == (10, 10)
+        # integer rows over L^(n-1) = 1, no Fraction
+        rows, den = chow_matrix(nets_L2())
+        assert den == 1 and (len(rows), len(rows[0])) == (10, 10)
+        assert all(type(x) is int for row in rows for x in row)
 
     def test_single_identity_span(self):
-        cm = chow_matrix(make_space(2, [Mat.identity(2)]))
-        assert (cm.rows, cm.cols) == (3, 1)
-        assert [row[0] for row in cm.data] == [1, 0, 1]
+        rows, den = chow_matrix(make_space(2, [Mat.identity(2)]))
+        assert den == 1 and (len(rows), len(rows[0])) == (3, 1)
+        assert [row[0] for row in rows] == [1, 0, 1]
 
     def test_rows_follow_sym_pairs_and_columns_monomials(self):
         # adj diag(t1, t2, t3) = diag(t2 t3, t1 t3, t1 t2); rows 11, 12, 13,
@@ -102,7 +105,7 @@ class TestChowMatrix:
         cm = chow_matrix(make_space(3, [E(3, 1, 1), E(3, 2, 2), E(3, 3, 3)]))
         expected = [[0] * 6 for _ in range(6)]
         expected[0][4] = expected[3][2] = expected[5][1] = 1
-        assert cm == Mat.from_ints(expected)
+        assert cm == (expected, 1)
 
     def test_rows_are_the_adjugate_entries_at_sweep_points(self):
         # sum over columns of entry * monomial(t) is adj(X(t))[i][j] for the
@@ -110,7 +113,7 @@ class TestChowMatrix:
         rng = SplitMix64(77)
         for n, m in ((3, 3), (4, 3), (3, 2), (4, 4)):
             sp = random_space(rng, n, m)
-            cm = chow_matrix(sp)
+            cm = chow_fraction_matrix(sp)
             monos = list(monomials(m, n - 1))
             assert (cm.rows, cm.cols) == (sym_dim(n), len(monos))
             for tup in itertools.islice(integer_sweep(m), 5):
@@ -155,7 +158,7 @@ class TestIntegerRoute:
         for k, sp in enumerate(rational_spaces(26)):
             if sp.n == 5 and k % 2:
                 continue
-            assert chow_matrix(sp) == chow_matrix_by_adjugate(sp), (sp.n, sp.m)
+            assert chow_fraction_matrix(sp) == chow_matrix_by_adjugate(sp), (sp.n, sp.m)
             seen.add((sp.n, sp.m, sp.integer_basis()[1]))
         assert {(n, m) for n, m, _ in seen} == {(n, m) for n in range(1, 6)
                                                for m in range(1, min(sym_dim(n), 6) + 1)}
@@ -168,11 +171,11 @@ class TestIntegerRoute:
         spaces = [sp for sp in spaces if isinstance(sp, MatSpace)]
         assert len(spaces) == 19
         for sp in spaces:
-            assert chow_matrix(sp) == chow_matrix_by_adjugate(sp), sp
+            assert chow_fraction_matrix(sp) == chow_matrix_by_adjugate(sp), sp
 
     def test_certificates_shapes(self):
         for sp in certificates_chow_spaces():
-            assert chow_matrix(sp) == chow_matrix_by_adjugate(sp), (sp.n, sp.m)
+            assert chow_fraction_matrix(sp) == chow_matrix_by_adjugate(sp), (sp.n, sp.m)
 
     def test_rank_and_kernel_read_one_echelon(self, monkeypatch):
         # the transpose's 10 rows, and no second elimination of the 2 kernel vectors
@@ -183,6 +186,15 @@ class TestIntegerRoute:
         assert chow_rank(sp) == 8 == mat_rank(chow_matrix_by_adjugate(sp))
         assert len(chow_kernel_forms(sp)) == 2
         assert calls == [10]
+
+    def test_full_rank_forms_no_reduced_rows(self, monkeypatch):
+        # no free column, so no kernel vector and no back-substitution
+        calls = []
+        real = linalg._back_substitute
+        monkeypatch.setattr(linalg, "_back_substitute", lambda ech: calls.append(1) or real(ech))
+        for sp in (nets_L3(), certificates_chow_spaces()[-1]):
+            assert chow_kernel_forms(sp) == [] and chow_rank(sp) == sym_dim(sp.n)
+        assert calls == []
 
     def test_pencils_in_s10_and_s11_build_one_echelon(self, monkeypatch):
         # rational pencils: C(n, n - 1) = n columns, so the kernel has
@@ -205,7 +217,7 @@ class TestIntegerRoute:
             assert calls == [n, "back"]
             monkeypatch.undo()
             assert len(forms) == sym_dim(n) - n
-            assert chow_rank(sp) == n == mat_rank(chow_matrix(sp))
+            assert chow_rank(sp) == n == mat_rank(chow_fraction_matrix(sp))
             assert [(f.vars, f.terms) for f in forms] == [
                 (f.vars, f.terms) for f in kernel_forms_by_mpoly(sp)]
 
@@ -305,7 +317,7 @@ class TestKernelForms:
         assert forms == 314 and flipped
 
     def test_kernel_vectors_kill_the_matrix(self):
-        mat = chow_matrix(net_rank8())
+        mat = chow_fraction_matrix(net_rank8())
         kernel = rref(mat.transpose().data).kernel_basis()
         for vec in kernel:
             for col in range(10):
@@ -424,7 +436,7 @@ class TestGenericDet:
             Mat.from_ints([[2, 0, 1], [0, 1, 1], [1, 1, 0]]),
         ])
         value = chow_det_eval_at_net(sp)
-        assert (value != 0) == (mat_rank(chow_matrix(sp)) == 6)
+        assert (value != 0) == (mat_rank(chow_fraction_matrix(sp)) == 6)
         assert value != 0
 
     def test_equals_numeric_chow_det(self, generic_det):
@@ -436,7 +448,7 @@ class TestGenericDet:
             Mat.from_ints([[0, 1, 0], [1, 0, 1], [0, 1, 1]]),
             Mat.from_ints([[1, 1, 0], [1, 1, 1], [0, 1, 2]]),
         ])
-        assert chow_det_eval_at_net(sp) == _det(chow_matrix(sp))
+        assert chow_det_eval_at_net(sp) == _det(chow_fraction_matrix(sp))
 
     def test_unsupported_size(self):
         with pytest.raises(PreconditionError):
@@ -454,7 +466,7 @@ class TestGenericDet:
             Mat.from_ints([[1, 1, 0], [1, 1, 1], [0, 1, 2]]),
         ])
         for sp, value in ((diag_net, 0), (probe, -1)):
-            assert chow_det_eval_at_net(sp) == value == _det(chow_matrix(sp))
+            assert chow_det_eval_at_net(sp) == value == _det(chow_fraction_matrix(sp))
 
 
 class TestRankDropEquivalence:
@@ -474,7 +486,7 @@ class TestRankDropEquivalence:
 
     def test_low_rank_element_forces_singular_chow(self):
         sp = make_space(3, [E(3, 1, 1), E(3, 2, 2), E(3, 3, 3)])
-        assert mat_rank(chow_matrix(sp)) < 6
+        assert mat_rank(chow_fraction_matrix(sp)) < 6
 
 
 class TestRankThreeIffClosed:

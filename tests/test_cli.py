@@ -156,6 +156,29 @@ class TestChow:
         code, out, _ = run_cli(["chow", str(f), "--json", *flags], capsys)
         assert code == 0 and len(calls) == 1
 
+    def test_rank_and_kernel_form_no_fraction_matrix(self, tmp_path, monkeypatch, capsys):
+        # the integer Chow matrix goes to the echelon as it is, and the kernel
+        # forms are read off its integer reduced rows: no Mat is built and no
+        # Fraction kernel basis is read, on an integer and a rational basis
+        made = []
+        init, kernel_basis = linalg.Mat.__init__, linalg.Echelon.kernel_basis
+        monkeypatch.setattr(linalg.Mat, "__init__",
+                            lambda self, data: made.append("Mat") or init(self, data))
+        monkeypatch.setattr(linalg.Echelon, "kernel_basis",
+                            lambda self: made.append("kernel_basis") or kernel_basis(self))
+        rank8 = [[[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]],
+                 [["1/2", 0, 0, 0], [0, "-1/2", 0, 0], [0, 0, 0, 0], [0, 0, 0, 0]],
+                 [[0, 1, 1, 0], [1, 0, 0, 1], [1, 0, 0, 1], [0, 1, 1, 0]]]
+        for data, rank, forms in ((CHOW_NET, 6, []),
+                                  ({"n": 4, "basis": rank8}, 8,
+                                   ["2*z12 - z13 - z24", "z14 - z23 - z33 + z44"])):
+            f = tmp_path / "space.json"
+            f.write_text(json.dumps(data))
+            code, out, _ = run_cli(["chow", str(f), "--json"], capsys)
+            report = json.loads(out)
+            assert code == 0 and (report["rank"], report["kernel_forms"]) == (rank, forms)
+        assert made == []
+
     def test_det_value_is_the_generic_chow_form_at_the_net(self, tmp_path, capsys):
         # the determinant of the net's Chow matrix against the symbolic n = 3
         # Chow determinant evaluated at the basis entries
@@ -848,6 +871,32 @@ class TestBoundedCost:
         assert time.process_time() - start < 1
         assert code == 3 and out == ""
         assert err.startswith("error: NOT_GENERIC_RANK")
+
+    @pytest.mark.parametrize("k", [499, 3000])
+    def test_limit_past_its_work_bound_is_refused_within_a_second(self, k, tmp_path):
+        # <E11, f(t) E11 + t^(k+1) E22> with f = 1 + t + ... + t^k: k + 1
+        # passes over k + 3 terms, past MAX_LIMIT_WORK from k = 499 on; at
+        # k = 3000 the passes take 15-20 s of CPU, past the child's 10 s cap
+        import resource
+
+        f_t = " + ".join(["1", "t"] + [f"t^{e}" for e in range(2, k + 1)])
+        f = tmp_path / "family.json"
+        f.write_text(json.dumps({"n": 2, "parametric": True, "basis": [
+            [["1", "0"], ["0", "0"]], [[f_t, "0"], ["0", f"t^{k + 1}"]]]}))
+        cap = 10
+
+        def limit():
+            resource.setrlimit(resource.RLIMIT_CPU, (cap, cap))
+
+        before = resource.getrusage(resource.RUSAGE_CHILDREN)
+        proc = subprocess.run([sys.executable, "-m", "jordanet.cli", "limit", str(f), "--json"],
+                              capture_output=True, text=True, env=child_env(), preexec_fn=limit,
+                              timeout=60)
+        after = resource.getrusage(resource.RUSAGE_CHILDREN)
+        assert proc.returncode == 3 and proc.stdout == ""
+        assert proc.stderr == (f"error: TOO_LARGE: the limit would take up to {k + 1} passes over "
+                               f"{k + 3} terms, past 250000 pass-terms\n")
+        assert (after.ru_utime + after.ru_stime) - (before.ru_utime + before.ru_stime) < 1.0
 
     @pytest.mark.parametrize("n, m, subsets", [(5, 15, None), (6, 7, None), (6, 8, 401930)])
     def test_plucker_bound_admits_s5_and_seven_dimensions_of_s6(self, n, m, subsets,

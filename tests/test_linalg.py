@@ -6,7 +6,7 @@ from typing import List, NamedTuple
 import pytest
 
 from jordanet import linalg
-from jordanet.errors import JordanetError, PreconditionError
+from jordanet.errors import InputError, JordanetError, PreconditionError
 from jordanet.exact import integer_poly, monomials, parse_poly, poly_eval
 from jordanet.linalg import (
     Echelon,
@@ -299,6 +299,48 @@ class TestNumericOnly:
 def integer_row(row):
     d = math.lcm(*(Fraction(x).denominator for x in row))
     return [int(Fraction(x) * d) for x in row]
+
+
+class TestRrefOnIntegerRows:
+    """``rref`` adjoins a row of plain ints as it is, with no ``frac`` call
+    and no Fraction, and coerces any other row as before."""
+
+    def test_int_and_mixed_rows_match_their_fraction_copies(self, monkeypatch):
+        rng = SplitMix64(4040)
+        cases = deficient = 0
+        for nrows in range(1, 8):
+            for ncols in range(1, 8):
+                for _ in range(3):
+                    ints = [integer_row(row) for row in random_rational_rows(rng, nrows, ncols)]
+                    # every other entry of every other row a Fraction, some of them p/q
+                    mixed = [[Fraction(x, 1 + (j % 3)) if i % 2 and j % 2 else x
+                              for j, x in enumerate(row)] for i, row in enumerate(ints)]
+                    for rows in (ints, mixed):
+                        want = rref([[Fraction(x) for x in row] for row in rows])
+                        got = rref(rows)
+                        assert (got.pivots, got.rank, got.int_rows) == (
+                            want.pivots, want.rank, want.int_rows)
+                        cases += 1
+                    deficient += want.rank < min(nrows, ncols)
+                    with monkeypatch.context() as m:  # plain ints reach the echelon as they are
+                        m.setattr(linalg, "frac", lambda x: pytest.fail("frac called"))
+                        m.setattr(linalg, "Fraction", lambda *a: pytest.fail("Fraction formed"))
+                        got = rref(ints)
+                    assert got.int_rows == rref([[Fraction(x) for x in row] for row in ints]).int_rows
+        assert cases == 294 and deficient > 20
+
+    def test_other_entries_are_coerced_as_before(self):
+        assert rref([["3/2", 1], [3, 2]]).int_rows == [[3, 2]]
+        assert rref([[Fraction(3, 2), 1, 0], [1, "0", "-1/3"]]).int_rows == [[3, 0, -1], [0, 2, 1]]
+        for bad in ("1e5", "x", "1/0"):
+            with pytest.raises(InputError) as err:
+                rref([[1, 2], [bad, 1]])
+            assert err.value.code == "PARSE_ERROR"
+        # an MPoly entry is refused by exact.frac, as at the parent of the integer route
+        for row in ([P("x"), 1], [1, P("x")]):
+            with pytest.raises(InputError) as err:
+                rref([[1, 1], row])
+            assert err.value.code == "PARSE_ERROR"
 
 
 class TestGrowingEchelon:
