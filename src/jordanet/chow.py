@@ -15,10 +15,9 @@ already a coefficient vector over those monomials (Faddeev-LeVerrier on
 upper triangles, ``linalg.symmetric_linear_adjugate``), and no Fraction is
 formed.  The rank and the kernel forms read one integer echelon of the
 transpose of C' with its columns reversed (the scale L^(n-1) changes
-neither):
-each kernel vector is read off its integer reduced rows, back to front,
-as a primitive integer row of the kernel's reduced echelon form, written
-straight into an ``MPoly``.
+neither): each kernel vector is read off its integer reduced rows, back to
+front, as a primitive integer row of the kernel's reduced echelon form,
+written straight into an ``MPoly``.
 
 The fully symbolic n = 3 determinant (degree 12 in the 18 entry variables,
 22659 terms) is read off the packed generic net w1 X + w2 Y + w3 Z,

@@ -413,9 +413,9 @@ def _primitive(v: List[int], negate: bool) -> List[int]:
 def rref(matrix: Sequence[Sequence[Fraction]]) -> Echelon:
     """Reduced row echelon form: one integer echelon extended by the rows.
     A row of plain ints is adjoined as it is; any other row is coerced entry
-    by entry with ``exact.frac`` (a bad string is PARSE_ERROR) and taken
-    times the lcm of its denominators (an ``MPoly`` is NOT_NUMERIC).
-    Scaling rows keeps the row space and so the (unique) reduced form."""
+    by entry with ``exact.frac`` (PARSE_ERROR on a bad string or an
+    ``MPoly``) and taken times the lcm of its denominators.  Scaling rows
+    keeps the row space and so the (unique) reduced form."""
     ech = Echelon(len(matrix[0]) if matrix else 0)
     ech.extend(row if {int}.issuperset(map(type, row)) else integer_vector([frac(x) for x in row])[0]
                for row in matrix)

@@ -540,7 +540,7 @@ def grassmann_limit(family: ParametricBasis) -> MatSpace:
     """
     rows = list(family.rows)  # replaced row by row, never mutated: catalog families are shared
     bound = sum(max((k for e in row for k in e), default=0) for row in rows)
-    terms = sum(map(len, itertools.chain.from_iterable(rows)))
+    terms = sum(len(e) for row in rows for e in row)
     if bound * terms > MAX_LIMIT_WORK:
         raise PreconditionError("TOO_LARGE", f"the limit would take up to {bound} passes over "
                                 f"{terms} terms, past {MAX_LIMIT_WORK} pass-terms")
