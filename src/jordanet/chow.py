@@ -20,18 +20,21 @@ front, as a primitive integer row of the kernel's reduced echelon form,
 written straight into an ``MPoly``.
 
 The fully symbolic n = 3 determinant (degree 12 in the 18 entry variables,
-22659 terms) is read off the packed generic net w1 X + w2 Y + w3 Z,
-X, Y and Z symmetric with entries x11..z33, packed with the weights in the
-top fields and the entries below them: its adjugate's cells are packed
-polynomials in the entries (``chow_cells``), whose 6 x 6 determinant is a
-Laplace expansion on ``linalg``'s integer kernel, computed at most once per
-process.  It stays packed in its ``MPoly`` (``linalg.Packing.mpoly``): its
-degree and term count are read off the packed polynomial, an evaluation
-at a net (``chow_det_eval_at_net``) sums its packed keys, and its terms
-are formed only when first read, by a comparison.  CPU in a fresh process
-(Python 3.11.7, Xeon; median and range of 9 processes): the determinant
-29 ms (27-43), its degree and term count 9 ms (9-15) more, its terms
-47 ms (46-55) more when read; an evaluation 16-23 ms (5 processes).
+22659 terms) is read off the generic net w1 X + w2 Y + w3 Z, X, Y and Z
+symmetric with entries x11..z33: the net is linear in the 18 products of a
+weight and an entry, so its adjugate is one more
+``linalg.symmetric_linear_adjugate`` run, whose coefficients, grouped by
+their weight monomial, are the Chow cells as packed polynomials in the
+entries.  Their 6 x 6 determinant is a Laplace expansion on ``linalg``'s
+integer kernel, computed at most once per process.  It stays packed in its
+``MPoly`` (``linalg.Packing.mpoly``): its degree and term count are read
+off the packed polynomial, an evaluation at a net
+(``chow_det_eval_at_net``) sums its packed keys, and its terms are formed
+only when first read, by a comparison.  CPU in a fresh process (Python
+3.11.7, Xeon, 2 CPUs; median and range of 9 processes): the determinant
+58 ms (38-65), its degree and term count 19 ms (12-21) more, an
+evaluation at a net 29 ms (20-30) more, its terms 104 ms (74-106) more
+when read.
 """
 
 from __future__ import annotations
@@ -42,8 +45,8 @@ from typing import List, Tuple
 
 from .errors import PreconditionError
 from .exact import MPoly, monomials, poly_eval
-from .linalg import (Echelon, IntPoly, Packing, faddeev_leverrier, integer_inverse,
-                     laplace_minors, linear_matrix, rref, symmetric_linear_adjugate)
+from .linalg import (Echelon, Packing, integer_inverse, laplace_minors, rref,
+                     symmetric_linear_adjugate)
 from .spaces import MatSpace, integer_sweep, is_regular, sym_dim, sym_pairs, symmetric_rows
 
 
@@ -79,25 +82,6 @@ def chow_matrix(space: MatSpace) -> Tuple[List[List[int]], int]:
         adj = symmetric_linear_adjugate(basis)
         space._chow = [adj[i][j] for i, j in sym_pairs(n)], lcm ** (n - 1)
     return space._chow
-
-
-def chow_cells(adj: List[List[IntPoly]], packing: Packing, m: int) -> List[List[IntPoly]]:
-    """The cells of a Chow matrix off the adjugate, up to sign, of a packed
-    generic element whose m weights t_1..t_m take the top m fields of
-    ``packing``: in row (i, j) of ``sym_pairs`` and the column of
-    a monomial of ``monomials(m, n - 1)``, the terms of adj[i][j] whose
-    weight fields hold that monomial, as a packed polynomial in the fields
-    below them (a constant, key 0, when there are none)."""
-    shift = packing.fields[m - 1]
-    low = (1 << shift) - 1
-    columns = [packing.key(mono) >> shift for mono in monomials(m, len(adj) - 1)]
-    rows = []
-    for i, j in sym_pairs(len(adj)):
-        cells: dict = {}
-        for key, c in adj[i][j].items():
-            cells.setdefault(key >> shift, {})[key & low] = c
-        rows.append([cells.get(col, {}) for col in columns])
-    return rows
 
 
 def _chow_echelon(space: MatSpace, needs: str) -> Echelon:
@@ -190,31 +174,39 @@ _DET_MEMO = {}
 def chow_det_generic(n: int = 3) -> MPoly:
     """Determinant of the fully symbolic Chow matrix (only n = 3 supported).
 
-    The generic net sum_k w_k X_k, X_k[i][j] the variable of ``_NET_PREFIXES``
-    k and (i, j), is packed with w1..w3 in the top fields of one ``Packing``
-    and the 18 entry variables x11..z33 below them, up to the exponent
-    bound sym_dim(n) (n - 1) of a determinant of sym_dim(n) cells of degree
-    n - 1.  One Faddeev-LeVerrier run gives the adjugate M_n (n is odd),
-    the Chow cells are packed polynomials in the entry fields
-    (``chow_cells``), and their ``laplace_minors`` determinant is kept
-    packed in the returned ``MPoly``, whose terms are formed when first read:
-    the entry fields are the fields of a ``Packing`` of the entries alone.
-    Degree 12 in the 18 variables; the result is memoised in memory.
+    The generic net sum_k w_k X_k, X_k[i][j] the variable x_v of
+    ``_NET_PREFIXES`` k and (i, j), is linear in the 18 products u_v = w_k
+    x_v: it is sum_v u_v U_v, U_v the symmetric unit matrix at (i, j).  Its
+    adjugate is ``symmetric_linear_adjugate`` of the U_v, each entry a
+    coefficient vector over the monomials of degree n - 1 in the u's.  A
+    u-monomial is one weight monomial (its exponents summed over each k's
+    variables) times the entry monomial with its exponents, so each
+    coefficient goes to the Chow cell in that weight monomial's column, at
+    that entry monomial's key: the cells are packed polynomials in the 18
+    entry variables, up to the exponent bound sym_dim(n) (n - 1) of a
+    determinant of sym_dim(n) cells of degree n - 1.  Their
+    ``laplace_minors`` determinant is kept packed in the returned ``MPoly``,
+    whose terms are formed when first read.  Degree 12 in the 18 variables;
+    the result is memoised in memory.
     """
     if n != 3:
         raise PreconditionError("UNSUPPORTED_DIM", "symbolic Chow determinant is n = 3 only")
     if n not in _DET_MEMO:
-        m, pairs = len(_NET_PREFIXES), sym_pairs(n)
-        names = [f"{p}{i + 1}{j + 1}" for p in _NET_PREFIXES for i, j in pairs]
-        bound = sym_dim(n) * (n - 1)
-        packing, size = Packing(m + len(names), bound), len(pairs)
-        units = packing.units  # weight k, then entry variable v = size k + pair index
-        x = linear_matrix([(units[v // size] + units[m + v],
-                            symmetric_rows(n, [int(q == v % size) for q in range(size)]))
-                           for v in range(len(names))])
-        _, adj = faddeev_leverrier(x)
-        det = laplace_minors(chow_cells(adj, packing, m))(tuple(range(sym_dim(n))))
-        _DET_MEMO[n] = Packing(len(names), bound).mpoly(det, 1, names)
+        m, size = len(_NET_PREFIXES), sym_dim(n)
+        names = [f"{p}{i + 1}{j + 1}" for p in _NET_PREFIXES for i, j in sym_pairs(n)]
+        packing = Packing(len(names), size * (n - 1))
+        columns = {mono: c for c, mono in enumerate(monomials(m, n - 1))}
+        places = [(columns[tuple(sum(mono[k * size:(k + 1) * size]) for k in range(m))],
+                  packing.key(mono)) for mono in monomials(len(names), n - 1)]
+        adj = symmetric_linear_adjugate([symmetric_rows(n, [int(q == v % size) for q in range(size)])
+                                         for v in range(len(names))])
+        rows = []
+        for i, j in sym_pairs(n):
+            rows.append([{} for _ in columns])
+            for c, (col, key) in zip(adj[i][j], places):
+                if c:
+                    rows[-1][col][key] = c
+        _DET_MEMO[n] = packing.mpoly(laplace_minors(rows)(tuple(range(size))), 1, names)
     return _DET_MEMO[n]
 
 

@@ -2,9 +2,9 @@
 
 Matrices are immutable and hold rationals (``Fraction``): ``integer_vector``,
 which clears every row of denominators, is the one place that refuses any
-other entry (an ``MPoly``) with NOT_NUMERIC; ``rref`` and ``mat_rank`` take a
-row of plain ints as it is and coerce any other row with ``exact.frac``
-first (PARSE_ERROR).  A product of two matrices is one integer product
+other entry (an ``MPoly``, a string, a float) with NOT_NUMERIC; ``rref`` and
+``mat_rank`` take a row of plain ints as it is and clear any other row
+through it.  A product of two matrices is one integer product
 (``int_matmul``) of A's rows and B's columns cleared of denominators, with
 one Fraction formed per entry of the result.  There is one row reduction,
 ``Echelon``: integer rows grown by forward fraction-free elimination
@@ -24,24 +24,28 @@ an entry is {packed exponent: int coefficient}, the exponents packed by
 ``Packing``, the one place that shifts or masks them, so that a monomial
 product is one integer addition.  ``linear_matrix`` forms sum_k x^(e_k) M_k
 from integer matrices M_k (a space's generic element,
-``spaces.generic_matrix``; the generic net, ``chow.chow_det_generic``);
-``faddeev_leverrier`` (n - 1 matrix products, exact divisions by 1..n) gives
-its adjugate and characteristic polynomial, ``laplace_minors`` (memoized
-over column subsets) its determinant and minors, and ``Packing.mpoly``
-wraps a result in an ``MPoly`` that reads its terms off the packed
-polynomial when they are first read.  ``int_faddeev_leverrier`` runs the
-same recurrence on a plain integer matrix: ``charpoly`` and ``adjugate``
-take it of M' for M = M' / d, and the multiplicity partition at each
-integer point; ``det_laplace`` runs ``laplace_minors`` on the constant
-matrix ``linear_matrix([(0, M')])``.  ``symmetric_linear_adjugate``
-runs its recurrence on a symmetric matrix linear in t_1..t_m, upper
-triangles only, each entry a coefficient vector over the monomials of its
-degree (a space's Chow matrix).
+``spaces.generic_matrix``), ``laplace_minors`` (memoized over column
+subsets) its determinant and minors, and ``Packing.mpoly`` wraps a result
+in an ``MPoly`` that reads its terms off the packed polynomial when they are
+first read; ``det_laplace`` runs ``laplace_minors`` on the constant matrix
+``linear_matrix([(0, M')])``.
+
+Characteristic polynomials and adjugates come from two runs of one
+recurrence, Faddeev-LeVerrier (n - 1 matrix products, exact divisions by
+1..n).  ``int_faddeev_leverrier`` runs it on a plain integer matrix:
+``charpoly`` and ``adjugate`` take it of M' for M = M' / d, and the
+multiplicity partition at each integer point.
+``symmetric_linear_adjugate`` runs it on a symmetric matrix linear in
+t_1..t_m, upper triangles only, each entry a coefficient vector over the
+monomials of its degree: a space's Chow matrix, and the generic net's
+(``chow.chow_det_generic``), which is linear in the products of a weight
+and an entry variable.
 """
 
 from __future__ import annotations
 
 import bisect
+import functools
 import itertools
 import math
 from fractions import Fraction
@@ -130,8 +134,8 @@ def int_matmul(a_rows: Sequence[Sequence[int]], b_cols: Sequence[Sequence[int]])
 
 def integer_vector(vector: Sequence[Fraction]) -> Tuple[List[int], int]:
     """(v', d) with v = v' / d, d the lcm of the entries' denominators; an
-    entry with no numerator and denominator (an ``MPoly``) is refused with
-    NOT_NUMERIC."""
+    entry with no numerator and denominator (an ``MPoly``, a string, a
+    float) is refused with NOT_NUMERIC."""
     try:
         d = math.lcm(*(x.denominator for x in vector))
         return [x.numerator * (d // x.denominator) for x in vector], d
@@ -247,14 +251,6 @@ def _mul_add(acc: IntPoly, a: IntPoly, b: IntPoly, sign: int = 1) -> None:
 
 def _nonzero(p: IntPoly) -> IntPoly:
     return {key: c for key, c in p.items() if c}
-
-
-def _sum(*polys: IntPoly) -> IntPoly:
-    acc: IntPoly = {}
-    for p in polys:
-        for key, c in p.items():
-            acc[key] = acc.get(key, 0) + c
-    return _nonzero(acc)
 
 
 def int_poly_matmul(a_rows: Sequence[Sequence[IntPoly]],
@@ -412,13 +408,12 @@ def _primitive(v: List[int], negate: bool) -> List[int]:
 
 def rref(matrix: Sequence[Sequence[Fraction]]) -> Echelon:
     """Reduced row echelon form: one integer echelon extended by the rows.
-    A row of plain ints is adjoined as it is; any other row is coerced entry
-    by entry with ``exact.frac`` (PARSE_ERROR on a bad string or an
-    ``MPoly``) and taken times the lcm of its denominators.  Scaling rows
-    keeps the row space and so the (unique) reduced form."""
+    A row of plain ints is adjoined as it is; any other row is taken times
+    the lcm of its denominators (``integer_vector``, NOT_NUMERIC on an entry
+    that is not rational).  Scaling rows keeps the row space and so the
+    (unique) reduced form."""
     ech = Echelon(len(matrix[0]) if matrix else 0)
-    ech.extend(row if {int}.issuperset(map(type, row)) else integer_vector([frac(x) for x in row])[0]
-               for row in matrix)
+    ech.extend(row if {int}.issuperset(map(type, row)) else integer_vector(row)[0] for row in matrix)
     return ech
 
 
@@ -530,17 +525,6 @@ def det(m: Mat) -> Fraction:
 
 # -- Faddeev-LeVerrier: characteristic polynomial and adjugate ------------
 
-def _trace_of_product(a: List[List[IntPoly]], b: List[List[IntPoly]]) -> IntPoly:
-    """trace(A B) = sum of A[i][j] B[j][i], without forming the product."""
-    acc: IntPoly = {}
-    for i, a_row in enumerate(a):
-        for x, b_row in zip(a_row, b):
-            y = b_row[i]
-            if x and y:
-                _mul_add(acc, x, y)
-    return _nonzero(acc)
-
-
 def linear_matrix(terms: Sequence[Tuple[int, Sequence[Sequence[int]]]]) -> List[List[IntPoly]]:
     """The rows of sum_k x^(e_k) M_k, for distinct packed monomials e_k and
     integer n x n matrices M_k given by their rows."""
@@ -548,29 +532,16 @@ def linear_matrix(terms: Sequence[Tuple[int, Sequence[Sequence[int]]]]) -> List[
     return [[{e: mat[i][j] for e, mat in terms if mat[i][j]} for j in range(n)] for i in range(n)]
 
 
-def faddeev_leverrier(a: List[List[IntPoly]]) -> Tuple[List[IntPoly], List[List[IntPoly]]]:
-    """([c_1 .. c_n], M_n) for an n x n integer polynomial matrix A (its
-    rows).  With M_1 = I, c_k = -trace(A M_k) / k and M_(k+1) = A M_k + c_k
-    I, so the product of step k is reused by step k + 1 and the last step
-    needs only the trace: n - 1 matrix products in all.  The c_k are the
-    coefficients of det(lam I - A) = lam^n + c_1 lam^(n-1) + ... + c_n,
-    integer polynomials in A's entries, so each division by k is exact, and
-    adj(A) = (-1)^(n-1) M_n."""
-    n = len(a)
-    mk = [[{0: 1} if i == j else {} for j in range(n)] for i in range(n)]
-    cs = []
-    for k in range(1, n + 1):
-        if k > 1:
-            for i in range(n):
-                prod[i][i] = _sum(prod[i][i], cs[-1])
-            mk = prod
-        if k < n:
-            prod = int_poly_matmul(a, mk)
-            tr = _sum(*(prod[i][i] for i in range(n)))
-        else:
-            tr = _trace_of_product(a, mk)
-        cs.append({key: -x // k for key, x in tr.items()})
-    return cs, mk
+@functools.lru_cache(maxsize=None)
+def _degree_shifts(m: int, k: int) -> Tuple[int, List[List[int]]]:
+    """(the number of monomials of degree k in m variables, shifts):
+    shifts[q][p] is the index, in ``exact.monomials(m, k)`` order, of t_q
+    times the p-th monomial of degree k - 1.  Built once per (m, k) and
+    shared; callers must not mutate it."""
+    index = {mono: p for p, mono in enumerate(monomials(m, k))}
+    shifts = [[index[mono[:q] + (mono[q] + 1,) + mono[q + 1:]] for mono in monomials(m, k - 1)]
+              for q in range(m)]
+    return len(index), shifts
 
 
 def symmetric_linear_adjugate(mats: Sequence[Sequence[Sequence[int]]]) -> List[List[List[int]]]:
@@ -578,13 +549,14 @@ def symmetric_linear_adjugate(mats: Sequence[Sequence[Sequence[int]]]) -> List[L
     matrices given by their rows: entry (i, j) as its coefficients over the
     monomials of degree n - 1 in t, in ``exact.monomials(m, n - 1)`` order.
 
-    The recurrence of ``faddeev_leverrier`` on coefficient vectors: M_k is
-    homogeneous of degree k - 1, and t_q times the p-th monomial of degree
-    k - 1 is the shift_q[p]-th monomial of degree k.  M_2 = A + c_1 I needs
-    no product, and each M_k is a polynomial in A, so A M_k is symmetric and
-    only its upper triangle is formed: entry (i, j) adds, at shift_q[p], row
-    i of M_q times the p-th coefficients of M_k's row j.  n - 2 half
-    products; adj(A) = (-1)^(n-1) M_n."""
+    The recurrence of ``int_faddeev_leverrier`` on coefficient vectors: M_k
+    is homogeneous of degree k - 1, and t_q times the p-th monomial of
+    degree k - 1 is the shift_q[p]-th monomial of degree k
+    (``_degree_shifts``).  M_2 = A + c_1 I needs no product, and each M_k is
+    a polynomial in A, so A M_k is symmetric and only its upper triangle is
+    formed: entry (i, j) adds, at shift_q[p], row i of M_q times the p-th
+    coefficients of M_k's row j.  n - 2 half products; adj(A) = (-1)^(n-1)
+    M_n."""
     n, m = len(mats[0]), len(mats)
     if n == 1:
         return [[[1]]]
@@ -592,16 +564,14 @@ def symmetric_linear_adjugate(mats: Sequence[Sequence[Sequence[int]]]) -> List[L
     mk = [[[mat[i][j] - (t if i == j else 0) for mat, t in zip(mats, trace)] for j in range(n)]
           for i in range(n)]
     for k in range(2, n):
-        index = {mono: p for p, mono in enumerate(monomials(m, k))}
-        shifts = [[index[mono[:q] + (mono[q] + 1,) + mono[q + 1:]] for mono in monomials(m, k - 1)]
-                  for q in range(m)]
+        size, shifts = _degree_shifts(m, k)
         columns = [list(zip(*row)) for row in mk]  # row j's p-th coefficients, over l
         upper = []
         for i in range(n):
             rows = [(mat[i], shift) for mat, shift in zip(mats, shifts) if any(mat[i])]
             upper.append([])
             for cols in columns[i:]:
-                out = [0] * len(index)
+                out = [0] * size
                 for row, shift in rows:
                     for r, col in zip(shift, cols):
                         out[r] += sum(map(mul, row, col))
@@ -614,10 +584,13 @@ def symmetric_linear_adjugate(mats: Sequence[Sequence[Sequence[int]]]) -> List[L
 
 
 def int_faddeev_leverrier(a: Sequence[Sequence[int]]) -> Tuple[List[int], List[List[int]]]:
-    """``faddeev_leverrier`` on a plain integer n x n matrix A (its rows),
-    ([c_1 .. c_n], M_n): each product A M_k is taken as M_k A on A's columns
-    (M_k is a polynomial in A), n - 2 products of ints and the trace of one
-    more."""
+    """([c_1 .. c_n], M_n) for a plain integer n x n matrix A (its rows), by
+    Faddeev-LeVerrier: with M_1 = I, c_k = -trace(A M_k) / k and M_(k+1) =
+    A M_k + c_k I.  The c_k are the coefficients of det(lam I - A) = lam^n
+    + c_1 lam^(n-1) + ... + c_n, integers, so each division by k is exact,
+    and adj(A) = (-1)^(n-1) M_n.  Each product A M_k is taken as M_k A on
+    A's columns (M_k is a polynomial in A): n - 2 products of ints and the
+    trace of one more."""
     n, cols = len(a), list(zip(*a))
     mk, cs = [[int(i == j) for j in range(n)] for i in range(n)], []
     for k in range(1, n):

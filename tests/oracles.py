@@ -134,8 +134,16 @@ that the tests can compare the two:
   plain ints over a positive int.
 - ``chow_matrix_generic_by_mpoly``: the Chow matrix of the generic net
   w1 X + w2 Y + w3 Z as the MPoly adjugate of that ``Mat`` split by weight
-  monomial (the package packs the net's weights and entries in one integer
-  element and reads the cells off its adjugate, ``chow.chow_det_generic``).
+  monomial (the package reads the cells off ``symmetric_linear_adjugate`` of
+  the 18 products of a weight and an entry, ``chow.chow_det_generic``).
+- ``faddeev_leverrier`` (with ``_trace_of_product`` and ``_sum``): the
+  Faddeev-LeVerrier recurrence on packed integer polynomial matrices, n - 1
+  products on ``linalg``'s kernel (the package runs it on plain ints,
+  ``int_faddeev_leverrier``, and on coefficient vectors of linear symmetric
+  matrices, ``symmetric_linear_adjugate``); ``chow_cells`` and
+  ``chow_det_generic_by_packed_net``: the generic Chow determinant off the
+  adjugate of the packed generic net, its weights in the top fields and its
+  entries below them, each cell the terms at one weight monomial.
 - ``mpoly_by_eager_decode``: ``Packing.mpoly`` read at once, every key
   into an exponent tuple and every coefficient into a Fraction (the
   package keeps the packed polynomial, reads its term count and degree off
@@ -144,7 +152,7 @@ that the tests can compare the two:
   variables, Yun's decomposition (``squarefree_by_recursive``) over
   QQ(t1..t_{m-2}) of the characteristic polynomial of the element t1 qC'_1
   + ... + qC'_{m-1}, whose coefficients ``partition_coefficients_by_packing``
-  takes from one Faddeev-LeVerrier run on the packed integer element, and
+  takes from one ``faddeev_leverrier`` run on the packed integer element, and
   ``partition_coefficients_by_mpoly`` from ``faddeev_leverrier_by_entries``
   of the Fraction element (``Mat.from_ints`` matrices, a ``Mat`` sum),
   cleared of denominators by ``integer_coefficients`` (the package reads
@@ -184,11 +192,14 @@ from jordanet.jordan import radical, structure_constants
 from jordanet.linalg import (
     Mat,
     Packing,
+    _mul_add,
+    _nonzero,
     det,
-    faddeev_leverrier,
     int_matmul,
+    int_poly_matmul,
     integer_vector,
     inverse,
+    laplace_minors,
     linear_matrix,
     mat_rank,
     rref,
@@ -205,6 +216,7 @@ from jordanet.spaces import (
     make_space,
     sym_dim,
     sym_pairs,
+    symmetric_rows,
     unit_point,
     unvectorize,
     vectorize,
@@ -1347,6 +1359,90 @@ def chow_matrix_generic_by_mpoly(n: int = 3) -> Mat:
     buckets = [adj[i, j].split_by_vars(weight_names) for i, j in sym_pairs(n)]
     return Mat([[b.get(mono, MPoly.zero()) for mono in monomials(len(prefixes), n - 1)]
                 for b in buckets])
+
+
+def _sum(*polys: dict) -> dict:
+    acc: dict = {}
+    for p in polys:
+        for key, c in p.items():
+            acc[key] = acc.get(key, 0) + c
+    return _nonzero(acc)
+
+
+def _trace_of_product(a, b) -> dict:
+    """trace(A B) = sum of A[i][j] B[j][i], without forming the product."""
+    acc: dict = {}
+    for i, a_row in enumerate(a):
+        for x, b_row in zip(a_row, b):
+            y = b_row[i]
+            if x and y:
+                _mul_add(acc, x, y)
+    return _nonzero(acc)
+
+
+def faddeev_leverrier(a):
+    """([c_1 .. c_n], M_n) for an n x n integer polynomial matrix A (its
+    rows), packed.  With M_1 = I, c_k = -trace(A M_k) / k and M_(k+1) = A
+    M_k + c_k I, so the product of step k is reused by step k + 1 and the
+    last step needs only the trace: n - 1 matrix products in all.  The c_k
+    are the coefficients of det(lam I - A) = lam^n + c_1 lam^(n-1) + ... +
+    c_n, integer polynomials in A's entries, so each division by k is exact,
+    and adj(A) = (-1)^(n-1) M_n."""
+    n = len(a)
+    mk = [[{0: 1} if i == j else {} for j in range(n)] for i in range(n)]
+    cs = []
+    for k in range(1, n + 1):
+        if k > 1:
+            for i in range(n):
+                prod[i][i] = _sum(prod[i][i], cs[-1])
+            mk = prod
+        if k < n:
+            prod = int_poly_matmul(a, mk)
+            tr = _sum(*(prod[i][i] for i in range(n)))
+        else:
+            tr = _trace_of_product(a, mk)
+        cs.append({key: -x // k for key, x in tr.items()})
+    return cs, mk
+
+
+def chow_cells(adj, packing: Packing, m: int):
+    """The cells of a Chow matrix off the adjugate, up to sign, of a packed
+    generic element whose m weights t_1..t_m take the top m fields of
+    ``packing``: in row (i, j) of ``sym_pairs`` and the column of a monomial
+    of ``monomials(m, n - 1)``, the terms of adj[i][j] whose weight fields
+    hold that monomial, as a packed polynomial in the fields below them."""
+    shift = packing.fields[m - 1]
+    low = (1 << shift) - 1
+    columns = [packing.key(mono) >> shift for mono in monomials(m, len(adj) - 1)]
+    rows = []
+    for i, j in sym_pairs(len(adj)):
+        cells: dict = {}
+        for key, c in adj[i][j].items():
+            cells.setdefault(key >> shift, {})[key & low] = c
+        rows.append([cells.get(col, {}) for col in columns])
+    return rows
+
+
+def chow_det_generic_by_packed_net(n: int = 3) -> exact.MPoly:
+    """``chow.chow_det_generic`` on the packed generic net: w1..w3 in the top
+    fields of one ``Packing`` and the 18 entry variables below them, its
+    adjugate from ``faddeev_leverrier`` on the packed matrix (n odd), the
+    cells read off it by ``chow_cells`` and their ``laplace_minors``
+    determinant converted by ``mpoly_by_eager_decode`` (the package runs
+    ``symmetric_linear_adjugate`` on the 18 products of a weight and an
+    entry, and keeps the determinant packed)."""
+    prefixes = ("x", "y", "z")
+    m, pairs = len(prefixes), sym_pairs(n)
+    names = [f"{p}{i + 1}{j + 1}" for p in prefixes for i, j in pairs]
+    bound = sym_dim(n) * (n - 1)
+    packing, size = Packing(m + len(names), bound), len(pairs)
+    units = packing.units  # weight k, then entry variable v = size k + pair index
+    x = linear_matrix([(units[v // size] + units[m + v],
+                        symmetric_rows(n, [int(q == v % size) for q in range(size)]))
+                       for v in range(len(names))])
+    _, adj = faddeev_leverrier(x)
+    det = laplace_minors(chow_cells(adj, packing, m))(tuple(range(sym_dim(n))))
+    return mpoly_by_eager_decode(Packing(len(names), bound), det, 1, names)
 
 
 def integer_coefficients(coeffs):

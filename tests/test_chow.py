@@ -31,11 +31,13 @@ from jordanet.spaces import (
     vectorize,
 )
 from oracles import (
+    chow_det_generic_by_packed_net,
     chow_fraction_matrix,
     chow_matrix_by_adjugate,
     chow_matrix_generic_by_mpoly,
     kernel_forms_by_mpoly,
     lift,
+    mpoly_by_eager_decode,
     rational_spaces,
 )
 
@@ -424,6 +426,20 @@ class TestGenericDet:
     def test_degree_and_term_count(self, generic_det):
         assert generic_det.total_degree() == 12
         assert generic_det.term_count() == 22659
+
+    def test_equals_the_packed_net_route(self, monkeypatch):
+        # a fresh determinant, still packed, decoded eagerly, against the
+        # packed generic net w1 X + w2 Y + w3 Z through the packed
+        # Faddeev-LeVerrier recurrence, its cells read off the weight fields
+        monkeypatch.setattr(chow, "_DET_MEMO", {})
+        got = chow_det_generic(3)
+        packing, p, den, _ = got._packed
+        names = [f"{c}{i + 1}{j + 1}" for c in "xyz" for i, j in sym_pairs(3)]
+        eager = mpoly_by_eager_decode(packing, p, den, names)
+        want = chow_det_generic_by_packed_net(3)
+        assert (want.total_degree(), want.term_count()) == (12, 22659)
+        assert got.vars == eager.vars == want.vars
+        assert got.terms == eager.terms == want.terms
 
     def test_vanishes_on_rank_one_containing_net(self, generic_det):
         sp = make_space(3, [E(3, 1, 1), E(3, 2, 2), E(3, 3, 3)])

@@ -6,7 +6,7 @@ from typing import List, NamedTuple
 import pytest
 
 from jordanet import linalg
-from jordanet.errors import InputError, JordanetError, PreconditionError
+from jordanet.errors import JordanetError, PreconditionError
 from jordanet.exact import integer_poly, monomials, parse_poly, poly_eval
 from jordanet.linalg import (
     Echelon,
@@ -18,7 +18,6 @@ from jordanet.linalg import (
     det_bareiss,
     det_laplace,
     express_in_rows,
-    faddeev_leverrier,
     int_poly_matmul,
     inverse,
     inverse_or_none,
@@ -35,6 +34,8 @@ from jordanet.spaces import (
     generic_names,
     make_space,
     sweep_rank,
+    sym_dim,
+    symmetric_rows,
     unvectorize,
 )
 from jordanet.varieties import macaulay_emptiness, rank_one_system
@@ -47,6 +48,7 @@ from oracles import (
     det_bareiss_by_ring,
     det_by_gauss_jordan,
     det_laplace_by_entries,
+    faddeev_leverrier,
     faddeev_leverrier_by_entries,
     generic_element,
     inverse_or_none_by_primitive_rows,
@@ -245,7 +247,8 @@ class TestIntegerRref:
         assert deficient > 50
 
     def test_integer_and_fraction_inputs_agree(self):
-        m = [[2, "1/3", 0], [Fraction(4), Fraction(2, 3), 1]]
+        # a string entry is refused (TestRrefOnIntegerRows), so 1/3 is a Fraction
+        m = [[2, Fraction(1, 3), 0], [Fraction(4), Fraction(2, 3), 1]]
         assert rref(m).rows == rref_by_fractions(m).rows == [
             [1, Fraction(1, 6), 0], [0, 0, 1]]
 
@@ -303,7 +306,7 @@ def integer_row(row):
 
 class TestRrefOnIntegerRows:
     """``rref`` adjoins a row of plain ints as it is, with no ``frac`` call
-    and no Fraction, and coerces any other row as before."""
+    and no Fraction, and clears any other row through ``integer_vector``."""
 
     def test_int_and_mixed_rows_match_their_fraction_copies(self, monkeypatch):
         rng = SplitMix64(4040)
@@ -329,18 +332,22 @@ class TestRrefOnIntegerRows:
                     assert got.int_rows == rref([[Fraction(x) for x in row] for row in ints]).int_rows
         assert cases == 294 and deficient > 20
 
-    def test_other_entries_are_coerced_as_before(self):
-        assert rref([["3/2", 1], [3, 2]]).int_rows == [[3, 2]]
-        assert rref([[Fraction(3, 2), 1, 0], [1, "0", "-1/3"]]).int_rows == [[3, 0, -1], [0, 2, 1]]
-        for bad in ("1e5", "x", "1/0"):
-            with pytest.raises(InputError) as err:
-                rref([[1, 2], [bad, 1]])
-            assert err.value.code == "PARSE_ERROR"
-        # an MPoly entry is refused by exact.frac, as at the parent of the integer route
-        for row in ([P("x"), 1], [1, P("x")]):
-            with pytest.raises(InputError) as err:
-                rref([[1, 1], row])
-            assert err.value.code == "PARSE_ERROR"
+    def test_other_rows_go_through_integer_vector(self):
+        # a row that is not all plain ints is cleared by integer_vector, the one
+        # refusal point: Fractions and bools (0 and 1) are read, and a string,
+        # a float or an MPoly entry is NOT_NUMERIC, wherever it stands
+        assert rref([[Fraction(3, 2), 1], [3, 2]]).int_rows == [[3, 2]]
+        assert rref([[Fraction(3, 2), 1, 0], [1, 0, Fraction(-1, 3)]]).int_rows == \
+            [[3, 0, -1], [0, 2, 1]]
+        assert rref([[True, False], [1, True]]).int_rows == [[1, 0], [0, 1]]
+        for bad in ("3/2", "0", "1e5", "x", "1/0", 1.5, 2.0, P("x")):
+            for row in ([bad, 1], [1, bad]):
+                with pytest.raises(PreconditionError) as err:
+                    rref([[1, 1], row])
+                assert err.value.code == "NOT_NUMERIC", bad
+            with pytest.raises(PreconditionError) as err:
+                mat_rank(Mat([[Fraction(1), bad]]))
+            assert err.value.code == "NOT_NUMERIC", bad
 
 
 class TestGrowingEchelon:
@@ -998,6 +1005,38 @@ class TestIntegerKernel:
                 got = linalg.symmetric_linear_adjugate([rows])
                 assert Mat([[Fraction(p[0]) for p in row] for row in got]) == \
                     adjugate_by_cofactors(Mat.from_ints(rows)), (n, k)
+
+    def test_symmetric_linear_adjugate_on_unit_matrices(self):
+        # bases of symmetric unit matrices, each position once or, as in the
+        # generic net's 18 products of a weight and an entry, three times:
+        # the coefficient vectors against the MPoly recurrence, entry by entry
+        for n, copies in ((1, 3), (2, 1), (2, 3), (3, 1), (3, 3), (4, 1)):
+            units = [symmetric_rows(n, [int(q == v) for q in range(sym_dim(n))])
+                     for v in range(sym_dim(n))] * copies
+            names = generic_names(len(units))
+            _, want = faddeev_leverrier_by_entries(
+                generic_element([Mat.from_ints(u) for u in units], names))
+            monos = [dict(zip(names, mono)) for mono in monomials(len(units), n - 1)]
+            adj = linalg.symmetric_linear_adjugate(units)
+            for i in range(n):
+                for j in range(n):
+                    entry = want[i, j] if isinstance(want[i, j], MPoly) else MPoly.const(want[i, j])
+                    assert adj[i][j] == [entry.coefficient(mono) for mono in monos], (n, copies)
+
+    def test_shift_tables_are_built_once_per_degree(self, monkeypatch):
+        # the index and shift tables depend on (m, k) alone: a second adjugate
+        # of the same shape builds none
+        bases = [sp.integer_basis()[0] for sp in rational_spaces(4141) if (sp.n, sp.m) == (5, 3)]
+        calls = []
+        real = linalg.monomials
+        monkeypatch.setattr(linalg, "monomials", lambda m, k: calls.append((m, k)) or real(m, k))
+        linalg._degree_shifts.cache_clear()
+        assert len(bases) == 2
+        linalg.symmetric_linear_adjugate(bases[0])
+        assert {k for _, k in calls} == {1, 2, 3, 4}
+        built = len(calls)
+        linalg.symmetric_linear_adjugate(bases[1])
+        assert len(calls) == built
 
     def test_fraction_matrices_give_fractions(self):
         rng = SplitMix64(2027)
