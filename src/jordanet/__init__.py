@@ -5,49 +5,51 @@ algebra (``linalg``), subspaces of symmetric matrices as Grassmannian points
 (``spaces``), the inverse-twisted commutative product and its algebra theory
 (``jordan``), Chow matrices of nets (``chow``), polynomial certificates
 (``varieties``), and classification front ends (``classify``).
+
+Each name of ``__all__`` loads its home module the first time it is read
+(PEP 562): ``import jordanet`` compiles none of them, and ``from jordanet
+import chow_rank`` compiles ``chow`` and the layers it imports.
 """
 
-from .catalog import canonical, catalog_ids
-from .chow import (
-    chow_det_generic,
-    chow_kernel_forms,
-    chow_matrix,
-    chow_rank,
-    sampled_reciprocal_span,
-)
-from .classify import (
-    classify_abstract,
-    classify_copencil_S3,
-    classify_net_S4,
-    classify_pencil,
-    ejo_component_count,
-)
-from .errors import InputError, InternalCheckError, JordanetError, PreconditionError
-from .exact import MPoly, parse_poly, poly_eval
-from .jordan import (
-    JordanStructure,
-    check_reciprocal_identity,
-    is_jordan,
-    jordan_closure,
-    peirce,
-    radical,
-    structure_constants,
-)
-from .linalg import Mat, adjugate, charpoly, det
-from .spaces import (
-    MatSpace,
-    ParametricBasis,
-    PluckerVector,
-    congruence_transform,
-    contains,
-    find_invertible,
-    generic_det,
-    grassmann_limit,
-    make_space,
-    orth_complement,
-    plucker,
-    sample_congruent,
-)
-from .varieties import catalog_eval, macaulay_emptiness, min_rank_bounds, rank_one_pencil
+import importlib
 
 __version__ = "0.1.0"
+
+__all__ = [
+    "canonical", "catalog_ids", "chow_det_generic", "chow_kernel_forms", "chow_matrix",
+    "chow_rank", "sampled_reciprocal_span", "classify_abstract", "classify_copencil_S3",
+    "classify_net_S4", "classify_pencil", "ejo_component_count", "InputError",
+    "InternalCheckError", "JordanetError", "PreconditionError", "MPoly", "parse_poly",
+    "poly_eval", "JordanStructure", "check_reciprocal_identity", "is_jordan", "jordan_closure",
+    "peirce", "radical", "structure_constants", "Mat", "adjugate", "charpoly", "det", "MatSpace",
+    "ParametricBasis", "PluckerVector", "congruence_transform", "contains", "find_invertible",
+    "generic_det", "grassmann_limit", "make_space", "orth_complement", "plucker",
+    "sample_congruent", "catalog_eval", "macaulay_emptiness", "min_rank_bounds", "rank_one_pencil",
+]
+
+
+def __getattr__(name):
+    homes = {
+        "catalog": "canonical catalog_ids",
+        "chow": "chow_det_generic chow_kernel_forms chow_matrix chow_rank sampled_reciprocal_span",
+        "classify": "classify_abstract classify_copencil_S3 classify_net_S4 classify_pencil "
+                    "ejo_component_count",
+        "errors": "InputError InternalCheckError JordanetError PreconditionError",
+        "exact": "MPoly parse_poly poly_eval",
+        "jordan": "JordanStructure check_reciprocal_identity is_jordan jordan_closure peirce "
+                  "radical structure_constants",
+        "linalg": "Mat adjugate charpoly det",
+        "spaces": "MatSpace ParametricBasis PluckerVector congruence_transform contains "
+                  "find_invertible generic_det grassmann_limit make_space orth_complement "
+                  "plucker sample_congruent",
+        "varieties": "catalog_eval macaulay_emptiness min_rank_bounds rank_one_pencil",
+    }
+    home = next((module for module, names in homes.items() if name in names.split()), None)
+    if home is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = globals()[name] = getattr(importlib.import_module(f".{home}", __name__), name)
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(__all__))

@@ -34,35 +34,19 @@ import time
 from fractions import Fraction
 from typing import Union
 
-from .catalog import canonical, catalog_ids, catalog_note
-from .chow import chow_det_generic, chow_kernel_forms, chow_matrix, chow_rank
-from .classify import (
-    classify_copencil_S3,
-    classify_net_S4,
-    classify_pencil,
-    classify_abstract,
-)
 from .errors import InputError, InternalCheckError, PreconditionError
 from .exact import frac_str, integer_poly, parse_poly_lines
 from .io import load_space_file, read_text_file
 from .jordan import is_jordan, jordan_closure, radical, structure_constants
-from .linalg import Mat
-from .linalg import det as linalg_det
-from .spaces import (
-    MatSpace,
-    ParametricBasis,
-    grassmann_limit,
-    is_regular,
-    plucker,
-    unit_point,
-)
-from .varieties import CATALOGS, catalog_eval, macaulay_emptiness
+from .linalg import Mat, det as linalg_det
+from .spaces import MatSpace, ParametricBasis, grassmann_limit, is_regular, plucker, unit_point
 
 
 def _resolve_space(token: str, kind: type) -> Union[MatSpace, ParametricBasis]:
     """The space or family a file path or ``catalog://<id>`` names; raises a
     precondition error unless it is a ``kind`` (MatSpace or ParametricBasis)."""
     if token.startswith("catalog://"):
+        from .catalog import canonical
         got = canonical(token[len("catalog://"):])
     else:
         got = load_space_file(token)
@@ -133,6 +117,8 @@ def cmd_analyze(args) -> int:
     report["abstract_class"] = None
     report["net_class"] = None
     if ok:
+        from .classify import (classify_abstract, classify_copencil_S3, classify_net_S4,
+                               classify_pencil)
         a = structure_constants(space)
         report["radical_dim"] = len(radical(a))
         if space.m in (2, 3):
@@ -152,6 +138,7 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_chow(args) -> int:
+    from .chow import chow_det_generic, chow_kernel_forms, chow_matrix, chow_rank
     if args.generic_n3 and args.space is not None:
         raise InputError("PARSE_ERROR", "--generic-n3 takes no space")
     report = {"command": "chow", "input": args.space or "generic-n3"}
@@ -177,18 +164,21 @@ def cmd_chow(args) -> int:
 
 
 def cmd_pencil(args) -> int:
+    from .classify import classify_pencil
     got = classify_pencil(_resolve_space(args.space, MatSpace))
     return _done({"command": "pencil", "input": args.space,
                   "kind": got.kind, "label": got.label}, args)
 
 
 def cmd_copencil(args) -> int:
+    from .classify import classify_copencil_S3
     space = _resolve_space(args.space, MatSpace)
     return _done({"command": "copencil", "input": args.space,
                   "class": classify_copencil_S3(space)}, args)
 
 
 def cmd_plucker(args) -> int:
+    from .varieties import CATALOGS, catalog_eval
     space = _resolve_space(args.space, MatSpace)
     pv = plucker(space)
     nonzero = {"".join(str(i) for i in key): value for key, value in sorted(pv.nonzero().items())}
@@ -201,6 +191,7 @@ def cmd_plucker(args) -> int:
 
 
 def cmd_limit(args) -> int:
+    from .classify import classify_net_S4
     lim = grassmann_limit(_resolve_space(args.space, ParametricBasis))
     report = {"command": "limit", "input": args.space, "n": lim.n, "m": lim.m,
               "basis": [b for b in lim.basis]}
@@ -213,6 +204,7 @@ def cmd_limit(args) -> int:
 
 
 def cmd_emptiness(args) -> int:
+    from .varieties import macaulay_emptiness
     polys = [p for p, _ in parse_poly_lines(read_text_file(args.polyfile), integer_poly)]
     if not polys:
         raise InputError("PARSE_ERROR", "no polynomials in the input file")
@@ -249,6 +241,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_catalog(args) -> int:
+    from .catalog import catalog_ids, catalog_note
     report = {"command": "catalog",
               "entries": {cid: catalog_note(cid) for cid in catalog_ids()}}
     return _done(report, args)

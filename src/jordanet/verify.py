@@ -35,7 +35,7 @@ from .classify import (
     ejo_component_count,
     invariant_vector,
 )
-from .errors import PreconditionError
+from .errors import InputError, PreconditionError
 from .exact import parse_poly
 from .jordan import (
     check_reciprocal_identity,
@@ -468,8 +468,8 @@ SUBSETS: Dict[str, Callable[..., List[CheckResult]]] = {
 def run_verification(subset: Optional[str] = None, seed: int = 0) -> List[CheckResult]:
     if subset is not None:
         if subset not in SUBSETS:
-            raise PreconditionError("UNKNOWN_ID", f"unknown subset {subset!r}; "
-                                    f"choose from {sorted(SUBSETS)}")
+            raise InputError("UNKNOWN_ID", f"unknown subset {subset!r}; "
+                             f"choose from {sorted(SUBSETS)}")
         return SUBSETS[subset](seed)
     results: List[CheckResult] = []
     for name in SUBSETS:

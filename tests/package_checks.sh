@@ -108,6 +108,17 @@ jordanet chow rank8_sixths.json --json > chow_sixths.json
 jordanet chow rank8_times6.json --json > chow_times6.json
 python -c 'import json, sys; a, b = (json.load(open(f)) for f in ("chow_sixths.json", "chow_times6.json")); sys.exit((a["rank"], a["kernel_forms"]) != (b["rank"], b["kernel_forms"]) or a["rank"] != 8)'
 python -c "import jordanet.cli, sys; sys.exit('dataclasses' in sys.modules)"
+# with no bytecode written, every module a process imports is compiled: importing the
+# CLI loads none of the layers a command imports only when it runs them, and the console
+# script's analyze of a space that is not closed prints its golden bytes
+PYTHONDONTWRITEBYTECODE=1 python -c 'import jordanet.cli, sys; sys.exit(any(f"jordanet.{m}" in sys.modules for m in ("catalog", "chow", "classify", "varieties", "verify")))'
+PYTHONDONTWRITEBYTECODE=1 jordanet analyze catalog://dim4/L2flip --json > analyze_flip_cold.json
+python - "$tests/data/cli_goldens.json" > analyze_flip_golden.json <<'PY'
+import json, sys
+argv = ["analyze", "catalog://dim4/L2flip", "--json"]
+sys.stdout.write(next(c for c in json.load(open(sys.argv[1])) if c["argv"] == argv)["stdout"])
+PY
+cmp analyze_flip_cold.json analyze_flip_golden.json
 python -c 'import json, sys; r = json.load(open("analyze_flip.json")); sys.exit((r["jordan"], r["closure_dim"]) != (False, 6))'
 # the closure dimension is the rank of the integer echelon the closure grows
 jordanet analyze catalog://netrank8 --json > analyze_rank8.json

@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import jordanet
-from jordanet import chow, cli, exact, jordan, linalg, varieties
+from jordanet import chow, classify, cli, exact, jordan, linalg, varieties
 from jordanet.cli import main
 from jordanet.errors import InputError, InternalCheckError, PreconditionError
 from jordanet.exact import frac_str
@@ -276,8 +276,9 @@ class TestVerifyCommand:
         assert report["failed"] == 0
 
     def test_unknown_subset(self, capsys):
+        # an unknown name is a parse error, as for an unknown catalog id
         code, _, err = run_cli(["verify", "--subset", "nope"], capsys)
-        assert code == 3
+        assert code == 2 and err.startswith("error: UNKNOWN_ID")
 
 
 class TestDeterminism:
@@ -368,6 +369,48 @@ class TestImports:
              "import jordanet.cli, sys; sys.exit('dataclasses' in sys.modules)"],
             capture_output=True, text=True, env=child_env())
         assert proc.returncode == 0, proc.stderr
+
+    #: the layers a command imports only when it runs them
+    DEFERRED = ("catalog", "chow", "classify", "varieties", "verify")
+
+    def deferred_loaded(self, code):
+        """The layers of DEFERRED that a fresh process holds after ``code``."""
+        probe = (f"import sys; print('loaded:', "
+                 f"*[m for m in {self.DEFERRED} if 'jordanet.' + m in sys.modules])")
+        proc = subprocess.run([sys.executable, "-c", f"{code}\n{probe}"],
+                              capture_output=True, text=True, env=child_env())
+        assert proc.returncode == 0, proc.stderr
+        return set(proc.stdout.splitlines()[-1].split()[1:])
+
+    def main_code(self, argv):
+        """Code that runs the CLI on ``argv`` and fails unless it exits 0."""
+        return f"import jordanet.cli; assert jordanet.cli.main({argv!r}) == 0"
+
+    @pytest.mark.parametrize("code", ["import jordanet", "import jordanet.cli"])
+    def test_importing_loads_no_deferred_layer(self, code):
+        assert self.deferred_loaded(code) == set()
+
+    def test_analyze_of_a_closure_loads_no_deferred_layer(self, tmp_path):
+        # <I, E12 + E21, E23 + E32> is regular and not closed: (E12 + E21)^2 = E11 + E22
+        f = tmp_path / "open.json"
+        f.write_text(json.dumps({"n": 3, "basis": [[[1, 0, 0], [0, 1, 0], [0, 0, 1]],
+                                                   [[0, 1, 0], [1, 0, 0], [0, 0, 0]],
+                                                   [[0, 0, 0], [0, 0, 1], [0, 1, 0]]]}))
+        code = self.main_code(["analyze", str(f), "--json"])
+        assert self.deferred_loaded(code) == set()
+        proc = run_subprocess(["analyze", str(f), "--json"])
+        assert json.loads(proc.stdout)["jordan"] is False
+
+    def test_analyze_of_a_catalog_net_loads_its_classification(self):
+        code = self.main_code(["analyze", "catalog://s4/3b1", "--json"])
+        assert self.deferred_loaded(code) == {"catalog", "classify", "varieties"}
+
+    def test_chow_loads_chow_alone(self, tmp_path):
+        f = tmp_path / "net.json"
+        f.write_text(json.dumps({"n": 3, "basis": [[[1, 0, 0], [0, 0, 0], [0, 0, 0]],
+                                                   [[0, 0, 0], [0, 1, 0], [0, 0, 0]],
+                                                   [[0, 0, 0], [0, 0, 0], [0, 0, 1]]]}))
+        assert self.deferred_loaded(self.main_code(["chow", str(f), "--json"])) == {"chow"}
 
 
 class TestTypedErrors:
@@ -640,7 +683,7 @@ class TestLimitClassification:
         def fail(space):
             raise error
 
-        monkeypatch.setattr(cli, "classify_net_S4", fail)
+        monkeypatch.setattr(classify, "classify_net_S4", fail)
         got, out, err = run_cli(["limit", "catalog://degen/3b1-3b2", "--json"], capsys)
         assert got == code
         if code == 0:

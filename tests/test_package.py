@@ -14,9 +14,12 @@ package calls does not count: it is reached only from outside.
 """
 
 import ast
+import importlib
 import io
 import tokenize
 from pathlib import Path
+
+import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "jordanet"
@@ -106,3 +109,41 @@ def test_the_package_polynomial_has_no_ring():
 
     assert [name for name in RING if hasattr(exact.MPoly, name)] == []
     assert not hasattr(exact, "frac_gcd")
+
+
+#: every name ``jordanet`` exports, by its home module
+EXPORTS = {
+    "catalog": ("canonical", "catalog_ids"),
+    "chow": ("chow_det_generic", "chow_kernel_forms", "chow_matrix", "chow_rank",
+             "sampled_reciprocal_span"),
+    "classify": ("classify_abstract", "classify_copencil_S3", "classify_net_S4",
+                 "classify_pencil", "ejo_component_count"),
+    "errors": ("InputError", "InternalCheckError", "JordanetError", "PreconditionError"),
+    "exact": ("MPoly", "parse_poly", "poly_eval"),
+    "jordan": ("JordanStructure", "check_reciprocal_identity", "is_jordan", "jordan_closure",
+               "peirce", "radical", "structure_constants"),
+    "linalg": ("Mat", "adjugate", "charpoly", "det"),
+    "spaces": ("MatSpace", "ParametricBasis", "PluckerVector", "congruence_transform",
+               "contains", "find_invertible", "generic_det", "grassmann_limit", "make_space",
+               "orth_complement", "plucker", "sample_congruent"),
+    "varieties": ("catalog_eval", "macaulay_emptiness", "min_rank_bounds", "rank_one_pencil"),
+}
+
+
+def test_the_namespace_gives_each_name_from_its_home_module():
+    import jordanet
+
+    names = sorted(name for found in EXPORTS.values() for name in found)
+    assert sorted(jordanet.__all__) == names
+    assert set(names) <= set(dir(jordanet))
+    assert jordanet.__version__ == "0.1.0"
+    star = {}
+    exec("from jordanet import *", star)
+    for module, found in EXPORTS.items():
+        home = importlib.import_module(f"jordanet.{module}")
+        for name in found:
+            imported = {}
+            exec(f"from jordanet import {name}", imported)
+            assert getattr(jordanet, name) is imported[name] is star[name] is getattr(home, name)
+    with pytest.raises(AttributeError):
+        jordanet.no_such_name
