@@ -1,10 +1,11 @@
 """jordanet: exact analysis of linear subspaces of symmetric matrices.
 
-Core objects: sparse rational polynomials (``exact``), exact dense linear
-algebra (``linalg``), subspaces of symmetric matrices as Grassmannian points
-(``spaces``), the inverse-twisted commutative product and its algebra theory
-(``jordan``), Chow matrices of nets (``chow``), polynomial certificates
-(``varieties``), and classification front ends (``classify``).
+Core objects: rational scalars and exact dense linear algebra (``linalg``),
+subspaces of symmetric matrices as Grassmannian points (``spaces``), the
+inverse-twisted commutative product and its algebra theory (``jordan``);
+above them, sparse rational polynomials and the packed integer polynomial
+kernel (``exact``), Chow matrices of nets (``chow``), polynomial
+certificates (``varieties``), and classification front ends (``classify``).
 
 Each name of ``__all__`` loads its home module the first time it is read
 (PEP 562): ``import jordanet`` compiles none of them, and ``from jordanet

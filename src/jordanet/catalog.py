@@ -21,9 +21,8 @@ from pathlib import Path
 from typing import Dict, List, Tuple, Union
 
 from .errors import InputError, InternalCheckError
-from .exact import integer_poly
+from .exact import Packing, int_poly_matmul, integer_poly
 from .io import parse_space_data
-from .linalg import Packing, int_poly_matmul
 from .spaces import MatSpace, ParametricBasis, sym_pairs
 
 DATA_DIR = Path(__file__).resolve().parent / "data" / "catalog"

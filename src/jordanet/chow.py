@@ -12,7 +12,7 @@ span of the reciprocal variety, and its left kernel consists of the linear
 forms that vanish on all inverses.  ``chow_matrix`` returns it as (C',
 L^(n-1)): C' the integer adjugate of t_1 B'_1 + ... + t_m B'_m, each entry
 already a coefficient vector over those monomials (Faddeev-LeVerrier on
-upper triangles, ``linalg.symmetric_linear_adjugate``), and no Fraction is
+upper triangles, ``exact.symmetric_linear_adjugate``), and no Fraction is
 formed.  The rank and the kernel forms read one integer echelon of the
 transpose of C' with its columns reversed (the scale L^(n-1) changes
 neither): each kernel vector is read off its integer reduced rows, back to
@@ -23,17 +23,17 @@ The fully symbolic n = 3 determinant (degree 12 in the 18 entry variables,
 22659 terms) is read off the generic net w1 X + w2 Y + w3 Z, X, Y and Z
 symmetric with entries x11..z33: the net is linear in the 18 products of a
 weight and an entry, so its adjugate is one more
-``linalg.symmetric_linear_adjugate`` run, whose coefficients, grouped by
+``exact.symmetric_linear_adjugate`` run, whose coefficients, grouped by
 their weight monomial, are the Chow cells as packed polynomials in the
-entries.  Their 6 x 6 determinant is a Laplace expansion on ``linalg``'s
+entries.  Their 6 x 6 determinant is a Laplace expansion on ``exact``'s
 integer kernel, computed at most once per process.  It stays packed in its
-``MPoly`` (``linalg.Packing.mpoly``): its degree and term count are read
+``MPoly`` (``exact.Packing.mpoly``): its degree and term count are read
 off the packed polynomial, an evaluation at a net
 (``chow_det_eval_at_net``) sums its packed keys, and its terms are formed
 only when first read, by a comparison.  CPU in a fresh process (Python
 3.11.7, Xeon, 2 CPUs; median and range of 9 processes): the determinant
-58 ms (38-65), its degree and term count 19 ms (12-21) more, an
-evaluation at a net 29 ms (20-30) more, its terms 104 ms (74-106) more
+38 ms (33-58), its degree and term count 11 ms (10-17) more, an
+evaluation at a net 18 ms (16-26) more, its terms 83 ms (54-92) more
 when read.
 """
 
@@ -44,9 +44,8 @@ from fractions import Fraction
 from typing import List, Tuple
 
 from .errors import PreconditionError
-from .exact import MPoly, monomials, poly_eval
-from .linalg import (Echelon, Packing, integer_inverse, laplace_minors, rref,
-                     symmetric_linear_adjugate)
+from .exact import MPoly, Packing, laplace_minors, monomials, poly_eval, symmetric_linear_adjugate
+from .linalg import Echelon, integer_inverse, rref
 from .spaces import MatSpace, integer_sweep, is_regular, sym_dim, sym_pairs, symmetric_rows
 
 

@@ -35,10 +35,9 @@ from fractions import Fraction
 from typing import Union
 
 from .errors import InputError, InternalCheckError, PreconditionError
-from .exact import frac_str, integer_poly, parse_poly_lines
 from .io import load_space_file, read_text_file
 from .jordan import is_jordan, jordan_closure, radical, structure_constants
-from .linalg import Mat, det as linalg_det
+from .linalg import Mat, det as linalg_det, frac_str
 from .spaces import MatSpace, ParametricBasis, grassmann_limit, is_regular, plucker, unit_point
 
 
@@ -204,6 +203,7 @@ def cmd_limit(args) -> int:
 
 
 def cmd_emptiness(args) -> int:
+    from .exact import integer_poly, parse_poly_lines
     from .varieties import macaulay_emptiness
     polys = [p for p, _ in parse_poly_lines(read_text_file(args.polyfile), integer_poly)]
     if not polys:

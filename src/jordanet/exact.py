@@ -1,15 +1,30 @@
-"""Exact scalars and sparse multivariate polynomials.
+"""Sparse multivariate polynomials and the packed integer polynomial kernel.
 
-Scalars are arbitrary-precision rationals (``fractions.Fraction``, which is
-always reduced with a positive denominator).  Polynomials are sparse dicts
-mapping exponent tuples to nonzero rational coefficients, with a fixed
-alphabetical variable order and graded-lexicographic term order for all
-canonical output.  An ``MPoly`` is a value: it is parsed, printed, compared
-and evaluated, and has no arithmetic; every polynomial product in the
-package runs on ``linalg``'s packed integer kernel.  ``poly_eval``
+This is the polynomial layer, above ``linalg``, whose rational scalars
+(``linalg.frac``, ``linalg.frac_str``) it reads and writes.  Polynomials
+are sparse dicts mapping exponent tuples to nonzero rational coefficients,
+with a fixed alphabetical variable order and graded-lexicographic term
+order for all canonical output.  An ``MPoly`` is a value: it is parsed,
+printed, compared and evaluated, and has no arithmetic.  ``poly_eval``
 evaluates a polynomial at rationals only: every variable gets a value, the
 sum is taken on integers over one common denominator, and the result is a
 Fraction.
+
+Every polynomial product in the package runs on one integer kernel, and
+this module is the one that knows its format: an entry of a polynomial
+matrix is {packed exponent: int coefficient} (``IntPoly``), the exponents
+packed by ``Packing``, the one place that shifts or masks them, so that a
+monomial product is one integer addition.  ``linear_matrix`` forms sum_k
+x^(e_k) M_k from integer matrices M_k (a space's generic element,
+``spaces.generic_matrix``), ``laplace_minors`` (memoized over column
+subsets) its determinant and minors, ``int_poly_matmul`` products, and
+``Packing.mpoly`` wraps a result in an ``MPoly`` that reads its terms off
+the packed polynomial when they are first read.
+``symmetric_linear_adjugate`` runs Faddeev-LeVerrier on a symmetric matrix
+linear in t_1..t_m, upper triangles only, each entry a coefficient vector
+over the monomials of its degree: a space's Chow matrix, and the generic
+net's (``chow.chow_det_generic``), which is linear in the products of a
+weight and an entry variable.
 
 The text grammar has one reader, ``scan_terms``, which splits a line into its
 terms with one regex, each a sign run, a leading integer and the rest, and
@@ -34,42 +49,13 @@ import itertools
 import math
 import re
 from fractions import Fraction
-from typing import Callable, Dict, Iterator, List, Mapping, Optional, Tuple
+from operator import mul
+from typing import Callable, Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
 
-from .errors import InputError, InternalCheckError, PreconditionError
+from .errors import InputError, InternalCheckError
+from .linalg import frac, frac_str, primitive
 
 NEG_INF = float("-inf")
-
-#: the text form of a rational: an integer or p/q, no decimals or exponents
-_RATIONAL = re.compile(r"[+-]?\d+(?:/\d+)?")
-
-
-def frac(value) -> Fraction:
-    """Coerce ints, strings like '3' or '-2/7', and Fractions to Fraction.
-
-    Strings must be an integer or p/q: ``Fraction`` would also expand
-    exponent notation, so an 11-byte '1e999999999' would build an integer of
-    a billion digits."""
-    if isinstance(value, Fraction):
-        return value
-    if isinstance(value, int):
-        return Fraction(value)
-    if isinstance(value, str):
-        if not _RATIONAL.fullmatch(value):
-            raise InputError("PARSE_ERROR", f"bad rational {value!r}: expected an integer or p/q")
-        try:
-            return Fraction(value)
-        except (ValueError, ZeroDivisionError) as exc:
-            raise InputError("PARSE_ERROR", f"bad rational {value!r}") from exc
-    raise InputError("PARSE_ERROR", f"cannot coerce {value!r} to a rational")
-
-
-def frac_str(value: Fraction) -> str:
-    try:  # str() refuses integers past Python's 4300-digit conversion limit
-        return str(value.numerator) if value.denominator == 1 else f"{value.numerator}/{value.denominator}"
-    except ValueError as exc:
-        raise PreconditionError("RESULT_TOO_LARGE", "a result has a rational of over 4300 digits") from exc
-
 
 def monomials(k: int, degree: int) -> Iterator[Tuple[int, ...]]:
     """Exponent tuples of length k and total degree ``degree``, in descending
@@ -110,7 +96,7 @@ class MPoly:
     tuples (one entry per variable) to nonzero coefficients.  Two
     polynomials over different variable tuples are equal when their nonzero
     terms are.  There is no arithmetic: a polynomial is built whole, by
-    ``parse_poly``, ``linalg.Packing.mpoly`` or its constructor.
+    ``parse_poly``, ``Packing.mpoly`` or its constructor.
 
     A polynomial from ``Packing.mpoly`` keeps the packed integer polynomial
     and forms ``terms`` when it is first read, once: ``term_count``,
@@ -222,6 +208,206 @@ class MPoly:
             else:
                 chunks.append(("+ " if coeff > 0 else "- ") + body)
         return " ".join(chunks)
+
+
+# -- integer polynomial matrices -------------------------------------------
+
+#: a polynomial with integer coefficients: {packed exponent: nonzero coefficient}
+IntPoly = Dict[int, int]
+
+
+def _field_width(bound: int) -> int:
+    """Bits per packed exponent field, enough for every exponent up to bound."""
+    return bound.bit_length()
+
+
+class Packing:
+    """Exponent tuples of k variables as one int, the first variable in the
+    top field, each ``_field_width(bound)`` bits wide: a monomial product is
+    one integer addition, and no field carries while no exponent of a result
+    exceeds ``bound`` (n times the largest entry degree for an n x n
+    determinant, charpoly or adjugate; the degree of a Macaulay column).
+    ``units[i]`` is the key of the i-th variable."""
+
+    __slots__ = ("fields", "mask", "units")
+
+    def __init__(self, k: int, bound: int):
+        width = _field_width(bound)
+        self.fields = [width * (k - 1 - i) for i in range(k)]
+        self.mask = (1 << width) - 1
+        self.units = [1 << f for f in self.fields]
+
+    def key(self, exps: Sequence[int]) -> int:
+        return sum(map(mul, exps, self.units))
+
+    def exps(self, key: int) -> Tuple[int, ...]:
+        return tuple((key >> f) & self.mask for f in self.fields)
+
+    def mpoly(self, p: IntPoly, den: int, names: Sequence[str]) -> MPoly:
+        """p / den over the sorted names, field i holding names[i]: an
+        ``MPoly`` that keeps p and reads its terms off it (``terms``) when
+        they are first read, its degree (``degree``) when that is."""
+        vars = tuple(sorted(names))
+        return MPoly(vars, None, (self, p, den, [self.fields[names.index(v)] for v in vars]))
+
+    def terms(self, p: IntPoly, den: int, fields: Sequence[int]) -> Dict[tuple, Fraction]:
+        """{exponent tuple: Fraction} of p / den, entry i of a tuple read off
+        field ``fields[i]``: one pass over p per field, then one per term."""
+        mask = self.mask
+        columns = [[key >> f & mask for key in p] for f in fields]
+        exps = zip(*columns) if columns else itertools.repeat((), len(p))
+        coeffs = map(Fraction, p.values()) if den == 1 else (Fraction(c, den) for c in p.values())
+        return dict(zip(exps, coeffs))
+
+    def evaluate(self, p: IntPoly, fields: Sequence[int], values: Sequence[int], scale: int,
+                 top: int) -> int:
+        """The sum over the terms c x^e of p of c prod_i values[i]^e_i
+        scale^(top - e_i), e_i read off field ``fields[i]`` (at most top).
+        Keys are cut into chunks of six fields and each distinct chunk is
+        read once, into the product of its fields' powers: a term costs a
+        shift, a lookup and a product per chunk, and no key is decoded."""
+        width, mask = self.mask.bit_length(), self.mask
+        powers = {f: [v ** e * scale ** (top - e) for e in range(min(top, mask) + 1)]
+                  for f, v in zip(fields, values)}
+        keys, totals = list(p), list(p.values())
+        span = 6 * width
+        for low in range(0, max(fields, default=-1) + 1, span):
+            inside = [(f - low, powers[f]) for f in fields if low <= f < low + span]
+            parts = [key >> low & ((1 << span) - 1) for key in keys]
+            value = {part: math.prod(table[part >> f & mask] for f, table in inside)
+                     for part in set(parts)}
+            totals = list(map(mul, totals, map(value.__getitem__, parts)))
+        return sum(totals)
+
+    def degree(self, p: IntPoly):
+        """The largest sum of a key's fields, -inf when p is 0.  Adjacent
+        fields are summed in pairs into fields twice as wide until the k
+        fields left, each at most v, fit k v in one field; then the product
+        of a key with sum(2^(w i) for i < k) holds the sum of all k in field
+        k - 1, the fields below it the sums of the first few, none carrying."""
+        keys, k, w, v = list(p), len(self.fields) or 1, self.mask.bit_length(), self.mask
+        while k > 1 and (k * v) >> w:
+            even = sum(((1 << w) - 1) << (2 * w * i) for i in range((k + 1) // 2))
+            keys = [(key & even) + (key >> w & even) for key in keys]
+            k, w, v = (k + 1) // 2, 2 * w, 2 * v
+        ones, mask = sum(1 << (w * i) for i in range(k)), (1 << w) - 1
+        return max((key * ones >> w * (k - 1) & mask for key in keys), default=NEG_INF)
+
+
+def _mul_add(acc: IntPoly, a: IntPoly, b: IntPoly, sign: int = 1) -> None:
+    """acc += sign * a * b, in place; may leave zero coefficients in acc."""
+    if len(a) > len(b):
+        a, b = b, a
+    get = acc.get
+    for ea, ca in a.items():
+        ca *= sign
+        for eb, cb in b.items():
+            key = ea + eb
+            acc[key] = get(key, 0) + ca * cb
+
+
+def _nonzero(p: IntPoly) -> IntPoly:
+    return {key: c for key, c in p.items() if c}
+
+
+def int_poly_matmul(a_rows: Sequence[Sequence[IntPoly]],
+                    b_rows: Sequence[Sequence[IntPoly]]) -> List[List[IntPoly]]:
+    """The product A B of integer polynomial matrices given by their rows."""
+    b_cols = list(zip(*b_rows))
+    out = []
+    for a_row in a_rows:
+        row = []
+        for col in b_cols:
+            acc: IntPoly = {}
+            for x, y in zip(a_row, col):
+                if x and y:
+                    _mul_add(acc, x, y)
+            row.append(_nonzero(acc))
+        out.append(row)
+    return out
+
+
+def laplace_minors(a: Sequence[Sequence[IntPoly]]) -> Callable[[tuple], IntPoly]:
+    """The minor of the first |S| rows of an integer polynomial matrix on
+    columns S, by Laplace expansion along row |S| - 1 into the minors on the
+    subsets of S one column smaller, each computed once and shared."""
+    memo: Dict[tuple, IntPoly] = {(): {0: 1}}
+
+    def minor(cols: tuple) -> IntPoly:
+        cached = memo.get(cols)
+        if cached is not None:
+            return cached
+        row = len(cols) - 1
+        acc: IntPoly = {}
+        for idx, c in enumerate(cols):
+            e = a[row][c]
+            if not e:
+                continue
+            sub = minor(cols[:idx] + cols[idx + 1:])
+            if sub:
+                _mul_add(acc, e, sub, -1 if (row + idx) % 2 else 1)
+        memo[cols] = acc = _nonzero(acc)
+        return acc
+
+    return minor
+
+
+def linear_matrix(terms: Sequence[Tuple[int, Sequence[Sequence[int]]]]) -> List[List[IntPoly]]:
+    """The rows of sum_k x^(e_k) M_k, for distinct packed monomials e_k and
+    integer n x n matrices M_k given by their rows."""
+    n = len(terms[0][1])
+    return [[{e: mat[i][j] for e, mat in terms if mat[i][j]} for j in range(n)] for i in range(n)]
+
+
+@functools.lru_cache(maxsize=None)
+def _degree_shifts(m: int, k: int) -> Tuple[int, List[List[int]]]:
+    """(the number of monomials of degree k in m variables, shifts):
+    shifts[q][p] is the index, in ``monomials(m, k)`` order, of t_q
+    times the p-th monomial of degree k - 1.  Built once per (m, k) and
+    shared; callers must not mutate it."""
+    index = {mono: p for p, mono in enumerate(monomials(m, k))}
+    shifts = [[index[mono[:q] + (mono[q] + 1,) + mono[q + 1:]] for mono in monomials(m, k - 1)]
+              for q in range(m)]
+    return len(index), shifts
+
+
+def symmetric_linear_adjugate(mats: Sequence[Sequence[Sequence[int]]]) -> List[List[List[int]]]:
+    """adj(A) for A = t_1 M_1 + ... + t_m M_m, the M_q symmetric integer n x n
+    matrices given by their rows: entry (i, j) as its coefficients over the
+    monomials of degree n - 1 in t, in ``monomials(m, n - 1)`` order.
+
+    The recurrence of ``linalg.int_faddeev_leverrier`` on coefficient
+    vectors: M_k is homogeneous of degree k - 1, and t_q times the p-th
+    monomial of degree k - 1 is the shift_q[p]-th monomial of degree k
+    (``_degree_shifts``).  M_2 = A + c_1 I needs no product, and each M_k is
+    a polynomial in A, so A M_k is symmetric and only its upper triangle is
+    formed: entry (i, j) adds, at shift_q[p], row i of M_q times the p-th
+    coefficients of M_k's row j.  n - 2 half products; adj(A) = (-1)^(n-1)
+    M_n."""
+    n, m = len(mats[0]), len(mats)
+    if n == 1:
+        return [[[1]]]
+    trace = [sum(mat[i][i] for i in range(n)) for mat in mats]
+    mk = [[[mat[i][j] - (t if i == j else 0) for mat, t in zip(mats, trace)] for j in range(n)]
+          for i in range(n)]
+    for k in range(2, n):
+        size, shifts = _degree_shifts(m, k)
+        columns = [list(zip(*row)) for row in mk]  # row j's p-th coefficients, over l
+        upper = []
+        for i in range(n):
+            rows = [(mat[i], shift) for mat, shift in zip(mats, shifts) if any(mat[i])]
+            upper.append([])
+            for cols in columns[i:]:
+                out = [0] * size
+                for row, shift in rows:
+                    for r, col in zip(shift, cols):
+                        out[r] += sum(map(mul, row, col))
+                upper[i].append(out)
+        c = [-sum(col) // k for col in zip(*(row[0] for row in upper))]
+        for row in upper:
+            row[0] = [x + y for x, y in zip(row[0], c)]
+        mk = [[upper[j][i - j] for j in range(i)] + upper[i] for i in range(n)]
+    return mk if n % 2 else [[[-x for x in p] for p in row] for row in mk]
 
 
 # -- text grammar -------------------------------------------------------
@@ -336,7 +522,7 @@ def poly_eval(p: MPoly, assignment: Mapping[str, object]) -> Fraction:
     values a_i / B over their common denominator B, the coefficients c'_t / C
     over theirs, and D the total degree of p, it is the sum of c'_t prod
     a_i^(t_i) B^(D - |t|) over C B^D, one Fraction in all.  A polynomial
-    that is still packed (``linalg.Packing.mpoly``) is summed on its packed
+    that is still packed (``Packing.mpoly``) is summed on its packed
     keys (``Packing.evaluate``), B^(D - t_i) per variable, over C B^(kD) for
     k variables: no term is decoded."""
     values = [frac(assignment[v]) for v in p.vars]
@@ -405,12 +591,6 @@ def _prem(a: list, b: list) -> list:
     return [lb ** steps * x for x in a] if steps > 0 else a
 
 
-def _primitive(p: list) -> list:
-    """p over its content, with a positive leading coefficient."""
-    g = math.gcd(*p)
-    return [x // (g if p[-1] > 0 else -g) for x in p]
-
-
 def mpoly_gcd(p: list, q: list) -> list:
     """The gcd of two integer polynomials, with a positive leading
     coefficient: the gcd of their coefficients times ``subresultant_gcd``."""
@@ -426,7 +606,8 @@ def subresultant_gcd(p: list, q: list) -> list:
     sequence, each pseudo-remainder divided exactly by beta (Brown-Traub's
     beta/psi)."""
     if not p or not q:
-        return _primitive(p or q) if p or q else []
+        p = p or q
+        return primitive(p, p[-1] < 0) if p else []
     if len(p) < len(q):
         p, q = q, p
     delta = len(p) - len(q)
@@ -434,7 +615,7 @@ def subresultant_gcd(p: list, q: list) -> list:
     while len(q) > 1:
         rem = _prem(p, q)
         if not rem:
-            return _primitive(q)
+            return primitive(q, q[-1] < 0)
         p, q = q, _div(rem, [beta])
         lc = -p[-1]
         if delta:
@@ -456,7 +637,7 @@ def squarefree_decomposition(coeffs: List[int]) -> List[Tuple[List[int], int]]:
     p = _trim(list(coeffs))
     if not p:
         raise ValueError("zero polynomial has no squarefree decomposition")
-    c = _primitive(p)
+    c = primitive(p, p[-1] < 0)
     d, factors = _derivative(c), []
     for mult in itertools.count():  # the pass with multiplicity 0 divides out gcd(p, p')
         if len(c) == 1:

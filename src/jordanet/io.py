@@ -8,7 +8,7 @@ where ``n`` is a JSON integer >= 1 and entries are integers or rational
 strings "p/q"; matrices are full n x n arrays and must be symmetric.  A
 plain file is read straight into the space's integer basis (B', L)
 (``spaces.make_space``): JSON integers stay ints, each string goes
-through ``exact.frac`` once (its mirror below the diagonal shares it when
+through ``linalg.frac`` once (its mirror below the diagonal shares it when
 the two raw values are equal and of one JSON type) and stays a Fraction
 only when it is not an integer, and L is the one lcm of those Fractions'
 denominators.  No Fraction matrix is built.  Parametric
@@ -30,7 +30,7 @@ from pathlib import Path
 from typing import Dict, Union
 
 from .errors import InputError, PreconditionError
-from .exact import NAME, frac, parse_poly
+from .linalg import frac
 from .spaces import MatSpace, ParametricBasis, make_space, sym_pairs
 
 
@@ -54,6 +54,7 @@ def _entry_to_powers(value, param: str) -> Dict[int, Fraction]:
     if isinstance(value, int):
         return {0: Fraction(value)} if value else {}
     if isinstance(value, str):
+        from .exact import parse_poly
         poly = parse_poly(value)
         extra = set(poly.support_vars()) - {param}
         if extra:
@@ -75,8 +76,10 @@ def parse_space_data(obj: dict) -> Union[MatSpace, ParametricBasis]:
     if not isinstance(parametric, bool):
         raise InputError("PARSE_ERROR", f"'parametric' must be true or false, got {parametric!r}")
     param = obj.get("param", "t")
-    if not isinstance(param, str) or not NAME.fullmatch(param):
-        raise InputError("PARSE_ERROR", f"'param' must be a variable name, got {param!r}")
+    if "param" in obj:  # the default t is a name
+        from .exact import NAME
+        if not isinstance(param, str) or not NAME.fullmatch(param):
+            raise InputError("PARSE_ERROR", f"'param' must be a variable name, got {param!r}")
     mats = []
     for raw in basis_data:
         if (not isinstance(raw, list) or len(raw) != n

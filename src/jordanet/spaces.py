@@ -23,7 +23,9 @@ Every polynomial object of a space is read off (B', L): the generic element
 is X' / L, X' = sum_k t_k B'_k packed by ``generic_matrix``, so that
 ``generic_det`` is det(X') / L^n, ``varieties.rank_one_system`` the 2 x 2
 minors of X' over L^2 and ``chow.chow_matrix`` adj(X'); ``plucker`` takes
-the minors of the vectorized B' over L^m.
+the minors of the vectorized B' over L^m.  The polynomial ones import
+``exact`` when they run, and the sweep's seeded dense points ``prng``; the
+sweep itself and the membership tests are linear algebra alone.
 
 ``ParametricBasis`` holds a one-parameter family as its coordinate rows in
 ``sym_pairs`` order, each entry a polynomial in t as {power: Fraction}, read
@@ -40,24 +42,13 @@ from __future__ import annotations
 import itertools
 import math
 from fractions import Fraction
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .errors import PreconditionError
-from .exact import MPoly
-from .linalg import (
-    Echelon,
-    IntPoly,
-    Mat,
-    Packing,
-    int_matmul,
-    integer_inverse,
-    integer_vector,
-    inverse_or_none,
-    laplace_minors,
-    linear_matrix,
-    rref,
-)
-from .prng import SplitMix64, derive_seed
+from .linalg import Echelon, Mat, int_matmul, integer_inverse, integer_vector, inverse_or_none, rref
+
+if TYPE_CHECKING:  # the polynomial layer is imported by the functions that run it
+    from .exact import IntPoly, MPoly, Packing
 
 
 def sym_dim(n: int) -> int:
@@ -213,6 +204,7 @@ def generic_matrix(space: MatSpace, bound: int, names: Optional[Sequence[str]] =
     """(X', packing, names): X' = sum_k t_k B'_k, t_k in field k - 1 of
     ``Packing(m, bound)`` and called names[k - 1] (t1..tm by default; one
     distinct name per basis matrix, or PARSE_ERROR)."""
+    from .exact import Packing, linear_matrix
     names = tuple(names) if names is not None else generic_names(space.m)
     if len(set(names)) != len(names) or len(names) != space.m:
         raise PreconditionError("PARSE_ERROR", "need one distinct variable name per basis element")
@@ -222,7 +214,8 @@ def generic_matrix(space: MatSpace, bound: int, names: Optional[Sequence[str]] =
 
 def generic_det(space: MatSpace, names: Optional[Sequence[str]] = None) -> MPoly:
     """Determinant of the generic element, nonzero iff the space is regular:
-    det(X') / L^n (``generic_matrix``, ``linalg.laplace_minors``)."""
+    det(X') / L^n (``generic_matrix``, ``exact.laplace_minors``)."""
+    from .exact import laplace_minors
     rows, packing, names = generic_matrix(space, space.n, names)
     det = laplace_minors(rows)(tuple(range(space.n)))
     return packing.mpoly(det, space.integer_basis()[1] ** space.n, names)
@@ -380,6 +373,7 @@ def _sweep_for_unit(space: MatSpace) -> Optional[Unit]:
 
     for k, tup in enumerate(integer_sweep(space.m)):
         if k == _WITNESS_BUDGET:
+            from .prng import SplitMix64, derive_seed
             rng = SplitMix64(derive_seed(0, "dense unit"))
             for _ in range(_DENSE_POINTS):
                 got = unit(tuple(rng.int_between(-n, n) for _ in range(space.m)))
@@ -440,6 +434,7 @@ def congruence_transform(space: MatSpace, p: Mat) -> MatSpace:
 
 def sample_congruent(space: MatSpace, seed: int) -> MatSpace:
     """Deterministic congruence image: P has integer entries in [-3, 3]."""
+    from .prng import SplitMix64
     rng = SplitMix64(seed)
     while True:
         p = Mat.from_ints([[rng.int_between(-3, 3) for _ in range(space.n)] for _ in range(space.n)])

@@ -8,7 +8,7 @@ span the entire degree-D coefficient space (then every ``x_i^D`` lies in the
 ideal, so only the origin survives).  UNKNOWN is a legal answer.  It reads
 integer polynomials over names (a file's lines cleared of denominators by
 ``exact.integer_poly``, or the rank-one minors times L^2) and packs their
-monomials by ``linalg.Packing``.  It reduces each degree before it
+monomials by ``exact.Packing``.  It reduces each degree before it
 multiplies (Lazard 1983; Faugere's F4, 1999): the forms of degree d are
 reduced once on a ``linalg.Echelon`` over the monomials of degree d, and
 only its primitive reduced rows are multiplied up to degree D, as sparse
@@ -32,9 +32,9 @@ from pathlib import Path
 from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 from .errors import InputError, PreconditionError
-from .exact import MPoly, monomials, parse_poly_lines, poly_eval
+from .exact import MPoly, Packing, laplace_minors, monomials, parse_poly_lines, poly_eval
 from .jordan import radical, structure_constants
-from .linalg import Echelon, Mat, Packing, laplace_minors, mat_rank
+from .linalg import Echelon, Mat, mat_rank
 from .spaces import (
     MatSpace,
     PluckerVector,

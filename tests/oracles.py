@@ -184,23 +184,23 @@ from jordanet.errors import InputError, InternalCheckError, PreconditionError
 from jordanet.exact import (
     NAME,
     NEG_INF,
-    frac,
+    Packing,
+    _mul_add,
+    _nonzero,
+    int_poly_matmul,
+    laplace_minors,
+    linear_matrix,
     monomials,
     parse_poly,
 )
 from jordanet.jordan import radical, structure_constants
 from jordanet.linalg import (
     Mat,
-    Packing,
-    _mul_add,
-    _nonzero,
     det,
+    frac,
     int_matmul,
-    int_poly_matmul,
     integer_vector,
     inverse,
-    laplace_minors,
-    linear_matrix,
     mat_rank,
     rref,
 )

@@ -44,7 +44,7 @@ for label in 2a1 2a2; do
   python - "$label" > "image_$label.json" <<'PY'
 import json, sys
 from jordanet.catalog import canonical
-from jordanet.exact import frac_str
+from jordanet.linalg import frac_str
 p = [[2, 1, 0, 0], [0, 1, -1, 0], [1, 0, 1, 1], [0, 0, 1, 3]]
 image = [[[sum(p[k][i] * b[k, l] * p[l][j] for k in range(4) for l in range(4)) for j in range(4)]
           for i in range(4)] for b in canonical(f"s4/{sys.argv[1]}").basis]
@@ -109,9 +109,10 @@ jordanet chow rank8_times6.json --json > chow_times6.json
 python -c 'import json, sys; a, b = (json.load(open(f)) for f in ("chow_sixths.json", "chow_times6.json")); sys.exit((a["rank"], a["kernel_forms"]) != (b["rank"], b["kernel_forms"]) or a["rank"] != 8)'
 python -c "import jordanet.cli, sys; sys.exit('dataclasses' in sys.modules)"
 # with no bytecode written, every module a process imports is compiled: importing the
-# CLI loads none of the layers a command imports only when it runs them, and the console
-# script's analyze of a space that is not closed prints its golden bytes
-PYTHONDONTWRITEBYTECODE=1 python -c 'import jordanet.cli, sys; sys.exit(any(f"jordanet.{m}" in sys.modules for m in ("catalog", "chow", "classify", "varieties", "verify")))'
+# CLI loads none of the layers a command imports only when it runs them (the polynomial
+# layer and the seeded generator among them), and the console script's analyze of a
+# space that is not closed prints its golden bytes
+PYTHONDONTWRITEBYTECODE=1 python -c 'import jordanet.cli, sys; sys.exit(any(f"jordanet.{m}" in sys.modules for m in ("catalog", "chow", "classify", "exact", "prng", "varieties", "verify")))'
 PYTHONDONTWRITEBYTECODE=1 jordanet analyze catalog://dim4/L2flip --json > analyze_flip_cold.json
 python - "$tests/data/cli_goldens.json" > analyze_flip_golden.json <<'PY'
 import json, sys

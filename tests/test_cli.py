@@ -14,8 +14,8 @@ import jordanet
 from jordanet import chow, classify, cli, exact, jordan, linalg, varieties
 from jordanet.cli import main
 from jordanet.errors import InputError, InternalCheckError, PreconditionError
-from jordanet.exact import frac_str
 from jordanet.io import load_space_file, parse_space_data
+from jordanet.linalg import frac_str
 from jordanet.prng import SplitMix64
 from jordanet.spaces import MatSpace
 from oracles import parse_outcome, parse_poly_by_tokens
@@ -122,8 +122,8 @@ class TestChow:
         # the degree and the term count are read off the packed determinant,
         # and verify's evaluations sum its packed keys: none of its terms is formed
         decoded = []
-        terms = linalg.Packing.terms
-        monkeypatch.setattr(linalg.Packing, "terms",
+        terms = exact.Packing.terms
+        monkeypatch.setattr(exact.Packing, "terms",
                             lambda self, p, *args: decoded.append(len(p)) or terms(self, p, *args))
         monkeypatch.setattr(chow, "_DET_MEMO", {})
         want = ('{\n "command": "chow",\n "det_degree": 12,\n "det_terms": 22659,\n'
@@ -370,8 +370,9 @@ class TestImports:
             capture_output=True, text=True, env=child_env())
         assert proc.returncode == 0, proc.stderr
 
-    #: the layers a command imports only when it runs them
-    DEFERRED = ("catalog", "chow", "classify", "varieties", "verify")
+    #: the layers a command imports only when it runs them: the polynomial
+    #: layer and the seeded generator among them
+    DEFERRED = ("catalog", "chow", "classify", "exact", "prng", "varieties", "verify")
 
     def deferred_loaded(self, code):
         """The layers of DEFERRED that a fresh process holds after ``code``."""
@@ -390,6 +391,10 @@ class TestImports:
     def test_importing_loads_no_deferred_layer(self, code):
         assert self.deferred_loaded(code) == set()
 
+    @pytest.mark.parametrize("code", ["import jordanet.linalg", "import jordanet.spaces"])
+    def test_linear_algebra_loads_no_polynomial_layer(self, code):
+        assert self.deferred_loaded(code) == set()
+
     def test_analyze_of_a_closure_loads_no_deferred_layer(self, tmp_path):
         # <I, E12 + E21, E23 + E32> is regular and not closed: (E12 + E21)^2 = E11 + E22
         f = tmp_path / "open.json"
@@ -403,14 +408,15 @@ class TestImports:
 
     def test_analyze_of_a_catalog_net_loads_its_classification(self):
         code = self.main_code(["analyze", "catalog://s4/3b1", "--json"])
-        assert self.deferred_loaded(code) == {"catalog", "classify", "varieties"}
+        assert self.deferred_loaded(code) == {"catalog", "classify", "exact", "varieties"}
 
     def test_chow_loads_chow_alone(self, tmp_path):
         f = tmp_path / "net.json"
         f.write_text(json.dumps({"n": 3, "basis": [[[1, 0, 0], [0, 0, 0], [0, 0, 0]],
                                                    [[0, 0, 0], [0, 1, 0], [0, 0, 0]],
                                                    [[0, 0, 0], [0, 0, 0], [0, 0, 1]]]}))
-        assert self.deferred_loaded(self.main_code(["chow", str(f), "--json"])) == {"chow"}
+        # of the command layers; the Chow matrix is polynomial, so exact comes too
+        assert self.deferred_loaded(self.main_code(["chow", str(f), "--json"])) == {"chow", "exact"}
 
 
 class TestTypedErrors:
@@ -663,9 +669,11 @@ class TestFamilyFiles:
         ("analyze", {"basis": [[[1, 0], {"2": 0, "1": 5}]]}),
         ("limit", {"parametric": True, "basis": [[["1", "t"], 5]]}),
         ("limit", {"parametric": True, "basis": [[["1", "t"], "t1"]]}),
+        # a plain file's param is checked too, by the grammar it imports for that
+        ("analyze", {"param": "2t", "basis": CONSTANT}),
     ], ids=["param-list", "param-int", "param-not-a-name", "parametric-string", "parametric-int",
             "boolean-entry", "int-row", "null-row", "string-row", "object-row",
-            "parametric-int-row", "parametric-string-row"])
+            "parametric-int-row", "parametric-string-row", "plain-param-not-a-name"])
     def test_malformed_family_is_a_parse_error(self, command, fields, tmp_path, capsys):
         f = tmp_path / "family.json"
         f.write_text(json.dumps({"n": 2, "basis": self.FAMILY, **fields}))

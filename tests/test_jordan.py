@@ -7,7 +7,6 @@ import pytest
 from jordanet.catalog import canonical, catalog_ids
 from jordanet.classify import NET_LABELS
 from jordanet.errors import PreconditionError
-from jordanet.exact import frac_str
 from jordanet.io import parse_space_data
 from jordanet.jordan import (
     _doubled_product,
@@ -25,6 +24,7 @@ from jordanet.linalg import (
     Mat,
     det,
     express_in_rows,
+    frac_str,
     int_matmul,
     inverse,
     inverse_or_none,

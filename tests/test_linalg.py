@@ -5,24 +5,29 @@ from typing import List, NamedTuple
 
 import pytest
 
-from jordanet import linalg
+from jordanet import exact, linalg
 from jordanet.errors import JordanetError, PreconditionError
-from jordanet.exact import integer_poly, monomials, parse_poly, poly_eval
+from jordanet.exact import (
+    Packing,
+    int_poly_matmul,
+    integer_poly,
+    laplace_minors,
+    linear_matrix,
+    monomials,
+    parse_poly,
+    poly_eval,
+)
 from jordanet.linalg import (
     Echelon,
     Mat,
-    Packing,
     adjugate,
     charpoly,
     det,
     det_bareiss,
     det_laplace,
     express_in_rows,
-    int_poly_matmul,
     inverse,
     inverse_or_none,
-    laplace_minors,
-    linear_matrix,
     mat_rank,
     rref,
 )
@@ -840,7 +845,7 @@ class TestAdjugate:
             return product(a, b)
 
         monkeypatch.setattr(linalg, "int_matmul", counting)
-        monkeypatch.setattr(linalg, "int_poly_matmul", None)
+        monkeypatch.setattr(exact, "int_poly_matmul", None)
         m = random_rational_mat(SplitMix64(n), n)
         adjugate(m)
         assert len(calls) == max(n - 2, 0)
@@ -976,7 +981,7 @@ class TestIntegerKernel:
         for sp in spaces:
             n, m = sp.n, sp.m
             basis, lcm = sp.integer_basis()
-            adj = linalg.symmetric_linear_adjugate(basis)
+            adj = exact.symmetric_linear_adjugate(basis)
             names = generic_names(m)
             monos = [dict(zip(names, mono)) for mono in monomials(m, n - 1)]
             want = adjugate_by_cofactors(generic_element(sp.basis, names))
@@ -1002,7 +1007,7 @@ class TestIntegerKernel:
                     for i in range(n):
                         rows[i][-1] = rows[-1][i]
                     rows[-1][-1] = 4 * rows[0][0]
-                got = linalg.symmetric_linear_adjugate([rows])
+                got = exact.symmetric_linear_adjugate([rows])
                 assert Mat([[Fraction(p[0]) for p in row] for row in got]) == \
                     adjugate_by_cofactors(Mat.from_ints(rows)), (n, k)
 
@@ -1017,7 +1022,7 @@ class TestIntegerKernel:
             _, want = faddeev_leverrier_by_entries(
                 generic_element([Mat.from_ints(u) for u in units], names))
             monos = [dict(zip(names, mono)) for mono in monomials(len(units), n - 1)]
-            adj = linalg.symmetric_linear_adjugate(units)
+            adj = exact.symmetric_linear_adjugate(units)
             for i in range(n):
                 for j in range(n):
                     entry = want[i, j] if isinstance(want[i, j], MPoly) else MPoly.const(want[i, j])
@@ -1028,14 +1033,14 @@ class TestIntegerKernel:
         # of the same shape builds none
         bases = [sp.integer_basis()[0] for sp in rational_spaces(4141) if (sp.n, sp.m) == (5, 3)]
         calls = []
-        real = linalg.monomials
-        monkeypatch.setattr(linalg, "monomials", lambda m, k: calls.append((m, k)) or real(m, k))
-        linalg._degree_shifts.cache_clear()
+        real = exact.monomials
+        monkeypatch.setattr(exact, "monomials", lambda m, k: calls.append((m, k)) or real(m, k))
+        exact._degree_shifts.cache_clear()
         assert len(bases) == 2
-        linalg.symmetric_linear_adjugate(bases[0])
+        exact.symmetric_linear_adjugate(bases[0])
         assert {k for _, k in calls} == {1, 2, 3, 4}
         built = len(calls)
-        linalg.symmetric_linear_adjugate(bases[1])
+        exact.symmetric_linear_adjugate(bases[1])
         assert len(calls) == built
 
     def test_fraction_matrices_give_fractions(self):
@@ -1072,8 +1077,8 @@ class TestIntegerKernel:
         assert generic_det(space) == P("t1^2 - t2^2")
         squares = [integer_poly(f"{v}^2")[0] for v in "xyz"]
         assert macaulay_emptiness(squares, 3).span_rank == 9
-        width = linalg._field_width
-        monkeypatch.setattr(linalg, "_field_width", lambda bound: width(bound) - 1)
+        width = exact._field_width
+        monkeypatch.setattr(exact, "_field_width", lambda bound: width(bound) - 1)
         narrow_det, narrow_cp = packed()
         assert narrow_det != expected
         assert narrow_cp != cp

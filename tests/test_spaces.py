@@ -9,9 +9,8 @@ from jordanet import spaces
 from jordanet.catalog import canonical, catalog_ids
 from jordanet.errors import PreconditionError
 from jordanet.exact import parse_poly
-from jordanet.exact import frac, frac_str
 from jordanet.io import parse_space_data
-from jordanet.linalg import Mat, det
+from jordanet.linalg import Mat, det, frac, frac_str
 from jordanet.prng import SplitMix64
 from jordanet.spaces import (
     MatSpace,

@@ -7,8 +7,8 @@ import pytest
 from jordanet.catalog import canonical, catalog_ids
 from jordanet.errors import InputError, PreconditionError
 from jordanet import cli, varieties
-from jordanet.exact import frac_str, integer_poly, monomials, parse_poly, poly_eval
-from jordanet.linalg import Mat, inverse, rref
+from jordanet.exact import integer_poly, monomials, parse_poly, poly_eval
+from jordanet.linalg import Mat, frac_str, inverse, rref
 from jordanet.prng import SplitMix64
 from jordanet.spaces import MatSpace, PluckerVector, make_space, plucker, sample_congruent
 from jordanet.varieties import (
