@@ -303,7 +303,8 @@ def _back_substitute(ech: Echelon) -> List[List[int]]:
 
 
 def primitive(v: List[int], negate: bool) -> List[int]:
-    """A nonzero integer vector over its content, negated when asked."""
+    """A nonzero integer vector over its content, negated when asked: v
+    itself when that divides by 1, so callers must not mutate the result."""
     g = -math.gcd(*v) if negate else math.gcd(*v)
     return v if g == 1 else [x // g for x in v]
 
