@@ -4,8 +4,9 @@ Core objects: rational scalars and exact dense linear algebra (``linalg``),
 subspaces of symmetric matrices as Grassmannian points (``spaces``), the
 inverse-twisted commutative product and its algebra theory (``jordan``);
 above them, sparse rational polynomials and the packed integer polynomial
-kernel (``exact``), Chow matrices of nets (``chow``), polynomial
-certificates (``varieties``), and classification front ends (``classify``).
+kernel (``exact``), integer polynomials in one variable (``univariate``),
+Chow matrices of nets (``chow``), polynomial certificates (``varieties``),
+and classification front ends (``classify``).
 
 Each name of ``__all__`` loads its home module the first time it is read
 (PEP 562): ``import jordanet`` compiles none of them, and ``from jordanet
@@ -25,7 +26,7 @@ __all__ = [
     "peirce", "radical", "structure_constants", "Mat", "adjugate", "charpoly", "det", "MatSpace",
     "ParametricBasis", "PluckerVector", "congruence_transform", "contains", "find_invertible",
     "generic_det", "grassmann_limit", "make_space", "orth_complement", "plucker",
-    "sample_congruent", "catalog_eval", "macaulay_emptiness", "min_rank_bounds", "rank_one_pencil",
+    "rank_one_pencil", "sample_congruent", "catalog_eval", "macaulay_emptiness", "min_rank_bounds",
 ]
 
 
@@ -42,8 +43,8 @@ def __getattr__(name):
         "linalg": "Mat adjugate charpoly det",
         "spaces": "MatSpace ParametricBasis PluckerVector congruence_transform contains "
                   "find_invertible generic_det grassmann_limit make_space orth_complement "
-                  "plucker sample_congruent",
-        "varieties": "catalog_eval macaulay_emptiness min_rank_bounds rank_one_pencil",
+                  "plucker rank_one_pencil sample_congruent",
+        "varieties": "catalog_eval macaulay_emptiness min_rank_bounds",
     }
     home = next((module for module, names in homes.items() if name in names.split()), None)
     if home is None:

@@ -21,7 +21,6 @@ from pathlib import Path
 from typing import Dict, List, Tuple, Union
 
 from .errors import InputError, InternalCheckError
-from .exact import Packing, int_poly_matmul, integer_poly
 from .io import parse_space_data
 from .spaces import MatSpace, ParametricBasis, sym_pairs
 
@@ -88,6 +87,7 @@ def substitution_family(space: MatSpace, substitution: List[str]) -> ParametricB
     times d / d_i; S'^T B' S' is two ``int_poly_matmul`` products, and each
     of its packed terms is folded by I^2 = -1 and divided by d^2 L.
     """
+    from .exact import Packing, int_poly_matmul, integer_poly  # the polynomial layer, for families alone
     n = space.n
     if len(substitution) != n:
         raise InputError("PARSE_ERROR", "substitution needs one expression per quadric variable")

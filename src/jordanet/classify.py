@@ -21,7 +21,7 @@ argument).  For a Jordan space s_hat comes from the radical and
 associativity: one part for the 3a and 3b nets, so they read no point,
 and a single point serves every other canonical net.  Each point is one
 integer characteristic polynomial (``linalg.int_faddeev_leverrier``) and
-one squarefree decomposition in lam (``exact``), up to
+one squarefree decomposition in lam (``univariate``), up to
 ``MAX_PARTITION_SIZE``.
 """
 
@@ -32,7 +32,6 @@ import math
 from typing import Dict, NamedTuple, Optional, Tuple, Union
 
 from .errors import PreconditionError
-from .exact import squarefree_decomposition
 from .jordan import (
     JordanStructure,
     is_associative,
@@ -42,8 +41,8 @@ from .jordan import (
     structure_constants,
 )
 from .linalg import int_faddeev_leverrier, int_matmul
-from .spaces import MatSpace, is_regular, unit_point
-from .varieties import rank_one_pencil
+from .spaces import MatSpace, is_regular, rank_one_pencil, unit_point
+from .univariate import squarefree_decomposition
 
 NET_LABELS = ("1a", "1b", "2a1", "2a2", "2b", "3a", "3b1", "3b2")
 
@@ -71,7 +70,7 @@ def generic_multiplicity_partition(space: MatSpace) -> Tuple[int, ...]:
     (``Unit.inverse``) and the integer basis C_k = C'_k / L, the generic
     structure is that of the characteristic polynomial of t1 q C'_1 + ... +
     t_{m-2} q C'_{m-2} + q C'_{m-1} over QQ(t).  At an integer point t
-    (``linalg.int_faddeev_leverrier``, then ``exact.squarefree_decomposition``)
+    (``linalg.int_faddeev_leverrier``, then ``univariate.squarefree_decomposition``)
     parts can only merge, so a point with as many parts as the generic
     partition shows it; the points that merge parts are the zeros of a
     nonzero discriminant of degree at most s(s - 1) for s parts, which

@@ -25,7 +25,8 @@ is X' / L, X' = sum_k t_k B'_k packed by ``generic_matrix``, so that
 minors of X' over L^2 and ``chow.chow_matrix`` adj(X'); ``plucker`` takes
 the minors of the vectorized B' over L^m.  The polynomial ones import
 ``exact`` when they run, and the sweep's seeded dense points ``prng``; the
-sweep itself and the membership tests are linear algebra alone.
+sweep itself, the membership tests and a pencil's rank-one count
+(``rank_one_pencil``, on its integer basis) are linear algebra alone.
 
 ``ParametricBasis`` holds a one-parameter family as its coordinate rows in
 ``sym_pairs`` order, each entry a polynomial in t as {power: Fraction}, read
@@ -42,7 +43,7 @@ from __future__ import annotations
 import itertools
 import math
 from fractions import Fraction
-from typing import TYPE_CHECKING, Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Callable, Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 from .errors import PreconditionError
 from .linalg import Echelon, Mat, int_matmul, integer_inverse, integer_vector, inverse_or_none, rref
@@ -402,6 +403,38 @@ def _rank(rows: List[List[int]]) -> int:
     ech = Echelon(len(rows))
     ech.extend(rows)
     return ech.rank
+
+
+def rank_one_pencil(space: MatSpace) -> Union[int, str]:
+    """Number of distinct projective rank-one points of a pencil, or "ALL".
+
+    The rank-one points of t1 B1 + t2 B2 are the common zeros, projective
+    and complex, of its 2 x 2 minors: binary quadratics a t1^2 + b t1 t2 +
+    c t2^2.  The count is read off V, the span of their vectors (a, b, c).
+    V = 0: "ALL".  dim V = 3: V holds t1^2, t1 t2 and t2^2, so 0.  dim V = 2:
+    two independent quadratics share at most one zero, and one iff their
+    resultant (af - cd)^2 - (ae - bd)(bf - ce) vanishes.  dim V = 1: 1 iff
+    the discriminant b^2 - 4ac vanishes, else 2.  The minors are taken on
+    the integer basis (``MatSpace.integer_basis``), which keeps the points.
+    """
+    if space.m != 2:
+        raise PreconditionError("UNSUPPORTED_DIM", "pencil operation needs m = 2")
+    (p, q), _ = space.integer_basis()
+    pairs = itertools.combinations(range(space.n), 2)
+    ech = Echelon(3)
+    ech.extend([p[i][k] * p[j][l] - p[i][l] * p[j][k],
+                p[i][k] * q[j][l] + q[i][k] * p[j][l] - p[i][l] * q[j][k] - q[i][l] * p[j][k],
+                q[i][k] * q[j][l] - q[i][l] * q[j][k]]
+               for (i, j), (k, l) in itertools.combinations_with_replacement(pairs, 2))
+    if ech.rank == 0:
+        return "ALL"
+    if ech.rank == 1:
+        a, b, c = ech.int_rows[0]
+        return 1 if b * b == 4 * a * c else 2
+    if ech.rank == 2:
+        (a, b, c), (d, e, f) = ech.int_rows
+        return 1 if (a * f - c * d) ** 2 == (a * e - b * d) * (b * f - c * e) else 0
+    return 0
 
 
 def contains(space: MatSpace, m: Mat) -> Optional[List[Fraction]]:

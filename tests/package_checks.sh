@@ -120,6 +120,25 @@ argv = ["analyze", "catalog://dim4/L2flip", "--json"]
 sys.stdout.write(next(c for c in json.load(open(sys.argv[1])) if c["argv"] == argv)["stdout"])
 PY
 cmp analyze_flip_cold.json analyze_flip_golden.json
+# classification is linear algebra and one integer polynomial in lam per point: with no
+# bytecode, the console script's analyze of a catalog net and pencil of a file import
+# neither the polynomial layer exact nor the Macaulay layer varieties (PYTHONPROFILEIMPORTTIME
+# names every module a process imports), and print their golden bytes
+python - "$tests/data/cli_goldens.json" > analyze_3b1_golden.json <<'PY'
+import json, sys
+argv = ["analyze", "catalog://s4/3b1", "--json"]
+sys.stdout.write(next(c for c in json.load(open(sys.argv[1])) if c["argv"] == argv)["stdout"])
+PY
+printf '{\n "command": "pencil",\n "input": "pencil_v1.json",\n "kind": "diagonalizable",\n "label": "V1"\n}\n' > pencil_v1_golden.json
+for run in "analyze catalog://s4/3b1 --json:analyze_3b1" "pencil pencil_v1.json --json:pencil_v1"; do
+  PYTHONDONTWRITEBYTECODE=1 PYTHONPROFILEIMPORTTIME=1 jordanet ${run%:*} > "${run##*:}_cold.json" 2> "${run##*:}_imports.txt"
+  grep -Eq '\| +jordanet\.classify$' "${run##*:}_imports.txt"
+  if grep -Eq '\| +jordanet\.(exact|varieties)$' "${run##*:}_imports.txt"; then
+    echo "jordanet ${run%:*} imports exact or varieties" >&2
+    exit 1
+  fi
+  cmp "${run##*:}_cold.json" "${run##*:}_golden.json"
+done
 python -c 'import json, sys; r = json.load(open("analyze_flip.json")); sys.exit((r["jordan"], r["closure_dim"]) != (False, 6))'
 # the closure dimension is the rank of the integer echelon the closure grows
 jordanet analyze catalog://netrank8 --json > analyze_rank8.json

@@ -20,7 +20,6 @@ from jordanet.classify import (
     invariant_vector,
 )
 from jordanet.errors import PreconditionError
-from jordanet.exact import squarefree_decomposition
 from jordanet.jordan import is_associative, is_jordan, jordan_closure, radical, structure_constants
 from jordanet.linalg import Mat, inverse
 from jordanet.prng import SplitMix64, derive_seed
@@ -33,6 +32,7 @@ from jordanet.spaces import (
     sym_dim,
     unit_point,
 )
+from jordanet.univariate import squarefree_decomposition
 from oracles import (
     generic_element,
     matmul_by_loop,

@@ -371,8 +371,9 @@ class TestImports:
         assert proc.returncode == 0, proc.stderr
 
     #: the layers a command imports only when it runs them: the polynomial
-    #: layer and the seeded generator among them
-    DEFERRED = ("catalog", "chow", "classify", "exact", "prng", "varieties", "verify")
+    #: layer, the squarefree decomposition and the seeded generator among them
+    DEFERRED = ("catalog", "chow", "classify", "exact", "prng", "univariate", "varieties",
+                "verify")
 
     def deferred_loaded(self, code):
         """The layers of DEFERRED that a fresh process holds after ``code``."""
@@ -407,16 +408,40 @@ class TestImports:
         assert json.loads(proc.stdout)["jordan"] is False
 
     def test_analyze_of_a_catalog_net_loads_its_classification(self):
+        # classification is linear algebra and one integer polynomial in lam per
+        # point: neither the polynomial layer nor the Macaulay one
         code = self.main_code(["analyze", "catalog://s4/3b1", "--json"])
-        assert self.deferred_loaded(code) == {"catalog", "classify", "exact", "varieties"}
+        assert self.deferred_loaded(code) == {"catalog", "classify", "univariate"}
+
+    @pytest.mark.parametrize("command, basis", [
+        ("pencil", [[[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]],
+                    [[2, 0, 0, 0], [0, -1, 0, 0], [0, 0, -1, 0], [0, 0, 0, -1]]]),
+        ("copencil", [[[1, 0, 0], [0, 0, 0], [0, 0, 0]], [[0, 0, 0], [0, 1, 0], [0, 0, 0]],
+                      [[0, 0, 0], [0, 0, 0], [0, 0, 1]], [[0, 1, 0], [1, 0, 0], [0, 0, 0]]]),
+    ])
+    def test_pencil_and_copencil_load_no_polynomial_layer(self, command, basis, tmp_path):
+        f = tmp_path / "space.json"
+        f.write_text(json.dumps({"n": len(basis[0]), "basis": basis}))
+        code = self.main_code([command, str(f), "--json"])
+        assert self.deferred_loaded(code) == {"classify", "univariate"}
+
+    def test_the_catalog_loads_no_polynomial_layer(self):
+        # a degeneration family imports exact when it is read, not before
+        assert self.deferred_loaded("import jordanet.catalog") == {"catalog"}
+
+    def test_limit_of_a_degeneration_loads_the_polynomial_layer(self):
+        code = self.main_code(["limit", "catalog://degen/1a-2a1", "--json"])
+        assert "exact" in self.deferred_loaded(code)
 
     def test_chow_loads_chow_alone(self, tmp_path):
         f = tmp_path / "net.json"
         f.write_text(json.dumps({"n": 3, "basis": [[[1, 0, 0], [0, 0, 0], [0, 0, 0]],
                                                    [[0, 0, 0], [0, 1, 0], [0, 0, 0]],
                                                    [[0, 0, 0], [0, 0, 0], [0, 0, 1]]]}))
-        # of the command layers; the Chow matrix is polynomial, so exact comes too
-        assert self.deferred_loaded(self.main_code(["chow", str(f), "--json"])) == {"chow", "exact"}
+        # of the command layers; the Chow matrix is polynomial, so exact comes too, and
+        # univariate with it while exact keeps its names for the benchmark's tracer
+        assert self.deferred_loaded(self.main_code(["chow", str(f), "--json"])) == {
+            "chow", "exact", "univariate"}
 
 
 class TestTypedErrors:

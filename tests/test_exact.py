@@ -4,21 +4,12 @@ from pathlib import Path
 
 import pytest
 
-from jordanet import exact
+from jordanet import univariate
 from jordanet.chow import chow_det_generic
-from jordanet.exact import (
-    NEG_INF,
-    integer_poly,
-    monomials,
-    mpoly_gcd,
-    parse_poly,
-    parse_poly_lines,
-    poly_eval,
-    squarefree_decomposition,
-    subresultant_gcd,
-)
+from jordanet.exact import NEG_INF, integer_poly, monomials, parse_poly, parse_poly_lines, poly_eval
 from jordanet.errors import InputError
 from jordanet.prng import SplitMix64
+from jordanet.univariate import mpoly_gcd, squarefree_decomposition, subresultant_gcd
 from oracles import (
     MPoly,
     UniPoly,
@@ -450,12 +441,12 @@ class TestGcd:
         # but its elements are multiples of the subresultants; first-step degree
         # gaps of 0 to 4 give normal and abnormal sequences
         rng = SplitMix64(29)
-        real = exact._prem
+        real = univariate._prem
         for df, dg in [(6, 5), (6, 4), (5, 3), (7, 3), (4, 4)]:
             f, g = ([rng.int_between(-5, 5) for _ in range(d)] + [rng.nonzero_int_between(-5, 5)]
                     for d in (df, dg))
             seen = []
-            monkeypatch.setattr(exact, "_prem", lambda a, b: seen.append(b) or real(a, b))
+            monkeypatch.setattr(univariate, "_prem", lambda a, b: seen.append(b) or real(a, b))
             subresultant_gcd(f, g)
             monkeypatch.undo()
             expected = [r for r in subresultant_sequence(UniPoly("lam", f), UniPoly("lam", g))[1:]

@@ -10,7 +10,14 @@ from jordanet import cli, varieties
 from jordanet.exact import integer_poly, monomials, parse_poly, poly_eval
 from jordanet.linalg import Mat, frac_str, inverse, rref
 from jordanet.prng import SplitMix64
-from jordanet.spaces import MatSpace, PluckerVector, make_space, plucker, sample_congruent
+from jordanet.spaces import (
+    MatSpace,
+    PluckerVector,
+    make_space,
+    plucker,
+    rank_one_pencil,
+    sample_congruent,
+)
 from jordanet.varieties import (
     CATALOGS,
     DATA_DIR,
@@ -19,7 +26,6 @@ from jordanet.varieties import (
     macaulay_emptiness,
     min_rank_bounds,
     rank_one_locus_certificate,
-    rank_one_pencil,
     rank_one_system,
 )
 from oracles import (
