@@ -14,6 +14,7 @@ IDs are resolved by ``canonical(id)``; the CLI exposes the same entries via
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from fractions import Fraction
@@ -26,17 +27,12 @@ from .spaces import MatSpace, ParametricBasis, sym_pairs
 
 DATA_DIR = Path(__file__).resolve().parent / "data" / "catalog"
 
-_MANIFEST = None
-_MEMO: Dict[str, Union[MatSpace, ParametricBasis]] = {}
-
 QUADRIC_VARS = ("a", "b", "c", "d")
 
 
+@functools.cache
 def manifest() -> dict:
-    global _MANIFEST
-    if _MANIFEST is None:
-        _MANIFEST = json.loads((DATA_DIR / "manifest.json").read_text())
-    return _MANIFEST
+    return json.loads((DATA_DIR / "manifest.json").read_text())
 
 
 def catalog_ids() -> List[str]:
@@ -48,21 +44,19 @@ def catalog_note(catalog_id: str) -> str:
     return "" if entry is None else entry.get("note", "")
 
 
+@functools.cache
 def canonical(catalog_id: str) -> Union[MatSpace, ParametricBasis]:
-    """Resolve a catalog id to its space or parametric family."""
+    """Resolve a catalog id to its space or parametric family, built once per
+    process."""
     entry = manifest().get(catalog_id)
     if entry is None:
         raise InputError("UNKNOWN_ID", f"unknown catalog id {catalog_id!r}")
-    if catalog_id not in _MEMO:
-        if entry.get("kind") == "degeneration":
-            source = canonical(entry["source"])
-            if not isinstance(source, MatSpace):
-                raise InternalCheckError("INTERNAL", "degeneration source must be a plain space")
-            _MEMO[catalog_id] = substitution_family(source, entry["substitution"])
-        else:
-            obj = json.loads((DATA_DIR / entry["file"]).read_text())
-            _MEMO[catalog_id] = parse_space_data(obj)
-    return _MEMO[catalog_id]
+    if entry.get("kind") == "degeneration":
+        source = canonical(entry["source"])
+        if not isinstance(source, MatSpace):
+            raise InternalCheckError("INTERNAL", "degeneration source must be a plain space")
+        return substitution_family(source, entry["substitution"])
+    return parse_space_data(json.loads((DATA_DIR / entry["file"]).read_text()))
 
 
 def degeneration_edges() -> List[Tuple[str, str, str]]:

@@ -39,6 +39,7 @@ when read.
 
 from __future__ import annotations
 
+import functools
 import math
 from fractions import Fraction
 from typing import List, Tuple
@@ -63,7 +64,8 @@ def chow_matrix(space: MatSpace) -> Tuple[List[List[int]], int]:
     L^(n-1) with C' an integer matrix; square exactly when m = 3.  Rows
     follow ``sym_pairs(n)``, columns ``monomials(m, n - 1)`` in t1..tm.
 
-    Built once per space and memoised on it, like ``MatSpace.integer_basis``;
+    Built once per space and kept in the space's instance dict, as
+    ``spaces`` keeps no field for it (its caching rule is stated there);
     callers must not mutate it.  It is sized before it is built, sym_dim(n)
     rows by C(m + n - 2, n - 1) columns, and refused with TOO_LARGE past
     ``MAX_CHOW_CELLS``.  The generic element is X' / L, X' = t_1 B'_1 + ...
@@ -71,7 +73,8 @@ def chow_matrix(space: MatSpace) -> Tuple[List[List[int]], int]:
     entry (i, j) of adj(X'), a coefficient vector in column order
     (``symmetric_linear_adjugate``).
     """
-    if space._chow is None:
+    memo = vars(space)
+    if "chow_matrix" not in memo:
         n, m = space.n, space.m
         rows, cols = sym_dim(n), math.comb(m + n - 2, n - 1)
         if rows * cols > MAX_CHOW_CELLS:
@@ -79,22 +82,23 @@ def chow_matrix(space: MatSpace) -> Tuple[List[List[int]], int]:
                                     f"past {MAX_CHOW_CELLS} cells")
         basis, lcm = space.integer_basis()
         adj = symmetric_linear_adjugate(basis)
-        space._chow = [adj[i][j] for i, j in sym_pairs(n)], lcm ** (n - 1)
-    return space._chow
+        memo["chow_matrix"] = [adj[i][j] for i, j in sym_pairs(n)], lcm ** (n - 1)
+    return memo["chow_matrix"]
 
 
 def _chow_echelon(space: MatSpace, needs: str) -> Echelon:
     """``rref`` of the transpose of the integer Chow matrix C' with its
-    columns reversed, memoised on the space beside the matrix: its rank is
+    columns reversed, kept in the space's instance dict beside the matrix: its rank is
     the Chow rank, its kernel the Chow matrix's left kernel, read back to
     front (C' / L^(n-1) has the rank and kernel of C').  A singular space is
     refused, with what ``needs`` it."""
     if not is_regular(space):
         raise PreconditionError("NOT_REGULAR", f"{needs} a regular space")
-    if space._chow_echelon is None:
+    memo = vars(space)
+    if "chow_echelon" not in memo:
         rows, _ = chow_matrix(space)
-        space._chow_echelon = rref([col[::-1] for col in zip(*rows)])
-    return space._chow_echelon
+        memo["chow_echelon"] = rref([col[::-1] for col in zip(*rows)])
+    return memo["chow_echelon"]
 
 
 def chow_rank(space: MatSpace) -> int:
@@ -167,9 +171,8 @@ def sampled_reciprocal_span(space: MatSpace, trials: int) -> int:
 #: variable prefixes of the three symbolic basis matrices of the generic net
 _NET_PREFIXES = ("x", "y", "z")
 
-_DET_MEMO = {}
 
-
+@functools.cache
 def chow_det_generic(n: int = 3) -> MPoly:
     """Determinant of the fully symbolic Chow matrix (only n = 3 supported).
 
@@ -185,28 +188,27 @@ def chow_det_generic(n: int = 3) -> MPoly:
     entry variables, up to the exponent bound sym_dim(n) (n - 1) of a
     determinant of sym_dim(n) cells of degree n - 1.  Their
     ``laplace_minors`` determinant is kept packed in the returned ``MPoly``,
-    whose terms are formed when first read.  Degree 12 in the 18 variables;
-    the result is memoised in memory.
+    whose terms are formed when first read.  Degree 12 in the 18 variables.
+    Kept for the process by ``functools.cache``, which keys on the
+    arguments as written: every caller writes ``chow_det_generic(3)``.
     """
     if n != 3:
         raise PreconditionError("UNSUPPORTED_DIM", "symbolic Chow determinant is n = 3 only")
-    if n not in _DET_MEMO:
-        m, size = len(_NET_PREFIXES), sym_dim(n)
-        names = [f"{p}{i + 1}{j + 1}" for p in _NET_PREFIXES for i, j in sym_pairs(n)]
-        packing = Packing(len(names), size * (n - 1))
-        columns = {mono: c for c, mono in enumerate(monomials(m, n - 1))}
-        places = [(columns[tuple(sum(mono[k * size:(k + 1) * size]) for k in range(m))],
-                  packing.key(mono)) for mono in monomials(len(names), n - 1)]
-        adj = symmetric_linear_adjugate([symmetric_rows(n, [int(q == v % size) for q in range(size)])
-                                         for v in range(len(names))])
-        rows = []
-        for i, j in sym_pairs(n):
-            rows.append([{} for _ in columns])
-            for c, (col, key) in zip(adj[i][j], places):
-                if c:
-                    rows[-1][col][key] = c
-        _DET_MEMO[n] = packing.mpoly(laplace_minors(rows)(tuple(range(size))), 1, names)
-    return _DET_MEMO[n]
+    m, size = len(_NET_PREFIXES), sym_dim(n)
+    names = [f"{p}{i + 1}{j + 1}" for p in _NET_PREFIXES for i, j in sym_pairs(n)]
+    packing = Packing(len(names), size * (n - 1))
+    columns = {mono: c for c, mono in enumerate(monomials(m, n - 1))}
+    places = [(columns[tuple(sum(mono[k * size:(k + 1) * size]) for k in range(m))],
+              packing.key(mono)) for mono in monomials(len(names), n - 1)]
+    adj = symmetric_linear_adjugate([symmetric_rows(n, [int(q == v % size) for q in range(size)])
+                                     for v in range(len(names))])
+    rows = []
+    for i, j in sym_pairs(n):
+        rows.append([{} for _ in columns])
+        for c, (col, key) in zip(adj[i][j], places):
+            if c:
+                rows[-1][col][key] = c
+    return packing.mpoly(laplace_minors(rows)(tuple(range(size))), 1, names)
 
 
 def chow_det_eval_at_net(space: MatSpace) -> Fraction:

@@ -27,6 +27,7 @@ and the closure off the one Jordan test (see ``cmd_analyze``).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -252,7 +253,10 @@ def _done(report: dict, args) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser ``main`` uses, built once per process: building one costs
+    about as much as a small ``analyze``."""
     parser = argparse.ArgumentParser(
         prog="jordanet",
         description="Exact analysis of linear subspaces of symmetric matrices: "
@@ -307,19 +311,11 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-#: the parser ``main`` uses, built on its first call: building one costs
-#: about as much as a small ``analyze``
-_PARSER = None
-
-
 def main(argv=None) -> int:
-    global _PARSER
-    if _PARSER is None:
-        _PARSER = build_parser()
-    args = _PARSER.parse_args(argv)
+    args = build_parser().parse_args(argv)
     t0 = time.time()
     try:
-        # looked up per call: the parser is built once and holds no functions
+        # looked up per call: the one cached parser (``build_parser``) holds no functions
         code = globals()[f"cmd_{args.cmd}"](args)
         if not getattr(args, "json", False) and args.cmd != "verify":
             print(f"elapsed: {time.time() - t0:.2f}s")

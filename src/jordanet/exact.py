@@ -97,27 +97,30 @@ class MPoly:
     ``parse_poly``, ``Packing.mpoly`` or its constructor.
 
     A polynomial from ``Packing.mpoly`` keeps the packed integer polynomial
-    and forms ``terms`` when it is first read, once: ``term_count``,
-    ``is_zero``, ``total_degree`` and ``poly_eval`` read the packed one, so
-    the 22659 terms of ``chow.chow_det_generic(3)`` are counted, its degree
-    read and its values taken without one exponent tuple or Fraction.  The
-    total degree is computed once.
+    and forms ``terms`` when it is first read, once, and then drops the
+    packed one: ``term_count``, ``is_zero``, ``total_degree`` and
+    ``poly_eval`` read the packed one while it is kept, so the 22659 terms of
+    ``chow.chow_det_generic(3)`` are counted, its degree read and its values
+    taken without one exponent tuple or Fraction.  A polynomial never changes
+    once built, so ``terms`` and the total degree are
+    ``functools.cached_property`` values.
     """
 
-    __slots__ = ("vars", "_terms", "_packed", "_degree")
+    __slots__ = ("vars", "_packed", "__dict__")
 
     def __init__(self, vars: tuple, terms: Optional[dict], packed: Optional[tuple] = None):
         # internal constructor: assumes vars sorted, terms clean; packed is
         # (packing, p, den, fields) for ``Packing.mpoly``, with terms None
-        self.vars = vars
-        self._terms, self._packed, self._degree = terms, packed, None
+        self.vars, self._packed = vars, packed
+        if terms is not None:
+            self.terms = terms
 
-    @property
+    @functools.cached_property
     def terms(self) -> dict:
-        if self._terms is None:
-            packing, p, den, fields = self._packed
-            self._terms, self._packed = packing.terms(p, den, fields), None
-        return self._terms
+        packing, p, den, fields = self._packed
+        terms = packing.terms(p, den, fields)
+        self._packed = None
+        return terms
 
     # -- constructors -------------------------------------------------
 
@@ -135,15 +138,16 @@ class MPoly:
 
     def total_degree(self):
         """Total degree; -inf for the zero polynomial."""
-        if self._degree is None:
-            if self._packed is not None:
-                self._degree = self._packed[0].degree(self._packed[1])
-            else:
-                self._degree = max(map(sum, self._terms), default=NEG_INF)
         return self._degree
 
+    @functools.cached_property
+    def _degree(self):
+        if self._packed is not None:
+            return self._packed[0].degree(self._packed[1])
+        return max(map(sum, self.terms), default=NEG_INF)
+
     def term_count(self) -> int:
-        return len(self._terms if self._packed is None else self._packed[1])
+        return len(self.terms if self._packed is None else self._packed[1])
 
     def support_vars(self) -> tuple:
         used = [False] * len(self.vars)

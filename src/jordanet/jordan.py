@@ -23,7 +23,10 @@ space's pivot inverse (``MatSpace.pivot_inverse``, the one linear solve) and
 keeps the structure tensor as one integer tensor c over one denominator.
 The radical (the kernel of the trace form (x, y) -> tr(L_{x*y}), the
 characteristic-zero semisimplicity criterion), associativity and the
-radical's square are read off c and cached on the structure.  The tests
+radical's square are read off c.  A structure never changes once built, so
+each is a ``functools.cached_property`` of it; the structure, or the
+witness, is kept in the unit's instance dict, as ``spaces`` keeps no field
+for it (its caching rule is stated there).  The tests
 compare all of it with the Fraction route, and check that the radical is an
 ideal of nilpotents and that the product satisfies the unit law and the
 Jordan identity.
@@ -31,6 +34,7 @@ Jordan identity.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from fractions import Fraction
@@ -113,13 +117,13 @@ class JordanStructure:
     """A Jordan subalgebra with its unit and structure tensor: b_i * b_j =
     sum_k c[i][j][k] b_k / den for the basis b, with integer c and den > 0.
     The radical, associativity and the dimension of the radical's square are
-    cached on it by the functions that compute them."""
+    cached properties, read through ``radical``, ``is_associative`` and
+    ``rad_square_dim``."""
 
-    __slots__ = ("space", "unit", "c", "den", "_radical", "_associative", "_rad_square")
+    __slots__ = ("space", "unit", "c", "den", "__dict__")
 
     def __init__(self, space: MatSpace, unit: Unit, c: List[List[List[int]]], den: int):
         self.space, self.unit, self.c, self.den = space, unit, c, den
-        self._radical = self._associative = self._rad_square = None
 
     @property
     def dim(self) -> int:
@@ -139,6 +143,27 @@ class JordanStructure:
         cols = [_combine(xi, plane) for plane in self.c]
         return Mat([[Fraction(col[k], d * self.den) for col in cols] for k in range(self.dim)])
 
+    @functools.cached_property
+    def _radical(self) -> List[List[Fraction]]:
+        c, m = self.c, self.dim
+        traces = [sum(c[k][j][j] for j in range(m)) for k in range(m)]
+        ech = Echelon(m)
+        ech.extend([sum(x * t for x, t in zip(c[i][j], traces)) for j in range(m)]
+                   for i in range(m))
+        return ech.kernel_basis()
+
+    @functools.cached_property
+    def _associative(self) -> bool:
+        c, m = self.c, self.dim
+        return all(_combine(c[i][j], c[k]) == _combine(c[j][k], c[i])
+                   for i in range(m) for j in range(m) for k in range(m))
+
+    @functools.cached_property
+    def _rad_square(self) -> int:
+        coords = radical(self)  # the traced name, as the benchmark counts its calls
+        return rref([self.multiply_coords(x, y) for i, x in enumerate(coords)
+                     for y in coords[i:]]).rank
+
 
 def structure_constants(space: MatSpace) -> JordanStructure:
     """Structure tensor of a Jordan subalgebra; raises NOT_JORDAN when the
@@ -151,7 +176,7 @@ def structure_constants(space: MatSpace) -> JordanStructure:
 
 def _basis_products(space: MatSpace, unit: Unit) -> Union[JordanStructure, JordanWitness]:
     """The structure of the space for its unit, or the first basis product (in
-    (i, j) order, i <= j) that escapes it; memoised on the unit.
+    (i, j) order, i <= j) that escapes it; kept in the unit's instance dict.
 
     The space's echelon of B' reduces v = 2sL^2 (B_i * B_j); a nonzero
     remainder makes the witness, the one place Fractions are formed.
@@ -159,12 +184,13 @@ def _basis_products(space: MatSpace, unit: Unit) -> Union[JordanStructure, Jorda
     (``MatSpace.pivot_inverse``), and those of v / 2sL^2 over B = B' / L are
     L times them over 2sL^2: c[i][j] = R v_P over den = 2sLD.
     """
-    if unit.products is not None:
-        return unit.products
+    memo = vars(unit)
+    if "basis_products" in memo:
+        return memo["basis_products"]
     n, m = space.n, space.m
     basis, lcm = space.integer_basis()
     q, s = unit.inverse
-    ech = space.echelon()
+    ech = space.echelon
     r = None  # the pivot inverse, read once a product lies in the space
     scale = 2 * s * lcm * lcm
     pairs = sym_pairs(n)
@@ -175,53 +201,37 @@ def _basis_products(space: MatSpace, unit: Unit) -> Union[JordanStructure, Jorda
             v = _doubled_product(xq, basis[j], pairs)
             rest, k = ech.eliminate(v)
             if any(rest):
-                unit.products = JordanWitness(
+                memo["basis_products"] = JordanWitness(
                     i, j, unvectorize(n, [Fraction(x, scale) for x in v]),
                     unvectorize(n, [Fraction(x, k * scale) for x in rest]))
-                return unit.products
+                return memo["basis_products"]
             if r is None:
-                r, d = space.pivot_inverse()
+                r, d = space.pivot_inverse
             c[i][j] = c[j][i] = int_matmul([[v[p] for p in ech.pivots]], r)[0]
     den = 2 * s * lcm * d
     g = math.gcd(den, *(x for row in c for vec in row for x in vec))
-    unit.products = JordanStructure(space, unit, [[[x // g for x in vec] for vec in row]
-                                                  for row in c], den // g)
-    return unit.products
+    memo["basis_products"] = JordanStructure(
+        space, unit, [[[x // g for x in vec] for vec in row] for row in c], den // g)
+    return memo["basis_products"]
 
 
 def radical(a: JordanStructure) -> List[List[Fraction]]:
-    """Coordinate vectors of the radical, the kernel of the trace form, cached
-    on the structure: tr(L_{b_k}) = sum_j c_kj^j / den and the Gram entry is
-    sum_k c_ij^k tr(L_{b_k}) / den, so den^2 times the Gram matrix is an
-    integer matrix with the same kernel."""
-    if a._radical is None:
-        c, m = a.c, a.dim
-        traces = [sum(c[k][j][j] for j in range(m)) for k in range(m)]
-        ech = Echelon(m)
-        ech.extend([sum(x * t for x, t in zip(c[i][j], traces)) for j in range(m)]
-                   for i in range(m))
-        a._radical = ech.kernel_basis()
+    """Coordinate vectors of the radical, the kernel of the trace form:
+    tr(L_{b_k}) = sum_j c_kj^j / den and the Gram entry is sum_k c_ij^k
+    tr(L_{b_k}) / den, so den^2 times the Gram matrix is an integer matrix
+    with the same kernel."""
     return a._radical
 
 
 def is_associative(a: JordanStructure) -> bool:
     """(b_i * b_j) * b_k = b_i * (b_j * b_k) on all basis triples, read off
     the tensor: sum_l c_ij^l c_lk = sum_l c_jk^l c_il (both den^2 times the
-    coordinates of a side).  Cached on the structure."""
-    if a._associative is None:
-        c, m = a.c, a.dim
-        a._associative = all(_combine(c[i][j], c[k]) == _combine(c[j][k], c[i])
-                             for i in range(m) for j in range(m) for k in range(m))
+    coordinates of a side)."""
     return a._associative
 
 
 def rad_square_dim(a: JordanStructure) -> int:
-    """Dimension of the span of pairwise products of radical elements, cached
-    on the structure."""
-    if a._rad_square is None:
-        coords = radical(a)
-        a._rad_square = rref([a.multiply_coords(x, y) for i, x in enumerate(coords)
-                              for y in coords[i:]]).rank
+    """Dimension of the span of pairwise products of radical elements."""
     return a._rad_square
 
 

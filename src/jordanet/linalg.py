@@ -396,10 +396,8 @@ def det_laplace(m: Mat) -> Fraction:
     return Fraction(laplace_minors(a)(tuple(range(n))).get(0, 0), d ** n)
 
 
-def det(m: Mat) -> Fraction:
-    """Exact determinant of a Fraction matrix, off its echelon
-    (``det_bareiss``)."""
-    return det_bareiss(m)
+#: the exact determinant of a Fraction matrix
+det = det_bareiss
 
 
 # -- Faddeev-LeVerrier: characteristic polynomial and adjugate ------------

@@ -16,8 +16,15 @@ formed only when a membership test of a member or the Jordan test of a
 closed space reads it.  The unit (``unit_point``) is found on integer
 matrices too: the identity test reduces L I, and a sweep point's U' =
 sum_k t_k B'_k is ranked and kept.  That ``Unit`` is the space's one unit
-object: it inverts U' itself on first read and holds the basis products
-that ``jordan`` computes with that inverse.
+object, and it inverts U' itself on first read.
+
+Caching follows one rule across the package.  An object that never changes
+once built (``MatSpace``, ``Unit``) caches what is derived from it as a
+``functools.cached_property``, and a layer above that derives more from it
+(``chow``'s Chow matrix, ``jordan``'s basis products) keeps that in the
+object's instance dict itself.  A value kept for the whole process is a
+``functools.cache`` function.  The one mutable object, ``linalg.Echelon``,
+drops its cached rows explicitly when a row joins.
 
 Every polynomial object of a space is read off (B', L): the generic element
 is X' / L, X' = sum_k t_k B'_k packed by ``generic_matrix``, so that
@@ -40,6 +47,7 @@ family's term count is sized first (``MAX_LIMIT_WORK``).
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from fractions import Fraction
@@ -77,37 +85,33 @@ def unvectorize(n: int, vec: Sequence) -> Mat:
     return Mat(symmetric_rows(n, vec))
 
 
-_UNDECIDED = object()
-
-
 class MatSpace:
     """An m-dimensional subspace of the symmetric n x n matrices, recorded
     unchecked (``make_space`` checks) as its integer basis (B', L): Fraction
     matrices ``basis`` are cleared once, or (B', L) is given as ``ints``.
-    The Fraction basis and the echelon are formed on first use."""
 
-    __slots__ = ("n", "m", "_ints", "_basis", "_echelon", "_inverse", "_unit", "_chow",
-                 "_chow_echelon")
+    A space never changes once built, so each object derived from it (the
+    Fraction basis, the echelon, the pivot inverse, the unit) is a
+    ``functools.cached_property``, formed on first read.  The layers above
+    keep what they derive from a space (``chow.chow_matrix``) in its instance
+    dict themselves; this class declares no field for them."""
+
+    __slots__ = ("n", "m", "_ints", "__dict__")
 
     def __init__(self, n: int, basis: Optional[Sequence[Mat]] = None,
                  ints: Optional[Tuple[List[List[List[int]]], int]] = None):
         if ints is None:
-            basis = tuple(basis)
+            self.basis = basis = tuple(basis)
             lcm = math.lcm(*(x.denominator for b in basis for row in b.data for x in row))
             ints = ([[[x.numerator * (lcm // x.denominator) for x in row] for row in b.data]
                      for b in basis], lcm)
-        self.n, self.m, self._ints, self._basis = n, len(ints[0]), ints, basis
-        self._echelon = self._inverse = None
-        self._unit = _UNDECIDED  # Unit of the first invertible element, or None if singular
-        self._chow = self._chow_echelon = None  # Chow matrix and its transpose's echelon (chow.py)
+        self.n, self.m, self._ints = n, len(ints[0]), ints
 
-    @property
+    @functools.cached_property
     def basis(self) -> Tuple[Mat, ...]:
-        """The Fraction matrices B_k = B'_k / L, formed on first read."""
-        if self._basis is None:
-            ints, lcm = self._ints
-            self._basis = tuple(Mat([[Fraction(x, lcm) for x in row] for row in b]) for b in ints)
-        return self._basis
+        """The Fraction matrices B_k = B'_k / L."""
+        ints, lcm = self._ints
+        return tuple(Mat([[Fraction(x, lcm) for x in row] for row in b]) for b in ints)
 
     # -- coordinates ----------------------------------------------------
 
@@ -116,34 +120,39 @@ class MatSpace:
         matrices for the sweep, the Jordan products and ``generic_matrix``."""
         return self._ints
 
+    @functools.cached_property
     def echelon(self) -> Echelon:
         """The echelon of the vectorized B'_k, grown rank-only."""
-        if self._echelon is None:
-            pairs = sym_pairs(self.n)
-            self._echelon = Echelon(len(pairs))
-            self._echelon.extend([b[i][j] for i, j in pairs] for b in self._ints[0])
-        return self._echelon
+        pairs = sym_pairs(self.n)
+        ech = Echelon(len(pairs))
+        ech.extend([b[i][j] for i, j in pairs] for b in self._ints[0])
+        return ech
 
+    @functools.cached_property
     def pivot_inverse(self) -> Tuple[List[List[int]], int]:
         """(R, s) with R / s = C^-1 (``linalg.integer_inverse``), C the
-        echelon's pivot columns of the vectorized B'_k taken as rows, formed
-        on first read.  A vector v of the space is sum_k c_k B'_k exactly
-        when C c = v_P on the pivot columns P, so c = R v_P / s."""
-        if self._inverse is None:
-            pairs = sym_pairs(self.n)
-            self._inverse = integer_inverse([[b[i][j] for b in self._ints[0]]
-                                             for i, j in (pairs[p] for p in self.echelon().pivots)])
-        return self._inverse
+        echelon's pivot columns of the vectorized B'_k taken as rows.  A
+        vector v of the space is sum_k c_k B'_k exactly when C c = v_P on the
+        pivot columns P, so c = R v_P / s."""
+        pairs = sym_pairs(self.n)
+        return integer_inverse([[b[i][j] for b in self._ints[0]]
+                                for i, j in (pairs[p] for p in self.echelon.pivots)])
+
+    @functools.cached_property
+    def unit(self) -> Optional[Unit]:
+        """The regularity decision (``_sweep_for_unit``): the ``Unit`` of the
+        first invertible element, or None for a singular space."""
+        return _sweep_for_unit(self)
 
     def coordinates(self, v: Sequence[Fraction]) -> Optional[List[Fraction]]:
         """The coordinates over B' of a vector in ``sym_pairs`` order (those
         over B of v / L), or None when it is outside the space, for int or
         Fraction entries: with v = v' / d, R v'_P / (d s) (``pivot_inverse``)."""
         vi, d = integer_vector(v)
-        ech = self.echelon()
+        ech = self.echelon
         if any(ech.eliminate(vi)[0]):
             return None
-        r, s = self.pivot_inverse()
+        r, s = self.pivot_inverse
         return [Fraction(x, d * s) for x in int_matmul([[vi[p] for p in ech.pivots]], r)[0]]
 
     def integer_element(self, coords: Sequence[int]) -> List[List[int]]:
@@ -165,7 +174,7 @@ class MatSpace:
             return NotImplemented
         if (self.n, self.m) != (other.n, other.m):
             return False
-        return self.echelon().int_rows == other.echelon().int_rows
+        return self.echelon.int_rows == other.echelon.int_rows
 
     __hash__ = None
 
@@ -191,7 +200,7 @@ def make_space(n: int, basis: Optional[Sequence[Mat]] = None,
             raise PreconditionError("NOT_SYMMETRIC", "basis size mismatch")
         if [list(col) for col in zip(*b)] != b:
             raise PreconditionError("NOT_SYMMETRIC", "basis matrix is not symmetric")
-    if space.echelon().rank != space.m:
+    if space.echelon.rank != space.m:
         raise PreconditionError("DEPENDENT_BASIS", "basis matrices are dependent")
     return space
 
@@ -223,7 +232,7 @@ def generic_det(space: MatSpace, names: Optional[Sequence[str]] = None) -> MPoly
 
 
 def is_regular(space: MatSpace) -> bool:
-    return _first_invertible(space) is not None
+    return space.unit is not None
 
 
 def integer_sweep(m: int):
@@ -254,45 +263,40 @@ def _sweep(m: int, values: List[int], shells: Iterable[int]):
 class Unit:
     """The space's unit U = U' / scale, as ``unit_point`` found it: its
     coordinates (Fractions from the identity test, the ints of a sweep point
-    otherwise), the rows of the integer matrix U' and the scale.  The Fraction matrix
-    ``mat`` and ``inverse`` are formed on first read; ``products`` holds the
-    space's basis products once ``jordan`` has computed them."""
+    otherwise), the rows of the integer matrix U' and the scale.  The Fraction
+    matrix ``mat`` and ``inverse`` are cached properties; ``jordan`` keeps the
+    basis products it computes with that inverse in the unit's instance dict."""
 
-    __slots__ = ("coords", "rows", "scale", "products", "_mat", "_inverse")
+    __slots__ = ("coords", "rows", "scale", "__dict__")
 
     def __init__(self, coords: tuple, rows: List[List[int]], scale: int):
         self.coords, self.rows, self.scale = coords, rows, scale
-        self.products = self._mat = self._inverse = None
 
-    @property
+    @functools.cached_property
     def mat(self) -> Mat:
-        if self._mat is None:
-            self._mat = _over(self.rows, self.scale)
-        return self._mat
+        return _over(self.rows, self.scale)
 
-    @property
+    @functools.cached_property
     def inverse(self) -> Tuple[List[List[int]], int]:
         """(q, s) with U^{-1} = q / s in lowest terms, q a symmetric integer
         matrix and s > 0.  With c the scale, U^{-1} = c Q' / s' from U'^{-1} =
         Q' / s' (``linalg.integer_inverse``), over g = gcd(c, s'): gcd(s', Q')
         = 1 and gcd(s' / g, c / g) = 1 keep q = (c / g) Q' over s = s' / g in
         lowest terms."""
-        if self._inverse is None:
-            q, s = integer_inverse(self.rows)
-            g = math.gcd(self.scale, s)
-            self._inverse = [[x * (self.scale // g) for x in row] for row in q], s // g
-        return self._inverse
+        q, s = integer_inverse(self.rows)
+        g = math.gcd(self.scale, s)
+        return [[x * (self.scale // g) for x in row] for row in q], s // g
 
 
 def unit_point(space: MatSpace) -> Unit:
-    """The space's unit: the identity if present, else the first invertible
-    point among the first ``_WITNESS_BUDGET`` sweep points, then among
-    ``_DENSE_POINTS`` seeded dense points, then along the rest of the sweep.
-    The sweep has no bound, yet ends for a regular space: the generic
-    determinant has degree n, so it cannot vanish on the grid {-s..s}^m
-    once 2s + 1 > n (Schwartz-Zippel), and shell s covers it.
+    """The space's unit (``MatSpace.unit``): the identity if present, else
+    the first invertible point among the first ``_WITNESS_BUDGET`` sweep
+    points, then among ``_DENSE_POINTS`` seeded dense points, then along the
+    rest of the sweep.  The sweep has no bound, yet ends for a regular space:
+    the generic determinant has degree n, so it cannot vanish on the grid
+    {-s..s}^m once 2s + 1 > n (Schwartz-Zippel), and shell s covers it.
     """
-    got = _first_invertible(space)
+    got = space.unit
     if got is None:
         raise PreconditionError("NOT_REGULAR", "space has identically zero determinant")
     return got
@@ -340,16 +344,6 @@ def _laplace_products(n: int, m: int) -> int:
 #: points: each misses a regular space with probability at most n / (2n + 1) < 1/2
 #: (Schwartz-Zippel).
 _DENSE_POINTS = 16
-
-
-def _first_invertible(space: MatSpace) -> Optional[Unit]:
-    """The regularity decision, memoised: the identity, else the first
-    invertible sweep or dense point, else None once the generic determinant,
-    expanded only after ``_WITNESS_BUDGET`` singular sweep points and
-    ``_DENSE_POINTS`` singular dense points, is identically zero."""
-    if space._unit is _UNDECIDED:
-        space._unit = _sweep_for_unit(space)
-    return space._unit
 
 
 def _sweep_for_unit(space: MatSpace) -> Optional[Unit]:

@@ -24,6 +24,7 @@ Pluecker coordinates), shipped as text files and pinned by checksum tests.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from fractions import Fraction
@@ -237,16 +238,13 @@ CATALOGS: Dict[str, Tuple[str, str]] = {
     "plucker_veronese_orbit_quadric": ("plucker_veronese_orbit_quadric.txt", "plucker_s4"),
 }
 
-_CATALOG_MEMO: Dict[str, List[MPoly]] = {}
-
-
+@functools.cache
 def catalog_polynomials(catalog_id: str) -> List[MPoly]:
+    """The polynomials of a stored catalog, read once per process."""
     if catalog_id not in CATALOGS:
         raise InputError("UNKNOWN_ID", f"no polynomial catalog {catalog_id!r}")
-    if catalog_id not in _CATALOG_MEMO:
-        fname, _ = CATALOGS[catalog_id]
-        _CATALOG_MEMO[catalog_id] = parse_poly_lines((DATA_DIR / fname).read_text())
-    return _CATALOG_MEMO[catalog_id]
+    fname, _ = CATALOGS[catalog_id]
+    return parse_poly_lines((DATA_DIR / fname).read_text())
 
 
 def catalog_eval(catalog_id: str, value) -> List[Fraction]:

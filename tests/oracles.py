@@ -1742,7 +1742,7 @@ def reduce_vector(ech, v):
 
 def residue_mod_space(space, m: Mat) -> Mat:
     """Canonical representative of m modulo the space (pivot elimination)."""
-    return unvectorize(space.n, reduce_vector(space.echelon(), vectorize(m)))
+    return unvectorize(space.n, reduce_vector(space.echelon, vectorize(m)))
 
 
 def jordan_product_by_fractions(x: Mat, y: Mat, q, s: int) -> Mat:

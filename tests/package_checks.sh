@@ -9,6 +9,10 @@
 # nonzero on a wrong answer, and the script stops at the first.
 set -eo pipefail
 tests="$(cd "$(dirname "${BASH_SOURCE[0]}")" && pwd)"
+if ! command -v jordanet > /dev/null; then
+    echo "package_checks.sh: no jordanet console script on PATH; run 'pip install .' first" >&2
+    exit 1
+fi
 
 jordanet analyze catalog://s4/3b1 --json > analyze.json
 jordanet analyze catalog://s4/3b2 --json > analyze_3b2.json

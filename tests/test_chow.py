@@ -427,12 +427,11 @@ class TestGenericDet:
         assert generic_det.total_degree() == 12
         assert generic_det.term_count() == 22659
 
-    def test_equals_the_packed_net_route(self, monkeypatch):
+    def test_equals_the_packed_net_route(self):
         # a fresh determinant, still packed, decoded eagerly, against the
         # packed generic net w1 X + w2 Y + w3 Z through the packed
         # Faddeev-LeVerrier recurrence, its cells read off the weight fields
-        monkeypatch.setattr(chow, "_DET_MEMO", {})
-        got = chow_det_generic(3)
+        got = chow_det_generic.__wrapped__(3)
         packing, p, den, _ = got._packed
         names = [f"{c}{i + 1}{j + 1}" for c in "xyz" for i, j in sym_pairs(3)]
         eager = mpoly_by_eager_decode(packing, p, den, names)

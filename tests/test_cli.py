@@ -125,7 +125,7 @@ class TestChow:
         terms = exact.Packing.terms
         monkeypatch.setattr(exact.Packing, "terms",
                             lambda self, p, *args: decoded.append(len(p)) or terms(self, p, *args))
-        monkeypatch.setattr(chow, "_DET_MEMO", {})
+        chow.chow_det_generic.cache_clear()
         want = ('{\n "command": "chow",\n "det_degree": 12,\n "det_terms": 22659,\n'
                 ' "input": "generic-n3"\n}\n')
         for flag in ("--generic-n3", "--det-stats"):
@@ -331,11 +331,8 @@ class TestGoldens:
 
 
 class TestParserBuiltOnce:
-    def test_two_calls_build_one_parser(self, capsys, monkeypatch):
-        built = []
-        build = cli.build_parser
-        monkeypatch.setattr(cli, "build_parser", lambda: built.append(1) or build())
-        monkeypatch.setattr(cli, "_PARSER", None)
+    def test_two_calls_build_one_parser(self, capsys):
+        cli.build_parser.cache_clear()
         first = {}  # the first golden of each command
         for case in GOLDENS:
             if "space" not in case:
@@ -344,7 +341,39 @@ class TestParserBuiltOnce:
         for case in first.values():
             code, out, _ = run_cli(case["argv"], capsys)
             assert (code, out) == (0, case["stdout"])
-        assert len(built) == 1
+        assert cli.build_parser.cache_info().misses == 1
+
+
+class TestBuiltOncePerProcess:
+    def test_two_calls_build_each_process_value_once(self, capsys):
+        # each is a ``functools.cache`` function: the second run of each
+        # command reads what the first built
+        from jordanet import catalog, chow, varieties
+
+        cached = (catalog.manifest, catalog.canonical, varieties.catalog_polynomials,
+                  chow.chow_det_generic, cli.build_parser)
+        for fn in cached:
+            fn.cache_clear()
+        for _ in range(2):
+            for argv in (["plucker", "catalog://s4/1a", "--json"],
+                         ["chow", "--generic-n3", "--json"]):
+                assert run_cli(argv, capsys)[0] == 0
+        # one build per key: the space s4/1a, the four Pluecker quadric
+        # catalogs and chow_det_generic(3)
+        assert [fn.cache_info().misses for fn in cached] == [1, 1, 4, 1, 1]
+        assert [fn.cache_info().currsize for fn in cached] == [1, 1, 4, 1, 1]
+
+    def test_analyze_sweeps_for_the_unit_once(self, monkeypatch, capsys):
+        # is_regular, unit_point, is_jordan and the classification all read
+        # the one unit of the space
+        from jordanet import catalog, spaces
+
+        catalog.canonical.cache_clear()
+        swept, sweep = [], spaces._sweep_for_unit
+        monkeypatch.setattr(spaces, "_sweep_for_unit", lambda sp: swept.append(sp) or sweep(sp))
+        code, out, _ = run_cli(["analyze", "catalog://s4/3b1", "--json"], capsys)
+        assert code == 0 and json.loads(out)["net_class"] == "3b1"
+        assert len(swept) == 1 and swept[0] is catalog.canonical("s4/3b1")
 
 
 def child_env():
@@ -547,7 +576,7 @@ class TestUnitInvertedOnce:
                           lambda rows, scales=None: inverted.append(rows) or invert(rows, scales))
         rebind_everywhere(monkeypatch, "inverse_or_none", invert_fraction,
                           lambda m: fraction_inverses.append(m) or invert_fraction(m))
-        monkeypatch.setattr(catalog, "_MEMO", {})
+        catalog.canonical.cache_clear()
         code, _, _ = run_cli(["analyze", "catalog://s4/2b", "--json"], capsys)
         assert code == 0
         unit = spaces.unit_point(catalog.canonical("s4/2b"))
@@ -586,7 +615,7 @@ class TestAssociativityOnce:
         from jordanet import catalog
 
         counts = products_per_call(monkeypatch, "is_associative", jordan, "_combine")
-        monkeypatch.setattr(catalog, "_MEMO", {})
+        catalog.canonical.cache_clear()
         code, out, _ = run_cli(["analyze", "catalog://s4/3b1", "--json"], capsys)
         assert code == 0 and json.loads(out)["net_class"] == "3b1"
         assert len(counts) == 2 and counts[0] > 0 and counts[1] == 0
@@ -600,7 +629,7 @@ class TestRadSquareOnce:
 
         counts = products_per_call(monkeypatch, "rad_square_dim", jordan.JordanStructure,
                                    "multiply_coords")
-        monkeypatch.setattr(catalog, "_MEMO", {})
+        catalog.canonical.cache_clear()
         code, out, _ = run_cli(["analyze", "catalog://s4/3a", "--json"], capsys)
         assert code == 0 and json.loads(out)["net_class"] == "3a"
         assert counts == [3, 0]  # the three products of a 2-dimensional radical
@@ -620,28 +649,19 @@ class TestInputCheckedOnce:
         return str(path)
 
     def test_at_most_one_transform_per_analyze(self, monkeypatch, tmp_path, capsys):
-        # counts the pivot-block inverses (``MatSpace.pivot_inverse`` past its
-        # memo) apart from the inverses of the unit's U' (``Unit.inverse``), by
-        # whether the inversion runs inside ``pivot_inverse``
+        # counts the pivot-block inverses (``MatSpace.pivot_inverse`` on its
+        # first read) apart from the inverses of the unit's U' (``Unit.inverse``),
+        # by the function that calls the inversion
         from jordanet import spaces
         from jordanet.catalog import canonical
-        from jordanet.spaces import MatSpace, sample_congruent
+        from jordanet.spaces import sample_congruent
 
         files = {"closure": self.write(tmp_path / "flip.json", canonical("dim4/L2flip")),
                  "3b1": self.write(tmp_path / "3b1.json", sample_congruent(canonical("s4/3b1"), 7))}
-        calls, inside = [], []
-        real, real_pivot = spaces.integer_inverse, MatSpace.pivot_inverse
-
-        def pivot_inverse(sp):
-            inside.append(1)
-            try:
-                return real_pivot(sp)
-            finally:
-                inside.pop()
-
-        monkeypatch.setattr(MatSpace, "pivot_inverse", pivot_inverse)
-        monkeypatch.setattr(spaces, "integer_inverse",
-                            lambda rows: calls.append(bool(inside)) or real(rows))
+        calls = []
+        real = spaces.integer_inverse
+        monkeypatch.setattr(spaces, "integer_inverse", lambda rows: calls.append(
+            sys._getframe(1).f_code.co_name == "pivot_inverse") or real(rows))
         for expected, path in files.items():
             calls.clear()
             code, out, _ = run_cli(["analyze", path, "--json"], capsys)

@@ -438,7 +438,7 @@ class TestGrowingEchelon:
         basis = [Mat.from_ints([[rng.int_between(-3, 3) for _ in range(3)] for _ in range(3)])
                  for _ in range(3)]
         sp = make_space(3, [b + b.transpose() for b in basis])
-        assert sp.echelon().rank == 3
+        assert sp.echelon.rank == 3
         assert sweep_rank(sp)((1, 1, 1)) <= 3
         monkeypatch.undo()
         widths, real = [], linalg._back_substitute

@@ -3,10 +3,10 @@
 A function, class, method or module-level name that only the tests reach
 belongs in the tests (``oracles.py``), and one nothing reaches is deleted.
 A use is the name as an identifier token anywhere in ``src/jordanet`` other
-than inside its own definition and ``__init__.py``'s re-exports; comments
-and strings do not count.  A method is used only where the package reads it
-as an attribute (``x.name``): a local variable or keyword of the same name
-does not count.  Exempt are the ``cmd_*`` commands, which
+than inside its own definition; comments and strings do not count, so
+``__init__.py``'s exports, which are strings, use nothing.  A method is used
+only where the package reads it as an attribute (``x.name``): a local
+variable or keyword of the same name does not count.  Exempt are the ``cmd_*`` commands, which
 ``cli.main`` dispatches by name, dunder methods, and the functions
 ``benchmark/tracing.py`` wraps by name (its ``LAYER_FUNCTIONS``, read with
 ``ast``, not imported).  A use inside such a function that nothing in the
@@ -71,7 +71,7 @@ def unused_names():
     trees = {module: ast.parse(source) for module, source in sources.items()}
     defined = [(module, name, first, last, method) for module, tree in trees.items()
                for name, first, last, method in definitions(tree)]
-    users = [module for module in sources if module != "__init__.py"]
+    users = list(sources)
     uses = {False: [(name, module, line) for module in users
                     for name, line in name_tokens(sources[module])],
             True: [(name, module, line) for module in users

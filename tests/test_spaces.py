@@ -1062,7 +1062,7 @@ class TestIntegerParse:
             got, want = parse_space_data(obj), parse_space_data_by_fractions(obj)
             assert got.basis == want.basis
             assert got.integer_basis() == want.integer_basis()
-            assert got.echelon().int_rows == want.echelon().int_rows
+            assert got.echelon.int_rows == want.echelon.int_rows
             coords = [Fraction(rng.int_between(-4, 4), rng.int_between(1, 3)) for _ in range(got.m)]
             member = want.element(coords)
             assert contains(got, member) == contains(want, member) == coords
