@@ -40,14 +40,16 @@ when read.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from fractions import Fraction
 from typing import List, Tuple
 
 from .errors import PreconditionError
 from .exact import MPoly, Packing, laplace_minors, monomials, poly_eval, symmetric_linear_adjugate
-from .linalg import Echelon, integer_inverse, rref
-from .spaces import MatSpace, integer_sweep, is_regular, sym_dim, sym_pairs, symmetric_rows
+from .linalg import Echelon, rref
+from .spaces import (MatSpace, integer_sweep, invertible_points, is_regular, sym_dim, sym_pairs,
+                     symmetric_rows)
 
 
 #: the largest Chow matrix, in rows x columns, that ``chow_matrix`` builds
@@ -148,22 +150,16 @@ def sampled_reciprocal_span(space: MatSpace, trials: int) -> int:
     space sweep out the column space of the Chow matrix, and at an invertible
     X the adjugate det(X) X^-1 is a nonzero multiple of the inverse, so the
     inverses span the same space, and so do the integer numerators Q of the
-    inverses of X' = L X (X'^-1 = Q / s, ``linalg.integer_inverse``).
+    inverses of X' = L X (X'^-1 = Q / s, ``spaces.invertible_points``).
     The samples give only a lower bound: 45 of them, 3 dim S^5, span 14 of
     the 15 dimensions on most random nets in S^5, where ``chow_rank``, read
     off the Chow matrix itself, is exact.
     """
     if not is_regular(space):
         raise PreconditionError("NOT_REGULAR", "need a regular space")
-    rows = []
-    for tup in integer_sweep(space.m):
-        inv = integer_inverse(space.integer_element(tup))
-        if inv is None:
-            continue
-        rows.append([inv[0][i][j] for i, j in sym_pairs(space.n)])
-        if len(rows) >= trials:
-            break
-    return rref(rows).rank
+    pairs = sym_pairs(space.n)
+    return rref([[q[i][j] for i, j in pairs] for _, (q, _) in
+                 itertools.islice(invertible_points(space, integer_sweep(space.m)), trials)]).rank
 
 
 # -- fully symbolic n = 3 construction -------------------------------------

@@ -40,7 +40,7 @@ from .jordan import (
     radical,
     structure_constants,
 )
-from .linalg import int_faddeev_leverrier, int_matmul
+from .linalg import int_faddeev_leverrier, int_matmul, integer_vector
 from .spaces import MatSpace, is_regular, rank_one_pencil, unit_point
 from .univariate import squarefree_decomposition
 
@@ -135,7 +135,8 @@ def invariant_vector(space: MatSpace) -> InvariantVector:
     partition = generic_multiplicity_partition(space)
     rank_one = None
     if len(coords) == 2:  # independent kernel vectors have independent images
-        rank_one = rank_one_pencil(MatSpace(space.n, [space.element(c) for c in coords]))
+        rank_one = rank_one_pencil(MatSpace(space.n, ints=(
+            [space.integer_element(integer_vector(c)[0]) for c in coords], 1)))
     return InvariantVector(len(coords), assoc, rad_sq, partition, rank_one)
 
 

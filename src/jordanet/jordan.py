@@ -13,8 +13,8 @@ Everything runs on one integer algebra per space, with one unit: its first
 invertible element (``spaces.unit_point``), as closure does not depend on
 which invertible U is taken.  The basis is kept as B_k = B'_k / L over one
 common denominator (``MatSpace.integer_basis``), and the unit's inverse once
-as U^{-1} = Q / s (``spaces.Unit.inverse``), read off the one elimination of
-the integer matrix U' = c U that the sweep ranked, so that
+as U^{-1} = Q / s (``spaces.Unit.inverse``): the sweep ranks U' = c U on an
+echelon, and the inverse eliminates [U' | c I] on first read, so that
 B'_i Q B'_j + (B'_i Q B'_j)^T = 2sL^2 (B_i * B_j) is an integer product.
 ``jordan_closure`` grows one integer ``linalg.Echelon`` from such products and
 returns it, with the closure's dimension as its rank; the Jordan test reduces
@@ -41,9 +41,9 @@ from fractions import Fraction
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 from .errors import InternalCheckError, PreconditionError
-from .linalg import Echelon, Mat, int_matmul, integer_inverse, integer_vector, rref
-from .spaces import (MatSpace, Unit, contains, integer_sweep, nonzero_sweep, sym_pairs,
-                     symmetric_rows, unit_point, unvectorize)
+from .linalg import Echelon, Mat, int_matmul, integer_vector, rref
+from .spaces import (MatSpace, Unit, contains, integer_sweep, invertible_points, nonzero_sweep,
+                     sym_pairs, symmetric_rows, unit_point, unvectorize)
 
 
 def _doubled_product(xq: Sequence[Sequence[int]], y: Sequence[Sequence[int]],
@@ -160,9 +160,9 @@ class JordanStructure:
 
     @functools.cached_property
     def _rad_square(self) -> int:
-        coords = radical(self)  # the traced name, as the benchmark counts its calls
-        return rref([self.multiply_coords(x, y) for i, x in enumerate(coords)
-                     for y in coords[i:]]).rank
+        coords = [integer_vector(x)[0] for x in radical(self)]  # the traced name: its calls count
+        return rref([_combine(x, [_combine(y, plane) for plane in self.c])
+                     for i, x in enumerate(coords) for y in coords[i:]]).rank
 
 
 def structure_constants(space: MatSpace) -> JordanStructure:
@@ -284,10 +284,10 @@ def check_reciprocal_identity(space: MatSpace) -> Tuple[bool, Optional[Mat]]:
     """Sampled test of: inverses of elements land in U^{-1} L U^{-1}.
 
     Walks the deterministic integer sweep, keeps the first eight invertible
-    elements X, and checks U Q U back in the space, X^{-1} = L Q / s for
-    X = X' / L and X'^{-1} = Q / s (``linalg.integer_inverse`` of X'; an
-    exact reformulation avoiding the conjugated basis, and containment
-    ignores L / s).
+    elements X (``spaces.invertible_points``), and checks U' Q U' back in the
+    space on its echelon, X^{-1} = L Q / s for X = X' / L and X'^{-1} = Q /
+    s, and U = U' / c (an exact reformulation avoiding the conjugated
+    basis, and containment ignores the scalars).
     Points with every coordinate nonzero are tried first: sparse coordinate
     patterns often sit inside well-behaved subalgebras and would mask a
     failure.  Returns (ok, witness).
@@ -300,15 +300,10 @@ def check_reciprocal_identity(space: MatSpace) -> Tuple[bool, Optional[Mat]]:
     for all but at most n values of eps, hence identically, and its eps^2
     coefficient is Y * Y; polarizing gives X * Y.
     """
-    u = unit_point(space).mat
-    found = 0
-    for tup in itertools.chain(nonzero_sweep(space.m, space.n + 2), integer_sweep(space.m)):
-        inv = integer_inverse(space.integer_element(tup))
-        if inv is None:
-            continue
-        found += 1
-        if contains(space, u @ Mat.from_ints(inv[0]) @ u) is None:
+    u = unit_point(space).rows  # symmetric: its rows are its columns
+    points = itertools.chain(nonzero_sweep(space.m, space.n + 2), integer_sweep(space.m))
+    for tup, (q, _) in itertools.islice(invertible_points(space, points), _RECIPROCAL_TRIALS):
+        uqu = int_matmul(int_matmul(u, q), u)
+        if any(space.echelon.eliminate([uqu[i][j] for i, j in sym_pairs(space.n)])[0]):
             return False, space.element(tup)
-        if found >= _RECIPROCAL_TRIALS:
-            break
     return True, None

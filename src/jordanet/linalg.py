@@ -5,11 +5,12 @@ of an integer or p/q, and ``frac_str`` writes one.  This layer imports no
 polynomial code; the packed polynomial matrices live in ``exact``, above it,
 and ``det_laplace``, their one user here, imports them when it runs.
 
-Matrices are immutable and hold rationals (``Fraction``): ``integer_vector``,
-which clears every row of denominators, is the one place that refuses any
-other entry (an ``MPoly``, a string, a float) with NOT_NUMERIC; ``rref`` and
-``mat_rank`` take a row of plain ints as it is and clear any other row
-through it.  A product of two matrices is one integer product
+Matrices are immutable and hold rationals (``Fraction``); the package forms
+one from outside input or for a result, and computes on integer rows in
+between.  ``integer_vector``, which clears a row of denominators, is the one
+place that refuses any other entry (an ``MPoly``, a string, a float) with
+NOT_NUMERIC; ``rref`` takes a row of plain ints as it is and clears any
+other row through it.  A product of two matrices is one integer product
 (``int_matmul``) of A's rows and B's columns cleared of denominators, with
 one Fraction formed per entry of the result.  There is one row reduction,
 ``Echelon``: integer rows grown by forward fraction-free elimination
@@ -17,7 +18,7 @@ one Fraction formed per entry of the result.  There is one row reduction,
 (Sylvester's identity), no row rewritten once appended; the reduced rows and
 primitive rows are formed by back-substitution only when read.  ``rref``
 adjoins a matrix's rows, integer or cleared of denominators,
-``integer_inverse`` the rows [M' | diag(d)] of a square matrix,
+``integer_inverse`` the rows [M' | d I] of a square matrix M = M' / d,
 ``det_bareiss`` a square matrix's rows (its determinant is the last pivot
 entry, signed and over the denominators), and ``jordan_closure`` products as
 it finds them.  There is one linear solve, ``integer_inverse``: coordinates
@@ -320,24 +321,19 @@ def rref(matrix: Sequence[Sequence[Fraction]]) -> Echelon:
     return ech
 
 
-def mat_rank(m: Mat) -> int:
-    return rref(m.data).rank
-
-
 def integer_inverse(rows: Sequence[Sequence[int]],
-                    scales: Optional[Sequence[int]] = None) -> Optional[Tuple[List[List[int]], int]]:
+                    scale: int = 1) -> Optional[Tuple[List[List[int]], int]]:
     """(Q, s) with M^-1 = Q / s in lowest terms (integer Q, s > 0,
-    gcd(s, Q) = 1) for the square matrix M with rows M'_i / d_i (integer
-    rows M'_i, d_i = ``scales[i]``, 1 by default), or None when it is
-    singular: the one invertibility decision and the one linear solve.  The
-    rows [M'_i | d_i e_i], d_i times those of [M | I], are adjoined to one
-    echelon; M is regular when its n pivots all lie in the left block, and
-    then the reduced rows are e [I | M^-1], e the echelon's ``d``, so the
-    right block over e is M^-1, divided once by its gcd with e."""
+    gcd(s, Q) = 1) for the square matrix M = M' / scale, M' given by its
+    integer rows, or None when it is singular: the one invertibility decision
+    and the one linear solve.  The rows [M' | scale I] of scale [M | I] are
+    adjoined to one echelon; M is regular when its n pivots all lie in the
+    left block, and then the reduced rows are e [I | M^-1], e the echelon's
+    ``d``, so the right block over e is M^-1, divided once by its gcd with e."""
     n = len(rows)
     aug = Echelon(2 * n)
-    aug.extend(list(row) + [d if i == j else 0 for j in range(n)]
-               for i, (row, d) in enumerate(zip(rows, scales or [1] * n)))
+    aug.extend(list(row) + [scale if i == j else 0 for j in range(n)]
+               for i, row in enumerate(rows))
     if any(p >= n for p in aug.pivots):
         return None
     e = aug.d
@@ -347,12 +343,13 @@ def integer_inverse(rows: Sequence[Sequence[int]],
 
 
 def inverse_or_none(m: Mat) -> Optional[Tuple[List[List[int]], int]]:
-    """``integer_inverse`` of a square Fraction matrix, its rows cleared of
-    denominators."""
+    """``integer_inverse`` of a square Fraction matrix M = M' / d, d the lcm
+    of its entries' denominators."""
     if not m.is_square():
         raise PreconditionError("NOT_SQUARE", "inverse needs a square matrix")
-    cleared = [integer_vector(row) for row in m.data]
-    return integer_inverse([row for row, _ in cleared], [d for _, d in cleared])
+    n = m.rows
+    flat, d = integer_vector([x for row in m.data for x in row])
+    return integer_inverse([flat[i * n:(i + 1) * n] for i in range(n)], d)
 
 
 def inverse(m: Mat) -> Mat:

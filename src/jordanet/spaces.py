@@ -54,7 +54,7 @@ from fractions import Fraction
 from typing import TYPE_CHECKING, Callable, Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 from .errors import PreconditionError
-from .linalg import Echelon, Mat, int_matmul, integer_inverse, integer_vector, inverse_or_none, rref
+from .linalg import Echelon, Mat, int_matmul, integer_inverse, integer_vector, rref
 
 if TYPE_CHECKING:  # the polynomial layer is imported by the functions that run it
     from .exact import IntPoly, MPoly, Packing
@@ -263,9 +263,9 @@ def _sweep(m: int, values: List[int], shells: Iterable[int]):
 class Unit:
     """The space's unit U = U' / scale, as ``unit_point`` found it: its
     coordinates (Fractions from the identity test, the ints of a sweep point
-    otherwise), the rows of the integer matrix U' and the scale.  The Fraction
-    matrix ``mat`` and ``inverse`` are cached properties; ``jordan`` keeps the
-    basis products it computes with that inverse in the unit's instance dict."""
+    otherwise), the rows of the integer matrix U' and the scale.  ``inverse``
+    is a cached property; ``jordan`` keeps the basis products it computes
+    with that inverse in the unit's instance dict."""
 
     __slots__ = ("coords", "rows", "scale", "__dict__")
 
@@ -273,19 +273,9 @@ class Unit:
         self.coords, self.rows, self.scale = coords, rows, scale
 
     @functools.cached_property
-    def mat(self) -> Mat:
-        return _over(self.rows, self.scale)
-
-    @functools.cached_property
     def inverse(self) -> Tuple[List[List[int]], int]:
-        """(q, s) with U^{-1} = q / s in lowest terms, q a symmetric integer
-        matrix and s > 0.  With c the scale, U^{-1} = c Q' / s' from U'^{-1} =
-        Q' / s' (``linalg.integer_inverse``), over g = gcd(c, s'): gcd(s', Q')
-        = 1 and gcd(s' / g, c / g) = 1 keep q = (c / g) Q' over s = s' / g in
-        lowest terms."""
-        q, s = integer_inverse(self.rows)
-        g = math.gcd(self.scale, s)
-        return [[x * (self.scale // g) for x in row] for row in q], s // g
+        """(q, s), U^-1 = q / s in lowest terms: ``linalg.integer_inverse`` of U' / scale."""
+        return integer_inverse(self.rows, self.scale)
 
 
 def unit_point(space: MatSpace) -> Unit:
@@ -306,7 +296,7 @@ def find_invertible(space: MatSpace) -> Tuple[Mat, tuple]:
     """The space's unit (``unit_point``) as a Fraction matrix, and its
     coordinates."""
     got = unit_point(space)
-    return got.mat, got.coords
+    return _over(got.rows, got.scale), got.coords
 
 
 # Singular sweep points tried before the generic determinant is expanded: the
@@ -387,6 +377,15 @@ def _sweep_for_unit(space: MatSpace) -> Optional[Unit]:
             return got
 
 
+def invertible_points(space: MatSpace, points: Iterable[tuple]) -> Iterable[tuple]:
+    """(t, (Q, s)) for each integer point t, in the order given, whose X' =
+    sum_k t_k B'_k is invertible, X'^-1 = Q / s (``linalg.integer_inverse``)."""
+    for tup in points:
+        inv = integer_inverse(space.integer_element(tup))
+        if inv is not None:
+            yield tup, inv
+
+
 def sweep_rank(space: MatSpace) -> Callable[[Sequence[int]], int]:
     """Rank of sum_k t_k B_k at integer t: that of the integer sum_k t_k B'_k
     (``MatSpace.integer_element``), on an ``Echelon``."""
@@ -442,9 +441,10 @@ def contains(space: MatSpace, m: Mat) -> Optional[List[Fraction]]:
 
 
 def orth_complement(space: MatSpace) -> MatSpace:
-    """All symmetric Z with trace(B Z) = 0 for every basis element B."""
+    """All symmetric Z with trace(B' Z) = 0 for every integer basis matrix B' = L B."""
     n = space.n
-    rows = [[b[i, j] if i == j else 2 * b[i, j] for i, j in sym_pairs(n)] for b in space.basis]
+    rows = [[b[i][j] if i == j else 2 * b[i][j] for i, j in sym_pairs(n)]
+            for b in space.integer_basis()[0]]
     kernel = rref(rows).kernel_basis()
     if not kernel:
         raise PreconditionError("DEPENDENT_BASIS", "complement of the full space is zero")
@@ -452,11 +452,22 @@ def orth_complement(space: MatSpace) -> MatSpace:
 
 
 def congruence_transform(space: MatSpace, p: Mat) -> MatSpace:
-    """Basis-wise map B -> P^T B P; requires P invertible."""
-    if inverse_or_none(p) is None:
+    """Basis-wise map B -> P^T B P for an invertible n x n P, on integers:
+    with P = P' / e (one lcm), the P'^T B'_k P' over e^2 L, divided by the
+    content of their entries and e^2 L, are the integer basis that the
+    Fraction images would clear to, independent as P is invertible."""
+    n = space.n
+    if (p.rows, p.cols) != (n, n):
+        raise PreconditionError("SIZE_MISMATCH", f"P is {p.rows} x {p.cols}, the space in S^{n}")
+    flat, e = integer_vector([x for row in p.data for x in row])
+    rows = [flat[i * n:(i + 1) * n] for i in range(n)]
+    if integer_inverse(rows) is None:
         raise PreconditionError("SINGULAR_P", "congruence by a singular matrix")
-    pt = p.transpose()
-    return MatSpace(space.n, [pt @ b @ p for b in space.basis])  # P invertible keeps them independent
+    cols = list(zip(*rows))  # the rows of P'^T; a symmetric B' is its own columns
+    images = [int_matmul(int_matmul(cols, b), cols) for b in space.integer_basis()[0]]
+    den = e * e * space.integer_basis()[1]
+    g = math.gcd(den, *(x for b in images for row in b for x in row))
+    return MatSpace(n, ints=([[[x // g for x in row] for row in b] for b in images], den // g))
 
 
 def sample_congruent(space: MatSpace, seed: int) -> MatSpace:

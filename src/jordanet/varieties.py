@@ -35,7 +35,7 @@ from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
 from .errors import InputError, PreconditionError
 from .exact import MPoly, Packing, laplace_minors, monomials, parse_poly_lines, poly_eval
 from .jordan import radical, structure_constants
-from .linalg import Echelon, Mat, mat_rank
+from .linalg import Echelon, Mat, integer_vector
 # rank_one_pencil is an alias: the benchmark's tracer looks it up in this module
 from .spaces import (
     MatSpace,
@@ -320,28 +320,27 @@ def min_rank_bounds(space: MatSpace) -> MinRankBounds:
 
     Upper bound: best rank among basis elements, radical elements (when the
     space is a Jordan algebra) and the first ``_SWEEP_CANDIDATES`` integer
-    sweep points, which are ranked on integers (``sweep_rank``); the first
-    candidate of the best rank is the witness, and a sweep point's Fraction
-    element is formed only when it wins.  Lower bound: 2 when the rank-one
-    locus is certified empty, else 1.  For a line (m = 1) the minimum rank is
-    exact since every nonzero element is a multiple of the generator.
+    sweep points, in that order, each ranked on integers by its coordinates
+    cleared of denominators (``sweep_rank``); the first candidate of the best
+    rank is the witness, the one Fraction element formed.  Lower bound: 2
+    when the rank-one locus is certified empty, else 1.  For a line (m = 1)
+    the minimum rank is exact since every nonzero element is a multiple of
+    the generator.
     """
+    rank = sweep_rank(space)
     if space.m == 1:
-        r = mat_rank(space.basis[0])
-        return MinRankBounds(r, r, None, space.basis[0])
+        r = rank((1,))
+        return MinRankBounds(r, r, None, space.element((1,)))
 
-    candidates: List[Mat] = list(space.basis)
+    candidates = [tuple(int(j == k) for j in range(space.m)) for k in range(space.m)]
     try:
-        candidates.extend(space.element(c) for c in radical(structure_constants(space)))
+        candidates.extend(radical(structure_constants(space)))
     except PreconditionError:
         pass
-    ranked = [(mat_rank(c), c) for c in candidates]
-    rank = sweep_rank(space)
-    ranked.extend((rank(tup), tup) for tup in itertools.islice(integer_sweep(space.m),
-                                                                _SWEEP_CANDIDATES))
-    best, witness = min(ranked, key=lambda pair: pair[0])  # the first of least rank
-    if isinstance(witness, tuple):
-        witness = space.element(witness)
+    candidates.extend(itertools.islice(integer_sweep(space.m), _SWEEP_CANDIDATES))
+    best, coords = min(((rank(integer_vector(c)[0]), c) for c in candidates),
+                       key=itemgetter(0))  # the first of least rank
+    witness = space.element(coords)
 
     cert = rank_one_locus_certificate(space)
     lower = 2 if cert.kind == "CERTIFIED_EMPTY" else 1

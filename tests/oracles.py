@@ -95,7 +95,18 @@ that the tests can compare the two:
   ``rad_square_dim_by_fractions`` (the package reduces integer products on
   the space's echelon and keeps one integer tensor over one denominator);
   ``integer_matrix`` clears a Fraction matrix of denominators for them (the
-  package takes U^{-1} = Q / s as integers from its one elimination).
+  package takes U^{-1} = Q / s as integers from its one elimination);
+  ``rad_square_dim_by_multiply_coords`` ranks the Fraction products
+  ``multiply_coords`` of the radical's vectors (the package multiplies their
+  cleared integer vectors through the integer tensor).
+
+- ``congruence_by_fractions``: the image P^T B P of each Fraction basis
+  matrix as two Fraction ``Mat`` products, cleared by ``MatSpace`` (the
+  package takes P'^T B' P' on integers over one denominator and its
+  content), and ``reciprocal_identity_by_fractions``: the sampled
+  reciprocal check with U Q U a Fraction product located by ``contains``
+  (the package forms U' Q U' on integers and reduces it on the space's
+  echelon).
 
 - ``PrimitiveEchelon``: the dense echelon that makes every row it updates
   primitive again and scales each reduction by an lcm of pivot entries, with
@@ -163,8 +174,10 @@ that the tests can compare the two:
 ``mpoly_from_terms`` is the checked constructor the tests build polynomials
 with: any variable order, duplicate exponents merged, zeros dropped;
 ``trimmed`` drops the variables an ``MPoly`` does not use,
-``is_constant`` and ``constant_value`` read a constant ``MPoly``, and
-``zero_mat`` and ``mat_map`` build ``Mat``s, none of which the package needs.
+``is_constant`` and ``constant_value`` read a constant ``MPoly``,
+``zero_mat`` and ``mat_map`` build ``Mat``s, ``mat_rank`` ranks one and
+``unit_mat`` forms a ``spaces.Unit``'s Fraction matrix U' / scale, none of
+which the package needs.
 ``to_recursive`` and ``from_recursive`` convert between ``MPoly`` and the
 recursive dense form of ``squarefree_by_recursive``'s gcds.
 """
@@ -199,9 +212,9 @@ from jordanet.linalg import (
     det,
     frac,
     int_matmul,
+    integer_inverse,
     integer_vector,
     inverse,
-    mat_rank,
     rref,
 )
 from jordanet.prng import SplitMix64, derive_seed
@@ -214,6 +227,7 @@ from jordanet.spaces import (
     generic_names,
     integer_sweep,
     make_space,
+    nonzero_sweep,
     sym_dim,
     sym_pairs,
     symmetric_rows,
@@ -538,6 +552,11 @@ def constant_value(p: MPoly) -> Fraction:
     if not is_constant(p):
         raise ValueError("polynomial is not constant")
     return next(iter(p.terms.values()), Fraction(0))
+
+
+def mat_rank(m: Mat) -> int:
+    """Rank of a Fraction matrix: ``rref`` of its rows."""
+    return rref(m.data).rank
 
 
 def zero_mat(rows: int, cols: int) -> Mat:
@@ -1808,6 +1827,42 @@ def rad_square_dim_by_fractions(tensor) -> int:
     coords = radical_by_fractions(tensor)
     return rref([multiply_coords_by_fractions(tensor, x, y)
                  for i, x in enumerate(coords) for y in coords[i:]]).rank
+
+
+def rad_square_dim_by_multiply_coords(a) -> int:
+    """Rank of the pairwise products ``multiply_coords`` of ``radical(a)``'s
+    Fraction vectors."""
+    coords = radical(a)
+    return rref([a.multiply_coords(x, y) for i, x in enumerate(coords) for y in coords[i:]]).rank
+
+
+def unit_mat(unit) -> Mat:
+    """The Fraction matrix U' / scale of a ``spaces.Unit``."""
+    return Mat([[Fraction(x, unit.scale) for x in row] for row in unit.rows])
+
+
+def congruence_by_fractions(space, p: Mat):
+    """The image of the space under an invertible n x n P, as Fraction
+    products P^T B P of its Fraction basis cleared by ``MatSpace``."""
+    pt = p.transpose()
+    return MatSpace(space.n, [pt @ b @ p for b in space.basis])
+
+
+def reciprocal_identity_by_fractions(space):
+    """(ok, witness) of ``check_reciprocal_identity``: at the first eight
+    invertible points of the same sweeps, U Q U for the Fraction unit U and
+    the integer numerator Q of X'^-1, located by ``contains``."""
+    u = unit_mat(unit_point(space))
+    found = 0
+    for tup in itertools.chain(nonzero_sweep(space.m, space.n + 2), integer_sweep(space.m)):
+        inv = integer_inverse(space.integer_element(tup))
+        if inv is None:
+            continue
+        found += 1
+        if contains(space, u @ Mat.from_ints(inv[0]) @ u) is None:
+            return False, space.element(tup)
+        if found >= 8:
+            return True, None
 
 
 # -- the primitive dense echelon -------------------------------------------

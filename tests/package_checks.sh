@@ -13,6 +13,10 @@ if ! command -v jordanet > /dev/null; then
     echo "package_checks.sh: no jordanet console script on PATH; run 'pip install .' first" >&2
     exit 1
 fi
+if ! python -c 'import jordanet' 2> /dev/null; then
+    echo "package_checks.sh: python cannot import jordanet; run 'pip install .' first" >&2
+    exit 1
+fi
 
 jordanet analyze catalog://s4/3b1 --json > analyze.json
 jordanet analyze catalog://s4/3b2 --json > analyze_3b2.json
@@ -99,10 +103,10 @@ python - <<'PY'
 import sys
 from jordanet.catalog import canonical
 from jordanet.chow import chow_matrix
-from jordanet.linalg import Mat, mat_rank
+from jordanet.linalg import rref
 rows, den = chow_matrix(canonical("netrank8"))
 plain = type(den) is int and all(type(x) is int for row in rows for x in row)
-sys.exit(not plain or mat_rank(Mat.from_ints(rows)) != 8)
+sys.exit(not plain or rref(rows).rank != 8)
 PY
 # the rank-8 net over denominators 2 and 3 against its integer multiple (the same space):
 # the Chow matrix is read off (B', L) over L^(n-1)

@@ -18,7 +18,7 @@ from jordanet.chow import (
 )
 from jordanet.errors import PreconditionError
 from jordanet.exact import monomials, parse_poly
-from jordanet.linalg import Mat, adjugate, det_bareiss, mat_rank, rref
+from jordanet.linalg import Mat, adjugate, det_bareiss, rref
 from jordanet.prng import SplitMix64
 from jordanet.spaces import (
     MatSpace,
@@ -37,6 +37,7 @@ from oracles import (
     chow_matrix_generic_by_mpoly,
     kernel_forms_by_mpoly,
     lift,
+    mat_rank,
     mpoly_by_eager_decode,
     rational_spaces,
 )
@@ -335,6 +336,12 @@ class TestSampledSpan:
 
     def test_jordan_net_span_is_m(self):
         assert sampled_reciprocal_span(nets_L1(), 30) == 3
+
+    def test_rank_is_at_most_the_trials(self):
+        # k inverses span at most k dimensions, and no inverse none
+        assert [sampled_reciprocal_span(canonical("s4/1a"), k) for k in range(4)] == [0, 1, 2, 3]
+        for sp in (net_rank8(), nets_L3()):
+            assert all(sampled_reciprocal_span(sp, k) <= k for k in range(6))
 
 
 def stacked_adjugate_span(space, trials):

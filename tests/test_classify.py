@@ -398,13 +398,14 @@ class TestPartition:
     def test_shares_the_unit_inverse_with_the_jordan_test_and_the_closure(self, monkeypatch):
         # is_jordan, jordan_closure and the partition read U^-1 = q / s off the
         # space's one Unit: U' (4 x 4, apart from the 3 x 3 pivot block) is
-        # inverted once, and the unit itself inverts nothing
+        # inverted once, and the unit itself inverts nothing; the inversion of
+        # the congruence's P, made before, is not counted
         from jordanet import spaces
 
+        sp = sample_congruent(canonical("s4/3b1"), 7)
         inverted, real = [], spaces.integer_inverse
         monkeypatch.setattr(spaces, "integer_inverse",
-                            lambda rows: inverted.append(rows) or real(rows))
-        sp = sample_congruent(canonical("s4/3b1"), 7)
+                            lambda rows, scale=1: inverted.append(rows) or real(rows, scale))
         unit = unit_point(sp)
         assert inverted == []
         assert is_jordan(sp)[0] and jordan_closure(sp).rank == sp.m

@@ -18,7 +18,7 @@ from jordanet.io import load_space_file, parse_space_data
 from jordanet.linalg import frac_str
 from jordanet.prng import SplitMix64
 from jordanet.spaces import MatSpace
-from oracles import parse_outcome, parse_poly_by_tokens
+from oracles import parse_outcome, parse_poly_by_tokens, unit_mat
 
 GOLDENS = json.loads((Path(__file__).parent / "data" / "cli_goldens.json").read_text())
 
@@ -573,15 +573,33 @@ class TestUnitInvertedOnce:
         inverted, fraction_inverses = [], []
         invert, invert_fraction = linalg.integer_inverse, linalg.inverse_or_none
         rebind_everywhere(monkeypatch, "integer_inverse", invert,
-                          lambda rows, scales=None: inverted.append(rows) or invert(rows, scales))
+                          lambda rows, scale=1: inverted.append(rows) or invert(rows, scale))
         rebind_everywhere(monkeypatch, "inverse_or_none", invert_fraction,
                           lambda m: fraction_inverses.append(m) or invert_fraction(m))
         catalog.canonical.cache_clear()
         code, _, _ = run_cli(["analyze", "catalog://s4/2b", "--json"], capsys)
         assert code == 0
         unit = spaces.unit_point(catalog.canonical("s4/2b"))
-        assert unit.mat != linalg.Mat.identity(4)
+        assert unit_mat(unit) != linalg.Mat.identity(4)
         assert inverted.count(unit.rows) == 1 and fraction_inverses == []
+
+
+class TestNoFractionProducts:
+    def test_jordan_and_classify_checks_multiply_no_fraction_matrices(self, monkeypatch, capsys):
+        # congruence images, the reciprocal check and the radical's consumers
+        # run on integer rows: verify's jordan and classify subsets pass with
+        # the product of two Fraction matrices refused
+        from jordanet import linalg
+
+        def refuse(a, b):
+            raise AssertionError("a product of Fraction matrices was formed")
+
+        monkeypatch.setattr(linalg, "_fraction_product", refuse)
+        for subset in ("jordan", "classify"):
+            code, out, err = run_cli(["verify", "--subset", subset, "--json"], capsys)
+            report = json.loads(out)
+            assert (code, report["failed"], err) == (0, 0, ""), subset
+            assert report["passed"] > 0, subset
 
 
 def products_per_call(monkeypatch, name, owner, helper):
@@ -627,12 +645,13 @@ class TestRadSquareOnce:
         # vector both ask for its square; it is computed once
         from jordanet import catalog
 
-        counts = products_per_call(monkeypatch, "rad_square_dim", jordan.JordanStructure,
-                                   "multiply_coords")
+        counts = products_per_call(monkeypatch, "rad_square_dim", jordan, "_combine")
         catalog.canonical.cache_clear()
         code, out, _ = run_cli(["analyze", "catalog://s4/3a", "--json"], capsys)
         assert code == 0 and json.loads(out)["net_class"] == "3a"
-        assert counts == [3, 0]  # the three products of a 2-dimensional radical
+        # the three products of a 2-dimensional radical, each one combination
+        # of the m = 3 planes of the tensor and one of their results
+        assert counts == [3 * (3 + 1), 0]
 
 
 class TestInputCheckedOnce:
@@ -660,8 +679,8 @@ class TestInputCheckedOnce:
                  "3b1": self.write(tmp_path / "3b1.json", sample_congruent(canonical("s4/3b1"), 7))}
         calls = []
         real = spaces.integer_inverse
-        monkeypatch.setattr(spaces, "integer_inverse", lambda rows: calls.append(
-            sys._getframe(1).f_code.co_name == "pivot_inverse") or real(rows))
+        monkeypatch.setattr(spaces, "integer_inverse", lambda rows, scale=1: calls.append(
+            sys._getframe(1).f_code.co_name == "pivot_inverse") or real(rows, scale))
         for expected, path in files.items():
             calls.clear()
             code, out, _ = run_cli(["analyze", path, "--json"], capsys)

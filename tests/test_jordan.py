@@ -53,8 +53,11 @@ from oracles import (
     jordan_product_by_fractions,
     multiply_coords_by_fractions,
     rad_square_dim_by_fractions,
+    rad_square_dim_by_multiply_coords,
     radical_by_fractions,
+    reciprocal_identity_by_fractions,
     residue_mod_space,
+    unit_mat,
     zero_mat,
 )
 
@@ -205,10 +208,10 @@ class TestJordanProduct:
         sp = make_space(3, [diag(1, 2, 3).scale(Fraction(1, 3)), diag(1, 1, 0).scale(Fraction(1, 2))])
         unit = unit_point(sp)
         q, s = unit.inverse
-        assert unit.mat == sp.basis[0] and s == 2
+        assert unit_mat(unit) == sp.basis[0] and s == 2
         assert all(type(v) is int for row in q for v in row)
-        assert Mat([[Fraction(v, s) for v in row] for row in q]) == inverse(unit.mat)
-        assert list(unit.coords) == contains(sp, unit.mat) == [1, 0]
+        assert Mat([[Fraction(v, s) for v in row] for row in q]) == inverse(unit_mat(unit))
+        assert list(unit.coords) == contains(sp, unit_mat(unit)) == [1, 0]
         assert unit_point(sp) is unit and unit.inverse is unit.inverse
 
     def test_unit_keeps_the_coordinates_it_was_found_at(self):
@@ -218,12 +221,12 @@ class TestJordanProduct:
         sp = sample_congruent(canonical("s4/3b1"), 7)
         u, coords = find_invertible(sp)
         unit = unit_point(sp)
-        assert unit.mat is u and unit.coords is coords
+        assert unit_mat(unit) == u and unit.coords is coords
         assert all(type(c) is int for c in coords) and list(coords) == contains(sp, u)
         sp = intro_L1()
         unit = unit_point(sp)
-        assert unit.mat == Mat.identity(4) and all(type(c) is Fraction for c in unit.coords)
-        assert list(unit.coords) == contains(sp, unit.mat)
+        assert unit_mat(unit) == Mat.identity(4) and all(type(c) is Fraction for c in unit.coords)
+        assert list(unit.coords) == contains(sp, unit_mat(unit))
 
 
 class TestIsJordan:
@@ -264,7 +267,7 @@ class TestIsJordan:
             units = 0
             for tup in integer_sweep(space.m):
                 u = space.element(tup)
-                if det(u) == 0 or u == unit_point(space).mat:
+                if det(u) == 0 or u == unit_mat(unit_point(space)):
                     continue
                 units += 1
                 got = basis_products_by_fractions(space, u)
@@ -300,7 +303,7 @@ class TestClosure:
             units = 0
             for tup in integer_sweep(sp.m):
                 u = sp.element(tup)
-                if det(u) == 0 or u == unit_point(sp).mat:
+                if det(u) == 0 or u == unit_mat(unit_point(sp)):
                     continue
                 units += 1
                 assert len(closure_by_rounds(sp, u)) == dim
@@ -423,14 +426,14 @@ class TestClosureOracle:
     def test_same_echelon_rows_as_the_round_based_closure(self):
         for sp in closure_oracle_spaces():
             clo = closure_space(jordan_closure(sp), sp.n)
-            assert [vectorize(b) for b in clo.basis] == closure_by_rounds(sp, unit_point(sp).mat)
+            assert [vectorize(b) for b in clo.basis] == closure_by_rounds(sp, unit_mat(unit_point(sp)))
             assert make_space(clo.n, clo.basis) == clo  # built unchecked, as make_space would accept
 
     def test_rational_bases_and_a_non_integer_unit(self):
         grew = 0
         for sp in rational_closure_cases():
             clo = closure_space(jordan_closure(sp), sp.n)
-            assert [vectorize(b) for b in clo.basis] == closure_by_rounds(sp, unit_point(sp).mat)
+            assert [vectorize(b) for b in clo.basis] == closure_by_rounds(sp, unit_mat(unit_point(sp)))
             assert make_space(clo.n, clo.basis) == clo
             grew += clo.m > sp.m
         assert grew > 10
@@ -441,7 +444,7 @@ class TestClosureOracle:
             sp = block_congruence_image(rng, sizes)
             clo = closure_space(jordan_closure(sp), sp.n)
             assert clo.m == dim
-            assert [vectorize(b) for b in clo.basis] == closure_by_rounds(sp, unit_point(sp).mat)
+            assert [vectorize(b) for b in clo.basis] == closure_by_rounds(sp, unit_mat(unit_point(sp)))
 
     def test_a_dense_net_in_s8_closes_to_everything(self):
         # the round oracle takes seconds here: the rank alone is checked
@@ -487,13 +490,13 @@ class TestStructureConstants:
                 x = [rng.int_between(-3, 3) for _ in range(a.dim)]
                 y = [rng.int_between(-3, 3) for _ in range(a.dim)]
                 assert a.space.element(a.multiply_coords(x, y)) == \
-                    jordan_product(a.space.element(x), a.space.element(y), a.unit.mat)
+                    jordan_product(a.space.element(x), a.space.element(y), unit_mat(a.unit))
 
     def test_basis_products_match_the_fraction_product(self):
         # rational bases whose units are not integral; the tensor, and a
         # witness's product and residue, keep the true scale
         for sp in rational_unit_spaces(2012, jordan_algebras() + [intro_L2(flip=True)]):
-            uinv = inverse(unit_point(sp).mat)
+            uinv = inverse(unit_mat(unit_point(sp)))
             ok, witness = is_jordan(sp)
             if not ok:
                 want = fraction_product(sp.basis[witness.i], sp.basis[witness.j], uinv)
@@ -545,7 +548,7 @@ class TestFractionOracle:
 
     @staticmethod
     def compare(sp) -> bool:
-        want = basis_products_by_fractions(sp, unit_point(sp).mat)
+        want = basis_products_by_fractions(sp, unit_mat(unit_point(sp)))
         ok, witness = is_jordan(sp)
         if not ok:
             assert tuple(witness) == want
@@ -623,7 +626,7 @@ class TestJordanAxioms:
         for k, sp in enumerate(jordan_algebras()):
             a = structure_constants(sp)
             rng = SplitMix64(k)
-            u = a.unit.mat
+            u = unit_mat(a.unit)
             for _ in range(4):
                 x = a.space.element([rng.int_between(-4, 4) for _ in range(a.dim)])
                 y = a.space.element([rng.int_between(-4, 4) for _ in range(a.dim)])
@@ -707,6 +710,16 @@ class TestRadSquare:
     def test_semisimple_zero(self):
         assert rad_square_dim(structure_constants(canonical_1a())) == 0
 
+    def test_matches_multiply_coords_of_the_fraction_radical(self):
+        # the radical's cleared vectors multiplied on the integer tensor span
+        # as many dimensions as ``multiply_coords`` of its Fraction vectors
+        seen = set()
+        for sp in jordan_algebras() + rational_unit_spaces(2015, jordan_algebras()):
+            a = structure_constants(sp)
+            assert rad_square_dim(a) == rad_square_dim_by_multiply_coords(a)
+            seen.add((len(radical(a)), rad_square_dim(a)))
+        assert {(2, 1), (2, 0), (0, 0)} <= seen
+
 
 class TestPeirce:
     def test_full_s3_diagonal_idempotents(self):
@@ -728,7 +741,7 @@ class TestPeirce:
         j2 = Mat.from_ints([[0, 1, 0, 0], [1, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0]])
         sp = make_space(4, [j2, E(4, 1, 1), diag(0, 0, 1, 1)])
         a = structure_constants(sp)
-        assert a.unit.mat == Mat.from_ints([[0, 1, 0, 0], [1, 0, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]])
+        assert unit_mat(a.unit) == Mat.from_ints([[0, 1, 0, 0], [1, 0, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]])
         x1 = j2
         x2 = diag(0, 0, 1, 1)
         pieces = peirce(a, [x1, x2])
@@ -751,7 +764,7 @@ class TestPeirce:
         u = pt @ p
         sp = make_space(3, [pt @ E(3, 1, 1) @ p, pt @ E(3, 1, 2) @ p, pt @ E(3, 2, 2) @ p, u])
         a = structure_constants(sp)
-        assert a.unit.mat == u != Mat.identity(3)
+        assert unit_mat(a.unit) == u != Mat.identity(3)
         xs = [pt @ E(3, i, i) @ p for i in (1, 2, 3)]
         pieces = peirce(a, xs)
         assert {k: len(v) for k, v in pieces.items()} == {
@@ -792,6 +805,29 @@ class TestReciprocal:
     def test_identity_span(self):
         ok, _ = check_reciprocal_identity(make_space(3, [Mat.identity(3)]))
         assert ok
+
+    def test_same_verdict_and_witness_as_the_fraction_route(self):
+        # congruence images of the regular catalog spaces, by a seeded integer
+        # P and by a P over unequal denominators: U' Q U' reduced on the
+        # echelon decides as U Q U located by contains, with the same witness
+        rng = SplitMix64(4702)
+        verdicts = {}
+        for cid in catalog_ids():
+            sp = canonical(cid)
+            if not isinstance(sp, MatSpace) or not is_regular(sp):
+                continue
+            images = [sample_congruent(sp, derive_seed(4702, cid))]
+            p = Mat([[Fraction(rng.int_between(-3, 3), rng.int_between(1, 4)) for _ in range(sp.n)]
+                     for _ in range(sp.n)])
+            if det(p) != 0:
+                images.append(congruence_transform(sp, p))
+            for image in images:
+                got = check_reciprocal_identity(image)
+                assert got == reciprocal_identity_by_fractions(image), cid
+                verdicts.setdefault(cid, set()).add(got[0])
+        assert verdicts["dim4/L2flip"] == verdicts["nets/L3"] == {False}
+        assert verdicts["s4/3b1"] == {True}
+        assert len(verdicts) == 18
 
 
 class TestConditionCoherence:

@@ -28,7 +28,6 @@ from jordanet.linalg import (
     express_in_rows,
     inverse,
     inverse_or_none,
-    mat_rank,
     rref,
 )
 from jordanet.prng import SplitMix64
@@ -59,6 +58,7 @@ from oracles import (
     inverse_or_none_by_primitive_rows,
     lift,
     macaulay_rows_by_fractions,
+    mat_rank,
     matmul_by_loop,
     mpoly_by_eager_decode,
     rational_spaces,

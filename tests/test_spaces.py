@@ -33,6 +33,7 @@ from jordanet.spaces import (
 from oracles import (
     MPoly,
     by_power,
+    congruence_by_fractions,
     constant_value,
     coordinate_rows,
     dense_unit_points,
@@ -52,6 +53,7 @@ from oracles import (
     rational_spaces,
     substitution_family_by_matrices,
     sweep_for_unit_by_fractions,
+    unit_mat,
     zero_mat,
 )
 
@@ -391,7 +393,7 @@ class TestIntegerSweep:
         outcomes = set()
         for sp in self.spaces():
             got = spaces._sweep_for_unit(MatSpace(sp.n, sp.basis))
-            got = None if got is None else (got.mat, got.coords)
+            got = None if got is None else (unit_mat(got), got.coords)
             expected = sweep_for_unit_by_fractions(MatSpace(sp.n, sp.basis))
             assert got == expected
             if got is not None:
@@ -422,7 +424,7 @@ class TestIntegerSweep:
         monkeypatch.setattr(spaces, "_rank", lambda rows: ranked.append(1) or real(rows))
         for sp in self.late_unit_spaces():
             got = spaces._sweep_for_unit(MatSpace(sp.n, sp.basis))
-            assert (got.mat, got.coords) == sweep_for_unit_by_fractions(MatSpace(sp.n, sp.basis))
+            assert (unit_mat(got), got.coords) == sweep_for_unit_by_fractions(MatSpace(sp.n, sp.basis))
             assert got.coords not in itertools.islice(integer_sweep(sp.m), 6)
         ranked.clear()
         image = MatSpace(4, sample_congruent(canonical("s4/3b1"), 1).basis)
@@ -538,6 +540,31 @@ class TestCongruence:
         with pytest.raises(PreconditionError) as err:
             congruence_transform(double_conic_net(), zero_mat(4, 4))
         assert err.value.code == "SINGULAR_P"
+
+    def test_a_matrix_of_another_size_is_refused(self):
+        # on a space in S^4, a P that is not 4 x 4, square or not, is refused
+        for p in (Mat.identity(3), Mat.identity(5), zero_mat(4, 3)):
+            with pytest.raises(PreconditionError) as err:
+                congruence_transform(double_conic_net(), p)
+            assert err.value.code == "SIZE_MISMATCH"
+
+    def test_integer_route_matches_the_fraction_products(self):
+        # P with entries over unequal denominators, on spaces with rational
+        # bases: the image's integer basis (B', L) and Fraction basis are
+        # those of the Fraction products P^T B P, cleared
+        rng = SplitMix64(4701)
+        dens = set()
+        for sp in rational_spaces(4701):
+            p = Mat([[Fraction(rng.int_between(-3, 3), rng.int_between(1, 5)) for _ in range(sp.n)]
+                     for _ in range(sp.n)])
+            if det(p) == 0:
+                continue
+            got, want = congruence_transform(sp, p), congruence_by_fractions(sp, p)
+            assert got.integer_basis() == want.integer_basis()
+            assert got.basis == want.basis
+            assert got == want and (got.n, got.m) == (sp.n, sp.m)
+            dens.add(got.integer_basis()[1])
+        assert len(dens) > 10  # the images' common denominators vary
 
     def test_composition(self):
         # with B -> P^T B P, (PQ)^T B (PQ) = Q^T (P^T B P) Q
