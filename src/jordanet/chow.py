@@ -144,7 +144,8 @@ def chow_kernel_forms(space: MatSpace) -> List[MPoly]:
 
 def sampled_reciprocal_span(space: MatSpace, trials: int) -> int:
     """Rank of stacked vectorized inverses at the first ``trials`` invertible
-    points of the integer sweep.
+    points of the integer sweep; a negative count is refused with
+    NEGATIVE_TRIALS.
 
     Independent oracle for ``chow_rank``: the adjugates of elements of the
     space sweep out the column space of the Chow matrix, and at an invertible
@@ -155,6 +156,8 @@ def sampled_reciprocal_span(space: MatSpace, trials: int) -> int:
     the 15 dimensions on most random nets in S^5, where ``chow_rank``, read
     off the Chow matrix itself, is exact.
     """
+    if trials < 0:
+        raise PreconditionError("NEGATIVE_TRIALS", f"trials must be nonnegative, got {trials}")
     if not is_regular(space):
         raise PreconditionError("NOT_REGULAR", "need a regular space")
     pairs = sym_pairs(space.n)

@@ -16,8 +16,11 @@ common denominator (``MatSpace.integer_basis``), and the unit's inverse once
 as U^{-1} = Q / s (``spaces.Unit.inverse``): the sweep ranks U' = c U on an
 echelon, and the inverse eliminates [U' | c I] on first read, so that
 B'_i Q B'_j + (B'_i Q B'_j)^T = 2sL^2 (B_i * B_j) is an integer product.
-``jordan_closure`` grows one integer ``linalg.Echelon`` from such products and
-returns it, with the closure's dimension as its rank; the Jordan test reduces
+``jordan_closure`` grows a copy of the space's echelon from such products and
+returns it, with the closure's dimension as its rank.  It never multiplies
+by U or by B_drop, drop the first index on which U has a nonzero coordinate:
+span(U, B_k : k != drop) is the space and U * X = X, so B_drop * X lies in
+the span of X and the B_k * X with k != drop.  The Jordan test reduces
 each basis product on the space's echelon, reads its coordinates off the
 space's pivot inverse (``MatSpace.pivot_inverse``, the one linear solve) and
 keeps the structure tensor as one integer tensor c over one denominator.
@@ -41,7 +44,7 @@ from fractions import Fraction
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 from .errors import InternalCheckError, PreconditionError
-from .linalg import Echelon, Mat, int_matmul, integer_vector, rref
+from .linalg import Echelon, Mat, int_matmul, integer_vector, primitive, rref
 from .spaces import (MatSpace, Unit, contains, integer_sweep, invertible_points, nonzero_sweep,
                      sym_pairs, symmetric_rows, unit_point, unvectorize)
 
@@ -74,25 +77,30 @@ def jordan_closure(space: MatSpace) -> Echelon:
     closed under the product, in ``sym_pairs`` coordinates: its ``rank`` is
     the closure's dimension, and ``int_rows`` or ``rows`` its reduced basis.
 
-    A worklist over that one growing echelon: each element (the integer basis
-    first) is multiplied once with itself and each element before it, as 2s
-    times the product, which is adjoined; a vector that joins the span
-    becomes a new element over its content, kept as integer rows.  Stops
-    early at all of S^n.
+    A worklist over one growing echelon, a ``copy`` of the space's own (which
+    does not grow).  The elements are the primitive B'_k for every k but
+    drop, the first index on which the unit U has a nonzero coordinate t_drop,
+    then each vector that joins the span, over its content, kept as integer
+    rows.  Each element is multiplied once with itself and each element
+    before it, as 2s times the product, which is adjoined.  No product with U
+    or B_drop is formed: span(U, B_k : k != drop) is the space and U * X = X,
+    so B_drop * X = (X - sum_(k != drop) t_k B_k * X) / t_drop already lies
+    in the span the worklist builds.  Stops early at all of S^n.
     """
-    q, _ = unit_point(space).inverse
+    unit = unit_point(space)
+    q, _ = unit.inverse
     n = space.n
     pairs = sym_pairs(n)
-    ech = Echelon(len(pairs))
-    elements = []  # rows of primitive integer matrices, in the order they joined
+    ech = space.echelon.copy()
+    drop = next(k for k, c in enumerate(unit.coords) if c)
+    # rows of primitive integer matrices: the B'_k but B'_drop, then products as they joined
+    elements = [symmetric_rows(n, primitive([b[i][j] for i, j in pairs], False))
+                for k, b in enumerate(space.integer_basis()[0]) if k != drop]
 
     def grow(vec: List[int]) -> None:
         if ech.adjoin(vec) is not None:
-            g = math.gcd(*vec)
-            elements.append(symmetric_rows(n, [x // g for x in vec]))
+            elements.append(symmetric_rows(n, primitive(vec, False)))
 
-    for b in space.integer_basis()[0]:
-        grow([b[i][j] for i, j in pairs])
     done = 0
     while done < len(elements) and ech.rank < len(pairs):
         xq = int_matmul(elements[done], q)  # Q is symmetric: its rows are its columns

@@ -20,10 +20,11 @@ primitive rows are formed by back-substitution only when read.  ``rref``
 adjoins a matrix's rows, integer or cleared of denominators,
 ``integer_inverse`` the rows [M' | d I] of a square matrix M = M' / d,
 ``det_bareiss`` a square matrix's rows (its determinant is the last pivot
-entry, signed and over the denominators), and ``jordan_closure`` products as
-it finds them.  There is one linear solve, ``integer_inverse``: coordinates
-over independent rows A are those of v_P A_P^-1 on A's pivot columns P
-(``express_in_rows``, ``spaces.MatSpace.coordinates``).
+entry, signed and over the denominators), and ``jordan_closure``, on a
+``copy`` of a space's echelon, products as it finds them.  There is one
+linear solve, ``integer_inverse``: coordinates over independent rows A are
+those of v_P A_P^-1 on A's pivot columns P (``express_in_rows``,
+``spaces.MatSpace.coordinates``).
 
 Characteristic polynomials and adjugates come from Faddeev-LeVerrier (n -
 1 matrix products, exact divisions by 1..n).  ``int_faddeev_leverrier``
@@ -226,6 +227,15 @@ class Echelon:
             self._rows = [[Fraction(x, row[p]) for x in row] for row, p in zip(self.int_rows, self.pivots)]
         return self._rows
 
+    def copy(self) -> "Echelon":
+        """An echelon of the same rows that grows apart from this one.  The
+        forward rows are shared, as no row is rewritten once appended, and
+        no reduced row is carried over."""
+        ech = Echelon(self.cols)
+        ech.forward, ech.order, ech.pivots = list(self.forward), list(self.order), list(self.pivots)
+        ech.d = self.d
+        return ech
+
     def kernel_basis(self) -> List[List[Fraction]]:
         basis = []
         for f in (j for j in range(self.cols) if j not in self.pivots):
@@ -325,11 +335,11 @@ def integer_inverse(rows: Sequence[Sequence[int]],
                     scale: int = 1) -> Optional[Tuple[List[List[int]], int]]:
     """(Q, s) with M^-1 = Q / s in lowest terms (integer Q, s > 0,
     gcd(s, Q) = 1) for the square matrix M = M' / scale, M' given by its
-    integer rows, or None when it is singular: the one invertibility decision
-    and the one linear solve.  The rows [M' | scale I] of scale [M | I] are
-    adjoined to one echelon; M is regular when its n pivots all lie in the
-    left block, and then the reduced rows are e [I | M^-1], e the echelon's
-    ``d``, so the right block over e is M^-1, divided once by its gcd with e."""
+    integer rows, or None when it is singular: the one linear solve.  The
+    rows [M' | scale I] of scale [M | I] are adjoined to one echelon; M is
+    regular when its n pivots all lie in the left block, and then the
+    reduced rows are e [I | M^-1], e the echelon's ``d``, so the right block
+    over e is M^-1, divided once by its gcd with e."""
     n = len(rows)
     aug = Echelon(2 * n)
     aug.extend(list(row) + [scale if i == j else 0 for j in range(n)]

@@ -455,13 +455,14 @@ def congruence_transform(space: MatSpace, p: Mat) -> MatSpace:
     """Basis-wise map B -> P^T B P for an invertible n x n P, on integers:
     with P = P' / e (one lcm), the P'^T B'_k P' over e^2 L, divided by the
     content of their entries and e^2 L, are the integer basis that the
-    Fraction images would clear to, independent as P is invertible."""
+    Fraction images would clear to, independent as P is invertible.  P is
+    invertible when P' has rank n on an ``Echelon``, else SINGULAR_P."""
     n = space.n
     if (p.rows, p.cols) != (n, n):
         raise PreconditionError("SIZE_MISMATCH", f"P is {p.rows} x {p.cols}, the space in S^{n}")
     flat, e = integer_vector([x for row in p.data for x in row])
     rows = [flat[i * n:(i + 1) * n] for i in range(n)]
-    if integer_inverse(rows) is None:
+    if _rank(rows) < n:
         raise PreconditionError("SINGULAR_P", "congruence by a singular matrix")
     cols = list(zip(*rows))  # the rows of P'^T; a symmetric B' is its own columns
     images = [int_matmul(int_matmul(cols, b), cols) for b in space.integer_basis()[0]]

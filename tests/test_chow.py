@@ -343,6 +343,12 @@ class TestSampledSpan:
         for sp in (net_rank8(), nets_L3()):
             assert all(sampled_reciprocal_span(sp, k) <= k for k in range(6))
 
+    def test_a_negative_count_is_refused(self):
+        for k in (-1, -5):
+            with pytest.raises(PreconditionError) as err:
+                sampled_reciprocal_span(canonical("s4/1a"), k)
+            assert err.value.code == "NEGATIVE_TRIALS"
+
 
 def stacked_adjugate_span(space, trials):
     """Rank of stacked adjugates at the first ``trials`` sweep points with a

@@ -4,6 +4,7 @@ from pathlib import Path
 
 import pytest
 
+from jordanet import jordan
 from jordanet.catalog import canonical, catalog_ids
 from jordanet.classify import NET_LABELS
 from jordanet.errors import PreconditionError
@@ -322,6 +323,32 @@ class TestClosure:
             assert ech.rank == closure_space(ech, sp.n).m >= sp.m
             grew += ech.rank > sp.m
         assert grew == 3
+
+    def test_no_product_with_the_unit_or_the_dropped_element(self, monkeypatch):
+        # the worklist multiplies the B_k with k != drop and what joins: for
+        # <I, D>, D = diag(1, 2, 3), that is D * D, D^2 * D and D^2 * D^2; a
+        # line spanned by an invertible matrix forms no product.  The space's
+        # own echelon does not grow
+        calls = []
+        real = jordan._doubled_product
+        monkeypatch.setattr(jordan, "_doubled_product", lambda *a: calls.append(1) or real(*a))
+        sp = make_space(3, [Mat.identity(3), diag(1, 2, 3)])
+        assert jordan_closure(sp).rank == 3 and len(calls) == 3
+        assert sp.echelon.rank == 2
+        calls.clear()
+        line = make_space(3, [Mat.from_ints([[2, 1, 0], [1, 2, 0], [0, 0, 5]])])
+        assert jordan_closure(line).rank == 1 and calls == []
+
+    def test_the_dropped_element_is_the_units_first_nonzero_coordinate(self):
+        # each unit has coordinate 0 on B_0, so B_0 must be multiplied: the
+        # worklist without it would keep the closures at dimension 2
+        for sp in (make_space(3, [diag(1, 2, 3), Mat.identity(3)]),
+                   make_space(3, [diag(1, -1, 0), diag(1, 2, 4)])):  # unit B_1, a sweep point
+            unit = unit_point(sp)
+            assert unit.coords[0] == 0 and unit.coords[1] != 0
+            clo = closure_space(jordan_closure(sp), sp.n)
+            assert clo.m == 3 < sym_dim(3)
+            assert [vectorize(b) for b in clo.basis] == closure_by_rounds(sp, unit_mat(unit))
 
 
 def closure_by_rounds(space, u):

@@ -407,6 +407,22 @@ class TestGrowingEchelon:
                 assert rref_by_fractions(drawn).rank == ncols
                 assert rref_by_fractions(drawn[:-1]).rank == ncols - 1
 
+    def test_a_copy_grows_apart_from_its_source(self):
+        rng = SplitMix64(1992)
+        for ncols in range(2, 8):
+            rows = random_integer_rows(rng, 2 * ncols, ncols)
+            src = Echelon(ncols)
+            src.extend(rows[:ncols // 2])
+            src.ff_rows  # read before the copy: not carried over
+            before = (list(src.forward), list(src.order), list(src.pivots), src.d, src.rows)
+            ech = src.copy()
+            assert ech._ff is None and ech._int_rows is None and ech._rows is None
+            assert all(a is b for a, b in zip(ech.forward, src.forward))
+            ech.extend(rows[ncols // 2:])
+            assert (src.forward, src.order, src.pivots, src.d, src.rows) == before
+            want = rref_by_fractions(rows)
+            assert (ech.rank, ech.pivots, ech.rows) == (want.rank, want.pivots, want.rows)
+
     def test_empty_echelon(self):
         ech = Echelon(3)
         assert (ech.rank, ech.rows, residue(ech, [0, 6, -4])) == (0, [], [0, 3, -2])

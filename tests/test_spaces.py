@@ -426,8 +426,8 @@ class TestIntegerSweep:
             got = spaces._sweep_for_unit(MatSpace(sp.n, sp.basis))
             assert (unit_mat(got), got.coords) == sweep_for_unit_by_fractions(MatSpace(sp.n, sp.basis))
             assert got.coords not in itertools.islice(integer_sweep(sp.m), 6)
+        image = MatSpace(4, sample_congruent(canonical("s4/3b1"), 1).basis)  # ranks P, not a sweep point
         ranked.clear()
-        image = MatSpace(4, sample_congruent(canonical("s4/3b1"), 1).basis)
         assert spaces._sweep_for_unit(image).coords == (1, 0, 0)  # the 9th sweep point
         assert len(ranked) == 5
 
