@@ -12,9 +12,11 @@ monomials by ``exact.Packing``.  It reduces each degree before it
 multiplies (Lazard 1983; Faugere's F4, 1999): the forms of degree d are
 reduced once on a ``linalg.Echelon`` over the monomials of degree d, and
 only its primitive reduced rows are multiplied up to degree D, as sparse
-rows ranked by ``_sparse_rank``.  Multiplying by a monomial is linear, so
-the span is that of the multiples of every form (timings at
-``MAX_MACAULAY_CELLS``).
+rows ranked by ``_sparse_rank``.  A part with at least as many forms as
+monomials is first ranked mod p (``modular.spans``): a full rank there
+proves that it spans S_d, and the echelon runs only when it falls short.
+Multiplying by a monomial is linear, so the span is that of the multiples
+of every form (timings at ``MAX_MACAULAY_CELLS``).
 
 The catalog polynomials are data, not derived objects: they are certificate
 polynomials for specific loci (repeated-eigenvalue cubics, the Jordan-net
@@ -71,7 +73,12 @@ class Certificate(NamedTuple):
 #: degree 4 (1980 x 330) 73 s -> 8 ms.  Rank-deficient parts cost the most:
 #: the rank-one system of a dense 7-dimensional subspace of S^4 at degree 4
 #: (588 x 210, rank 202) 4.0-6.1 s -> 2.2-3.1 s.  Degree 30 of the quadrics
-#: (8990 x 5456), refused, now takes 0.09 s.
+#: (8990 x 5456), refused, now takes 0.09 s.  A part that spans S_d is
+#: decided mod p, with no exact echelon: in a fresh process the degree-2
+#: certificate of the 406 rank-one quadrics of a dense 20-dimensional
+#: subspace of S^8 (406 x 210) takes 0.29 s, against 5.3 s on the echelon,
+#: and of a dense 14-dimensional subspace of S^7 (231 x 105) 0.14 s against
+#: 0.50 s.  The bound counts cells, not the cost of either elimination.
 MAX_MACAULAY_CELLS = 1_000_000
 
 
@@ -96,13 +103,17 @@ def macaulay_emptiness(system: Sequence[Dict[tuple, int]], degree: int,
     multiples of degree D in k variables, and there are C(k + D - 1, D)
     columns.  Past ``MAX_MACAULAY_CELLS`` (counting at least one row) the
     test is refused with TOO_LARGE.  Otherwise the forms of each degree
-    d <= D are packed and reduced on one ``linalg.Echelon`` over the
-    C(k + d - 1, d) monomials of degree d, until they span them, and each of
-    its primitive reduced rows (``int_rows``) times each monomial of degree
-    D - d is one sparse row, its packed monomial keys shifted by the
-    multiplier's.  A reduced row holds its pivot and free columns alone, and
-    a part that spans all of S_d gives single monomials, with no reduced
-    rows formed.
+    d <= D are packed as dense rows over the C(k + d - 1, d) monomials of
+    degree d.  A part with at least as many forms as monomials is first
+    ranked mod p (``modular.spans``, imported when this function runs):
+    the rank over Z/p never exceeds the rank over Q, so a full rank proves
+    that the part spans S_d.  Otherwise, or when that rank falls short,
+    the forms are reduced on one ``linalg.Echelon``, until they span S_d,
+    and each of its primitive reduced rows (``int_rows``) times each
+    monomial of degree D - d is one sparse row, its packed monomial keys
+    shifted by the multiplier's.  A reduced row holds its pivot and free
+    columns alone, and a part that spans all of S_d gives single monomials,
+    by either route, with no reduced rows formed.
     ``_sparse_rank`` ranks the rows, degree by degree, and stops drawing
     them at full column rank.
     """
@@ -134,21 +145,28 @@ def macaulay_emptiness(system: Sequence[Dict[tuple, int]], degree: int,
     for p, d in kept:
         parts.setdefault(d, []).append(p)
 
+    from . import modular
+
     def multiples():
         for d, forms in sorted(parts.items()):
             keys = [packing.key(mono) for mono in monomials(k, d)]
             col = {key: j for j, key in enumerate(keys)}
-            ech = Echelon(len(keys))
-            for p in forms:  # packed only until the part spans S_d
-                if ech.rank == len(keys):
-                    break
-                row = [0] * len(keys)
-                for mono, c in p.items():
-                    row[col[packed[mono]]] = c
-                ech.adjoin(row)
+
+            def rows():  # drawn only until the part spans S_d
+                for p in forms:
+                    row = [0] * len(keys)
+                    for mono, c in p.items():
+                        row[col[packed[mono]]] = c
+                    yield row
+
+            spans = len(forms) >= len(keys) and modular.spans(rows(), len(keys))
+            if not spans:
+                ech = Echelon(len(keys))
+                ech.extend(rows())
+                spans = ech.rank == len(keys)
             shifts = [packing.key(mult) for mult in monomials(k, degree - d)]
             # the reduced rows of a part that spans S_d are its monomials
-            reduced = ([[(key, 1)] for key in keys] if ech.rank == len(keys) else
+            reduced = ([[(key, 1)] for key in keys] if spans else
                        [[(key, c) for key, c in zip(keys, row) if c] for row in ech.int_rows])
             for terms in reduced:
                 for shift in shifts:

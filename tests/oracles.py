@@ -25,6 +25,10 @@ that the tests can compare the two:
   rows themselves come from ``macaulay_rows_by_fractions``, and
   ``rank_one_locus_certificate_by_mpoly`` sweeps it over the MPoly rank-one
   minors;
+- ``macaulay_emptiness_by_exact_parts``: the Macaulay span test with every
+  degree part reduced on the exact ``Echelon`` (the package first ranks a
+  part with at least as many forms as monomials mod p, ``modular.spans``,
+  and runs the echelon only when that rank falls short of full span);
 - ``plucker_by_minors``: one determinant per maximal minor of the Fraction
   coordinate rows (``coordinate_rows``; the package takes the integer minors
   of the vectorized B' layer by layer, those of the first k rows on every
@@ -208,6 +212,7 @@ from jordanet.exact import (
 )
 from jordanet.jordan import radical, structure_constants
 from jordanet.linalg import (
+    Echelon,
     Mat,
     det,
     frac,
@@ -235,7 +240,7 @@ from jordanet.spaces import (
     unvectorize,
     vectorize,
 )
-from jordanet.varieties import rank_one_locus_certificate
+from jordanet.varieties import _sparse_rank, rank_one_locus_certificate
 
 
 # -- the polynomial ring ------------------------------------------------------
@@ -727,6 +732,39 @@ def macaulay_rows_by_fractions(polys, degree: int, vars) -> tuple:
                 row[col_index[tuple(a + b for a, b in zip(exps, mult))]] = coeff
             rows.append(row)
     return rows, len(cols)
+
+
+def macaulay_emptiness_by_exact_parts(system, degree: int, vars=None) -> tuple:
+    """(kind, span_rank, span_target) of ``varieties.macaulay_emptiness`` on
+    an integer system of homogeneous forms: each degree part's forms reduced
+    on one ``Echelon`` over the monomials of that degree, and each of its
+    primitive reduced rows times each monomial of the missing degree ranked
+    by ``varieties._sparse_rank``."""
+    vars = tuple(sorted({v for p in system for mono in p for v, _ in mono} if vars is None
+                        else vars))
+    k, parts = len(vars), {}
+    for p in system:
+        d = sum(e for _, e in next(iter(p)))
+        if d <= degree:
+            parts.setdefault(d, []).append(p)
+    packing = Packing(k, degree)
+    unit = dict(zip(vars, packing.units))
+    rows = []
+    for d, forms in sorted(parts.items()):
+        keys = [packing.key(mono) for mono in monomials(k, d)]
+        col = {key: j for j, key in enumerate(keys)}
+        ech = Echelon(len(keys))
+        for p in forms:
+            row = [0] * len(keys)
+            for mono, c in p.items():
+                row[col[sum(e * unit[v] for v, e in mono)]] = c
+            ech.adjoin(row)
+        shifts = [packing.key(mult) for mult in monomials(k, degree - d)]
+        rows += [{key + shift: c for key, c in zip(keys, row) if c}
+                 for row in ech.int_rows for shift in shifts]
+    target = math.comb(k + degree - 1, degree) if k else int(degree == 0)
+    rank = _sparse_rank(rows, target)
+    return ("CERTIFIED_EMPTY" if rank == target else "UNKNOWN"), rank, target
 
 
 def rank_one_locus_certificate_by_mpoly(space) -> tuple:

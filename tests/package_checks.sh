@@ -120,7 +120,7 @@ python -c "import jordanet.cli, sys; sys.exit('dataclasses' in sys.modules)"
 # CLI loads none of the layers a command imports only when it runs them (the polynomial
 # layer and the seeded generator among them), and the console script's analyze of a
 # space that is not closed prints its golden bytes
-PYTHONDONTWRITEBYTECODE=1 python -c 'import jordanet.cli, sys; sys.exit(any(f"jordanet.{m}" in sys.modules for m in ("catalog", "chow", "classify", "exact", "prng", "varieties", "verify")))'
+PYTHONDONTWRITEBYTECODE=1 python -c 'import jordanet.cli, sys; sys.exit(any(f"jordanet.{m}" in sys.modules for m in ("catalog", "chow", "classify", "exact", "modular", "prng", "varieties", "verify")))'
 PYTHONDONTWRITEBYTECODE=1 jordanet analyze catalog://dim4/L2flip --json > analyze_flip_cold.json
 python - "$tests/data/cli_goldens.json" > analyze_flip_golden.json <<'PY'
 import json, sys
@@ -254,6 +254,28 @@ printf 'x*y - z^2\nx^2 - w*y\n' > integer.txt
 jordanet emptiness rational.txt --degree 6 --json > emptiness_rational.json
 jordanet emptiness integer.txt --degree 6 --json > emptiness_integer.json
 python -c 'import json, sys; a, b = (json.load(open(f)) for f in ("emptiness_rational.json", "emptiness_integer.json")); sys.exit(a["span_rank"] != b["span_rank"] or (a["span_rank"], a["span_target"]) != (60, 84))'
+# the 21 rank-one minors of a dense 4-dimensional subspace of S^4 span all 10 quadrics,
+# which their rank mod 134217689 proves; times that prime they have rank 0 mod it, so
+# the exact echelon answers, and both certify at degree 2 with span rank 10
+for scale in 1 134217689; do
+  python - "$scale" > "rank_one_$scale.txt" <<'PY'
+import sys
+from jordanet.exact import integer_poly
+from jordanet.linalg import Mat
+from jordanet.prng import SplitMix64
+from jordanet.spaces import make_space
+from jordanet.varieties import rank_one_system
+r, scale = SplitMix64(49), int(sys.argv[1])
+dense = lambda: [[r.int_between(-3, 3) for _ in range(4)] for _ in range(4)]
+space = make_space(4, [Mat.from_ints([[u[min(i, j)][max(i, j)] for j in range(4)] for i in range(4)])
+                       for u in (dense() for _ in range(4))])
+for p in rank_one_system(space):
+    print(" + ".join(f"{scale * c}*" + "*".join(f"{v}^{e}" for v, e in mono)
+                     for mono, c in integer_poly(str(p))[0].items()))
+PY
+  jordanet emptiness "rank_one_$scale.txt" --degree 2 --json > "emptiness_rank_one_$scale.json"
+done
+python -c 'import json, sys; a, b = (json.load(open(f"emptiness_rank_one_{s}.json")) for s in (1, 134217689)); sys.exit((a["kind"], a["span_rank"]) != (b["kind"], b["span_rank"]) or (a["kind"], a["span_rank"]) != ("CERTIFIED_EMPTY", 10))'
 # Macaulay certificates from the reduced basis of each degree part: the mixed
 # degrees {x*y, x^3 + y^3} span 3 of the 4 cubics at degree 3 and all 5 quartics
 # at degree 4

@@ -400,9 +400,10 @@ class TestImports:
         assert proc.returncode == 0, proc.stderr
 
     #: the layers a command imports only when it runs them: the polynomial
-    #: layer, the squarefree decomposition and the seeded generator among them
-    DEFERRED = ("catalog", "chow", "classify", "exact", "prng", "univariate", "varieties",
-                "verify")
+    #: layer, the squarefree decomposition, the span test mod p and the
+    #: seeded generator among them
+    DEFERRED = ("catalog", "chow", "classify", "exact", "modular", "prng", "univariate",
+                "varieties", "verify")
 
     def deferred_loaded(self, code):
         """The layers of DEFERRED that a fresh process holds after ``code``."""
@@ -461,6 +462,16 @@ class TestImports:
     def test_limit_of_a_degeneration_loads_the_polynomial_layer(self):
         code = self.main_code(["limit", "catalog://degen/1a-2a1", "--json"])
         assert "exact" in self.deferred_loaded(code)
+
+    def test_emptiness_loads_the_span_test_mod_p(self, tmp_path):
+        # the Macaulay test imports modular when it runs; plucker, which reads
+        # certificate polynomials from varieties too, does not
+        f = tmp_path / "system.txt"
+        f.write_text("x*y - z^2\nx^2\ny^2\nz^2\n")
+        code = self.main_code(["emptiness", str(f), "--degree", "2", "--json"])
+        assert self.deferred_loaded(code) == {"exact", "modular", "univariate", "varieties"}
+        code = self.main_code(["plucker", "catalog://s4/3b1", "--json"])
+        assert "modular" not in self.deferred_loaded(code)
 
     def test_chow_loads_chow_alone(self, tmp_path):
         f = tmp_path / "net.json"

@@ -6,13 +6,14 @@ import pytest
 
 from jordanet.catalog import canonical, catalog_ids
 from jordanet.errors import InputError, PreconditionError
-from jordanet import cli, varieties
+from jordanet import cli, modular, varieties
 from jordanet.exact import integer_poly, monomials, parse_poly, poly_eval
 from jordanet.linalg import Mat, frac_str, inverse, rref
 from jordanet.prng import SplitMix64
 from jordanet.spaces import (
     MatSpace,
     PluckerVector,
+    generic_names,
     make_space,
     plucker,
     rank_one_pencil,
@@ -34,6 +35,7 @@ from oracles import (
     constant_value,
     is_constant,
     lift,
+    macaulay_emptiness_by_exact_parts,
     macaulay_rank_by_fractions,
     min_rank_bounds_by_fractions,
     mpoly_from_terms,
@@ -213,6 +215,55 @@ class TestMacaulay:
         assert kinds == {"CERTIFIED_EMPTY", "UNKNOWN"}
         assert min(seen.values()) >= 3, seen
 
+    def test_span_mod_p_matches_the_exact_parts(self, monkeypatch):
+        # a part with at least as many forms as monomials is first ranked mod
+        # P, and the exact echelon runs only when that rank falls short.
+        # Seeded systems at D = 2 and 3: the rank-one minors of dense
+        # subspaces of S^4..S^6 (those of k = 6 in S^4 span 20 of the 21
+        # quadrics), the same times P (rank 0 mod P, so the exact echelon
+        # answers), and forms of rational coefficients in mixed degrees, each
+        # part with fewer, as many or more forms than monomials, sometimes
+        # one of them a combination of two others
+        answers = []
+        spans = modular.spans
+        monkeypatch.setattr(modular, "spans",
+                            lambda rows, cols: answers.append(spans(rows, cols)) or answers[-1])
+        rng = SplitMix64(4904)
+        systems = []
+        for n, k in ((4, 3), (4, 4), (4, 6), (5, 4), (5, 5), (6, 4), (6, 6)):
+            space = make_space(n, [Mat.from_ints([[m[min(i, j)][max(i, j)] for j in range(n)]
+                                                  for i in range(n)])
+                                   for m in (random_rows(rng, n, n) for _ in range(k))])
+            system = integer_system(rank_one_system(space))
+            systems += [(system, generic_names(k)),
+                        ([{mono: modular.P * c for mono, c in p.items()} for p in system],
+                         generic_names(k))]
+        for case in range(16):
+            names = ("w", "x", "y", "z")[: 2 + case % 3]
+            forms = []
+            for d in sorted({rng.int_between(1, 3) for _ in range(2)}):
+                cols = list(monomials(len(names), d))
+                part = []
+                for _ in range(max(1, len(cols) + rng.int_between(-2, 1))):
+                    terms = {mono: Fraction(rng.int_between(-9, 9), rng.int_between(1, 4))
+                             for mono in cols}
+                    if not any(terms.values()):
+                        terms[cols[0]] = Fraction(1)
+                    part.append(mpoly_from_terms(names, terms))
+                if case % 2 and len(part) > 1:
+                    part.append(part[0].scale(Fraction(-2, 3)) + part[1])
+                forms += part
+            systems.append((integer_system(forms), names))
+        kinds = set()
+        for system, vars in systems:
+            for degree in (2, 3):
+                cert = macaulay_emptiness(system, degree, vars=vars)
+                assert (cert.kind, cert.span_rank, cert.span_target) == \
+                    macaulay_emptiness_by_exact_parts(system, degree, vars), (system, degree)
+                kinds.add(cert.kind)
+        assert kinds == {"CERTIFIED_EMPTY", "UNKNOWN"}
+        assert answers.count(True) >= 10 and answers.count(False) >= 10
+
     def test_files_match_the_fraction_rows(self, tmp_path, capsys):
         # seeded files of rational coefficients, each term split into two
         # with reordered factors (a repeated monomial), a pair of terms that
@@ -245,6 +296,10 @@ class TestMacaulay:
         with pytest.raises(PreconditionError) as err:
             macaulay_emptiness(system, 3)
         assert err.value.code == "TOO_LARGE" and "36 x 364" in str(err.value)
+
+
+def random_rows(rng, count, cols):
+    return [[rng.int_between(-3, 3) for _ in range(cols)] for _ in range(count)]
 
 
 def rational_system_text(rng, vars):
