@@ -13,12 +13,13 @@
 
 Space files use the JSON schema documented in the README; ``catalog://<id>``
 resolves to a built-in reference space.  ``--json`` prints a byte-stable
-report (fixed key order, no timing); exit codes are 0 success, 1
-verification failure, 2 parse error, 3 precondition violation (a result
-with a number past Python's 4300-digit conversion limit, a refused
-TOO_LARGE computation and running out of memory among them), 4
-internal error (a failed self-check or any other exception, as one ``error:
-INTERNAL`` line).  A stdout closed by its reader exits 3 with one ``error:
+report, no timing, written in one walk (``_write_json``): one-space indent,
+sorted keys, ASCII escapes, the bytes ``json.tool --indent 1 --sort-keys``
+reprints.  Exit codes are 0 success, 1 verification failure, 2 parse
+error, 3 precondition violation (a result with a number past Python's
+4300-digit conversion limit, a refused TOO_LARGE computation and running
+out of memory among them), 4 internal error (a failed self-check or any
+other exception, as one ``error: INTERNAL`` line).  A stdout closed by its reader exits 3 with one ``error:
 OUTPUT_CLOSED`` line.  A report is rendered whole before its first line is
 printed, so an error leaves stdout empty.  ``analyze`` reads reciprocity
 and the closure off the one Jordan test (see ``cmd_analyze``).
@@ -58,25 +59,65 @@ def _resolve_space(token: str, kind: type) -> Union[MatSpace, ParametricBasis]:
     return got
 
 
-def _render_value(v):
-    if isinstance(v, Fraction):
-        return frac_str(v)
-    if isinstance(v, Mat):
-        return [[_render_value(v[i, j]) for j in range(v.cols)] for i in range(v.rows)]
-    if isinstance(v, (list, tuple)):
-        return [_render_value(x) for x in v]
+_quote = json.encoder.encode_basestring_ascii
+
+#: the JSON text of a scalar by its exact type; any other value that is not a
+#: container goes through ``json.dumps`` (a float, a subclass)
+_SCALARS = {str: _quote, int: int.__repr__, bool: lambda v: "true" if v else "false",
+            type(None): lambda v: "null", Fraction: lambda v: _quote(frac_str(v))}
+
+
+def _plain(v):
+    """``json.dumps``'s default: a Fraction as its ``frac_str``, a ``Mat`` as its rows."""
+    return frac_str(v) if isinstance(v, Fraction) else v.data
+
+
+def _write_json(v, out: list, pad: str) -> None:
+    """Append the ``--json`` text of the container v (a dict, list, tuple or
+    ``Mat``) at indent ``pad`` to out, in one walk: the bytes that
+    ``json.dumps(v, sort_keys=True, indent=1)`` gives once each key is its
+    str(), a Fraction its ``frac_str`` and a ``Mat`` its rows."""
     if isinstance(v, dict):
-        return {str(k): _render_value(x) for k, x in v.items()}
-    return v
+        keyed = {str(k): x for k, x in v.items()}
+        items, ends = [(_quote(k) + ": ", keyed[k]) for k in sorted(keyed)], "{}"
+    else:
+        items, ends = [("", x) for x in (v.data if isinstance(v, Mat) else v)], "[]"
+    if not items:
+        out.append(ends)
+        return
+    inner = pad + " "
+    sep = ends[0] + "\n" + inner
+    for key, x in items:
+        write = _SCALARS.get(type(x))
+        if write is not None:
+            out.append(sep + key + write(x))
+        elif isinstance(x, (dict, list, tuple, Mat)):
+            out.append(sep + key)
+            _write_json(x, out, inner)
+        else:
+            out.append(sep + key + json.dumps(x, default=_plain))
+        sep = ",\n" + inner
+    out.append("\n" + pad + ends[1])
+
+
+def _text_line(key, v) -> str:
+    """A text-mode field: a container as compact JSON, a Fraction as its ``frac_str``."""
+    if isinstance(v, (dict, list, tuple, Mat)):
+        return f"{key}: {json.dumps(v, default=_plain)}"
+    return f"{key}: {frac_str(v) if isinstance(v, Fraction) else v}"
 
 
 def _emit(report: dict, as_json: bool) -> None:
-    rendered = _render_value(report)  # in full before any output: an error prints nothing
+    """Print the report, rendered whole first so that an error prints nothing:
+    with ``as_json`` the one-walk JSON text of ``_write_json``, else a
+    ``key: value`` line (``_text_line``) per field but ``command``."""
     if as_json:
-        print(json.dumps(rendered, sort_keys=True, indent=1))
+        out = []
+        _write_json(report, out, "")
+        text = "".join(out)
     else:
-        print("\n".join(f"{key}: {json.dumps(v) if isinstance(v, (dict, list)) else v}"
-                        for key, v in rendered.items() if key != "command"))
+        text = "\n".join(_text_line(key, v) for key, v in report.items() if key != "command")
+    print(text)
 
 
 def cmd_analyze(args) -> int:

@@ -7,11 +7,13 @@ Plain space files look like::
 where ``n`` is a JSON integer >= 1 and entries are integers or rational
 strings "p/q"; matrices are full n x n arrays and must be symmetric.  A
 plain file is read straight into the space's integer basis (B', L)
-(``spaces.make_space``): JSON integers stay ints, each string goes
-through ``linalg.frac`` once (its mirror below the diagonal shares it when
-the two raw values are equal and of one JSON type) and stays a Fraction
-only when it is not an integer, and L is the one lcm of those Fractions'
-denominators.  No Fraction matrix is built.  Parametric
+(``spaces.make_space``): a matrix whose entries are all JSON integers is
+kept as it was parsed, its lists those of ``json.loads``.  In any other
+matrix JSON integers stay ints, each string goes through ``linalg.frac``
+once (its mirror below the diagonal shares it when the two raw values are
+equal and of one JSON type) and stays a Fraction only when it is not an
+integer, and L is the one lcm of those Fractions' denominators.  No
+Fraction matrix is built.  Parametric
 families add ``"parametric": true`` (a JSON boolean) and allow entries to
 be integers or polynomial strings in the parameter ``t``, or in the
 variable that ``"param"`` names (a string in the polynomial grammar's name
@@ -23,6 +25,7 @@ arrays must be symmetric, as ``make_space`` checks a plain space's.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from fractions import Fraction
@@ -65,6 +68,9 @@ def _entry_to_powers(value, param: str) -> Dict[int, Fraction]:
 
 
 def parse_space_data(obj: dict) -> Union[MatSpace, ParametricBasis]:
+    """The space or family of a parsed space file (see the module).  An
+    all-int matrix's lists become the space's own, so obj is not to be
+    changed afterwards."""
     if not isinstance(obj, dict):
         raise InputError("PARSE_ERROR", "space file must hold a JSON object")
     n, basis_data = obj.get("n"), obj.get("basis")
@@ -80,25 +86,27 @@ def parse_space_data(obj: dict) -> Union[MatSpace, ParametricBasis]:
         from .exact import NAME
         if not isinstance(param, str) or not NAME.fullmatch(param):
             raise InputError("PARSE_ERROR", f"'param' must be a variable name, got {param!r}")
-    mats = []
+    mats, denominators = [], []
     for raw in basis_data:
         if (not isinstance(raw, list) or len(raw) != n
                 or any(not isinstance(r, list) or len(r) != n for r in raw)):
             raise InputError("PARSE_ERROR", "each basis matrix must be a full n x n array")
         if parametric:
             mats.append([[_entry_to_powers(e, param) for e in row] for row in raw])
+        elif set(map(type, itertools.chain.from_iterable(raw))) == {int}:
+            mats.append(raw)  # all JSON ints (no bool or float): kept as parsed
         else:  # below the diagonal, an entry equal to its mirror and of its JSON type shares it
             rows = []
             for i, line in enumerate(raw):
                 rows.append([rows[j][i] if j < i and e == raw[j][i] and type(e) is type(raw[j][i])
                              else _entry_to_rational(e) for j, e in enumerate(line)])
             mats.append(rows)
+            denominators += (x.denominator for row in rows for x in row if type(x) is Fraction)
     if parametric:
         if any([list(col) for col in zip(*rows)] != rows for rows in mats):
             raise PreconditionError("NOT_SYMMETRIC", "family matrices must be symmetric")
         return ParametricBasis(n, [[rows[i][j] for i, j in sym_pairs(n)] for rows in mats])
-    lcm = math.lcm(*(x.denominator for rows in mats for row in rows for x in row
-                     if type(x) is Fraction))
+    lcm = math.lcm(*denominators)
     if lcm > 1:  # else every entry is an int already
         mats = [[[x * lcm if type(x) is int else x.numerator * (lcm // x.denominator)
                   for x in row] for row in rows] for rows in mats]
@@ -108,7 +116,8 @@ def parse_space_data(obj: dict) -> Union[MatSpace, ParametricBasis]:
 def read_text_file(path: Union[str, Path]) -> str:
     """File contents; an unreadable file is a PARSE_ERROR."""
     try:
-        return Path(path).read_text()
+        with open(path) as f:
+            return f.read()
     except (OSError, UnicodeDecodeError) as exc:
         raise InputError("PARSE_ERROR", f"cannot read {path}: {exc}") from exc
 

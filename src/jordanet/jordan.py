@@ -94,8 +94,8 @@ def jordan_closure(space: MatSpace) -> Echelon:
     ech = space.echelon.copy()
     drop = next(k for k, c in enumerate(unit.coords) if c)
     # rows of primitive integer matrices: the B'_k but B'_drop, then products as they joined
-    elements = [symmetric_rows(n, primitive([b[i][j] for i, j in pairs], False))
-                for k, b in enumerate(space.integer_basis()[0]) if k != drop]
+    elements = [symmetric_rows(n, primitive(v, False))
+                for k, v in enumerate(space.vectors) if k != drop]
 
     def grow(vec: List[int]) -> None:
         if ech.adjoin(vec) is not None:

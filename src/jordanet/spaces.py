@@ -64,21 +64,28 @@ def sym_dim(n: int) -> int:
     return n * (n + 1) // 2
 
 
-def sym_pairs(n: int) -> List[Tuple[int, int]]:
-    """Upper-triangle index pairs in canonical order, 0-based."""
-    return [(i, j) for i in range(n) for j in range(i, n)]
+@functools.cache
+def sym_pairs(n: int) -> Tuple[Tuple[int, int], ...]:
+    """Upper-triangle index pairs in canonical order, 0-based: one tuple per
+    n, kept for the process."""
+    return tuple((i, j) for i in range(n) for j in range(i, n))
 
 
 def vectorize(m: Mat) -> List:
     return [m[i, j] for i, j in sym_pairs(m.rows)]
 
 
+@functools.cache
+def _sym_index(n: int) -> Tuple[Tuple[int, ...], ...]:
+    """Row i holds, for each column j, the place of (min(i, j), max(i, j))
+    in ``sym_pairs(n)``: one table per n, kept for the process."""
+    place = {pair: k for k, pair in enumerate(sym_pairs(n))}
+    return tuple(tuple(place[min(i, j), max(i, j)] for j in range(n)) for i in range(n))
+
+
 def symmetric_rows(n: int, vec: Sequence) -> List[list]:
     """Rows of the symmetric n x n matrix whose upper triangle is vec."""
-    rows = [[None] * n for _ in range(n)]
-    for (i, j), v in zip(sym_pairs(n), vec):
-        rows[i][j] = rows[j][i] = v
-    return rows
+    return [[vec[k] for k in row] for row in _sym_index(n)]
 
 
 def unvectorize(n: int, vec: Sequence) -> Mat:
@@ -91,8 +98,10 @@ class MatSpace:
     matrices ``basis`` are cleared once, or (B', L) is given as ``ints``.
 
     A space never changes once built, so each object derived from it (the
-    Fraction basis, the echelon, the pivot inverse, the unit) is a
-    ``functools.cached_property``, formed on first read.  The layers above
+    Fraction basis, the vectorized B'_k, the echelon, the pivot inverse, the
+    unit) is a ``functools.cached_property``, formed on first read.  The
+    vectorized B'_k (``vectors``) are read by the echelon, the pivot inverse,
+    ``integer_element``, ``plucker`` and the closure.  The layers above
     keep what they derive from a space (``chow.chow_matrix``) in its instance
     dict themselves; this class declares no field for them."""
 
@@ -121,11 +130,16 @@ class MatSpace:
         return self._ints
 
     @functools.cached_property
+    def vectors(self) -> List[List[int]]:
+        """The B'_k vectorized in ``sym_pairs`` order."""
+        pairs = sym_pairs(self.n)
+        return [[b[i][j] for i, j in pairs] for b in self._ints[0]]
+
+    @functools.cached_property
     def echelon(self) -> Echelon:
         """The echelon of the vectorized B'_k, grown rank-only."""
-        pairs = sym_pairs(self.n)
-        ech = Echelon(len(pairs))
-        ech.extend([b[i][j] for i, j in pairs] for b in self._ints[0])
+        ech = Echelon(sym_dim(self.n))
+        ech.extend(self.vectors)
         return ech
 
     @functools.cached_property
@@ -134,9 +148,7 @@ class MatSpace:
         echelon's pivot columns of the vectorized B'_k taken as rows.  A
         vector v of the space is sum_k c_k B'_k exactly when C c = v_P on the
         pivot columns P, so c = R v_P / s."""
-        pairs = sym_pairs(self.n)
-        return integer_inverse([[b[i][j] for b in self._ints[0]]
-                                for i, j in (pairs[p] for p in self.echelon.pivots)])
+        return integer_inverse([[v[p] for v in self.vectors] for p in self.echelon.pivots])
 
     @functools.cached_property
     def unit(self) -> Optional[Unit]:
@@ -156,10 +168,13 @@ class MatSpace:
         return [Fraction(x, d * s) for x in int_matmul([[vi[p] for p in ech.pivots]], r)[0]]
 
     def integer_element(self, coords: Sequence[int]) -> List[List[int]]:
-        """The rows of sum_k c_k B'_k for integer coordinates."""
-        terms = [(c, b) for c, b in zip(coords, self._ints[0]) if c]
-        return symmetric_rows(self.n, [sum(c * b[i][j] for c, b in terms)
-                                       for i, j in sym_pairs(self.n)])
+        """The rows of sum_k c_k B'_k for integer coordinates, summed on the
+        vectorized B'_k."""
+        acc = [0] * sym_dim(self.n)
+        for c, v in zip(coords, self.vectors):
+            if c:
+                acc = [a + c * x for a, x in zip(acc, v)]
+        return symmetric_rows(self.n, acc)
 
     def element(self, coords: Sequence) -> Mat:
         """sum_k c_k B_k for int or Fraction coordinates: with c = c' / d and
@@ -518,19 +533,17 @@ def plucker(space: MatSpace) -> PluckerVector:
     if subsets > MAX_PLUCKER_SUBSETS:
         raise PreconditionError("TOO_LARGE", f"the Pluecker minors would visit {subsets} "
                                 f"column subsets, past {MAX_PLUCKER_SUBSETS}")
-    (basis, lcm), pairs = space.integer_basis(), sym_pairs(n)
     layer: Dict[tuple, int] = {(): 1}  # the minors of the first k rows, k = 0, 1, ..., m
-    for k, b in enumerate(basis):
-        row, below = [b[i][j] for i, j in pairs], layer
-        layer = {}
-        for cols in itertools.combinations(range(len(pairs)), k + 1):
+    for k, row in enumerate(space.vectors):
+        below, layer = layer, {}
+        for cols in itertools.combinations(range(sym_dim(n)), k + 1):
             acc = 0  # Laplace along row k, the last of the k + 1
             for idx, c in enumerate(cols):
                 if row[c]:
                     x = row[c] * below[cols[:idx] + cols[idx + 1:]]
                     acc += -x if (k + idx) % 2 else x
             layer[cols] = acc
-    den = lcm ** m
+    den = space.integer_basis()[1] ** m
     return PluckerVector(n, m, {cols: Fraction(x, den) for cols, x in layer.items()})
 
 

@@ -137,6 +137,15 @@ that the tests can compare the two:
   ``make_space`` (the package parses straight into the integer basis
   (B', L) and forms the Fraction basis only when read).
 
+- ``integer_element_by_sums``: sum_k c_k B'_k as one generator sum per
+  entry over the integer basis (the package sums the vectorized B'_k,
+  ``MatSpace.vectors``, one list per nonzero coordinate).
+
+- ``emit_by_json_dumps``: a report rendered by one walk into plain values
+  (``frac_str`` strings, ``Mat`` rows, str keys) and then written by
+  ``json.dumps(..., sort_keys=True, indent=1)``, or as ``key: value`` lines
+  (the package writes the JSON text in one walk, ``cli._write_json``).
+
 - ``chow_matrix_by_adjugate``: the Chow matrix as the MPoly adjugate of
   the Fraction generic element by cofactors (``adjugate_by_cofactors``, a
   ``det_laplace_by_entries`` each), one ``MPoly.coefficient`` lookup per cell
@@ -189,6 +198,7 @@ recursive dense form of ``squarefree_by_recursive``'s gcds.
 import bisect
 import functools
 import itertools
+import json
 import math
 import re
 from fractions import Fraction
@@ -216,6 +226,7 @@ from jordanet.linalg import (
     Mat,
     det,
     frac,
+    frac_str,
     int_matmul,
     integer_inverse,
     integer_vector,
@@ -837,6 +848,35 @@ def parse_space_data_by_fractions(obj: dict) -> MatSpace:
                          else entry(e) for j, e in enumerate(line)])
         mats.append(Mat(rows))
     return make_space(obj["n"], mats)
+
+
+def integer_element_by_sums(space, coords):
+    """The rows of sum_k c_k B'_k, one generator sum per entry."""
+    terms = [(c, b) for c, b in zip(coords, space.integer_basis()[0]) if c]
+    return [[sum(c * b[i][j] for c, b in terms) for j in range(space.n)] for i in range(space.n)]
+
+
+def _render_value(v):
+    if isinstance(v, Fraction):
+        return frac_str(v)
+    if isinstance(v, Mat):
+        return [[_render_value(v[i, j]) for j in range(v.cols)] for i in range(v.rows)]
+    if isinstance(v, (list, tuple)):
+        return [_render_value(x) for x in v]
+    if isinstance(v, dict):
+        return {str(k): _render_value(x) for k, x in v.items()}
+    return v
+
+
+def emit_by_json_dumps(report: dict, as_json: bool) -> None:
+    """Print a report as the CLI did before its one-walk writer: rendered
+    into plain values by ``_render_value``, then ``json.dumps``."""
+    rendered = _render_value(report)  # in full before any output: an error prints nothing
+    if as_json:
+        print(json.dumps(rendered, sort_keys=True, indent=1))
+    else:
+        print("\n".join(f"{key}: {json.dumps(v) if isinstance(v, (dict, list)) else v}"
+                        for key, v in rendered.items() if key != "command"))
 
 
 def dense_unit_points(space):

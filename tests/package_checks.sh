@@ -18,6 +18,13 @@ if ! python -c 'import jordanet' 2> /dev/null; then
     exit 1
 fi
 
+# --json prints the bytes json.tool reprints with a one-space indent and sorted keys
+for run in "analyze catalog://dim4/L2flip" "chow catalog://netrank8" "plucker catalog://netrank8" \
+           "limit catalog://degen/1a-2a1" "verify --subset intro"; do
+  jordanet $run --json > report.json
+  python -m json.tool --indent 1 --sort-keys report.json > reprinted.json
+  cmp report.json reprinted.json
+done
 jordanet analyze catalog://s4/3b1 --json > analyze.json
 jordanet analyze catalog://s4/3b2 --json > analyze_3b2.json
 jordanet analyze catalog://dim4/L2flip --json > analyze_flip.json

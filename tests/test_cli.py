@@ -15,10 +15,10 @@ from jordanet import chow, classify, cli, exact, jordan, linalg, varieties
 from jordanet.cli import main
 from jordanet.errors import InputError, InternalCheckError, PreconditionError
 from jordanet.io import load_space_file, parse_space_data
-from jordanet.linalg import frac_str
+from jordanet.linalg import Mat, frac_str
 from jordanet.prng import SplitMix64
 from jordanet.spaces import MatSpace
-from oracles import parse_outcome, parse_poly_by_tokens, unit_mat
+from oracles import emit_by_json_dumps, parse_outcome, parse_poly_by_tokens, unit_mat
 
 GOLDENS = json.loads((Path(__file__).parent / "data" / "cli_goldens.json").read_text())
 
@@ -328,6 +328,69 @@ class TestGoldens:
         assert {" ".join(c["argv"]) for c in GOLDENS if c["argv"][0] == "chow"
                 and not c["argv"][1].startswith("catalog://")} == {
             "chow --generic-n3 --json", "chow random_n3_net.json --det-stats --json"}
+
+
+class TestOneWalkWriter:
+    """The report writer against the old render-then-``json.dumps`` route
+    (``oracles.emit_by_json_dumps``), stdout byte for byte in both modes."""
+
+    CRAFTED = [
+        {"command": "crafted", "fraction": Fraction(-7, 3), "whole": Fraction(12),
+         "mat": Mat([[Fraction(1, 2), Fraction(0)], [Fraction(0), Fraction(-5)]]),
+         "tuple": (1, Fraction(3, 4), "x", (None,), Mat([])),
+         "empty": [[], {}, [[]], [{}], {"a": [], "b": {}}, ()],
+         "text": ["caf\u00e9", "\u2603 \U0001f600", "\x00\x01\x1f\x7f", "tab\tnew\nline \"q\" \\"],
+         "flags": [True, False, None], "floats": [1.5, -0.0, 1e300, 0.1, float("inf")],
+         "big": [2 ** 64 + 1, -(2 ** 100), Fraction(2 ** 70, 3)],
+         "nested": {"b": {"z": 1, "a": [Fraction(1, 2)]}, "a": 2, "B": 3, "10": 4, "9": 5},
+         "int_keys": {10: "ten", 9: "nine"}, "\u00e9 key": 1, 7: "int key", (1, 2): "tuple key"},
+        {"command": "only"},
+        {"scalars": [1, "1", Fraction(1), True, 1.0, None], "flag": False, "none": None},
+        {},
+    ]
+
+    @staticmethod
+    def oracle(report, as_json, capsys):
+        emit_by_json_dumps(report, as_json)
+        return capsys.readouterr().out
+
+    @pytest.mark.parametrize("as_json", [True, False], ids=["json", "plain"])
+    @pytest.mark.parametrize("case", GOLDENS, ids=[" ".join(c["argv"][:2]) for c in GOLDENS])
+    def test_golden_commands(self, case, as_json, capsys, tmp_path, monkeypatch):
+        if "space" in case:
+            monkeypatch.chdir(tmp_path)
+            Path(case["argv"][1]).write_text(json.dumps(case["space"]))
+        reports, emit = [], cli._emit
+        monkeypatch.setattr(cli, "_emit", lambda report, j: reports.append(report) or emit(report, j))
+        argv = [a for a in case["argv"] if a != "--json"] + (["--json"] if as_json else [])
+        code, out, _ = run_cli(argv, capsys)
+        assert code == 0 and len(reports) == 1
+        want = self.oracle(reports[0], as_json, capsys)
+        if as_json:
+            assert out == want == case["stdout"]
+        else:  # the text mode's last line is the elapsed time
+            assert out[:len(want)] == want
+            assert re.fullmatch(r"elapsed: \d+\.\d\ds\n", out[len(want):])
+
+    @pytest.mark.parametrize("as_json", [True, False], ids=["json", "plain"])
+    @pytest.mark.parametrize("report", CRAFTED, ids=["crafted", "command", "scalars", "empty"])
+    def test_crafted_reports(self, report, as_json, capsys):
+        cli._emit(report, as_json)
+        got = capsys.readouterr().out
+        assert got == self.oracle(report, as_json, capsys)
+        if as_json:
+            assert got.isascii()
+            assert got == json.dumps(json.loads(got), sort_keys=True, indent=1) + "\n"
+
+    @pytest.mark.parametrize("as_json", [True, False], ids=["json", "plain"])
+    @pytest.mark.parametrize("value", [Fraction(10 ** 5000, 3),
+                                       Mat([[Fraction(1), Fraction(-(10 ** 5000))]])],
+                             ids=["fraction", "mat"])
+    def test_a_rational_past_4300_digits_prints_nothing(self, value, as_json, capsys):
+        with pytest.raises(PreconditionError) as err:
+            cli._emit({"command": "crafted", "a": 1, "z": [value]}, as_json)
+        assert err.value.code == "RESULT_TOO_LARGE"
+        assert capsys.readouterr().out == ""
 
 
 class TestParserBuiltOnce:

@@ -29,6 +29,7 @@ from jordanet.spaces import (
     plucker,
     sample_congruent,
     sym_dim,
+    sym_pairs,
 )
 from oracles import (
     MPoly,
@@ -43,6 +44,7 @@ from oracles import (
     family_minors_by_mpoly,
     generic_element,
     generic_element_by_scale_and_add,
+    integer_element_by_sums,
     integer_sweep_by_filter,
     laplace_minors_by_entries,
     lift,
@@ -1115,6 +1117,100 @@ class TestIntegerParse:
             codes.append(reports[0][0])
         # the last file's 10^3000 entry makes a result past the 4300-digit limit
         assert codes == [0] * 9 + [3]
+
+    def test_all_int_files_as_parsed(self, tmp_path, capsys):
+        # an all-int matrix is kept as parsed: the same space as the Fraction
+        # parse and as the file with every entry an integer string, and the
+        # same analyze --json bytes
+        from jordanet import cli
+
+        path = tmp_path / "space.json"
+        for obj in int_space_files(2050, 16):
+            as_strings = {"n": obj["n"], "basis": [[[str(x) for x in row] for row in b]
+                                                   for b in obj["basis"]]}
+            got, want = parse_space_data(obj), parse_space_data_by_fractions(obj)
+            assert all(b is raw for b, raw in zip(got.integer_basis()[0], obj["basis"]))
+            for other in (want, parse_space_data(as_strings)):
+                assert got.basis == other.basis
+                assert got.integer_basis() == other.integer_basis()
+                assert got.echelon.int_rows == other.echelon.int_rows
+            outs = []
+            for data in (obj, as_strings):
+                path.write_text(json.dumps(data))
+                outs.append((cli.main(["analyze", str(path), "--json"]), capsys.readouterr()))
+            assert outs[0] == outs[1] and outs[0][0] == 0, obj
+
+    @pytest.mark.parametrize("bad, named", [(True, "boolean is not a matrix entry"),
+                                            (1.0, "bad matrix entry 1.0")])
+    def test_a_bool_or_float_in_an_int_matrix_is_refused(self, bad, named):
+        from jordanet.errors import InputError
+
+        for i, j in ((0, 0), (0, 2), (2, 1)):
+            raw = [[1, 2, 3], [2, 4, 5], [3, 5, 6]]
+            raw[i][j] = bad
+            with pytest.raises(InputError) as err:
+                parse_space_data({"n": 3, "basis": [[[1, 0, 0], [0, 1, 0], [0, 0, 1]], raw]})
+            assert err.value.code == "PARSE_ERROR" and str(err.value).endswith(named), (i, j)
+
+    def test_mixed_matrices_share_mirrored_fractions(self, monkeypatch):
+        # an all-int matrix beside one with a mirrored "p/q" pair: the pair
+        # goes through frac once, and the int matrix is scaled by L = 3
+        from jordanet import io
+
+        calls = []
+        monkeypatch.setattr(io, "frac", lambda text: calls.append(text) or frac(text))
+        space = parse_space_data({"n": 2, "basis": [[[1, 2], [2, 0]], [[0, "-7/3"], ["-7/3", 5]]]})
+        assert calls == ["-7/3"]
+        assert space.integer_basis() == ([[[3, 6], [6, 0]], [[0, -7], [-7, 15]]], 3)
+        assert space.basis[1][0, 1] == space.basis[1][1, 0] == Fraction(-7, 3)
+
+
+def int_space_files(seed, count):
+    """Seeded plain space files in S^1..S^5 whose entries are all JSON
+    integers in -5..5, with a 10^30 and a -10^30 entry in every third file."""
+    rng = SplitMix64(seed)
+    out = []
+    while len(out) < count:
+        n = rng.int_between(1, 5)
+        m = rng.int_between(1, min(sym_dim(n), 4))
+        basis = []
+        for _ in range(m):
+            upper = {(i, j): rng.int_between(-5, 5) for i, j in sym_pairs(n)}
+            basis.append([[upper[min(i, j), max(i, j)] for j in range(n)] for i in range(n)])
+        if len(out) % 3 == 2:
+            basis[0][0][0], basis[-1][n - 1][n - 1] = 10 ** 30, -(10 ** 30)
+        obj = {"n": n, "basis": basis}
+        try:
+            parse_space_data_by_fractions(obj)
+        except PreconditionError:  # dependent: draw again
+            continue
+        out.append(obj)
+    return out
+
+
+class TestIndexTables:
+    """The vectorized basis and the index tables, built once: the integer
+    element against one sum per entry, and sym_pairs and the rows that
+    symmetric_rows reads against their comprehensions."""
+
+    def test_integer_element_matches_the_sum_per_entry(self):
+        rng = SplitMix64(5150)
+        spaces_ = rational_spaces(51) + [canonical(cid) for cid in catalog_ids()
+                                         if isinstance(canonical(cid), MatSpace)]
+        for sp in spaces_:
+            draws = [tuple(rng.int_between(-3, 3) for _ in range(sp.m)) for _ in range(3)]
+            draws += [(0,) * sp.m, tuple(-(10 ** 30) if k % 2 else 10 ** 30 for k in range(sp.m)),
+                      tuple(rng.int_between(-5, 0) for _ in range(sp.m))]
+            for coords in draws:
+                assert sp.integer_element(coords) == integer_element_by_sums(sp, coords), coords
+
+    def test_sym_pairs_is_one_tuple_per_n(self):
+        for n in range(1, 13):
+            pairs = [(i, j) for i in range(n) for j in range(i, n)]
+            assert sym_pairs(n) == tuple(pairs)
+            rows = spaces.symmetric_rows(n, range(len(pairs)))  # the place of each entry
+            assert rows == [[pairs.index((min(i, j), max(i, j))) for j in range(n)] for i in range(n)]
+        assert sym_pairs(5) is sym_pairs(5)
 
 
 class TestJsonRoundTrip:
