@@ -1,15 +1,16 @@
 """Command-line front end.
 
-    jordanet analyze  <file|catalog://id> [--json]
-    jordanet chow     <file|catalog://id> [--rank] [--kernel] [--det-stats]
-    jordanet chow     --generic-n3 [--det-stats]
-    jordanet pencil   <file|catalog://id>
-    jordanet copencil <file|catalog://id>
-    jordanet plucker  <file|catalog://id>
-    jordanet limit    <file|catalog://id>
-    jordanet emptiness <polyfile> [--degree D]
-    jordanet verify   [--subset NAME] [--seed N] [--json]
-    jordanet catalog
+    jordanet analyze   <file|catalog://id> [--json]
+    jordanet chow      <file|catalog://id> [--rank] [--kernel] [--det-stats] [--json]
+    jordanet chow      [--generic-n3] [--det-stats] [--json]
+    jordanet pencil    <file|catalog://id> [--json]
+    jordanet copencil  <file|catalog://id> [--json]
+    jordanet plucker   <file|catalog://id> [--json]
+    jordanet limit     <file|catalog://id> [--json]
+    jordanet emptiness <polyfile> [--degree D] [--json]
+    jordanet verify    [--subset NAME] [--seed N] [--json]
+    jordanet catalog   [--json]
+    (NAME: intro, jordan, chow, chow-oracle, classify, tau, pencil, complement, plucker, count)
 
 Space files use the JSON schema documented in the README; ``catalog://<id>``
 resolves to a built-in reference space.  ``--json`` prints a byte-stable
@@ -27,14 +28,14 @@ and the closure off the one Jordan test (see ``cmd_analyze``).
 
 from __future__ import annotations
 
-import argparse
-import functools
 import json
 import os
+import re
 import sys
 import time
 from fractions import Fraction
-from typing import Union
+from types import SimpleNamespace
+from typing import Optional, Sequence, Union
 
 from .errors import InputError, InternalCheckError, PreconditionError
 from .io import load_space_file, read_text_file
@@ -107,10 +108,10 @@ def _text_line(key, v) -> str:
     return f"{key}: {frac_str(v) if isinstance(v, Fraction) else v}"
 
 
-def _emit(report: dict, as_json: bool) -> None:
+def _emit(report: dict, as_json: bool) -> int:
     """Print the report, rendered whole first so that an error prints nothing:
     with ``as_json`` the one-walk JSON text of ``_write_json``, else a
-    ``key: value`` line (``_text_line``) per field but ``command``."""
+    ``key: value`` line (``_text_line``) per field but ``command``; returns 0."""
     if as_json:
         out = []
         _write_json(report, out, "")
@@ -118,6 +119,7 @@ def _emit(report: dict, as_json: bool) -> None:
     else:
         text = "\n".join(_text_line(key, v) for key, v in report.items() if key != "command")
     print(text)
+    return 0
 
 
 def cmd_analyze(args) -> int:
@@ -145,18 +147,13 @@ def cmd_analyze(args) -> int:
         report.update({"jordan": None, "closure_dim": None, "radical_dim": None,
                        "abstract_class": None, "reciprocal_ok": None, "witness": None,
                        "net_class": None})
-        return _done(report, args)
+        return _emit(report, args.json)
     report["unit_coordinates"] = list(unit_point(space).coords)
     ok, witness = is_jordan(space)  # the unit found above, with its coordinates
-    report["jordan"] = ok
-    report["witness"] = None
-    if witness is not None:
-        report["witness"] = {"i": witness.i, "j": witness.j, "residue": witness.residue}
-    report["closure_dim"] = space.m if ok else jordan_closure(space).rank
-    report["reciprocal_ok"] = ok
-    report["radical_dim"] = None
-    report["abstract_class"] = None
-    report["net_class"] = None
+    report.update(jordan=ok, witness=witness and {"i": witness.i, "j": witness.j,
+                                                  "residue": witness.residue},
+                  closure_dim=space.m if ok else jordan_closure(space).rank, reciprocal_ok=ok,
+                  radical_dim=None, abstract_class=None, net_class=None)
     if ok:
         from .classify import (classify_abstract, classify_copencil_S3, classify_net_S4,
                                classify_pencil)
@@ -175,7 +172,7 @@ def cmd_analyze(args) -> int:
             if err.code != "UNRECOGNIZED":
                 raise
             report["net_class"] = "UNRECOGNIZED"
-    return _done(report, args)
+    return _emit(report, args.json)
 
 
 def cmd_chow(args) -> int:
@@ -189,7 +186,7 @@ def cmd_chow(args) -> int:
         det = chow_det_generic(3)
         report["det_degree"] = int(det.total_degree())
         report["det_terms"] = det.term_count()
-        return _done(report, args)
+        return _emit(report, args.json)
     space = _resolve_space(args.space, MatSpace)
     wants_all = not (args.rank or args.kernel or args.det_stats)
     if args.rank or wants_all:
@@ -201,21 +198,21 @@ def cmd_chow(args) -> int:
             raise PreconditionError("UNSUPPORTED_DIM", "--det-stats applies to nets of 3x3 matrices")
         rows, den = chow_matrix(space)
         report["det_value"] = linalg_det(Mat([[Fraction(x, den) for x in row] for row in rows]))
-    return _done(report, args)
+    return _emit(report, args.json)
 
 
 def cmd_pencil(args) -> int:
     from .classify import classify_pencil
     got = classify_pencil(_resolve_space(args.space, MatSpace))
-    return _done({"command": "pencil", "input": args.space,
-                  "kind": got.kind, "label": got.label}, args)
+    return _emit({"command": "pencil", "input": args.space,
+                  "kind": got.kind, "label": got.label}, args.json)
 
 
 def cmd_copencil(args) -> int:
     from .classify import classify_copencil_S3
     space = _resolve_space(args.space, MatSpace)
-    return _done({"command": "copencil", "input": args.space,
-                  "class": classify_copencil_S3(space)}, args)
+    return _emit({"command": "copencil", "input": args.space,
+                  "class": classify_copencil_S3(space)}, args.json)
 
 
 def cmd_plucker(args) -> int:
@@ -228,7 +225,7 @@ def cmd_plucker(args) -> int:
     if space.n == 4 and space.m == 3:
         quadrics = {cid: catalog_eval(cid, pv)[0] for cid in CATALOGS if cid.startswith("plucker")}
         report["certificate_values"] = quadrics
-    return _done(report, args)
+    return _emit(report, args.json)
 
 
 def cmd_limit(args) -> int:
@@ -241,7 +238,7 @@ def cmd_limit(args) -> int:
             report["net_class"] = classify_net_S4(lim)
     except PreconditionError:
         report["net_class"] = None
-    return _done(report, args)
+    return _emit(report, args.json)
 
 
 def cmd_emptiness(args) -> int:
@@ -251,9 +248,9 @@ def cmd_emptiness(args) -> int:
     if not polys:
         raise InputError("PARSE_ERROR", "no polynomials in the input file")
     cert = macaulay_emptiness(polys, args.degree)
-    return _done({"command": "emptiness", "input": args.polyfile, "degree": args.degree,
+    return _emit({"command": "emptiness", "input": args.polyfile, "degree": args.degree,
                   "kind": cert.kind, "span_rank": cert.span_rank,
-                  "span_target": cert.span_target}, args)
+                  "span_target": cert.span_target}, args.json)
 
 
 def cmd_verify(args) -> int:
@@ -286,79 +283,92 @@ def cmd_catalog(args) -> int:
     from .catalog import catalog_ids, catalog_note
     report = {"command": "catalog",
               "entries": {cid: catalog_note(cid) for cid in catalog_ids()}}
-    return _done(report, args)
+    return _emit(report, args.json)
 
 
-def _done(report: dict, args) -> int:
-    _emit(report, getattr(args, "json", False))
-    return 0
+_SYNOPSIS = (__doc__ or "\n\n").split("\n\n")[1]
+_JSON = {"--json": (bool, False)}
+#: each command's positional (None for none), whether it is required, and its long
+#: options as (type, default): a bool is a flag, an int or str option reads one value
+COMMANDS = {
+    "chow": ("space", False, dict.fromkeys(
+        ("--json", "--rank", "--kernel", "--det-stats", "--generic-n3"), (bool, False))),
+    "emptiness": ("polyfile", True, {"--degree": (int, 4), **_JSON}),
+    "verify": (None, False, {"--subset": (str, None), "--seed": (int, 0), **_JSON}),
+    "catalog": (None, False, _JSON),
+    **dict.fromkeys(("analyze", "pencil", "copencil", "plucker", "limit"), ("space", True, _JSON))}
+_NUMBER = re.compile(r"-\d+$|-\d*\.\d+$")  # a value, not an option
 
 
-@functools.cache
-def build_parser() -> argparse.ArgumentParser:
-    """The parser ``main`` uses, built once per process: building one costs
-    about as much as a small ``analyze``."""
-    parser = argparse.ArgumentParser(
-        prog="jordanet",
-        description="Exact analysis of linear subspaces of symmetric matrices: "
-                    "closure under the inverse-twisted product, reciprocal spans, "
-                    "Chow matrices, and classification invariants.",
-    )
-    sub = parser.add_subparsers(dest="cmd", required=True)
+def read_argv(argv: Sequence[str]) -> SimpleNamespace:
+    """The attributes the ``cmd_*`` functions read, from one pass over argv that
+    accepts what the standard library's parser did, with the same meaning: unknown
+    options and extra values fail at the end, ``-h`` once the options after it are read."""
+    cmd, positional, required, options, names = None, "cmd", True, {}, ("-h", "--help")
+    given, extra, pending, i, cut = {}, [], True, 0, [*argv, "--"].index("--")  # values after cut
 
-    def common(p):
-        p.add_argument("space", help="JSON space file or catalog://<id>")
-        p.add_argument("--json", action="store_true", help="byte-stable JSON report")
+    def fail(msg: str):
+        lines = [" ".join(ln.split()) for ln in _SYNOPSIS.splitlines() if cmd in ln.split()[1:2]]
+        usage = "\n       ".join(lines or ["jordanet {" + ",".join(sorted(COMMANDS)) + "} ..."])
+        print(f"usage: {usage}\njordanet{' ' + cmd if cmd else ''}: error: {msg}", file=sys.stderr)
+        raise SystemExit(2)
 
-    p = sub.add_parser("analyze", help="regularity, closure, radical, classification")
-    common(p)
+    def option(tok: str) -> Optional[tuple]:  # None, (option, "=" value or None), or (None, None)
+        name, eq, value = tok.partition("=")
+        if tok[:2] == "--":
+            found = [o for o in names if o == name] or [o for o in names if o.startswith(name)]
+            if len(found) > 1:
+                fail(f"ambiguous option: {tok} could match {', '.join(found)}")
+            if found:
+                return found[0], value if eq else None
+        elif tok[:2] == "-h":  # -h=x or -hx is -h given x, but -hh.. is -h
+            rest = (value if eq else None) if name == "-h" else tok[2:]
+            return "-h", None if rest and not rest.strip("h") else rest
+        if tok[:1] == "-" and tok != "-" and not _NUMBER.match(tok) and " " not in tok:
+            return None, None  # an option no command has
 
-    p = sub.add_parser("chow", help="Chow matrix rank, kernel forms, determinant stats")
-    p.add_argument("space", nargs="?", help="JSON space file or catalog://<id>")
-    p.add_argument("--json", action="store_true")
-    p.add_argument("--rank", action="store_true")
-    p.add_argument("--kernel", action="store_true")
-    p.add_argument("--det-stats", action="store_true")
-    p.add_argument("--generic-n3", action="store_true",
-                   help="statistics of the fully symbolic 3x3 Chow determinant")
-
-    p = sub.add_parser("pencil", help="classify a two-dimensional space")
-    common(p)
-
-    p = sub.add_parser("copencil", help="classify a codimension-two space in S^3")
-    common(p)
-
-    p = sub.add_parser("plucker", help="dual Pluecker coordinates and certificate values")
-    common(p)
-
-    p = sub.add_parser("limit", help="Grassmannian limit of a parametric family at t -> 0")
-    common(p)
-
-    p = sub.add_parser("emptiness", help="Macaulay certificate for a homogeneous system")
-    p.add_argument("polyfile", help="text file, one polynomial per line")
-    p.add_argument("--degree", type=int, default=4)
-    p.add_argument("--json", action="store_true")
-
-    p = sub.add_parser("verify", help="run the built-in verification suite")
-    p.add_argument("--subset", default=None,
-                   help="intro | jordan | chow | chow-oracle | classify | tau | "
-                        "pencil | complement | plucker | count")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--json", action="store_true")
-
-    p = sub.add_parser("catalog", help="list built-in catalog entries")
-    p.add_argument("--json", action="store_true")
-
-    return parser
+    while i < len(argv):
+        tok, i = argv[i], i + 1
+        got = None if i > cut else option(tok)
+        if i - 1 == cut and cmd and pending:  # a -- before the positional is dropped
+            continue
+        if got is None and cmd is None:
+            cmd, (positional, required, options) = tok, COMMANDS.get(tok) or fail(f"no command {tok!r}")
+            names, pending = ("-h", "--help", *options), positional is not None
+        elif got is None and pending:
+            given[positional], pending = tok, False
+            i += i == cut  # a -- right after the positional is dropped too
+        elif got is None or got[0] is None:
+            extra.append(tok)
+        else:  # -h and --help are flags that print the synopsis
+            (name, value), kind = got, options.get(got[0], (bool,))[0]
+            if kind is not bool and value is None and i < cut and option(argv[i]) is None:
+                value, i = argv[i], i + 1
+            if (kind is bool) != (value is None):
+                fail(f"argument {name}: " + ("expected one argument" if value is None
+                                             else f"ignored explicit argument {value!r}"))
+            if name in ("-h", "--help"):
+                list(map(option, argv[i:cut]))  # an ambiguous option after it fails first
+                print(f"usage:\n{_SYNOPSIS}")
+                raise SystemExit(0)
+            try:
+                given[name] = True if kind is bool else kind(value)
+            except ValueError:
+                fail(f"argument {name}: invalid {kind.__name__} value: {value!r}")
+    if pending and required or extra:
+        fail(f"the following arguments are required: {positional}" if pending and required
+             else f"unrecognized arguments: {' '.join(extra)}")
+    values = {o[2:].replace("-", "_"): given.get(o, d) for o, (_, d) in options.items()}
+    return SimpleNamespace(cmd=cmd, **values, **{p: given.get(p) for p in [positional] if p})
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = read_argv(sys.argv[1:] if argv is None else argv)
     t0 = time.time()
     try:
-        # looked up per call: the one cached parser (``build_parser``) holds no functions
+        # looked up per call, so that a replaced ``cmd_*`` function is the one run
         code = globals()[f"cmd_{args.cmd}"](args)
-        if not getattr(args, "json", False) and args.cmd != "verify":
+        if not args.json and args.cmd != "verify":
             print(f"elapsed: {time.time() - t0:.2f}s")
         sys.stdout.flush()  # a closed stdout fails here, not at exit
     except BrokenPipeError:  # the reader left; send what is left to devnull

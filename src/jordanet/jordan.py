@@ -58,11 +58,11 @@ def _doubled_product(xq: Sequence[Sequence[int]], y: Sequence[Sequence[int]],
 
 
 class JordanWitness(NamedTuple):
-    """Failure witness: basis product (i, j) escapes the space."""
+    """Failure witness: basis product (i, j) escapes the space, leaving
+    ``residue`` modulo it."""
 
     i: int
     j: int
-    product: Mat
     residue: Mat
 
 
@@ -210,8 +210,7 @@ def _basis_products(space: MatSpace, unit: Unit) -> Union[JordanStructure, Jorda
             rest, k = ech.eliminate(v)
             if any(rest):
                 memo["basis_products"] = JordanWitness(
-                    i, j, unvectorize(n, [Fraction(x, scale) for x in v]),
-                    unvectorize(n, [Fraction(x, k * scale) for x in rest]))
+                    i, j, unvectorize(n, [Fraction(x, k * scale) for x in rest]))
                 return memo["basis_products"]
             if r is None:
                 r, d = space.pivot_inverse

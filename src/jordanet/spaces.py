@@ -369,7 +369,7 @@ def _sweep_for_unit(space: MatSpace) -> Optional[Unit]:
 
     def unit(tup: Tuple[int, ...]) -> Optional[Unit]:
         rows = space.integer_element(tup)
-        return Unit(tup, rows, lcm) if _rank(rows) == n else None
+        return Unit(tup, rows, lcm) if _full_rank(rows) else None
 
     for k, tup in enumerate(integer_sweep(space.m)):
         if k == _WITNESS_BUDGET:
@@ -411,6 +411,13 @@ def _rank(rows: List[List[int]]) -> int:
     ech = Echelon(len(rows))
     ech.extend(rows)
     return ech.rank
+
+
+def _full_rank(rows: List[List[int]]) -> bool:
+    """Whether the square integer matrix is invertible, decided at the first
+    row that fails to join an ``Echelon`` of the rows before it."""
+    ech = Echelon(len(rows))
+    return all(ech.adjoin(row) is not None for row in rows)
 
 
 def rank_one_pencil(space: MatSpace) -> Union[int, str]:
@@ -477,7 +484,7 @@ def congruence_transform(space: MatSpace, p: Mat) -> MatSpace:
         raise PreconditionError("SIZE_MISMATCH", f"P is {p.rows} x {p.cols}, the space in S^{n}")
     flat, e = integer_vector([x for row in p.data for x in row])
     rows = [flat[i * n:(i + 1) * n] for i in range(n)]
-    if _rank(rows) < n:
+    if not _full_rank(rows):
         raise PreconditionError("SINGULAR_P", "congruence by a singular matrix")
     cols = list(zip(*rows))  # the rows of P'^T; a symmetric B' is its own columns
     images = [int_matmul(int_matmul(cols, b), cols) for b in space.integer_basis()[0]]

@@ -183,6 +183,10 @@ that the tests can compare the two:
   the partition off that polynomial at integer points, one integer
   characteristic polynomial in lam each).  ``rational_spaces`` are seeded
   inputs for the comparisons.
+- ``build_parser``: the CLI's argparse parser, nine subparsers built once
+  per process, and ``argv_outcome``, the attributes or exit code and the
+  output of a reader on one command line (the package reads argv in one
+  pass over the table ``cli.COMMANDS``, ``cli.read_argv``).
 
 ``mpoly_from_terms`` is the checked constructor the tests build polynomials
 with: any variable order, duplicate exponents merged, zeros dropped;
@@ -195,8 +199,11 @@ which the package needs.
 recursive dense form of ``squarefree_by_recursive``'s gcds.
 """
 
+import argparse
 import bisect
+import contextlib
 import functools
+import io
 import itertools
 import json
 import math
@@ -2126,3 +2133,73 @@ def inverse_or_none_by_primitive_rows(m: Mat):
     [M' | diag(d)] is primitive, so (T', D) is already in lowest terms."""
     ech, transform = rref_with_transform_by_primitive_rows(m.data)
     return transform if ech.rank == m.rows else None
+
+
+@functools.cache
+def build_parser() -> argparse.ArgumentParser:
+    """The argparse parser ``cli.main`` used before ``cli.read_argv``, built
+    once per process: building one costs about as much as a small ``analyze``."""
+    parser = argparse.ArgumentParser(
+        prog="jordanet",
+        description="Exact analysis of linear subspaces of symmetric matrices: "
+                    "closure under the inverse-twisted product, reciprocal spans, "
+                    "Chow matrices, and classification invariants.",
+    )
+    sub = parser.add_subparsers(dest="cmd", required=True)
+
+    def common(p):
+        p.add_argument("space", help="JSON space file or catalog://<id>")
+        p.add_argument("--json", action="store_true", help="byte-stable JSON report")
+
+    p = sub.add_parser("analyze", help="regularity, closure, radical, classification")
+    common(p)
+
+    p = sub.add_parser("chow", help="Chow matrix rank, kernel forms, determinant stats")
+    p.add_argument("space", nargs="?", help="JSON space file or catalog://<id>")
+    p.add_argument("--json", action="store_true")
+    p.add_argument("--rank", action="store_true")
+    p.add_argument("--kernel", action="store_true")
+    p.add_argument("--det-stats", action="store_true")
+    p.add_argument("--generic-n3", action="store_true",
+                   help="statistics of the fully symbolic 3x3 Chow determinant")
+
+    p = sub.add_parser("pencil", help="classify a two-dimensional space")
+    common(p)
+
+    p = sub.add_parser("copencil", help="classify a codimension-two space in S^3")
+    common(p)
+
+    p = sub.add_parser("plucker", help="dual Pluecker coordinates and certificate values")
+    common(p)
+
+    p = sub.add_parser("limit", help="Grassmannian limit of a parametric family at t -> 0")
+    common(p)
+
+    p = sub.add_parser("emptiness", help="Macaulay certificate for a homogeneous system")
+    p.add_argument("polyfile", help="text file, one polynomial per line")
+    p.add_argument("--degree", type=int, default=4)
+    p.add_argument("--json", action="store_true")
+
+    p = sub.add_parser("verify", help="run the built-in verification suite")
+    p.add_argument("--subset", default=None,
+                   help="intro | jordan | chow | chow-oracle | classify | tau | "
+                        "pencil | complement | plucker | count")
+    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--json", action="store_true")
+
+    p = sub.add_parser("catalog", help="list built-in catalog entries")
+    p.add_argument("--json", action="store_true")
+
+    return parser
+
+
+def argv_outcome(parse, argv) -> tuple:
+    """(attributes, exit code, stdout, stderr) of ``parse(argv)``: the
+    attributes as a dict when it returns, the code when it raises SystemExit."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            got, code = vars(parse(list(argv))), None
+        except SystemExit as exc:
+            got, code = None, exc.code
+    return got, code, out.getvalue(), err.getvalue()

@@ -25,6 +25,22 @@ for run in "analyze catalog://dim4/L2flip" "chow catalog://netrank8" "plucker ca
   python -m json.tool --indent 1 --sort-keys report.json > reprinted.json
   cmp report.json reprinted.json
 done
+# the command line is read off one table: --help lists the nine commands, a command without
+# its positional exits 2 with its usage on stderr and nothing on stdout, and --degree=2 and
+# the prefix --deg each read as --degree 2
+jordanet --help > help.txt
+for cmd in analyze chow pencil copencil plucker limit emptiness verify catalog; do
+  grep -q "^ *jordanet $cmd " help.txt
+done
+code=0; jordanet analyze > usage_out.txt 2> usage_err.txt || code=$?
+test "$code" = 2 && test ! -s usage_out.txt
+grep -q "^usage: jordanet analyze" usage_err.txt
+printf 'x*y\nx^2\ny^2\n' > degree_system.txt
+jordanet emptiness degree_system.txt --degree 2 --json > degree_apart.json
+jordanet emptiness degree_system.txt --degree=2 --json > degree_equals.json
+jordanet emptiness degree_system.txt --deg 2 --json > degree_prefix.json
+cmp degree_apart.json degree_equals.json
+cmp degree_apart.json degree_prefix.json
 jordanet analyze catalog://s4/3b1 --json > analyze.json
 jordanet analyze catalog://s4/3b2 --json > analyze_3b2.json
 jordanet analyze catalog://dim4/L2flip --json > analyze_flip.json

@@ -2,6 +2,7 @@ import json
 import math
 import os
 import re
+import shlex
 import subprocess
 import sys
 import time
@@ -18,7 +19,8 @@ from jordanet.io import load_space_file, parse_space_data
 from jordanet.linalg import Mat, frac_str
 from jordanet.prng import SplitMix64
 from jordanet.spaces import MatSpace
-from oracles import emit_by_json_dumps, parse_outcome, parse_poly_by_tokens, unit_mat
+from oracles import (argv_outcome, build_parser, emit_by_json_dumps, parse_outcome,
+                     parse_poly_by_tokens, unit_mat)
 
 GOLDENS = json.loads((Path(__file__).parent / "data" / "cli_goldens.json").read_text())
 
@@ -393,18 +395,26 @@ class TestOneWalkWriter:
         assert capsys.readouterr().out == ""
 
 
-class TestParserBuiltOnce:
-    def test_two_calls_build_one_parser(self, capsys):
-        cli.build_parser.cache_clear()
+class TestCommandTable:
+    def test_two_calls_read_one_table(self, monkeypatch, capsys):
+        # the command table is built once, with the module; a call reads it and
+        # builds no parser, and two calls of each command print the golden bytes
+        import argparse
+
+        built = []
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__",
+                            lambda parser, *args, **kwargs: built.append(args))
+        table, entries = cli.COMMANDS, repr(cli.COMMANDS)
         first = {}  # the first golden of each command
         for case in GOLDENS:
             if "space" not in case:
                 first.setdefault(case["argv"][0], case)
         assert len(first) > 1
-        for case in first.values():
-            code, out, _ = run_cli(case["argv"], capsys)
-            assert (code, out) == (0, case["stdout"])
-        assert cli.build_parser.cache_info().misses == 1
+        for _ in range(2):
+            for case in first.values():
+                code, out, _ = run_cli(case["argv"], capsys)
+                assert (code, out) == (0, case["stdout"])
+        assert built == [] and cli.COMMANDS is table and repr(cli.COMMANDS) == entries
 
 
 class TestBuiltOncePerProcess:
@@ -414,17 +424,19 @@ class TestBuiltOncePerProcess:
         from jordanet import catalog, chow, varieties
 
         cached = (catalog.manifest, catalog.canonical, varieties.catalog_polynomials,
-                  chow.chow_det_generic, cli.build_parser)
+                  chow.chow_det_generic)
         for fn in cached:
             fn.cache_clear()
+        table = cli.COMMANDS
         for _ in range(2):
             for argv in (["plucker", "catalog://s4/1a", "--json"],
                          ["chow", "--generic-n3", "--json"]):
                 assert run_cli(argv, capsys)[0] == 0
         # one build per key: the space s4/1a, the four Pluecker quadric
-        # catalogs and chow_det_generic(3)
-        assert [fn.cache_info().misses for fn in cached] == [1, 1, 4, 1, 1]
-        assert [fn.cache_info().currsize for fn in cached] == [1, 1, 4, 1, 1]
+        # catalogs and chow_det_generic(3); the command table is the module's
+        assert [fn.cache_info().misses for fn in cached] == [1, 1, 4, 1]
+        assert [fn.cache_info().currsize for fn in cached] == [1, 1, 4, 1]
+        assert cli.COMMANDS is table
 
     def test_analyze_sweeps_for_the_unit_once(self, monkeypatch, capsys):
         # is_regular, unit_point, is_jordan and the classification all read
@@ -461,6 +473,20 @@ class TestImports:
              "import jordanet.cli, sys; sys.exit('dataclasses' in sys.modules)"],
             capture_output=True, text=True, env=child_env())
         assert proc.returncode == 0, proc.stderr
+
+    def test_the_cli_does_not_import_argparse(self, tmp_path):
+        # the command line is read off the table cli.COMMANDS: importing the
+        # CLI and running analyze and emptiness on files load no argparse
+        space, system = tmp_path / "space.json", tmp_path / "system.txt"
+        space.write_text(json.dumps({"n": 2, "basis": [[[1, 0], [0, 1]], [[0, 1], [1, 0]]]}))
+        system.write_text("x*y\nx^2\ny^2\n")
+        for code in ("import jordanet.cli",
+                     self.main_code(["analyze", str(space), "--json"]),
+                     self.main_code(["emptiness", str(system), "--degree", "2", "--json"])):
+            proc = subprocess.run(
+                [sys.executable, "-c", f"{code}\nimport sys; sys.exit('argparse' in sys.modules)"],
+                capture_output=True, text=True, env=child_env())
+            assert proc.returncode == 0, (code, proc.stderr)
 
     #: the layers a command imports only when it runs them: the polynomial
     #: layer, the squarefree decomposition, the span test mod p and the
@@ -849,6 +875,172 @@ class TestTrials:
             assert exit_.value.code == 2
             out, err = capsys.readouterr()
             assert "--trials" in err and out == ""
+
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def readme_lines():
+    """The argv of each ``jordanet`` command the README shows: a ``$ jordanet``
+    or ``jordanet`` line of a code block without placeholders, or an inline
+    `jordanet ...`; a shell pipe or comment ends it."""
+    text = (ROOT / "README.md").read_text()
+    found = re.findall(r"^(?:\$ )?jordanet ([^<\[\n]*)$", text, re.M)
+    found += re.findall(r"`jordanet ([^`]*)`", text)
+    return [shlex.split(line.split("|")[0].split("#")[0]) for line in found]
+
+
+def benchmark_lines(workdir):
+    """The argv of every op of the four benchmark workloads at seed 0, and of
+    every cold command as listed."""
+    sys.path.insert(0, str(ROOT / "benchmark"))
+    try:
+        import workloads
+    finally:
+        sys.path.remove(str(ROOT / "benchmark"))
+    ops = [op.argv for w in workloads.WORKLOADS.values() for op in w.build(0, workdir, ROOT)]
+    return ops + [argv for argv, _ in workloads.COLD_COMMANDS]
+
+
+#: what ``mutate_argv`` inserts: every long option, then unknown, misspelt and
+#: ambiguous options, prefixes, ``-h`` forms, ``--``, tokens argparse reads as
+#: values (negative numbers, ``-``, blanks) and bad or 5000-digit ints
+ARGV_OPTIONS = ["--json", "--rank", "--kernel", "--det-stats", "--generic-n3", "--degree",
+                "--subset", "--seed"]
+ARGV_NOISE = ["--", "--", "-h", "--help", "--he", "--h", "-hh", "-hx", "-h=h", "-h=", "--help=x",
+              "-h x", "--trials", "--det_stats", "--jsonx", "-x", "-j", "---", "--=", "--=x",
+              "--s", "--d", "--de", "--deg", "--su", "--se", "--json=", "--json=1", "-1", "-.5",
+              "-5\n", "-1x", "-", "", "--x y", "a b", "x", "7", "+3", " 7", "1_0", "\u0663", "1.5",
+              "1" * 5000, "nope", "analyze", "verify", "--subset=--", "--degree=--"]
+
+
+def mutate_argv(rng, argv):
+    """argv after one to three seeded edits: a token dropped, duplicated or
+    swapped with another, an option joined to the next token by ``=`` or cut
+    to a prefix, an option or a noise token inserted, the command replaced."""
+    argv = list(argv)
+    for _ in range(rng.int_between(1, 3)):
+        edit, k = rng.int_between(0, 8), rng.int_between(0, len(argv))
+        at = min(k, len(argv) - 1)
+        if edit == 0 and argv:
+            del argv[at]
+        elif edit == 1 and argv:
+            argv.insert(at, argv[at])
+        elif edit == 2 and argv:
+            j = rng.int_between(0, len(argv) - 1)
+            argv[at], argv[j] = argv[j], argv[at]
+        elif edit == 3 and k < len(argv) - 1 and argv[k].startswith("-"):
+            argv[k:k + 2] = [argv[k] + "=" + argv[k + 1]]
+        elif edit == 4 and argv and argv[at].startswith("--") and len(argv[at]) > 3:
+            name, eq, value = argv[at].partition("=")
+            argv[at] = name[:rng.int_between(2, len(name) - 1)] + eq + value
+        elif edit == 5:
+            argv.insert(k, pick(rng, ARGV_OPTIONS))
+        elif edit == 6:
+            argv[k:k] = [pick(rng, ARGV_OPTIONS[5:]), pick(rng, ARGV_NOISE)]
+        elif edit == 7 and argv:
+            argv[0] = pick(rng, ["analyze", "chow", "emptiness", "verify", "catalog", "anal",
+                                 "-h", "--", "nope"])
+        else:
+            argv.insert(k, pick(rng, ARGV_NOISE))
+    return argv
+
+
+def equals_dash_dash(argv):
+    """Whether an option is given ``--`` by ``=``: argparse up to 3.12
+    strips it, so a value option gets an empty list, where the reader keeps
+    the string ``--`` (and an int option fails, as ``int("--")`` does)."""
+    return any(tok.startswith("-") and tok.partition("=")[1:] == ("=", "--") for tok in argv)
+
+
+class TestArgvReader:
+    """``cli.read_argv`` against the argparse parser it replaced
+    (``oracles.build_parser``): the same lines accepted with the same
+    attributes, rejected with exit 2, or answered with the help and exit 0."""
+
+    @staticmethod
+    def outcomes(argv):
+        want = argv_outcome(build_parser().parse_args, argv)
+        got = argv_outcome(cli.read_argv, argv)
+        if got[1] == 2:  # the usage, then the error, on stderr alone
+            assert got[2] == "" and re.fullmatch(
+                r"usage: jordanet [^\n]+(\n {7}jordanet [^\n]+)*\njordanet( [a-z]+)?: error: .+\n",
+                got[3], re.S), argv
+        if got[1] == 0:
+            assert (got[2], got[3]) == (f"usage:\n{cli._SYNOPSIS}\n", ""), argv
+        return want[:2], got[:2]
+
+    def test_known_lines_read_as_argparse_reads_them(self, tmp_path):
+        lines = [case["argv"] for case in GOLDENS] + benchmark_lines(tmp_path)
+        assert len(lines) > 250
+        for argv in lines:
+            want, got = self.outcomes(argv)
+            assert got == want and got[1] is None, argv
+        readme = readme_lines()
+        assert len(readme) >= 7 and ["verify", "--subset", "classify"] in readme
+        for argv in readme:
+            want, got = self.outcomes(argv)
+            assert got == want, argv
+
+    @pytest.mark.skipif(sys.version_info >= (3, 12), reason=(
+        "the reader keeps argparse's reading of 3.10 and 3.11 (checked to agree on 3.10.13, "
+        "3.11.7 and 3.12.1); 3.13 reads -h letter runs, a leading -- and an ambiguous option "
+        "after -h otherwise, and later 3.12 releases are unchecked"))
+    def test_seeded_mutations_read_as_argparse_reads_them(self, tmp_path):
+        bases = [case["argv"] for case in GOLDENS] + benchmark_lines(tmp_path) + readme_lines()
+        rng = SplitMix64(20261021)
+        seen = {None: 0, 0: 0, 2: 0}  # accepted, help, rejected
+        for _ in range(3000):
+            argv = mutate_argv(rng, pick(rng, bases))
+            want, got = self.outcomes(argv)
+            if got != want:  # the one intended difference: "=--" gives the string "--"
+                assert equals_dash_dash(argv) and (got[1] == 2 or "--" in got[0].values()), argv
+            seen[got[1]] += 1
+        assert min(seen.values()) > 150, seen
+
+    @pytest.mark.parametrize("argv, named", [
+        ([], "cmd"), (["nope", "x"], "'nope'"), (["--", "analyze", "x"], "'--'"),
+        (["analyze"], "space"), (["emptiness", "--json"], "polyfile"),
+        (["verify", "--s", "intro"], "--s could match --subset, --seed"),
+        (["verify", "-h", "--s"], "--s could match"), (["analyze", "x", "--trials", "3"], "--trials 3"),
+        (["emptiness", "f", "--degree", "x"], "--degree: invalid int value: 'x'"),
+        (["emptiness", "f", "--degree", "9" * 5000], "--degree: invalid int value"),
+        (["emptiness", "f", "--degree", "--json"], "--degree: expected one argument"),
+        (["analyze", "x", "--json=1"], "--json: ignored explicit argument '1'"),
+        (["chow", "x", "--det_stats"], "--det_stats"), (["analyze", "x", "y"], "arguments: y"),
+        (["analyze", "x", "--json", "--"], "arguments: --"), (["-hx"], "-h: ignored explicit")])
+    def test_usage_errors_name_the_offending_token(self, argv, named, capsys):
+        with pytest.raises(SystemExit) as exit_:
+            main(argv)
+        out, err = capsys.readouterr()
+        assert exit_.value.code == 2 and out == ""
+        assert err.startswith("usage: jordanet") and named in err.splitlines()[-1]
+
+    @pytest.mark.parametrize("argv", [
+        ["-h"], ["--help"], ["--he"], ["--bogus", "-h"], ["analyze", "-h"], ["analyze", "-hh"],
+        ["chow", "x", "--rank", "--help"], ["verify", "--seed", "3", "-h", "--seed", "x"],
+        ["emptiness", "--deg", "2", "-h=h", "f"]])
+    def test_help_prints_the_synopsis(self, argv, capsys):
+        with pytest.raises(SystemExit) as exit_:
+            main(argv)
+        out, err = capsys.readouterr()
+        assert exit_.value.code == 0 and err == ""
+        assert out == f"usage:\n{cli._SYNOPSIS}\n" and out == cli.__doc__.split("\n\n")[1].join(
+            ["usage:\n", "\n"])
+        assert {ln.split()[1] for ln in out.splitlines() if ln.split()[:1] == ["jordanet"]} == \
+            set(cli.COMMANDS)
+
+    @pytest.mark.parametrize("argv, attrs", [
+        (["emptiness", "f", "--degree=-1"], {"polyfile": "f", "degree": -1}),
+        (["emptiness", "--deg", "-1", "--", "-f"], {"polyfile": "-f", "degree": -1}),
+        (["verify", "--su=x", "--se", " 7 ", "--json"], {"subset": "x", "seed": 7, "json": True}),
+        (["chow", "--json", "--"], {"space": None, "json": True}),
+        (["chow", "--de", "--", "--rank"], {"space": "--rank", "det_stats": True, "rank": False}),
+        (["analyze", "-1", "--js"], {"space": "-1", "json": True}),
+        (["verify", "--subset=--"], {"subset": "--"})])
+    def test_lines_and_their_attributes(self, argv, attrs):
+        got = vars(cli.read_argv(argv))
+        assert got["cmd"] == argv[0] and {k: got[k] for k in attrs} == attrs
 
 
 def rebind_everywhere(monkeypatch, name, real, replacement):

@@ -10,7 +10,7 @@ from jordanet.catalog import canonical, catalog_ids
 from jordanet.errors import PreconditionError
 from jordanet.exact import parse_poly
 from jordanet.io import parse_space_data
-from jordanet.linalg import Mat, det, frac, frac_str
+from jordanet.linalg import Mat, det, frac, frac_str, rref
 from jordanet.prng import SplitMix64
 from jordanet.spaces import (
     MatSpace,
@@ -422,8 +422,8 @@ class TestIntegerSweep:
         # only points with gcd 1 and a positive first nonzero entry are
         # ranked; the unit and its coordinates are the full sweep's
         ranked = []
-        real = spaces._rank
-        monkeypatch.setattr(spaces, "_rank", lambda rows: ranked.append(1) or real(rows))
+        real = spaces._full_rank
+        monkeypatch.setattr(spaces, "_full_rank", lambda rows: ranked.append(1) or real(rows))
         for sp in self.late_unit_spaces():
             got = spaces._sweep_for_unit(MatSpace(sp.n, sp.basis))
             assert (unit_mat(got), got.coords) == sweep_for_unit_by_fractions(MatSpace(sp.n, sp.basis))
@@ -527,6 +527,32 @@ class TestOrthComplement:
             assert orth_complement(comp) == sp
 
 
+class TestFullRank:
+    def test_decided_at_the_first_row_that_fails_to_join(self, monkeypatch):
+        # seeded square integer matrices, a third of them with a row that is
+        # a sum of two before it: full rank exactly when det != 0, and the
+        # echelon adjoins rows only up to the first one in the span of those
+        # before it
+        from jordanet.linalg import Echelon
+
+        rng, seen = SplitMix64(51), set()
+        adjoined, real = [], Echelon.adjoin
+        monkeypatch.setattr(Echelon, "adjoin", lambda ech, row: adjoined.append(1) or real(ech, row))
+        for n in range(1, 7):
+            for _ in range(40):
+                rows = [[rng.int_between(-2, 2) for _ in range(n)] for _ in range(n)]
+                if n > 2 and rng.int_between(0, 2) == 0:
+                    k = rng.int_between(2, n - 1)
+                    rows[k] = [a + b for a, b in zip(rows[k - 1], rows[k - 2])]
+                stop = next((k + 1 for k in range(n) if rref(rows[:k + 1]).rank <= k), n)
+                invertible = det(Mat.from_ints(rows)) != 0
+                adjoined.clear()
+                full = spaces._full_rank(rows)
+                assert full == invertible and len(adjoined) == stop
+                seen.add((full, stop < n))
+        assert seen == {(True, False), (False, True), (False, False)}
+
+
 class TestCongruence:
     def test_identity_fixes(self):
         sp = double_conic_net()
@@ -577,12 +603,12 @@ class TestCongruence:
         assert congruence_transform(sp, p @ q) == chained
 
     def test_sample_decides_invertibility_once(self, monkeypatch):
-        # one elimination per draw: the inverse that congruence_transform
-        # takes decides that P is invertible, with no rank taken before it
+        # one elimination per draw: the one echelon of P's rows that
+        # congruence_transform grows decides that P is invertible
         from jordanet.linalg import Echelon
 
-        source, real, calls = canonical("s4/3b1"), Echelon.extend, []
-        monkeypatch.setattr(Echelon, "extend", lambda ech, rows: calls.append(1) or real(ech, rows))
+        source, real, calls = canonical("s4/3b1"), Echelon.__init__, []
+        monkeypatch.setattr(Echelon, "__init__", lambda ech, cols: calls.append(1) or real(ech, cols))
         image = sample_congruent(source, 7)
         monkeypatch.undo()
         assert len(calls) == 1
