@@ -9,6 +9,8 @@ the number of rank-one points in a two-dimensional radical.  The decision
 table is pinned data; the test suite and the verification suite rebuild it
 from the catalog's canonical nets and compare.  Inputs whose invariant
 vector falls outside the table raise UNRECOGNIZED rather than guessing.
+The abstract and pencil labels need no such refusal: the unit is never in
+the radical, and a semisimple Jordan pencil's partition has two parts.
 
 Multiplicity partitions are always taken relative to the unit U (roots of
 det(lam * U - generic element)); plain eigenvalues would not be congruence
@@ -29,7 +31,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from typing import Dict, NamedTuple, Optional, Tuple, Union
+from typing import Dict, NamedTuple, Optional, Tuple
 
 from .errors import PreconditionError
 from .jordan import (
@@ -66,22 +68,22 @@ def generic_multiplicity_partition(space: MatSpace) -> Tuple[int, ...]:
 
     Read off integer points (README, "Built-in catalog", gives the
     argument).  Drop the first basis element on which U has a nonzero
-    coordinate and call the others C_1..C_{m-1}; with U^-1 = q / s
-    (``Unit.inverse``) and the integer basis C_k = C'_k / L, the generic
-    structure is that of the characteristic polynomial of t1 q C'_1 + ... +
-    t_{m-2} q C'_{m-2} + q C'_{m-1} over QQ(t).  At an integer point t
-    (``linalg.int_faddeev_leverrier``, then ``univariate.squarefree_decomposition``)
-    parts can only merge, so a point with as many parts as the generic
-    partition shows it; the points that merge parts are the zeros of a
-    nonzero discriminant of degree at most s(s - 1) for s parts, which
-    cannot vanish on all of a grid of side s(s - 1) + 1 (Alon's
-    Combinatorial Nullstellensatz).  With a bound s_hat on s, the grid {2 ..
-    s_hat (s_hat - 1) + 2}^(m-2) is read in order until a point shows s_hat
-    parts, else its partition with the most parts is the generic one.  For
-    a Jordan space s_hat = min(n, m - max(dim rad, [not associative])) off
-    its cached structure, else n.  s_hat = 1 and m = 1 give (n,) and a
-    pencil reads one point.  The space is sized first and refused with
-    TOO_LARGE past ``MAX_PARTITION_SIZE``.
+    coordinate (``Unit.drop``) and call the others C_1..C_{m-1}; with
+    U^-1 = q / s (``Unit.inverse``) and the integer basis C_k = C'_k / L,
+    the generic structure is that of the characteristic polynomial of
+    t1 q C'_1 + ... + t_{m-2} q C'_{m-2} + q C'_{m-1} over QQ(t).  At an
+    integer point t (``linalg.int_faddeev_leverrier``, then
+    ``univariate.squarefree_decomposition``) parts can only merge, so a
+    point with as many parts as the generic partition shows it; the points
+    that merge parts are the zeros of a nonzero discriminant of degree at
+    most s(s - 1) for s parts, which cannot vanish on all of a grid of side
+    s(s - 1) + 1 (Alon's Combinatorial Nullstellensatz).  With a bound s_hat
+    on s, the grid {2 .. s_hat (s_hat - 1) + 2}^(m-2) is read in order until
+    a point shows s_hat parts, else its partition with the most parts is the
+    generic one.  For a Jordan space s_hat = min(n, m - max(dim rad, [not
+    associative])) off its cached structure, else n.  s_hat = 1 and m = 1
+    give (n,) and a pencil reads one point.  The space is sized first and
+    refused with TOO_LARGE past ``MAX_PARTITION_SIZE``.
     """
     unit = unit_point(space)
     n, m = space.n, space.m
@@ -97,10 +99,9 @@ def generic_multiplicity_partition(space: MatSpace) -> Tuple[int, ...]:
         bound = min(n, m - (len(radical(a)) or int(not is_associative(a))))
     if bound == 1:
         return (n,)
-    drop = next(k for k, c in enumerate(unit.coords) if c != 0)
     basis, _ = space.integer_basis()  # each B'_k is symmetric: its rows are its columns
     q, _ = unit.inverse
-    *mats, last = [int_matmul(q, b) for k, b in enumerate(basis) if k != drop]
+    *mats, last = [int_matmul(q, b) for k, b in enumerate(basis) if k != unit.drop]
     best = []
     for point in itertools.product(range(2, bound * (bound - 1) + 3), repeat=m - 2):
         x = last
@@ -122,7 +123,7 @@ class InvariantVector(NamedTuple):
     associative: bool
     rad_square: int
     partition: Tuple[int, ...]
-    rad_rank_one: Optional[Union[int, str]]  # only defined when dim_rad == 2
+    rad_rank_one: Optional[int]  # only defined when dim_rad == 2
 
 
 def invariant_vector(space: MatSpace) -> InvariantVector:
@@ -143,25 +144,20 @@ def invariant_vector(space: MatSpace) -> InvariantVector:
 # -- abstract classification (dimension 2 and 3) ---------------------------
 
 def classify_abstract(a: JordanStructure) -> str:
-    """Isomorphism type of a 2- or 3-dimensional Jordan algebra."""
+    """Isomorphism type of a 2- or 3-dimensional Jordan algebra.  Its radical
+    is below m: tr L_U = m != 0 keeps the unit U out (the tests check it)."""
     m = a.dim
     if m not in (2, 3):
         raise PreconditionError("UNSUPPORTED_DIM", "abstract classification covers dimensions 2 and 3")
     dim_rad = len(radical(a))
     if m == 2:
-        if dim_rad == 0:
-            return "1"
-        if dim_rad == 1:
-            return "2"
-        raise PreconditionError("UNRECOGNIZED", f"radical dimension {dim_rad} in dimension 2")
+        return "1" if dim_rad == 0 else "2"
     assoc = is_associative(a)
     if dim_rad == 0:
         return "1a" if assoc else "1b"
     if dim_rad == 1:
         return "2a" if assoc else "2b"
-    if dim_rad == 2:
-        return "3a" if rad_square_dim(a) == 1 else "3b"
-    raise PreconditionError("UNRECOGNIZED", f"radical dimension {dim_rad} in dimension 3")
+    return "3a" if rad_square_dim(a) == 1 else "3b"
 
 
 # -- pencils -----------------------------------------------------------------
@@ -178,20 +174,16 @@ class PencilClass(NamedTuple):
 
 
 def classify_pencil(space: MatSpace) -> PencilClass:
-    """Jordan test plus family label for a pencil (m = 2)."""
+    """Jordan test plus family label for a pencil (m = 2): nilpotent with a
+    radical, else V_i for the smaller of its two parts, as U^-1 X has a
+    squarefree quadratic minimal polynomial (the tests check it)."""
     if space.m != 2:
         raise PreconditionError("UNSUPPORTED_DIM", "pencil classification needs m = 2")
     if not is_jordan(space)[0]:
         return PencilClass("NOT_JORDAN")
-    a = structure_constants(space)
-    dim_rad = len(radical(a))
-    if dim_rad == 1:
+    if radical(structure_constants(space)):
         return PencilClass("nilpotent")
-    partition = generic_multiplicity_partition(space)
-    if len(partition) != 2:
-        raise PreconditionError("UNRECOGNIZED",
-                                f"Jordan pencil with partition {partition}")
-    return PencilClass("diagonalizable", index=min(partition))
+    return PencilClass("diagonalizable", index=min(generic_multiplicity_partition(space)))
 
 
 # -- nets in S^4 --------------------------------------------------------------

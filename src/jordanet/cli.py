@@ -1,16 +1,5 @@
-"""Command-line front end.
-
-    jordanet analyze   <file|catalog://id> [--json]
-    jordanet chow      <file|catalog://id> [--rank] [--kernel] [--det-stats] [--json]
-    jordanet chow      [--generic-n3] [--det-stats] [--json]
-    jordanet pencil    <file|catalog://id> [--json]
-    jordanet copencil  <file|catalog://id> [--json]
-    jordanet plucker   <file|catalog://id> [--json]
-    jordanet limit     <file|catalog://id> [--json]
-    jordanet emptiness <polyfile> [--degree D] [--json]
-    jordanet verify    [--subset NAME] [--seed N] [--json]
-    jordanet catalog   [--json]
-    (NAME: intro, jordan, chow, chow-oracle, classify, tau, pencil, complement, plucker, count)
+"""Command-line front end for the commands of ``_SYNOPSIS``, which ``-h``
+prints and usage errors quote (a constant: ``python -OO`` strips docstrings).
 
 Space files use the JSON schema documented in the README; ``catalog://<id>``
 resolves to a built-in reference space.  ``--json`` prints a byte-stable
@@ -286,7 +275,18 @@ def cmd_catalog(args) -> int:
     return _emit(report, args.json)
 
 
-_SYNOPSIS = (__doc__ or "\n\n").split("\n\n")[1]
+_SYNOPSIS = """\
+    jordanet analyze   <file|catalog://id> [--json]
+    jordanet chow      <file|catalog://id> [--rank] [--kernel] [--det-stats] [--json]
+    jordanet chow      [--generic-n3] [--det-stats] [--json]
+    jordanet pencil    <file|catalog://id> [--json]
+    jordanet copencil  <file|catalog://id> [--json]
+    jordanet plucker   <file|catalog://id> [--json]
+    jordanet limit     <file|catalog://id> [--json]
+    jordanet emptiness <polyfile> [--degree D] [--json]
+    jordanet verify    [--subset NAME] [--seed N] [--json]
+    jordanet catalog   [--json]
+    (NAME: intro, jordan, chow, chow-oracle, classify, tau, pencil, complement, plucker, count)"""
 _JSON = {"--json": (bool, False)}
 #: each command's positional (None for none), whether it is required, and its long
 #: options as (type, default): a bool is a flag, an int or str option reads one value

@@ -9,11 +9,9 @@ strings "p/q"; matrices are full n x n arrays and must be symmetric.  A
 plain file is read straight into the space's integer basis (B', L)
 (``spaces.make_space``): a matrix whose entries are all JSON integers is
 kept as it was parsed, its lists those of ``json.loads``.  In any other
-matrix JSON integers stay ints, each string goes through ``linalg.frac``
-once (its mirror below the diagonal shares it when the two raw values are
-equal and of one JSON type) and stays a Fraction only when it is not an
-integer, and L is the one lcm of those Fractions' denominators.  No
-Fraction matrix is built.  Parametric
+matrix JSON integers stay ints and each string goes through ``linalg.frac``,
+and every matrix is cleared over one lcm L (``linalg.integer_matrices``).
+No Fraction matrix is built.  Parametric
 families add ``"parametric": true`` (a JSON boolean) and allow entries to
 be integers or polynomial strings in the parameter ``t``, or in the
 variable that ``"param"`` names (a string in the polynomial grammar's name
@@ -27,26 +25,23 @@ from __future__ import annotations
 
 import itertools
 import json
-import math
 from fractions import Fraction
 from pathlib import Path
 from typing import Dict, Union
 
 from .errors import InputError, PreconditionError
-from .linalg import frac
+from .linalg import frac, integer_matrices
 from .spaces import MatSpace, ParametricBasis, make_space, sym_pairs
 
 
 def _entry_to_rational(value) -> Union[int, Fraction]:
-    """A plain file's entry: a JSON integer as it is, a string as an int when
-    it is one and as a Fraction otherwise."""
+    """A plain file's entry: a JSON integer as it is, a string as a Fraction."""
     if isinstance(value, bool):
         raise InputError("PARSE_ERROR", "boolean is not a matrix entry")
     if isinstance(value, int):
         return value
     if isinstance(value, str):
-        x = frac(value)
-        return x.numerator if x.denominator == 1 else x
+        return frac(value)
     raise InputError("PARSE_ERROR", f"bad matrix entry {value!r}")
 
 
@@ -86,7 +81,7 @@ def parse_space_data(obj: dict) -> Union[MatSpace, ParametricBasis]:
         from .exact import NAME
         if not isinstance(param, str) or not NAME.fullmatch(param):
             raise InputError("PARSE_ERROR", f"'param' must be a variable name, got {param!r}")
-    mats, denominators = [], []
+    mats, mixed = [], False
     for raw in basis_data:
         if (not isinstance(raw, list) or len(raw) != n
                 or any(not isinstance(r, list) or len(r) != n for r in raw)):
@@ -95,22 +90,14 @@ def parse_space_data(obj: dict) -> Union[MatSpace, ParametricBasis]:
             mats.append([[_entry_to_powers(e, param) for e in row] for row in raw])
         elif set(map(type, itertools.chain.from_iterable(raw))) == {int}:
             mats.append(raw)  # all JSON ints (no bool or float): kept as parsed
-        else:  # below the diagonal, an entry equal to its mirror and of its JSON type shares it
-            rows = []
-            for i, line in enumerate(raw):
-                rows.append([rows[j][i] if j < i and e == raw[j][i] and type(e) is type(raw[j][i])
-                             else _entry_to_rational(e) for j, e in enumerate(line)])
-            mats.append(rows)
-            denominators += (x.denominator for row in rows for x in row if type(x) is Fraction)
+        else:
+            mats.append([[_entry_to_rational(e) for e in row] for row in raw])
+            mixed = True
     if parametric:
         if any([list(col) for col in zip(*rows)] != rows for rows in mats):
             raise PreconditionError("NOT_SYMMETRIC", "family matrices must be symmetric")
         return ParametricBasis(n, [[rows[i][j] for i, j in sym_pairs(n)] for rows in mats])
-    lcm = math.lcm(*denominators)
-    if lcm > 1:  # else every entry is an int already
-        mats = [[[x * lcm if type(x) is int else x.numerator * (lcm // x.denominator)
-                  for x in row] for row in rows] for rows in mats]
-    return make_space(n, ints=(mats, lcm))
+    return make_space(n, ints=integer_matrices(mats) if mixed else (mats, 1))
 
 
 def read_text_file(path: Union[str, Path]) -> str:

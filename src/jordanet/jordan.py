@@ -14,25 +14,26 @@ invertible element (``spaces.unit_point``), as closure does not depend on
 which invertible U is taken.  The basis is kept as B_k = B'_k / L over one
 common denominator (``MatSpace.integer_basis``), and the unit's inverse once
 as U^{-1} = Q / s (``spaces.Unit.inverse``): the sweep ranks U' = c U on an
-echelon, and the inverse eliminates [U' | c I] on first read, so that
-B'_i Q B'_j + (B'_i Q B'_j)^T = 2sL^2 (B_i * B_j) is an integer product.
-``jordan_closure`` grows a copy of the space's echelon from such products and
-returns it, with the closure's dimension as its rank.  It never multiplies
-by U or by B_drop, drop the first index on which U has a nonzero coordinate:
-span(U, B_k : k != drop) is the space and U * X = X, so B_drop * X lies in
-the span of X and the B_k * X with k != drop.  The Jordan test reduces
-each basis product on the space's echelon, reads its coordinates off the
-space's pivot inverse (``MatSpace.pivot_inverse``, the one linear solve) and
-keeps the structure tensor as one integer tensor c over one denominator.
-The radical (the kernel of the trace form (x, y) -> tr(L_{x*y}), the
-characteristic-zero semisimplicity criterion), associativity and the
-radical's square are read off c.  A structure never changes once built, so
-each is a ``functools.cached_property`` of it; the structure, or the
-witness, is kept in the unit's instance dict, as ``spaces`` keeps no field
-for it (its caching rule is stated there).  The tests
-compare all of it with the Fraction route, and check that the radical is an
-ideal of nilpotents and that the product satisfies the unit law and the
-Jordan identity.
+echelon, and the inverse eliminates [U' | c I] on first read, so that B'_i Q
+B'_j + (B'_i Q B'_j)^T = 2sL^2 (B_i * B_j) is an integer product.
+``jordan_closure`` grows a copy of the space's echelon from such products
+and returns it, with the closure's dimension as its rank.  It never
+multiplies by U or by B_drop, drop the first index on which U has a nonzero
+coordinate (``Unit.drop``): span(U, B_k : k != drop) is the space and U * X
+= X, so B_drop * X lies in the span of X and the B_k * X with k != drop.
+The Jordan test reduces each basis product on the space's echelon, reads its
+coordinates off the space's pivot inverse (``MatSpace.pivot_inverse``, the
+one linear solve) and keeps the structure tensor as one integer tensor c
+over one denominator.  The radical (the kernel of the trace form (x, y) ->
+tr(L_{x*y}), the characteristic-zero semisimplicity criterion, read off its
+echelon's ``kernel_basis``), associativity and the radical's square are read
+off c.  A structure never changes once built, so each is a
+``functools.cached_property`` of it; the structure, or the witness, is kept
+in the unit's instance dict, as ``spaces`` keeps no field for it (its
+caching rule is stated there).  The tests compare all of it with the
+Fraction route, and check that the radical is an ideal of nilpotents that
+never holds the unit (tr L_U = m), and that the product satisfies the unit
+law and the Jordan identity.
 """
 
 from __future__ import annotations
@@ -75,27 +76,27 @@ def is_jordan(space: MatSpace) -> Tuple[bool, Optional[JordanWitness]]:
 def jordan_closure(space: MatSpace) -> Echelon:
     """The integer echelon of the smallest subspace containing the space and
     closed under the product, in ``sym_pairs`` coordinates: its ``rank`` is
-    the closure's dimension, and ``int_rows`` or ``rows`` its reduced basis.
+    the closure's dimension, and ``int_rows`` its reduced basis.
 
-    A worklist over one growing echelon, a ``copy`` of the space's own (which
-    does not grow).  The elements are the primitive B'_k for every k but
-    drop, the first index on which the unit U has a nonzero coordinate t_drop,
-    then each vector that joins the span, over its content, kept as integer
-    rows.  Each element is multiplied once with itself and each element
-    before it, as 2s times the product, which is adjoined.  No product with U
-    or B_drop is formed: span(U, B_k : k != drop) is the space and U * X = X,
-    so B_drop * X = (X - sum_(k != drop) t_k B_k * X) / t_drop already lies
-    in the span the worklist builds.  Stops early at all of S^n.
+    A worklist over one growing echelon, a ``copy`` of the space's own
+    (which does not grow).  The elements are the primitive B'_k for every k
+    but drop, the first index on which the unit U has a nonzero coordinate
+    t_drop (``spaces.Unit.drop``), then each vector that joins the span,
+    over its content, kept as integer rows.  Each element is multiplied once
+    with itself and each element before it, as 2s times the product, which
+    is adjoined.  No product with U or B_drop is formed: span(U, B_k : k !=
+    drop) is the space and U * X = X, so B_drop * X = (X - sum_(k != drop)
+    t_k B_k * X) / t_drop already lies in the span the worklist builds.
+    Stops early at all of S^n.
     """
     unit = unit_point(space)
     q, _ = unit.inverse
     n = space.n
     pairs = sym_pairs(n)
     ech = space.echelon.copy()
-    drop = next(k for k, c in enumerate(unit.coords) if c)
     # rows of primitive integer matrices: the B'_k but B'_drop, then products as they joined
     elements = [symmetric_rows(n, primitive(v, False))
-                for k, v in enumerate(space.vectors) if k != drop]
+                for k, v in enumerate(space.vectors) if k != unit.drop]
 
     def grow(vec: List[int]) -> None:
         if ech.adjoin(vec) is not None:

@@ -10,17 +10,22 @@ one from outside input or for a result, and computes on integer rows in
 between.  ``integer_vector``, which clears a row of denominators, is the one
 place that refuses any other entry (an ``MPoly``, a string, a float) with
 NOT_NUMERIC; ``rref`` takes a row of plain ints as it is and clears any
-other row through it.  A product of two matrices is one integer product
-(``int_matmul``) of A's rows and B's columns cleared of denominators, with
-one Fraction formed per entry of the result.  There is one row reduction,
-``Echelon``: integer rows grown by forward fraction-free elimination
-(Bareiss), each step an exact division by the previous pivot entry
-(Sylvester's identity), no row rewritten once appended; the reduced rows and
-primitive rows are formed by back-substitution only when read.  ``rref``
-adjoins a matrix's rows, integer or cleared of denominators,
-``integer_inverse`` the rows [M' | d I] of a square matrix M = M' / d,
-``det_bareiss`` a square matrix's rows (its determinant is the last pivot
-entry, signed and over the denominators), and ``jordan_closure``, on a
+other row through it.  ``integer_matrices`` clears matrices over one lcm
+through it, each matrix's rows kept as they are: a space's basis, a
+congruence's P, a space file's string entries, and the inverse,
+determinants, charpoly and adjugate of a square matrix.  A product of two
+matrices is one integer product (``int_matmul``) of A's rows and B's columns
+cleared of denominators, with one Fraction formed per entry of the result.
+There is one row reduction, ``Echelon``: integer rows grown by forward
+fraction-free elimination (Bareiss), each step an exact division by the
+previous pivot entry (Sylvester's identity), no row rewritten once appended;
+the reduced rows and primitive rows are formed by back-substitution only
+when read, and the kernel as integer vectors (``integer_kernel``), which
+``kernel_basis`` divides by the last pivot entry and ``chow``'s kernel forms
+read as they are.  ``rref`` adjoins a matrix's rows, integer or cleared of
+denominators, ``integer_inverse`` the rows [M' | d I] of a square matrix M =
+M' / d, ``det_bareiss`` a square matrix's rows (its determinant is the last
+pivot entry, signed and over the denominators), and ``jordan_closure``, on a
 ``copy`` of a space's echelon, products as it finds them.  There is one
 linear solve, ``integer_inverse``: coordinates over independent rows A are
 those of v_P A_P^-1 on A's pivot columns P (``express_in_rows``,
@@ -164,6 +169,17 @@ def integer_vector(vector: Sequence[Fraction]) -> Tuple[List[int], int]:
         raise PreconditionError("NOT_NUMERIC", "linear algebra takes rational entries") from None
 
 
+def integer_matrices(mats: Sequence[Sequence[Sequence[Fraction]]]
+                     ) -> Tuple[List[List[List[int]]], int]:
+    """([M'_k], d) with M_k = M'_k / d over one lcm d of every entry's
+    denominator, each M'_k of its M_k's shape, row by row, for ints and
+    Fractions: ``integer_vector`` of all the entries, cut back into their
+    rows."""
+    flat, d = integer_vector([x for m in mats for row in m for x in row])
+    it = iter(flat)
+    return [[list(itertools.islice(it, len(row))) for row in m] for m in mats], d
+
+
 def _fraction_product(a: Mat, b: Mat) -> Mat:
     """A B for Fraction matrices: with A's row i equal to A'_i / d_i and B's
     column j equal to B'_j / e_j, entry (i, j) is (A'_i . B'_j) / (d_i e_j)."""
@@ -192,9 +208,8 @@ class Echelon:
 
     The reduced form is read as ``ff_rows``, the rows T_i = d times the
     reduced row with pivot p_i, sorted by pivot and integers by Cramer's
-    rule; as ``int_rows``, each T_i over its content with a positive pivot
-    entry; and as the Fraction ``rows``.  Each is formed on first read and
-    dropped when a row joins.
+    rule; and as ``int_rows``, each T_i over its content with a positive
+    pivot entry.  Each is formed on first read and dropped when a row joins.
     """
 
     def __init__(self, cols: int):
@@ -203,7 +218,7 @@ class Echelon:
         self.order: List[int] = []
         self.pivots: List[int] = []
         self.d = 1
-        self._ff = self._int_rows = self._rows = None  # once read
+        self._ff = self._int_rows = None  # once read
 
     @property
     def rank(self) -> int:
@@ -221,12 +236,6 @@ class Echelon:
             self._int_rows = [primitive(row, self.d < 0) for row in self.ff_rows]
         return self._int_rows
 
-    @property
-    def rows(self) -> List[List[Fraction]]:
-        if self._rows is None:
-            self._rows = [[Fraction(x, row[p]) for x in row] for row, p in zip(self.int_rows, self.pivots)]
-        return self._rows
-
     def copy(self) -> "Echelon":
         """An echelon of the same rows that grows apart from this one.  The
         forward rows are shared, as no row is rewritten once appended, and
@@ -236,14 +245,21 @@ class Echelon:
         ech.d = self.d
         return ech
 
-    def kernel_basis(self) -> List[List[Fraction]]:
-        basis = []
-        for f in (j for j in range(self.cols) if j not in self.pivots):
-            v = [Fraction(int(j == f)) for j in range(self.cols)]
-            for row, p in zip(self.rows, self.pivots):
+    def integer_kernel(self) -> List[List[int]]:
+        """The kernel over Z, one vector per free column f in order: d at f,
+        -T_i[f] at each pivot p_i (``ff_rows``, read only when f exists)."""
+        pivots, out = set(self.pivots), []
+        for f in (j for j in range(self.cols) if j not in pivots):
+            v = [0] * self.cols
+            v[f] = self.d
+            for row, p in zip(self.ff_rows, self.pivots):
                 v[p] = -row[f]
-            basis.append(v)
-        return basis
+            out.append(v)
+        return out
+
+    def kernel_basis(self) -> List[List[Fraction]]:
+        """The kernel's reduced basis, 1 at its free column: ``integer_kernel`` over d."""
+        return [[Fraction(x, self.d) for x in v] for v in self.integer_kernel()]
 
     def eliminate(self, v: Sequence[int]) -> Tuple[List[int], int]:
         """(d v - sum v[p_i] T_i, d): d times v's remainder modulo the row
@@ -283,7 +299,7 @@ class Echelon:
         self.order.append(c)
         bisect.insort(self.pivots, c)
         self.d = out[c]
-        self._ff = self._int_rows = self._rows = None
+        self._ff = self._int_rows = None
         return out
 
 
@@ -352,14 +368,18 @@ def integer_inverse(rows: Sequence[Sequence[int]],
     return [[x // g for x in row[n:]] for row in aug.ff_rows], e // g
 
 
-def inverse_or_none(m: Mat) -> Optional[Tuple[List[List[int]], int]]:
-    """``integer_inverse`` of a square Fraction matrix M = M' / d, d the lcm
-    of its entries' denominators."""
+def _square_integer(m: Mat, what: str) -> Tuple[List[List[int]], int]:
+    """(M', d) with M = M' / d (``integer_matrices``) for a square M; any other
+    is refused with NOT_SQUARE, saying that ``what`` needs a square one."""
     if not m.is_square():
-        raise PreconditionError("NOT_SQUARE", "inverse needs a square matrix")
-    n = m.rows
-    flat, d = integer_vector([x for row in m.data for x in row])
-    return integer_inverse([flat[i * n:(i + 1) * n] for i in range(n)], d)
+        raise PreconditionError("NOT_SQUARE", f"{what} needs a square matrix")
+    (rows,), d = integer_matrices([m.data])
+    return rows, d
+
+
+def inverse_or_none(m: Mat) -> Optional[Tuple[List[List[int]], int]]:
+    """``integer_inverse`` of a square Fraction matrix M = M' / d."""
+    return integer_inverse(*_square_integer(m, "inverse"))
 
 
 def inverse(m: Mat) -> Mat:
@@ -374,33 +394,27 @@ def inverse(m: Mat) -> Mat:
 # -- determinants ----------------------------------------------------------
 
 def det_bareiss(m: Mat) -> Fraction:
-    """Determinant of a Fraction matrix from its echelon: the rows cleared of
-    denominators, row i = R'_i / d_i, adjoined in order to one ``Echelon``;
-    0 at the first row that does not join.  Otherwise the last pivot entry d
-    is det(M') with its columns taken in the order their pivots were made
-    (``order``), so det(M) = sign d / (d_1 ... d_n), with sign the parity of
-    the inversions of that order."""
-    if not m.is_square():
-        raise PreconditionError("NOT_SQUARE", "determinant needs a square matrix")
-    cleared = [integer_vector(row) for row in m.data]
+    """Determinant of a Fraction matrix M = M' / d from its echelon: the rows
+    of M' adjoined in order to one ``Echelon``; 0 at the first row that does
+    not join.  Otherwise the last pivot entry e is det(M') with its columns
+    taken in the order their pivots were made (``order``), so det(M) = sign
+    e / d^n, with sign the parity of the inversions of that order."""
+    rows, d = _square_integer(m, "determinant")
     ech = Echelon(m.rows)
-    for row, _ in cleared:
+    for row in rows:
         if ech.adjoin(row) is None:
             return Fraction(0)
     swaps = sum(a > b for a, b in itertools.combinations(ech.order, 2))
-    return Fraction(-ech.d if swaps % 2 else ech.d, math.prod(d for _, d in cleared))
+    return Fraction(-ech.d if swaps % 2 else ech.d, d ** m.rows)
 
 
 def det_laplace(m: Mat) -> Fraction:
     """Determinant of a Fraction matrix M = M' / d by ``laplace_minors`` of
     the constant matrix M' (``linear_matrix``): det(M') / d^n."""
-    if not m.is_square():
-        raise PreconditionError("NOT_SQUARE", "determinant needs a square matrix")
     from .exact import laplace_minors, linear_matrix
-    n = m.rows
-    flat, d = integer_vector([x for row in m.data for x in row])
-    a = linear_matrix([(0, [flat[i * n:(i + 1) * n] for i in range(n)])])
-    return Fraction(laplace_minors(a)(tuple(range(n))).get(0, 0), d ** n)
+    rows, d = _square_integer(m, "determinant")
+    a = linear_matrix([(0, rows)])
+    return Fraction(laplace_minors(a)(tuple(range(m.rows))).get(0, 0), d ** m.rows)
 
 
 #: the exact determinant of a Fraction matrix
@@ -433,11 +447,8 @@ def charpoly(m: Mat) -> List[Fraction]:
     matrix as its n + 1 coefficients c_0 .. c_n = 1 of lam^0 .. lam^n:
     ``int_faddeev_leverrier`` of the integer matrix M' for M = M' / d,
     whose coefficient of lam^(n-k), c'_k, is d^k times M's."""
-    if not m.is_square():
-        raise PreconditionError("NOT_SQUARE", "characteristic polynomial needs a square matrix")
-    n = m.rows
-    flat, d = integer_vector([x for row in m.data for x in row])
-    cs, _ = int_faddeev_leverrier([flat[i * n:(i + 1) * n] for i in range(n)])
+    rows, d = _square_integer(m, "characteristic polynomial")
+    cs, _ = int_faddeev_leverrier(rows)
     return [Fraction(c, d ** k) for k, c in reversed(list(enumerate(cs, 1)))] + [Fraction(1)]
 
 
@@ -445,12 +456,9 @@ def adjugate(m: Mat) -> Mat:
     """Adjugate of a Fraction matrix, M @ adj(M) = det(M) * I: for M = M' /
     d, adj(M) = (-1)^(n-1) M'_n / d^(n-1), M'_n the matrix that
     ``int_faddeev_leverrier`` of M' leaves."""
-    if not m.is_square():
-        raise PreconditionError("NOT_SQUARE", "adjugate needs a square matrix")
-    n = m.rows
-    flat, d = integer_vector([x for row in m.data for x in row])
-    _, mk = int_faddeev_leverrier([flat[i * n:(i + 1) * n] for i in range(n)])
-    den = (1 if n % 2 else -1) * d ** max(n - 1, 0)
+    rows, d = _square_integer(m, "adjugate")
+    _, mk = int_faddeev_leverrier(rows)
+    den = (1 if m.rows % 2 else -1) * d ** max(m.rows - 1, 0)
     return Mat([[Fraction(x, den) for x in row] for row in mk])
 
 

@@ -4,19 +4,21 @@ A ``MatSpace`` is an ordered basis of independent symmetric n x n rational
 matrices, kept as its integer basis (B', L): integer matrices B'_k over one
 common denominator L, B_k = B'_k / L (``MatSpace.integer_basis``).  A file
 is parsed straight into it (``io.parse_space_data``), a space given by
-Fraction matrices is cleared once, and the Fraction basis (``basis``) is
-formed only when read.  ``make_space`` validates outside input on the
-integer rows.  Symmetric matrices vectorize to their upper triangle read row
-by row; for n = 4 the coordinate order is (11, 12, 13, 14, 22, 23, 24, 33,
-34, 44).  All Pluecker coordinates, kernels and membership tests use that
-fixed order.  The space's echelon is grown rank-only on the vectorized B'.
-Coordinates come from one linear solve: the inverse of the pivot columns of
-the vectorized B' (``MatSpace.pivot_inverse``, by ``linalg.integer_inverse``),
-formed only when a membership test of a member or the Jordan test of a
-closed space reads it.  The unit (``unit_point``) is found on integer
-matrices too: the identity test reduces L I, and a sweep point's U' =
-sum_k t_k B'_k is ranked and kept.  That ``Unit`` is the space's one unit
-object, and it inverts U' itself on first read.
+Fraction matrices is cleared once (``linalg.integer_matrices``), and the
+Fraction basis (``basis``) is formed only when read.  ``make_space``
+validates outside input on the integer rows.  Symmetric matrices vectorize
+to their upper triangle read row by row; for n = 4 the coordinate order is
+(11, 12, 13, 14, 22, 23, 24, 33, 34, 44).  All Pluecker coordinates, kernels
+and membership tests use that fixed order.  The space's echelon is grown
+rank-only on the vectorized B'.  Coordinates come from one linear solve: the
+inverse of the pivot columns of the vectorized B'
+(``MatSpace.pivot_inverse``, by ``linalg.integer_inverse``), formed only
+when a membership test of a member or the Jordan test of a closed space
+reads it.  The unit (``unit_point``) is found on integer matrices too: the
+identity test reduces L I, and a sweep point's U' = sum_k t_k B'_k is ranked
+and kept.  That ``Unit`` is the space's one unit object: it inverts U'
+itself on first read, and names the basis index (``Unit.drop``) that the
+closure and the multiplicity partition leave out.
 
 Caching follows one rule across the package.  An object that never changes
 once built (``MatSpace``, ``Unit``) caches what is derived from it as a
@@ -51,10 +53,11 @@ import functools
 import itertools
 import math
 from fractions import Fraction
-from typing import TYPE_CHECKING, Callable, Dict, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import TYPE_CHECKING, Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .errors import PreconditionError
-from .linalg import Echelon, Mat, int_matmul, integer_inverse, integer_vector, rref
+from .linalg import (Echelon, Mat, int_matmul, integer_inverse, integer_matrices, integer_vector,
+                     rref)
 
 if TYPE_CHECKING:  # the polynomial layer is imported by the functions that run it
     from .exact import IntPoly, MPoly, Packing
@@ -110,10 +113,8 @@ class MatSpace:
     def __init__(self, n: int, basis: Optional[Sequence[Mat]] = None,
                  ints: Optional[Tuple[List[List[List[int]]], int]] = None):
         if ints is None:
-            self.basis = basis = tuple(basis)
-            lcm = math.lcm(*(x.denominator for b in basis for row in b.data for x in row))
-            ints = ([[[x.numerator * (lcm // x.denominator) for x in row] for row in b.data]
-                     for b in basis], lcm)
+            self.basis = tuple(basis)
+            ints = integer_matrices([b.data for b in self.basis])
         self.n, self.m, self._ints = n, len(ints[0]), ints
 
     @functools.cached_property
@@ -279,8 +280,8 @@ class Unit:
     """The space's unit U = U' / scale, as ``unit_point`` found it: its
     coordinates (Fractions from the identity test, the ints of a sweep point
     otherwise), the rows of the integer matrix U' and the scale.  ``inverse``
-    is a cached property; ``jordan`` keeps the basis products it computes
-    with that inverse in the unit's instance dict."""
+    and ``drop`` are cached properties; ``jordan`` keeps the basis products
+    it computes with that inverse in the unit's instance dict."""
 
     __slots__ = ("coords", "rows", "scale", "__dict__")
 
@@ -291,6 +292,12 @@ class Unit:
     def inverse(self) -> Tuple[List[List[int]], int]:
         """(q, s), U^-1 = q / s in lowest terms: ``linalg.integer_inverse`` of U' / scale."""
         return integer_inverse(self.rows, self.scale)
+
+    @functools.cached_property
+    def drop(self) -> int:
+        """The first k with t_k != 0 in U = sum_k t_k B_k: the closure and the
+        partition use U and the B_j, j != k, which span the space."""
+        return next(k for k, c in enumerate(self.coords) if c)
 
 
 def unit_point(space: MatSpace) -> Unit:
@@ -403,14 +410,8 @@ def invertible_points(space: MatSpace, points: Iterable[tuple]) -> Iterable[tupl
 
 def sweep_rank(space: MatSpace) -> Callable[[Sequence[int]], int]:
     """Rank of sum_k t_k B_k at integer t: that of the integer sum_k t_k B'_k
-    (``MatSpace.integer_element``), on an ``Echelon``."""
-    return lambda tup: _rank(space.integer_element(tup))
-
-
-def _rank(rows: List[List[int]]) -> int:
-    ech = Echelon(len(rows))
-    ech.extend(rows)
-    return ech.rank
+    (``MatSpace.integer_element``), by ``rref``."""
+    return lambda tup: rref(space.integer_element(tup)).rank
 
 
 def _full_rank(rows: List[List[int]]) -> bool:
@@ -420,14 +421,15 @@ def _full_rank(rows: List[List[int]]) -> bool:
     return all(ech.adjoin(row) is not None for row in rows)
 
 
-def rank_one_pencil(space: MatSpace) -> Union[int, str]:
-    """Number of distinct projective rank-one points of a pencil, or "ALL".
+def rank_one_pencil(space: MatSpace) -> int:
+    """Number of distinct projective rank-one points of a pencil.
 
     The rank-one points of t1 B1 + t2 B2 are the common zeros, projective
     and complex, of its 2 x 2 minors: binary quadratics a t1^2 + b t1 t2 +
-    c t2^2.  The count is read off V, the span of their vectors (a, b, c).
-    V = 0: "ALL".  dim V = 3: V holds t1^2, t1 t2 and t2^2, so 0.  dim V = 2:
-    two independent quadratics share at most one zero, and one iff their
+    c t2^2.  The count is read off V, the span of their vectors (a, b, c),
+    never 0 as the rank-one matrices contain no line (the tests check it).
+    dim V = 3: V holds t1^2, t1 t2 and t2^2, so 0.  dim V = 2: two
+    independent quadratics share at most one zero, and one iff their
     resultant (af - cd)^2 - (ae - bd)(bf - ce) vanishes.  dim V = 1: 1 iff
     the discriminant b^2 - 4ac vanishes, else 2.  The minors are taken on
     the integer basis (``MatSpace.integer_basis``), which keeps the points.
@@ -441,8 +443,6 @@ def rank_one_pencil(space: MatSpace) -> Union[int, str]:
                 p[i][k] * q[j][l] + q[i][k] * p[j][l] - p[i][l] * q[j][k] - q[i][l] * p[j][k],
                 q[i][k] * q[j][l] - q[i][l] * q[j][k]]
                for (i, j), (k, l) in itertools.combinations_with_replacement(pairs, 2))
-    if ech.rank == 0:
-        return "ALL"
     if ech.rank == 1:
         a, b, c = ech.int_rows[0]
         return 1 if b * b == 4 * a * c else 2
@@ -482,8 +482,7 @@ def congruence_transform(space: MatSpace, p: Mat) -> MatSpace:
     n = space.n
     if (p.rows, p.cols) != (n, n):
         raise PreconditionError("SIZE_MISMATCH", f"P is {p.rows} x {p.cols}, the space in S^{n}")
-    flat, e = integer_vector([x for row in p.data for x in row])
-    rows = [flat[i * n:(i + 1) * n] for i in range(n)]
+    (rows,), e = integer_matrices([p.data])
     if not _full_rank(rows):
         raise PreconditionError("SINGULAR_P", "congruence by a singular matrix")
     cols = list(zip(*rows))  # the rows of P'^T; a symmetric B' is its own columns

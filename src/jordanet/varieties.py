@@ -7,16 +7,17 @@ certifies that the system has no projective solution whenever those multiples
 span the entire degree-D coefficient space (then every ``x_i^D`` lies in the
 ideal, so only the origin survives).  UNKNOWN is a legal answer.  It reads
 integer polynomials over names (a file's lines cleared of denominators by
-``exact.integer_poly``, or the rank-one minors times L^2) and packs their
-monomials by ``exact.Packing``.  It reduces each degree before it
-multiplies (Lazard 1983; Faugere's F4, 1999): the forms of degree d are
-reduced once on a ``linalg.Echelon`` over the monomials of degree d, and
-only its primitive reduced rows are multiplied up to degree D, as sparse
-rows ranked by ``_sparse_rank``.  A part with at least as many forms as
-monomials is first ranked mod p (``modular.spans``): a full rank there
-proves that it spans S_d, and the echelon runs only when it falls short.
-Multiplying by a monomial is linear, so the span is that of the multiples
-of every form (timings at ``MAX_MACAULAY_CELLS``).
+``exact.integer_poly``, or the rank-one minors times L^2, read off their
+packed ``MPoly``s) and packs their monomials by ``exact.Packing``.  It
+reduces each degree before it multiplies (Lazard 1983; Faugere's F4,
+1999): the forms of degree d are reduced once on a ``linalg.Echelon`` over
+the monomials of degree d, and only its primitive reduced rows are
+multiplied up to degree D, as sparse rows ranked by ``_sparse_rank``.  A
+part with at least as many forms as monomials is first ranked mod p
+(``modular.spans``): a full rank there proves that it spans S_d, and the
+echelon runs only when it falls short.  Multiplying by a monomial is linear,
+so the span is that of the multiples of every form (timings at
+``MAX_MACAULAY_CELLS``).
 
 The catalog polynomials are data, not derived objects: they are certificate
 polynomials for specific loci (repeated-eigenvalue cubics, the Jordan-net
@@ -35,7 +36,8 @@ from pathlib import Path
 from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
 from .errors import InputError, PreconditionError
-from .exact import MPoly, Packing, laplace_minors, monomials, parse_poly_lines, poly_eval
+from .exact import (MPoly, Packing, laplace_minors, monomials, packed_integer_poly,
+                    parse_poly_lines, poly_eval)
 from .jordan import radical, structure_constants
 from .linalg import Echelon, Mat, integer_vector
 # rank_one_pencil is an alias: the benchmark's tracer looks it up in this module
@@ -213,7 +215,7 @@ def rank_one_system(space: MatSpace) -> List[MPoly]:
     """All nonzero 2x2 minors of the generic element, rows (i, j) and
     columns (k, l) >= (i, j): the rank <= 1 locus equations.  Each is the
     Laplace minor of rows i, j of the packed X' (``spaces.generic_matrix``)
-    over L^2."""
+    over L^2, an ``MPoly`` that keeps it packed (``exact.Packing.mpoly``)."""
     g, packing, names = generic_matrix(space, 2)
     den = space.integer_basis()[1] ** 2
     pairs = list(itertools.combinations(range(space.n), 2))
@@ -230,10 +232,10 @@ _MAX_CERTIFICATE_DEGREE = 6
 
 def rank_one_locus_certificate(space: MatSpace) -> Certificate:
     """Sweep Macaulay degrees 2..6 (``_MAX_CERTIFICATE_DEGREE``) for the
-    rank-one locus in P^(m-1), on the minors times their denominator L^2."""
-    den = space.integer_basis()[1] ** 2
-    system = [{tuple((v, e) for v, e in zip(p.vars, exps) if e): c.numerator * (den // c.denominator)
-               for exps, c in p.terms.items()} for p in rank_one_system(space)]
+    rank-one locus in P^(m-1), on the integer minors of X', L^2 times those
+    of ``rank_one_system``, read off its packed ``MPoly``s
+    (``exact.packed_integer_poly``)."""
+    system = [packed_integer_poly(p)[0] for p in rank_one_system(space)]
     if not system:
         return Certificate("SOLUTIONS_EXIST")
     cert = Certificate("UNKNOWN")

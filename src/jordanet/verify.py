@@ -7,10 +7,9 @@ its degeneration diagram, certificate-polynomial vanishing on seeded orbit
 samples, and the counting formulas.  All arithmetic is exact, so every
 comparison is equality; there are no tolerances anywhere.
 
-Checks are grouped into named subsets (``intro``, ``jordan``, ``chow``,
-``chow-oracle``, ``classify``, ``tau``, ``pencil``, ``complement``,
-``plucker``, ``count``); the CLI's ``verify`` command runs them all or one
-subset and exits nonzero on any failure.
+Checks are grouped into the named subsets of ``SUBSETS``, which the CLI's
+synopsis lists in order (a test keeps the two equal); the CLI's ``verify``
+command runs them all or one subset and exits nonzero on any failure.
 """
 
 from __future__ import annotations

@@ -582,6 +582,13 @@ def mat_rank(m: Mat) -> int:
     return rref(m.data).rank
 
 
+def fraction_rows(ech) -> list:
+    """The reduced row echelon form of a ``linalg.Echelon`` as Fraction rows,
+    1 at each pivot: its ``int_rows`` over their pivot entries (no package
+    code reads the reduced form as Fractions)."""
+    return [[Fraction(x, row[p]) for x in row] for row, p in zip(ech.int_rows, ech.pivots)]
+
+
 def zero_mat(rows: int, cols: int) -> Mat:
     return Mat([[Fraction(0)] * cols for _ in range(rows)])
 
@@ -830,7 +837,7 @@ def element_by_fractions(space, coords) -> Mat:
 def closure_space(ech, n: int):
     """The closure as a space: the reduced rows of its echelon, each
     unvectorized to a symmetric n x n matrix (independent as built)."""
-    return MatSpace(n, [unvectorize(n, r) for r in ech.rows])
+    return MatSpace(n, [unvectorize(n, r) for r in fraction_rows(ech)])
 
 
 def parse_space_data_by_fractions(obj: dict) -> MatSpace:
@@ -1445,7 +1452,7 @@ def kernel_forms_by_mpoly(space, matrix: Optional[Mat] = None):
     kernel = rref((matrix or chow_fraction_matrix(space)).transpose().data).kernel_basis()
     zs = [MPoly.var(f"z{i + 1}{j + 1}") for i, j in sym_pairs(space.n)]
     return [sum((z.scale(c) for z, c in zip(zs, vec) if c), MPoly.zero()).sign_normalized()
-            for vec in rref(kernel).rows]
+            for vec in fraction_rows(rref(kernel))]
 
 
 def chow_matrix_generic_by_mpoly(n: int = 3) -> Mat:

@@ -35,6 +35,18 @@ done
 code=0; jordanet analyze > usage_out.txt 2> usage_err.txt || code=$?
 test "$code" = 2 && test ! -s usage_out.txt
 grep -q "^usage: jordanet analyze" usage_err.txt
+# python -OO strips docstrings, not the synopsis: the same help, usage line and --json bytes
+python -OO -m jordanet.cli --help > help_oo.txt
+for cmd in analyze chow pencil copencil plucker limit emptiness verify catalog; do
+  grep -q "^ *jordanet $cmd " help_oo.txt
+done
+cmp help.txt help_oo.txt
+code=0; python -OO -m jordanet.cli chow --bogus > usage_oo_out.txt 2> usage_oo_err.txt || code=$?
+test "$code" = 2 && test ! -s usage_oo_out.txt
+grep -q "^usage: jordanet chow <file|catalog://id>" usage_oo_err.txt
+jordanet analyze catalog://dim4/L2flip --json > report_plain.json
+python -OO -m jordanet.cli analyze catalog://dim4/L2flip --json > report_oo.json
+cmp report_plain.json report_oo.json
 printf 'x*y\nx^2\ny^2\n' > degree_system.txt
 jordanet emptiness degree_system.txt --degree 2 --json > degree_apart.json
 jordanet emptiness degree_system.txt --degree=2 --json > degree_equals.json

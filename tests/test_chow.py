@@ -349,6 +349,11 @@ class TestSampledSpan:
                 sampled_reciprocal_span(canonical("s4/1a"), k)
             assert err.value.code == "NEGATIVE_TRIALS"
 
+    def test_a_singular_space_is_refused(self):
+        with pytest.raises(PreconditionError) as err:
+            sampled_reciprocal_span(make_space(3, [E(3, 1, 1), E(3, 1, 2)]), 3)
+        assert err.value.code == "NOT_REGULAR"
+
 
 def stacked_adjugate_span(space, trials):
     """Rank of stacked adjugates at the first ``trials`` sweep points with a
@@ -439,6 +444,12 @@ class TestGenericDet:
     def test_degree_and_term_count(self, generic_det):
         assert generic_det.total_degree() == 12
         assert generic_det.term_count() == 22659
+
+    def test_evaluation_needs_a_net_in_s3(self):
+        for sp in (make_space(3, [E(3, 1, 1), E(3, 2, 2)]), canonical("s4/1a")):
+            with pytest.raises(PreconditionError) as err:
+                chow_det_eval_at_net(sp)
+            assert err.value.code == "UNSUPPORTED_DIM"
 
     def test_equals_the_packed_net_route(self):
         # a fresh determinant, still packed, decoded eagerly, against the

@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from jordanet import classify
-from jordanet.catalog import canonical, degeneration_edges
+from jordanet.catalog import canonical, catalog_ids, degeneration_edges
 from jordanet.classify import (
     NET_LABELS,
     PencilClass,
@@ -21,9 +21,10 @@ from jordanet.classify import (
 )
 from jordanet.errors import PreconditionError
 from jordanet.jordan import is_associative, is_jordan, jordan_closure, radical, structure_constants
-from jordanet.linalg import Mat, inverse
+from jordanet.linalg import Mat, express_in_rows, inverse, rref
 from jordanet.prng import SplitMix64, derive_seed
 from jordanet.spaces import (
+    MatSpace,
     find_invertible,
     grassmann_limit,
     is_regular,
@@ -140,6 +141,74 @@ class TestAbstract:
         with pytest.raises(PreconditionError) as err:
             classify_abstract(structure_constants(sp))
         assert err.value.code == "UNSUPPORTED_DIM"
+
+
+def block_diag(*blocks):
+    n = sum(len(b) for b in blocks)
+    rows, at = [[0] * n for _ in range(n)], 0
+    for b in blocks:
+        for i, row in enumerate(b):
+            rows[at + i][at:at + len(row)] = row
+        at += len(b)
+    return Mat.from_ints(rows)
+
+
+def jordan_samples():
+    """The regular Jordan spaces of the catalog; Jordan pencils <I, X>: V_i
+    pencils, X^2 = 2I (an irreducible quadratic) and nilpotent ones; and
+    two seeded congruence images of each."""
+    found = [canonical(cid) for cid in catalog_ids()]
+    found = [sp for sp in found if isinstance(sp, MatSpace) and is_regular(sp) and is_jordan(sp)[0]]
+    found += [v_pencil(n, i, 7000 + 10 * n + i) for n in (2, 3, 4, 5) for i in range(1, n // 2 + 1)]
+    root2 = [[1, 1], [1, -1]]  # its square is 2I
+    found += [make_space(2, [Mat.identity(2), Mat.from_ints(root2)]),
+              make_space(4, [Mat.identity(4), block_diag(root2, root2)]),
+              make_space(2, [E(2, 1, 2), E(2, 1, 1)]),
+              make_space(4, [E(4, 1, 2) + E(4, 3, 4), E(4, 1, 1) + E(4, 3, 3)])]
+    return [image for sp in found for image in
+            (sp, *(sample_congruent(sp, derive_seed(0, "theorem", k)) for k in range(2)))]
+
+
+class TestTheorems:
+    """The facts that classification relies on instead of re-checking them
+    at run time, on the catalog and seeded images."""
+
+    def test_the_unit_is_never_in_the_radical(self):
+        # tr L_U = m != 0, so (U, U) = tr(L_{U * U}) is nonzero and U is not
+        # in the kernel of the trace form: dim rad < m, and classify_abstract
+        # needs no label for dim rad = m
+        dims = set()
+        for sp in jordan_samples():
+            a, coords = structure_constants(sp), list(unit_point(sp).coords)
+            rad = radical(a)
+            assert a.operator_matrix(coords).trace() == a.dim, sp
+            assert rref(rad + [coords]).rank == len(rad) + 1, sp
+            if a.dim in (2, 3):
+                dims.add((a.dim, len(rad)))
+                assert classify_abstract(a) in ("1", "2", "1a", "1b", "2a", "2b", "3a", "3b")
+        assert dims == {(2, 0), (2, 1), (3, 0), (3, 1), (3, 2)}
+
+    def test_semisimple_jordan_pencils_have_two_parts(self):
+        # U^-1 X has a squarefree quadratic minimal polynomial lam^2 - b lam
+        # - a, so det(lam U - X) has two roots or one irreducible quadratic
+        # factor: two parts, and classify_pencil needs no other case
+        rational_roots = set()
+        for sp in jordan_samples():
+            if sp.m != 2 or radical(structure_constants(sp)):
+                continue
+            u, _ = find_invertible(sp)
+            x = sp.basis[1 - unit_point(sp).drop]
+            y = inverse(u) @ x
+            flat = [[v for row in mat.data for v in row] for mat in (Mat.identity(sp.n), y, y @ y)]
+            a, b = express_in_rows(flat[:2], flat[2])
+            disc = b * b + 4 * a
+            assert disc != 0, sp
+            partition = generic_multiplicity_partition(sp)
+            assert len(partition) == 2 and sum(partition) == sp.n, (sp, partition)
+            assert classify_pencil(sp) == PencilClass("diagonalizable", min(partition))
+            rational_roots.add(disc > 0 and all(math.isqrt(v) ** 2 == v
+                                                for v in (disc.numerator, disc.denominator)))
+        assert rational_roots == {True, False}
 
 
 def partition_in_all_variables(space):
@@ -473,6 +542,12 @@ class TestNetDecisionTable:
         with pytest.raises(PreconditionError) as err:
             classify_net_S4(canonical("nets/L3"))
         assert err.value.code == "NOT_JORDAN"
+
+    def test_only_nets_in_s4(self):
+        for sp in (canonical("s5/Lstar"), canonical("dim4/L1"), make_space(4, [Mat.identity(4)])):
+            with pytest.raises(PreconditionError) as err:
+                classify_net_S4(sp)
+            assert err.value.code == "UNSUPPORTED_DIM"
 
     def test_all_hasse_edges(self):
         for cid, _, target in degeneration_edges():

@@ -1025,8 +1025,7 @@ class TestArgvReader:
             main(argv)
         out, err = capsys.readouterr()
         assert exit_.value.code == 0 and err == ""
-        assert out == f"usage:\n{cli._SYNOPSIS}\n" and out == cli.__doc__.split("\n\n")[1].join(
-            ["usage:\n", "\n"])
+        assert out == f"usage:\n{cli._SYNOPSIS}\n"
         assert {ln.split()[1] for ln in out.splitlines() if ln.split()[:1] == ["jordanet"]} == \
             set(cli.COMMANDS)
 
@@ -1041,6 +1040,20 @@ class TestArgvReader:
     def test_lines_and_their_attributes(self, argv, attrs):
         got = vars(cli.read_argv(argv))
         assert got["cmd"] == argv[0] and {k: got[k] for k in attrs} == attrs
+
+    @pytest.mark.parametrize("argv", [["-h"], ["chow", "--bogus"]])
+    def test_help_and_usage_errors_are_the_same_bytes_under_OO(self, argv):
+        # python -OO strips docstrings; the synopsis is not one
+        runs = [subprocess.run([sys.executable, *flags, "-m", "jordanet.cli", *argv],
+                               capture_output=True, env=child_env()) for flags in ([], ["-OO"])]
+        plain, stripped = [(p.returncode, p.stdout, p.stderr) for p in runs]
+        assert stripped == plain and b"jordanet chow " in plain[1] + plain[2]
+
+    def test_the_synopsis_names_the_verify_subsets_in_order(self):
+        from jordanet import verify
+
+        line = cli._SYNOPSIS.splitlines()[-1].strip()
+        assert line.startswith("(NAME: ") and line[7:-1].split(", ") == list(verify.SUBSETS)
 
 
 def rebind_everywhere(monkeypatch, name, real, replacement):

@@ -49,6 +49,7 @@ from jordanet.spaces import (
 from oracles import (
     basis_products_by_fractions,
     closure_space,
+    fraction_rows,
     integer_matrix,
     is_associative_by_unit_vectors,
     jordan_product_by_fractions,
@@ -316,13 +317,13 @@ class TestClosure:
 
 
     def test_only_the_rank_is_formed(self):
-        # the closure's callers read its rank: no reduced, canonical or Fraction rows
+        # the closure's callers read its rank: no reduced or canonical rows
         grew = 0
         for sp in (net_rank8(), spin_net(), intro_L1(), intro_L2(flip=True),
                    make_space(3, [Mat.identity(3), diag(1, 2, 3)])):
             ech = jordan_closure(sp)
             assert isinstance(ech, Echelon) and ech.cols == sym_dim(sp.n)
-            assert ech._ff is None and ech._rows is None and ech._int_rows is None
+            assert ech._ff is None and ech._int_rows is None
             assert ech.rank == closure_space(ech, sp.n).m >= sp.m
             grew += ech.rank > sp.m
         assert grew == 3
@@ -359,14 +360,14 @@ def closure_by_rounds(space, u):
     product of the current basis (``fraction_product``), re-echelonize, and repeat
     until a round adds nothing.  The oracle for ``jordan_closure``."""
     uinv = inverse(u)
-    rows = rref([vectorize(b) for b in space.basis]).rows
+    rows = fraction_rows(rref([vectorize(b) for b in space.basis]))
     while True:
         basis = [unvectorize(space.n, r) for r in rows]
         products = [fraction_product(x, y, uinv) for i, x in enumerate(basis) for y in basis[i:]]
         grown = rref(rows + [vectorize(p) for p in products])
         if grown.rank == len(rows):
             return rows
-        rows = grown.rows
+        rows = fraction_rows(grown)
 
 
 def golden_spaces():

@@ -26,6 +26,7 @@ from jordanet.linalg import (
     det_bareiss,
     det_laplace,
     express_in_rows,
+    integer_matrices,
     inverse,
     inverse_or_none,
     rref,
@@ -54,6 +55,7 @@ from oracles import (
     det_laplace_by_entries,
     faddeev_leverrier,
     faddeev_leverrier_by_entries,
+    fraction_rows,
     generic_element,
     inverse_or_none_by_primitive_rows,
     lift,
@@ -230,7 +232,7 @@ def random_rational_rows(rng, nrows, ncols):
 class TestIntegerRref:
     def test_empty_matrix(self):
         e = rref([])
-        assert (e.rank, e.pivots, e.rows, e.cols, e.kernel_basis()) == (0, [], [], 0, [])
+        assert (e.rank, e.pivots, fraction_rows(e), e.cols, e.kernel_basis()) == (0, [], [], 0, [])
 
     def test_agrees_with_fraction_elimination(self):
         rng = SplitMix64(1968)
@@ -240,7 +242,8 @@ class TestIntegerRref:
                 for _ in range(3):
                     m = random_rational_rows(rng, nrows, ncols)
                     got, want = rref(m), rref_by_fractions(m)
-                    assert (got.rank, got.pivots, got.rows) == (want.rank, want.pivots, want.rows)
+                    assert (got.rank, got.pivots, fraction_rows(got)) == (want.rank, want.pivots,
+                                                                          want.rows)
                     assert got.kernel_basis() == want.kernel_basis()
                     deficient += got.rank < min(nrows, ncols)
                     if got.rank == nrows:  # T A = R on independent rows: T = A_P^-1
@@ -254,7 +257,7 @@ class TestIntegerRref:
     def test_integer_and_fraction_inputs_agree(self):
         # a string entry is refused (TestRrefOnIntegerRows), so 1/3 is a Fraction
         m = [[2, Fraction(1, 3), 0], [Fraction(4), Fraction(2, 3), 1]]
-        assert rref(m).rows == rref_by_fractions(m).rows == [
+        assert fraction_rows(rref(m)) == rref_by_fractions(m).rows == [
             [1, Fraction(1, 6), 0], [0, 0, 1]]
 
 
@@ -302,6 +305,35 @@ class TestNumericOnly:
             with pytest.raises(JordanetError) as err:
                 call()
             assert isinstance(err.value, PreconditionError) and err.value.code == "NOT_NUMERIC"
+
+
+class TestIntegerMatrices:
+    """``integer_matrices`` clears matrices over one lcm and keeps each
+    matrix's rows as they are; the square-matrix routines refuse any other
+    shape with NOT_SQUARE."""
+
+    def test_one_lcm_and_every_shape_kept(self):
+        mats = [[[Fraction(1, 2), 3]], [[1, Fraction(-2, 3)], [0, 0], [Fraction(5, 6), 7]], []]
+        assert integer_matrices(mats) == (
+            [[[3, 18]], [[6, -4], [0, 0], [5, 42]], []], 6)
+        assert integer_matrices([[[1, 2], [3]]]) == ([[[1, 2], [3]]], 1)
+        assert integer_matrices([]) == ([], 1)
+
+    def test_non_rational_entries_are_not_numeric(self):
+        for bad in ("1", 1.5, P("x")):
+            with pytest.raises(PreconditionError) as err:
+                integer_matrices([[[Fraction(1), bad]]])
+            assert err.value.code == "NOT_NUMERIC", bad
+
+    def test_square_routines_refuse_other_shapes(self):
+        wide = Mat.from_ints([[1, 2, 3], [4, 5, 6]])
+        for f, what in ((det, "determinant"), (det_laplace, "determinant"), (inverse, "inverse"),
+                        (inverse_or_none, "inverse"), (charpoly, "characteristic polynomial"),
+                        (adjugate, "adjugate")):
+            with pytest.raises(PreconditionError) as err:
+                f(wide)
+            assert err.value.code == "NOT_SQUARE" and str(err.value).endswith(
+                f"{what} needs a square matrix"), f
 
 
 def integer_row(row):
@@ -375,14 +407,14 @@ class TestGrowingEchelon:
                     assert all(rest[p] == 0 for p in ech.pivots)
                     assert any(rest) == (want.rank > ech.rank)
                     if any(rest):
-                        assert rref_by_fractions(ech.rows + [rest]).rows == want.rows
+                        assert rref_by_fractions(fraction_rows(ech) + [rest]).rows == want.rows
                         grown += 1
                     d, out = ech.d, ech.adjoin(v)
                     if any(rest):
                         assert [Fraction(x, d) for x in out] == before.reduce_vector(v)
                     else:
                         assert out is None
-                    assert (ech.rank, ech.pivots, ech.rows) == (want.rank, want.pivots, want.rows)
+                    assert (ech.rank, ech.pivots, fraction_rows(ech)) == (want.rank, want.pivots, want.rows)
                     for r, p in zip(ech.int_rows, ech.pivots):
                         assert math.gcd(*r) == 1 and r[p] > 0
                         assert all(r[q] == 0 for q in ech.pivots if q != p)
@@ -402,7 +434,7 @@ class TestGrowingEchelon:
             ech = Echelon(ncols)
             ech.extend(draw())
             want = rref_by_fractions(rows)
-            assert (ech.rank, ech.pivots, ech.rows) == (want.rank, want.pivots, want.rows)
+            assert (ech.rank, ech.pivots, fraction_rows(ech)) == (want.rank, want.pivots, want.rows)
             if want.rank == ncols:
                 assert rref_by_fractions(drawn).rank == ncols
                 assert rref_by_fractions(drawn[:-1]).rank == ncols - 1
@@ -414,18 +446,18 @@ class TestGrowingEchelon:
             src = Echelon(ncols)
             src.extend(rows[:ncols // 2])
             src.ff_rows  # read before the copy: not carried over
-            before = (list(src.forward), list(src.order), list(src.pivots), src.d, src.rows)
+            before = (list(src.forward), list(src.order), list(src.pivots), src.d, src.int_rows)
             ech = src.copy()
-            assert ech._ff is None and ech._int_rows is None and ech._rows is None
+            assert ech._ff is None and ech._int_rows is None
             assert all(a is b for a, b in zip(ech.forward, src.forward))
             ech.extend(rows[ncols // 2:])
-            assert (src.forward, src.order, src.pivots, src.d, src.rows) == before
+            assert (src.forward, src.order, src.pivots, src.d, src.int_rows) == before
             want = rref_by_fractions(rows)
-            assert (ech.rank, ech.pivots, ech.rows) == (want.rank, want.pivots, want.rows)
+            assert (ech.rank, ech.pivots, fraction_rows(ech)) == (want.rank, want.pivots, want.rows)
 
     def test_empty_echelon(self):
         ech = Echelon(3)
-        assert (ech.rank, ech.rows, residue(ech, [0, 6, -4])) == (0, [], [0, 3, -2])
+        assert (ech.rank, ech.int_rows, residue(ech, [0, 6, -4])) == (0, [], [0, 3, -2])
         d, out = ech.d, ech.adjoin([0, 6, -4])
         assert [Fraction(x, d) for x in out] == rref_by_fractions([]).reduce_vector([0, 6, -4])
         assert out == [0, 6, -4] and ech.int_rows == [[0, 3, -2]]
@@ -493,7 +525,7 @@ def assert_same_echelon(rows, ncols, rng):
     new.extend(rows)
     old.extend(rows)
     assert (new.int_rows, new.pivots, new.rank) == (old.int_rows, old.pivots, old.rank)
-    assert new.rows == old.rows and new.kernel_basis() == old.kernel_basis()
+    assert fraction_rows(new) == old.rows and new.kernel_basis() == old.kernel_basis()
     for row, p in zip(new.ff_rows, new.pivots):
         assert [row[q] for q in new.pivots] == [new.d * (q == p) for q in new.pivots]
     coeffs = [rng.int_between(-3, 3) for _ in rows]
@@ -724,7 +756,7 @@ class TestRref:
                 continue
             t = over(*pivot_block_inverse(m, e.pivots))
             assert det(t) != 0
-            assert t @ Mat(m) == Mat(e.rows)
+            assert t @ Mat(m) == Mat(fraction_rows(e))
 
     def test_coordinates_recover_the_combination(self):
         rng = SplitMix64(9)

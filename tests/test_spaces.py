@@ -142,6 +142,21 @@ class TestMakeSpace:
             make_space(3, [raw])
         assert err.value.code == "NOT_SYMMETRIC"
 
+    def test_empty_basis_rejected(self):
+        with pytest.raises(PreconditionError) as err:
+            make_space(2, [])
+        assert str(err.value) == "DEPENDENT_BASIS: empty basis"
+
+    def test_wrong_size_rejected(self):
+        # 1 x 2 and 3 x 2 hold eight entries, which two symmetric independent
+        # 2 x 2 matrices would take up: the integer basis keeps each shape
+        for basis in ([Mat.identity(3)],
+                      [Mat.from_ints([[1, 0]]), Mat.from_ints([[0, 0], [1, 0], [0, 1]])],
+                      [Mat([[Fraction(1, 2), 0]]), Mat.from_ints([[0, 0], [1, 0], [0, 1]])]):
+            with pytest.raises(PreconditionError) as err:
+                make_space(2, basis)
+            assert str(err.value) == "NOT_SYMMETRIC: basis size mismatch", basis
+
 
 def packed_element(space, names=None) -> Mat:
     """The package's generic element X' / L (``generic_matrix``) as a Mat of
@@ -492,8 +507,21 @@ class TestContains:
         sp = make_space(2, [E(2, 1, 1)])
         assert contains(sp, E(2, 2, 2)) is None
 
+    def test_wrong_size_is_refused_and_non_symmetric_is_absent(self):
+        sp = make_space(2, [E(2, 1, 1), E(2, 1, 2)])
+        for m in (Mat.identity(3), Mat.from_ints([[1, 0]])):
+            with pytest.raises(PreconditionError) as err:
+                contains(sp, m)
+            assert err.value.code == "NOT_SYMMETRIC"
+        assert contains(sp, Mat.from_ints([[1, 1], [0, 0]])) is None
+
 
 class TestOrthComplement:
+    def test_complement_of_the_full_space_is_refused(self):
+        with pytest.raises(PreconditionError) as err:
+            orth_complement(make_space(2, [E(2, 1, 1), E(2, 1, 2), E(2, 2, 2)]))
+        assert err.value.code == "DEPENDENT_BASIS"
+
     def test_copencil_complement(self):
         sp = make_space(3, [E(3, 1, 1), E(3, 1, 2), E(3, 2, 2), E(3, 1, 3)])
         comp = orth_complement(sp)
@@ -1025,15 +1053,9 @@ class TestMirroredEntries:
         b = self.parse(upper, lower).basis[0]
         assert b[0, 1] == b[1, 0] == Fraction(upper)
 
-    def test_identical_raw_values_share_one_fraction(self, monkeypatch):
-        # the mirrored pair goes through frac once, and its one value fills
-        # both entries of the integer basis
-        from jordanet import io
-
-        calls = []
-        monkeypatch.setattr(io, "frac", lambda text: calls.append(text) or frac(text))
+    def test_identical_raw_values_give_one_value(self):
+        # the mirrored pair fills both entries of the integer basis with one value
         space = self.parse("-7/3", "-7/3")
-        assert calls == ["-7/3"]
         assert space.integer_basis() == ([[[3, -7], [-7, 0]]], 3)
         assert space.basis[0][0, 1] == space.basis[0][1, 0] == Fraction(-7, 3)
 
@@ -1178,15 +1200,10 @@ class TestIntegerParse:
                 parse_space_data({"n": 3, "basis": [[[1, 0, 0], [0, 1, 0], [0, 0, 1]], raw]})
             assert err.value.code == "PARSE_ERROR" and str(err.value).endswith(named), (i, j)
 
-    def test_mixed_matrices_share_mirrored_fractions(self, monkeypatch):
-        # an all-int matrix beside one with a mirrored "p/q" pair: the pair
-        # goes through frac once, and the int matrix is scaled by L = 3
-        from jordanet import io
-
-        calls = []
-        monkeypatch.setattr(io, "frac", lambda text: calls.append(text) or frac(text))
+    def test_mixed_matrices_clear_over_one_lcm(self):
+        # an all-int matrix beside one with a mirrored "p/q" pair: the int
+        # matrix is scaled by L = 3 too
         space = parse_space_data({"n": 2, "basis": [[[1, 2], [2, 0]], [[0, "-7/3"], ["-7/3", 5]]]})
-        assert calls == ["-7/3"]
         assert space.integer_basis() == ([[[3, 6], [6, 0]], [[0, -7], [-7, 15]]], 3)
         assert space.basis[1][0, 1] == space.basis[1][1, 0] == Fraction(-7, 3)
 

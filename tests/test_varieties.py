@@ -8,6 +8,7 @@ from jordanet.catalog import canonical, catalog_ids
 from jordanet.errors import InputError, PreconditionError
 from jordanet import cli, modular, varieties
 from jordanet.exact import integer_poly, monomials, parse_poly, poly_eval
+from jordanet.jordan import radical, structure_constants
 from jordanet.linalg import Mat, frac_str, inverse, rref
 from jordanet.prng import SplitMix64
 from jordanet.spaces import (
@@ -116,6 +117,12 @@ class TestMacaulay:
         with pytest.raises(PreconditionError) as err:
             macaulay_emptiness([I("x^2 + y")], 3)
         assert err.value.code == "NOT_HOMOGENEOUS"
+
+    def test_empty_system_and_undeclared_variable_rejected(self):
+        for system, vars in (([], None), ([I("x^2")], ("y",)), ([I("x*y")], ("x", "z"))):
+            with pytest.raises(PreconditionError) as err:
+                macaulay_emptiness(system, 2, vars)
+            assert err.value.code == "NOT_HOMOGENEOUS", (system, vars)
 
     def test_negative_degree_rejected(self):
         # x*y = 0 has solutions; an empty degree -1 span must not certify anything
@@ -371,6 +378,12 @@ class TestRankOneSystem:
 
 
 class TestRankOnePencil:
+    def test_only_pencils(self):
+        for basis in ([E(2, 1, 1)], [E(2, 1, 1), E(2, 1, 2), E(2, 2, 2)]):
+            with pytest.raises(PreconditionError) as err:
+                rank_one_pencil(make_space(2, basis))
+            assert err.value.code == "UNSUPPORTED_DIM"
+
     def test_two_points(self):
         assert rank_one_pencil(make_space(2, [E(2, 1, 1), E(2, 2, 2)])) == 2
 
@@ -393,6 +406,21 @@ class TestRankOnePencil:
             counts.add(got)
             dims.add(minor_span_dim(sp))
         assert counts == {0, 1, 2} and dims == {1, 2, 3}
+
+    def test_no_pencil_lies_in_the_rank_one_locus(self):
+        # the rank-one matrices contain no line: v v^T + w w^T has rank 2 for
+        # independent v, w, so the minors of every pencil span V != 0 and
+        # rank_one_pencil needs no answer for V = 0; on the seeded pencils
+        # and the radical pencils of the catalog and of seeded images
+        pencils = oracle_pencils()
+        for cid in ("s4/3a", "s4/3b1", "s4/3b2"):
+            net = canonical(cid)
+            for sp in (net, sample_congruent(net, 60), sample_congruent(net, 61)):
+                rad = radical(structure_constants(sp))
+                pencils.append(make_space(sp.n, [sp.element(c) for c in rad]))
+        for sp in pencils:
+            assert rank_one_minors_by_mpoly(sp), sp
+            assert rank_one_pencil(sp) == rank_one_count_oracle(sp)
 
 
 def minor_span_dim(sp):
@@ -542,6 +570,27 @@ class TestCatalogEval:
             q = cayley_orthogonal(300 + k, 3)
             x = q.transpose() @ diag(2, -1, -1) @ q
             assert catalog_eval("double_eigenvalue_cubics", x) == [0] * 7
+
+    def test_unknown_id(self):
+        with pytest.raises(InputError) as err:
+            catalog_eval("nope", diag(1, -1, 0))
+        assert err.value.code == "UNKNOWN_ID"
+
+    def test_every_convention_mismatch(self):
+        s4_pencil = make_space(4, [E(4, 1, 1), E(4, 2, 2)])
+        # a net, a 2 x 2 and a non-symmetric matrix for the traceless 3 x 3 one
+        cases = {"double_eigenvalue_cubics": [canonical("s4/1a"), diag(1, -1), Mat.from_ints(
+                     [[0, 1, 0], [0, 0, 0], [0, 0, 0]])],
+                 "jordan_net_quadrics": [diag(1, -1, 0), canonical("s4/1a"),
+                                         make_space(3, [Mat.identity(3), E(3, 1, 2)])],
+                 "plucker_spin_orbit_quadric": [s4_pencil, canonical("s5/Lstar"), diag(1, -1, 0),
+                                                plucker(s4_pencil), plucker(make_space(
+                                                    3, [E(3, 1, 1), E(3, 2, 2), E(3, 3, 3)]))]}
+        for catalog_id, values in cases.items():
+            for value in values:
+                with pytest.raises(PreconditionError) as err:
+                    catalog_eval(catalog_id, value)
+                assert err.value.code == "CONVENTION_MISMATCH", (catalog_id, value)
 
     def test_trace_convention_enforced(self):
         with pytest.raises(PreconditionError) as err:
