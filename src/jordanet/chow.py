@@ -15,10 +15,9 @@ already a coefficient vector over those monomials (Faddeev-LeVerrier on
 upper triangles, ``exact.symmetric_linear_adjugate``), and no Fraction is
 formed.  The rank and the kernel forms read one integer echelon of the
 transpose of C' with its columns reversed (the scale L^(n-1) changes
-neither): each kernel vector is the echelon's own integer one
-(``linalg.Echelon.integer_kernel``), read back to front as a primitive
-integer row of the kernel's reduced echelon form and written straight into
-an ``MPoly``.
+neither): each kernel vector is the echelon's own primitive integer one
+(``linalg.Echelon.integer_kernel``), read back to front as a row of the
+kernel's reduced echelon form and written straight into an ``MPoly``.
 
 The fully symbolic n = 3 determinant (degree 12 in the 18 entry variables,
 22659 terms) is read off the generic net w1 X + w2 Y + w3 Z, X, Y and Z
@@ -117,18 +116,17 @@ def chow_kernel_forms(space: MatSpace) -> List[MPoly]:
     order is not ``sym_pairs`` order (z110 < z12).
 
     That basis needs no second elimination and no Fraction.  The echelon's
-    kernel vector at a free column f (``Echelon.integer_kernel``) is d times
-    the one with 1 at f, nonzero only at f and at pivots before f.  Read
-    back to front, it leads at f and is 0 at every other vector's leading
-    column, so the vectors, reversed and from the last free column to the
-    first, are the reduced echelon form of the kernel, each made primitive
-    by its gcd.
+    kernel vector at a free column f (``Echelon.integer_kernel``) is the one
+    with 1 at f cleared of denominators and primitive, nonzero only at f and
+    at pivots before f.  Read back to front, it leads at f and is 0 at every
+    other vector's leading column, so the vectors, reversed and from the
+    last free column to the first, are the reduced echelon form of the
+    kernel, each row primitive.
     """
     names = [f"z{i + 1}{j + 1}" for i, j in sym_pairs(space.n)]
     forms = []
     for vec in reversed(_chow_echelon(space, "kernel forms need").integer_kernel()):
-        g = math.gcd(*vec)
-        used = sorted((name, c // g) for name, c in zip(names, reversed(vec)) if c)
+        used = sorted((name, c) for name, c in zip(names, reversed(vec)) if c)
         sign = -1 if used[0][1] < 0 else 1
         forms.append(MPoly(tuple(name for name, _ in used),
                            {tuple(int(k == q) for q in range(len(used))): Fraction(sign * c)

@@ -42,7 +42,7 @@ from .jordan import (
     radical,
     structure_constants,
 )
-from .linalg import int_faddeev_leverrier, int_matmul, integer_vector
+from .linalg import int_faddeev_leverrier, int_matmul
 from .spaces import MatSpace, is_regular, rank_one_pencil, unit_point
 from .univariate import squarefree_decomposition
 
@@ -137,7 +137,7 @@ def invariant_vector(space: MatSpace) -> InvariantVector:
     rank_one = None
     if len(coords) == 2:  # independent kernel vectors have independent images
         rank_one = rank_one_pencil(MatSpace(space.n, ints=(
-            [space.integer_element(integer_vector(c)[0]) for c in coords], 1)))
+            [space.integer_element(c) for c in coords], 1)))
     return InvariantVector(len(coords), assoc, rad_sq, partition, rank_one)
 
 

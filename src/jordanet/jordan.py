@@ -25,9 +25,10 @@ The Jordan test reduces each basis product on the space's echelon, reads its
 coordinates off the space's pivot inverse (``MatSpace.pivot_inverse``, the
 one linear solve) and keeps the structure tensor as one integer tensor c
 over one denominator.  The radical (the kernel of the trace form (x, y) ->
-tr(L_{x*y}), the characteristic-zero semisimplicity criterion, read off its
-echelon's ``kernel_basis``), associativity and the radical's square are read
-off c.  A structure never changes once built, so each is a
+tr(L_{x*y}), the characteristic-zero semisimplicity criterion: its
+echelon's primitive ``integer_kernel``), associativity and the radical's
+square are read off c, and so are the Peirce pieces, all on integers.  A
+structure never changes once built, so the first three are each a
 ``functools.cached_property`` of it; the structure, or the witness, is kept
 in the unit's instance dict, as ``spaces`` keeps no field for it (its
 caching rule is stated there).  The tests compare all of it with the
@@ -138,28 +139,14 @@ class JordanStructure:
     def dim(self) -> int:
         return self.space.m
 
-    def multiply_coords(self, a: Sequence[Fraction], b: Sequence[Fraction]) -> List[Fraction]:
-        """Coordinates of the product of the elements with coordinates a and b:
-        with a = a' / d and b = b' / e, sum_ij a'_i b'_j c[i][j] / (d e den)."""
-        (ai, d), (bi, e) = integer_vector(a), integer_vector(b)
-        prod = _combine(ai, [_combine(bi, plane) for plane in self.c])
-        return [Fraction(x, d * e * self.den) for x in prod]
-
-    def operator_matrix(self, coords: Sequence[Fraction]) -> Mat:
-        """Matrix of left multiplication by the element with these coordinates:
-        column j is x * b_j = sum_i x_i c[j][i] / den."""
-        xi, d = integer_vector(coords)
-        cols = [_combine(xi, plane) for plane in self.c]
-        return Mat([[Fraction(col[k], d * self.den) for col in cols] for k in range(self.dim)])
-
     @functools.cached_property
-    def _radical(self) -> List[List[Fraction]]:
+    def _radical(self) -> List[List[int]]:
         c, m = self.c, self.dim
         traces = [sum(c[k][j][j] for j in range(m)) for k in range(m)]
         ech = Echelon(m)
         ech.extend([sum(x * t for x, t in zip(c[i][j], traces)) for j in range(m)]
                    for i in range(m))
-        return ech.kernel_basis()
+        return ech.integer_kernel()
 
     @functools.cached_property
     def _associative(self) -> bool:
@@ -169,7 +156,7 @@ class JordanStructure:
 
     @functools.cached_property
     def _rad_square(self) -> int:
-        coords = [integer_vector(x)[0] for x in radical(self)]  # the traced name: its calls count
+        coords = radical(self)  # the traced name: its calls count
         return rref([_combine(x, [_combine(y, plane) for plane in self.c])
                      for i, x in enumerate(coords) for y in coords[i:]]).rank
 
@@ -223,11 +210,12 @@ def _basis_products(space: MatSpace, unit: Unit) -> Union[JordanStructure, Jorda
     return memo["basis_products"]
 
 
-def radical(a: JordanStructure) -> List[List[Fraction]]:
-    """Coordinate vectors of the radical, the kernel of the trace form:
-    tr(L_{b_k}) = sum_j c_kj^j / den and the Gram entry is sum_k c_ij^k
-    tr(L_{b_k}) / den, so den^2 times the Gram matrix is an integer matrix
-    with the same kernel."""
+def radical(a: JordanStructure) -> List[List[int]]:
+    """Integer coordinate vectors of the radical, the kernel of the trace
+    form: tr(L_{b_k}) = sum_j c_kj^j / den and the Gram entry is sum_k
+    c_ij^k tr(L_{b_k}) / den, so den^2 times the Gram matrix is an integer
+    matrix with the same kernel, whose ``Echelon.integer_kernel`` (the
+    reduced basis, each vector primitive) this is."""
     return a._radical
 
 
@@ -247,41 +235,46 @@ def peirce(a: JordanStructure, idempotents: Sequence[Mat]) -> Dict[Tuple[int, in
     """Joint eigenspace decomposition for orthogonal idempotents summing to U.
 
     Piece (i, i) collects Y with X_i * Y = Y; piece (i, j) for i < j collects
-    Y with 2 X_i * Y = 2 X_j * Y = Y.  The idempotents are checked in
-    coordinates.  Dimensions always sum to the algebra dimension; a
-    shortfall raises, it cannot silently truncate.
+    Y with 2 X_i * Y = 2 X_j * Y = Y.  Each piece is read off the integer
+    tensor: with X_i's coordinates c'_i / e_i, left multiplication by X_i
+    is M_i / (e_i den), M_i's column k being sum_l c'_il c[k][l].  So X_i
+    is idempotent when M_i c'_i = e_i den c'_i, X_i * X_j = 0 when M_i c'_j
+    = 0, and the pieces are the integer kernels of M_i - e_i den I and of
+    2 M_i - e_i den I (stacked with j's), each element the primitive
+    integer combination of the basis.  Dimensions always sum to the
+    algebra dimension; a shortfall raises, it cannot silently truncate.
     """
-    d = len(idempotents)
-    coords = []
+    m = a.dim
+    coords, ops = [], []  # ops: (c'_i, the columns of M_i, e_i den)
     for x in idempotents:
         c = contains(a.space, x)
         if c is None:
             raise PreconditionError("NOT_ORTHOGONAL_IDEMPOTENTS", "idempotent outside the algebra")
         coords.append(c)
-        if a.multiply_coords(c, c) != c:
+        ci, e = integer_vector(c)
+        cols = [_combine(ci, plane) for plane in a.c]
+        if _combine(ci, cols) != [e * a.den * x for x in ci]:
             raise PreconditionError("NOT_ORTHOGONAL_IDEMPOTENTS", "element is not idempotent")
-    if any(any(a.multiply_coords(x, y)) for x, y in itertools.combinations(coords, 2)):
+        ops.append((ci, cols, e * a.den))
+    if any(any(_combine(cj, cols)) for (_, cols, _), (cj, _, _) in itertools.combinations(ops, 2)):
         raise PreconditionError("NOT_ORTHOGONAL_IDEMPOTENTS", "idempotents are not orthogonal")
     if [sum(col) for col in zip(*coords)] != list(a.unit.coords):
         raise PreconditionError("NOT_ORTHOGONAL_IDEMPOTENTS", "idempotents do not sum to the unit")
 
-    m = a.dim
-    ops = [a.operator_matrix(c) for c in coords]
-    ident = Mat.identity(m)
-    pieces: Dict[Tuple[int, int], List[Mat]] = {}
-    used = 0
-    for i in range(d):
-        kernel = rref((ops[i] - ident).data).kernel_basis()
-        pieces[(i, i)] = [a.space.element(v) for v in kernel]
-        used += len(kernel)
-        for j in range(i + 1, d):
-            stacked = (ops[i].scale(2) - ident).data + (ops[j].scale(2) - ident).data
-            kernel = rref(list(stacked)).kernel_basis()
-            pieces[(i, j)] = [a.space.element(v) for v in kernel]
-            used += len(kernel)
+    def shifted(k: int, i: int) -> List[List[int]]:
+        """The rows of k M_i - e_i den I."""
+        _, cols, s = ops[i]
+        return [[k * col[r] - (s if q == r else 0) for q, col in enumerate(cols)] for r in range(m)]
+
+    kernels: Dict[Tuple[int, int], List[List[int]]] = {}
+    for i in range(len(ops)):
+        kernels[(i, i)] = rref(shifted(1, i)).integer_kernel()
+        for j in range(i + 1, len(ops)):
+            kernels[(i, j)] = rref(shifted(2, i) + shifted(2, j)).integer_kernel()
+    used = sum(map(len, kernels.values()))
     if used != m:
         raise InternalCheckError("INTERNAL", f"Peirce pieces span {used} of {m} dimensions")
-    return pieces
+    return {key: [a.space.element(v) for v in kernel] for key, kernel in kernels.items()}
 
 
 #: invertible sweep points the sampled reciprocal check tries

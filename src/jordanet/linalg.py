@@ -20,12 +20,14 @@ There is one row reduction, ``Echelon``: integer rows grown by forward
 fraction-free elimination (Bareiss), each step an exact division by the
 previous pivot entry (Sylvester's identity), no row rewritten once appended;
 the reduced rows and primitive rows are formed by back-substitution only
-when read, and the kernel as integer vectors (``integer_kernel``), which
-``kernel_basis`` divides by the last pivot entry and ``chow``'s kernel forms
-read as they are.  ``rref`` adjoins a matrix's rows, integer or cleared of
-denominators, ``integer_inverse`` the rows [M' | d I] of a square matrix M =
-M' / d, ``det_bareiss`` a square matrix's rows (its determinant is the last
-pivot entry, signed and over the denominators), and ``jordan_closure``, on a
+when read, and the kernel as primitive integer vectors (``integer_kernel``),
+which the radical, the Peirce pieces, the orthogonal complement and
+``chow``'s kernel forms read as they are; only the limit's combination,
+whose scale reaches its printed basis, divides one by its free-column entry.
+``rref`` adjoins a matrix's rows, integer or cleared of denominators,
+``integer_inverse`` the rows [M' | d I] of a square matrix M = M' / d,
+``det_bareiss`` a square matrix's rows (its determinant is the last pivot
+entry, signed and over the denominators), and ``jordan_closure``, on a
 ``copy`` of a space's echelon, products as it finds them.  There is one
 linear solve, ``integer_inverse``: coordinates over independent rows A are
 those of v_P A_P^-1 on A's pivot columns P (``express_in_rows``,
@@ -246,20 +248,18 @@ class Echelon:
         return ech
 
     def integer_kernel(self) -> List[List[int]]:
-        """The kernel over Z, one vector per free column f in order: d at f,
-        -T_i[f] at each pivot p_i (``ff_rows``, read only when f exists)."""
+        """The kernel's reduced basis cleared of denominators, one vector per
+        free column f in order: d at f and -T_i[f] at each pivot p_i
+        (``ff_rows``, read only when f exists), over its content with a
+        positive entry at f, 0 at every other free column."""
         pivots, out = set(self.pivots), []
         for f in (j for j in range(self.cols) if j not in pivots):
             v = [0] * self.cols
             v[f] = self.d
             for row, p in zip(self.ff_rows, self.pivots):
                 v[p] = -row[f]
-            out.append(v)
+            out.append(primitive(v, self.d < 0))
         return out
-
-    def kernel_basis(self) -> List[List[Fraction]]:
-        """The kernel's reduced basis, 1 at its free column: ``integer_kernel`` over d."""
-        return [[Fraction(x, self.d) for x in v] for v in self.integer_kernel()]
 
     def eliminate(self, v: Sequence[int]) -> Tuple[List[int], int]:
         """(d v - sum v[p_i] T_i, d): d times v's remainder modulo the row

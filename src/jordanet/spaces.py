@@ -53,7 +53,7 @@ import functools
 import itertools
 import math
 from fractions import Fraction
-from typing import TYPE_CHECKING, Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .errors import PreconditionError
 from .linalg import (Echelon, Mat, int_matmul, integer_inverse, integer_matrices, integer_vector,
@@ -408,12 +408,6 @@ def invertible_points(space: MatSpace, points: Iterable[tuple]) -> Iterable[tupl
             yield tup, inv
 
 
-def sweep_rank(space: MatSpace) -> Callable[[Sequence[int]], int]:
-    """Rank of sum_k t_k B_k at integer t: that of the integer sum_k t_k B'_k
-    (``MatSpace.integer_element``), by ``rref``."""
-    return lambda tup: rref(space.integer_element(tup)).rank
-
-
 def _full_rank(rows: List[List[int]]) -> bool:
     """Whether the square integer matrix is invertible, decided at the first
     row that fails to join an ``Echelon`` of the rows before it."""
@@ -463,14 +457,16 @@ def contains(space: MatSpace, m: Mat) -> Optional[List[Fraction]]:
 
 
 def orth_complement(space: MatSpace) -> MatSpace:
-    """All symmetric Z with trace(B' Z) = 0 for every integer basis matrix B' = L B."""
+    """All symmetric Z with trace(B' Z) = 0 for every integer basis matrix B'
+    = L B: its basis is the primitive integer kernel (``integer_kernel``) of
+    those linear forms on the upper triangle, independent and over L = 1."""
     n = space.n
     rows = [[b[i][j] if i == j else 2 * b[i][j] for i, j in sym_pairs(n)]
             for b in space.integer_basis()[0]]
-    kernel = rref(rows).kernel_basis()
+    kernel = rref(rows).integer_kernel()
     if not kernel:
         raise PreconditionError("DEPENDENT_BASIS", "complement of the full space is zero")
-    return MatSpace(n, [unvectorize(n, v) for v in kernel])  # a kernel basis is independent
+    return MatSpace(n, ints=([symmetric_rows(n, v) for v in kernel], 1))
 
 
 def congruence_transform(space: MatSpace, p: Mat) -> MatSpace:
@@ -602,7 +598,9 @@ def grassmann_limit(family: ParametricBasis) -> MatSpace:
         reduced = rref([list(col) for col in zip(*numeric)])
         if reduced.rank == family.m:
             return MatSpace(family.n, [unvectorize(family.n, row) for row in numeric])
-        combo = reduced.kernel_basis()[0]
+        vec = reduced.integer_kernel()[0]
+        target = max(i for i, c in enumerate(vec) if c)  # its free column
+        combo = [Fraction(c, vec[target]) for c in vec]
         combined = [{} for _ in rows[0]]
         for c, row in zip(combo, rows):
             for acc, e in zip(combined, row):
@@ -612,6 +610,5 @@ def grassmann_limit(family: ParametricBasis) -> MatSpace:
         if not any(combined):
             break
         w = min(k for acc in combined for k in acc)
-        target = max(i for i, c in enumerate(combo) if c)
         rows[target] = [{k - w: x for k, x in acc.items()} for acc in combined]
     raise PreconditionError("NOT_GENERIC_RANK", "family is degenerate for generic t")

@@ -39,7 +39,7 @@ from .errors import InputError, PreconditionError
 from .exact import (MPoly, Packing, laplace_minors, monomials, packed_integer_poly,
                     parse_poly_lines, poly_eval)
 from .jordan import radical, structure_constants
-from .linalg import Echelon, Mat, integer_vector
+from .linalg import Echelon, Mat, rref
 # rank_one_pencil is an alias: the benchmark's tracer looks it up in this module
 from .spaces import (
     MatSpace,
@@ -49,7 +49,6 @@ from .spaces import (
     integer_sweep,
     plucker,
     rank_one_pencil,  # noqa: F401
-    sweep_rank,
     sym_pairs,
 )
 
@@ -340,16 +339,17 @@ def min_rank_bounds(space: MatSpace) -> MinRankBounds:
 
     Upper bound: best rank among basis elements, radical elements (when the
     space is a Jordan algebra) and the first ``_SWEEP_CANDIDATES`` integer
-    sweep points, in that order, each ranked on integers by its coordinates
-    cleared of denominators (``sweep_rank``); the first candidate of the best
-    rank is the witness, the one Fraction element formed.  Lower bound: 2
+    sweep points, in that order, each ranked by ``rref`` of its integer
+    element (``MatSpace.integer_element``): every candidate's coordinates are
+    integers, the radical's its primitive integer kernel.  The first
+    candidate of the best rank is the witness, the one Fraction element
+    formed.  Lower bound: 2
     when the rank-one locus is certified empty, else 1.  For a line (m = 1)
     the minimum rank is exact since every nonzero element is a multiple of
     the generator.
     """
-    rank = sweep_rank(space)
     if space.m == 1:
-        r = rank((1,))
+        r = rref(space.integer_element((1,))).rank
         return MinRankBounds(r, r, None, space.element((1,)))
 
     candidates = [tuple(int(j == k) for j in range(space.m)) for k in range(space.m)]
@@ -358,7 +358,7 @@ def min_rank_bounds(space: MatSpace) -> MinRankBounds:
     except PreconditionError:
         pass
     candidates.extend(itertools.islice(integer_sweep(space.m), _SWEEP_CANDIDATES))
-    best, coords = min(((rank(integer_vector(c)[0]), c) for c in candidates),
+    best, coords = min(((rref(space.integer_element(c)).rank, c) for c in candidates),
                        key=itemgetter(0))  # the first of least rank
     witness = space.element(coords)
 

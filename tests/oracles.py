@@ -100,9 +100,12 @@ that the tests can compare the two:
   the space's echelon and keeps one integer tensor over one denominator);
   ``integer_matrix`` clears a Fraction matrix of denominators for them (the
   package takes U^{-1} = Q / s as integers from its one elimination);
-  ``rad_square_dim_by_multiply_coords`` ranks the Fraction products
-  ``multiply_coords`` of the radical's vectors (the package multiplies their
-  cleared integer vectors through the integer tensor).
+  ``tensor_of`` reads the package's tensor c / den as Fractions, and
+  ``rad_square_dim_by_multiply_coords`` ranks the Fraction products of the
+  package radical's integer vectors on it, and ``operator_matrix_by_fractions``
+  is the Fraction matrix of a left multiplication there (the package
+  multiplies integer vectors through the integer tensor, and reads the
+  Peirce pieces off integer operators M_i over e_i den).
 
 - ``congruence_by_fractions``: the image P^T B P of each Fraction basis
   matrix as two Fraction ``Mat`` products, cleared by ``MatSpace`` (the
@@ -192,9 +195,10 @@ that the tests can compare the two:
 with: any variable order, duplicate exponents merged, zeros dropped;
 ``trimmed`` drops the variables an ``MPoly`` does not use,
 ``is_constant`` and ``constant_value`` read a constant ``MPoly``,
-``zero_mat`` and ``mat_map`` build ``Mat``s, ``mat_rank`` ranks one and
-``unit_mat`` forms a ``spaces.Unit``'s Fraction matrix U' / scale, none of
-which the package needs.
+``zero_mat`` and ``mat_map`` build ``Mat``s, ``mat_rank`` ranks one,
+``unit_mat`` forms a ``spaces.Unit``'s Fraction matrix U' / scale and
+``fraction_kernel`` an echelon's reduced kernel basis, 1 at each free
+column, none of which the package needs.
 ``to_recursive`` and ``from_recursive`` convert between ``MPoly`` and the
 recursive dense form of ``squarefree_by_recursive``'s gcds.
 """
@@ -587,6 +591,14 @@ def fraction_rows(ech) -> list:
     1 at each pivot: its ``int_rows`` over their pivot entries (no package
     code reads the reduced form as Fractions)."""
     return [[Fraction(x, row[p]) for x in row] for row, p in zip(ech.int_rows, ech.pivots)]
+
+
+def fraction_kernel(ech) -> list:
+    """The reduced kernel basis of a ``linalg.Echelon`` as Fraction vectors,
+    1 at each free column: each ``integer_kernel`` vector over its entry at
+    its free column (no package code reads a kernel as Fractions)."""
+    free = [j for j in range(ech.cols) if j not in ech.pivots]
+    return [[Fraction(x, v[f]) for x in v] for v, f in zip(ech.integer_kernel(), free)]
 
 
 def zero_mat(rows: int, cols: int) -> Mat:
@@ -1449,7 +1461,7 @@ def kernel_forms_by_mpoly(space, matrix: Optional[Mat] = None):
     package's, ``chow_fraction_matrix``, or ``matrix``, such as
     ``chow_matrix_by_adjugate``'s) a linear form in the z_ij, over its
     content with a positive leading coefficient (``MPoly.sign_normalized``)."""
-    kernel = rref((matrix or chow_fraction_matrix(space)).transpose().data).kernel_basis()
+    kernel = fraction_kernel(rref((matrix or chow_fraction_matrix(space)).transpose().data))
     zs = [MPoly.var(f"z{i + 1}{j + 1}") for i, j in sym_pairs(space.n)]
     return [sum((z.scale(c) for z, c in zip(zs, vec) if c), MPoly.zero()).sign_normalized()
             for vec in fraction_rows(rref(kernel))]
@@ -1911,7 +1923,7 @@ def radical_by_fractions(tensor):
     traces = [sum(tensor[k][j][j] for j in range(m)) for k in range(m)]
     gram = [[sum(c * t for c, t in zip(tensor[i][j], traces)) for j in range(m)]
             for i in range(m)]
-    return rref(gram).kernel_basis()
+    return fraction_kernel(rref(gram))
 
 
 def rad_square_dim_by_fractions(tensor) -> int:
@@ -1922,10 +1934,25 @@ def rad_square_dim_by_fractions(tensor) -> int:
 
 
 def rad_square_dim_by_multiply_coords(a) -> int:
-    """Rank of the pairwise products ``multiply_coords`` of ``radical(a)``'s
-    Fraction vectors."""
-    coords = radical(a)
-    return rref([a.multiply_coords(x, y) for i, x in enumerate(coords) for y in coords[i:]]).rank
+    """Rank of the pairwise products of ``radical(a)``'s integer vectors,
+    each ``multiply_coords_by_fractions`` on the Fraction tensor ``tensor_of(a)``."""
+    coords, tensor = radical(a), tensor_of(a)
+    return rref([multiply_coords_by_fractions(tensor, x, y)
+                 for i, x in enumerate(coords) for y in coords[i:]]).rank
+
+
+def tensor_of(a):
+    """The structure tensor of a ``JordanStructure`` as Fractions: c / den."""
+    return tuple(tuple(tuple(Fraction(x, a.den) for x in vec) for vec in row) for row in a.c)
+
+
+def operator_matrix_by_fractions(tensor, x) -> Mat:
+    """The Fraction matrix of left multiplication by the element with
+    coordinates x: column j is x * b_j (``multiply_coords_by_fractions``)."""
+    m = len(tensor)
+    cols = [multiply_coords_by_fractions(tensor, x, [int(k == j) for k in range(m)])
+            for j in range(m)]
+    return Mat([list(row) for row in zip(*cols)])
 
 
 def unit_mat(unit) -> Mat:

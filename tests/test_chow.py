@@ -321,7 +321,7 @@ class TestKernelForms:
 
     def test_kernel_vectors_kill_the_matrix(self):
         mat = chow_fraction_matrix(net_rank8())
-        kernel = rref(mat.transpose().data).kernel_basis()
+        kernel = rref(mat.transpose().data).integer_kernel()
         for vec in kernel:
             for col in range(10):
                 acc = sum((v * mat[r, col] for r, v in enumerate(vec)), Fraction(0))

@@ -1,5 +1,6 @@
 import itertools
 import math
+import sys
 import time
 from fractions import Fraction
 
@@ -37,11 +38,13 @@ from jordanet.univariate import squarefree_decomposition
 from oracles import (
     generic_element,
     matmul_by_loop,
+    operator_matrix_by_fractions,
     partition_by_bivariate,
     partition_coefficients_by_mpoly,
     partition_coefficients_by_packing,
     rational_spaces,
     squarefree_by_mpoly,
+    tensor_of,
     uni_charpoly,
 )
 
@@ -181,7 +184,7 @@ class TestTheorems:
         for sp in jordan_samples():
             a, coords = structure_constants(sp), list(unit_point(sp).coords)
             rad = radical(a)
-            assert a.operator_matrix(coords).trace() == a.dim, sp
+            assert operator_matrix_by_fractions(tensor_of(a), coords).trace() == a.dim, sp
             assert rref(rad + [coords]).rank == len(rad) + 1, sp
             if a.dim in (2, 3):
                 dims.add((a.dim, len(rad)))
@@ -528,6 +531,42 @@ class TestNetDecisionTable:
                 assert classify_net_S4(sample_congruent(canonical(f"s4/{label}"), 40 + seed)) == label
         assert len(pencils) == 9
         assert all(make_space(sp.n, sp.basis) == sp for sp in pencils)
+
+    def test_radical_vectors_are_read_as_they_are(self, monkeypatch):
+        # the radical is the echelon's primitive integer kernel, and its readers
+        # take those vectors as they are: during invariant_vector on the eight
+        # S^4 nets, and min_rank_bounds on s4/3b1, integer_vector receives no
+        # radical vector, but for the one witness that space.element forms
+        from jordanet import jordan, linalg, spaces, varieties
+
+        calls, clear = [], linalg.integer_vector
+        monkeypatch.setattr(linalg, "integer_vector", lambda vector: calls.append(
+            (sys._getframe(1).f_code.co_name, tuple(vector))) or clear(vector))
+        for module in (spaces, jordan, classify, varieties):
+            if hasattr(module, "integer_vector"):
+                monkeypatch.setattr(module, "integer_vector", linalg.integer_vector)
+
+        def radical_calls(space):
+            rad = {tuple(v) for v in radical(structure_constants(space))}
+            assert rad
+            return [caller for caller, vector in calls if vector in rad]
+
+        nonzero = 0
+        for label in NET_LABELS:
+            net = canonical(f"s4/{label}")
+            sp = MatSpace(net.n, ints=net.integer_basis())  # nothing cached yet
+            calls.clear()
+            invariant_vector(sp)
+            if radical(structure_constants(sp)):
+                nonzero += 1
+                assert radical_calls(sp) == [], label
+        assert nonzero == 6
+        net = canonical("s4/3b1")
+        sp = MatSpace(net.n, ints=net.integer_basis())
+        calls.clear()
+        varieties.min_rank_bounds(sp)
+        assert set(radical_calls(sp)) <= {"element"}
+        assert [caller for caller, _ in calls].count("element") == 1
 
     def test_an_unrecognized_vector_names_its_fields(self, monkeypatch):
         # the UNRECOGNIZED message prints the vector's repr

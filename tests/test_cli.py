@@ -160,14 +160,17 @@ class TestChow:
 
     def test_rank_and_kernel_form_no_fraction_matrix(self, tmp_path, monkeypatch, capsys):
         # the integer Chow matrix goes to the echelon as it is, and the kernel
-        # forms are read off its integer reduced rows: no Mat is built and no
-        # Fraction kernel basis is read, on an integer and a rational basis
+        # forms are its primitive integer kernel as it is: no Mat is built and
+        # no vector is cleared of denominators after ``integer_kernel`` is read,
+        # once per space, on an integer and a rational basis
         made = []
-        init, kernel_basis = linalg.Mat.__init__, linalg.Echelon.kernel_basis
+        init, kernel, clear = linalg.Mat.__init__, linalg.Echelon.integer_kernel, linalg.integer_vector
         monkeypatch.setattr(linalg.Mat, "__init__",
                             lambda self, data: made.append("Mat") or init(self, data))
-        monkeypatch.setattr(linalg.Echelon, "kernel_basis",
-                            lambda self: made.append("kernel_basis") or kernel_basis(self))
+        monkeypatch.setattr(linalg.Echelon, "integer_kernel",
+                            lambda self: made.append("integer_kernel") or kernel(self))
+        monkeypatch.setattr(linalg, "integer_vector",
+                            lambda v: made.append("integer_vector") or clear(v))
         rank8 = [[[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]],
                  [["1/2", 0, 0, 0], [0, "-1/2", 0, 0], [0, 0, 0, 0], [0, 0, 0, 0]],
                  [[0, 1, 1, 0], [1, 0, 0, 1], [1, 0, 0, 1], [0, 1, 1, 0]]]
@@ -179,7 +182,8 @@ class TestChow:
             code, out, _ = run_cli(["chow", str(f), "--json"], capsys)
             report = json.loads(out)
             assert code == 0 and (report["rank"], report["kernel_forms"]) == (rank, forms)
-        assert made == []
+            assert made.pop() == "integer_kernel"
+        assert "Mat" not in made and "integer_kernel" not in made
 
     def test_det_value_is_the_generic_chow_form_at_the_net(self, tmp_path, capsys):
         # the determinant of the net's Chow matrix against the symbolic n = 3

@@ -27,6 +27,7 @@ from jordanet.linalg import (
     express_in_rows,
     frac_str,
     int_matmul,
+    integer_vector,
     inverse,
     inverse_or_none,
     rref,
@@ -59,6 +60,7 @@ from oracles import (
     radical_by_fractions,
     reciprocal_identity_by_fractions,
     residue_mod_space,
+    tensor_of,
     unit_mat,
     zero_mat,
 )
@@ -130,11 +132,6 @@ def fraction_product(x, y, uinv):
 def jordan_product(x, y, u):
     """X * Y with unit U, by the Fraction oracle on U^-1 = Q / s."""
     return jordan_product_by_fractions(x, y, *inverse_or_none(u))
-
-
-def tensor_of(a):
-    """The structure tensor as Fractions: c / den."""
-    return tuple(tuple(tuple(Fraction(x, a.den) for x in vec) for vec in row) for row in a.c)
 
 
 def random_rational_symmetric(rng, n):
@@ -491,10 +488,10 @@ class TestStructureConstants:
         x = diag(1, -1, 1, -1)
         y = Mat.from_ints([[0, 1, 0, 0], [1, 0, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]])
         sp = make_space(4, [u, x, y])
-        a = structure_constants(sp)
-        assert a.multiply_coords([0, 1, 0], [0, 1, 0]) == [1, 0, 0]
-        assert a.multiply_coords([0, 0, 1], [0, 0, 1]) == [1, 0, 0]
-        assert a.multiply_coords([0, 1, 0], [0, 0, 1]) == [0, 0, 0]
+        tensor = tensor_of(structure_constants(sp))
+        assert multiply_coords_by_fractions(tensor, [0, 1, 0], [0, 1, 0]) == [1, 0, 0]
+        assert multiply_coords_by_fractions(tensor, [0, 0, 1], [0, 0, 1]) == [1, 0, 0]
+        assert multiply_coords_by_fractions(tensor, [0, 1, 0], [0, 0, 1]) == [0, 0, 0]
 
     def test_span_of_identity(self):
         sp = make_space(3, [Mat.identity(3)])
@@ -516,11 +513,12 @@ class TestStructureConstants:
     def test_tensor_multiplies_like_the_matrices(self):
         for sp in jordan_algebras():
             a = structure_constants(sp)
+            tensor = tensor_of(a)
             rng = SplitMix64(11)
             for _ in range(3):
                 x = [rng.int_between(-3, 3) for _ in range(a.dim)]
                 y = [rng.int_between(-3, 3) for _ in range(a.dim)]
-                assert a.space.element(a.multiply_coords(x, y)) == \
+                assert a.space.element(multiply_coords_by_fractions(tensor, x, y)) == \
                     jordan_product(a.space.element(x), a.space.element(y), unit_mat(a.unit))
 
     def test_basis_products_match_the_fraction_product(self):
@@ -586,14 +584,10 @@ class TestFractionOracle:
             return False
         a = structure_constants(sp)
         assert tensor_of(a) == want
-        assert radical(a) == radical_by_fractions(want)
+        # the radical is the Fraction radical's reduced basis cleared of denominators
+        assert radical(a) == [integer_vector(v)[0] for v in radical_by_fractions(want)]
         assert is_associative(a) == is_associative_by_unit_vectors(want)
         assert rad_square_dim(a) == rad_square_dim_by_fractions(want)
-        rng = SplitMix64(sp.m)
-        for _ in range(3):
-            x, y = ([Fraction(rng.int_between(-5, 5), rng.int_between(1, 4)) for _ in range(sp.m)]
-                    for _ in range(2))
-            assert a.multiply_coords(x, y) == multiply_coords_by_fractions(want, x, y)
         return True
 
 
@@ -626,10 +620,11 @@ def jordan_algebras():
 
 def is_ideal(a, coords):
     """Every product of a spanning vector with a basis element stays in the span."""
+    tensor = tensor_of(a)
     for r in coords:
         for j in range(a.dim):
             basis_j = [Fraction(int(t == j)) for t in range(a.dim)]
-            prod = a.multiply_coords(r, basis_j)
+            prod = multiply_coords_by_fractions(tensor, r, basis_j)
             if any(c != 0 for c in prod) and express_in_rows(coords, prod) is None:
                 return False
     return True
@@ -637,10 +632,11 @@ def is_ideal(a, coords):
 
 def is_nilpotent(a, coords):
     """X^(k+1) = 0 for each spanning vector X, k the span's dimension."""
+    tensor = tensor_of(a)
     for r in coords:
         power = list(r)
         for _ in range(len(coords)):
-            power = a.multiply_coords(power, r)
+            power = multiply_coords_by_fractions(tensor, power, r)
         if any(c != 0 for c in power):
             return False
     return True
@@ -742,8 +738,8 @@ class TestRadSquare:
         assert rad_square_dim(structure_constants(canonical_1a())) == 0
 
     def test_matches_multiply_coords_of_the_fraction_radical(self):
-        # the radical's cleared vectors multiplied on the integer tensor span
-        # as many dimensions as ``multiply_coords`` of its Fraction vectors
+        # the radical's integer vectors multiplied on the integer tensor span
+        # as many dimensions as their products on the Fraction tensor
         seen = set()
         for sp in jordan_algebras() + rational_unit_spaces(2015, jordan_algebras()):
             a = structure_constants(sp)
@@ -789,17 +785,39 @@ class TestPeirce:
     def test_pieces_are_joint_eigenspaces(self):
         # P^T (S^2 + S^1) P with its unit U = P^T P, not the identity, last, so
         # that U is the first sweep point, and the idempotents P^T E_ii P: in
-        # this basis the multiplication operators are not symmetric
+        # this basis the multiplication operators are not symmetric.  Then
+        # seeded rational P on S^2 + S^1 and S^2 + S^2, each P^T E_ij P times
+        # a seeded integer, so that the idempotents' coordinates have
+        # denominators
         p = Mat.from_ints([[1, 1, 0], [0, 1, 2], [1, 0, 1]])
-        pt = p.transpose()
+        self.check_pieces(p, [(1, 1, 1), (1, 2, 1), (2, 2, 1)], {
+            (0, 0): 1, (0, 1): 1, (0, 2): 0, (1, 1): 1, (1, 2): 0, (2, 2): 1})
+        rng = SplitMix64(2053)
+        for n, pairs, dims in ((3, [(1, 1), (1, 2), (2, 2)], {(0, 1): 1}),
+                               (4, [(1, 1), (1, 2), (2, 2), (3, 3), (3, 4)], {(0, 1): 1, (2, 3): 1})):
+            dims = {(i, j): int(i == j) + dims.get((i, j), 0) for i in range(n) for j in range(i, n)}
+            for _ in range(4):
+                while True:
+                    p = Mat([[Fraction(rng.int_between(-3, 3), rng.int_between(1, 4))
+                              for _ in range(n)] for _ in range(n)])
+                    if det(p):
+                        break
+                self.check_pieces(p, [(i, j, rng.int_between(2, 5)) for i, j in pairs], dims)
+
+    @staticmethod
+    def check_pieces(p, basis, dims):
+        """Peirce pieces of the diagonal idempotents P^T E_ii P in the space of
+        k P^T E_ij P for (i, j, k) in ``basis`` and its unit U = P^T P, last:
+        each piece has its dimension in ``dims`` and each element Y
+        satisfies X_i * Y = Y, or 2 X_i * Y = 2 X_j * Y = Y."""
+        n, pt = p.rows, p.transpose()
         u = pt @ p
-        sp = make_space(3, [pt @ E(3, 1, 1) @ p, pt @ E(3, 1, 2) @ p, pt @ E(3, 2, 2) @ p, u])
+        sp = make_space(n, [(pt @ E(n, i, j) @ p).scale(k) for i, j, k in basis] + [u])
         a = structure_constants(sp)
-        assert unit_mat(a.unit) == u != Mat.identity(3)
-        xs = [pt @ E(3, i, i) @ p for i in (1, 2, 3)]
+        assert unit_mat(a.unit) == u != Mat.identity(n)
+        xs = [pt @ E(n, i, i) @ p for i in range(1, n + 1)]
         pieces = peirce(a, xs)
-        assert {k: len(v) for k, v in pieces.items()} == {
-            (0, 0): 1, (0, 1): 1, (0, 2): 0, (1, 1): 1, (1, 2): 0, (2, 2): 1}
+        assert {k: len(v) for k, v in pieces.items()} == dims
         for (i, j), piece in pieces.items():
             for y in piece:
                 if i == j:

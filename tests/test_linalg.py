@@ -27,6 +27,7 @@ from jordanet.linalg import (
     det_laplace,
     express_in_rows,
     integer_matrices,
+    integer_vector,
     inverse,
     inverse_or_none,
     rref,
@@ -38,7 +39,6 @@ from jordanet.spaces import (
     generic_matrix,
     generic_names,
     make_space,
-    sweep_rank,
     sym_dim,
     symmetric_rows,
     unvectorize,
@@ -55,6 +55,7 @@ from oracles import (
     det_laplace_by_entries,
     faddeev_leverrier,
     faddeev_leverrier_by_entries,
+    fraction_kernel,
     fraction_rows,
     generic_element,
     inverse_or_none_by_primitive_rows,
@@ -229,10 +230,69 @@ def random_rational_rows(rng, nrows, ncols):
     return rows
 
 
+class TestEchelonIntegerKernel:
+    """``Echelon.integer_kernel``: the reduced kernel basis cleared of
+    denominators, one vector per free column, primitive and positive there."""
+
+    @staticmethod
+    def check(rows, ncols):
+        """The kernel of ``rref`` of the rows against the Fraction oracle's;
+        returns the echelon."""
+        got, want = rref(rows), rref_by_fractions(rows)
+        free = [j for j in range(ncols) if j not in got.pivots]
+        kernel = got.integer_kernel()
+        assert len(kernel) == len(free) == ncols - got.rank
+        for v, f in zip(kernel, free):
+            assert all(type(x) is int for x in v) and len(v) == ncols
+            assert math.gcd(*v) == 1 and v[f] > 0
+            assert [v[g] for g in free if g != f] == [0] * (len(free) - 1)
+            assert all(sum(Fraction(x) * y for x, y in zip(row, v)) == 0 for row in rows)
+        assert kernel == [integer_vector(w)[0] for w in want.kernel_basis()]
+        return got
+
+    def test_seeded_rational_matrices(self):
+        rng = SplitMix64(2053)
+        negative = scaled = 0
+        for nrows in range(1, 8):
+            for ncols in range(1, 8):
+                for _ in range(4):
+                    got = self.check(random_rational_rows(rng, nrows, ncols), ncols)
+                    if got.rank < ncols:
+                        negative += got.d < 0
+                        # a vector d at f and -T_i[f] that is not primitive as it stands
+                        scaled += any(math.gcd(got.d, *(row[f] for row in got.ff_rows)) > 1
+                                      for f in range(ncols) if f not in got.pivots)
+        assert negative > 20 and scaled > 20
+
+    def test_rank_zero_and_full_rank(self):
+        for ncols in range(1, 6):
+            got = self.check([[0] * ncols, [Fraction(0)] * ncols], ncols)
+            assert got.integer_kernel() == [[int(i == j) for i in range(ncols)] for j in range(ncols)]
+        rng = SplitMix64(7)
+        for n in range(1, 6):
+            for extra in range(3):
+                while True:
+                    rows = [[Fraction(rng.int_between(-9, 9), rng.int_between(1, 5))
+                             for _ in range(n + extra)] for _ in range(n)]
+                    if rref(rows).rank == n:
+                        break
+                assert len(self.check(rows, n + extra).integer_kernel()) == extra
+
+    def test_entries_of_thirty_digits(self):
+        rng = SplitMix64(31)
+        for nrows, ncols in ((2, 4), (3, 5), (4, 4), (4, 7)):
+            for _ in range(5):
+                rows = [[Fraction(rng.int_between(-9, 9) * 10 ** 30 + rng.int_between(-9, 9),
+                                  rng.int_between(1, 7)) for _ in range(ncols)]
+                        for _ in range(nrows)]
+                rows.append([x + y for x, y in zip(rows[0], rows[-1])])  # a dependent row
+                self.check(rows, ncols)
+
+
 class TestIntegerRref:
     def test_empty_matrix(self):
         e = rref([])
-        assert (e.rank, e.pivots, fraction_rows(e), e.cols, e.kernel_basis()) == (0, [], [], 0, [])
+        assert (e.rank, e.pivots, fraction_rows(e), e.cols, e.integer_kernel()) == (0, [], [], 0, [])
 
     def test_agrees_with_fraction_elimination(self):
         rng = SplitMix64(1968)
@@ -244,7 +304,7 @@ class TestIntegerRref:
                     got, want = rref(m), rref_by_fractions(m)
                     assert (got.rank, got.pivots, fraction_rows(got)) == (want.rank, want.pivots,
                                                                           want.rows)
-                    assert got.kernel_basis() == want.kernel_basis()
+                    assert fraction_kernel(got) == want.kernel_basis()
                     deficient += got.rank < min(nrows, ncols)
                     if got.rank == nrows:  # T A = R on independent rows: T = A_P^-1
                         aug = rref_by_fractions([row + [Fraction(int(i == j)) for j in range(nrows)]
@@ -487,7 +547,7 @@ class TestGrowingEchelon:
                  for _ in range(3)]
         sp = make_space(3, [b + b.transpose() for b in basis])
         assert sp.echelon.rank == 3
-        assert sweep_rank(sp)((1, 1, 1)) <= 3
+        assert rref(sp.integer_element((1, 1, 1))).rank <= 3
         monkeypatch.undo()
         widths, real = [], linalg._back_substitute
         monkeypatch.setattr(linalg, "_back_substitute",
@@ -525,7 +585,7 @@ def assert_same_echelon(rows, ncols, rng):
     new.extend(rows)
     old.extend(rows)
     assert (new.int_rows, new.pivots, new.rank) == (old.int_rows, old.pivots, old.rank)
-    assert fraction_rows(new) == old.rows and new.kernel_basis() == old.kernel_basis()
+    assert fraction_rows(new) == old.rows and fraction_kernel(new) == old.kernel_basis()
     for row, p in zip(new.ff_rows, new.pivots):
         assert [row[q] for q in new.pivots] == [new.d * (q == p) for q in new.pivots]
     coeffs = [rng.int_between(-3, 3) for _ in rows]
@@ -718,12 +778,12 @@ class TestRref:
     def test_identity(self):
         e = rref(Mat.identity(3).data)
         assert e.rank == 3
-        assert e.kernel_basis() == []
+        assert e.integer_kernel() == []
 
     def test_rank_one(self):
         e = rref(Mat.from_ints([[1, 2], [2, 4]]).data)
         assert e.rank == 1
-        assert e.kernel_basis() == [[Fraction(-2), Fraction(1)]]
+        assert e.integer_kernel() == [[-2, 1]]
 
     def test_rank_nullity(self):
         rng = SplitMix64(3)
@@ -732,7 +792,7 @@ class TestRref:
             cols = rng.int_between(1, 5)
             m = [[rng.int_between(-3, 3) for _ in range(cols)] for _ in range(rows)]
             e = rref(m)
-            assert e.rank + len(e.kernel_basis()) == cols
+            assert e.rank + len(e.integer_kernel()) == cols
 
     def test_express_in_rows(self):
         rows = [[1, 0, 1], [0, 1, 1]]
