@@ -32,9 +32,10 @@ off the packed polynomial, an evaluation at a net
 (``chow_det_eval_at_net``) sums its packed keys, and its terms are formed
 only when first read, by a comparison.  CPU in a fresh process (Python
 3.11.7, Xeon, 2 CPUs; median and range of 9 processes): the determinant
-38 ms (33-58), its degree and term count 11 ms (10-17) more, an
-evaluation at a net 18 ms (16-26) more, its terms 83 ms (54-92) more
-when read.
+25 ms (24-33), its degree and term count 8 ms (8-12) more, an evaluation
+at a net 18 ms (17-22) more, its terms 52 ms (48-70) more when read.
+Peak RSS the determinant adds to the process: 3.5 MB, as ``laplace_det``
+keeps at most two layers of minors.
 """
 
 from __future__ import annotations
@@ -46,7 +47,7 @@ from fractions import Fraction
 from typing import List, Tuple
 
 from .errors import PreconditionError
-from .exact import MPoly, Packing, laplace_minors, monomials, poly_eval, symmetric_linear_adjugate
+from .exact import MPoly, Packing, laplace_det, monomials, poly_eval, symmetric_linear_adjugate
 from .linalg import Echelon, rref
 from .spaces import (MatSpace, integer_sweep, invertible_points, is_regular, sym_dim, sym_pairs,
                      symmetric_rows)
@@ -178,7 +179,7 @@ def chow_det_generic(n: int = 3) -> MPoly:
     that entry monomial's key: the cells are packed polynomials in the 18
     entry variables, up to the exponent bound sym_dim(n) (n - 1) of a
     determinant of sym_dim(n) cells of degree n - 1.  Their
-    ``laplace_minors`` determinant is kept packed in the returned ``MPoly``,
+    ``laplace_det`` determinant is kept packed in the returned ``MPoly``,
     whose terms are formed when first read.  Degree 12 in the 18 variables.
     Kept for the process by ``functools.cache``, which keys on the
     arguments as written: every caller writes ``chow_det_generic(3)``.
@@ -199,7 +200,7 @@ def chow_det_generic(n: int = 3) -> MPoly:
         for c, (col, key) in zip(adj[i][j], places):
             if c:
                 rows[-1][col][key] = c
-    return packing.mpoly(laplace_minors(rows)(tuple(range(size))), 1, names)
+    return packing.mpoly(laplace_det(rows), 1, names)
 
 
 def chow_det_eval_at_net(space: MatSpace) -> Fraction:

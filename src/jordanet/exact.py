@@ -16,8 +16,9 @@ matrix is {packed exponent: int coefficient} (``IntPoly``), the exponents
 packed by ``Packing``, the one place that shifts or masks them, so that a
 monomial product is one integer addition.  ``linear_matrix`` forms sum_k
 x^(e_k) M_k from integer matrices M_k (a space's generic element,
-``spaces.generic_matrix``), ``laplace_minors`` (memoized over column
-subsets) its determinant and minors, ``int_poly_matmul`` products, and
+``spaces.generic_matrix``), ``laplace_det`` its determinant (Laplace
+expansion one layer of minors at a time: at most two layers are kept, and
+zero coefficients are pruned in place), ``int_poly_matmul`` products, and
 ``Packing.mpoly`` wraps a result in an ``MPoly`` that reads its terms off
 the packed polynomial when they are first read.
 ``symmetric_linear_adjugate`` runs Faddeev-LeVerrier on a symmetric matrix
@@ -288,14 +289,20 @@ class Packing:
         fields are summed in pairs into fields twice as wide until the k
         fields left, each at most v, fit k v in one field; then the product
         of a key with sum(2^(w i) for i < k) holds the sum of all k in field
-        k - 1, the fields below it the sums of the first few, none carrying."""
-        keys, k, w, v = list(p), len(self.fields) or 1, self.mask.bit_length(), self.mask
+        k - 1, the fields below it the sums of the first few, none carrying.
+        The keys are read 4096 at a time, so no list of all of them is made."""
+        k, w, v = len(self.fields) or 1, self.mask.bit_length(), self.mask
+        pairings = []  # (mask of the even fields, their width) per halving
         while k > 1 and (k * v) >> w:
-            even = sum(((1 << w) - 1) << (2 * w * i) for i in range((k + 1) // 2))
-            keys = [(key & even) + (key >> w & even) for key in keys]
+            pairings.append((sum(((1 << w) - 1) << (2 * w * i) for i in range((k + 1) // 2)), w))
             k, w, v = (k + 1) // 2, 2 * w, 2 * v
-        ones, mask = sum(1 << (w * i) for i in range(k)), (1 << w) - 1
-        return max((key * ones >> w * (k - 1) & mask for key in keys), default=NEG_INF)
+        ones, mask, top = sum(1 << (w * i) for i in range(k)), (1 << w) - 1, w * (k - 1)
+        best, keys = NEG_INF, iter(p)
+        while chunk := list(itertools.islice(keys, 4096)):
+            for even, width in pairings:
+                chunk = [(key & even) + (key >> width & even) for key in chunk]
+            best = max(best, max(key * ones >> top & mask for key in chunk))
+        return best
 
 
 def _mul_add(acc: IntPoly, a: IntPoly, b: IntPoly, sign: int = 1) -> None:
@@ -310,8 +317,11 @@ def _mul_add(acc: IntPoly, a: IntPoly, b: IntPoly, sign: int = 1) -> None:
             acc[key] = get(key, 0) + ca * cb
 
 
-def _nonzero(p: IntPoly) -> IntPoly:
-    return {key: c for key, c in p.items() if c}
+def _prune(p: IntPoly) -> IntPoly:
+    """p with its zero coefficients deleted, in place: no copy of p is made."""
+    for key in [key for key, c in p.items() if not c]:
+        del p[key]
+    return p
 
 
 def int_poly_matmul(a_rows: Sequence[Sequence[IntPoly]],
@@ -326,34 +336,48 @@ def int_poly_matmul(a_rows: Sequence[Sequence[IntPoly]],
             for x, y in zip(a_row, col):
                 if x and y:
                     _mul_add(acc, x, y)
-            row.append(_nonzero(acc))
+            row.append(_prune(acc))
         out.append(row)
     return out
 
 
-def laplace_minors(a: Sequence[Sequence[IntPoly]]) -> Callable[[tuple], IntPoly]:
-    """The minor of the first |S| rows of an integer polynomial matrix on
-    columns S, by Laplace expansion along row |S| - 1 into the minors on the
-    subsets of S one column smaller, each computed once and shared."""
-    memo: Dict[tuple, IntPoly] = {(): {0: 1}}
-
-    def minor(cols: tuple) -> IntPoly:
-        cached = memo.get(cols)
-        if cached is not None:
-            return cached
-        row = len(cols) - 1
-        acc: IntPoly = {}
-        for idx, c in enumerate(cols):
-            e = a[row][c]
-            if not e:
-                continue
-            sub = minor(cols[:idx] + cols[idx + 1:])
+def _expand(row: Sequence[IntPoly], k: int, cols: tuple,
+            minor: Callable[[tuple, None], Optional[IntPoly]]) -> IntPoly:
+    """The minor of the first k + 1 rows of a matrix on columns cols, by
+    Laplace expansion along row k (``row``): minor(S, None) is the minor of
+    the first k rows on S, or None when it is 0."""
+    acc: IntPoly = {}
+    for idx, c in enumerate(cols):
+        if row[c]:
+            sub = minor(cols[:idx] + cols[idx + 1:], None)
             if sub:
-                _mul_add(acc, e, sub, -1 if (row + idx) % 2 else 1)
-        memo[cols] = acc = _nonzero(acc)
-        return acc
+                _mul_add(acc, row[c], sub, -1 if (k + idx) % 2 else 1)
+    return _prune(acc)
 
-    return minor
+
+def _next_layer(row: Sequence[IntPoly], k: int, layer: Dict[tuple, IntPoly]
+                ) -> Dict[tuple, IntPoly]:
+    """The nonzero minors of the first k + 1 rows on every (k + 1)-subset of
+    columns, off ``layer``, those of the first k rows (``_expand``)."""
+    subsets = itertools.combinations(range(len(row)), k + 1)
+    return {cols: p for cols in subsets if (p := _expand(row, k, cols, layer.get))}
+
+
+def laplace_det(a: Sequence[Sequence[IntPoly]]) -> IntPoly:
+    """The determinant of a square integer polynomial matrix by Laplace
+    expansion, layer by layer: layer k holds the nonzero minors of the
+    first k rows on the k-subsets of columns, each expanded along row k - 1
+    into layer k - 1, which is dropped once layer k is built
+    (``_next_layer``).  The last layer is the determinant alone, summed in
+    place as each minor of the layer below is popped, so at most two layers
+    are kept at a time."""
+    n = len(a)
+    if not n:
+        return {0: 1}
+    layer: Dict[tuple, IntPoly] = {(): {0: 1}}
+    for k in range(n - 1):
+        layer = _next_layer(a[k], k, layer)
+    return _expand(a[n - 1], n - 1, tuple(range(n)), layer.pop)
 
 
 def linear_matrix(terms: Sequence[Tuple[int, Sequence[Sequence[int]]]]) -> List[List[IntPoly]]:

@@ -88,12 +88,14 @@ def jordan_closure(space: MatSpace) -> Echelon:
     is adjoined.  No product with U or B_drop is formed: span(U, B_k : k !=
     drop) is the space and U * X = X, so B_drop * X = (X - sum_(k != drop)
     t_k B_k * X) / t_drop already lies in the span the worklist builds.
-    Stops early at all of S^n.
+    Stops early at all of S^n, or for a pencil at rank n: the closure of
+    <U, X> is U Q[U^-1 X], of dimension at most n (Cayley-Hamilton).
     """
     unit = unit_point(space)
     q, _ = unit.inverse
     n = space.n
     pairs = sym_pairs(n)
+    top = n if space.m == 2 else len(pairs)  # the most the closure's dimension can be
     ech = space.echelon.copy()
     # rows of primitive integer matrices: the B'_k but B'_drop, then products as they joined
     elements = [symmetric_rows(n, primitive(v, False))
@@ -104,12 +106,12 @@ def jordan_closure(space: MatSpace) -> Echelon:
             elements.append(symmetric_rows(n, primitive(vec, False)))
 
     done = 0
-    while done < len(elements) and ech.rank < len(pairs):
+    while done < len(elements) and ech.rank < top:
         xq = int_matmul(elements[done], q)  # Q is symmetric: its rows are its columns
         done += 1
         for y in elements[:done]:
             grow(_doubled_product(xq, y, pairs))
-            if ech.rank == len(pairs):
+            if ech.rank == top:
                 break
     return ech
 

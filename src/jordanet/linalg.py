@@ -409,12 +409,11 @@ def det_bareiss(m: Mat) -> Fraction:
 
 
 def det_laplace(m: Mat) -> Fraction:
-    """Determinant of a Fraction matrix M = M' / d by ``laplace_minors`` of
+    """Determinant of a Fraction matrix M = M' / d by ``laplace_det`` of
     the constant matrix M' (``linear_matrix``): det(M') / d^n."""
-    from .exact import laplace_minors, linear_matrix
+    from .exact import laplace_det, linear_matrix
     rows, d = _square_integer(m, "determinant")
-    a = linear_matrix([(0, rows)])
-    return Fraction(laplace_minors(a)(tuple(range(m.rows))).get(0, 0), d ** m.rows)
+    return Fraction(laplace_det(linear_matrix([(0, rows)])).get(0, 0), d ** m.rows)
 
 
 #: the exact determinant of a Fraction matrix

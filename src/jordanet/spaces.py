@@ -180,7 +180,10 @@ class MatSpace:
     def element(self, coords: Sequence) -> Mat:
         """sum_k c_k B_k for int or Fraction coordinates: with c = c' / d and
         B_k = B'_k / L, each upper entry is one Fraction(sum_k c'_k B'_k[i][j],
-        d L), shared with its mirror."""
+        d L), shared with its mirror.  Int coordinates are c' as they are,
+        with d = 1."""
+        if all(type(c) is int for c in coords):
+            return _over(self.integer_element(coords), self._ints[1])
         ci, d = integer_vector(coords)
         return _over(self.integer_element(ci), d * self._ints[1])
 
@@ -240,10 +243,10 @@ def generic_matrix(space: MatSpace, bound: int, names: Optional[Sequence[str]] =
 
 def generic_det(space: MatSpace, names: Optional[Sequence[str]] = None) -> MPoly:
     """Determinant of the generic element, nonzero iff the space is regular:
-    det(X') / L^n (``generic_matrix``, ``exact.laplace_minors``)."""
-    from .exact import laplace_minors
+    det(X') / L^n (``generic_matrix``, ``exact.laplace_det``)."""
+    from .exact import laplace_det
     rows, packing, names = generic_matrix(space, space.n, names)
-    det = laplace_minors(rows)(tuple(range(space.n)))
+    det = laplace_det(rows)
     return packing.mpoly(det, space.integer_basis()[1] ** space.n, names)
 
 
@@ -329,24 +332,26 @@ _WITNESS_BUDGET = 32
 #: the most term products (``_laplace_products``) the generic determinant of a
 #: space with ``_WITNESS_BUDGET`` singular sweep points may take.  Measured on
 #: singular spaces (dense congruence images of matrices that vanish on a
-#: k x k block, k > n/2), CPU of ``generic_det`` alone (Python 3.11, Xeon):
+#: k x k block, k > n/2), the CPU of ``generic_det`` alone and the peak RSS
+#: it adds to a fresh process (Python 3.11.7, Xeon, 2 CPUs):
 #:
-#:     n  m    products    CPU           n  m    products    CPU
-#:     6  8     194 256    0.03 s        7 10    2 312 408    0.64 s
-#:     7  8     807 240    0.24 s       17  1    2 228 224    2.6 s
-#:    16  1   1 048 576    1.2 s        15  2    4 177 920    1.9 s
-#:    14  2   1 835 008    0.75 s       18  1    4 718 592    5.4 s
-#:    12  3   1 923 072    0.50 s        8 12   26 153 536   10.2 s
+#:     n  m    products    CPU    memory        n  m    products    CPU    memory
+#:     6  8     194 256   0.03 s  0.3 MB        7 10    2 312 408   0.46 s   7 MB
+#:     7  8     807 240   0.16 s  2.2 MB       17  1    2 228 224   1.2 s   21 MB
+#:    16  1   1 048 576   0.56 s   10 MB       15  2    4 177 920   0.82 s  11 MB
+#:    14  2   1 835 008   0.38 s  5.5 MB       18  1    4 718 592   2.6 s   42 MB
+#:    12  3   1 923 072   0.36 s  4.2 MB        8 12   26 153 536   5.3 s   70 MB
 #:
-#: Every case on the left is admitted, every case on the right refused.
+#: Every case on the left is admitted, every case on the right refused.  The
+#: memory is that of two layers of minors (``exact.laplace_det``).
 MAX_GENERIC_DET_PRODUCTS = 2_000_000
 
 
 def _laplace_products(n: int, m: int) -> int:
-    """A bound on the work of the memoised Laplace expansion of an n x n
-    determinant of linear forms in m variables: each of the C(n, k) column
-    subsets of size k visits k entries of at most m terms and multiplies
-    them by a minor of at most C(m + k - 2, k - 1) terms (the full
+    """A bound on the work of the Laplace expansion (``exact.laplace_det``)
+    of an n x n determinant of linear forms in m variables: each of the
+    C(n, k) column subsets of size k visits k entries of at most m terms and
+    multiplies them by a minor of at most C(m + k - 2, k - 1) terms (the full
     determinant has at most C(m + n - 1, n))."""
     return sum(math.comb(n, k) * k * (1 + m * math.comb(m + k - 2, k - 1))
                for k in range(1, n + 1))

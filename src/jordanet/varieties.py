@@ -36,7 +36,7 @@ from pathlib import Path
 from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
 from .errors import InputError, PreconditionError
-from .exact import (MPoly, Packing, laplace_minors, monomials, packed_integer_poly,
+from .exact import (MPoly, Packing, laplace_det, monomials, packed_integer_poly,
                     parse_poly_lines, poly_eval)
 from .jordan import radical, structure_constants
 from .linalg import Echelon, Mat, rref
@@ -213,15 +213,18 @@ def _sparse_rank(rows: Iterable[Dict[int, int]], cols: int) -> int:
 def rank_one_system(space: MatSpace) -> List[MPoly]:
     """All nonzero 2x2 minors of the generic element, rows (i, j) and
     columns (k, l) >= (i, j): the rank <= 1 locus equations.  Each is the
-    Laplace minor of rows i, j of the packed X' (``spaces.generic_matrix``)
-    over L^2, an ``MPoly`` that keeps it packed (``exact.Packing.mpoly``)."""
+    determinant (``exact.laplace_det``) of its 2 x 2 block of the packed X'
+    (``spaces.generic_matrix``) over L^2, an ``MPoly`` that keeps it packed
+    (``exact.Packing.mpoly``)."""
     g, packing, names = generic_matrix(space, 2)
     den = space.integer_basis()[1] ** 2
     pairs = list(itertools.combinations(range(space.n), 2))
     minors = []
     for r, (i, j) in enumerate(pairs):
-        minor = laplace_minors([g[i], g[j]])
-        minors += [packing.mpoly(p, den, names) for p in map(minor, pairs[r:]) if p]
+        for k, l in pairs[r:]:
+            p = laplace_det([[g[i][k], g[i][l]], [g[j][k], g[j][l]]])
+            if p:
+                minors.append(packing.mpoly(p, den, names))
     return minors
 
 

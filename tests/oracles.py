@@ -163,6 +163,12 @@ that the tests can compare the two:
   w1 X + w2 Y + w3 Z as the MPoly adjugate of that ``Mat`` split by weight
   monomial (the package reads the cells off ``symmetric_linear_adjugate`` of
   the 18 products of a weight and an entry, ``chow.chow_det_generic``).
+- ``laplace_minors``: every minor of the first rows of a packed integer
+  polynomial matrix by Laplace expansion on the kernel's ``_mul_add``,
+  memoized over the column subsets it reaches (the package's
+  ``exact.laplace_det`` expands the determinant alone, one layer of minors
+  at a time, pops each minor of the last layer as it is used and prunes
+  zeros in place).
 - ``faddeev_leverrier`` (with ``_trace_of_product`` and ``_sum``): the
   Faddeev-LeVerrier recurrence on packed integer polynomial matrices, n - 1
   products on ``linalg``'s kernel (the package runs it on plain ints,
@@ -224,9 +230,7 @@ from jordanet.exact import (
     NEG_INF,
     Packing,
     _mul_add,
-    _nonzero,
     int_poly_matmul,
-    laplace_minors,
     linear_matrix,
     monomials,
     parse_poly,
@@ -1482,6 +1486,37 @@ def chow_matrix_generic_by_mpoly(n: int = 3) -> Mat:
     buckets = [adj[i, j].split_by_vars(weight_names) for i, j in sym_pairs(n)]
     return Mat([[b.get(mono, MPoly.zero()) for mono in monomials(len(prefixes), n - 1)]
                 for b in buckets])
+
+
+def _nonzero(p: dict) -> dict:
+    return {key: c for key, c in p.items() if c}
+
+
+def laplace_minors(a):
+    """The minor of the first |S| rows of an integer polynomial matrix on
+    columns S, by Laplace expansion along row |S| - 1 into the minors on the
+    subsets of S one column smaller, each computed once and kept in a memo
+    over every column subset reached (the package expands layer by layer
+    and keeps at most two layers, ``exact.laplace_det``)."""
+    memo = {(): {0: 1}}
+
+    def minor(cols: tuple) -> dict:
+        cached = memo.get(cols)
+        if cached is not None:
+            return cached
+        row = len(cols) - 1
+        acc: dict = {}
+        for idx, c in enumerate(cols):
+            e = a[row][c]
+            if not e:
+                continue
+            sub = minor(cols[:idx] + cols[idx + 1:])
+            if sub:
+                _mul_add(acc, e, sub, -1 if (row + idx) % 2 else 1)
+        memo[cols] = acc = _nonzero(acc)
+        return acc
+
+    return minor
 
 
 def _sum(*polys: dict) -> dict:

@@ -222,6 +222,26 @@ import sys
 from jordanet.chow import chow_det_generic
 sys.exit(chow_det_generic(3).term_count() != 22659)
 PY
+# the generic Chow form keeps at most two layers of minors: its process peaks under 4.5 MB
+# above chow catalog://netrank8, which imports the same modules and does little work.
+# Each child's peak RSS is read by os.wait4; on Linux it is at least the peak of the
+# process that started it, so this checker starts them before it holds anything large
+python - <<'PY'
+import json, os, shutil, subprocess, sys
+
+def run(*argv):
+    child = subprocess.Popen([shutil.which("jordanet"), *argv, "--json"], stdout=subprocess.PIPE)
+    out = child.stdout.read()
+    _, status, usage = os.wait4(child.pid, 0)
+    child.returncode = os.waitstatus_to_exitcode(status)
+    if child.returncode:
+        sys.exit(f"jordanet {' '.join(argv)} exited {child.returncode}")
+    return json.loads(out), usage.ru_maxrss  # KB on Linux
+
+(generic, generic_kb), (_, small_kb) = run("chow", "--generic-n3"), run("chow", "catalog://netrank8")
+print(f"chow --generic-n3 peak RSS {generic_kb} KB, chow catalog://netrank8 {small_kb} KB")
+sys.exit(generic["det_terms"] != 22659 or generic_kb - small_kb >= 4.5 * 1024)
+PY
 jordanet plucker catalog://netrank8 --json > plucker.json
 python -c 'import json, sys; sys.exit(json.load(open("plucker.json"))["coordinates"] != 120)'
 # the 2a1 separator quadric in dual Pluecker coordinates tells 3b1 (value 1) from 2a1 (0),

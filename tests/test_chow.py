@@ -1,6 +1,7 @@
 import itertools
 import math
 import sys
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
@@ -463,6 +464,19 @@ class TestGenericDet:
         assert (want.total_degree(), want.term_count()) == (12, 22659)
         assert got.vars == eager.vars == want.vars
         assert got.terms == eager.terms == want.terms
+
+    def test_two_layers_of_minors_at_most_are_kept(self):
+        # the layered expansion keeps the 6 minors of size 5 (20 106 terms)
+        # beside the determinant it sums (22 659), not the memo of every
+        # layer; once it returns only the determinant is kept
+        tracemalloc.start()
+        try:
+            det = chow_det_generic.__wrapped__(3)
+            kept, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert det.term_count() == 22659
+        assert peak < 4e6 and kept < 2.6e6, (peak, kept)
 
     def test_vanishes_on_rank_one_containing_net(self, generic_det):
         sp = make_space(3, [E(3, 1, 1), E(3, 2, 2), E(3, 3, 3)])

@@ -327,14 +327,21 @@ class TestClosure:
 
     def test_no_product_with_the_unit_or_the_dropped_element(self, monkeypatch):
         # the worklist multiplies the B_k with k != drop and what joins: for
-        # <I, D>, D = diag(1, 2, 3), that is D * D, D^2 * D and D^2 * D^2; a
-        # line spanned by an invertible matrix forms no product.  The space's
-        # own echelon does not grow
+        # <I + E, D, E>, D = diag(1, 2, 3), E = diag(1, 0, 0), whose unit I
+        # has coordinates (1, 0, -1), that is D * D, E * D and E * E, and
+        # nothing joins; a line spanned by an invertible matrix forms no
+        # product.  A pencil stops at rank n: <I, D> forms D * D, which adds
+        # D^2, and not D^2 * D or D^2 * D^2.  The space's own echelon does
+        # not grow
         calls = []
         real = jordan._doubled_product
         monkeypatch.setattr(jordan, "_doubled_product", lambda *a: calls.append(1) or real(*a))
+        diagonal = make_space(3, [diag(2, 1, 1), diag(1, 2, 3), diag(1, 0, 0)])
+        assert unit_point(diagonal).drop == 0
+        assert jordan_closure(diagonal).rank == 3 and len(calls) == 3
+        calls.clear()
         sp = make_space(3, [Mat.identity(3), diag(1, 2, 3)])
-        assert jordan_closure(sp).rank == 3 and len(calls) == 3
+        assert jordan_closure(sp).rank == 3 and len(calls) == 1
         assert sp.echelon.rank == 2
         calls.clear()
         line = make_space(3, [Mat.from_ints([[2, 1, 0], [1, 2, 0], [0, 0, 5]])])
@@ -465,6 +472,30 @@ class TestClosureOracle:
             assert make_space(clo.n, clo.basis) == clo
             grew += clo.m > sp.m
         assert grew > 10
+
+    def test_seeded_pencils_stop_at_rank_n(self):
+        # a pencil's closure U Q[U^-1 X] has dimension at most n, where the
+        # worklist stops: dense pencils reach n, congruence images of <I,
+        # diag> with repeated entries stop below it, and every echelon is the
+        # round oracle's
+        rng = SplitMix64(2054)
+        dims = []
+        for n in range(3, 8):
+            values = [0, 1] + [rng.int_between(0, n // 2) for _ in range(n - 2)]  # some repeat
+            p = Mat.from_ints([[5 * (i == j) + rng.int_between(-2, 2) for j in range(n)]
+                               for i in range(n)])
+            pencils = [congruence_transform(make_space(n, [Mat.identity(n), diag(*values)]), p)]
+            while len(pencils) < 3:
+                sp = make_space(n, [random_symmetric(rng, n) for _ in range(2)])
+                if is_regular(sp):
+                    pencils.append(sp)
+            for sp in pencils:
+                clo = closure_space(jordan_closure(sp), sp.n)
+                assert [vectorize(b) for b in clo.basis] == \
+                    closure_by_rounds(sp, unit_mat(unit_point(sp)))
+                dims.append((n, clo.m))
+        assert all(m <= n for n, m in dims)
+        assert sum(m == n for n, m in dims) >= 10 and sum(m < n for n, m in dims) >= 5
 
     def test_congruence_images_of_block_algebras_in_s6(self):
         rng = SplitMix64(606)

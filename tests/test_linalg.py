@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 from fractions import Fraction
 from typing import List, NamedTuple
 
@@ -11,7 +12,7 @@ from jordanet.exact import (
     Packing,
     int_poly_matmul,
     integer_poly,
-    laplace_minors,
+    laplace_det,
     linear_matrix,
     monomials,
     parse_poly,
@@ -59,6 +60,7 @@ from oracles import (
     fraction_rows,
     generic_element,
     inverse_or_none_by_primitive_rows,
+    laplace_minors,
     lift,
     macaulay_rows_by_fractions,
     mat_rank,
@@ -1271,6 +1273,123 @@ class TestPackedMPoly:
         p = packing.mpoly({packing.key((1, 2, 0)): 3, packing.key((0, 0, 4)): -1}, 2, "xyz")
         assert (p.term_count(), p.is_zero(), p.total_degree(), decoded) == (2, False, 4, [])
         assert str(p) == "-1/2*z^4 + 3/2*x*y^2" and p.terms is p.terms and decoded == [1]
+
+    def test_degree_reads_every_chunk_of_the_keys(self):
+        # the keys are read in chunks: the largest total degree is found in
+        # the first, a middle or the last chunk of 10 000 keys, at a key
+        # with some fields at the bound or all of them
+        packing = Packing(10, 9)
+        keys = [packing.key(e) for e in itertools.islice(itertools.product(range(3), repeat=10), 9999)]
+        assert packing.degree(dict.fromkeys(keys, 1)) == 16
+        for at in (0, 5000, 9999):
+            for top in ((9, 9, 3) + (0,) * 7, (9,) * 10):
+                p = dict.fromkeys(keys[:at] + [packing.key(top)] + keys[at:], 1)
+                assert packing.degree(p) == sum(top)
+
+
+def random_int_poly_matrix(rng, n, packing, max_terms=3):
+    """A seeded n x n integer polynomial matrix in ``packing``'s variables:
+    entries of 0..max_terms terms of mixed degree 0..3 (a zero entry about
+    one time in four), then about one time in three a zero row or column,
+    and about one time in three row r made row s with one entry moved by one
+    term, so that the expansion cancels all but that term's cofactor."""
+    k = len(packing.fields)
+
+    def entry(terms):
+        return {packing.key([rng.int_between(0, 3) * rng.int_between(0, 1) for _ in range(k)]):
+                rng.nonzero_int_between(-4, 4) for _ in range(terms)}
+
+    rows = [[entry(rng.int_between(1, max_terms) if rng.int_between(0, 3) else 0)
+             for _ in range(n)] for _ in range(n)]
+    if n > 1 and rng.int_between(0, 2) == 0:
+        r, s = rng.int_between(0, n - 1), rng.int_between(0, n - 2)
+        s += s >= r
+        rows[r] = [dict(e) for e in rows[s]]
+        rows[r][rng.int_between(0, n - 1)].update(entry(1))
+    if n and rng.int_between(0, 2) == 0:
+        dead = rng.int_between(0, n - 1)
+        if rng.int_between(0, 1):
+            rows[dead] = [{} for _ in range(n)]
+        else:
+            for row in rows:
+                row[dead] = {}
+    return rows
+
+
+class TestLaplaceDet:
+    """``exact.laplace_det``, layer by layer, against the memoised
+    ``laplace_minors`` (the same packed dict, keys in the same order) and
+    the entry-by-entry Laplace expansion in the ring of ``MPoly``."""
+
+    @staticmethod
+    def cases():
+        rng = SplitMix64(5402)
+        names = ("a", "b", "c")
+        for n in range(8):
+            packing = Packing(len(names), 3 * max(n, 1))
+            for _ in range(12 if n < 6 else 4):
+                yield packing, names, random_int_poly_matrix(rng, n, packing, 3 if n < 6 else 2)
+
+    def test_matches_the_memoised_expansion_and_the_ring(self):
+        zero = nonzero = 0
+        for packing, names, rows in self.cases():
+            n = len(rows)
+            got = laplace_det(rows)
+            want = laplace_minors(rows)(tuple(range(n)))
+            assert list(got.items()) == list(want.items()), rows
+            assert all(got.values())
+            if n:
+                ring = Mat([[lift(packing.mpoly(e, 1, names)) for e in row] for row in rows])
+                assert lift(packing.mpoly(got, 1, names)) == det_laplace_by_entries(ring), rows
+            else:
+                assert got == {0: 1}
+            zero += not got
+            nonzero += bool(got)
+        assert zero > 10 and nonzero > 30
+
+    def test_zero_rows_columns_and_cancelling_rows(self):
+        packing, names = Packing(2, 8), ("x", "y")
+        x, y = packing.units
+        # rows (x + y, x), (x, x - y): det = -y^2, the x^2 terms cancel
+        rows = [[{x: 1, y: 1}, {x: 1}], [{x: 1}, {x: 1, y: -1}]]
+        assert laplace_det(rows) == {2 * y: -1}
+        # two equal rows cancel to 0; a zero row or column is 0 at once
+        assert laplace_det([rows[0], rows[0]]) == {}
+        assert laplace_det([rows[0], [{}, {}]]) == laplace_det([[{x: 1}, {}], [{y: 2}, {}]]) == {}
+        # no zero coefficient is kept in any minor: x y - y x cancels in a
+        # 2 x 2 minor, and the 3 x 3 expansion over it is 0
+        three = [[{x: 1}, {y: 1}, {0: 1}], [{y: 1}, {x: 1}, {0: 2}], [{x: 1}, {y: 1}, {0: 1}]]
+        assert laplace_det(three) == {} == laplace_minors(three)((0, 1, 2))
+        # the 0 x 0 determinant is 1, and a 1 x 1 one its entry
+        assert laplace_det([]) == {0: 1} and laplace_det([[{x: 3, 0: -1}]]) == {x: 3, 0: -1}
+
+    def test_signs_follow_the_permutations(self):
+        # a permutation matrix of distinct variables has det sign(perm) times
+        # their product: every sign of the expansion at n = 1..6
+        for n in range(1, 7):
+            packing = Packing(n, 1)
+            for perm in itertools.islice(itertools.permutations(range(n)), 0, None, 7):
+                rows = [[{packing.units[i]: 1} if j == perm[i] else {} for j in range(n)]
+                        for i in range(n)]
+                sign = -1 if sum(a > b for a, b in itertools.combinations(perm, 2)) % 2 else 1
+                assert laplace_det(rows) == {sum(packing.units): sign}, perm
+
+    def test_at_most_two_layers_are_kept(self):
+        # a singular dense line in S^14, B B^T for B of shape 14 x 13: the
+        # memoised expansion keeps all 2^14 minors, the layers at most
+        # C(14, 7) + C(14, 6) of them, about half the traced peak
+        rng = SplitMix64(5403)
+        b = Mat.from_ints([[rng.int_between(-1, 1) for _ in range(13)] for _ in range(14)])
+        rows, _, _ = generic_matrix(make_space(14, [b @ b.transpose()]), 14)
+        peaks = []
+        for det_of in (laplace_det, lambda rows: laplace_minors(rows)(tuple(range(14)))):
+            tracemalloc.start()
+            try:
+                assert det_of(rows) == {}
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[0] < 0.7 * peaks[1], peaks
 
 
 class TestInverse:

@@ -46,6 +46,7 @@ from oracles import (
     generic_element_by_scale_and_add,
     integer_element_by_sums,
     integer_sweep_by_filter,
+    laplace_minors,
     laplace_minors_by_entries,
     lift,
     nonzero_sweep_by_filter,
@@ -344,6 +345,42 @@ class TestFindInvertible:
             if regular:
                 assert find_invertible(sp) == expected[:2]
 
+    def test_the_fallback_determinant_matches_the_oracles(self, monkeypatch):
+        # with no sweep or dense point tried first, every space without the
+        # identity goes to the generic determinant: seeded singular spaces
+        # (dense images of matrices that vanish on a k x k block, k > n/2) and
+        # regular ones, each determinant against the memoised Laplace oracle
+        # (the same packed dict) and the MPoly route
+        monkeypatch.setattr(spaces, "_WITNESS_BUDGET", 0)
+        monkeypatch.setattr(spaces, "_DENSE_POINTS", 0)
+        dets = []
+        expand = spaces.generic_det
+        monkeypatch.setattr(spaces, "generic_det",
+                            lambda sp, names=None: dets.append(expand(sp, names)) or dets[-1])
+        rng = SplitMix64(5404)
+        cases = random_spaces(5404, 9)
+        for n, m in ((3, 2), (4, 2), (5, 3), (6, 2), (7, 1)):
+            k = n // 2 + 1
+            basis = [[[0] * n for _ in range(n)] for _ in range(m)]
+            for mat in basis:
+                for i in range(n):
+                    for j in range(max(i, k), n):
+                        mat[i][j] = mat[j][i] = rng.int_between(-3, 3)
+            p = [[5 * (i == j) + rng.int_between(-2, 2) for j in range(n)] for i in range(n)]
+            cases.append(congruence_transform(make_space(n, map(Mat.from_ints, basis)),
+                                              Mat.from_ints(p)))
+        regular = 0
+        for sp in cases:
+            dets.clear()
+            regular += is_regular(sp)
+            rows, _, _ = generic_matrix(sp, sp.n)
+            want = laplace_minors(rows)(tuple(range(sp.n)))
+            assert len(dets) == 1 and bool(want) == is_regular(sp)
+            assert list(dets[0]._packed[1].items()) == list(want.items())
+            ring = det_laplace_by_entries(generic_element(sp.basis))
+            assert dets[0] == ring and (dets[0].is_zero() or same_polys(dets, [ring]))
+        assert regular == 6 and len(cases) - regular == 8
+
     def test_symbolic_determinant_only_past_the_witness_budget(self, monkeypatch):
         calls = []
         expand = spaces.generic_det
@@ -455,20 +492,26 @@ class TestIntegerSweep:
             assert sp.element(coords) == element_by_scale_and_add(sp, coords)
             assert sp.element([0] * sp.m) == zero_mat(sp.n, sp.n)
 
-    def test_element_on_the_integer_basis_matches_fractions(self):
+    def test_element_on_the_integer_basis_matches_fractions(self, monkeypatch):
         # rational bases over unequal denominators; int, Fraction, mixed and
-        # all-zero coordinates
+        # all-zero coordinates.  Int coordinates are summed as they are, and
+        # only the others are cleared of denominators
+        cleared, clear = [], spaces.integer_vector
+        monkeypatch.setattr(spaces, "integer_vector",
+                            lambda v: cleared.append(list(v)) or clear(v))
         rng = SplitMix64(31)
-        spaces = random_spaces(12, 12)
+        rational = random_spaces(12, 12)
         assert any(len({x.denominator for b in sp.basis for row in b.data for x in row}) > 2
-                   for sp in spaces)
-        for sp in spaces:
+                   for sp in rational)
+        for sp in rational:
             cases = [[0] * sp.m, [Fraction(0)] * sp.m,
                      [rng.int_between(-4, 4) for _ in range(sp.m)],
                      [Fraction(rng.int_between(-6, 6), rng.int_between(1, 9)) for _ in range(sp.m)],
                      [Fraction(1, 3)] + [rng.int_between(-2, 2) for _ in range(sp.m - 1)]]
             for coords in cases:
+                cleared.clear()
                 got = sp.element(coords)
+                assert cleared == ([] if all(type(c) is int for c in coords) else [coords])
                 assert got == element_by_fractions(sp, coords), coords
                 assert all(type(x) is Fraction for row in got.data for x in row)
                 assert got.is_symmetric()
