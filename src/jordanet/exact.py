@@ -269,20 +269,27 @@ class Packing:
         """The sum over the terms c x^e of p of c prod_i values[i]^e_i
         scale^(top - e_i), e_i read off field ``fields[i]`` (at most top).
         Keys are cut into chunks of six fields and each distinct chunk is
-        read once, into the product of its fields' powers: a term costs a
-        shift, a lookup and a product per chunk, and no key is decoded."""
+        read once, into the product of its fields' powers, kept in one memo
+        per chunk: a term costs a shift, a lookup and a product per chunk,
+        and no key is decoded.  The terms are read 4096 at a time, as in
+        ``degree``, so no list of all of them is made."""
         width, mask = self.mask.bit_length(), self.mask
         powers = {f: [v ** e * scale ** (top - e) for e in range(min(top, mask) + 1)]
                   for f, v in zip(fields, values)}
-        keys, totals = list(p), list(p.values())
         span = 6 * width
-        for low in range(0, max(fields, default=-1) + 1, span):
-            inside = [(f - low, powers[f]) for f in fields if low <= f < low + span]
-            parts = [key >> low & ((1 << span) - 1) for key in keys]
-            value = {part: math.prod(table[part >> f & mask] for f, table in inside)
-                     for part in set(parts)}
-            totals = list(map(mul, totals, map(value.__getitem__, parts)))
-        return sum(totals)
+        cut = (1 << span) - 1
+        chunks = [(low, [(f - low, powers[f]) for f in fields if low <= f < low + span], {})
+                  for low in range(0, max(fields, default=-1) + 1, span)]
+        total, keys, coeffs = 0, iter(p), iter(p.values())
+        while batch := list(itertools.islice(keys, 4096)):
+            terms = list(itertools.islice(coeffs, len(batch)))
+            for low, inside, value in chunks:
+                parts = [key >> low & cut for key in batch]
+                for part in set(parts).difference(value):
+                    value[part] = math.prod(table[part >> f & mask] for f, table in inside)
+                terms = list(map(mul, terms, map(value.__getitem__, parts)))
+            total += sum(terms)
+        return total
 
     def degree(self, p: IntPoly):
         """The largest sum of a key's fields, -inf when p is 0.  Adjacent

@@ -21,17 +21,24 @@ and returns it, with the closure's dimension as its rank.  It never
 multiplies by U or by B_drop, drop the first index on which U has a nonzero
 coordinate (``Unit.drop``): span(U, B_k : k != drop) is the space and U * X
 = X, so B_drop * X lies in the span of X and the B_k * X with k != drop.
-The Jordan test reduces each basis product on the space's echelon, reads its
-coordinates off the space's pivot inverse (``MatSpace.pivot_inverse``, the
-one linear solve) and keeps the structure tensor as one integer tensor c
-over one denominator.  The radical (the kernel of the trace form (x, y) ->
-tr(L_{x*y}), the characteristic-zero semisimplicity criterion: its
-echelon's primitive ``integer_kernel``), associativity and the radical's
-square are read off c, and so are the Peirce pieces, all on integers.  A
-structure never changes once built, so the first three are each a
-``functools.cached_property`` of it; the structure, or the witness, is kept
-in the unit's instance dict, as ``spaces`` keeps no field for it (its
-caching rule is stated there).  The tests compare all of it with the
+The Jordan test forms, for the same reason, only the basis products B_i *
+B_j, i <= j, with neither index drop (3 for a net, not 6): the space is
+closed exactly when they stay inside it.  It reduces each on the space's
+echelon, reads its coordinates off the space's pivot inverse
+(``MatSpace.pivot_inverse``, the one linear solve) and keeps the structure
+tensor as one integer tensor c over one denominator den, whose drop row and
+column the unit law U * b_k = b_k gives on integers: with t = t' / e the
+unit's coordinates, T = t'_drop and n_k = e den delta_k - sum_(l != drop)
+t'_l c[k][l], c[k][drop] = n_k / T for k != drop and c[drop][drop] = (e T
+den delta_drop - sum_(l != drop) t'_l n_l) / T^2.  The radical (the kernel
+of the trace form (x, y) -> tr(L_{x*y}), the characteristic-zero
+semisimplicity criterion: its echelon's primitive ``integer_kernel``),
+associativity (2 associators for a net, not 27: ``is_associative``) and the
+radical's square are read off c, and so are the Peirce pieces, all on
+integers.  A structure never changes once built, so the first three are
+each a ``functools.cached_property`` of it; the structure, or the witness,
+is kept in the unit's instance dict, as ``spaces`` keeps no field for it
+(its caching rule is stated there).  The tests compare all of it with the
 Fraction route, and check that the radical is an ideal of nilpotents that
 never holds the unit (tr L_U = m), and that the product satisfies the unit
 law and the Jordan identity.
@@ -152,9 +159,10 @@ class JordanStructure:
 
     @functools.cached_property
     def _associative(self) -> bool:
-        c, m = self.c, self.dim
+        c, drop = self.c, self.unit.drop
+        others = [k for k in range(self.dim) if k != drop]
         return all(_combine(c[i][j], c[k]) == _combine(c[j][k], c[i])
-                   for i in range(m) for j in range(m) for k in range(m))
+                   for i, k in itertools.combinations(others, 2) for j in others)
 
     @functools.cached_property
     def _rad_square(self) -> int:
@@ -176,40 +184,83 @@ def _basis_products(space: MatSpace, unit: Unit) -> Union[JordanStructure, Jorda
     """The structure of the space for its unit, or the first basis product (in
     (i, j) order, i <= j) that escapes it; kept in the unit's instance dict.
 
+    Only the pairs i <= j with neither index ``Unit.drop`` are formed: with
+    U = sum_l t_l B_l, B_drop = (U - sum_(l != drop) t_l B_l) / t_drop and U * X
+    = X, so the space is closed exactly when those products stay inside it.
+    When one escapes, the deferred pairs with drop before it are formed in
+    (i, j) order, from B'_drop Q (A + A^T is the same for both orders), so the
+    witness is still the first escaping pair.
+
     The space's echelon of B' reduces v = 2sL^2 (B_i * B_j); a nonzero
     remainder makes the witness, the one place Fractions are formed.
     Otherwise v's coordinates over B' are R v_P / D on the pivot columns P
     (``MatSpace.pivot_inverse``), and those of v / 2sL^2 over B = B' / L are
-    L times them over 2sL^2: c[i][j] = R v_P over den = 2sLD.
+    L times them over 2sL^2: c[i][j] = R v_P over den = 2sLD.  The drop row
+    and column follow from U * b_k = b_k on integers: with t = t' / e
+    (``linalg.integer_vector``), T = t'_drop and n_k = e den delta_k -
+    sum_(l != drop) t'_l c[k][l], c[k][drop] = n_k / T for k != drop and
+    c[drop][drop] = (e T den delta_drop - sum_(l != drop) t'_l n_l) / T^2.
+    All of it is kept over den T^2 (the other entries times T^2, c[k][drop]
+    as T n_k) and reduced by the gcd, the tensor's lowest terms.
     """
     memo = vars(unit)
     if "basis_products" in memo:
         return memo["basis_products"]
-    n, m = space.n, space.m
+    n, m, drop = space.n, space.m, unit.drop
     basis, lcm = space.integer_basis()
     q, s = unit.inverse
     ech = space.echelon
-    r = None  # the pivot inverse, read once a product lies in the space
-    scale = 2 * s * lcm * lcm
+    t, e = integer_vector(unit.coords)
+    t_drop = t[drop]
+    r, d = None, 1  # the pivot inverse, read once a product lies in the space
     pairs = sym_pairs(n)
+    others = [k for k in range(m) if k != drop]
     c = [[None] * m for _ in range(m)]
-    for i in range(m):
+    for a, i in enumerate(others):
         xq = int_matmul(basis[i], q)
-        for j in range(i, m):
+        for j in others[a:]:
             v = _doubled_product(xq, basis[j], pairs)
-            rest, k = ech.eliminate(v)
-            if any(rest):
-                memo["basis_products"] = JordanWitness(
-                    i, j, unvectorize(n, [Fraction(x, k * scale) for x in rest]))
+            got = ech.eliminate(v)
+            if any(got[0]):
+                memo["basis_products"] = _first_witness(space, unit, (i, j), got)
                 return memo["basis_products"]
             if r is None:
                 r, d = space.pivot_inverse
-            c[i][j] = c[j][i] = int_matmul([[v[p] for p in ech.pivots]], r)[0]
-    den = 2 * s * lcm * d
+            c[i][j] = c[j][i] = int_matmul([[t_drop ** 2 * v[p] for p in ech.pivots]], r)[0]
+    den = 2 * s * lcm * d * t_drop ** 2
+    # over den T^2, c[k][drop] = (e den T^2 delta_k - sum_(l != drop) t'_l c[k][l]) / T,
+    # exact, for k != drop and then for drop, which reads the c[drop][l] just filled
+    for k in others + [drop]:
+        vec = [e * den * (x == k) for x in range(m)]
+        for l in others:
+            vec = [x - t[l] * y for x, y in zip(vec, c[k][l])]
+        c[k][drop] = c[drop][k] = [x // t_drop for x in vec]
     g = math.gcd(den, *(x for row in c for vec in row for x in vec))
     memo["basis_products"] = JordanStructure(
         space, unit, [[[x // g for x in vec] for vec in row] for row in c], den // g)
     return memo["basis_products"]
+
+
+def _first_witness(space: MatSpace, unit: Unit, escaped: Tuple[int, int],
+                   remainder: Tuple[List[int], int]) -> JordanWitness:
+    """The witness of ``_basis_products``: the first pair with ``Unit.drop``
+    before the escaped pair (in (i, j) order, i <= j) that escapes too, else
+    the escaped pair, whose ``Echelon.eliminate`` is ``remainder``.  The
+    residue is the remainder over 2sL^2."""
+    n, m, drop = space.n, space.m, unit.drop
+    basis, lcm = space.integer_basis()
+    q, s = unit.inverse
+    earlier = [(i, j) for i in range(drop + 1) for j in range(i, m)
+               if drop in (i, j) and (i, j) < escaped]
+    xq = int_matmul(basis[drop], q) if earlier else None
+    for i, j in earlier:
+        got = space.echelon.eliminate(_doubled_product(xq, basis[i + j - drop], sym_pairs(n)))
+        if any(got[0]):
+            escaped, remainder = (i, j), got
+            break
+    rest, k = remainder
+    scale = 2 * s * lcm * lcm
+    return JordanWitness(*escaped, unvectorize(n, [Fraction(x, k * scale) for x in rest]))
 
 
 def radical(a: JordanStructure) -> List[List[int]]:
@@ -222,9 +273,13 @@ def radical(a: JordanStructure) -> List[List[int]]:
 
 
 def is_associative(a: JordanStructure) -> bool:
-    """(b_i * b_j) * b_k = b_i * (b_j * b_k) on all basis triples, read off
-    the tensor: sum_l c_ij^l c_lk = sum_l c_jk^l c_il (both den^2 times the
-    coordinates of a side)."""
+    """(b_i * b_j) * b_k = b_i * (b_j * b_k) on the basis triples with no
+    index ``Unit.drop`` and i < k, read off the tensor: sum_l c_ij^l c_lk =
+    sum_l c_jk^l c_il (both den^2 times the coordinates of a side).  That
+    decides every triple: the associator [x, y, z] = (x * y) * z - x * (y *
+    z) is trilinear, vanishes when an argument is U (U * x = x), and [z, y,
+    x] = -[x, y, z] by commutativity, so it vanishes when x = z; U and the
+    b_k, k != drop, span the algebra."""
     return a._associative
 
 

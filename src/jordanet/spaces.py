@@ -298,8 +298,9 @@ class Unit:
 
     @functools.cached_property
     def drop(self) -> int:
-        """The first k with t_k != 0 in U = sum_k t_k B_k: the closure and the
-        partition use U and the B_j, j != k, which span the space."""
+        """The first k with t_k != 0 in U = sum_k t_k B_k: the closure, the
+        structure tensor, associativity and the partition use U and the B_j,
+        j != k, which span the space."""
         return next(k for k, c in enumerate(self.coords) if c)
 
 
@@ -432,16 +433,21 @@ def rank_one_pencil(space: MatSpace) -> int:
     resultant (af - cd)^2 - (ae - bd)(bf - ce) vanishes.  dim V = 1: 1 iff
     the discriminant b^2 - 4ac vanishes, else 2.  The minors are taken on
     the integer basis (``MatSpace.integer_basis``), which keeps the points.
+    Each distinct nonzero minor vector is adjoined once: V, and so its
+    reduced rows, do not depend on which rows span it.
     """
     if space.m != 2:
         raise PreconditionError("UNSUPPORTED_DIM", "pencil operation needs m = 2")
     (p, q), _ = space.integer_basis()
     pairs = itertools.combinations(range(space.n), 2)
+    rows = dict.fromkeys(
+        (p[i][k] * p[j][l] - p[i][l] * p[j][k],
+         p[i][k] * q[j][l] + q[i][k] * p[j][l] - p[i][l] * q[j][k] - q[i][l] * p[j][k],
+         q[i][k] * q[j][l] - q[i][l] * q[j][k])
+        for (i, j), (k, l) in itertools.combinations_with_replacement(pairs, 2))
+    rows.pop((0, 0, 0), None)
     ech = Echelon(3)
-    ech.extend([p[i][k] * p[j][l] - p[i][l] * p[j][k],
-                p[i][k] * q[j][l] + q[i][k] * p[j][l] - p[i][l] * q[j][k] - q[i][l] * p[j][k],
-                q[i][k] * q[j][l] - q[i][l] * q[j][k]]
-               for (i, j), (k, l) in itertools.combinations_with_replacement(pairs, 2))
+    ech.extend(rows)
     if ech.rank == 1:
         a, b, c = ech.int_rows[0]
         return 1 if b * b == 4 * a * c else 2

@@ -478,6 +478,27 @@ class TestGenericDet:
         assert det.term_count() == 22659
         assert peak < 4e6 and kept < 2.6e6, (peak, kept)
 
+    def test_evaluation_reads_the_terms_in_batches(self, generic_det):
+        # Packing.evaluate reads 4096 terms at a time, one memo per chunk of
+        # six fields kept across the batches: no list of all 22 659 keys,
+        # coefficients or chunk parts is made
+        from jordanet.linalg import det as _det
+
+        sp = make_space(3, [
+            Mat.from_ints([[1, 0, 1], [0, 2, 0], [1, 0, 0]]),
+            Mat.from_ints([[0, 1, 0], [1, 0, 1], [0, 1, 1]]),
+            Mat.from_ints([[1, 1, 0], [1, 1, 1], [0, 1, 2]]),
+        ])
+        generic_det.total_degree()
+        tracemalloc.start()
+        try:
+            value = chow_det_eval_at_net(sp)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert value == _det(chow_fraction_matrix(sp)) == -1
+        assert peak < 1e6, peak
+
     def test_vanishes_on_rank_one_containing_net(self, generic_det):
         sp = make_space(3, [E(3, 1, 1), E(3, 2, 2), E(3, 3, 3)])
         assert chow_det_eval_at_net(sp) == 0

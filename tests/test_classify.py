@@ -36,7 +36,9 @@ from jordanet.spaces import (
 )
 from jordanet.univariate import squarefree_decomposition
 from oracles import (
+    basis_products_by_fractions,
     generic_element,
+    is_associative_by_unit_vectors,
     matmul_by_loop,
     operator_matrix_by_fractions,
     partition_by_bivariate,
@@ -46,6 +48,7 @@ from oracles import (
     squarefree_by_mpoly,
     tensor_of,
     uni_charpoly,
+    unit_mat,
 )
 
 
@@ -567,6 +570,23 @@ class TestNetDecisionTable:
         varieties.min_rank_bounds(sp)
         assert radical_calls(sp) == []
         assert "element" not in [caller for caller, _ in calls]
+
+    def test_associativity_matches_the_fraction_oracle(self):
+        # is_associative checks the associators of the basis elements but the
+        # unit's drop, the oracle all 27 on the Fraction tensor: of the
+        # eight nets, 1b (the spin net, whose images drop B_1) and 2b are not
+        # associative, on the catalog net and on seeded images
+        drops = set()
+        for label in NET_LABELS:
+            net = canonical(f"s4/{label}")
+            for sp in (net, sample_congruent(net, 80), sample_congruent(net, 81)):
+                unit = unit_point(sp)
+                a = structure_constants(sp)
+                want = is_associative_by_unit_vectors(basis_products_by_fractions(sp, unit_mat(unit)))
+                assert is_associative(a) == want == (label not in ("1b", "2b")), label
+                assert invariant_vector(sp).associative == want
+                drops.add(unit.drop)
+        assert drops == {0, 1}
 
     def test_an_unrecognized_vector_names_its_fields(self, monkeypatch):
         # the UNRECOGNIZED message prints the vector's repr

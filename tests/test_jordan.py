@@ -1,4 +1,5 @@
 import json
+import math
 from fractions import Fraction
 from pathlib import Path
 
@@ -35,6 +36,7 @@ from jordanet.linalg import (
 from jordanet.prng import SplitMix64, derive_seed
 from jordanet.spaces import (
     MatSpace,
+    Unit,
     congruence_transform,
     contains,
     find_invertible,
@@ -99,6 +101,10 @@ def intro_L2(flip=False):
     by = Mat.from_ints([[0, 1, 0, 0], [1, 0, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]])
     bz = diag(0, 1, 0, 1)
     return make_space(4, [bx, by, bz, bw])
+
+
+def full_diagonal(n):
+    return make_space(n, [E(n, i + 1, i + 1) for i in range(n)])
 
 
 def full_space(n):
@@ -620,6 +626,157 @@ class TestFractionOracle:
         assert is_associative(a) == is_associative_by_unit_vectors(want)
         assert rad_square_dim(a) == rad_square_dim_by_fractions(want)
         return True
+
+
+def catalog_jordan_spaces():
+    """Every closed catalog space, and two seeded congruence images of each."""
+    spaces = [canonical(cid) for cid in catalog_ids()]
+    spaces = [sp for sp in spaces if isinstance(sp, MatSpace) and is_jordan(sp)[0]]
+    return spaces + [sample_congruent(sp, derive_seed(55, 2 * k + r))
+                     for k, sp in enumerate(spaces) for r in range(2)]
+
+
+def partition_algebras(seed):
+    """Closed spaces of each dimension m = 1..4 in S^3..S^5: the span of m
+    seeded integer combinations of the indicator diagonals of a partition of
+    range(n) into m blocks (the diagonal algebra R^m, whose unit I has
+    Fraction coordinates), each element scaled by a rational, and a seeded
+    congruence image of it, whose unit is a sweep point."""
+    rng = SplitMix64(seed)
+    out = []
+    for m in range(1, 5):
+        for n in range(max(m, 3), 6):
+            cuts = [0] + sorted(_distinct_cuts(rng, n, m)) + [n]
+            blocks = [range(a, b) for a, b in zip(cuts, cuts[1:])]
+            while True:
+                coeffs = [[rng.int_between(-3, 3) for _ in range(m)] for _ in range(m)]
+                if det(Mat.from_ints(coeffs)) != 0:
+                    break
+            basis = [diag(*[row[b] for b, block in enumerate(blocks) for _ in block])
+                     .scale(Fraction(rng.nonzero_int_between(-5, 5), rng.int_between(1, 7)))
+                     for row in coeffs]
+            sp = make_space(n, basis)
+            out += [sp, sample_congruent(sp, derive_seed(seed, len(out)))]
+    return out
+
+
+def _distinct_cuts(rng, n, m):
+    """m - 1 distinct cut points in 1..n - 1, seeded."""
+    cuts = set()
+    while len(cuts) < m - 1:
+        cuts.add(rng.int_between(1, n - 1))
+    return cuts
+
+
+def sweep_unit(sp, tup):
+    """The ``Unit`` at integer coordinates tup, as the sweep would keep it,
+    or None when that element is singular."""
+    rows = sp.integer_element(tup)
+    if det(Mat.from_ints(rows)) == 0:
+        return None
+    return Unit(tuple(tup), rows, sp.integer_basis()[1])
+
+
+class TestUnitLaw:
+    """The structure tensor forms the products B_i * B_j, i <= j, with
+    neither index ``Unit.drop`` and fills the drop row and column from U *
+    b_k = b_k; ``is_associative`` checks the associators (b_i, b_j, b_k) of
+    the other indices with i < k.  The Fraction oracles form every product
+    and check all m^3 associators."""
+
+    @staticmethod
+    def compare(sp, unit):
+        """Same lowest-terms tensor and associativity for the unit as the
+        oracles; returns (T, e), the unit's drop numerator and coordinate
+        denominator."""
+        a, want = jordan._basis_products(sp, unit), basis_products_by_fractions(sp, unit_mat(unit))
+        assert tensor_of(a) == want
+        assert a.den > 0 and math.gcd(a.den, *(x for row in a.c for vec in row for x in vec)) == 1
+        assert is_associative(a) == is_associative_by_unit_vectors(want)
+        t, e = integer_vector(unit.coords)
+        return t[unit.drop], e
+
+    def test_catalog_spaces_images_and_seeded_algebras_match_the_oracles(self):
+        spaces = catalog_jordan_spaces() + partition_algebras(2055)
+        seen = {(sp.m, unit_point(sp).drop > 0, self.compare(sp, unit_point(sp)) != (1, 1))
+                for sp in spaces}
+        assert {m for m, _, _ in seen} == {1, 2, 3, 4}
+        assert any(drop for _, drop, _ in seen) and any(odd for _, _, odd in seen)
+        assert any(not is_associative(structure_constants(sp)) for sp in spaces)
+
+    def test_identity_units_with_a_fractional_drop_coordinate(self):
+        # I = (3/2) B_0 (T = 3, e = 2), and I = (4/3) B_1 with B_0 * B_0 =
+        # diag(1, 1, 0) formed (T = 4, e = 3): both tensors need T and e
+        for basis, want in (([Mat.identity(3).scale(Fraction(2, 3)), diag(1, 2, 3), diag(1, 0, 0)],
+                             (3, 2)),
+                            ([diag(1, -1, 0), Mat.identity(3).scale(Fraction(3, 4)),
+                              diag(0, 0, 1)], (4, 3))):
+            sp = make_space(3, basis)
+            assert self.compare(sp, unit_point(sp)) == want
+
+    def test_sweep_units_with_a_drop_coordinate_past_one(self):
+        # units the sweep reaches past its first shell: t_drop = 2, 3 or -2
+        # on the B_0 or on the B_1 of catalog spaces and their images
+        tried = 0
+        for sp in catalog_jordan_spaces()[::3]:
+            for head in ((2,), (3,), (-2,), (0, 2), (0, -3)):
+                unit = sweep_unit(sp, (head + (1,) + (0,) * sp.m)[:sp.m])
+                if unit is not None:
+                    tried += 1
+                    assert abs(self.compare(sp, unit)[0]) > 1
+        assert tried >= 20
+
+    def test_the_witness_is_the_first_escaping_pair(self):
+        # <E, Y, I - Y> with E a 0/1 diagonal and Y seeded: the unit I has
+        # coordinates (0, 1, 1), so B_1 is dropped and E * E = E stays; the
+        # first escaping pair is (0, 1), formed only after the pair (0, 2)
+        # without B_1 escapes.  In <I - Y, Y, E> B_0 is dropped, and (0, 0)
+        # escapes.  Then seeded spaces that do not close
+        rng = SplitMix64(2056)
+        spaces = []
+        for n in (3, 4, 5):
+            for k in range(1, n):
+                e = diag(*[int(i < k) for i in range(n)])
+                y = random_rational_symmetric(rng, n)
+                spaces.append(make_space(n, [e, y, Mat.identity(n) - y]))
+                spaces.append(make_space(n, [Mat.identity(n) - y, y, e]))  # (0, 0) escapes
+        spaces += [sp for sp in rational_closure_cases() + closure_oracle_spaces()
+                   if not is_jordan(sp)[0]]
+        firsts = set()
+        for sp in spaces:
+            unit = unit_point(sp)
+            want = basis_products_by_fractions(sp, unit_mat(unit))
+            ok, witness = is_jordan(sp)
+            assert not ok and tuple(witness) == (want[0], want[1], want[3])
+            firsts.add((unit.drop, unit.drop in want[:2]))
+        assert {(1, True), (1, False), (0, True), (0, False)} <= firsts
+
+    def test_products_and_associators_formed(self, monkeypatch):
+        # a net forms B_i * B_j for i <= j off drop, 3 products, and checks 2
+        # associators, 4 _combine calls (fewer when one fails, as on 1b and
+        # 2b); a 4-space forms 6 and checks 9; a line forms none
+        products, combines = [], []
+        real_product, real_combine = jordan._doubled_product, jordan._combine
+        monkeypatch.setattr(jordan, "_doubled_product",
+                            lambda *a: products.append(1) or real_product(*a))
+        monkeypatch.setattr(jordan, "_combine", lambda *a: combines.append(1) or real_combine(*a))
+        nets = [canonical(f"s4/{label}") for label in NET_LABELS]
+        cases = [(sp, 3, 4) for net in nets for sp in (net, sample_congruent(net, 70))]
+        cases += [(canonical("dim4/L1"), 6, 18), (full_diagonal(4), 6, 18),
+                  (make_space(3, [Mat.identity(3)]), 0, 0)]
+        associative = 0
+        for space, formed, checked in cases:
+            sp = MatSpace(space.n, ints=space.integer_basis())  # nothing cached
+            products.clear()
+            a = structure_constants(sp)
+            assert len(products) == formed
+            combines.clear()
+            if is_associative(a):
+                associative += 1
+                assert len(combines) == checked
+            else:
+                assert 0 < len(combines) < checked
+        assert associative == 14
 
 
 def canonical_3b1():

@@ -6,10 +6,10 @@ import pytest
 
 from jordanet.catalog import canonical, catalog_ids
 from jordanet.errors import InputError, PreconditionError
-from jordanet import cli, modular, varieties
+from jordanet import cli, modular, spaces, varieties
 from jordanet.exact import integer_poly, monomials, parse_poly, poly_eval
 from jordanet.jordan import radical, structure_constants
-from jordanet.linalg import Mat, frac_str, inverse, rref
+from jordanet.linalg import Echelon, Mat, frac_str, inverse, rref
 from jordanet.prng import SplitMix64
 from jordanet.spaces import (
     MatSpace,
@@ -421,6 +421,49 @@ class TestRankOnePencil:
         for sp in pencils:
             assert rank_one_minors_by_mpoly(sp), sp
             assert rank_one_pencil(sp) == rank_one_count_oracle(sp)
+
+    def test_each_distinct_nonzero_minor_is_adjoined_once(self, monkeypatch):
+        # the seeded pencils have zero and repeated 2 x 2 minors (diagonal
+        # pencils, sums of v v^T over a shared pool): each distinct nonzero
+        # one reaches the echelon once, all of them while its rank is below 3,
+        # and the count is still the root scan's
+        adjoined = []
+
+        class Recording(Echelon):
+            def adjoin(self, v):
+                adjoined.append(tuple(v))
+                return super().adjoin(v)
+
+        monkeypatch.setattr(spaces, "Echelon", Recording)
+        zeros = repeats = 0
+        for sp in oracle_pencils():
+            adjoined.clear()
+            got = rank_one_pencil(sp)
+            rows = list(adjoined)
+            assert got == rank_one_count_oracle(sp)
+            minors = minor_vectors_by_fractions(sp)
+            distinct = set(minors) - {(0, 0, 0)}
+            zeros += minors.count((0, 0, 0))
+            repeats += len(minors) - len(set(minors))
+            assert (0, 0, 0) not in rows and len(set(rows)) == len(rows) <= len(distinct)
+            if rref([list(v) for v in distinct]).rank < 3:
+                assert len(rows) == len(distinct)
+        assert zeros > 100 and repeats > 100, (zeros, repeats)
+
+
+def minor_vectors_by_fractions(sp):
+    """The 2 x 2 minors of t1 P + t2 Q on the Fraction basis, rows (i, j)
+    and columns (k, l) >= (i, j), each as (a, b, c) for a t1^2 + b t1 t2 + c
+    t2^2, zero ones included."""
+    p, q = sp.basis
+    pairs = [(i, j) for i in range(sp.n) for j in range(i + 1, sp.n)]
+    out = []
+    for r, (i, j) in enumerate(pairs):
+        for k, l in pairs[r:]:
+            out.append((p[i, k] * p[j, l] - p[i, l] * p[j, k],
+                        p[i, k] * q[j, l] + q[i, k] * p[j, l] - p[i, l] * q[j, k] - q[i, l] * p[j, k],
+                        q[i, k] * q[j, l] - q[i, l] * q[j, k]))
+    return out
 
 
 def minor_span_dim(sp):
