@@ -186,7 +186,7 @@ def cmd_chow(args) -> int:
         if space.n != 3 or space.m != 3:
             raise PreconditionError("UNSUPPORTED_DIM", "--det-stats applies to nets of 3x3 matrices")
         rows, den = chow_matrix(space)
-        report["det_value"] = linalg_det(Mat([[Fraction(x, den) for x in row] for row in rows]))
+        report["det_value"] = linalg_det(Mat(rows)) / den ** len(rows)
     return _emit(report, args.json)
 
 

@@ -47,7 +47,7 @@ import math
 import re
 from fractions import Fraction
 from operator import mul
-from typing import Callable, Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
 
 from .errors import InputError
 from .linalg import frac, frac_str
@@ -253,16 +253,13 @@ class Packing:
         vars = tuple(sorted(names))
         return MPoly(vars, None, (self, p, den, [self.fields[names.index(v)] for v in vars]))
 
-    def exponents(self, p: IntPoly, fields: Sequence[int]) -> Iterable[tuple]:
-        """The exponent tuple of each key of p in turn, entry i read off field
-        ``fields[i]``: one pass over p per field."""
-        columns = [[key >> f & self.mask for key in p] for f in fields]
-        return zip(*columns) if columns else itertools.repeat((), len(p))
-
     def terms(self, p: IntPoly, den: int, fields: Sequence[int]) -> Dict[tuple, Fraction]:
-        """{exponent tuple: Fraction} of p / den (``exponents``)."""
+        """{exponent tuple: Fraction} of p / den, entry i of each key's tuple
+        read off field ``fields[i]``: one pass over p per field."""
+        columns = [[key >> f & self.mask for key in p] for f in fields]
+        exps = zip(*columns) if columns else itertools.repeat((), len(p))
         coeffs = map(Fraction, p.values()) if den == 1 else (Fraction(c, den) for c in p.values())
-        return dict(zip(self.exponents(p, fields), coeffs))
+        return dict(zip(exps, coeffs))
 
     def evaluate(self, p: IntPoly, fields: Sequence[int], values: Sequence[int], scale: int,
                  top: int) -> int:
@@ -542,15 +539,6 @@ def integer_poly(text: str) -> Tuple[Dict[tuple, int], int]:
     for (_, key), num, den in collected:
         terms[key] = terms.get(key, 0) + num * (lcm // den)
     return {key: c for key, c in terms.items() if c}, lcm
-
-
-def packed_integer_poly(p: MPoly) -> Tuple[Dict[tuple, int], int]:
-    """(p', d) for a polynomial p = p' / d that is still packed
-    (``Packing.mpoly``), in ``integer_poly``'s form, read off the packed
-    keys: no term of p is formed."""
-    packing, packed, den, fields = p._packed
-    return {tuple((v, e) for v, e in zip(p.vars, exps) if e): c
-            for exps, c in zip(packing.exponents(packed, fields), packed.values())}, den
 
 
 def parse_poly_lines(text: str, parse: Callable[[str], object] = parse_poly) -> list:

@@ -30,12 +30,11 @@ drops its cached rows explicitly when a row joins.
 
 Every polynomial object of a space is read off (B', L): the generic element
 is X' / L, X' = sum_k t_k B'_k packed by ``generic_matrix``, so that
-``generic_det`` is det(X') / L^n, ``varieties.rank_one_system`` the 2 x 2
-minors of X' over L^2 and ``chow.chow_matrix`` adj(X'); ``plucker`` takes
-the minors of the vectorized B' over L^m.  The polynomial ones import
-``exact`` when they run, and the sweep's seeded dense points ``prng``; the
-sweep itself, the membership tests and a pencil's rank-one count
-(``rank_one_pencil``, on its integer basis) are linear algebra alone.
+``generic_det`` is det(X') / L^n and ``chow.chow_matrix`` adj(X');
+``plucker`` takes the minors of the vectorized B' over L^m.  These import
+``exact`` when they run, and the sweep's dense points ``prng``.  The sweep,
+the membership tests and the 2 x 2 minors of X' (``rank_one_minors``) are
+linear algebra alone.
 
 ``ParametricBasis`` holds a one-parameter family as its coordinate rows in
 ``sym_pairs`` order, each entry a polynomial in t as {power: Fraction}, read
@@ -421,6 +420,21 @@ def _full_rank(rows: List[List[int]]) -> bool:
     return all(ech.adjoin(row) is not None for row in rows)
 
 
+def rank_one_minors(space: MatSpace) -> List[Tuple[int, ...]]:
+    """The nonzero 2 x 2 minors of X' = sum_a t_a B'_a, rows (i, j) and
+    columns (k, l) >= (i, j), as integer coefficients over t_a t_b, a <= b
+    (``exact.monomials(m, 2)`` order), one column at a time: with P = B'_a and
+    Q = B'_b, P_ik Q_jl + Q_ik P_jl - P_il Q_jk - Q_il P_jk, halved at a = b."""
+    mats = space.integer_basis()[0]
+    blocks = list(itertools.combinations_with_replacement(
+        itertools.combinations(range(space.n), 2), 2))
+    columns = [[p[i][k] * q[j][l] + q[i][k] * p[j][l] - p[i][l] * q[j][k] - q[i][l] * p[j][k]
+                >> (a == b) for (i, j), (k, l) in blocks]
+               for a, b in itertools.combinations_with_replacement(range(space.m), 2)
+               for p, q in [(mats[a], mats[b])]]
+    return list(filter(any, zip(*columns)))
+
+
 def rank_one_pencil(space: MatSpace) -> int:
     """Number of distinct projective rank-one points of a pencil.
 
@@ -432,22 +446,14 @@ def rank_one_pencil(space: MatSpace) -> int:
     independent quadratics share at most one zero, and one iff their
     resultant (af - cd)^2 - (ae - bd)(bf - ce) vanishes.  dim V = 1: 1 iff
     the discriminant b^2 - 4ac vanishes, else 2.  The minors are taken on
-    the integer basis (``MatSpace.integer_basis``), which keeps the points.
-    Each distinct nonzero minor vector is adjoined once: V, and so its
-    reduced rows, do not depend on which rows span it.
+    the integer basis (``rank_one_minors``), which keeps the points.  Each
+    distinct minor vector is adjoined once: V, and so its reduced rows, do
+    not depend on which rows span it.
     """
     if space.m != 2:
         raise PreconditionError("UNSUPPORTED_DIM", "pencil operation needs m = 2")
-    (p, q), _ = space.integer_basis()
-    pairs = itertools.combinations(range(space.n), 2)
-    rows = dict.fromkeys(
-        (p[i][k] * p[j][l] - p[i][l] * p[j][k],
-         p[i][k] * q[j][l] + q[i][k] * p[j][l] - p[i][l] * q[j][k] - q[i][l] * p[j][k],
-         q[i][k] * q[j][l] - q[i][l] * q[j][k])
-        for (i, j), (k, l) in itertools.combinations_with_replacement(pairs, 2))
-    rows.pop((0, 0, 0), None)
     ech = Echelon(3)
-    ech.extend(rows)
+    ech.extend(dict.fromkeys(rank_one_minors(space)))
     if ech.rank == 1:
         a, b, c = ech.int_rows[0]
         return 1 if b * b == 4 * a * c else 2

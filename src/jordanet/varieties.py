@@ -7,17 +7,16 @@ certifies that the system has no projective solution whenever those multiples
 span the entire degree-D coefficient space (then every ``x_i^D`` lies in the
 ideal, so only the origin survives).  UNKNOWN is a legal answer.  It reads
 integer polynomials over names (a file's lines cleared of denominators by
-``exact.integer_poly``, or the rank-one minors times L^2, read off their
-packed ``MPoly``s) and packs their monomials by ``exact.Packing``.  It
-reduces each degree before it multiplies (Lazard 1983; Faugere's F4,
-1999): the forms of degree d are reduced once on a ``linalg.Echelon`` over
-the monomials of degree d, and only its primitive reduced rows are
-multiplied up to degree D, as sparse rows ranked by ``_sparse_rank``.  A
-part with at least as many forms as monomials is first ranked mod p
-(``modular.spans``): a full rank there proves that it spans S_d, and the
-echelon runs only when it falls short.  Multiplying by a monomial is linear,
-so the span is that of the multiples of every form (timings at
-``MAX_MACAULAY_CELLS``).
+``exact.integer_poly``, or the rank-one minors of ``spaces.rank_one_minors``)
+and packs their monomials by ``exact.Packing``.  It reduces each degree
+before it multiplies (Lazard 1983; Faugere's F4, 1999): the forms of degree
+d are reduced once on a ``linalg.Echelon`` over the monomials of degree d,
+and only its primitive reduced rows are multiplied up to degree D, as
+sparse rows ranked by ``_sparse_rank``.  A part with at least as many forms
+as monomials is first ranked mod p (``modular.spans``): a full rank there
+proves that it spans S_d, and the echelon runs only when it falls short.
+Multiplying by a monomial is linear, so the span is that of the multiples
+of every form (timings at ``MAX_MACAULAY_CELLS``).
 
 The catalog polynomials are data, not derived objects: they are certificate
 polynomials for specific loci (repeated-eigenvalue cubics, the Jordan-net
@@ -36,18 +35,17 @@ from pathlib import Path
 from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
 from .errors import InputError, PreconditionError
-from .exact import (MPoly, Packing, laplace_det, monomials, packed_integer_poly,
-                    parse_poly_lines, poly_eval)
+from .exact import MPoly, Packing, monomials, parse_poly_lines, poly_eval
 from .jordan import radical, structure_constants
 from .linalg import Echelon, Mat, rref
 # rank_one_pencil is an alias: the benchmark's tracer looks it up in this module
 from .spaces import (
     MatSpace,
     PluckerVector,
-    generic_matrix,
     generic_names,
     integer_sweep,
     plucker,
+    rank_one_minors,
     rank_one_pencil,  # noqa: F401
     sym_pairs,
 )
@@ -210,22 +208,24 @@ def _sparse_rank(rows: Iterable[Dict[int, int]], cols: int) -> int:
     return len(pivots)
 
 
+def _minor_monomials(m: int) -> List[tuple]:
+    """The monomials of ``spaces.rank_one_minors``'s coefficients as
+    ``exact.integer_poly`` writes them: (name, exponent) pairs in name order."""
+    names = generic_names(m)
+    return [tuple(sorted((names[i], e) for i, e in enumerate(exps) if e))
+            for exps in monomials(m, 2)]
+
+
 def rank_one_system(space: MatSpace) -> List[MPoly]:
     """All nonzero 2x2 minors of the generic element, rows (i, j) and
-    columns (k, l) >= (i, j): the rank <= 1 locus equations.  Each is the
-    determinant (``exact.laplace_det``) of its 2 x 2 block of the packed X'
-    (``spaces.generic_matrix``) over L^2, an ``MPoly`` that keeps it packed
-    (``exact.Packing.mpoly``)."""
-    g, packing, names = generic_matrix(space, 2)
+    columns (k, l) >= (i, j): the rank <= 1 locus equations, as ``MPoly``s
+    over the sorted names t1..tm, the integer minors of X'
+    (``spaces.rank_one_minors``) over L^2."""
+    vars = tuple(sorted(generic_names(space.m)))
+    keys = [tuple(dict(mono).get(v, 0) for v in vars) for mono in _minor_monomials(space.m)]
     den = space.integer_basis()[1] ** 2
-    pairs = list(itertools.combinations(range(space.n), 2))
-    minors = []
-    for r, (i, j) in enumerate(pairs):
-        for k, l in pairs[r:]:
-            p = laplace_det([[g[i][k], g[i][l]], [g[j][k], g[j][l]]])
-            if p:
-                minors.append(packing.mpoly(p, den, names))
-    return minors
+    return [MPoly(vars, {key: Fraction(c, den) for key, c in zip(keys, row) if c})
+            for row in rank_one_minors(space)]
 
 
 #: highest Macaulay degree tried for a rank-one locus
@@ -234,10 +234,10 @@ _MAX_CERTIFICATE_DEGREE = 6
 
 def rank_one_locus_certificate(space: MatSpace) -> Certificate:
     """Sweep Macaulay degrees 2..6 (``_MAX_CERTIFICATE_DEGREE``) for the
-    rank-one locus in P^(m-1), on the integer minors of X', L^2 times those
-    of ``rank_one_system``, read off its packed ``MPoly``s
-    (``exact.packed_integer_poly``)."""
-    system = [packed_integer_poly(p)[0] for p in rank_one_system(space)]
+    rank-one locus in P^(m-1), on the integer minors of X'
+    (``spaces.rank_one_minors``), L^2 times those of ``rank_one_system``."""
+    monos = _minor_monomials(space.m)
+    system = [{mono: c for mono, c in zip(monos, row) if c} for row in rank_one_minors(space)]
     if not system:
         return Certificate("SOLUTIONS_EXIST")
     cert = Certificate("UNKNOWN")
@@ -272,10 +272,8 @@ def catalog_polynomials(catalog_id: str) -> List[MPoly]:
 def catalog_eval(catalog_id: str, value) -> List[Fraction]:
     """Evaluate every polynomial of a catalog at a matrix, net, or Pluecker
     vector, according to the catalog's input convention."""
-    if catalog_id not in CATALOGS:
-        raise InputError("UNKNOWN_ID", f"no polynomial catalog {catalog_id!r}")
+    polys = catalog_polynomials(catalog_id)  # refuses an unknown id
     _, convention = CATALOGS[catalog_id]
-    polys = catalog_polynomials(catalog_id)
     if convention == "traceless_s3":
         assignment = _traceless_s3_assignment(value)
     elif convention == "net_with_identity_s3":

@@ -62,7 +62,8 @@ that the tests can compare the two:
   over the Fraction basis, each entry formed once, the reference route to
   the generic determinant (``det_laplace_by_entries`` of it) and the
   rank-one minors (``rank_one_minors_by_mpoly``), which the package reads
-  off the packed integer element X' = sum_k t_k B'_k over powers of L;
+  off the integer element X' = sum_k t_k B'_k over powers of L (packed for
+  the determinant, on plain ints for the minors, ``spaces.rank_one_minors``);
   ``generic_element_by_scale_and_add`` forms it as m polynomial scalings
   and m - 1 ``Mat`` sums;
 - ``element_by_fractions``: sum_k c_k B_k with each entry a Fraction sum

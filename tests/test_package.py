@@ -7,10 +7,11 @@ than inside its own definition; comments and strings do not count, so
 ``__init__.py``'s exports, which are strings, use nothing.  A method is used
 only where the package reads it as an attribute (``x.name``): a local
 variable or keyword of the same name does not count.  Exempt are the ``cmd_*`` commands, which
-``cli.main`` dispatches by name, dunder methods, and the functions
-``benchmark/tracing.py`` wraps by name (its ``LAYER_FUNCTIONS``, read with
-``ast``, not imported).  A use inside such a function that nothing in the
-package calls does not count: it is reached only from outside.
+``cli.main`` dispatches by name, dunder methods, the functions
+``benchmark/tracing.py`` wraps by name (its ``LAYER_FUNCTIONS``) and the
+names the benchmark's files import from ``jordanet``, all read with ``ast``,
+not imported.  A use inside such a function that nothing in the package
+calls does not count: it is reached only from outside.
 """
 
 import ast
@@ -32,6 +33,14 @@ def traced_names():
         if isinstance(node, ast.AnnAssign) and getattr(node.target, "id", None) == "LAYER_FUNCTIONS":
             return {elt.value for names in node.value.values for elt in names.elts}
     raise AssertionError("LAYER_FUNCTIONS not found")
+
+
+def harness_names():
+    """The names ``benchmark/*.py`` imports from ``jordanet`` and its modules."""
+    return {alias.name for path in sorted((ROOT / "benchmark").glob("*.py"))
+            for node in ast.walk(ast.parse(path.read_text()))
+            if isinstance(node, ast.ImportFrom) and node.module.split(".")[0] == "jordanet"
+            for alias in node.names}
 
 
 def definitions(tree):
@@ -81,7 +90,7 @@ def unused_names():
         return any(n == name and (m != module or not first <= line <= last)
                    for n, m, line in uses[method])
 
-    exempt = traced_names()
+    exempt = traced_names() | harness_names()
     idle = [(module, first, last) for module, name, first, last, method in defined
             if name in exempt and not used(module, name, first, last, method)]
     uses = {method: [(n, m, line) for n, m, line in found

@@ -6,7 +6,7 @@ import pytest
 
 from jordanet.catalog import canonical, catalog_ids
 from jordanet.errors import InputError, PreconditionError
-from jordanet import cli, modular, spaces, varieties
+from jordanet import cli, exact, modular, spaces, varieties
 from jordanet.exact import integer_poly, monomials, parse_poly, poly_eval
 from jordanet.jordan import radical, structure_constants
 from jordanet.linalg import Echelon, Mat, frac_str, inverse, rref
@@ -368,13 +368,34 @@ class TestRankOneSystem:
         assert "t1^2 + t1*t2" in strs
 
     def test_matches_the_mpoly_route(self):
-        # the minors of the packed X' over L^2 against MPoly products of the
-        # Fraction generic element, in the same order
+        # the integer minors of X' over L^2 against MPoly products of the
+        # Fraction generic element, in the same order; with m = 11 the
+        # sorted names put t10 and t11 between t1 and t2
         spaces = [canonical(cid) for cid in catalog_ids()]
         spaces = [sp for sp in spaces if isinstance(sp, MatSpace)] + rational_spaces(31)
+        rng = SplitMix64(1011)
+        spaces.append(make_space(5, [Mat([[x / (1 + k % 3) for x in row]
+                                          for row in random_symmetric(rng, 5).data])
+                                     for k in range(11)]))
+        assert spaces[-1].m == 11 and spaces[-1].integer_basis()[1] == 6
         for sp in spaces:
             got, want = rank_one_system(sp), rank_one_minors_by_mpoly(sp)
             assert [(p.vars, p.terms) for p in got] == [(p.vars, p.terms) for p in want], sp
+        assert got[0].vars == ("t1", "t10", "t11") + generic_names(9)[1:]
+
+    def test_the_certificate_forms_no_mpoly(self, monkeypatch):
+        # rank_one_locus_certificate reads the integer minors
+        # (spaces.rank_one_minors), and no MPoly stands between
+        made = []
+        init = exact.MPoly.__init__
+        monkeypatch.setattr(exact.MPoly, "__init__",
+                            lambda self, *args: made.append(args) or init(self, *args))
+        sp = canonical("s4/2b")
+        system = rank_one_system(sp)
+        assert system and len(made) == len(system)  # the count sees each one
+        made.clear()
+        assert rank_one_locus_certificate(sp).kind == "CERTIFIED_EMPTY"
+        assert made == []
 
 
 class TestRankOnePencil:
